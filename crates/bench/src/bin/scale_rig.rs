@@ -13,7 +13,10 @@
 //! the combined summary (`restart_speedup`, `rss_ratio`, `parity`) — the
 //! same object E18 splices into `BENCH_metacomm.json` under `"scale"`.
 //! CI's release-mode smoke runs `--entries 100000 --arm both` and gates
-//! on the exit status.
+//! on the exit status: non-zero when an arm's restart diverges or when the
+//! compact arm's peak RSS per entry exceeds
+//! [`scale::COMPACT_PEAK_RSS_BUDGET_PER_ENTRY`]. The compact arm's
+//! resident bytes by structure ([`ldap::Footprint`]) are printed with it.
 
 use bench::scale;
 use std::path::PathBuf;
@@ -104,13 +107,32 @@ fn main() -> ExitCode {
                 .map(|kb| format!("{:.1} MB", kb as f64 / 1024.0))
                 .unwrap_or_else(|| "n/a".into()),
         );
+        if let Some(fp) = arm.footprint {
+            let rows: Vec<String> = fp
+                .rows()
+                .iter()
+                .map(|(row, bytes)| format!("{row} {}", bytes / fp.entries.max(1)))
+                .collect();
+            eprintln!(
+                "scale_rig: {:>7} at rest, B/entry: {} (total {})",
+                arm.arm,
+                rows.join(", "),
+                fp.total() / fp.entries.max(1)
+            );
+        }
     }
     println!("{}", run.json());
     let _ = std::fs::remove_dir_all(&args.state_dir);
-    if run.parity() {
-        ExitCode::SUCCESS
-    } else {
+    if !run.parity() {
         eprintln!("scale_rig: arms diverged — compact store is not a faithful replacement");
-        ExitCode::FAILURE
+        return ExitCode::FAILURE;
     }
+    if let Some(per_entry) = run.compact.over_rss_budget() {
+        eprintln!(
+            "scale_rig: compact arm peaked at {per_entry} B of RSS per entry, over the {} B budget",
+            scale::COMPACT_PEAK_RSS_BUDGET_PER_ENTRY
+        );
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
 }

@@ -290,20 +290,41 @@ impl<'r> Executor<'r> {
     /// currently has (the id serial is a unique cn suffix, so a suffix
     /// substring search pins it down even when renames were lost or
     /// already applied).
-    fn resolve_recovered_cn(&self, id: u32) -> Option<String> {
-        let hits = self
-            .wba
+    fn resolve_recovered(&self, id: u32) -> Option<ldap::Entry> {
+        self.wba
             .find(&format!("(cn=* {id:05})"))
-            .unwrap_or_default();
-        hits.first().and_then(|e| e.first("cn").map(str::to_string))
+            .unwrap_or_default()
+            .into_iter()
+            .next()
+    }
+
+    fn resolve_recovered_cn(&self, id: u32) -> Option<String> {
+        self.resolve_recovered(id)?.first("cn").map(str::to_string)
     }
 
     fn hire(&mut self, id: u32) -> Result<(), String> {
         let sub = &self.rig.pop.subscribers[id as usize];
         if self.tolerant {
-            if let Some(cn) = self.resolve_recovered_cn(id) {
+            let found = self.resolve_recovered(id);
+            if let Some((found, cn)) = found
+                .as_ref()
+                .and_then(|e| Some((e, e.first("cn")?.to_string())))
+            {
                 // Already present (hire survived the crash, possibly
-                // renamed since) — adopt the surviving cn.
+                // renamed since) — adopt the surviving cn. A hire is two
+                // updates; a crash between them leaves the person without
+                // the second one, which replay must finish.
+                match (&sub.extension, sub.mailbox_class) {
+                    (Some(ext), Some(class)) if !found.has_attr("mpMailbox") => {
+                        let r = self.wba.assign_mailbox(&cn, ext, class);
+                        self.ldap(r)?;
+                    }
+                    (None, _) if !found.has_attr("roomNumber") => {
+                        let r = self.wba.assign_room(&cn, &sub.room);
+                        self.ldap(r)?;
+                    }
+                    _ => {}
+                }
                 self.names.insert(id, cn);
                 self.live.insert(id);
                 return Ok(());

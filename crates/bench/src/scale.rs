@@ -46,7 +46,16 @@ pub struct ArmReport {
     /// …and after restart: equal iff recovery rebuilt the same tree.
     pub digest_restarted: u64,
     pub peak_rss_kb: Option<u64>,
+    /// The restarted tree's resident bytes by structure (compact arm).
+    pub footprint: Option<ldap::Footprint>,
 }
+
+/// Peak RSS the compact arm may cost per entry at 100k entries and up
+/// (below that the process's own base dominates). The peak is the restart
+/// beside the crashed deployment's leaked tree, so about two trees plus
+/// the restore transients: 2,850 B/entry measured at 100k, 6,260 before
+/// the shared-RDN layout.
+pub const COMPACT_PEAK_RSS_BUDGET_PER_ENTRY: u64 = 3_300;
 
 impl ArmReport {
     pub fn load_ops_per_sec(&self) -> f64 {
@@ -55,6 +64,17 @@ impl ArmReport {
 
     pub fn parity(&self) -> bool {
         self.digest_loaded == self.digest_restarted && self.entries > 0
+    }
+
+    /// Peak RSS per entry when it exceeds
+    /// [`COMPACT_PEAK_RSS_BUDGET_PER_ENTRY`] on a compact arm large enough
+    /// to be judged by it.
+    pub fn over_rss_budget(&self) -> Option<u64> {
+        let per_entry = self.peak_rss_kb? * 1024 / self.entries.max(1) as u64;
+        (self.arm == "compact"
+            && self.entries >= 100_000
+            && per_entry > COMPACT_PEAK_RSS_BUDGET_PER_ENTRY)
+            .then_some(per_entry)
     }
 
     /// One-line JSON object — the contract between the `scale_rig` child
@@ -66,7 +86,7 @@ impl ArmReport {
             "{{\"arm\":\"{}\",\"entries\":{},\"load_ops\":{},\"load_ops_per_sec\":{:.0},\
              \"load_secs\":{:.3},\"restart_secs\":{:.3},\"snapshot_entries\":{},\
              \"wal_records_applied\":{},\"digest_loaded\":\"{:016x}\",\
-             \"digest_restarted\":\"{:016x}\",\"parity\":{},\"peak_rss_kb\":{}}}",
+             \"digest_restarted\":\"{:016x}\",\"parity\":{},\"peak_rss_kb\":{}{}}}",
             self.arm,
             self.entries,
             self.load_ops,
@@ -81,6 +101,14 @@ impl ArmReport {
             self.peak_rss_kb
                 .map(|kb| kb.to_string())
                 .unwrap_or_else(|| "null".into()),
+            self.footprint
+                .map(|fp| {
+                    fp.rows()
+                        .iter()
+                        .map(|(row, bytes)| format!(",\"{row}\":{bytes}"))
+                        .collect::<String>()
+                })
+                .unwrap_or_default(),
         )
     }
 
@@ -106,6 +134,18 @@ impl ArmReport {
                 "null" => None,
                 kb => Some(kb.parse().ok()?),
             },
+            footprint: (|| {
+                let row = |name| jfield(line, name)?.parse().ok();
+                Some(ldap::Footprint {
+                    entries: jfield(line, "entries")?.parse().ok()?,
+                    dn_bytes: row("dnBytes")?,
+                    key_arena_bytes: row("keyArenaBytes")?,
+                    slab_bytes: row("slabBytes")?,
+                    attr_bytes: row("attrBytes")?,
+                    postings_bytes: row("postingsBytes")?,
+                    sibling_bytes: row("siblingBytes")?,
+                })
+            })(),
         })
     }
 }
@@ -353,6 +393,7 @@ pub fn run_arm(
     let (system2, restart) = crate::timed(|| deployment(compact, dir));
     let report = system2.recovery_report().expect("durable deployment");
     let (digest_restarted, _) = digest_tree(&system2.dit());
+    let footprint = system2.dit().footprint();
     system2.shutdown();
     let peak_rss_kb = rss::peak_rss_kb();
     let _ = std::fs::remove_dir_all(dir);
@@ -368,6 +409,7 @@ pub fn run_arm(
         digest_loaded,
         digest_restarted,
         peak_rss_kb,
+        footprint,
     }
 }
 
@@ -459,8 +501,15 @@ mod tests {
             digest_loaded: 0xdead_beef_0012_3456,
             digest_restarted: 0xdead_beef_0012_3456,
             peak_rss_kb: Some(4096),
+            footprint: Some(ldap::Footprint {
+                entries: 1234,
+                dn_bytes: 160,
+                attr_bytes: 670,
+                ..ldap::Footprint::default()
+            }),
         };
         let back = ArmReport::parse(&r.json()).expect("parse own json");
+        assert_eq!(back.footprint, r.footprint);
         assert_eq!(back.arm, "compact");
         assert_eq!(back.entries, 1234);
         assert_eq!(back.digest_loaded, r.digest_loaded);
@@ -469,9 +518,11 @@ mod tests {
 
         let none = ArmReport {
             peak_rss_kb: None,
+            footprint: None,
             ..r
         };
-        assert_eq!(ArmReport::parse(&none.json()).unwrap().peak_rss_kb, None);
+        let back = ArmReport::parse(&none.json()).unwrap();
+        assert_eq!((back.peak_rss_kb, back.footprint), (None, None));
     }
 
     #[test]

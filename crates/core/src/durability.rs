@@ -151,16 +151,25 @@ impl Durability {
                     }
                     None => 0,
                 };
-                // Replay every segment in generation order: DIT records are
-                // collected (they carry their own commit sequence and are
-                // sorted globally), journal events reduce in scan order.
+                // Replay every segment in generation order: DIT records the
+                // snapshot does not cover are collected (they carry their
+                // own commit sequence and are sorted globally), journal
+                // events reduce in scan order. A retained segment is mostly
+                // records the snapshot covers (the whole load, after a
+                // first checkpoint): those are counted as they are decoded
+                // and never copied.
                 let mut dit_records: Vec<(u64, String)> = Vec::new();
+                let mut covered = 0usize;
                 for generation in store.wal_generations() {
                     let summary = wal::replay(&store.wal_path(generation), |tag, payload| {
                         match tag {
                             backup::TAG_DIT_CHANGE => {
                                 let (seq, text) = backup::decode_wal_payload(payload)?;
-                                dit_records.push((seq, text.to_string()));
+                                if seq <= snap_seq {
+                                    covered += 1;
+                                } else {
+                                    dit_records.push((seq, text.to_string()));
+                                }
                             }
                             _ => reduce_journal_event(&mut journals, tag, payload)
                                 .map_err(ldap_decode_error)?,
@@ -173,7 +182,7 @@ impl Durability {
                 }
                 let replay = backup::apply_wal_records(dit, dit_records, snap_seq)?;
                 report.wal_records_applied = replay.applied;
-                report.wal_records_skipped = replay.skipped;
+                report.wal_records_skipped = covered + replay.skipped;
                 report.wal_records_discarded = replay.discarded;
             }
             Ok(())
@@ -220,6 +229,14 @@ impl Durability {
     /// log-and-alert); called once the error log exists.
     pub(crate) fn set_error_log(&self, errorlog: Arc<ErrorLog>, dir: Arc<dyn Directory>) {
         *self.error_ctx.lock() = Some((errorlog, dir));
+    }
+
+    /// Drop the alert route again (shutdown). It holds the directory, whose
+    /// commit observer holds this engine: left in place, that cycle keeps
+    /// the whole tree resident after the deployment is gone. WAL failures
+    /// are still counted; commits made after shutdown are still logged.
+    pub(crate) fn clear_error_log(&self) {
+        *self.error_ctx.lock() = None;
     }
 
     fn wal(&self) -> Arc<Wal> {

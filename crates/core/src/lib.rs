@@ -404,6 +404,7 @@ impl MetaCommBuilder {
         if let Some(sm) = &self.shard_metrics {
             obs::mirror_shard_metrics(&registry, sm);
         }
+        obs::mirror_dit_footprint(&registry, &dit);
 
         // Filters: protocol converter + mapper per repository. A filter
         // with a fault plan gets the FaultInjector decorator.
@@ -883,7 +884,8 @@ impl MetaComm {
     }
 
     /// Stop the recovery monitor, the relays, and the Update Manager (in
-    /// that order: the monitor and relays feed the UM).
+    /// that order: the monitor and relays feed the UM). A deployment that
+    /// is shut down and dropped leaves nothing resident.
     pub fn shutdown(&self) {
         if let Some(monitor) = self.monitor.lock().take() {
             let _ = monitor.shutdown.send(());
@@ -905,6 +907,7 @@ impl MetaComm {
         // covers the Never-policy tail so a clean shutdown loses nothing.
         if let Some(dur) = &self.durability {
             dur.sync();
+            dur.clear_error_log();
         }
     }
 }

@@ -14,7 +14,8 @@
 //!
 //! Component naming inside a [`crate::MetaComm`] deployment: `um` (the
 //! coordinator), one `device-<name>` per device filter, `relay` (DDU
-//! relays), `ltap` (gateway), and `server` (wire protocol, registered when
+//! relays), `ltap` (gateway), `dit` (the directory's resident bytes by
+//! structure), and `server` (wire protocol, registered when
 //! [`crate::MetaComm::serve`] starts).
 
 pub mod clock;
@@ -142,6 +143,42 @@ pub(crate) fn mirror_um_stats(registry: &Registry, stats: &Arc<crate::um::UmStat
     mirror!("breakerTrips", breaker_trips);
     mirror!("journalDrained", journal_drained);
     mirror!("fullResyncs", full_resyncs);
+}
+
+/// Register the directory's at-rest byte counts ([`ldap::Footprint`]) as
+/// the `dit` component: "which structure holds the bytes?" answered from
+/// `cn=monitor`. The counts come from a walk of the tree, so one walk
+/// serves every gauge of a monitor read and is redone only once the tree
+/// has committed since. The legacy backing has no such rows.
+pub(crate) fn mirror_dit_footprint(registry: &Registry, dit: &Arc<ldap::Dit>) {
+    if !dit.is_compact() {
+        return;
+    }
+    let comp = registry.component("dit");
+    // Weak: the registry outlives a shut-down deployment in its server.
+    let dit = Arc::downgrade(dit);
+    let last: Arc<parking_lot::Mutex<Option<(u64, ldap::Footprint)>>> = Arc::default();
+    let read = move || -> ldap::Footprint {
+        let Some(dit) = dit.upgrade() else {
+            return ldap::Footprint::default();
+        };
+        let seq = dit.seq();
+        let mut last = last.lock();
+        match *last {
+            Some((at, fp)) if at == seq => fp,
+            _ => {
+                let fp = dit.footprint().unwrap_or_default();
+                *last = Some((seq, fp));
+                fp
+            }
+        }
+    };
+    let r = read.clone();
+    comp.gauge_callback("entries", move || r().entries as i64);
+    for (i, (name, _)) in ldap::Footprint::default().rows().into_iter().enumerate() {
+        let r = read.clone();
+        comp.gauge_callback(name, move || r().rows()[i].1 as i64);
+    }
 }
 
 /// Mirror the DDU [`crate::ddu::RelayStats`] into the `relay` component.

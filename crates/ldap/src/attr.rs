@@ -15,7 +15,7 @@
 use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 /// Case-insensitive attribute name. Keeps the display form as written and a
 /// lowercased form for hashing/equality. Both forms are `Arc<str>`: a name
@@ -51,21 +51,44 @@ impl AttrName {
     /// Replace this name with the process-wide canonical copy for its
     /// display form, so a million entries holding `telephoneNumber` all
     /// point at the same two allocations. The pool is keyed by display
-    /// form and only ever grows; the universe of attribute names is the
-    /// schema's, not the data's, so it stays tiny.
+    /// form; the universe of attribute names is the schema's, not the
+    /// data's, so it stays tiny — and [`NAME_POOL_CAP`] keeps it so when
+    /// names arrive from an unauthenticated socket (a name past the cap is
+    /// still correct, just not shared).
     pub fn intern(&mut self) {
-        static POOL: parking_lot::Mutex<Option<HashMap<Arc<str>, AttrName>>> =
-            parking_lot::Mutex::new(None);
-        let mut pool = POOL.lock();
-        let pool = pool.get_or_insert_with(HashMap::new);
+        if let Some(canon) = NAME_POOL.read().get(&*self.display) {
+            *self = canon.clone();
+            return;
+        }
+        let mut pool = NAME_POOL.write();
         match pool.get(&*self.display) {
             Some(canon) => *self = canon.clone(),
-            None => {
+            None if pool.len() < NAME_POOL_CAP => {
                 pool.insert(self.display.clone(), self.clone());
             }
+            None => {}
         }
     }
+
+    /// The pooled name for `name` (see [`AttrName::intern`]); allocates
+    /// only the first time a display form is seen.
+    pub fn interned(name: &str) -> AttrName {
+        if let Some(canon) = NAME_POOL.read().get(name) {
+            return canon.clone();
+        }
+        let mut fresh = AttrName::new(name);
+        fresh.intern();
+        fresh
+    }
 }
+
+/// Distinct display forms the name pool will hold.
+const NAME_POOL_CAP: usize = 4096;
+
+/// Read-mostly: every DN parse looks its attribute types up here, from
+/// every wire and restore worker at once.
+static NAME_POOL: LazyLock<parking_lot::RwLock<HashMap<Arc<str>, AttrName>>> =
+    LazyLock::new(Default::default);
 
 impl PartialEq for AttrName {
     fn eq(&self, other: &Self) -> bool {
@@ -135,7 +158,11 @@ pub fn norm_value(v: &str) -> String {
                 last_space = true;
             }
         } else {
-            out.extend(ch.to_lowercase());
+            if ch.is_ascii() {
+                out.push(ch.to_ascii_lowercase());
+            } else {
+                out.extend(ch.to_lowercase());
+            }
             last_space = false;
         }
     }

@@ -355,8 +355,14 @@ fn load_blocks_inline<R: BufRead>(
     scanner: &mut SnapshotScanner<R>,
 ) -> Result<(usize, u64)> {
     let mut n = 0;
+    // One copy of their common ancestors between neighbours, as the parse
+    // workers keep it down a batch: the tree shares RDNs with the parent
+    // only when the bulk window closes.
+    let mut prev = Dn::root();
     while let Some(block) = scanner.next_block()? {
-        for e in parse_block_entries(&block, path)? {
+        for mut e in parse_block_entries(&block, path)? {
+            e.dn_mut().share_with(&prev);
+            prev = e.dn().clone();
             dit.bulk_add(e, true)?;
             n += 1;
         }
@@ -383,12 +389,18 @@ fn load_blocks_parallel<R: BufRead + Send>(
             sc.spawn(move || loop {
                 let msg = batch_rx.lock().recv();
                 let Ok((idx, blocks)) = msg else { break };
-                let parsed = blocks.iter().try_fold(Vec::new(), |mut acc, b| {
+                let parsed = blocks.iter().try_fold(Vec::<Entry>::new(), |mut acc, b| {
                     let mut es = parse_block_entries(b, path)?;
                     // Flatten + intern in the worker, in parallel, so the
-                    // single-threaded inserter has less to do.
+                    // single-threaded inserter has less to do; and share
+                    // ancestor RDNs down the batch, so that the load holds
+                    // one copy a batch until the bulk window closes and the
+                    // tree shares them with the parent entries.
                     for e in &mut es {
                         e.compact_for_store();
+                        if let Some(prev) = acc.last() {
+                            e.dn_mut().share_with(prev.dn());
+                        }
                     }
                     acc.append(&mut es);
                     Ok(acc)

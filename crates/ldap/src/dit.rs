@@ -25,7 +25,9 @@
 //! - **Compact** (the default): a DN arena maps each normalized DN to a
 //!   `u32` [`DnId`]; entries, sibling lists, and index postings all hold
 //!   ids instead of duplicated key `String`s, entries use the flattened
-//!   interned attribute representation, and a bulk-load mode
+//!   interned attribute representation and point their ancestor RDNs at
+//!   their parent's (one RDN per subtree; DESIGN.md §17 has the byte
+//!   budget, [`Dit::footprint`] reads it back), and a bulk-load mode
 //!   ([`Dit::begin_bulk`]) defers index and sibling-order maintenance to
 //!   one build pass — this is what makes million-entry cold starts fit in
 //!   memory and time budgets.
@@ -109,14 +111,75 @@ type Observer = Box<dyn Fn(&ChangeRecord) + Send + Sync>;
 /// `lastUpdater` origin attribute).
 pub const DEFAULT_INDEXED_ATTRS: &[&str] = &["objectClass", "cn", "telephoneNumber", "lastUpdater"];
 
+/// Resident heap bytes of a DIT by structure, from [`Dit::footprint`].
+///
+/// Computed by a walk of the store when asked for — nothing is counted on
+/// the update path. Each allocation is taken at the size the system
+/// allocator hands out for it (16-byte classes, 24 bytes at least), so the
+/// rows add up to what a counting allocator sees for the tree.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Footprint {
+    pub entries: usize,
+    /// Every entry's RDN vector and the RDN storage behind it; an RDN
+    /// shared down a subtree is counted once, where it is the leaf.
+    pub dn_bytes: usize,
+    /// The interned normalized keys and the key-to-id table.
+    pub key_arena_bytes: usize,
+    /// The node slots (entry header, links) and the free list.
+    pub slab_bytes: usize,
+    /// Attribute vectors and value strings.
+    pub attr_bytes: usize,
+    /// The equality indexes: value keys, tables, spilled id sets.
+    pub postings_bytes: usize,
+    /// The sorted child-id vectors.
+    pub sibling_bytes: usize,
+}
+
+impl Footprint {
+    /// `(gauge name, bytes)` for every structure, in a fixed order.
+    pub fn rows(&self) -> [(&'static str, usize); 6] {
+        [
+            ("dnBytes", self.dn_bytes),
+            ("keyArenaBytes", self.key_arena_bytes),
+            ("slabBytes", self.slab_bytes),
+            ("attrBytes", self.attr_bytes),
+            ("postingsBytes", self.postings_bytes),
+            ("siblingBytes", self.sibling_bytes),
+        ]
+    }
+
+    pub fn total(&self) -> usize {
+        self.rows().iter().map(|(_, bytes)| bytes).sum()
+    }
+}
+
+/// What the allocator sets aside for a request of `n` bytes.
+fn heap_block(n: usize) -> usize {
+    match n {
+        0 => 0,
+        n => ((n + 8 + 15) & !15).max(32) - 8,
+    }
+}
+
+/// The one allocation behind a std hash table of `capacity` usable slots
+/// of `slot` bytes: a power-of-two bucket array at 7/8 load, a control
+/// byte per bucket and one trailing control group.
+fn hash_table_block(capacity: usize, slot: usize) -> usize {
+    if capacity == 0 {
+        return 0;
+    }
+    let buckets = (capacity + 1).next_power_of_two();
+    heap_block((buckets * slot).next_multiple_of(16) + buckets + 16)
+}
+
 /// Arena id of an entry in the compact store: a `u32` that stands in for
 /// the normalized DN key everywhere the legacy representation stores a
 /// `String` — entry map, sibling lists, index postings.
 type DnId = u32;
 
 /// What the filter planner decided for one search, generic over the
-/// posting-set type (`BTreeSet<String>` on the legacy arm, `HashSet<DnId>`
-/// on the compact arm).
+/// posting-set type (`BTreeSet<String>` on the legacy arm, [`Posting`] on
+/// the compact arm).
 enum PlanOf<T> {
     /// Serve from this posting list (smallest among the filter's indexed
     /// equality conjuncts); every candidate is re-verified with the full
@@ -134,11 +197,14 @@ enum PlanOf<T> {
 /// on an indexed attribute, or an `&` whose conjuncts (nested `&`s
 /// flatten) include one — anything else scans. A missing posting for an
 /// indexed conjunct proves the result empty.
-fn plan_postings<'a, S>(
-    postings: &'a HashMap<String, HashMap<String, S>>,
+fn plan_postings<'a, K, S>(
+    postings: &'a HashMap<String, HashMap<K, S>>,
     filter: &Filter,
     size_of: fn(&S) -> usize,
-) -> PlanOf<&'a S> {
+) -> PlanOf<&'a S>
+where
+    K: std::borrow::Borrow<str> + Eq + std::hash::Hash,
+{
     if postings.is_empty() {
         return PlanOf::Scan;
     }
@@ -152,7 +218,7 @@ fn plan_postings<'a, S>(
         let Some(m) = postings.get(&attr.to_ascii_lowercase()) else {
             continue;
         };
-        match m.get(&norm_value(value)) {
+        match m.get(norm_value(value).as_str()) {
             None => return PlanOf::Empty,
             Some(set) => {
                 if best.is_none_or(|b| size_of(set) < size_of(b)) {
@@ -239,13 +305,66 @@ impl AttrIndex {
     }
 }
 
+/// The ids carrying one indexed value. Names and numbers are unique, so
+/// most values have exactly one: that id sits inline, and a set is only
+/// allocated when a second entry shares the value (invariant: `Many` holds
+/// at least two).
+enum Posting {
+    One(DnId),
+    /// Boxed on purpose: the slot of a unique value stays 16 bytes instead
+    /// of a set header's 48, and unique values are nearly all of them.
+    #[allow(clippy::box_collection)]
+    Many(Box<HashSet<DnId>>),
+}
+
+impl Posting {
+    fn len(&self) -> usize {
+        match self {
+            Posting::One(_) => 1,
+            Posting::Many(set) => set.len(),
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = DnId> + '_ {
+        let (one, many) = match self {
+            Posting::One(id) => (Some(*id), None),
+            Posting::Many(set) => (None, Some(set.iter().copied())),
+        };
+        one.into_iter().chain(many.into_iter().flatten())
+    }
+
+    fn insert(&mut self, id: DnId) {
+        match self {
+            Posting::One(first) if *first == id => {}
+            Posting::One(first) => *self = Posting::Many(Box::new(HashSet::from([*first, id]))),
+            Posting::Many(set) => {
+                set.insert(id);
+            }
+        }
+    }
+
+    /// Remove `id`; `true` when nothing is left and the posting should go.
+    fn remove(&mut self, id: DnId) -> bool {
+        match self {
+            Posting::One(only) => *only == id,
+            Posting::Many(set) => {
+                set.remove(&id);
+                if set.len() == 1 {
+                    *self = Posting::One(*set.iter().next().expect("one id left"));
+                }
+                false
+            }
+        }
+    }
+}
+
 /// Equality index of the compact backing: postings hold 4-byte [`DnId`]s
-/// in `HashSet`s instead of DN `String`s in `BTreeSet`s. Candidate order
+/// ([`Posting`]) instead of DN `String`s in `BTreeSet`s. Candidate order
 /// is recovered at query time by sorting survivors by arena key — a few
 /// comparisons on what is typically a small candidate set, in exchange
 /// for posting lists an order of magnitude smaller.
 struct IdIndex {
-    postings: HashMap<String, HashMap<String, HashSet<DnId>>>,
+    postings: HashMap<String, HashMap<Box<str>, Posting>>,
 }
 
 impl IdIndex {
@@ -268,7 +387,9 @@ impl IdIndex {
         for attr in e.attributes() {
             if let Some(m) = self.postings.get_mut(attr.name.norm()) {
                 for v in &attr.values {
-                    m.entry(norm_value(v)).or_default().insert(id);
+                    m.entry(norm_value(v).into())
+                        .and_modify(|posting| posting.insert(id))
+                        .or_insert(Posting::One(id));
                 }
             }
         }
@@ -282,19 +403,36 @@ impl IdIndex {
             if let Some(m) = self.postings.get_mut(attr.name.norm()) {
                 for v in &attr.values {
                     let nv = norm_value(v);
-                    if let Some(set) = m.get_mut(&nv) {
-                        set.remove(&id);
-                        if set.is_empty() {
-                            m.remove(&nv);
-                        }
+                    if m.get_mut(nv.as_str()).is_some_and(|p| p.remove(id)) {
+                        m.remove(nv.as_str());
                     }
                 }
             }
         }
     }
 
-    fn plan(&self, filter: &Filter) -> PlanOf<&HashSet<DnId>> {
-        plan_postings(&self.postings, filter, HashSet::len)
+    fn plan(&self, filter: &Filter) -> PlanOf<&Posting> {
+        plan_postings(&self.postings, filter, Posting::len)
+    }
+
+    fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let mut bytes = hash_table_block(
+            self.postings.capacity(),
+            size_of::<(String, HashMap<Box<str>, Posting>)>(),
+        );
+        for (attr, m) in &self.postings {
+            bytes += heap_block(attr.capacity())
+                + hash_table_block(m.capacity(), size_of::<(Box<str>, Posting)>());
+            for (value, posting) in m {
+                bytes += heap_block(value.len());
+                if let Posting::Many(set) = posting {
+                    bytes += heap_block(size_of::<HashSet<DnId>>())
+                        + hash_table_block(set.capacity(), size_of::<DnId>());
+                }
+            }
+        }
+        bytes
     }
 }
 
@@ -527,13 +665,19 @@ impl CompactStore {
     }
 
     /// Insert an entry whose parent existence and key uniqueness the
-    /// caller has already checked.
-    fn insert_entry(&mut self, key: &str, parent_key: &str, entry: Entry) {
+    /// caller has already checked. Its ancestor RDNs are re-pointed at the
+    /// parent node's, so every path into the tree (add, rename, subtree
+    /// move) leaves each RDN stored once per subtree; a bulk load does the
+    /// same for all its entries at once, in `finish_bulk_build`.
+    fn insert_entry(&mut self, key: &str, parent_key: &str, mut entry: Entry) {
         let parent = if parent_key.is_empty() {
             None
         } else {
             Some(self.id_of(parent_key).expect("parent checked"))
         };
+        if let (Some(p), 0) = (parent, self.bulk) {
+            entry.dn_mut().share_with(self.node(p).entry.dn());
+        }
         let akey: Arc<str> = Arc::from(key);
         let id = self.alloc(CompactNode {
             key: akey.clone(),
@@ -604,11 +748,7 @@ impl CompactStore {
                 head.clone()
             } else {
                 let mut e = e;
-                let rdns = e.dn().rdns().to_vec();
-                let keep = rdns.len() - old_depth;
-                let mut new_rdns = rdns[..keep].to_vec();
-                new_rdns.extend(new_dn.rdns().iter().cloned());
-                e.set_dn(Dn::from_rdns(new_rdns));
+                e.set_dn(e.dn().rebased(old_depth, new_dn));
                 e
             };
             let key = e.dn().norm_key();
@@ -617,8 +757,9 @@ impl CompactStore {
         }
     }
 
-    /// Restore the sorted-sibling and index invariants after a bulk load:
-    /// sort every sibling list by arena key and rebuild the postings in
+    /// Restore the sorted-sibling, shared-RDN and index invariants after a
+    /// bulk load: sort every sibling list by arena key, point every
+    /// entry's ancestor RDNs at its parent's, and rebuild the postings in
     /// one pass over the live slots. This replaces ~n per-insert index
     /// updates (each allocating a normalized value `String` and touching a
     /// set) with one linear build — the core of the fast cold start.
@@ -634,6 +775,20 @@ impl CompactStore {
             kids.sort_by(|&a, &b| self.node(a).key.cmp(&self.node(b).key));
             self.node_mut(i as DnId).children = kids;
         }
+        // Parents first, so that what a node shares is already its parent's
+        // final storage. Done here and not per insert: while the loader's
+        // threads are still allocating next to the copies being released,
+        // every release is a contended cache line (4 us an entry in the
+        // inserter, against 0.2 us once they are gone).
+        let mut queue: VecDeque<DnId> = self.root_children.iter().copied().collect();
+        while let Some(id) = queue.pop_front() {
+            queue.extend(&self.node(id).children);
+            if let Some(p) = self.node(id).parent {
+                let mut dn = std::mem::take(self.node_mut(id).entry.dn_mut());
+                dn.share_with(self.node(p).entry.dn());
+                *self.node_mut(id).entry.dn_mut() = dn;
+            }
+        }
         for m in self.index.postings.values_mut() {
             m.clear();
         }
@@ -647,9 +802,43 @@ impl CompactStore {
         }
     }
 
+    fn footprint(&self) -> Footprint {
+        use std::mem::size_of;
+        let mut fp = Footprint {
+            entries: self.ids.len(),
+            key_arena_bytes: hash_table_block(self.ids.capacity(), size_of::<(Arc<str>, DnId)>()),
+            slab_bytes: heap_block(self.slots.capacity() * size_of::<Option<CompactNode>>())
+                + heap_block(self.free.capacity() * size_of::<DnId>()),
+            postings_bytes: self.index.heap_bytes(),
+            sibling_bytes: heap_block(self.root_children.capacity() * size_of::<DnId>()),
+            ..Footprint::default()
+        };
+        for node in self.slots.iter().flatten() {
+            // An `Arc<str>`: two reference counts, then the text.
+            fp.key_arena_bytes += heap_block(2 * size_of::<usize>() + node.key.len());
+            fp.sibling_bytes += heap_block(node.children.capacity() * size_of::<DnId>());
+            node.entry
+                .attr_heap_blocks(|n| fp.attr_bytes += heap_block(n));
+            let rdns = node.entry.dn().rdns();
+            fp.dn_bytes += heap_block(std::mem::size_of_val(rdns));
+            // An RDN is counted where it is the leaf; further down the
+            // subtree only where an entry still holds a copy of its own.
+            let above = node
+                .parent
+                .map_or(&[][..], |p| self.node(p).entry.dn().rdns());
+            for (i, rdn) in rdns.iter().enumerate() {
+                let inherited = i > 0 && above.get(i - 1).is_some_and(|p| p.shares_storage(rdn));
+                if !inherited {
+                    rdn.heap_blocks(|n| fp.dn_bytes += heap_block(n));
+                }
+            }
+        }
+        fp
+    }
+
     /// Plan wrapper: while a bulk load is active the index is stale, so
     /// every search scans.
-    fn plan(&self, filter: &Filter) -> PlanOf<&HashSet<DnId>> {
+    fn plan(&self, filter: &Filter) -> PlanOf<&Posting> {
         if self.bulk > 0 {
             return PlanOf::Scan;
         }
@@ -675,7 +864,6 @@ impl CompactStore {
                 // suffix, so this is exactly the sibling-list (scan) order.
                 let mut hits: Vec<DnId> = set
                     .iter()
-                    .copied()
                     .filter(|&id| self.node(id).parent == base)
                     .collect();
                 hits.sort_by(|&a, &b| self.node(a).key.cmp(&self.node(b).key));
@@ -711,7 +899,6 @@ impl CompactStore {
                 // it reproduces the BFS queue's emission order exactly.
                 let mut cands: Vec<(usize, Vec<String>, DnId)> = set
                     .iter()
-                    .copied()
                     .filter_map(|id| {
                         if let Some(b) = base_id {
                             if id != b && !self.is_under(id, b) {
@@ -939,6 +1126,17 @@ impl Dit {
             self.index_served.load(Ordering::Relaxed),
             self.index_scanned.load(Ordering::Relaxed),
         )
+    }
+
+    /// Resident bytes by structure (see [`Footprint`]): one walk of the
+    /// store under the read lock, linear in the number of entries — for a
+    /// monitor read or a rig's report, not for a request path. `None` on
+    /// the legacy backing, whose cost E18 prices by process RSS.
+    pub fn footprint(&self) -> Option<Footprint> {
+        match &self.store.read().backing {
+            Backing::Compact(cs) => Some(cs.footprint()),
+            Backing::Legacy(_) => None,
+        }
     }
 
     /// Register a commit observer (replication, LTAP library mode, tests).
@@ -1234,11 +1432,7 @@ impl Dit {
                         entry.clone()
                     } else {
                         let mut e = old_entry;
-                        let rdns = e.dn().rdns();
-                        let keep = rdns.len() - old_depth;
-                        let mut new_rdns = rdns[..keep].to_vec();
-                        new_rdns.extend(new_dn.rdns().iter().cloned());
-                        e.set_dn(Dn::from_rdns(new_rdns));
+                        e.set_dn(e.dn().rebased(old_depth, &new_dn));
                         e
                     };
                     let rewritten_children: BTreeSet<String> = children
@@ -1628,6 +1822,27 @@ mod tests {
         );
         figure2_tree(&dit).unwrap();
         dit
+    }
+
+    #[test]
+    fn posting_holds_one_id_inline_and_a_set_from_the_second() {
+        let mut p = Posting::One(7);
+        p.insert(7);
+        assert!(matches!(p, Posting::One(7)));
+        p.insert(9);
+        p.insert(11);
+        assert_eq!(p.len(), 3);
+        let mut ids: Vec<DnId> = p.iter().collect();
+        ids.sort_unstable();
+        assert_eq!(ids, vec![7, 9, 11]);
+        assert!(!p.remove(8), "an absent id removes nothing");
+        assert!(!p.remove(9));
+        assert!(matches!(p, Posting::Many(_)));
+        // Back to one id: back to the inline form.
+        assert!(!p.remove(7));
+        assert!(matches!(p, Posting::One(11)));
+        assert!(!p.remove(7));
+        assert!(p.remove(11), "the last id out empties the posting");
     }
 
     #[test]

@@ -10,38 +10,72 @@
 //! `caseIgnoreMatch` behaviour of the directory-string syntax that all
 //! MetaComm naming attributes use.
 
+use crate::attr::{norm_value, AttrName};
 use crate::error::{LdapError, Result};
 use std::fmt;
+use std::sync::Arc;
 
 /// One attribute/value pair inside an RDN, e.g. `cn=John Doe`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+///
+/// At rest an AVA is an interned attribute type (two pointers into the
+/// [`AttrName`] pool), one exactly-sized value allocation, and a second
+/// one for the normalized value only when normalizing changes it.
+#[derive(Debug, Clone)]
 pub struct Ava {
-    /// Attribute name exactly as written (display form).
-    attr: String,
+    /// Attribute type: display form as written, lowercased form for
+    /// matching.
+    attr: AttrName,
     /// Attribute value exactly as written (unescaped).
-    value: String,
-    /// Normalized (lowercased, space-squeezed) forms used for matching.
-    norm_attr: String,
-    norm_value: String,
+    value: Box<str>,
+    /// Normalized (lowercased, space-squeezed) value when it differs from
+    /// `value`.
+    norm_value: Option<Box<str>>,
+}
+
+/// Hand a string over without spare capacity. `into_boxed_str` alone would
+/// shrink in place, which leaves the allocator's larger block behind it.
+fn exact(s: String) -> Box<str> {
+    if s.len() == s.capacity() {
+        s.into_boxed_str()
+    } else {
+        Box::from(s.as_str())
+    }
+}
+
+/// `caseIgnoreMatch` leaves this value as it is: printable lowercase ASCII
+/// with single interior spaces. Spares the common value (`dept-017`, a
+/// telephone number) the normalizing pass and its allocation.
+fn is_normalized(v: &str) -> bool {
+    let b = v.as_bytes();
+    b.first() != Some(&b' ')
+        && b.last() != Some(&b' ')
+        && b.iter()
+            .all(|c| (0x20..0x7f).contains(c) && !c.is_ascii_uppercase())
+        && !b.windows(2).any(|w| w == b"  ")
 }
 
 impl Ava {
     pub fn new(attr: impl Into<String>, value: impl Into<String>) -> Ava {
-        let attr = attr.into();
-        let value = value.into();
-        let norm_attr = attr.trim().to_ascii_lowercase();
-        let norm_value = normalize_value(&value);
+        Ava::from_parts(attr.into().trim(), exact(value.into()))
+    }
+
+    fn from_parts(attr: &str, value: Box<str>) -> Ava {
+        let norm_value = if is_normalized(&value) {
+            None
+        } else {
+            let norm = norm_value(&value);
+            (*norm != *value).then(|| exact(norm))
+        };
         Ava {
-            attr,
+            attr: AttrName::interned(attr),
             value,
-            norm_attr,
             norm_value,
         }
     }
 
     /// Attribute name as originally written.
     pub fn attr(&self) -> &str {
-        &self.attr
+        self.attr.as_str()
     }
 
     /// Unescaped value as originally written.
@@ -51,86 +85,111 @@ impl Ava {
 
     /// Lowercased attribute name used for matching.
     pub fn norm_attr(&self) -> &str {
-        &self.norm_attr
+        self.attr.norm()
     }
 
     /// Case/whitespace-normalized value used for matching.
     pub fn norm_value(&self) -> &str {
-        &self.norm_value
+        self.norm_value.as_deref().unwrap_or(&self.value)
     }
 
     fn matches(&self, other: &Ava) -> bool {
-        self.norm_attr == other.norm_attr && self.norm_value == other.norm_value
+        self.norm_attr() == other.norm_attr() && self.norm_value() == other.norm_value()
+    }
+
+    /// What equality, ordering and hashing look at: an `Ava` compares as
+    /// written (the normalized forms follow from that), unlike an [`Rdn`],
+    /// which compares as matched.
+    fn as_written(&self) -> (&str, &str) {
+        (self.attr(), self.value())
     }
 }
 
-/// Collapse internal whitespace runs, trim, and lowercase — the
-/// `caseIgnoreMatch` normalization for directory strings.
-fn normalize_value(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    let mut last_space = true; // leading spaces dropped
-    for ch in v.chars() {
-        if ch.is_whitespace() {
-            if !last_space {
-                out.push(' ');
-                last_space = true;
-            }
-        } else {
-            for lc in ch.to_lowercase() {
-                out.push(lc);
-            }
-            last_space = false;
-        }
+impl PartialEq for Ava {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_written() == other.as_written()
     }
-    while out.ends_with(' ') {
-        out.pop();
+}
+impl Eq for Ava {}
+
+impl PartialOrd for Ava {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
     }
-    out
+}
+impl Ord for Ava {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.as_written().cmp(&other.as_written())
+    }
+}
+
+impl std::hash::Hash for Ava {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.as_written().hash(state);
+    }
 }
 
 /// A relative distinguished name: one or more AVAs (`cn=J+ou=Sales`).
 ///
 /// Invariant: at least one AVA; AVAs are kept sorted by normalized attribute
 /// name so equality is order-insensitive, per X.501.
-#[derive(Debug, Clone, Eq)]
-pub struct Rdn {
-    avas: Vec<Ava>,
+///
+/// An RDN is one shared immutable allocation: cloning it (and so cloning,
+/// extending or truncating a [`Dn`]) copies a pointer, and the store keeps
+/// one RDN per subtree however many entries sit underneath it.
+#[derive(Debug, Clone)]
+pub struct Rdn(Arc<RdnRepr>);
+
+#[derive(Debug)]
+enum RdnRepr {
+    /// The common case (`cn=John Doe`), held without a vector.
+    One(Ava),
+    Many(Box<[Ava]>),
 }
 
 impl Rdn {
     /// Single-AVA RDN, the common case (`cn=John Doe`).
     pub fn new(attr: impl Into<String>, value: impl Into<String>) -> Rdn {
-        Rdn {
-            avas: vec![Ava::new(attr, value)],
-        }
+        Rdn(Arc::new(RdnRepr::One(Ava::new(attr, value))))
     }
 
     /// Multi-AVA RDN. Returns an error when `avas` is empty or two AVAs use
     /// the same attribute type.
-    pub fn multi(avas: Vec<Ava>) -> Result<Rdn> {
-        if avas.is_empty() {
-            return Err(LdapError::invalid_dn("empty RDN"));
-        }
-        let mut avas = avas;
-        avas.sort_by(|a, b| a.norm_attr.cmp(&b.norm_attr));
-        for w in avas.windows(2) {
-            if w[0].norm_attr == w[1].norm_attr {
-                return Err(LdapError::invalid_dn(format!(
-                    "duplicate attribute `{}` in RDN",
-                    w[0].attr
-                )));
+    pub fn multi(mut avas: Vec<Ava>) -> Result<Rdn> {
+        Rdn::take(&mut avas)
+    }
+
+    /// Build from (and empty) a scratch vector, so a parser can reuse it.
+    fn take(avas: &mut Vec<Ava>) -> Result<Rdn> {
+        let repr = match avas.len() {
+            0 => return Err(LdapError::invalid_dn("empty RDN")),
+            1 => RdnRepr::One(avas.pop().expect("one AVA")),
+            _ => {
+                avas.sort_by(|a, b| a.norm_attr().cmp(b.norm_attr()));
+                for w in avas.windows(2) {
+                    if w[0].norm_attr() == w[1].norm_attr() {
+                        return Err(LdapError::invalid_dn(format!(
+                            "duplicate attribute `{}` in RDN",
+                            w[0].attr()
+                        )));
+                    }
+                }
+                RdnRepr::Many(avas.drain(..).collect())
             }
-        }
-        Ok(Rdn { avas })
+        };
+        Ok(Rdn(Arc::new(repr)))
     }
 
     pub fn avas(&self) -> &[Ava] {
-        &self.avas
+        match &*self.0 {
+            RdnRepr::One(ava) => std::slice::from_ref(ava),
+            RdnRepr::Many(avas) => avas,
+        }
     }
 
     /// The first (or only) AVA.
     pub fn first(&self) -> &Ava {
-        &self.avas[0]
+        &self.avas()[0]
     }
 
     /// Parse one RDN from its RFC 2253 string form.
@@ -147,41 +206,73 @@ impl Rdn {
     /// Normalized key for hashing/indexing.
     pub fn norm_key(&self) -> String {
         let mut out = String::new();
-        for (i, ava) in self.avas.iter().enumerate() {
+        self.push_norm_key(&mut out);
+        out
+    }
+
+    fn push_norm_key(&self, out: &mut String) {
+        for (i, ava) in self.avas().iter().enumerate() {
             if i > 0 {
                 out.push('+');
             }
-            out.push_str(&ava.norm_attr);
+            out.push_str(ava.norm_attr());
             out.push('=');
-            out.push_str(&ava.norm_value);
+            out.push_str(ava.norm_value());
         }
-        out
+    }
+
+    /// `true` when both are the same allocation — what the store arranges
+    /// for an entry's ancestor RDNs and its parent's.
+    pub fn shares_storage(&self, other: &Rdn) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+
+    /// Heap bytes behind this RDN as requested from the allocator, one
+    /// figure per allocation (the shared block, then each value string);
+    /// interned attribute types are the pool's, not the RDN's.
+    pub(crate) fn heap_blocks(&self, mut block: impl FnMut(usize)) {
+        block(2 * std::mem::size_of::<usize>() + std::mem::size_of::<RdnRepr>());
+        if let RdnRepr::Many(avas) = &*self.0 {
+            block(std::mem::size_of_val(&**avas));
+        }
+        for ava in self.avas() {
+            block(ava.value.len());
+            if let Some(n) = &ava.norm_value {
+                block(n.len());
+            }
+        }
     }
 }
 
 impl PartialEq for Rdn {
     fn eq(&self, other: &Self) -> bool {
-        self.avas.len() == other.avas.len()
-            && self.avas.iter().zip(&other.avas).all(|(a, b)| a.matches(b))
+        self.shares_storage(other)
+            || (self.avas().len() == other.avas().len()
+                && self
+                    .avas()
+                    .iter()
+                    .zip(other.avas())
+                    .all(|(a, b)| a.matches(b)))
     }
 }
+impl Eq for Rdn {}
 
 impl std::hash::Hash for Rdn {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        for ava in &self.avas {
-            ava.norm_attr.hash(state);
-            ava.norm_value.hash(state);
+        for ava in self.avas() {
+            ava.norm_attr().hash(state);
+            ava.norm_value().hash(state);
         }
     }
 }
 
 impl fmt::Display for Rdn {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, ava) in self.avas.iter().enumerate() {
+        for (i, ava) in self.avas().iter().enumerate() {
             if i > 0 {
                 f.write_str("+")?;
             }
-            write!(f, "{}={}", ava.attr, escape_value(&ava.value))?;
+            write!(f, "{}={}", ava.attr(), escape_value(ava.value()))?;
         }
         Ok(())
     }
@@ -191,18 +282,20 @@ impl fmt::Display for Rdn {
 /// names the root of the DIT.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Dn {
-    rdns: Vec<Rdn>,
+    rdns: Box<[Rdn]>,
 }
 
 impl Dn {
     /// The empty DN (the DIT root).
     pub fn root() -> Dn {
-        Dn { rdns: Vec::new() }
+        Dn::default()
     }
 
     /// Build from leaf-first RDNs.
     pub fn from_rdns(rdns: Vec<Rdn>) -> Dn {
-        Dn { rdns }
+        Dn {
+            rdns: rdns.into_boxed_slice(),
+        }
     }
 
     /// Parse an RFC 2253 string like `cn=John Doe, o=Marketing, o=Lucent`.
@@ -214,12 +307,18 @@ impl Dn {
             return Ok(Dn::root());
         }
         let s = s.trim_start();
-        let mut rdns = Vec::new();
+        // One RDN per unescaped separator, so the vector is sized once and
+        // handed over as it is.
+        let mut rdns = Vec::with_capacity(1 + count_rdn_separators(s));
+        // Scratch reused across AVAs: what the DN keeps is cut to size from
+        // these.
         let mut avas: Vec<Ava> = Vec::new();
+        let mut attr = String::new();
+        let mut value = String::new();
         let mut chars = s.chars().peekable();
         loop {
             // Parse one AVA: attr '=' value
-            let mut attr = String::new();
+            attr.clear();
             while let Some(&c) = chars.peek() {
                 if c == '=' {
                     break;
@@ -235,12 +334,12 @@ impl Dn {
             if chars.next() != Some('=') {
                 return Err(LdapError::invalid_dn(format!("missing `=` in `{s}`")));
             }
-            let attr = attr.trim().to_string();
+            let attr = attr.trim();
             if attr.is_empty() {
                 return Err(LdapError::invalid_dn(format!("empty attribute in `{s}`")));
             }
             // Value: read until unescaped ',' ';' or '+'.
-            let mut value = String::new();
+            value.clear();
             // skip leading unescaped spaces
             while chars.peek() == Some(&' ') {
                 chars.next();
@@ -286,11 +385,11 @@ impl Dn {
             while value.len() > escaped_end && value.ends_with(' ') {
                 value.pop();
             }
-            avas.push(Ava::new(attr, value));
+            avas.push(Ava::from_parts(attr, Box::from(value.as_str())));
             match terminator {
                 Some('+') => continue, // next AVA of same RDN
                 Some(',') => {
-                    rdns.push(Rdn::multi(std::mem::take(&mut avas))?);
+                    rdns.push(Rdn::take(&mut avas)?);
                     // skip spaces before next RDN
                     while chars.peek() == Some(&' ') {
                         chars.next();
@@ -303,12 +402,12 @@ impl Dn {
                     continue;
                 }
                 _ => {
-                    rdns.push(Rdn::multi(std::mem::take(&mut avas))?);
+                    rdns.push(Rdn::take(&mut avas)?);
                     break;
                 }
             }
         }
-        Ok(Dn { rdns })
+        Ok(Dn::from_rdns(rdns))
     }
 
     /// RDNs leaf-first.
@@ -332,21 +431,20 @@ impl Dn {
 
     /// Parent DN, or `None` for the root.
     pub fn parent(&self) -> Option<Dn> {
-        if self.rdns.is_empty() {
-            None
-        } else {
-            Some(Dn {
-                rdns: self.rdns[1..].to_vec(),
-            })
-        }
+        let (_, above) = self.rdns.split_first()?;
+        Some(Dn { rdns: above.into() })
     }
 
     /// A child of `self` named by `rdn`.
     pub fn child(&self, rdn: Rdn) -> Dn {
-        let mut rdns = Vec::with_capacity(self.rdns.len() + 1);
-        rdns.push(rdn);
-        rdns.extend(self.rdns.iter().cloned());
-        Dn { rdns }
+        Dn::join(&[rdn], &self.rdns)
+    }
+
+    fn join(below: &[Rdn], above: &[Rdn]) -> Dn {
+        let mut rdns = Vec::with_capacity(below.len() + above.len());
+        rdns.extend_from_slice(below);
+        rdns.extend_from_slice(above);
+        Dn::from_rdns(rdns)
     }
 
     /// `true` when `self` equals `ancestor` or lies underneath it.
@@ -377,6 +475,27 @@ impl Dn {
         Ok(new_parent.child(rdn.clone()))
     }
 
+    /// The name of a descendant after its ancestor at depth `old_depth` was
+    /// renamed or moved to `new_base`: the RDNs below that ancestor stay,
+    /// everything from it upwards is `new_base`'s.
+    pub(crate) fn rebased(&self, old_depth: usize, new_base: &Dn) -> Dn {
+        Dn::join(&self.rdns[..self.rdns.len() - old_depth], &new_base.rdns)
+    }
+
+    /// Point every RDN that reads the same as `other`'s at the same height
+    /// above the root at `other`'s storage. With `other` the parent entry's
+    /// name this is what the store does to each entry it takes in, so an
+    /// RDN is held once per subtree; with a neighbour's name it is how a
+    /// parser keeps one copy per document. An RDN a client wrote in another
+    /// case or spacing keeps its own copy, and its bytes.
+    pub(crate) fn share_with(&mut self, other: &Dn) {
+        for (mine, theirs) in self.rdns.iter_mut().rev().zip(other.rdns.iter().rev()) {
+            if !mine.shares_storage(theirs) && mine.avas() == theirs.avas() {
+                *mine = theirs.clone();
+            }
+        }
+    }
+
     /// Canonical normalized string used as an index key.
     pub fn norm_key(&self) -> String {
         let mut out = String::new();
@@ -384,7 +503,7 @@ impl Dn {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&rdn.norm_key());
+            rdn.push_norm_key(&mut out);
         }
         out
     }
@@ -407,6 +526,22 @@ impl std::str::FromStr for Dn {
     fn from_str(s: &str) -> Result<Dn> {
         Dn::parse(s)
     }
+}
+
+/// Unescaped `,` and `;` in `s`.
+fn count_rdn_separators(s: &str) -> usize {
+    let mut n = 0;
+    let mut bytes = s.bytes();
+    while let Some(b) = bytes.next() {
+        match b {
+            b'\\' => {
+                bytes.next();
+            }
+            b',' | b';' => n += 1,
+            _ => {}
+        }
+    }
+    n
 }
 
 fn is_special(c: char) -> bool {
@@ -564,6 +699,36 @@ mod tests {
             let parsed = Dn::parse(&dn.to_string()).unwrap();
             assert_eq!(parsed.rdn().unwrap().first().value(), v, "value {v:?}");
         }
+    }
+
+    #[test]
+    fn normalized_value_is_kept_only_when_it_differs() {
+        let plain = Ava::new("ou", "dept-017");
+        assert!(plain.norm_value.is_none());
+        assert_eq!(plain.norm_value(), "dept-017");
+        let mixed = Ava::new("CN", "John   Doe");
+        assert_eq!(mixed.norm_value.as_deref(), Some("john doe"));
+        assert_eq!((mixed.attr(), mixed.norm_attr()), ("CN", "cn"));
+        // An AVA compares as written, an RDN as matched.
+        assert_ne!(Ava::new("cn", "John Doe"), Ava::new("CN", "john doe"));
+        assert_eq!(Rdn::new("cn", "John Doe"), Rdn::new("CN", "john doe"));
+    }
+
+    #[test]
+    fn share_with_repoints_equal_text_and_keeps_other_spellings() {
+        let parent = Dn::parse("ou=Sales,o=Lucent").unwrap();
+        let mut same = Dn::parse("cn=a,ou=Sales,o=Lucent").unwrap();
+        same.share_with(&parent);
+        assert!(same.rdns()[1].shares_storage(&parent.rdns()[0]));
+        assert!(same.rdns()[2].shares_storage(&parent.rdns()[1]));
+        assert!(same.parent().unwrap().rdns()[0].shares_storage(&parent.rdns()[0]));
+
+        let mut shouted = Dn::parse("cn=b,OU=SALES,o=Lucent").unwrap();
+        shouted.share_with(&parent);
+        assert!(!shouted.rdns()[1].shares_storage(&parent.rdns()[0]));
+        assert!(shouted.rdns()[2].shares_storage(&parent.rdns()[1]));
+        assert_eq!(shouted.to_string(), "cn=b,OU=SALES,o=Lucent");
+        assert_eq!(shouted.parent().unwrap(), parent);
     }
 
     #[test]

@@ -158,6 +158,10 @@ impl Entry {
         self.dn = dn;
     }
 
+    pub(crate) fn dn_mut(&mut self) -> &mut Dn {
+        &mut self.dn
+    }
+
     /// Flatten to the compact at-rest representation and intern attribute
     /// names. The compact store calls this on every entry it takes
     /// ownership of; all later mutations stay in the flat representation.
@@ -173,6 +177,27 @@ impl Entry {
                 if let Values::Many(vs) = &mut a.values {
                     vs.shrink_to_fit();
                 }
+            }
+        }
+    }
+
+    /// Heap bytes behind the attributes as requested from the allocator,
+    /// one figure per allocation: the attribute vector, each multi-value
+    /// vector, each value string. Interned names are the pool's. An entry
+    /// still in its build-time map is counted as that map's keys and
+    /// values laid end to end (its nodes are not modelled).
+    pub(crate) fn attr_heap_blocks(&self, mut block: impl FnMut(usize)) {
+        let slot = std::mem::size_of::<Attribute>();
+        match &self.attrs {
+            Attrs::Tree(m) => block(m.len() * (slot + std::mem::size_of::<AttrName>())),
+            Attrs::Flat(v) => block(v.capacity() * slot),
+        }
+        for a in self.attributes() {
+            if let Values::Many(vs) = &a.values {
+                block(vs.capacity() * std::mem::size_of::<String>());
+            }
+            for v in &a.values {
+                block(v.capacity());
             }
         }
     }

@@ -93,7 +93,13 @@ pub fn parse_content(text: &str) -> Result<Vec<Entry>> {
                         "LDIF record must start with dn:, got `{key}`"
                     )));
                 }
-                cur = Some(Entry::new(Dn::parse(&value())?));
+                let mut dn = Dn::parse(&value())?;
+                // Neighbours in a dump are siblings or parent and child:
+                // one copy of their common ancestors per document.
+                if let Some(prev) = out.last() {
+                    dn.share_with(prev.dn());
+                }
+                cur = Some(Entry::new(dn));
             }
             Some(e) => {
                 if key.eq_ignore_ascii_case("changetype") {

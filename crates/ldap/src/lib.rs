@@ -44,7 +44,7 @@ pub mod wal;
 
 pub use attr::{AttrName, Attribute};
 pub use directory::Directory;
-pub use dit::{ChangeOp, ChangeRecord, Dit, Scope};
+pub use dit::{ChangeOp, ChangeRecord, Dit, Footprint, Scope};
 pub use dn::{Ava, Dn, Rdn};
 pub use entry::{Entry, ModOp, Modification};
 pub use error::{LdapError, Result, ResultCode};

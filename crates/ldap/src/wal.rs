@@ -338,45 +338,60 @@ pub struct ReplaySummary {
 /// Scan a log file, delivering every frame of the committed prefix to
 /// `visit(tag, payload)`. Stops (without error) at the first torn or
 /// corrupt frame; a callback error aborts the scan and propagates.
+///
+/// The file is read through a bounded buffer, one frame resident at a
+/// time: replaying a segment costs its largest frame, not its length.
 pub fn replay(
     path: &Path,
     mut visit: impl FnMut(u8, &[u8]) -> Result<()>,
 ) -> Result<ReplaySummary> {
     let mut summary = ReplaySummary::default();
-    let mut f = match File::open(path) {
+    let f = match File::open(path) {
         Ok(f) => f,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(summary),
         Err(e) => return Err(e.into()),
     };
-    let mut data = Vec::new();
-    f.read_to_end(&mut data)?;
-    let mut at = 0usize;
-    while at + 8 <= data.len() {
-        let len = u32::from_le_bytes(data[at..at + 4].try_into().expect("4 bytes"));
-        let crc = u32::from_le_bytes(data[at + 4..at + 8].try_into().expect("4 bytes"));
-        if len == 0 || len > MAX_FRAME {
-            summary.torn = true;
-            return Ok(summary);
+    // What is on disk now bounds every frame: a length field that points
+    // past it is a torn tail, found without allocating for it.
+    let mut remaining = f.metadata()?.len();
+    let mut r = std::io::BufReader::with_capacity(REPLAY_BUFFER, f);
+    let mut body = Vec::new();
+    while remaining > 0 {
+        let mut header = [0u8; 8];
+        if remaining < 8 || !read_frame_part(&mut r, &mut header)? {
+            summary.torn = true; // trailing partial header
+            break;
         }
-        let (start, end) = (at + 8, at + 8 + len as usize);
-        if end > data.len() {
-            summary.torn = true; // short final frame: crash mid-append
-            return Ok(summary);
+        let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes"));
+        let crc = u32::from_le_bytes(header[4..].try_into().expect("4 bytes"));
+        if len == 0 || len > MAX_FRAME || u64::from(len) > remaining - 8 {
+            summary.torn = true; // absurd length, or short final frame: crash mid-append
+            break;
         }
-        let body = &data[start..end];
-        if crc32(body) != crc {
+        body.resize(len as usize, 0);
+        if !read_frame_part(&mut r, &mut body)? || crc32(&body) != crc {
             summary.torn = true;
-            return Ok(summary);
+            break;
         }
         visit(body[0], &body[1..])?;
         summary.records += 1;
-        summary.bytes += 8 + len as u64;
-        at = end;
-    }
-    if at != data.len() {
-        summary.torn = true; // trailing partial header
+        summary.bytes += 8 + u64::from(len);
+        remaining -= 8 + u64::from(len);
     }
     Ok(summary)
+}
+
+/// Read buffer of [`replay`].
+const REPLAY_BUFFER: usize = 64 * 1024;
+
+/// Fill `buf`; `false` when the file ends first (it was cut while being
+/// read), which replay treats like any other torn tail.
+fn read_frame_part(r: &mut impl Read, buf: &mut [u8]) -> Result<bool> {
+    match r.read_exact(buf) {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => Ok(false),
+        Err(e) => Err(e.into()),
+    }
 }
 
 /// Incremental IEEE CRC-32 (table-driven, no external dependency): feed
@@ -491,6 +506,30 @@ mod tests {
         assert_eq!(records[2].0, 7);
         assert_eq!(wal.stats().appends.load(Ordering::Relaxed), 3);
         assert!(wal.stats().fsyncs.load(Ordering::Relaxed) >= 1);
+    }
+
+    #[test]
+    fn replay_streams_frames_larger_than_its_buffer() {
+        let dir = tmpdir("bigframe");
+        let path = dir.join("wal.log");
+        let wal = Wal::open(&path, FsyncPolicy::Never).unwrap();
+        let big: Vec<u8> = (0..3 * REPLAY_BUFFER + 17).map(|i| i as u8).collect();
+        wal.append(1, b"small").unwrap();
+        wal.append(2, &big).unwrap();
+        wal.append(3, b"after").unwrap();
+        drop(wal);
+        let (records, s) = collect(&path);
+        assert_eq!(s.records, 3);
+        assert!(!s.torn);
+        assert_eq!(records[1], (2, big.clone()));
+        assert_eq!(records[2], (3, b"after".to_vec()));
+        // A length field pointing past the end of the file is a torn tail,
+        // whatever it claims: the frames before it are the prefix.
+        let full = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &full[..full.len() - big.len() / 2]).unwrap();
+        let (records, s) = collect(&path);
+        assert_eq!(records.len(), 1);
+        assert!(s.torn);
     }
 
     #[test]

@@ -1,0 +1,403 @@
+//! What the directory costs at rest, measured by a counting global
+//! allocator (`malloc_usable_size`, so the figure is what the allocator
+//! really set aside): DN construction leaves no slack, a tree in the repo
+//! benchmark's shape stays under a committed bytes-per-entry budget, a tree
+//! restored from a snapshot costs what the live-loaded one does,
+//! [`Dit::footprint`] accounts for the bytes by structure, and entries share
+//! their ancestors' RDN storage whatever path took them into the tree.
+//!
+//! Linux/glibc only. Run it in release too (CI does): the budget is about
+//! the data structures, not the build.
+#![cfg(target_os = "linux")]
+
+use ldap::backup::SnapshotStore;
+use ldap::dit::Dit;
+use ldap::dn::{Dn, Rdn};
+use ldap::entry::Entry;
+use ldap::schema::Schema;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicIsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
+
+extern "C" {
+    fn malloc_usable_size(ptr: *mut std::ffi::c_void) -> usize;
+}
+
+/// Heap bytes the process holds, as the allocator set them aside.
+static LIVE: AtomicIsize = AtomicIsize::new(0);
+thread_local! {
+    /// Heap bytes the calling thread holds, as it asked for them: exact
+    /// where `LIVE` moves by up to 16 bytes a block with the state of the
+    /// heap, and blind to what the test harness prints from its own thread.
+    static ASKED_HERE: Cell<isize> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn count(ptr: *mut u8, asked: usize, sign: isize) {
+    if ptr.is_null() {
+        return;
+    }
+    // SAFETY: `ptr` is a live block of the system allocator: just returned
+    // by it, or about to be handed back to it by the caller.
+    let set_aside = unsafe { malloc_usable_size(ptr.cast()) };
+    LIVE.fetch_add(sign * set_aside as isize, Ordering::Relaxed);
+    // A thread that is being torn down frees without its counter.
+    let _ = ASKED_HERE.try_with(|c| c.set(c.get() + sign * asked as isize));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the counters only
+// observe the blocks.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc(layout);
+        count(p, layout.size(), 1);
+        p
+    }
+    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
+        count(p, layout.size(), -1);
+        System.dealloc(p, layout)
+    }
+    unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let before = malloc_usable_size(p.cast());
+        let q = System.realloc(p, layout, new_size);
+        if !q.is_null() {
+            LIVE.fetch_sub(before as isize, Ordering::Relaxed);
+            let _ = ASKED_HERE.try_with(|c| c.set(c.get() - layout.size() as isize));
+            count(q, new_size, 1);
+        }
+        q
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// One measuring test at a time: the process-wide counter must not see a
+/// neighbour's tree.
+fn alone() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// What `build` built, and the bytes this thread asked for and still holds
+/// because of it.
+fn held_by<T>(build: impl FnOnce() -> T) -> (T, isize) {
+    let before = ASKED_HERE.with(Cell::get);
+    let built = build();
+    (built, ASKED_HERE.with(Cell::get) - before)
+}
+
+// --- the repo benchmark's tree shape (bench/src/gen.rs) ---------------------
+
+const SUFFIX: &str = "o=Bench";
+const INDEXED: &[&str] = &["objectClass", "cn", "telephoneNumber", "l", "lastUpdater"];
+const PER_OU: usize = 1_000;
+const GIVEN: &[&str] = &["Alice", "Bertrand", "Chandra", "Dolores", "Emeka", "Fiona"];
+const SURNAMES: &[&str] = &[
+    "Abbott",
+    "Brennan",
+    "Castellanos",
+    "Dimitrov",
+    "Eze",
+    "Fitzgerald",
+];
+
+fn unit_dn(unit: usize) -> Dn {
+    Dn::parse(SUFFIX)
+        .unwrap()
+        .child(Rdn::new("ou", format!("dept-{unit:03}")))
+}
+
+fn person_cn(serial: usize) -> String {
+    format!(
+        "{} {} {serial:06}",
+        GIVEN[serial % GIVEN.len()],
+        SURNAMES[(serial / 7) % SURNAMES.len()]
+    )
+}
+
+fn person(serial: usize) -> Entry {
+    Entry::with_attrs(
+        unit_dn(serial / PER_OU).child(Rdn::new("cn", person_cn(serial))),
+        [
+            ("objectClass", "top".to_string()),
+            ("objectClass", "person".to_string()),
+            ("objectClass", "organizationalPerson".to_string()),
+            ("cn", person_cn(serial)),
+            ("sn", SURNAMES[(serial / 7) % SURNAMES.len()].to_string()),
+            (
+                "telephoneNumber",
+                format!("+1 908 {:03} {:04}", serial / 10_000, serial % 10_000),
+            ),
+            ("roomNumber", format!("2C-{:03}", 1 + serial % 399)),
+            ("l", format!("site-{:02}", serial % 20)),
+        ],
+    )
+}
+
+fn empty_tree() -> Arc<Dit> {
+    Dit::with_schema_indexed(Arc::new(Schema::permissive()), INDEXED)
+}
+
+/// Suffix, `people / PER_OU` units, `people` persons.
+fn load(dit: &Dit, people: usize) {
+    dit.add(Entry::with_attrs(
+        Dn::parse(SUFFIX).unwrap(),
+        [
+            ("objectClass", "top"),
+            ("objectClass", "organization"),
+            ("o", "Bench"),
+        ],
+    ))
+    .unwrap();
+    for unit in 0..people.div_ceil(PER_OU) {
+        dit.add(Entry::with_attrs(
+            unit_dn(unit),
+            [
+                ("objectClass", "top".to_string()),
+                ("objectClass", "organizationalUnit".to_string()),
+                ("ou", format!("dept-{unit:03}")),
+            ],
+        ))
+        .unwrap();
+    }
+    for serial in 0..people {
+        dit.add(person(serial)).unwrap();
+    }
+}
+
+fn scratch_dir(name: &str) -> std::path::PathBuf {
+    let dir =
+        std::env::temp_dir().join(format!("metacomm-footprint-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    dir
+}
+
+/// Bytes per entry the compact store may cost in this shape, five indexes
+/// included: 1,303 measured, 2,050 before the shared-RDN layout (2,950 for
+/// a tree restored from a snapshot).
+const BUDGET_BYTES_PER_ENTRY: usize = 1_450;
+
+#[test]
+fn parsed_and_built_dns_occupy_the_same_bytes() {
+    // Warm the name pool: its first sight of a type is the pool's cost.
+    drop(Dn::parse("cn=x+l=y,ou=z,o=w"));
+    for text in [
+        "cn=Alice Abbott 000123,ou=dept-017,o=Bench",
+        "cn=a,ou=b,ou=c,ou=d,o=e",
+        "cn=Doe\\, John+l=Murray Hill,o=Lucent",
+        "o=Bench",
+    ] {
+        let (parsed, parsed_bytes) = held_by(|| Dn::parse(text).unwrap());
+        let (built, built_bytes) = held_by(|| {
+            parsed.rdns().iter().rev().fold(Dn::root(), |dn, rdn| {
+                let rdn = match rdn.avas() {
+                    [one] => Rdn::new(one.attr(), one.value()),
+                    many => Rdn::multi(
+                        many.iter()
+                            .map(|a| ldap::Ava::new(a.attr(), a.value()))
+                            .collect(),
+                    )
+                    .unwrap(),
+                };
+                dn.child(rdn)
+            })
+        });
+        assert_eq!(built, parsed);
+        assert_eq!(built.to_string(), parsed.to_string());
+        assert_eq!(
+            parsed_bytes, built_bytes,
+            "`{text}`: parsed holds {parsed_bytes} B, built {built_bytes} B"
+        );
+        // A derived name is its pointers and nothing else.
+        let (parent, parent_bytes) = held_by(|| parsed.parent());
+        let pointers = std::mem::size_of::<Rdn>() * parsed.depth().saturating_sub(1);
+        assert_eq!(parent_bytes, pointers as isize, "parent of `{text}`");
+        drop(parent);
+    }
+}
+
+#[test]
+fn bytes_per_entry_stay_under_budget_and_footprint_accounts_for_them() {
+    let _alone = alone();
+    const PEOPLE: usize = 20_000;
+    let before = LIVE.load(Ordering::Relaxed);
+    let dit = empty_tree();
+    load(&dit, PEOPLE);
+    let live_loaded = LIVE.load(Ordering::Relaxed) - before;
+    let entries = dit.len();
+    let per_entry = live_loaded as usize / entries;
+    let fp = dit.footprint().expect("compact store");
+    println!("live-loaded: {per_entry} B/entry over {entries} entries");
+    for (row, bytes) in fp.rows() {
+        println!("  {row:<14} {:>6} B/entry", bytes / entries);
+    }
+    assert!(
+        per_entry <= BUDGET_BYTES_PER_ENTRY,
+        "{per_entry} B/entry exceeds the {BUDGET_BYTES_PER_ENTRY} B budget"
+    );
+    assert_eq!(fp.entries, entries);
+    let accounted = fp.total() as f64 / live_loaded as f64;
+    assert!(
+        (0.9..=1.1).contains(&accounted),
+        "footprint rows sum to {} B, the allocator holds {live_loaded} B",
+        fp.total()
+    );
+    // Per structure, where this change aimed.
+    assert!(
+        fp.dn_bytes / entries <= 300,
+        "DN {} B/entry",
+        fp.dn_bytes / entries
+    );
+    assert!(
+        fp.postings_bytes / entries <= 250,
+        "postings {} B/entry",
+        fp.postings_bytes / entries
+    );
+
+    // The same tree through checkpoint and cold start.
+    let dir = scratch_dir("restore");
+    let store = SnapshotStore::new(&dir);
+    store.write_snapshot_streamed(&dit, 1).expect("snapshot");
+    let before = LIVE.load(Ordering::Relaxed);
+    let restored = empty_tree();
+    let (_, _, n) = store
+        .restore_latest(&restored)
+        .expect("restore")
+        .expect("a snapshot");
+    let restored_bytes = LIVE.load(Ordering::Relaxed) - before;
+    assert_eq!(n, entries);
+    println!("restored:    {} B/entry", restored_bytes as usize / entries);
+    let ratio = restored_bytes as f64 / live_loaded as f64;
+    assert!(
+        (0.97..=1.03).contains(&ratio),
+        "restored tree holds {restored_bytes} B, live-loaded {live_loaded} B"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `dn`'s ancestor RDNs are the very allocations its parent entry holds.
+fn assert_shares_with_parent(dit: &Dit, dn: &Dn, after: &str) {
+    let entry = dit
+        .get(dn)
+        .unwrap_or_else(|| panic!("{after}: `{dn}` exists"));
+    let parent = dit.get(&dn.parent().unwrap()).expect("parent exists");
+    for (mine, theirs) in entry.dn().rdns()[1..].iter().zip(parent.dn().rdns()) {
+        assert!(
+            mine.shares_storage(theirs),
+            "{after}: `{dn}` holds its own copy of `{theirs}`"
+        );
+    }
+}
+
+#[test]
+fn entries_share_their_ancestors_rdn_storage() {
+    let dit = empty_tree();
+    load(&dit, 4);
+    let kids: Vec<Dn> = (0..4).map(|s| person(s).dn().clone()).collect();
+    for dn in &kids {
+        assert_shares_with_parent(&dit, dn, "add");
+    }
+    // Siblings therefore share with each other.
+    let (a, b) = (dit.get(&kids[0]).unwrap(), dit.get(&kids[1]).unwrap());
+    assert!(a.dn().rdns()[1].shares_storage(&b.dn().rdns()[1]));
+    assert!(a.dn().rdns()[2].shares_storage(&b.dn().rdns()[2]));
+
+    // Bulk load (the snapshot path), freshly parsed names.
+    dit.begin_bulk();
+    let late = Dn::parse("cn=Late Joiner,ou=dept-000,o=Bench").unwrap();
+    dit.bulk_add(
+        Entry::with_attrs(late.clone(), [("cn", "Late Joiner")]),
+        true,
+    )
+    .unwrap();
+    dit.finish_bulk();
+    assert_shares_with_parent(&dit, &late, "bulk_add");
+
+    // Rename in place.
+    let renamed = kids[0].with_rdn(Rdn::new("cn", "Renamed")).unwrap();
+    dit.modify_rdn(&kids[0], &Rdn::new("cn", "Renamed"), true, None)
+        .unwrap();
+    assert_shares_with_parent(&dit, &renamed, "modify_rdn");
+
+    // Move a unit, and the people in it, under another unit.
+    let target = unit_dn(7);
+    dit.add(Entry::with_attrs(target.clone(), [("ou", "dept-007")]))
+        .unwrap();
+    dit.modify_rdn(
+        &unit_dn(0),
+        &Rdn::new("ou", "dept-000"),
+        false,
+        Some(&target),
+    )
+    .unwrap();
+    let moved_unit = target.child(Rdn::new("ou", "dept-000"));
+    assert_shares_with_parent(&dit, &moved_unit, "subtree move");
+    for dn in [
+        moved_unit.child(Rdn::new("cn", "Renamed")),
+        moved_unit.child(kids[1].rdn().unwrap().clone()),
+        moved_unit.child(Rdn::new("cn", "Late Joiner")),
+    ] {
+        assert_shares_with_parent(&dit, &dn, "subtree move");
+    }
+
+    // A name written in another case keeps its own bytes: what a search
+    // returns is what the client stored.
+    let shouting = Dn::parse("cn=Loud,OU=DEPT-007,O=BENCH").unwrap();
+    dit.add(Entry::with_attrs(shouting.clone(), [("cn", "Loud")]))
+        .unwrap();
+    assert_eq!(
+        dit.get(&shouting).unwrap().dn().to_string(),
+        "cn=Loud,OU=DEPT-007,O=BENCH"
+    );
+}
+
+/// A deployment that is shut down and dropped gives its tree back: nothing
+/// inside it (commit observers, the durability engine's alert route, the
+/// gauges) may keep the DIT alive. In-process restarts used to cost one
+/// tree of RSS each.
+#[test]
+fn a_dropped_deployment_leaves_no_tree_behind() {
+    let _alone = alone();
+    let dir = scratch_dir("shutdown");
+    for durable in [false, true] {
+        let switch = Arc::new(pbx::Store::new(
+            "pbx-west",
+            pbx::DialPlan::with_prefix("1", 4),
+        ));
+        let mut builder = metacomm::MetaCommBuilder::new("o=Lucent")
+            .add_pbx(switch, "1???")
+            .add_msgplat(Arc::new(msgplat::Store::new("mp")), "*");
+        if durable {
+            builder = builder.with_durability(&dir);
+        }
+        let system = builder.build().expect("build");
+        let server = system.serve("127.0.0.1:0").expect("serve");
+        let gateway = system.directory();
+        ldap::Directory::add(
+            gateway.as_ref(),
+            Entry::with_attrs(
+                Dn::parse("cn=Pat Smith,o=Lucent").unwrap(),
+                [
+                    ("objectClass", "top"),
+                    ("objectClass", "person"),
+                    ("cn", "Pat Smith"),
+                    ("sn", "Smith"),
+                ],
+            ),
+        )
+        .expect("add through the gateway");
+        let tree = Arc::downgrade(&system.dit());
+        system.shutdown();
+        drop((server, gateway, system));
+        assert!(
+            tree.upgrade().is_none(),
+            "the DIT outlives its {} deployment",
+            if durable { "durable" } else { "volatile" }
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -1,7 +1,8 @@
 //! Property-based tests for the LDAP substrate: round-trip laws for DNs,
-//! filters, BER messages, and LDIF; atomicity of modification batches.
+//! filters, BER messages, and LDIF; atomicity of modification batches; and
+//! the shared-storage `Dn` against a reference model made of plain strings.
 
-use ldap::dn::{Dn, Rdn};
+use ldap::dn::{Ava, Dn, Rdn};
 use ldap::entry::{Entry, ModOp, Modification};
 use ldap::filter::Filter;
 use ldap::proto::{LdapMessage, ProtocolOp};
@@ -18,8 +19,201 @@ fn attr_strategy() -> impl Strategy<Value = String> {
     proptest::string::string_regex("[a-zA-Z][a-zA-Z0-9-]{0,14}").expect("regex")
 }
 
+// --- reference model of a DN --------------------------------------------------
+//
+// Owned strings, nothing shared, nothing cached, every rule spelled out the
+// long way. `Dn` must agree with it on everything a caller can observe.
+
+#[derive(Debug, Clone)]
+struct ModelAva {
+    attr: String,
+    value: String,
+    /// Written with `\XX` escapes where an escape is needed.
+    hex: bool,
+    /// Spaces written around the attribute, the `=` and the value.
+    pad: usize,
+}
+
+/// RDNs leaf first, AVAs in the order written.
+#[derive(Debug, Clone)]
+struct ModelDn(Vec<Vec<ModelAva>>);
+
+fn model_norm(value: &str) -> String {
+    value
+        .split_whitespace()
+        .collect::<Vec<_>>()
+        .join(" ")
+        .to_lowercase()
+}
+
+impl ModelDn {
+    fn rdn_key(rdn: &[ModelAva]) -> String {
+        let mut avas: Vec<String> = rdn
+            .iter()
+            .map(|a| format!("{}={}", a.attr.to_ascii_lowercase(), model_norm(&a.value)))
+            .collect();
+        avas.sort_by(|a, b| a.split('=').next().cmp(&b.split('=').next()));
+        avas.join("+")
+    }
+
+    fn key(&self) -> String {
+        let rdns: Vec<String> = self.0.iter().map(|r| ModelDn::rdn_key(r)).collect();
+        rdns.join(",")
+    }
+
+    /// The same name as another client would write it: other case.
+    fn shouted(&self) -> ModelDn {
+        let mut other = self.clone();
+        for ava in other.0.iter_mut().flatten() {
+            ava.attr = ava.attr.to_ascii_uppercase();
+            ava.value = ava.value.to_uppercase();
+        }
+        other
+    }
+
+    fn is_within(&self, ancestor: &ModelDn) -> bool {
+        let (mine, theirs) = (&self.0, &ancestor.0);
+        theirs.len() <= mine.len()
+            && mine[mine.len() - theirs.len()..]
+                .iter()
+                .zip(theirs)
+                .all(|(a, b)| ModelDn::rdn_key(a) == ModelDn::rdn_key(b))
+    }
+
+    /// RFC 2253 text with this model's odd spacing, `;` for every other
+    /// separator, and either escape style.
+    fn text(&self) -> String {
+        let mut out = String::new();
+        for (i, rdn) in self.0.iter().enumerate() {
+            if i > 0 {
+                out.push(if i % 2 == 0 { ';' } else { ',' });
+            }
+            for (j, ava) in rdn.iter().enumerate() {
+                if j > 0 {
+                    out.push('+');
+                }
+                let pad = " ".repeat(ava.pad);
+                out.push_str(&format!("{pad}{}{pad}={pad}", ava.attr));
+                let last = ava.value.chars().count() - 1;
+                for (k, c) in ava.value.chars().enumerate() {
+                    let escape = matches!(c, ',' | '+' | '"' | '\\' | '<' | '>' | ';' | '=')
+                        || (c == '#' && k == 0)
+                        || (c == ' ' && (k == 0 || k == last));
+                    match (escape, ava.hex) {
+                        (false, _) => out.push(c),
+                        (true, false) => out.extend(['\\', c]),
+                        (true, true) => out.push_str(&format!("\\{:02X}", c as u32)),
+                    }
+                }
+                out.push_str(&pad);
+            }
+        }
+        out
+    }
+
+    /// Built through the constructors instead of the parser.
+    fn build(&self) -> Dn {
+        self.0.iter().rev().fold(Dn::root(), |dn, rdn| {
+            dn.child(
+                Rdn::multi(rdn.iter().map(|a| Ava::new(&a.attr, &a.value)).collect())
+                    .expect("distinct attribute types"),
+            )
+        })
+    }
+}
+
+fn model_rdn_strategy() -> impl Strategy<Value = Vec<ModelAva>> {
+    let ava = (
+        proptest::string::string_regex("[a-zA-Z][a-zA-Z0-9-]{0,6}").expect("regex"),
+        value_strategy(),
+        any::<bool>(),
+        0..3usize,
+    )
+        .prop_map(|(attr, value, hex, pad)| ModelAva {
+            attr,
+            value,
+            hex,
+            pad,
+        });
+    proptest::collection::vec(ava, 1..4).prop_map(|mut avas| {
+        // One AVA per attribute type, as X.501 requires.
+        let mut seen = std::collections::HashSet::new();
+        avas.retain(|a| seen.insert(a.attr.to_ascii_lowercase()));
+        avas
+    })
+}
+
+fn model_dn_strategy() -> impl Strategy<Value = ModelDn> {
+    proptest::collection::vec(model_rdn_strategy(), 1..5).prop_map(ModelDn)
+}
+
+fn hash_of(dn: &Dn) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    dn.hash(&mut h);
+    h.finish()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn dn_agrees_with_the_reference_model(
+        model in model_dn_strategy(),
+        other in model_dn_strategy(),
+        new_leaf in model_rdn_strategy(),
+        cut in 0..5usize,
+    ) {
+        let text = model.text();
+        let dn = Dn::parse(&text).unwrap_or_else(|e| panic!("`{text}`: {e}"));
+        prop_assert_eq!(dn.norm_key(), model.key(), "key of `{}`", text);
+        prop_assert_eq!(dn.depth(), model.0.len());
+        // What was written is what is kept, AVA by AVA (sorted by type).
+        for (rdn, written) in dn.rdns().iter().zip(&model.0) {
+            let mut written: Vec<&ModelAva> = written.iter().collect();
+            written.sort_by_key(|a| a.attr.to_ascii_lowercase());
+            prop_assert_eq!(rdn.avas().len(), written.len());
+            for (ava, w) in rdn.avas().iter().zip(written) {
+                prop_assert_eq!(ava.attr(), w.attr.as_str());
+                prop_assert_eq!(ava.value(), w.value.as_str());
+                prop_assert_eq!(ava.norm_attr(), w.attr.to_ascii_lowercase());
+                prop_assert_eq!(ava.norm_value(), model_norm(&w.value));
+            }
+        }
+        // Parser and constructors build the same name, and printing it and
+        // reading it back changes nothing.
+        let built = model.build();
+        prop_assert_eq!(&built, &dn);
+        prop_assert_eq!(built.to_string(), dn.to_string());
+        let reread = Dn::parse(&dn.to_string()).expect("display must parse");
+        prop_assert_eq!(&reread, &dn);
+        prop_assert_eq!(reread.to_string(), dn.to_string());
+        // Equality and hashing are by match, not by spelling.
+        let shouted = Dn::parse(&model.shouted().text()).expect("parse");
+        prop_assert_eq!(&shouted, &dn);
+        prop_assert_eq!(hash_of(&shouted), hash_of(&dn));
+        prop_assert_eq!(shouted.norm_key(), dn.norm_key());
+        // Two names compare the way their keys do.
+        let other_dn = other.build();
+        prop_assert_eq!(other_dn == dn, other.key() == model.key());
+        prop_assert_eq!(other_dn.norm_key().cmp(&dn.norm_key()), other.key().cmp(&model.key()));
+        // Containment: against an unrelated name and a real ancestor.
+        prop_assert_eq!(dn.is_within(&other_dn), model.is_within(&other));
+        let ancestor = ModelDn(model.0[cut.min(model.0.len())..].to_vec()).shouted();
+        prop_assert!(model.is_within(&ancestor));
+        prop_assert!(dn.is_within(&ancestor.build()));
+        prop_assert_eq!(ancestor.build().is_within(&dn), ancestor.0.len() == model.0.len());
+        // Parent, and the leaf replaced.
+        let parent = ModelDn(model.0[1..].to_vec());
+        prop_assert_eq!(dn.parent().expect("non-root").norm_key(), parent.key());
+        let mut renamed = model.clone();
+        renamed.0[0] = new_leaf.clone();
+        let with = dn
+            .with_rdn(ModelDn(vec![new_leaf]).build().rdn().expect("one RDN").clone())
+            .expect("non-root");
+        prop_assert_eq!(with.norm_key(), renamed.key());
+        prop_assert_eq!(&with, &renamed.build());
+    }
 
     #[test]
     fn dn_display_parse_round_trip(
