@@ -1,17 +1,19 @@
 //! E14 — the wire & replication fast path.
 //!
 //! Paper anchor: §2's replication/traffic discussion ("LDAP servers make
-//! extensive use of replication … serves heavy traffic"). Claims under
-//! test: (1) streaming search responses through one reusable encode buffer
-//! (flushed in bounded chunks, overlapping client decode) beats the
-//! collect-encode-concat legacy path on large result sets; (2) decode-ahead
-//! pipelining overlaps request parsing and directory work with response
-//! writes on one connection; (3) watermark-based delta anti-entropy ships a
-//! small fraction of the full-exchange bytes when few entries are dirty.
+//! extensive use of replication … serves heavy traffic"). Under test:
+//! (1) the rate at which large result sets stream through the one reusable
+//! encode buffer (flushed in bounded chunks, overlapping client decode);
+//! (2) decode-ahead pipelining overlaps request parsing and directory work
+//! with response writes on one connection; (3) watermark-based delta
+//! anti-entropy ships a small fraction of the full-exchange bytes when few
+//! entries are dirty.
 //!
-//! All three ablations run from this same binary (`with_streaming(false)`,
-//! `with_wire_workers(1)`, `full_sync_with`), and the measurements are
+//! The ablations run from this same binary (`with_wire_workers(1)`,
+//! `with_event_loop(false)`, `full_sync_with`), and the measurements are
 //! emitted into `BENCH_metacomm.json` under `"wire"` so CI tracks them.
+//! The collect-encode-concat search path (1) used to be measured against
+//! was deleted; its last row is in EXPERIMENTS.md.
 
 use super::{Report, Scale};
 use ldap::dit::{Dit, Scope};
@@ -112,93 +114,75 @@ impl WireSample {
     }
 }
 
-/// Streaming ablation: repeat a subtree search returning every entry, with
-/// the server's response path switched between the legacy
-/// collect-encode-concat mode and the streamed reusable-buffer mode.
-fn streaming_ablation(scale: Scale, table: &mut String) -> (Vec<WireSample>, f64) {
+/// Search streaming: repeat a subtree search returning every entry and
+/// time the response path, frame classification only on the client side.
+fn search_stream(scale: Scale, table: &mut String) -> WireSample {
     let (n_entries, reps) = match scale {
         Scale::Quick => (1_500, 6),
         Scale::Full => (10_000, 12),
     };
     let dit = populated_dit(n_entries, true);
-    let mut samples = Vec::new();
-    let mut legacy_rate = 0.0;
-    let mut speedup = 0.0;
-    for (mode, streaming) in [("legacy", false), ("streaming", true)] {
-        let mut server = Server::builder()
-            .with_streaming(streaming)
-            .start(dit.clone(), "127.0.0.1:0")
-            .expect("server");
-        let sock = TcpStream::connect(server.addr()).expect("connect");
-        sock.set_nodelay(true).expect("nodelay");
-        let mut frames = FrameReader::new(sock.try_clone().expect("clone"));
-        let req = LdapMessage {
-            id: 1,
-            op: ProtocolOp::SearchRequest {
-                base: "o=Bench".into(),
-                scope: Scope::Sub,
-                size_limit: 0,
-                filter: Filter::match_all(),
-                attrs: vec![],
-            },
-        }
-        .encode();
-        let mut run_once = || {
-            (&sock).write_all(&req).expect("request");
-            let mut entries = 0usize;
-            loop {
-                let frame = frames
-                    .next_frame()
-                    .expect("frame readable")
-                    .expect("frame present");
-                match op_tag(frame) {
-                    TAG_SEARCH_ENTRY => entries += 1,
-                    TAG_SEARCH_DONE => {
-                        let msg = LdapMessage::decode(frame).expect("decode done");
-                        match msg.op {
-                            ProtocolOp::SearchResultDone(r) => {
-                                assert_eq!(r.code, ResultCode::Success)
-                            }
-                            other => panic!("expected done, got {other:?}"),
-                        }
-                        break;
-                    }
-                    t => panic!("unexpected op tag 0x{t:02x}"),
-                }
-            }
-            assert_eq!(entries, n_entries + 1, "full result set");
-        };
-        run_once(); // warm-up
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            run_once();
-        }
-        let wall = t0.elapsed();
-        let sample = WireSample {
-            label: format!("search/{mode}"),
-            ops: reps,
-            entries: reps * (n_entries + 1),
-            wall,
-        };
-        writeln!(
-            table,
-            "stream {mode:>10}  {:>6} entries/search  {:>9.0} entries/s  {:>6.1} searches/s",
-            n_entries + 1,
-            sample.entries_per_sec(),
-            sample.ops_per_sec()
-        )
-        .unwrap();
-        if streaming {
-            if legacy_rate > 0.0 {
-                speedup = sample.ops_per_sec() / legacy_rate;
-            }
-        } else {
-            legacy_rate = sample.ops_per_sec();
-        }
-        samples.push(sample);
-        server.shutdown();
+    let mut server = Server::builder().start(dit, "127.0.0.1:0").expect("server");
+    let sock = TcpStream::connect(server.addr()).expect("connect");
+    sock.set_nodelay(true).expect("nodelay");
+    let mut frames = FrameReader::new(sock.try_clone().expect("clone"));
+    let req = LdapMessage {
+        id: 1,
+        op: ProtocolOp::SearchRequest {
+            base: "o=Bench".into(),
+            scope: Scope::Sub,
+            size_limit: 0,
+            filter: Filter::match_all(),
+            attrs: vec![],
+        },
     }
-    (samples, speedup)
+    .encode();
+    let mut run_once = || {
+        (&sock).write_all(&req).expect("request");
+        let mut entries = 0usize;
+        loop {
+            let frame = frames
+                .next_frame()
+                .expect("frame readable")
+                .expect("frame present");
+            match op_tag(frame) {
+                TAG_SEARCH_ENTRY => entries += 1,
+                TAG_SEARCH_DONE => {
+                    let msg = LdapMessage::decode(frame).expect("decode done");
+                    match msg.op {
+                        ProtocolOp::SearchResultDone(r) => {
+                            assert_eq!(r.code, ResultCode::Success)
+                        }
+                        other => panic!("expected done, got {other:?}"),
+                    }
+                    break;
+                }
+                t => panic!("unexpected op tag 0x{t:02x}"),
+            }
+        }
+        assert_eq!(entries, n_entries + 1, "full result set");
+    };
+    run_once(); // warm-up
+    let t0 = Instant::now();
+    for _ in 0..reps {
+        run_once();
+    }
+    let sample = WireSample {
+        label: "search/streaming".into(),
+        ops: reps,
+        entries: reps * (n_entries + 1),
+        wall: t0.elapsed(),
+    };
+    writeln!(
+        table,
+        "stream              {:>6} entries/search  {:>9.0} entries/s  {:>6.1} searches/s",
+        n_entries + 1,
+        sample.entries_per_sec(),
+        sample.ops_per_sec()
+    )
+    .unwrap();
+    server.shutdown();
+    sample
 }
 
 /// Pipelining ablation: one connection, a batch of scan-heavy searches
@@ -678,7 +662,7 @@ fn anti_entropy_ablation(scale: Scale, table: &mut String) -> (String, f64) {
 
 pub fn run(scale: Scale) -> Report {
     let mut table = String::new();
-    let (stream_samples, stream_speedup) = streaming_ablation(scale, &mut table);
+    let stream_sample = search_stream(scale, &mut table);
     let (pipe_samples, pipe_speedup, pipe_mode) = pipeline_ablation(scale, &mut table);
     let conn_json = connection_ablation(scale, &mut table);
     let (sync_json, delta_ratio) = anti_entropy_ablation(scale, &mut table);
@@ -688,19 +672,14 @@ pub fn run(scale: Scale) -> Report {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let json = format!(
-        "{{\"streaming\":[{}],\"pipeline\":[{}],\"connections\":{conn_json},\"anti_entropy\":{},\"streaming_speedup\":{:.2},\"pipeline_speedup\":{:.2},\"pipeline_mode\":\"{pipe_mode}\",\"delta_ratio\":{:.4},\"host_cores\":{cores}}}",
-        stream_samples
-            .iter()
-            .map(WireSample::json)
-            .collect::<Vec<_>>()
-            .join(","),
+        "{{\"streaming\":[{}],\"pipeline\":[{}],\"connections\":{conn_json},\"anti_entropy\":{},\"pipeline_speedup\":{:.2},\"pipeline_mode\":\"{pipe_mode}\",\"delta_ratio\":{:.4},\"host_cores\":{cores}}}",
+        stream_sample.json(),
         pipe_samples
             .iter()
             .map(WireSample::json)
             .collect::<Vec<_>>()
             .join(","),
         sync_json,
-        stream_speedup,
         pipe_speedup,
         delta_ratio,
     );
@@ -708,8 +687,8 @@ pub fn run(scale: Scale) -> Report {
     Report {
         id: "E14",
         title: "wire & replication fast path (streaming, pipelining, delta sync)",
-        claim: "streamed search responses beat the collect-encode-concat \
-                path on large result sets, decode-ahead pipelining lifts \
+        claim: "large result sets stream off borrowed store entries at wire \
+                speed, decode-ahead pipelining lifts \
                 single-connection request throughput, the epoll event loop \
                 holds 10k idle connections with bounded RSS at threaded-path \
                 active throughput, and watermark deltas ship a small \
@@ -718,9 +697,9 @@ pub fn run(scale: Scale) -> Report {
         table,
         observations: vec![
             format!(
-                "streaming search responses: {stream_speedup:.1}x searches/sec \
-                 over the legacy collect-and-concat path on a full-subtree \
-                 search (identical result sets)"
+                "streaming search responses: {:.0} entries/s on a full-subtree \
+                 search, encoded straight off borrowed store entries",
+                stream_sample.entries_per_sec()
             ),
             format!(
                 "decode-ahead pipelining ({pipe_mode}): {pipe_speedup:.2}x \

@@ -1,120 +1,91 @@
-//! E18 — million-entry scale: compact interned store + streaming cold start.
+//! E18 — million-entry scale: interned store + streaming cold start.
 //!
 //! Paper anchor: §3's claim that the meta-directory holds the *whole*
 //! enterprise (every subscriber across every switch and messaging
 //! platform) in one logical tree. At that population the in-memory
 //! representation and the restart path become the bottleneck, so this
-//! experiment loads a million-subscriber roster into both storage arms —
-//! the compact interned store (DN arena, interned attribute names,
-//! small-vec values; the default) and the legacy string store
-//! (`with_compact_store(false)`) — snapshots, kills, and restarts each,
-//! and compares:
+//! experiment loads a million-subscriber roster, checkpoints, leaves a
+//! tail in the WAL, kills the deployment and restarts it, and reports:
 //!
 //!   * load throughput (validated adds/s through the WAL'd front door),
-//!   * restart wall time (streamed snapshot + bulk index build vs. the
-//!     materializing loader),
-//!   * peak RSS (`VmHWM`, one child process per arm so the counter is
-//!     honest),
-//!   * and a search-stream digest pinning bit-identical behavior.
+//!   * restart wall time (streamed snapshot, bulk index build, WAL tail),
+//!   * peak RSS (`VmHWM`, in a child process so the counter is honest),
+//!   * and a search-stream digest that must be equal across the crash.
 //!
-//! The combined object lands in `BENCH_metacomm.json` under `"scale"`;
-//! CI gates on `"parity":true` and tracks the ratios PR over PR.
+//! The object lands in `BENCH_metacomm.json` under `"scale"`. The legacy
+//! string-keyed store this experiment used to run beside it was deleted
+//! once parity was recorded; its last measured rows are in EXPERIMENTS.md.
 
 use super::{Report, Scale};
-use crate::scale::{self, ScaleRun};
+use crate::scale;
 use std::fmt::Write as _;
-
-fn fmt_rss(kb: Option<u64>) -> String {
-    kb.map(|kb| format!("{:.1} MB", kb as f64 / 1024.0))
-        .unwrap_or_else(|| "n/a".into())
-}
 
 pub fn run(scale_knob: Scale) -> Report {
     let entries: usize = match scale_knob {
         Scale::Quick => 10_000,
         Scale::Full => 1_000_000,
     };
-    let state_root = std::env::temp_dir().join(format!("metacomm-e18-{}", std::process::id()));
-    let run: ScaleRun = scale::run_both(entries, 42, &state_root);
-    let _ = std::fs::remove_dir_all(&state_root);
+    let state_dir = std::env::temp_dir().join(format!("metacomm-e18-{}", std::process::id()));
+    let run = scale::run_isolated(entries, 42, &state_dir);
+    let _ = std::fs::remove_dir_all(&state_dir);
 
+    let rss = run.peak_rss_text();
+    let isolation = if run.in_process {
+        "in-process"
+    } else {
+        "child process"
+    };
     let mut table = String::new();
-    for arm in [&run.compact, &run.legacy] {
-        writeln!(
-            table,
-            "load    {:>7}  {:>9} entries  {:>9.0} adds/s  peak rss {:>10}",
-            arm.arm,
-            arm.entries,
-            arm.load_ops_per_sec(),
-            fmt_rss(arm.peak_rss_kb),
-        )
-        .unwrap();
-    }
-    for arm in [&run.compact, &run.legacy] {
-        writeln!(
-            table,
-            "restart {:>7}  snapshot {:>9}  wal {:>5}  wall {:>8.2}s  digest {}",
-            arm.arm,
-            arm.snapshot_entries,
-            arm.wal_records_applied,
-            arm.restart_secs,
-            if arm.parity() {
-                "identical"
-            } else {
-                "DIVERGED"
-            },
-        )
-        .unwrap();
-    }
     writeln!(
         table,
-        "ratios  restart {:.2}x faster  load {:.2}x  rss {}  [{}]",
-        run.restart_speedup(),
-        run.load_speedup(),
-        run.rss_ratio()
-            .map(|r| format!("{r:.2}x smaller"))
-            .unwrap_or_else(|| "n/a".into()),
-        if run.in_process {
-            "in-process"
+        "load     {:>9} entries  {:>9.0} adds/s  peak rss {rss:>10}  [{isolation}]",
+        run.entries,
+        run.load_ops_per_sec(),
+    )
+    .unwrap();
+    writeln!(
+        table,
+        "restart  snapshot {:>9}  wal {:>5}  wall {:>8.2}s  digest {}",
+        run.snapshot_entries,
+        run.wal_records_applied,
+        run.restart_secs,
+        if run.parity() {
+            "identical"
         } else {
-            "per-arm child processes"
+            "DIVERGED"
         },
     )
     .unwrap();
+    writeln!(table, "at rest  B/entry: {}", run.at_rest_text()).unwrap();
 
     let observations = vec![
         format!(
-            "compact store restarts {:.1}x faster than the legacy arm at \
-             {} entries (streamed snapshot, parallel parse, one bulk index \
-             build instead of per-entry maintenance)",
-            run.restart_speedup(),
-            run.compact.entries
+            "{} entries restart in {:.2}s from snapshot + WAL tail (streamed \
+             snapshot, parallel parse, one bulk index build instead of \
+             per-entry maintenance)",
+            run.entries, run.restart_secs
         ),
-        match run.rss_ratio() {
-            Some(r) => format!(
-                "peak RSS is {:.1}x smaller on the compact arm ({} vs {})",
-                r,
-                fmt_rss(run.compact.peak_rss_kb),
-                fmt_rss(run.legacy.peak_rss_kb)
+        match run.peak_rss_kb {
+            Some(kb) => format!(
+                "peak RSS {rss}, {} B per entry with the crashed deployment's \
+                 tree still resident beside the restarted one",
+                kb * 1024 / run.entries.max(1) as u64
             ),
             None => "peak RSS unavailable on this platform (VmHWM is Linux-only)".to_string(),
         },
         format!(
-            "search-stream digests match across arms and across restart \
-             (parity={}) — the compact store changes the representation, \
-             not the directory",
+            "the search-stream digest is equal across the crash (parity={}): \
+             recovery rebuilt the tree that was loaded",
             run.parity()
         ),
     ];
 
     Report {
         id: "E18",
-        title: "million-entry scale (compact store, streaming cold start)",
-        claim: "the compact interned store holds an enterprise-scale \
-                (million-entry) directory in a fraction of the legacy \
-                memory and restarts from snapshot+WAL several times \
-                faster, while remaining bit-identical to the legacy \
-                string store under search, export, and recovery",
+        title: "million-entry scale (interned store, streaming cold start)",
+        claim: "the interned store holds an enterprise-scale (million-entry) \
+                directory in a commodity footprint and restarts it from \
+                snapshot+WAL into a tree that serves the same search stream",
         table,
         observations,
         extra: Some(("scale", run.json())),

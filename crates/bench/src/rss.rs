@@ -2,8 +2,8 @@
 //!
 //! Linux keeps the high-water mark of a process's resident set in
 //! `/proc/self/status` as `VmHWM`. The counter is monotone for the life
-//! of the process, which is why E18 measures each storage arm in its own
-//! child process; `reset_peak` (writing `5` to `/proc/self/clear_refs`)
+//! of the process, which is why E18 runs in a child process of its
+//! own; `reset_peak` (writing `5` to `/proc/self/clear_refs`)
 //! is the best-effort in-process fallback. Both probes degrade to `None`
 //! / `false` off Linux so the harness stays portable.
 

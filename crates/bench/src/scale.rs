@@ -1,16 +1,14 @@
 //! Million-entry scale engine shared by E18 and the `scale_rig` binary.
 //!
-//! One *arm* is a full load → snapshot → crash → restart cycle against a
-//! single storage backing (compact interned store or the legacy string
-//! store, selected with `with_compact_store`). The engine streams the
-//! population in chunks so the generator never holds the full roster in
-//! memory — at a million entries the roster itself would otherwise rival
-//! the directory and poison the peak-RSS comparison.
+//! One run is a full load → checkpoint → crash → restart cycle. The engine
+//! streams the population in chunks so the generator never holds the full
+//! roster in memory — at a million entries the roster itself would
+//! otherwise rival the directory and poison the peak-RSS reading.
 //!
-//! Peak RSS (`VmHWM`) is monotone per process, so honest numbers need one
-//! process per arm: `run_both` re-execs the `scale_rig` binary when it can
-//! find it and falls back to a clearly-labelled in-process mode (soft
-//! crash, best-effort counter reset) when it cannot — e.g. under
+//! Peak RSS (`VmHWM`) is monotone per process, so an honest number needs a
+//! process of its own: `run_isolated` re-execs the `scale_rig` binary when
+//! it can find it and falls back to a clearly-labelled in-process mode
+//! (soft crash, best-effort counter reset) when it cannot — e.g. under
 //! `cargo test` before the binaries are linked.
 
 use crate::population::{Population, PopulationSpec};
@@ -20,7 +18,7 @@ use metacomm::{FsyncPolicy, MetaComm, MetaCommBuilder};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-/// Directory suffix every arm deploys under.
+/// Directory suffix the run deploys under.
 pub const SUFFIX: &str = "o=MetaComm";
 
 /// Subscribers generated (and then dropped) per population chunk.
@@ -29,10 +27,9 @@ const CHUNK: usize = 50_000;
 /// Post-snapshot adds left in the WAL so restart exercises replay too.
 const WAL_TAIL: usize = 1_000;
 
-/// One measured arm: load, snapshot, crash, restart, verify.
+/// One measured run: load, checkpoint, crash, restart, verify.
 #[derive(Debug, Clone)]
-pub struct ArmReport {
-    pub arm: &'static str,
+pub struct ScaleReport {
     /// Entries resident after the full load (scaffold + roster + tail).
     pub entries: usize,
     /// Validated `Dit::add` calls timed into `load_secs`.
@@ -46,48 +43,68 @@ pub struct ArmReport {
     /// …and after restart: equal iff recovery rebuilt the same tree.
     pub digest_restarted: u64,
     pub peak_rss_kb: Option<u64>,
-    /// The restarted tree's resident bytes by structure (compact arm).
-    pub footprint: Option<ldap::Footprint>,
+    /// `true` when the run shared its process with other work (the RSS
+    /// reading is then best-effort: the counter reset may be unavailable
+    /// and the allocator retains pages freed before the run).
+    pub in_process: bool,
+    /// The restarted tree's resident bytes by structure.
+    pub footprint: ldap::Footprint,
 }
 
-/// Peak RSS the compact arm may cost per entry at 100k entries and up
-/// (below that the process's own base dominates). The peak is the restart
-/// beside the crashed deployment's leaked tree, so about two trees plus
-/// the restore transients: 2,850 B/entry measured at 100k, 6,260 before
-/// the shared-RDN layout.
+/// Peak RSS a run may cost per entry at 100k entries and up (below that
+/// the process's own base dominates). The peak is the restart beside the
+/// crashed deployment's leaked tree, so about two trees plus the restore
+/// transients: 2,850 B/entry measured at 100k, 6,260 before the shared-RDN
+/// layout.
 pub const COMPACT_PEAK_RSS_BUDGET_PER_ENTRY: u64 = 3_300;
 
-impl ArmReport {
+impl ScaleReport {
     pub fn load_ops_per_sec(&self) -> f64 {
         self.load_ops as f64 / self.load_secs.max(1e-9)
     }
 
+    /// The restarted tree serves the search stream the loaded one did.
     pub fn parity(&self) -> bool {
         self.digest_loaded == self.digest_restarted && self.entries > 0
     }
 
     /// Peak RSS per entry when it exceeds
-    /// [`COMPACT_PEAK_RSS_BUDGET_PER_ENTRY`] on a compact arm large enough
-    /// to be judged by it.
+    /// [`COMPACT_PEAK_RSS_BUDGET_PER_ENTRY`] on a run large enough to be
+    /// judged by it.
     pub fn over_rss_budget(&self) -> Option<u64> {
         let per_entry = self.peak_rss_kb? * 1024 / self.entries.max(1) as u64;
-        (self.arm == "compact"
-            && self.entries >= 100_000
-            && per_entry > COMPACT_PEAK_RSS_BUDGET_PER_ENTRY)
+        (self.entries >= 100_000 && per_entry > COMPACT_PEAK_RSS_BUDGET_PER_ENTRY)
             .then_some(per_entry)
     }
 
+    /// Peak RSS for a table cell.
+    pub fn peak_rss_text(&self) -> String {
+        self.peak_rss_kb
+            .map(|kb| format!("{:.1} MB", kb as f64 / 1024.0))
+            .unwrap_or_else(|| "n/a".into())
+    }
+
+    /// The restarted tree's bytes per entry, structure by structure.
+    pub fn at_rest_text(&self) -> String {
+        let fp = self.footprint;
+        let per_entry = |bytes: usize| bytes / fp.entries.max(1);
+        let rows: Vec<String> = (fp.rows().iter())
+            .map(|(row, bytes)| format!("{row} {}", per_entry(*bytes)))
+            .collect();
+        format!("{} (total {})", rows.join(", "), per_entry(fp.total()))
+    }
+
     /// One-line JSON object — the contract between the `scale_rig` child
-    /// process and the orchestrator, and the per-arm record in
-    /// `BENCH_metacomm.json`. Digests travel as hex strings: u64 values
-    /// do not survive a round-trip through doubles.
+    /// process and E18, and the `"scale"` record in `BENCH_metacomm.json`.
+    /// Digests travel as hex strings: u64 values do not survive a
+    /// round-trip through doubles.
     pub fn json(&self) -> String {
         format!(
-            "{{\"arm\":\"{}\",\"entries\":{},\"load_ops\":{},\"load_ops_per_sec\":{:.0},\
+            "{{\"entries\":{},\"load_ops\":{},\"load_ops_per_sec\":{:.0},\
              \"load_secs\":{:.3},\"restart_secs\":{:.3},\"snapshot_entries\":{},\
              \"wal_records_applied\":{},\"digest_loaded\":\"{:016x}\",\
-             \"digest_restarted\":\"{:016x}\",\"parity\":{},\"peak_rss_kb\":{}{}}}",
-            self.arm,
+             \"digest_restarted\":\"{:016x}\",\"parity\":{},\"peak_rss_kb\":{},\
+             \"isolation\":\"{}\"{}}}",
             self.entries,
             self.load_ops,
             self.load_ops_per_sec(),
@@ -101,51 +118,47 @@ impl ArmReport {
             self.peak_rss_kb
                 .map(|kb| kb.to_string())
                 .unwrap_or_else(|| "null".into()),
+            if self.in_process {
+                "in-process"
+            } else {
+                "own-process"
+            },
             self.footprint
-                .map(|fp| {
-                    fp.rows()
-                        .iter()
-                        .map(|(row, bytes)| format!(",\"{row}\":{bytes}"))
-                        .collect::<String>()
-                })
-                .unwrap_or_default(),
+                .rows()
+                .iter()
+                .map(|(row, bytes)| format!(",\"{row}\":{bytes}"))
+                .collect::<String>(),
         )
     }
 
-    /// Parse a line produced by `json` (the child's stdout). Tolerates
-    /// surrounding noise lines by requiring the `"arm"` key.
-    pub fn parse(line: &str) -> Option<ArmReport> {
-        let arm = match jfield(line, "arm")? {
-            "compact" => "compact",
-            "legacy" => "legacy",
-            _ => return None,
-        };
-        Some(ArmReport {
-            arm,
-            entries: jfield(line, "entries")?.parse().ok()?,
-            load_ops: jfield(line, "load_ops")?.parse().ok()?,
+    /// Parse a line produced by `json` (the child's stdout); any other
+    /// line lacks a field and yields `None`.
+    pub fn parse(line: &str) -> Option<ScaleReport> {
+        let row = |name| jfield(line, name)?.parse().ok();
+        let entries = row("entries")?;
+        Some(ScaleReport {
+            entries,
+            load_ops: row("load_ops")?,
             load_secs: jfield(line, "load_secs")?.parse().ok()?,
             restart_secs: jfield(line, "restart_secs")?.parse().ok()?,
-            snapshot_entries: jfield(line, "snapshot_entries")?.parse().ok()?,
-            wal_records_applied: jfield(line, "wal_records_applied")?.parse().ok()?,
+            snapshot_entries: row("snapshot_entries")?,
+            wal_records_applied: row("wal_records_applied")?,
             digest_loaded: u64::from_str_radix(jfield(line, "digest_loaded")?, 16).ok()?,
             digest_restarted: u64::from_str_radix(jfield(line, "digest_restarted")?, 16).ok()?,
             peak_rss_kb: match jfield(line, "peak_rss_kb")? {
                 "null" => None,
                 kb => Some(kb.parse().ok()?),
             },
-            footprint: (|| {
-                let row = |name| jfield(line, name)?.parse().ok();
-                Some(ldap::Footprint {
-                    entries: jfield(line, "entries")?.parse().ok()?,
-                    dn_bytes: row("dnBytes")?,
-                    key_arena_bytes: row("keyArenaBytes")?,
-                    slab_bytes: row("slabBytes")?,
-                    attr_bytes: row("attrBytes")?,
-                    postings_bytes: row("postingsBytes")?,
-                    sibling_bytes: row("siblingBytes")?,
-                })
-            })(),
+            in_process: jfield(line, "isolation")? == "in-process",
+            footprint: ldap::Footprint {
+                entries,
+                dn_bytes: row("dnBytes")?,
+                key_arena_bytes: row("keyArenaBytes")?,
+                slab_bytes: row("slabBytes")?,
+                attr_bytes: row("attrBytes")?,
+                postings_bytes: row("postingsBytes")?,
+                sibling_bytes: row("siblingBytes")?,
+            },
         })
     }
 }
@@ -161,67 +174,8 @@ fn jfield<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     Some(rest[..end].trim().trim_matches('"'))
 }
 
-/// Both arms of the experiment plus how they were isolated.
-pub struct ScaleRun {
-    pub compact: ArmReport,
-    pub legacy: ArmReport,
-    /// `true` when the arms shared this process (RSS readings are then
-    /// best-effort: the counter reset may be unavailable and a shared
-    /// allocator retains freed pages across arms).
-    pub in_process: bool,
-}
-
-impl ScaleRun {
-    /// Legacy-over-compact peak RSS — the "compact is N× smaller" claim.
-    pub fn rss_ratio(&self) -> Option<f64> {
-        match (self.legacy.peak_rss_kb, self.compact.peak_rss_kb) {
-            (Some(l), Some(c)) if c > 0 => Some(l as f64 / c as f64),
-            _ => None,
-        }
-    }
-
-    /// Legacy-over-compact restart wall time — the cold-start speedup.
-    pub fn restart_speedup(&self) -> f64 {
-        self.legacy.restart_secs / self.compact.restart_secs.max(1e-9)
-    }
-
-    /// Compact-over-legacy load throughput.
-    pub fn load_speedup(&self) -> f64 {
-        self.compact.load_ops_per_sec() / self.legacy.load_ops_per_sec().max(1e-9)
-    }
-
-    /// Both arms recovered their own tree, and both arms built the *same*
-    /// tree — the compact store is an optimization, not a fork.
-    pub fn parity(&self) -> bool {
-        self.compact.parity()
-            && self.legacy.parity()
-            && self.compact.digest_loaded == self.legacy.digest_loaded
-    }
-
-    pub fn json(&self) -> String {
-        format!(
-            "{{\"arms\":[{},{}],\"restart_speedup\":{:.2},\"load_speedup\":{:.2},\
-             \"rss_ratio\":{},\"parity\":{},\"isolation\":\"{}\"}}",
-            self.compact.json(),
-            self.legacy.json(),
-            self.restart_speedup(),
-            self.load_speedup(),
-            self.rss_ratio()
-                .map(|r| format!("{r:.2}"))
-                .unwrap_or_else(|| "null".into()),
-            self.parity(),
-            if self.in_process {
-                "in-process"
-            } else {
-                "child-process"
-            },
-        )
-    }
-}
-
-fn deployment(compact: bool, dir: &Path) -> MetaComm {
+fn deployment(dir: &Path) -> MetaComm {
     MetaCommBuilder::new(SUFFIX)
-        .with_compact_store(compact)
         .with_durability(dir)
         // One-core rigs: the interesting costs are algorithmic (validation,
         // index maintenance, snapshot streaming), not fsync latency.
@@ -361,23 +315,17 @@ pub fn digest_tree(dit: &Dit) -> (u64, usize) {
     (h, seen)
 }
 
-/// Run one arm end to end in this process. `hard_crash` leaks the loaded
-/// system (`mem::forget`, the in-process `kill -9`) and is what the
-/// per-arm child uses; the in-process fallback shuts down cleanly instead
-/// so the second arm does not inherit a leaked million-entry heap.
-pub fn run_arm(
-    compact: bool,
-    entries: usize,
-    seed: u64,
-    dir: &Path,
-    hard_crash: bool,
-) -> ArmReport {
+/// One run end to end in this process. `hard_crash` leaks the loaded
+/// system (`mem::forget`, the in-process `kill -9`) and is what a process
+/// dedicated to the run uses; sharing a process, the run shuts down
+/// cleanly instead so that what follows does not inherit a leaked
+/// million-entry heap.
+pub fn run(entries: usize, seed: u64, dir: &Path, hard_crash: bool) -> ScaleReport {
     let _ = std::fs::remove_dir_all(dir);
     rss::reset_peak();
 
-    let system = deployment(compact, dir);
+    let system = deployment(dir);
     let dit = system.dit();
-    assert_eq!(dit.is_compact(), compact, "builder knob reached the store");
     let (load_wall, load_ops) = load_roster(&dit, entries, seed);
     system.checkpoint().expect("scale checkpoint");
     wal_tail(&dit, entries);
@@ -390,7 +338,7 @@ pub fn run_arm(
         drop(system);
     }
 
-    let (system2, restart) = crate::timed(|| deployment(compact, dir));
+    let (system2, restart) = crate::timed(|| deployment(dir));
     let report = system2.recovery_report().expect("durable deployment");
     let (digest_restarted, _) = digest_tree(&system2.dit());
     let footprint = system2.dit().footprint();
@@ -398,8 +346,7 @@ pub fn run_arm(
     let peak_rss_kb = rss::peak_rss_kb();
     let _ = std::fs::remove_dir_all(dir);
 
-    ArmReport {
-        arm: if compact { "compact" } else { "legacy" },
+    ScaleReport {
         entries: total,
         load_ops,
         load_secs: load_wall.as_secs_f64(),
@@ -409,20 +356,15 @@ pub fn run_arm(
         digest_loaded,
         digest_restarted,
         peak_rss_kb,
+        in_process: !hard_crash,
         footprint,
     }
 }
 
 /// Find the `scale_rig` binary next to the current executable (or one
 /// directory up — test binaries live in `target/<profile>/deps`).
-pub fn locate_rig() -> Option<PathBuf> {
+fn locate_rig() -> Option<PathBuf> {
     let exe = std::env::current_exe().ok()?;
-    if exe
-        .file_stem()
-        .is_some_and(|s| s.to_string_lossy().starts_with("scale_rig"))
-    {
-        return Some(exe);
-    }
     let mut dir = exe.parent()?;
     for _ in 0..2 {
         let candidate = dir.join("scale_rig");
@@ -434,11 +376,9 @@ pub fn locate_rig() -> Option<PathBuf> {
     None
 }
 
-fn spawn_arm(rig: &Path, arm: &str, entries: usize, seed: u64, dir: &Path) -> Option<ArmReport> {
+fn spawn_rig(rig: &Path, entries: usize, seed: u64, dir: &Path) -> Option<ScaleReport> {
     let out = std::process::Command::new(rig)
         .args([
-            "--arm",
-            arm,
             "--entries",
             &entries.to_string(),
             "--seed",
@@ -448,40 +388,20 @@ fn spawn_arm(rig: &Path, arm: &str, entries: usize, seed: u64, dir: &Path) -> Op
         ])
         .output()
         .ok()?;
-    if !out.status.success() {
-        return None;
-    }
+    // A rig that exits non-zero (diverged restart, RSS over budget) still
+    // printed its report: the caller judges it.
     String::from_utf8_lossy(&out.stdout)
         .lines()
         .rev()
-        .find_map(ArmReport::parse)
+        .find_map(ScaleReport::parse)
 }
 
-/// Measure both arms, isolating each in its own child process when the
-/// `scale_rig` binary is reachable (honest per-arm VmHWM), otherwise
-/// back-to-back in this process with the compact arm first so allocator
-/// retention can only *understate* the compact advantage.
-pub fn run_both(entries: usize, seed: u64, state_root: &Path) -> ScaleRun {
-    let compact_dir = state_root.join("compact");
-    let legacy_dir = state_root.join("legacy");
-    if let Some(rig) = locate_rig() {
-        let compact = spawn_arm(&rig, "compact", entries, seed, &compact_dir);
-        let legacy = spawn_arm(&rig, "legacy", entries, seed, &legacy_dir);
-        if let (Some(compact), Some(legacy)) = (compact, legacy) {
-            return ScaleRun {
-                compact,
-                legacy,
-                in_process: false,
-            };
-        }
-    }
-    let compact = run_arm(true, entries, seed, &compact_dir, false);
-    let legacy = run_arm(false, entries, seed, &legacy_dir, false);
-    ScaleRun {
-        compact,
-        legacy,
-        in_process: true,
-    }
+/// The run in a `scale_rig` child process when the binary is reachable
+/// (an honest VmHWM), otherwise in this one.
+pub fn run_isolated(entries: usize, seed: u64, dir: &Path) -> ScaleReport {
+    locate_rig()
+        .and_then(|rig| spawn_rig(&rig, entries, seed, dir))
+        .unwrap_or_else(|| run(entries, seed, dir, false))
 }
 
 #[cfg(test)]
@@ -489,9 +409,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn arm_report_json_round_trips() {
-        let r = ArmReport {
-            arm: "compact",
+    fn report_json_round_trips() {
+        let r = ScaleReport {
             entries: 1234,
             load_ops: 1200,
             load_secs: 0.5,
@@ -501,43 +420,44 @@ mod tests {
             digest_loaded: 0xdead_beef_0012_3456,
             digest_restarted: 0xdead_beef_0012_3456,
             peak_rss_kb: Some(4096),
-            footprint: Some(ldap::Footprint {
+            in_process: false,
+            footprint: ldap::Footprint {
                 entries: 1234,
                 dn_bytes: 160,
                 attr_bytes: 670,
                 ..ldap::Footprint::default()
-            }),
+            },
         };
-        let back = ArmReport::parse(&r.json()).expect("parse own json");
+        let back = ScaleReport::parse(&r.json()).expect("parse own json");
         assert_eq!(back.footprint, r.footprint);
-        assert_eq!(back.arm, "compact");
         assert_eq!(back.entries, 1234);
         assert_eq!(back.digest_loaded, r.digest_loaded);
-        assert_eq!(back.peak_rss_kb, Some(4096));
+        assert_eq!((back.peak_rss_kb, back.in_process), (Some(4096), false));
         assert!(back.parity());
 
-        let none = ArmReport {
+        let none = ScaleReport {
             peak_rss_kb: None,
-            footprint: None,
+            in_process: true,
             ..r
         };
-        let back = ArmReport::parse(&none.json()).unwrap();
-        assert_eq!((back.peak_rss_kb, back.footprint), (None, None));
+        let back = ScaleReport::parse(&none.json()).unwrap();
+        assert_eq!((back.peak_rss_kb, back.in_process), (None, true));
+        assert!(ScaleReport::parse("scale_rig: 1234 entries").is_none());
     }
 
     #[test]
-    fn both_arms_small_run_agree() {
-        let root = std::env::temp_dir().join(format!("metacomm-scale-unit-{}", std::process::id()));
-        let compact = run_arm(true, 300, 7, &root.join("c"), false);
-        let legacy = run_arm(false, 300, 7, &root.join("l"), false);
-        assert!(compact.parity(), "compact arm restores its own tree");
-        assert!(legacy.parity(), "legacy arm restores its own tree");
-        assert_eq!(
-            compact.digest_loaded, legacy.digest_loaded,
-            "arms build identical trees"
+    fn small_run_restores_its_own_tree() {
+        let dir = std::env::temp_dir().join(format!("metacomm-scale-unit-{}", std::process::id()));
+        let r = run(300, 7, &dir, false);
+        assert!(r.parity(), "the restart serves the loaded tree");
+        assert_eq!(r.footprint.entries, r.entries);
+        assert!(
+            r.snapshot_entries >= 300,
+            "the roster came from the snapshot"
         );
-        assert_eq!(compact.entries, legacy.entries);
-        assert!(compact.wal_records_applied >= 300.min(WAL_TAIL));
-        let _ = std::fs::remove_dir_all(&root);
+        assert!(
+            r.wal_records_applied >= 300.min(WAL_TAIL),
+            "the tail from the log"
+        );
     }
 }

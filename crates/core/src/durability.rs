@@ -74,8 +74,6 @@ pub struct RecoveryReport {
     pub torn_segments: usize,
     /// Outage-journal ops recovered across all devices.
     pub journal_ops: usize,
-    /// State was migrated from the legacy LDIF snapshot + change journal.
-    pub legacy_migration: bool,
     /// Wall-clock time recovery took, in microseconds.
     pub replay_micros: u64,
 }
@@ -123,68 +121,73 @@ impl Durability {
         let mut report = RecoveryReport::default();
         let mut journals: HashMap<String, RecoveredJournal> = HashMap::new();
 
-        let legacy_snap = dir.join("directory.ldif");
-        let legacy_journal = dir.join("changes.ldif");
+        // The pre-WAL layout is not read any more. Booting an empty
+        // directory beside it would look like a successful recovery of
+        // nothing, so say what is there and stop.
+        if store.latest_generation() == 0 {
+            let pre_wal: Vec<String> = ["directory.ldif", "changes.ldif"]
+                .iter()
+                .map(|name| dir.join(name))
+                .filter(|path| path.exists())
+                .map(|path| path.display().to_string())
+                .collect();
+            if !pre_wal.is_empty() {
+                return Err(MetaError::Unavailable(format!(
+                    "state directory holds only the pre-WAL LDIF layout ({}), which is no \
+                     longer read: there is no snap-*/wal-* generation to recover from",
+                    pre_wal.join(", ")
+                )));
+            }
+        }
         // One bulk-load window around the whole recovery (snapshot load AND
-        // WAL replay): on the compact backing, per-insert index and
-        // sibling-order maintenance is suspended and rebuilt once when the
-        // window closes — a single linear pass instead of a million
-        // incremental updates. Nestable, so the snapshot loader's own
-        // window composes; a no-op on the legacy backing.
+        // WAL replay): per-insert index and sibling-order maintenance is
+        // suspended and rebuilt once when the window closes — a single
+        // linear pass instead of a million incremental updates. Nestable,
+        // so the snapshot loader's own window composes.
         dit.begin_bulk();
         let recovery = (|| -> Result<()> {
-            if store.latest_generation() == 0 && (legacy_snap.exists() || legacy_journal.exists()) {
-                // Pre-WAL layout: LDIF snapshot + change journal. Load it once;
-                // the boot checkpoint writes generation 1 and the legacy files
-                // are never consulted again.
-                let (s, j) = backup::recover(dit, &legacy_snap, &legacy_journal)?;
-                report.legacy_migration = true;
-                report.snapshot_entries = s;
-                report.wal_records_applied = j;
-            } else {
-                let snap_seq = match store.restore_latest(dit)? {
-                    Some((generation, seq, entries)) => {
-                        report.snapshot_generation = generation;
-                        report.snapshot_entries = entries;
-                        dit.set_seq(seq);
-                        seq
-                    }
-                    None => 0,
-                };
-                // Replay every segment in generation order: DIT records the
-                // snapshot does not cover are collected (they carry their
-                // own commit sequence and are sorted globally), journal
-                // events reduce in scan order. A retained segment is mostly
-                // records the snapshot covers (the whole load, after a
-                // first checkpoint): those are counted as they are decoded
-                // and never copied.
-                let mut dit_records: Vec<(u64, String)> = Vec::new();
-                let mut covered = 0usize;
-                for generation in store.wal_generations() {
-                    let summary = wal::replay(&store.wal_path(generation), |tag, payload| {
-                        match tag {
-                            backup::TAG_DIT_CHANGE => {
-                                let (seq, text) = backup::decode_wal_payload(payload)?;
-                                if seq <= snap_seq {
-                                    covered += 1;
-                                } else {
-                                    dit_records.push((seq, text.to_string()));
-                                }
-                            }
-                            _ => reduce_journal_event(&mut journals, tag, payload)
-                                .map_err(ldap_decode_error)?,
-                        }
-                        Ok(())
-                    })?;
-                    if summary.torn {
-                        report.torn_segments += 1;
-                    }
+            let snap_seq = match store.restore_latest(dit)? {
+                Some((generation, seq, entries)) => {
+                    report.snapshot_generation = generation;
+                    report.snapshot_entries = entries;
+                    dit.set_seq(seq);
+                    seq
                 }
-                let replay = backup::apply_wal_records(dit, dit_records, snap_seq)?;
-                report.wal_records_applied = replay.applied;
-                report.wal_records_skipped = covered + replay.skipped;
-                report.wal_records_discarded = replay.discarded;
+                None => 0,
+            };
+            // Replay every segment in generation order: DIT records the
+            // snapshot does not cover are collected (they carry their own
+            // commit sequence and are sorted globally), journal events
+            // reduce in scan order. A retained segment is mostly records
+            // the snapshot covers (the whole load, after a first
+            // checkpoint): those are counted as they are decoded and never
+            // copied.
+            let mut dit_records: Vec<(u64, String)> = Vec::new();
+            let mut covered = 0usize;
+            for generation in store.wal_generations() {
+                let summary = wal::replay(&store.wal_path(generation), |tag, payload| {
+                    match tag {
+                        backup::TAG_DIT_CHANGE => {
+                            let (seq, text) = backup::decode_wal_payload(payload)?;
+                            if seq <= snap_seq {
+                                covered += 1;
+                            } else {
+                                dit_records.push((seq, text.to_string()));
+                            }
+                        }
+                        _ => reduce_journal_event(&mut journals, tag, payload)
+                            .map_err(ldap_decode_error)?,
+                    }
+                    Ok(())
+                })?;
+                if summary.torn {
+                    report.torn_segments += 1;
+                }
             }
+            let replay = backup::apply_wal_records(dit, dit_records, snap_seq)?;
+            report.wal_records_applied = replay.applied;
+            report.wal_records_skipped = covered + replay.skipped;
+            report.wal_records_discarded = replay.discarded;
             Ok(())
         })();
         dit.finish_bulk();
@@ -326,8 +329,7 @@ impl Durability {
                 &encode_journal_state(name, overflowed, &ops),
             );
         }
-        // Streamed on the compact backing: the export never materializes
-        // (one entry of LDIF text in memory at a time).
+        // Streamed: one entry of LDIF text in memory at a time.
         self.store.write_snapshot_streamed(dit, generation)?;
         self.snapshots_written.fetch_add(1, Ordering::Relaxed);
         // Keep the newest two snapshots (torn-write fallback) and every

@@ -96,7 +96,6 @@ pub struct MetaCommBuilder {
     fault_plans: HashMap<String, FaultPlan>,
     clock: Option<Arc<dyn Clock>>,
     indexed_attrs: Option<Vec<String>>,
-    compact_store: bool,
     um_workers: Option<usize>,
     wire_workers: Option<usize>,
     event_loop: bool,
@@ -123,7 +122,6 @@ impl MetaCommBuilder {
             fault_plans: HashMap::new(),
             clock: None,
             indexed_attrs: None,
-            compact_store: true,
             um_workers: None,
             wire_workers: None,
             event_loop: true,
@@ -143,18 +141,6 @@ impl MetaCommBuilder {
         S: Into<String>,
     {
         self.indexed_attrs = Some(attrs.into_iter().map(Into::into).collect());
-        self
-    }
-
-    /// Store directory entries in the compact interned representation: a
-    /// DN arena keyed by `u32` ids (entry map, sibling lists, and index
-    /// postings all hold ids instead of duplicated DN strings), interned
-    /// attribute names, and flattened attribute vectors. On by default —
-    /// this is what holds a million-entry DIT in a commodity footprint;
-    /// `false` restores the legacy string-keyed maps (the E18 ablation
-    /// arm). External behavior is bit-identical either way.
-    pub fn with_compact_store(mut self, on: bool) -> Self {
-        self.compact_store = on;
         self
     }
 
@@ -307,13 +293,6 @@ impl MetaCommBuilder {
         self
     }
 
-    /// Older name for [`MetaCommBuilder::with_durability`]; deployments
-    /// persisted under the legacy LDIF snapshot + change-journal layout are
-    /// migrated on first boot.
-    pub fn with_persistence(self, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.with_durability(dir)
-    }
-
     /// When (and how) write-ahead-log appends reach stable storage:
     /// [`FsyncPolicy::Group`] (default) batches concurrent commits into
     /// shared fsyncs, [`FsyncPolicy::Always`] fsyncs every append, and
@@ -336,13 +315,9 @@ impl MetaCommBuilder {
         let dit = match &self.indexed_attrs {
             Some(attrs) => {
                 let refs: Vec<&str> = attrs.iter().map(String::as_str).collect();
-                ldap::Dit::with_schema_indexed_compact(schema, &refs, self.compact_store)
+                ldap::Dit::with_schema_indexed(schema, &refs)
             }
-            None => ldap::Dit::with_schema_indexed_compact(
-                schema,
-                ldap::dit::DEFAULT_INDEXED_ATTRS,
-                self.compact_store,
-            ),
+            None => ldap::Dit::with_schema(schema),
         };
         // Durable deployments recover the previous state before anything
         // else touches the tree, then attach the WAL observer so every

@@ -149,11 +149,8 @@ pub(crate) fn mirror_um_stats(registry: &Registry, stats: &Arc<crate::um::UmStat
 /// the `dit` component: "which structure holds the bytes?" answered from
 /// `cn=monitor`. The counts come from a walk of the tree, so one walk
 /// serves every gauge of a monitor read and is redone only once the tree
-/// has committed since. The legacy backing has no such rows.
+/// has committed since.
 pub(crate) fn mirror_dit_footprint(registry: &Registry, dit: &Arc<ldap::Dit>) {
-    if !dit.is_compact() {
-        return;
-    }
     let comp = registry.component("dit");
     // Weak: the registry outlives a shut-down deployment in its server.
     let dit = Arc::downgrade(dit);
@@ -167,7 +164,7 @@ pub(crate) fn mirror_dit_footprint(registry: &Registry, dit: &Arc<ldap::Dit>) {
         match *last {
             Some((at, fp)) if at == seq => fp,
             _ => {
-                let fp = dit.footprint().unwrap_or_default();
+                let fp = dit.footprint();
                 *last = Some((seq, fp));
                 fp
             }

@@ -18,7 +18,7 @@ fn tmpdir(name: &str) -> PathBuf {
 fn build(dir: &Path, west: &Arc<PbxStore>) -> metacomm::MetaComm {
     MetaCommBuilder::new("o=Lucent")
         .add_pbx(west.clone(), "9???")
-        .with_persistence(dir.to_path_buf())
+        .with_durability(dir.to_path_buf())
         .build()
         .expect("build durable system")
 }
@@ -140,12 +140,11 @@ fn checkpoint_rotates_and_prunes() {
     assert_eq!(system.wba().find("(cn=Person*)").unwrap().len(), 20);
     let report = system.recovery_report().expect("durable deployment");
     assert!(report.snapshot_entries > 0, "snapshot restored");
-    assert!(!report.legacy_migration);
     system.shutdown();
 }
 
 #[test]
-fn legacy_ldif_layout_migrates_on_first_boot() {
+fn legacy_ldif_layout_is_refused_not_booted_empty() {
     let dir = tmpdir("legacy");
     let west = Arc::new(PbxStore::new("pbx-west", DialPlan::with_prefix("9", 4)));
     {
@@ -169,16 +168,22 @@ fn legacy_ldif_layout_migrates_on_first_boot() {
         std::fs::remove_file(dir.join(f)).unwrap();
     }
 
-    let system = build(&dir, &west);
-    let report = system.recovery_report().expect("durable deployment");
-    assert!(report.legacy_migration, "legacy files recognized");
+    let err = match MetaCommBuilder::new("o=Lucent")
+        .add_pbx(west, "9???")
+        .with_durability(dir.clone())
+        .build()
+    {
+        Ok(_) => panic!("booted an empty directory beside the pre-WAL files"),
+        Err(e) => e.to_string(),
+    };
+    assert!(err.contains("directory.ldif"), "names the file: {err}");
     assert!(
-        system.wba().person("John Doe").unwrap().is_some(),
-        "state carried over"
+        !err.contains("changes.ldif"),
+        "and only what is there: {err}"
     );
-    // The boot checkpoint re-established the generation layout.
-    assert!(!files_matching(&dir, "snap-").is_empty());
-    system.shutdown();
+    // Nothing was written beside the files it refused.
+    assert!(files_matching(&dir, "snap-").is_empty());
+    assert!(files_matching(&dir, "wal-").is_empty());
 }
 
 #[test]

@@ -1,26 +1,23 @@
-//! Durable snapshots, the LDIF change journal, and the DIT side of the
-//! binary write-ahead log.
+//! Durable snapshots and the DIT side of the binary write-ahead log.
 //!
 //! Paper §2: "replication and backups are used to handle system and media
-//! failure". Three layers live here:
+//! failure". Two layers live here:
 //!
 //! 1. **Snapshots** — full LDIF dumps with a `# seq` header recording the
 //!    commit sequence they reflect and a `# crc32` footer so a torn or
 //!    corrupted file is detected (and an older snapshot used instead). The
 //!    write path is crash-safe: tmp file, fsync, atomic rename, fsync of
-//!    the parent directory.
-//! 2. **The LDIF [`Journal`]** — the human-readable change log (one LDIF
-//!    change record per commit, `# commit`-terminated). Kept for exports
-//!    and debugging; write failures are counted and surfaced through an
-//!    error sink instead of being swallowed.
-//! 3. **WAL integration** — commits serialized as `[seq][LDIF change]`
+//!    the parent directory. Writer and reader both stream: neither holds
+//!    more than a batch of entries beside the tree. The format is pinned by
+//!    the checked-in file `tests/fixtures/figure2.snap.ldif`.
+//! 2. **WAL integration** — commits serialized as `[seq][LDIF change]`
 //!    frames in a [`crate::wal::Wal`], and the matching replay that sorts
 //!    by commit sequence and applies exactly the *committed prefix*: replay
 //!    stops at the first gap, because commit observers run outside the
 //!    store lock and two racing commits may reach the log out of order —
 //!    a missing sequence number means that commit's frame was torn.
 //!
-//! [`SnapshotStore`] ties 1 and 3 together into generation-numbered
+//! [`SnapshotStore`] ties the two together into generation-numbered
 //! rotation (`snap-NNNNNN.ldif` + `wal-NNNNNN.log`), giving recovery the
 //! order the DESIGN doc specifies: newest valid snapshot, then the log.
 
@@ -29,16 +26,11 @@ use crate::dn::Dn;
 use crate::entry::Entry;
 use crate::error::{LdapError, Result, ResultCode};
 use crate::ldif;
-use crate::wal::{crc32, Crc32, Wal};
+use crate::wal::{Crc32, Wal};
 use parking_lot::Mutex;
 use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Marker line terminating each journal record; a record without it was
-/// torn by a crash and is ignored at recovery.
-const COMMIT_MARK: &str = "# commit";
 
 /// Snapshot header comment carrying the commit sequence of the export.
 const SEQ_PREFIX: &str = "# seq: ";
@@ -68,65 +60,19 @@ pub(crate) fn atomic_write(path: &Path, bytes: &[u8]) -> Result<()> {
         f.write_all(bytes)?;
         f.sync_all()?;
     }
-    std::fs::rename(&tmp, path)?;
+    publish(&tmp, path)
+}
+
+/// Rename a written-and-fsynced tmp file over `path` and fsync the parent
+/// directory, so the rename itself is on stable storage.
+fn publish(tmp: &Path, path: &Path) -> Result<()> {
+    std::fs::rename(tmp, path)?;
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             sync_dir(parent)?;
         }
     }
     Ok(())
-}
-
-/// Serialize a full export with the `# seq` header and `# crc32` footer,
-/// and write it crash-safely to `path`.
-fn write_snapshot_file(entries: &[Entry], seq: u64, path: &Path) -> Result<()> {
-    let mut text = format!("{SEQ_PREFIX}{seq}\n");
-    text.push_str(&ldif::to_ldif(entries));
-    let crc = crc32(text.as_bytes());
-    text.push_str(&format!("{CRC_PREFIX}{crc:08x}\n"));
-    atomic_write(path, text.as_bytes())
-}
-
-/// Read a snapshot file, verifying its checksum footer when present.
-/// Returns the LDIF text plus the recorded commit sequence (0 for legacy
-/// snapshots without a header). Fails on a missing/corrupt checksum so the
-/// caller can fall back to an older generation; `require_footer` is false
-/// only for legacy pre-WAL snapshots.
-fn read_snapshot_file(path: &Path, require_footer: bool) -> Result<(String, u64)> {
-    let text = std::fs::read_to_string(path)?;
-    // The footer is only ever the final line: anchor the search to a line
-    // start and reject interior matches, so a legacy footer-less snapshot
-    // whose LDIF data happens to contain the literal marker is not
-    // misparsed as checksummed (and then failed as corrupt).
-    let footer_at = text
-        .rfind(&format!("\n{CRC_PREFIX}"))
-        .map(|at| at + 1)
-        .or_else(|| text.starts_with(CRC_PREFIX).then_some(0))
-        .filter(|&at| !text[at..].trim_end().contains('\n'));
-    let body = match footer_at {
-        Some(at) => {
-            // The footer must be the final line and must verify.
-            let footer = text[at..].trim_end();
-            let want = u32::from_str_radix(footer.trim_start_matches(CRC_PREFIX), 16)
-                .map_err(|_| snapshot_error(path, "unparseable checksum footer"))?;
-            let got = crc32(&text.as_bytes()[..at]);
-            if got != want {
-                return Err(snapshot_error(
-                    path,
-                    &format!("checksum mismatch (stored {want:08x}, computed {got:08x})"),
-                ));
-            }
-            &text[..at]
-        }
-        None if require_footer => return Err(snapshot_error(path, "missing checksum footer")),
-        None => &text[..],
-    };
-    let seq = body
-        .lines()
-        .find_map(|l| l.strip_prefix(SEQ_PREFIX))
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(0);
-    Ok((body.to_string(), seq))
 }
 
 fn snapshot_error(path: &Path, what: &str) -> LdapError {
@@ -136,50 +82,18 @@ fn snapshot_error(path: &Path, what: &str) -> LdapError {
     )
 }
 
-/// Load parsed snapshot text into an empty DIT. Content records only.
-fn load_snapshot_text(dit: &Dit, text: &str, path: &Path) -> Result<usize> {
-    let records = ldif::parse(text)?;
-    let mut n = 0;
-    for r in records {
-        match r {
-            ldif::Record::Content(e) => {
-                dit.add(e)?;
-                n += 1;
-            }
-            other => {
-                return Err(snapshot_error(
-                    path,
-                    &format!("contains a change record: {other:?}"),
-                ))
-            }
-        }
-    }
-    Ok(n)
-}
-
 /// Write a full LDIF snapshot of the DIT: checksummed, fsynced, and
 /// atomically renamed into place (a crash leaves either the old file or
 /// the new one, never a torn mix).
-///
-/// On the compact backing the export is streamed entry-by-entry under one
-/// read guard — a million-entry checkpoint never materializes the full
-/// `Vec<Entry>` or the full LDIF text. The legacy backing keeps the
-/// materializing path (the E18 ablation prices exactly that). Both paths
-/// produce byte-identical files.
 pub fn snapshot(dit: &Dit, path: &Path) -> Result<()> {
-    if dit.is_compact() {
-        return write_snapshot_stream(dit, path).map(|_seq| ());
-    }
-    let (entries, seq) = dit.export_with_seq();
-    write_snapshot_file(&entries, seq, path)
+    write_snapshot_stream(dit, path).map(|_seq| ())
 }
 
-/// Streaming snapshot writer: header, entries, and checksum footer go
-/// through one bounded `BufWriter` with the CRC folded incrementally, so
-/// memory stays O(one entry) regardless of DIT size. Same tmp-file +
-/// fsync + rename + dir-fsync crash safety, same bytes, as
-/// [`write_snapshot_file`]. Returns the commit sequence the snapshot
-/// reflects.
+/// The snapshot writer: the export is streamed entry by entry under one
+/// read guard, and header, entries, and checksum footer go through one
+/// bounded `BufWriter` with the CRC folded incrementally, so memory stays
+/// O(one entry) regardless of DIT size. Crash-safe the way
+/// [`atomic_write`] is. Returns the commit sequence the snapshot reflects.
 fn write_snapshot_stream(dit: &Dit, path: &Path) -> Result<u64> {
     use std::fmt::Write as _;
     struct W {
@@ -224,12 +138,7 @@ fn write_snapshot_stream(dit: &Dit, path: &Path) -> Result<u64> {
     let file = w.out.into_inner().map_err(|e| e.into_error())?;
     file.sync_all()?;
     drop(file);
-    std::fs::rename(&tmp, path)?;
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            sync_dir(parent)?;
-        }
-    }
+    publish(&tmp, path)?;
     Ok(seq_out.get())
 }
 
@@ -248,6 +157,10 @@ struct SnapshotScanner<R: BufRead> {
     block: String,
     /// Commit sequence from the `# seq: ` header, once seen.
     seq: Option<u64>,
+    /// EOF was reached and the footer verified; a last block that no blank
+    /// line closed (the header of an empty tree's snapshot) may still have
+    /// gone out after that.
+    verified: bool,
     path: PathBuf,
 }
 
@@ -260,6 +173,7 @@ impl<R: BufRead> SnapshotScanner<R> {
             pending_footer: None,
             block: String::new(),
             seq: None,
+            verified: false,
             path: path.to_path_buf(),
         }
     }
@@ -269,6 +183,9 @@ impl<R: BufRead> SnapshotScanner<R> {
         loop {
             self.line.clear();
             if self.r.read_line(&mut self.line)? == 0 {
+                if self.verified {
+                    return Ok(None);
+                }
                 let footer = self
                     .pending_footer
                     .take()
@@ -283,6 +200,7 @@ impl<R: BufRead> SnapshotScanner<R> {
                         &format!("checksum mismatch (stored {want:08x}, computed {got:08x})"),
                     ));
                 }
+                self.verified = true;
                 if self.block.is_empty() {
                     return Ok(None);
                 }
@@ -323,16 +241,16 @@ fn parse_block_entries(block: &str, path: &Path) -> Result<Vec<Entry>> {
 /// How many blocks a parse batch carries through the worker channel.
 const PARSE_BATCH_BLOCKS: usize = 512;
 
-/// Streaming snapshot load into an empty compact-backing DIT: a bounded
+/// Snapshot load into an empty DIT: a bounded
 /// single pass over the file (no whole-file `String`, no all-records
 /// `Vec`), with block parsing fanned across `available_parallelism - 1`
 /// workers when the machine has them (inline otherwise), ordered
 /// reassembly, and insertion in bulk-load mode via [`Dit::bulk_add`] —
 /// `trusted` because the CRC footer covers every byte, so the entries were
 /// schema-validated when this system first wrote them. A checksum failure
-/// surfaces as `Err` *after* a partial load; the caller falls back a
-/// generation and clears the DIT, exactly as with the materializing
-/// reader. Returns `(entries loaded, snapshot commit seq)`.
+/// surfaces as `Err` *after* a partial load; the caller clears the DIT
+/// before it falls back a generation. Returns `(entries loaded, snapshot
+/// commit seq)`.
 fn load_snapshot_stream(dit: &Dit, path: &Path) -> Result<(usize, u64)> {
     let workers = std::thread::available_parallelism()
         .map(|n| n.get().saturating_sub(1).min(8))
@@ -475,108 +393,10 @@ fn load_blocks_parallel<R: BufRead + Send>(
     })
 }
 
-/// Load a snapshot into an empty DIT, verifying the checksum footer when
-/// one is present (snapshots written before the footer existed still load).
+/// Load one snapshot file into an empty DIT; the checksum footer must be
+/// present and verify. Returns the number of entries loaded.
 pub fn restore_snapshot(dit: &Dit, path: &Path) -> Result<usize> {
-    let (text, _) = read_snapshot_file(path, false)?;
-    load_snapshot_text(dit, &text, path)
-}
-
-type ErrorSink = Box<dyn Fn(&str) + Send + Sync>;
-
-/// An append-only change journal attached to a DIT.
-pub struct Journal {
-    path: PathBuf,
-    file: Mutex<std::fs::File>,
-    write_errors: AtomicU64,
-    on_error: Mutex<Option<ErrorSink>>,
-}
-
-impl Journal {
-    /// Open (or create) the journal and attach it to the DIT: every commit
-    /// is appended and flushed before the commit returns to the caller.
-    pub fn attach(dit: &Arc<Dit>, path: &Path) -> Result<Arc<Journal>> {
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
-        let journal = Arc::new(Journal {
-            path: path.to_path_buf(),
-            file: Mutex::new(file),
-            write_errors: AtomicU64::new(0),
-            on_error: Mutex::new(None),
-        });
-        let j = journal.clone();
-        dit.observe(move |rec| j.append(rec));
-        Ok(journal)
-    }
-
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Failed journal appends since attach. Non-zero means the on-disk
-    /// change log is missing records (durability is degraded).
-    pub fn write_errors(&self) -> u64 {
-        self.write_errors.load(Ordering::Relaxed)
-    }
-
-    /// Install the write-failure sink (§4.4 log-and-alert). At most one;
-    /// later calls replace it.
-    pub fn set_error_sink(&self, f: impl Fn(&str) + Send + Sync + 'static) {
-        *self.on_error.lock() = Some(Box::new(f));
-    }
-
-    fn append(&self, rec: &ChangeRecord) {
-        let mut text = ldif::change_to_ldif(&change_to_ldif_record(rec));
-        text.push_str(COMMIT_MARK);
-        text.push('\n');
-        // A failed journal write must not poison the commit (the paper's
-        // systems kept running when logging degraded) — but it must not be
-        // invisible either: count it and alert the administrator (§4.4).
-        let res = {
-            let mut f = self.file.lock();
-            f.write_all(text.as_bytes()).and_then(|()| f.flush())
-        };
-        if let Err(e) = res {
-            self.write_errors.fetch_add(1, Ordering::Relaxed);
-            if let Some(sink) = self.on_error.lock().as_ref() {
-                sink(&format!(
-                    "journal append failed on {} (commit seq {}): {e}",
-                    self.path.display(),
-                    rec.seq
-                ));
-            }
-        }
-    }
-
-    /// Replay a journal file into a DIT. Returns the number of applied
-    /// change records; a torn final record (crash mid-append) is discarded.
-    pub fn replay(dit: &Dit, path: &Path) -> Result<usize> {
-        let text = std::fs::read_to_string(path)?;
-        let sep = format!("{COMMIT_MARK}\n");
-        // The file is a sequence of `<record><mark>` blocks; only the text
-        // AFTER the last mark can be a torn record.
-        let ends_clean = text.is_empty() || text.ends_with(&sep);
-        let chunks: Vec<&str> = text.split(&sep).collect();
-        let last = chunks.len().saturating_sub(1);
-        let mut applied = 0;
-        for (i, chunk) in chunks.iter().enumerate() {
-            let chunk = chunk.trim();
-            if chunk.is_empty() {
-                continue;
-            }
-            if i == last && !ends_clean {
-                break; // torn tail: never followed by a commit mark
-            }
-            let records = ldif::parse(chunk)?;
-            for r in records {
-                apply(dit, r)?;
-                applied += 1;
-            }
-        }
-        Ok(applied)
-    }
+    load_snapshot_stream(dit, path).map(|(n, _seq)| n)
 }
 
 /// The LDIF change record equivalent of a commit observation.
@@ -610,21 +430,6 @@ fn apply(dit: &Dit, r: ldif::Record) -> Result<()> {
             new_superior,
         } => dit.modify_rdn(&dn, &new_rdn, delete_old, new_superior.as_ref()),
     }
-}
-
-/// Full recovery: snapshot (if present) + journal replay (if present).
-pub fn recover(dit: &Dit, snapshot_path: &Path, journal_path: &Path) -> Result<(usize, usize)> {
-    let from_snapshot = if snapshot_path.exists() {
-        restore_snapshot(dit, snapshot_path)?
-    } else {
-        0
-    };
-    let from_journal = if journal_path.exists() {
-        Journal::replay(dit, journal_path)?
-    } else {
-        0
-    };
-    Ok((from_snapshot, from_journal))
 }
 
 /// Convenience used by recovery flows: does this DN exist after recovery?
@@ -795,44 +600,20 @@ impl SnapshotStore {
             .max(self.wal_generations().last().copied().unwrap_or(0))
     }
 
-    /// Write the snapshot for `generation` from a consistent export.
-    pub fn write_snapshot(&self, entries: &[Entry], seq: u64, generation: u64) -> Result<()> {
-        write_snapshot_file(entries, seq, &self.snapshot_path(generation))
-    }
-
-    /// Write the snapshot for `generation` straight off the DIT,
-    /// streaming on the compact backing (no full export materialized);
-    /// returns the commit sequence the snapshot reflects.
+    /// Write the snapshot for `generation` straight off the DIT; returns
+    /// the commit sequence the snapshot reflects.
     pub fn write_snapshot_streamed(&self, dit: &Dit, generation: u64) -> Result<u64> {
-        let path = self.snapshot_path(generation);
-        if dit.is_compact() {
-            return write_snapshot_stream(dit, &path);
-        }
-        let (entries, seq) = dit.export_with_seq();
-        write_snapshot_file(&entries, seq, &path)?;
-        Ok(seq)
+        write_snapshot_stream(dit, &self.snapshot_path(generation))
     }
 
     /// Restore the newest snapshot that verifies into an empty DIT.
     /// Returns `(generation, snapshot seq, entries loaded)`; a snapshot
     /// with a torn or corrupt footer is skipped in favor of the previous
-    /// generation (and the DIT is cleared of any partial load).
-    ///
-    /// Compact-backing DITs load through the streaming single-pass reader
-    /// (parallel block parsing, bulk-mode insertion); the legacy backing
-    /// keeps the materializing read-everything-then-add path as the E18
-    /// ablation baseline. Either way a corrupt generation leaves the DIT
-    /// cleared and the previous generation is tried.
+    /// generation (and the DIT is cleared of the partial load, commit
+    /// counter included).
     pub fn restore_latest(&self, dit: &Dit) -> Result<Option<(u64, u64, usize)>> {
         for generation in self.snapshot_generations().into_iter().rev() {
-            let path = self.snapshot_path(generation);
-            let loaded = if dit.is_compact() {
-                load_snapshot_stream(dit, &path)
-            } else {
-                read_snapshot_file(&path, true)
-                    .and_then(|(text, seq)| Ok((load_snapshot_text(dit, &text, &path)?, seq)))
-            };
-            match loaded {
+            match load_snapshot_stream(dit, &self.snapshot_path(generation)) {
                 Ok((n, seq)) => return Ok(Some((generation, seq, n))),
                 Err(_) => dit.clear(),
             }
@@ -861,7 +642,7 @@ mod tests {
     use crate::dit::figure2_tree;
     use crate::dn::Rdn;
     use crate::entry::Modification;
-    use crate::wal::FsyncPolicy;
+    use crate::wal::{crc32, FsyncPolicy};
 
     fn tmpdir(name: &str) -> PathBuf {
         let dir =
@@ -888,6 +669,16 @@ mod tests {
     }
 
     #[test]
+    fn empty_tree_snapshot_round_trips() {
+        let dir = tmpdir("snapempty");
+        let path = dir.join("dit.ldif");
+        snapshot(&Dit::new(), &path).unwrap();
+        let restored = Dit::new();
+        assert_eq!(restore_snapshot(&restored, &path).unwrap(), 0);
+        assert!(restored.is_empty());
+    }
+
+    #[test]
     fn snapshot_footer_detects_corruption() {
         let dir = tmpdir("snapcrc");
         let dit = Dit::new();
@@ -904,145 +695,14 @@ mod tests {
     }
 
     #[test]
-    fn legacy_snapshot_without_footer_still_loads() {
-        let dir = tmpdir("snaplegacy");
+    fn snapshot_without_footer_is_refused() {
+        let dir = tmpdir("snapnofooter");
         let dit = Dit::new();
         figure2_tree(&dit).unwrap();
         let path = dir.join("dit.ldif");
         std::fs::write(&path, ldif::to_ldif(&dit.export())).unwrap();
-        let restored = Dit::new();
-        assert_eq!(restore_snapshot(&restored, &path).unwrap(), 9);
-    }
-
-    #[test]
-    fn legacy_snapshot_with_footer_lookalike_still_loads() {
-        let dir = tmpdir("snapdecoy");
-        let dit = Dit::new();
-        figure2_tree(&dit).unwrap();
-        let path = dir.join("dit.ldif");
-        // A footer-less legacy snapshot whose text contains the footer
-        // marker — as a leading comment line and mid-line inside data —
-        // with real records after it. Neither occurrence is the final
-        // line, so neither is a footer: the file must load as legacy
-        // instead of being rejected as failing checksum verification.
-        let text = format!(
-            "# crc32: cafebabe\n# see # crc32: deadbeef for details\n{}",
-            ldif::to_ldif(&dit.export())
-        );
-        std::fs::write(&path, text).unwrap();
-        let restored = Dit::new();
-        assert_eq!(restore_snapshot(&restored, &path).unwrap(), 9);
-    }
-
-    #[test]
-    fn journal_captures_and_replays_all_ops() {
-        let dir = tmpdir("journal");
-        let jpath = dir.join("changes.ldif");
-        let dit = Dit::new();
-        let _journal = Journal::attach(&dit, &jpath).unwrap();
-        figure2_tree(&dit).unwrap();
-        let john = Dn::parse("cn=John Doe,o=Marketing,o=Lucent").unwrap();
-        dit.modify(&john, &[Modification::set("telephoneNumber", "9123")])
-            .unwrap();
-        dit.modify_rdn(&john, &Rdn::new("cn", "Jack Doe"), true, None)
-            .unwrap();
-        let pat = Dn::parse("cn=Pat Smith,o=Marketing,o=Lucent").unwrap();
-        dit.delete(&pat).unwrap();
-
-        // Recover from the journal alone.
-        let recovered = Dit::new();
-        let applied = Journal::replay(&recovered, &jpath).unwrap();
-        assert_eq!(applied, 9 + 3);
-        assert!(recovered
-            .get(&Dn::parse("cn=Jack Doe,o=Marketing,o=Lucent").unwrap())
-            .is_some());
-        assert!(recovered.get(&pat).is_none());
-        assert_eq!(
-            recovered
-                .get(&Dn::parse("cn=Jack Doe,o=Marketing,o=Lucent").unwrap())
-                .unwrap()
-                .first("telephoneNumber"),
-            Some("9123")
-        );
-    }
-
-    #[test]
-    fn torn_final_record_discarded() {
-        let dir = tmpdir("torn");
-        let jpath = dir.join("changes.ldif");
-        let dit = Dit::new();
-        let _journal = Journal::attach(&dit, &jpath).unwrap();
-        figure2_tree(&dit).unwrap();
-        // Simulate a crash mid-append: write half a record with no commit mark.
-        {
-            use std::io::Write as _;
-            let mut f = std::fs::OpenOptions::new()
-                .append(true)
-                .open(&jpath)
-                .unwrap();
-            write!(f, "dn: cn=Torn,o=Lucent\nchangetype: add\nobjectCl").unwrap();
-        }
-        let recovered = Dit::new();
-        let applied = Journal::replay(&recovered, &jpath).unwrap();
-        assert_eq!(applied, 9, "torn record must be discarded");
-        assert!(recovered
-            .get(&Dn::parse("cn=Torn,o=Lucent").unwrap())
-            .is_none());
-    }
-
-    #[test]
-    fn journal_write_failure_is_counted_and_alerted() {
-        let dir = tmpdir("jfail");
-        let jpath = dir.join("changes.ldif");
-        let dit = Dit::new();
-        let journal = Journal::attach(&dit, &jpath).unwrap();
-        let alerts = Arc::new(AtomicU64::new(0));
-        let a = alerts.clone();
-        journal.set_error_sink(move |_| {
-            a.fetch_add(1, Ordering::SeqCst);
-        });
-        // Swap the journal's file handle for a read-only one: appends fail.
-        {
-            let ro = std::fs::OpenOptions::new().read(true).open(&jpath).unwrap();
-            *journal.file.lock() = ro;
-        }
-        figure2_tree(&dit).unwrap();
-        assert_eq!(journal.write_errors(), 9, "every failed append is counted");
-        assert_eq!(
-            alerts.load(Ordering::SeqCst),
-            9,
-            "and surfaced via the sink"
-        );
-    }
-
-    #[test]
-    fn snapshot_plus_journal_recovery() {
-        let dir = tmpdir("full");
-        let spath = dir.join("snap.ldif");
-        let jpath = dir.join("changes.ldif");
-        let dit = Dit::new();
-        figure2_tree(&dit).unwrap();
-        snapshot(&dit, &spath).unwrap();
-        // Post-snapshot updates go to the journal only.
-        let _journal = Journal::attach(&dit, &jpath).unwrap();
-        let john = Dn::parse("cn=John Doe,o=Marketing,o=Lucent").unwrap();
-        dit.modify(&john, &[Modification::set("roomNumber", "2B-401")])
-            .unwrap();
-
-        let recovered = Dit::new();
-        let (s, j) = recover(&recovered, &spath, &jpath).unwrap();
-        assert_eq!((s, j), (9, 1));
-        let e = verify_entry(&recovered, "cn=John Doe,o=Marketing,o=Lucent").unwrap();
-        assert_eq!(e.first("roomNumber"), Some("2B-401"));
-    }
-
-    #[test]
-    fn recover_with_nothing_present_is_empty() {
-        let dir = tmpdir("none");
-        let dit = Dit::new();
-        let (s, j) = recover(&dit, &dir.join("nope.ldif"), &dir.join("nada.ldif")).unwrap();
-        assert_eq!((s, j), (0, 0));
-        assert!(dit.is_empty());
+        let err = restore_snapshot(&Dit::new(), &path).unwrap_err();
+        assert!(err.message.contains("missing checksum footer"), "{err}");
     }
 
     fn collect_dit_records(path: &Path) -> Vec<(u64, String)> {
@@ -1094,9 +754,8 @@ mod tests {
         let wal = Wal::open(&path, FsyncPolicy::Never).unwrap();
         attach_wal(&dit, wal);
         figure2_tree(&dit).unwrap(); // seq 1..=9 in the wal
-        let (entries, snap_seq) = dit.export_with_seq();
         let store = SnapshotStore::new(&dir);
-        store.write_snapshot(&entries, snap_seq, 1).unwrap();
+        store.write_snapshot_streamed(&dit, 1).unwrap();
         let john = Dn::parse("cn=John Doe,o=Marketing,o=Lucent").unwrap();
         dit.modify(&john, &[Modification::set("roomNumber", "9Z")])
             .unwrap(); // seq 10
@@ -1158,53 +817,6 @@ mod tests {
     }
 
     #[test]
-    fn streamed_and_materialized_snapshot_files_are_byte_identical() {
-        let dir = tmpdir("streambytes");
-        let dit = Dit::new(); // compact backing
-        figure2_tree(&dit).unwrap();
-        // Force a value that needs base64 so both encoders hit that path.
-        let john = Dn::parse("cn=John Doe,o=Marketing,o=Lucent").unwrap();
-        dit.modify(&john, &[Modification::set("description", " spaced ")])
-            .unwrap();
-        let streamed = dir.join("streamed.ldif");
-        let materialized = dir.join("materialized.ldif");
-        let seq = write_snapshot_stream(&dit, &streamed).unwrap();
-        let (entries, seq2) = dit.export_with_seq();
-        write_snapshot_file(&entries, seq2, &materialized).unwrap();
-        assert_eq!(seq, seq2);
-        assert_eq!(
-            std::fs::read(&streamed).unwrap(),
-            std::fs::read(&materialized).unwrap(),
-            "the streaming writer must produce the exact legacy bytes"
-        );
-    }
-
-    #[test]
-    fn streaming_restore_matches_legacy_restore() {
-        let dir = tmpdir("streamparity");
-        let src = Dit::new();
-        figure2_tree(&src).unwrap();
-        let store = SnapshotStore::new(&dir);
-        let (entries, seq) = src.export_with_seq();
-        store.write_snapshot(&entries, seq, 1).unwrap();
-
-        let compact = Dit::new();
-        let legacy = Dit::with_schema_indexed_compact(
-            Arc::new(crate::schema::Schema::permissive()),
-            crate::dit::DEFAULT_INDEXED_ATTRS,
-            false,
-        );
-        let a = store.restore_latest(&compact).unwrap().unwrap();
-        let b = store.restore_latest(&legacy).unwrap().unwrap();
-        assert_eq!(a, b);
-        assert_eq!(compact.export(), legacy.export());
-        assert_eq!(
-            ldif::to_ldif(&compact.export()),
-            ldif::to_ldif(&src.export())
-        );
-    }
-
-    #[test]
     fn streaming_restore_detects_corruption_and_clears() {
         let dir = tmpdir("streamcrc");
         let dit = Dit::new();
@@ -1253,13 +865,29 @@ mod tests {
         let store = SnapshotStore::new(&dir);
         let dit = Dit::new();
         figure2_tree(&dit).unwrap();
-        let (entries, seq) = dit.export_with_seq();
-        store.write_snapshot(&entries, seq, 1).unwrap();
+        store.write_snapshot_streamed(&dit, 1).unwrap();
+        let tail: Arc<Mutex<Vec<(u64, String)>>> = Arc::default();
+        {
+            let tail = tail.clone();
+            dit.observe(move |rec| {
+                let payload = wal_payload(rec);
+                let (seq, text) = decode_wal_payload(&payload).unwrap();
+                tail.lock().push((seq, text.to_string()));
+            });
+        }
         let john = Dn::parse("cn=John Doe,o=Marketing,o=Lucent").unwrap();
         dit.modify(&john, &[Modification::set("roomNumber", "X")])
             .unwrap();
-        let (entries, seq) = dit.export_with_seq();
-        store.write_snapshot(&entries, seq, 2).unwrap();
+        // Enough entries that half of generation 2 is more than one parse
+        // batch: the loader has inserted some before it meets the tear.
+        let den = Dn::parse("o=DEN Group,o=Lucent").unwrap();
+        for i in 0..3 * PARSE_BATCH_BLOCKS {
+            let cn = format!("Filler {i}");
+            let attrs = [("objectClass", "person"), ("cn", &cn), ("sn", "Filler")];
+            dit.add(Entry::with_attrs(den.child(Rdn::new("cn", &cn)), attrs))
+                .unwrap();
+        }
+        store.write_snapshot_streamed(&dit, 2).unwrap();
         // Tear generation 2 (truncate mid-file): recovery must fall back.
         let snap2 = store.snapshot_path(2);
         let bytes = std::fs::read(&snap2).unwrap();
@@ -1269,6 +897,12 @@ mod tests {
         assert_eq!(generation, 1, "torn generation 2 skipped");
         assert_eq!(snap_seq, 9);
         assert_eq!(n, 9);
+        // The entries counted while loading the torn generation are gone
+        // from the commit counter: it ends at the last replayed commit.
+        let replay = apply_wal_records(&recovered, tail.lock().clone(), snap_seq).unwrap();
+        assert_eq!(replay.applied, 1 + 3 * PARSE_BATCH_BLOCKS);
+        assert_eq!(recovered.seq(), snap_seq + replay.applied as u64);
+        assert_eq!(recovered.seq(), dit.seq());
         // Pruning below the latest keeps only generation 2's files.
         store.prune_below(2);
         assert_eq!(store.snapshot_generations(), vec![2]);

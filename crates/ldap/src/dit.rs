@@ -18,27 +18,21 @@
 //! scan path, in the same (BFS, parents-first) order, including size-limit
 //! behavior. See [`DEFAULT_INDEXED_ATTRS`] and [`Dit::with_schema_indexed`].
 //!
-//! ## Storage representations
+//! ## Storage representation
 //!
-//! Two interchangeable backings sit behind every operation (DESIGN.md §16):
+//! A DN arena maps each normalized DN to a `u32` [`DnId`]; entries, sibling
+//! lists, and index postings all hold ids instead of duplicated key
+//! `String`s, entries use the flattened interned attribute representation
+//! and point their ancestor RDNs at their parent's (one RDN per subtree;
+//! DESIGN.md "DIT store and snapshots" has the byte budget,
+//! [`Dit::footprint`] reads it back), and a bulk-load mode
+//! ([`Dit::begin_bulk`]) defers index and sibling-order maintenance to one
+//! build pass — this is what makes million-entry cold starts fit in memory
+//! and time budgets.
 //!
-//! - **Compact** (the default): a DN arena maps each normalized DN to a
-//!   `u32` [`DnId`]; entries, sibling lists, and index postings all hold
-//!   ids instead of duplicated key `String`s, entries use the flattened
-//!   interned attribute representation and point their ancestor RDNs at
-//!   their parent's (one RDN per subtree; DESIGN.md §17 has the byte
-//!   budget, [`Dit::footprint`] reads it back), and a bulk-load mode
-//!   ([`Dit::begin_bulk`]) defers index and sibling-order maintenance to
-//!   one build pass — this is what makes million-entry cold starts fit in
-//!   memory and time budgets.
-//! - **Legacy** (`with_compact_store(false)` on the builder): the original
-//!   string-keyed maps, kept as the ablation baseline until parity is
-//!   proven (tests/prop_compact_store.rs pins search-stream, LDIF, and
-//!   restart-digest identity).
-//!
-//! Every search path produces bit-identical streams on both backings: the
-//! compact arm's sibling lists are sorted by full normalized key, which is
-//! exactly the order the legacy `BTreeSet`s iterate in.
+//! Sibling lists are sorted by full normalized key, and every search emits
+//! level by level in that order (tests/prop_compact_store.rs pins it
+//! against a plain map-and-walk model).
 
 use crate::attr::norm_value;
 use crate::dn::{Dn, Rdn};
@@ -47,7 +41,7 @@ use crate::error::{LdapError, Result, ResultCode};
 use crate::filter::Filter;
 use crate::schema::{Schema, SchemaRef};
 use parking_lot::RwLock;
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -172,65 +166,22 @@ fn hash_table_block(capacity: usize, slot: usize) -> usize {
     heap_block((buckets * slot).next_multiple_of(16) + buckets + 16)
 }
 
-/// Arena id of an entry in the compact store: a `u32` that stands in for
-/// the normalized DN key everywhere the legacy representation stores a
-/// `String` — entry map, sibling lists, index postings.
+/// Arena id of an entry: a `u32` that stands in for the normalized DN key
+/// in the entry slab, the sibling lists and the index postings.
 type DnId = u32;
 
-/// What the filter planner decided for one search, generic over the
-/// posting-set type (`BTreeSet<String>` on the legacy arm, [`Posting`] on
-/// the compact arm).
-enum PlanOf<T> {
+/// What the filter planner decided for one search.
+#[derive(Clone, Copy)]
+enum Plan<'a> {
     /// Serve from this posting list (smallest among the filter's indexed
     /// equality conjuncts); every candidate is re-verified with the full
     /// filter.
-    Candidates(T),
+    Candidates(&'a Posting),
     /// An indexed equality conjunct matches no entry at all: the result is
     /// provably empty, no traversal needed.
     Empty,
     /// No indexed equality conjunct applies: fall back to the scan.
     Scan,
-}
-
-/// Walk the filter for indexed equality conjuncts and pick the smallest
-/// posting list. Applicability rules (DESIGN.md §10): a top-level equality
-/// on an indexed attribute, or an `&` whose conjuncts (nested `&`s
-/// flatten) include one — anything else scans. A missing posting for an
-/// indexed conjunct proves the result empty.
-fn plan_postings<'a, K, S>(
-    postings: &'a HashMap<String, HashMap<K, S>>,
-    filter: &Filter,
-    size_of: fn(&S) -> usize,
-) -> PlanOf<&'a S>
-where
-    K: std::borrow::Borrow<str> + Eq + std::hash::Hash,
-{
-    if postings.is_empty() {
-        return PlanOf::Scan;
-    }
-    let mut conjuncts: Vec<(&str, &str)> = Vec::new();
-    match filter {
-        Filter::Equality(..) | Filter::And(_) => collect_eq(filter, &mut conjuncts),
-        _ => return PlanOf::Scan,
-    }
-    let mut best: Option<&'a S> = None;
-    for (attr, value) in conjuncts {
-        let Some(m) = postings.get(&attr.to_ascii_lowercase()) else {
-            continue;
-        };
-        match m.get(norm_value(value).as_str()) {
-            None => return PlanOf::Empty,
-            Some(set) => {
-                if best.is_none_or(|b| size_of(set) < size_of(b)) {
-                    best = Some(set);
-                }
-            }
-        }
-    }
-    match best {
-        Some(set) => PlanOf::Candidates(set),
-        None => PlanOf::Scan,
-    }
 }
 
 /// Equality conjuncts of a filter: the filter itself, or — through nested
@@ -244,64 +195,6 @@ fn collect_eq<'f>(f: &'f Filter, out: &mut Vec<(&'f str, &'f str)>) {
             }
         }
         _ => {}
-    }
-}
-
-/// Per-attribute equality index of the legacy backing: normalized value →
-/// the normalized DN keys of every entry carrying it. Lives inside the
-/// store so maintenance shares the update ops' write lock.
-struct AttrIndex {
-    /// norm attr name → norm value → posting list of norm entry keys.
-    postings: HashMap<String, HashMap<String, BTreeSet<String>>>,
-}
-
-impl AttrIndex {
-    fn new(attrs: &[String]) -> AttrIndex {
-        let mut postings = HashMap::new();
-        for a in attrs {
-            postings.insert(a.to_ascii_lowercase(), HashMap::new());
-        }
-        AttrIndex { postings }
-    }
-
-    fn enabled(&self) -> bool {
-        !self.postings.is_empty()
-    }
-
-    fn insert_entry(&mut self, key: &str, e: &Entry) {
-        if !self.enabled() {
-            return;
-        }
-        for attr in e.attributes() {
-            if let Some(m) = self.postings.get_mut(attr.name.norm()) {
-                for v in &attr.values {
-                    m.entry(norm_value(v)).or_default().insert(key.to_string());
-                }
-            }
-        }
-    }
-
-    fn remove_entry(&mut self, key: &str, e: &Entry) {
-        if !self.enabled() {
-            return;
-        }
-        for attr in e.attributes() {
-            if let Some(m) = self.postings.get_mut(attr.name.norm()) {
-                for v in &attr.values {
-                    let nv = norm_value(v);
-                    if let Some(set) = m.get_mut(&nv) {
-                        set.remove(key);
-                        if set.is_empty() {
-                            m.remove(&nv);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn plan(&self, filter: &Filter) -> PlanOf<&BTreeSet<String>> {
-        plan_postings(&self.postings, filter, BTreeSet::len)
     }
 }
 
@@ -358,17 +251,17 @@ impl Posting {
     }
 }
 
-/// Equality index of the compact backing: postings hold 4-byte [`DnId`]s
-/// ([`Posting`]) instead of DN `String`s in `BTreeSet`s. Candidate order
-/// is recovered at query time by sorting survivors by arena key — a few
-/// comparisons on what is typically a small candidate set, in exchange
-/// for posting lists an order of magnitude smaller.
+/// Per-attribute equality index: normalized value → the ids of every
+/// entry carrying it ([`Posting`]). Lives inside the store so maintenance
+/// shares the update ops' write lock. Postings are unordered; candidate
+/// order is recovered at query time by sorting survivors by arena key — a
+/// few comparisons on what is typically a small candidate set.
 struct IdIndex {
     postings: HashMap<String, HashMap<Box<str>, Posting>>,
 }
 
 impl IdIndex {
-    fn new(attrs: &[String]) -> IdIndex {
+    fn new(attrs: &[&str]) -> IdIndex {
         let mut postings = HashMap::new();
         for a in attrs {
             postings.insert(a.to_ascii_lowercase(), HashMap::new());
@@ -411,8 +304,35 @@ impl IdIndex {
         }
     }
 
-    fn plan(&self, filter: &Filter) -> PlanOf<&Posting> {
-        plan_postings(&self.postings, filter, Posting::len)
+    /// Walk the filter for indexed equality conjuncts and pick the smallest
+    /// posting list. Applicability rules (DESIGN.md §10): a top-level
+    /// equality on an indexed attribute, or an `&` whose conjuncts (nested
+    /// `&`s flatten) include one — anything else scans. A missing posting
+    /// for an indexed conjunct proves the result empty.
+    fn plan(&self, filter: &Filter) -> Plan<'_> {
+        if !self.enabled() {
+            return Plan::Scan;
+        }
+        let mut conjuncts: Vec<(&str, &str)> = Vec::new();
+        match filter {
+            Filter::Equality(..) | Filter::And(_) => collect_eq(filter, &mut conjuncts),
+            _ => return Plan::Scan,
+        }
+        let mut best: Option<&Posting> = None;
+        for (attr, value) in conjuncts {
+            let Some(m) = self.postings.get(&attr.to_ascii_lowercase()) else {
+                continue;
+            };
+            match m.get(norm_value(value).as_str()) {
+                None => return Plan::Empty,
+                Some(set) => {
+                    if best.is_none_or(|b| set.len() < b.len()) {
+                        best = Some(set);
+                    }
+                }
+            }
+        }
+        best.map_or(Plan::Scan, Plan::Candidates)
     }
 
     fn heap_bytes(&self) -> usize {
@@ -436,114 +356,19 @@ impl IdIndex {
     }
 }
 
-/// The original string-keyed representation, kept as the E18 ablation
-/// baseline (`with_compact_store(false)`).
-struct LegacyStore {
-    /// norm DN key → entry
-    entries: HashMap<String, Entry>,
-    /// norm parent key → norm child keys ("" is the DIT root)
-    children: HashMap<String, BTreeSet<String>>,
-    index: AttrIndex,
-}
-
-impl LegacyStore {
-    fn new(indexed_attrs: &[String]) -> LegacyStore {
-        let mut children = HashMap::new();
-        children.insert(String::new(), BTreeSet::new());
-        LegacyStore {
-            entries: HashMap::new(),
-            children,
-            index: AttrIndex::new(indexed_attrs),
-        }
-    }
-
-    fn search_one(
-        &self,
-        base_key: &str,
-        filter: &Filter,
-        push: &mut dyn FnMut(&Entry) -> Result<()>,
-    ) -> Result<()> {
-        match self.index.plan(filter) {
-            PlanOf::Empty => {}
-            PlanOf::Candidates(keys) => {
-                if let Some(kids) = self.children.get(base_key) {
-                    // Both sets iterate in norm-key order; siblings share a
-                    // suffix, so this is exactly the scan order.
-                    for k in keys {
-                        if kids.contains(k) {
-                            push(&self.entries[k])?;
-                        }
-                    }
-                }
-            }
-            PlanOf::Scan => {
-                if let Some(kids) = self.children.get(base_key) {
-                    for k in kids {
-                        push(&self.entries[k])?;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn search_sub(
-        &self,
-        base: &Dn,
-        base_key: &str,
-        filter: &Filter,
-        push: &mut dyn FnMut(&Entry) -> Result<()>,
-    ) -> Result<()> {
-        match self.index.plan(filter) {
-            PlanOf::Empty => {}
-            PlanOf::Candidates(keys) => {
-                // Restrict candidates to the subtree, then emit in BFS
-                // order: by depth, then by the chain of ancestor keys
-                // (BTreeSet sibling order at every level) — the exact
-                // order the scan's queue produces.
-                let mut cands: Vec<(usize, Vec<String>, &String)> = keys
-                    .iter()
-                    .filter_map(|k| {
-                        let e = self.entries.get(k)?;
-                        if !base.is_root() && !e.dn().is_within(base) {
-                            return None;
-                        }
-                        let chain = ancestor_chain(e.dn());
-                        Some((chain.len(), chain, k))
-                    })
-                    .collect();
-                cands.sort();
-                for (_, _, k) in &cands {
-                    push(&self.entries[*k])?;
-                }
-            }
-            PlanOf::Scan => {
-                visit_subtree(self, base_key, &mut |k| {
-                    if k.is_empty() {
-                        return Ok(()); // virtual root
-                    }
-                    push(&self.entries[k])
-                })?;
-            }
-        }
-        Ok(())
-    }
-}
-
-/// One arena slot of the compact backing: the entry, its interned full
-/// normalized key (shared with the id map), and the tree links as ids.
+/// One arena slot: the entry, its interned full normalized key (shared
+/// with the id map), and the tree links as ids.
 struct CompactNode {
     key: Arc<str>,
     entry: Entry,
     /// `None` means the parent is the virtual DIT root.
     parent: Option<DnId>,
-    /// Sorted by the children's full normalized keys — identical iteration
-    /// order to the legacy `BTreeSet<String>` (siblings share their
-    /// suffix). Unsorted while a bulk load is active.
+    /// Sorted by the children's full normalized keys. Unsorted while a
+    /// bulk load is active.
     children: Vec<DnId>,
 }
 
-/// The compact backing: DN arena + id-keyed tree and index.
+/// The store: DN arena + id-keyed tree and index.
 struct CompactStore {
     /// norm DN key → arena id. Keys are the same `Arc<str>`s the nodes
     /// hold, so each DN string exists exactly once in the process.
@@ -561,7 +386,7 @@ struct CompactStore {
 }
 
 impl CompactStore {
-    fn new(indexed_attrs: &[String]) -> CompactStore {
+    fn new(indexed_attrs: &[&str]) -> CompactStore {
         CompactStore {
             ids: HashMap::new(),
             slots: Vec::new(),
@@ -584,8 +409,17 @@ impl CompactStore {
         self.ids.get(key).copied()
     }
 
+    fn contains(&self, key: &str) -> bool {
+        self.ids.contains_key(key)
+    }
+
     fn get_entry(&self, key: &str) -> Option<&Entry> {
         self.id_of(key).map(|id| &self.node(id).entry)
+    }
+
+    fn has_children(&self, key: &str) -> bool {
+        self.id_of(key)
+            .is_some_and(|id| !self.node(id).children.is_empty())
     }
 
     fn children_of(&self, parent: Option<DnId>) -> &[DnId] {
@@ -838,27 +672,23 @@ impl CompactStore {
 
     /// Plan wrapper: while a bulk load is active the index is stale, so
     /// every search scans.
-    fn plan(&self, filter: &Filter) -> PlanOf<&Posting> {
+    fn plan(&self, filter: &Filter) -> Plan<'_> {
         if self.bulk > 0 {
-            return PlanOf::Scan;
+            return Plan::Scan;
         }
         self.index.plan(filter)
     }
 
+    /// The children of `base` (`None`: the virtual root) under `plan`.
     fn search_one(
         &self,
-        base_key: &str,
-        filter: &Filter,
+        base: Option<DnId>,
+        plan: Plan<'_>,
         push: &mut dyn FnMut(&Entry) -> Result<()>,
     ) -> Result<()> {
-        let base = if base_key.is_empty() {
-            None
-        } else {
-            Some(self.id_of(base_key).expect("base checked"))
-        };
-        match self.plan(filter) {
-            PlanOf::Empty => {}
-            PlanOf::Candidates(set) => {
+        match plan {
+            Plan::Empty => {}
+            Plan::Candidates(set) => {
                 // Candidate-major: an O(1) parent check per candidate, then
                 // sort survivors by arena key — siblings share their key
                 // suffix, so this is exactly the sibling-list (scan) order.
@@ -871,7 +701,7 @@ impl CompactStore {
                     push(&self.node(id).entry)?;
                 }
             }
-            PlanOf::Scan => {
+            Plan::Scan => {
                 for &id in self.children_of(base) {
                     push(&self.node(id).entry)?;
                 }
@@ -880,23 +710,19 @@ impl CompactStore {
         Ok(())
     }
 
+    /// `base_id` and everything below it (`None`: the whole tree) under
+    /// `plan`.
     fn search_sub(
         &self,
-        base: &Dn,
-        base_key: &str,
-        filter: &Filter,
+        base_id: Option<DnId>,
+        plan: Plan<'_>,
         push: &mut dyn FnMut(&Entry) -> Result<()>,
     ) -> Result<()> {
-        let base_id = if base.is_root() {
-            None
-        } else {
-            Some(self.id_of(base_key).expect("base checked"))
-        };
-        match self.plan(filter) {
-            PlanOf::Empty => {}
-            PlanOf::Candidates(set) => {
-                // Same (depth, ancestor-key-chain) sort as the legacy arm:
-                // it reproduces the BFS queue's emission order exactly.
+        match plan {
+            Plan::Empty => {}
+            Plan::Candidates(set) => {
+                // Sorting by (depth, ancestor-key chain) reproduces the
+                // scan's level-by-level emission order exactly.
                 let mut cands: Vec<(usize, Vec<String>, DnId)> = set
                     .iter()
                     .filter_map(|id| {
@@ -914,7 +740,7 @@ impl CompactStore {
                     push(&self.node(*id).entry)?;
                 }
             }
-            PlanOf::Scan => {
+            Plan::Scan => {
                 let mut queue: VecDeque<DnId> = match base_id {
                     Some(id) => std::iter::once(id).collect(),
                     None => self.root_children.iter().copied().collect(),
@@ -941,114 +767,11 @@ impl CompactStore {
     }
 }
 
-/// Which backing a store runs on; see the module docs.
-enum Backing {
-    Legacy(LegacyStore),
-    Compact(CompactStore),
-}
-
-impl Backing {
-    fn len(&self) -> usize {
-        match self {
-            Backing::Legacy(s) => s.entries.len(),
-            Backing::Compact(s) => s.ids.len(),
-        }
-    }
-
-    fn contains(&self, key: &str) -> bool {
-        match self {
-            Backing::Legacy(s) => s.entries.contains_key(key),
-            Backing::Compact(s) => s.ids.contains_key(key),
-        }
-    }
-
-    fn get_entry(&self, key: &str) -> Option<&Entry> {
-        match self {
-            Backing::Legacy(s) => s.entries.get(key),
-            Backing::Compact(s) => s.get_entry(key),
-        }
-    }
-
-    fn has_children(&self, key: &str) -> bool {
-        match self {
-            Backing::Legacy(s) => s.children.get(key).is_some_and(|c| !c.is_empty()),
-            Backing::Compact(s) => s
-                .id_of(key)
-                .is_some_and(|id| !s.node(id).children.is_empty()),
-        }
-    }
-
-    /// Would this search be answered from the index (`true`) or by a scan
-    /// (`false`)? Used only for the served/scanned counters; the search
-    /// methods re-plan internally (planning is a couple of map lookups).
-    fn plan_serves(&self, filter: &Filter) -> bool {
-        match self {
-            Backing::Legacy(s) => !matches!(s.index.plan(filter), PlanOf::Scan),
-            Backing::Compact(s) => !matches!(s.plan(filter), PlanOf::Scan),
-        }
-    }
-
-    fn search_one(
-        &self,
-        base_key: &str,
-        filter: &Filter,
-        push: &mut dyn FnMut(&Entry) -> Result<()>,
-    ) -> Result<()> {
-        match self {
-            Backing::Legacy(s) => s.search_one(base_key, filter, push),
-            Backing::Compact(s) => s.search_one(base_key, filter, push),
-        }
-    }
-
-    fn search_sub(
-        &self,
-        base: &Dn,
-        base_key: &str,
-        filter: &Filter,
-        push: &mut dyn FnMut(&Entry) -> Result<()>,
-    ) -> Result<()> {
-        match self {
-            Backing::Legacy(s) => s.search_sub(base, base_key, filter, push),
-            Backing::Compact(s) => s.search_sub(base, base_key, filter, push),
-        }
-    }
-
-    fn for_each_parents_first(&self, f: &mut dyn FnMut(&Entry) -> Result<()>) -> Result<()> {
-        match self {
-            Backing::Legacy(s) => visit_subtree(s, "", &mut |k| {
-                if k.is_empty() {
-                    return Ok(());
-                }
-                f(&s.entries[k])
-            }),
-            Backing::Compact(s) => s.for_each_parents_first(f),
-        }
-    }
-
-    fn indexed_attrs(&self) -> Vec<String> {
-        let mut attrs: Vec<String> = match self {
-            Backing::Legacy(s) => s.index.postings.keys().cloned().collect(),
-            Backing::Compact(s) => s.index.postings.keys().cloned().collect(),
-        };
-        attrs.sort();
-        attrs
-    }
-}
-
+/// What the DIT's lock guards: the tree and the commit counter.
 struct Store {
-    backing: Backing,
+    tree: CompactStore,
+    /// Commit sequence of the most recent update.
     seq: u64,
-}
-
-impl Store {
-    fn new(indexed_attrs: &[String], compact: bool) -> Store {
-        let backing = if compact {
-            Backing::Compact(CompactStore::new(indexed_attrs))
-        } else {
-            Backing::Legacy(LegacyStore::new(indexed_attrs))
-        };
-        Store { backing, seq: 0 }
-    }
 }
 
 /// The DIT. Cheap to clone the handle (`Arc` inside); all methods take
@@ -1057,8 +780,6 @@ pub struct Dit {
     store: RwLock<Store>,
     schema: SchemaRef,
     observers: RwLock<Vec<Observer>>,
-    /// Which backing `store` runs on (fixed at construction).
-    compact: bool,
     /// One/Sub searches answered from the equality index (incl. provably
     /// empty results).
     index_served: AtomicU64,
@@ -1080,26 +801,15 @@ impl Dit {
 
     /// DIT with an explicit equality-index attribute set. An empty slice
     /// disables indexing entirely (every search scans — the ablation
-    /// baseline for benchmarks). Uses the compact store.
+    /// baseline for benchmarks).
     pub fn with_schema_indexed(schema: SchemaRef, indexed_attrs: &[&str]) -> Arc<Dit> {
-        Dit::with_schema_indexed_compact(schema, indexed_attrs, true)
-    }
-
-    /// Like [`Dit::with_schema_indexed`] but selecting the storage
-    /// representation: `compact = false` keeps the legacy string-keyed
-    /// maps — the E18 ablation arm (`with_compact_store(false)` on the
-    /// system builder).
-    pub fn with_schema_indexed_compact(
-        schema: SchemaRef,
-        indexed_attrs: &[&str],
-        compact: bool,
-    ) -> Arc<Dit> {
-        let attrs: Vec<String> = indexed_attrs.iter().map(|s| s.to_string()).collect();
         Arc::new(Dit {
-            store: RwLock::new(Store::new(&attrs, compact)),
+            store: RwLock::new(Store {
+                tree: CompactStore::new(indexed_attrs),
+                seq: 0,
+            }),
             schema,
             observers: RwLock::new(Vec::new()),
-            compact,
             index_served: AtomicU64::new(0),
             index_scanned: AtomicU64::new(0),
         })
@@ -1109,14 +819,13 @@ impl Dit {
         &self.schema
     }
 
-    /// `true` when this DIT runs on the compact interned representation.
-    pub fn is_compact(&self) -> bool {
-        self.compact
-    }
-
     /// The attributes carrying an equality index, normalized and sorted.
     pub fn indexed_attrs(&self) -> Vec<String> {
-        self.store.read().backing.indexed_attrs()
+        let mut attrs: Vec<String> = (self.store.read().tree.index.postings.keys())
+            .cloned()
+            .collect();
+        attrs.sort();
+        attrs
     }
 
     /// `(served, scanned)`: One/Sub searches answered from the equality
@@ -1130,13 +839,9 @@ impl Dit {
 
     /// Resident bytes by structure (see [`Footprint`]): one walk of the
     /// store under the read lock, linear in the number of entries — for a
-    /// monitor read or a rig's report, not for a request path. `None` on
-    /// the legacy backing, whose cost E18 prices by process RSS.
-    pub fn footprint(&self) -> Option<Footprint> {
-        match &self.store.read().backing {
-            Backing::Compact(cs) => Some(cs.footprint()),
-            Backing::Legacy(_) => None,
-        }
+    /// monitor read or a rig's report, not for a request path.
+    pub fn footprint(&self) -> Footprint {
+        self.store.read().tree.footprint()
     }
 
     /// Register a commit observer (replication, LTAP library mode, tests).
@@ -1153,7 +858,7 @@ impl Dit {
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.store.read().backing.len()
+        self.store.read().tree.ids.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -1176,34 +881,29 @@ impl Dit {
 
     /// Fetch a copy of one entry.
     pub fn get(&self, dn: &Dn) -> Option<Entry> {
-        self.store.read().backing.get_entry(&dn.norm_key()).cloned()
+        self.store.read().tree.get_entry(&dn.norm_key()).cloned()
     }
 
     pub fn exists(&self, dn: &Dn) -> bool {
-        self.store.read().backing.contains(&dn.norm_key())
+        self.store.read().tree.contains(&dn.norm_key())
     }
 
-    /// Enter bulk-load mode (nestable). On the compact backing, inserts
-    /// stop maintaining the equality index and sibling sort order;
-    /// [`Dit::finish_bulk`] restores both with one build pass — recovery
-    /// loads a million-entry snapshot without a million incremental index
-    /// updates. While active, searches fall back to (unordered) scans.
-    /// A no-op on the legacy backing, whose per-insert maintenance is
-    /// exactly what the E18 ablation prices.
+    /// Enter bulk-load mode (nestable). Inserts stop maintaining the
+    /// equality index and sibling sort order; [`Dit::finish_bulk`] restores
+    /// both with one build pass — recovery loads a million-entry snapshot
+    /// without a million incremental index updates. While active, searches
+    /// fall back to (unordered) scans.
     pub fn begin_bulk(&self) {
-        if let Backing::Compact(cs) = &mut self.store.write().backing {
-            cs.bulk += 1;
-        }
+        self.store.write().tree.bulk += 1;
     }
 
     /// Leave bulk-load mode; the outermost call sorts sibling lists and
     /// rebuilds the equality index.
     pub fn finish_bulk(&self) {
-        if let Backing::Compact(cs) = &mut self.store.write().backing {
-            cs.bulk = cs.bulk.saturating_sub(1);
-            if cs.bulk == 0 {
-                cs.finish_bulk_build();
-            }
+        let cs = &mut self.store.write().tree;
+        cs.bulk = cs.bulk.saturating_sub(1);
+        if cs.bulk == 0 {
+            cs.finish_bulk_build();
         }
     }
 
@@ -1230,37 +930,24 @@ impl Dit {
         if validate {
             self.schema.validate_entry(&entry)?;
         }
-        if self.compact {
-            // Flatten + intern outside the write lock.
-            entry.compact_for_store();
-        }
+        // Flatten + intern outside the write lock.
+        entry.compact_for_store();
         let key = entry.dn().norm_key();
         let parent = entry.dn().parent().expect("non-root");
         let parent_key = parent.norm_key();
         let mut guard = self.store.write();
         let s = &mut *guard;
-        if s.backing.contains(&key) {
+        if s.tree.contains(&key) {
             return Err(LdapError::already_exists(entry.dn()));
         }
-        if !parent.is_root() && !s.backing.contains(&parent_key) {
+        if !parent.is_root() && !s.tree.contains(&parent_key) {
             return Err(LdapError::new(
                 ResultCode::NoSuchObject,
                 format!("parent of `{}` does not exist", entry.dn()),
             ));
         }
         let recorded = if emit { Some(entry.clone()) } else { None };
-        match &mut s.backing {
-            Backing::Legacy(ls) => {
-                ls.children
-                    .entry(parent_key)
-                    .or_default()
-                    .insert(key.clone());
-                ls.children.entry(key.clone()).or_default();
-                ls.index.insert_entry(&key, &entry);
-                ls.entries.insert(key, entry);
-            }
-            Backing::Compact(cs) => cs.insert_entry(&key, &parent_key, entry),
-        }
+        s.tree.insert_entry(&key, &parent_key, entry);
         s.seq += 1;
         let rec = recorded.map(|e| ChangeRecord {
             seq: s.seq,
@@ -1279,29 +966,16 @@ impl Dit {
         let key = dn.norm_key();
         let mut guard = self.store.write();
         let s = &mut *guard;
-        if !s.backing.contains(&key) {
+        if !s.tree.contains(&key) {
             return Err(LdapError::no_such_object(dn));
         }
-        if s.backing.has_children(&key) {
+        if s.tree.has_children(&key) {
             return Err(LdapError::new(
                 ResultCode::NotAllowedOnNonLeaf,
                 format!("`{dn}` has children"),
             ));
         }
-        match &mut s.backing {
-            Backing::Legacy(ls) => {
-                let removed = ls.entries.remove(&key).expect("checked");
-                ls.index.remove_entry(&key, &removed);
-                ls.children.remove(&key);
-                let parent_key = dn.parent().map(|p| p.norm_key()).unwrap_or_default();
-                if let Some(siblings) = ls.children.get_mut(&parent_key) {
-                    siblings.remove(&key);
-                }
-            }
-            Backing::Compact(cs) => {
-                cs.remove_leaf(&key);
-            }
-        }
+        s.tree.remove_leaf(&key);
         s.seq += 1;
         let rec = ChangeRecord {
             seq: s.seq,
@@ -1320,7 +994,7 @@ impl Dit {
         let mut guard = self.store.write();
         let s = &mut *guard;
         let mut updated = s
-            .backing
+            .tree
             .get_entry(&key)
             .ok_or_else(|| LdapError::no_such_object(dn))?
             .clone();
@@ -1341,15 +1015,7 @@ impl Dit {
             }
         }
         self.schema.validate_entry(&updated)?;
-        match &mut s.backing {
-            Backing::Legacy(ls) => {
-                let old = ls.entries.get(&key).expect("checked");
-                ls.index.remove_entry(&key, old);
-                ls.index.insert_entry(&key, &updated);
-                ls.entries.insert(key, updated);
-            }
-            Backing::Compact(cs) => cs.replace_entry(&key, updated),
-        }
+        s.tree.replace_entry(&key, updated);
         s.seq += 1;
         let rec = ChangeRecord {
             seq: s.seq,
@@ -1383,11 +1049,11 @@ impl Dit {
         let new_key = new_dn.norm_key();
         let mut guard = self.store.write();
         let s = &mut *guard;
-        if !s.backing.contains(&old_key) {
+        if !s.tree.contains(&old_key) {
             return Err(LdapError::no_such_object(dn));
         }
         if let Some(sup) = new_superior {
-            if !sup.is_root() && !s.backing.contains(&sup.norm_key()) {
+            if !sup.is_root() && !s.tree.contains(&sup.norm_key()) {
                 return Err(LdapError::no_such_object(sup));
             }
             // Refuse to move an entry under its own subtree.
@@ -1397,11 +1063,11 @@ impl Dit {
                 )));
             }
         }
-        if new_key != old_key && s.backing.contains(&new_key) {
+        if new_key != old_key && s.tree.contains(&new_key) {
             return Err(LdapError::already_exists(&new_dn));
         }
         // Update the renamed entry's attributes.
-        let mut entry = s.backing.get_entry(&old_key).cloned().expect("checked");
+        let mut entry = s.tree.get_entry(&old_key).cloned().expect("checked");
         if delete_old {
             if let Some(old_rdn) = dn.rdn() {
                 for ava in old_rdn.avas() {
@@ -1417,46 +1083,7 @@ impl Dit {
         entry.set_dn(new_dn.clone());
         self.schema.validate_entry(&entry)?;
 
-        match &mut s.backing {
-            Backing::Legacy(ls) => {
-                // Re-key the whole subtree (indexes follow: every moved
-                // entry is unindexed under its old key and reindexed under
-                // the new one).
-                let descendants = collect_subtree(ls, &old_key);
-                let old_depth = dn.depth();
-                for desc_key in &descendants {
-                    let old_entry = ls.entries.remove(desc_key).expect("subtree member");
-                    ls.index.remove_entry(desc_key, &old_entry);
-                    let children = ls.children.remove(desc_key).unwrap_or_default();
-                    let e = if *desc_key == old_key {
-                        entry.clone()
-                    } else {
-                        let mut e = old_entry;
-                        e.set_dn(e.dn().rebased(old_depth, &new_dn));
-                        e
-                    };
-                    let rewritten_children: BTreeSet<String> = children
-                        .iter()
-                        .map(|c| rewrite_key(c, &old_key, &new_key))
-                        .collect();
-                    let new_desc_key = e.dn().norm_key();
-                    ls.index.insert_entry(&new_desc_key, &e);
-                    ls.children.insert(new_desc_key.clone(), rewritten_children);
-                    ls.entries.insert(new_desc_key, e);
-                }
-                // Fix parent links.
-                let old_parent_key = dn.parent().map(|p| p.norm_key()).unwrap_or_default();
-                if let Some(siblings) = ls.children.get_mut(&old_parent_key) {
-                    siblings.remove(&old_key);
-                }
-                let new_parent_key = new_dn.parent().map(|p| p.norm_key()).unwrap_or_default();
-                ls.children
-                    .entry(new_parent_key)
-                    .or_default()
-                    .insert(new_key);
-            }
-            Backing::Compact(cs) => cs.rename_subtree(&old_key, dn, &new_dn, entry),
-        }
+        s.tree.rename_subtree(&old_key, dn, &new_dn, entry);
         s.seq += 1;
         let rec = ChangeRecord {
             seq: s.seq,
@@ -1476,7 +1103,7 @@ impl Dit {
     pub fn compare(&self, dn: &Dn, attr: &str, value: &str) -> Result<bool> {
         let s = self.store.read();
         let entry = s
-            .backing
+            .tree
             .get_entry(&dn.norm_key())
             .ok_or_else(|| LdapError::no_such_object(dn))?;
         Ok(entry.has_value(attr, value))
@@ -1564,7 +1191,7 @@ impl Dit {
         let guard = self.store.read();
         let s = &*guard;
         let base_key = base.norm_key();
-        if !base.is_root() && !s.backing.contains(&base_key) {
+        if !base.is_root() && !s.tree.contains(&base_key) {
             return Err(LdapError::no_such_object(base));
         }
         let mut count = 0usize;
@@ -1588,25 +1215,24 @@ impl Dit {
         let walked = (|| -> Result<()> {
             match scope {
                 Scope::Base => {
-                    if let Some(e) = s.backing.get_entry(&base_key) {
+                    if let Some(e) = s.tree.get_entry(&base_key) {
                         push(e)?;
                     }
                 }
-                Scope::One => {
-                    if s.backing.plan_serves(filter) {
-                        self.index_served.fetch_add(1, Ordering::Relaxed);
+                Scope::One | Scope::Sub => {
+                    // Planned once, here, for the counters and the search.
+                    let plan = s.tree.plan(filter);
+                    let counter = match plan {
+                        Plan::Scan => &self.index_scanned,
+                        _ => &self.index_served,
+                    };
+                    counter.fetch_add(1, Ordering::Relaxed);
+                    let base_id = s.tree.id_of(&base_key);
+                    if scope == Scope::One {
+                        s.tree.search_one(base_id, plan, &mut push)?;
                     } else {
-                        self.index_scanned.fetch_add(1, Ordering::Relaxed);
+                        s.tree.search_sub(base_id, plan, &mut push)?;
                     }
-                    s.backing.search_one(&base_key, filter, &mut push)?;
-                }
-                Scope::Sub => {
-                    if s.backing.plan_serves(filter) {
-                        self.index_served.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        self.index_scanned.fetch_add(1, Ordering::Relaxed);
-                    }
-                    s.backing.search_sub(base, &base_key, filter, &mut push)?;
                 }
             }
             Ok(())
@@ -1630,7 +1256,7 @@ impl Dit {
         let guard = self.store.read();
         let s = &*guard;
         let mut out = Vec::new();
-        s.backing
+        s.tree
             .for_each_parents_first(&mut |e| {
                 out.push(e.clone());
                 Ok(())
@@ -1653,65 +1279,25 @@ impl Dit {
         let guard = self.store.read();
         let s = &*guard;
         header(s.seq)?;
-        s.backing.for_each_parents_first(each)
+        s.tree.for_each_parents_first(each)
     }
 
-    /// Remove everything (used by resynchronization).
+    /// Back to the empty tree, commit sequence included: a restore that
+    /// abandons a torn generation must not carry the entries it counted
+    /// while loading it into the sequence of the generation it falls back
+    /// to.
     pub fn clear(&self) {
         let mut s = self.store.write();
-        match &mut s.backing {
-            Backing::Legacy(ls) => {
-                ls.entries.clear();
-                ls.children.clear();
-                ls.children.insert(String::new(), BTreeSet::new());
-                for postings in ls.index.postings.values_mut() {
-                    postings.clear();
-                }
-            }
-            Backing::Compact(cs) => {
-                cs.ids.clear();
-                cs.slots.clear();
-                cs.free.clear();
-                cs.root_children.clear();
-                for postings in cs.index.postings.values_mut() {
-                    postings.clear();
-                }
-            }
+        s.seq = 0;
+        let cs = &mut s.tree;
+        cs.ids.clear();
+        cs.slots.clear();
+        cs.free.clear();
+        cs.root_children.clear();
+        for postings in cs.index.postings.values_mut() {
+            postings.clear();
         }
     }
-}
-
-/// BFS over the subtree rooted at `root_key` (inclusive), parents first,
-/// borrowing keys from the store — O(depth) queue of `&str`, no per-entry
-/// `String` allocation.
-fn visit_subtree<'a>(
-    s: &'a LegacyStore,
-    root_key: &'a str,
-    visit: &mut dyn FnMut(&'a str) -> Result<()>,
-) -> Result<()> {
-    let mut queue: VecDeque<&'a str> = VecDeque::new();
-    queue.push_back(root_key);
-    while let Some(k) = queue.pop_front() {
-        if let Some(kids) = s.children.get(k) {
-            for c in kids {
-                queue.push_back(c);
-            }
-        }
-        visit(k)?;
-    }
-    Ok(())
-}
-
-/// Owned-key BFS — only for `modify_rdn`, which mutates the maps while
-/// walking the collected keys.
-fn collect_subtree(s: &LegacyStore, root_key: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    visit_subtree(s, root_key, &mut |k| {
-        out.push(k.to_string());
-        Ok(())
-    })
-    .expect("infallible visitor");
-    out
 }
 
 /// Full norm keys of `dn`'s ancestors, topmost (depth 1) first, ending with
@@ -1733,16 +1319,6 @@ fn ancestor_chain(dn: &Dn) -> Vec<String> {
         cur = full;
     }
     out
-}
-
-fn rewrite_key(key: &str, old_suffix: &str, new_suffix: &str) -> String {
-    if key == old_suffix {
-        return new_suffix.to_string();
-    }
-    match key.strip_suffix(old_suffix) {
-        Some(prefix) => format!("{prefix}{new_suffix}"),
-        None => key.to_string(),
-    }
 }
 
 /// Convenience: build the standard test tree from the paper's Figure 2.
@@ -1809,17 +1385,6 @@ mod tests {
     /// Same tree, indexing disabled — the scan reference.
     fn scan_tree() -> Arc<Dit> {
         let dit = Dit::with_schema_indexed(Arc::new(Schema::permissive()), &[]);
-        figure2_tree(&dit).unwrap();
-        dit
-    }
-
-    /// Same tree on the legacy string-keyed backing.
-    fn legacy_tree() -> Arc<Dit> {
-        let dit = Dit::with_schema_indexed_compact(
-            Arc::new(Schema::permissive()),
-            DEFAULT_INDEXED_ATTRS,
-            false,
-        );
         figure2_tree(&dit).unwrap();
         dit
     }
@@ -2308,71 +1873,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(dit.index_stats().1, before.1 + 1);
-    }
-
-    // ---- compact vs legacy backing --------------------------------------
-
-    /// Run identical search batteries on both backings and require
-    /// entry-for-entry, in-order identity (the prop test extends this with
-    /// randomized workloads).
-    fn assert_arms_agree(compact: &Dit, legacy: &Dit) {
-        for (base, scope) in [
-            ("", Scope::Sub),
-            ("o=Lucent", Scope::Sub),
-            ("o=Lucent", Scope::One),
-            ("o=Lucent", Scope::Base),
-            ("o=Marketing,o=Lucent", Scope::Sub),
-            ("o=Marketing,o=Lucent", Scope::One),
-        ] {
-            for filter in [
-                "(objectClass=*)",
-                "(objectClass=person)",
-                "(cn=John Doe)",
-                "(&(objectClass=person)(cn=J*))",
-                "(|(cn=John Doe)(cn=Pat Smith))",
-                "(cn=nobody)",
-            ] {
-                let base = if base.is_empty() {
-                    Dn::root()
-                } else {
-                    Dn::parse(base).unwrap()
-                };
-                if !base.is_root() && !compact.exists(&base) {
-                    continue;
-                }
-                let f = Filter::parse(filter).unwrap();
-                let a = compact.search(&base, scope, &f, &[], 0).unwrap();
-                let b = legacy.search(&base, scope, &f, &[], 0).unwrap();
-                assert_eq!(a, b, "arm divergence on {filter} at {base} ({scope:?})");
-            }
-        }
-        assert_eq!(compact.export(), legacy.export());
-    }
-
-    #[test]
-    fn compact_arm_matches_legacy_arm() {
-        let compact = tree();
-        let legacy = legacy_tree();
-        assert!(compact.is_compact());
-        assert!(!legacy.is_compact());
-        assert_arms_agree(&compact, &legacy);
-
-        // Same mutations on both arms, identity preserved throughout.
-        let john = Dn::parse("cn=John Doe,o=Marketing,o=Lucent").unwrap();
-        let marketing = Dn::parse("o=Marketing,o=Lucent").unwrap();
-        let rd = Dn::parse("o=R&D,o=Lucent").unwrap();
-        for d in [&compact, &legacy] {
-            d.modify(&john, &[Modification::set("telephoneNumber", "9123")])
-                .unwrap();
-            d.modify_rdn(&john, &Rdn::new("cn", "Jack Doe"), true, None)
-                .unwrap();
-            d.modify_rdn(&marketing, &Rdn::new("o", "Marketing"), false, Some(&rd))
-                .unwrap();
-            d.delete(&Dn::parse("cn=Pat Smith,o=Marketing,o=R&D,o=Lucent").unwrap())
-                .unwrap();
-        }
-        assert_arms_agree(&compact, &legacy);
-        assert_eq!(compact.seq(), legacy.seq());
     }
 
     #[test]

@@ -253,7 +253,6 @@ pub fn raise_nofile_limit(want: u64) -> u64 {
 /// Knobs the event loop runs with (resolved by `ServerBuilder::start`).
 pub(crate) struct EventConfig {
     pub workers: usize,
-    pub streaming: bool,
     pub idle_timeout: Option<Duration>,
 }
 
@@ -299,7 +298,6 @@ struct Cpu {
     waker: Arc<Waker>,
     dir: Arc<dyn Directory>,
     metrics: Arc<ServerMetrics>,
-    streaming: bool,
 }
 
 struct JobQueue {
@@ -341,14 +339,7 @@ impl Cpu {
 fn worker_loop(cpu: &Cpu) {
     while let Some(job) = cpu.pop() {
         let mut buf = Vec::with_capacity(256);
-        let prepared = prepare_op(
-            job.id,
-            job.op,
-            &cpu.dir,
-            &cpu.metrics,
-            cpu.streaming,
-            &mut buf,
-        );
+        let prepared = prepare_op(job.id, job.op, &cpu.dir, &cpu.metrics, &mut buf);
         render_response(&mut buf, job.id, prepared);
         cpu.complete(Completion {
             conn: job.conn,
@@ -461,7 +452,6 @@ pub(crate) fn serve_event_loop(
         waker: waker.clone(),
         dir,
         metrics: metrics.clone(),
-        streaming: cfg.streaming,
     });
     let inline = cfg.workers <= 1;
     let workers: Vec<_> = if inline {
@@ -857,8 +847,7 @@ fn drain_reads(conn: &mut Conn, token: u64, cpu: &Cpu, inline: bool) -> ReadPass
                 conn.next_seq += 1;
                 if inline {
                     let mut buf = Vec::with_capacity(256);
-                    let prepared =
-                        prepare_op(msg.id, op, &cpu.dir, &cpu.metrics, cpu.streaming, &mut buf);
+                    let prepared = prepare_op(msg.id, op, &cpu.dir, &cpu.metrics, &mut buf);
                     render_response(&mut buf, msg.id, prepared);
                     conn.ready.insert(seq, buf);
                 } else {

@@ -280,8 +280,8 @@ fn parse_block(block: &[(String, String)]) -> Result<Record> {
     }
 }
 
-/// Serialize one change record (the journal format used by
-/// [`crate::backup`]).
+/// Serialize one change record (the payload of a DIT commit's WAL frame,
+/// [`crate::backup::wal_payload`]).
 pub fn change_to_ldif(record: &Record) -> String {
     let mut out = String::new();
     match record {

@@ -25,11 +25,10 @@
 
 use crate::directory::Directory;
 use crate::dn::Dn;
-use crate::entry::Entry;
 use crate::error::{LdapError, Result, ResultCode};
 use crate::proto::{
-    encode_search_entry_into, entry_from_wire, entry_to_wire, notice_of_disconnection, parse_rdn,
-    FrameReader, LdapMessage, LdapResult, ProtocolOp,
+    encode_search_entry_into, entry_from_wire, notice_of_disconnection, parse_rdn, FrameReader,
+    LdapMessage, LdapResult, ProtocolOp,
 };
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -112,7 +111,6 @@ impl ServerMetrics {
 #[derive(Clone, Copy)]
 struct WireConfig {
     workers: usize,
-    streaming: bool,
     idle_timeout: Option<std::time::Duration>,
 }
 
@@ -121,7 +119,6 @@ struct WireConfig {
 pub struct ServerBuilder {
     /// `None` = pick at start time from the host's parallelism.
     wire_workers: Option<usize>,
-    streaming: bool,
     event_loop: bool,
     idle_timeout: Option<std::time::Duration>,
 }
@@ -136,7 +133,6 @@ impl ServerBuilder {
     pub fn new() -> ServerBuilder {
         ServerBuilder {
             wire_workers: None,
-            streaming: true,
             event_loop: true,
             idle_timeout: None,
         }
@@ -162,15 +158,6 @@ impl ServerBuilder {
                 .unwrap_or(4)
                 .min(4)
         })
-    }
-
-    /// Stream search responses through one reusable encode buffer, flushed
-    /// in bounded chunks (default). `false` restores the legacy
-    /// collect-all-then-concatenate path — kept as the E14 ablation
-    /// baseline.
-    pub fn with_streaming(mut self, on: bool) -> ServerBuilder {
-        self.streaming = on;
-        self
     }
 
     /// Serve connections from the epoll readiness loop (default on Linux;
@@ -228,7 +215,6 @@ impl ServerBuilder {
             .map_err(|e| LdapError::new(ResultCode::Unavailable, e.to_string()))?;
         let cfg = crate::event::EventConfig {
             workers: wire_workers,
-            streaming: self.streaming,
             idle_timeout: self.idle_timeout,
         };
         let m2 = metrics.clone();
@@ -264,7 +250,6 @@ impl ServerBuilder {
     ) -> Result<Server> {
         let cfg = WireConfig {
             workers: self.resolved_wire_workers(),
-            streaming: self.streaming,
             idle_timeout: self.idle_timeout,
         };
         let stop2 = stop.clone();
@@ -536,7 +521,7 @@ fn serve_connection(
     }
     let mut frames = FrameReader::new(&*stream);
     if cfg.workers <= 1 {
-        serve_serial(&mut frames, &stream, &dir, metrics, cfg.streaming);
+        serve_serial(&mut frames, &stream, &dir, metrics);
     } else {
         serve_pipelined(&mut frames, &stream, &dir, metrics, cfg);
     }
@@ -548,7 +533,6 @@ fn serve_serial(
     stream: &TcpStream,
     dir: &Arc<dyn Directory>,
     metrics: &ServerMetrics,
-    streaming: bool,
 ) {
     let mut buf = Vec::with_capacity(4096);
     loop {
@@ -559,7 +543,7 @@ fn serve_serial(
                     return;
                 }
                 op => {
-                    let prepared = prepare_op(msg.id, op, dir, metrics, streaming, &mut buf);
+                    let prepared = prepare_op(msg.id, op, dir, metrics, &mut buf);
                     let mut w = stream;
                     if write_response(&mut w, &mut buf, msg.id, prepared).is_err() {
                         return;
@@ -698,7 +682,7 @@ fn serve_pipelined(
     let pipe = Pipeline::new(cfg.workers * 2);
     std::thread::scope(|s| {
         for _ in 0..cfg.workers {
-            s.spawn(|| worker_loop(&pipe, stream, dir, metrics, cfg.streaming));
+            s.spawn(|| worker_loop(&pipe, stream, dir, metrics));
         }
         let mut seq: u64 = 0;
         loop {
@@ -741,7 +725,6 @@ fn worker_loop(
     stream: &TcpStream,
     dir: &Arc<dyn Directory>,
     metrics: &ServerMetrics,
-    streaming: bool,
 ) {
     let mut buf = Vec::with_capacity(4096);
     while let Some(job) = pipe.pop() {
@@ -753,9 +736,9 @@ fn worker_loop(
                 let prepared = if pipe.dead.load(Ordering::Relaxed) {
                     None
                 } else {
-                    // Streaming searches even encode here, before the turn:
-                    // only raw byte writes remain serialized.
-                    Some(prepare_op(id, op, dir, metrics, streaming, &mut buf))
+                    // Searches even encode here, before the turn: only raw
+                    // byte writes remain serialized.
+                    Some(prepare_op(id, op, dir, metrics, &mut buf))
                 };
                 pipe.begin_turn(seq);
                 if let Some(p) = prepared {
@@ -782,15 +765,11 @@ fn worker_loop(
 
 /// A computed response, ready for its write turn.
 pub(crate) enum Prepared {
-    /// Streaming search: the whole response (entries + done) is already
-    /// BER in the connection's reusable scratch buffer — encoded straight
-    /// off borrowed store entries by [`Directory::search_visit`], no
-    /// per-entry clone, no result vector, no per-message allocation.
+    /// A search: the whole response (entries + done) is already BER in
+    /// the connection's reusable scratch buffer — encoded straight off
+    /// borrowed store entries by [`Directory::search_visit`], no per-entry
+    /// clone, no result vector, no per-message allocation.
     Encoded,
-    /// Legacy search outcome (the E14 ablation baseline): collected
-    /// entries plus the truncated flag, or a failure; encoded at write
-    /// time the way the pre-streaming server did it.
-    Search(Result<(Vec<Entry>, bool)>),
     /// Any other operation: its single response op.
     Op(ProtocolOp),
 }
@@ -805,15 +784,14 @@ fn result_of(r: Result<()>, metrics: &ServerMetrics) -> LdapResult {
 }
 
 /// Run the directory work for one request and record its metrics.
-/// Streaming searches encode into `buf` right here (so the directory work
-/// AND the encoding overlap across pipeline workers); everything else is
-/// encoded later, under the connection's write turn.
+/// Searches encode into `buf` right here (so the directory work AND the
+/// encoding overlap across pipeline workers); everything else is encoded
+/// later, under the connection's write turn.
 pub(crate) fn prepare_op(
     id: i64,
     op: ProtocolOp,
     dir: &Arc<dyn Directory>,
     metrics: &ServerMetrics,
-    streaming: bool,
     buf: &mut Vec<u8>,
 ) -> Prepared {
     match op {
@@ -832,50 +810,31 @@ pub(crate) fn prepare_op(
         } => {
             metrics.searches.fetch_add(1, Ordering::Relaxed);
             let limit = size_limit.max(0) as usize;
-            if streaming {
-                buf.clear();
-                let outcome = Dn::parse(&base).and_then(|b| {
-                    dir.search_visit(&b, scope, &filter, &attrs, limit, &mut |e| {
-                        encode_search_entry_into(buf, id, e);
-                    })
-                });
-                let done = match outcome {
-                    Ok((count, truncated)) => {
-                        metrics
-                            .entries_returned
-                            .fetch_add(count as u64, Ordering::Relaxed);
-                        metrics.record_result(if truncated {
-                            ResultCode::SizeLimitExceeded
-                        } else {
-                            ResultCode::Success
-                        });
-                        search_done(truncated)
-                    }
-                    Err(e) => {
-                        metrics.record_result(e.code);
-                        ProtocolOp::SearchResultDone(LdapResult::error(&e))
-                    }
-                };
-                LdapMessage { id, op: done }.encode_into(buf);
-                Prepared::Encoded
-            } else {
-                let outcome = Dn::parse(&base)
-                    .and_then(|b| dir.search_capped(&b, scope, &filter, &attrs, limit));
-                match &outcome {
-                    Ok((entries, truncated)) => {
-                        metrics
-                            .entries_returned
-                            .fetch_add(entries.len() as u64, Ordering::Relaxed);
-                        metrics.record_result(if *truncated {
-                            ResultCode::SizeLimitExceeded
-                        } else {
-                            ResultCode::Success
-                        });
-                    }
-                    Err(e) => metrics.record_result(e.code),
+            buf.clear();
+            let outcome = Dn::parse(&base).and_then(|b| {
+                dir.search_visit(&b, scope, &filter, &attrs, limit, &mut |e| {
+                    encode_search_entry_into(buf, id, e);
+                })
+            });
+            let done = match outcome {
+                Ok((count, truncated)) => {
+                    metrics
+                        .entries_returned
+                        .fetch_add(count as u64, Ordering::Relaxed);
+                    metrics.record_result(if truncated {
+                        ResultCode::SizeLimitExceeded
+                    } else {
+                        ResultCode::Success
+                    });
+                    search_done(truncated)
                 }
-                Prepared::Search(outcome)
-            }
+                Err(e) => {
+                    metrics.record_result(e.code);
+                    ProtocolOp::SearchResultDone(LdapResult::error(&e))
+                }
+            };
+            LdapMessage { id, op: done }.encode_into(buf);
+            Prepared::Encoded
         }
         ProtocolOp::AddRequest { dn, attrs } => {
             metrics.adds.fetch_add(1, Ordering::Relaxed);
@@ -951,8 +910,8 @@ fn search_done(truncated: bool) -> ProtocolOp {
     })
 }
 
-/// Finish encoding a prepared response into `buf`. Streaming searches are
-/// already BER in `buf` (left untouched); everything else is encoded here.
+/// Finish encoding a prepared response into `buf`. Searches are already
+/// BER in `buf` (left untouched); everything else is encoded here.
 /// Both wire engines share this so their byte streams are bit-identical.
 pub(crate) fn render_response(buf: &mut Vec<u8>, id: i64, prepared: Prepared) {
     match prepared {
@@ -962,31 +921,6 @@ pub(crate) fn render_response(buf: &mut Vec<u8>, id: i64, prepared: Prepared) {
         Prepared::Op(op) => {
             buf.clear();
             LdapMessage { id, op }.encode_into(buf);
-        }
-        Prepared::Search(Err(e)) => {
-            buf.clear();
-            LdapMessage {
-                id,
-                op: ProtocolOp::SearchResultDone(LdapResult::error(&e)),
-            }
-            .encode_into(buf);
-        }
-        Prepared::Search(Ok((entries, truncated))) => {
-            // Legacy path (the E14 ablation baseline): materialize every
-            // ProtocolOp, encode each into a fresh per-message buffer,
-            // then concatenate.
-            buf.clear();
-            let ops: Vec<ProtocolOp> = entries
-                .iter()
-                .map(|e| {
-                    let (dn, attrs) = entry_to_wire(e);
-                    ProtocolOp::SearchResultEntry { dn, attrs }
-                })
-                .chain(std::iter::once(search_done(truncated)))
-                .collect();
-            for op in ops {
-                buf.extend(LdapMessage { id, op }.encode());
-            }
         }
     }
 }
@@ -1125,26 +1059,5 @@ mod tests {
             )
             .unwrap();
         assert_eq!(hits.len(), 9);
-    }
-
-    #[test]
-    fn legacy_encode_path_matches_streaming() {
-        let dit = Dit::new();
-        figure2_tree(&dit).unwrap();
-        let streaming = Server::builder()
-            .with_streaming(true)
-            .start(dit.clone(), "127.0.0.1:0")
-            .unwrap();
-        let legacy = Server::builder()
-            .with_streaming(false)
-            .start(dit, "127.0.0.1:0")
-            .unwrap();
-        let base = Dn::parse("o=Lucent").unwrap();
-        let f = crate::filter::Filter::match_all();
-        let a = TcpDirectory::connect(&streaming.addr().to_string()).unwrap();
-        let b = TcpDirectory::connect(&legacy.addr().to_string()).unwrap();
-        let ea = a.search(&base, Scope::Sub, &f, &[], 0).unwrap();
-        let eb = b.search(&base, Scope::Sub, &f, &[], 0).unwrap();
-        assert_eq!(ea, eb);
     }
 }

@@ -1,12 +1,11 @@
 //! A binary write-ahead log with group commit.
 //!
 //! Paper §2: "replication and backups are used to handle system and media
-//! failure". The LDIF journal in [`crate::backup`] gave the DIT a readable
-//! change log; this module is the production-shaped half: records are
-//! length-prefixed and CRC-framed so a crash mid-write tears at a record
-//! boundary, and an fsync batcher coalesces concurrent commits so the
-//! pipelined update path keeps its throughput while every acknowledged
-//! commit is durable.
+//! failure". Records are length-prefixed and CRC-framed so a crash
+//! mid-write tears at a record boundary, and an fsync batcher coalesces
+//! concurrent commits so the pipelined update path keeps its throughput
+//! while every acknowledged commit is durable. [`crate::backup`] puts the
+//! DIT's commits into it.
 //!
 //! ## Frame format
 //!

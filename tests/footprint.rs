@@ -230,7 +230,7 @@ fn bytes_per_entry_stay_under_budget_and_footprint_accounts_for_them() {
     let live_loaded = LIVE.load(Ordering::Relaxed) - before;
     let entries = dit.len();
     let per_entry = live_loaded as usize / entries;
-    let fp = dit.footprint().expect("compact store");
+    let fp = dit.footprint();
     println!("live-loaded: {per_entry} B/entry over {entries} entries");
     for (row, bytes) in fp.rows() {
         println!("  {row:<14} {:>6} B/entry", bytes / entries);

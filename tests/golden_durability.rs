@@ -47,7 +47,6 @@ fn render_report(r: &metacomm::RecoveryReport) -> String {
          wal_records_discarded: {}\n\
          torn_segments: {}\n\
          journal_ops: {}\n\
-         legacy_migration: {}\n\
          replay_micros: #\n",
         r.snapshot_entries,
         r.wal_records_applied,
@@ -55,7 +54,6 @@ fn render_report(r: &metacomm::RecoveryReport) -> String {
         r.wal_records_discarded,
         r.torn_segments,
         r.journal_ops,
-        r.legacy_migration,
     )
 }
 
@@ -114,7 +112,6 @@ fn recovery_report_and_durability_monitor_match_golden() {
     // count — closure-derived records included — is pinned by the golden.)
     assert!(report.wal_records_applied + report.snapshot_entries >= 12);
     assert_eq!(report.torn_segments, 0);
-    assert!(!report.legacy_migration);
 
     let monitor = MonitorDirectory::new(system.directory(), system.metrics().clone());
     let hits = monitor
