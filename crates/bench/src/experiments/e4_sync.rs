@@ -10,10 +10,39 @@ use crate::workload::{preload_devices, Workload};
 use crate::{rig, timed};
 use std::fmt::Write as _;
 
+/// Switches in the rig, the same at every size so the sizes compare: each
+/// owns 1,000 extensions, which is what lets the largest size be 8,000.
+const SWITCHES: usize = 8;
+/// Fresh rigs per size; the median run is the one reported.
+const REPEATS: usize = 3;
+/// Largest/smallest per-record cost up to which the scaling is called linear.
+const LINEAR_WITHIN: f64 = 1.5;
+
+/// Seconds the initial load of `n` records and the no-op resync after it
+/// took, on a rig of its own.
+fn load_and_resync(n: usize) -> (f64, f64) {
+    let r = rig(SWITCHES, false);
+    let mut w = Workload::new(11);
+    let people = w.people(n, SWITCHES);
+    preload_devices(&r, &people);
+    let (report, initial) = timed(|| r.system.synchronize_all().expect("initial"));
+    assert_eq!(report.added, n);
+    let (report2, resync) = timed(|| r.system.synchronize_all().expect("resync"));
+    assert_eq!(report2.added, 0);
+    assert_eq!(report2.repaired, 0);
+    r.system.shutdown();
+    (initial.as_secs_f64(), resync.as_secs_f64())
+}
+
+fn median(mut runs: Vec<f64>) -> f64 {
+    runs.sort_by(f64::total_cmp);
+    runs[runs.len() / 2]
+}
+
 pub fn run(scale: Scale) -> Report {
     let sizes: &[usize] = match scale {
-        Scale::Quick => &[100, 300],
-        Scale::Full => &[100, 500, 1000, 2000],
+        Scale::Quick => &[100, 300, 1000],
+        Scale::Full => &[100, 500, 1000, 2000, 4000, 8000],
     };
     let mut table = String::new();
     writeln!(
@@ -22,32 +51,35 @@ pub fn run(scale: Scale) -> Report {
         "records", "initial load", "rec/s", "resync (noop)", "resync rec/s"
     )
     .unwrap();
-    let mut last_rate = 0.0;
+    // Seconds per record at each size: (initial load, no-op resync).
+    let mut per_record = Vec::new();
     for &n in sizes {
-        let r = rig(2, false);
-        let mut w = Workload::new(11);
-        let people = w.people(n, 2);
-        preload_devices(&r, &people);
-        let (report, initial) = timed(|| r.system.synchronize_all().expect("initial"));
-        assert_eq!(report.added, n);
-        let (report2, resync) = timed(|| r.system.synchronize_all().expect("resync"));
-        assert_eq!(report2.added, 0);
-        assert_eq!(report2.repaired, 0);
-        let rate = n as f64 / initial.as_secs_f64();
-        let rrate = n as f64 / resync.as_secs_f64();
+        let (loads, resyncs): (Vec<f64>, Vec<f64>) =
+            (0..REPEATS).map(|_| load_and_resync(n)).unzip();
+        let (initial, resync) = (median(loads), median(resyncs));
         writeln!(
             table,
             "{:>8} {:>11.1} ms {:>14.0} {:>11.1} ms {:>12.0}",
             n,
-            initial.as_secs_f64() * 1e3,
-            rate,
-            resync.as_secs_f64() * 1e3,
-            rrate,
+            initial * 1e3,
+            n as f64 / initial,
+            resync * 1e3,
+            n as f64 / resync,
         )
         .unwrap();
-        last_rate = rate;
-        r.system.shutdown();
+        per_record.push((initial / n as f64, resync / n as f64));
     }
+    let (smallest, largest) = (per_record[0], per_record[per_record.len() - 1]);
+    let (load_ratio, resync_ratio) = (largest.0 / smallest.0, largest.1 / smallest.1);
+    let (first, last) = (sizes[0], sizes[sizes.len() - 1]);
+    writeln!(table).unwrap();
+    writeln!(
+        table,
+        "per-record cost ratio, {last} records against {first}: \
+         load {load_ratio:.2}x, resync {resync_ratio:.2}x \
+         ({SWITCHES} switches, median of {REPEATS} fresh rigs per size)"
+    )
+    .unwrap();
 
     // Isolation check: updates stall during a sync, resume after.
     let r = rig(1, false);
@@ -89,8 +121,14 @@ pub fn run(scale: Scale) -> Report {
                 the LTAP quiesce",
         table,
         observations: vec![format!(
-            "initial load sustains ~{last_rate:.0} records/s at the largest size; \
-             no-op resync is faster since nothing is written"
+            "initial load sustains ~{:.0} records/s at {last} records; per record it costs \
+             {load_ratio:.2}x what it does at {first} (no-op resync {resync_ratio:.2}x) — {}",
+            1.0 / largest.0,
+            if load_ratio.max(resync_ratio) <= LINEAR_WITHIN {
+                "linear"
+            } else {
+                "NOT linear: the per-record cost grows with the population"
+            }
         )],
         extra: None,
     }

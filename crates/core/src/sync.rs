@@ -9,7 +9,7 @@
 
 use crate::errorlog::ErrorLog;
 use crate::filter::DeviceFilter;
-use crate::image::{diff_mods, image_to_entry};
+use crate::image::{diff_mods, entry_to_image, image_to_entry};
 use crate::schema::LAST_UPDATER;
 use crate::um::aux_class_mods;
 use ldap::dn::Dn;
@@ -17,6 +17,7 @@ use ldap::entry::Modification;
 use ldap::{Filter, Scope};
 use lexpress::{Engine, Image, OpKind, TargetOp, UpdateDescriptor};
 use ltap::Gateway;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// What a synchronization did.
@@ -48,6 +49,12 @@ impl SyncReport {
 /// Synchronize the directory with one device. The device is authoritative
 /// for its own attributes (its records were the ones that kept working
 /// while the link was down).
+///
+/// Cost: one translation, one directory read and at most one write per
+/// device record; one partition evaluation per entry that holds another
+/// device's data; the full delete probe only for an orphan this device's
+/// partition claims. Every lookup in between is a hash probe, so the time
+/// the quiesce is held grows with records + holders and nothing else.
 pub fn synchronize_device(
     gateway: &Arc<Gateway>,
     engine: &Engine,
@@ -57,19 +64,18 @@ pub fn synchronize_device(
 ) -> crate::error::Result<SyncReport> {
     let mut session = gateway.begin_sync();
     let mut report = SyncReport::default();
-    let mapping = filter.mapping_to_ldap();
-    let mut device_keys: Vec<String> = Vec::new();
-    // key → normalized DN of the entry that canonically owns the record.
-    let mut canonical: std::collections::HashMap<String, String> = std::collections::HashMap::new();
+    let to_ldap = filter.mapping_to_ldap();
+    // Normalized DN of the entry that canonically holds a device record →
+    // the first device key that claimed it.
+    let mut claimant: HashMap<String, String> = HashMap::new();
     for record in filter.dump() {
         // Translate the device record exactly as a DDU add would be.
         let key = record
             .first(filter.key_attr())
             .unwrap_or_default()
             .to_string();
-        device_keys.push(key.clone());
-        let d = UpdateDescriptor::add(key.clone(), record.clone(), filter.name());
-        let top = match engine.translate(&mapping, &d) {
+        let d = UpdateDescriptor::add(key, record, filter.name());
+        let top = match engine.translate(&to_ldap, &d) {
             Ok(t) => t,
             Err(_) => {
                 report.failed += 1;
@@ -86,16 +92,16 @@ pub fn synchronize_device(
                 continue;
             }
         };
+        let UpdateDescriptor {
+            key, new: record, ..
+        } = d;
+        let norm = dn.norm_key();
         // Two device records mapping to the same person DN cannot both be
         // represented (the integrated schema keys people by name). This
         // happens after half-crashed renames leave duplicate names on the
         // device — the paper's "extreme case": log it for the
         // administrator instead of silently merging (§4.4).
-        if let Some((other_key, _)) = canonical
-            .iter()
-            .find(|(k, v)| **v == dn.norm_key() && **k != key)
-            .map(|(k, v)| (k.clone(), v.clone()))
-        {
+        if let Some(other_key) = claimant.get(&norm).filter(|k| **k != key) {
             report.failed += 1;
             if let Some(log) = errorlog {
                 log.log(
@@ -111,10 +117,10 @@ pub fn synchronize_device(
             }
             continue;
         }
-        canonical.insert(key.clone(), dn.norm_key());
+        claimant.insert(norm, key);
         match session.get(&dn)? {
             Some(existing) => {
-                let mut attrs = top.attrs.clone();
+                let mut attrs = top.attrs;
                 attrs.remove(LAST_UPDATER); // reconciliation, not an update
                 let mut mods = aux_class_mods(&existing, &attrs);
                 mods.extend(diff_mods(&existing, &attrs));
@@ -133,47 +139,55 @@ pub fn synchronize_device(
         }
     }
     // Stale directory data: entries claiming device data whose key the
-    // device no longer has.
+    // device no longer has. The holders stream past under the directory's
+    // read lock, so the visitor only sorts them — a hash probe, and for an
+    // entry that is not this device's canonical one a partition evaluation
+    // — and leaves the delete probe and the clearing writes until the read
+    // is over.
     let presence = filter.ldap_presence_attr();
-    let holders = session.search(
+    let from_ldap = filter.mapping_from_ldap();
+    let mut claimed: Vec<(Dn, Image)> = Vec::new();
+    session.search_visit(
         suffix,
         Scope::Sub,
         &Filter::parse(&format!("({presence}=*)")).expect("valid filter"),
-        &[],
-        0,
-    )?;
-    for entry in holders {
-        let key = entry.first(&presence).unwrap_or_default().to_string();
-        if device_keys.contains(&key) {
+        &mut |entry| {
             // The device still has this record — but only ONE entry may
             // claim it. A crashed rename can leave a stale entry under the
             // old name claiming the same key as the canonical entry.
-            if canonical.get(&key) == Some(&entry.dn().norm_key()) {
-                continue;
+            if claimant.get(&entry.dn().norm_key()).map(String::as_str) == entry.first(&presence) {
+                return;
             }
-        }
-        // Respect partitioning: only clear entries THIS device's constraint
-        // claims (another switch may own the extension).
-        let probe = UpdateDescriptor::delete(
-            entry.dn().to_string(),
-            crate::image::entry_to_image(&entry),
-            filter.name(),
-        );
-        match engine.translate(&filter.mapping_from_ldap(), &probe) {
-            Ok(top) if top.kind == OpKind::Delete => {}
-            _ => continue,
-        }
-        let mods: Vec<Modification> = filter
-            .ldap_owned_attrs()
+            // Respect partitioning: only clear entries THIS device's
+            // constraint claims (another switch may own the extension).
+            // With several switches most holders are another switch's, so
+            // the constraint is asked on its own first; only an entry it
+            // claims is worth a delete descriptor and a full translation.
+            let image = entry_to_image(entry);
+            if matches!(engine.partition_claims(&from_ldap, &image), Ok(true)) {
+                claimed.push((entry.dn().clone(), image));
+            }
+        },
+    )?;
+    let owned = filter.ldap_owned_attrs();
+    for (dn, image) in claimed {
+        let mods: Vec<Modification> = owned
             .iter()
-            .filter(|a| entry.has_attr(a))
+            .filter(|a| image.has(a))
             .map(|a| Modification::delete_attr(a.clone()))
             .chain(std::iter::once(Modification::set(
                 LAST_UPDATER,
                 filter.name(),
             )))
             .collect();
-        session.modify(entry.dn(), &mods)?;
+        // The partition alone does not decide: the translation must also
+        // yield a key to delete by and no runtime error.
+        let probe = UpdateDescriptor::delete(dn.to_string(), image, filter.name());
+        match engine.translate(&from_ldap, &probe) {
+            Ok(top) if top.kind == OpKind::Delete => {}
+            _ => continue,
+        }
+        session.modify(&dn, &mods)?;
         report.cleared += 1;
     }
     Ok(report)
@@ -221,7 +235,7 @@ pub fn resynchronize_device_from_directory(
         0,
     )?;
     // Current device state, keyed the way the device keys it.
-    let mut device: std::collections::HashMap<String, Image> = filter
+    let mut device: HashMap<String, Image> = filter
         .dump()
         .into_iter()
         .filter_map(|r| {
@@ -229,13 +243,14 @@ pub fn resynchronize_device_from_directory(
             Some((key, r))
         })
         .collect();
+    let from_ldap = filter.mapping_from_ldap();
     for entry in holders {
         let d = UpdateDescriptor::add(
             entry.dn().to_string(),
-            crate::image::entry_to_image(&entry),
+            entry_to_image(&entry),
             filter.name(),
         );
-        let mut top = match engine.translate(&filter.mapping_from_ldap(), &d) {
+        let mut top = match engine.translate(&from_ldap, &d) {
             Ok(t) => t,
             Err(_) => {
                 report.failed += 1;
@@ -268,21 +283,44 @@ pub fn resynchronize_device_from_directory(
         top.conditional = true;
         match crate::resilience::apply_with_retry(filter, &top, retry, stats) {
             Ok(outcome) => {
-                if existing.is_some() {
-                    report.repaired += 1;
-                } else {
-                    report.added += 1;
-                }
-                // Fold device-generated info back into the directory.
+                // Fold device-generated info back into the directory. No
+                // quiesce is held here: the entry may have been deleted
+                // since the search, or the schema may refuse the fields —
+                // then the device has the record but the directory lost
+                // what the device generated for it, which the
+                // administrator must hear about.
+                let mut mods = Vec::new();
                 if let Some(gen) = outcome.generated {
-                    let mut mods = aux_class_mods(&entry, &gen);
+                    mods = aux_class_mods(&entry, &gen);
                     for (name, values) in gen.iter() {
                         if entry.values(name) != values {
                             mods.push(Modification::replace(name.to_string(), values.to_vec()));
                         }
                     }
-                    if !mods.is_empty() {
-                        let _ = dir.modify(entry.dn(), &mods);
+                }
+                let folded = if mods.is_empty() {
+                    Ok(())
+                } else {
+                    dir.modify(entry.dn(), &mods)
+                };
+                match folded {
+                    Ok(()) if existing.is_some() => report.repaired += 1,
+                    Ok(()) => report.added += 1,
+                    Err(e) => {
+                        report.failed += 1;
+                        if let Some(log) = errorlog {
+                            log.log(
+                                dir.as_ref(),
+                                0,
+                                &format!(
+                                    "resync of {key} to {} applied, but folding its generated \
+                                     fields back into {} failed: {e}",
+                                    filter.name(),
+                                    entry.dn()
+                                ),
+                                &format!("{mods:?}"),
+                            );
+                        }
                     }
                 }
             }

@@ -121,6 +121,26 @@ impl Engine {
         }
     }
 
+    /// Does `mapping_name`'s partitioning constraint claim this *source*
+    /// image? The row of the routing matrix on its own: no rule is applied
+    /// and no key computed, so a caller that only needs "is this object
+    /// under that repository at all" (the synchronization sweep over
+    /// another switch's entries) can ask before it builds a descriptor.
+    pub fn partition_claims(
+        &self,
+        mapping_name: &str,
+        source_image: &Image,
+    ) -> Result<bool, RuntimeError> {
+        let mapping = self.loaded(mapping_name)?;
+        self.partition_satisfied(mapping.partition.as_ref(), source_image)
+    }
+
+    fn loaded(&self, mapping_name: &str) -> Result<&CompiledMapping, RuntimeError> {
+        self.bundle
+            .mapping(mapping_name)
+            .ok_or_else(|| RuntimeError::BadBytecode(format!("no mapping `{mapping_name}` loaded")))
+    }
+
     /// Translate an update descriptor through `mapping` into the operation
     /// to forward to the mapping's target repository.
     pub fn translate(
@@ -128,9 +148,7 @@ impl Engine {
         mapping_name: &str,
         d: &UpdateDescriptor,
     ) -> Result<TargetOp, RuntimeError> {
-        let mapping = self.bundle.mapping(mapping_name).ok_or_else(|| {
-            RuntimeError::BadBytecode(format!("no mapping `{mapping_name}` loaded"))
-        })?;
+        let mapping = self.loaded(mapping_name)?;
         // Old/new images in the target schema.
         let old_target = if d.old.is_empty() {
             Image::new()
@@ -401,7 +419,7 @@ mapping ldap_to_pbx_west {
             e.translate("ldap_to_pbx_west", &d).unwrap().kind,
             OpKind::Skip
         );
-        let d = UpdateDescriptor::delete("cn=J", out_of_range, "wba");
+        let d = UpdateDescriptor::delete("cn=J", out_of_range.clone(), "wba");
         assert_eq!(
             e.translate("ldap_to_pbx_west", &d).unwrap().kind,
             OpKind::Skip
@@ -411,9 +429,20 @@ mapping ldap_to_pbx_west {
             ("definityExtension", "9123"),
             ("cn", "J"),
         ]);
-        let d = UpdateDescriptor::delete("cn=J", in_range, "wba");
+        let d = UpdateDescriptor::delete("cn=J", in_range.clone(), "wba");
         let op = e.translate("ldap_to_pbx_west", &d).unwrap();
         assert_eq!(op.kind, OpKind::Delete);
+        // The partition row alone gives the verdicts the full translation
+        // just did.
+        assert!(e.partition_claims("ldap_to_pbx_west", &in_range).unwrap());
+        assert!(!e
+            .partition_claims("ldap_to_pbx_west", &out_of_range)
+            .unwrap());
+        assert!(!e
+            .partition_claims("ldap_to_pbx_west", &Image::new())
+            .unwrap());
+        assert!(e.partition_claims("pbx_to_ldap", &in_range).unwrap());
+        assert!(e.partition_claims("nope", &in_range).is_err());
     }
 
     #[test]

@@ -90,6 +90,23 @@ impl SyncSession {
         self.dir().search(base, scope, filter, attrs, size_limit)
     }
 
+    /// [`search`](SyncSession::search) without the result vector: `visit`
+    /// sees each match borrowed from the directory. The directory may hold
+    /// its read lock across the visits, so `visit` must not write through
+    /// this session — note what to change and apply it once the read
+    /// returns.
+    pub fn search_visit(
+        &self,
+        base: &Dn,
+        scope: Scope,
+        filter: &Filter,
+        visit: &mut dyn FnMut(&Entry),
+    ) -> Result<()> {
+        self.dir()
+            .search_visit(base, scope, filter, &[], 0, visit)
+            .map(|_| ())
+    }
+
     pub fn get(&self, dn: &Dn) -> Result<Option<Entry>> {
         self.dir().get(dn)
     }
