@@ -3,8 +3,8 @@
 //! Paper anchor: §2's scale target ("serves heavy traffic from millions of
 //! users"). Claims under test: (1) equality searches served from the DIT's
 //! equality indexes beat the subtree scan by ≥3× in ops/sec at identical
-//! results; (2) the key-ordered executor plus parallel device fan-out beats
-//! the single-coordinator schedule by ≥1.5× on a mixed multi-DN update
+//! results; (2) the key-ordered N-worker executor beats the
+//! single-coordinator schedule by ≥1.5× on a mixed multi-DN update
 //! workload whose cost is dominated by (injected) device latency — the
 //! realistic regime, since a real switch answers in milliseconds.
 //!
@@ -155,8 +155,8 @@ fn search_ablation(scale: Scale, table: &mut String) -> (Vec<Sample>, f64) {
 
 /// The pipelined-UM ablation: a mixed multi-DN update workload against
 /// devices with injected per-apply latency (a slow switch link), at 1
-/// worker (the paper's single coordinator) vs. N workers (key-ordered
-/// executor + parallel fan-out).
+/// worker (the paper's single coordinator) vs. N workers (the key-ordered
+/// executor: distinct DNs overlap, one update's legs stay in filter order).
 fn update_ablation(scale: Scale, table: &mut String) -> (Vec<Sample>, f64) {
     let (n_people, rounds, latency_ms) = match scale {
         Scale::Quick => (48, 2, 2u64),
@@ -239,9 +239,9 @@ pub fn run(scale: Scale) -> Report {
         id: "E13",
         title: "hot-path throughput (indexed search, pipelined UM)",
         claim: "equality searches served from the DIT index and updates \
-                pipelined across key-ordered UM workers with parallel device \
-                fan-out beat the scan / single-coordinator baselines on the \
-                same workloads, from the same binary",
+                pipelined across key-ordered UM workers beat the scan / \
+                single-coordinator baselines on the same workloads, from the \
+                same binary",
         table,
         observations: vec![
             format!(
@@ -249,7 +249,7 @@ pub fn run(scale: Scale) -> Report {
                  the full subtree scan at T=1 (identical result sets)"
             ),
             format!(
-                "pipelined UM (4 workers, parallel fan-out): {update_speedup:.1}x \
+                "pipelined UM (4 key-ordered workers): {update_speedup:.1}x \
                  ops/sec over the single coordinator on a mixed multi-DN \
                  update workload with 2 ms device latency"
             ),

@@ -146,10 +146,10 @@ impl MetaCommBuilder {
 
     /// Number of Update Manager workers in the key-ordered executor.
     /// Updates to the same post-update DN stay strictly FIFO on one worker;
-    /// distinct DNs may proceed concurrently, and with more than one worker
-    /// the per-update device fan-out also runs its legs in parallel.
-    /// Defaults to the available parallelism, capped at 4; `1` reproduces
-    /// the paper's single-coordinator schedule exactly.
+    /// distinct DNs may proceed concurrently. Within one update the owning
+    /// worker always walks the device filters itself, in filter order, at
+    /// every worker count. Defaults to the available parallelism, capped at
+    /// 4; `1` is the paper's single coordinator.
     pub fn with_um_workers(mut self, workers: usize) -> Self {
         self.um_workers = Some(workers.max(1));
         self
@@ -492,7 +492,6 @@ impl MetaCommBuilder {
                 runtimes: runtimes.clone(),
                 seq: seq.clone(),
                 obs: um_obs,
-                parallel_fanout: um_workers > 1,
             },
             um_workers,
         );

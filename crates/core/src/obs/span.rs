@@ -8,8 +8,10 @@
 use super::clock::Clock;
 use std::sync::Arc;
 
-/// A running span. `mark(stage)` closes the current stage; stages are
-/// cumulative and non-overlapping, so `Σ stage ≤ total`.
+/// A running span, owned by the one thread doing the work. `mark(stage)`
+/// closes the current stage and is the only way a stage is recorded, so
+/// stages are consecutive, non-overlapping stretches of that thread's wall
+/// time and `Σ stage ≤ total` for every span.
 pub struct Span {
     clock: Arc<dyn Clock>,
     started_ns: u64,
@@ -43,39 +45,18 @@ impl Span {
 
     /// Close the current stage under `name` and start the next one.
     /// Returns the closed stage's duration in nanoseconds.
-    pub fn mark(&mut self, name: impl Into<String>) -> u64 {
+    pub fn mark(&mut self, name: &str) -> u64 {
         let now = self.clock.now_ns();
         let d = now.saturating_sub(self.last_ns);
         self.last_ns = now;
-        let name = name.into();
         // Repeated marks with the same name (one per device filter)
         // accumulate into one stage.
-        if let Some(s) = self.stages.iter_mut().find(|(n, _)| *n == name) {
+        if let Some(s) = self.stages.iter_mut().find(|(n, _)| n == name) {
             s.1 += d;
         } else {
-            self.stages.push((name, d));
+            self.stages.push((name.to_string(), d));
         }
         d
-    }
-
-    /// Fold an externally measured duration into stage `name` without
-    /// moving the stage cursor — used when stages run on other threads
-    /// (the parallel device fan-out) and report their own timings. Folded
-    /// stages may overlap in wall time, so `Σ stage` can exceed `total`
-    /// the way CPU time exceeds wall time.
-    pub fn add_stage(&mut self, name: impl Into<String>, d: u64) {
-        let name = name.into();
-        if let Some(s) = self.stages.iter_mut().find(|(n, _)| *n == name) {
-            s.1 += d;
-        } else {
-            self.stages.push((name, d));
-        }
-    }
-
-    /// Advance the stage cursor to now without recording a stage — the
-    /// elapsed wall time was already accounted for by folded stages.
-    pub fn skip(&mut self) {
-        self.last_ns = self.clock.now_ns();
     }
 
     /// Total elapsed nanoseconds since the span's origin.

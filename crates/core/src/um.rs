@@ -21,11 +21,14 @@
 //! rename into an entry against concurrent writes to that entry. A global
 //! `seq` counter is kept so traces and the ErrorLog stay monotonic.
 //!
-//! Within one update, the fan-out over `shared.filters` may itself run the
-//! per-device translate/apply legs concurrently (`parallel_fanout`); the
-//! outcomes are folded back **in filter order**, so generated-info merges,
-//! abort decisions, and ticket withdrawal are deterministic and identical
-//! to the sequential schedule.
+//! Within one update there is one schedule at every worker count, the
+//! paper's (§4.4, §5.5): the worker that owns the key walks
+//! `shared.filters` itself, in filter order — a leg's device-generated
+//! info is visible to the next leg's translation, the first failure ends
+//! the fan-out (later devices never see an update that is aborting), and
+//! the LDAP server is updated last. An update creates no thread. The
+//! price: an update that touches k slow devices costs the sum of their
+//! latencies, not the max.
 
 use crate::errorlog::ErrorLog;
 use crate::filter::DeviceFilter;
@@ -65,9 +68,10 @@ pub struct UpdateTrace {
     pub outcome: String,
     /// Stage durations from the worker's span, in first-marked order:
     /// `acquire` (queue wait), `closure`, `translate`, `apply`, `commit`.
-    /// Repeated stages (one `translate`/`apply` per device) accumulate; under
-    /// parallel fan-out they are summed device-leg durations, so `Σ stage`
-    /// can exceed `total` the way CPU time exceeds wall time.
+    /// Repeated stages (one `translate` per device filter, one `apply` per
+    /// device touched) accumulate. Stages are consecutive stretches of the
+    /// one worker's wall time, so `Σ stage ≤ total`; the remainder is the
+    /// abort path and the reply.
     pub stage_ns: Vec<(String, u64)>,
     /// Total update latency (enqueue → reply), nanoseconds.
     pub total_ns: u64,
@@ -137,9 +141,6 @@ pub(crate) struct Shared {
     pub seq: Arc<AtomicU64>,
     /// Pre-resolved histograms/counters for the workers' hot path.
     pub obs: Arc<crate::obs::UmObs>,
-    /// Run the per-update device fan-out legs concurrently (set when the
-    /// UM runs with more than one worker).
-    pub parallel_fanout: bool,
 }
 
 /// Capacity of the trace ring.
@@ -349,7 +350,7 @@ fn resolve_origin(op: &LtapOp, tagged: Option<String>) -> String {
         LtapOp::Modify(_, mods) => mods
             .iter()
             .rev()
-            .find(|m| m.attr.norm() == LAST_UPDATER.to_ascii_lowercase())
+            .find(|m| m.attr.norm().eq_ignore_ascii_case(LAST_UPDATER))
             .and_then(|m| m.values.first().cloned()),
         _ => None,
     }
@@ -454,18 +455,15 @@ fn inverse_of(op: &TargetOp) -> TargetOp {
 
 /// Object-class additions needed so `img`'s attributes validate on `pre`.
 pub(crate) fn aux_class_mods(pre: &Entry, img: &Image) -> Vec<Modification> {
+    let has_prefix = |prefix: &str| {
+        img.iter().any(|(name, _)| {
+            name.get(..prefix.len())
+                .is_some_and(|head| head.eq_ignore_ascii_case(prefix))
+        })
+    };
+    let has_definity = has_prefix("definity");
+    let has_mp = has_prefix("mp");
     let mut needed = Vec::new();
-    let mut has_definity = false;
-    let mut has_mp = false;
-    for (name, _) in img.iter() {
-        let l = name.to_ascii_lowercase();
-        if l.starts_with("definity") {
-            has_definity = true;
-        }
-        if l.starts_with("mp") {
-            has_mp = true;
-        }
-    }
     if has_definity && !pre.has_object_class(crate::schema::DEFINITY_USER) {
         needed.push(crate::schema::DEFINITY_USER.to_string());
     }
@@ -533,201 +531,131 @@ fn push_trace(shared: &Shared, trace: UpdateTrace) {
     ring.push_back(trace);
 }
 
-/// The outcome of one device filter's leg of the fan-out, produced by
-/// [`fan_one`] (possibly on a fan-out thread) and folded back into the
-/// update's state strictly in filter order by [`fold_outcome`].
-#[derive(Default)]
-struct DeviceOutcome {
-    /// Trace row for this device, if any.
-    row: Option<(String, String, bool, bool)>,
-    /// Journal ticket issued on behalf of this update.
-    ticket: Option<(Arc<DeviceRuntime>, u64)>,
-    /// Compensating op to run if the update later aborts.
-    undo: Option<(Arc<dyn DeviceFilter>, TargetOp)>,
-    /// Device-generated info to merge into the persistent image (§5.5).
-    generated: Option<Image>,
-    /// Abort the update: translate error, semantic rejection, or a
-    /// transient fault that did not open the breaker.
-    failure: Option<crate::error::MetaError>,
-    /// Whether `apply_with_retry` actually ran (vs. Skip/journal legs).
-    ran_apply: bool,
-    translate_ns: u64,
-    apply_ns: u64,
-}
-
-/// Mutable update state the fold threads through the fan-out.
-#[derive(Default)]
-struct FanState {
+/// One update's device fan-out: the worker that owns the key walks the
+/// filters itself, in filter order (§4.4, §5.5).
+struct FanOut<'a> {
+    shared: &'a Shared,
+    my_seq: u64,
+    /// The post-closure descriptor every leg translates; device-generated
+    /// info is merged into it leg by leg.
+    d: &'a mut UpdateDescriptor,
+    /// The directory DN the entry will live at after this update — attached
+    /// to journaled ops so device-generated info can still be folded back
+    /// when they finally apply during a recovery drain.
+    post_dn: Option<Dn>,
+    trace: &'a mut UpdateTrace,
+    span: &'a mut crate::obs::Span,
     /// Compensating ops for already-applied device ops, in apply order.
     undo: Vec<(Arc<dyn DeviceFilter>, TargetOp)>,
     /// Journal tickets issued for this update — withdrawn if it later
     /// aborts (the directory never sees the update, so reapplying would
     /// diverge).
     tickets: Vec<(Arc<DeviceRuntime>, u64)>,
-    /// First failure in filter order, if any.
-    failure: Option<crate::error::MetaError>,
 }
 
-/// Run one device filter's leg of the fan-out: translate the descriptor,
-/// consult the breaker/journal, apply with retry. Safe to run concurrently
-/// with the other filters' legs — it touches only atomics, the per-device
-/// runtime, and histograms; every decision that must be deterministic
-/// (generated-info merges, the winning failure, ticket withdrawal) is
-/// deferred to the in-filter-order fold.
-fn fan_one(
-    shared: &Shared,
-    f: &Arc<dyn DeviceFilter>,
-    d: &UpdateDescriptor,
-    post_dn: &Option<Dn>,
-    my_seq: u64,
-) -> DeviceOutcome {
-    let clock = &shared.obs.clock;
-    let mut out = DeviceOutcome::default();
-    let t0 = clock.now_ns();
-    let translated = shared.engine.translate(&f.mapping_from_ldap(), d);
-    out.translate_ns = clock.now_ns().saturating_sub(t0);
-    shared.obs.translate.record(out.translate_ns);
-    let top = match translated {
-        Ok(t) => t,
-        Err(e) => {
-            out.failure = Some(e.into());
-            return out;
+impl FanOut<'_> {
+    /// Run one device filter's leg: translate the descriptor, consult the
+    /// breaker/journal, apply with retry, and merge device-generated info
+    /// so the next leg translates the augmented image. An `Err` aborts the
+    /// update: translate error, semantic rejection, or a transient fault
+    /// that did not open the breaker.
+    fn leg(&mut self, f: &Arc<dyn DeviceFilter>) -> crate::error::Result<()> {
+        let shared = self.shared;
+        let translated = shared.engine.translate(&f.mapping_from_ldap(), self.d);
+        shared.obs.translate.record(self.span.mark("translate"));
+        let top = translated?;
+        if top.kind == OpKind::Skip {
+            shared.stats.skipped.fetch_add(1, Ordering::Relaxed);
+            self.trace_leg(f, &top, "Skip".into(), false);
+            return Ok(());
         }
-    };
-    if top.kind == OpKind::Skip {
-        shared.stats.skipped.fetch_add(1, Ordering::Relaxed);
-        out.row = Some((f.name().to_string(), "Skip".into(), top.conditional, false));
-        return out;
-    }
-    let runtime = shared.runtimes.get(f.name());
-    // Breaker open (or a drain in progress): store-and-forward. The op
-    // queues behind everything already journaled so the device sees
-    // updates in directory order once it reconnects.
-    if let Some(rt) = runtime {
-        if rt.should_journal() {
-            if let Some(t) = rt.journal(top.clone(), post_dn.clone()) {
-                out.ticket = Some((rt.clone(), t));
-            }
-            out.row = Some((
-                f.name().to_string(),
-                format!("{:?} (queued)", top.kind),
-                top.conditional,
-                false,
-            ));
-            return out;
+        let runtime = shared.runtimes.get(f.name());
+        // Breaker open (or a drain in progress): store-and-forward.
+        if let Some(rt) = runtime.filter(|rt| rt.should_journal()) {
+            self.journal(rt, f, top);
+            return Ok(());
         }
-    }
-    let t1 = clock.now_ns();
-    let applied = apply_with_retry(f, &top, &shared.retry, &shared.stats);
-    out.apply_ns = clock.now_ns().saturating_sub(t1);
-    out.ran_apply = true;
-    let dev_obs = shared.obs.devices.get(f.name());
-    if let Some(o) = dev_obs {
-        o.apply.record(out.apply_ns);
-    }
-    match applied {
-        Ok(outcome) => {
-            if let Some(o) = dev_obs {
-                o.applies.inc();
-            }
-            if let Some(rt) = runtime {
-                rt.record_success();
-            }
-            shared.stats.device_ops.fetch_add(1, Ordering::Relaxed);
-            out.row = Some((
-                f.name().to_string(),
-                format!("{:?}", top.kind),
-                top.conditional,
-                outcome.applied,
-            ));
-            if outcome.reapplied {
-                shared.stats.reapplied.fetch_add(1, Ordering::Relaxed);
-            }
-            out.generated = outcome.generated;
-            if outcome.applied {
-                out.undo = Some((f.clone(), inverse_of(&top)));
-            }
+        let applied = apply_with_retry(f, &top, &shared.retry, &shared.stats);
+        let apply_ns = self.span.mark("apply");
+        let dev_obs = shared.obs.devices.get(f.name());
+        if let Some(o) = dev_obs {
+            o.apply.record(apply_ns);
         }
-        Err(e) if e.is_transient() => {
-            // The device never saw the op. Advance the breaker; if that
-            // (or an earlier trip) opened it, queue the op and let the
-            // update proceed — the directory stays authoritative.
-            if let Some(o) = dev_obs {
-                o.failures.inc();
-            }
-            if let Some(rt) = runtime {
-                rt.record_failure(my_seq, &e);
-                if rt.should_journal() {
-                    if let Some(t) = rt.journal(top.clone(), post_dn.clone()) {
-                        out.ticket = Some((rt.clone(), t));
+        let outcome = match applied {
+            Ok(outcome) => outcome,
+            Err(e) => {
+                if let Some(o) = dev_obs {
+                    o.failures.inc();
+                }
+                // A transient fault means the device never saw the op.
+                // Advance the breaker; if that (or an earlier trip) opened
+                // it, queue the op and let the update proceed — the
+                // directory stays authoritative. A semantic rejection means
+                // the device is reachable and judged the op invalid: abort
+                // the update (§4.4), breaker untouched.
+                if let (true, Some(rt)) = (e.is_transient(), runtime) {
+                    rt.record_failure(self.my_seq, &e);
+                    if rt.should_journal() {
+                        self.journal(rt, f, top);
+                        return Ok(());
                     }
-                    out.row = Some((
-                        f.name().to_string(),
-                        format!("{:?} (queued)", top.kind),
-                        top.conditional,
-                        false,
-                    ));
-                    return out;
+                }
+                return Err(e);
+            }
+        };
+        if let Some(o) = dev_obs {
+            o.applies.inc();
+        }
+        if let Some(rt) = runtime {
+            rt.record_success();
+        }
+        shared.stats.device_ops.fetch_add(1, Ordering::Relaxed);
+        self.trace_leg(f, &top, format!("{:?}", top.kind), outcome.applied);
+        if outcome.reapplied {
+            shared.stats.reapplied.fetch_add(1, Ordering::Relaxed);
+        }
+        if outcome.applied {
+            self.undo.push((f.clone(), inverse_of(&top)));
+        }
+        if let Some(gen) = outcome.generated {
+            let mut merged = false;
+            for (name, values) in gen.iter() {
+                if self.d.new.values(name) != values {
+                    self.d.new.set(name.to_string(), values.to_vec());
+                    merged = true;
                 }
             }
-            out.failure = Some(e);
-        }
-        Err(e) => {
-            // Semantic rejection: the device is reachable and judged the
-            // op invalid — abort the update (§4.4), breaker untouched.
-            if let Some(o) = dev_obs {
-                o.failures.inc();
+            if merged {
+                shared
+                    .stats
+                    .generated_merges
+                    .fetch_add(1, Ordering::Relaxed);
             }
-            out.failure = Some(e);
         }
+        Ok(())
     }
-    out
-}
 
-/// Fold one leg's outcome into the update's state. Called strictly in
-/// filter order in both fan-out modes, which is what makes the parallel
-/// schedule observably identical to the sequential one: generated info
-/// merges in filter order (later filters win conflicts), the first failure
-/// in filter order becomes the abort cause, and every issued ticket is
-/// collected so an abort withdraws all of them.
-fn fold_outcome(
-    shared: &Shared,
-    out: DeviceOutcome,
-    d: &mut UpdateDescriptor,
-    trace: &mut UpdateTrace,
-    span: &mut crate::obs::Span,
-    st: &mut FanState,
-) {
-    span.add_stage("translate", out.translate_ns);
-    if out.ran_apply {
-        span.add_stage("apply", out.apply_ns);
-    }
-    if let Some(row) = out.row {
-        trace.device_ops.push(row);
-    }
-    if let Some(t) = out.ticket {
-        st.tickets.push(t);
-    }
-    if let Some(gen) = out.generated {
-        let mut merged = false;
-        for (name, values) in gen.iter() {
-            if d.new.values(name) != values {
-                d.new.set(name.to_string(), values.to_vec());
-                merged = true;
-            }
-        }
-        if merged {
-            shared
-                .stats
-                .generated_merges
-                .fetch_add(1, Ordering::Relaxed);
+    /// Queue `top` behind everything already journaled for the device, so
+    /// it sees updates in directory order once it reconnects.
+    fn journal(&mut self, rt: &Arc<DeviceRuntime>, f: &Arc<dyn DeviceFilter>, top: TargetOp) {
+        self.trace_leg(f, &top, format!("{:?} (queued)", top.kind), false);
+        if let Some(t) = rt.journal(top, self.post_dn.clone()) {
+            self.tickets.push((rt.clone(), t));
         }
     }
-    if let Some(u) = out.undo {
-        st.undo.push(u);
-    }
-    if st.failure.is_none() {
-        st.failure = out.failure;
+
+    /// The trace row for this leg: `(repository, op kind, conditional,
+    /// applied)`.
+    fn trace_leg(
+        &mut self,
+        f: &Arc<dyn DeviceFilter>,
+        top: &TargetOp,
+        kind: String,
+        applied: bool,
+    ) {
+        self.trace
+            .device_ops
+            .push((f.name().to_string(), kind, top.conditional, applied));
     }
 }
 
@@ -762,9 +690,6 @@ fn process_inner(
         return Err(e.into());
     }
     trace.derived_attrs = before_closure.changed_attrs(&d.new);
-    // The directory DN the entry will live at after this update — attached
-    // to journaled ops so device-generated info can still be folded back
-    // when they finally apply during a recovery drain.
     let post_dn: Option<Dn> = match op {
         LtapOp::Delete(_) => None,
         LtapOp::ModifyRdn {
@@ -778,49 +703,21 @@ fn process_inner(
         },
         other => Some(other.dn().clone()),
     };
-    // Fan out to every device filter; fold generated info back in.
-    let mut st = FanState::default();
-    if shared.parallel_fanout && shared.filters.len() > 1 {
-        // All legs run concurrently against the same post-closure image;
-        // outcomes fold back strictly in filter order, so generated-info
-        // merges, the winning failure, and ticket bookkeeping are
-        // deterministic and independent of leg completion order.
-        let outcomes: Vec<DeviceOutcome> = std::thread::scope(|sc| {
-            let d_ref = &d;
-            let post_ref = &post_dn;
-            // Spawn every leg before joining any (collecting lazily would
-            // serialize them).
-            let mut handles = Vec::with_capacity(shared.filters.len());
-            for f in &shared.filters {
-                handles.push(sc.spawn(move || fan_one(shared, f, d_ref, post_ref, my_seq)));
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("device fan-out leg panicked"))
-                .collect()
-        });
-        for out in outcomes {
-            fold_outcome(shared, out, &mut d, trace, span, &mut st);
-        }
-    } else {
-        // One leg at a time: a leg's generated info is visible to the next
-        // leg's translation, and the first failure stops the fan-out.
-        for f in &shared.filters {
-            let out = fan_one(shared, f, &d, &post_dn, my_seq);
-            fold_outcome(shared, out, &mut d, trace, span, &mut st);
-            if st.failure.is_some() {
-                break;
-            }
-        }
-    }
-    // The fan-out's wall time is accounted for by the folded
-    // translate/apply stages; restart the cursor for the commit stage.
-    span.skip();
-    let FanState {
-        undo,
-        tickets,
-        failure,
-    } = st;
+    // Fan out to every device filter, one leg at a time in filter order:
+    // a leg's generated info is visible to the next leg's translation, and
+    // the first failure ends the fan-out.
+    let mut fan = FanOut {
+        shared,
+        my_seq,
+        d: &mut d,
+        post_dn,
+        trace,
+        span,
+        undo: Vec::new(),
+        tickets: Vec::new(),
+    };
+    let failure = shared.filters.iter().try_for_each(|f| fan.leg(f)).err();
+    let FanOut { undo, tickets, .. } = fan;
     if let Some(e) = failure {
         // Withdraw ops journaled on behalf of this update: it is aborting,
         // so the directory will never reflect it.

@@ -594,6 +594,12 @@ fn update_traces_explain_the_pipeline() {
     let traces = r.system.recent_traces();
     let failed = traces.last().unwrap();
     assert!(failed.outcome.contains("pbx-west"), "{}", failed.outcome);
+
+    // Stages are consecutive stretches of the one worker's wall time.
+    for t in &traces {
+        let staged: u64 = t.stage_ns.iter().map(|(_, ns)| ns).sum();
+        assert!(staged <= t.total_ns, "Σ stage > total: {t:?}");
+    }
 }
 
 #[test]

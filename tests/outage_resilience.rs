@@ -379,13 +379,13 @@ fn aborted_update_withdraws_journaled_ops() {
 }
 
 #[test]
-fn parallel_fanout_preserves_outage_semantics() {
-    // The whole outage story again, but on a 4-worker UM whose device legs
-    // fan out in parallel threads: a dead switch must journal without
+fn multi_worker_um_preserves_outage_semantics() {
+    // The whole outage story again, but on a 4-worker UM with updates to
+    // distinct people in flight at once: a dead switch must journal without
     // aborting updates or poisoning its live sibling (the messaging
     // platform), aborted updates must withdraw tickets from the journal,
     // and the reconnect drain must lose nothing — identical semantics to
-    // the sequential coordinator the other tests exercise.
+    // the single coordinator the other tests exercise.
     let switch = Arc::new(PbxStore::new("pbx-west", DialPlan::with_prefix("1", 4)));
     let mp = Arc::new(msgplat::Store::new("mp"));
     let system = MetaCommBuilder::new("o=Lucent")
@@ -445,7 +445,7 @@ fn parallel_fanout_preserves_outage_semantics() {
 
     // An aborted update (rename onto an existing person) journals its pbx
     // op on one fan-out leg, then the directory rejects the ModifyRDN —
-    // the parallel legs' tickets must all be withdrawn.
+    // the update's tickets must all be withdrawn.
     let err = wba
         .rename_person("Fan Person 0", "Fan Person 1")
         .expect_err("rename onto an existing entry must fail");

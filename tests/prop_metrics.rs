@@ -227,7 +227,19 @@ fn run_workload(steps: &[Step]) -> Result<(), TestCaseError> {
     prop_assert_eq!(update.count, update.buckets.iter().sum::<u64>());
     prop_assert_eq!(abort.count, abort.buckets.iter().sum::<u64>());
 
-    // Per-device: each live apply records the latency histogram once and
+    // One worker times one update: its stages are consecutive stretches of
+    // that worker's wall time, on every path (ok, abort, journaled).
+    for t in &system.recent_traces() {
+        let staged: u64 = t.stage_ns.iter().map(|(_, ns)| ns).sum();
+        prop_assert!(
+            staged <= t.total_ns,
+            "Σ stage {} > total {} in {:?}",
+            staged,
+            t.total_ns,
+            t
+        );
+    }
+
     // bumps exactly one of applies/failures; journal accounting matches
     // the global stats (this deployment has a single device).
     let dev = snap.component("device-pbx-west").expect("device component");

@@ -2,15 +2,19 @@
 //! executor): updates to the same DN are strictly FIFO even with many
 //! workers, updates to distinct DNs actually overlap (measured against the
 //! single-coordinator schedule with injected device latency), and the
-//! shard routing that guarantees the former is deterministic.
+//! shard routing that guarantees the former is deterministic. Within one
+//! update there is one schedule at every worker count: the owning worker
+//! walks the device filters in order, creates no thread, and stops at the
+//! first failed leg.
 
 use ldap::dit::ChangeOp;
 use ldap::dn::Dn;
-use ldap::entry::Modification;
+use ldap::entry::{Entry, Modification};
 use ldap::Directory;
 use metacomm::um::route_shard;
-use metacomm::{FaultPlan, ManualClock, MetaCommBuilder};
+use metacomm::{BreakerPolicy, Clock, FaultPlan, ManualClock, MetaCommBuilder, RetryPolicy};
 use pbx::{DialPlan, Store as PbxStore};
+use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -191,4 +195,163 @@ fn shard_routing_is_stable() {
         })
         .collect();
     assert!(used.len() >= 3, "64 DNs landed on {} shard(s)", used.len());
+}
+
+/// A person with a station and a mailbox: one add that fans out to a PBX
+/// leg and then the platform leg.
+fn station_and_mailbox(cn: &str, ext: &str) -> Entry {
+    Entry::with_attrs(
+        Dn::parse(&format!("cn={cn},o=Lucent")).unwrap(),
+        [
+            ("objectClass", "top"),
+            ("objectClass", "person"),
+            ("objectClass", "organizationalPerson"),
+            ("objectClass", "definityUser"),
+            ("objectClass", "messagingUser"),
+            ("cn", cn),
+            ("sn", "Person"),
+            ("definityExtension", ext),
+            ("roomNumber", "R-0"),
+            ("mpMailbox", ext),
+            ("mpClassOfService", "standard"),
+        ],
+    )
+}
+
+/// The first failed leg ends the fan-out, whatever the worker count: a hire
+/// whose PBX leg fails (transiently, breaker still closed) must not create
+/// the mailbox on the platform leg behind it — the directory add aborts and,
+/// with saga undo off, nothing would ever remove that orphan.
+#[test]
+fn failed_leg_ends_the_fan_out_at_every_worker_count() {
+    for workers in [1usize, 4] {
+        let switch = Arc::new(PbxStore::new("pbx-west", DialPlan::with_prefix("1", 4)));
+        let mp = Arc::new(msgplat::Store::new("mp"));
+        let system = MetaCommBuilder::new("o=Lucent")
+            .add_pbx(switch.clone(), "1???")
+            .add_msgplat(mp.clone(), "*")
+            .with_um_workers(workers)
+            .with_retry_policy(RetryPolicy::none())
+            .with_breaker_policy(BreakerPolicy {
+                degraded_after: 1_000,
+                offline_after: 1_000,
+                ..BreakerPolicy::default()
+            })
+            .with_fault_plan("pbx-west", FaultPlan::flaky(1))
+            .build()
+            .expect("build");
+        let mailboxes = mp.len();
+        let errors = system.browse_errors().expect("browse").len();
+
+        let err = system
+            .directory()
+            .add(station_and_mailbox("Hire One", "1001"))
+            .expect_err("the PBX leg fails, so the update aborts");
+        assert!(
+            err.to_string().contains("pbx-west"),
+            "{workers} workers: {err}"
+        );
+        system.settle();
+
+        assert_eq!(
+            mp.len(),
+            mailboxes,
+            "{workers} workers: the platform leg ran after the PBX leg failed"
+        );
+        assert_eq!(switch.len(), 0);
+        assert!(system.wba().person("Hire One").unwrap().is_none());
+        assert_eq!(
+            system.browse_errors().expect("browse").len(),
+            errors + 1,
+            "{workers} workers: one error-log row per aborted update"
+        );
+        system.shutdown();
+    }
+}
+
+/// A clock that records which threads read it. Time itself never moves.
+#[derive(Default)]
+struct ReaderNames(Mutex<BTreeSet<Option<String>>>);
+
+impl Clock for ReaderNames {
+    fn now_ns(&self) -> u64 {
+        let name = std::thread::current().name().map(str::to_string);
+        self.0.lock().unwrap().insert(name);
+        0
+    }
+}
+
+/// An update creates no thread: every clock read of a multi-worker,
+/// three-device deployment under mixed updates (the trigger's enqueue
+/// stamp, the span's stage marks around every device leg, the relay's
+/// timing) comes from the issuing thread or one of the long-lived named
+/// threads — never from an unnamed per-update thread.
+#[test]
+fn an_update_creates_no_thread() {
+    let me = std::thread::current()
+        .name()
+        .expect("the test harness names its threads")
+        .to_string();
+    let readers = Arc::new(ReaderNames::default());
+    let west = Arc::new(PbxStore::new("pbx-west", DialPlan::with_prefix("1", 4)));
+    let east = Arc::new(PbxStore::new("pbx-east", DialPlan::with_prefix("2", 4)));
+    let mp = Arc::new(msgplat::Store::new("mp"));
+    let system = MetaCommBuilder::new("o=Lucent")
+        .add_pbx(west.clone(), "1???")
+        .add_pbx(east.clone(), "2???")
+        .add_msgplat(mp.clone(), "*")
+        .with_um_workers(2)
+        .with_clock(readers.clone())
+        .build()
+        .expect("build");
+    let wba = system.wba();
+    let dir = system.directory();
+    for i in 0..12 {
+        let cn = format!("Person {i:02}");
+        let (first, second) = if i % 2 == 0 { ("1", "2") } else { ("2", "1") };
+        dir.add(station_and_mailbox(&cn, &format!("{first}{i:03}")))
+            .expect("hire");
+        wba.assign_room(&cn, "R-9").expect("move");
+        // Renumber across switches: delete at one PBX, add at the other.
+        wba.set_extension(&cn, &format!("{second}{i:03}"))
+            .expect("renumber");
+        if i % 3 == 0 {
+            wba.rename_person(&cn, &format!("Renamed {i:02}"))
+                .expect("rename");
+        }
+        if i % 3 == 1 {
+            wba.remove_person(&cn).expect("remove");
+        }
+    }
+    // One device-originated update through a relay as well.
+    pbx::ossi::execute(&west, "change station 1005 room R-7").expect("craft change");
+    system.settle();
+    assert_eq!(west.len() + east.len(), 8);
+    assert_eq!(mp.len(), 8);
+
+    let seen = readers.0.lock().unwrap().clone();
+    for expected in [
+        me.as_str(),
+        "um-worker-0",
+        "um-worker-1",
+        "ddu-relay-pbx-west",
+    ] {
+        assert!(
+            seen.contains(&Some(expected.to_string())),
+            "`{expected}` never read the clock: {seen:?}"
+        );
+    }
+    for name in &seen {
+        let name = name
+            .as_deref()
+            .unwrap_or_else(|| panic!("an unnamed thread read the clock: {seen:?}"));
+        assert!(
+            name == me
+                || name.starts_with("um-worker-")
+                || name.starts_with("ddu-relay-")
+                || name == "device-recovery-monitor",
+            "unexpected thread `{name}` on the update path: {seen:?}"
+        );
+    }
+    system.shutdown();
 }
