@@ -125,80 +125,6 @@ impl Directory for MonitorDirectory {
         self.inner.modify_rdn(dn, new_rdn, delete_old, new_superior)
     }
 
-    fn search(
-        &self,
-        base: &Dn,
-        scope: Scope,
-        filter: &Filter,
-        attrs: &[String],
-        size_limit: usize,
-    ) -> Result<Vec<Entry>> {
-        if !base.is_within(&self.base) {
-            return self.inner.search(base, scope, filter, attrs, size_limit);
-        }
-        let entries = self.materialize();
-        let base_key = base.norm_key();
-        if !entries.iter().any(|e| e.dn().norm_key() == base_key) {
-            return Err(LdapError::no_such_object(base));
-        }
-        let mut out = Vec::new();
-        for e in &entries {
-            let in_scope = match scope {
-                Scope::Base => e.dn().norm_key() == base_key,
-                Scope::One => e.dn().parent().is_some_and(|p| p.norm_key() == base_key),
-                Scope::Sub => e.dn().is_within(base),
-            };
-            if !in_scope || !filter.matches(e) {
-                continue;
-            }
-            if size_limit != 0 && out.len() >= size_limit {
-                return Err(LdapError::new(
-                    ResultCode::SizeLimitExceeded,
-                    format!("more than {size_limit} entries match"),
-                ));
-            }
-            out.push(e.project(attrs));
-        }
-        Ok(out)
-    }
-
-    fn search_capped(
-        &self,
-        base: &Dn,
-        scope: Scope,
-        filter: &Filter,
-        attrs: &[String],
-        size_limit: usize,
-    ) -> Result<(Vec<Entry>, bool)> {
-        if !base.is_within(&self.base) {
-            // Forward so a capped inner directory keeps its single-pass path.
-            return self
-                .inner
-                .search_capped(base, scope, filter, attrs, size_limit);
-        }
-        let entries = self.materialize();
-        let base_key = base.norm_key();
-        if !entries.iter().any(|e| e.dn().norm_key() == base_key) {
-            return Err(LdapError::no_such_object(base));
-        }
-        let mut out = Vec::new();
-        for e in &entries {
-            let in_scope = match scope {
-                Scope::Base => e.dn().norm_key() == base_key,
-                Scope::One => e.dn().parent().is_some_and(|p| p.norm_key() == base_key),
-                Scope::Sub => e.dn().is_within(base),
-            };
-            if !in_scope || !filter.matches(e) {
-                continue;
-            }
-            if size_limit != 0 && out.len() >= size_limit {
-                return Ok((out, true));
-            }
-            out.push(e.project(attrs));
-        }
-        Ok((out, false))
-    }
-
     fn search_visit(
         &self,
         base: &Dn,
@@ -214,11 +140,28 @@ impl Directory for MonitorDirectory {
                 .inner
                 .search_visit(base, scope, filter, attrs, size_limit, visit);
         }
-        let (entries, truncated) = self.search_capped(base, scope, filter, attrs, size_limit)?;
-        for e in &entries {
-            visit(e);
+        let entries = self.materialize();
+        let base_key = base.norm_key();
+        if !entries.iter().any(|e| e.dn().norm_key() == base_key) {
+            return Err(LdapError::no_such_object(base));
         }
-        Ok((entries.len(), truncated))
+        let mut count = 0;
+        for e in &entries {
+            let in_scope = match scope {
+                Scope::Base => e.dn().norm_key() == base_key,
+                Scope::One => e.dn().parent().is_some_and(|p| p.norm_key() == base_key),
+                Scope::Sub => e.dn().is_within(base),
+            };
+            if !in_scope || !filter.matches(e) {
+                continue;
+            }
+            if size_limit != 0 && count >= size_limit {
+                return Ok((count, true));
+            }
+            count += 1;
+            visit(&e.project(attrs));
+        }
+        Ok((count, false))
     }
 
     fn compare(&self, dn: &Dn, attr: &str, value: &str) -> Result<bool> {

@@ -52,7 +52,7 @@ impl AttrName {
     /// display form, so a million entries holding `telephoneNumber` all
     /// point at the same two allocations. The pool is keyed by display
     /// form; the universe of attribute names is the schema's, not the
-    /// data's, so it stays tiny — and [`NAME_POOL_CAP`] keeps it so when
+    /// data's, so it stays tiny — and `NAME_POOL_CAP` keeps it so when
     /// names arrive from an unauthenticated socket (a name past the cap is
     /// still correct, just not shared).
     pub fn intern(&mut self) {

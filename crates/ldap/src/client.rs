@@ -7,9 +7,7 @@ use crate::dn::{Dn, Rdn};
 use crate::entry::{Entry, Modification};
 use crate::error::{LdapError, Result, ResultCode};
 use crate::filter::Filter;
-use crate::proto::{
-    entry_from_wire, entry_to_wire, FrameReader, LdapMessage, LdapResult, ProtocolOp,
-};
+use crate::proto::{entry_from_wire, entry_to_wire, FrameReader, LdapMessage, ProtocolOp};
 use parking_lot::Mutex;
 use std::io::Write;
 use std::net::TcpStream;
@@ -113,24 +111,6 @@ impl TcpDirectory {
         conn.recv(id)
     }
 
-    /// Send a search request and collect entries plus the SearchResultDone.
-    fn call_search(&self, op: ProtocolOp) -> Result<(Vec<Entry>, LdapResult)> {
-        let mut conn = self.conn.lock();
-        let id = conn.next_id;
-        conn.next_id += 1;
-        conn.send(&LdapMessage { id, op })?;
-        let mut out = Vec::new();
-        loop {
-            match conn.recv(id)? {
-                ProtocolOp::SearchResultEntry { dn, attrs } => {
-                    out.push(entry_from_wire(&dn, &attrs)?);
-                }
-                ProtocolOp::SearchResultDone(r) => return Ok((out, r)),
-                _ => return Err(LdapError::protocol("unexpected search response")),
-            }
-        }
-    }
-
     fn search_request(
         base: &Dn,
         scope: Scope,
@@ -199,39 +179,6 @@ impl Directory for TcpDirectory {
         })? {
             ProtocolOp::ModifyDnResponse(r) => r.into_result().map(|_| ()),
             _ => Err(LdapError::protocol("unexpected modifyDN response")),
-        }
-    }
-
-    fn search(
-        &self,
-        base: &Dn,
-        scope: Scope,
-        filter: &Filter,
-        attrs: &[String],
-        size_limit: usize,
-    ) -> Result<Vec<Entry>> {
-        let (entries, done) =
-            self.call_search(Self::search_request(base, scope, filter, attrs, size_limit))?;
-        done.into_result()?;
-        Ok(entries)
-    }
-
-    fn search_capped(
-        &self,
-        base: &Dn,
-        scope: Scope,
-        filter: &Filter,
-        attrs: &[String],
-        size_limit: usize,
-    ) -> Result<(Vec<Entry>, bool)> {
-        let (entries, done) =
-            self.call_search(Self::search_request(base, scope, filter, attrs, size_limit))?;
-        match done.code {
-            ResultCode::SizeLimitExceeded => Ok((entries, true)),
-            _ => {
-                done.into_result()?;
-                Ok((entries, false))
-            }
         }
     }
 

@@ -8,11 +8,13 @@
 use crate::dit::{Dit, Scope};
 use crate::dn::{Dn, Rdn};
 use crate::entry::{Entry, Modification};
-use crate::error::Result;
+use crate::error::{LdapError, Result, ResultCode};
 use crate::filter::Filter;
 use std::sync::Arc;
 
-/// Uniform LDAP operations.
+/// Uniform LDAP operations. An implementor writes the four updates,
+/// `compare`, and exactly one search — [`search_visit`](Directory::search_visit);
+/// the collecting searches and `get` are provided on top of it.
 pub trait Directory: Send + Sync {
     fn add(&self, entry: Entry) -> Result<()>;
 
@@ -28,49 +30,23 @@ pub trait Directory: Send + Sync {
         new_superior: Option<&Dn>,
     ) -> Result<()>;
 
-    fn search(
-        &self,
-        base: &Dn,
-        scope: Scope,
-        filter: &Filter,
-        attrs: &[String],
-        size_limit: usize,
-    ) -> Result<Vec<Entry>>;
-
     fn compare(&self, dn: &Dn, attr: &str, value: &str) -> Result<bool>;
 
-    /// Like [`search`](Directory::search), but a size-limit overflow is not
-    /// an error: returns the entries up to the limit plus a "truncated"
-    /// flag, matching RFC 2251 `sizeLimitExceeded` semantics (the server
-    /// sends the partial result set, then a SearchResultDone with code 4).
+    /// The one search: stream the entries under `base` that are in `scope`
+    /// and match `filter`, projected to `attrs` (empty or containing `*` =
+    /// all attributes), through `visit` in the directory's emission order;
+    /// returns `(entries visited, truncated)`. A `size_limit` of 0 is
+    /// unlimited; otherwise at most `size_limit` entries are visited and
+    /// `truncated` says more matched — RFC 2251 `sizeLimitExceeded`, where
+    /// the server sends the partial result set and then code 4. A missing
+    /// `base` is `noSuchObject`.
     ///
-    /// The default impl retries an over-limit search without the limit and
-    /// truncates; concrete directories override it with a single pass.
-    fn search_capped(
-        &self,
-        base: &Dn,
-        scope: Scope,
-        filter: &Filter,
-        attrs: &[String],
-        size_limit: usize,
-    ) -> Result<(Vec<Entry>, bool)> {
-        match self.search(base, scope, filter, attrs, size_limit) {
-            Ok(v) => Ok((v, false)),
-            Err(e) if e.code == crate::error::ResultCode::SizeLimitExceeded && size_limit > 0 => {
-                let mut v = self.search(base, scope, filter, attrs, 0)?;
-                v.truncate(size_limit);
-                Ok((v, true))
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Stream matching entries through `visit` instead of collecting them;
-    /// returns `(matches visited, truncated)`. Concrete directories close
-    /// to the data override this to yield borrowed entries without a
-    /// per-entry clone or a result vector — the wire server's streaming
-    /// response path is built on it. The default impl collects via
-    /// [`search_capped`](Directory::search_capped) and replays.
+    /// **Visitor contract.** `visit` may run under the implementor's lock —
+    /// [`Dit`]'s store read lock (concurrent searches proceed, writers
+    /// wait), [`TcpDirectory`](crate::client::TcpDirectory)'s connection
+    /// mutex — so it must do bounded work and must not call back into the
+    /// same directory. The wire server's visitor only appends to its
+    /// encode buffer.
     fn search_visit(
         &self,
         base: &Dn,
@@ -79,19 +55,55 @@ pub trait Directory: Send + Sync {
         attrs: &[String],
         size_limit: usize,
         visit: &mut dyn FnMut(&Entry),
-    ) -> Result<(usize, bool)> {
-        let (entries, truncated) = self.search_capped(base, scope, filter, attrs, size_limit)?;
-        for e in &entries {
-            visit(e);
-        }
-        Ok((entries.len(), truncated))
+    ) -> Result<(usize, bool)>;
+
+    /// [`search_visit`](Directory::search_visit) collected: the entries up
+    /// to the limit plus the "truncated" flag. Each entry is cloned out of
+    /// the visitor; readers of large result sets should stream instead.
+    fn search_capped(
+        &self,
+        base: &Dn,
+        scope: Scope,
+        filter: &Filter,
+        attrs: &[String],
+        size_limit: usize,
+    ) -> Result<(Vec<Entry>, bool)> {
+        let mut out = Vec::new();
+        let (_, truncated) =
+            self.search_visit(base, scope, filter, attrs, size_limit, &mut |e| {
+                out.push(e.clone())
+            })?;
+        Ok((out, truncated))
     }
 
-    /// Convenience: fetch one entry by DN (`None` when absent).
+    /// [`search_capped`](Directory::search_capped) where exceeding a
+    /// non-zero `size_limit` is a `sizeLimitExceeded` error.
+    fn search(
+        &self,
+        base: &Dn,
+        scope: Scope,
+        filter: &Filter,
+        attrs: &[String],
+        size_limit: usize,
+    ) -> Result<Vec<Entry>> {
+        let (out, truncated) = self.search_capped(base, scope, filter, attrs, size_limit)?;
+        if truncated {
+            return Err(LdapError::new(
+                ResultCode::SizeLimitExceeded,
+                format!("more than {size_limit} entries match"),
+            ));
+        }
+        Ok(out)
+    }
+
+    /// Fetch one entry by DN (`None` when absent).
     fn get(&self, dn: &Dn) -> Result<Option<Entry>> {
-        match self.search(dn, Scope::Base, &Filter::match_all(), &[], 0) {
-            Ok(mut v) => Ok(v.pop()),
-            Err(e) if e.code == crate::error::ResultCode::NoSuchObject => Ok(None),
+        let mut found = None;
+        match self.search_visit(dn, Scope::Base, &Filter::match_all(), &[], 0, &mut |e| {
+            found = Some(e.clone())
+        }) {
+            Ok(_) => Ok(found),
+            Err(e) if e.code == ResultCode::NoSuchObject => Ok(None),
             Err(e) => Err(e),
         }
     }
@@ -121,30 +133,8 @@ impl Directory for Dit {
         Dit::modify_rdn(self, dn, new_rdn, delete_old, new_superior)
     }
 
-    fn search(
-        &self,
-        base: &Dn,
-        scope: Scope,
-        filter: &Filter,
-        attrs: &[String],
-        size_limit: usize,
-    ) -> Result<Vec<Entry>> {
-        Dit::search(self, base, scope, filter, attrs, size_limit)
-    }
-
     fn compare(&self, dn: &Dn, attr: &str, value: &str) -> Result<bool> {
         Dit::compare(self, dn, attr, value)
-    }
-
-    fn search_capped(
-        &self,
-        base: &Dn,
-        scope: Scope,
-        filter: &Filter,
-        attrs: &[String],
-        size_limit: usize,
-    ) -> Result<(Vec<Entry>, bool)> {
-        Dit::search_capped(self, base, scope, filter, attrs, size_limit)
     }
 
     fn search_visit(
@@ -180,28 +170,8 @@ impl<T: Directory + ?Sized> Directory for Arc<T> {
     ) -> Result<()> {
         (**self).modify_rdn(dn, new_rdn, delete_old, new_superior)
     }
-    fn search(
-        &self,
-        base: &Dn,
-        scope: Scope,
-        filter: &Filter,
-        attrs: &[String],
-        size_limit: usize,
-    ) -> Result<Vec<Entry>> {
-        (**self).search(base, scope, filter, attrs, size_limit)
-    }
     fn compare(&self, dn: &Dn, attr: &str, value: &str) -> Result<bool> {
         (**self).compare(dn, attr, value)
-    }
-    fn search_capped(
-        &self,
-        base: &Dn,
-        scope: Scope,
-        filter: &Filter,
-        attrs: &[String],
-        size_limit: usize,
-    ) -> Result<(Vec<Entry>, bool)> {
-        (**self).search_capped(base, scope, filter, attrs, size_limit)
     }
     fn search_visit(
         &self,

@@ -20,7 +20,7 @@
 //!
 //! ## Storage representation
 //!
-//! A DN arena maps each normalized DN to a `u32` [`DnId`]; entries, sibling
+//! A DN arena maps each normalized DN to a `u32` `DnId`; entries, sibling
 //! lists, and index postings all hold ids instead of duplicated key
 //! `String`s, entries use the flattened interned attribute representation
 //! and point their ancestor RDNs at their parent's (one RDN per subtree;
@@ -1154,11 +1154,9 @@ impl Dit {
     /// Stream matching entries through `visit` instead of collecting them:
     /// with an empty projection the visitor borrows entries straight out of
     /// the store — no per-entry clone and no result vector. Returns
-    /// `(matches visited, truncated)`.
-    ///
-    /// The store's read lock is held while `visit` runs (concurrent
-    /// searches proceed; writers wait), so visitors must do bounded work —
-    /// the wire server's visitor only appends to its encode buffer.
+    /// `(matches visited, truncated)`. `visit` runs under the store's read
+    /// lock: see the visitor contract on
+    /// [`Directory::search_visit`](crate::Directory::search_visit).
     pub fn search_visit(
         &self,
         base: &Dn,

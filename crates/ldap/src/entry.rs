@@ -289,9 +289,10 @@ impl Entry {
     }
 
     /// Keep only the named attributes (used by search attribute selection);
-    /// an empty list keeps everything, per RFC 2251.
+    /// an empty list, or one containing `*` ("all user attributes"), keeps
+    /// everything, per RFC 2251 §4.5.1.
     pub fn project(&self, names: &[String]) -> Entry {
-        if names.is_empty() {
+        if names.is_empty() || names.iter().any(|n| n == "*") {
             return self.clone();
         }
         let mut out = Entry {
@@ -595,6 +596,14 @@ mod tests {
         assert!(!p.has_attr("telephoneNumber"));
         // empty selection keeps everything
         assert_eq!(e.project(&[]).attr_count(), e.attr_count());
+    }
+
+    #[test]
+    fn star_selects_all_user_attributes() {
+        // RFC 2251 §4.5.1: what `ldapsearch … '*'` and directory browsers send.
+        let e = person();
+        assert_eq!(e.project(&["*".into()]), e);
+        assert_eq!(e.project(&["*".into(), "cn".into()]), e);
     }
 
     #[test]

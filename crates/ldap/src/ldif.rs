@@ -29,7 +29,7 @@ pub enum Record {
 /// Parse an LDIF document into records.
 pub fn parse(text: &str) -> Result<Vec<Record>> {
     let mut records = Vec::new();
-    for block in logical_blocks(text) {
+    for block in logical_blocks(text)? {
         if block.is_empty() {
             continue;
         }
@@ -73,18 +73,8 @@ pub fn parse_content(text: &str) -> Result<Vec<Entry>> {
                 break;
             }
         }
-        let line = folded.as_deref().unwrap_or(first);
-        let Some(idx) = line.find(':') else {
+        let Some((key, value)) = split_kv(folded.as_deref().unwrap_or(first))? else {
             continue;
-        };
-        let key = line[..idx].trim();
-        let rest = &line[idx + 1..];
-        let value = || -> String {
-            if let Some(b64) = rest.strip_prefix(':') {
-                String::from_utf8(b64_decode(b64.trim()).unwrap_or_default()).unwrap_or_default()
-            } else {
-                rest.trim_start().to_string()
-            }
         };
         match &mut cur {
             None => {
@@ -93,7 +83,7 @@ pub fn parse_content(text: &str) -> Result<Vec<Entry>> {
                         "LDIF record must start with dn:, got `{key}`"
                     )));
                 }
-                let mut dn = Dn::parse(&value())?;
+                let mut dn = Dn::parse(&value)?;
                 // Neighbours in a dump are siblings or parent and child:
                 // one copy of their common ancestors per document.
                 if let Some(prev) = out.last() {
@@ -104,11 +94,10 @@ pub fn parse_content(text: &str) -> Result<Vec<Entry>> {
             Some(e) => {
                 if key.eq_ignore_ascii_case("changetype") {
                     return Err(LdapError::protocol(format!(
-                        "content-only LDIF contains a change record: changetype {}",
-                        value()
+                        "content-only LDIF contains a change record: changetype {value}"
                     )));
                 }
-                e.add_value(key, value());
+                e.add_value(key, value);
             }
         }
     }
@@ -120,7 +109,7 @@ pub fn parse_content(text: &str) -> Result<Vec<Entry>> {
 
 /// Unfold continuations, drop comments, split into blank-line-separated
 /// blocks of `(key, value)` lines.
-fn logical_blocks(text: &str) -> Vec<Vec<(String, String)>> {
+fn logical_blocks(text: &str) -> Result<Vec<Vec<(String, String)>>> {
     let mut blocks: Vec<Vec<(String, String)>> = Vec::new();
     let mut cur: Vec<String> = Vec::new();
     let flush_line = |cur: &mut Vec<String>, line: String| {
@@ -151,25 +140,36 @@ fn logical_blocks(text: &str) -> Vec<Vec<(String, String)>> {
     for raw in raw_blocks {
         let mut block = Vec::new();
         for line in raw {
-            if let Some((k, v)) = split_kv(&line) {
-                block.push((k, v));
+            if let Some((k, v)) = split_kv(&line)? {
+                block.push((k.to_string(), v));
             }
         }
         blocks.push(block);
     }
-    blocks
+    Ok(blocks)
 }
 
-fn split_kv(line: &str) -> Option<(String, String)> {
-    let idx = line.find(':')?;
-    let key = line[..idx].trim().to_string();
-    let rest = &line[idx + 1..];
-    let value = if let Some(b64) = rest.strip_prefix(':') {
-        String::from_utf8(b64_decode(b64.trim()).unwrap_or_default()).unwrap_or_default()
-    } else {
-        rest.trim_start().to_string()
+/// One logical line as `(key, value)`; `None` when it has no `:`. Both
+/// parsers decode through here: a `::` value that is not base64, or not
+/// UTF-8 once decoded, is an error naming the attribute — a damaged value
+/// must not load as the empty string.
+fn split_kv(line: &str) -> Result<Option<(&str, String)>> {
+    let Some(idx) = line.find(':') else {
+        return Ok(None);
     };
-    Some((key, value))
+    let key = line[..idx].trim();
+    let rest = &line[idx + 1..];
+    let value = match rest.strip_prefix(':') {
+        None => rest.trim_start().to_string(),
+        Some(b64) => {
+            let bytes = b64_decode(b64.trim()).ok_or_else(|| {
+                LdapError::protocol(format!("LDIF value of `{key}` is not valid base64"))
+            })?;
+            String::from_utf8(bytes)
+                .map_err(|_| LdapError::protocol(format!("LDIF value of `{key}` is not UTF-8")))?
+        }
+    };
+    Ok(Some((key, value)))
 }
 
 fn parse_block(block: &[(String, String)]) -> Result<Record> {
@@ -413,9 +413,12 @@ pub fn b64_decode(s: &str) -> Option<Vec<u8>> {
     if !vals.len().is_multiple_of(4) {
         return None;
     }
+    let mut pad = 0;
     for chunk in vals.chunks(4) {
+        if pad > 0 {
+            return None; // a group after the padded one
+        }
         let mut n: u32 = 0;
-        let mut pad = 0;
         for &c in chunk {
             n <<= 6;
             if c == b'=' {
@@ -427,6 +430,9 @@ pub fn b64_decode(s: &str) -> Option<Vec<u8>> {
                 }
                 n |= v;
             }
+        }
+        if pad > 2 {
+            return None;
         }
         out.push((n >> 16) as u8);
         if pad < 2 {
@@ -608,6 +614,28 @@ changetype: delete
         assert_eq!(b64_decode("Zm9vYmFy").unwrap(), b"foobar");
         assert!(b64_decode("???").is_none());
         assert!(b64_decode("Zg=X").is_none());
+    }
+
+    #[test]
+    fn damaged_base64_values_are_errors_not_empty_strings() {
+        for (bad, why) in [
+            ("Zm9v!A==", "base64"), // bad alphabet
+            ("Zg=X", "base64"),     // data after padding
+            ("Zg==Zm9v", "base64"), // a group after the padded one
+            ("Zm9vYg", "base64"),   // length not a multiple of four
+            ("//79/w==", "UTF-8"),  // valid base64 of ff fe fd ff
+        ] {
+            let text = format!("dn: cn=x\ncn: x\ndescription:: {bad}\n");
+            for err in [parse(&text).unwrap_err(), parse_content(&text).unwrap_err()] {
+                assert!(
+                    err.message.contains("`description`") && err.message.contains(why),
+                    "{bad}: {err:?}"
+                );
+            }
+        }
+        // The DN line decodes through the same helper.
+        assert!(parse_content("dn:: ???\ncn: x\n").is_err());
+        assert!(parse("dn:: ???\ncn: x\n").is_err());
     }
 
     #[test]

@@ -637,9 +637,9 @@ const READ_CHUNK: usize = 16 * 1024;
 ///
 /// Reads from the underlying stream in large chunks into one reusable
 /// scratch buffer and yields complete frames as slices into it — no
-/// per-frame allocation and no per-frame read syscalls, unlike
-/// [`read_frame`]. Consumed space is reclaimed by compaction before the
-/// buffer would otherwise grow.
+/// per-frame allocation and no per-frame read syscalls. Consumed space is
+/// reclaimed by compaction before the buffer would otherwise grow. The
+/// only frame reader: both wire engines and `TcpDirectory` read through it.
 pub struct FrameReader<R> {
     inner: R,
     buf: Vec<u8>,
@@ -740,56 +740,6 @@ impl<R: Read> FrameReader<R> {
         self.end += n;
         Ok(n > 0)
     }
-}
-
-/// Read one complete BER frame (tag + length + body) from a stream.
-/// Returns `None` on clean EOF at a frame boundary.
-pub fn read_frame(stream: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
-    let mut head = [0u8; 2];
-    let mut read = 0;
-    while read < 2 {
-        let n = stream.read(&mut head[read..])?;
-        if n == 0 {
-            if read == 0 {
-                return Ok(None);
-            }
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "truncated BER frame header",
-            ));
-        }
-        read += n;
-    }
-    let mut frame = head.to_vec();
-    let body_len = if head[1] < 0x80 {
-        head[1] as usize
-    } else {
-        let n = (head[1] & 0x7F) as usize;
-        if n == 0 || n > 8 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "unsupported BER length",
-            ));
-        }
-        let mut ext = vec![0u8; n];
-        stream.read_exact(&mut ext)?;
-        let mut len = 0usize;
-        for b in &ext {
-            len = (len << 8) | *b as usize;
-        }
-        frame.extend_from_slice(&ext);
-        len
-    };
-    if body_len > MAX_FRAME {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "BER frame too large",
-        ));
-    }
-    let mut body = vec![0u8; body_len];
-    stream.read_exact(&mut body)?;
-    frame.extend_from_slice(&body);
-    Ok(Some(frame))
 }
 
 /// Convert an [`Entry`] to the wire attribute list.
@@ -922,41 +872,6 @@ mod tests {
             matched_dn: String::new(),
             message: String::new(),
         }));
-    }
-
-    #[test]
-    fn frame_reader_handles_stream() {
-        let m1 = LdapMessage {
-            id: 1,
-            op: ProtocolOp::DelRequest { dn: "cn=a".into() },
-        };
-        let m2 = LdapMessage {
-            id: 2,
-            op: ProtocolOp::SearchResultEntry {
-                dn: "cn=b".into(),
-                attrs: vec![("description".into(), vec!["x".repeat(300)])],
-            },
-        };
-        let mut stream: Vec<u8> = Vec::new();
-        stream.extend(m1.encode());
-        stream.extend(m2.encode());
-        let mut cursor = std::io::Cursor::new(stream);
-        let f1 = read_frame(&mut cursor).unwrap().unwrap();
-        assert_eq!(LdapMessage::decode(&f1).unwrap(), m1);
-        let f2 = read_frame(&mut cursor).unwrap().unwrap();
-        assert_eq!(LdapMessage::decode(&f2).unwrap(), m2);
-        assert!(read_frame(&mut cursor).unwrap().is_none());
-    }
-
-    #[test]
-    fn truncated_frame_is_error() {
-        let m = LdapMessage {
-            id: 1,
-            op: ProtocolOp::DelRequest { dn: "cn=a".into() },
-        };
-        let bytes = m.encode();
-        let mut cursor = std::io::Cursor::new(&bytes[..bytes.len() - 1]);
-        assert!(read_frame(&mut cursor).is_err());
     }
 
     #[test]

@@ -767,8 +767,9 @@ fn worker_loop(
 pub(crate) enum Prepared {
     /// A search: the whole response (entries + done) is already BER in
     /// the connection's reusable scratch buffer — encoded straight off
-    /// borrowed store entries by [`Directory::search_visit`], no per-entry
-    /// clone, no result vector, no per-message allocation.
+    /// borrowed store entries by [`Directory::search_visit`], the only
+    /// search either wire engine calls; its visitor contract is why the
+    /// visitor does nothing but append to that buffer.
     Encoded,
     /// Any other operation: its single response op.
     Op(ProtocolOp),

@@ -16,7 +16,8 @@
 //!   search whose scope spans regions is *scattered*: the owner of the
 //!   base serves the original query, and every assigned subtree under
 //!   the base that lives on a different shard gets a **clipped**
-//!   sub-query rooted at its partition root. Because writes route the
+//!   sub-query rooted at its partition root; the targets stream to the
+//!   caller one after another, in plan order. Because writes route the
 //!   same way, each entry physically exists on exactly one shard and the
 //!   gathered streams are disjoint by construction — no dedup pass, no
 //!   result-set materialization beyond what the caller asked for.
@@ -345,13 +346,22 @@ impl ShardRouter {
         &self.backends[shard]
     }
 
-    /// Swallow `noSuchObject` from a clipped sub-query: the partition
-    /// root not existing yet means "empty region" there, exactly as it
-    /// would on a single server.
-    fn clip_empty<T: Default>(r: Result<T>) -> Result<T> {
-        match r {
-            Err(e) if e.code == ResultCode::NoSuchObject => Ok(T::default()),
-            other => other,
+    /// One sub-query of a plan. A clipped partition root that does not
+    /// exist yet is an empty region, exactly as it would be on a single
+    /// server; the primary target's `noSuchObject` is the real thing.
+    fn sub_query(
+        &self,
+        t: &SearchTarget,
+        filter: &Filter,
+        attrs: &[String],
+        size_limit: usize,
+        visit: &mut dyn FnMut(&Entry),
+    ) -> Result<(usize, bool)> {
+        match self.backends[t.shard]
+            .search_visit(&t.base, t.scope, filter, attrs, size_limit, visit)
+        {
+            Err(e) if t.clipped && e.code == ResultCode::NoSuchObject => Ok((0, false)),
+            r => r,
         }
     }
 
@@ -360,14 +370,7 @@ impl ShardRouter {
     fn more_matches(&self, rest: &[SearchTarget], filter: &Filter) -> Result<bool> {
         for t in rest {
             self.metrics.limit_probes.fetch_add(1, Ordering::Relaxed);
-            let (hits, truncated) = Self::clip_empty(self.backends[t.shard].search_capped(
-                &t.base,
-                t.scope,
-                filter,
-                &[],
-                1,
-            ))?;
-            if truncated || !hits.is_empty() {
+            if self.sub_query(t, filter, &[], 1, &mut |_| {})?.0 > 0 {
                 return Ok(true);
             }
         }
@@ -427,91 +430,6 @@ impl Directory for ShardRouter {
         self.backends[from].modify_rdn(dn, new_rdn, delete_old, new_superior)
     }
 
-    fn search(
-        &self,
-        base: &Dn,
-        scope: Scope,
-        filter: &Filter,
-        attrs: &[String],
-        size_limit: usize,
-    ) -> Result<Vec<Entry>> {
-        let (out, truncated) = self.search_capped(base, scope, filter, attrs, size_limit)?;
-        if truncated {
-            return Err(LdapError::new(
-                ResultCode::SizeLimitExceeded,
-                format!("more than {size_limit} entries match"),
-            ));
-        }
-        Ok(out)
-    }
-
-    fn search_capped(
-        &self,
-        base: &Dn,
-        scope: Scope,
-        filter: &Filter,
-        attrs: &[String],
-        size_limit: usize,
-    ) -> Result<(Vec<Entry>, bool)> {
-        let plan = self.map.plan(base, scope);
-        self.note_plan(&plan);
-        if let [only] = plan.as_slice() {
-            return self.backends[only.shard].search_capped(base, scope, filter, attrs, size_limit);
-        }
-        if size_limit == 0 {
-            // Unlimited: scatter concurrently, gather in plan order. The
-            // regions are disjoint by construction, so concatenation is
-            // the whole merge.
-            let results: Vec<Result<(Vec<Entry>, bool)>> = std::thread::scope(|s| {
-                // The intermediate collect is load-bearing: it forces every
-                // spawn before the first join, so the shards run in
-                // parallel rather than one at a time.
-                #[allow(clippy::needless_collect)]
-                let handles: Vec<_> = plan
-                    .iter()
-                    .map(|t| {
-                        let backend = &self.backends[t.shard];
-                        s.spawn(move || {
-                            let r = backend.search_capped(&t.base, t.scope, filter, attrs, 0);
-                            if t.clipped {
-                                Self::clip_empty(r)
-                            } else {
-                                r
-                            }
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("scatter worker panicked"))
-                    .collect()
-            });
-            let mut out = Vec::new();
-            for r in results {
-                out.extend(r?.0);
-            }
-            return Ok((out, false));
-        }
-        // Limited: drain sequentially against the remaining budget, then
-        // probe the rest of the plan to decide code 4.
-        let mut out = Vec::new();
-        for (i, t) in plan.iter().enumerate() {
-            let remaining = size_limit - out.len();
-            let r =
-                self.backends[t.shard].search_capped(&t.base, t.scope, filter, attrs, remaining);
-            let (entries, truncated) = if t.clipped { Self::clip_empty(r) } else { r }?;
-            out.extend(entries);
-            if truncated {
-                return Ok((out, true));
-            }
-            if out.len() >= size_limit {
-                let truncated = self.more_matches(&plan[i + 1..], filter)?;
-                return Ok((out, truncated));
-            }
-        }
-        Ok((out, false))
-    }
-
     fn search_visit(
         &self,
         base: &Dn,
@@ -536,12 +454,7 @@ impl Directory for ShardRouter {
             } else {
                 size_limit - total
             };
-            let r = self.backends[t.shard]
-                .search_visit(&t.base, t.scope, filter, attrs, remaining, visit);
-            let (count, truncated) = match r {
-                Err(e) if t.clipped && e.code == ResultCode::NoSuchObject => (0, false),
-                other => other?,
-            };
+            let (count, truncated) = self.sub_query(t, filter, attrs, remaining, visit)?;
             total += count;
             if truncated {
                 return Ok((total, true));

@@ -357,7 +357,7 @@ pub fn replay(
     let mut body = Vec::new();
     while remaining > 0 {
         let mut header = [0u8; 8];
-        if remaining < 8 || !read_frame_part(&mut r, &mut header)? {
+        if remaining < 8 || !read_part(&mut r, &mut header)? {
             summary.torn = true; // trailing partial header
             break;
         }
@@ -368,7 +368,7 @@ pub fn replay(
             break;
         }
         body.resize(len as usize, 0);
-        if !read_frame_part(&mut r, &mut body)? || crc32(&body) != crc {
+        if !read_part(&mut r, &mut body)? || crc32(&body) != crc {
             summary.torn = true;
             break;
         }
@@ -385,7 +385,7 @@ const REPLAY_BUFFER: usize = 64 * 1024;
 
 /// Fill `buf`; `false` when the file ends first (it was cut while being
 /// read), which replay treats like any other torn tail.
-fn read_frame_part(r: &mut impl Read, buf: &mut [u8]) -> Result<bool> {
+fn read_part(r: &mut impl Read, buf: &mut [u8]) -> Result<bool> {
     match r.read_exact(buf) {
         Ok(()) => Ok(true),
         Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => Ok(false),

@@ -45,7 +45,7 @@ pub struct Stats {
     pub triggers_fired: AtomicUsize,
     pub vetoed: AtomicUsize,
     pub handled_by_trigger: AtomicUsize,
-    /// Cumulative wall time inside [`Gateway::trap`] (quiesce + lock +
+    /// Cumulative wall time inside the trapped update path (quiesce + lock +
     /// triggers + apply), nanoseconds. Counted for failed trips too.
     pub update_ns: AtomicU64,
     /// Cumulative wall time inside pass-through reads, nanoseconds.
@@ -205,6 +205,17 @@ impl Gateway {
         Ok(())
     }
 
+    /// A pass-through read, counted and timed — no lock, no quiesce pass.
+    fn read<T>(&self, op: impl FnOnce() -> Result<T>) -> Result<T> {
+        self.stats.reads.fetch_add(1, Ordering::Relaxed);
+        let t0 = std::time::Instant::now();
+        let r = op();
+        self.stats
+            .read_ns
+            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        r
+    }
+
     fn apply_inner(&self, op: &LtapOp) -> Result<()> {
         match op {
             LtapOp::Add(e) => self.inner.add(e.clone()),
@@ -253,51 +264,8 @@ impl Directory for Gateway {
         )
     }
 
-    fn search(
-        &self,
-        base: &Dn,
-        scope: Scope,
-        filter: &Filter,
-        attrs: &[String],
-        size_limit: usize,
-    ) -> Result<Vec<Entry>> {
-        // Reads pass through untouched — no locks, no quiesce.
-        self.stats.reads.fetch_add(1, Ordering::Relaxed);
-        let t0 = std::time::Instant::now();
-        let r = self.inner.search(base, scope, filter, attrs, size_limit);
-        self.stats
-            .read_ns
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        r
-    }
-
     fn compare(&self, dn: &Dn, attr: &str, value: &str) -> Result<bool> {
-        self.stats.reads.fetch_add(1, Ordering::Relaxed);
-        let t0 = std::time::Instant::now();
-        let r = self.inner.compare(dn, attr, value);
-        self.stats
-            .read_ns
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        r
-    }
-
-    fn search_capped(
-        &self,
-        base: &Dn,
-        scope: Scope,
-        filter: &Filter,
-        attrs: &[String],
-        size_limit: usize,
-    ) -> Result<(Vec<Entry>, bool)> {
-        self.stats.reads.fetch_add(1, Ordering::Relaxed);
-        let t0 = std::time::Instant::now();
-        let r = self
-            .inner
-            .search_capped(base, scope, filter, attrs, size_limit);
-        self.stats
-            .read_ns
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        r
+        self.read(|| self.inner.compare(dn, attr, value))
     }
 
     fn search_visit(
@@ -309,15 +277,10 @@ impl Directory for Gateway {
         size_limit: usize,
         visit: &mut dyn FnMut(&Entry),
     ) -> Result<(usize, bool)> {
-        self.stats.reads.fetch_add(1, Ordering::Relaxed);
-        let t0 = std::time::Instant::now();
-        let r = self
-            .inner
-            .search_visit(base, scope, filter, attrs, size_limit, visit);
-        self.stats
-            .read_ns
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        r
+        self.read(|| {
+            self.inner
+                .search_visit(base, scope, filter, attrs, size_limit, visit)
+        })
     }
 }
 

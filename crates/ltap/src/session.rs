@@ -91,10 +91,10 @@ impl SyncSession {
     }
 
     /// [`search`](SyncSession::search) without the result vector: `visit`
-    /// sees each match borrowed from the directory. The directory may hold
-    /// its read lock across the visits, so `visit` must not write through
-    /// this session — note what to change and apply it once the read
-    /// returns.
+    /// sees each match borrowed from the directory, under the visitor
+    /// contract of [`Directory::search_visit`] — so it must not write
+    /// through this session; note what to change and apply it once the
+    /// read returns.
     pub fn search_visit(
         &self,
         base: &Dn,

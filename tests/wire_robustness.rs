@@ -5,7 +5,7 @@
 use ldap::client::TcpDirectory;
 use ldap::dit::{figure2_tree, Dit};
 use ldap::dn::Dn;
-use ldap::proto::{read_frame, LdapMessage, ProtocolOp, NOTICE_OF_DISCONNECTION_OID};
+use ldap::proto::{FrameReader, LdapMessage, ProtocolOp, NOTICE_OF_DISCONNECTION_OID};
 use ldap::server::Server;
 use ldap::{Directory, Filter, ResultCode, Scope};
 use std::io::{Read, Write};
@@ -26,10 +26,12 @@ fn expect_disconnect_notice(stream: &mut TcpStream) {
     stream
         .set_read_timeout(Some(Duration::from_secs(2)))
         .unwrap();
-    let frame = read_frame(stream)
+    let mut frames = FrameReader::new(&*stream);
+    let frame = frames
+        .next_frame()
         .expect("notice frame readable")
         .expect("notice frame present");
-    let msg = LdapMessage::decode(&frame).expect("notice decodes");
+    let msg = LdapMessage::decode(frame).expect("notice decodes");
     assert_eq!(msg.id, 0, "unsolicited notices carry message ID 0");
     match msg.op {
         ProtocolOp::ExtendedResponse { result, name } => {
@@ -38,9 +40,10 @@ fn expect_disconnect_notice(stream: &mut TcpStream) {
         }
         other => panic!("expected ExtendedResponse, got {other:?}"),
     }
-    let mut buf = [0u8; 16];
-    let n = stream.read(&mut buf).unwrap_or(0);
-    assert_eq!(n, 0, "connection closed after the notice");
+    assert!(
+        !matches!(frames.next_frame(), Ok(Some(_))),
+        "connection closed after the notice"
+    );
 }
 
 #[test]
