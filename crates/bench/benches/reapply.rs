@@ -3,8 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lexpress::{Image, OpKind, TargetOp};
-use metacomm::filter::pbx::PbxFilter;
-use metacomm::filter::DeviceFilter;
+use metacomm::filter;
 use pbx::{DialPlan, Store};
 use std::sync::Arc;
 
@@ -21,7 +20,7 @@ fn add_op(conditional: bool) -> TargetOp {
 
 fn bench_reapply(c: &mut Criterion) {
     let store = Arc::new(Store::new("pbx-west", DialPlan::with_prefix("9", 4)));
-    let filter = PbxFilter::new(store);
+    let filter = filter::for_pbx(store);
     filter.apply(&add_op(false)).unwrap();
 
     let mut group = c.benchmark_group("reapply/duplicate_add");

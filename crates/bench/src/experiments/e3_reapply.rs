@@ -11,8 +11,7 @@ use super::{mean_us, Report, Scale};
 use crate::workload::{populate, Workload};
 use crate::{rig, timed};
 use lexpress::{Image, OpKind, TargetOp};
-use metacomm::filter::pbx::PbxFilter;
-use metacomm::filter::DeviceFilter;
+use metacomm::filter;
 use pbx::{DialPlan, Store};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -27,7 +26,7 @@ pub fn run(scale: Scale) -> Report {
 
     // --- (a) filter-level: conditional add vs naive duplicate-add -------
     let store = Arc::new(Store::new("pbx-west", DialPlan::with_prefix("9", 4)));
-    let filter = PbxFilter::new(store);
+    let filter = filter::for_pbx(store);
     let op = |conditional| TargetOp {
         kind: OpKind::Add,
         conditional,

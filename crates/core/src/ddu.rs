@@ -4,27 +4,28 @@
 //! the LDAP schema and forwards it to LTAP; the update is eventually sent
 //! back to the UM after proper LTAP locks are obtained."
 //!
-//! One relay thread runs per device filter. Each DDU becomes one or two
-//! LTAP operations — a name change that also touches other fields becomes
-//! the non-atomic ModifyRDN + Modify pair of §5.1 (the window the paper's
-//! resynchronization story covers; crash injection for experiment E8 sits
-//! exactly between the two).
+//! One relay thread runs per device, the only thread between the device's
+//! commit and LTAP: `ddu-relay-<name>` reads the filter's change feed
+//! ([`crate::filter::DirectUpdates`]: raw notifications in, echoes of
+//! MetaComm's own session dropped, descriptors out) and calls the gateway.
+//! Each DDU becomes one or two LTAP operations — a name change that also
+//! touches other fields becomes the non-atomic ModifyRDN + Modify pair of
+//! §5.1 (the window the paper's resynchronization story covers; crash
+//! injection for experiment E8 sits exactly between the two).
 
+use crate::error::{MetaError, Result};
 use crate::errorlog::ErrorLog;
 use crate::filter::DeviceFilter;
 use crate::image::{diff_mods, image_to_entry};
-use crate::resilience::RetryPolicy;
+use crate::resilience::{Background, Device, RetryPolicy};
 use crate::um::aux_class_mods;
-use crossbeam::channel::{Receiver, Select};
 use ldap::dn::Dn;
 use ldap::entry::Modification;
 use ldap::{Directory, ResultCode};
-use lexpress::{Engine, OpKind, TargetOp, UpdateDescriptor};
+use lexpress::{Engine, Image, OpKind, UpdateDescriptor};
 use ltap::{Gateway, LtapOp};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Instant;
 
 /// Relay statistics.
 #[derive(Debug, Default)]
@@ -43,302 +44,160 @@ pub struct RelayStats {
     pub retried: AtomicUsize,
 }
 
-pub(crate) struct RelayHandles {
-    pub threads: Vec<JoinHandle<()>>,
-    pub shutdown: crossbeam::channel::Sender<()>,
+/// What every relay thread works with.
+#[derive(Clone)]
+pub(crate) struct Relay {
+    pub gateway: Arc<Gateway>,
+    pub engine: Arc<Engine>,
+    pub errorlog: Arc<ErrorLog>,
+    pub stats: Arc<RelayStats>,
+    /// Armed by experiment E8: the next ModifyRDN+Modify pair "crashes"
+    /// between its two operations.
+    pub crash_between_pair: Arc<AtomicBool>,
+    /// The global update sequence, for error-log entries.
+    pub seq: Arc<AtomicU64>,
+    pub retry: RetryPolicy,
+    /// End-to-end latency of one relayed DDU (translate + gateway trips),
+    /// shared by every relay thread.
+    pub ddu_hist: Arc<crate::obs::Histogram>,
+    pub clock: Arc<dyn crate::obs::Clock>,
 }
 
-/// Spawn one relay thread per filter.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn spawn_relays(
-    gateway: Arc<Gateway>,
-    engine: Arc<Engine>,
-    filters: &[Arc<dyn DeviceFilter>],
-    errorlog: Arc<ErrorLog>,
-    stats: Arc<RelayStats>,
-    crash_between_pair: Arc<AtomicBool>,
-    seq: Arc<AtomicU64>,
-    retry: RetryPolicy,
-    registry: Arc<crate::obs::Registry>,
-) -> RelayHandles {
-    let (shutdown_tx, shutdown_rx) = crossbeam::channel::unbounded::<()>();
-    // End-to-end latency of one relayed DDU (translate + gateway trips),
-    // shared by every relay thread.
-    let ddu_hist = registry.component("relay").histogram("ddu");
-    let clock = registry.clock();
-    let mut threads = Vec::new();
-    for f in filters {
-        let rx = f.subscribe();
-        let gw = gateway.clone();
-        let eng = engine.clone();
-        let log = errorlog.clone();
-        let st = stats.clone();
-        let crash = crash_between_pair.clone();
-        let name = f.name().to_string();
-        let mapping = f.mapping_to_ldap();
-        let sd = shutdown_rx.clone();
-        let owned_attrs = f.ldap_owned_attrs();
-        let sq = seq.clone();
-        let rt = retry.clone();
-        let hist = ddu_hist.clone();
-        let clk = clock.clone();
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("ddu-relay-{name}"))
-                .spawn(move || {
-                    relay_loop(
-                        rx,
-                        sd,
-                        gw,
-                        eng,
-                        log,
-                        st,
-                        crash,
-                        sq,
-                        rt,
-                        hist,
-                        clk,
-                        &name,
-                        &mapping,
-                        &owned_attrs,
-                    )
-                })
-                .expect("spawn relay"),
-        );
+impl Relay {
+    /// Spawn one `ddu-relay-<name>` thread per device. Its change feed is
+    /// opened here, before the thread starts, and read on that thread
+    /// alone: one thread and one queue per device, in its commit order.
+    pub(crate) fn spawn(self, devices: &[Device]) -> Background {
+        let (shutdown, stopped) = crossbeam::channel::unbounded::<()>();
+        let threads = devices
+            .iter()
+            .map(|device| {
+                let (relay, filter, stopped) =
+                    (self.clone(), device.filter.clone(), stopped.clone());
+                let mut updates = filter.subscribe();
+                std::thread::Builder::new()
+                    .name(format!("ddu-relay-{}", filter.name()))
+                    .spawn(move || {
+                        while let Some(d) = updates(&stopped) {
+                            relay.relay(filter.as_ref(), &d);
+                        }
+                    })
+                    .expect("spawn relay")
+            })
+            .collect();
+        Background { shutdown, threads }
     }
-    RelayHandles {
-        threads,
-        shutdown: shutdown_tx,
-    }
-}
 
-#[allow(clippy::too_many_arguments)]
-fn relay_loop(
-    rx: Receiver<UpdateDescriptor>,
-    shutdown: Receiver<()>,
-    gateway: Arc<Gateway>,
-    engine: Arc<Engine>,
-    errorlog: Arc<ErrorLog>,
-    stats: Arc<RelayStats>,
-    crash: Arc<AtomicBool>,
-    seq: Arc<AtomicU64>,
-    retry: RetryPolicy,
-    ddu_hist: Arc<crate::obs::Histogram>,
-    clock: Arc<dyn crate::obs::Clock>,
-    origin: &str,
-    mapping: &str,
-    owned_attrs: &[String],
-) {
-    loop {
-        let mut sel = Select::new();
-        let op_idx = sel.recv(&rx);
-        let sd_idx = sel.recv(&shutdown);
-        let oper = sel.select();
-        match oper.index() {
-            i if i == op_idx => match oper.recv(&rx) {
-                Ok(d) => {
-                    stats.ddus.fetch_add(1, Ordering::Relaxed);
-                    let t0 = clock.now_ns();
-                    let relayed = relay_one(
-                        &gateway,
-                        &engine,
-                        &stats,
-                        &crash,
-                        &retry,
-                        origin,
-                        mapping,
-                        owned_attrs,
-                        &d,
-                    );
-                    ddu_hist.record(clock.now_ns().saturating_sub(t0));
-                    if let Err(e) = relayed {
-                        stats.errors.fetch_add(1, Ordering::Relaxed);
-                        errorlog.log(
-                            gateway.inner().as_ref(),
-                            seq.fetch_add(1, Ordering::SeqCst),
-                            &format!("DDU relay from {origin} failed: {e}"),
-                            &format!("{d:?}"),
-                        );
-                    }
-                }
-                Err(_) => return,
-            },
-            i if i == sd_idx => {
-                let _ = oper.recv(&shutdown);
-                return;
-            }
-            _ => unreachable!(),
+    /// Relay one DDU: count it, time it, and log a failure (§4.4).
+    fn relay(&self, filter: &dyn DeviceFilter, d: &UpdateDescriptor) {
+        self.stats.ddus.fetch_add(1, Ordering::Relaxed);
+        let t0 = self.clock.now_ns();
+        let relayed = self.relay_one(filter, d);
+        self.ddu_hist.record(self.clock.now_ns().saturating_sub(t0));
+        if let Err(e) = relayed {
+            self.stats.errors.fetch_add(1, Ordering::Relaxed);
+            self.errorlog.log(
+                self.gateway.inner().as_ref(),
+                self.seq.fetch_add(1, Ordering::SeqCst),
+                &format!("DDU relay from {} failed: {e}", filter.name()),
+                &format!("{d:?}"),
+            );
         }
     }
-}
 
-/// Send one LTAP operation through the gateway, retrying transient
-/// (`Unavailable`) failures per the retry policy. Retry sits at this
-/// granularity — never around a whole DDU — because the §5.1
-/// ModifyRDN+Modify pair is not idempotent as a unit.
-fn apply_tagged_retry(
-    gateway: &Arc<Gateway>,
-    stats: &RelayStats,
-    retry: &RetryPolicy,
-    op: LtapOp,
-    origin: &str,
-) -> ldap::Result<()> {
-    let started = Instant::now();
-    let mut attempt = 0u32;
-    loop {
-        attempt += 1;
-        match gateway.apply_tagged(op.clone(), origin) {
-            Ok(()) => return Ok(()),
-            Err(e)
-                if e.code == ResultCode::Unavailable
-                    && attempt < retry.max_attempts
-                    && started.elapsed() < retry.deadline =>
-            {
-                stats.retried.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(retry.backoff(attempt));
-            }
-            Err(e) => return Err(e),
-        }
+    /// Send one LTAP operation through the gateway, tagged with its origin,
+    /// retrying transient (`Unavailable`) failures per the retry policy.
+    /// Retry sits at this granularity — never around a whole DDU — because
+    /// the §5.1 ModifyRDN+Modify pair is not idempotent as a unit.
+    fn send(&self, op: LtapOp, origin: &str) -> ldap::Result<()> {
+        self.stats.ops_sent.fetch_add(1, Ordering::Relaxed);
+        self.retry.run(
+            &self.stats.retried,
+            |e: &ldap::LdapError| e.code == ResultCode::Unavailable,
+            || self.gateway.apply_tagged(op.clone(), origin),
+        )
     }
-}
 
-#[allow(clippy::too_many_arguments)]
-fn relay_one(
-    gateway: &Arc<Gateway>,
-    engine: &Arc<Engine>,
-    stats: &RelayStats,
-    crash: &AtomicBool,
-    retry: &RetryPolicy,
-    origin: &str,
-    mapping: &str,
-    owned_attrs: &[String],
-    d: &UpdateDescriptor,
-) -> crate::error::Result<()> {
-    let top: TargetOp = engine.translate(mapping, d)?;
-    match top.kind {
-        OpKind::Skip => Ok(()),
-        OpKind::Add => {
-            let dn = Dn::parse(top.new_key.as_deref().expect("validated"))?;
-            match gateway.get(&dn)? {
-                Some(existing) => {
-                    // The person already exists (e.g. created via another
-                    // device): merge the device data in.
-                    let mut mods = aux_class_mods(&existing, &top.attrs);
-                    mods.extend(diff_mods(&existing, &top.attrs));
-                    if !mods.is_empty() {
-                        stats.ops_sent.fetch_add(1, Ordering::Relaxed);
-                        apply_tagged_retry(
-                            gateway,
-                            stats,
-                            retry,
-                            LtapOp::Modify(dn, mods),
-                            origin,
-                        )?;
-                    }
-                    Ok(())
-                }
-                None => {
-                    let entry = image_to_entry(dn, &top.attrs);
-                    stats.ops_sent.fetch_add(1, Ordering::Relaxed);
-                    apply_tagged_retry(gateway, stats, retry, LtapOp::Add(entry), origin)?;
-                    Ok(())
-                }
-            }
+    /// Bring the entry at `dn` in line with `attrs` by one tagged modify —
+    /// none when nothing differs. `Ok(false)`: there is no such entry.
+    fn merge(&self, dn: &Dn, attrs: &Image, origin: &str) -> Result<bool> {
+        let Some(existing) = self.gateway.get(dn)? else {
+            return Ok(false);
+        };
+        let mut mods = aux_class_mods(&existing, attrs);
+        mods.extend(diff_mods(&existing, attrs));
+        if !mods.is_empty() {
+            self.send(LtapOp::Modify(dn.clone(), mods), origin)?;
         }
-        OpKind::Modify => {
-            let old_dn = Dn::parse(top.old_key.as_deref().expect("validated"))?;
-            let new_dn = Dn::parse(top.new_key.as_deref().expect("validated"))?;
-            if old_dn != new_dn {
-                // §5.1: "a direct PBX update might change a person's name
-                // (which is used in their RDN) and extension (which is
-                // not)" — a non-atomic ModifyRDN + Modify pair.
-                stats.rename_pairs.fetch_add(1, Ordering::Relaxed);
-                let new_rdn = new_dn
-                    .rdn()
-                    .ok_or_else(|| ldap::LdapError::invalid_dn("empty new DN"))?
-                    .clone();
-                stats.ops_sent.fetch_add(1, Ordering::Relaxed);
-                apply_tagged_retry(
-                    gateway,
-                    stats,
-                    retry,
-                    LtapOp::ModifyRdn {
+        Ok(true)
+    }
+
+    fn relay_one(&self, filter: &dyn DeviceFilter, d: &UpdateDescriptor) -> Result<()> {
+        let top = self.engine.translate(filter.mapping_to_ldap(), d)?;
+        let origin = filter.name();
+        let dn = |key: &Option<String>| Dn::parse(key.as_deref().expect("validated"));
+        match top.kind {
+            OpKind::Skip => Ok(()),
+            OpKind::Add | OpKind::Modify => {
+                let new_dn = dn(&top.new_key)?;
+                let renamed_from = match top.kind {
+                    OpKind::Modify => Some(dn(&top.old_key)?).filter(|old| *old != new_dn),
+                    _ => None,
+                };
+                if let Some(old_dn) = renamed_from {
+                    // §5.1: "a direct PBX update might change a person's
+                    // name (which is used in their RDN) and extension
+                    // (which is not)" — a non-atomic ModifyRDN + Modify pair.
+                    self.stats.rename_pairs.fetch_add(1, Ordering::Relaxed);
+                    let new_rdn = new_dn
+                        .rdn()
+                        .ok_or_else(|| ldap::LdapError::invalid_dn("empty new DN"))?
+                        .clone();
+                    let rename = LtapOp::ModifyRdn {
                         dn: old_dn,
                         new_rdn,
                         delete_old: true,
                         new_superior: None,
-                    },
-                    origin,
-                )?;
-                if crash.swap(false, Ordering::SeqCst) {
-                    // Experiment E8: the UM "crashes" between the pair,
-                    // leaving the directory inconsistent for readers until
-                    // resynchronization.
-                    stats.injected_crashes.fetch_add(1, Ordering::SeqCst);
-                    return Err(crate::error::MetaError::Unavailable(
-                        "injected crash between ModifyRDN and Modify".into(),
-                    ));
+                    };
+                    self.send(rename, origin)?;
+                    if self.crash_between_pair.swap(false, Ordering::SeqCst) {
+                        // Experiment E8: the UM "crashes" between the pair,
+                        // leaving the directory inconsistent for readers
+                        // until resynchronization.
+                        self.stats.injected_crashes.fetch_add(1, Ordering::SeqCst);
+                        return Err(MetaError::Unavailable(
+                            "injected crash between ModifyRDN and Modify".into(),
+                        ));
+                    }
+                    self.merge(&new_dn, &top.attrs, origin)?;
+                } else if !self.merge(&new_dn, &top.attrs, origin)? {
+                    // No such person yet — or the entry vanished (deleted
+                    // through the directory while the DDU was in flight):
+                    // create it. One that exists (e.g. created via another
+                    // device) had the device data merged in.
+                    let entry = image_to_entry(new_dn, &top.attrs);
+                    self.send(LtapOp::Add(entry), origin)?;
                 }
-                if let Some(existing) = gateway.get(&new_dn)? {
-                    let mut mods = aux_class_mods(&existing, &top.attrs);
-                    mods.extend(diff_mods(&existing, &top.attrs));
+                Ok(())
+            }
+            OpKind::Delete => {
+                // A device-side remove clears that device's attributes from
+                // the person; the person entry itself survives (they may
+                // still have mailboxes, etc.).
+                let dn = dn(&top.old_key)?;
+                if let Some(existing) = self.gateway.get(&dn)? {
+                    let mods: Vec<Modification> = filter
+                        .ldap_owned_attrs()
+                        .iter()
+                        .filter(|a| existing.has_attr(a))
+                        .map(|a| Modification::delete_attr(*a))
+                        .collect();
                     if !mods.is_empty() {
-                        stats.ops_sent.fetch_add(1, Ordering::Relaxed);
-                        apply_tagged_retry(
-                            gateway,
-                            stats,
-                            retry,
-                            LtapOp::Modify(new_dn, mods),
-                            origin,
-                        )?;
+                        self.send(LtapOp::Modify(dn, mods), origin)?;
                     }
                 }
                 Ok(())
-            } else {
-                match gateway.get(&new_dn)? {
-                    Some(existing) => {
-                        let mut mods = aux_class_mods(&existing, &top.attrs);
-                        mods.extend(diff_mods(&existing, &top.attrs));
-                        if !mods.is_empty() {
-                            stats.ops_sent.fetch_add(1, Ordering::Relaxed);
-                            apply_tagged_retry(
-                                gateway,
-                                stats,
-                                retry,
-                                LtapOp::Modify(new_dn, mods),
-                                origin,
-                            )?;
-                        }
-                        Ok(())
-                    }
-                    None => {
-                        // Entry vanished (e.g. deleted through the
-                        // directory while the DDU was in flight): recreate.
-                        let entry = image_to_entry(new_dn, &top.attrs);
-                        stats.ops_sent.fetch_add(1, Ordering::Relaxed);
-                        apply_tagged_retry(gateway, stats, retry, LtapOp::Add(entry), origin)?;
-                        Ok(())
-                    }
-                }
             }
-        }
-        OpKind::Delete => {
-            // A device-side remove clears that device's attributes from the
-            // person; the person entry itself survives (they may still have
-            // mailboxes, etc.).
-            let dn = Dn::parse(top.old_key.as_deref().expect("validated"))?;
-            if let Some(existing) = gateway.get(&dn)? {
-                let mods: Vec<Modification> = owned_attrs
-                    .iter()
-                    .filter(|a| existing.has_attr(a))
-                    .map(|a| Modification::delete_attr(a.clone()))
-                    .collect();
-                if !mods.is_empty() {
-                    stats.ops_sent.fetch_add(1, Ordering::Relaxed);
-                    apply_tagged_retry(gateway, stats, retry, LtapOp::Modify(dn, mods), origin)?;
-                }
-            }
-            Ok(())
         }
     }
 }

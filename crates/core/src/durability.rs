@@ -19,8 +19,9 @@
 //! 2. WAL segments in generation order, applying exactly the committed
 //!    prefix of DIT records and reducing journal events to per-device
 //!    backlogs;
-//! 3. outage journals handed back to their [`DeviceRuntime`]s, which
-//!    restart `Offline` so the recovery monitor probes and drains them.
+//! 3. outage journals handed back to their
+//!    [`crate::resilience::DeviceRuntime`]s, which restart `Offline` so the
+//!    recovery monitor probes and drains them.
 //!
 //! ## Checkpoint protocol
 //!
@@ -34,7 +35,7 @@
 use crate::error::{MetaError, Result};
 use crate::errorlog::ErrorLog;
 use crate::obs::Registry;
-use crate::resilience::{DeviceRuntime, JournalSink};
+use crate::resilience::{Device, JournalSink};
 use ldap::backup::{self, SnapshotStore};
 use ldap::dit::Dit;
 use ldap::dn::Dn;
@@ -294,11 +295,7 @@ impl Durability {
     /// Write a consistent checkpoint and bound the log: rotate to a new
     /// segment, re-log outage-journal state, export + write the snapshot,
     /// prune generations older than the previous snapshot.
-    pub(crate) fn checkpoint(
-        &self,
-        dit: &Dit,
-        runtimes: &HashMap<String, Arc<DeviceRuntime>>,
-    ) -> Result<()> {
+    pub(crate) fn checkpoint(&self, dit: &Dit, devices: &[Device]) -> Result<()> {
         let _only_one = self.checkpoint_lock.lock();
         let generation = self.generation.load(Ordering::SeqCst) + 1;
         let new_wal = Wal::open_with_stats(
@@ -320,13 +317,11 @@ impl Durability {
         // Journal state must not depend on pruned history: re-log every
         // device's backlog into the fresh segment. Recovery dedupes by
         // ticket, so events racing this snapshot are harmless.
-        let mut names: Vec<&String> = runtimes.keys().collect();
-        names.sort();
-        for name in names {
-            let (ops, overflowed) = runtimes[name].journal_snapshot();
+        for Device { runtime, .. } in devices {
+            let (ops, overflowed) = runtime.journal_snapshot();
             self.append(
                 TAG_JOURNAL_STATE,
-                &encode_journal_state(name, overflowed, &ops),
+                &encode_journal_state(runtime.name(), overflowed, &ops),
             );
         }
         // Streamed: one entry of LDIF text in memory at a time.

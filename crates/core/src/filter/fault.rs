@@ -10,10 +10,9 @@
 //! no randomness, so a given plan produces the same fault sequence every
 //! run.
 
-use super::{ApplyOutcome, DeviceFilter};
+use super::{ApplyOutcome, DeviceFilter, DirectUpdates};
 use crate::error::{MetaError, Result};
-use crossbeam::channel::Receiver;
-use lexpress::{Image, TargetOp, UpdateDescriptor};
+use lexpress::{Image, TargetOp};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -86,7 +85,9 @@ impl FaultHandle {
     }
 }
 
-/// Decorator injecting faults per a [`FaultPlan`] into a real filter.
+/// Decorator injecting faults per a [`FaultPlan`] into a real filter. The
+/// contract is the one written on [`DeviceFilter`]: injected faults are its
+/// link faults, everything else is the inner filter's answer.
 pub struct FaultInjector {
     inner: Arc<dyn DeviceFilter>,
     plan: FaultPlan,
@@ -138,8 +139,24 @@ impl DeviceFilter for FaultInjector {
         self.inner.name()
     }
 
+    fn mapping_to_ldap(&self) -> &str {
+        self.inner.mapping_to_ldap()
+    }
+
+    fn mapping_from_ldap(&self) -> &str {
+        self.inner.mapping_from_ldap()
+    }
+
     fn key_attr(&self) -> &str {
         self.inner.key_attr()
+    }
+
+    fn ldap_owned_attrs(&self) -> &[&str] {
+        self.inner.ldap_owned_attrs()
+    }
+
+    fn ldap_presence_attr(&self) -> &str {
+        self.inner.ldap_presence_attr()
     }
 
     fn apply(&self, op: &TargetOp) -> Result<ApplyOutcome> {
@@ -181,28 +198,12 @@ impl DeviceFilter for FaultInjector {
         self.inner.probe()
     }
 
-    fn fetch(&self, key: &str) -> Option<Image> {
-        self.inner.fetch(key)
-    }
-
     fn dump(&self) -> Vec<Image> {
         self.inner.dump()
     }
 
-    fn subscribe(&self) -> Receiver<UpdateDescriptor> {
+    fn subscribe(&self) -> DirectUpdates {
         self.inner.subscribe()
-    }
-
-    fn record_count(&self) -> usize {
-        self.inner.record_count()
-    }
-
-    fn ldap_owned_attrs(&self) -> Vec<String> {
-        self.inner.ldap_owned_attrs()
-    }
-
-    fn ldap_presence_attr(&self) -> String {
-        self.inner.ldap_presence_attr()
     }
 }
 
@@ -218,8 +219,20 @@ mod tests {
         fn name(&self) -> &str {
             "fake"
         }
+        fn mapping_to_ldap(&self) -> &str {
+            "fake_to_ldap"
+        }
+        fn mapping_from_ldap(&self) -> &str {
+            "ldap_to_fake"
+        }
         fn key_attr(&self) -> &str {
             "Key"
+        }
+        fn ldap_owned_attrs(&self) -> &[&str] {
+            &[]
+        }
+        fn ldap_presence_attr(&self) -> &str {
+            "key"
         }
         fn apply(&self, _op: &TargetOp) -> Result<ApplyOutcome> {
             Ok(ApplyOutcome {
@@ -227,23 +240,14 @@ mod tests {
                 ..ApplyOutcome::default()
             })
         }
-        fn fetch(&self, _key: &str) -> Option<Image> {
-            None
+        fn probe(&self) -> Result<()> {
+            Ok(())
         }
         fn dump(&self) -> Vec<Image> {
             Vec::new()
         }
-        fn subscribe(&self) -> Receiver<UpdateDescriptor> {
-            crossbeam::channel::unbounded().1
-        }
-        fn record_count(&self) -> usize {
-            0
-        }
-        fn ldap_owned_attrs(&self) -> Vec<String> {
-            Vec::new()
-        }
-        fn ldap_presence_attr(&self) -> String {
-            "key".into()
+        fn subscribe(&self) -> DirectUpdates {
+            Box::new(|_| None)
         }
     }
 

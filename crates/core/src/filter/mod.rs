@@ -1,12 +1,14 @@
 //! Repository filters (paper §4.1): each integrated repository gets a
-//! filter made of a *protocol converter* (the uniform device API: fetch by
-//! key, add/modify/delete, full dump, change notifications) and a *mapper*
-//! (the lexpress mapping pair naming how its schema relates to the
-//! integrated LDAP schema).
+//! filter made of a *protocol converter* (the uniform device API: apply an
+//! add/modify/delete, full dump, change notifications) and a *mapper* (the
+//! lexpress mapping pair naming how its schema relates to the integrated
+//! LDAP schema). The integration logic lives in the lexpress rules; the
+//! converter is thin and written once for every record-keeping device.
 
 pub mod fault;
-pub mod mp;
-pub mod pbx;
+mod record;
+
+pub use record::{for_msgplat, for_pbx};
 
 use crate::error::Result;
 use crossbeam::channel::Receiver;
@@ -41,7 +43,8 @@ pub fn changed_fields(old: &Image, new: &Image) -> Image {
 /// Result of applying a translated operation at a device.
 #[derive(Debug, Clone, Default)]
 pub struct ApplyOutcome {
-    /// `false` when the op was a Skip (object not under this device).
+    /// `false` when the op was a Skip (object not under this device) or
+    /// left nothing to write.
     pub applied: bool,
     /// The conditional-update recovery path ran (modify→add fallback or a
     /// tolerated not-found) — paper §5.4.
@@ -52,55 +55,55 @@ pub struct ApplyOutcome {
     pub generated: Option<Image>,
 }
 
-/// One integrated repository.
+/// A device's direct updates, read on its `ddu-relay-<name>` thread. Each
+/// call blocks until the device commits the next change made at its own
+/// craft terminal or console — echoes of MetaComm's own session are passed
+/// over — and returns its descriptor, in the device's commit order. `None`
+/// ends the relay: the shutdown channel passed in fired or hung up, or the
+/// device did.
+pub type DirectUpdates = Box<dyn FnMut(&Receiver<()>) -> Option<UpdateDescriptor> + Send>;
+
+/// One integrated repository, as the Update Manager, the DDU relays,
+/// synchronization and the recovery monitor see it. Only `apply`, `probe`
+/// and `dump` go to the device; the rest are fixed facts about the
+/// repository, answered from the filter without allocating.
 pub trait DeviceFilter: Send + Sync {
-    /// Repository id (matches the lexpress mapping source/target names).
+    /// Repository id (the lexpress mappings are named after it).
     fn name(&self) -> &str;
 
-    /// Mapping name translating device descriptors → LDAP images.
-    fn mapping_to_ldap(&self) -> String {
-        format!("{}_to_ldap", self.name())
-    }
+    /// Mapping translating device descriptors → LDAP (`<name>_to_ldap`).
+    fn mapping_to_ldap(&self) -> &str;
 
-    /// Mapping name translating LDAP descriptors → device operations.
-    fn mapping_from_ldap(&self) -> String {
-        format!("ldap_to_{}", self.name())
-    }
+    /// Mapping translating LDAP descriptors → device ops (`ldap_to_<name>`).
+    fn mapping_from_ldap(&self) -> &str;
 
     /// The device-schema field that keys this repository's records (the
     /// field synchronization reads off each dumped record to identify it).
     fn key_attr(&self) -> &str;
 
-    /// Protocol converter: apply a translated operation to the device.
+    /// Integrated-schema attributes this device owns — cleared from a
+    /// person's entry when the device-side record is removed by a DDU.
+    fn ldap_owned_attrs(&self) -> &[&str];
+
+    /// The integrated-schema attribute whose presence marks "this entry has
+    /// data on this device" (used by synchronization to find stale entries).
+    fn ldap_presence_attr(&self) -> &str;
+
+    /// Protocol converter: apply a translated operation to the device
+    /// through MetaComm's own session. A conditional operation (§5.4) must
+    /// tolerate having been applied already, or never. A link fault is
+    /// [`crate::MetaError::DeviceUnreachable`] (the device never saw the
+    /// op); anything the device refuses is [`crate::MetaError::Device`].
     fn apply(&self, op: &TargetOp) -> Result<ApplyOutcome>;
 
-    /// Liveness probe: cheap round-trip to the device, used by the recovery
-    /// monitor to detect reconnection. The default rides on
-    /// [`DeviceFilter::record_count`]; decorators that model link outages
-    /// (see [`fault::FaultInjector`]) override it.
-    fn probe(&self) -> Result<()> {
-        let _ = self.record_count();
-        Ok(())
-    }
-
-    /// Fetch one record (device-schema image) by key.
-    fn fetch(&self, key: &str) -> Option<Image>;
+    /// Liveness probe: a cheap round-trip to the device, used by the
+    /// recovery monitor to detect reconnection.
+    fn probe(&self) -> Result<()>;
 
     /// Full dump for synchronization (device-schema images).
     fn dump(&self) -> Vec<Image>;
 
-    /// Stream of direct-device-update descriptors (craft/console updates
-    /// only — the filter suppresses echoes of MetaComm's own session).
-    fn subscribe(&self) -> Receiver<UpdateDescriptor>;
-
-    /// Number of records currently on the device (diagnostics).
-    fn record_count(&self) -> usize;
-
-    /// Integrated-schema attributes this device owns — cleared from a
-    /// person's entry when the device-side record is removed by a DDU.
-    fn ldap_owned_attrs(&self) -> Vec<String>;
-
-    /// The integrated-schema attribute whose presence marks "this entry has
-    /// data on this device" (used by synchronization to find stale entries).
-    fn ldap_presence_attr(&self) -> String;
+    /// Open the device's change feed: nothing the device commits after
+    /// this returns is missed, whenever [`DirectUpdates`] is first read.
+    fn subscribe(&self) -> DirectUpdates;
 }

@@ -59,15 +59,16 @@ pub use obs::{
     Clock, HistogramSnapshot, ManualClock, MonitorDirectory, Registry, RegistrySnapshot,
     SystemClock, MONITOR_BASE,
 };
-pub use resilience::{BreakerPolicy, DeviceHealth, HealthState, RecoveryOutcome, RetryPolicy};
+pub use resilience::{
+    BreakerPolicy, Device, DeviceHealth, HealthState, RecoveryOutcome, RetryPolicy,
+};
 pub use sync::SyncReport;
 pub use um::{UmStats, UpdateTrace};
 pub use wba::Wba;
 
-use crate::ddu::{RelayHandles, RelayStats};
+use crate::ddu::{Relay, RelayStats};
 use crate::durability::Durability;
-use crate::filter::{mp::MpFilter, pbx::PbxFilter};
-use crate::resilience::{DeviceRuntime, JournalSink, MonitorHandle, RecoveryCtx};
+use crate::resilience::{Background, DeviceRuntime, JournalSink, RecoveryCtx};
 use crate::um::{Shared, UpdateManager};
 use ldap::dn::Dn;
 use ldap::entry::Entry;
@@ -100,7 +101,6 @@ pub struct MetaCommBuilder {
     wire_workers: Option<usize>,
     event_loop: bool,
     idle_timeout: Option<std::time::Duration>,
-    shard_metrics: Option<Arc<ldap::ShardMetrics>>,
 }
 
 impl MetaCommBuilder {
@@ -126,7 +126,6 @@ impl MetaCommBuilder {
             wire_workers: None,
             event_loop: true,
             idle_timeout: None,
-            shard_metrics: None,
         }
     }
 
@@ -181,17 +180,6 @@ impl MetaCommBuilder {
     /// Off by default — idle clients are kept forever.
     pub fn with_idle_timeout(mut self, timeout: std::time::Duration) -> Self {
         self.idle_timeout = Some(timeout);
-        self
-    }
-
-    /// Export a shard router's fan-out counters
-    /// ([`ldap::ShardMetrics`]) under this deployment's `cn=monitor` as
-    /// the `shard` component — for a node that fronts a sharded fleet
-    /// with an [`ldap::ShardRouter`] while also serving its own region.
-    /// Standalone routers without a MetaComm engine register the same
-    /// gauges via [`obs::mirror_shard_metrics`].
-    pub fn with_shard_metrics(mut self, metrics: Arc<ldap::ShardMetrics>) -> Self {
-        self.shard_metrics = Some(metrics);
         self
     }
 
@@ -376,33 +364,27 @@ impl MetaCommBuilder {
             dur.set_error_log(errorlog.clone(), dit.clone() as Arc<dyn Directory>);
             dur.register_metrics(&registry);
         }
-        if let Some(sm) = &self.shard_metrics {
-            obs::mirror_shard_metrics(&registry, sm);
-        }
         obs::mirror_dit_footprint(&registry, &dit);
 
-        // Filters: protocol converter + mapper per repository. A filter
-        // with a fault plan gets the FaultInjector decorator.
-        let mut filters: Vec<Arc<dyn DeviceFilter>> = Vec::new();
+        // Filters: protocol converter + mapper per repository, switches
+        // first. A filter with a fault plan gets the FaultInjector decorator.
         let mut fault_handles: HashMap<String, Arc<FaultHandle>> = HashMap::new();
-        {
-            let mut wrap = |f: Arc<dyn DeviceFilter>| -> Arc<dyn DeviceFilter> {
-                match self.fault_plans.get(f.name()) {
-                    Some(plan) => {
-                        let inj = FaultInjector::new(f, plan.clone()).with_clock(registry.clock());
-                        fault_handles.insert(inj.name().to_string(), inj.handle());
-                        Arc::new(inj)
-                    }
-                    None => f,
+        let switches = self.pbxes.iter().map(|(s, _)| filter::for_pbx(s.clone()));
+        let platforms = self
+            .msgplats
+            .iter()
+            .map(|(s, _)| filter::for_msgplat(s.clone()));
+        let filters: Vec<Arc<dyn DeviceFilter>> = switches
+            .chain(platforms)
+            .map(|f| match self.fault_plans.get(f.name()) {
+                Some(plan) => {
+                    let inj = FaultInjector::new(f, plan.clone()).with_clock(registry.clock());
+                    fault_handles.insert(inj.name().to_string(), inj.handle());
+                    Arc::new(inj) as Arc<dyn DeviceFilter>
                 }
-            };
-            for (store, _) in &self.pbxes {
-                filters.push(wrap(PbxFilter::new(store.clone())));
-            }
-            for (store, _) in &self.msgplats {
-                filters.push(wrap(MpFilter::new(store.clone())));
-            }
-        }
+                None => f,
+            })
+            .collect();
 
         // LTAP gateway in front of the directory.
         let gateway = Gateway::new(dit.clone());
@@ -417,25 +399,26 @@ impl MetaCommBuilder {
 
         // The Update Manager: trap every person update under the suffix.
         let um_stats = Arc::new(UmStats::default());
-        // Pre-resolve the coordinator's and devices' metrics once.
-        let um_obs = obs::UmObs::install(&registry, filters.iter().map(|f| f.name().to_string()));
-        // Per-device breaker/journal runtimes, shared between the
-        // coordinator (records outcomes, journals during outages) and the
-        // recovery monitor (probes and drains).
-        let mut runtimes: HashMap<String, Arc<DeviceRuntime>> = HashMap::new();
-        for f in &filters {
-            runtimes.insert(
-                f.name().to_string(),
-                DeviceRuntime::new(
-                    f.name(),
+        // Pre-resolve the coordinator's metrics once.
+        let um_obs = obs::UmObs::install(&registry);
+        // The one list of integrated repositories: each filter with its
+        // breaker/journal runtime, shared between the coordinator (records
+        // outcomes, journals during outages), the recovery monitor (probes
+        // and drains), checkpoints and this handle.
+        let devices: Arc<[Device]> = filters
+            .into_iter()
+            .map(|filter| Device {
+                runtime: DeviceRuntime::new(
+                    filter.name(),
                     self.breaker.clone(),
                     errorlog.clone(),
                     dit.clone() as Arc<dyn Directory>,
                     um_stats.clone(),
-                    um_obs.devices[f.name()].clone(),
+                    obs::DeviceObs::install(&registry, filter.name()),
                 ),
-            );
-        }
+                filter,
+            })
+            .collect();
         if let Some((dur, journals)) = &durability {
             // Hand each device its recovered outage backlog (the runtime
             // restarts Offline and the monitor drains it), then mirror all
@@ -443,24 +426,24 @@ impl MetaCommBuilder {
             // makes the recovered state the new baseline: fresh segment
             // with re-logged journal state, fresh snapshot, old generations
             // pruned.
-            for (name, rt) in &runtimes {
-                if let Some(j) = journals.get(name) {
-                    rt.restore_journal(j.ops.clone(), j.overflowed);
+            for Device { runtime, .. } in devices.iter() {
+                if let Some(j) = journals.get(runtime.name()) {
+                    runtime.restore_journal(j.ops.clone(), j.overflowed);
                 }
-                rt.set_journal_sink(dur.clone() as Arc<dyn JournalSink>);
+                runtime.set_journal_sink(dur.clone() as Arc<dyn JournalSink>);
             }
-            dur.checkpoint(&dit, &runtimes)?;
+            dur.checkpoint(&dit, &devices)?;
         }
         // Live per-device gauges read straight off the runtimes.
-        for (name, rt) in &runtimes {
-            let comp = registry.component(&format!("device-{name}"));
-            let r = rt.clone();
+        for Device { runtime, .. } in devices.iter() {
+            let comp = registry.component(&format!("device-{}", runtime.name()));
+            let r = runtime.clone();
             comp.gauge_callback("journalDepth", move || r.health().queued_ops as i64);
-            let r = rt.clone();
+            let r = runtime.clone();
             comp.gauge_callback("consecutiveFailures", move || {
                 r.health().consecutive_failures as i64
             });
-            let r = rt.clone();
+            let r = runtime.clone();
             comp.gauge_callback("droppedOps", move || r.health().dropped_ops as i64);
         }
         obs::mirror_um_stats(&registry, &um_stats);
@@ -481,7 +464,7 @@ impl MetaCommBuilder {
                 inner: dit.clone() as Arc<dyn Directory>,
                 engine: engine.clone(),
                 closure,
-                filters: filters.clone(),
+                devices: devices.clone(),
                 errorlog: errorlog.clone(),
                 stats: um_stats.clone(),
                 saga: self.saga,
@@ -489,7 +472,6 @@ impl MetaCommBuilder {
                     um::TRACE_CAPACITY,
                 ))),
                 retry: self.retry.clone(),
-                runtimes: runtimes.clone(),
                 seq: seq.clone(),
                 obs: um_obs,
             },
@@ -518,17 +500,18 @@ impl MetaCommBuilder {
         // DDU relays.
         let relay_stats = Arc::new(RelayStats::default());
         let crash_between_pair = Arc::new(AtomicBool::new(false));
-        let relays = ddu::spawn_relays(
-            gateway.clone(),
-            engine.clone(),
-            &filters,
-            errorlog.clone(),
-            relay_stats.clone(),
-            crash_between_pair.clone(),
+        let relays = Relay {
+            gateway: gateway.clone(),
+            engine: engine.clone(),
+            errorlog: errorlog.clone(),
+            stats: relay_stats.clone(),
+            crash_between_pair: crash_between_pair.clone(),
             seq,
-            self.retry.clone(),
-            registry.clone(),
-        );
+            retry: self.retry.clone(),
+            ddu_hist: registry.component("relay").histogram("ddu"),
+            clock: registry.clock(),
+        }
+        .spawn(&devices);
         obs::mirror_relay_stats(&registry, &relay_stats);
         obs::mirror_gateway_stats(&registry, &gateway);
 
@@ -543,10 +526,7 @@ impl MetaCommBuilder {
                 stats: um_stats.clone(),
                 retry: self.retry.clone(),
             },
-            filters
-                .iter()
-                .map(|f| (f.clone(), runtimes[f.name()].clone()))
-                .collect(),
+            devices.clone(),
             self.breaker.probe_interval,
         );
 
@@ -554,19 +534,17 @@ impl MetaCommBuilder {
             dit,
             gateway,
             engine,
-            filters,
+            devices,
             errorlog,
             um: Mutex::new(Some(um)),
             um_stats,
-            relays: Mutex::new(Some(relays)),
+            background: Mutex::new(vec![monitor, relays]),
             relay_stats,
             suffix,
             crash_between_pair,
             durability: durability.map(|(dur, _)| dur),
             retry: self.retry,
-            runtimes,
             fault_handles,
-            monitor: Mutex::new(Some(monitor)),
             registry,
             wire_workers: self.wire_workers,
             event_loop: self.event_loop,
@@ -580,19 +558,18 @@ pub struct MetaComm {
     dit: Arc<ldap::Dit>,
     gateway: Arc<Gateway>,
     engine: Arc<Engine>,
-    filters: Vec<Arc<dyn DeviceFilter>>,
+    devices: Arc<[Device]>,
     errorlog: Arc<ErrorLog>,
     um: Mutex<Option<UpdateManager>>,
     um_stats: Arc<UmStats>,
-    relays: Mutex<Option<RelayHandles>>,
+    /// The recovery monitor and the DDU relays, in the order they stop.
+    background: Mutex<Vec<Background>>,
     relay_stats: Arc<RelayStats>,
     suffix: Dn,
     crash_between_pair: Arc<AtomicBool>,
     durability: Option<Arc<Durability>>,
     retry: RetryPolicy,
-    runtimes: HashMap<String, Arc<DeviceRuntime>>,
     fault_handles: HashMap<String, Arc<FaultHandle>>,
-    monitor: Mutex<Option<MonitorHandle>>,
     registry: Arc<Registry>,
     wire_workers: Option<usize>,
     event_loop: bool,
@@ -651,9 +628,10 @@ impl MetaComm {
         self.registry.snapshot()
     }
 
-    /// Filters, in registration order.
-    pub fn filters(&self) -> &[Arc<dyn DeviceFilter>] {
-        &self.filters
+    /// The integrated repository named `name`.
+    pub fn device(&self, name: &str) -> Result<&Device> {
+        let found = self.devices.iter().find(|d| d.filter.name() == name);
+        found.ok_or_else(|| MetaError::Unavailable(format!("no device `{name}`")))
     }
 
     /// The mapping engine.
@@ -701,11 +679,10 @@ impl MetaComm {
     /// Synchronize the directory with one device (recovery after
     /// disconnection; §4.4). Runs in isolation under LTAP quiesce.
     pub fn synchronize_device(&self, name: &str) -> Result<SyncReport> {
-        let filter = self
-            .filters
-            .iter()
-            .find(|f| f.name() == name)
-            .ok_or_else(|| MetaError::Unavailable(format!("no device `{name}`")))?;
+        self.synchronize(&self.device(name)?.filter)
+    }
+
+    fn synchronize(&self, filter: &Arc<dyn DeviceFilter>) -> Result<SyncReport> {
         sync::synchronize_device(
             &self.gateway,
             &self.engine,
@@ -719,15 +696,10 @@ impl MetaComm {
     /// inverse of [`MetaComm::synchronize_device`], used when a device
     /// missed updates while unreachable (outage recovery).
     pub fn resynchronize_device_from_directory(&self, name: &str) -> Result<SyncReport> {
-        let filter = self
-            .filters
-            .iter()
-            .find(|f| f.name() == name)
-            .ok_or_else(|| MetaError::Unavailable(format!("no device `{name}`")))?;
         sync::resynchronize_device_from_directory(
             &self.gateway,
             &self.engine,
-            filter,
+            &self.device(name)?.filter,
             &self.suffix,
             Some(&self.errorlog),
             &self.retry,
@@ -735,15 +707,13 @@ impl MetaComm {
         )
     }
 
-    /// Initial load / full resynchronization.
+    /// Initial load / full resynchronization across every device.
     pub fn synchronize_all(&self) -> Result<SyncReport> {
-        sync::synchronize_all(
-            &self.gateway,
-            &self.engine,
-            &self.filters,
-            &self.suffix,
-            Some(&self.errorlog),
-        )
+        let mut total = SyncReport::default();
+        for device in self.devices.iter() {
+            total.merge(&self.synchronize(&device.filter)?);
+        }
+        Ok(total)
     }
 
     /// Arm the E8 fault injection: the next DDU that produces a
@@ -755,16 +725,12 @@ impl MetaComm {
     /// Health snapshot for one device (breaker state, consecutive failures,
     /// queued ops, last error).
     pub fn device_health(&self, name: &str) -> Option<DeviceHealth> {
-        self.runtimes.get(name).map(|r| r.health())
+        self.device(name).ok().map(|d| d.runtime.health())
     }
 
     /// Health snapshots for every device, in filter registration order.
     pub fn device_healths(&self) -> Vec<DeviceHealth> {
-        self.filters
-            .iter()
-            .filter_map(|f| self.runtimes.get(f.name()))
-            .map(|r| r.health())
-            .collect()
+        self.devices.iter().map(|d| d.runtime.health()).collect()
     }
 
     /// The fault-injection control handle for a device configured with
@@ -779,15 +745,6 @@ impl MetaComm {
     /// on its probe interval; this entry point makes recovery deterministic
     /// for tests and experiments.
     pub fn probe_device(&self, name: &str) -> Result<RecoveryOutcome> {
-        let filter = self
-            .filters
-            .iter()
-            .find(|f| f.name() == name)
-            .ok_or_else(|| MetaError::Unavailable(format!("no device `{name}`")))?;
-        let runtime = self
-            .runtimes
-            .get(name)
-            .ok_or_else(|| MetaError::Unavailable(format!("no device `{name}`")))?;
         let ctx = RecoveryCtx {
             gateway: self.gateway.clone(),
             engine: self.engine.clone(),
@@ -796,7 +753,7 @@ impl MetaComm {
             stats: self.um_stats.clone(),
             retry: self.retry.clone(),
         };
-        resilience::attempt_recovery(&ctx, filter, runtime)
+        resilience::attempt_recovery(&ctx, self.device(name)?)
     }
 
     /// Checkpoint a durable deployment: rotate to a fresh WAL segment,
@@ -805,7 +762,7 @@ impl MetaComm {
     /// durability.
     pub fn checkpoint(&self) -> Result<()> {
         if let Some(dur) = &self.durability {
-            dur.checkpoint(&self.dit, &self.runtimes)?;
+            dur.checkpoint(&self.dit, &self.devices)?;
         }
         Ok(())
     }
@@ -858,21 +815,12 @@ impl MetaComm {
     }
 
     /// Stop the recovery monitor, the relays, and the Update Manager (in
-    /// that order: the monitor and relays feed the UM). A deployment that
-    /// is shut down and dropped leaves nothing resident.
+    /// that order: the monitor and relays feed the UM). Every thread the
+    /// deployment started is joined here; a deployment that is shut down
+    /// and dropped leaves nothing resident.
     pub fn shutdown(&self) {
-        if let Some(monitor) = self.monitor.lock().take() {
-            let _ = monitor.shutdown.send(());
-            let _ = monitor.thread.join();
-        }
-        if let Some(relays) = self.relays.lock().take() {
-            let _ = relays.shutdown.send(());
-            for _ in 1..self.filters.len() {
-                let _ = relays.shutdown.send(());
-            }
-            for t in relays.threads {
-                let _ = t.join();
-            }
+        for threads in self.background.lock().drain(..) {
+            threads.stop();
         }
         if let Some(mut um) = self.um.lock().take() {
             um.shutdown();

@@ -30,7 +30,6 @@ pub use monitor::{MonitorDirectory, MONITOR_BASE};
 pub use registry::{Component, ComponentSnapshot, Registry, RegistrySnapshot};
 pub use span::Span;
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Pre-resolved Update Manager instrumentation: the coordinator is the
@@ -51,23 +50,11 @@ pub(crate) struct UmObs {
     pub translate: Arc<Histogram>,
     /// Final directory commit stage.
     pub commit: Arc<Histogram>,
-    /// Per-device instrumentation, keyed by filter name.
-    pub devices: HashMap<String, Arc<DeviceObs>>,
 }
 
 impl UmObs {
-    pub(crate) fn install(
-        registry: &Registry,
-        device_names: impl IntoIterator<Item = String>,
-    ) -> Arc<UmObs> {
+    pub(crate) fn install(registry: &Registry) -> Arc<UmObs> {
         let um = registry.component("um");
-        let devices = device_names
-            .into_iter()
-            .map(|n| {
-                let obs = DeviceObs::install(registry, &n);
-                (n, obs)
-            })
-            .collect();
         Arc::new(UmObs {
             clock: registry.clock(),
             update: um.histogram("update"),
@@ -76,13 +63,13 @@ impl UmObs {
             closure: um.histogram("closure"),
             translate: um.histogram("translate"),
             commit: um.histogram("commit"),
-            devices,
         })
     }
 }
 
-/// Per-device instrumentation, shared by the UM coordinator (live applies),
-/// the resilience layer (journal, breaker, drains), and the sync paths.
+/// Per-device instrumentation, carried by the device's
+/// [`crate::resilience::DeviceRuntime`]: the UM coordinator records live
+/// applies through it, the resilience layer journal, breaker and drains.
 pub(crate) struct DeviceObs {
     pub clock: Arc<dyn Clock>,
     /// Live filter-apply latency (includes retries).
@@ -216,37 +203,6 @@ pub(crate) fn mirror_gateway_stats(registry: &Registry, gateway: &Arc<ltap::Gate
     mirror!("handledByTrigger", handled_by_trigger);
     mirror!("updateNsTotal", update_ns);
     mirror!("readNsTotal", read_ns);
-}
-
-/// Register a shard router's fan-out counters as the `shard` component —
-/// visible under `cn=monitor` like every other component. A router
-/// deployment calls this itself (or sets
-/// [`crate::MetaCommBuilder::with_shard_metrics`]); single-node
-/// deployments have no `shard` component at all.
-pub fn mirror_shard_metrics(registry: &Registry, metrics: &Arc<ldap::ShardMetrics>) {
-    use std::sync::atomic::Ordering;
-    let comp = registry.component("shard");
-    macro_rules! mirror {
-        ($name:literal, $field:ident) => {
-            let m = metrics.clone();
-            comp.gauge_callback($name, move || m.$field.load(Ordering::Relaxed) as i64);
-        };
-    }
-    mirror!("searchesSingle", searches_single);
-    mirror!("searchesFanout", searches_fanout);
-    mirror!("fanoutSubqueries", fanout_subqueries);
-    mirror!("limitProbes", limit_probes);
-    mirror!("renamesRefused", renames_refused);
-    let shards = metrics.ops_routed.len();
-    comp.gauge_callback("shards", move || shards as i64);
-    let m = metrics.clone();
-    comp.gauge_callback("opsRouted", move || m.ops_total() as i64);
-    for i in 0..shards {
-        let m = metrics.clone();
-        comp.gauge_callback(&format!("opsRoutedShard{i}"), move || {
-            m.ops_routed[i].load(Ordering::Relaxed) as i64
-        });
-    }
 }
 
 /// Result codes tallied individually on the `server` component; anything

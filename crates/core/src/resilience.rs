@@ -16,6 +16,7 @@
 //! journal overflowed its bound. Every state transition emits a §4.4
 //! administrator alert.
 
+use crate::error::MetaError;
 use crate::errorlog::ErrorLog;
 use crate::filter::DeviceFilter;
 use crate::um::UmStats;
@@ -25,7 +26,7 @@ use lexpress::TargetOp;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::hash::BuildHasher;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -78,6 +79,34 @@ impl RetryPolicy {
         let frac = (state.hash_one(attempt) % 1000) as f64 / 1000.0; // [0, 1)
         capped.mul_f64(0.5 + frac)
     }
+
+    /// The one retry loop: call `attempt` until it succeeds, fails with an
+    /// error `transient` does not hold for, or the attempts or the deadline
+    /// run out; sleep the backoff between attempts and count each retry in
+    /// `retried`. Returns the first success or the last error.
+    pub(crate) fn run<T, E>(
+        &self,
+        retried: &AtomicUsize,
+        transient: impl Fn(&E) -> bool,
+        mut attempt: impl FnMut() -> Result<T, E>,
+    ) -> Result<T, E> {
+        let started = Instant::now();
+        let mut attempts = 0u32;
+        loop {
+            attempts += 1;
+            match attempt() {
+                Err(e)
+                    if transient(&e)
+                        && attempts < self.max_attempts
+                        && started.elapsed() < self.deadline =>
+                {
+                    retried.fetch_add(1, Ordering::Relaxed);
+                    std::thread::sleep(self.backoff(attempts));
+                }
+                done => return done,
+            }
+        }
+    }
 }
 
 /// Apply `op` at `filter`, retrying transient faults per `retry`.
@@ -89,23 +118,7 @@ pub fn apply_with_retry(
     retry: &RetryPolicy,
     stats: &UmStats,
 ) -> crate::error::Result<crate::filter::ApplyOutcome> {
-    let started = Instant::now();
-    let mut attempt = 0u32;
-    loop {
-        attempt += 1;
-        match filter.apply(op) {
-            Ok(outcome) => return Ok(outcome),
-            Err(e)
-                if e.is_transient()
-                    && attempt < retry.max_attempts
-                    && started.elapsed() < retry.deadline =>
-            {
-                stats.retried.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(retry.backoff(attempt));
-            }
-            Err(e) => return Err(e),
-        }
-    }
+    retry.run(&stats.retried, MetaError::is_transient, || filter.apply(op))
 }
 
 /// Circuit-breaker thresholds and journal bound for one device.
@@ -227,7 +240,7 @@ pub struct DeviceRuntime {
     errorlog: Arc<ErrorLog>,
     dir: Arc<dyn Directory>,
     stats: Arc<UmStats>,
-    obs: Arc<crate::obs::DeviceObs>,
+    pub(crate) obs: Arc<crate::obs::DeviceObs>,
     next_ticket: AtomicU64,
     inner: Mutex<RuntimeInner>,
     sink: Mutex<Option<Arc<dyn JournalSink>>>,
@@ -472,6 +485,16 @@ impl DeviceRuntime {
     }
 }
 
+/// One integrated repository as a deployment holds it: its filter and the
+/// breaker/journal runtime that guards it. The deployment builds one list
+/// of these, in registration order, and the Update Manager, the recovery
+/// monitor, checkpoints and [`crate::MetaComm::device`] all read that list.
+#[derive(Clone)]
+pub struct Device {
+    pub filter: Arc<dyn DeviceFilter>,
+    pub(crate) runtime: Arc<DeviceRuntime>,
+}
+
 /// Everything the recovery path needs to reconcile one device.
 pub(crate) struct RecoveryCtx {
     pub gateway: Arc<ltap::Gateway>,
@@ -503,9 +526,9 @@ pub enum RecoveryOutcome {
 /// [`crate::MetaComm::probe_device`].
 pub(crate) fn attempt_recovery(
     ctx: &RecoveryCtx,
-    filter: &Arc<dyn DeviceFilter>,
-    runtime: &Arc<DeviceRuntime>,
+    device: &Device,
 ) -> crate::error::Result<RecoveryOutcome> {
+    let Device { filter, runtime } = device;
     // Claim the recovery: the `draining` flag is both the mutual exclusion
     // between concurrent recoveries (monitor vs. explicit probe) and the
     // signal that keeps the coordinator journaling new ops behind the
@@ -721,36 +744,48 @@ fn fold_generated(ctx: &RecoveryCtx, dn: &Option<Dn>, gen: &lexpress::Image) {
     }
 }
 
-/// Handle to the background recovery monitor.
-pub(crate) struct MonitorHandle {
+/// Long-lived threads of one kind — the recovery monitor, the DDU relays —
+/// and the channel that stops them.
+pub(crate) struct Background {
     pub shutdown: crossbeam::channel::Sender<()>,
-    pub thread: std::thread::JoinHandle<()>,
+    pub threads: Vec<std::thread::JoinHandle<()>>,
+}
+
+impl Background {
+    /// Hang up the shutdown channel — every thread's wait ends on that,
+    /// whether or not anything else ever wakes it — and join them all.
+    pub fn stop(self) {
+        drop(self.shutdown);
+        for t in self.threads {
+            let _ = t.join();
+        }
+    }
 }
 
 /// Spawn the recovery monitor: every probe interval, attempt recovery of
 /// any device that is not `Up` (or has a backlog).
 pub(crate) fn spawn_monitor(
     ctx: RecoveryCtx,
-    devices: Vec<(Arc<dyn DeviceFilter>, Arc<DeviceRuntime>)>,
+    devices: Arc<[Device]>,
     interval: Duration,
-) -> MonitorHandle {
-    let (tx, rx) = crossbeam::channel::unbounded::<()>();
+) -> Background {
+    let (shutdown, rx) = crossbeam::channel::unbounded::<()>();
     let thread = std::thread::Builder::new()
         .name("device-recovery-monitor".into())
         .spawn(move || loop {
             match rx.recv_timeout(interval) {
                 Ok(()) | Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
                 Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                    for (filter, runtime) in &devices {
-                        let _ = attempt_recovery(&ctx, filter, runtime);
+                    for device in devices.iter() {
+                        let _ = attempt_recovery(&ctx, device);
                     }
                 }
             }
         })
         .expect("spawn recovery monitor");
-    MonitorHandle {
-        shutdown: tx,
-        thread,
+    Background {
+        shutdown,
+        threads: vec![thread],
     }
 }
 

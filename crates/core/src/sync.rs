@@ -75,7 +75,7 @@ pub fn synchronize_device(
             .unwrap_or_default()
             .to_string();
         let d = UpdateDescriptor::add(key, record, filter.name());
-        let top = match engine.translate(&to_ldap, &d) {
+        let top = match engine.translate(to_ldap, &d) {
             Ok(t) => t,
             Err(_) => {
                 report.failed += 1;
@@ -155,7 +155,7 @@ pub fn synchronize_device(
             // The device still has this record — but only ONE entry may
             // claim it. A crashed rename can leave a stale entry under the
             // old name claiming the same key as the canonical entry.
-            if claimant.get(&entry.dn().norm_key()).map(String::as_str) == entry.first(&presence) {
+            if claimant.get(&entry.dn().norm_key()).map(String::as_str) == entry.first(presence) {
                 return;
             }
             // Respect partitioning: only clear entries THIS device's
@@ -164,7 +164,7 @@ pub fn synchronize_device(
             // the constraint is asked on its own first; only an entry it
             // claims is worth a delete descriptor and a full translation.
             let image = entry_to_image(entry);
-            if matches!(engine.partition_claims(&from_ldap, &image), Ok(true)) {
+            if matches!(engine.partition_claims(from_ldap, &image), Ok(true)) {
                 claimed.push((entry.dn().clone(), image));
             }
         },
@@ -174,7 +174,7 @@ pub fn synchronize_device(
         let mods: Vec<Modification> = owned
             .iter()
             .filter(|a| image.has(a))
-            .map(|a| Modification::delete_attr(a.clone()))
+            .map(|a| Modification::delete_attr(*a))
             .chain(std::iter::once(Modification::set(
                 LAST_UPDATER,
                 filter.name(),
@@ -183,7 +183,7 @@ pub fn synchronize_device(
         // The partition alone does not decide: the translation must also
         // yield a key to delete by and no runtime error.
         let probe = UpdateDescriptor::delete(dn.to_string(), image, filter.name());
-        match engine.translate(&from_ldap, &probe) {
+        match engine.translate(from_ldap, &probe) {
             Ok(top) if top.kind == OpKind::Delete => {}
             _ => continue,
         }
@@ -191,22 +191,6 @@ pub fn synchronize_device(
         report.cleared += 1;
     }
     Ok(report)
-}
-
-/// Initial load / full resynchronization across every device.
-pub fn synchronize_all(
-    gateway: &Arc<Gateway>,
-    engine: &Engine,
-    filters: &[Arc<dyn DeviceFilter>],
-    suffix: &Dn,
-    errorlog: Option<&ErrorLog>,
-) -> crate::error::Result<SyncReport> {
-    let mut total = SyncReport::default();
-    for f in filters {
-        let r = synchronize_device(gateway, engine, f, suffix, errorlog)?;
-        total.merge(&r);
-    }
-    Ok(total)
 }
 
 /// The inverse direction: reapply the directory's current materialization
@@ -250,7 +234,7 @@ pub fn resynchronize_device_from_directory(
             entry_to_image(&entry),
             filter.name(),
         );
-        let mut top = match engine.translate(&from_ldap, &d) {
+        let mut top = match engine.translate(from_ldap, &d) {
             Ok(t) => t,
             Err(_) => {
                 report.failed += 1;

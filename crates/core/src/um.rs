@@ -23,7 +23,7 @@
 //!
 //! Within one update there is one schedule at every worker count, the
 //! paper's (§4.4, §5.5): the worker that owns the key walks
-//! `shared.filters` itself, in filter order — a leg's device-generated
+//! `shared.devices` itself, in filter order — a leg's device-generated
 //! info is visible to the next leg's translation, the first failure ends
 //! the fan-out (later devices never see an update that is aborting), and
 //! the LDAP server is updated last. An update creates no thread. The
@@ -33,7 +33,7 @@
 use crate::errorlog::ErrorLog;
 use crate::filter::DeviceFilter;
 use crate::image::{diff_mods_full, entry_to_image, image_to_entry};
-use crate::resilience::{apply_with_retry, DeviceRuntime, RetryPolicy};
+use crate::resilience::{apply_with_retry, Device, DeviceRuntime, RetryPolicy};
 use crate::schema::LAST_UPDATER;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use ldap::dn::Dn;
@@ -41,7 +41,6 @@ use ldap::entry::{Entry, Modification};
 use ldap::{Directory, LdapError, ResultCode};
 use lexpress::{Closure, Engine, Image, OpKind, TargetOp, UpdateDescriptor};
 use ltap::{Disposition, LtapOp, TriggerContext, TriggerHandler};
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -124,7 +123,9 @@ pub(crate) struct Shared {
     pub inner: Arc<dyn Directory>,
     pub engine: Arc<Engine>,
     pub closure: Arc<Closure>,
-    pub filters: Vec<Arc<dyn DeviceFilter>>,
+    /// Every integrated repository — filter and breaker/journal runtime —
+    /// in registration order, which is the fan-out order.
+    pub devices: Arc<[Device]>,
     pub errorlog: Arc<ErrorLog>,
     pub stats: Arc<UmStats>,
     /// Attempt compensating (saga-style) undo of already-applied device
@@ -134,8 +135,6 @@ pub(crate) struct Shared {
     pub traces: Arc<parking_lot::Mutex<std::collections::VecDeque<UpdateTrace>>>,
     /// Retry policy for transient device faults.
     pub retry: RetryPolicy,
-    /// Per-device breaker/journal state, keyed by filter name.
-    pub runtimes: HashMap<String, Arc<DeviceRuntime>>,
     /// Global update sequence counter, shared with the DDU relays so
     /// error-log entries carry real monotonic sequence numbers.
     pub seq: Arc<AtomicU64>,
@@ -559,9 +558,13 @@ impl FanOut<'_> {
     /// so the next leg translates the augmented image. An `Err` aborts the
     /// update: translate error, semantic rejection, or a transient fault
     /// that did not open the breaker.
-    fn leg(&mut self, f: &Arc<dyn DeviceFilter>) -> crate::error::Result<()> {
+    fn leg(&mut self, device: &Device) -> crate::error::Result<()> {
         let shared = self.shared;
-        let translated = shared.engine.translate(&f.mapping_from_ldap(), self.d);
+        let Device {
+            filter: f,
+            runtime: rt,
+        } = device;
+        let translated = shared.engine.translate(f.mapping_from_ldap(), self.d);
         shared.obs.translate.record(self.span.mark("translate"));
         let top = translated?;
         if top.kind == OpKind::Skip {
@@ -569,31 +572,24 @@ impl FanOut<'_> {
             self.trace_leg(f, &top, "Skip".into(), false);
             return Ok(());
         }
-        let runtime = shared.runtimes.get(f.name());
         // Breaker open (or a drain in progress): store-and-forward.
-        if let Some(rt) = runtime.filter(|rt| rt.should_journal()) {
+        if rt.should_journal() {
             self.journal(rt, f, top);
             return Ok(());
         }
         let applied = apply_with_retry(f, &top, &shared.retry, &shared.stats);
-        let apply_ns = self.span.mark("apply");
-        let dev_obs = shared.obs.devices.get(f.name());
-        if let Some(o) = dev_obs {
-            o.apply.record(apply_ns);
-        }
+        rt.obs.apply.record(self.span.mark("apply"));
         let outcome = match applied {
             Ok(outcome) => outcome,
             Err(e) => {
-                if let Some(o) = dev_obs {
-                    o.failures.inc();
-                }
+                rt.obs.failures.inc();
                 // A transient fault means the device never saw the op.
                 // Advance the breaker; if that (or an earlier trip) opened
                 // it, queue the op and let the update proceed — the
                 // directory stays authoritative. A semantic rejection means
                 // the device is reachable and judged the op invalid: abort
                 // the update (§4.4), breaker untouched.
-                if let (true, Some(rt)) = (e.is_transient(), runtime) {
+                if e.is_transient() {
                     rt.record_failure(self.my_seq, &e);
                     if rt.should_journal() {
                         self.journal(rt, f, top);
@@ -603,12 +599,8 @@ impl FanOut<'_> {
                 return Err(e);
             }
         };
-        if let Some(o) = dev_obs {
-            o.applies.inc();
-        }
-        if let Some(rt) = runtime {
-            rt.record_success();
-        }
+        rt.obs.applies.inc();
+        rt.record_success();
         shared.stats.device_ops.fetch_add(1, Ordering::Relaxed);
         self.trace_leg(f, &top, format!("{:?}", top.kind), outcome.applied);
         if outcome.reapplied {
@@ -716,7 +708,7 @@ fn process_inner(
         undo: Vec::new(),
         tickets: Vec::new(),
     };
-    let failure = shared.filters.iter().try_for_each(|f| fan.leg(f)).err();
+    let failure = shared.devices.iter().try_for_each(|d| fan.leg(d)).err();
     let FanOut { undo, tickets, .. } = fan;
     if let Some(e) = failure {
         // Withdraw ops journaled on behalf of this update: it is aborting,

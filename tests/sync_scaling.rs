@@ -12,9 +12,9 @@
 #![cfg(target_os = "linux")]
 
 use bench::Rig;
-use crossbeam::channel::Receiver;
 use ldap::{Directory, Dn};
 use lexpress::{Image, OpKind, TargetOp, UpdateDescriptor};
+use metacomm::filter::DirectUpdates;
 use metacomm::image::image_to_entry;
 use metacomm::sync::{resynchronize_device_from_directory, synchronize_device, SyncReport};
 use metacomm::{ApplyOutcome, DeviceFilter, ErrorLog, RetryPolicy};
@@ -71,8 +71,8 @@ fn rig() -> Rig {
 }
 
 fn filter(r: &Rig, name: &str) -> Arc<dyn DeviceFilter> {
-    let found = r.system.filters().iter().find(|f| f.name() == name);
-    found.expect("a device of that name").clone()
+    let device = r.system.device(name).expect("a device of that name");
+    device.filter.clone()
 }
 
 fn platform(r: &Rig) -> &msgplat::Store {
@@ -125,37 +125,34 @@ impl DeviceFilter for Hooked {
     fn name(&self) -> &str {
         self.inner.name()
     }
-    fn mapping_to_ldap(&self) -> String {
+    fn mapping_to_ldap(&self) -> &str {
         self.inner.mapping_to_ldap()
     }
-    fn mapping_from_ldap(&self) -> String {
+    fn mapping_from_ldap(&self) -> &str {
         self.inner.mapping_from_ldap()
     }
     fn key_attr(&self) -> &str {
         self.inner.key_attr()
+    }
+    fn ldap_owned_attrs(&self) -> &[&str] {
+        self.inner.ldap_owned_attrs()
+    }
+    fn ldap_presence_attr(&self) -> &str {
+        self.inner.ldap_presence_attr()
     }
     fn apply(&self, op: &TargetOp) -> metacomm::Result<ApplyOutcome> {
         let outcome = self.inner.apply(op)?;
         (self.after_apply)();
         Ok(outcome)
     }
-    fn fetch(&self, key: &str) -> Option<Image> {
-        self.inner.fetch(key)
+    fn probe(&self) -> metacomm::Result<()> {
+        self.inner.probe()
     }
     fn dump(&self) -> Vec<Image> {
         self.inner.dump()
     }
-    fn subscribe(&self) -> Receiver<UpdateDescriptor> {
+    fn subscribe(&self) -> DirectUpdates {
         self.inner.subscribe()
-    }
-    fn record_count(&self) -> usize {
-        self.inner.record_count()
-    }
-    fn ldap_owned_attrs(&self) -> Vec<String> {
-        self.inner.ldap_owned_attrs()
-    }
-    fn ldap_presence_attr(&self) -> String {
-        self.inner.ldap_presence_attr()
     }
 }
 
@@ -230,7 +227,7 @@ fn a_sweep_probes_only_what_its_partition_claims_and_clears_an_orphan_once() {
     let per_foreign_holder = (among_cost - alone_cost) as f64 / 300.0;
     // What the sweep must not spend there: the full delete probe.
     let foreign = person(&r, "Pat Subscriber 00001").expect("a pbx-2 person");
-    let from_ldap = filter(&r, "pbx-1").mapping_from_ldap();
+    let from_ldap = filter(&r, "pbx-1").mapping_from_ldap().to_string();
     let (probed, probe_cost) = allocations(|| {
         let probe = UpdateDescriptor::delete(
             foreign.dn().to_string(),

@@ -1,0 +1,105 @@
+//! One thread per device on the DDU path, and none left after shutdown —
+//! counted from `/proc/self/task/*/comm`, not timed.
+//!
+//! A binary of its own with one test, so the census sees this deployment's
+//! threads and nobody else's. Linux only: that is where the census is.
+#![cfg(target_os = "linux")]
+
+use metacomm::MetaCommBuilder;
+use pbx::{DialPlan, Store as PbxStore};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// The name of every thread of this process (as the kernel keeps it: the
+/// first 15 bytes).
+fn census() -> Vec<String> {
+    let tasks = std::fs::read_dir("/proc/self/task").expect("procfs");
+    let mut names: Vec<String> = tasks
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|comm| comm.trim_end().to_string())
+        .collect();
+    names.sort();
+    names
+}
+
+fn family<'a>(names: &'a [String], prefix: &str) -> Vec<&'a str> {
+    let of_family = names.iter().filter(|n| n.starts_with(prefix));
+    of_family.map(String::as_str).collect()
+}
+
+/// The census once it reads `expected` threads. A joined thread can stay
+/// listed for a moment (the join returns when the kernel clears the
+/// thread's tid, just before it unlinks the task), so a census that is
+/// still high is taken again — for a bounded while, and never sooner than
+/// the threads are gone.
+fn census_of(expected: usize) -> Vec<String> {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let names = census();
+        if names.len() <= expected || Instant::now() > deadline {
+            return names;
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+#[test]
+fn one_relay_thread_per_device_and_none_left_after_shutdown() {
+    let west = Arc::new(PbxStore::new("pbx-west", DialPlan::with_prefix("1", 4)));
+    let east = Arc::new(PbxStore::new("pbx-east", DialPlan::with_prefix("2", 4)));
+    let mp = Arc::new(msgplat::Store::new("mp"));
+    let before = census();
+
+    for (round, surname) in [(1, "Doe"), (2, "Roe"), (3, "Poe")] {
+        let system = MetaCommBuilder::new("o=Lucent")
+            .add_pbx(west.clone(), "1???")
+            .add_pbx(east.clone(), "2???")
+            .add_msgplat(mp.clone(), "*")
+            .build()
+            .expect("build");
+        // One change at a craft terminal and one at the console, relayed
+        // all the way into the directory. pbx-east never speaks at all: its
+        // relay has to stop on the shutdown signal alone.
+        let ext = format!("1{round:03}");
+        let craft = format!("add station {ext} name \"{surname}, John\" room 2B-401");
+        pbx::ossi::execute(&west, &craft).expect("craft add");
+        system.settle();
+        let console = format!("add subscriber {ext} name \"{surname}, John\"");
+        msgplat::admin::execute(&mp, &console).expect("console add");
+        system.settle();
+        let relay = system.relay_stats();
+        assert_eq!(relay.ddus.load(Ordering::SeqCst), 2, "round {round}");
+        assert_eq!(relay.errors.load(Ordering::SeqCst), 0, "round {round}");
+        let person = format!("cn=John {surname},o=Lucent");
+        let entry = ldap::Directory::get(&*system.dit(), &ldap::Dn::parse(&person).expect("dn"))
+            .expect("read")
+            .unwrap_or_else(|| panic!("round {round}: {person} was not materialized"));
+        assert_eq!(entry.first("definityExtension"), Some(ext.as_str()));
+        assert_eq!(entry.first("mpMailbox"), Some(ext.as_str()));
+
+        let running = census();
+        assert_eq!(
+            family(&running, "ddu-relay-"),
+            ["ddu-relay-mp", "ddu-relay-pbx-e", "ddu-relay-pbx-w"],
+            "round {round}: one relay thread per device"
+        );
+        for gone in ["pbx-filter-", "mp-filter-"] {
+            assert!(
+                family(&running, gone).is_empty(),
+                "round {round}: a notification thread per filter is back: {running:?}"
+            );
+        }
+
+        system.shutdown();
+        let after = census_of(before.len());
+        assert_eq!(
+            after, before,
+            "round {round}: shutdown left threads resident"
+        );
+        // The devices keep their records from round to round; only the
+        // deployment goes.
+        drop(system);
+    }
+    assert_eq!((west.len(), east.len(), mp.len()), (3, 0, 3));
+}
