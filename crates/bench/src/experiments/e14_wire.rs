@@ -10,12 +10,13 @@
 //! entries are dirty.
 //!
 //! The ablations run from this same binary (`with_wire_workers(1)`,
-//! `with_event_loop(false)`, `full_sync_with`), and the measurements are
-//! emitted into `BENCH_metacomm.json` under `"wire"` so CI tracks them.
-//! The collect-encode-concat search path (1) used to be measured against
-//! was deleted; its last row is in EXPERIMENTS.md.
+//! `full_sync_with`), and the measurements are emitted into
+//! `BENCH_metacomm.json` under `"wire"` so CI tracks them. The
+//! collect-encode-concat search path (1) used to be measured against and
+//! the thread-per-connection engine the connection arm used to be measured
+//! against were deleted; their last rows are in EXPERIMENTS.md.
 
-use super::{Report, Scale};
+use super::{median, Report, Scale};
 use ldap::dit::{Dit, Scope};
 use ldap::dn::Dn;
 use ldap::entry::Entry;
@@ -446,8 +447,8 @@ fn accept_to_first_byte_us(addr: std::net::SocketAddr, probes: usize) -> f64 {
 /// Sustained throughput on a small active subset: `conns` connections each
 /// pipeline `batch` base-scope searches per rep, driven concurrently,
 /// while whatever idle mass is already attached stays attached. One
-/// untimed warm-up rep per connection absorbs connect, thread-spawn, and
-/// cold-cache costs so short measurements aren't scheduling noise.
+/// untimed warm-up rep per connection absorbs connect and cold-cache costs
+/// so short measurements aren't scheduling noise.
 fn active_ops_per_sec(addr: std::net::SocketAddr, conns: usize, batch: usize, reps: usize) -> f64 {
     let mut blob = Vec::new();
     for i in 0..batch {
@@ -501,34 +502,53 @@ fn active_ops_per_sec(addr: std::net::SocketAddr, conns: usize, batch: usize, re
     (conns * batch * reps) as f64 / wall.as_secs_f64().max(1e-9)
 }
 
+/// What the connection arm's claim allows: active throughput under the
+/// largest idle mass at least this fraction of the figure at 100 idle …
+const ACTIVE_FLOOR: f64 = 0.8;
+/// … and resident memory growing by at most this much per idle connection
+/// added between the two (an idle connection is a `Conn` struct and an
+/// unallocated read buffer; a thread's touched stack alone would be more).
+const RSS_BYTES_PER_IDLE_CONN: f64 = 4096.0;
+
 /// Connection-scaling arm: the event loop holds an idle mass of 100 / 1k /
 /// 10k connections (full scale) while RSS, accept-to-first-byte latency,
 /// and a small active subset's sustained ops/sec are measured at each
-/// level. The threaded engine is measured once at 100 connections as the
-/// parity baseline — the event loop must stay within 10% on active
-/// throughput while scaling two orders of magnitude further in idle
-/// connection count.
-fn connection_ablation(scale: Scale, table: &mut String) -> String {
+/// level. The claim checks itself across the levels: the largest idle mass
+/// must leave the active subset at [`ACTIVE_FLOOR`] of its 100-idle
+/// throughput or better, at no more than [`RSS_BYTES_PER_IDLE_CONN`] of
+/// added resident memory per connection (`"scaling_holds"` in the JSON).
+///
+/// The 100-idle server stays up as the reference for the whole arm, and
+/// each later level's passes alternate with passes against it; the ratio
+/// checked is the median over those five pairs. On a shared host the
+/// machine's speed drifts more from one level to the next than an idle
+/// mass costs, so a ratio of figures taken seconds apart would measure the
+/// drift — and a pass much shorter than a fifth of a second, the
+/// scheduler.
+fn connection_ablation(scale: Scale, table: &mut String) -> (String, String) {
     let (levels, batch, reps): (&[usize], usize, usize) = match scale {
-        Scale::Quick => (&[100, 1_000], 50, 5),
-        Scale::Full => (&[100, 1_000, 10_000], 200, 15),
+        Scale::Quick => (&[100, 1_000], 50, 150),
+        Scale::Full => (&[100, 1_000, 10_000], 200, 40),
     };
     let active_conns = 8;
     // An in-process level costs `level` client + `level` server sockets,
-    // plus actives and listener headroom; levels whose client half would
-    // not fit are opened from a helper subprocess instead, halving the
-    // per-process fd bill (the event engine itself holds ONE fd per
-    // connection).
+    // plus the reference level, actives and listener headroom; levels whose
+    // client half would not fit are opened from a helper subprocess
+    // instead, halving the per-process fd bill (the server itself holds ONE
+    // fd per connection).
     let max_level = *levels.last().expect("levels") as u64;
     let nofile = raise_nofile_limit(max_level * 2 + 1024);
-    let event_loop = Server::builder().resolved_event_loop();
 
     let dit = populated_dit(64, false);
     let mut level_json = Vec::new();
-    let mut event_at_100 = 0.0;
+    // The first level that ran: (server, idle mass, connections, RSS in MB).
+    let mut reference: Option<(Server, IdleMass, usize, f64)> = None;
+    // The last level that ran, against the reference: (connections, active
+    // ops/s over the reference's, RSS growth in MB).
+    let mut top = (0usize, 1.0f64, 0.0f64);
     for &level in levels {
-        let in_process = (level as u64) * 2 + 256 <= nofile;
-        if !in_process && (level as u64) + 256 > nofile {
+        let in_process = (level as u64) * 2 + 512 <= nofile;
+        if !in_process && (level as u64) + 512 > nofile {
             writeln!(
                 table,
                 "conns  {level:>6} idle  skipped (RLIMIT_NOFILE {nofile} too low)"
@@ -547,10 +567,15 @@ fn connection_ablation(scale: Scale, table: &mut String) -> String {
         await_attached(&server, level, "idle mass");
         let rss_mb = rss_kb() as f64 / 1024.0;
         let afb_us = accept_to_first_byte_us(server.addr(), 16);
-        let ops = active_ops_per_sec(server.addr(), active_conns, batch, reps);
-        if level == 100 {
-            event_at_100 = ops;
+        let pass = |addr| active_ops_per_sec(addr, active_conns, batch, reps);
+        let (mut ops, mut ratios) = (Vec::new(), Vec::new());
+        for _ in 0..5 {
+            let alongside = reference.as_ref().map(|(r, ..)| pass(r.addr()));
+            let here = pass(server.addr());
+            ratios.push(alongside.map_or(1.0, |a| here / a.max(1e-9)));
+            ops.push(here);
         }
+        let ops = median(ops);
         writeln!(
             table,
             "conns  {level:>6} idle  rss {rss_mb:>7.1} MB  accept→byte {afb_us:>8.0} µs  {ops:>8.0} ops/s ({active_conns} active)"
@@ -559,37 +584,40 @@ fn connection_ablation(scale: Scale, table: &mut String) -> String {
         level_json.push(format!(
             "{{\"connections\":{level},\"rss_mb\":{rss_mb:.1},\"accept_to_first_byte_us\":{afb_us:.0},\"active_ops_per_sec\":{ops:.0}}}"
         ));
-        idle.release();
-        server.shutdown();
+        let base_rss = reference.as_ref().map_or(rss_mb, |r| r.3);
+        top = (level, median(ratios), rss_mb - base_rss);
+        if reference.is_none() {
+            reference = Some((server, idle, level, rss_mb));
+        } else {
+            idle.release();
+            server.shutdown();
+        }
     }
+    let (mut server, idle, base_conns, _) = reference.expect("RLIMIT_NOFILE fits 100 connections");
+    idle.release();
+    server.shutdown();
 
-    // Parity baseline: thread-per-connection at the smallest level.
-    let mut threaded = Server::builder()
-        .with_event_loop(false)
-        .start(dit, "127.0.0.1:0")
-        .expect("threaded server");
-    assert!(!threaded.event_loop(), "ablation arm is threaded");
-    let idle = open_idle(threaded.addr(), 100);
-    await_attached(&threaded, 100, "threaded idle mass");
-    let threaded_ops = active_ops_per_sec(threaded.addr(), active_conns, batch, reps);
-    drop(idle);
-    threaded.shutdown();
-    let parity = if threaded_ops > 0.0 {
-        event_at_100 / threaded_ops
-    } else {
-        0.0
-    };
-    writeln!(
-        table,
-        "conns  threaded@100  {threaded_ops:>8.0} ops/s  (event loop parity {parity:.2}x)"
-    )
-    .unwrap();
-
-    format!(
-        "{{\"event_loop\":{event_loop},\"nofile_limit\":{nofile},\"levels\":[{}],\
-         \"threaded_at_100_ops_per_sec\":{threaded_ops:.0},\"active_parity\":{parity:.2}}}",
+    let (top_conns, active_ratio, rss_growth_mb) = top;
+    let rss_budget_mb =
+        (top_conns - base_conns) as f64 * RSS_BYTES_PER_IDLE_CONN / (1024.0 * 1024.0);
+    // The verdict travels in the artifact, where CI gates on it: this
+    // function also runs under `cargo test`, beside every other experiment
+    // in one process, where neither figure means anything.
+    let holds = active_ratio >= ACTIVE_FLOOR && rss_growth_mb <= rss_budget_mb;
+    let observation = format!(
+        "connection scaling {}: from {base_conns} to {top_conns} idle connections on one \
+         loop thread the {active_conns}-connection active subset runs at \
+         {active_ratio:.2}x its {base_conns}-idle throughput (median of alternating \
+         pairs, floor {ACTIVE_FLOOR}x) and RSS grows {rss_growth_mb:.1} MB (budget \
+         {rss_budget_mb:.1} MB)",
+        if holds { "holds" } else { "DOES NOT HOLD" }
+    );
+    let json = format!(
+        "{{\"nofile_limit\":{nofile},\"levels\":[{}],\"active_ratio\":{active_ratio:.2},\
+         \"rss_growth_mb\":{rss_growth_mb:.1},\"scaling_holds\":{holds}}}",
         level_json.join(","),
-    )
+    );
+    (json, observation)
 }
 
 /// Anti-entropy ablation: after two replicas converge over `n` entries,
@@ -664,7 +692,7 @@ pub fn run(scale: Scale) -> Report {
     let mut table = String::new();
     let stream_sample = search_stream(scale, &mut table);
     let (pipe_samples, pipe_speedup, pipe_mode) = pipeline_ablation(scale, &mut table);
-    let conn_json = connection_ablation(scale, &mut table);
+    let (conn_json, conn_observation) = connection_ablation(scale, &mut table);
     let (sync_json, delta_ratio) = anti_entropy_ablation(scale, &mut table);
 
     // Decode-ahead overlap needs spare cores; record how many this host had
@@ -690,10 +718,11 @@ pub fn run(scale: Scale) -> Report {
         claim: "large result sets stream off borrowed store entries at wire \
                 speed, decode-ahead pipelining lifts \
                 single-connection request throughput, the epoll event loop \
-                holds 10k idle connections with bounded RSS at threaded-path \
-                active throughput, and watermark deltas ship a small \
-                fraction of full anti-entropy bytes — all from this binary's \
-                own ablation switches",
+                holds 10k idle connections with bounded RSS growth while the \
+                active subset keeps at least 0.8x of its 100-idle throughput, \
+                and watermark deltas ship a small fraction of full \
+                anti-entropy bytes — all from this binary's own ablation \
+                switches",
         table,
         observations: vec![
             format!(
@@ -712,11 +741,7 @@ pub fn run(scale: Scale) -> Report {
                  full exchange, digest-identical convergence",
                 delta_ratio * 100.0
             ),
-            "connection scaling: the epoll event loop holds the idle mass \
-             on one thread with flat RSS while the 8-connection active \
-             subset sustains threaded-path throughput (see the conns table \
-             rows; threaded@100 is the thread-per-connection baseline)"
-                .to_string(),
+            conn_observation,
         ],
         extra: Some(("wire", json)),
     }

@@ -5,7 +5,7 @@
 //! synchronization executes *in isolation* (quiesce) so its cost matters;
 //! resync of an already-consistent pair is cheap (diff-only).
 
-use super::{Report, Scale};
+use super::{median, Report, Scale};
 use crate::workload::{preload_devices, Workload};
 use crate::{rig, timed};
 use std::fmt::Write as _;
@@ -32,11 +32,6 @@ fn load_and_resync(n: usize) -> (f64, f64) {
     assert_eq!(report2.repaired, 0);
     r.system.shutdown();
     (initial.as_secs_f64(), resync.as_secs_f64())
-}
-
-fn median(mut runs: Vec<f64>) -> f64 {
-    runs.sort_by(f64::total_cmp);
-    runs[runs.len() / 2]
 }
 
 pub fn run(scale: Scale) -> Report {

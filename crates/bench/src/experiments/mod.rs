@@ -61,6 +61,12 @@ impl Report {
     }
 }
 
+/// The median of a non-empty set of repeated measurements.
+fn median(mut runs: Vec<f64>) -> f64 {
+    runs.sort_by(f64::total_cmp);
+    runs[runs.len() / 2]
+}
+
 /// Run every experiment.
 pub fn run_all(scale: Scale) -> Vec<Report> {
     vec![

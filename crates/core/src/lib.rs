@@ -98,8 +98,6 @@ pub struct MetaCommBuilder {
     clock: Option<Arc<dyn Clock>>,
     indexed_attrs: Option<Vec<String>>,
     um_workers: Option<usize>,
-    wire_workers: Option<usize>,
-    event_loop: bool,
     idle_timeout: Option<std::time::Duration>,
 }
 
@@ -123,8 +121,6 @@ impl MetaCommBuilder {
             clock: None,
             indexed_attrs: None,
             um_workers: None,
-            wire_workers: None,
-            event_loop: true,
             idle_timeout: None,
         }
     }
@@ -154,30 +150,10 @@ impl MetaCommBuilder {
         self
     }
 
-    /// Number of wire-protocol workers per LDAP connection when this
-    /// deployment is [served over TCP](MetaComm::serve). Workers decode
-    /// ahead and prepare responses concurrently while responses still go
-    /// out in request order; `1` reproduces the strictly serial
-    /// read-execute-write loop. Defaults to the available parallelism,
-    /// capped at 4.
-    pub fn with_wire_workers(mut self, workers: usize) -> Self {
-        self.wire_workers = Some(workers.max(1));
-        self
-    }
-
-    /// Serve wire connections from the epoll readiness loop (one event
-    /// thread plus the shared decode pool) instead of a thread per
-    /// connection. On by default on Linux; `false` restores the
-    /// thread-per-connection engine as the E14 ablation arm. Ignored (always
-    /// threaded) on non-Linux hosts.
-    pub fn with_event_loop(mut self, on: bool) -> Self {
-        self.event_loop = on;
-        self
-    }
-
-    /// Drop wire connections that stay idle (no readable bytes) for
-    /// `timeout`, counting each eviction in `cn=monitor`'s `disconnectIdle`.
-    /// Off by default — idle clients are kept forever.
+    /// When this deployment is [served over TCP](MetaComm::serve), drop
+    /// wire connections that stay idle (no socket activity and no work in
+    /// flight) for `timeout`, counting each eviction in `cn=monitor`'s
+    /// `disconnectIdle`. Off by default — idle clients are kept forever.
     pub fn with_idle_timeout(mut self, timeout: std::time::Duration) -> Self {
         self.idle_timeout = Some(timeout);
         self
@@ -546,8 +522,6 @@ impl MetaCommBuilder {
             retry: self.retry,
             fault_handles,
             registry,
-            wire_workers: self.wire_workers,
-            event_loop: self.event_loop,
             idle_timeout: self.idle_timeout,
         })
     }
@@ -571,8 +545,6 @@ pub struct MetaComm {
     retry: RetryPolicy,
     fault_handles: HashMap<String, Arc<FaultHandle>>,
     registry: Arc<Registry>,
-    wire_workers: Option<usize>,
-    event_loop: bool,
     idle_timeout: Option<std::time::Duration>,
 }
 
@@ -606,10 +578,7 @@ impl MetaComm {
     /// component.
     pub fn serve(&self, addr: &str) -> ldap::Result<ldap::server::Server> {
         let fronted = MonitorDirectory::new(self.gateway.clone(), self.registry.clone());
-        let mut builder = ldap::server::Server::builder().with_event_loop(self.event_loop);
-        if let Some(w) = self.wire_workers {
-            builder = builder.with_wire_workers(w);
-        }
+        let mut builder = ldap::server::Server::builder();
         if let Some(t) = self.idle_timeout {
             builder = builder.with_idle_timeout(t);
         }

@@ -1,11 +1,12 @@
-//! Event-driven wire core (Linux): an epoll(7) readiness loop serving
-//! thousands of connections from one thread, with a shared decode-worker
-//! CPU stage and writev-batched response flushing.
+//! The wire engine (Linux): an epoll(7) readiness loop serving thousands
+//! of connections from one thread, with a shared CPU stage and
+//! writev-batched response flushing.
 //!
-//! This replaces thread-per-connection for connection *count* scaling: a
-//! 10k-idle-connection fleet costs one `Conn` struct per client (a
-//! nonblocking socket, an incremental [`FrameReader`], and two small
-//! queues) instead of 10k parked OS threads and their stacks.
+//! Connection *count* costs memory, not threads: a 10k-idle-connection
+//! fleet is one `Conn` struct per client (a nonblocking socket, an
+//! incremental [`FrameReader`] with one reusable scratch buffer, and two
+//! small queues), served by `ldap-event` plus at most a handful of
+//! `ldap-wire-<i>` workers.
 //!
 //! ## Architecture
 //!
@@ -16,8 +17,8 @@
 //!  (listener)     │        (nonblocking FrameReader → LdapMessage)
 //!                 │                │ decoded requests (seq-stamped)
 //!                 │                ▼
-//!                 │        CPU stage: inline (1 worker) or a shared
-//!                 │        worker pool running `prepare_op` — directory
+//!                 │        CPU stage: inline (no pool) or a shared
+//!                 │        worker pool running `respond` — directory
 //!                 │        work and response encoding off the loop thread
 //!                 │                │ completions (conn, seq, bytes)
 //!                 │                ▼
@@ -29,11 +30,11 @@
 //!          32 KiB chunk size); partial sends keep EPOLLOUT armed
 //! ```
 //!
-//! Everything the threaded path guarantees is preserved: RFC 2251
-//! request-order responses per connection, Notice of Disconnection on
-//! malformed frames (written *after* every earlier response), the
-//! `connections_open`/`connections_total` gauges, and shutdown that joins
-//! the loop and its workers with the gauge drained to zero.
+//! What a client can rely on: RFC 2251 request-order responses per
+//! connection, Notice of Disconnection on malformed frames (written
+//! *after* every earlier response), the `connections_open` /
+//! `connections_total` gauges, and shutdown that joins the loop and its
+//! workers with the gauge drained to zero.
 //!
 //! ## Syscall surface
 //!
@@ -55,9 +56,7 @@
 
 use crate::directory::Directory;
 use crate::proto::{FrameReader, LdapMessage, ProtocolOp};
-use crate::server::{
-    disconnect_notice_bytes, prepare_op, render_response, ServerMetrics, FLUSH_CHUNK,
-};
+use crate::server::{disconnect_notice_bytes, respond, ServerMetrics};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{IoSlice, Read, Write};
@@ -65,6 +64,7 @@ use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Raw syscall bindings. The symbols resolve against the C library std
@@ -250,25 +250,21 @@ pub fn raise_nofile_limit(want: u64) -> u64 {
     }
 }
 
-/// Knobs the event loop runs with (resolved by `ServerBuilder::start`).
-pub(crate) struct EventConfig {
-    pub workers: usize,
-    pub idle_timeout: Option<Duration>,
-}
-
 const TOK_LISTENER: u64 = 0;
 const TOK_WAKER: u64 = 1;
 const FIRST_CONN: u64 = 2;
 /// Readiness events drained per `epoll_wait`.
 const EVENT_BATCH: usize = 1024;
 /// Response frames a connection may have queued or in flight before its
-/// read interest is parked (decode-ahead depth, like the threaded path's
-/// bounded job queue).
+/// read interest is parked (the decode-ahead depth).
 const MAX_INFLIGHT: usize = 32;
 /// Outbound bytes queued per connection before reads park.
 const MAX_OUTBOUND: usize = 1 << 20;
 /// Max iovecs per writev call.
 const MAX_IOV: usize = 64;
+/// Per-iovec cap in the writev batches, so a huge result set never forms
+/// one giant slice.
+const FLUSH_CHUNK: usize = 32 * 1024;
 /// First accept-pause backoff after fd exhaustion (doubles per
 /// consecutive pause, capped at [`ACCEPT_BACKOFF_MAX`]).
 const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(10);
@@ -290,11 +286,15 @@ struct Completion {
     bytes: Vec<u8>,
 }
 
-/// Shared state between the loop and the decode-worker pool.
-struct Cpu {
+/// The CPU stage: decoded requests in, complete response bytes out —
+/// shared between the loop and its worker pool.
+pub(crate) struct Cpu {
     jobs: Mutex<JobQueue>,
     available: Condvar,
     done: Mutex<Vec<Completion>>,
+    /// The pool, spawned (and handed over) by `ServerBuilder::start`.
+    /// Empty means requests run inline on the loop thread.
+    workers: Mutex<Vec<JoinHandle<()>>>,
     waker: Arc<Waker>,
     dir: Arc<dyn Directory>,
     metrics: Arc<ServerMetrics>,
@@ -306,6 +306,54 @@ struct JobQueue {
 }
 
 impl Cpu {
+    pub(crate) fn new(
+        dir: Arc<dyn Directory>,
+        metrics: Arc<ServerMetrics>,
+        waker: Arc<Waker>,
+    ) -> Cpu {
+        Cpu {
+            jobs: Mutex::new(JobQueue {
+                jobs: VecDeque::new(),
+                closed: false,
+            }),
+            available: Condvar::new(),
+            done: Mutex::new(Vec::new()),
+            workers: Mutex::new(Vec::new()),
+            waker,
+            dir,
+            metrics,
+        }
+    }
+
+    /// Take ownership of a pool thread running [`Cpu::work`].
+    pub(crate) fn adopt(&self, worker: JoinHandle<()>) {
+        self.workers.lock().push(worker);
+    }
+
+    /// A pool thread's body: serve jobs until the stage stops.
+    pub(crate) fn work(&self) {
+        while let Some(job) = self.pop() {
+            let bytes = respond(job.id, job.op, &self.dir, &self.metrics);
+            self.done.lock().push(Completion {
+                conn: job.conn,
+                seq: job.seq,
+                bytes,
+            });
+            self.waker.wake();
+        }
+    }
+
+    /// Close the job queue and join the pool. Called once the loop has
+    /// exited, or by `ServerBuilder::start` when it cannot finish.
+    pub(crate) fn stop(&self) {
+        self.jobs.lock().closed = true;
+        self.available.notify_all();
+        let workers = std::mem::take(&mut *self.workers.lock());
+        for w in workers {
+            let _ = w.join();
+        }
+    }
+
     fn push(&self, job: Job) {
         let mut q = self.jobs.lock();
         q.jobs.push_back(job);
@@ -323,29 +371,6 @@ impl Cpu {
             }
             self.available.wait(&mut q);
         }
-    }
-
-    fn close(&self) {
-        self.jobs.lock().closed = true;
-        self.available.notify_all();
-    }
-
-    fn complete(&self, c: Completion) {
-        self.done.lock().push(c);
-        self.waker.wake();
-    }
-}
-
-fn worker_loop(cpu: &Cpu) {
-    while let Some(job) = cpu.pop() {
-        let mut buf = Vec::with_capacity(256);
-        let prepared = prepare_op(job.id, job.op, &cpu.dir, &cpu.metrics, &mut buf);
-        render_response(&mut buf, job.id, prepared);
-        cpu.complete(Completion {
-            conn: job.conn,
-            seq: job.seq,
-            bytes: buf,
-        });
     }
 }
 
@@ -417,7 +442,7 @@ enum ReadPass {
 }
 
 /// Create the epoll set and register the listener and waker, surfacing
-/// setup errors to `ServerBuilder::start` before the loop thread spawns.
+/// setup errors to `ServerBuilder::start` before any thread spawns.
 pub(crate) fn setup(listener: &TcpListener, waker: &Waker) -> std::io::Result<Epoll> {
     let epoll = Epoll::new()?;
     listener.set_nonblocking(true)?;
@@ -433,50 +458,24 @@ pub(crate) fn setup(listener: &TcpListener, waker: &Waker) -> std::io::Result<Ep
     Ok(epoll)
 }
 
+/// The `ldap-event` thread's body: serve until `stop` is set and the waker
+/// fires, then stop the CPU stage and close every connection.
 pub(crate) fn serve_event_loop(
     epoll: Epoll,
     listener: TcpListener,
-    dir: Arc<dyn Directory>,
-    metrics: Arc<ServerMetrics>,
-    cfg: EventConfig,
+    cpu: Arc<Cpu>,
+    idle_timeout: Option<Duration>,
     stop: Arc<AtomicBool>,
-    waker: Arc<Waker>,
 ) {
-    let cpu = Arc::new(Cpu {
-        jobs: Mutex::new(JobQueue {
-            jobs: VecDeque::new(),
-            closed: false,
-        }),
-        available: Condvar::new(),
-        done: Mutex::new(Vec::new()),
-        waker: waker.clone(),
-        dir,
-        metrics: metrics.clone(),
-    });
-    let inline = cfg.workers <= 1;
-    let workers: Vec<_> = if inline {
-        Vec::new()
-    } else {
-        (0..cfg.workers)
-            .map(|i| {
-                let cpu = cpu.clone();
-                std::thread::Builder::new()
-                    .name(format!("ldap-wire-{i}"))
-                    .spawn(move || worker_loop(&cpu))
-                    .expect("spawn wire worker")
-            })
-            .collect()
-    };
-
+    let inline = cpu.workers.lock().is_empty();
     let mut lp = Loop {
         epoll,
         listener,
         conns: HashMap::new(),
         next_token: FIRST_CONN,
-        cpu,
-        metrics,
         inline,
-        idle_timeout: cfg.idle_timeout,
+        cpu,
+        idle_timeout,
         last_sweep: Instant::now(),
         accept_paused_until: None,
         accept_backoff: ACCEPT_BACKOFF_MIN,
@@ -499,7 +498,7 @@ pub(crate) fn serve_event_loop(
             let token = ev.data;
             match token {
                 TOK_LISTENER => lp.accept_ready(),
-                TOK_WAKER => waker.drain(),
+                TOK_WAKER => lp.cpu.waker.drain(),
                 t => lp.handle_conn_event(t, ev.events),
             }
         }
@@ -508,16 +507,16 @@ pub(crate) fn serve_event_loop(
         lp.sweep_idle();
     }
 
-    // Shutdown: stop the CPU stage, join the workers, force-close every
-    // connection, drain the open-connections gauge to zero.
-    lp.cpu.close();
-    for w in workers {
-        let _ = w.join();
-    }
+    // Shutdown: stop the CPU stage (joining its workers), force-close
+    // every connection, drain the open-connections gauge to zero.
+    lp.cpu.stop();
     let conns = std::mem::take(&mut lp.conns);
     for (_, conn) in conns {
         let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-        lp.metrics.connections_open.fetch_sub(1, Ordering::Relaxed);
+        lp.cpu
+            .metrics
+            .connections_open
+            .fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -527,7 +526,6 @@ struct Loop {
     conns: HashMap<u64, Conn>,
     next_token: u64,
     cpu: Arc<Cpu>,
-    metrics: Arc<ServerMetrics>,
     inline: bool,
     idle_timeout: Option<Duration>,
     last_sweep: Instant,
@@ -573,10 +571,12 @@ impl Loop {
             if self.epoll.add(stream.as_raw_fd(), interest, token).is_err() {
                 continue;
             }
-            self.metrics
+            self.cpu
+                .metrics
                 .connections_total
                 .fetch_add(1, Ordering::Relaxed);
-            self.metrics
+            self.cpu
+                .metrics
                 .connections_open
                 .fetch_add(1, Ordering::Relaxed);
             self.conns.insert(
@@ -610,7 +610,10 @@ impl Loop {
         let _ = self.epoll.delete(self.listener.as_raw_fd());
         self.accept_paused_until = Some(Instant::now() + self.accept_backoff);
         self.accept_backoff = (self.accept_backoff * 2).min(ACCEPT_BACKOFF_MAX);
-        self.metrics.accept_pauses.fetch_add(1, Ordering::Relaxed);
+        self.cpu
+            .metrics
+            .accept_pauses
+            .fetch_add(1, Ordering::Relaxed);
     }
 
     /// Re-register the listener once the pause deadline passes and try to
@@ -736,7 +739,8 @@ impl Loop {
         if let Some(conn) = self.conns.remove(&token) {
             let _ = self.epoll.delete(conn.stream.as_raw_fd());
             let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-            self.metrics
+            self.cpu
+                .metrics
                 .connections_open
                 .fetch_sub(1, Ordering::Relaxed);
         }
@@ -759,8 +763,8 @@ impl Loop {
                         touched.push(c.conn);
                     }
                 }
-                // else: the connection died before its response computed —
-                // the threaded path drops these writes too.
+                // else: the connection died before its response computed;
+                // there is nobody to write it to.
             }
             touched.sort_unstable();
             touched.dedup();
@@ -798,7 +802,10 @@ impl Loop {
             .map(|(t, _)| *t)
             .collect();
         for t in idle {
-            self.metrics.disconnect_idle.fetch_add(1, Ordering::Relaxed);
+            self.cpu
+                .metrics
+                .disconnect_idle
+                .fetch_add(1, Ordering::Relaxed);
             self.close_conn(t);
         }
     }
@@ -846,10 +853,8 @@ fn drain_reads(conn: &mut Conn, token: u64, cpu: &Cpu, inline: bool) -> ReadPass
                 let seq = conn.next_seq;
                 conn.next_seq += 1;
                 if inline {
-                    let mut buf = Vec::with_capacity(256);
-                    let prepared = prepare_op(msg.id, op, &cpu.dir, &cpu.metrics, &mut buf);
-                    render_response(&mut buf, msg.id, prepared);
-                    conn.ready.insert(seq, buf);
+                    conn.ready
+                        .insert(seq, respond(msg.id, op, &cpu.dir, &cpu.metrics));
                 } else {
                     cpu.push(Job {
                         conn: token,

@@ -15,7 +15,8 @@
 //!   is built to survive);
 //! - LDIF import/export ([`ldif`]);
 //! - an LDAPv3 wire subset: BER codec ([`ber`]), message layer ([`proto`]),
-//!   a threaded TCP [`server`] and [`client`];
+//!   a TCP [`server`] (one epoll loop thread plus a small shared worker
+//!   pool, whatever the connection count; Linux) and [`client`];
 //! - lazy multi-master [`repl`]ication with the relaxed write-write
 //!   consistency the paper describes directories as having.
 //!

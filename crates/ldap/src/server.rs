@@ -5,43 +5,31 @@
 //! same code serves both a plain directory server and the LTAP *gateway*
 //! deployment — LTAP's interceptor implements `Directory` too.
 //!
-//! ## Wire engines
+//! This module is the server's handle and its protocol half: the
+//! [`ServerBuilder`] / [`Server`] lifecycle, the always-on
+//! [`ServerMetrics`], and `respond`, the one function that turns a
+//! decoded request into its complete response bytes. The transport half —
+//! sockets, framing, ordering, flushing — is the epoll loop in
+//! [`crate::event`]: one `ldap-event` thread owns every connection and an
+//! optional shared pool of `ldap-wire-<i>` threads runs `respond`, so
+//! the thread count never depends on the connection count. Responses leave
+//! strictly in request order per connection (RFC 2251).
 //!
-//! Two engines serve the same protocol, switched by
-//! [`ServerBuilder::with_event_loop`]:
-//!
-//! - **Event loop** (default on Linux, [`crate::event`]): one epoll
-//!   readiness thread owns every nonblocking connection; decoded requests
-//!   run on a shared CPU stage and responses flush back writev-batched.
-//!   Scales to 10k+ connections without a thread per client.
-//! - **Threaded** (the ablation arm, and the only engine off-Linux): one
-//!   thread per connection, with an optional per-connection decode-ahead
-//!   worker pool ([`ServerBuilder::with_wire_workers`]).
-//!
-//! Both engines read through a buffered incremental [`FrameReader`] (one
-//! reusable scratch buffer, no per-frame allocation), answer strictly in
-//! request order per connection (RFC 2251), and stream search results
-//! through one reusable encode buffer flushed in bounded chunks.
+//! The wire server is built on epoll(7), so it runs on Linux only; off
+//! Linux [`ServerBuilder::start`] returns `Unavailable`, and the rest of
+//! the crate (codec, client, DIT, everything in-process) still builds.
 
 use crate::directory::Directory;
 use crate::dn::Dn;
 use crate::error::{LdapError, Result, ResultCode};
 use crate::proto::{
-    encode_search_entry_into, entry_from_wire, notice_of_disconnection, parse_rdn, FrameReader,
-    LdapMessage, LdapResult, ProtocolOp,
+    encode_search_entry_into, entry_from_wire, notice_of_disconnection, parse_rdn, LdapMessage,
+    LdapResult, ProtocolOp,
 };
-use parking_lot::{Condvar, Mutex};
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::io::Write;
-use std::net::{TcpListener, TcpStream};
+use parking_lot::Mutex;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
-
-/// Flush the streaming search buffer whenever it grows past this (also the
-/// per-iovec cap in the event engine's writev batches).
-pub(crate) const FLUSH_CHUNK: usize = 32 * 1024;
 
 /// Per-operation wire metrics: request counts by operation, BER decode
 /// failures, entries streamed back, connection gauges, and a tally of every
@@ -71,7 +59,7 @@ pub struct ServerMetrics {
     /// ([`ServerBuilder::with_idle_timeout`]).
     pub disconnect_idle: AtomicU64,
     /// Times the accept path hit fd exhaustion (EMFILE/ENFILE) and backed
-    /// off before retrying — on either engine.
+    /// off before retrying.
     pub accept_pauses: AtomicU64,
     /// result code → times sent (any operation).
     result_codes: Mutex<BTreeMap<u32, u64>>,
@@ -107,19 +95,11 @@ impl ServerMetrics {
     }
 }
 
-/// Per-connection pipeline configuration (threaded engine).
-#[derive(Clone, Copy)]
-struct WireConfig {
-    workers: usize,
-    idle_timeout: Option<std::time::Duration>,
-}
-
-/// Builder for a [`Server`], exposing the wire performance knobs.
+/// Builder for a [`Server`], exposing the wire knobs.
 #[derive(Clone, Copy)]
 pub struct ServerBuilder {
     /// `None` = pick at start time from the host's parallelism.
     wire_workers: Option<usize>,
-    event_loop: bool,
     idle_timeout: Option<std::time::Duration>,
 }
 
@@ -133,17 +113,17 @@ impl ServerBuilder {
     pub fn new() -> ServerBuilder {
         ServerBuilder {
             wire_workers: None,
-            event_loop: true,
             idle_timeout: None,
         }
     }
 
-    /// Size of the per-connection decode-ahead worker pool. `1` disables
-    /// pipelining (requests are served strictly one at a time, decoded
-    /// inline). When not set, the pool defaults to
-    /// `min(available_parallelism, 4)` — in particular, a single-core host
-    /// gets inline decode rather than a decode-ahead worker it would only
-    /// contend with.
+    /// Size of the worker pool all connections share: requests decoded by
+    /// the loop thread run on `n` `ldap-wire-<i>` threads, so directory
+    /// work and response encoding overlap across requests. `1` means no
+    /// pool — every request runs on the loop thread itself. When not set,
+    /// the size is `min(available_parallelism, 4)`, so a single-core host
+    /// runs inline rather than hand off to a worker it would only contend
+    /// with.
     pub fn with_wire_workers(mut self, n: usize) -> ServerBuilder {
         self.wire_workers = Some(n.max(1));
         self
@@ -160,223 +140,84 @@ impl ServerBuilder {
         })
     }
 
-    /// Serve connections from the epoll readiness loop (default on Linux;
-    /// see [`crate::event`]). `false` restores the thread-per-connection
-    /// engine — kept as the E14 ablation arm. On non-Linux targets the
-    /// threaded engine always runs regardless of this knob.
-    pub fn with_event_loop(mut self, on: bool) -> ServerBuilder {
-        self.event_loop = on;
-        self
-    }
-
-    /// Drop connections with no socket activity for `timeout` (and count
-    /// them in the `disconnectIdle` gauge), so 10k-connection deployments
-    /// shed dead clients. Applies to both engines. Default: never.
+    /// Drop connections with no socket activity and no work in flight for
+    /// `timeout` (and count them in the `disconnectIdle` gauge), so
+    /// 10k-connection deployments shed dead clients. Default: never.
     pub fn with_idle_timeout(mut self, timeout: std::time::Duration) -> ServerBuilder {
         self.idle_timeout = Some(timeout);
         self
     }
 
-    /// Whether [`start`](ServerBuilder::start) will run the event engine
-    /// on this target.
-    pub fn resolved_event_loop(&self) -> bool {
-        self.event_loop && cfg!(target_os = "linux")
-    }
-
     /// Start serving `dir` on `addr` (use port 0 for an ephemeral port).
+    /// Every thread the server runs is spawned here, so a host that cannot
+    /// provide one fails the start instead of the running server.
+    #[cfg(target_os = "linux")]
     pub fn start(self, dir: Arc<dyn Directory>, addr: &str) -> Result<Server> {
-        let listener = TcpListener::bind(addr)?;
+        use crate::event::{self, Cpu, Waker};
+        let unavailable =
+            |e: std::io::Error| LdapError::new(ResultCode::Unavailable, e.to_string());
+        let listener = std::net::TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let metrics = Arc::new(ServerMetrics::default());
-        #[cfg(target_os = "linux")]
-        if self.resolved_event_loop() {
-            return self.start_event(listener, local, dir, stop, metrics);
-        }
-        self.start_threaded(listener, local, dir, stop, metrics)
-    }
-
-    /// The epoll readiness engine: one loop thread owns every connection.
-    #[cfg(target_os = "linux")]
-    fn start_event(
-        self,
-        listener: TcpListener,
-        local: std::net::SocketAddr,
-        dir: Arc<dyn Directory>,
-        stop: Arc<AtomicBool>,
-        metrics: Arc<ServerMetrics>,
-    ) -> Result<Server> {
         let wire_workers = self.resolved_wire_workers();
-        let waker = Arc::new(
-            crate::event::Waker::new()
-                .map_err(|e| LdapError::new(ResultCode::Unavailable, e.to_string()))?,
-        );
-        let epoll = crate::event::setup(&listener, &waker)
-            .map_err(|e| LdapError::new(ResultCode::Unavailable, e.to_string()))?;
-        let cfg = crate::event::EventConfig {
-            workers: wire_workers,
-            idle_timeout: self.idle_timeout,
-        };
-        let m2 = metrics.clone();
-        let stop2 = stop.clone();
-        let waker2 = waker.clone();
-        let loop_thread = std::thread::Builder::new()
-            .name("ldap-event".into())
-            .spawn(move || {
-                crate::event::serve_event_loop(epoll, listener, dir, m2, cfg, stop2, waker2);
-            })
-            .map_err(|e| LdapError::new(ResultCode::Unavailable, e.to_string()))?;
-        Ok(Server {
-            addr: local,
-            stop,
-            engine: Some(Engine::Event {
-                thread: loop_thread,
-                waker,
-            }),
-            metrics,
-            wire_workers,
-            event_loop: true,
-        })
-    }
-
-    /// The thread-per-connection engine (the ablation arm).
-    fn start_threaded(
-        self,
-        listener: TcpListener,
-        local: std::net::SocketAddr,
-        dir: Arc<dyn Directory>,
-        stop: Arc<AtomicBool>,
-        metrics: Arc<ServerMetrics>,
-    ) -> Result<Server> {
-        let cfg = WireConfig {
-            workers: self.resolved_wire_workers(),
-            idle_timeout: self.idle_timeout,
-        };
-        let stop2 = stop.clone();
-        let m2 = metrics.clone();
-        let conns: Arc<ConnRegistry> = Arc::new(Mutex::new(HashMap::new()));
-        let conns2 = conns.clone();
-        let accept_thread = std::thread::Builder::new()
-            .name("ldap-accept".into())
-            .spawn(move || {
-                let mut next_conn: u64 = 0;
-                let mut accept_backoff = Duration::from_millis(10);
-                for conn in listener.incoming() {
-                    if stop2.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    match conn {
-                        Ok(stream) => {
-                            accept_backoff = Duration::from_millis(10);
-                            stream.set_nodelay(true).ok();
-                            m2.connections_total.fetch_add(1, Ordering::Relaxed);
-                            // One fd per connection: the registry, reader,
-                            // and writers all share this handle, so the
-                            // accept(2) above is the only point that can
-                            // hit fd exhaustion — a connection, once
-                            // accepted, cannot be lost to an EMFILE on a
-                            // secondary try_clone.
-                            let stream = Arc::new(stream);
-                            let registry_half = stream.clone();
-                            m2.connections_open.fetch_add(1, Ordering::Relaxed);
-                            let dir = dir.clone();
-                            let m = m2.clone();
-                            let spawned = std::thread::Builder::new()
-                                .name("ldap-conn".into())
-                                .spawn(move || {
-                                    serve_connection(stream, dir, &m, cfg);
-                                    m.connections_open.fetch_sub(1, Ordering::Relaxed);
-                                });
-                            match spawned {
-                                Ok(handle) => {
-                                    let mut reg = conns2.lock();
-                                    // Sweep finished connections so the
-                                    // registry stays bounded by peak
-                                    // concurrency.
-                                    reg.retain(|_, slot| !slot.handle.is_finished());
-                                    reg.insert(
-                                        next_conn,
-                                        ConnSlot {
-                                            stream: registry_half,
-                                            handle,
-                                        },
-                                    );
-                                    next_conn += 1;
-                                }
-                                Err(_) => {
-                                    m2.connections_open.fetch_sub(1, Ordering::Relaxed);
-                                }
-                            }
-                        }
-                        Err(e)
-                            if matches!(
-                                e.kind(),
-                                std::io::ErrorKind::ConnectionAborted
-                                    | std::io::ErrorKind::Interrupted
-                            ) =>
-                        {
-                            continue
-                        }
-                        // EMFILE/ENFILE and friends: accept(2) fails
-                        // instantly while fds are exhausted, so a plain
-                        // retry spins hot and a `break` abandons the
-                        // listener for the life of the server. Back off
-                        // (bounded) and retry; the stop flag is rechecked
-                        // every iteration so shutdown still works even if
-                        // fds never free up.
-                        Err(_) => {
-                            m2.accept_pauses.fetch_add(1, Ordering::Relaxed);
-                            std::thread::sleep(accept_backoff);
-                            accept_backoff = (accept_backoff * 2).min(Duration::from_secs(1));
-                        }
-                    }
+        let waker = Arc::new(Waker::new().map_err(unavailable)?);
+        let epoll = event::setup(&listener, &waker).map_err(unavailable)?;
+        let cpu = Arc::new(Cpu::new(dir, metrics.clone(), waker.clone()));
+        // A pool of one would add a hand-off and no overlap.
+        let pool = if wire_workers > 1 { wire_workers } else { 0 };
+        for i in 0..pool {
+            let worker = cpu.clone();
+            let spawned = std::thread::Builder::new()
+                .name(format!("ldap-wire-{i}"))
+                .spawn(move || worker.work());
+            match spawned {
+                Ok(handle) => cpu.adopt(handle),
+                Err(e) => {
+                    cpu.stop();
+                    return Err(unavailable(e));
                 }
-            })
-            .map_err(|e| LdapError::new(ResultCode::Unavailable, e.to_string()))?;
-        Ok(Server {
-            addr: local,
-            stop,
-            engine: Some(Engine::Threaded {
-                accept_thread,
-                conns,
+            }
+        }
+        let (cpu2, stop2, idle_timeout) = (cpu.clone(), stop.clone(), self.idle_timeout);
+        let spawned = std::thread::Builder::new()
+            .name("ldap-event".into())
+            .spawn(move || event::serve_event_loop(epoll, listener, cpu2, idle_timeout, stop2));
+        match spawned {
+            Ok(thread) => Ok(Server {
+                addr: local,
+                stop,
+                metrics,
+                wire_workers,
+                event: Some((thread, waker)),
             }),
-            metrics,
-            wire_workers: cfg.workers,
-            event_loop: false,
-        })
+            Err(e) => {
+                cpu.stop();
+                Err(unavailable(e))
+            }
+        }
     }
-}
 
-type ConnRegistry = Mutex<HashMap<u64, ConnSlot>>;
-
-struct ConnSlot {
-    stream: Arc<TcpStream>,
-    handle: JoinHandle<()>,
-}
-
-/// The running wire engine behind a [`Server`].
-enum Engine {
-    /// Thread-per-connection, joined through the connection registry.
-    Threaded {
-        accept_thread: JoinHandle<()>,
-        conns: Arc<ConnRegistry>,
-    },
-    /// One epoll loop thread owning every connection (Linux).
-    #[cfg(target_os = "linux")]
-    Event {
-        thread: JoinHandle<()>,
-        waker: Arc<crate::event::Waker>,
-    },
+    /// Off Linux there is no wire server to start.
+    #[cfg(not(target_os = "linux"))]
+    pub fn start(self, _dir: Arc<dyn Directory>, _addr: &str) -> Result<Server> {
+        Err(LdapError::new(
+            ResultCode::Unavailable,
+            "the wire server is built on epoll(7)",
+        ))
+    }
 }
 
 /// A running LDAP server. Shuts down when dropped.
 pub struct Server {
     addr: std::net::SocketAddr,
     stop: Arc<AtomicBool>,
-    engine: Option<Engine>,
     metrics: Arc<ServerMetrics>,
     wire_workers: usize,
-    event_loop: bool,
+    /// The loop thread and the waker that interrupts its `epoll_wait`;
+    /// taken by the first `shutdown`.
+    #[cfg(target_os = "linux")]
+    event: Option<(std::thread::JoinHandle<()>, Arc<crate::event::Waker>)>,
 }
 
 impl Server {
@@ -385,7 +226,7 @@ impl Server {
         ServerBuilder::new().start(dir, addr)
     }
 
-    /// A builder exposing the wire performance knobs.
+    /// A builder exposing the wire knobs.
     pub fn builder() -> ServerBuilder {
         ServerBuilder::new()
     }
@@ -400,51 +241,21 @@ impl Server {
         self.metrics.clone()
     }
 
-    /// The decode-ahead pool size this server runs with (1 = inline
-    /// decode, no pipelining). Per connection in the threaded engine,
-    /// shared across connections in the event engine.
+    /// The size of the worker pool this server's connections share
+    /// (1 = no pool, requests run on the loop thread).
     pub fn wire_workers(&self) -> usize {
         self.wire_workers
     }
 
-    /// Whether this server runs the epoll readiness engine.
-    pub fn event_loop(&self) -> bool {
-        self.event_loop
-    }
-
-    /// Stop accepting, force-close live connections, and join the wire
-    /// engine (every connection thread, or the loop and its workers). The
-    /// `connections_open` gauge reads zero afterwards.
+    /// Stop accepting, force-close live connections, and join the loop
+    /// thread (which joins its workers). The `connections_open` gauge
+    /// reads zero afterwards.
     pub fn shutdown(&mut self) {
-        if !self.stop.swap(true, Ordering::SeqCst) {
-            match self.engine.take() {
-                Some(Engine::Threaded {
-                    accept_thread,
-                    conns,
-                }) => {
-                    // Unblock the accept loop.
-                    let _ = TcpStream::connect(self.addr);
-                    let _ = accept_thread.join();
-                    // Drain the registry before joining so the lock is not
-                    // held while connection threads wind down.
-                    let drained: Vec<ConnSlot> = {
-                        let mut reg = conns.lock();
-                        reg.drain().map(|(_, slot)| slot).collect()
-                    };
-                    for slot in &drained {
-                        let _ = slot.stream.shutdown(std::net::Shutdown::Both);
-                    }
-                    for slot in drained {
-                        let _ = slot.handle.join();
-                    }
-                }
-                #[cfg(target_os = "linux")]
-                Some(Engine::Event { thread, waker }) => {
-                    waker.wake();
-                    let _ = thread.join();
-                }
-                None => {}
-            }
+        self.stop.store(true, Ordering::SeqCst);
+        #[cfg(target_os = "linux")]
+        if let Some((thread, waker)) = self.event.take() {
+            waker.wake();
+            let _ = thread.join();
         }
     }
 }
@@ -455,324 +266,13 @@ impl Drop for Server {
     }
 }
 
-/// What the reader saw on the wire.
-enum Inbound {
-    Msg(LdapMessage),
-    /// Undecodable bytes: framing violation or BER decode failure.
-    Malformed(String),
-    /// The idle timeout elapsed with no readable bytes.
-    Idle,
-    Closed,
-}
-
-fn read_inbound<R: std::io::Read>(frames: &mut FrameReader<R>, metrics: &ServerMetrics) -> Inbound {
-    match frames.next_frame() {
-        Ok(Some(frame)) => match LdapMessage::decode(frame) {
-            Ok(m) => Inbound::Msg(m),
-            Err(e) => {
-                metrics.decode_failures.fetch_add(1, Ordering::Relaxed);
-                Inbound::Malformed(e.message)
-            }
-        },
-        Ok(None) => Inbound::Closed,
-        Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-            metrics.decode_failures.fetch_add(1, Ordering::Relaxed);
-            Inbound::Malformed(e.to_string())
-        }
-        // A blocking socket with a read timeout reports the expiry as
-        // WouldBlock (or TimedOut, platform-dependent).
-        Err(e)
-            if e.kind() == std::io::ErrorKind::WouldBlock
-                || e.kind() == std::io::ErrorKind::TimedOut =>
-        {
-            Inbound::Idle
-        }
-        Err(_) => Inbound::Closed,
-    }
-}
-
 /// The encoded RFC 2251 Notice of Disconnection, with its metrics
-/// recorded — shared by both wire engines.
+/// recorded: it tells the client why it is being dropped, so a malformed
+/// request is distinguishable from a crash.
 pub(crate) fn disconnect_notice_bytes(metrics: &ServerMetrics, detail: &str) -> Vec<u8> {
     metrics.disconnect_notices.fetch_add(1, Ordering::Relaxed);
     metrics.record_result(ResultCode::ProtocolError);
     notice_of_disconnection(ResultCode::ProtocolError, detail).encode()
-}
-
-/// Tell the client why it is being dropped (RFC 2251 Notice of
-/// Disconnection) so malformed-request is distinguishable from a crash.
-fn send_disconnect_notice(mut w: impl Write, metrics: &ServerMetrics, detail: &str) {
-    let msg = disconnect_notice_bytes(metrics, detail);
-    let _ = w.write_all(&msg);
-    let _ = w.flush();
-}
-
-fn serve_connection(
-    stream: Arc<TcpStream>,
-    dir: Arc<dyn Directory>,
-    metrics: &ServerMetrics,
-    cfg: WireConfig,
-) {
-    // The threaded engine enforces the idle timeout through the socket's
-    // read timeout: an expiry surfaces as `Inbound::Idle` in the reader.
-    // (SO_RCVTIMEO lives on the socket, so any shared handle sees it.)
-    if let Some(t) = cfg.idle_timeout {
-        let _ = stream.set_read_timeout(Some(t));
-    }
-    let mut frames = FrameReader::new(&*stream);
-    if cfg.workers <= 1 {
-        serve_serial(&mut frames, &stream, &dir, metrics);
-    } else {
-        serve_pipelined(&mut frames, &stream, &dir, metrics, cfg);
-    }
-    let _ = stream.shutdown(std::net::Shutdown::Both);
-}
-
-fn serve_serial(
-    frames: &mut FrameReader<&TcpStream>,
-    stream: &TcpStream,
-    dir: &Arc<dyn Directory>,
-    metrics: &ServerMetrics,
-) {
-    let mut buf = Vec::with_capacity(4096);
-    loop {
-        match read_inbound(frames, metrics) {
-            Inbound::Msg(msg) => match msg.op {
-                ProtocolOp::UnbindRequest => {
-                    metrics.unbinds.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-                op => {
-                    let prepared = prepare_op(msg.id, op, dir, metrics, &mut buf);
-                    let mut w = stream;
-                    if write_response(&mut w, &mut buf, msg.id, prepared).is_err() {
-                        return;
-                    }
-                }
-            },
-            Inbound::Malformed(detail) => {
-                send_disconnect_notice(stream, metrics, &detail);
-                return;
-            }
-            Inbound::Idle => {
-                metrics.disconnect_idle.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-            Inbound::Closed => return,
-        }
-    }
-}
-
-/// One unit of decode-ahead work.
-enum Job {
-    Request {
-        seq: u64,
-        id: i64,
-        op: ProtocolOp,
-    },
-    /// Malformed input: write the Notice of Disconnection in turn order
-    /// (after every earlier response), then stop all further writes.
-    Disconnect {
-        seq: u64,
-        detail: String,
-    },
-}
-
-/// Per-connection pipeline shared between the reader and its workers: a
-/// bounded FIFO job queue (backpressure on the reader) plus a turn counter
-/// serializing response writes into request order.
-struct Pipeline {
-    queue: Mutex<JobQueue>,
-    not_empty: Condvar,
-    not_full: Condvar,
-    cap: usize,
-    turn: Mutex<u64>,
-    turn_cv: Condvar,
-    dead: AtomicBool,
-}
-
-struct JobQueue {
-    jobs: VecDeque<Job>,
-    closed: bool,
-}
-
-impl Pipeline {
-    fn new(cap: usize) -> Pipeline {
-        Pipeline {
-            queue: Mutex::new(JobQueue {
-                jobs: VecDeque::new(),
-                closed: false,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            cap,
-            turn: Mutex::new(0),
-            turn_cv: Condvar::new(),
-            dead: AtomicBool::new(false),
-        }
-    }
-
-    /// Reader side: blocks while the queue is full (per-connection
-    /// backpressure). `false` once the pipeline died or closed.
-    fn push(&self, job: Job) -> bool {
-        let mut q = self.queue.lock();
-        while q.jobs.len() >= self.cap && !q.closed && !self.dead.load(Ordering::Relaxed) {
-            self.not_full.wait(&mut q);
-        }
-        if q.closed || self.dead.load(Ordering::Relaxed) {
-            return false;
-        }
-        q.jobs.push_back(job);
-        self.not_empty.notify_one();
-        true
-    }
-
-    /// Worker side: `None` once the queue is closed and drained.
-    fn pop(&self) -> Option<Job> {
-        let mut q = self.queue.lock();
-        loop {
-            if let Some(j) = q.jobs.pop_front() {
-                self.not_full.notify_one();
-                return Some(j);
-            }
-            if q.closed {
-                return None;
-            }
-            self.not_empty.wait(&mut q);
-        }
-    }
-
-    fn close(&self) {
-        let mut q = self.queue.lock();
-        q.closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-
-    fn kill(&self) {
-        self.dead.store(true, Ordering::Relaxed);
-        // Wake a reader blocked on backpressure.
-        self.not_full.notify_all();
-    }
-
-    /// Wait for `seq`'s write turn. Jobs are popped FIFO, so the worker
-    /// holding the smallest outstanding seq has already left the queue and
-    /// will reach its turn — later seqs waiting here cannot deadlock.
-    fn begin_turn(&self, seq: u64) {
-        let mut t = self.turn.lock();
-        while *t != seq {
-            self.turn_cv.wait(&mut t);
-        }
-    }
-
-    fn end_turn(&self) {
-        let mut t = self.turn.lock();
-        *t += 1;
-        self.turn_cv.notify_all();
-    }
-}
-
-fn serve_pipelined(
-    frames: &mut FrameReader<&TcpStream>,
-    stream: &TcpStream,
-    dir: &Arc<dyn Directory>,
-    metrics: &ServerMetrics,
-    cfg: WireConfig,
-) {
-    let pipe = Pipeline::new(cfg.workers * 2);
-    std::thread::scope(|s| {
-        for _ in 0..cfg.workers {
-            s.spawn(|| worker_loop(&pipe, stream, dir, metrics));
-        }
-        let mut seq: u64 = 0;
-        loop {
-            match read_inbound(frames, metrics) {
-                Inbound::Msg(msg) => match msg.op {
-                    ProtocolOp::UnbindRequest => {
-                        metrics.unbinds.fetch_add(1, Ordering::Relaxed);
-                        break;
-                    }
-                    op => {
-                        if !pipe.push(Job::Request {
-                            seq,
-                            id: msg.id,
-                            op,
-                        }) {
-                            break;
-                        }
-                        seq += 1;
-                    }
-                },
-                Inbound::Malformed(detail) => {
-                    pipe.push(Job::Disconnect { seq, detail });
-                    break;
-                }
-                Inbound::Idle => {
-                    metrics.disconnect_idle.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                Inbound::Closed => break,
-            }
-        }
-        pipe.close();
-        // Scope exit joins the workers: they drain the queue, writing
-        // pending responses in request order, then stop.
-    });
-}
-
-fn worker_loop(
-    pipe: &Pipeline,
-    stream: &TcpStream,
-    dir: &Arc<dyn Directory>,
-    metrics: &ServerMetrics,
-) {
-    let mut buf = Vec::with_capacity(4096);
-    while let Some(job) = pipe.pop() {
-        match job {
-            Job::Request { seq, id, op } => {
-                // Directory work runs concurrently across workers; only the
-                // write below is serialized. Once the connection is dead,
-                // just keep the turn counter moving.
-                let prepared = if pipe.dead.load(Ordering::Relaxed) {
-                    None
-                } else {
-                    // Searches even encode here, before the turn: only raw
-                    // byte writes remain serialized.
-                    Some(prepare_op(id, op, dir, metrics, &mut buf))
-                };
-                pipe.begin_turn(seq);
-                if let Some(p) = prepared {
-                    if !pipe.dead.load(Ordering::Relaxed) {
-                        let mut w = stream;
-                        if write_response(&mut w, &mut buf, id, p).is_err() {
-                            pipe.kill();
-                        }
-                    }
-                }
-                pipe.end_turn();
-            }
-            Job::Disconnect { seq, detail } => {
-                pipe.begin_turn(seq);
-                if !pipe.dead.load(Ordering::Relaxed) {
-                    send_disconnect_notice(stream, metrics, &detail);
-                    pipe.kill();
-                }
-                pipe.end_turn();
-            }
-        }
-    }
-}
-
-/// A computed response, ready for its write turn.
-pub(crate) enum Prepared {
-    /// A search: the whole response (entries + done) is already BER in
-    /// the connection's reusable scratch buffer — encoded straight off
-    /// borrowed store entries by [`Directory::search_visit`], the only
-    /// search either wire engine calls; its visitor contract is why the
-    /// visitor does nothing but append to that buffer.
-    Encoded,
-    /// Any other operation: its single response op.
-    Op(ProtocolOp),
 }
 
 fn result_of(r: Result<()>, metrics: &ServerMetrics) -> LdapResult {
@@ -784,23 +284,24 @@ fn result_of(r: Result<()>, metrics: &ServerMetrics) -> LdapResult {
     lr
 }
 
-/// Run the directory work for one request and record its metrics.
-/// Searches encode into `buf` right here (so the directory work AND the
-/// encoding overlap across pipeline workers); everything else is encoded
-/// later, under the connection's write turn.
-pub(crate) fn prepare_op(
+/// Run the directory work for one request, record its metrics and return
+/// the complete response, BER-encoded. A search's entries are encoded
+/// straight off borrowed store entries by [`Directory::search_visit`] —
+/// its visitor contract is why the visitor does nothing but append to the
+/// buffer — and every operation ends in its one result message.
+pub(crate) fn respond(
     id: i64,
     op: ProtocolOp,
     dir: &Arc<dyn Directory>,
     metrics: &ServerMetrics,
-    buf: &mut Vec<u8>,
-) -> Prepared {
-    match op {
+) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(256);
+    let result = match op {
         ProtocolOp::BindRequest { dn, password, .. } => {
             metrics.binds.fetch_add(1, Ordering::Relaxed);
             let lr = bind_result(dir, &dn, &password);
             metrics.record_result(lr.code);
-            Prepared::Op(ProtocolOp::BindResponse(lr))
+            ProtocolOp::BindResponse(lr)
         }
         ProtocolOp::SearchRequest {
             base,
@@ -811,13 +312,12 @@ pub(crate) fn prepare_op(
         } => {
             metrics.searches.fetch_add(1, Ordering::Relaxed);
             let limit = size_limit.max(0) as usize;
-            buf.clear();
             let outcome = Dn::parse(&base).and_then(|b| {
                 dir.search_visit(&b, scope, &filter, &attrs, limit, &mut |e| {
-                    encode_search_entry_into(buf, id, e);
+                    encode_search_entry_into(&mut buf, id, e);
                 })
             });
-            let done = match outcome {
+            match outcome {
                 Ok((count, truncated)) => {
                     metrics
                         .entries_returned
@@ -833,24 +333,22 @@ pub(crate) fn prepare_op(
                     metrics.record_result(e.code);
                     ProtocolOp::SearchResultDone(LdapResult::error(&e))
                 }
-            };
-            LdapMessage { id, op: done }.encode_into(buf);
-            Prepared::Encoded
+            }
         }
         ProtocolOp::AddRequest { dn, attrs } => {
             metrics.adds.fetch_add(1, Ordering::Relaxed);
             let r = entry_from_wire(&dn, &attrs).and_then(|e| dir.add(e));
-            Prepared::Op(ProtocolOp::AddResponse(result_of(r, metrics)))
+            ProtocolOp::AddResponse(result_of(r, metrics))
         }
         ProtocolOp::DelRequest { dn } => {
             metrics.deletes.fetch_add(1, Ordering::Relaxed);
             let r = Dn::parse(&dn).and_then(|d| dir.delete(&d));
-            Prepared::Op(ProtocolOp::DelResponse(result_of(r, metrics)))
+            ProtocolOp::DelResponse(result_of(r, metrics))
         }
         ProtocolOp::ModifyRequest { dn, mods } => {
             metrics.modifies.fetch_add(1, Ordering::Relaxed);
             let r = Dn::parse(&dn).and_then(|d| dir.modify(&d, &mods));
-            Prepared::Op(ProtocolOp::ModifyResponse(result_of(r, metrics)))
+            ProtocolOp::ModifyResponse(result_of(r, metrics))
         }
         ProtocolOp::ModifyDnRequest {
             dn,
@@ -868,7 +366,7 @@ pub(crate) fn prepare_op(
                 };
                 dir.modify_rdn(&d, &rdn, delete_old, sup.as_ref())
             })();
-            Prepared::Op(ProtocolOp::ModifyDnResponse(result_of(r, metrics)))
+            ProtocolOp::ModifyDnResponse(result_of(r, metrics))
         }
         ProtocolOp::CompareRequest { dn, attr, value } => {
             metrics.compares.fetch_add(1, Ordering::Relaxed);
@@ -887,16 +385,18 @@ pub(crate) fn prepare_op(
                 Err(e) => LdapResult::error(&e),
             };
             metrics.record_result(lr.code);
-            Prepared::Op(ProtocolOp::CompareResponse(lr))
+            ProtocolOp::CompareResponse(lr)
         }
         // Requests a server never receives (responses, unbind handled by
         // the reader).
         _ => {
             let lr = LdapResult::error(&LdapError::protocol("unexpected protocol op"));
             metrics.record_result(lr.code);
-            Prepared::Op(ProtocolOp::SearchResultDone(lr))
+            ProtocolOp::SearchResultDone(lr)
         }
-    }
+    };
+    LdapMessage { id, op: result }.encode_into(&mut buf);
+    buf
 }
 
 fn search_done(truncated: bool) -> ProtocolOp {
@@ -909,37 +409,6 @@ fn search_done(truncated: bool) -> ProtocolOp {
     } else {
         LdapResult::success()
     })
-}
-
-/// Finish encoding a prepared response into `buf`. Searches are already
-/// BER in `buf` (left untouched); everything else is encoded here.
-/// Both wire engines share this so their byte streams are bit-identical.
-pub(crate) fn render_response(buf: &mut Vec<u8>, id: i64, prepared: Prepared) {
-    match prepared {
-        Prepared::Encoded => {
-            // `buf` was filled by prepare_op; don't clear it.
-        }
-        Prepared::Op(op) => {
-            buf.clear();
-            LdapMessage { id, op }.encode_into(buf);
-        }
-    }
-}
-
-/// Send one prepared response, reusing `buf` across calls. Responses go
-/// out in [`FLUSH_CHUNK`]-sized writes so a huge result set never forces
-/// one giant syscall.
-fn write_response<W: Write>(
-    w: &mut W,
-    buf: &mut Vec<u8>,
-    id: i64,
-    prepared: Prepared,
-) -> std::io::Result<()> {
-    render_response(buf, id, prepared);
-    for chunk in buf.chunks(FLUSH_CHUNK) {
-        w.write_all(chunk)?;
-    }
-    w.flush()
 }
 
 fn bind_result(dir: &Arc<dyn Directory>, dn: &str, password: &str) -> LdapResult {
@@ -975,6 +444,7 @@ mod tests {
     use super::*;
     use crate::client::TcpDirectory;
     use crate::dit::{figure2_tree, Dit, Scope};
+    use std::net::TcpStream;
 
     #[test]
     fn server_starts_and_stops() {

@@ -26,14 +26,20 @@ struct Served {
     addr: String,
 }
 
-fn served() -> Served {
+fn deployment() -> MetaCommBuilder {
     let switch = Arc::new(PbxStore::new("pbx-west", DialPlan::with_prefix("1", 4)));
     let mp = Arc::new(MpStore::new("mp"));
-    let system = MetaCommBuilder::new("o=Lucent")
+    MetaCommBuilder::new("o=Lucent")
         .add_pbx(switch, "1???")
         .add_msgplat(mp, "*")
-        .build()
-        .expect("build");
+}
+
+fn served() -> Served {
+    serve(deployment())
+}
+
+fn serve(deployment: MetaCommBuilder) -> Served {
+    let system = deployment.build().expect("build");
     let server = system.serve("127.0.0.1:0").expect("serve");
     let addr = server.addr().to_string();
     Served {
@@ -166,6 +172,33 @@ fn counters_and_percentiles_move_after_scripted_updates() {
     assert!(read("server", "searches") > searches_before);
     assert!(read("server", "entriesReturned") > 0);
     assert!(read("server", "resultCode0") > 0);
+    s.system.shutdown();
+}
+
+/// The idle timeout the way an operator meets it: set on the deployment,
+/// enforced by the served wire, counted in the monitor.
+#[test]
+fn a_deployments_idle_timeout_sheds_a_silent_client_and_the_monitor_counts_it() {
+    use std::io::Read;
+    use std::time::Duration;
+    let s = serve(deployment().with_idle_timeout(Duration::from_millis(250)));
+    let silent = std::net::TcpStream::connect(&s.addr).expect("connect");
+    silent
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    let mut one = [0u8; 1];
+    let read = (&silent)
+        .read(&mut one)
+        .expect("closed by the server, not timed out");
+    assert_eq!(read, 0, "the silent client reads EOF");
+
+    let client = TcpDirectory::connect(&s.addr).expect("connect");
+    let server = client
+        .get(&dn("cn=server,cn=monitor"))
+        .expect("read cn=server")
+        .expect("cn=server exists");
+    assert_eq!(server.first("disconnectIdle"), Some("1"));
+    assert_eq!(server.first("connectionsOpen"), Some("1"));
     s.system.shutdown();
 }
 

@@ -1,10 +1,12 @@
-//! One thread per device on the DDU path, and none left after shutdown —
-//! counted from `/proc/self/task/*/comm`, not timed.
+//! One thread per device on the DDU path, a wire server whose threads do
+//! not scale with its connections, and none left after shutdown — counted
+//! from `/proc/self/task/*/comm`, not timed.
 //!
 //! A binary of its own with one test, so the census sees this deployment's
 //! threads and nobody else's. Linux only: that is where the census is.
 #![cfg(target_os = "linux")]
 
+use ldap::client::TcpDirectory;
 use metacomm::MetaCommBuilder;
 use pbx::{DialPlan, Store as PbxStore};
 use std::sync::atomic::Ordering;
@@ -28,20 +30,26 @@ fn family<'a>(names: &'a [String], prefix: &str) -> Vec<&'a str> {
     of_family.map(String::as_str).collect()
 }
 
-/// The census once it reads `expected` threads. A joined thread can stay
-/// listed for a moment (the join returns when the kernel clears the
-/// thread's tid, just before it unlinks the task), so a census that is
-/// still high is taken again — for a bounded while, and never sooner than
-/// the threads are gone.
-fn census_of(expected: usize) -> Vec<String> {
+/// The census once `settled` accepts it — taken again, for a bounded
+/// while, when it does not: the kernel's list trails the program by a
+/// moment at both ends of a thread's life.
+fn census_when(settled: impl Fn(&[String]) -> bool) -> Vec<String> {
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
         let names = census();
-        if names.len() <= expected || Instant::now() > deadline {
+        if settled(&names) || Instant::now() > deadline {
             return names;
         }
         std::thread::sleep(Duration::from_millis(2));
     }
+}
+
+/// The census once it reads `expected` threads. A joined thread can stay
+/// listed for a moment (the join returns when the kernel clears the
+/// thread's tid, just before it unlinks the task), so a census that is
+/// still high is taken again, and never sooner than the threads are gone.
+fn census_of(expected: usize) -> Vec<String> {
+    census_when(|names| names.len() <= expected)
 }
 
 #[test]
@@ -90,6 +98,40 @@ fn one_relay_thread_per_device_and_none_left_after_shutdown() {
                 "round {round}: a notification thread per filter is back: {running:?}"
             );
         }
+
+        // Served over TCP, the deployment runs one loop thread and its
+        // worker pool (no pool when it resolves to one), at 1 connection
+        // and at 32 alike, and no other thread of the `ldap-` family.
+        let mut server = system.serve("127.0.0.1:0").expect("serve");
+        let addr = server.addr().to_string();
+        let pool = match server.wire_workers() {
+            1 => 0,
+            n => n,
+        };
+        let mut wire: Vec<String> = (0..pool).map(|i| format!("ldap-wire-{i}")).collect();
+        wire.insert(0, "ldap-event".to_string());
+        let mut clients = Vec::new();
+        for connections in [1, 32] {
+            while clients.len() < connections {
+                clients.push(TcpDirectory::connect(&addr).expect("connect"));
+            }
+            for client in &clients {
+                let read = ldap::Directory::get(client, &ldap::Dn::parse(&person).expect("dn"));
+                assert!(read.expect("read over the wire").is_some());
+            }
+            // A thread names itself when it first runs: a pool worker no
+            // request has reached yet is still listed under its spawner's
+            // name. A thread per connection would stay for as long as
+            // `clients` holds its connection, so waiting cannot hide one.
+            let running = census_when(|names| family(names, "ldap-") == wire);
+            assert_eq!(
+                family(&running, "ldap-"),
+                wire,
+                "round {round}: wire threads at {connections} connection(s)"
+            );
+        }
+        drop(clients);
+        server.shutdown();
 
         system.shutdown();
         let after = census_of(before.len());

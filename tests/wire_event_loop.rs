@@ -1,11 +1,17 @@
-//! Stress and parity tests for the epoll event-driven wire engine: a
-//! thousand-connection idle mass with pipelined batches on a subset, byte
-//! stream parity against the thread-per-connection ablation arm, idle
-//! timeout eviction, and `connectionsOpen` gauge accuracy under abrupt
-//! client resets (RST mid-frame) — asserted directly, not via thread-join
-//! side effects.
+//! Stress and byte-stream tests for the epoll wire engine: a
+//! thousand-connection idle mass with pipelined batches on a subset,
+//! response streams pinned to the checked-in goldens
+//! (`tests/golden/wire_*.hex`), idle timeout eviction, and
+//! `connectionsOpen` gauge accuracy under abrupt client resets (RST
+//! mid-frame) — asserted directly, not via thread-join side effects.
 //!
-//! The event engine is Linux-only (raw epoll), so this whole file is.
+//! Regenerate the goldens after an intentional change to the bytes with:
+//!
+//! ```text
+//! UPDATE_GOLDEN=1 cargo test --test wire_event_loop
+//! ```
+//!
+//! The wire server is Linux-only (raw epoll), so this whole file is.
 #![cfg(target_os = "linux")]
 
 use ldap::dit::Dit;
@@ -158,7 +164,6 @@ fn thousand_idle_connections_with_pipelined_subset() {
     let mut server = Server::builder()
         .start(test_dit(), "127.0.0.1:0")
         .expect("server");
-    assert!(server.event_loop(), "event engine is the default on Linux");
     let addr = server.addr().to_string();
     let metrics = server.metrics();
 
@@ -206,12 +211,42 @@ fn byte_stream(build: ServerBuilder, blob: &[u8]) -> Vec<u8> {
     bytes
 }
 
-/// The two engines must produce bit-identical response streams — same
-/// frames, same order, same encodings — for a clean pipelined workload
-/// ending in an unbind AND for a malformed tail that triggers the Notice
-/// of Disconnection after the pending responses flush.
+/// One lowercase hex line per BER frame of `stream`, so a golden diff names
+/// the frame that moved.
+fn hex_frames(stream: &[u8]) -> String {
+    let mut frames = FrameReader::new(stream);
+    let mut out = String::new();
+    while let Some(frame) = frames.next_frame().expect("response stream frames cleanly") {
+        for b in frame {
+            out.push_str(&format!("{b:02x}"));
+        }
+        out.push('\n');
+    }
+    out
+}
+
+/// Compare against `tests/golden/<name>.hex`; `bless` rewrites it first
+/// (`UPDATE_GOLDEN=1 cargo test --test wire_event_loop`).
+fn assert_golden(name: &str, actual: &str, bless: bool) {
+    let path = format!("{}/tests/golden/{name}.hex", env!("CARGO_MANIFEST_DIR"));
+    if bless {
+        std::fs::write(&path, actual).expect("write golden");
+    }
+    let expected = std::fs::read_to_string(&path).expect("read golden byte stream");
+    assert_eq!(
+        actual, expected,
+        "{name}: response bytes drifted from {path}; rerun with UPDATE_GOLDEN=1 if intentional"
+    );
+}
+
+/// The response byte stream is pinned, frame by frame, to checked-in
+/// goldens (blessed at 7753cae, where the epoll engine and the since
+/// deleted thread-per-connection engine both reproduced them): a clean
+/// pipelined workload ending in an unbind, a malformed tail that triggers
+/// the Notice of Disconnection after the pending responses flush, and a
+/// sizeLimit-truncated search.
 #[test]
-fn event_and_threaded_byte_streams_are_bit_identical() {
+fn byte_streams_match_checked_in_goldens() {
     let mut clean = Vec::new();
     clean.extend_from_slice(
         &LdapMessage {
@@ -238,7 +273,7 @@ fn event_and_threaded_byte_streams_are_bit_identical() {
 
     // sizeLimitExceeded partial results: all USERS persons match but the
     // client caps at 3, so the server must stream exactly 3 entries and a
-    // code-4 done — the same 3, in the same encoding, on both engines.
+    // code-4 done — the same 3, in the same encoding, every time.
     let mut limited = Vec::new();
     limited.extend_from_slice(
         &LdapMessage {
@@ -261,25 +296,24 @@ fn event_and_threaded_byte_streams_are_bit_identical() {
         .encode(),
     );
 
-    for (label, blob) in [
-        ("clean", &clean),
-        ("malformed-tail", &malformed),
-        ("sizelimit-partial", &limited),
+    let update = std::env::var_os("UPDATE_GOLDEN").is_some();
+    for (name, blob) in [
+        ("wire_clean", &clean),
+        ("wire_malformed_tail", &malformed),
+        ("wire_sizelimit_partial", &limited),
     ] {
-        let event = byte_stream(Server::builder().with_event_loop(true), blob);
-        let threaded = byte_stream(Server::builder().with_event_loop(false), blob);
-        assert!(
-            event == threaded,
-            "{label}: engines diverged ({} vs {} bytes)",
-            event.len(),
-            threaded.len()
-        );
-        assert!(!event.is_empty(), "{label}: server said something");
+        // Inline on the loop thread, and through the worker pool.
+        for workers in [1, 3] {
+            let build = Server::builder().with_wire_workers(workers);
+            let actual = hex_frames(&byte_stream(build, blob));
+            assert!(!actual.is_empty(), "{name}: server said something");
+            assert_golden(name, &actual, update && workers == 1);
+        }
     }
 
-    // The sizelimit stream is not just self-consistent across engines but
-    // correct: 3 partial entries then sizeLimitExceeded.
-    let stream = byte_stream(Server::builder().with_event_loop(true), &limited);
+    // The sizelimit stream is not just pinned but correct: 3 partial
+    // entries then sizeLimitExceeded.
+    let stream = byte_stream(Server::builder(), &limited);
     let mut frames = FrameReader::new(&stream[..]);
     let mut entries = 0usize;
     let mut done_code = None;
@@ -299,47 +333,35 @@ fn event_and_threaded_byte_streams_are_bit_identical() {
 /// shutdown, no thread join involved.
 #[test]
 fn abrupt_rst_mid_frame_returns_gauge_to_zero() {
-    for event_loop in [true, false] {
-        let mut server = Server::builder()
-            .with_event_loop(event_loop)
-            .start(test_dit(), "127.0.0.1:0")
-            .expect("server");
-        assert_eq!(server.event_loop(), event_loop);
-        let metrics = server.metrics();
-        let addr = server.addr().to_string();
+    let mut server = Server::builder()
+        .start(test_dit(), "127.0.0.1:0")
+        .expect("server");
+    let metrics = server.metrics();
+    let addr = server.addr().to_string();
 
-        for i in 0..4u64 {
-            let sock = connect(&addr);
-            // Wait until the server has actually accepted: Linux silently
-            // removes reset connections from the accept queue, so an RST
-            // racing ahead of accept() would vanish without a trace.
-            let deadline = Instant::now() + Duration::from_secs(10);
-            while metrics.connections_total.load(Ordering::Relaxed) <= i {
-                assert!(Instant::now() < deadline, "connection {i} never accepted");
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            // Half a frame: a header promising more bytes than follow.
-            let full = search_blob(1);
-            (&sock).write_all(&full[..full.len() / 2]).expect("half");
-            set_linger_rst(&sock);
-            drop(sock); // RST, not FIN
+    for i in 0..4u64 {
+        let sock = connect(&addr);
+        // Wait until the server has actually accepted: Linux silently
+        // removes reset connections from the accept queue, so an RST
+        // racing ahead of accept() would vanish without a trace.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while metrics.connections_total.load(Ordering::Relaxed) <= i {
+            assert!(Instant::now() < deadline, "connection {i} never accepted");
+            std::thread::sleep(Duration::from_millis(1));
         }
-        await_gauge(
-            &metrics,
-            0,
-            if event_loop {
-                "event engine after RST"
-            } else {
-                "threaded engine after RST"
-            },
-        );
-        assert_eq!(
-            metrics.connections_total.load(Ordering::Relaxed),
-            4,
-            "all four aborted connections were accepted"
-        );
-        server.shutdown();
+        // Half a frame: a header promising more bytes than follow.
+        let full = search_blob(1);
+        (&sock).write_all(&full[..full.len() / 2]).expect("half");
+        set_linger_rst(&sock);
+        drop(sock); // RST, not FIN
     }
+    await_gauge(&metrics, 0, "after RST");
+    assert_eq!(
+        metrics.connections_total.load(Ordering::Relaxed),
+        4,
+        "all four aborted connections were accepted"
+    );
+    server.shutdown();
 }
 
 /// SO_LINGER with zero timeout: close() sends RST instead of FIN.
@@ -377,75 +399,64 @@ fn set_linger_rst(sock: &TcpStream) {
     assert_eq!(rc, 0, "setsockopt(SO_LINGER)");
 }
 
-/// Idle-timeout enforcement on both engines: dead clients are shed and
-/// counted in `disconnectIdle`; a client that keeps talking stays.
+/// Idle-timeout enforcement: dead clients are shed and counted in
+/// `disconnectIdle`; a client that keeps talking stays.
 #[test]
 fn idle_timeout_sheds_dead_clients() {
-    for event_loop in [true, false] {
-        let mut server = Server::builder()
-            .with_event_loop(event_loop)
-            .with_idle_timeout(Duration::from_millis(150))
-            .start(test_dit(), "127.0.0.1:0")
-            .expect("server");
-        let metrics = server.metrics();
-        let addr = server.addr().to_string();
+    let mut server = Server::builder()
+        .with_idle_timeout(Duration::from_millis(150))
+        .start(test_dit(), "127.0.0.1:0")
+        .expect("server");
+    let metrics = server.metrics();
+    let addr = server.addr().to_string();
 
-        let idle = open_idle(&addr, 3);
-        let active = connect(&addr);
-        let mut frames = FrameReader::new(active.try_clone().expect("clone"));
-        // Keep the active connection chatty across several timeout windows.
-        for i in 1..=6i64 {
-            (&active)
-                .write_all(
-                    &LdapMessage {
-                        id: i,
-                        op: ProtocolOp::SearchRequest {
-                            base: "o=Test".into(),
-                            scope: Scope::Base,
-                            size_limit: 0,
-                            filter: Filter::match_all(),
-                            attrs: vec![],
-                        },
-                    }
-                    .encode(),
-                )
-                .expect("active search");
-            let mut done = false;
-            while !done {
-                let frame = frames.next_frame().expect("readable").expect("open");
-                let msg = LdapMessage::decode(frame).expect("decode");
-                assert_eq!(msg.id, i);
-                done = matches!(msg.op, ProtocolOp::SearchResultDone(_));
-            }
-            std::thread::sleep(Duration::from_millis(60));
+    let idle = open_idle(&addr, 3);
+    let active = connect(&addr);
+    let mut frames = FrameReader::new(active.try_clone().expect("clone"));
+    // Keep the active connection chatty across several timeout windows.
+    for i in 1..=6i64 {
+        (&active)
+            .write_all(
+                &LdapMessage {
+                    id: i,
+                    op: ProtocolOp::SearchRequest {
+                        base: "o=Test".into(),
+                        scope: Scope::Base,
+                        size_limit: 0,
+                        filter: Filter::match_all(),
+                        attrs: vec![],
+                    },
+                }
+                .encode(),
+            )
+            .expect("active search");
+        let mut done = false;
+        while !done {
+            let frame = frames.next_frame().expect("readable").expect("open");
+            let msg = LdapMessage::decode(frame).expect("decode");
+            assert_eq!(msg.id, i);
+            done = matches!(msg.op, ProtocolOp::SearchResultDone(_));
         }
-
-        await_gauge(
-            &metrics,
-            1,
-            if event_loop {
-                "event engine idle eviction"
-            } else {
-                "threaded engine idle eviction"
-            },
-        );
-        assert_eq!(
-            metrics.disconnect_idle.load(Ordering::Relaxed),
-            3,
-            "every idle client was counted"
-        );
-        // The evicted sockets read EOF; the active one still serves.
-        for sock in &idle {
-            let mut one = [0u8; 1];
-            assert_eq!(
-                sock.try_clone().expect("clone").read(&mut one).unwrap_or(0),
-                0,
-                "evicted socket must be closed"
-            );
-        }
-        drive_connection(&addr, 4);
-        server.shutdown();
+        std::thread::sleep(Duration::from_millis(60));
     }
+
+    await_gauge(&metrics, 1, "idle eviction");
+    assert_eq!(
+        metrics.disconnect_idle.load(Ordering::Relaxed),
+        3,
+        "every idle client was counted"
+    );
+    // The evicted sockets read EOF; the active one still serves.
+    for sock in &idle {
+        let mut one = [0u8; 1];
+        assert_eq!(
+            sock.try_clone().expect("clone").read(&mut one).unwrap_or(0),
+            0,
+            "evicted socket must be closed"
+        );
+    }
+    drive_connection(&addr, 4);
+    server.shutdown();
 }
 
 /// Regression for the idle sweeper: a slow pipelined client — one that
@@ -476,7 +487,6 @@ fn slow_pipelined_client_is_not_reaped_while_responses_queued() {
     .unwrap();
 
     let mut server = Server::builder()
-        .with_event_loop(true)
         .with_idle_timeout(Duration::from_millis(150))
         .start(dit, "127.0.0.1:0")
         .expect("server");
@@ -602,7 +612,6 @@ fn ten_thousand_idle_connections() {
     let mut server = Server::builder()
         .start(test_dit(), "127.0.0.1:0")
         .expect("server");
-    assert!(server.event_loop());
     let addr = server.addr().to_string();
     let metrics = server.metrics();
 

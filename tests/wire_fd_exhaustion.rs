@@ -1,8 +1,8 @@
-//! Accept-path behavior under file-descriptor exhaustion (EMFILE), on both
-//! wire engines: the server must neither spin hot (a level-triggered
-//! listener with a non-empty backlog re-wakes `epoll_wait` instantly
-//! forever) nor wedge, existing connections must keep being served, and
-//! once fds free up the parked handshake must be accepted and served.
+//! Accept-path behavior under file-descriptor exhaustion (EMFILE): the
+//! server must neither spin hot (a level-triggered listener with a
+//! non-empty backlog re-wakes `epoll_wait` instantly forever) nor wedge,
+//! existing connections must keep being served, and once fds free up the
+//! parked handshake must be accepted and served.
 //!
 //! RLIMIT_NOFILE is process-wide state, so this lives in its own test
 //! binary with a single `#[test]` — sharing a process with other tests
@@ -115,96 +115,92 @@ fn roundtrip(sock: &TcpStream, frames: &mut FrameReader<TcpStream>, id: i64) {
 #[test]
 fn accept_backs_off_and_recovers_after_fd_exhaustion() {
     let original_soft = nofile_soft();
-    for event_loop in [true, false] {
-        let label = if event_loop { "event" } else { "threaded" };
-        let mut server = Server::builder()
-            .with_event_loop(event_loop)
-            .start(test_dit(), "127.0.0.1:0")
-            .expect("server");
-        let metrics = server.metrics();
-        let addr = server.addr().to_string();
+    let mut server = Server::builder()
+        .start(test_dit(), "127.0.0.1:0")
+        .expect("server");
+    let metrics = server.metrics();
+    let addr = server.addr().to_string();
 
-        // A connection established before the famine: it must stay served
-        // throughout.
-        let pre = TcpStream::connect(&addr).expect("pre-famine connect");
-        pre.set_nodelay(true).unwrap();
-        pre.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-        let mut pre_frames = FrameReader::new(pre.try_clone().expect("clone"));
-        roundtrip(&pre, &mut pre_frames, 1);
+    // A connection established before the famine: it must stay served
+    // throughout.
+    let pre = TcpStream::connect(&addr).expect("pre-famine connect");
+    pre.set_nodelay(true).unwrap();
+    pre.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let mut pre_frames = FrameReader::new(pre.try_clone().expect("clone"));
+    roundtrip(&pre, &mut pre_frames, 1);
 
-        // Choke the process: clamp the soft limit just above current usage,
-        // then hoard every remaining fd slot.
-        set_nofile_soft(used_fds() + 16);
-        let mut hoard: Vec<File> = Vec::new();
-        // Runs until EMFILE: the fd table is full.
-        while let Ok(f) = File::open("/dev/null") {
-            hoard.push(f);
-        }
-        assert!(!hoard.is_empty(), "{label}: hoard grabbed the spare slots");
-
-        // Free exactly one slot for the client half of the next handshake;
-        // the server side's accept(2) then has zero slots and hits EMFILE.
-        hoard.pop();
-        let starved = TcpStream::connect(&addr).expect("handshake parks in the accept backlog");
-        starved.set_nodelay(true).ok();
-        starved
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .unwrap();
-
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while metrics.accept_pauses.load(Ordering::Relaxed) == 0 {
-            assert!(
-                Instant::now() < deadline,
-                "{label}: accept never hit EMFILE / never counted a pause"
-            );
-            std::thread::sleep(Duration::from_millis(5));
-        }
-
-        // While starved: the established connection still round-trips —
-        // the engine is neither spinning hot on the listener nor wedged.
-        for id in 2..=4 {
-            roundtrip(&pre, &mut pre_frames, id);
-        }
-        std::thread::sleep(Duration::from_millis(200));
-        let pauses_during = metrics.accept_pauses.load(Ordering::Relaxed);
-        assert!(
-            pauses_during <= 16,
-            "{label}: backoff must be bounded, saw {pauses_during} pauses \
-             (a hot retry loop would rack up thousands)"
-        );
-
-        // Relief: free the hoard. The parked listener re-arms on its timer
-        // and the starved handshake gets accepted and served.
-        drop(hoard);
-        set_nofile_soft(original_soft);
-        let mut starved_frames = FrameReader::new(starved.try_clone().expect("clone"));
-        roundtrip(&starved, &mut starved_frames, 1);
-
-        // And new connections work again.
-        let post = TcpStream::connect(&addr).expect("post-famine connect");
-        post.set_nodelay(true).unwrap();
-        post.set_read_timeout(Some(Duration::from_secs(30)))
-            .unwrap();
-        let mut post_frames = FrameReader::new(post.try_clone().expect("clone"));
-        roundtrip(&post, &mut post_frames, 1);
-
-        assert!(
-            metrics.accept_pauses.load(Ordering::Relaxed) >= 1,
-            "{label}: the famine was observed"
-        );
-        // TcpDirectory double-checks the served path end-to-end.
-        let dir = TcpDirectory::connect(&addr).expect("client");
-        let hits = dir
-            .search(
-                &Dn::parse("o=Test").unwrap(),
-                Scope::Sub,
-                &Filter::parse("(cn=alice)").unwrap(),
-                &[],
-                0,
-            )
-            .expect("search after recovery");
-        assert_eq!(hits.len(), 1);
-        dir.unbind();
-        server.shutdown();
+    // Choke the process: clamp the soft limit just above current usage,
+    // then hoard every remaining fd slot.
+    set_nofile_soft(used_fds() + 16);
+    let mut hoard: Vec<File> = Vec::new();
+    // Runs until EMFILE: the fd table is full.
+    while let Ok(f) = File::open("/dev/null") {
+        hoard.push(f);
     }
+    assert!(!hoard.is_empty(), "hoard grabbed the spare slots");
+
+    // Free exactly one slot for the client half of the next handshake;
+    // the server side's accept(2) then has zero slots and hits EMFILE.
+    hoard.pop();
+    let starved = TcpStream::connect(&addr).expect("handshake parks in the accept backlog");
+    starved.set_nodelay(true).ok();
+    starved
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while metrics.accept_pauses.load(Ordering::Relaxed) == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "accept never hit EMFILE / never counted a pause"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    // While starved: the established connection still round-trips —
+    // the engine is neither spinning hot on the listener nor wedged.
+    for id in 2..=4 {
+        roundtrip(&pre, &mut pre_frames, id);
+    }
+    std::thread::sleep(Duration::from_millis(200));
+    let pauses_during = metrics.accept_pauses.load(Ordering::Relaxed);
+    assert!(
+        pauses_during <= 16,
+        "backoff must be bounded, saw {pauses_during} pauses \
+         (a hot retry loop would rack up thousands)"
+    );
+
+    // Relief: free the hoard. The parked listener re-arms on its timer
+    // and the starved handshake gets accepted and served.
+    drop(hoard);
+    set_nofile_soft(original_soft);
+    let mut starved_frames = FrameReader::new(starved.try_clone().expect("clone"));
+    roundtrip(&starved, &mut starved_frames, 1);
+
+    // And new connections work again.
+    let post = TcpStream::connect(&addr).expect("post-famine connect");
+    post.set_nodelay(true).unwrap();
+    post.set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut post_frames = FrameReader::new(post.try_clone().expect("clone"));
+    roundtrip(&post, &mut post_frames, 1);
+
+    assert!(
+        metrics.accept_pauses.load(Ordering::Relaxed) >= 1,
+        "the famine was observed"
+    );
+    // TcpDirectory double-checks the served path end-to-end.
+    let dir = TcpDirectory::connect(&addr).expect("client");
+    let hits = dir
+        .search(
+            &Dn::parse("o=Test").unwrap(),
+            Scope::Sub,
+            &Filter::parse("(cn=alice)").unwrap(),
+            &[],
+            0,
+        )
+        .expect("search after recovery");
+    assert_eq!(hits.len(), 1);
+    dir.unbind();
+    server.shutdown();
 }
