@@ -138,18 +138,53 @@ impl fmt::Display for AttrName {
     }
 }
 
-/// Case-insensitive value equality (`caseIgnoreMatch`): ignores case and
-/// squeezes whitespace runs.
-pub fn value_eq_ci(a: &str, b: &str) -> bool {
-    if a == b {
-        return true;
+/// Run `f` on the ASCII-lowercased form of `name` — the key every
+/// name-keyed table in this crate is stored under. A name that is already
+/// lowercase is passed through and a mixed-case one is folded on the
+/// stack, so a lookup by name costs no heap `String`; only a name too long
+/// for any real schema pays for one.
+pub(crate) fn with_lower<R>(name: &str, f: impl FnOnce(&str) -> R) -> R {
+    if !name.bytes().any(|b| b.is_ascii_uppercase()) {
+        return f(name);
     }
-    norm_value(a) == norm_value(b)
+    let mut buf = [0u8; 64];
+    match buf.get_mut(..name.len()) {
+        Some(folded) => {
+            folded.copy_from_slice(name.as_bytes());
+            folded.make_ascii_lowercase();
+            f(std::str::from_utf8(folded).expect("ASCII folding keeps UTF-8 valid"))
+        }
+        None => f(&name.to_ascii_lowercase()),
+    }
+}
+
+/// Case-insensitive value equality (`caseIgnoreMatch`): ignores case and
+/// squeezes whitespace runs. Compares the two normalized character streams
+/// as they are produced; agrees with [`norm_value`] equality.
+pub fn value_eq_ci(a: &str, b: &str) -> bool {
+    a == b || norm_chars(a).eq(norm_chars(b))
+}
+
+/// The characters of [`norm_value`]`(v)`, one at a time: whitespace-separated
+/// words, lowercased, one space between them.
+fn norm_chars(v: &str) -> impl Iterator<Item = char> + '_ {
+    v.split_whitespace().enumerate().flat_map(|(i, word)| {
+        let gap = (i > 0).then_some(' ');
+        gap.into_iter()
+            .chain(word.chars().flat_map(char::to_lowercase))
+    })
 }
 
 /// Normalized form of a directory-string value.
 pub fn norm_value(v: &str) -> String {
     let mut out = String::with_capacity(v.len());
+    norm_value_into(v, &mut out);
+    out
+}
+
+/// [`norm_value`] into a buffer the caller keeps, replacing what it held.
+pub(crate) fn norm_value_into(v: &str, out: &mut String) {
+    out.clear();
     let mut last_space = true;
     for ch in v.chars() {
         if ch.is_whitespace() {
@@ -169,7 +204,6 @@ pub fn norm_value(v: &str) -> String {
     while out.ends_with(' ') {
         out.pop();
     }
-    out
 }
 
 /// The values of one attribute: almost always exactly one, so the single

@@ -21,7 +21,7 @@
 //! rotation (`snap-NNNNNN.ldif` + `wal-NNNNNN.log`), giving recovery the
 //! order the DESIGN doc specifies: newest valid snapshot, then the log.
 
-use crate::dit::{ChangeOp, ChangeRecord, Dit};
+use crate::dit::{ChangeRecord, Dit};
 use crate::dn::Dn;
 use crate::entry::Entry;
 use crate::error::{LdapError, Result, ResultCode};
@@ -399,25 +399,6 @@ pub fn restore_snapshot(dit: &Dit, path: &Path) -> Result<usize> {
     load_snapshot_stream(dit, path).map(|(n, _seq)| n)
 }
 
-/// The LDIF change record equivalent of a commit observation.
-fn change_to_ldif_record(rec: &ChangeRecord) -> ldif::Record {
-    match &rec.op {
-        ChangeOp::Add(e) => ldif::Record::Add(e.clone()),
-        ChangeOp::Delete => ldif::Record::Delete(rec.dn.clone()),
-        ChangeOp::Modify(mods) => ldif::Record::Modify(rec.dn.clone(), mods.clone()),
-        ChangeOp::ModifyRdn {
-            new_rdn,
-            delete_old,
-            new_superior,
-        } => ldif::Record::ModRdn {
-            dn: rec.dn.clone(),
-            new_rdn: new_rdn.clone(),
-            delete_old: *delete_old,
-            new_superior: new_superior.clone(),
-        },
-    }
-}
-
 fn apply(dit: &Dit, r: ldif::Record) -> Result<()> {
     match r {
         ldif::Record::Content(e) | ldif::Record::Add(e) => dit.add(e),
@@ -444,12 +425,18 @@ pub fn verify_entry(dit: &Dit, dn: &str) -> Result<Entry> {
 
 /// Serialize a commit observation as a WAL payload: `[seq: u64 LE][LDIF]`.
 pub fn wal_payload(rec: &ChangeRecord) -> Vec<u8> {
-    let text = ldif::change_to_ldif(&change_to_ldif_record(rec));
-    let mut buf = Vec::with_capacity(8 + text.len());
-    buf.extend_from_slice(&rec.seq.to_le_bytes());
-    buf.extend_from_slice(text.as_bytes());
+    // One buffer for the whole payload: eight NULs keep the sequence
+    // number's place while the text is written behind them.
+    let mut text = String::with_capacity(WAL_PAYLOAD_HINT);
+    text.push_str("\0\0\0\0\0\0\0\0");
+    ldif::write_change(&mut text, rec);
+    let mut buf = text.into_bytes();
+    buf[..8].copy_from_slice(&rec.seq.to_le_bytes());
     buf
 }
+
+/// Room a payload starts with: a person's add record is about 300 bytes.
+const WAL_PAYLOAD_HINT: usize = 512;
 
 /// Decode a [`TAG_DIT_CHANGE`] payload back into `(seq, ldif text)`.
 pub fn decode_wal_payload(payload: &[u8]) -> Result<(u64, &str)> {

@@ -34,7 +34,7 @@
 //! level by level in that order (tests/prop_compact_store.rs pins it
 //! against a plain map-and-walk model).
 
-use crate::attr::norm_value;
+use crate::attr::{norm_value_into, with_lower};
 use crate::dn::{Dn, Rdn};
 use crate::entry::{Entry, Modification};
 use crate::error::{LdapError, Result, ResultCode};
@@ -257,7 +257,32 @@ impl Posting {
 /// order is recovered at query time by sorting survivors by arena key — a
 /// few comparisons on what is typically a small candidate set.
 struct IdIndex {
-    postings: HashMap<String, HashMap<Box<str>, Posting>>,
+    postings: HashMap<String, ValueTable>,
+    /// The normalized value being posted or withdrawn: maintenance runs
+    /// under the store's write lock, so one buffer serves every call and
+    /// only a value new to its table is allocated for.
+    scratch: String,
+}
+
+/// One indexed attribute's normalized values and who carries them.
+type ValueTable = HashMap<Box<str>, Posting>;
+
+fn post(table: &mut ValueTable, scratch: &mut String, value: &str, id: DnId) {
+    norm_value_into(value, scratch);
+    match table.get_mut(scratch.as_str()) {
+        Some(posting) => posting.insert(id),
+        None => {
+            table.insert(scratch.as_str().into(), Posting::One(id));
+        }
+    }
+}
+
+fn withdraw(table: &mut ValueTable, scratch: &mut String, value: &str, id: DnId) {
+    norm_value_into(value, scratch);
+    let emptied = |p: &mut Posting| p.remove(id);
+    if table.get_mut(scratch.as_str()).is_some_and(emptied) {
+        table.remove(scratch.as_str());
+    }
 }
 
 impl IdIndex {
@@ -266,7 +291,10 @@ impl IdIndex {
         for a in attrs {
             postings.insert(a.to_ascii_lowercase(), HashMap::new());
         }
-        IdIndex { postings }
+        IdIndex {
+            postings,
+            scratch: String::new(),
+        }
     }
 
     fn enabled(&self) -> bool {
@@ -274,31 +302,43 @@ impl IdIndex {
     }
 
     fn insert_entry(&mut self, id: DnId, e: &Entry) {
+        self.each_indexed_value(id, e, post);
+    }
+
+    fn remove_entry(&mut self, id: DnId, e: &Entry) {
+        self.each_indexed_value(id, e, withdraw);
+    }
+
+    /// `post` or `withdraw` every value of `e` that has a table.
+    fn each_indexed_value(
+        &mut self,
+        id: DnId,
+        e: &Entry,
+        apply: fn(&mut ValueTable, &mut String, &str, DnId),
+    ) {
         if !self.enabled() {
             return;
         }
         for attr in e.attributes() {
-            if let Some(m) = self.postings.get_mut(attr.name.norm()) {
+            if let Some(table) = self.postings.get_mut(attr.name.norm()) {
                 for v in &attr.values {
-                    m.entry(norm_value(v).into())
-                        .and_modify(|posting| posting.insert(id))
-                        .or_insert(Posting::One(id));
+                    apply(table, &mut self.scratch, v, id);
                 }
             }
         }
     }
 
-    fn remove_entry(&mut self, id: DnId, e: &Entry) {
-        if !self.enabled() {
-            return;
-        }
-        for attr in e.attributes() {
-            if let Some(m) = self.postings.get_mut(attr.name.norm()) {
-                for v in &attr.values {
-                    let nv = norm_value(v);
-                    if m.get_mut(nv.as_str()).is_some_and(|p| p.remove(id)) {
-                        m.remove(nv.as_str());
-                    }
+    /// Entry `id` changed from `old` to `new`: re-post the indexed
+    /// attributes whose values differ and leave the others' postings alone.
+    fn update_entry(&mut self, id: DnId, old: &Entry, new: &Entry) {
+        for (attr, table) in &mut self.postings {
+            let (was, now) = (old.values(attr), new.values(attr));
+            if was != now {
+                for v in was {
+                    withdraw(table, &mut self.scratch, v, id);
+                }
+                for v in now {
+                    post(table, &mut self.scratch, v, id);
                 }
             }
         }
@@ -319,11 +359,13 @@ impl IdIndex {
             _ => return Plan::Scan,
         }
         let mut best: Option<&Posting> = None;
+        let mut wanted = String::new();
         for (attr, value) in conjuncts {
-            let Some(m) = self.postings.get(&attr.to_ascii_lowercase()) else {
+            let Some(table) = with_lower(attr, |a| self.postings.get(a)) else {
                 continue;
             };
-            match m.get(norm_value(value).as_str()) {
+            norm_value_into(value, &mut wanted);
+            match table.get(wanted.as_str()) {
                 None => return Plan::Empty,
                 Some(set) => {
                     if best.is_none_or(|b| set.len() < b.len()) {
@@ -337,10 +379,8 @@ impl IdIndex {
 
     fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        let mut bytes = hash_table_block(
-            self.postings.capacity(),
-            size_of::<(String, HashMap<Box<str>, Posting>)>(),
-        );
+        let mut bytes = heap_block(self.scratch.capacity())
+            + hash_table_block(self.postings.capacity(), size_of::<(String, ValueTable)>());
         for (attr, m) in &self.postings {
             bytes += heap_block(attr.capacity())
                 + hash_table_block(m.capacity(), size_of::<(Box<str>, Posting)>());
@@ -550,12 +590,9 @@ impl CompactStore {
         } = self;
         let node = slots[id as usize].as_mut().expect("live id");
         if *bulk == 0 {
-            index.remove_entry(id, &node.entry);
+            index.update_entry(id, &node.entry, &entry);
         }
         node.entry = entry;
-        if *bulk == 0 {
-            index.insert_entry(id, &node.entry);
-        }
     }
 
     /// Rename/move the subtree rooted at `old_key`: remove it leaves-first,
@@ -850,7 +887,24 @@ impl Dit {
         self.observers.write().push(Box::new(f));
     }
 
-    fn emit(&self, rec: ChangeRecord) {
+    /// The record of a write about to be made to `dn`, or `None` when no
+    /// observer is registered: what a record carries (a copy of the entry,
+    /// of the modification list) is built only for someone to see it, and
+    /// before the write takes the store's lock. An observer that registers
+    /// while that write is under way first sees the commit after it. The
+    /// commit sequence is [`Dit::emit`]'s to fill in.
+    fn record(&self, dn: &Dn, op: impl FnOnce() -> ChangeOp) -> Option<ChangeRecord> {
+        let observed = !self.observers.read().is_empty();
+        observed.then(|| ChangeRecord {
+            seq: 0,
+            dn: dn.clone(),
+            op: op(),
+        })
+    }
+
+    fn emit(&self, rec: Option<ChangeRecord>, seq: u64) {
+        let Some(mut rec) = rec else { return };
+        rec.seq = seq;
         for obs in self.observers.read().iter() {
             obs(&rec);
         }
@@ -935,6 +989,10 @@ impl Dit {
         let key = entry.dn().norm_key();
         let parent = entry.dn().parent().expect("non-root");
         let parent_key = parent.norm_key();
+        let rec = match emit {
+            true => self.record(entry.dn(), || ChangeOp::Add(entry.clone())),
+            false => None,
+        };
         let mut guard = self.store.write();
         let s = &mut *guard;
         if s.tree.contains(&key) {
@@ -946,24 +1004,18 @@ impl Dit {
                 format!("parent of `{}` does not exist", entry.dn()),
             ));
         }
-        let recorded = if emit { Some(entry.clone()) } else { None };
         s.tree.insert_entry(&key, &parent_key, entry);
         s.seq += 1;
-        let rec = recorded.map(|e| ChangeRecord {
-            seq: s.seq,
-            dn: e.dn().clone(),
-            op: ChangeOp::Add(e),
-        });
+        let seq = s.seq;
         drop(guard);
-        if let Some(rec) = rec {
-            self.emit(rec);
-        }
+        self.emit(rec, seq);
         Ok(())
     }
 
     /// Delete a leaf entry.
     pub fn delete(&self, dn: &Dn) -> Result<()> {
         let key = dn.norm_key();
+        let rec = self.record(dn, || ChangeOp::Delete);
         let mut guard = self.store.write();
         let s = &mut *guard;
         if !s.tree.contains(&key) {
@@ -977,13 +1029,9 @@ impl Dit {
         }
         s.tree.remove_leaf(&key);
         s.seq += 1;
-        let rec = ChangeRecord {
-            seq: s.seq,
-            dn: dn.clone(),
-            op: ChangeOp::Delete,
-        };
+        let seq = s.seq;
         drop(guard);
-        self.emit(rec);
+        self.emit(rec, seq);
         Ok(())
     }
 
@@ -991,14 +1039,16 @@ impl Dit {
     /// attribute values cannot be removed (use [`Dit::modify_rdn`]).
     pub fn modify(&self, dn: &Dn, mods: &[Modification]) -> Result<()> {
         let key = dn.norm_key();
+        let rec = self.record(dn, || ChangeOp::Modify(mods.to_vec()));
         let mut guard = self.store.write();
         let s = &mut *guard;
+        // A private copy, dropped on any error below: applied in place.
         let mut updated = s
             .tree
             .get_entry(&key)
             .ok_or_else(|| LdapError::no_such_object(dn))?
             .clone();
-        updated.apply_modifications(mods)?;
+        updated.apply_in_place(mods)?;
         // Naming invariant even under a permissive schema.
         if let Some(rdn) = dn.rdn() {
             for ava in rdn.avas() {
@@ -1017,13 +1067,9 @@ impl Dit {
         self.schema.validate_entry(&updated)?;
         s.tree.replace_entry(&key, updated);
         s.seq += 1;
-        let rec = ChangeRecord {
-            seq: s.seq,
-            dn: dn.clone(),
-            op: ChangeOp::Modify(mods.to_vec()),
-        };
+        let seq = s.seq;
         drop(guard);
-        self.emit(rec);
+        self.emit(rec, seq);
         Ok(())
     }
 
@@ -1047,6 +1093,11 @@ impl Dit {
             None => dn.with_rdn(new_rdn.clone())?,
         };
         let new_key = new_dn.norm_key();
+        let rec = self.record(dn, || ChangeOp::ModifyRdn {
+            new_rdn: new_rdn.clone(),
+            delete_old,
+            new_superior: new_superior.cloned(),
+        });
         let mut guard = self.store.write();
         let s = &mut *guard;
         if !s.tree.contains(&old_key) {
@@ -1085,17 +1136,9 @@ impl Dit {
 
         s.tree.rename_subtree(&old_key, dn, &new_dn, entry);
         s.seq += 1;
-        let rec = ChangeRecord {
-            seq: s.seq,
-            dn: dn.clone(),
-            op: ChangeOp::ModifyRdn {
-                new_rdn: new_rdn.clone(),
-                delete_old,
-                new_superior: new_superior.cloned(),
-            },
-        };
+        let seq = s.seq;
         drop(guard);
-        self.emit(rec);
+        self.emit(rec, seq);
         Ok(())
     }
 
@@ -1648,6 +1691,78 @@ mod tests {
         let v = seen.lock();
         assert_eq!(v.len(), 9);
         assert!(v.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn an_observer_registered_late_sees_the_next_commit_whole() {
+        let dit = tree();
+        let john = Dn::parse("cn=John Doe,o=Marketing,o=Lucent").unwrap();
+        dit.modify(&john, &[Modification::set("sn", "Unseen")])
+            .unwrap();
+        let unobserved = dit.seq();
+        assert_eq!(unobserved, 10, "nine adds and a modify nobody watched");
+        let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let seen2 = seen.clone();
+        dit.observe(move |rec| seen2.lock().push(rec.clone()));
+        // What was skipped is the record, never the sequence number.
+        let jane = Entry::with_attrs(
+            Dn::parse("cn=Jane Roe,o=Marketing,o=Lucent").unwrap(),
+            [("objectClass", "person"), ("cn", "Jane Roe"), ("sn", "Roe")],
+        );
+        dit.add(jane.clone()).unwrap();
+        let mods = [
+            Modification::set("sn", "Doe-Roe"),
+            Modification::add("mail", vec!["jd@lucent.com".into()]),
+        ];
+        dit.modify(&john, &mods).unwrap();
+        dit.modify_rdn(&john, &Rdn::new("cn", "Jack Doe"), true, None)
+            .unwrap();
+        dit.delete(jane.dn()).unwrap();
+        let seen = seen.lock();
+        let seqs: Vec<u64> = seen.iter().map(|rec| rec.seq).collect();
+        assert_eq!(seqs, [11, 12, 13, 14]);
+        assert_eq!(seen[0].dn, *jane.dn());
+        assert!(matches!(&seen[0].op, ChangeOp::Add(e) if *e == jane));
+        assert_eq!(seen[1].dn, john);
+        assert!(matches!(&seen[1].op, ChangeOp::Modify(m) if m[..] == mods));
+        assert!(matches!(
+            &seen[2].op,
+            ChangeOp::ModifyRdn { new_rdn, delete_old: true, new_superior: None }
+                if *new_rdn == Rdn::new("cn", "Jack Doe")
+        ));
+        assert!(matches!(seen[3].op, ChangeOp::Delete));
+    }
+
+    #[test]
+    fn modify_that_fails_midway_leaves_the_entry_untouched() {
+        let dit = tree();
+        let seen = Arc::new(parking_lot::Mutex::new(0usize));
+        let seen2 = seen.clone();
+        dit.observe(move |_| *seen2.lock() += 1);
+        let john = Dn::parse("cn=John Doe,o=Marketing,o=Lucent").unwrap();
+        dit.modify(&john, &[Modification::set("telephoneNumber", "9000")])
+            .unwrap();
+        let (before, seq, fp) = (dit.get(&john).unwrap(), dit.seq(), dit.footprint());
+        // The first would re-post an indexed value; the second cannot apply.
+        let err = dit
+            .modify(
+                &john,
+                &[
+                    Modification::set("telephoneNumber", "9123"),
+                    Modification::delete_attr("mail"),
+                ],
+            )
+            .unwrap_err();
+        assert_eq!(err.code, ResultCode::NoSuchAttribute);
+        assert_eq!(dit.get(&john).unwrap(), before);
+        assert_eq!((dit.seq(), dit.footprint()), (seq, fp));
+        assert_eq!(*seen.lock(), 1, "no record for the refused modify");
+        let by_phone = |number: &str| {
+            let f = Filter::eq("telephoneNumber", number);
+            dit.search(&Dn::root(), Scope::Sub, &f, &[], 0).unwrap()
+        };
+        assert_eq!(by_phone("9000"), [before]);
+        assert!(by_phone("9123").is_empty());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Directory entries and the modification operations that act on them.
 
-use crate::attr::{norm_value, value_eq_ci, AttrName, Attribute, Values};
+use crate::attr::{norm_value, value_eq_ci, with_lower, AttrName, Attribute, Values};
 use crate::dn::Dn;
 use crate::error::{LdapError, Result, ResultCode};
 use std::collections::BTreeMap;
@@ -212,7 +212,7 @@ impl Entry {
     }
 
     pub fn get(&self, name: &str) -> Option<&Attribute> {
-        self.attrs.get(name.to_ascii_lowercase().as_str())
+        with_lower(name, |norm| self.attrs.get(norm))
     }
 
     /// First value of the attribute, if any.
@@ -261,27 +261,27 @@ impl Entry {
 
     /// Remove an entire attribute; returns it when present.
     pub fn remove_attr(&mut self, name: &str) -> Option<Attribute> {
-        self.attrs.remove(name.to_ascii_lowercase().as_str())
+        with_lower(name, |norm| self.attrs.remove(norm))
     }
 
     /// Remove one value; prunes the attribute when it becomes empty.
     /// Returns `true` when a value was removed.
     pub fn remove_value(&mut self, name: &str, value: &str) -> bool {
-        let key = name.to_ascii_lowercase();
-        if let Some(attr) = self.attrs.get_mut(key.as_str()) {
+        with_lower(name, |norm| {
+            let Some(attr) = self.attrs.get_mut(norm) else {
+                return false;
+            };
             let removed = attr.remove_value(value);
             if attr.is_empty() {
-                self.attrs.remove(key.as_str());
+                self.attrs.remove(norm);
             }
             removed
-        } else {
-            false
-        }
+        })
     }
 
     /// The entry's object classes (values of `objectClass`).
     pub fn object_classes(&self) -> &[String] {
-        self.values("objectClass")
+        self.values("objectclass")
     }
 
     pub fn has_object_class(&self, oc: &str) -> bool {
@@ -312,11 +312,16 @@ impl Entry {
     /// guarantees — and the *only* atomicity it guarantees.)
     pub fn apply_modifications(&mut self, mods: &[Modification]) -> Result<()> {
         let mut scratch = self.clone();
-        for m in mods {
-            scratch.apply_one(m)?;
-        }
+        scratch.apply_in_place(mods)?;
         *self = scratch;
         Ok(())
+    }
+
+    /// [`Entry::apply_modifications`] without the private copy: on an error
+    /// the modifications before the failing one have been applied. For a
+    /// caller that already works on a copy it discards on failure.
+    pub(crate) fn apply_in_place(&mut self, mods: &[Modification]) -> Result<()> {
+        mods.iter().try_for_each(|m| self.apply_one(m))
     }
 
     fn apply_one(&mut self, m: &Modification) -> Result<()> {

@@ -5,6 +5,7 @@
 //! (`changetype: add|delete|modify|modrdn`), base64 values (`::`), comments,
 //! and line continuations (leading space).
 
+use crate::dit::{ChangeOp, ChangeRecord};
 use crate::dn::{Dn, Rdn};
 use crate::entry::{Entry, ModOp, Modification};
 use crate::error::{LdapError, Result};
@@ -280,29 +281,24 @@ fn parse_block(block: &[(String, String)]) -> Result<Record> {
     }
 }
 
-/// Serialize one change record (the payload of a DIT commit's WAL frame,
-/// [`crate::backup::wal_payload`]).
-pub fn change_to_ldif(record: &Record) -> String {
-    let mut out = String::new();
-    match record {
-        Record::Content(e) => {
-            write_entry(&mut out, e);
-        }
-        Record::Add(e) => {
-            writeln!(out, "dn: {}", e.dn()).expect("write");
+/// Write one committed change onto `out` as an LDIF change record, straight
+/// from the borrowed observation (the text of a DIT commit's WAL frame,
+/// [`crate::backup::wal_payload`]); [`parse`] reads it back.
+pub(crate) fn write_change(out: &mut String, rec: &ChangeRecord) {
+    writeln!(out, "dn: {}", rec.dn).expect("write");
+    match &rec.op {
+        ChangeOp::Add(e) => {
             writeln!(out, "changetype: add").expect("write");
             for attr in e.attributes() {
                 for v in &attr.values {
-                    write_attr_line(&mut out, attr.name.as_str(), v);
+                    write_attr_line(out, attr.name.as_str(), v);
                 }
             }
         }
-        Record::Delete(dn) => {
-            writeln!(out, "dn: {dn}").expect("write");
+        ChangeOp::Delete => {
             writeln!(out, "changetype: delete").expect("write");
         }
-        Record::Modify(dn, mods) => {
-            writeln!(out, "dn: {dn}").expect("write");
+        ChangeOp::Modify(mods) => {
             writeln!(out, "changetype: modify").expect("write");
             for (i, m) in mods.iter().enumerate() {
                 let op = match m.op {
@@ -312,20 +308,18 @@ pub fn change_to_ldif(record: &Record) -> String {
                 };
                 writeln!(out, "{op}: {}", m.attr).expect("write");
                 for v in &m.values {
-                    write_attr_line(&mut out, m.attr.as_str(), v);
+                    write_attr_line(out, m.attr.as_str(), v);
                 }
                 if i + 1 < mods.len() {
                     writeln!(out, "-").expect("write");
                 }
             }
         }
-        Record::ModRdn {
-            dn,
+        ChangeOp::ModifyRdn {
             new_rdn,
             delete_old,
             new_superior,
         } => {
-            writeln!(out, "dn: {dn}").expect("write");
             writeln!(out, "changetype: modrdn").expect("write");
             writeln!(out, "newrdn: {new_rdn}").expect("write");
             writeln!(out, "deleteoldrdn: {}", if *delete_old { 1 } else { 0 }).expect("write");
@@ -335,7 +329,6 @@ pub fn change_to_ldif(record: &Record) -> String {
         }
     }
     out.push('\n');
-    out
 }
 
 fn write_attr_line(out: &mut String, name: &str, v: &str) {

@@ -10,6 +10,7 @@
 //!   single-valued flag. Typing is deliberately shallow ("very weak typing",
 //!   §5.3): syntaxes validate the value's *shape* only.
 
+use crate::attr::with_lower;
 use crate::entry::Entry;
 use crate::error::{LdapError, Result, ResultCode};
 use std::collections::{BTreeMap, BTreeSet};
@@ -21,7 +22,7 @@ use std::sync::Arc;
 pub enum Syntax {
     /// Any UTF-8 string.
     DirectoryString,
-    /// Digits, `+`, spaces, `-`, `(`, `)`.
+    /// Digits, `+`, spaces, `-`, `(`, `)`, `.`.
     TelephoneNumber,
     /// Optional sign + digits.
     Integer,
@@ -103,12 +104,31 @@ pub struct ObjectClass {
     pub may: Vec<String>,
 }
 
+/// A registered object class with what [`Schema::validate_entry`] asks of
+/// it, worked out once by [`Schema::add_class`]: a class can only name
+/// superiors and attribute types that are already registered, so the
+/// closure over its superclass chain is final when it is built.
+#[derive(Debug, Clone)]
+struct Class {
+    def: ObjectClass,
+    /// Lowercased `must` names of the class and all its superiors, sorted.
+    must: Vec<String>,
+    /// Lowercased `must` and `may` names of the class and all its
+    /// superiors, sorted.
+    allowed: Vec<String>,
+    /// Registry keys of the class and then its superiors, nearest first.
+    chain: Vec<String>,
+}
+
+/// Longest superclass chain a class may have, itself included.
+const MAX_CHAIN: usize = 32;
+
 /// The schema: a registry of attribute types and object classes plus the
 /// entry validator.
 #[derive(Debug, Clone, Default)]
 pub struct Schema {
     attrs: BTreeMap<String, AttributeType>,
-    classes: BTreeMap<String, ObjectClass>,
+    classes: BTreeMap<String, Class>,
     /// When `true`, attributes not brought in by any present class are
     /// rejected (`ObjectClassViolation`). Operational attributes registered
     /// via [`Schema::add_operational`] are always allowed.
@@ -244,6 +264,8 @@ impl Schema {
 
     /// Register an object class. Enforces the paper's auxiliary-class
     /// limitation: auxiliary classes cannot declare `must` attributes.
+    /// The `must` / allowed closure over the superclass chain is computed
+    /// here, once; a chain deeper than 32 classes is refused.
     pub fn add_class(&mut self, oc: ObjectClass) -> Result<()> {
         if oc.kind == ClassKind::Auxiliary && !oc.must.is_empty() {
             return Err(LdapError::new(
@@ -254,21 +276,32 @@ impl Schema {
                 ),
             ));
         }
-        if let Some(sup) = &oc.superior {
-            if !self.classes.contains_key(&sup.to_ascii_lowercase()) {
+        let (mut must, mut allowed, mut chain) = (Vec::new(), Vec::new(), Vec::new());
+        if let Some(named) = &oc.superior {
+            let Some(sup) = self.classes.get(&named.to_ascii_lowercase()) else {
                 return Err(LdapError::new(
                     ResultCode::Other,
-                    format!("unknown superior class `{sup}` for `{}`", oc.name),
+                    format!("unknown superior class `{named}` for `{}`", oc.name),
+                ));
+            };
+            if sup.chain.len() >= MAX_CHAIN {
+                let top = &self.classes[&sup.chain[MAX_CHAIN - 1]].def.name;
+                return Err(LdapError::new(
+                    ResultCode::Other,
+                    format!("object class chain too deep at `{top}`"),
                 ));
             }
+            (must, allowed, chain) = (sup.must.clone(), sup.allowed.clone(), sup.chain.clone());
         }
         for a in oc.must.iter().chain(&oc.may) {
-            if !self.attrs.contains_key(&a.to_ascii_lowercase()) {
+            let lower = a.to_ascii_lowercase();
+            if !self.attrs.contains_key(&lower) {
                 return Err(LdapError::new(
                     ResultCode::UndefinedAttributeType,
                     format!("class `{}` references unknown attribute `{a}`", oc.name),
                 ));
             }
+            allowed.push(lower);
         }
         let key = oc.name.to_ascii_lowercase();
         if self.classes.contains_key(&key) {
@@ -277,39 +310,32 @@ impl Schema {
                 format!("object class `{}` already defined", oc.name),
             ));
         }
-        self.classes.insert(key, oc);
+        must.extend(oc.must.iter().map(|a| a.to_ascii_lowercase()));
+        for names in [&mut must, &mut allowed] {
+            names.sort();
+            names.dedup();
+        }
+        chain.insert(0, key.clone());
+        let class = Class {
+            def: oc,
+            must,
+            allowed,
+            chain,
+        };
+        self.classes.insert(key, class);
         Ok(())
     }
 
     pub fn attribute(&self, name: &str) -> Option<&AttributeType> {
-        self.attrs.get(&name.to_ascii_lowercase())
+        with_lower(name, |key| self.attrs.get(key))
     }
 
     pub fn class(&self, name: &str) -> Option<&ObjectClass> {
-        self.classes.get(&name.to_ascii_lowercase())
+        self.compiled(name).map(|c| &c.def)
     }
 
-    /// All transitive superclasses of `name`, including itself.
-    fn class_chain(&self, name: &str) -> Result<Vec<&ObjectClass>> {
-        let mut out = Vec::new();
-        let mut cur = Some(name.to_string());
-        while let Some(n) = cur {
-            let oc = self.class(&n).ok_or_else(|| {
-                LdapError::new(
-                    ResultCode::ObjectClassViolation,
-                    format!("unknown object class `{n}`"),
-                )
-            })?;
-            cur = oc.superior.clone();
-            out.push(oc);
-            if out.len() > 32 {
-                return Err(LdapError::new(
-                    ResultCode::Other,
-                    format!("object class chain too deep at `{n}`"),
-                ));
-            }
-        }
-        Ok(out)
+    fn compiled(&self, name: &str) -> Option<&Class> {
+        with_lower(name, |key| self.classes.get(key))
     }
 
     /// Validate an entry against the schema:
@@ -320,45 +346,41 @@ impl Schema {
         if self.classes.is_empty() {
             return Ok(()); // permissive schema
         }
-        let classes = entry.object_classes();
-        if classes.is_empty() {
+        let names = entry.object_classes();
+        if names.is_empty() {
             return Err(LdapError::new(
                 ResultCode::ObjectClassViolation,
                 format!("entry `{}` has no objectClass", entry.dn()),
             ));
         }
-        let mut structural = 0usize;
-        let mut must: BTreeSet<String> = BTreeSet::new();
-        let mut allowed: BTreeSet<String> = BTreeSet::new();
-        allowed.insert("objectclass".into());
-        for name in classes {
-            for oc in self.class_chain(name)? {
-                if oc.kind == ClassKind::Structural && oc.superior.as_deref() == Some("top") {
-                    // count distinct structural roots loosely via chain walk below
-                }
-                for a in &oc.must {
-                    must.insert(a.to_ascii_lowercase());
-                    allowed.insert(a.to_ascii_lowercase());
-                }
-                for a in &oc.may {
-                    allowed.insert(a.to_ascii_lowercase());
-                }
-            }
-            if self
-                .class(name)
-                .is_some_and(|c| c.kind == ClassKind::Structural)
-            {
-                structural += 1;
+        // Resolved once; an entry with more classes than the array holds
+        // has the rest looked up again wherever they are asked for.
+        let mut resolved: [Option<&Class>; 8] = [None; 8];
+        for (i, name) in names.iter().enumerate() {
+            let Some(class) = self.compiled(name) else {
+                return Err(LdapError::new(
+                    ResultCode::ObjectClassViolation,
+                    format!("unknown object class `{name}`"),
+                ));
+            };
+            if let Some(slot) = resolved.get_mut(i) {
+                *slot = Some(class);
             }
         }
-        if structural == 0 {
+        let classes = || {
+            (names.iter().enumerate())
+                .filter_map(|(i, n)| resolved.get(i).map_or_else(|| self.compiled(n), |c| *c))
+        };
+        let structurals = || classes().filter(|c| c.def.kind == ClassKind::Structural);
+        if structurals().next().is_none() {
             return Err(LdapError::new(
                 ResultCode::ObjectClassViolation,
                 format!("entry `{}` has no structural object class", entry.dn()),
             ));
         }
         // `person` + `organizationalPerson` is one chain, not two structurals.
-        if structural > 1 && !self.all_one_chain(classes) {
+        let on_chain_of = |a: &Class, b: &Class| a.chain.contains(&b.chain[0]);
+        if structurals().any(|a| structurals().any(|b| !on_chain_of(a, b) && !on_chain_of(b, a))) {
             return Err(LdapError::new(
                 ResultCode::ObjectClassViolation,
                 format!(
@@ -367,26 +389,29 @@ impl Schema {
                 ),
             ));
         }
-        for m in &must {
-            if m == "objectclass" {
-                continue;
-            }
-            if !entry.has_attr(m) {
-                return Err(LdapError::new(
-                    ResultCode::ObjectClassViolation,
-                    format!("entry `{}` missing mandatory attribute `{m}`", entry.dn()),
-                ));
-            }
+        // The first missing name in sorted order over every class's `must`.
+        let absent = |m: &&String| *m != "objectclass" && !entry.has_attr(m);
+        if let Some(m) = classes().filter_map(|c| c.must.iter().find(absent)).min() {
+            return Err(LdapError::new(
+                ResultCode::ObjectClassViolation,
+                format!("entry `{}` missing mandatory attribute `{m}`", entry.dn()),
+            ));
         }
         for attr in entry.attributes() {
             let norm = attr.name.norm();
-            let at = self.attribute(norm).ok_or_else(|| {
+            let at = self.attrs.get(norm).ok_or_else(|| {
                 LdapError::new(
                     ResultCode::UndefinedAttributeType,
                     format!("unknown attribute type `{}`", attr.name),
                 )
             })?;
-            if self.strict && !allowed.contains(norm) && !self.operational.contains(norm) {
+            let allowed = || {
+                norm == "objectclass"
+                    || classes()
+                        .any(|c| c.allowed.binary_search_by(|a| a.as_str().cmp(norm)).is_ok())
+                    || self.operational.contains(norm)
+            };
+            if self.strict && !allowed() {
                 return Err(LdapError::new(
                     ResultCode::ObjectClassViolation,
                     format!(
@@ -427,40 +452,6 @@ impl Schema {
             }
         }
         Ok(())
-    }
-
-    /// True when every structural class among `classes` lies on one
-    /// superclass chain (e.g. `person` ⊂ `organizationalPerson`).
-    fn all_one_chain(&self, classes: &[String]) -> bool {
-        let structurals: Vec<&str> = classes
-            .iter()
-            .map(String::as_str)
-            .filter(|c| {
-                self.class(c)
-                    .is_some_and(|oc| oc.kind == ClassKind::Structural)
-            })
-            .collect();
-        for a in &structurals {
-            for b in &structurals {
-                if a == b {
-                    continue;
-                }
-                let a_chain: Vec<String> = match self.class_chain(a) {
-                    Ok(ch) => ch.iter().map(|c| c.name.to_ascii_lowercase()).collect(),
-                    Err(_) => return false,
-                };
-                let b_chain: Vec<String> = match self.class_chain(b) {
-                    Ok(ch) => ch.iter().map(|c| c.name.to_ascii_lowercase()).collect(),
-                    Err(_) => return false,
-                };
-                if !a_chain.contains(&b.to_ascii_lowercase())
-                    && !b_chain.contains(&a.to_ascii_lowercase())
-                {
-                    return false;
-                }
-            }
-        }
-        true
     }
 }
 
@@ -554,6 +545,34 @@ mod tests {
             })
             .unwrap_err();
         assert_eq!(err.code, ResultCode::ObjectClassViolation);
+    }
+
+    #[test]
+    fn chain_deeper_than_32_is_refused_at_registration() {
+        let mut s = Schema::x500_core();
+        let level = |n: usize, superior: String| ObjectClass {
+            name: format!("level{n}"),
+            kind: ClassKind::Structural,
+            superior: Some(superior),
+            must: vec![],
+            may: vec![],
+        };
+        // `top` is level 1; 31 more below it make the 32 a chain may have.
+        s.add_class(level(2, "top".into())).unwrap();
+        for n in 3..=32 {
+            s.add_class(level(n, format!("LEVEL{}", n - 1))).unwrap();
+        }
+        let err = s.add_class(level(33, "level32".into())).unwrap_err();
+        assert_eq!(err.code, ResultCode::Other);
+        assert_eq!(err.message, "object class chain too deep at `top`");
+        assert!(s.class("level33").is_none());
+        // The deepest class that did register validates entries as any other.
+        let e = Entry::with_attrs(
+            Dn::parse("cn=X,o=Lucent").unwrap(),
+            [("objectClass", "level32"), ("cn", "X")],
+        );
+        let err = s.validate_entry(&e).unwrap_err();
+        assert!(err.message.contains("`cn` not allowed"), "{err}");
     }
 
     #[test]

@@ -212,14 +212,16 @@ impl Wal {
     }
 
     fn append_inner(&self, tag: u8, payload: &[u8], wait: bool) -> Result<()> {
-        let len = (payload.len() + 1) as u32;
+        // The frame is built in the one buffer that is written: the header
+        // is left blank until the body behind it is there to checksum.
         let mut frame = Vec::with_capacity(9 + payload.len());
-        frame.extend_from_slice(&len.to_le_bytes());
-        let mut body = Vec::with_capacity(payload.len() + 1);
-        body.push(tag);
-        body.extend_from_slice(payload);
-        frame.extend_from_slice(&crc32(&body).to_le_bytes());
-        frame.extend_from_slice(&body);
+        frame.extend_from_slice(&[0; 8]);
+        frame.push(tag);
+        frame.extend_from_slice(payload);
+        let len = (payload.len() + 1) as u32;
+        let crc = crc32(&frame[8..]);
+        frame[..4].copy_from_slice(&len.to_le_bytes());
+        frame[4..8].copy_from_slice(&crc.to_le_bytes());
 
         // Errors are reported only after the file lock is dropped: the
         // error sink may append to this WAL from the same thread (see
@@ -505,6 +507,84 @@ mod tests {
         assert_eq!(records[2].0, 7);
         assert_eq!(wal.stats().appends.load(Ordering::Relaxed), 3);
         assert!(wal.stats().fsyncs.load(Ordering::Relaxed) >= 1);
+    }
+
+    #[test]
+    fn a_dit_change_frame_is_len_crc_tag_payload_and_replays_to_its_record() {
+        use crate::backup::{decode_wal_payload, wal_payload, TAG_DIT_CHANGE};
+        use crate::dit::{ChangeOp, ChangeRecord};
+        use crate::dn::{Dn, Rdn};
+        use crate::entry::{Entry, Modification};
+        use crate::ldif::{self, Record};
+
+        let dn = Dn::parse("cn=John Doe,o=Lucent").unwrap();
+        let john = Entry::with_attrs(
+            dn.clone(),
+            [("objectClass", "person"), ("cn", "John Doe"), ("sn", "Doe")],
+        );
+        let mods = vec![
+            Modification::set("sn", "Dvořák"),
+            Modification::delete_attr("mail"),
+        ];
+        let (new_rdn, sup) = (Rdn::new("cn", "Jack Doe"), Dn::parse("o=R&D").unwrap());
+        let ops = [
+            ChangeOp::Add(john.clone()),
+            ChangeOp::Modify(mods.clone()),
+            ChangeOp::ModifyRdn {
+                new_rdn: new_rdn.clone(),
+                delete_old: true,
+                new_superior: Some(sup.clone()),
+            },
+            ChangeOp::Delete,
+        ];
+        let texts = [
+            "dn: cn=John Doe,o=Lucent\nchangetype: add\ncn: John Doe\n\
+             objectClass: person\nsn: Doe\n\n",
+            "dn: cn=John Doe,o=Lucent\nchangetype: modify\nreplace: sn\n\
+             sn:: RHZvxZnDoWs=\n-\ndelete: mail\n\n",
+            "dn: cn=John Doe,o=Lucent\nchangetype: modrdn\nnewrdn: cn=Jack Doe\n\
+             deleteoldrdn: 1\nnewsuperior: o=R&D\n\n",
+            "dn: cn=John Doe,o=Lucent\nchangetype: delete\n\n",
+        ];
+        let dir = tmpdir("ditframe");
+        let path = dir.join("wal.log");
+        let wal = Wal::open(&path, FsyncPolicy::Never).unwrap();
+        let mut expected = Vec::new();
+        for (i, (op, text)) in ops.into_iter().zip(texts).enumerate() {
+            let rec = ChangeRecord {
+                seq: 0x0102_0304_0506_0700 + i as u64,
+                dn: dn.clone(),
+                op,
+            };
+            let payload = wal_payload(&rec);
+            assert_eq!(payload[..8], rec.seq.to_le_bytes());
+            assert_eq!(std::str::from_utf8(&payload[8..]), Ok(text));
+            wal.append(TAG_DIT_CHANGE, &payload).unwrap();
+            let body = [&[TAG_DIT_CHANGE][..], &payload].concat();
+            expected.extend_from_slice(&(body.len() as u32).to_le_bytes());
+            expected.extend_from_slice(&crc32(&body).to_le_bytes());
+            expected.extend_from_slice(&body);
+        }
+        drop(wal);
+        assert_eq!(std::fs::read(&path).unwrap(), expected);
+        let (frames, s) = collect(&path);
+        assert_eq!((s.records, s.torn), (4, false));
+        let records: Vec<Record> = frames
+            .iter()
+            .flat_map(|(_, payload)| ldif::parse(decode_wal_payload(payload).unwrap().1).unwrap())
+            .collect();
+        let replayed = [
+            Record::Add(john),
+            Record::Modify(dn.clone(), mods),
+            Record::ModRdn {
+                dn: dn.clone(),
+                new_rdn,
+                delete_old: true,
+                new_superior: Some(sup),
+            },
+            Record::Delete(dn),
+        ];
+        assert_eq!(records, replayed);
     }
 
     #[test]

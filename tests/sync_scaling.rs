@@ -192,6 +192,12 @@ fn allocations_per_record_stay_flat_from_500_to_8000_records() {
              {small:.1} at 500 — synchronization is no longer linear"
         );
     }
+    // Flat, and no dearer than committed: translate + entry build + one
+    // directory write a record (485 before the write was made cheap).
+    assert!(
+        large_load <= 340.0,
+        "initial load: {large_load:.1} allocations per record (ceiling 340)"
+    );
 }
 
 /// One switch's synchronization on its own.

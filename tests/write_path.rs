@@ -1,0 +1,271 @@
+//! What one directory write costs, counted rather than timed: heap
+//! allocations per `Schema::validate_entry`, per `Dit::add` (volatile and
+//! with a WAL attached) and per one-attribute `Dit::modify`, on the repo
+//! benchmark's person shape under the integrated schema, against committed
+//! ceilings; and a modify of an unindexed attribute leaves the equality
+//! index as it was.
+//!
+//! Linux only (the footprint test's reason: one allocator to reason about).
+//! Run it in release too (CI does): the figures are about the write path,
+//! not the build.
+#![cfg(target_os = "linux")]
+
+use ldap::backup;
+use ldap::dit::{Dit, Scope};
+use ldap::dn::{Dn, Rdn};
+use ldap::entry::{Entry, Modification};
+use ldap::filter::Filter;
+use ldap::wal::{FsyncPolicy, Wal};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+
+thread_local! {
+    /// Blocks the calling thread asked the allocator for.
+    static ASKED_HERE: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn count() {
+    // A thread that is being torn down allocates without its counter.
+    let _ = ASKED_HERE.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the counter only
+// observes that it happened.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
+        System.dealloc(p, layout)
+    }
+    unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        System.realloc(p, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// `f`'s result and the allocations this thread made while it ran.
+fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ASKED_HERE.with(Cell::get);
+    let out = f();
+    (out, ASKED_HERE.with(Cell::get) - before)
+}
+
+// --- the repo benchmark's person shape (bench/src/gen.rs) -------------------
+
+const INDEXED: &[&str] = &["objectClass", "cn", "telephoneNumber", "l", "lastUpdater"];
+const WARM_UP: usize = 500;
+const MEASURED: usize = 1_000;
+
+fn unit_dn() -> Dn {
+    Dn::parse("ou=dept-000,o=Bench").expect("dn")
+}
+
+fn cn(serial: usize) -> String {
+    const GIVEN: &[&str] = &["Ana", "Bram", "Chen", "Dara", "Emre", "Femi"];
+    const SURNAMES: &[&str] = &["Adeyemi", "Bauer", "Castillo", "Dubois", "Eriksen"];
+    format!(
+        "{} {} {serial:06}",
+        GIVEN[serial % GIVEN.len()],
+        SURNAMES[(serial / 7) % SURNAMES.len()]
+    )
+}
+
+fn phone(serial: usize) -> String {
+    format!("+1 908 200 {serial:04}")
+}
+
+fn site(serial: usize) -> String {
+    format!("site-{:02}", serial % 50)
+}
+
+fn person_dn(serial: usize) -> Dn {
+    unit_dn().child(Rdn::new("cn", cn(serial)))
+}
+
+fn person(serial: usize) -> Entry {
+    Entry::with_attrs(
+        person_dn(serial),
+        [
+            ("objectClass", "top".to_string()),
+            ("objectClass", "person".to_string()),
+            ("objectClass", "organizationalPerson".to_string()),
+            ("cn", cn(serial)),
+            ("sn", "Bauer".to_string()),
+            ("telephoneNumber", phone(serial)),
+            ("roomNumber", format!("2B-{:03}", 1 + serial % 399)),
+            ("l", site(serial)),
+        ],
+    )
+}
+
+/// A tree under the integrated schema holding the suffix, the unit and the
+/// warm-up people (serials `0..WARM_UP`), so tables and slabs have grown
+/// past their first doublings before anything is counted.
+fn warm_tree() -> Arc<Dit> {
+    let dit = Dit::with_schema_indexed(Arc::new(metacomm::schema::integrated_schema()), INDEXED);
+    dit.add(Entry::with_attrs(
+        Dn::parse("o=Bench").expect("dn"),
+        [
+            ("objectClass", "top"),
+            ("objectClass", "organization"),
+            ("o", "Bench"),
+        ],
+    ))
+    .expect("suffix");
+    dit.add(Entry::with_attrs(
+        unit_dn(),
+        [
+            ("objectClass", "top"),
+            ("objectClass", "organizationalUnit"),
+            ("ou", "dept-000"),
+        ],
+    ))
+    .expect("unit");
+    for serial in 0..WARM_UP {
+        dit.add(person(serial)).expect("warm-up add");
+    }
+    dit
+}
+
+/// The serials counted after the warm-up.
+fn measured() -> std::ops::Range<usize> {
+    WARM_UP..WARM_UP + MEASURED
+}
+
+/// Allocations per entry of adding the measured people to `dit`.
+fn per_add(dit: &Dit) -> f64 {
+    let people: Vec<Entry> = measured().map(person).collect();
+    let ((), asked) = allocations(|| {
+        for e in people {
+            dit.add(e).expect("add");
+        }
+    });
+    asked as f64 / MEASURED as f64
+}
+
+#[test]
+fn validating_a_conforming_entry_allocates_nothing() {
+    let schema = metacomm::schema::integrated_schema();
+    let people: Vec<Entry> = measured().map(person).collect();
+    let mut stored = person(0);
+    stored.compact_for_store();
+    let ((), asked) = allocations(|| {
+        for e in &people {
+            schema.validate_entry(e).expect("conforms");
+        }
+        // The at-rest representation a modify validates.
+        schema.validate_entry(&stored).expect("conforms");
+    });
+    assert_eq!(
+        asked, 0,
+        "{asked} allocations over {MEASURED} validations: the schema is being re-derived per entry"
+    );
+}
+
+#[test]
+fn an_unobserved_add_stays_under_twenty_allocations() {
+    let dit = warm_tree();
+    let per_entry = per_add(&dit);
+    assert_eq!(dit.len(), 2 + WARM_UP + MEASURED);
+    assert!(
+        per_entry <= 20.0,
+        "{per_entry:.1} allocations per unobserved Dit::add (ceiling 20)"
+    );
+}
+
+#[test]
+fn an_add_with_a_wal_attached_stays_under_forty_allocations() {
+    let dir = std::env::temp_dir().join(format!("metacomm-write-path-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let dit = warm_tree();
+    let wal = Wal::open(&dir.join("wal.log"), FsyncPolicy::Never).expect("open wal");
+    backup::attach_wal(&dit, wal.clone());
+    let per_entry = per_add(&dit);
+    let appends = wal.stats().appends.load(Ordering::Relaxed);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(appends, MEASURED as u64, "one frame per commit");
+    assert!(
+        per_entry <= 40.0,
+        "{per_entry:.1} allocations per Dit::add with a WAL attached (ceiling 40)"
+    );
+}
+
+/// What the equality index answers for every indexed value of the measured
+/// people, in one comparable piece.
+fn index_answers(dit: &Dit) -> Vec<Vec<Entry>> {
+    let (served_before, _) = dit.index_stats();
+    let mut answers = Vec::new();
+    let mut ask = |attr: &str, value: String| {
+        let hits = dit
+            .search(&Dn::root(), Scope::Sub, &Filter::eq(attr, value), &[], 0)
+            .expect("search");
+        answers.push(hits);
+    };
+    for serial in measured() {
+        ask("cn", cn(serial));
+        ask("telephoneNumber", phone(serial));
+    }
+    for s in 0..50 {
+        ask("l", site(s));
+    }
+    ask("objectClass", "organizationalPerson".to_string());
+    let asked = answers.len() as u64;
+    assert_eq!(
+        dit.index_stats().0 - served_before,
+        asked,
+        "every probe is served from the index"
+    );
+    answers
+}
+
+#[test]
+fn a_room_change_stays_under_forty_allocations_and_touches_no_posting() {
+    let dit = warm_tree();
+    per_add(&dit);
+    let postings_before = dit.footprint().postings_bytes;
+    let mut answers_before = index_answers(&dit);
+    let changes: Vec<(Dn, [Modification; 1])> = measured()
+        .map(|serial| {
+            let room = format!("4D-{:03}", 1 + serial % 399);
+            (person_dn(serial), [Modification::set("roomNumber", room)])
+        })
+        .collect();
+    let ((), asked) = allocations(|| {
+        for (dn, mods) in &changes {
+            dit.modify(dn, mods).expect("modify");
+        }
+    });
+    let per_entry = asked as f64 / MEASURED as f64;
+    assert!(
+        per_entry <= 40.0,
+        "{per_entry:.1} allocations per unobserved one-attribute Dit::modify (ceiling 40)"
+    );
+    assert_eq!(
+        dit.footprint().postings_bytes,
+        postings_before,
+        "roomNumber is not indexed: the postings hold what they held"
+    );
+    // The same entries under the same values, but for the room itself.
+    let mut answers_after = index_answers(&dit);
+    for hits in answers_before.iter_mut().chain(answers_after.iter_mut()) {
+        for e in hits {
+            e.remove_attr("roomNumber");
+        }
+    }
+    assert_eq!(answers_after, answers_before);
+    let changed = dit.get(&person_dn(WARM_UP)).expect("entry");
+    assert_eq!(
+        changed.first("roomNumber"),
+        Some(format!("4D-{:03}", 1 + WARM_UP % 399).as_str())
+    );
+}
