@@ -54,9 +54,10 @@ pub struct ScaleReport {
 /// Peak RSS a run may cost per entry at 100k entries and up (below that
 /// the process's own base dominates). The peak is the restart beside the
 /// crashed deployment's leaked tree, so about two trees plus the restore
-/// transients: 2,850 B/entry measured at 100k, 6,260 before the shared-RDN
-/// layout.
-pub const COMPACT_PEAK_RSS_BUDGET_PER_ENTRY: u64 = 3_300;
+/// transients: 1,990 B/entry measured at 100k (the reading plus 10 % is the
+/// budget), 2,850 before the 32-byte attribute slot and the shared class
+/// list, 6,260 before the shared-RDN layout.
+pub const COMPACT_PEAK_RSS_BUDGET_PER_ENTRY: u64 = 2_200;
 
 impl ScaleReport {
     pub fn load_ops_per_sec(&self) -> f64 {
@@ -155,7 +156,8 @@ impl ScaleReport {
                 dn_bytes: row("dnBytes")?,
                 key_arena_bytes: row("keyArenaBytes")?,
                 slab_bytes: row("slabBytes")?,
-                attr_bytes: row("attrBytes")?,
+                attr_slot_bytes: row("attrSlotBytes")?,
+                value_bytes: row("valueBytes")?,
                 postings_bytes: row("postingsBytes")?,
                 sibling_bytes: row("siblingBytes")?,
             },
@@ -424,7 +426,8 @@ mod tests {
             footprint: ldap::Footprint {
                 entries: 1234,
                 dn_bytes: 160,
-                attr_bytes: 670,
+                attr_slot_bytes: 200,
+                value_bytes: 122,
                 ..ldap::Footprint::default()
             },
         };

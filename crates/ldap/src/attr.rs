@@ -5,94 +5,135 @@
 //! `caseIgnoreMatch` unless the schema says otherwise.
 //!
 //! At million-entry scale the same few dozen attribute names appear in
-//! every entry, and the overwhelming majority of attributes hold exactly
-//! one value. Two representation choices keep per-entry overhead flat:
-//! names are reference-counted `Arc<str>` pairs that the compact store
-//! deduplicates through a global interner ([`AttrName::intern`]), and
-//! value bags are a [`Values`] one-or-many enum so the single-value case
-//! costs one `String`, not a `Vec` around it.
+//! every entry, most attributes hold exactly one value, and every entry of
+//! a class repeats the class's `objectClass` list. So an [`Attribute`] at
+//! rest is a 32-byte slot: the name is one pointer to a block the whole
+//! process shares through a pool ([`AttrName::interned`]), and the
+//! [`Values`] bag is 24 bytes — one `String`, an exactly-sized boxed slice,
+//! or a pointer to the one copy of a class list (`Values::share`).
+//!
+//! Both pools are read-mostly, never free, and are fed from unauthenticated
+//! sockets, so both are capped by count *and* by size: `POOL_CAP` members,
+//! none longer than `POOLED_LEN_MAX` bytes (still correct, just not shared).
 
 use std::borrow::Borrow;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::{Arc, LazyLock};
 
-/// Case-insensitive attribute name. Keeps the display form as written and a
-/// lowercased form for hashing/equality. Both forms are `Arc<str>`: a name
-/// that is already lowercase shares one allocation, and interned names
-/// (compact store) share allocations across every entry in the process.
+/// Case-insensitive attribute name: one pointer to a shared block that
+/// keeps the display form as written and, only when it differs, the
+/// lowercased form used for hashing and equality. Names built from a
+/// string come from the pool, so a million entries holding
+/// `telephoneNumber` all point at one block.
 #[derive(Debug, Clone)]
-pub struct AttrName {
-    display: Arc<str>,
-    norm: Arc<str>,
+pub struct AttrName(Arc<NameBlock>);
+
+#[derive(Debug)]
+struct NameBlock {
+    display: Box<str>,
+    /// `None` when `display` is already lowercase.
+    lower: Option<Box<str>>,
+    /// This block is the pool's copy for its display form.
+    pooled: bool,
 }
 
 impl AttrName {
+    /// A name with a block of its own; [`AttrName::interned`] (and `From`)
+    /// share the pool's.
     pub fn new(name: impl Into<String>) -> AttrName {
-        let display: Arc<str> = Arc::from(name.into());
-        let norm = if display.bytes().any(|b| b.is_ascii_uppercase()) {
-            Arc::from(display.to_ascii_lowercase())
-        } else {
-            display.clone()
-        };
-        AttrName { display, norm }
+        AttrName::block(name.into(), false)
+    }
+
+    fn block(display: String, pooled: bool) -> AttrName {
+        let lower = display
+            .bytes()
+            .any(|b| b.is_ascii_uppercase())
+            .then(|| display.to_ascii_lowercase().into_boxed_str());
+        AttrName(Arc::new(NameBlock {
+            display: display.into_boxed_str(),
+            lower,
+            pooled,
+        }))
     }
 
     /// The name as originally written.
     pub fn as_str(&self) -> &str {
-        &self.display
+        &self.0.display
     }
 
     /// Lowercased form used for matching.
     pub fn norm(&self) -> &str {
-        &self.norm
+        self.0.lower.as_deref().unwrap_or(&self.0.display)
     }
 
     /// Replace this name with the process-wide canonical copy for its
-    /// display form, so a million entries holding `telephoneNumber` all
-    /// point at the same two allocations. The pool is keyed by display
-    /// form; the universe of attribute names is the schema's, not the
-    /// data's, so it stays tiny — and `NAME_POOL_CAP` keeps it so when
-    /// names arrive from an unauthenticated socket (a name past the cap is
-    /// still correct, just not shared).
+    /// display form; nothing to do for a name that already is that copy.
     pub fn intern(&mut self) {
-        if let Some(canon) = NAME_POOL.read().get(&*self.display) {
-            *self = canon.clone();
-            return;
-        }
-        let mut pool = NAME_POOL.write();
-        match pool.get(&*self.display) {
-            Some(canon) => *self = canon.clone(),
-            None if pool.len() < NAME_POOL_CAP => {
-                pool.insert(self.display.clone(), self.clone());
+        if !self.0.pooled {
+            if let Some(canon) = AttrName::pooled(self.as_str()) {
+                *self = canon;
             }
-            None => {}
         }
     }
 
-    /// The pooled name for `name` (see [`AttrName::intern`]); allocates
-    /// only the first time a display form is seen.
+    /// The pooled name for `name`; allocates only the first time a display
+    /// form is seen. The universe of attribute names is the schema's, not
+    /// the data's, so the pool stays tiny — and the caps keep it so against
+    /// an unauthenticated socket (a name it will not take gets its own block).
     pub fn interned(name: &str) -> AttrName {
-        if let Some(canon) = NAME_POOL.read().get(name) {
-            return canon.clone();
-        }
-        let mut fresh = AttrName::new(name);
-        fresh.intern();
-        fresh
+        AttrName::pooled(name).unwrap_or_else(|| AttrName::new(name))
+    }
+
+    fn pooled(name: &str) -> Option<AttrName> {
+        let block = || AttrName::block(name.to_string(), true);
+        (name.len() <= POOLED_LEN_MAX)
+            .then(|| pooled(&NAME_POOL, name, block))
+            .flatten()
     }
 }
 
-/// Distinct display forms the name pool will hold.
-const NAME_POOL_CAP: usize = 4096;
+/// Members either pool will hold: distinct display forms, distinct lists.
+const POOL_CAP: usize = 4096;
 
-/// Read-mostly: every DN parse looks its attribute types up here, from
-/// every wire and restore worker at once.
-static NAME_POOL: LazyLock<parking_lot::RwLock<HashMap<Arc<str>, AttrName>>> =
-    LazyLock::new(Default::default);
+/// Longest name or value, in bytes, either pool will hold — the bound
+/// [`with_lower`] calls too long for any real schema.
+const POOLED_LEN_MAX: usize = 64;
+
+/// Longest value list the class-list pool will hold.
+const POOLED_LIST_MAX: usize = 16;
+
+/// Read-mostly and never freed: every DN parse looks its attribute types
+/// up in the one and every entry stored looks its class list up in the
+/// other, from every wire and restore worker at once.
+type Pool<K, V> = LazyLock<parking_lot::RwLock<HashMap<Box<K>, V>>>;
+
+/// Display form to the one block for it.
+static NAME_POOL: Pool<str, AttrName> = LazyLock::new(Default::default);
+
+/// Exact value sequence to the one copy of it.
+static LIST_POOL: Pool<[String], Arc<[String]>> = LazyLock::new(Default::default);
+
+/// The pool's member for `key`, made the first time the key is seen;
+/// `None` once the pool is full.
+fn pooled<K, V: Clone>(pool: &Pool<K, V>, key: &K, make: impl FnOnce() -> V) -> Option<V>
+where
+    K: ?Sized + std::hash::Hash + Eq,
+    Box<K>: for<'a> From<&'a K>,
+{
+    if let Some(found) = pool.read().get(key) {
+        return Some(found.clone());
+    }
+    let mut pool = pool.write();
+    if pool.len() >= POOL_CAP && !pool.contains_key(key) {
+        return None;
+    }
+    Some(pool.entry(key.into()).or_insert_with(make).clone())
+}
 
 impl PartialEq for AttrName {
     fn eq(&self, other: &Self) -> bool {
-        self.norm == other.norm
+        Arc::ptr_eq(&self.0, &other.0) || self.norm() == other.norm()
     }
 }
 impl Eq for AttrName {}
@@ -104,37 +145,37 @@ impl PartialOrd for AttrName {
 }
 impl Ord for AttrName {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.norm.cmp(&other.norm)
+        self.norm().cmp(other.norm())
     }
 }
 
 impl std::hash::Hash for AttrName {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.norm.hash(state);
+        self.norm().hash(state);
     }
 }
 
 /// Lets `BTreeMap<AttrName, _>` be looked up by `&str` (must be lowercase).
 impl Borrow<str> for AttrName {
     fn borrow(&self) -> &str {
-        &self.norm
+        self.norm()
     }
 }
 
 impl From<&str> for AttrName {
     fn from(s: &str) -> AttrName {
-        AttrName::new(s)
+        AttrName::interned(s)
     }
 }
 impl From<String> for AttrName {
     fn from(s: String) -> AttrName {
-        AttrName::new(s)
+        AttrName::interned(&s)
     }
 }
 
 impl fmt::Display for AttrName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.display)
+        f.write_str(self.as_str())
     }
 }
 
@@ -147,7 +188,7 @@ pub(crate) fn with_lower<R>(name: &str, f: impl FnOnce(&str) -> R) -> R {
     if !name.bytes().any(|b| b.is_ascii_uppercase()) {
         return f(name);
     }
-    let mut buf = [0u8; 64];
+    let mut buf = [0u8; POOLED_LEN_MAX];
     match buf.get_mut(..name.len()) {
         Some(folded) => {
             folded.copy_from_slice(name.as_bytes());
@@ -206,18 +247,33 @@ pub(crate) fn norm_value_into(v: &str, out: &mut String) {
     }
 }
 
-/// The values of one attribute: almost always exactly one, so the single
-/// case is stored inline without a `Vec` (24 bytes saved per attribute,
-/// one allocation fewer — at a million entries times five-plus attributes
-/// each, that is the difference between fitting in RAM twice over or not).
+/// Index of the first value that repeats an earlier one under
+/// `caseIgnoreMatch`. A short list is compared pairwise without a heap
+/// `String`; a long one through a set of normalized forms.
+pub(crate) fn repeated_value(values: &[String]) -> Option<usize> {
+    const PAIRWISE_MAX: usize = 16;
+    if values.len() > PAIRWISE_MAX {
+        let mut seen = HashSet::with_capacity(values.len());
+        return values.iter().position(|v| !seen.insert(norm_value(v)));
+    }
+    (1..values.len()).find(|&i| values[..i].iter().any(|v| value_eq_ci(v, &values[i])))
+}
+
+/// The values of one attribute, in 24 bytes: almost always exactly one, so
+/// the single case is the `String` itself with no vector around it; several
+/// are an exactly-sized boxed slice; and a list that every entry of a class
+/// repeats is a pointer to the pool's one copy, which nobody may change —
+/// [`Values::push`] and [`Values::retain`] copy it first.
 ///
-/// `One` always holds exactly one value; the empty bag is `Many(vec![])`.
+/// `One` always holds exactly one value; the empty bag is `Many([])`.
 /// Equality is by value sequence, so `One("a") == Many(["a"])`. Derefs to
 /// `&[String]`, so slice methods (`len`, `iter`, indexing) work unchanged.
+/// Only this module names the variants.
 #[derive(Clone)]
 pub enum Values {
     One(String),
-    Many(Vec<String>),
+    Many(Box<[String]>),
+    Shared(Arc<[String]>),
 }
 
 impl Values {
@@ -225,6 +281,7 @@ impl Values {
         match self {
             Values::One(v) => std::slice::from_ref(v),
             Values::Many(vs) => vs,
+            Values::Shared(vs) => vs,
         }
     }
 
@@ -232,29 +289,71 @@ impl Values {
         self.as_slice().to_vec()
     }
 
+    /// Values that are known to be distinct under `caseIgnoreMatch`.
+    fn from_distinct(mut vs: Vec<String>) -> Values {
+        if vs.len() == 1 {
+            Values::One(vs.pop().expect("len checked"))
+        } else {
+            Values::Many(vs.into_boxed_slice())
+        }
+    }
+
     /// Append a value (no dedup — callers check `caseIgnoreMatch` first).
     pub fn push(&mut self, value: String) {
-        match self {
-            Values::One(_) => {
-                let Values::One(first) = std::mem::replace(self, Values::Many(Vec::new())) else {
-                    unreachable!()
-                };
-                *self = Values::Many(vec![first, value]);
-            }
-            Values::Many(vs) if vs.is_empty() => *self = Values::One(value),
-            Values::Many(vs) => vs.push(value),
+        let mut vs = Vec::with_capacity(self.len() + 1);
+        match std::mem::replace(self, Values::Many(Box::default())) {
+            Values::One(first) => vs.push(first),
+            Values::Many(own) => vs.extend(own.into_vec()),
+            Values::Shared(pooled) => vs.extend(pooled.iter().cloned()),
         }
+        vs.push(value);
+        *self = Values::from_distinct(vs);
     }
 
     /// Keep only values for which `keep` returns `true`.
     pub fn retain(&mut self, mut keep: impl FnMut(&String) -> bool) {
-        match self {
-            Values::One(v) => {
-                if !keep(v) {
-                    *self = Values::Many(Vec::new());
-                }
+        let kept = match self {
+            Values::One(v) if keep(v) => return,
+            Values::One(_) => Vec::new(),
+            Values::Many(own) => {
+                let mut vs = std::mem::take(own).into_vec();
+                vs.retain(|v| keep(v));
+                vs
             }
-            Values::Many(vs) => vs.retain(|v| keep(v)),
+            Values::Shared(pooled) => pooled.iter().filter(|v| keep(v)).cloned().collect(),
+        };
+        *self = Values::from_distinct(kept);
+    }
+
+    /// Swap this list for the process-wide copy of the same exact value
+    /// sequence (spelling and order are the key, so what a search returns
+    /// is still what the client stored). A list the pool will not take —
+    /// too many values, a value too long, the pool full — stays owned.
+    pub(crate) fn share(&mut self) {
+        if matches!(self, Values::Shared(_))
+            || self.len() > POOLED_LIST_MAX
+            || self.iter().any(|v| v.len() > POOLED_LEN_MAX)
+        {
+            return;
+        }
+        let exact = || self.iter().map(|v| v.as_str().into()).collect();
+        if let Some(list) = pooled(&LIST_POOL, self.as_slice(), exact) {
+            *self = Values::Shared(list);
+        }
+    }
+
+    /// Heap bytes behind the bag as requested from the allocator, one
+    /// figure per allocation: the many-valued slice to `slot`, each value
+    /// string to `value`. A shared list is the pool's, as an interned
+    /// name is, and is counted for no holder.
+    pub(crate) fn heap_blocks(&self, mut slot: impl FnMut(usize), mut value: impl FnMut(usize)) {
+        match self {
+            Values::One(v) => value(v.capacity()),
+            Values::Many(vs) => {
+                slot(std::mem::size_of_val(&**vs));
+                vs.iter().for_each(|v| value(v.capacity()));
+            }
+            Values::Shared(_) => {}
         }
     }
 }
@@ -267,12 +366,12 @@ impl std::ops::Deref for Values {
 }
 
 impl From<Vec<String>> for Values {
+    /// Keeps the first spelling of a value and drops a later repeat.
     fn from(mut vs: Vec<String>) -> Values {
-        if vs.len() == 1 {
-            Values::One(vs.pop().expect("len checked"))
-        } else {
-            Values::Many(vs)
+        while let Some(repeat) = repeated_value(&vs) {
+            vs.remove(repeat);
         }
+        Values::from_distinct(vs)
     }
 }
 
@@ -295,9 +394,11 @@ impl IntoIterator for Values {
     type IntoIter = std::vec::IntoIter<String>;
     fn into_iter(self) -> Self::IntoIter {
         match self {
-            Values::One(v) => vec![v].into_iter(),
-            Values::Many(vs) => vs.into_iter(),
+            Values::One(v) => vec![v],
+            Values::Many(vs) => vs.into_vec(),
+            Values::Shared(vs) => Vec::from(&*vs),
         }
+        .into_iter()
     }
 }
 
@@ -417,19 +518,44 @@ mod tests {
     }
 
     #[test]
+    fn an_attribute_is_a_32_byte_slot() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<AttrName>(), 8);
+        assert_eq!(size_of::<Values>(), 24);
+        assert_eq!(size_of::<Attribute>(), 32);
+    }
+
+    #[test]
     fn interning_dedups_allocations() {
         let mut a = AttrName::new("telephoneNumber");
         let mut b = AttrName::new("telephoneNumber");
+        assert!(!Arc::ptr_eq(&a.0, &b.0));
         a.intern();
         b.intern();
-        assert!(Arc::ptr_eq(&a.display, &b.display));
-        assert!(Arc::ptr_eq(&a.norm, &b.norm));
+        assert!(Arc::ptr_eq(&a.0, &b.0));
+        // Names built from a string ask the pool first.
+        assert!(Arc::ptr_eq(&a.0, &AttrName::from("telephoneNumber").0));
         // Display forms are preserved exactly; a different casing is a
         // different pool entry (both still equal under CI matching).
         let mut c = AttrName::new("TELEPHONENUMBER");
         c.intern();
         assert_eq!(a, c);
         assert_eq!(c.as_str(), "TELEPHONENUMBER");
+        assert_eq!(c.norm(), "telephonenumber");
+    }
+
+    #[test]
+    fn a_name_too_long_for_any_schema_is_never_pooled() {
+        let long = "x".repeat(POOLED_LEN_MAX + 1);
+        let (a, mut b) = (AttrName::interned(&long), AttrName::from(long.as_str()));
+        b.intern();
+        assert!(!Arc::ptr_eq(&a.0, &b.0));
+        assert_eq!(a, b);
+        let fits = &long[1..];
+        assert!(Arc::ptr_eq(
+            &AttrName::interned(fits).0,
+            &AttrName::interned(fits).0
+        ));
     }
 
     #[test]
@@ -439,9 +565,19 @@ mod tests {
         assert!(!value_eq_ci("John", "Johnny"));
     }
 
+    fn strings(words: &[&str]) -> Vec<String> {
+        words.iter().map(|w| w.to_string()).collect()
+    }
+
     #[test]
-    fn values_one_many_equivalence() {
-        assert_eq!(Values::One("a".into()), Values::Many(vec!["a".into()]));
+    fn values_one_many_shared_equivalence() {
+        let one = Values::One("a".into());
+        let many = Values::Many(strings(&["a"]).into());
+        let mut shared = one.clone();
+        shared.share();
+        assert!(matches!(shared, Values::Shared(_)));
+        assert_eq!(one, many);
+        assert_eq!(many, shared);
         let mut v = Values::One("a".into());
         v.push("b".into());
         assert_eq!(v.len(), 2);
@@ -452,6 +588,96 @@ mod tests {
         assert!(v.is_empty());
         v.push("c".into());
         assert!(matches!(v, Values::One(_)));
+    }
+
+    #[test]
+    fn a_shared_list_is_one_copy_and_writers_copy_it() {
+        let classes = strings(&["top", "person", "organizationalPerson"]);
+        let (mut a, mut b) = (Values::from(classes.clone()), Values::from(classes.clone()));
+        a.share();
+        b.share();
+        assert_eq!(a.as_ptr(), b.as_ptr());
+        // Spelling and order are the key.
+        let mut shouted = Values::from(strings(&["TOP", "person", "organizationalPerson"]));
+        shouted.share();
+        assert_ne!(shouted.as_ptr(), a.as_ptr());
+        assert_eq!(shouted[0], "TOP");
+        b.push("definityUser".into());
+        b.retain(|v| v != "top");
+        assert_eq!(
+            b,
+            strings(&["person", "organizationalPerson", "definityUser"])
+        );
+        assert_eq!(a, classes);
+        // Too many values, or a value too long: the list stays owned.
+        let mut wide = Values::from(
+            (0..=POOLED_LIST_MAX)
+                .map(|i| i.to_string())
+                .collect::<Vec<_>>(),
+        );
+        let mut long = Values::from(vec!["top".to_string(), "x".repeat(POOLED_LEN_MAX + 1)]);
+        wide.share();
+        long.share();
+        assert!(matches!(wide, Values::Many(_)) && matches!(long, Values::Many(_)));
+    }
+
+    #[test]
+    fn a_repeated_value_keeps_its_first_spelling() {
+        let v = Values::from(strings(&["Murray Hill", "x", "murray  hill", "X"]));
+        assert_eq!(v, strings(&["Murray Hill", "x"]));
+        assert_eq!(
+            Attribute::new("l", strings(&["a", "A"])).values,
+            strings(&["a"])
+        );
+        // The same answer from the pairwise and the hashed walk.
+        let mut many: Vec<String> = (0..40).map(|i| format!("v{i}")).collect();
+        assert_eq!(repeated_value(&many), None);
+        many.push("V7".into());
+        assert_eq!(repeated_value(&many), Some(40));
+        assert_eq!(repeated_value(&many[5..]), Some(35));
+        assert_eq!(repeated_value(&strings(&["a", "b", "B", "a"])), Some(2));
+    }
+
+    proptest::proptest! {
+        /// A bag driven through every door that changes or copies it holds
+        /// what a plain `Vec<String>` holds, and no copy taken on the way
+        /// (a clone, the pool's list) ever sees a later write.
+        #[test]
+        fn values_follow_a_plain_vec_model(
+            ops in proptest::collection::vec((0u8..5, 0usize..8), 0..48),
+        ) {
+            const WORDS: [&str; 8] =
+                ["top", "person", "organizationalPerson", "definityUser", "a", "bb", "ccc", "dddd"];
+            let mut model: Vec<String> = Vec::new();
+            let mut bag = Values::from(Vec::new());
+            let mut copies: Vec<(Values, Vec<String>)> = Vec::new();
+            for (op, k) in ops {
+                let word = WORDS[k].to_string();
+                match op {
+                    0 if !model.contains(&word) => {
+                        model.push(word.clone());
+                        bag.push(word);
+                    }
+                    0 | 1 => {
+                        model.retain(|v| v.len() % 3 != k % 3);
+                        bag.retain(|v| v.len() % 3 != k % 3);
+                    }
+                    2 => {
+                        let copy = bag.clone();
+                        copies.push((std::mem::replace(&mut bag, copy), model.clone()));
+                    }
+                    3 => bag.share(),
+                    _ => bag = bag.into_iter().collect::<Vec<_>>().into(),
+                }
+                proptest::prop_assert_eq!(bag.as_slice(), model.as_slice());
+                if !matches!(bag, Values::Shared(_)) {
+                    proptest::prop_assert_eq!(matches!(bag, Values::One(_)), model.len() == 1);
+                }
+                for (copy, then) in &copies {
+                    proptest::prop_assert_eq!(copy.as_slice(), then.as_slice());
+                }
+            }
+        }
     }
 
     #[test]

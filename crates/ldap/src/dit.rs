@@ -121,8 +121,11 @@ pub struct Footprint {
     pub key_arena_bytes: usize,
     /// The node slots (entry header, links) and the free list.
     pub slab_bytes: usize,
-    /// Attribute vectors and value strings.
-    pub attr_bytes: usize,
+    /// Attribute vectors (32 bytes an attribute) and many-valued slices.
+    pub attr_slot_bytes: usize,
+    /// Value strings. A class list entries share is the pool's, as
+    /// interned names are, and is counted for no entry.
+    pub value_bytes: usize,
     /// The equality indexes: value keys, tables, spilled id sets.
     pub postings_bytes: usize,
     /// The sorted child-id vectors.
@@ -131,12 +134,13 @@ pub struct Footprint {
 
 impl Footprint {
     /// `(gauge name, bytes)` for every structure, in a fixed order.
-    pub fn rows(&self) -> [(&'static str, usize); 6] {
+    pub fn rows(&self) -> [(&'static str, usize); 7] {
         [
             ("dnBytes", self.dn_bytes),
             ("keyArenaBytes", self.key_arena_bytes),
             ("slabBytes", self.slab_bytes),
-            ("attrBytes", self.attr_bytes),
+            ("attrSlotBytes", self.attr_slot_bytes),
+            ("valueBytes", self.value_bytes),
             ("postingsBytes", self.postings_bytes),
             ("siblingBytes", self.sibling_bytes),
         ]
@@ -688,8 +692,10 @@ impl CompactStore {
             // An `Arc<str>`: two reference counts, then the text.
             fp.key_arena_bytes += heap_block(2 * size_of::<usize>() + node.key.len());
             fp.sibling_bytes += heap_block(node.children.capacity() * size_of::<DnId>());
-            node.entry
-                .attr_heap_blocks(|n| fp.attr_bytes += heap_block(n));
+            node.entry.attr_heap_blocks(
+                |n| fp.attr_slot_bytes += heap_block(n),
+                |n| fp.value_bytes += heap_block(n),
+            );
             let rdns = node.entry.dn().rdns();
             fp.dn_bytes += heap_block(std::mem::size_of_val(rdns));
             // An RDN is counted where it is the leaf; further down the

@@ -1,6 +1,6 @@
 //! Directory entries and the modification operations that act on them.
 
-use crate::attr::{norm_value, value_eq_ci, with_lower, AttrName, Attribute, Values};
+use crate::attr::{norm_value, repeated_value, value_eq_ci, with_lower, AttrName, Attribute};
 use crate::dn::Dn;
 use crate::error::{LdapError, Result, ResultCode};
 use std::collections::BTreeMap;
@@ -162,9 +162,10 @@ impl Entry {
         &mut self.dn
     }
 
-    /// Flatten to the compact at-rest representation and intern attribute
-    /// names. The compact store calls this on every entry it takes
-    /// ownership of; all later mutations stay in the flat representation.
+    /// Flatten to the compact at-rest representation, intern attribute
+    /// names and swap the `objectClass` list for the copy every entry of the
+    /// class shares (an edit copies it first). The compact store calls this
+    /// on every entry it takes; later mutations stay in the flat form.
     pub fn compact_for_store(&mut self) {
         if let Attrs::Tree(m) = &mut self.attrs {
             let m = std::mem::take(m);
@@ -174,31 +175,31 @@ impl Entry {
             v.shrink_to_fit();
             for a in v {
                 a.name.intern();
-                if let Values::Many(vs) = &mut a.values {
-                    vs.shrink_to_fit();
+                if a.name.norm() == "objectclass" {
+                    a.values.share();
                 }
             }
         }
     }
 
     /// Heap bytes behind the attributes as requested from the allocator,
-    /// one figure per allocation: the attribute vector, each multi-value
-    /// vector, each value string. Interned names are the pool's. An entry
-    /// still in its build-time map is counted as that map's keys and
-    /// values laid end to end (its nodes are not modelled).
-    pub(crate) fn attr_heap_blocks(&self, mut block: impl FnMut(usize)) {
-        let slot = std::mem::size_of::<Attribute>();
+    /// one figure per allocation: the attribute vector and each
+    /// many-valued slice to `slot`, each value string to `value`. Interned
+    /// names and a shared class list are their pools'. An entry still in
+    /// its build-time map is counted as that map's keys and values laid end
+    /// to end (its nodes are not modelled).
+    pub(crate) fn attr_heap_blocks(
+        &self,
+        mut slot: impl FnMut(usize),
+        mut value: impl FnMut(usize),
+    ) {
+        let size = std::mem::size_of::<Attribute>();
         match &self.attrs {
-            Attrs::Tree(m) => block(m.len() * (slot + std::mem::size_of::<AttrName>())),
-            Attrs::Flat(v) => block(v.capacity() * slot),
+            Attrs::Tree(m) => slot(m.len() * (size + std::mem::size_of::<AttrName>())),
+            Attrs::Flat(v) => slot(v.capacity() * size),
         }
         for a in self.attributes() {
-            if let Values::Many(vs) = &a.values {
-                block(vs.capacity() * std::mem::size_of::<String>());
-            }
-            for v in &a.values {
-                block(v.capacity());
-            }
+            a.values.heap_blocks(&mut slot, &mut value);
         }
     }
 
@@ -330,13 +331,10 @@ impl Entry {
                 if m.values.is_empty() {
                     return Err(LdapError::protocol("add modification with no values"));
                 }
-                for v in &m.values {
-                    if self.has_value(m.attr.as_str(), v) {
-                        return Err(LdapError::new(
-                            ResultCode::AttributeOrValueExists,
-                            format!("value `{v}` already exists for `{}`", m.attr),
-                        ));
-                    }
+                let holds = |v: &String| self.has_value(m.attr.as_str(), v);
+                let held = m.values.iter().position(holds);
+                if let Some(i) = held.or_else(|| repeated_value(&m.values)) {
+                    return Err(value_exists(m, &m.values[i]));
                 }
                 for v in &m.values {
                     self.add_value(m.attr.clone(), v.clone());
@@ -366,6 +364,9 @@ impl Entry {
                 }
             }
             ModOp::Replace => {
+                if let Some(i) = repeated_value(&m.values) {
+                    return Err(value_exists(m, &m.values[i]));
+                }
                 self.put(m.attr.clone(), m.values.clone());
                 Ok(())
             }
@@ -393,6 +394,14 @@ impl Entry {
         }
         mods
     }
+}
+
+/// A modification names a value the bag would then hold twice.
+fn value_exists(m: &Modification, value: &str) -> LdapError {
+    LdapError::new(
+        ResultCode::AttributeOrValueExists,
+        format!("value `{value}` already exists for `{}`", m.attr),
+    )
 }
 
 /// Set equality under `caseIgnoreMatch`. This runs once per attribute per
@@ -551,6 +560,84 @@ mod tests {
             .apply_modifications(&[Modification::add("mail", vec!["JD@LUCENT.COM".into()])])
             .unwrap_err();
         assert_eq!(err.code, ResultCode::AttributeOrValueExists);
+    }
+
+    #[test]
+    fn a_modification_that_names_a_value_twice_is_refused_whole() {
+        use crate::dit::{Dit, Scope};
+        use crate::filter::Filter;
+        let dit = Dit::with_schema_indexed(
+            std::sync::Arc::new(crate::schema::Schema::permissive()),
+            &["l", "description"],
+        );
+        let mut e = person();
+        e.add_value("l", "Holmdel");
+        let dn = e.dn().clone();
+        dit.add(Entry::with_attrs(dn.parent().unwrap(), [("o", "Lucent")]))
+            .unwrap();
+        dit.add(e).unwrap();
+        let before = (dit.get(&dn), dit.seq(), dit.footprint());
+        for (m, named) in [
+            (
+                Modification::replace("l", vec!["Murray Hill".into(), "murray  hill".into()]),
+                "`murray  hill`",
+            ),
+            (
+                Modification::add("description", vec!["a".into(), "A".into()]),
+                "`A`",
+            ),
+        ] {
+            let err = dit.modify(&dn, &[m]).unwrap_err();
+            assert_eq!(err.code, ResultCode::AttributeOrValueExists);
+            assert!(err.message.contains(named), "{err}");
+            assert_eq!((dit.get(&dn), dit.seq(), dit.footprint()), before);
+        }
+        let held = |filter: &str| {
+            let filter = Filter::parse(filter).unwrap();
+            dit.search(&Dn::root(), Scope::Sub, &filter, &[], 0)
+                .unwrap()
+                .len()
+        };
+        assert_eq!(
+            (
+                held("(l=holmdel)"),
+                held("(l=murray hill)"),
+                held("(description=a)")
+            ),
+            (1, 0, 0)
+        );
+    }
+
+    #[test]
+    fn the_constructors_keep_the_first_spelling_of_a_repeated_value() {
+        let mut e = person();
+        e.put("l", vec!["Murray Hill".into(), "murray  hill".into()]);
+        assert_eq!(e.values("l"), ["Murray Hill"]);
+        // One delete then empties the bag, as `caseIgnoreMatch` promises.
+        e.apply_modifications(&[Modification::delete("l", vec!["MURRAY HILL".into()])])
+            .unwrap();
+        assert!(!e.has_attr("l"));
+    }
+
+    #[test]
+    fn compacting_shares_the_class_list_and_an_edit_copies_it() {
+        let (mut a, mut b) = (person(), person());
+        a.compact_for_store();
+        b.compact_for_store();
+        assert_eq!(a.object_classes().as_ptr(), b.object_classes().as_ptr());
+        assert_eq!(a, person());
+        b.apply_modifications(&[Modification::add(
+            "objectClass",
+            vec!["definityUser".into()],
+        )])
+        .unwrap();
+        assert_eq!(b.object_classes(), ["top", "person", "definityUser"]);
+        assert_eq!(a.object_classes(), ["top", "person"]);
+        assert_eq!(a.object_classes().as_ptr(), {
+            let mut c = person();
+            c.compact_for_store();
+            c.object_classes().as_ptr()
+        });
     }
 
     #[test]

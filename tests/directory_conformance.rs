@@ -4,11 +4,15 @@
 //! doors — `search_visit` (the one an implementor writes), and the provided
 //! `search_capped` and `search` — must agree on entries, order, count and
 //! truncated ⇔ `sizeLimitExceeded`; a missing base is `noSuchObject` from
-//! all three and `None` from `get`.
+//! all three and `None` from `get`; and a modification that would store one
+//! value twice is `attributeOrValueExists` from every implementor, the wire
+//! client included, and changes nothing.
 
 use ldap::client::TcpDirectory;
 use ldap::server::Server;
-use ldap::{Directory, Dit, Dn, Entry, Filter, ResultCode, Scope, ShardMap, ShardRouter};
+use ldap::{
+    Directory, Dit, Dn, Entry, Filter, Modification, ResultCode, Scope, ShardMap, ShardRouter,
+};
 use ltap::Gateway;
 use metacomm::obs::{MonitorDirectory, Registry};
 use std::sync::atomic::Ordering;
@@ -127,6 +131,14 @@ const TREE_CASES: &[Case] = &[
 
 const TREE_MISSING: &[&str] = &["ou=Ghost,o=Lucent", "cn=ghost,ou=Wireless,o=Lucent"];
 
+/// Rows a modify must refuse: (replace or add, attribute, values that are
+/// one value under `caseIgnoreMatch`).
+const TREE_REPEATS: &[(bool, &str, [&str; 2])] = &[
+    (true, "l", ["Murray Hill", "murray  hill"]),
+    (false, "description", ["a", "A"]),
+    (false, "sn", ["LU", "Lucent"]),
+];
+
 /// Rows inside `cn=monitor` (root + components `relay` and `um`).
 const MONITOR_CASES: &[Case] = &[
     ("cn=monitor", Scope::Sub, "(objectClass=*)", &[], 3),
@@ -236,10 +248,27 @@ fn check_missing(name: &str, dir: &dyn Directory, base: &str) {
     assert_eq!(dir.get(&base).unwrap(), None, "{name}: get {base}");
 }
 
+fn check_repeats(name: &str, dir: &dyn Directory) {
+    let wei = dn("cn=Wei Lu,ou=Optical,o=Lucent");
+    let before = dir.get(&wei).unwrap();
+    for &(replace, attr, values) in TREE_REPEATS {
+        let values = values.iter().map(|v| v.to_string()).collect();
+        let m = match replace {
+            true => Modification::replace(attr, values),
+            false => Modification::add(attr, values),
+        };
+        let err = dir.modify(&wei, &[m]).unwrap_err();
+        let at = format!("{name}: {attr} {err}");
+        assert_eq!(err.code, ResultCode::AttributeOrValueExists, "{at}");
+        assert_eq!(dir.get(&wei).unwrap(), before, "{at}");
+    }
+}
+
 fn check_tree(name: &str, dir: &dyn Directory) {
     for c in TREE_CASES {
         check_case(name, dir, c);
     }
+    check_repeats(name, dir);
     for base in TREE_MISSING {
         check_missing(name, dir, base);
     }

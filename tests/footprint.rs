@@ -3,17 +3,20 @@
 //! really set aside): DN construction leaves no slack, a tree in the repo
 //! benchmark's shape stays under a committed bytes-per-entry budget, a tree
 //! restored from a snapshot costs what the live-loaded one does,
-//! [`Dit::footprint`] accounts for the bytes by structure, and entries share
-//! their ancestors' RDN storage whatever path took them into the tree.
+//! [`Dit::footprint`] accounts for the bytes by structure, entries share
+//! their ancestors' RDN storage and their class's `objectClass` list
+//! whatever path took them into the tree, and neither pool keeps what an
+//! unauthenticated socket could make arbitrarily large.
 //!
 //! Linux/glibc only. Run it in release too (CI does): the budget is about
 //! the data structures, not the build.
 #![cfg(target_os = "linux")]
 
 use ldap::backup::SnapshotStore;
-use ldap::dit::Dit;
+use ldap::dit::{Dit, Scope};
 use ldap::dn::{Dn, Rdn};
-use ldap::entry::Entry;
+use ldap::entry::{Entry, Modification};
+use ldap::filter::Filter;
 use ldap::schema::Schema;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -31,6 +34,8 @@ thread_local! {
     /// where `LIVE` moves by up to 16 bytes a block with the state of the
     /// heap, and blind to what the test harness prints from its own thread.
     static ASKED_HERE: Cell<isize> = const { Cell::new(0) };
+    /// Heap blocks the calling thread holds.
+    static BLOCKS_HERE: Cell<isize> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -43,8 +48,9 @@ fn count(ptr: *mut u8, asked: usize, sign: isize) {
     // by it, or about to be handed back to it by the caller.
     let set_aside = unsafe { malloc_usable_size(ptr.cast()) };
     LIVE.fetch_add(sign * set_aside as isize, Ordering::Relaxed);
-    // A thread that is being torn down frees without its counter.
+    // A thread that is being torn down frees without its counters.
     let _ = ASKED_HERE.try_with(|c| c.set(c.get() + sign * asked as isize));
+    let _ = BLOCKS_HERE.try_with(|c| c.set(c.get() + sign));
 }
 
 // SAFETY: every call is forwarded unchanged to `System`; the counters only
@@ -64,6 +70,7 @@ unsafe impl GlobalAlloc for Counting {
         let q = System.realloc(p, layout, new_size);
         if !q.is_null() {
             LIVE.fetch_sub(before as isize, Ordering::Relaxed);
+            let _ = BLOCKS_HERE.try_with(|c| c.set(c.get() - 1));
             let _ = ASKED_HERE.try_with(|c| c.set(c.get() - layout.size() as isize));
             count(q, new_size, 1);
         }
@@ -177,9 +184,15 @@ fn scratch_dir(name: &str) -> std::path::PathBuf {
 }
 
 /// Bytes per entry the compact store may cost in this shape, five indexes
-/// included: 1,303 measured, 2,050 before the shared-RDN layout (2,950 for
-/// a tree restored from a snapshot).
-const BUDGET_BYTES_PER_ENTRY: usize = 1_450;
+/// included: 936 measured, 1,304 before the 32-byte attribute slot and the
+/// shared class list, 2,050 before the shared-RDN layout (2,950 for a tree
+/// restored from a snapshot).
+const BUDGET_BYTES_PER_ENTRY: usize = 1_000;
+
+/// Heap blocks per entry at rest: 13 measured (four for the DN, the key,
+/// the attribute vector, five values, two in the postings), 17 while every
+/// entry held its own class list.
+const BUDGET_BLOCKS_PER_ENTRY: usize = 13;
 
 #[test]
 fn parsed_and_built_dns_occupy_the_same_bytes() {
@@ -224,20 +237,30 @@ fn parsed_and_built_dns_occupy_the_same_bytes() {
 fn bytes_per_entry_stay_under_budget_and_footprint_accounts_for_them() {
     let _alone = alone();
     const PEOPLE: usize = 20_000;
-    let before = LIVE.load(Ordering::Relaxed);
+    // The pools' first sight of a name or a class list is the pools' cost.
+    load(&empty_tree(), 1);
+    let before = (LIVE.load(Ordering::Relaxed), BLOCKS_HERE.with(Cell::get));
     let dit = empty_tree();
     load(&dit, PEOPLE);
-    let live_loaded = LIVE.load(Ordering::Relaxed) - before;
+    let live_loaded = LIVE.load(Ordering::Relaxed) - before.0;
+    let blocks = (BLOCKS_HERE.with(Cell::get) - before.1) as usize;
     let entries = dit.len();
     let per_entry = live_loaded as usize / entries;
     let fp = dit.footprint();
-    println!("live-loaded: {per_entry} B/entry over {entries} entries");
+    println!(
+        "live-loaded: {per_entry} B/entry in {:.4} blocks over {entries} entries",
+        blocks as f64 / entries as f64
+    );
     for (row, bytes) in fp.rows() {
         println!("  {row:<14} {:>6} B/entry", bytes / entries);
     }
     assert!(
         per_entry <= BUDGET_BYTES_PER_ENTRY,
         "{per_entry} B/entry exceeds the {BUDGET_BYTES_PER_ENTRY} B budget"
+    );
+    assert!(
+        blocks <= BUDGET_BLOCKS_PER_ENTRY * entries,
+        "{blocks} live blocks for {entries} entries exceed {BUDGET_BLOCKS_PER_ENTRY} apiece"
     );
     assert_eq!(fp.entries, entries);
     let accounted = fp.total() as f64 / live_loaded as f64;
@@ -248,10 +271,12 @@ fn bytes_per_entry_stay_under_budget_and_footprint_accounts_for_them() {
     );
     // Per structure, where this change aimed.
     assert!(
-        fp.dn_bytes / entries <= 300,
+        fp.dn_bytes / entries <= 150,
         "DN {} B/entry",
         fp.dn_bytes / entries
     );
+    let attrs = (fp.attr_slot_bytes + fp.value_bytes) / entries;
+    assert!(attrs <= 360, "attribute slots and values {attrs} B/entry");
     assert!(
         fp.postings_bytes / entries <= 250,
         "postings {} B/entry",
@@ -353,6 +378,91 @@ fn entries_share_their_ancestors_rdn_storage() {
         dit.get(&shouting).unwrap().dn().to_string(),
         "cn=Loud,OU=DEPT-007,O=BENCH"
     );
+}
+
+/// Where the entry at `dn` keeps its class list.
+fn class_list(dit: &Dit, dn: &Dn) -> (*const String, Vec<String>) {
+    let entry = dit.get(dn).unwrap_or_else(|| panic!("`{dn}` exists"));
+    let classes = entry.values("objectClass");
+    (classes.as_ptr(), classes.to_vec())
+}
+
+#[test]
+fn entries_of_a_class_share_one_class_list_and_an_edit_copies_it() {
+    let dit = empty_tree();
+    load(&dit, 2);
+    let (pat, sam) = (person(0).dn().clone(), person(1).dn().clone());
+    let shared = class_list(&dit, &pat);
+    assert_eq!(shared.1, ["top", "person", "organizationalPerson"]);
+    assert_eq!(class_list(&dit, &sam), shared, "add");
+
+    dit.begin_bulk();
+    dit.bulk_add(person(2), true).unwrap();
+    dit.finish_bulk();
+    assert_eq!(class_list(&dit, person(2).dn()), shared, "bulk_add");
+
+    let dir = scratch_dir("classes");
+    let store = SnapshotStore::new(&dir);
+    store.write_snapshot_streamed(&dit, 1).expect("snapshot");
+    let restored = empty_tree();
+    store
+        .restore_latest(&restored)
+        .expect("restore")
+        .expect("a snapshot");
+    for serial in 0..3 {
+        assert_eq!(
+            class_list(&restored, person(serial).dn()),
+            shared,
+            "restore"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // A writer copies: the other holders keep the pool's list, untouched.
+    dit.modify(
+        &pat,
+        &[Modification::add(
+            "objectClass",
+            vec!["definityUser".into()],
+        )],
+    )
+    .unwrap();
+    let edited = class_list(&dit, &pat);
+    assert_ne!(edited.0, shared.0);
+    assert_eq!(
+        edited.1,
+        ["top", "person", "organizationalPerson", "definityUser"]
+    );
+    assert_eq!(class_list(&dit, &sam), shared);
+    assert_eq!(class_list(&restored, &pat), shared);
+    let users = dit
+        .search(
+            &Dn::root(),
+            Scope::Sub,
+            &Filter::parse("(objectClass=definityUser)").unwrap(),
+            &[],
+            0,
+        )
+        .unwrap();
+    assert_eq!(users.len(), 1);
+    assert_eq!(users[0].dn(), &pat);
+    assert_eq!(dit.index_stats().1, 0, "answered by the equality index");
+}
+
+/// The name pool never frees and `Dn::parse` feeds it from any request's
+/// base DN: a type longer than any real schema's is parsed, compared and
+/// dropped like any other, and never pooled.
+#[test]
+fn a_flood_of_long_attribute_types_leaves_nothing_behind() {
+    drop(Dn::parse("x=v,o=Bench"));
+    let ((), held) = held_by(|| {
+        for i in 0..5_000 {
+            let long = format!("t{i:04}{}", "x".repeat(1_019));
+            let dn = Dn::parse(&format!("{long}=v,o=Bench")).expect("a legal type");
+            assert_eq!(dn.rdn().unwrap().first().attr(), long);
+        }
+    });
+    assert_eq!(held, 0, "5,000 dropped names left {held} B behind");
 }
 
 /// A deployment that is shut down and dropped gives its tree back: nothing

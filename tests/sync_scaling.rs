@@ -195,8 +195,8 @@ fn allocations_per_record_stay_flat_from_500_to_8000_records() {
     // Flat, and no dearer than committed: translate + entry build + one
     // directory write a record (485 before the write was made cheap).
     assert!(
-        large_load <= 340.0,
-        "initial load: {large_load:.1} allocations per record (ceiling 340)"
+        large_load <= 300.0,
+        "initial load: {large_load:.1} allocations per record (ceiling 300)"
     );
 }
 

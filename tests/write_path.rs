@@ -195,8 +195,8 @@ fn an_add_with_a_wal_attached_stays_under_forty_allocations() {
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(appends, MEASURED as u64, "one frame per commit");
     assert!(
-        per_entry <= 40.0,
-        "{per_entry:.1} allocations per Dit::add with a WAL attached (ceiling 40)"
+        per_entry <= 32.0,
+        "{per_entry:.1} allocations per Dit::add with a WAL attached (ceiling 32)"
     );
 }
 
@@ -247,8 +247,8 @@ fn a_room_change_stays_under_forty_allocations_and_touches_no_posting() {
     });
     let per_entry = asked as f64 / MEASURED as f64;
     assert!(
-        per_entry <= 40.0,
-        "{per_entry:.1} allocations per unobserved one-attribute Dit::modify (ceiling 40)"
+        per_entry <= 16.0,
+        "{per_entry:.1} allocations per unobserved one-attribute Dit::modify (ceiling 16)"
     );
     assert_eq!(
         dit.footprint().postings_bytes,
