@@ -6,7 +6,7 @@
 //! cargo run --release -p bench --bin experiments -- --exp e5
 //! ```
 
-use bench::experiments::{bench_json, run_all, run_one, Scale};
+use bench::experiments::{ids, run_all, run_one, Scale};
 
 fn main() {
     // E14's connection-scaling arm re-execs this binary as an idle-socket
@@ -17,7 +17,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::Full;
     let mut exp: Option<String> = None;
-    let mut out_path = String::from("BENCH_metacomm.json");
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -27,13 +26,10 @@ fn main() {
                 i += 1;
                 exp = args.get(i).cloned();
             }
-            "--out" => {
-                i += 1;
-                out_path = args.get(i).cloned().unwrap_or(out_path);
-            }
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: experiments [--quick|--full] [--exp e1..e18] [--out BENCH_metacomm.json]"
+                    "usage: experiments [--quick|--full] [--exp ID]   ids: {}",
+                    ids()
                 );
                 return;
             }
@@ -52,7 +48,7 @@ fn main() {
         Some(id) => match run_one(&id, scale) {
             Some(r) => vec![r],
             None => {
-                eprintln!("no experiment `{id}` (e1..e17)");
+                eprintln!("no experiment `{id}` (known: {})", ids());
                 std::process::exit(2);
             }
         },
@@ -61,14 +57,16 @@ fn main() {
     for r in &reports {
         r.print();
     }
-    // Machine-readable artifact: report summaries + a live metrics snapshot
-    // from an instrumented deployment (CI uploads this file).
-    let json = bench_json(scale, &reports);
-    match std::fs::write(&out_path, &json) {
-        Ok(()) => println!("wrote {out_path} ({} bytes)", json.len()),
-        Err(e) => {
-            eprintln!("cannot write {out_path}: {e}");
-            std::process::exit(1);
+    // An experiment that checks its own claim fails the run when it does
+    // not hold — CI gates on this exit status.
+    let mut failed = false;
+    for r in &reports {
+        if let Some(why) = &r.failed {
+            eprintln!("{}: claim did not hold: {why}", r.id);
+            failed = true;
         }
+    }
+    if failed {
+        std::process::exit(1);
     }
 }

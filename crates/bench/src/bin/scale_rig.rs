@@ -5,10 +5,9 @@
 //! scale_rig --entries 1000000 [--seed 42] [--state-dir DIR]
 //! ```
 //!
-//! Prints one JSON line — the object E18 splices into
-//! `BENCH_metacomm.json` under `"scale"` — and a readable summary on
-//! stderr, the restarted tree's resident bytes by structure
-//! ([`ldap::Footprint`]) with it. CI's release-mode smoke runs
+//! Prints one JSON line — the record E18 reads back from its child
+//! process — and a readable summary on stderr, the restarted tree's
+//! resident bytes by structure ([`ldap::Footprint`]) with it. CI's release-mode smoke runs
 //! `--entries 100000` and gates on the exit status: non-zero when the
 //! restarted tree's search-stream digest differs from the loaded one's or
 //! when peak RSS per entry exceeds

@@ -207,6 +207,6 @@ pub fn run(scale: Scale) -> Report {
         observations: vec!["matches the paper's premise that device I/O, not the \
              directory, dominates end-to-end cost"
             .to_string()],
-        extra: None,
+        failed: None,
     }
 }

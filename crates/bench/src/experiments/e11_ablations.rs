@@ -151,6 +151,6 @@ pub fn run(_scale: Scale) -> Report {
                  compensated ({undone_on} undo)"
             ),
         ],
-        extra: None,
+        failed: None,
     }
 }

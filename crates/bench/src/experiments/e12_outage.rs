@@ -144,6 +144,6 @@ pub fn run(scale: Scale) -> Report {
                 reconnect with zero lost updates",
         table,
         observations,
-        extra: None,
+        failed: None,
     }
 }

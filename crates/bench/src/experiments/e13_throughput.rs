@@ -9,8 +9,7 @@
 //! realistic regime, since a real switch answers in milliseconds.
 //!
 //! Both ablations run from this same binary (`with_indexed_attrs([])`,
-//! `with_um_workers(1)`), and the measured trajectory is emitted into
-//! `BENCH_metacomm.json` under `"throughput"` so CI tracks it per PR.
+//! `with_um_workers(1)`).
 
 use super::{Report, Scale};
 use crate::workload::Workload;
@@ -24,8 +23,6 @@ use std::time::{Duration, Instant};
 
 /// One measured configuration.
 struct Sample {
-    label: String,
-    threads: usize,
     ops: usize,
     wall: Duration,
     p50_us: f64,
@@ -37,25 +34,12 @@ impl Sample {
     fn ops_per_sec(&self) -> f64 {
         self.ops as f64 / self.wall.as_secs_f64().max(1e-9)
     }
-
-    fn json(&self) -> String {
-        format!(
-            "{{\"label\":\"{}\",\"threads\":{},\"ops\":{},\"ops_per_sec\":{:.1},\"p50_us\":{:.1},\"p95_us\":{:.1},\"p99_us\":{:.1}}}",
-            self.label, self.threads, self.ops,
-            self.ops_per_sec(), self.p50_us, self.p95_us, self.p99_us
-        )
-    }
 }
 
 /// Run `threads` client threads, each invoking `op(thread_idx, i)` for
 /// `ops_per_thread` iterations; per-op latency lands in a histogram and the
 /// batch wall time is measured across all threads.
-fn drive(
-    threads: usize,
-    ops_per_thread: usize,
-    label: &str,
-    op: impl Fn(usize, usize) + Sync,
-) -> Sample {
+fn drive(threads: usize, ops_per_thread: usize, op: impl Fn(usize, usize) + Sync) -> Sample {
     let hist = Arc::new(Histogram::new());
     let start = Instant::now();
     std::thread::scope(|sc| {
@@ -74,8 +58,6 @@ fn drive(
     let wall = start.elapsed();
     let s = hist.snapshot();
     Sample {
-        label: label.to_string(),
-        threads,
         ops: threads * ops_per_thread,
         wall,
         p50_us: s.p50 as f64 / 1000.0,
@@ -86,14 +68,13 @@ fn drive(
 
 /// The indexed-equality-search ablation: identical population and query
 /// stream against an indexed and a scan-only deployment.
-fn search_ablation(scale: Scale, table: &mut String) -> (Vec<Sample>, f64) {
+fn search_ablation(scale: Scale, table: &mut String) -> f64 {
     // One switch holds 1000 extensions, so the full-scale population
     // spreads over four switches.
     let (n_people, n_pbx, per_thread) = match scale {
         Scale::Quick => (800, 1, 150),
         Scale::Full => (3000, 4, 600),
     };
-    let mut samples = Vec::new();
     let mut speedup_t1 = 0.0;
     let mut scan_baseline: std::collections::HashMap<usize, f64> = Default::default();
     for (mode, indexed) in [("scan", false), ("indexed", true)] {
@@ -110,7 +91,7 @@ fn search_ablation(scale: Scale, table: &mut String) -> (Vec<Sample>, f64) {
         let dir = r.system.directory();
         let base = r.system.suffix().clone();
         for threads in [1usize, 4] {
-            let sample = drive(threads, per_thread, &format!("search/{mode}"), |t, i| {
+            let sample = drive(threads, per_thread, |t, i| {
                 let p = &people[(t * 7919 + i * 31) % people.len()];
                 let filter = Filter::parse(&format!("(&(objectClass=person)(cn={}))", p.cn))
                     .expect("filter");
@@ -138,7 +119,6 @@ fn search_ablation(scale: Scale, table: &mut String) -> (Vec<Sample>, f64) {
             } else {
                 scan_baseline.insert(threads, sample.ops_per_sec());
             }
-            samples.push(sample);
         }
         // The ablation only means something if each side really took its
         // intended path.
@@ -150,20 +130,19 @@ fn search_ablation(scale: Scale, table: &mut String) -> (Vec<Sample>, f64) {
         }
         r.system.shutdown();
     }
-    (samples, speedup_t1)
+    speedup_t1
 }
 
 /// The pipelined-UM ablation: a mixed multi-DN update workload against
 /// devices with injected per-apply latency (a slow switch link), at 1
 /// worker (the paper's single coordinator) vs. N workers (the key-ordered
 /// executor: distinct DNs overlap, one update's legs stay in filter order).
-fn update_ablation(scale: Scale, table: &mut String) -> (Vec<Sample>, f64) {
+fn update_ablation(scale: Scale, table: &mut String) -> f64 {
     let (n_people, rounds, latency_ms) = match scale {
         Scale::Quick => (48, 2, 2u64),
         Scale::Full => (200, 4, 2u64),
     };
     let threads = 4usize;
-    let mut samples = Vec::new();
     let mut baseline = 0.0;
     let mut speedup = 0.0;
     for workers in [1usize, 4] {
@@ -183,16 +162,11 @@ fn update_ablation(scale: Scale, table: &mut String) -> (Vec<Sample>, f64) {
         crate::workload::populate(&r, &people);
         let wba = r.system.wba();
         let chunk = people.len() / threads;
-        let sample = drive(
-            threads,
-            chunk * rounds,
-            &format!("update/w{workers}"),
-            |t, i| {
-                let p = &people[t * chunk + (i % chunk)];
-                wba.assign_room(&p.cn, &format!("R-{t}-{i}"))
-                    .expect("modify");
-            },
-        );
+        let sample = drive(threads, chunk * rounds, |t, i| {
+            let p = &people[t * chunk + (i % chunk)];
+            wba.assign_room(&p.cn, &format!("R-{t}-{i}"))
+                .expect("modify");
+        });
         r.system.settle();
         writeln!(
             table,
@@ -208,32 +182,15 @@ fn update_ablation(scale: Scale, table: &mut String) -> (Vec<Sample>, f64) {
         } else if baseline > 0.0 {
             speedup = sample.ops_per_sec() / baseline;
         }
-        samples.push(sample);
         r.system.shutdown();
     }
-    (samples, speedup)
+    speedup
 }
 
 pub fn run(scale: Scale) -> Report {
     let mut table = String::new();
-    let (search_samples, search_speedup) = search_ablation(scale, &mut table);
-    let (update_samples, update_speedup) = update_ablation(scale, &mut table);
-
-    let json = format!(
-        "{{\"search\":[{}],\"update\":[{}],\"search_speedup_t1\":{:.2},\"update_speedup\":{:.2}}}",
-        search_samples
-            .iter()
-            .map(Sample::json)
-            .collect::<Vec<_>>()
-            .join(","),
-        update_samples
-            .iter()
-            .map(Sample::json)
-            .collect::<Vec<_>>()
-            .join(","),
-        search_speedup,
-        update_speedup,
-    );
+    let search_speedup = search_ablation(scale, &mut table);
+    let update_speedup = update_ablation(scale, &mut table);
 
     Report {
         id: "E13",
@@ -254,6 +211,6 @@ pub fn run(scale: Scale) -> Report {
                  update workload with 2 ms device latency"
             ),
         ],
-        extra: Some(("throughput", json)),
+        failed: None,
     }
 }

@@ -9,9 +9,7 @@
 //! prefix over the newest snapshot and comes back in well under a second at
 //! directory scale, resuming delta anti-entropy instead of a full resync.
 //!
-//! Every fsync policy runs from the same binary (`with_fsync_policy`), and
-//! the measured trajectory is emitted into `BENCH_metacomm.json` under
-//! `"durability"` so CI tracks the durable/in-memory ratio per PR.
+//! Every fsync policy runs from the same binary (`with_fsync_policy`).
 
 use super::{Report, Scale};
 use crate::workload::Workload;
@@ -23,7 +21,6 @@ use std::time::{Duration, Instant};
 
 /// One measured deployment mode.
 struct Sample {
-    label: &'static str,
     ops: usize,
     wall: Duration,
 }
@@ -31,15 +28,6 @@ struct Sample {
 impl Sample {
     fn ops_per_sec(&self) -> f64 {
         self.ops as f64 / self.wall.as_secs_f64().max(1e-9)
-    }
-
-    fn json(&self) -> String {
-        format!(
-            "{{\"label\":\"{}\",\"ops\":{},\"ops_per_sec\":{:.1}}}",
-            self.label,
-            self.ops,
-            self.ops_per_sec()
-        )
     }
 }
 
@@ -65,12 +53,7 @@ fn deployment(dir: Option<(&PathBuf, FsyncPolicy)>) -> Rig {
 /// Drive a mixed room-reassignment workload from `threads` client threads
 /// and measure aggregate wall time — every modify commits through the WBA
 /// into the DIT, so in durable modes each op pays the WAL append.
-fn churn(
-    r: &Rig,
-    people: &[crate::workload::Person],
-    rounds: usize,
-    label: &'static str,
-) -> Sample {
+fn churn(r: &Rig, people: &[crate::workload::Person], rounds: usize) -> Sample {
     let threads = 16usize;
     let wba = r.system.wba();
     let chunk = people.len() / threads;
@@ -90,14 +73,14 @@ fn churn(
     let wall = start.elapsed();
     r.system.settle();
     Sample {
-        label,
         ops: threads * chunk * rounds,
         wall,
     }
 }
 
-/// Throughput under each fsync policy vs. the in-memory baseline.
-fn policy_sweep(scale: Scale, table: &mut String) -> (Vec<Sample>, f64) {
+/// Throughput under each fsync policy vs. the in-memory baseline; returns
+/// the group-commit deployment's share of the in-memory figure.
+fn policy_sweep(scale: Scale, table: &mut String) -> f64 {
     let (n_people, rounds): (usize, usize) = match scale {
         Scale::Quick => (64, 16),
         Scale::Full => (240, 16),
@@ -108,7 +91,6 @@ fn policy_sweep(scale: Scale, table: &mut String) -> (Vec<Sample>, f64) {
         ("wal/always", Some(FsyncPolicy::Always)),
         ("wal/never", Some(FsyncPolicy::Never)),
     ];
-    let mut samples = Vec::new();
     let mut baseline = 0.0;
     let mut durable_ratio = 0.0;
     for (label, policy) in modes {
@@ -120,9 +102,9 @@ fn policy_sweep(scale: Scale, table: &mut String) -> (Vec<Sample>, f64) {
         // Warmup pass (thread pools, page cache, branch predictors), then
         // three measured passes keeping the best — single-core CI boxes
         // are noisy enough to swamp a one-shot comparison otherwise.
-        churn(&r, &people, rounds.div_ceil(4), label);
+        churn(&r, &people, rounds.div_ceil(4));
         let sample = (0..3)
-            .map(|_| churn(&r, &people, rounds, label))
+            .map(|_| churn(&r, &people, rounds))
             .max_by(|a, b| a.ops_per_sec().total_cmp(&b.ops_per_sec()))
             .expect("three passes");
         // Group-commit coalescing factor straight from the live registry:
@@ -146,19 +128,18 @@ fn policy_sweep(scale: Scale, table: &mut String) -> (Vec<Sample>, f64) {
             "wal/group" if baseline > 0.0 => durable_ratio = sample.ops_per_sec() / baseline,
             _ => {}
         }
-        samples.push(sample);
         r.system.shutdown();
         if let Some((d, _)) = dir {
             let _ = std::fs::remove_dir_all(d);
         }
     }
-    (samples, durable_ratio)
+    durable_ratio
 }
 
 /// Load / kill / restart: populate, churn, drop without shutdown (the
 /// in-process stand-in for `kill -9`; CI's smoke test does the real one),
 /// then time the restart and read the recovery counters.
-fn crash_recovery(scale: Scale, table: &mut String) -> String {
+fn crash_recovery(scale: Scale, table: &mut String) {
     let n_people = match scale {
         Scale::Quick => 150,
         Scale::Full => 800,
@@ -203,32 +184,12 @@ fn crash_recovery(scale: Scale, table: &mut String) -> String {
     );
     r2.system.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
-    format!(
-        "{{\"population\":{},\"startup_ms\":{:.1},\"snapshot_entries\":{},\"wal_records_applied\":{},\"replay_rate_per_sec\":{:.0},\"torn_segments\":{}}}",
-        n_people,
-        startup.as_secs_f64() * 1e3,
-        report.snapshot_entries,
-        report.wal_records_applied,
-        replay_rate,
-        report.torn_segments
-    )
 }
 
 pub fn run(scale: Scale) -> Report {
     let mut table = String::new();
-    let (samples, durable_ratio) = policy_sweep(scale, &mut table);
-    let recovery_json = crash_recovery(scale, &mut table);
-
-    let json = format!(
-        "{{\"modes\":[{}],\"durable_ratio\":{:.3},\"recovery\":{}}}",
-        samples
-            .iter()
-            .map(Sample::json)
-            .collect::<Vec<_>>()
-            .join(","),
-        durable_ratio,
-        recovery_json,
-    );
+    let durable_ratio = policy_sweep(scale, &mut table);
+    crash_recovery(scale, &mut table);
 
     Report {
         id: "E15",
@@ -248,6 +209,6 @@ pub fn run(scale: Scale) -> Report {
              entry from snapshot + WAL replay; no full device resync needed"
                 .to_string(),
         ],
-        extra: Some(("durability", json)),
+        failed: None,
     }
 }

@@ -8,17 +8,13 @@
 //! replication fixpoint, monotone counters — and a mid-soak kill -9 +
 //! restart converges to the bit-identical fixpoint an uninterrupted run
 //! reaches.
-//!
-//! The machine-readable `"soak"` section carries the ops/sec trajectory,
-//! `cn=monitor`-sampled latency histograms, and the crash-arm verdict.
 
 use super::{Report, Scale};
 use crate::churn::{ChurnOp, ChurnScript, ChurnSpec, Executor};
 use crate::oracle::{fixpoint_digest, SoakOracle, SweepStats, Violation};
-use crate::population::{deploy, Population, PopulationSpec, SoakRig};
+use crate::population::{deploy, Population, PopulationSpec};
 use crate::timed;
-use ldap::{Directory, Dn, Entry, Filter, FsyncPolicy, Scope};
-use metacomm::MonitorDirectory;
+use ldap::FsyncPolicy;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -61,67 +57,6 @@ fn sizes(scale: Scale) -> Sizes {
     }
 }
 
-/// Search the live `cn=monitor` subtree of `rig` (the same decorator the
-/// wire server fronts the gateway with — the histograms here are what an
-/// LDAP browser would see).
-fn monitor_entries(rig: &SoakRig) -> Vec<Entry> {
-    let monitor = MonitorDirectory::new(rig.system.directory(), rig.system.metrics().clone());
-    monitor
-        .search(
-            &Dn::parse("cn=monitor").expect("static dn"),
-            Scope::Sub,
-            &Filter::parse("(cn=*)").expect("static filter"),
-            &[],
-            0,
-        )
-        .expect("cn=monitor search")
-}
-
-/// The Update Manager's update-latency p95 as served under cn=monitor.
-fn monitor_um_p95(rig: &SoakRig) -> u64 {
-    monitor_entries(rig)
-        .iter()
-        .find(|e| e.first("cn") == Some("um"))
-        .and_then(|e| e.first("updateP95Ns"))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
-}
-
-/// Every histogram published under cn=monitor, as a JSON object keyed
-/// `component.metric`.
-fn monitor_histograms_json(rig: &SoakRig) -> String {
-    let mut parts = Vec::new();
-    for e in monitor_entries(rig) {
-        let Some(comp) = e.first("cn") else { continue };
-        if comp == "monitor" {
-            continue;
-        }
-        let mut metrics: Vec<&str> = e
-            .attributes()
-            .filter_map(|a| a.name.as_str().strip_suffix("P50Ns"))
-            .collect();
-        metrics.sort_unstable();
-        for m in metrics {
-            let field = |suffix: &str| -> u64 {
-                e.first(&format!("{m}{suffix}"))
-                    .and_then(|v| v.parse::<f64>().ok())
-                    .map(|v| v as u64)
-                    .unwrap_or(0)
-            };
-            parts.push(format!(
-                "\"{comp}.{m}\":{{\"count\":{},\"mean_ns\":{},\"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{},\"max_ns\":{}}}",
-                field("Count"),
-                field("MeanNs"),
-                field("P50Ns"),
-                field("P95Ns"),
-                field("P99Ns"),
-                field("MaxNs"),
-            ));
-        }
-    }
-    format!("{{{}}}", parts.join(","))
-}
-
 /// Pick a crash point with no outage window open (restarting into a
 /// half-restored outage journal is a different experiment — E15 covers
 /// torn state; this arm isolates convergence).
@@ -151,21 +86,12 @@ fn state_dir(label: &str) -> PathBuf {
 }
 
 /// The main soak: load the initial roster, run the scripted day, check the
-/// oracle at intervals. Returns the pieces of the `"soak"` JSON section.
-#[allow(clippy::type_complexity)]
+/// oracle at intervals. Returns the population, what the oracle found in
+/// how many checks, the load and churn rates, and the sweep timings.
 fn soak(
     s: &Sizes,
     table: &mut String,
-) -> (
-    Population,
-    Vec<Violation>,
-    usize,
-    Vec<(usize, f64, u64)>,
-    String,
-    f64,
-    f64,
-    SweepStats,
-) {
+) -> (Population, Vec<Violation>, usize, f64, f64, SweepStats) {
     let pop = Population::generate(PopulationSpec::new(SEED, s.population));
     let rig = deploy(&pop, |b| b);
     let script = ChurnScript::generate(&pop, &ChurnSpec::new(SEED, s.ops, s.initial));
@@ -186,20 +112,12 @@ fn soak(
 
     let mut oracle = SoakOracle::new(SEED).with_sweep_sample(s.sweep_sample);
     let mut violations = Vec::new();
-    let mut trajectory: Vec<(usize, f64, u64)> = Vec::new();
     let churn_t0 = Instant::now();
-    let mut window_t0 = Instant::now();
-    let mut window_start = 0usize;
     for (i, op) in script.ops.iter().enumerate() {
         exec.apply(op).expect("churn op");
         if (i + 1) % s.check_every == 0 || i + 1 == script.ops.len() {
-            let done = i + 1;
-            let rate = (done - window_start) as f64 / window_t0.elapsed().as_secs_f64().max(1e-9);
             let skip = exec.outage_open.map(|d| rig.device_names()[d].clone());
             violations.extend(oracle.check(&rig, i, skip.as_deref()));
-            trajectory.push((done, rate, monitor_um_p95(&rig)));
-            window_start = done;
-            window_t0 = Instant::now();
         }
     }
     let churn_secs = churn_t0.elapsed().as_secs_f64();
@@ -228,12 +146,9 @@ fn soak(
         crate::fmt_dur(std::time::Duration::from_nanos(sweeps.mean_sampled_ns())),
     )
     .unwrap();
-    let latency = monitor_histograms_json(&rig);
     let checks = oracle.checks;
     rig.system.shutdown();
-    (
-        pop, violations, checks, trajectory, latency, load_rate, churn_rate, sweeps,
-    )
+    (pop, violations, checks, load_rate, churn_rate, sweeps)
 }
 
 /// The crash arm: the same scripted day run twice on durable deployments —
@@ -332,38 +247,8 @@ fn crash_arm(s: &Sizes, table: &mut String) -> (bool, usize, usize, usize) {
 pub fn run(scale: Scale) -> Report {
     let s = sizes(scale);
     let mut table = String::new();
-    let (pop, violations, checks, trajectory, latency, load_rate, churn_rate, sweeps) =
-        soak(&s, &mut table);
+    let (pop, violations, checks, load_rate, churn_rate, sweeps) = soak(&s, &mut table);
     let (fixpoint_match, crash_at, post_violations, wal_records) = crash_arm(&s, &mut table);
-
-    let trajectory_json = trajectory
-        .iter()
-        .map(|(done, rate, p95)| {
-            format!("{{\"ops\":{done},\"ops_per_sec\":{rate:.0},\"um_update_p95_ns\":{p95}}}")
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    let json = format!(
-        "{{\"seed\":{SEED},\"population\":{},\"stationed\":{},\"devices\":{},\"initial\":{},\"ops\":{},\
-         \"load_per_sec\":{load_rate:.0},\"ops_per_sec\":{churn_rate:.0},\
-         \"invariant_checks\":{checks},\"violations\":{},\
-         \"sweep\":{{\"sample\":{},\"full_sweeps\":{},\"sampled_sweeps\":{},\
-         \"full_mean_ns\":{},\"sampled_mean_ns\":{}}},\
-         \"trajectory\":[{trajectory_json}],\"latency\":{latency},\
-         \"crash\":{{\"crash_at\":{crash_at},\"wal_records_applied\":{wal_records},\
-         \"fixpoint_match\":{fixpoint_match},\"post_restart_violations\":{post_violations}}}}}",
-        s.population,
-        pop.stationed().count(),
-        pop.blocks.len() + 1,
-        s.initial,
-        s.ops,
-        violations.len(),
-        s.sweep_sample,
-        sweeps.full_sweeps,
-        sweeps.sampled_sweeps,
-        sweeps.mean_full_ns(),
-        sweeps.mean_sampled_ns(),
-    );
 
     let mut observations = vec![
         format!(
@@ -399,6 +284,12 @@ pub fn run(scale: Scale) -> Report {
                 to the uninterrupted run's fixpoint",
         table,
         observations,
-        extra: Some(("soak", json)),
+        failed: (!fixpoint_match || !violations.is_empty() || post_violations > 0).then(|| {
+            format!(
+                "fixpoint identical: {fixpoint_match}; {} violations during the day, \
+                 {post_violations} after the restart",
+                violations.len()
+            )
+        }),
     }
 }

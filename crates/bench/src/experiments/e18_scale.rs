@@ -12,9 +12,9 @@
 //!   * peak RSS (`VmHWM`, in a child process so the counter is honest),
 //!   * and a search-stream digest that must be equal across the crash.
 //!
-//! The object lands in `BENCH_metacomm.json` under `"scale"`. The legacy
-//! string-keyed store this experiment used to run beside it was deleted
-//! once parity was recorded; its last measured rows are in EXPERIMENTS.md.
+//! The legacy string-keyed store this experiment used to run beside it was
+//! deleted once parity was recorded; its last measured rows are in
+//! EXPERIMENTS.md.
 
 use super::{Report, Scale};
 use crate::scale;
@@ -88,6 +88,7 @@ pub fn run(scale_knob: Scale) -> Report {
                 snapshot+WAL into a tree that serves the same search stream",
         table,
         observations,
-        extra: Some(("scale", run.json())),
+        failed: (!run.parity())
+            .then(|| "the restarted tree's search digest differs from the loaded one's".into()),
     }
 }

@@ -79,6 +79,6 @@ pub fn run(scale: Scale) -> Report {
              (sub-linear in device count because partitioning skips \
              non-owning switches)"
         )],
-        extra: None,
+        failed: None,
     }
 }

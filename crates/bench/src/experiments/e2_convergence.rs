@@ -120,6 +120,6 @@ pub fn run(scale: Scale) -> Report {
                 realistic DDU rates",
         table,
         observations,
-        extra: None,
+        failed: None,
     }
 }

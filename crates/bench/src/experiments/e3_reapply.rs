@@ -143,6 +143,6 @@ pub fn run(scale: Scale) -> Report {
              at the originating switch"
                 .to_string(),
         ],
-        extra: None,
+        failed: None,
     }
 }

@@ -125,6 +125,6 @@ pub fn run(scale: Scale) -> Report {
                 "NOT linear: the per-record cost grows with the population"
             }
         )],
-        extra: None,
+        failed: None,
     }
 }

@@ -153,6 +153,6 @@ pub fn run(scale: Scale) -> Report {
             ),
             "reads never reach the Update Manager in either deployment".to_string(),
         ],
-        extra: None,
+        failed: None,
     }
 }

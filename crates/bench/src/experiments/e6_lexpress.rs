@@ -131,6 +131,6 @@ pub fn run(scale: Scale) -> Report {
         observations: vec!["a description file compiles ~1000× faster than the \
              'few minutes' the paper reports for *writing* one"
             .to_string()],
-        extra: None,
+        failed: None,
     }
 }

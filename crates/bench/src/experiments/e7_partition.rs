@@ -91,6 +91,6 @@ pub fn run(_scale: Scale) -> Report {
         observations: vec!["all four old/new satisfaction cases route exactly as the \
              paper's matrix specifies"
             .to_string()],
-        extra: None,
+        failed: None,
     }
 }

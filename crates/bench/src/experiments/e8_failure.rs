@@ -107,6 +107,6 @@ pub fn run(scale: Scale) -> Report {
                 "resync NOT always"
             }
         )],
-        extra: None,
+        failed: None,
     }
 }

@@ -189,6 +189,6 @@ pub fn run(scale: Scale) -> Report {
              rate; auxiliary-class design: 0 torn",
             100.0 * crash_pct
         )],
-        extra: None,
+        failed: None,
     }
 }

@@ -11,7 +11,6 @@ pub mod e13_throughput;
 pub mod e14_wire;
 pub mod e15_durability;
 pub mod e16_soak;
-pub mod e17_shard;
 pub mod e18_scale;
 pub mod e1_propagation;
 pub mod e2_convergence;
@@ -41,10 +40,10 @@ pub struct Report {
     pub table: String,
     /// One-line takeaways (recorded in EXPERIMENTS.md).
     pub observations: Vec<String>,
-    /// Optional machine-readable section spliced into `BENCH_metacomm.json`
-    /// as a top-level key: `(key, raw JSON value)`. E13 uses this to emit
-    /// the throughput trajectory CI tracks from PR to PR.
-    pub extra: Option<(&'static str, String)>,
+    /// Why the claim did not hold, for an experiment that checks its own
+    /// (E14 connection scaling, E16 fixpoint and oracle, E18 digest parity).
+    /// The `experiments` binary exits non-zero on any `Some`.
+    pub failed: Option<String>,
 }
 
 impl Report {
@@ -67,141 +66,46 @@ fn median(mut runs: Vec<f64>) -> f64 {
     runs[runs.len() / 2]
 }
 
+/// How an experiment is run.
+type Run = fn(Scale) -> Report;
+
+/// Every experiment, in running order, by the id `--exp` takes. E17 is
+/// retired (see EXPERIMENTS.md) and E18 keeps its id.
+pub const EXPERIMENTS: &[(&str, Run)] = &[
+    ("e1", e1_propagation::run),
+    ("e2", e2_convergence::run),
+    ("e3", e3_reapply::run),
+    ("e4", e4_sync::run),
+    ("e5", e5_gateway::run),
+    ("e6", e6_lexpress::run),
+    ("e7", e7_partition::run),
+    ("e8", e8_failure::run),
+    ("e9", e9_schema::run),
+    ("e10", e10_ldap::run),
+    ("e11", e11_ablations::run),
+    ("e12", e12_outage::run),
+    ("e13", e13_throughput::run),
+    ("e14", e14_wire::run),
+    ("e15", e15_durability::run),
+    ("e16", e16_soak::run),
+    ("e18", e18_scale::run),
+];
+
+/// The ids of [`EXPERIMENTS`], space-separated, for usage and error text.
+pub fn ids() -> String {
+    let ids: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
+    ids.join(" ")
+}
+
 /// Run every experiment.
 pub fn run_all(scale: Scale) -> Vec<Report> {
-    vec![
-        e1_propagation::run(scale),
-        e2_convergence::run(scale),
-        e3_reapply::run(scale),
-        e4_sync::run(scale),
-        e5_gateway::run(scale),
-        e6_lexpress::run(scale),
-        e7_partition::run(scale),
-        e8_failure::run(scale),
-        e9_schema::run(scale),
-        e10_ldap::run(scale),
-        e11_ablations::run(scale),
-        e12_outage::run(scale),
-        e13_throughput::run(scale),
-        e14_wire::run(scale),
-        e15_durability::run(scale),
-        e16_soak::run(scale),
-        e17_shard::run(scale),
-        e18_scale::run(scale),
-    ]
+    EXPERIMENTS.iter().map(|(_, run)| run(scale)).collect()
 }
 
-/// Run one experiment by id (`e1` … `e18`).
+/// Run one experiment by its id in [`EXPERIMENTS`].
 pub fn run_one(id: &str, scale: Scale) -> Option<Report> {
-    Some(match id {
-        "e1" => e1_propagation::run(scale),
-        "e2" => e2_convergence::run(scale),
-        "e3" => e3_reapply::run(scale),
-        "e4" => e4_sync::run(scale),
-        "e5" => e5_gateway::run(scale),
-        "e6" => e6_lexpress::run(scale),
-        "e7" => e7_partition::run(scale),
-        "e8" => e8_failure::run(scale),
-        "e9" => e9_schema::run(scale),
-        "e10" => e10_ldap::run(scale),
-        "e11" => e11_ablations::run(scale),
-        "e12" => e12_outage::run(scale),
-        "e13" => e13_throughput::run(scale),
-        "e14" => e14_wire::run(scale),
-        "e15" => e15_durability::run(scale),
-        "e16" => e16_soak::run(scale),
-        "e17" => e17_shard::run(scale),
-        "e18" => e18_scale::run(scale),
-        _ => return None,
-    })
-}
-
-/// The machine-readable artifact the harness writes next to its tables:
-/// every report's id/title/observations plus a live metrics snapshot from
-/// an instrumented deployment run (CI uploads this as `BENCH_metacomm.json`).
-pub fn bench_json(scale: Scale, reports: &[Report]) -> String {
-    let mut out = String::from("{\"bench\":\"metacomm\"");
-    // `"scale"` (the E18 section) is taken by an experiment extra, so the
-    // run-size knob travels as `"run_scale"`.
-    out.push_str(&format!(
-        ",\"run_scale\":{}",
-        jstr(match scale {
-            Scale::Quick => "quick",
-            Scale::Full => "full",
-        })
-    ));
-    out.push_str(",\"experiments\":[");
-    for (i, r) in reports.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"id\":{},\"title\":{},\"observations\":[{}]}}",
-            jstr(r.id),
-            jstr(r.title),
-            r.observations
-                .iter()
-                .map(|o| jstr(o))
-                .collect::<Vec<_>>()
-                .join(",")
-        ));
-    }
-    out.push(']');
-    // Machine-readable sections contributed by individual experiments
-    // (E13's `"throughput"` — the perf trajectory CI tracks across PRs).
-    for r in reports {
-        if let Some((key, json)) = &r.extra {
-            out.push_str(&format!(",\"{key}\":{json}"));
-        }
-    }
-    // Harness-process peak RSS (VmHWM, kB; null off Linux) so the artifact
-    // records how much memory the whole sweep needed, PR over PR.
-    out.push_str(&format!(
-        ",\"peak_rss_kb\":{}",
-        crate::rss::peak_rss_kb()
-            .map(|kb| kb.to_string())
-            .unwrap_or_else(|| "null".into())
-    ));
-    out.push_str(",\"metrics\":");
-    out.push_str(&metrics_workload_snapshot());
-    out.push('}');
-    out
-}
-
-/// Run a small scripted workload on an instrumented deployment and return
-/// its whole-registry snapshot as JSON — the per-component counters and
-/// latency percentiles half of the artifact.
-fn metrics_workload_snapshot() -> String {
-    let r = crate::rig(1, true);
-    let wba = r.system.wba();
-    let mut w = crate::workload::Workload::new(7);
-    let people = w.people(25, 1);
-    for p in &people {
-        wba.add_person_with_extension(&p.cn, &p.sn, &p.extension, &p.room)
-            .expect("add");
-    }
-    for p in people.iter().take(10) {
-        wba.assign_room(&p.cn, "9Z-999").expect("modify");
-    }
-    r.system.settle();
-    let json = r.system.metrics_snapshot().to_json();
-    r.system.shutdown();
-    json
-}
-
-fn jstr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    let (_, run) = EXPERIMENTS.iter().find(|(known, _)| *known == id)?;
+    Some(run(scale))
 }
 
 /// Mean of a duration sample in microseconds.
@@ -273,13 +177,10 @@ mod tests {
         assert!(r.table.contains("search indexed"), "{}", r.table);
         assert!(r.table.contains("update  w=1"), "{}", r.table);
         assert!(r.table.contains("update  w=4"), "{}", r.table);
-        // …and the machine-readable section must carry the speedups CI
-        // tracks (the ≥3x / ≥1.5x acceptance gates run on the artifact,
-        // not here, to keep this test robust on loaded machines).
-        let (key, json) = r.extra.as_ref().expect("throughput section");
-        assert_eq!(*key, "throughput");
-        assert!(json.contains("\"search_speedup_t1\":"), "{json}");
-        assert!(json.contains("\"update_speedup\":"), "{json}");
+        // …and both speedups in the observations (their sizes are not
+        // asserted, to keep this test robust on loaded machines).
+        assert!(r.observations[0].contains("x ops/sec over the full subtree scan"));
+        assert!(r.observations[1].contains("x ops/sec over the single coordinator"));
     }
 
     #[test]
@@ -294,15 +195,16 @@ mod tests {
         assert!(r.table.contains("pipe   auto"), "{}", r.table);
         assert!(r.table.contains("sync   full"), "{}", r.table);
         assert!(r.table.contains("sync   delta"), "{}", r.table);
-        // …and the machine-readable section must carry the numbers CI
-        // gates on (the ≥2x / ≤10% acceptance checks run on the artifact,
-        // not here, to keep this test robust on loaded machines).
-        let (key, json) = r.extra.as_ref().expect("wire section");
-        assert_eq!(*key, "wire");
-        assert!(json.contains("\"label\":\"search/streaming\""), "{json}");
-        assert!(json.contains("\"pipeline_speedup\":"), "{json}");
-        assert!(json.contains("\"pipeline_mode\":"), "{json}");
-        assert!(json.contains("\"delta_ratio\":"), "{json}");
+        // …and the connection arm must state its verdict. `r.failed` is not
+        // asserted: beside every other test in one process neither of the
+        // arm's figures means anything; the `experiments` binary judges it.
+        assert!(
+            r.observations
+                .iter()
+                .any(|o| o.contains("connection scaling")),
+            "{:?}",
+            r.observations
+        );
     }
 
     #[test]
@@ -317,32 +219,7 @@ mod tests {
             "oracle must be clean: {}",
             r.table
         );
-        let (key, json) = r.extra.as_ref().expect("soak section");
-        assert_eq!(*key, "soak");
-        assert!(json.contains("\"invariant_checks\":"), "{json}");
-        assert!(json.contains("\"violations\":0"), "{json}");
-        assert!(json.contains("\"fixpoint_match\":true"), "{json}");
-        assert!(json.contains("\"um.update\""), "{json}");
-        assert!(json.contains("\"trajectory\":["), "{json}");
-    }
-
-    #[test]
-    fn quick_e17_shard() {
-        let r = e17_shard::run(Scale::Quick);
-        assert_eq!(r.id, "E17");
-        assert!(r.table.contains("shards"), "{}", r.table);
-        // The merge must be provably identical across shard counts.
-        assert!(
-            r.observations.iter().any(|o| o.contains("identical")),
-            "{:?}",
-            r.observations
-        );
-        let (key, json) = r.extra.as_ref().expect("shard section");
-        assert_eq!(*key, "shard");
-        assert!(json.contains("\"parity\":true"), "{json}");
-        assert!(json.contains("\"curve\":["), "{json}");
-        assert!(json.contains("\"mixed_ops_per_sec\":"), "{json}");
-        assert!(json.contains("\"tree_search_ms\":"), "{json}");
+        assert_eq!(r.failed, None, "fixpoint and oracle");
     }
 
     #[test]
@@ -351,26 +228,7 @@ mod tests {
         assert_eq!(r.id, "E18");
         assert!(r.table.contains("restart  snapshot"), "{}", r.table);
         assert!(!r.table.contains("DIVERGED"), "{}", r.table);
-        let (key, json) = r.extra.as_ref().expect("scale section");
-        assert_eq!(*key, "scale");
-        assert!(json.contains("\"parity\":true"), "{json}");
-        assert!(json.contains("\"peak_rss_kb\":"), "{json}");
-        assert!(json.contains("\"restart_secs\":"), "{json}");
-    }
-
-    #[test]
-    fn bench_json_splices_extra_sections() {
-        let r = Report {
-            id: "EX",
-            title: "t",
-            claim: "c",
-            table: String::new(),
-            observations: vec![],
-            extra: Some(("throughput", "{\"x\":1}".to_string())),
-        };
-        let json = bench_json(Scale::Quick, std::slice::from_ref(&r));
-        assert!(json.contains("\"throughput\":{\"x\":1}"), "{json}");
-        assert!(json.contains("\"metrics\":"), "{json}");
+        assert_eq!(r.failed, None, "digest parity across the crash");
     }
 
     #[test]
@@ -378,6 +236,8 @@ mod tests {
         for id in ["e7", "e9", "e12", "e13", "e14"] {
             assert!(run_one(id, Scale::Quick).is_some());
         }
+        assert!(run_one("e17", Scale::Quick).is_none(), "retired");
         assert!(run_one("e99", Scale::Quick).is_none());
+        assert!(ids().starts_with("e1 e2 ") && ids().ends_with(" e16 e18"));
     }
 }

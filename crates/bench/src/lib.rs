@@ -1,5 +1,7 @@
 //! Benchmark support: synthetic workload generation and system rigs shared
-//! by the Criterion benches and the `experiments` harness.
+//! by the `experiments` harness, the rig binaries and the root integration
+//! tests. Timings that are compared from PR to PR come from the repo
+//! benchmark in `bench/`, not from here.
 //!
 //! The paper's corporate user population is proprietary; this generator
 //! produces the synthetic equivalent (DESIGN.md §1): realistic name/org
@@ -14,7 +16,6 @@ pub mod oracle;
 pub mod population;
 pub mod rss;
 pub mod scale;
-pub mod shard_fleet;
 pub mod workload;
 
 use metacomm::{MetaComm, MetaCommBuilder};

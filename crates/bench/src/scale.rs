@@ -96,9 +96,8 @@ impl ScaleReport {
     }
 
     /// One-line JSON object — the contract between the `scale_rig` child
-    /// process and E18, and the `"scale"` record in `BENCH_metacomm.json`.
-    /// Digests travel as hex strings: u64 values do not survive a
-    /// round-trip through doubles.
+    /// process and E18. Digests travel as hex strings: u64 values do not
+    /// survive a round-trip through doubles.
     pub fn json(&self) -> String {
         format!(
             "{{\"entries\":{},\"load_ops\":{},\"load_ops_per_sec\":{:.0},\

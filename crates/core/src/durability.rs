@@ -225,10 +225,6 @@ impl Durability {
         &self.report
     }
 
-    pub(crate) fn policy(&self) -> FsyncPolicy {
-        self.policy
-    }
-
     /// Route WAL write failures to the deployment's error log (§4.4
     /// log-and-alert); called once the error log exists.
     pub(crate) fn set_error_log(&self, errorlog: Arc<ErrorLog>, dir: Arc<dyn Directory>) {

@@ -63,7 +63,7 @@ impl From<lexpress::CompileError> for MetaError {
 impl MetaError {
     /// Convert into the LdapError returned to the client whose update was
     /// aborted (paper §4.4: invalid updates abort with an error).
-    pub fn into_ldap(self) -> ldap::LdapError {
+    pub(crate) fn into_ldap(self) -> ldap::LdapError {
         match self {
             MetaError::Ldap(e) => e,
             e @ MetaError::DeviceUnreachable { .. } => {
@@ -79,7 +79,7 @@ impl MetaError {
     /// Whether retrying (or queueing for later reapplication) could
     /// succeed. Semantic rejections ([`MetaError::Device`], translation and
     /// schema failures) are permanent and must abort the update instead.
-    pub fn is_transient(&self) -> bool {
+    pub(crate) fn is_transient(&self) -> bool {
         matches!(self, MetaError::DeviceUnreachable { .. })
     }
 }

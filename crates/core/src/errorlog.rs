@@ -44,7 +44,8 @@ impl ErrorLog {
     }
 
     /// Where error entries are written.
-    pub fn base(&self) -> &Dn {
+    #[cfg(test)]
+    fn base(&self) -> &Dn {
         &self.base
     }
 
@@ -58,7 +59,7 @@ impl ErrorLog {
     /// Record a failure: writes an error entry into the directory and
     /// notifies administrators. Logging never fails the caller — if even
     /// the log write fails the alert still goes out.
-    pub fn log(&self, dir: &dyn Directory, seq: u64, text: &str, failed_op: &str) -> u64 {
+    pub(crate) fn log(&self, dir: &dyn Directory, seq: u64, text: &str, failed_op: &str) -> u64 {
         let id = self.next_id.fetch_add(1, Ordering::SeqCst);
         let dn = self.base.child(Rdn::new("metacommErrorId", id.to_string()));
         let mut e = Entry::new(dn);
@@ -82,7 +83,7 @@ impl ErrorLog {
 
     /// Browse the logged errors (paper: "the administrator can browse
     /// through the errors").
-    pub fn browse(&self, dir: &dyn Directory) -> ldap::Result<Vec<Entry>> {
+    pub(crate) fn browse(&self, dir: &dyn Directory) -> ldap::Result<Vec<Entry>> {
         dir.search(
             &self.base,
             Scope::One,

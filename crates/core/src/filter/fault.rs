@@ -36,14 +36,6 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// A plan that starts with the device unreachable.
-    pub fn down() -> FaultPlan {
-        FaultPlan {
-            start_down: true,
-            ..FaultPlan::default()
-        }
-    }
-
     /// A plan that fails every `n`th apply transiently.
     pub fn flaky(n: u64) -> FaultPlan {
         FaultPlan {
@@ -70,13 +62,8 @@ impl FaultHandle {
     }
 
     /// Is a hard outage currently active?
-    pub fn is_down(&self) -> bool {
+    pub(crate) fn is_down(&self) -> bool {
         self.down.load(Ordering::SeqCst)
-    }
-
-    /// Applies that reached the injector (including faulted ones).
-    pub fn ops_seen(&self) -> u64 {
-        self.ops_seen.load(Ordering::SeqCst)
     }
 
     /// Faults injected so far (errors + drops, not latency).
@@ -98,7 +85,7 @@ pub struct FaultInjector {
 }
 
 impl FaultInjector {
-    pub fn new(inner: Arc<dyn DeviceFilter>, plan: FaultPlan) -> FaultInjector {
+    pub(crate) fn new(inner: Arc<dyn DeviceFilter>, plan: FaultPlan) -> FaultInjector {
         let handle = Arc::new(FaultHandle::default());
         handle.set_down(plan.start_down);
         FaultInjector {
@@ -114,14 +101,14 @@ impl FaultInjector {
     /// Use `clock` for injected latency: on a [`crate::obs::ManualClock`]
     /// the `latency` fault advances virtual time instead of really sleeping,
     /// so latency-fault tests run instantly and deterministically.
-    pub fn with_clock(mut self, clock: Arc<dyn crate::obs::Clock>) -> FaultInjector {
+    pub(crate) fn with_clock(mut self, clock: Arc<dyn crate::obs::Clock>) -> FaultInjector {
         self.clock = clock;
         self
     }
 
     /// The control/observation handle (clone it out before boxing the
     /// injector as a `DeviceFilter`).
-    pub fn handle(&self) -> Arc<FaultHandle> {
+    pub(crate) fn handle(&self) -> Arc<FaultHandle> {
         self.handle.clone()
     }
 
@@ -264,7 +251,13 @@ mod tests {
 
     #[test]
     fn hard_outage_fails_apply_and_probe_until_cleared() {
-        let inj = FaultInjector::new(Arc::new(Fake), FaultPlan::down());
+        let inj = FaultInjector::new(
+            Arc::new(Fake),
+            FaultPlan {
+                start_down: true,
+                ..FaultPlan::default()
+            },
+        );
         let h = inj.handle();
         let err = inj.apply(&op()).unwrap_err();
         assert!(err.is_transient());

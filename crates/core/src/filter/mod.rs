@@ -5,10 +5,11 @@
 //! LDAP schema). The integration logic lives in the lexpress rules; the
 //! converter is thin and written once for every record-keeping device.
 
-pub mod fault;
+pub(crate) mod fault;
 mod record;
 
-pub use record::{for_msgplat, for_pbx};
+pub(crate) use record::for_msgplat;
+pub use record::for_pbx;
 
 use crate::error::Result;
 use crossbeam::channel::Receiver;

@@ -171,7 +171,7 @@ pub fn for_pbx(store: Arc<pbx::Store>) -> Arc<dyn DeviceFilter> {
 /// The filter for one messaging platform. Its adds *generate* information
 /// at the device (the mailbox id), which the filter reports back so the
 /// Update Manager can fold it into the directory image (paper §5.5).
-pub fn for_msgplat(store: Arc<msgplat::Store>) -> Arc<dyn DeviceFilter> {
+pub(crate) fn for_msgplat(store: Arc<msgplat::Store>) -> Arc<dyn DeviceFilter> {
     Arc::new(RecordFilter::new(store.name(), Platform(store.clone())))
 }
 

@@ -1,7 +1,7 @@
 //! Conversions between LDAP entries and lexpress attribute images, plus
 //! construction of integrated-schema entries from images.
 
-use crate::schema::{DEFINITY_USER, LAST_UPDATER, MESSAGING_USER};
+use crate::schema::{DEFINITY_USER, MESSAGING_USER};
 use ldap::dn::Dn;
 use ldap::entry::{Entry, Modification};
 use lexpress::Image;
@@ -122,14 +122,10 @@ fn same_values(a: &[String], b: &[String]) -> bool {
     norm(a) == norm(b)
 }
 
-/// Read the update origin recorded on an entry/image (defaults to "ldap").
-pub fn origin_of(img: &Image) -> String {
-    img.first(LAST_UPDATER).unwrap_or("ldap").to_string()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::LAST_UPDATER;
     use lexpress::Image;
 
     #[test]
@@ -195,13 +191,6 @@ mod tests {
         assert!(mods.iter().all(|m| m.attr.norm() != "cn"));
         assert!(mods.iter().any(|m| m.attr.norm() == "roomnumber"));
         assert!(mods.iter().any(|m| m.attr.norm() == "telephonenumber"));
-    }
-
-    #[test]
-    fn origin_defaults_to_ldap() {
-        assert_eq!(origin_of(&Image::new()), "ldap");
-        let img = Image::from_pairs([(LAST_UPDATER, "mp")]);
-        assert_eq!(origin_of(&img), "mp");
     }
 }
 

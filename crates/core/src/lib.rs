@@ -34,20 +34,22 @@
 //! operations out to the device [`filter`]s (conditionally, when the
 //! target originated the update), folds device-generated information back
 //! in, and finally applies the augmented update to the LDAP server.
-//! Direct device updates flow the other way through the [`ddu`] relay.
+//! Direct device updates flow the other way through the DDU relay.
 
-pub mod ddu;
-pub mod durability;
-pub mod error;
-pub mod errorlog;
+#![warn(unreachable_pub)]
+
+mod ddu;
+mod durability;
+mod error;
+mod errorlog;
 pub mod filter;
 pub mod image;
 pub mod obs;
-pub mod resilience;
+mod resilience;
 pub mod schema;
 pub mod sync;
 pub mod um;
-pub mod wba;
+mod wba;
 
 pub use durability::RecoveryReport;
 pub use error::{MetaError, Result};
@@ -57,7 +59,7 @@ pub use filter::{ApplyOutcome, DeviceFilter};
 pub use ldap::FsyncPolicy;
 pub use obs::{
     Clock, HistogramSnapshot, ManualClock, MonitorDirectory, Registry, RegistrySnapshot,
-    SystemClock, MONITOR_BASE,
+    SystemClock,
 };
 pub use resilience::{
     BreakerPolicy, Device, DeviceHealth, HealthState, RecoveryOutcome, RetryPolicy,
@@ -178,12 +180,6 @@ impl MetaCommBuilder {
     /// Integrate a messaging platform owning mailboxes matched by `mbx_glob`.
     pub fn add_msgplat(mut self, store: Arc<msgplat::Store>, mbx_glob: &str) -> Self {
         self.msgplats.push((store, mbx_glob.to_string()));
-        self
-    }
-
-    /// Load additional lexpress description text into the engine.
-    pub fn with_mappings(mut self, src: &str) -> Self {
-        self.extra_mappings.push(src.to_string());
         self
     }
 
@@ -631,10 +627,6 @@ impl MetaComm {
         &self.relay_stats
     }
 
-    pub fn gateway_stats(&self) -> &ltap::Stats {
-        self.gateway.stats()
-    }
-
     /// Subscribe to administrator alerts (§4.4 failure notifications).
     pub fn alerts(&self) -> crossbeam::channel::Receiver<AdminAlert> {
         self.errorlog.subscribe()
@@ -697,11 +689,6 @@ impl MetaComm {
         self.device(name).ok().map(|d| d.runtime.health())
     }
 
-    /// Health snapshots for every device, in filter registration order.
-    pub fn device_healths(&self) -> Vec<DeviceHealth> {
-        self.devices.iter().map(|d| d.runtime.health()).collect()
-    }
-
     /// The fault-injection control handle for a device configured with
     /// [`MetaCommBuilder::with_fault_plan`].
     pub fn fault_handle(&self, name: &str) -> Option<Arc<FaultHandle>> {
@@ -741,11 +728,6 @@ impl MetaComm {
     /// directory. `None` without durability.
     pub fn recovery_report(&self) -> Option<RecoveryReport> {
         self.durability.as_ref().map(|d| d.report().clone())
-    }
-
-    /// The configured fsync policy (`None` without durability).
-    pub fn fsync_policy(&self) -> Option<FsyncPolicy> {
-        self.durability.as_ref().map(|d| d.policy())
     }
 
     /// Wait until the pipeline is quiescent (no DDUs in flight, the UM

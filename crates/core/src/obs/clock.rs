@@ -28,7 +28,7 @@ pub struct SystemClock {
 }
 
 impl SystemClock {
-    pub fn new() -> Arc<SystemClock> {
+    pub(crate) fn new() -> Arc<SystemClock> {
         Arc::new(SystemClock {
             base: Instant::now(),
         })
@@ -53,7 +53,7 @@ impl ManualClock {
     }
 
     /// Move time forward by `d`.
-    pub fn advance(&self, d: Duration) {
+    pub(crate) fn advance(&self, d: Duration) {
         self.ns.fetch_add(d.as_nanos() as u64, Ordering::SeqCst);
     }
 }

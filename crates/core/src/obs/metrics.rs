@@ -7,7 +7,7 @@
 //! count from the bucket array it just read, so `count == Σ buckets` holds
 //! even while writers race the reader).
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
@@ -33,53 +33,20 @@ impl Counter {
     }
 }
 
-/// Where a gauge's value comes from.
-enum GaugeSource {
-    /// A stored value, settable from anywhere.
-    Stored(AtomicI64),
-    /// Computed at read time — used to export live state (journal depth,
-    /// breaker state) and to mirror pre-existing stats structs without
-    /// double-counting.
-    Callback(Box<dyn Fn() -> i64 + Send + Sync>),
-}
-
-/// A point-in-time value that can go up or down.
-pub struct Gauge {
-    src: GaugeSource,
+/// A point-in-time value that can go up or down, computed at read time —
+/// used to export live state (journal depth, breaker state) and to mirror
+/// pre-existing stats structs without double-counting.
+pub(crate) struct Gauge {
+    read: Box<dyn Fn() -> i64 + Send + Sync>,
 }
 
 impl Gauge {
-    pub fn stored() -> Gauge {
-        Gauge {
-            src: GaugeSource::Stored(AtomicI64::new(0)),
-        }
+    pub(crate) fn callback(f: impl Fn() -> i64 + Send + Sync + 'static) -> Gauge {
+        Gauge { read: Box::new(f) }
     }
 
-    pub fn callback(f: impl Fn() -> i64 + Send + Sync + 'static) -> Gauge {
-        Gauge {
-            src: GaugeSource::Callback(Box::new(f)),
-        }
-    }
-
-    /// Set a stored gauge (no-op on a callback gauge).
-    pub fn set(&self, v: i64) {
-        if let GaugeSource::Stored(a) = &self.src {
-            a.store(v, Ordering::Relaxed);
-        }
-    }
-
-    /// Adjust a stored gauge (no-op on a callback gauge).
-    pub fn add(&self, d: i64) {
-        if let GaugeSource::Stored(a) = &self.src {
-            a.fetch_add(d, Ordering::Relaxed);
-        }
-    }
-
-    pub fn get(&self) -> i64 {
-        match &self.src {
-            GaugeSource::Stored(a) => a.load(Ordering::Relaxed),
-            GaugeSource::Callback(f) => f(),
-        }
+    pub(crate) fn get(&self) -> i64 {
+        (self.read)()
     }
 }
 
@@ -209,7 +176,7 @@ pub struct HistogramSnapshot {
 
 impl HistogramSnapshot {
     /// Mean sample value (0 when empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -231,14 +198,8 @@ mod tests {
     }
 
     #[test]
-    fn gauge_stored_and_callback() {
-        let g = Gauge::stored();
-        g.set(7);
-        g.add(-2);
-        assert_eq!(g.get(), 5);
+    fn gauge_reads_its_callback() {
         let cb = Gauge::callback(|| 123);
-        assert_eq!(cb.get(), 123);
-        cb.set(0); // no-op
         assert_eq!(cb.get(), 123);
     }
 

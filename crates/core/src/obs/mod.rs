@@ -3,13 +3,15 @@
 //! live `cn=monitor` LDAP subtree.
 //!
 //! Layout:
-//! - [`metrics`] — the atomic primitives ([`Counter`], [`Gauge`],
+//! - `metrics` — the atomic primitives ([`Counter`], callback gauges,
 //!   [`Histogram`] with p50/p95/p99 snapshots);
-//! - [`registry`] — named components aggregating metrics per subsystem;
-//! - [`span`] — the stage timer the Update Manager runs per trapped update;
-//! - [`clock`] — [`SystemClock`] in production, [`ManualClock`] in tests
+//! - `registry` — [`Registry`]: named components aggregating metrics per
+//!   subsystem;
+//! - `span` — [`Span`], the stage timer the Update Manager runs per
+//!   trapped update;
+//! - `clock` — [`SystemClock`] in production, [`ManualClock`] in tests
 //!   (deterministic latencies, virtual fault-injector delays);
-//! - [`monitor`] — [`MonitorDirectory`], materializing the registry as a
+//! - `monitor` — [`MonitorDirectory`], materializing the registry as a
 //!   read-only `cn=monitor` subtree searchable by any LDAP client.
 //!
 //! Component naming inside a [`crate::MetaComm`] deployment: `um` (the
@@ -18,15 +20,15 @@
 //! structure), and `server` (wire protocol, registered when
 //! [`crate::MetaComm::serve`] starts).
 
-pub mod clock;
-pub mod metrics;
-pub mod monitor;
-pub mod registry;
-pub mod span;
+mod clock;
+mod metrics;
+mod monitor;
+mod registry;
+mod span;
 
 pub use clock::{Clock, ManualClock, SystemClock};
-pub use metrics::{bucket_upper, Counter, Gauge, Histogram, HistogramSnapshot, BUCKETS};
-pub use monitor::{MonitorDirectory, MONITOR_BASE};
+pub use metrics::{bucket_upper, Counter, Histogram, HistogramSnapshot, BUCKETS};
+pub use monitor::MonitorDirectory;
 pub use registry::{Component, ComponentSnapshot, Registry, RegistrySnapshot};
 pub use span::Span;
 

@@ -20,7 +20,7 @@ use ldap::{Directory, LdapError, Result, ResultCode};
 use std::sync::Arc;
 
 /// DN of the monitor subtree root.
-pub const MONITOR_BASE: &str = "cn=monitor";
+pub(crate) const MONITOR_BASE: &str = "cn=monitor";
 
 /// The decorator serving `cn=monitor` in front of a real directory.
 pub struct MonitorDirectory {
@@ -40,7 +40,7 @@ impl MonitorDirectory {
 
     /// The monitor subtree materialized from the current registry state:
     /// the root entry first, then one entry per component (sorted).
-    pub fn materialize(&self) -> Vec<Entry> {
+    pub(crate) fn materialize(&self) -> Vec<Entry> {
         let snap = self.registry.snapshot();
         let mut root = Entry::new(self.base.clone());
         root.add_value("objectClass", "top");

@@ -31,10 +31,6 @@ impl Component {
         })
     }
 
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Get-or-register a counter.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
         if let Some(c) = self.counters.read().get(name) {
@@ -47,20 +43,8 @@ impl Component {
             .clone()
     }
 
-    /// Get-or-register a stored gauge.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        if let Some(g) = self.gauges.read().get(name) {
-            return g.clone();
-        }
-        self.gauges
-            .write()
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(Gauge::stored()))
-            .clone()
-    }
-
     /// Register (or replace) a callback gauge computed at read time.
-    pub fn gauge_callback(&self, name: &str, f: impl Fn() -> i64 + Send + Sync + 'static) {
+    pub(crate) fn gauge_callback(&self, name: &str, f: impl Fn() -> i64 + Send + Sync + 'static) {
         self.gauges
             .write()
             .insert(name.to_string(), Arc::new(Gauge::callback(f)));
@@ -78,7 +62,7 @@ impl Component {
             .clone()
     }
 
-    pub fn snapshot(&self) -> ComponentSnapshot {
+    pub(crate) fn snapshot(&self) -> ComponentSnapshot {
         ComponentSnapshot {
             name: self.name.clone(),
             counters: self
@@ -110,7 +94,7 @@ pub struct Registry {
 }
 
 impl Registry {
-    pub fn new(clock: Arc<dyn Clock>) -> Arc<Registry> {
+    pub(crate) fn new(clock: Arc<dyn Clock>) -> Arc<Registry> {
         Arc::new(Registry {
             clock,
             components: RwLock::new(BTreeMap::new()),
@@ -122,7 +106,7 @@ impl Registry {
         Registry::new(SystemClock::new())
     }
 
-    pub fn clock(&self) -> Arc<dyn Clock> {
+    pub(crate) fn clock(&self) -> Arc<dyn Clock> {
         self.clock.clone()
     }
 
@@ -136,11 +120,6 @@ impl Registry {
             .entry(name.to_string())
             .or_insert_with(|| Component::new(name))
             .clone()
-    }
-
-    /// Component names, sorted.
-    pub fn component_names(&self) -> Vec<String> {
-        self.components.read().keys().cloned().collect()
     }
 
     /// A consistent-enough point-in-time view of every metric: each
@@ -279,7 +258,8 @@ mod tests {
         let c2 = r.component("um").counter("updates");
         c1.inc();
         assert_eq!(c2.get(), 1);
-        assert_eq!(r.component_names(), vec!["um".to_string()]);
+        let names: Vec<_> = (r.snapshot().components.into_iter().map(|c| c.name)).collect();
+        assert_eq!(names, ["um"]);
     }
 
     #[test]

@@ -20,7 +20,8 @@ pub struct Span {
 }
 
 impl Span {
-    pub fn start(clock: Arc<dyn Clock>) -> Span {
+    #[cfg(test)]
+    fn start(clock: Arc<dyn Clock>) -> Span {
         let now = clock.now_ns();
         Span {
             clock,
@@ -32,7 +33,7 @@ impl Span {
 
     /// Start a span whose first stage began earlier (e.g. when the trapped
     /// op was enqueued) — the gap to `origin_ns` becomes stage `stage`.
-    pub fn start_from(clock: Arc<dyn Clock>, origin_ns: u64, stage: &str) -> Span {
+    pub(crate) fn start_from(clock: Arc<dyn Clock>, origin_ns: u64, stage: &str) -> Span {
         let now = clock.now_ns();
         let wait = now.saturating_sub(origin_ns);
         Span {
@@ -45,7 +46,7 @@ impl Span {
 
     /// Close the current stage under `name` and start the next one.
     /// Returns the closed stage's duration in nanoseconds.
-    pub fn mark(&mut self, name: &str) -> u64 {
+    pub(crate) fn mark(&mut self, name: &str) -> u64 {
         let now = self.clock.now_ns();
         let d = now.saturating_sub(self.last_ns);
         self.last_ns = now;
@@ -60,17 +61,17 @@ impl Span {
     }
 
     /// Total elapsed nanoseconds since the span's origin.
-    pub fn total_ns(&self) -> u64 {
+    pub(crate) fn total_ns(&self) -> u64 {
         self.clock.now_ns().saturating_sub(self.started_ns)
     }
 
     /// The closed stages so far, in first-marked order.
-    pub fn stages(&self) -> &[(String, u64)] {
+    pub(crate) fn stages(&self) -> &[(String, u64)] {
         &self.stages
     }
 
     /// Consume the span: `(stage durations, total)`.
-    pub fn finish(self) -> (Vec<(String, u64)>, u64) {
+    pub(crate) fn finish(self) -> (Vec<(String, u64)>, u64) {
         let total = self.total_ns();
         (self.stages, total)
     }

@@ -67,7 +67,7 @@ impl RetryPolicy {
 
     /// Backoff to sleep after failed attempt `attempt` (1-based): capped
     /// exponential with ±50% jitter.
-    pub fn backoff(&self, attempt: u32) -> Duration {
+    pub(crate) fn backoff(&self, attempt: u32) -> Duration {
         let exp = self
             .base_delay
             .saturating_mul(1u32 << attempt.saturating_sub(1).min(16));
@@ -112,7 +112,7 @@ impl RetryPolicy {
 /// Apply `op` at `filter`, retrying transient faults per `retry`.
 /// Returns the outcome of the first success, or the last error once
 /// attempts or the deadline run out. Retries are counted in `stats`.
-pub fn apply_with_retry(
+pub(crate) fn apply_with_retry(
     filter: &Arc<dyn DeviceFilter>,
     op: &TargetOp,
     retry: &RetryPolicy,
@@ -234,7 +234,7 @@ struct RuntimeInner {
 /// Per-device breaker state + outage journal. Shared between the UM
 /// coordinator (which records outcomes and journals ops) and the recovery
 /// monitor (which probes and drains).
-pub struct DeviceRuntime {
+pub(crate) struct DeviceRuntime {
     name: String,
     policy: BreakerPolicy,
     errorlog: Arc<ErrorLog>,
@@ -276,7 +276,7 @@ impl DeviceRuntime {
         })
     }
 
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
@@ -336,7 +336,7 @@ impl DeviceRuntime {
         }
     }
 
-    pub fn health(&self) -> DeviceHealth {
+    pub(crate) fn health(&self) -> DeviceHealth {
         let g = self.inner.lock();
         DeviceHealth {
             device: self.name.clone(),
@@ -754,7 +754,7 @@ pub(crate) struct Background {
 impl Background {
     /// Hang up the shutdown channel — every thread's wait ends on that,
     /// whether or not anything else ever wakes it — and join them all.
-    pub fn stop(self) {
+    pub(crate) fn stop(self) {
         drop(self.shutdown);
         for t in self.threads {
             let _ = t.join();

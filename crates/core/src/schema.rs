@@ -15,11 +15,11 @@
 use ldap::schema::{AttributeType, ClassKind, ObjectClass, Schema, Syntax};
 
 /// Auxiliary class name for Definity PBX users.
-pub const DEFINITY_USER: &str = "definityUser";
+pub(crate) const DEFINITY_USER: &str = "definityUser";
 /// Auxiliary class name for messaging-platform users.
-pub const MESSAGING_USER: &str = "messagingUser";
+pub(crate) const MESSAGING_USER: &str = "messagingUser";
 /// Operational attribute recording the source of the last update.
-pub const LAST_UPDATER: &str = "lastUpdater";
+pub(crate) const LAST_UPDATER: &str = "lastUpdater";
 
 /// Build the integrated MetaComm schema: X.500 core + device auxiliaries.
 pub fn integrated_schema() -> Schema {

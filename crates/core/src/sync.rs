@@ -37,7 +37,7 @@ pub struct SyncReport {
 }
 
 impl SyncReport {
-    pub fn merge(&mut self, other: &SyncReport) {
+    pub(crate) fn merge(&mut self, other: &SyncReport) {
         self.added += other.added;
         self.repaired += other.repaired;
         self.unchanged += other.unchanged;

@@ -48,7 +48,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// A per-update trace record: what the Update Manager did with one trapped
-/// operation (kept in a bounded ring; see [`UpdateManager`]). This is the
+/// operation (kept in a bounded ring by the Update Manager). This is the
 /// observability surface a deployment needs to answer "why did my update
 /// (not) reach the switch?".
 #[derive(Debug, Clone)]
@@ -179,9 +179,8 @@ fn route_key(op: &LtapOp) -> String {
 }
 
 /// The running Update Manager: a key-ordered executor over N workers.
-pub struct UpdateManager {
+pub(crate) struct UpdateManager {
     txs: Vec<Sender<Request>>,
-    stats: Arc<UmStats>,
     traces: Arc<parking_lot::Mutex<std::collections::VecDeque<UpdateTrace>>>,
     /// The deployment clock, for stamping enqueue times in the handler.
     clock: Arc<dyn crate::obs::Clock>,
@@ -196,7 +195,6 @@ impl UpdateManager {
     pub(crate) fn start(shared: Shared, workers: usize) -> UpdateManager {
         let workers = workers.max(1);
         let shared = Arc::new(shared);
-        let stats = shared.stats.clone();
         let traces = shared.traces.clone();
         let clock = shared.obs.clock.clone();
         let mut txs = Vec::with_capacity(workers);
@@ -213,7 +211,6 @@ impl UpdateManager {
         }
         UpdateManager {
             txs,
-            stats,
             traces,
             clock,
             workers: handles,
@@ -222,17 +219,13 @@ impl UpdateManager {
     }
 
     /// Number of executor workers (shards).
-    pub fn workers(&self) -> usize {
+    pub(crate) fn workers(&self) -> usize {
         self.txs.len()
     }
 
     /// Most recent update traces, oldest first.
-    pub fn recent_traces(&self) -> Vec<UpdateTrace> {
+    pub(crate) fn recent_traces(&self) -> Vec<UpdateTrace> {
         self.traces.lock().iter().cloned().collect()
-    }
-
-    pub fn stats(&self) -> &Arc<UmStats> {
-        &self.stats
     }
 
     /// The LTAP trigger handler funneling trapped operations into the
@@ -278,7 +271,7 @@ impl UpdateManager {
         })
     }
 
-    pub fn shutdown(&mut self) {
+    pub(crate) fn shutdown(&mut self) {
         if self.workers.is_empty() {
             return;
         }

@@ -20,7 +20,7 @@ pub struct Wba<D: Directory> {
 }
 
 impl<D: Directory> Wba<D> {
-    pub fn new(dir: D, suffix: Dn) -> Wba<D> {
+    pub(crate) fn new(dir: D, suffix: Dn) -> Wba<D> {
         Wba { dir, suffix }
     }
 

@@ -8,7 +8,7 @@
 //! every entry, most attributes hold exactly one value, and every entry of
 //! a class repeats the class's `objectClass` list. So an [`Attribute`] at
 //! rest is a 32-byte slot: the name is one pointer to a block the whole
-//! process shares through a pool ([`AttrName::interned`]), and the
+//! process shares through a pool (`AttrName::interned`), and the
 //! [`Values`] bag is 24 bytes — one `String`, an exactly-sized boxed slice,
 //! or a pointer to the one copy of a class list (`Values::share`).
 //!
@@ -41,7 +41,7 @@ struct NameBlock {
 impl AttrName {
     /// A name with a block of its own; [`AttrName::interned`] (and `From`)
     /// share the pool's.
-    pub fn new(name: impl Into<String>) -> AttrName {
+    pub(crate) fn new(name: impl Into<String>) -> AttrName {
         AttrName::block(name.into(), false)
     }
 
@@ -69,7 +69,7 @@ impl AttrName {
 
     /// Replace this name with the process-wide canonical copy for its
     /// display form; nothing to do for a name that already is that copy.
-    pub fn intern(&mut self) {
+    pub(crate) fn intern(&mut self) {
         if !self.0.pooled {
             if let Some(canon) = AttrName::pooled(self.as_str()) {
                 *self = canon;
@@ -81,7 +81,7 @@ impl AttrName {
     /// form is seen. The universe of attribute names is the schema's, not
     /// the data's, so the pool stays tiny — and the caps keep it so against
     /// an unauthenticated socket (a name it will not take gets its own block).
-    pub fn interned(name: &str) -> AttrName {
+    pub(crate) fn interned(name: &str) -> AttrName {
         AttrName::pooled(name).unwrap_or_else(|| AttrName::new(name))
     }
 
@@ -263,7 +263,7 @@ pub(crate) fn repeated_value(values: &[String]) -> Option<usize> {
 /// the single case is the `String` itself with no vector around it; several
 /// are an exactly-sized boxed slice; and a list that every entry of a class
 /// repeats is a pointer to the pool's one copy, which nobody may change —
-/// [`Values::push`] and [`Values::retain`] copy it first.
+/// a write (`Values::push`, `Values::retain`) copies it first.
 ///
 /// `One` always holds exactly one value; the empty bag is `Many([])`.
 /// Equality is by value sequence, so `One("a") == Many(["a"])`. Derefs to
@@ -299,7 +299,7 @@ impl Values {
     }
 
     /// Append a value (no dedup — callers check `caseIgnoreMatch` first).
-    pub fn push(&mut self, value: String) {
+    pub(crate) fn push(&mut self, value: String) {
         let mut vs = Vec::with_capacity(self.len() + 1);
         match std::mem::replace(self, Values::Many(Box::default())) {
             Values::One(first) => vs.push(first),
@@ -311,7 +311,7 @@ impl Values {
     }
 
     /// Keep only values for which `keep` returns `true`.
-    pub fn retain(&mut self, mut keep: impl FnMut(&String) -> bool) {
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(&String) -> bool) {
         let kept = match self {
             Values::One(v) if keep(v) => return,
             Values::One(_) => Vec::new(),
@@ -436,7 +436,7 @@ pub struct Attribute {
 }
 
 impl Attribute {
-    pub fn new(name: impl Into<AttrName>, values: Vec<String>) -> Attribute {
+    pub(crate) fn new(name: impl Into<AttrName>, values: Vec<String>) -> Attribute {
         Attribute {
             name: name.into(),
             values: values.into(),
@@ -451,13 +451,13 @@ impl Attribute {
     }
 
     /// `true` if `value` is present under case-insensitive matching.
-    pub fn contains_ci(&self, value: &str) -> bool {
+    pub(crate) fn contains_ci(&self, value: &str) -> bool {
         self.values.iter().any(|v| value_eq_ci(v, value))
     }
 
     /// Add a value; returns `false` (and leaves the bag unchanged) when an
     /// equal value is already present.
-    pub fn add_value(&mut self, value: impl Into<String>) -> bool {
+    pub(crate) fn add_value(&mut self, value: impl Into<String>) -> bool {
         let value = value.into();
         if self.contains_ci(&value) {
             return false;
@@ -468,13 +468,13 @@ impl Attribute {
 
     /// Remove a value under case-insensitive matching; returns `true` when a
     /// value was removed.
-    pub fn remove_value(&mut self, value: &str) -> bool {
+    pub(crate) fn remove_value(&mut self, value: &str) -> bool {
         let before = self.values.len();
         self.values.retain(|v| !value_eq_ci(v, value));
         self.values.len() != before
     }
 
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.values.is_empty()
     }
 }

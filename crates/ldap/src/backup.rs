@@ -413,12 +413,6 @@ fn apply(dit: &Dit, r: ldif::Record) -> Result<()> {
     }
 }
 
-/// Convenience used by recovery flows: does this DN exist after recovery?
-pub fn verify_entry(dit: &Dit, dn: &str) -> Result<Entry> {
-    let dn = Dn::parse(dn)?;
-    dit.get(&dn).ok_or_else(|| LdapError::no_such_object(&dn))
-}
-
 // ---------------------------------------------------------------------------
 // WAL integration
 // ---------------------------------------------------------------------------
@@ -533,10 +527,6 @@ pub struct SnapshotStore {
 impl SnapshotStore {
     pub fn new(dir: impl Into<PathBuf>) -> SnapshotStore {
         SnapshotStore { dir: dir.into() }
-    }
-
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     pub fn snapshot_path(&self, generation: u64) -> PathBuf {
@@ -755,7 +745,8 @@ mod tests {
         assert_eq!(replay.skipped, 9);
         assert_eq!(replay.applied, 1);
         assert_eq!(
-            verify_entry(&recovered, "cn=John Doe,o=Marketing,o=Lucent")
+            recovered
+                .get(&Dn::parse("cn=John Doe,o=Marketing,o=Lucent").unwrap())
                 .unwrap()
                 .first("roomNumber"),
             Some("9Z")
@@ -796,7 +787,8 @@ mod tests {
         assert_eq!(replay.discarded, 1, "seq 12 is past the gap");
         assert_eq!(replay.max_seq, 10);
         assert_eq!(
-            verify_entry(&recovered, "cn=John Doe,o=Marketing,o=Lucent")
+            recovered
+                .get(&Dn::parse("cn=John Doe,o=Marketing,o=Lucent").unwrap())
                 .unwrap()
                 .first("roomNumber"),
             Some("1")

@@ -8,30 +8,30 @@ use crate::error::{LdapError, Result};
 use std::fmt;
 
 /// Universal tags.
-pub const TAG_BOOLEAN: u8 = 0x01;
-pub const TAG_INTEGER: u8 = 0x02;
-pub const TAG_OCTET_STRING: u8 = 0x04;
-pub const TAG_ENUMERATED: u8 = 0x0A;
-pub const TAG_SEQUENCE: u8 = 0x30;
-pub const TAG_SET: u8 = 0x31;
+pub(crate) const TAG_BOOLEAN: u8 = 0x01;
+pub(crate) const TAG_INTEGER: u8 = 0x02;
+pub(crate) const TAG_OCTET_STRING: u8 = 0x04;
+pub(crate) const TAG_ENUMERATED: u8 = 0x0A;
+pub(crate) const TAG_SEQUENCE: u8 = 0x30;
+pub(crate) const TAG_SET: u8 = 0x31;
 
 /// Application-class tag (constructed), e.g. LDAP protocol ops.
-pub const fn app(tag: u8) -> u8 {
+pub(crate) const fn app(tag: u8) -> u8 {
     0x60 | tag
 }
 
 /// Application-class tag (primitive), e.g. DelRequest.
-pub const fn app_prim(tag: u8) -> u8 {
+pub(crate) const fn app_prim(tag: u8) -> u8 {
     0x40 | tag
 }
 
 /// Context-specific tag (constructed).
-pub const fn ctx(tag: u8) -> u8 {
+pub(crate) const fn ctx(tag: u8) -> u8 {
     0xA0 | tag
 }
 
 /// Context-specific tag (primitive).
-pub const fn ctx_prim(tag: u8) -> u8 {
+pub(crate) const fn ctx_prim(tag: u8) -> u8 {
     0x80 | tag
 }
 
@@ -43,27 +43,23 @@ pub const fn ctx_prim(tag: u8) -> u8 {
 /// keeps nested SEQUENCEs allocation-free and lets callers reuse one buffer
 /// across messages via [`Writer::wrap`].
 #[derive(Default)]
-pub struct Writer {
+pub(crate) struct Writer {
     buf: Vec<u8>,
 }
 
 impl Writer {
-    pub fn new() -> Writer {
-        Writer::default()
-    }
-
     /// Continue writing into an existing buffer (appends after its current
     /// contents); get it back with [`Writer::into_bytes`].
-    pub fn wrap(buf: Vec<u8>) -> Writer {
+    pub(crate) fn wrap(buf: Vec<u8>) -> Writer {
         Writer { buf }
     }
 
-    pub fn into_bytes(self) -> Vec<u8> {
+    pub(crate) fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
 
     /// Raw TLV.
-    pub fn tlv(&mut self, tag: u8, body: &[u8]) {
+    pub(crate) fn tlv(&mut self, tag: u8, body: &[u8]) {
         self.buf.push(tag);
         self.write_len(body.len());
         self.buf.extend_from_slice(body);
@@ -99,22 +95,22 @@ impl Writer {
     }
 
     /// OCTET STRING with a custom tag (defaults to universal).
-    pub fn octet_string_tagged(&mut self, tag: u8, s: &[u8]) {
+    pub(crate) fn octet_string_tagged(&mut self, tag: u8, s: &[u8]) {
         self.tlv(tag, s);
     }
 
-    pub fn octet_string(&mut self, s: &[u8]) {
+    pub(crate) fn octet_string(&mut self, s: &[u8]) {
         self.octet_string_tagged(TAG_OCTET_STRING, s);
     }
 
-    pub fn str(&mut self, s: &str) {
+    pub(crate) fn str(&mut self, s: &str) {
         self.octet_string(s.as_bytes());
     }
 
     /// OCTET STRING formatted straight from a [`fmt::Display`] value —
     /// skips the intermediate `to_string` allocation (used for DNs on the
     /// search hot path).
-    pub fn str_display(&mut self, v: &dyn fmt::Display) {
+    pub(crate) fn str_display(&mut self, v: &dyn fmt::Display) {
         struct VecWrite<'a>(&'a mut Vec<u8>);
         impl fmt::Write for VecWrite<'_> {
             fn write_str(&mut self, s: &str) -> fmt::Result {
@@ -129,7 +125,7 @@ impl Writer {
         self.patch_len(len_pos);
     }
 
-    pub fn integer_tagged(&mut self, tag: u8, v: i64) {
+    pub(crate) fn integer_tagged(&mut self, tag: u8, v: i64) {
         let mut bytes = v.to_be_bytes().to_vec();
         // Trim redundant leading bytes while preserving the sign bit.
         while bytes.len() > 1 {
@@ -146,21 +142,21 @@ impl Writer {
         self.tlv(tag, &bytes);
     }
 
-    pub fn integer(&mut self, v: i64) {
+    pub(crate) fn integer(&mut self, v: i64) {
         self.integer_tagged(TAG_INTEGER, v);
     }
 
-    pub fn enumerated(&mut self, v: i64) {
+    pub(crate) fn enumerated(&mut self, v: i64) {
         self.integer_tagged(TAG_ENUMERATED, v);
     }
 
-    pub fn boolean(&mut self, v: bool) {
+    pub(crate) fn boolean(&mut self, v: bool) {
         self.tlv(TAG_BOOLEAN, &[if v { 0xFF } else { 0x00 }]);
     }
 
     /// Constructed value: everything written by `f` becomes the body.
     /// Encoded in place with a back-patched length — no nested allocation.
-    pub fn constructed(&mut self, tag: u8, f: impl FnOnce(&mut Writer)) {
+    pub(crate) fn constructed(&mut self, tag: u8, f: impl FnOnce(&mut Writer)) {
         self.buf.push(tag);
         let len_pos = self.buf.len();
         self.buf.push(0);
@@ -168,11 +164,11 @@ impl Writer {
         self.patch_len(len_pos);
     }
 
-    pub fn sequence(&mut self, f: impl FnOnce(&mut Writer)) {
+    pub(crate) fn sequence(&mut self, f: impl FnOnce(&mut Writer)) {
         self.constructed(TAG_SEQUENCE, f);
     }
 
-    pub fn set(&mut self, f: impl FnOnce(&mut Writer)) {
+    pub(crate) fn set(&mut self, f: impl FnOnce(&mut Writer)) {
         self.constructed(TAG_SET, f);
     }
 }
@@ -193,7 +189,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Tag of the next TLV without consuming it.
-    pub fn peek_tag(&self) -> Option<u8> {
+    pub(crate) fn peek_tag(&self) -> Option<u8> {
         self.data.get(self.pos).copied()
     }
 
@@ -240,7 +236,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Read a TLV asserting its tag.
-    pub fn expect(&mut self, expected: u8) -> Result<&'a [u8]> {
+    pub(crate) fn expect(&mut self, expected: u8) -> Result<&'a [u8]> {
         let (tag, body) = self.tlv()?;
         if tag != expected {
             return Err(LdapError::protocol(format!(
@@ -250,17 +246,17 @@ impl<'a> Reader<'a> {
         Ok(body)
     }
 
-    pub fn integer(&mut self) -> Result<i64> {
+    pub(crate) fn integer(&mut self) -> Result<i64> {
         let body = self.expect(TAG_INTEGER)?;
         decode_integer(body)
     }
 
-    pub fn enumerated(&mut self) -> Result<i64> {
+    pub(crate) fn enumerated(&mut self) -> Result<i64> {
         let body = self.expect(TAG_ENUMERATED)?;
         decode_integer(body)
     }
 
-    pub fn boolean(&mut self) -> Result<bool> {
+    pub(crate) fn boolean(&mut self) -> Result<bool> {
         let body = self.expect(TAG_BOOLEAN)?;
         if body.len() != 1 {
             return Err(LdapError::protocol("bad BOOLEAN length"));
@@ -268,26 +264,26 @@ impl<'a> Reader<'a> {
         Ok(body[0] != 0)
     }
 
-    pub fn octet_string(&mut self) -> Result<&'a [u8]> {
+    pub(crate) fn octet_string(&mut self) -> Result<&'a [u8]> {
         self.expect(TAG_OCTET_STRING)
     }
 
-    pub fn string(&mut self) -> Result<String> {
+    pub(crate) fn string(&mut self) -> Result<String> {
         let body = self.octet_string()?;
         String::from_utf8(body.to_vec()).map_err(|_| LdapError::protocol("non-UTF-8 LDAPString"))
     }
 
     /// Read a constructed value and return a reader over its body.
-    pub fn sub(&mut self, expected: u8) -> Result<Reader<'a>> {
+    pub(crate) fn sub(&mut self, expected: u8) -> Result<Reader<'a>> {
         Ok(Reader::new(self.expect(expected)?))
     }
 
-    pub fn sequence(&mut self) -> Result<Reader<'a>> {
+    pub(crate) fn sequence(&mut self) -> Result<Reader<'a>> {
         self.sub(TAG_SEQUENCE)
     }
 }
 
-pub fn decode_integer(body: &[u8]) -> Result<i64> {
+pub(crate) fn decode_integer(body: &[u8]) -> Result<i64> {
     if body.is_empty() || body.len() > 8 {
         return Err(LdapError::protocol("bad INTEGER length"));
     }
@@ -303,7 +299,7 @@ mod tests {
     use super::*;
 
     fn round_trip_int(v: i64) {
-        let mut w = Writer::new();
+        let mut w = Writer::default();
         w.integer(v);
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
@@ -333,13 +329,13 @@ mod tests {
 
     #[test]
     fn integer_minimal_encoding() {
-        let mut w = Writer::new();
+        let mut w = Writer::default();
         w.integer(127);
         assert_eq!(w.into_bytes(), vec![0x02, 0x01, 0x7F]);
-        let mut w = Writer::new();
+        let mut w = Writer::default();
         w.integer(128);
         assert_eq!(w.into_bytes(), vec![0x02, 0x02, 0x00, 0x80]);
-        let mut w = Writer::new();
+        let mut w = Writer::default();
         w.integer(-1);
         assert_eq!(w.into_bytes(), vec![0x02, 0x01, 0xFF]);
     }
@@ -347,7 +343,7 @@ mod tests {
     #[test]
     fn long_form_length() {
         let body = vec![0x55u8; 300];
-        let mut w = Writer::new();
+        let mut w = Writer::default();
         w.octet_string(&body);
         let bytes = w.into_bytes();
         assert_eq!(bytes[0], TAG_OCTET_STRING);
@@ -360,7 +356,7 @@ mod tests {
 
     #[test]
     fn nested_sequences() {
-        let mut w = Writer::new();
+        let mut w = Writer::default();
         w.sequence(|w| {
             w.integer(7);
             w.sequence(|w| {
@@ -382,7 +378,7 @@ mod tests {
 
     #[test]
     fn tagged_values() {
-        let mut w = Writer::new();
+        let mut w = Writer::default();
         w.octet_string_tagged(ctx_prim(3), b"hello");
         w.constructed(app(4), |w| w.integer(1));
         let bytes = w.into_bytes();
@@ -398,7 +394,7 @@ mod tests {
         // A SEQUENCE whose body exceeds 127 bytes forces the placeholder
         // length byte to be spliced to long form.
         let big = "y".repeat(200);
-        let mut w = Writer::new();
+        let mut w = Writer::default();
         w.sequence(|w| {
             w.integer(1);
             w.str(&big);
@@ -415,7 +411,7 @@ mod tests {
 
     #[test]
     fn wrap_appends_to_existing_buffer() {
-        let mut w = Writer::new();
+        let mut w = Writer::default();
         w.integer(1);
         let buf = w.into_bytes();
         let mut w = Writer::wrap(buf);
@@ -429,16 +425,16 @@ mod tests {
 
     #[test]
     fn str_display_matches_str() {
-        let mut a = Writer::new();
+        let mut a = Writer::default();
         a.str_display(&12345);
-        let mut b = Writer::new();
+        let mut b = Writer::default();
         b.str("12345");
         assert_eq!(a.into_bytes(), b.into_bytes());
         // Long-form case too.
         let long = "z".repeat(300);
-        let mut a = Writer::new();
+        let mut a = Writer::default();
         a.str_display(&long);
-        let mut b = Writer::new();
+        let mut b = Writer::default();
         b.str(&long);
         assert_eq!(a.into_bytes(), b.into_bytes());
     }
@@ -453,7 +449,7 @@ mod tests {
 
     #[test]
     fn wrong_tag_rejected() {
-        let mut w = Writer::new();
+        let mut w = Writer::default();
         w.integer(5);
         let bytes = w.into_bytes();
         assert!(Reader::new(&bytes).boolean().is_err());

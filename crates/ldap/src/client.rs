@@ -183,9 +183,8 @@ impl Directory for TcpDirectory {
     }
 
     /// Streamed search: each `SearchResultEntry` frame is decoded and
-    /// visited as it arrives — nothing is collected, so a scatter/gather
-    /// caller (the shard router) relays arbitrarily large result streams
-    /// in O(one entry) memory.
+    /// visited as it arrives — nothing is collected, so a result stream of
+    /// any size costs the caller O(one entry) memory.
     fn search_visit(
         &self,
         base: &Dn,

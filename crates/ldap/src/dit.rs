@@ -57,7 +57,7 @@ pub enum Scope {
 }
 
 impl Scope {
-    pub fn code(self) -> u32 {
+    pub(crate) fn code(self) -> u32 {
         match self {
             Scope::Base => 0,
             Scope::One => 1,
@@ -65,7 +65,7 @@ impl Scope {
         }
     }
 
-    pub fn from_code(c: u32) -> Result<Scope> {
+    pub(crate) fn from_code(c: u32) -> Result<Scope> {
         match c {
             0 => Ok(Scope::Base),
             1 => Ok(Scope::One),
@@ -858,12 +858,9 @@ impl Dit {
         })
     }
 
-    pub fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
     /// The attributes carrying an equality index, normalized and sorted.
-    pub fn indexed_attrs(&self) -> Vec<String> {
+    #[cfg(test)]
+    fn indexed_attrs(&self) -> Vec<String> {
         let mut attrs: Vec<String> = (self.store.read().tree.index.postings.keys())
             .cloned()
             .collect();
@@ -1149,7 +1146,7 @@ impl Dit {
     }
 
     /// Compare one attribute value (RFC 2251 Compare).
-    pub fn compare(&self, dn: &Dn, attr: &str, value: &str) -> Result<bool> {
+    pub(crate) fn compare(&self, dn: &Dn, attr: &str, value: &str) -> Result<bool> {
         let s = self.store.read();
         let entry = s
             .tree
@@ -1185,7 +1182,7 @@ impl Dit {
     /// the entries collected up to the limit are returned together with a
     /// "truncated" flag — the RFC 2251 `sizeLimitExceeded` shape the wire
     /// server needs.
-    pub fn search_capped(
+    pub(crate) fn search_capped(
         &self,
         base: &Dn,
         scope: Scope,
@@ -1299,7 +1296,7 @@ impl Dit {
 
     /// [`Dit::export`] plus the commit sequence the export reflects, read
     /// under one lock — the atomic cut a consistent snapshot needs.
-    pub fn export_with_seq(&self) -> (Vec<Entry>, u64) {
+    pub(crate) fn export_with_seq(&self) -> (Vec<Entry>, u64) {
         let guard = self.store.read();
         let s = &*guard;
         let mut out = Vec::new();
@@ -1318,7 +1315,7 @@ impl Dit {
     /// before children. The streaming snapshot writer sits on this — a
     /// million-entry checkpoint never holds more than one entry's text in
     /// memory at a time.
-    pub fn export_stream(
+    pub(crate) fn export_stream(
         &self,
         header: &mut dyn FnMut(u64) -> Result<()>,
         each: &mut dyn FnMut(&Entry) -> Result<()>,
@@ -1333,7 +1330,7 @@ impl Dit {
     /// abandons a torn generation must not carry the entries it counted
     /// while loading it into the sequence of the generation it falls back
     /// to.
-    pub fn clear(&self) {
+    pub(crate) fn clear(&self) {
         let mut s = self.store.write();
         s.seq = 0;
         let cs = &mut s.tree;

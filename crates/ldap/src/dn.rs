@@ -193,7 +193,7 @@ impl Rdn {
     }
 
     /// Parse one RDN from its RFC 2253 string form.
-    pub fn parse(s: &str) -> Result<Rdn> {
+    pub(crate) fn parse(s: &str) -> Result<Rdn> {
         let dn = Dn::parse(s)?;
         if dn.depth() != 1 {
             return Err(LdapError::invalid_dn(format!(
@@ -204,7 +204,7 @@ impl Rdn {
     }
 
     /// Normalized key for hashing/indexing.
-    pub fn norm_key(&self) -> String {
+    pub(crate) fn norm_key(&self) -> String {
         let mut out = String::new();
         self.push_norm_key(&mut out);
         out
@@ -292,7 +292,7 @@ impl Dn {
     }
 
     /// Build from leaf-first RDNs.
-    pub fn from_rdns(rdns: Vec<Rdn>) -> Dn {
+    pub(crate) fn from_rdns(rdns: Vec<Rdn>) -> Dn {
         Dn {
             rdns: rdns.into_boxed_slice(),
         }
@@ -466,15 +466,6 @@ impl Dn {
         Ok(Dn { rdns })
     }
 
-    /// Re-root: replace everything above the leaf with `new_parent`
-    /// (the ModifyDN `newSuperior` operation).
-    pub fn moved_under(&self, new_parent: &Dn) -> Result<Dn> {
-        let rdn = self
-            .rdn()
-            .ok_or_else(|| LdapError::invalid_dn("cannot move the root"))?;
-        Ok(new_parent.child(rdn.clone()))
-    }
-
     /// The name of a descendant after its ancestor at depth `old_depth` was
     /// renamed or moved to `new_base`: the RDNs below that ancestor stay,
     /// everything from it upwards is `new_base`'s.
@@ -552,7 +543,7 @@ fn is_special(c: char) -> bool {
 }
 
 /// Escape a value for RFC 2253 output.
-pub fn escape_value(v: &str) -> String {
+pub(crate) fn escape_value(v: &str) -> String {
     let mut out = String::with_capacity(v.len());
     let len = v.chars().count();
     for (i, c) in v.chars().enumerate() {
@@ -656,14 +647,6 @@ mod tests {
         let dn = Dn::parse("cn=John Doe,o=Marketing,o=Lucent").unwrap();
         let renamed = dn.with_rdn(Rdn::new("cn", "Jack Doe")).unwrap();
         assert_eq!(renamed.to_string(), "cn=Jack Doe,o=Marketing,o=Lucent");
-    }
-
-    #[test]
-    fn moved_under_changes_parent() {
-        let dn = Dn::parse("cn=John Doe,o=Marketing,o=Lucent").unwrap();
-        let target = Dn::parse("o=R&D,o=Lucent").unwrap();
-        let moved = dn.moved_under(&target).unwrap();
-        assert_eq!(moved.to_string(), "cn=John Doe,o=R&D,o=Lucent");
     }
 
     #[test]

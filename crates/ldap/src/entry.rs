@@ -1,6 +1,6 @@
 //! Directory entries and the modification operations that act on them.
 
-use crate::attr::{norm_value, repeated_value, value_eq_ci, with_lower, AttrName, Attribute};
+use crate::attr::{repeated_value, value_eq_ci, with_lower, AttrName, Attribute};
 use crate::dn::Dn;
 use crate::error::{LdapError, Result, ResultCode};
 use std::collections::BTreeMap;
@@ -208,11 +208,7 @@ impl Entry {
         self.attrs.iter()
     }
 
-    pub fn attr_count(&self) -> usize {
-        self.attrs.len()
-    }
-
-    pub fn get(&self, name: &str) -> Option<&Attribute> {
+    pub(crate) fn get(&self, name: &str) -> Option<&Attribute> {
         with_lower(name, |norm| self.attrs.get(norm))
     }
 
@@ -372,28 +368,6 @@ impl Entry {
             }
         }
     }
-
-    /// Diff two attribute images into the minimal replace-based modification
-    /// list that turns `self` into `target` (DN excluded). Used by filters
-    /// when a device reports a whole-record change.
-    pub fn diff_to(&self, target: &Entry) -> Vec<Modification> {
-        let mut mods = Vec::new();
-        for attr in target.attributes() {
-            let old = self.values(attr.name.norm());
-            if !same_value_set(old, &attr.values) {
-                mods.push(Modification::replace(
-                    attr.name.as_str(),
-                    attr.values.to_vec(),
-                ));
-            }
-        }
-        for attr in self.attributes() {
-            if !target.has_attr(attr.name.norm()) {
-                mods.push(Modification::delete_attr(attr.name.as_str()));
-            }
-        }
-        mods
-    }
 }
 
 /// A modification names a value the bag would then hold twice.
@@ -402,28 +376,6 @@ fn value_exists(m: &Modification, value: &str) -> LdapError {
         ResultCode::AttributeOrValueExists,
         format!("value `{value}` already exists for `{}`", m.attr),
     )
-}
-
-/// Set equality under `caseIgnoreMatch`. This runs once per attribute per
-/// whole-record device report, so the common no-change case must not
-/// allocate: byte-equal value lists short-circuit, single values compare
-/// through [`value_eq_ci`], and only genuinely differing multi-value bags
-/// pay for normalize-and-sort.
-fn same_value_set(a: &[String], b: &[String]) -> bool {
-    if a.len() != b.len() {
-        return false;
-    }
-    if a.iter().zip(b).all(|(x, y)| x == y) {
-        return true;
-    }
-    if a.len() == 1 {
-        return value_eq_ci(&a[0], &b[0]);
-    }
-    let mut na: Vec<String> = a.iter().map(|v| norm_value(v)).collect();
-    let mut nb: Vec<String> = b.iter().map(|v| norm_value(v)).collect();
-    na.sort();
-    nb.sort();
-    na == nb
 }
 
 impl fmt::Display for Entry {
@@ -683,11 +635,11 @@ mod tests {
     fn projection() {
         let e = person();
         let p = e.project(&["cn".into(), "SN".into()]);
-        assert_eq!(p.attr_count(), 2);
+        assert_eq!(p.attributes().count(), 2);
         assert!(p.has_attr("cn"));
         assert!(!p.has_attr("telephoneNumber"));
         // empty selection keeps everything
-        assert_eq!(e.project(&[]).attr_count(), e.attr_count());
+        assert_eq!(e.project(&[]), e);
     }
 
     #[test]
@@ -696,41 +648,5 @@ mod tests {
         let e = person();
         assert_eq!(e.project(&["*".into()]), e);
         assert_eq!(e.project(&["*".into(), "cn".into()]), e);
-    }
-
-    #[test]
-    fn diff_produces_minimal_mods() {
-        let a = person();
-        let mut b = a.clone();
-        b.put("telephoneNumber", vec!["+1 908 582 9001".into()]);
-        b.add_value("mail", "jd@lucent.com");
-        b.remove_attr("sn");
-        let mods = a.clone_and_apply_diff(&b);
-        assert_eq!(mods, b);
-    }
-
-    impl Entry {
-        /// Test helper: apply `self.diff_to(target)` to a clone of `self`.
-        fn clone_and_apply_diff(&self, target: &Entry) -> Entry {
-            let mods = self.diff_to(target);
-            let mut out = self.clone();
-            out.apply_modifications(&mods).unwrap();
-            out
-        }
-    }
-
-    #[test]
-    fn diff_is_empty_for_equal_entries() {
-        let a = person();
-        assert!(a.diff_to(&a).is_empty());
-    }
-
-    #[test]
-    fn diff_ignores_value_order() {
-        let mut a = person();
-        a.put("ou", vec!["x".into(), "y".into()]);
-        let mut b = person();
-        b.put("ou", vec!["y".into(), "x".into()]);
-        assert!(a.diff_to(&b).is_empty());
     }
 }

@@ -40,12 +40,12 @@ pub enum ResultCode {
 
 impl ResultCode {
     /// Numeric wire value of the code.
-    pub fn code(self) -> u32 {
+    pub(crate) fn code(self) -> u32 {
         self as u32
     }
 
     /// Inverse of [`ResultCode::code`]; unknown values map to `Other`.
-    pub fn from_code(code: u32) -> ResultCode {
+    pub(crate) fn from_code(code: u32) -> ResultCode {
         use ResultCode::*;
         match code {
             0 => Success,
@@ -80,7 +80,7 @@ impl ResultCode {
 
     /// `true` for `Success`, `CompareTrue` and `CompareFalse` — the codes
     /// that do not indicate a failed operation.
-    pub fn is_non_error(self) -> bool {
+    pub(crate) fn is_non_error(self) -> bool {
         matches!(
             self,
             ResultCode::Success | ResultCode::CompareTrue | ResultCode::CompareFalse
@@ -114,7 +114,7 @@ impl LdapError {
         Self::new(ResultCode::NoSuchObject, format!("no such object: {dn}"))
     }
 
-    pub fn already_exists(dn: impl fmt::Display) -> Self {
+    pub(crate) fn already_exists(dn: impl fmt::Display) -> Self {
         Self::new(
             ResultCode::EntryAlreadyExists,
             format!("entry already exists: {dn}"),
@@ -125,7 +125,7 @@ impl LdapError {
         Self::new(ResultCode::InvalidDnSyntax, format!("invalid DN: {detail}"))
     }
 
-    pub fn protocol(detail: impl fmt::Display) -> Self {
+    pub(crate) fn protocol(detail: impl fmt::Display) -> Self {
         Self::new(ResultCode::ProtocolError, detail.to_string())
     }
 

@@ -72,59 +72,59 @@ use std::time::{Duration, Instant};
 mod sys {
     use std::os::fd::RawFd;
 
-    pub const EPOLL_CLOEXEC: i32 = 0x80000;
-    pub const EPOLL_CTL_ADD: i32 = 1;
-    pub const EPOLL_CTL_DEL: i32 = 2;
-    pub const EPOLL_CTL_MOD: i32 = 3;
-    pub const EPOLLIN: u32 = 0x001;
-    pub const EPOLLOUT: u32 = 0x004;
-    pub const EPOLLERR: u32 = 0x008;
-    pub const EPOLLHUP: u32 = 0x010;
-    pub const EPOLLRDHUP: u32 = 0x2000;
-    pub const EFD_CLOEXEC: i32 = 0x80000;
-    pub const EFD_NONBLOCK: i32 = 0x800;
-    pub const RLIMIT_NOFILE: i32 = 7;
+    pub(crate) const EPOLL_CLOEXEC: i32 = 0x80000;
+    pub(crate) const EPOLL_CTL_ADD: i32 = 1;
+    pub(crate) const EPOLL_CTL_DEL: i32 = 2;
+    pub(crate) const EPOLL_CTL_MOD: i32 = 3;
+    pub(crate) const EPOLLIN: u32 = 0x001;
+    pub(crate) const EPOLLOUT: u32 = 0x004;
+    pub(crate) const EPOLLERR: u32 = 0x008;
+    pub(crate) const EPOLLHUP: u32 = 0x010;
+    pub(crate) const EPOLLRDHUP: u32 = 0x2000;
+    pub(crate) const EFD_CLOEXEC: i32 = 0x80000;
+    pub(crate) const EFD_NONBLOCK: i32 = 0x800;
+    pub(crate) const RLIMIT_NOFILE: i32 = 7;
 
     /// Kernel epoll_event. Packed on x86_64 (the kernel ABI), naturally
     /// aligned elsewhere.
     #[derive(Clone, Copy)]
     #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
     #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
-    pub struct EpollEvent {
+    pub(crate) struct EpollEvent {
         pub events: u32,
         pub data: u64,
     }
 
     #[repr(C)]
-    pub struct Rlimit {
+    pub(crate) struct Rlimit {
         pub cur: u64,
         pub max: u64,
     }
 
     extern "C" {
-        pub fn epoll_create1(flags: i32) -> i32;
-        pub fn epoll_ctl(epfd: RawFd, op: i32, fd: RawFd, event: *mut EpollEvent) -> i32;
-        pub fn epoll_wait(
+        pub(crate) fn epoll_create1(flags: i32) -> i32;
+        pub(crate) fn epoll_ctl(epfd: RawFd, op: i32, fd: RawFd, event: *mut EpollEvent) -> i32;
+        pub(crate) fn epoll_wait(
             epfd: RawFd,
             events: *mut EpollEvent,
             maxevents: i32,
             timeout_ms: i32,
         ) -> i32;
-        pub fn eventfd(initval: u32, flags: i32) -> i32;
-        pub fn listen(fd: RawFd, backlog: i32) -> i32;
-        pub fn read(fd: RawFd, buf: *mut core::ffi::c_void, count: usize) -> isize;
-        pub fn getrlimit(resource: i32, rlim: *mut Rlimit) -> i32;
-        pub fn setrlimit(resource: i32, rlim: *const Rlimit) -> i32;
+        pub(crate) fn eventfd(initval: u32, flags: i32) -> i32;
+        pub(crate) fn listen(fd: RawFd, backlog: i32) -> i32;
+        pub(crate) fn read(fd: RawFd, buf: *mut core::ffi::c_void, count: usize) -> isize;
+        pub(crate) fn getrlimit(resource: i32, rlim: *mut Rlimit) -> i32;
+        pub(crate) fn setrlimit(resource: i32, rlim: *const Rlimit) -> i32;
     }
 }
 
 /// Thin safe wrapper over an epoll instance.
-pub struct Epoll {
+pub(crate) struct Epoll {
     fd: OwnedFd,
 }
 
 impl Epoll {
-    pub fn new() -> std::io::Result<Epoll> {
+    pub(crate) fn new() -> std::io::Result<Epoll> {
         let fd = unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) };
         if fd < 0 {
             return Err(std::io::Error::last_os_error());
@@ -146,20 +146,24 @@ impl Epoll {
         Ok(())
     }
 
-    pub fn add(&self, fd: RawFd, events: u32, token: u64) -> std::io::Result<()> {
+    pub(crate) fn add(&self, fd: RawFd, events: u32, token: u64) -> std::io::Result<()> {
         self.ctl(sys::EPOLL_CTL_ADD, fd, events, token)
     }
 
-    pub fn modify(&self, fd: RawFd, events: u32, token: u64) -> std::io::Result<()> {
+    pub(crate) fn modify(&self, fd: RawFd, events: u32, token: u64) -> std::io::Result<()> {
         self.ctl(sys::EPOLL_CTL_MOD, fd, events, token)
     }
 
-    pub fn delete(&self, fd: RawFd) -> std::io::Result<()> {
+    pub(crate) fn delete(&self, fd: RawFd) -> std::io::Result<()> {
         self.ctl(sys::EPOLL_CTL_DEL, fd, 0, 0)
     }
 
     /// Wait for readiness; retries EINTR. `timeout_ms < 0` blocks forever.
-    pub fn wait(&self, events: &mut [sys::EpollEvent], timeout_ms: i32) -> std::io::Result<usize> {
+    pub(crate) fn wait(
+        &self,
+        events: &mut [sys::EpollEvent],
+        timeout_ms: i32,
+    ) -> std::io::Result<usize> {
         loop {
             let rc = unsafe {
                 sys::epoll_wait(
@@ -182,12 +186,12 @@ impl Epoll {
 
 /// Cross-thread wakeup for the loop: an eventfd registered in the epoll
 /// set. Workers (and `Server::shutdown`) write it; the loop drains it.
-pub struct Waker {
+pub(crate) struct Waker {
     fd: OwnedFd,
 }
 
 impl Waker {
-    pub fn new() -> std::io::Result<Waker> {
+    pub(crate) fn new() -> std::io::Result<Waker> {
         let fd = unsafe { sys::eventfd(0, sys::EFD_CLOEXEC | sys::EFD_NONBLOCK) };
         if fd < 0 {
             return Err(std::io::Error::last_os_error());
@@ -197,7 +201,7 @@ impl Waker {
         })
     }
 
-    pub fn wake(&self) {
+    pub(crate) fn wake(&self) {
         let one: u64 = 1;
         let f = self.file();
         let _ = (&*f).write_all(&one.to_ne_bytes());

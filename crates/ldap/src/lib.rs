@@ -23,11 +23,13 @@
 //! The [`directory::Directory`] trait unifies the in-process DIT, the TCP
 //! client, and (in the `ltap` crate) the trigger gateway.
 
+#![warn(unreachable_pub)]
+
 pub mod attr;
 pub mod backup;
 pub mod ber;
 pub mod client;
-pub mod directory;
+mod directory;
 pub mod dit;
 pub mod dn;
 pub mod entry;
@@ -40,7 +42,6 @@ pub mod proto;
 pub mod repl;
 pub mod schema;
 pub mod server;
-pub mod shard;
 pub mod wal;
 
 pub use attr::{AttrName, Attribute};
@@ -50,6 +51,5 @@ pub use dn::{Ava, Dn, Rdn};
 pub use entry::{Entry, ModOp, Modification};
 pub use error::{LdapError, Result, ResultCode};
 pub use filter::Filter;
-pub use schema::{AttributeType, ClassKind, ObjectClass, Schema, SchemaRef, Syntax};
-pub use shard::{ShardMap, ShardMetrics, ShardRouter};
+pub use schema::{AttributeType, ClassKind, ObjectClass, Schema, Syntax};
 pub use wal::{FsyncPolicy, Wal};

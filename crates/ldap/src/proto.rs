@@ -37,7 +37,7 @@ impl LdapResult {
         }
     }
 
-    pub fn error(e: &LdapError) -> LdapResult {
+    pub(crate) fn error(e: &LdapError) -> LdapResult {
         LdapResult {
             code: e.code,
             matched_dn: String::new(),
@@ -46,7 +46,7 @@ impl LdapResult {
     }
 
     /// Convert to `Err` unless the code is non-error.
-    pub fn into_result(self) -> Result<LdapResult> {
+    pub(crate) fn into_result(self) -> Result<LdapResult> {
         if self.code.is_non_error() {
             Ok(self)
         } else {
@@ -136,7 +136,7 @@ pub const NOTICE_OF_DISCONNECTION_OID: &str = "1.3.6.1.4.1.1466.20036";
 
 /// Build the unsolicited Notice of Disconnection (message ID 0) the server
 /// sends before dropping a misbehaving connection.
-pub fn notice_of_disconnection(code: ResultCode, message: impl Into<String>) -> LdapMessage {
+pub(crate) fn notice_of_disconnection(code: ResultCode, message: impl Into<String>) -> LdapMessage {
     LdapMessage {
         id: 0,
         op: ProtocolOp::ExtendedResponse {
@@ -160,7 +160,7 @@ impl LdapMessage {
 
     /// Encode appending to `out` — lets a connection reuse one buffer for
     /// many messages instead of allocating per message.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         let mut w = Writer::wrap(std::mem::take(out));
         w.sequence(|w| {
             w.integer(self.id);
@@ -629,7 +629,7 @@ fn decode_filter(r: &mut Reader) -> Result<Filter> {
 }
 
 /// Hard cap on a single BER frame (tag + length + body).
-pub const MAX_FRAME: usize = 64 * 1024 * 1024;
+pub(crate) const MAX_FRAME: usize = 64 * 1024 * 1024;
 
 const READ_CHUNK: usize = 16 * 1024;
 
@@ -655,10 +655,6 @@ impl<R: Read> FrameReader<R> {
             start: 0,
             end: 0,
         }
-    }
-
-    pub fn get_ref(&self) -> &R {
-        &self.inner
     }
 
     /// Next complete frame, or `None` on clean EOF at a frame boundary.
@@ -743,7 +739,7 @@ impl<R: Read> FrameReader<R> {
 }
 
 /// Convert an [`Entry`] to the wire attribute list.
-pub fn entry_to_wire(e: &Entry) -> (String, Vec<(String, Vec<String>)>) {
+pub(crate) fn entry_to_wire(e: &Entry) -> (String, Vec<(String, Vec<String>)>) {
     (
         e.dn().to_string(),
         e.attributes()
@@ -753,7 +749,7 @@ pub fn entry_to_wire(e: &Entry) -> (String, Vec<(String, Vec<String>)>) {
 }
 
 /// Convert a wire attribute list back to an [`Entry`].
-pub fn entry_from_wire(dn: &str, attrs: &[(String, Vec<String>)]) -> Result<Entry> {
+pub(crate) fn entry_from_wire(dn: &str, attrs: &[(String, Vec<String>)]) -> Result<Entry> {
     let mut e = Entry::new(Dn::parse(dn)?);
     for (name, values) in attrs {
         for v in values {
@@ -764,7 +760,7 @@ pub fn entry_from_wire(dn: &str, attrs: &[(String, Vec<String>)]) -> Result<Entr
 }
 
 /// Parse the string forms used in requests.
-pub fn parse_rdn(s: &str) -> Result<Rdn> {
+pub(crate) fn parse_rdn(s: &str) -> Result<Rdn> {
     Rdn::parse(s)
 }
 

@@ -39,7 +39,7 @@ pub struct Stamp {
 /// a single scalar watermark is unsound under transitive propagation (a
 /// freshly-joined replica's low-numbered writes would hide behind another
 /// peer's high clock and never ship).
-pub type VersionVector = HashMap<String, u64>;
+pub(crate) type VersionVector = HashMap<String, u64>;
 
 fn vv_covers(vv: &VersionVector, s: &Stamp) -> bool {
     vv.get(&s.replica).is_some_and(|t| *t >= s.time)
@@ -237,7 +237,7 @@ impl Replica {
         }
     }
 
-    pub fn id(&self) -> &str {
+    pub(crate) fn id(&self) -> &str {
         &self.id
     }
 
@@ -322,20 +322,6 @@ impl Replica {
         Some(out)
     }
 
-    /// Number of visible entries.
-    pub fn len(&self) -> usize {
-        self.state
-            .lock()
-            .entries
-            .values()
-            .filter(|e| e.is_visible())
-            .count()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// One round of anti-entropy: exchange state with `other` in both
     /// directions. Afterwards both replicas agree. Kept as the simple
     /// entry point; [`Replica::anti_entropy`] returns traffic stats.
@@ -416,46 +402,15 @@ impl Replica {
         stats
     }
 
-    /// One-directional delta push: ship `self`'s news to `other` without
-    /// pulling anything back.
-    pub fn push_to(&self, other: &Replica) -> SyncStats {
-        let (out_delta, my_vv, my_clock, full) = {
-            let s = self.state.lock();
-            let stored = s.watermarks.get(other.id());
-            let full = stored.is_none();
-            let empty = VersionVector::new();
-            let wm = stored.unwrap_or(&empty);
-            (s.delta_since(wm), s.version_vector(), s.clock, full)
-        };
-        let mut stats = SyncStats {
-            full_exchange: full,
-            ..SyncStats::default()
-        };
-        tally(&mut stats, &out_delta);
-        let other_vv = {
-            let mut o = other.state.lock();
-            o.clock = o.clock.max(my_clock);
-            o.apply_delta(out_delta);
-            let mut known = o.watermarks.get(self.id()).cloned().unwrap_or_default();
-            vv_join(&mut known, &my_vv);
-            o.watermarks.insert(self.id.clone(), known);
-            o.version_vector()
-        };
-        self.state
-            .lock()
-            .watermarks
-            .insert(other.id.clone(), other_vv);
-        stats
-    }
-
-    /// The version vector covering everything this replica has seen
-    /// (exposed for tests and benchmarks).
-    pub fn version_vector(&self) -> VersionVector {
+    /// The version vector covering everything this replica has seen.
+    #[cfg(test)]
+    pub(crate) fn version_vector(&self) -> VersionVector {
         self.state.lock().version_vector()
     }
 
     /// The watermark stored for a peer, if any exchange has happened.
-    pub fn watermark_for(&self, peer: &str) -> Option<VersionVector> {
+    #[cfg(test)]
+    pub(crate) fn watermark_for(&self, peer: &str) -> Option<VersionVector> {
         self.state.lock().watermarks.get(peer).cloned()
     }
 
@@ -560,7 +515,7 @@ impl Replica {
     /// Serialize the complete replica state (clock, stamped entries and
     /// tombstones, per-peer watermarks) as a self-checksummed byte image.
     /// Map iteration is sorted, so equal states produce equal bytes.
-    pub fn export_state(&self) -> Vec<u8> {
+    pub(crate) fn export_state(&self) -> Vec<u8> {
         let s = self.state.lock();
         let mut buf = Vec::new();
         buf.extend_from_slice(STATE_MAGIC);
@@ -622,7 +577,7 @@ impl Replica {
     /// Verifies the checksum and the embedded replica id, so a corrupt file
     /// or one belonging to a different replica is rejected wholesale (the
     /// in-memory state is untouched on error).
-    pub fn import_state(&self, bytes: &[u8]) -> Result<()> {
+    pub(crate) fn import_state(&self, bytes: &[u8]) -> Result<()> {
         if bytes.len() < 4 {
             return Err(state_error("too short for checksum"));
         }
@@ -726,11 +681,10 @@ impl Replica {
     }
 }
 
-/// Error helper shared with the rest of the crate.
+#[cfg(test)]
 impl Replica {
-    /// Like [`Replica::set_attr`] but fails with `NoSuchAttribute`-style
-    /// context when the attribute was never written (used by tests).
-    pub fn attr_stamp(&self, dn: &Dn, attr: &str) -> Result<Stamp> {
+    /// The stamp of `attr`'s last write on `dn`.
+    fn attr_stamp(&self, dn: &Dn, attr: &str) -> Result<Stamp> {
         let s = self.state.lock();
         s.entries
             .get(&dn.norm_key())
@@ -970,23 +924,6 @@ mod tests {
     }
 
     #[test]
-    fn push_to_is_one_directional() {
-        let a = Replica::new("a");
-        let b = Replica::new("b");
-        a.put_entry(&entry("cn=J,o=L", "1")).unwrap();
-        b.put_entry(&entry("cn=K,o=L", "2")).unwrap();
-        let stats = a.push_to(&b);
-        assert_eq!(stats.entries_shipped, 1);
-        let dn_j = Dn::parse("cn=J,o=L").unwrap();
-        let dn_k = Dn::parse("cn=K,o=L").unwrap();
-        assert!(b.get(&dn_j).is_some(), "push delivers");
-        assert!(a.get(&dn_k).is_none(), "nothing flows back");
-        // The follow-up push ships nothing.
-        let again = a.push_to(&b);
-        assert_eq!(again.entries_shipped, 0);
-    }
-
-    #[test]
     fn watermarks_are_recorded_per_peer() {
         let a = Replica::new("a");
         let b = Replica::new("b");
@@ -1076,7 +1013,10 @@ mod tests {
         bytes[mid] ^= 0x40;
         let fresh = Replica::new("a");
         assert!(fresh.import_state(&bytes).is_err());
-        assert!(fresh.is_empty(), "failed import leaves state untouched");
+        assert!(
+            fresh.digest().is_empty(),
+            "failed import leaves state untouched"
+        );
         // A valid image for a different replica id is also rejected.
         let other = Replica::new("b");
         assert!(other.import_state(&a.export_state()).is_err());

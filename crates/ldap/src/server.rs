@@ -84,15 +84,6 @@ impl ServerMetrics {
             .map(|(_, n)| *n)
             .sum()
     }
-
-    /// All `(code, count)` pairs sent so far, sorted by code.
-    pub fn result_code_counts(&self) -> Vec<(u32, u64)> {
-        self.result_codes
-            .lock()
-            .iter()
-            .map(|(c, n)| (*c, *n))
-            .collect()
-    }
 }
 
 /// Builder for a [`Server`], exposing the wire knobs.
@@ -110,7 +101,7 @@ impl Default for ServerBuilder {
 }
 
 impl ServerBuilder {
-    pub fn new() -> ServerBuilder {
+    pub(crate) fn new() -> ServerBuilder {
         ServerBuilder {
             wire_workers: None,
             idle_timeout: None,
@@ -200,7 +191,7 @@ impl ServerBuilder {
 
     /// Off Linux there is no wire server to start.
     #[cfg(not(target_os = "linux"))]
-    pub fn start(self, _dir: Arc<dyn Directory>, _addr: &str) -> Result<Server> {
+    pub(crate) fn start(self, _dir: Arc<dyn Directory>, _addr: &str) -> Result<Server> {
         Err(LdapError::new(
             ResultCode::Unavailable,
             "the wire server is built on epoll(7)",

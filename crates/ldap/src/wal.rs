@@ -147,14 +147,6 @@ impl Wal {
         }))
     }
 
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    pub fn policy(&self) -> FsyncPolicy {
-        self.policy
-    }
-
     pub fn stats(&self) -> &Arc<WalStats> {
         &self.stats
     }
@@ -399,16 +391,16 @@ fn read_part(r: &mut impl Read, buf: &mut [u8]) -> Result<bool> {
 /// chunks with [`Crc32::update`] and read the digest with
 /// [`Crc32::finish`]. The streaming snapshot writer/reader in
 /// [`crate::backup`] checksums files it never holds in memory at once.
-pub struct Crc32 {
+pub(crate) struct Crc32 {
     state: u32,
 }
 
 impl Crc32 {
-    pub fn new() -> Crc32 {
+    pub(crate) fn new() -> Crc32 {
         Crc32 { state: 0xFFFF_FFFF }
     }
 
-    pub fn update(&mut self, bytes: &[u8]) {
+    pub(crate) fn update(&mut self, bytes: &[u8]) {
         let table = crc_table();
         let mut c = self.state;
         for &b in bytes {
@@ -417,7 +409,7 @@ impl Crc32 {
         self.state = c;
     }
 
-    pub fn finish(&self) -> u32 {
+    pub(crate) fn finish(&self) -> u32 {
         self.state ^ 0xFFFF_FFFF
     }
 }

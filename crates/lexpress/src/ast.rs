@@ -2,7 +2,7 @@
 
 /// A whole description file.
 #[derive(Debug, Clone, PartialEq)]
-pub struct File {
+pub(crate) struct File {
     pub tables: Vec<TableDef>,
     pub transforms: Vec<TransformDef>,
     pub mappings: Vec<MappingDef>,
@@ -10,7 +10,7 @@ pub struct File {
 
 /// `table name { "k" -> "v"; … ; default "d"; }`
 #[derive(Debug, Clone, PartialEq)]
-pub struct TableDef {
+pub(crate) struct TableDef {
     pub name: String,
     pub rows: Vec<(String, String)>,
     pub default: Option<String>,
@@ -18,7 +18,7 @@ pub struct TableDef {
 
 /// `transform name(param) { expr }`
 #[derive(Debug, Clone, PartialEq)]
-pub struct TransformDef {
+pub(crate) struct TransformDef {
     pub name: String,
     pub param: String,
     pub body: Expr,
@@ -26,7 +26,7 @@ pub struct TransformDef {
 
 /// `mapping name { … }`
 #[derive(Debug, Clone, PartialEq)]
-pub struct MappingDef {
+pub(crate) struct MappingDef {
     pub name: String,
     pub source: String,
     pub target: String,
@@ -49,7 +49,7 @@ pub struct MappingDef {
 
 /// `map <input> -> attr [: expr] [when expr] [default "v"];`
 #[derive(Debug, Clone, PartialEq)]
-pub struct RuleDef {
+pub(crate) struct RuleDef {
     /// The single input attribute named on the left of `->` (used for
     /// dependency tracking even when `expr` consults more attributes).
     pub input: String,
@@ -63,7 +63,7 @@ pub struct RuleDef {
 
 /// Expressions.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Expr {
+pub(crate) enum Expr {
     Lit(String),
     Int(i64),
     /// Reference to a source attribute (or transform parameter).
@@ -84,7 +84,7 @@ pub enum Expr {
 
 /// A `match` arm pattern.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Pattern {
+pub(crate) enum Pattern {
     /// Glob pattern string.
     Glob(String),
     /// `_` — always matches.
@@ -93,7 +93,7 @@ pub enum Pattern {
 
 impl Expr {
     /// Attribute names this expression reads (dependency analysis).
-    pub fn referenced_attrs(&self, out: &mut Vec<String>) {
+    pub(crate) fn referenced_attrs(&self, out: &mut Vec<String>) {
         match self {
             Expr::Lit(_) | Expr::Int(_) => {}
             Expr::Attr(a) => {

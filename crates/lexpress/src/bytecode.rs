@@ -75,16 +75,6 @@ pub struct Program {
     pub instrs: Vec<Instr>,
 }
 
-impl Program {
-    pub fn len(&self) -> usize {
-        self.instrs.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.instrs.is_empty()
-    }
-}
-
 /// A compiled translation table.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CompiledTable {
@@ -94,7 +84,7 @@ pub struct CompiledTable {
 }
 
 impl CompiledTable {
-    pub fn lookup(&self, key: &str) -> Option<&str> {
+    pub(crate) fn lookup(&self, key: &str) -> Option<&str> {
         self.rows
             .iter()
             .find(|(k, _)| k == key)
@@ -141,22 +131,14 @@ pub struct Bundle {
 }
 
 impl Bundle {
-    pub fn mapping(&self, name: &str) -> Option<&CompiledMapping> {
+    pub(crate) fn mapping(&self, name: &str) -> Option<&CompiledMapping> {
         self.mappings.iter().find(|m| m.name == name)
-    }
-
-    /// Mappings whose source repository is `source`.
-    pub fn mappings_from(&self, source: &str) -> Vec<&CompiledMapping> {
-        self.mappings
-            .iter()
-            .filter(|m| m.source == source)
-            .collect()
     }
 
     /// Merge another bundle into this one (dynamic loading into a running
     /// program, paper §4.2). Table indices in `other`'s programs are
     /// rebased; redefining an existing mapping name is an error.
-    pub fn absorb(&mut self, mut other: Bundle) -> Result<(), crate::error::CompileError> {
+    pub(crate) fn absorb(&mut self, mut other: Bundle) -> Result<(), crate::error::CompileError> {
         for m in &other.mappings {
             if self.mapping(&m.name).is_some() {
                 return Err(crate::error::CompileError::Semantic(format!(

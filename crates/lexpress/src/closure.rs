@@ -48,7 +48,7 @@ impl Closure {
         Closure::from_bundle(bundle)
     }
 
-    pub fn from_bundle(bundle: Bundle) -> Result<Closure, CompileError> {
+    pub(crate) fn from_bundle(bundle: Bundle) -> Result<Closure, CompileError> {
         let rules: Vec<CompiledRule> = bundle
             .mappings
             .iter()
@@ -59,7 +59,8 @@ impl Closure {
         Ok(c)
     }
 
-    pub fn rule_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn rule_count(&self) -> usize {
         self.rules.len()
     }
 

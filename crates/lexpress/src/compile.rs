@@ -11,12 +11,12 @@ use crate::parser::parse;
 use std::collections::BTreeMap;
 
 /// Compile a description source text into a bundle.
-pub fn compile(src: &str) -> Result<Bundle, CompileError> {
+pub(crate) fn compile(src: &str) -> Result<Bundle, CompileError> {
     compile_file(&parse(src)?)
 }
 
 /// Compile a parsed file.
-pub fn compile_file(file: &File) -> Result<Bundle, CompileError> {
+pub(crate) fn compile_file(file: &File) -> Result<Bundle, CompileError> {
     let mut tables = Vec::new();
     let mut table_idx: BTreeMap<String, usize> = BTreeMap::new();
     for t in &file.tables {

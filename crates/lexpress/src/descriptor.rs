@@ -2,7 +2,6 @@
 //! filters and lexpress (paper §4.1: "it creates a lexpress update
 //! descriptor of the change").
 
-use crate::value::Value;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -31,10 +30,6 @@ impl Image {
 
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
-    }
-
-    pub fn len(&self) -> usize {
-        self.map.len()
     }
 
     /// All values of `name` (empty when absent).
@@ -66,7 +61,7 @@ impl Image {
     }
 
     /// Append one value.
-    pub fn add(&mut self, name: impl Into<String>, value: impl Into<String>) {
+    pub(crate) fn add(&mut self, name: impl Into<String>, value: impl Into<String>) {
         let name = name.into();
         let key = name.to_ascii_lowercase();
         self.map
@@ -83,20 +78,6 @@ impl Image {
     /// Iterate `(display-name, values)` in normalized order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &[String])> {
         self.map.values().map(|(n, v)| (n.as_str(), v.as_slice()))
-    }
-
-    /// lexpress [`Value`] view of an attribute.
-    pub fn value_of(&self, name: &str) -> Value {
-        Value::from_values(self.values(name))
-    }
-
-    /// `other` merged over `self` (other's attributes win).
-    pub fn merged_with(&self, other: &Image) -> Image {
-        let mut out = self.clone();
-        for (name, values) in other.iter() {
-            out.set(name.to_string(), values.to_vec());
-        }
-        out
     }
 
     /// Names (lowercase) whose value sets differ between the images.
@@ -251,13 +232,9 @@ mod tests {
     }
 
     #[test]
-    fn image_merge_and_diff() {
+    fn image_diff() {
         let a = Image::from_pairs([("x", "1"), ("y", "2")]);
         let b = Image::from_pairs([("y", "3"), ("z", "4")]);
-        let m = a.merged_with(&b);
-        assert_eq!(m.first("x"), Some("1"));
-        assert_eq!(m.first("y"), Some("3"));
-        assert_eq!(m.first("z"), Some("4"));
         let mut changed = a.changed_attrs(&b);
         changed.sort();
         assert_eq!(changed, vec!["x", "y", "z"]);
@@ -274,15 +251,5 @@ mod tests {
         assert!(!d.is_explicit("name"));
         let d = UpdateDescriptor::add("1", Image::from_pairs([("A", "x")]), "mp");
         assert!(d.is_explicit("a"));
-    }
-
-    #[test]
-    fn value_of_multi() {
-        let img = Image::from_pairs([("ou", "a"), ("ou", "b")]);
-        assert_eq!(
-            img.value_of("ou"),
-            Value::List(vec!["a".into(), "b".into()])
-        );
-        assert_eq!(img.value_of("absent"), Value::Null);
     }
 }

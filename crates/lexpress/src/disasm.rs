@@ -9,7 +9,7 @@ use crate::bytecode::{Bundle, CompiledMapping, Instr, Program};
 use std::fmt::Write as _;
 
 /// Render one program as one-instruction-per-line assembly.
-pub fn disassemble(prog: &Program) -> String {
+pub(crate) fn disassemble(prog: &Program) -> String {
     let mut out = String::new();
     for (i, instr) in prog.instrs.iter().enumerate() {
         let text = match instr {
@@ -53,7 +53,7 @@ pub fn disassemble(prog: &Program) -> String {
 
 /// Render a mapping: metadata, rules (with dependencies), key and
 /// partition programs.
-pub fn describe_mapping(m: &CompiledMapping) -> String {
+pub(crate) fn describe_mapping(m: &CompiledMapping) -> String {
     let mut out = String::new();
     writeln!(out, "mapping {} ({} -> {})", m.name, m.source, m.target).expect("write");
     writeln!(out, "  key source: {}", m.source_key).expect("write");

@@ -16,7 +16,7 @@ pub struct Engine {
 }
 
 impl Engine {
-    pub fn new(bundle: Bundle) -> Engine {
+    pub(crate) fn new(bundle: Bundle) -> Engine {
         Engine { bundle }
     }
 
@@ -33,21 +33,6 @@ impl Engine {
         self.bundle.absorb(extra)
     }
 
-    /// Load a description file from disk (the deployment-configuration
-    /// path: description files live next to the device they describe).
-    pub fn load_file(
-        &mut self,
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<(), crate::error::CompileError> {
-        let src = std::fs::read_to_string(path.as_ref()).map_err(|e| {
-            crate::error::CompileError::Semantic(format!(
-                "cannot read {}: {e}",
-                path.as_ref().display()
-            ))
-        })?;
-        self.load(&src)
-    }
-
     pub fn bundle(&self) -> &Bundle {
         &self.bundle
     }
@@ -58,7 +43,7 @@ impl Engine {
 
     /// Apply every rule of `mapping` to a source image, producing the
     /// target-schema image.
-    pub fn apply_rules(
+    pub(crate) fn apply_rules(
         &self,
         mapping: &CompiledMapping,
         source: &Image,
@@ -86,7 +71,7 @@ impl Engine {
 
     /// Compute the target key for a *source* image (None when the image is
     /// empty or the key expression yields null).
-    pub fn target_key(
+    pub(crate) fn target_key(
         &self,
         mapping: &CompiledMapping,
         source: &Image,
@@ -504,27 +489,5 @@ mapping m {
         let d = UpdateDescriptor::add("1", img, "a");
         let op = e.translate("m", &d).unwrap();
         assert_eq!(op.attrs.values("groups"), &["alpha", "beta"]);
-    }
-}
-
-#[cfg(test)]
-mod load_file_tests {
-    use super::*;
-
-    #[test]
-    fn load_file_round_trip() {
-        let dir = std::env::temp_dir().join(format!("lexpress-load-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("m.lex");
-        std::fs::write(
-            &path,
-            "mapping m { source a; target b; key source K; key target T; map K -> T; }",
-        )
-        .unwrap();
-        let mut e = Engine::default();
-        e.load_file(&path).unwrap();
-        assert!(e.mapping("m").is_some());
-        // Missing files are a compile error, not a panic.
-        assert!(Engine::default().load_file(dir.join("nope.lex")).is_err());
     }
 }

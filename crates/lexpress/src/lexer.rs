@@ -4,7 +4,7 @@ use crate::error::CompileError;
 
 /// Token kinds.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Tok {
+pub(crate) enum Tok {
     Ident(String),
     Str(String),
     Int(i64),
@@ -26,13 +26,13 @@ pub enum Tok {
 
 /// A token with its source line (1-based) for diagnostics.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Token {
+pub(crate) struct Token {
     pub tok: Tok,
     pub line: u32,
 }
 
 /// Tokenize a description file.
-pub fn lex(src: &str) -> Result<Vec<Token>, CompileError> {
+pub(crate) fn lex(src: &str) -> Result<Vec<Token>, CompileError> {
     let mut out = Vec::new();
     let mut line: u32 = 1;
     let mut chars = src.chars().peekable();

@@ -7,10 +7,10 @@
 //!
 //! - string operations, table translations, alternate mappings (`||`),
 //!   multi-valued attribute processing and glob pattern matching;
-//! - a [compiler](mod@crate::compile) emitting machine-independent [`bytecode`] executed by
-//!   the [`vm`] interpreter — descriptions can be compiled and loaded into
-//!   a running [`engine::Engine`];
-//! - [`closure`]: transitive closure of attribute mappings with
+//! - a compiler emitting machine-independent bytecode (a [`Bundle`] of
+//!   [`Program`]s) executed by a stack interpreter — descriptions can be
+//!   compiled and loaded into a running [`Engine`];
+//! - [`Closure`]: transitive closure of attribute mappings with
 //!   first-mapping-wins conflict resolution and compile-/run-time cycle
 //!   detection;
 //! - partitioning constraints routing updates to the right object manager
@@ -21,23 +21,24 @@
 //!
 //! See `crates/lexpress/README.md` for the language reference.
 
-pub mod ast;
-pub mod bytecode;
-pub mod closure;
-pub mod compile;
-pub mod descriptor;
+#![warn(unreachable_pub)]
+
+mod ast;
+mod bytecode;
+mod closure;
+mod compile;
+mod descriptor;
 pub mod disasm;
-pub mod engine;
-pub mod error;
-pub mod lexer;
+mod engine;
+mod error;
+mod lexer;
 pub mod library;
-pub mod parser;
+mod parser;
 pub mod value;
-pub mod vm;
+mod vm;
 
 pub use bytecode::{Bundle, CompiledMapping, CompiledRule, CompiledTable, Program};
 pub use closure::Closure;
-pub use compile::compile;
 pub use descriptor::{Image, OpKind, TargetOp, UpdateDescriptor, UpdateKind};
 pub use engine::Engine;
 pub use error::{CompileError, RuntimeError};

@@ -5,7 +5,7 @@ use crate::error::CompileError;
 use crate::lexer::{lex, Tok, Token};
 
 /// Parse a description file.
-pub fn parse(src: &str) -> Result<File, CompileError> {
+pub(crate) fn parse(src: &str) -> Result<File, CompileError> {
     let tokens = lex(src)?;
     let mut p = Parser { tokens, pos: 0 };
     p.parse_file()

@@ -16,13 +16,13 @@ pub enum Value {
 }
 
 impl Value {
-    pub fn is_null(&self) -> bool {
+    pub(crate) fn is_null(&self) -> bool {
         matches!(self, Value::Null)
     }
 
     /// Truthiness for `when` guards and `if`: `Bool(b)` is `b`; a non-empty
     /// string or list is true; `Null` is false.
-    pub fn truthy(&self) -> bool {
+    pub(crate) fn truthy(&self) -> bool {
         match self {
             Value::Null => false,
             Value::Bool(b) => *b,
@@ -32,7 +32,7 @@ impl Value {
     }
 
     /// String content, or `None` for `Null` (lists/bools stringify).
-    pub fn as_str(&self) -> Option<String> {
+    pub(crate) fn as_str(&self) -> Option<String> {
         match self {
             Value::Null => None,
             Value::Str(s) => Some(s.clone()),
@@ -43,20 +43,12 @@ impl Value {
 
     /// The values this produces when assigned to a target attribute:
     /// `Null` → nothing, `Str` → one value, `List` → many.
-    pub fn into_values(self) -> Vec<String> {
+    pub(crate) fn into_values(self) -> Vec<String> {
         match self {
             Value::Null => Vec::new(),
             Value::Str(s) => vec![s],
             Value::List(v) => v,
             Value::Bool(b) => vec![b.to_string()],
-        }
-    }
-
-    pub fn from_values(values: &[String]) -> Value {
-        match values.len() {
-            0 => Value::Null,
-            1 => Value::Str(values[0].clone()),
-            _ => Value::List(values.to_vec()),
         }
     }
 }
@@ -115,11 +107,6 @@ mod tests {
     fn value_conversions() {
         assert_eq!(Value::Null.into_values(), Vec::<String>::new());
         assert_eq!(Value::Str("a".into()).into_values(), vec!["a"]);
-        assert_eq!(
-            Value::from_values(&["a".into(), "b".into()]),
-            Value::List(vec!["a".into(), "b".into()])
-        );
-        assert_eq!(Value::from_values(&[]), Value::Null);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::error::RuntimeError;
 use crate::value::{glob_match, Value};
 
 /// Evaluate `prog` against `frame`, resolving tables from `bundle`.
-pub fn eval(bundle: &Bundle, prog: &Program, frame: &Image) -> Result<Value, RuntimeError> {
+pub(crate) fn eval(bundle: &Bundle, prog: &Program, frame: &Image) -> Result<Value, RuntimeError> {
     let mut stack: Vec<Value> = Vec::with_capacity(8);
     let mut pc = 0usize;
     let fuel_limit = prog.instrs.len().saturating_mul(16).max(1024);

@@ -27,12 +27,7 @@ use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Identifies a registered trigger.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TriggerId(u64);
-
 struct Registered {
-    id: TriggerId,
     spec: TriggerSpec,
     handler: Arc<dyn TriggerHandler>,
 }
@@ -58,7 +53,6 @@ pub struct Gateway {
     locks: LockManager,
     quiesce: QuiesceGate,
     triggers: RwLock<Vec<Registered>>,
-    next_id: AtomicU64,
     stats: Stats,
 }
 
@@ -69,7 +63,6 @@ impl Gateway {
             locks: LockManager::new(),
             quiesce: QuiesceGate::new(),
             triggers: RwLock::new(Vec::new()),
-            next_id: AtomicU64::new(1),
             stats: Stats::default(),
         })
     }
@@ -88,21 +81,8 @@ impl Gateway {
     }
 
     /// Register a trigger; triggers fire in registration order.
-    pub fn register(&self, spec: TriggerSpec, handler: Arc<dyn TriggerHandler>) -> TriggerId {
-        let id = TriggerId(self.next_id.fetch_add(1, Ordering::SeqCst));
-        self.triggers.write().push(Registered { id, spec, handler });
-        id
-    }
-
-    pub fn unregister(&self, id: TriggerId) -> bool {
-        let mut ts = self.triggers.write();
-        let before = ts.len();
-        ts.retain(|r| r.id != id);
-        ts.len() != before
-    }
-
-    pub fn trigger_count(&self) -> usize {
-        self.triggers.read().len()
+    pub fn register(&self, spec: TriggerSpec, handler: Arc<dyn TriggerHandler>) {
+        self.triggers.write().push(Registered { spec, handler });
     }
 
     /// Open a synchronization session: quiesces the gateway (all ordinary
@@ -419,28 +399,6 @@ mod tests {
             .unwrap();
         // Failed ops do not fire after-triggers.
         let _ = gw.delete(&Dn::parse("cn=ghost,o=Lucent").unwrap());
-        assert_eq!(count.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn unregister_stops_firing() {
-        let (gw, _dit) = gateway();
-        let count = Arc::new(AtomicUsize::new(0));
-        let c2 = count.clone();
-        let id = gw.register(
-            TriggerSpec::all_updates("tmp", Dn::root()),
-            Arc::new(move |_: &TriggerContext<'_>| {
-                c2.fetch_add(1, Ordering::SeqCst);
-                Ok(Disposition::Proceed)
-            }),
-        );
-        let john = Dn::parse("cn=John Doe,o=Marketing,o=Lucent").unwrap();
-        gw.modify(&john, &[Modification::set("description", "a")])
-            .unwrap();
-        assert!(gw.unregister(id));
-        assert!(!gw.unregister(id));
-        gw.modify(&john, &[Modification::set("description", "b")])
-            .unwrap();
         assert_eq!(count.load(Ordering::SeqCst), 1);
     }
 

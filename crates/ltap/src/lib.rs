@@ -5,24 +5,26 @@
 //! intercepting update commands to add *active* (trigger) functionality to
 //! trigger-less LDAP servers, plus
 //!
-//! - entry-level [`lock`]ing while trigger processing runs;
-//! - the [`quiesce`] facility and persistent synchronization
-//!   [`session`]s MetaComm added (§5.1);
-//! - both deployments of §5.5: bind the [`gateway::Gateway`] in-process
+//! - entry-level locking ([`LockManager`]) while trigger processing runs;
+//! - the quiesce facility ([`QuiesceGate`]) and persistent synchronization
+//!   sessions ([`SyncSession`]) MetaComm added (§5.1);
+//! - both deployments of §5.5: bind the [`Gateway`] in-process
 //!   (library mode) or serve it over TCP with `ldap::server::Server`
 //!   (gateway mode);
-//! - the simple LTAP-based [`security`] model §7 mentions: declarative
-//!   policies compiled into vetoing before-triggers.
+//! - the simple LTAP-based security model §7 mentions ([`SecurityPolicy`]):
+//!   declarative policies compiled into vetoing before-triggers.
 
-pub mod gateway;
-pub mod lock;
-pub mod quiesce;
-pub mod security;
-pub mod session;
-pub mod trigger;
+#![warn(unreachable_pub)]
 
-pub use gateway::{Gateway, Stats, TriggerId};
-pub use lock::{LockGuard, LockManager};
+mod gateway;
+mod lock;
+mod quiesce;
+mod security;
+mod session;
+mod trigger;
+
+pub use gateway::{Gateway, Stats};
+pub use lock::LockManager;
 pub use quiesce::QuiesceGate;
 pub use security::SecurityPolicy;
 pub use session::SyncSession;

@@ -4,7 +4,6 @@
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashSet;
-use std::time::Duration;
 
 /// Locks normalized-DN keys. Fair enough for the workload: waiters block on
 /// a condvar and retry.
@@ -15,12 +14,12 @@ pub struct LockManager {
 }
 
 impl LockManager {
-    pub fn new() -> LockManager {
+    pub(crate) fn new() -> LockManager {
         LockManager::default()
     }
 
     /// Acquire the lock for `key`, blocking until available.
-    pub fn lock(&self, key: impl Into<String>) -> LockGuard<'_> {
+    pub(crate) fn lock(&self, key: impl Into<String>) -> LockGuard<'_> {
         let key = key.into();
         let mut locked = self.locked.lock();
         while locked.contains(&key) {
@@ -30,26 +29,6 @@ impl LockManager {
         LockGuard { mgr: self, key }
     }
 
-    /// Acquire with a timeout; `None` when the wait expires (used to avoid
-    /// deadlocking the UM against itself in pathological schedules).
-    pub fn try_lock_for(&self, key: impl Into<String>, dur: Duration) -> Option<LockGuard<'_>> {
-        let key = key.into();
-        let deadline = std::time::Instant::now() + dur;
-        let mut locked = self.locked.lock();
-        while locked.contains(&key) {
-            if self.cv.wait_until(&mut locked, deadline).timed_out() {
-                return None;
-            }
-        }
-        locked.insert(key.clone());
-        Some(LockGuard { mgr: self, key })
-    }
-
-    /// Is `key` currently held? (diagnostics/tests)
-    pub fn is_locked(&self, key: &str) -> bool {
-        self.locked.lock().contains(key)
-    }
-
     /// Number of currently held locks.
     pub fn held(&self) -> usize {
         self.locked.lock().len()
@@ -57,15 +36,9 @@ impl LockManager {
 }
 
 /// RAII guard releasing the entry lock on drop.
-pub struct LockGuard<'a> {
+pub(crate) struct LockGuard<'a> {
     mgr: &'a LockManager,
     key: String,
-}
-
-impl LockGuard<'_> {
-    pub fn key(&self) -> &str {
-        &self.key
-    }
 }
 
 impl Drop for LockGuard<'_> {
@@ -85,12 +58,10 @@ mod tests {
     fn basic_lock_unlock() {
         let m = LockManager::new();
         {
-            let g = m.lock("cn=a");
-            assert!(m.is_locked("cn=a"));
-            assert_eq!(g.key(), "cn=a");
+            let _g = m.lock("cn=a");
             assert_eq!(m.held(), 1);
         }
-        assert!(!m.is_locked("cn=a"));
+        assert_eq!(m.held(), 0);
     }
 
     #[test]
@@ -99,15 +70,6 @@ mod tests {
         let _a = m.lock("cn=a");
         let _b = m.lock("cn=b");
         assert_eq!(m.held(), 2);
-    }
-
-    #[test]
-    fn try_lock_times_out_and_succeeds() {
-        let m = LockManager::new();
-        let g = m.lock("cn=a");
-        assert!(m.try_lock_for("cn=a", Duration::from_millis(30)).is_none());
-        drop(g);
-        assert!(m.try_lock_for("cn=a", Duration::from_millis(30)).is_some());
     }
 
     #[test]

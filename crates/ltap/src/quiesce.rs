@@ -22,12 +22,12 @@ pub struct QuiesceGate {
 }
 
 impl QuiesceGate {
-    pub fn new() -> QuiesceGate {
+    pub(crate) fn new() -> QuiesceGate {
         QuiesceGate::default()
     }
 
     /// Take an update pass, blocking while a quiesce is in force.
-    pub fn enter_update(&self) -> UpdatePass<'_> {
+    pub(crate) fn enter_update(&self) -> UpdatePass<'_> {
         let mut s = self.state.lock();
         while s.quiesced {
             self.cv.wait(&mut s);
@@ -38,7 +38,7 @@ impl QuiesceGate {
 
     /// Quiesce: block new updates and wait for in-flight ones to finish.
     /// Only one quiesce can be in force at a time; a second caller waits.
-    pub fn quiesce(&self) -> QuiescePass<'_> {
+    pub(crate) fn quiesce(&self) -> QuiescePass<'_> {
         let mut s = self.state.lock();
         while s.quiesced {
             self.cv.wait(&mut s);
@@ -51,18 +51,20 @@ impl QuiesceGate {
     }
 
     /// Is a quiesce currently in force?
-    pub fn is_quiesced(&self) -> bool {
+    #[cfg(test)]
+    fn is_quiesced(&self) -> bool {
         self.state.lock().quiesced
     }
 
     /// In-flight ordinary updates.
-    pub fn active_updates(&self) -> usize {
+    #[cfg(test)]
+    fn active_updates(&self) -> usize {
         self.state.lock().active_updates
     }
 }
 
 /// RAII pass held by an ordinary update.
-pub struct UpdatePass<'a> {
+pub(crate) struct UpdatePass<'a> {
     gate: &'a QuiesceGate,
 }
 
@@ -75,7 +77,7 @@ impl Drop for UpdatePass<'_> {
 }
 
 /// RAII pass held by a synchronization session.
-pub struct QuiescePass<'a> {
+pub(crate) struct QuiescePass<'a> {
     gate: &'a QuiesceGate,
 }
 

@@ -5,7 +5,7 @@
 use crate::gateway::Gateway;
 use crate::quiesce::QuiescePass;
 use ldap::dit::Scope;
-use ldap::dn::{Dn, Rdn};
+use ldap::dn::Dn;
 use ldap::entry::{Entry, Modification};
 use ldap::error::Result;
 use ldap::filter::Filter;
@@ -21,7 +21,6 @@ pub struct SyncSession {
     // Safety: the pass borrows the gateway's gate; we hold an Arc to the
     // gateway for 'static lifetime, so transmute the pass lifetime.
     _pass: QuiescePass<'static>,
-    ops_applied: usize,
 }
 
 impl SyncSession {
@@ -34,13 +33,7 @@ impl SyncSession {
         SyncSession {
             gateway,
             _pass: pass,
-            ops_applied: 0,
         }
-    }
-
-    /// Number of operations applied in this session.
-    pub fn ops_applied(&self) -> usize {
-        self.ops_applied
     }
 
     fn dir(&self) -> &Arc<dyn Directory> {
@@ -48,34 +41,11 @@ impl SyncSession {
     }
 
     pub fn add(&mut self, entry: Entry) -> Result<()> {
-        self.dir().add(entry)?;
-        self.ops_applied += 1;
-        Ok(())
-    }
-
-    pub fn delete(&mut self, dn: &Dn) -> Result<()> {
-        self.dir().delete(dn)?;
-        self.ops_applied += 1;
-        Ok(())
+        self.dir().add(entry)
     }
 
     pub fn modify(&mut self, dn: &Dn, mods: &[Modification]) -> Result<()> {
-        self.dir().modify(dn, mods)?;
-        self.ops_applied += 1;
-        Ok(())
-    }
-
-    pub fn modify_rdn(
-        &mut self,
-        dn: &Dn,
-        new_rdn: &Rdn,
-        delete_old: bool,
-        new_superior: Option<&Dn>,
-    ) -> Result<()> {
-        self.dir()
-            .modify_rdn(dn, new_rdn, delete_old, new_superior)?;
-        self.ops_applied += 1;
-        Ok(())
+        self.dir().modify(dn, mods)
     }
 
     /// Reads within the session (consistency checks during resync).
@@ -142,7 +112,6 @@ mod tests {
         session
             .modify(&john, &[Modification::set("roomNumber", "2B-401")])
             .unwrap();
-        assert_eq!(session.ops_applied(), 2);
         assert_eq!(fired.load(Ordering::SeqCst), 0, "sync must not re-trigger");
         assert_eq!(
             session.get(&john).unwrap().unwrap().first("roomNumber"),

@@ -110,7 +110,7 @@ impl TriggerSpec {
         self
     }
 
-    pub fn matches(&self, op: &LtapOp, affected: Option<&Entry>) -> bool {
+    pub(crate) fn matches(&self, op: &LtapOp, affected: Option<&Entry>) -> bool {
         if !self.ops.contains(&op.kind()) {
             return false;
         }

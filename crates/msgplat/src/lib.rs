@@ -12,8 +12,10 @@
 //!   MetaComm's session;
 //! - a proprietary [`admin`] console.
 
+#![warn(unreachable_pub)]
+
 pub mod admin;
-pub mod error;
+mod error;
 pub mod store;
 
 pub use error::{MpError, Result};
@@ -42,10 +44,6 @@ impl MsgPlat {
         &self.store
     }
 
-    pub fn name(&self) -> &str {
-        self.store.name()
-    }
-
     /// Execute an admin-console command (a direct device update).
     pub fn console(&self, line: &str) -> Result<String> {
         admin::execute(&self.store, line)
@@ -62,6 +60,6 @@ mod tests {
         mp.console(r#"add subscriber 9123 name "Doe, John""#)
             .unwrap();
         assert_eq!(mp.store().len(), 1);
-        assert_eq!(mp.name(), "mp");
+        assert_eq!(mp.store().name(), "mp");
     }
 }

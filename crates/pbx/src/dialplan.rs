@@ -10,7 +10,7 @@ use std::fmt;
 /// An inclusive extension range expressed as a digit prefix plus length,
 /// e.g. prefix `9`, length 4 owns `9000`–`9999`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Range {
+pub(crate) struct Range {
     pub prefix: String,
     pub length: usize,
 }
@@ -22,7 +22,7 @@ pub struct DialPlan {
 }
 
 impl DialPlan {
-    pub fn new() -> DialPlan {
+    pub(crate) fn new() -> DialPlan {
         DialPlan::default()
     }
 
@@ -33,20 +33,16 @@ impl DialPlan {
         p
     }
 
-    pub fn add_range(&mut self, prefix: &str, length: usize) {
+    pub(crate) fn add_range(&mut self, prefix: &str, length: usize) {
         self.ranges.push(Range {
             prefix: prefix.to_string(),
             length,
         });
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.ranges.is_empty()
-    }
-
     /// Does this switch own `extension`? An empty plan owns everything
     /// (unpartitioned deployments).
-    pub fn owns(&self, extension: &str) -> bool {
+    pub(crate) fn owns(&self, extension: &str) -> bool {
         if self.ranges.is_empty() {
             return true;
         }

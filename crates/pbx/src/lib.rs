@@ -4,21 +4,23 @@
 //! integrates (see DESIGN.md §1 for the substitution argument). It exposes
 //! exactly the surfaces MetaComm interacts with:
 //!
-//! - a station [`store`] with **single-record atomic updates only**, no
+//! - a station [`Store`] with **single-record atomic updates only**, no
 //!   triggers, and weak (string) typing;
 //! - commit-time change notifications distinguishing craft-terminal updates
 //!   (direct device updates, DDUs) from MetaComm's own administration
 //!   session;
 //! - an [`ossi`] craft-terminal command interface — the legacy path device
 //!   administrators keep using alongside the directory;
-//! - a [`dialplan`] partitioning extensions across switches, mirrored by
+//! - a [`DialPlan`] partitioning extensions across switches, mirrored by
 //!   the lexpress partitioning constraints on the directory side.
 
-pub mod dialplan;
-pub mod error;
+#![warn(unreachable_pub)]
+
+mod dialplan;
+mod error;
 pub mod ossi;
-pub mod record;
-pub mod store;
+mod record;
+mod store;
 
 pub use dialplan::DialPlan;
 pub use error::{PbxError, Result};
@@ -48,10 +50,6 @@ impl Pbx {
         &self.store
     }
 
-    pub fn name(&self) -> &str {
-        self.store.name()
-    }
-
     /// Execute a craft-terminal command (a direct device update).
     pub fn craft(&self, line: &str) -> Result<String> {
         ossi::execute(&self.store, line)
@@ -66,7 +64,7 @@ mod tests {
     fn doc_example() {
         let pbx = Pbx::new("pbx-west", DialPlan::with_prefix("9", 4));
         pbx.craft(r#"add station 9123 name "Doe, John""#).unwrap();
-        assert_eq!(pbx.name(), "pbx-west");
+        assert_eq!(pbx.store().name(), "pbx-west");
         assert_eq!(pbx.store().len(), 1);
     }
 }

@@ -14,10 +14,10 @@ pub mod fields {
     pub const EXTENSION: &str = "Extension";
     pub const NAME: &str = "Name";
     pub const ROOM: &str = "Room";
-    pub const PORT: &str = "Port";
-    pub const SET_TYPE: &str = "Type";
-    pub const COVERAGE_PATH: &str = "CoveragePath";
-    pub const COR: &str = "Cor";
+    pub(crate) const PORT: &str = "Port";
+    pub(crate) const SET_TYPE: &str = "Type";
+    pub(crate) const COVERAGE_PATH: &str = "CoveragePath";
+    pub(crate) const COR: &str = "Cor";
 }
 
 /// A flat, string-typed record.
@@ -49,7 +49,7 @@ impl Record {
         self.map.insert(field.into(), value.into());
     }
 
-    pub fn unset(&mut self, field: &str) -> Option<String> {
+    pub(crate) fn unset(&mut self, field: &str) -> Option<String> {
         self.map.remove(field)
     }
 
@@ -57,18 +57,10 @@ impl Record {
         self.map.iter().map(|(k, v)| (k.as_str(), v.as_str()))
     }
 
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
     /// Overlay `other`'s fields onto a copy of `self`; empty values in
     /// `other` clear the field (Definity semantics for blanking a form
     /// field).
-    pub fn updated_with(&self, other: &Record) -> Record {
+    pub(crate) fn updated_with(&self, other: &Record) -> Record {
         let mut out = self.clone();
         for (k, v) in other.fields() {
             if v.is_empty() {
@@ -105,7 +97,7 @@ mod tests {
         assert_eq!(r.get("Extension"), Some("9123"));
         assert_eq!(r.get("Missing"), None);
         r.set("Room", "2B-401");
-        assert_eq!(r.len(), 3);
+        assert_eq!(r.fields().count(), 3);
         assert_eq!(r.unset("Room"), Some("2B-401".into()));
         assert!(r.get("Room").is_none());
     }

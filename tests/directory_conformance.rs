@@ -6,13 +6,14 @@
 //! truncated ⇔ `sizeLimitExceeded`; a missing base is `noSuchObject` from
 //! all three and `None` from `get`; and a modification that would store one
 //! value twice is `attributeOrValueExists` from every implementor, the wire
-//! client included, and changes nothing.
+//! client included, and changes nothing. Across implementors, every row at a
+//! limit below, at and above its match count streams what a plain [`Dit`]
+//! holding the same tree streams: same entries, same attributes, same
+//! truncated flag.
 
 use ldap::client::TcpDirectory;
 use ldap::server::Server;
-use ldap::{
-    Directory, Dit, Dn, Entry, Filter, Modification, ResultCode, Scope, ShardMap, ShardRouter,
-};
+use ldap::{Directory, Dit, Dn, Entry, Filter, Modification, ResultCode, Scope};
 use ltap::Gateway;
 use metacomm::obs::{MonitorDirectory, Registry};
 use std::sync::atomic::Ordering;
@@ -63,30 +64,6 @@ fn loaded_dit() -> Arc<Dit> {
     dit
 }
 
-/// The departments carved out onto shards 1 and 2, each shard seeded with
-/// the spine, the tree loaded through the router.
-fn shard_router() -> Arc<ShardRouter> {
-    let map = ShardMap::new(3)
-        .assign(dn("ou=Wireless,o=Lucent"), 1)
-        .unwrap()
-        .assign(dn("ou=Optical,o=Lucent"), 2)
-        .unwrap();
-    let mut entries = tree();
-    let spine = entries.remove(0);
-    let backends = (0..3)
-        .map(|_| {
-            let dit = Dit::new();
-            dit.add(spine.clone()).unwrap();
-            dit as Arc<dyn Directory>
-        })
-        .collect();
-    let router = ShardRouter::new(map, backends).unwrap();
-    for e in entries {
-        router.add(e).unwrap();
-    }
-    router
-}
-
 /// One row: (base, scope, filter, projection, matches without a limit).
 type Case = (
     &'static str,
@@ -96,8 +73,7 @@ type Case = (
     usize,
 );
 
-/// Rows over the tree. On the shard router the first five fan out from the
-/// spine and the rest land on a single shard.
+/// Rows over the tree.
 const TREE_CASES: &[Case] = &[
     ("o=Lucent", Scope::Sub, "(objectClass=*)", &[], 10),
     ("o=Lucent", Scope::Sub, "(objectClass=person)", &["cn"], 7),
@@ -264,9 +240,27 @@ fn check_repeats(name: &str, dir: &dyn Directory) {
     }
 }
 
+/// What `dir` streams for a tree row is what a plain `Dit` over the same
+/// tree streams, attributes included, at a limit below, at and above the
+/// match count — for the wire client, entry for entry what was decoded off
+/// the socket against what the server's store holds.
+fn check_against_dit(name: &str, dir: &dyn Directory, reference: &Dit, case: &Case) {
+    let &(base, scope, filter, attrs, n) = case;
+    let base = dn(base);
+    let filter = Filter::parse(filter).unwrap();
+    let attrs: Vec<String> = attrs.iter().map(|a| a.to_string()).collect();
+    for limit in [n.saturating_sub(1), n, n + 1] {
+        let got = visited(dir, &base, scope, &filter, &attrs, limit).unwrap();
+        let want = visited(reference, &base, scope, &filter, &attrs, limit).unwrap();
+        assert_eq!(got, want, "{name}: {case:?} limit {limit}: same as Dit");
+    }
+}
+
 fn check_tree(name: &str, dir: &dyn Directory) {
+    let reference = loaded_dit();
     for c in TREE_CASES {
         check_case(name, dir, c);
+        check_against_dit(name, dir, &reference, c);
     }
     check_repeats(name, dir);
     for base in TREE_MISSING {
@@ -297,8 +291,6 @@ fn every_directory_answers_the_table_alike() {
     let server = Server::start(loaded_dit(), "127.0.0.1:0").unwrap();
     let client = TcpDirectory::connect(&server.addr().to_string()).unwrap();
     check_tree("TcpDirectory", &client);
-
-    check_tree("ShardRouter", &*shard_router());
 }
 
 #[test]
