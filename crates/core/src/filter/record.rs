@@ -5,9 +5,18 @@
 
 use super::{changed_fields, ApplyOutcome, DeviceFilter, DirectUpdates};
 use crate::error::{MetaError, Result};
-use crossbeam::channel::{Receiver, Select};
+use crossbeam::channel::{Receiver, RecvTimeoutError, TryRecvError};
 use lexpress::{Image, OpKind, TargetOp, UpdateDescriptor, UpdateKind};
 use std::sync::Arc;
+use std::time::Duration;
+
+/// How long an idle relay waits on its device feed before it looks at the
+/// shutdown channel again.
+const SHUTDOWN_CHECK: Duration = Duration::from_millis(10);
+
+/// How long a relay that has just dropped an echo lets the next ones queue
+/// before it takes them; a DDU arriving meanwhile waits at most this long.
+const ECHO_NAP: Duration = Duration::from_micros(100);
 
 /// A commit at the device's own terminal: kind, key, record before, after.
 type Change<R> = (UpdateKind, String, Option<R>, Option<R>);
@@ -359,16 +368,24 @@ impl<D: RecordDevice> DeviceFilter for RecordFilter<D> {
     fn subscribe(&self) -> DirectUpdates {
         let events = self.device.subscribe();
         let origin = self.name.clone();
+        // One blocking receive on the feed, so a DDU wakes its relay as it
+        // arrives; the shutdown channel is looked at between waits.
         Box::new(move |shutdown| loop {
-            let mut sel = Select::new();
-            let event = sel.recv(&events);
-            sel.recv(shutdown);
-            let ready = sel.select();
-            if ready.index() != event {
-                return None;
-            }
-            if let Some(d) = Self::descriptor(&origin, ready.recv(&events).ok()?) {
-                return Some(d);
+            match events.recv_timeout(SHUTDOWN_CHECK) {
+                Ok(ev) => match Self::descriptor(&origin, ev) {
+                    Some(d) => return Some(d),
+                    // An echo of MetaComm's own write, which come in runs (a
+                    // sync, a fan-out): nap rather than park, so the writer
+                    // does not pay a wake-up for each one.
+                    None if events.is_empty() => std::thread::sleep(ECHO_NAP),
+                    None => {}
+                },
+                Err(RecvTimeoutError::Disconnected) => return None,
+                Err(RecvTimeoutError::Timeout) => {
+                    if shutdown.try_recv() != Err(TryRecvError::Empty) {
+                        return None;
+                    }
+                }
             }
         })
     }

@@ -16,7 +16,6 @@
 //! sockets, so both are capped by count *and* by size: `POOL_CAP` members,
 //! none longer than `POOLED_LEN_MAX` bytes (still correct, just not shared).
 
-use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::{Arc, LazyLock};
@@ -152,13 +151,6 @@ impl Ord for AttrName {
 impl std::hash::Hash for AttrName {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         self.norm().hash(state);
-    }
-}
-
-/// Lets `BTreeMap<AttrName, _>` be looked up by `&str` (must be lowercase).
-impl Borrow<str> for AttrName {
-    fn borrow(&self) -> &str {
-        self.norm()
     }
 }
 
@@ -689,13 +681,5 @@ mod tests {
         assert!(a.remove_value("john doe"));
         assert_eq!(a.values, vec!["Johnny".to_string()]);
         assert!(!a.remove_value("nobody"));
-    }
-
-    #[test]
-    fn borrow_str_lookup() {
-        use std::collections::BTreeMap;
-        let mut m: BTreeMap<AttrName, u32> = BTreeMap::new();
-        m.insert(AttrName::new("TelephoneNumber"), 7);
-        assert_eq!(m.get("telephonenumber"), Some(&7));
     }
 }

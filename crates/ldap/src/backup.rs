@@ -22,7 +22,6 @@
 //! order the DESIGN doc specifies: newest valid snapshot, then the log.
 
 use crate::dit::{ChangeRecord, Dit};
-use crate::dn::Dn;
 use crate::entry::Entry;
 use crate::error::{LdapError, Result, ResultCode};
 use crate::ldif;
@@ -232,72 +231,29 @@ impl<R: BufRead> SnapshotScanner<R> {
     }
 }
 
-/// Parse one scanner block into content entries (comments drop out in the
-/// LDIF parser; change records are a corrupt snapshot).
-fn parse_block_entries(block: &str, path: &Path) -> Result<Vec<Entry>> {
-    ldif::parse_content(block).map_err(|e| snapshot_error(path, &format!("bad content block: {e}")))
-}
-
 /// How many blocks a parse batch carries through the worker channel.
 const PARSE_BATCH_BLOCKS: usize = 512;
 
-/// Snapshot load into an empty DIT: a bounded
-/// single pass over the file (no whole-file `String`, no all-records
-/// `Vec`), with block parsing fanned across `available_parallelism - 1`
-/// workers when the machine has them (inline otherwise), ordered
-/// reassembly, and insertion in bulk-load mode via [`Dit::bulk_add`] —
-/// `trusted` because the CRC footer covers every byte, so the entries were
-/// schema-validated when this system first wrote them. A checksum failure
-/// surfaces as `Err` *after* a partial load; the caller clears the DIT
-/// before it falls back a generation. Returns `(entries loaded, snapshot
-/// commit seq)`.
+/// Snapshot load into an empty DIT: a bounded single pass over the file (no
+/// whole-file `String`, no all-records `Vec`) on a reader thread, block
+/// parsing fanned across `available_parallelism - 1` workers (at least
+/// one, at most eight), ordered reassembly, and insertion on this thread in
+/// bulk-load mode via [`Dit::bulk_add`] — `trusted` because the CRC footer
+/// covers every byte, so the entries were schema-validated when this
+/// system first wrote them. A checksum failure surfaces as `Err` *after* a
+/// partial load; the caller clears the DIT before it falls back a
+/// generation. Returns `(entries loaded, snapshot commit seq)`.
 fn load_snapshot_stream(dit: &Dit, path: &Path) -> Result<(usize, u64)> {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get().saturating_sub(1).min(8))
-        .unwrap_or(0);
-    let file = std::fs::File::open(path)?;
-    let mut scanner = SnapshotScanner::new(std::io::BufReader::with_capacity(1 << 20, file), path);
-    dit.begin_bulk();
-    let res = if workers == 0 {
-        load_blocks_inline(dit, path, &mut scanner)
-    } else {
-        load_blocks_parallel(dit, path, scanner, workers)
-    };
-    dit.finish_bulk();
-    res
-}
-
-fn load_blocks_inline<R: BufRead>(
-    dit: &Dit,
-    path: &Path,
-    scanner: &mut SnapshotScanner<R>,
-) -> Result<(usize, u64)> {
-    let mut n = 0;
-    // One copy of their common ancestors between neighbours, as the parse
-    // workers keep it down a batch: the tree shares RDNs with the parent
-    // only when the bulk window closes.
-    let mut prev = Dn::root();
-    while let Some(block) = scanner.next_block()? {
-        for mut e in parse_block_entries(&block, path)? {
-            e.dn_mut().share_with(&prev);
-            prev = e.dn().clone();
-            dit.bulk_add(e, true)?;
-            n += 1;
-        }
-    }
-    Ok((n, scanner.seq.unwrap_or(0)))
-}
-
-fn load_blocks_parallel<R: BufRead + Send>(
-    dit: &Dit,
-    path: &Path,
-    mut scanner: SnapshotScanner<R>,
-    workers: usize,
-) -> Result<(usize, u64)> {
     use std::sync::mpsc::sync_channel;
     type Batch = (usize, Vec<String>);
     type Parsed = (usize, Result<Vec<Entry>>);
-    std::thread::scope(|sc| {
+    let workers = std::thread::available_parallelism()
+        .map_or(1, |n| n.get().saturating_sub(1))
+        .clamp(1, 8);
+    let file = std::fs::File::open(path)?;
+    let mut scanner = SnapshotScanner::new(std::io::BufReader::with_capacity(1 << 20, file), path);
+    dit.begin_bulk();
+    let res = std::thread::scope(|sc| {
         let (batch_tx, batch_rx) = sync_channel::<Batch>(workers * 2);
         let (parsed_tx, parsed_rx) = sync_channel::<Parsed>(workers * 2);
         let batch_rx = Arc::new(Mutex::new(batch_rx));
@@ -308,8 +264,10 @@ fn load_blocks_parallel<R: BufRead + Send>(
                 let msg = batch_rx.lock().recv();
                 let Ok((idx, blocks)) = msg else { break };
                 let parsed = blocks.iter().try_fold(Vec::<Entry>::new(), |mut acc, b| {
-                    let mut es = parse_block_entries(b, path)?;
-                    // Flatten + intern in the worker, in parallel, so the
+                    // A change record in a snapshot is corruption.
+                    let mut es = ldif::parse_content(b)
+                        .map_err(|e| snapshot_error(path, &format!("bad content block: {e}")))?;
+                    // Size + intern in the worker, in parallel, so the
                     // single-threaded inserter has less to do; and share
                     // ancestor RDNs down the batch, so that the load holds
                     // one copy a batch until the bulk window closes and the
@@ -331,66 +289,50 @@ fn load_blocks_parallel<R: BufRead + Send>(
         drop(parsed_tx);
         // Reader: scan + CRC on its own thread; returns the verify outcome
         // and the header seq.
-        let reader = sc.spawn(move || -> (Result<()>, Option<u64>) {
-            let mut idx = 0;
-            let mut batch: Vec<String> = Vec::with_capacity(PARSE_BATCH_BLOCKS);
-            loop {
-                match scanner.next_block() {
-                    Ok(Some(b)) => {
-                        batch.push(b);
-                        if batch.len() == PARSE_BATCH_BLOCKS {
-                            if batch_tx.send((idx, std::mem::take(&mut batch))).is_err() {
-                                return (Ok(()), scanner.seq);
-                            }
-                            idx += 1;
+        let reader = sc.spawn(move || {
+            let read = (|| -> Result<()> {
+                let (mut batch, mut idx) = (Vec::with_capacity(PARSE_BATCH_BLOCKS), 0);
+                while let Some(block) = scanner.next_block()? {
+                    batch.push(block);
+                    if batch.len() == PARSE_BATCH_BLOCKS {
+                        if batch_tx.send((idx, std::mem::take(&mut batch))).is_err() {
+                            return Ok(()); // the inserter bailed out
                         }
+                        idx += 1;
                     }
-                    Ok(None) => {
-                        if !batch.is_empty() {
-                            let _ = batch_tx.send((idx, batch));
-                        }
-                        return (Ok(()), scanner.seq);
-                    }
-                    Err(e) => return (Err(e), scanner.seq),
                 }
-            }
+                if !batch.is_empty() {
+                    let _ = batch_tx.send((idx, batch));
+                }
+                Ok(())
+            })();
+            (read, scanner.seq)
         });
         // Inserter (this thread): reassemble batches in file order —
         // parents must land before their children — and bulk-insert.
-        let mut pending: std::collections::BTreeMap<usize, Result<Vec<Entry>>> =
-            std::collections::BTreeMap::new();
-        let mut next = 0usize;
-        let mut n = 0usize;
-        let mut failure: Option<LdapError> = None;
-        'recv: for (idx, res) in parsed_rx.iter() {
-            pending.insert(idx, res);
-            while let Some(res) = pending.remove(&next) {
-                next += 1;
-                match res {
-                    Ok(entries) => {
-                        for e in entries {
-                            if let Err(err) = dit.bulk_add(e, true) {
-                                failure = Some(err);
-                                break 'recv;
-                            }
-                            n += 1;
-                        }
-                    }
-                    Err(err) => {
-                        failure = Some(err);
-                        break 'recv;
+        let inserted = (|| -> Result<usize> {
+            let mut pending = std::collections::BTreeMap::new();
+            let (mut next, mut n) = (0, 0);
+            for (idx, res) in parsed_rx.iter() {
+                pending.insert(idx, res);
+                while let Some(res) = pending.remove(&next) {
+                    next += 1;
+                    for e in res? {
+                        dit.bulk_add(e, true)?;
+                        n += 1;
                     }
                 }
             }
-        }
+            Ok(n)
+        })();
         drop(parsed_rx); // bail-out path: unblock workers, then the reader
         let (read_res, seq) = reader.join().expect("snapshot reader thread");
-        if let Some(err) = failure {
-            return Err(err);
-        }
+        let n = inserted?;
         read_res?;
         Ok((n, seq.unwrap_or(0)))
-    })
+    });
+    dit.finish_bulk();
+    res
 }
 
 /// Load one snapshot file into an empty DIT; the checksum footer must be
@@ -617,7 +559,7 @@ impl SnapshotStore {
 mod tests {
     use super::*;
     use crate::dit::figure2_tree;
-    use crate::dn::Rdn;
+    use crate::dn::{Dn, Rdn};
     use crate::entry::Modification;
     use crate::wal::{crc32, FsyncPolicy};
 
@@ -724,6 +666,47 @@ mod tests {
     }
 
     #[test]
+    fn a_dn_holding_a_line_break_comes_back_as_itself() {
+        // RFC 4514 hex escapes put line breaks into names; on a plain
+        // `dn:` line the text after one read back as a line of its own.
+        let dir = tmpdir("linebreak");
+        let store = SnapshotStore::new(&dir);
+        let dit = Dit::new();
+        attach_wal(
+            &dit,
+            Wal::open(&store.wal_path(1), FsyncPolicy::Never).unwrap(),
+        );
+        let attrs = |class: &str, name: &str, value: &str| {
+            let dn = Dn::parse(&format!("{name}={value},o=Lucent")).unwrap();
+            let held = dn.rdn().unwrap().first().value().to_string();
+            Entry::with_attrs(dn, [("objectClass", class), (name, held.as_str())])
+        };
+        dit.add(Entry::with_attrs(
+            Dn::parse("o=Lucent").unwrap(),
+            [("o", "Lucent")],
+        ))
+        .unwrap();
+        let unit = attrs("organizationalUnit", "ou", r"x\0Ay");
+        let person = attrs("person", "cn", r"a\0Ab");
+        for e in [&unit, &person] {
+            dit.add(e.clone()).unwrap();
+        }
+        let new_rdn = Rdn::parse(r"cn=c\0D").unwrap();
+        dit.modify_rdn(person.dn(), &new_rdn, true, Some(unit.dn()))
+            .unwrap();
+        store.write_snapshot_streamed(&dit, 1).unwrap();
+        let export = ldif::to_ldif(&dit.export());
+
+        let restored = Dit::new();
+        assert_eq!(store.restore_latest(&restored).unwrap(), Some((1, 4, 3)));
+        assert_eq!(ldif::to_ldif(&restored.export()), export);
+        let replayed = Dit::new();
+        let records = collect_dit_records(&store.wal_path(1));
+        assert_eq!(apply_wal_records(&replayed, records, 0).unwrap().applied, 4);
+        assert_eq!(ldif::to_ldif(&replayed.export()), export);
+    }
+
+    #[test]
     fn wal_replay_skips_records_covered_by_snapshot() {
         let dir = tmpdir("walskip");
         let path = dir.join("wal-000001.log");
@@ -824,10 +807,9 @@ mod tests {
         let dir = tmpdir("streamdecoy");
         let dit = Dit::new();
         figure2_tree(&dit).unwrap();
-        let (entries, seq) = dit.export_with_seq();
-        let mut text = format!("{SEQ_PREFIX}{seq}\n");
+        let mut text = format!("{SEQ_PREFIX}{}\n", dit.seq());
         text.push_str("# crc32: deadbeef\n"); // interior lookalike comment
-        text.push_str(&ldif::to_ldif(&entries));
+        text.push_str(&ldif::to_ldif(&dit.export()));
         let crc = crc32(text.as_bytes());
         text.push_str(&format!("{CRC_PREFIX}{crc:08x}\n"));
         let store = SnapshotStore::new(&dir);

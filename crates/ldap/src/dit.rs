@@ -22,8 +22,8 @@
 //!
 //! A DN arena maps each normalized DN to a `u32` `DnId`; entries, sibling
 //! lists, and index postings all hold ids instead of duplicated key
-//! `String`s, entries use the flattened interned attribute representation
-//! and point their ancestor RDNs at their parent's (one RDN per subtree;
+//! `String`s, entries hold interned attribute names and point their
+//! ancestor RDNs at their parent's (one RDN per subtree;
 //! DESIGN.md "DIT store and snapshots" has the byte budget,
 //! [`Dit::footprint`] reads it back), and a bulk-load mode
 //! ([`Dit::begin_bulk`]) defers index and sibling-order maintenance to one
@@ -604,28 +604,17 @@ impl CompactStore {
     /// is the already-updated image of the renamed entry itself.
     fn rename_subtree(&mut self, old_key: &str, dn: &Dn, new_dn: &Dn, head: Entry) {
         let root_id = self.id_of(old_key).expect("entry checked");
-        let mut order = vec![root_id];
-        let mut i = 0;
-        while i < order.len() {
-            let kids = self.node(order[i]).children.clone();
-            order.extend(kids);
-            i += 1;
-        }
-        let mut moved: Vec<Entry> = Vec::with_capacity(order.len());
-        for &id in order.iter().rev() {
-            let key = self.node(id).key.clone();
-            moved.push(self.remove_leaf(&key));
-        }
-        moved.reverse(); // parents-first again, aligned with `order`
+        let order: Vec<DnId> = self.parents_first(Some(root_id)).collect();
+        let mut moved: Vec<Entry> = (order.iter().rev())
+            .map(|&id| self.remove_leaf(&self.node(id).key.clone()))
+            .collect();
+        moved.pop(); // the renamed entry's old image: `head` replaces it
         let old_depth = dn.depth();
-        for (i, e) in moved.into_iter().enumerate() {
-            let e = if i == 0 {
-                head.clone()
-            } else {
-                let mut e = e;
-                e.set_dn(e.dn().rebased(old_depth, new_dn));
-                e
-            };
+        let rebased = moved.into_iter().rev().map(|mut e| {
+            e.set_dn(e.dn().rebased(old_depth, new_dn));
+            e
+        });
+        for e in std::iter::once(head).chain(rebased) {
             let key = e.dn().norm_key();
             let parent_key = e.dn().parent().map(|p| p.norm_key()).unwrap_or_default();
             self.insert_entry(&key, &parent_key, e);
@@ -784,29 +773,26 @@ impl CompactStore {
                 }
             }
             Plan::Scan => {
-                let mut queue: VecDeque<DnId> = match base_id {
-                    Some(id) => std::iter::once(id).collect(),
-                    None => self.root_children.iter().copied().collect(),
-                };
-                while let Some(id) = queue.pop_front() {
-                    let n = self.node(id);
-                    queue.extend(&n.children);
-                    push(&n.entry)?;
+                for id in self.parents_first(base_id) {
+                    push(&self.node(id).entry)?;
                 }
             }
         }
         Ok(())
     }
 
-    /// Every entry, parents before children (BFS over sibling lists).
-    fn for_each_parents_first(&self, f: &mut dyn FnMut(&Entry) -> Result<()>) -> Result<()> {
-        let mut queue: VecDeque<DnId> = self.root_children.iter().copied().collect();
-        while let Some(id) = queue.pop_front() {
-            let n = self.node(id);
-            queue.extend(&n.children);
-            f(&n.entry)?;
-        }
-        Ok(())
+    /// `start` and everything below it (`None`: the whole tree), parents
+    /// before children: level by level over the sorted sibling lists.
+    fn parents_first(&self, start: Option<DnId>) -> impl Iterator<Item = DnId> + '_ {
+        let mut queue: VecDeque<DnId> = match start {
+            Some(id) => VecDeque::from([id]),
+            None => self.root_children.iter().copied().collect(),
+        };
+        std::iter::from_fn(move || {
+            let id = queue.pop_front()?;
+            queue.extend(&self.node(id).children);
+            Some(id)
+        })
     }
 }
 
@@ -987,7 +973,7 @@ impl Dit {
         if validate {
             self.schema.validate_entry(&entry)?;
         }
-        // Flatten + intern outside the write lock.
+        // Size + intern outside the write lock.
         entry.compact_for_store();
         let key = entry.dn().norm_key();
         let parent = entry.dn().parent().expect("non-root");
@@ -1291,22 +1277,13 @@ impl Dit {
 
     /// Every entry, parents before children (for export / sync dumps).
     pub fn export(&self) -> Vec<Entry> {
-        self.export_with_seq().0
-    }
-
-    /// [`Dit::export`] plus the commit sequence the export reflects, read
-    /// under one lock — the atomic cut a consistent snapshot needs.
-    pub(crate) fn export_with_seq(&self) -> (Vec<Entry>, u64) {
-        let guard = self.store.read();
-        let s = &*guard;
         let mut out = Vec::new();
-        s.tree
-            .for_each_parents_first(&mut |e| {
-                out.push(e.clone());
-                Ok(())
-            })
-            .expect("infallible visitor");
-        (out, s.seq)
+        self.export_stream(&mut |_| Ok(()), &mut |e| {
+            out.push(e.clone());
+            Ok(())
+        })
+        .expect("infallible visitor");
+        out
     }
 
     /// Stream a consistent export under one read guard without
@@ -1323,7 +1300,10 @@ impl Dit {
         let guard = self.store.read();
         let s = &*guard;
         header(s.seq)?;
-        s.tree.for_each_parents_first(each)
+        for id in s.tree.parents_first(None) {
+            each(&s.tree.node(id).entry)?;
+        }
+        Ok(())
     }
 
     /// Back to the empty tree, commit sequence included: a restore that

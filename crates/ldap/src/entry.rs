@@ -3,137 +3,48 @@
 use crate::attr::{repeated_value, value_eq_ci, with_lower, AttrName, Attribute};
 use crate::dn::Dn;
 use crate::error::{LdapError, Result, ResultCode};
-use std::collections::BTreeMap;
 use std::fmt;
 
-/// Attribute storage. Entries are built as a `BTreeMap` (`Tree`) — cheap
-/// inserts while a record is assembled from LDIF or wire pairs — and the
-/// compact store flattens them to a name-sorted `Vec` (`Flat`) at rest:
-/// a handful of attributes cost one allocation instead of a B-tree node
-/// apiece, and lookups are a binary search over at most a dozen names.
-/// Both variants iterate in normalized-name order, so every observable
-/// behavior (search streams, LDIF export, diffing) is identical.
-#[derive(Debug, Clone)]
-enum Attrs {
-    Tree(BTreeMap<AttrName, Attribute>),
-    Flat(Vec<Attribute>),
-}
-
-impl Attrs {
-    /// Lookup by lowercased name.
-    fn get(&self, norm: &str) -> Option<&Attribute> {
-        match self {
-            Attrs::Tree(m) => m.get(norm),
-            Attrs::Flat(v) => v
-                .binary_search_by(|a| a.name.norm().cmp(norm))
-                .ok()
-                .map(|i| &v[i]),
-        }
-    }
-
-    fn get_mut(&mut self, norm: &str) -> Option<&mut Attribute> {
-        match self {
-            Attrs::Tree(m) => m.get_mut(norm),
-            Attrs::Flat(v) => match v.binary_search_by(|a| a.name.norm().cmp(norm)) {
-                Ok(i) => Some(&mut v[i]),
-                Err(_) => None,
-            },
-        }
-    }
-
-    /// Insert or replace by the attribute's own name.
-    fn insert(&mut self, attr: Attribute) {
-        match self {
-            Attrs::Tree(m) => {
-                m.insert(attr.name.clone(), attr);
-            }
-            Attrs::Flat(v) => match v.binary_search_by(|a| a.name.norm().cmp(attr.name.norm())) {
-                Ok(i) => v[i] = attr,
-                Err(i) => v.insert(i, attr),
-            },
-        }
-    }
-
-    fn remove(&mut self, norm: &str) -> Option<Attribute> {
-        match self {
-            Attrs::Tree(m) => m.remove(norm),
-            Attrs::Flat(v) => v
-                .binary_search_by(|a| a.name.norm().cmp(norm))
-                .ok()
-                .map(|i| v.remove(i)),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Attrs::Tree(m) => m.len(),
-            Attrs::Flat(v) => v.len(),
-        }
-    }
-
-    fn iter(&self) -> AttrsIter<'_> {
-        match self {
-            Attrs::Tree(m) => AttrsIter::Tree(m.values()),
-            Attrs::Flat(v) => AttrsIter::Flat(v.iter()),
-        }
-    }
-
-    /// Empty storage in the same representation as `self`.
-    fn same_shape_empty(&self) -> Attrs {
-        match self {
-            Attrs::Tree(_) => Attrs::Tree(BTreeMap::new()),
-            Attrs::Flat(_) => Attrs::Flat(Vec::new()),
-        }
-    }
-}
-
-/// Normalized-name-order iterator over either representation.
-enum AttrsIter<'a> {
-    Tree(std::collections::btree_map::Values<'a, AttrName, Attribute>),
-    Flat(std::slice::Iter<'a, Attribute>),
-}
-
-impl<'a> Iterator for AttrsIter<'a> {
-    type Item = &'a Attribute;
-    fn next(&mut self) -> Option<&'a Attribute> {
-        match self {
-            AttrsIter::Tree(it) => it.next(),
-            AttrsIter::Flat(it) => it.next(),
-        }
-    }
-}
-
 /// A directory entry: a DN plus a set of multi-valued attributes.
+///
+/// The attributes are one vector sorted by normalized name, from the first
+/// value on: a handful of attributes cost one allocation, a lookup is a
+/// binary search over at most a dozen names, and an insert or a removal is
+/// that search and a splice. Everything observable (search streams, LDIF
+/// export, diffing) sees the attributes in that order.
 ///
 /// The `objectClass` attribute is stored like any other but has dedicated
 /// accessors because schema checking and MetaComm's auxiliary-class design
 /// both hinge on it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Entry {
     dn: Dn,
-    attrs: Attrs,
+    attrs: Vec<Attribute>,
 }
-
-/// Equality is by DN and attribute sequence, independent of whether either
-/// side uses the tree or flattened representation.
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.dn == other.dn
-            && self.attrs.len() == other.attrs.len()
-            && self
-                .attributes()
-                .zip(other.attributes())
-                .all(|(a, b)| a == b)
-    }
-}
-impl Eq for Entry {}
 
 impl Entry {
     pub fn new(dn: Dn) -> Entry {
         Entry {
             dn,
-            attrs: Attrs::Tree(BTreeMap::new()),
+            attrs: Vec::new(),
         }
+    }
+
+    /// Where the attribute named `norm` (lowercased) sits, or would go.
+    fn find(&self, norm: &str) -> std::result::Result<usize, usize> {
+        self.attrs.binary_search_by(|a| a.name.norm().cmp(norm))
+    }
+
+    /// Insert or replace by the attribute's own name.
+    fn insert(&mut self, attr: Attribute) {
+        match self.find(attr.name.norm()) {
+            Ok(i) => self.attrs[i] = attr,
+            Err(i) => self.attrs.insert(i, attr),
+        }
+    }
+
+    fn remove(&mut self, norm: &str) -> Option<Attribute> {
+        self.find(norm).ok().map(|i| self.attrs.remove(i))
     }
 
     /// Convenience constructor from `(name, value)` pairs; repeated names
@@ -162,22 +73,16 @@ impl Entry {
         &mut self.dn
     }
 
-    /// Flatten to the compact at-rest representation, intern attribute
-    /// names and swap the `objectClass` list for the copy every entry of the
-    /// class shares (an edit copies it first). The compact store calls this
-    /// on every entry it takes; later mutations stay in the flat form.
+    /// Size the attribute vector exactly, intern attribute names and swap
+    /// the `objectClass` list for the copy every entry of the class shares
+    /// (an edit copies it first). The compact store calls this on every
+    /// entry it takes.
     pub fn compact_for_store(&mut self) {
-        if let Attrs::Tree(m) = &mut self.attrs {
-            let m = std::mem::take(m);
-            self.attrs = Attrs::Flat(m.into_values().collect());
-        }
-        if let Attrs::Flat(v) = &mut self.attrs {
-            v.shrink_to_fit();
-            for a in v {
-                a.name.intern();
-                if a.name.norm() == "objectclass" {
-                    a.values.share();
-                }
+        self.attrs.shrink_to_fit();
+        for a in &mut self.attrs {
+            a.name.intern();
+            if a.name.norm() == "objectclass" {
+                a.values.share();
             }
         }
     }
@@ -185,20 +90,14 @@ impl Entry {
     /// Heap bytes behind the attributes as requested from the allocator,
     /// one figure per allocation: the attribute vector and each
     /// many-valued slice to `slot`, each value string to `value`. Interned
-    /// names and a shared class list are their pools'. An entry still in
-    /// its build-time map is counted as that map's keys and values laid end
-    /// to end (its nodes are not modelled).
+    /// names and a shared class list are their pools'.
     pub(crate) fn attr_heap_blocks(
         &self,
         mut slot: impl FnMut(usize),
         mut value: impl FnMut(usize),
     ) {
-        let size = std::mem::size_of::<Attribute>();
-        match &self.attrs {
-            Attrs::Tree(m) => slot(m.len() * (size + std::mem::size_of::<AttrName>())),
-            Attrs::Flat(v) => slot(v.capacity() * size),
-        }
-        for a in self.attributes() {
+        slot(self.attrs.capacity() * std::mem::size_of::<Attribute>());
+        for a in &self.attrs {
             a.values.heap_blocks(&mut slot, &mut value);
         }
     }
@@ -209,7 +108,7 @@ impl Entry {
     }
 
     pub(crate) fn get(&self, name: &str) -> Option<&Attribute> {
-        with_lower(name, |norm| self.attrs.get(norm))
+        with_lower(name, |norm| self.find(norm).ok().map(|i| &self.attrs[i]))
     }
 
     /// First value of the attribute, if any.
@@ -237,10 +136,10 @@ impl Entry {
     /// when the value was already present.
     pub fn add_value(&mut self, name: impl Into<AttrName>, value: impl Into<String>) -> bool {
         let name = name.into();
-        match self.attrs.get_mut(name.norm()) {
-            Some(attr) => attr.add_value(value),
-            None => {
-                self.attrs.insert(Attribute::single(name, value));
+        match self.find(name.norm()) {
+            Ok(i) => self.attrs[i].add_value(value),
+            Err(i) => {
+                self.attrs.insert(i, Attribute::single(name, value));
                 true
             }
         }
@@ -250,27 +149,27 @@ impl Entry {
     pub fn put(&mut self, name: impl Into<AttrName>, values: Vec<String>) {
         let name = name.into();
         if values.is_empty() {
-            self.attrs.remove(name.norm());
+            self.remove(name.norm());
         } else {
-            self.attrs.insert(Attribute::new(name, values));
+            self.insert(Attribute::new(name, values));
         }
     }
 
     /// Remove an entire attribute; returns it when present.
     pub fn remove_attr(&mut self, name: &str) -> Option<Attribute> {
-        with_lower(name, |norm| self.attrs.remove(norm))
+        with_lower(name, |norm| self.remove(norm))
     }
 
     /// Remove one value; prunes the attribute when it becomes empty.
     /// Returns `true` when a value was removed.
     pub fn remove_value(&mut self, name: &str, value: &str) -> bool {
         with_lower(name, |norm| {
-            let Some(attr) = self.attrs.get_mut(norm) else {
+            let Ok(i) = self.find(norm) else {
                 return false;
             };
-            let removed = attr.remove_value(value);
-            if attr.is_empty() {
-                self.attrs.remove(norm);
+            let removed = self.attrs[i].remove_value(value);
+            if self.attrs[i].is_empty() {
+                self.attrs.remove(i);
             }
             removed
         })
@@ -292,13 +191,10 @@ impl Entry {
         if names.is_empty() || names.iter().any(|n| n == "*") {
             return self.clone();
         }
-        let mut out = Entry {
-            dn: self.dn.clone(),
-            attrs: self.attrs.same_shape_empty(),
-        };
+        let mut out = Entry::new(self.dn.clone());
         for n in names {
             if let Some(attr) = self.get(n) {
-                out.attrs.insert(attr.clone());
+                out.insert(attr.clone());
             }
         }
         out
@@ -474,32 +370,24 @@ mod tests {
     }
 
     #[test]
-    fn flat_and_tree_behave_identically() {
-        let tree = person();
-        let mut flat = person();
-        flat.compact_for_store();
-        assert_eq!(tree, flat);
-        assert_eq!(flat.first("CN"), Some("John Doe"));
-        assert_eq!(flat.values("objectclass").len(), 2);
-        let names_t: Vec<&str> = tree.attributes().map(|a| a.name.norm()).collect();
-        let names_f: Vec<&str> = flat.attributes().map(|a| a.name.norm()).collect();
-        assert_eq!(names_t, names_f);
-
-        // Mutations on the flat form keep sorted order and equality.
-        let mut t2 = tree.clone();
-        let mut f2 = flat.clone();
-        for e in [&mut t2, &mut f2] {
+    fn attributes_stay_name_sorted_and_compacting_changes_nothing_seen() {
+        let built = person();
+        let mut stored = person();
+        stored.compact_for_store();
+        assert_eq!(built, stored);
+        assert_eq!(stored.first("CN"), Some("John Doe"));
+        for mut e in [built, stored] {
             e.add_value("mail", "jd@lucent.com");
             e.put("ou", vec!["x".into(), "y".into()]);
             e.remove_attr("sn");
             e.remove_value("objectClass", "top");
+            let names: Vec<&str> = e.attributes().map(|a| a.name.norm()).collect();
+            assert_eq!(
+                names,
+                ["cn", "mail", "objectclass", "ou", "telephonenumber"]
+            );
+            assert_eq!(e.project(&["OU".into()]).values("ou"), ["x", "y"]);
         }
-        assert_eq!(t2, f2);
-        let names: Vec<&str> = f2.attributes().map(|a| a.name.norm()).collect();
-        let mut sorted = names.clone();
-        sorted.sort();
-        assert_eq!(names, sorted);
-        assert_eq!(t2.project(&["ou".into()]), f2.project(&["ou".into()]));
     }
 
     #[test]

@@ -1,15 +1,19 @@
 //! LDIF (RFC 2849 subset): the interchange format used for initial loads,
-//! synchronization dumps, and fixtures.
+//! synchronization dumps, snapshots, the WAL's change records, and
+//! fixtures.
 //!
 //! Supported: content records (`dn:` + attribute lines), change records
-//! (`changetype: add|delete|modify|modrdn`), base64 values (`::`), comments,
-//! and line continuations (leading space).
+//! (`changetype: add|delete|modify|modrdn` directly after `dn:`), base64
+//! (`::`, for any key), comments, and line continuations (leading space).
+//! One reader serves every caller: [`parse`] returns every record and
+//! [`parse_content`] is the same reader refusing a change record.
 
 use crate::dit::{ChangeOp, ChangeRecord};
 use crate::dn::{Dn, Rdn};
 use crate::entry::{Entry, ModOp, Modification};
 use crate::error::{LdapError, Result};
-use std::fmt::Write as _;
+use std::borrow::Cow;
+use std::fmt::{self, Write as _};
 
 /// A parsed LDIF record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,139 +33,217 @@ pub enum Record {
 
 /// Parse an LDIF document into records.
 pub fn parse(text: &str) -> Result<Vec<Record>> {
-    let mut records = Vec::new();
-    for block in logical_blocks(text)? {
-        if block.is_empty() {
-            continue;
-        }
-        records.push(parse_block(&block)?);
-    }
-    Ok(records)
+    Reader::new(text).collect()
 }
 
-/// Content-only fast path: parse a document of pure content records in a
-/// single pass with no intermediate `(key, value)` string materialization —
-/// the snapshot reader's hot loop at million-entry scale. Comments, folded
-/// continuations, base64 values, and blank-line separation behave exactly
-/// like [`parse`]; a `changetype:` line is an error because a snapshot must
-/// not carry change records.
+/// [`parse`] for a document that must hold content records only — the
+/// snapshot reader's hot loop at million-entry scale. A change record is an
+/// error, and neighbouring entries share their common ancestors' RDNs.
 pub fn parse_content(text: &str) -> Result<Vec<Entry>> {
-    let mut out = Vec::new();
-    let mut cur: Option<Entry> = None;
-    let mut lines = text.lines().peekable();
-    while let Some(first) = lines.next() {
-        if first.starts_with('#') {
-            continue;
-        }
-        if first.trim_end().is_empty() {
-            if let Some(e) = cur.take() {
-                out.push(e);
-            }
-            continue;
-        }
-        // Unfold: following lines that open with a space continue this one;
-        // interleaved comments drop out, as in `logical_blocks`.
-        let mut folded: Option<String> = None;
-        while let Some(&next) = lines.peek() {
-            if next.starts_with('#') {
-                lines.next();
-            } else if let Some(cont) = next.strip_prefix(' ') {
-                folded
-                    .get_or_insert_with(|| first.to_string())
-                    .push_str(cont);
-                lines.next();
-            } else {
-                break;
-            }
-        }
-        let Some((key, value)) = split_kv(folded.as_deref().unwrap_or(first))? else {
-            continue;
+    let mut out: Vec<Entry> = Vec::new();
+    for record in Reader::new(text) {
+        let Record::Content(mut e) = record? else {
+            return Err(LdapError::protocol(
+                "content-only LDIF contains a change record",
+            ));
         };
-        match &mut cur {
-            None => {
-                if !key.eq_ignore_ascii_case("dn") {
-                    return Err(LdapError::protocol(format!(
-                        "LDIF record must start with dn:, got `{key}`"
-                    )));
-                }
-                let mut dn = Dn::parse(&value)?;
-                // Neighbours in a dump are siblings or parent and child:
-                // one copy of their common ancestors per document.
-                if let Some(prev) = out.last() {
-                    dn.share_with(prev.dn());
-                }
-                cur = Some(Entry::new(dn));
-            }
-            Some(e) => {
-                if key.eq_ignore_ascii_case("changetype") {
-                    return Err(LdapError::protocol(format!(
-                        "content-only LDIF contains a change record: changetype {value}"
-                    )));
-                }
-                e.add_value(key, value);
-            }
+        // Neighbours in a dump are siblings or parent and child: one copy
+        // of their common ancestors per document.
+        if let Some(prev) = out.last() {
+            e.dn_mut().share_with(prev.dn());
         }
-    }
-    if let Some(e) = cur {
         out.push(e);
     }
     Ok(out)
 }
 
-/// Unfold continuations, drop comments, split into blank-line-separated
-/// blocks of `(key, value)` lines.
-fn logical_blocks(text: &str) -> Result<Vec<Vec<(String, String)>>> {
-    let mut blocks: Vec<Vec<(String, String)>> = Vec::new();
-    let mut cur: Vec<String> = Vec::new();
-    let flush_line = |cur: &mut Vec<String>, line: String| {
-        if let Some(cont) = line.strip_prefix(' ') {
-            if let Some(last) = cur.last_mut() {
-                last.push_str(cont);
-                return;
-            }
-        }
-        cur.push(line);
-    };
-    let mut raw_blocks: Vec<Vec<String>> = Vec::new();
-    for line in text.lines() {
-        if line.trim_end().is_empty() {
-            if !cur.is_empty() {
-                raw_blocks.push(std::mem::take(&mut cur));
-            }
-            continue;
-        }
-        if line.starts_with('#') {
-            continue;
-        }
-        flush_line(&mut cur, line.to_string());
-    }
-    if !cur.is_empty() {
-        raw_blocks.push(cur);
-    }
-    for raw in raw_blocks {
-        let mut block = Vec::new();
-        for line in raw {
-            if let Some((k, v)) = split_kv(&line)? {
-                block.push((k.to_string(), v));
-            }
-        }
-        blocks.push(block);
-    }
-    Ok(blocks)
+/// The one LDIF reader: a single pass over the text that unfolds
+/// continuation lines, drops comments, and builds each record as its lines
+/// arrive — no intermediate `(key, value)` strings.
+struct Reader<'a> {
+    raw: std::iter::Peekable<std::str::Lines<'a>>,
 }
 
-/// One logical line as `(key, value)`; `None` when it has no `:`. Both
-/// parsers decode through here: a `::` value that is not base64, or not
-/// UTF-8 once decoded, is an error naming the attribute — a damaged value
-/// must not load as the empty string.
-fn split_kv(line: &str) -> Result<Option<(&str, String)>> {
-    let Some(idx) = line.find(':') else {
-        return Ok(None);
-    };
-    let key = line[..idx].trim();
-    let rest = &line[idx + 1..];
+impl Iterator for Reader<'_> {
+    type Item = Result<Record>;
+    fn next(&mut self) -> Option<Result<Record>> {
+        self.record().transpose()
+    }
+}
+
+impl<'a> Reader<'a> {
+    fn new(text: &'a str) -> Reader<'a> {
+        Reader {
+            raw: text.lines().peekable(),
+        }
+    }
+
+    /// The next logical line of the current record; `None` at the blank
+    /// line (or the end of the text) that closes it.
+    fn line(&mut self) -> Option<Cow<'a, str>> {
+        let mut line = loop {
+            let first = self.raw.next()?;
+            if first.trim_end().is_empty() {
+                return None;
+            }
+            if !first.starts_with('#') {
+                break Cow::Borrowed(first);
+            }
+        };
+        // Following lines that open with a space continue this one;
+        // interleaved comments drop out.
+        while let Some(&next) = self.raw.peek() {
+            if let Some(cont) = next.strip_prefix(' ') {
+                line.to_mut().push_str(cont);
+            } else if !next.starts_with('#') {
+                break;
+            }
+            self.raw.next();
+        }
+        Some(line)
+    }
+
+    /// The next record; `None` at the end of the text.
+    fn record(&mut self) -> Result<Option<Record>> {
+        let first = loop {
+            match self.line() {
+                Some(line) => break line,
+                None if self.raw.peek().is_none() => return Ok(None),
+                None => {}
+            }
+        };
+        let (key, value) = split_kv(&first)?;
+        if !key.eq_ignore_ascii_case("dn") {
+            return Err(LdapError::protocol(format!(
+                "LDIF record must start with dn:, got `{key}`"
+            )));
+        }
+        let dn = Dn::parse(&value)?;
+        let Some(line) = self.line() else {
+            return Ok(Some(Record::Content(Entry::new(dn))));
+        };
+        let (key, value) = split_kv(&line)?;
+        if key.eq_ignore_ascii_case("changetype") {
+            return self.change(dn, &value).map(Some);
+        }
+        let mut e = Entry::new(dn);
+        e.add_value(key, value);
+        self.attributes(e).map(|e| Some(Record::Content(e)))
+    }
+
+    /// Hand every remaining line of the record to `f` as `(key, value)`.
+    fn each_line(&mut self, mut f: impl FnMut(&str, String) -> Result<()>) -> Result<()> {
+        while let Some(line) = self.line() {
+            let (key, value) = split_kv(&line)?;
+            f(key, value)?;
+        }
+        Ok(())
+    }
+
+    /// `e` with the rest of the record as its attribute values.
+    fn attributes(&mut self, mut e: Entry) -> Result<Entry> {
+        self.each_line(|key, value| {
+            if key.eq_ignore_ascii_case("changetype") {
+                return Err(LdapError::protocol(format!(
+                    "LDIF record `{}`: changetype: must directly follow dn:",
+                    e.dn()
+                )));
+            }
+            e.add_value(key, value);
+            Ok(())
+        })?;
+        Ok(e)
+    }
+
+    /// The rest of a change record of type `changetype` for `dn`.
+    fn change(&mut self, dn: Dn, changetype: &str) -> Result<Record> {
+        match changetype.to_ascii_lowercase().as_str() {
+            "add" => self.attributes(Entry::new(dn)).map(Record::Add),
+            "delete" => self.each_line(|_, _| Ok(())).map(|()| Record::Delete(dn)),
+            "modify" => self.modify(dn),
+            "modrdn" | "moddn" => {
+                let (mut new_rdn, mut delete_old, mut new_superior) = (None, false, None);
+                self.each_line(|key, value| {
+                    if key.eq_ignore_ascii_case("newrdn") {
+                        new_rdn = Some(Rdn::parse(&value)?);
+                    } else if key.eq_ignore_ascii_case("deleteoldrdn") {
+                        delete_old = value.trim() == "1" || value.eq_ignore_ascii_case("true");
+                    } else if key.eq_ignore_ascii_case("newsuperior") {
+                        new_superior = Some(Dn::parse(&value)?);
+                    }
+                    Ok(())
+                })?;
+                Ok(Record::ModRdn {
+                    dn,
+                    new_rdn: new_rdn
+                        .ok_or_else(|| LdapError::protocol("modrdn record missing newrdn"))?,
+                    delete_old,
+                    new_superior,
+                })
+            }
+            other => Err(LdapError::protocol(format!("unknown changetype `{other}`"))),
+        }
+    }
+
+    /// The mod-specs of a modify record: `add:` / `delete:` / `replace:`
+    /// naming an attribute, its value lines, and a `-` that closes it.
+    fn modify(&mut self, dn: Dn) -> Result<Record> {
+        let mut mods: Vec<Modification> = Vec::new();
+        // Value lines may follow the last mod-spec until a `-`.
+        let mut open = false;
+        while let Some(line) = self.line() {
+            if line == "-" {
+                open = false;
+                continue;
+            }
+            let (key, value) = split_kv(&line)?;
+            let op = MOD_OPS
+                .iter()
+                .find(|(name, _)| key.eq_ignore_ascii_case(name));
+            // A value line first: an attribute may be called `add`.
+            match (mods.last_mut().filter(|_| open), op) {
+                (Some(m), _) if key.eq_ignore_ascii_case(m.attr.as_str()) => m.values.push(value),
+                (_, Some(&(_, op))) => {
+                    mods.push(Modification {
+                        op,
+                        attr: value.into(),
+                        values: Vec::new(),
+                    });
+                    open = true;
+                }
+                (Some(m), None) => {
+                    return Err(LdapError::protocol(format!(
+                        "modify value line for `{key}` inside `{}` block",
+                        m.attr
+                    )))
+                }
+                (None, None) => {
+                    return Err(LdapError::protocol(format!("unknown modify op `{key}`")))
+                }
+            }
+        }
+        Ok(Record::Modify(dn, mods))
+    }
+}
+
+/// The modify record's operation keywords, for reader and writer alike.
+const MOD_OPS: [(&str, ModOp); 3] = [
+    ("add", ModOp::Add),
+    ("delete", ModOp::Delete),
+    ("replace", ModOp::Replace),
+];
+
+/// One logical line as `(key, value)`; a line with no `:` is an error
+/// naming it. A `::` value is base64 whatever the key: one that is not
+/// base64, or not UTF-8 once decoded, is an error naming the key — a
+/// damaged value must not load as the empty string.
+fn split_kv(line: &str) -> Result<(&str, String)> {
+    let (key, rest) = line
+        .split_once(':')
+        .ok_or_else(|| LdapError::protocol(format!("LDIF line `{line}` has no `:`")))?;
+    let key = key.trim();
     let value = match rest.strip_prefix(':') {
-        None => rest.trim_start().to_string(),
+        None => rest.trim_start_matches(' ').to_string(),
         Some(b64) => {
             let bytes = b64_decode(b64.trim()).ok_or_else(|| {
                 LdapError::protocol(format!("LDIF value of `{key}` is not valid base64"))
@@ -170,148 +252,33 @@ fn split_kv(line: &str) -> Result<Option<(&str, String)>> {
                 .map_err(|_| LdapError::protocol(format!("LDIF value of `{key}` is not UTF-8")))?
         }
     };
-    Ok(Some((key, value)))
-}
-
-fn parse_block(block: &[(String, String)]) -> Result<Record> {
-    let (first_key, first_val) = &block[0];
-    if !first_key.eq_ignore_ascii_case("dn") {
-        return Err(LdapError::protocol(format!(
-            "LDIF record must start with dn:, got `{first_key}`"
-        )));
-    }
-    let dn = Dn::parse(first_val)?;
-    let rest = &block[1..];
-    let changetype = rest
-        .iter()
-        .find(|(k, _)| k.eq_ignore_ascii_case("changetype"))
-        .map(|(_, v)| v.to_ascii_lowercase());
-    match changetype.as_deref() {
-        None => {
-            let mut e = Entry::new(dn);
-            for (k, v) in rest {
-                e.add_value(k.as_str(), v.clone());
-            }
-            Ok(Record::Content(e))
-        }
-        Some("add") => {
-            let mut e = Entry::new(dn);
-            for (k, v) in rest {
-                if k.eq_ignore_ascii_case("changetype") {
-                    continue;
-                }
-                e.add_value(k.as_str(), v.clone());
-            }
-            Ok(Record::Add(e))
-        }
-        Some("delete") => Ok(Record::Delete(dn)),
-        Some("modify") => {
-            let mut mods = Vec::new();
-            let mut i = 0;
-            let items: Vec<&(String, String)> = rest
-                .iter()
-                .filter(|(k, _)| !k.eq_ignore_ascii_case("changetype"))
-                .collect();
-            while i < items.len() {
-                let (op_key, attr_name) = items[i];
-                let op = match op_key.to_ascii_lowercase().as_str() {
-                    "add" => ModOp::Add,
-                    "delete" => ModOp::Delete,
-                    "replace" => ModOp::Replace,
-                    other => {
-                        return Err(LdapError::protocol(format!("unknown modify op `{other}`")))
-                    }
-                };
-                i += 1;
-                let mut values = Vec::new();
-                while i < items.len() {
-                    let (k, v) = items[i];
-                    if k == "-"
-                        || k.eq_ignore_ascii_case("add")
-                        || k.eq_ignore_ascii_case("delete")
-                        || k.eq_ignore_ascii_case("replace")
-                    {
-                        break;
-                    }
-                    if !k.eq_ignore_ascii_case(attr_name) {
-                        return Err(LdapError::protocol(format!(
-                            "modify value line for `{k}` inside `{attr_name}` block"
-                        )));
-                    }
-                    values.push(v.clone());
-                    i += 1;
-                }
-                // skip separator line "-"
-                if i < items.len() && items[i].0 == "-" {
-                    i += 1;
-                }
-                mods.push(Modification {
-                    op,
-                    attr: attr_name.as_str().into(),
-                    values,
-                });
-            }
-            Ok(Record::Modify(dn, mods))
-        }
-        Some("modrdn") | Some("moddn") => {
-            let find = |key: &str| {
-                rest.iter()
-                    .find(|(k, _)| k.eq_ignore_ascii_case(key))
-                    .map(|(_, v)| v.clone())
-            };
-            let new_rdn = Rdn::parse(
-                &find("newrdn")
-                    .ok_or_else(|| LdapError::protocol("modrdn record missing newrdn"))?,
-            )?;
-            let delete_old = find("deleteoldrdn")
-                .map(|v| v.trim() == "1" || v.eq_ignore_ascii_case("true"))
-                .unwrap_or(false);
-            let new_superior = match find("newsuperior") {
-                Some(v) => Some(Dn::parse(&v)?),
-                None => None,
-            };
-            Ok(Record::ModRdn {
-                dn,
-                new_rdn,
-                delete_old,
-                new_superior,
-            })
-        }
-        Some(other) => Err(LdapError::protocol(format!("unknown changetype `{other}`"))),
-    }
+    Ok((key, value))
 }
 
 /// Write one committed change onto `out` as an LDIF change record, straight
 /// from the borrowed observation (the text of a DIT commit's WAL frame,
 /// [`crate::backup::wal_payload`]); [`parse`] reads it back.
 pub(crate) fn write_change(out: &mut String, rec: &ChangeRecord) {
-    writeln!(out, "dn: {}", rec.dn).expect("write");
+    write_line(out, "dn", &rec.dn);
     match &rec.op {
         ChangeOp::Add(e) => {
-            writeln!(out, "changetype: add").expect("write");
-            for attr in e.attributes() {
-                for v in &attr.values {
-                    write_attr_line(out, attr.name.as_str(), v);
-                }
-            }
+            out.push_str("changetype: add\n");
+            write_attributes(out, e);
         }
-        ChangeOp::Delete => {
-            writeln!(out, "changetype: delete").expect("write");
-        }
+        ChangeOp::Delete => out.push_str("changetype: delete\n"),
         ChangeOp::Modify(mods) => {
-            writeln!(out, "changetype: modify").expect("write");
+            out.push_str("changetype: modify\n");
             for (i, m) in mods.iter().enumerate() {
-                let op = match m.op {
-                    ModOp::Add => "add",
-                    ModOp::Delete => "delete",
-                    ModOp::Replace => "replace",
-                };
-                writeln!(out, "{op}: {}", m.attr).expect("write");
+                let (op, _) = MOD_OPS
+                    .iter()
+                    .find(|(_, op)| *op == m.op)
+                    .expect("every op");
+                writeln!(out, "{op}: {}", m.attr).expect("string write");
                 for v in &m.values {
-                    write_attr_line(out, m.attr.as_str(), v);
+                    write_line(out, m.attr.as_str(), v);
                 }
                 if i + 1 < mods.len() {
-                    writeln!(out, "-").expect("write");
+                    out.push_str("-\n");
                 }
             }
         }
@@ -320,23 +287,15 @@ pub(crate) fn write_change(out: &mut String, rec: &ChangeRecord) {
             delete_old,
             new_superior,
         } => {
-            writeln!(out, "changetype: modrdn").expect("write");
-            writeln!(out, "newrdn: {new_rdn}").expect("write");
-            writeln!(out, "deleteoldrdn: {}", if *delete_old { 1 } else { 0 }).expect("write");
+            out.push_str("changetype: modrdn\n");
+            write_line(out, "newrdn", new_rdn);
+            writeln!(out, "deleteoldrdn: {}", u8::from(*delete_old)).expect("string write");
             if let Some(sup) = new_superior {
-                writeln!(out, "newsuperior: {sup}").expect("write");
+                write_line(out, "newsuperior", sup);
             }
         }
     }
     out.push('\n');
-}
-
-fn write_attr_line(out: &mut String, name: &str, v: &str) {
-    if needs_base64(v) {
-        writeln!(out, "{name}:: {}", b64_encode(v.as_bytes())).expect("write");
-    } else {
-        writeln!(out, "{name}: {v}").expect("write");
-    }
 }
 
 /// Serialize entries as LDIF content records.
@@ -350,17 +309,31 @@ pub fn to_ldif(entries: &[Entry]) -> String {
 }
 
 pub(crate) fn write_entry(out: &mut String, e: &Entry) {
-    writeln!(out, "dn: {}", e.dn()).expect("string write");
+    write_line(out, "dn", e.dn());
+    write_attributes(out, e);
+}
+
+fn write_attributes(out: &mut String, e: &Entry) {
     for attr in e.attributes() {
         for v in &attr.values {
-            if needs_base64(v) {
-                writeln!(out, "{}:: {}", attr.name, b64_encode(v.as_bytes()))
-                    .expect("string write");
-            } else {
-                writeln!(out, "{}: {}", attr.name, v).expect("string write");
-            }
+            write_line(out, attr.name.as_str(), v);
         }
     }
+}
+
+/// One `key: text` line, or `key:: <base64>` when the text would not
+/// survive as a plain line — a name (`dn`, `newrdn`, `newsuperior`) under
+/// the same test as a value.
+fn write_line(out: &mut String, key: &str, text: impl fmt::Display) {
+    let line = out.len();
+    write!(out, "{key}: {text}").expect("string write");
+    let start = line + key.len() + 2;
+    if needs_base64(&out[start..]) {
+        let encoded = b64_encode(&out.as_bytes()[start..]);
+        out.truncate(line);
+        write!(out, "{key}:: {encoded}").expect("string write");
+    }
+    out.push('\n');
 }
 
 fn needs_base64(v: &str) -> bool {
@@ -454,8 +427,9 @@ o: Lucent
 dn: cn=John Doe, o=Lucent
 objectClass: person
 cn: John Doe
-sn: Doe
+sn:: RG9l
 description: a long line
+# comment inside a fold
   that continues
 ";
         let recs = parse(text).unwrap();
@@ -463,46 +437,14 @@ description: a long line
         match &recs[1] {
             Record::Content(e) => {
                 assert_eq!(e.first("description"), Some("a long line that continues"));
+                assert_eq!(e.first("sn"), Some("Doe"));
                 assert_eq!(e.values("objectClass").len(), 1);
             }
             other => panic!("unexpected {other:?}"),
         }
-    }
-
-    #[test]
-    fn fast_content_path_matches_general_parser() {
-        let text = "\
-# snapshot header
-# seq: 42
-dn: o=Lucent
-objectClass: top
-objectClass: organization
-o: Lucent
-
-dn: cn=John Doe, o=Lucent
-objectClass: person
-cn: John Doe
-sn:: RG9l
-description: a long line
-# comment inside a fold
-  that continues
-
-dn: ou=R&D,o=Lucent
-objectClass: organizationalUnit
-ou: R&D
-";
-        let general: Vec<Entry> = parse(text)
-            .unwrap()
-            .into_iter()
-            .map(|r| match r {
-                Record::Content(e) => e,
-                other => panic!("unexpected {other:?}"),
-            })
-            .collect();
-        let fast = parse_content(text).unwrap();
-        assert_eq!(to_ldif(&fast), to_ldif(&general));
-        assert!(parse_content("dn: cn=X,o=L\nchangetype: delete\n").is_err());
-        assert!(parse_content("objectClass: top\n").is_err());
+        let entries = parse_content(text).unwrap();
+        let records: Vec<Record> = entries.into_iter().map(Record::Content).collect();
+        assert_eq!(records, recs);
     }
 
     #[test]
@@ -560,6 +502,10 @@ changetype: delete
             other => panic!("unexpected {other:?}"),
         }
         assert!(matches!(recs[3], Record::Delete(_)));
+        assert!(
+            parse_content(text).is_err(),
+            "a change record in a snapshot"
+        );
     }
 
     #[test]
@@ -595,6 +541,17 @@ changetype: delete
             Record::Content(e) => assert_eq!(e.first("description"), Some(data)),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_name_that_would_break_its_line_is_written_in_base64() {
+        let dn = Dn::parse(r"cn=a\0Ab,o=Lucent").unwrap();
+        let e = Entry::with_attrs(dn, [("cn", "a\nb")]);
+        let text = to_ldif(std::slice::from_ref(&e));
+        assert!(text.starts_with("dn:: "), "{text}");
+        assert_eq!(parse_content(&text).unwrap(), [e]);
+        let plain = to_ldif(&[Entry::new(Dn::parse("cn=a b,o=Lucent").unwrap())]);
+        assert_eq!(plain, "dn: cn=a b,o=Lucent\n\n");
     }
 
     #[test]
@@ -636,5 +593,16 @@ changetype: delete
         assert!(parse("objectClass: top\n").is_err());
         assert!(parse("dn: cn=x\nchangetype: frobnicate\n").is_err());
         assert!(parse("dn: cn=x\nchangetype: modrdn\n").is_err());
+        // `changetype:` counts only directly after `dn:` (RFC 2849).
+        let late = parse("dn: cn=x\ncn: x\nchangetype: delete\n").unwrap_err();
+        assert!(late.message.contains("directly follow"), "{late}");
+        // A line with no `:` is named, not dropped — except a modify's `-`.
+        let stray = parse("dn: cn=x\ncn: x\nb,o=Lucent\n").unwrap_err();
+        assert!(stray.message.contains("`b,o=Lucent`"), "{stray}");
+        assert!(parse("dn: cn=x\nchangetype: delete\n-\n").is_err());
+        let modify = parse("dn: cn=x\nchangetype: modify\ndelete: l\n-\n").unwrap();
+        assert_eq!(modify.len(), 1);
+        let sn = parse("dn: cn=x\nchangetype: modify\nreplace: sn\n-\nsn: y\n").unwrap_err();
+        assert!(sn.message.contains("unknown modify op `sn`"), "{sn}");
     }
 }

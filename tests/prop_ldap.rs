@@ -2,9 +2,12 @@
 //! filters, BER messages, and LDIF; atomicity of modification batches; and
 //! the shared-storage `Dn` against a reference model made of plain strings.
 
+use ldap::backup;
+use ldap::dit::{ChangeOp, ChangeRecord};
 use ldap::dn::{Ava, Dn, Rdn};
 use ldap::entry::{Entry, ModOp, Modification};
 use ldap::filter::Filter;
+use ldap::ldif::{self, Record};
 use ldap::proto::{LdapMessage, ProtocolOp};
 use proptest::prelude::*;
 
@@ -17,6 +20,39 @@ fn value_strategy() -> impl Strategy<Value = String> {
 
 fn attr_strategy() -> impl Strategy<Value = String> {
     proptest::string::string_regex("[a-zA-Z][a-zA-Z0-9-]{0,14}").expect("regex")
+}
+
+/// Names and values a plain LDIF line cannot carry as they are: line
+/// breaks, non-ASCII, RFC 4514 specials, blanks at either end.
+fn wide_text_strategy() -> impl Strategy<Value = String> {
+    const CHARS: [char; 20] = [
+        'a', 'Z', '7', ' ', '\t', ',', '+', '=', '#', ';', '\\', '<', ':', '-', '\n', '\r', 'é',
+        'ß', '中', '😀',
+    ];
+    proptest::collection::vec(0..CHARS.len(), 1..12)
+        .prop_map(|picks| picks.into_iter().map(|i| CHARS[i]).collect())
+}
+
+/// Every name a record carries, as written: `Dn` and `Rdn` equality is by
+/// match, and a name must come back spelled the way it went out.
+fn written_names(records: &[Record]) -> Vec<String> {
+    let mut out = Vec::new();
+    for r in records {
+        match r {
+            Record::Content(e) | Record::Add(e) => out.push(e.dn().to_string()),
+            Record::Delete(dn) | Record::Modify(dn, _) => out.push(dn.to_string()),
+            Record::ModRdn {
+                dn,
+                new_rdn,
+                new_superior,
+                ..
+            } => {
+                out.extend([dn.to_string(), new_rdn.to_string()]);
+                out.extend(new_superior.as_ref().map(Dn::to_string));
+            }
+        }
+    }
+    out
 }
 
 // --- reference model of a DN --------------------------------------------------
@@ -293,26 +329,75 @@ proptest! {
 
     #[test]
     fn ldif_entry_round_trip(
+        name in wide_text_strategy(),
         pairs in proptest::collection::vec((attr_strategy(), value_strategy()), 1..8)
     ) {
-        let mut e = Entry::new(Dn::parse("cn=probe,o=L").unwrap());
-        e.add_value("cn", "probe");
+        let mut e = Entry::new(Dn::parse("o=L").unwrap().child(Rdn::new("cn", name.clone())));
+        e.add_value("cn", name);
         for (a, v) in &pairs {
             e.add_value(a.clone(), v.clone());
         }
-        let text = ldap::ldif::to_ldif(std::slice::from_ref(&e));
-        let records = ldap::ldif::parse(&text).expect("parse own output");
-        prop_assert_eq!(records.len(), 1);
-        match &records[0] {
-            ldap::ldif::Record::Content(back) => prop_assert_eq!(back, &e),
-            other => prop_assert!(false, "unexpected record {:?}", other),
-        }
+        let text = ldif::to_ldif(std::slice::from_ref(&e));
+        let records = ldif::parse(&text).expect("parse own output");
+        prop_assert_eq!(written_names(&records), written_names(&[Record::Content(e.clone())]));
+        prop_assert_eq!(records, vec![Record::Content(e)]);
+    }
+
+    #[test]
+    fn change_records_round_trip_through_a_wal_payload(
+        seq in any::<u64>(),
+        kind in 0..4usize,
+        names in proptest::collection::vec(wide_text_strategy(), 3),
+        flags in (any::<bool>(), any::<bool>()),
+        pairs in proptest::collection::vec((attr_strategy(), wide_text_strategy()), 1..6),
+        mods in proptest::collection::vec(
+            (0..3usize, attr_strategy(), proptest::collection::vec(wide_text_strategy(), 0..3)),
+            0..4,
+        ),
+    ) {
+        let (moved, delete_old) = flags;
+        let dn = Dn::parse("o=L").unwrap().child(Rdn::new("cn", names[0].clone()));
+        let (op, expected) = match kind {
+            0 => {
+                let e = Entry::with_attrs(dn.clone(), pairs);
+                (ChangeOp::Add(e.clone()), Record::Add(e))
+            }
+            1 => {
+                let mods: Vec<Modification> = mods
+                    .into_iter()
+                    .map(|(op, attr, values)| Modification {
+                        op: [ModOp::Add, ModOp::Delete, ModOp::Replace][op],
+                        attr: attr.into(),
+                        values,
+                    })
+                    .collect();
+                (ChangeOp::Modify(mods.clone()), Record::Modify(dn.clone(), mods))
+            }
+            2 => {
+                let new_rdn = Rdn::new("cn", names[1].clone());
+                let new_superior = moved.then(|| Dn::root().child(Rdn::new("ou", names[2].clone())));
+                let op = ChangeOp::ModifyRdn {
+                    new_rdn: new_rdn.clone(),
+                    delete_old,
+                    new_superior: new_superior.clone(),
+                };
+                let record = Record::ModRdn { dn: dn.clone(), new_rdn, delete_old, new_superior };
+                (op, record)
+            }
+            _ => (ChangeOp::Delete, Record::Delete(dn.clone())),
+        };
+        let payload = backup::wal_payload(&ChangeRecord { seq, dn, op });
+        let (back, text) = backup::decode_wal_payload(&payload).expect("decode own payload");
+        prop_assert_eq!(back, seq);
+        let records = ldif::parse(text).unwrap_or_else(|e| panic!("{text:?}: {e}"));
+        prop_assert_eq!(written_names(&records), written_names(std::slice::from_ref(&expected)));
+        prop_assert_eq!(records, vec![expected]);
     }
 
     #[test]
     fn base64_round_trip(data in proptest::collection::vec(any::<u8>(), 0..200)) {
-        let enc = ldap::ldif::b64_encode(&data);
-        prop_assert_eq!(ldap::ldif::b64_decode(&enc).expect("decode"), data);
+        let enc = ldif::b64_encode(&data);
+        prop_assert_eq!(ldif::b64_decode(&enc).expect("decode"), data);
     }
 
     #[test]
