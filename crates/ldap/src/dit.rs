@@ -13,24 +13,29 @@
 //! Searches over equality (and AND-with-equality) filters are served from
 //! per-attribute equality indexes instead of a full subtree scan. The
 //! indexes are maintained inside the same write lock as every update, so
-//! they are always consistent with the entry map, and the planner re-runs
-//! the full filter over each candidate — results are bit-identical to the
-//! scan path, in the same (BFS, parents-first) order, including size-limit
-//! behavior. See [`DEFAULT_INDEXED_ATTRS`] and [`Dit::with_schema_indexed`].
+//! every entry holding a value is in that value's posting, and the planner
+//! re-runs the full filter over each candidate — results are bit-identical
+//! to the scan path, in the same (BFS, parents-first) order, including
+//! size-limit behavior. See [`DEFAULT_INDEXED_ATTRS`] and
+//! [`Dit::with_schema_indexed`].
 //!
 //! ## Storage representation
 //!
-//! A DN arena maps each normalized DN to a `u32` `DnId`; entries, sibling
-//! lists, and index postings all hold ids instead of duplicated key
-//! `String`s, entries hold interned attribute names and point their
-//! ancestor RDNs at their parent's (one RDN per subtree;
-//! DESIGN.md "DIT store and snapshots" has the byte budget,
-//! [`Dit::footprint`] reads it back), and a bulk-load mode
-//! ([`Dit::begin_bulk`]) defers index and sibling-order maintenance to one
-//! build pass — this is what makes million-entry cold starts fit in memory
-//! and time budgets.
+//! The store keeps each string once, in the entry. Every entry has a `u32`
+//! `DnId`; sibling lists and postings hold ids, and the tables that find
+//! them hold hashes: the DN table maps a DN's hash to the ids carrying it
+//! (a lookup settles which one by `Dn ==` against the node's entry), and
+//! each equality index maps a normalized value's hash to the ids holding
+//! it (a collision is one more candidate the filter re-check turns away).
+//! Entries hold interned attribute names and point their ancestor RDNs at
+//! their parent's (one RDN per subtree; DESIGN.md "DIT store and
+//! snapshots" has the byte budget, [`Dit::footprint`] reads it back), and
+//! a bulk-load mode ([`Dit::begin_bulk`]) defers index and sibling-order
+//! maintenance to one build pass — this is what makes million-entry cold
+//! starts fit in memory and time budgets.
 //!
-//! Sibling lists are sorted by full normalized key, and every search emits
+//! Sibling lists are sorted by one comparator on the leaf RDN, which orders
+//! siblings as their full [`Dn::norm_key`]s do, and every search emits
 //! level by level in that order (tests/prop_compact_store.rs pins it
 //! against a plain map-and-walk model).
 
@@ -41,7 +46,10 @@ use crate::error::{LdapError, Result, ResultCode};
 use crate::filter::Filter;
 use crate::schema::{Schema, SchemaRef};
 use parking_lot::RwLock;
+use std::cmp;
+use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -117,7 +125,7 @@ pub struct Footprint {
     /// Every entry's RDN vector and the RDN storage behind it; an RDN
     /// shared down a subtree is counted once, where it is the leaf.
     pub dn_bytes: usize,
-    /// The interned normalized keys and the key-to-id table.
+    /// The DN id table alone: DN hash to the ids carrying it.
     pub key_arena_bytes: usize,
     /// The node slots (entry header, links) and the free list.
     pub slab_bytes: usize,
@@ -126,7 +134,7 @@ pub struct Footprint {
     /// Value strings. A class list entries share is the pool's, as
     /// interned names are, and is counted for no entry.
     pub value_bytes: usize,
-    /// The equality indexes: value keys, tables, spilled id sets.
+    /// The equality indexes: value-hash tables and spilled id sets.
     pub postings_bytes: usize,
     /// The sorted child-id vectors.
     pub sibling_bytes: usize,
@@ -170,9 +178,105 @@ fn hash_table_block(capacity: usize, slot: usize) -> usize {
     heap_block((buckets * slot).next_multiple_of(16) + buckets + 16)
 }
 
-/// Arena id of an entry: a `u32` that stands in for the normalized DN key
-/// in the entry slab, the sibling lists and the index postings.
+/// Arena id of an entry: a `u32` that stands in for its name in the entry
+/// slab, the sibling lists and every posting.
 type DnId = u32;
+
+/// A table keyed by a hash the store has already taken — a DN's, or a
+/// normalized value's — to the ids that carry it. The key goes in as it
+/// is: the table does not hash it again.
+type HashTable = HashMap<u64, Posting, BuildHasherDefault<Taken>>;
+
+/// The hasher of a [`HashTable`]: it is handed a finished hash. That hash
+/// is [`Hashes`]' keyed SipHash, so names and values crafted to collide
+/// are no easier to find than under the default hasher.
+#[derive(Default)]
+struct Taken(u64);
+
+impl Hasher for Taken {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a HashTable key is a finished u64 hash")
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
+/// Add `id` to the posting under `hash`.
+fn post(table: &mut HashTable, hash: u64, id: DnId) {
+    (table.entry(hash))
+        .and_modify(|p| p.insert(id))
+        .or_insert(Posting::One(id));
+}
+
+/// Take `id` out of the posting under `hash`, and the posting out of the
+/// table with its last id.
+fn withdraw(table: &mut HashTable, hash: u64, id: DnId) {
+    if table.get_mut(&hash).is_some_and(|p| p.remove(id)) {
+        table.remove(&hash);
+    }
+}
+
+/// A table's one block plus every set a shared posting spilled into.
+fn table_bytes(table: &HashTable) -> usize {
+    let spilled: usize = table.values().map(Posting::heap_bytes).sum();
+    hash_table_block(table.capacity(), std::mem::size_of::<(u64, Posting)>()) + spilled
+}
+
+/// How a store hashes names and values: SipHash under a key of its own.
+/// Unit tests keep two bits of every hash, so each test in this module
+/// runs on colliding buckets.
+struct Hashes(RandomState);
+
+impl Hashes {
+    fn finish(&self, item: impl Hash) -> u64 {
+        let hash = self.0.hash_one(item);
+        if cfg!(test) {
+            hash & 0b11
+        } else {
+            hash
+        }
+    }
+
+    /// The hash of the DN whose RDNs (leaf first) are `rdns` — what the
+    /// derived `Dn: Hash` hashes, so a parent's is `rdns[1..]`'s and no
+    /// parent `Dn` is built for it.
+    fn dn(&self, rdns: &[Rdn]) -> u64 {
+        self.finish(rdns)
+    }
+
+    /// The hash of `value` normalized, which is built in `scratch`.
+    fn value(&self, value: &str, scratch: &mut String) -> u64 {
+        norm_value_into(value, scratch);
+        self.finish(scratch.as_str())
+    }
+}
+
+/// Sibling order, read off two leaf RDNs: their [`Rdn::key_runs`], each
+/// followed by the `,` that joins it to the parent's key when there is a
+/// parent. That is the order of the siblings' full [`Dn::norm_key`]s, and
+/// for names with no `,` `+` `\` in a value, of their unescaped keys.
+fn sibling_order(a: &Rdn, b: &Rdn, under_parent: bool) -> cmp::Ordering {
+    if a.shares_storage(b) {
+        return cmp::Ordering::Equal;
+    }
+    let comma: &[u8] = if under_parent { b"," } else { b"" };
+    // The common case, siblings named by one type and values with nothing
+    // to escape, compares the values alone: their keys agree up to them.
+    if let ([x], [y]) = (a.avas(), b.avas()) {
+        let (v, w) = (x.norm_value().as_bytes(), y.norm_value().as_bytes());
+        let plain = |s: &[u8]| !s.iter().any(|b| matches!(b, b',' | b'+' | b'\\'));
+        if x.norm_attr() == y.norm_attr() && plain(v) && plain(w) {
+            return v.iter().chain(comma).cmp(w.iter().chain(comma));
+        }
+    }
+    (a.key_runs().chain([comma]).flatten()).cmp(b.key_runs().chain([comma]).flatten())
+}
 
 /// What the filter planner decided for one search.
 #[derive(Clone, Copy)]
@@ -202,10 +306,10 @@ fn collect_eq<'f>(f: &'f Filter, out: &mut Vec<(&'f str, &'f str)>) {
     }
 }
 
-/// The ids carrying one indexed value. Names and numbers are unique, so
-/// most values have exactly one: that id sits inline, and a set is only
-/// allocated when a second entry shares the value (invariant: `Many` holds
-/// at least two).
+/// The ids under one hash: of a DN, or of an indexed value. Names and
+/// numbers are unique, so most hashes have exactly one: that id sits
+/// inline, and a set is only allocated when a second entry shares the
+/// value or collides with it (invariant: `Many` holds at least two).
 enum Posting {
     One(DnId),
     /// Boxed on purpose: the slot of a unique value stays 16 bytes instead
@@ -253,47 +357,40 @@ impl Posting {
             }
         }
     }
-}
 
-/// Per-attribute equality index: normalized value → the ids of every
-/// entry carrying it ([`Posting`]). Lives inside the store so maintenance
-/// shares the update ops' write lock. Postings are unordered; candidate
-/// order is recovered at query time by sorting survivors by arena key — a
-/// few comparisons on what is typically a small candidate set.
-struct IdIndex {
-    postings: HashMap<String, ValueTable>,
-    /// The normalized value being posted or withdrawn: maintenance runs
-    /// under the store's write lock, so one buffer serves every call and
-    /// only a value new to its table is allocated for.
-    scratch: String,
-}
-
-/// One indexed attribute's normalized values and who carries them.
-type ValueTable = HashMap<Box<str>, Posting>;
-
-fn post(table: &mut ValueTable, scratch: &mut String, value: &str, id: DnId) {
-    norm_value_into(value, scratch);
-    match table.get_mut(scratch.as_str()) {
-        Some(posting) => posting.insert(id),
-        None => {
-            table.insert(scratch.as_str().into(), Posting::One(id));
+    /// The spilled set's heap bytes (an inline id has none).
+    fn heap_bytes(&self) -> usize {
+        match self {
+            Posting::One(_) => 0,
+            Posting::Many(set) => {
+                heap_block(std::mem::size_of::<HashSet<DnId>>())
+                    + hash_table_block(set.capacity(), std::mem::size_of::<DnId>())
+            }
         }
     }
 }
 
-fn withdraw(table: &mut ValueTable, scratch: &mut String, value: &str, id: DnId) {
-    norm_value_into(value, scratch);
-    let emptied = |p: &mut Posting| p.remove(id);
-    if table.get_mut(scratch.as_str()).is_some_and(emptied) {
-        table.remove(scratch.as_str());
-    }
+/// Per-attribute equality index: normalized value's hash → the ids of
+/// every entry carrying the value, and of any entry whose value collides
+/// with it ([`Posting`]). No value is stored here: the planner re-runs the
+/// full filter on every candidate, so a collision costs one check, and a
+/// hash with no posting still proves that no entry holds the value. Lives
+/// inside the store so maintenance shares the update ops' write lock.
+/// Postings are unordered; candidate order is recovered at query time by
+/// sorting survivors with the sibling comparator — a few comparisons on
+/// what is typically a small candidate set.
+struct IdIndex {
+    postings: HashMap<String, HashTable>,
+    /// The normalized value being hashed: maintenance runs under the
+    /// store's write lock, so one buffer serves every call.
+    scratch: String,
 }
 
 impl IdIndex {
     fn new(attrs: &[&str]) -> IdIndex {
         let mut postings = HashMap::new();
         for a in attrs {
-            postings.insert(a.to_ascii_lowercase(), HashMap::new());
+            postings.insert(a.to_ascii_lowercase(), HashTable::default());
         }
         IdIndex {
             postings,
@@ -305,20 +402,21 @@ impl IdIndex {
         !self.postings.is_empty()
     }
 
-    fn insert_entry(&mut self, id: DnId, e: &Entry) {
-        self.each_indexed_value(id, e, post);
+    fn insert_entry(&mut self, hashes: &Hashes, id: DnId, e: &Entry) {
+        self.each_indexed_value(hashes, id, e, post);
     }
 
-    fn remove_entry(&mut self, id: DnId, e: &Entry) {
-        self.each_indexed_value(id, e, withdraw);
+    fn remove_entry(&mut self, hashes: &Hashes, id: DnId, e: &Entry) {
+        self.each_indexed_value(hashes, id, e, withdraw);
     }
 
     /// `post` or `withdraw` every value of `e` that has a table.
     fn each_indexed_value(
         &mut self,
+        hashes: &Hashes,
         id: DnId,
         e: &Entry,
-        apply: fn(&mut ValueTable, &mut String, &str, DnId),
+        apply: fn(&mut HashTable, u64, DnId),
     ) {
         if !self.enabled() {
             return;
@@ -326,7 +424,7 @@ impl IdIndex {
         for attr in e.attributes() {
             if let Some(table) = self.postings.get_mut(attr.name.norm()) {
                 for v in &attr.values {
-                    apply(table, &mut self.scratch, v, id);
+                    apply(table, hashes.value(v, &mut self.scratch), id);
                 }
             }
         }
@@ -334,15 +432,18 @@ impl IdIndex {
 
     /// Entry `id` changed from `old` to `new`: re-post the indexed
     /// attributes whose values differ and leave the others' postings alone.
-    fn update_entry(&mut self, id: DnId, old: &Entry, new: &Entry) {
+    /// Every old value of an attribute is withdrawn before any new one is
+    /// posted, which is also what keeps `id` posted when two of its values
+    /// share a hash and only one of them goes.
+    fn update_entry(&mut self, hashes: &Hashes, id: DnId, old: &Entry, new: &Entry) {
         for (attr, table) in &mut self.postings {
             let (was, now) = (old.values(attr), new.values(attr));
             if was != now {
                 for v in was {
-                    withdraw(table, &mut self.scratch, v, id);
+                    withdraw(table, hashes.value(v, &mut self.scratch), id);
                 }
                 for v in now {
-                    post(table, &mut self.scratch, v, id);
+                    post(table, hashes.value(v, &mut self.scratch), id);
                 }
             }
         }
@@ -353,7 +454,7 @@ impl IdIndex {
     /// equality on an indexed attribute, or an `&` whose conjuncts (nested
     /// `&`s flatten) include one — anything else scans. A missing posting
     /// for an indexed conjunct proves the result empty.
-    fn plan(&self, filter: &Filter) -> Plan<'_> {
+    fn plan(&self, hashes: &Hashes, filter: &Filter) -> Plan<'_> {
         if !self.enabled() {
             return Plan::Scan;
         }
@@ -368,8 +469,7 @@ impl IdIndex {
             let Some(table) = with_lower(attr, |a| self.postings.get(a)) else {
                 continue;
             };
-            norm_value_into(value, &mut wanted);
-            match table.get(wanted.as_str()) {
+            match table.get(&hashes.value(value, &mut wanted)) {
                 None => return Plan::Empty,
                 Some(set) => {
                     if best.is_none_or(|b| set.len() < b.len()) {
@@ -382,41 +482,34 @@ impl IdIndex {
     }
 
     fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
         let mut bytes = heap_block(self.scratch.capacity())
-            + hash_table_block(self.postings.capacity(), size_of::<(String, ValueTable)>());
-        for (attr, m) in &self.postings {
-            bytes += heap_block(attr.capacity())
-                + hash_table_block(m.capacity(), size_of::<(Box<str>, Posting)>());
-            for (value, posting) in m {
-                bytes += heap_block(value.len());
-                if let Posting::Many(set) = posting {
-                    bytes += heap_block(size_of::<HashSet<DnId>>())
-                        + hash_table_block(set.capacity(), size_of::<DnId>());
-                }
-            }
+            + hash_table_block(
+                self.postings.capacity(),
+                std::mem::size_of::<(String, HashTable)>(),
+            );
+        for (attr, table) in &self.postings {
+            bytes += heap_block(attr.capacity()) + table_bytes(table);
         }
         bytes
     }
 }
 
-/// One arena slot: the entry, its interned full normalized key (shared
-/// with the id map), and the tree links as ids.
+/// One arena slot: the entry and the tree links as ids.
 struct CompactNode {
-    key: Arc<str>,
     entry: Entry,
     /// `None` means the parent is the virtual DIT root.
     parent: Option<DnId>,
-    /// Sorted by the children's full normalized keys. Unsorted while a
-    /// bulk load is active.
+    /// Sorted by [`sibling_order`]. Unsorted while a bulk load is active.
     children: Vec<DnId>,
 }
 
-/// The store: DN arena + id-keyed tree and index.
+/// The store: id-keyed tree and index, and the DN table that finds ids.
 struct CompactStore {
-    /// norm DN key → arena id. Keys are the same `Arc<str>`s the nodes
-    /// hold, so each DN string exists exactly once in the process.
-    ids: HashMap<Arc<str>, DnId>,
+    /// DN hash → the ids whose DN has it: one inline id a name, a set only
+    /// where two names collide, settled by `Dn ==` against the node's
+    /// entry. The name itself lives in the entry alone.
+    dns: HashTable,
+    hashes: Hashes,
     slots: Vec<Option<CompactNode>>,
     /// Freed ids, reused by later inserts.
     free: Vec<DnId>,
@@ -432,13 +525,19 @@ struct CompactStore {
 impl CompactStore {
     fn new(indexed_attrs: &[&str]) -> CompactStore {
         CompactStore {
-            ids: HashMap::new(),
+            dns: HashTable::default(),
+            hashes: Hashes(RandomState::new()),
             slots: Vec::new(),
             free: Vec::new(),
             root_children: Vec::new(),
             index: IdIndex::new(indexed_attrs),
             bulk: 0,
         }
+    }
+
+    /// Live entries.
+    fn len(&self) -> usize {
+        self.slots.len() - self.free.len()
     }
 
     fn node(&self, id: DnId) -> &CompactNode {
@@ -449,21 +548,39 @@ impl CompactStore {
         self.slots[id as usize].as_mut().expect("live id")
     }
 
-    fn id_of(&self, key: &str) -> Option<DnId> {
-        self.ids.get(key).copied()
+    /// The leaf RDN of entry `id`.
+    fn rdn(&self, id: DnId) -> &Rdn {
+        self.node(id)
+            .entry
+            .dn()
+            .rdn()
+            .expect("an entry is never the root")
     }
 
-    fn contains(&self, key: &str) -> bool {
-        self.ids.contains_key(key)
+    /// The id of the entry named by `rdns` (leaf first), whose hash is
+    /// `hash`.
+    fn find_hashed(&self, hash: u64, rdns: &[Rdn]) -> Option<DnId> {
+        let posting = self.dns.get(&hash)?;
+        posting
+            .iter()
+            .find(|&id| self.node(id).entry.dn().rdns() == rdns)
     }
 
-    fn get_entry(&self, key: &str) -> Option<&Entry> {
-        self.id_of(key).map(|id| &self.node(id).entry)
+    fn find(&self, rdns: &[Rdn]) -> Option<DnId> {
+        self.find_hashed(self.hashes.dn(rdns), rdns)
     }
 
-    fn has_children(&self, key: &str) -> bool {
-        self.id_of(key)
-            .is_some_and(|id| !self.node(id).children.is_empty())
+    fn get_entry(&self, dn: &Dn) -> Option<&Entry> {
+        self.find(dn.rdns()).map(|id| &self.node(id).entry)
+    }
+
+    /// Where the entry named by `rdns` hangs: `Some(None)` under the
+    /// virtual root (a suffix), `None` when no entry has the parent's name.
+    fn parent_of(&self, rdns: &[Rdn]) -> Option<Option<DnId>> {
+        match rdns {
+            [] | [_] => Some(None),
+            [_, above @ ..] => self.find(above).map(Some),
+        }
     }
 
     fn children_of(&self, parent: Option<DnId>) -> &[DnId] {
@@ -498,8 +615,15 @@ impl CompactStore {
         }
     }
 
-    /// Splice `id` into its parent's sibling list at the key-sorted
-    /// position (append unsorted during bulk loads).
+    /// Where `id` sits, or would sit, among `parent`'s sorted children.
+    fn sibling_slot(&self, parent: Option<DnId>, id: DnId) -> std::result::Result<usize, usize> {
+        let rdn = self.rdn(id);
+        self.children_of(parent)
+            .binary_search_by(|&c| sibling_order(self.rdn(c), rdn, parent.is_some()))
+    }
+
+    /// Splice `id` into its parent's sibling list at its sorted position
+    /// (append unsorted during bulk loads).
     fn link_child(&mut self, parent: Option<DnId>, id: DnId) {
         if self.bulk > 0 {
             match parent {
@@ -508,12 +632,7 @@ impl CompactStore {
             }
             return;
         }
-        let key = self.node(id).key.clone();
-        let pos = {
-            let sibs = self.children_of(parent);
-            sibs.binary_search_by(|&c| self.node(c).key.as_ref().cmp(key.as_ref()))
-                .unwrap_err()
-        };
+        let pos = self.sibling_slot(parent, id).unwrap_err();
         match parent {
             Some(p) => self.node_mut(p).children.insert(pos, id),
             None => self.root_children.insert(pos, id),
@@ -521,15 +640,10 @@ impl CompactStore {
     }
 
     fn unlink_child(&mut self, parent: Option<DnId>, id: DnId) {
-        let pos = {
-            let sibs = self.children_of(parent);
-            if self.bulk > 0 {
-                sibs.iter().position(|&c| c == id)
-            } else {
-                let key = &self.node(id).key;
-                sibs.binary_search_by(|&c| self.node(c).key.as_ref().cmp(key.as_ref()))
-                    .ok()
-            }
+        let pos = if self.bulk > 0 {
+            self.children_of(parent).iter().position(|&c| c == id)
+        } else {
+            self.sibling_slot(parent, id).ok()
         }
         .expect("child is linked under its parent");
         match parent {
@@ -542,101 +656,116 @@ impl CompactStore {
         }
     }
 
-    /// Insert an entry whose parent existence and key uniqueness the
-    /// caller has already checked. Its ancestor RDNs are re-pointed at the
-    /// parent node's, so every path into the tree (add, rename, subtree
-    /// move) leaves each RDN stored once per subtree; a bulk load does the
-    /// same for all its entries at once, in `finish_bulk_build`.
-    fn insert_entry(&mut self, key: &str, parent_key: &str, mut entry: Entry) {
-        let parent = if parent_key.is_empty() {
-            None
-        } else {
-            Some(self.id_of(parent_key).expect("parent checked"))
-        };
+    /// Insert an entry, whose DN hashes to `hash`, under `parent`: the
+    /// caller has already checked that the parent exists and the name is
+    /// free. Its ancestor RDNs are re-pointed at the parent node's, so every
+    /// path into the tree (add, rename, subtree move) leaves each RDN stored
+    /// once per subtree; a bulk load does the same for all its entries at
+    /// once, in `finish_bulk_build`.
+    fn insert_entry(&mut self, hash: u64, parent: Option<DnId>, mut entry: Entry) {
         if let (Some(p), 0) = (parent, self.bulk) {
             entry.dn_mut().share_with(self.node(p).entry.dn());
         }
-        let akey: Arc<str> = Arc::from(key);
         let id = self.alloc(CompactNode {
-            key: akey.clone(),
             entry,
             parent,
             children: Vec::new(),
         });
-        self.ids.insert(akey, id);
+        post(&mut self.dns, hash, id);
         if self.bulk == 0 {
-            let CompactStore { slots, index, .. } = self;
+            let CompactStore {
+                slots,
+                index,
+                hashes,
+                ..
+            } = self;
             let node = slots[id as usize].as_ref().expect("just allocated");
-            index.insert_entry(id, &node.entry);
+            index.insert_entry(hashes, id, &node.entry);
         }
         self.link_child(parent, id);
     }
 
-    /// Remove a childless entry the caller has already checked exists.
-    fn remove_leaf(&mut self, key: &str) -> Entry {
-        let id = self.ids.remove(key).expect("entry checked");
+    /// Remove the childless entry `id`, whose DN hashes to `hash`.
+    fn remove_leaf(&mut self, id: DnId, hash: u64) -> Entry {
         let parent = self.node(id).parent;
         self.unlink_child(parent, id);
         let node = self.slots[id as usize].take().expect("live id");
+        withdraw(&mut self.dns, hash, id);
         if self.bulk == 0 {
-            self.index.remove_entry(id, &node.entry);
+            self.index.remove_entry(&self.hashes, id, &node.entry);
         }
         self.free.push(id);
         node.entry
     }
 
-    /// Swap in a modified image of an existing entry.
-    fn replace_entry(&mut self, key: &str, mut entry: Entry) {
+    /// Swap in a modified image of entry `id`.
+    fn replace_entry(&mut self, id: DnId, mut entry: Entry) {
         entry.compact_for_store();
-        let id = self.id_of(key).expect("entry checked");
         let CompactStore {
-            slots, index, bulk, ..
+            slots,
+            index,
+            hashes,
+            bulk,
+            ..
         } = self;
         let node = slots[id as usize].as_mut().expect("live id");
         if *bulk == 0 {
-            index.update_entry(id, &node.entry, &entry);
+            index.update_entry(hashes, id, &node.entry, &entry);
         }
         node.entry = entry;
     }
 
-    /// Rename/move the subtree rooted at `old_key`: remove it leaves-first,
-    /// rewrite each DN against `new_dn`, and reinsert parents-first. `head`
-    /// is the already-updated image of the renamed entry itself.
-    fn rename_subtree(&mut self, old_key: &str, dn: &Dn, new_dn: &Dn, head: Entry) {
-        let root_id = self.id_of(old_key).expect("entry checked");
-        let order: Vec<DnId> = self.parents_first(Some(root_id)).collect();
+    /// Rename/move the subtree rooted at `root` (whose DN, `old_depth`
+    /// RDNs deep, hashes to `hash`): remove it leaves-first, rewrite each
+    /// DN against `new_dn`, and reinsert parents-first. `head` is the
+    /// already-updated image of the renamed entry itself.
+    fn rename_subtree(
+        &mut self,
+        root: DnId,
+        hash: u64,
+        old_depth: usize,
+        new_dn: &Dn,
+        head: Entry,
+    ) {
+        let order: Vec<DnId> = self.parents_first(Some(root)).collect();
         let mut moved: Vec<Entry> = (order.iter().rev())
-            .map(|&id| self.remove_leaf(&self.node(id).key.clone()))
+            .map(|&id| {
+                let hash = match id == root {
+                    true => hash,
+                    false => self.hashes.dn(self.node(id).entry.dn().rdns()),
+                };
+                self.remove_leaf(id, hash)
+            })
             .collect();
         moved.pop(); // the renamed entry's old image: `head` replaces it
-        let old_depth = dn.depth();
         let rebased = moved.into_iter().rev().map(|mut e| {
             e.set_dn(e.dn().rebased(old_depth, new_dn));
             e
         });
         for e in std::iter::once(head).chain(rebased) {
-            let key = e.dn().norm_key();
-            let parent_key = e.dn().parent().map(|p| p.norm_key()).unwrap_or_default();
-            self.insert_entry(&key, &parent_key, e);
+            let rdns = e.dn().rdns();
+            let hash = self.hashes.dn(rdns);
+            let parent = self.parent_of(rdns).expect("parent checked or moved first");
+            self.insert_entry(hash, parent, e);
         }
     }
 
     /// Restore the sorted-sibling, shared-RDN and index invariants after a
-    /// bulk load: sort every sibling list by arena key, point every
-    /// entry's ancestor RDNs at its parent's, and rebuild the postings in
-    /// one pass over the live slots. This replaces ~n per-insert index
-    /// updates (each allocating a normalized value `String` and touching a
-    /// set) with one linear build — the core of the fast cold start.
+    /// bulk load: sort every sibling list, point every entry's ancestor
+    /// RDNs at its parent's, and rebuild the postings in one pass over the
+    /// live slots. This replaces ~n per-insert index updates with one
+    /// linear build — the core of the fast cold start. The DN table needs
+    /// no rebuild: every insert posts to it.
     fn finish_bulk_build(&mut self) {
         let mut rc = std::mem::take(&mut self.root_children);
-        rc.sort_by(|&a, &b| self.node(a).key.cmp(&self.node(b).key));
+        rc.sort_unstable_by(|&a, &b| sibling_order(self.rdn(a), self.rdn(b), false));
         self.root_children = rc;
         for i in 0..self.slots.len() {
             let Some(slot) = self.slots[i].as_mut() else {
                 continue;
             };
             let mut kids = std::mem::take(&mut slot.children);
-            kids.sort_by(|&a, &b| self.node(a).key.cmp(&self.node(b).key));
+            kids.sort_unstable_by(|&a, &b| sibling_order(self.rdn(a), self.rdn(b), true));
             self.node_mut(i as DnId).children = kids;
         }
         // Parents first, so that what a node shares is already its parent's
@@ -657,10 +786,15 @@ impl CompactStore {
             m.clear();
         }
         if self.index.enabled() {
-            let CompactStore { slots, index, .. } = self;
+            let CompactStore {
+                slots,
+                index,
+                hashes,
+                ..
+            } = self;
             for (i, slot) in slots.iter().enumerate() {
                 if let Some(n) = slot {
-                    index.insert_entry(i as DnId, &n.entry);
+                    index.insert_entry(hashes, i as DnId, &n.entry);
                 }
             }
         }
@@ -669,8 +803,8 @@ impl CompactStore {
     fn footprint(&self) -> Footprint {
         use std::mem::size_of;
         let mut fp = Footprint {
-            entries: self.ids.len(),
-            key_arena_bytes: hash_table_block(self.ids.capacity(), size_of::<(Arc<str>, DnId)>()),
+            entries: self.len(),
+            key_arena_bytes: table_bytes(&self.dns),
             slab_bytes: heap_block(self.slots.capacity() * size_of::<Option<CompactNode>>())
                 + heap_block(self.free.capacity() * size_of::<DnId>()),
             postings_bytes: self.index.heap_bytes(),
@@ -678,8 +812,6 @@ impl CompactStore {
             ..Footprint::default()
         };
         for node in self.slots.iter().flatten() {
-            // An `Arc<str>`: two reference counts, then the text.
-            fp.key_arena_bytes += heap_block(2 * size_of::<usize>() + node.key.len());
             fp.sibling_bytes += heap_block(node.children.capacity() * size_of::<DnId>());
             node.entry.attr_heap_blocks(
                 |n| fp.attr_slot_bytes += heap_block(n),
@@ -708,7 +840,25 @@ impl CompactStore {
         if self.bulk > 0 {
             return Plan::Scan;
         }
-        self.index.plan(filter)
+        self.index.plan(&self.hashes, filter)
+    }
+
+    /// Where two entries fall in the scan's level-by-level walk: shallower
+    /// first, then, from the top down, by the sibling order of the first
+    /// RDNs on their paths that differ — the first ancestors that are not
+    /// one entry.
+    fn scan_order(&self, a: DnId, b: DnId) -> cmp::Ordering {
+        let (a, b) = (
+            self.node(a).entry.dn().rdns(),
+            self.node(b).entry.dn().rdns(),
+        );
+        let levels = a.iter().rev().zip(b.iter().rev()).enumerate();
+        a.len().cmp(&b.len()).then_with(|| {
+            levels
+                .map(|(depth, (x, y))| sibling_order(x, y, depth > 0))
+                .find(|order| order.is_ne())
+                .unwrap_or(cmp::Ordering::Equal)
+        })
     }
 
     /// The children of `base` (`None`: the virtual root) under `plan`.
@@ -722,13 +872,14 @@ impl CompactStore {
             Plan::Empty => {}
             Plan::Candidates(set) => {
                 // Candidate-major: an O(1) parent check per candidate, then
-                // sort survivors by arena key — siblings share their key
-                // suffix, so this is exactly the sibling-list (scan) order.
+                // the survivors in sibling order — the scan's order.
                 let mut hits: Vec<DnId> = set
                     .iter()
                     .filter(|&id| self.node(id).parent == base)
                     .collect();
-                hits.sort_by(|&a, &b| self.node(a).key.cmp(&self.node(b).key));
+                hits.sort_unstable_by(|&a, &b| {
+                    sibling_order(self.rdn(a), self.rdn(b), base.is_some())
+                });
                 for id in hits {
                     push(&self.node(id).entry)?;
                 }
@@ -753,23 +904,13 @@ impl CompactStore {
         match plan {
             Plan::Empty => {}
             Plan::Candidates(set) => {
-                // Sorting by (depth, ancestor-key chain) reproduces the
-                // scan's level-by-level emission order exactly.
-                let mut cands: Vec<(usize, Vec<String>, DnId)> = set
+                let mut cands: Vec<DnId> = set
                     .iter()
-                    .filter_map(|id| {
-                        if let Some(b) = base_id {
-                            if id != b && !self.is_under(id, b) {
-                                return None;
-                            }
-                        }
-                        let chain = ancestor_chain(self.node(id).entry.dn());
-                        Some((chain.len(), chain, id))
-                    })
+                    .filter(|&id| base_id.is_none_or(|b| id == b || self.is_under(id, b)))
                     .collect();
-                cands.sort();
-                for (_, _, id) in &cands {
-                    push(&self.node(*id).entry)?;
+                cands.sort_unstable_by(|&a, &b| self.scan_order(a, b));
+                for id in cands {
+                    push(&self.node(id).entry)?;
                 }
             }
             Plan::Scan => {
@@ -901,7 +1042,7 @@ impl Dit {
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.store.read().tree.ids.len()
+        self.store.read().tree.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -924,11 +1065,11 @@ impl Dit {
 
     /// Fetch a copy of one entry.
     pub fn get(&self, dn: &Dn) -> Option<Entry> {
-        self.store.read().tree.get_entry(&dn.norm_key()).cloned()
+        self.store.read().tree.get_entry(dn).cloned()
     }
 
     pub fn exists(&self, dn: &Dn) -> bool {
-        self.store.read().tree.contains(&dn.norm_key())
+        self.store.read().tree.find(dn.rdns()).is_some()
     }
 
     /// Enter bulk-load mode (nestable). Inserts stop maintaining the
@@ -975,25 +1116,24 @@ impl Dit {
         }
         // Size + intern outside the write lock.
         entry.compact_for_store();
-        let key = entry.dn().norm_key();
-        let parent = entry.dn().parent().expect("non-root");
-        let parent_key = parent.norm_key();
         let rec = match emit {
             true => self.record(entry.dn(), || ChangeOp::Add(entry.clone())),
             false => None,
         };
         let mut guard = self.store.write();
         let s = &mut *guard;
-        if s.tree.contains(&key) {
+        let rdns = entry.dn().rdns();
+        let hash = s.tree.hashes.dn(rdns);
+        if s.tree.find_hashed(hash, rdns).is_some() {
             return Err(LdapError::already_exists(entry.dn()));
         }
-        if !parent.is_root() && !s.tree.contains(&parent_key) {
+        let Some(parent) = s.tree.parent_of(rdns) else {
             return Err(LdapError::new(
                 ResultCode::NoSuchObject,
                 format!("parent of `{}` does not exist", entry.dn()),
             ));
-        }
-        s.tree.insert_entry(&key, &parent_key, entry);
+        };
+        s.tree.insert_entry(hash, parent, entry);
         s.seq += 1;
         let seq = s.seq;
         drop(guard);
@@ -1003,20 +1143,19 @@ impl Dit {
 
     /// Delete a leaf entry.
     pub fn delete(&self, dn: &Dn) -> Result<()> {
-        let key = dn.norm_key();
         let rec = self.record(dn, || ChangeOp::Delete);
         let mut guard = self.store.write();
         let s = &mut *guard;
-        if !s.tree.contains(&key) {
-            return Err(LdapError::no_such_object(dn));
-        }
-        if s.tree.has_children(&key) {
+        let hash = s.tree.hashes.dn(dn.rdns());
+        let id =
+            (s.tree.find_hashed(hash, dn.rdns())).ok_or_else(|| LdapError::no_such_object(dn))?;
+        if !s.tree.node(id).children.is_empty() {
             return Err(LdapError::new(
                 ResultCode::NotAllowedOnNonLeaf,
                 format!("`{dn}` has children"),
             ));
         }
-        s.tree.remove_leaf(&key);
+        s.tree.remove_leaf(id, hash);
         s.seq += 1;
         let seq = s.seq;
         drop(guard);
@@ -1027,16 +1166,12 @@ impl Dit {
     /// Modify an entry in place. All modifications apply atomically; RDN
     /// attribute values cannot be removed (use [`Dit::modify_rdn`]).
     pub fn modify(&self, dn: &Dn, mods: &[Modification]) -> Result<()> {
-        let key = dn.norm_key();
         let rec = self.record(dn, || ChangeOp::Modify(mods.to_vec()));
         let mut guard = self.store.write();
         let s = &mut *guard;
+        let id = (s.tree.find(dn.rdns())).ok_or_else(|| LdapError::no_such_object(dn))?;
         // A private copy, dropped on any error below: applied in place.
-        let mut updated = s
-            .tree
-            .get_entry(&key)
-            .ok_or_else(|| LdapError::no_such_object(dn))?
-            .clone();
+        let mut updated = s.tree.node(id).entry.clone();
         updated.apply_in_place(mods)?;
         // Naming invariant even under a permissive schema.
         if let Some(rdn) = dn.rdn() {
@@ -1054,7 +1189,7 @@ impl Dit {
             }
         }
         self.schema.validate_entry(&updated)?;
-        s.tree.replace_entry(&key, updated);
+        s.tree.replace_entry(id, updated);
         s.seq += 1;
         let seq = s.seq;
         drop(guard);
@@ -1076,12 +1211,10 @@ impl Dit {
         if dn.is_root() {
             return Err(LdapError::unwilling("cannot rename the root"));
         }
-        let old_key = dn.norm_key();
         let new_dn = match new_superior {
             Some(sup) => sup.child(new_rdn.clone()),
             None => dn.with_rdn(new_rdn.clone())?,
         };
-        let new_key = new_dn.norm_key();
         let rec = self.record(dn, || ChangeOp::ModifyRdn {
             new_rdn: new_rdn.clone(),
             delete_old,
@@ -1089,11 +1222,11 @@ impl Dit {
         });
         let mut guard = self.store.write();
         let s = &mut *guard;
-        if !s.tree.contains(&old_key) {
-            return Err(LdapError::no_such_object(dn));
-        }
+        let hash = s.tree.hashes.dn(dn.rdns());
+        let id =
+            (s.tree.find_hashed(hash, dn.rdns())).ok_or_else(|| LdapError::no_such_object(dn))?;
         if let Some(sup) = new_superior {
-            if !sup.is_root() && !s.tree.contains(&sup.norm_key()) {
+            if !sup.is_root() && s.tree.find(sup.rdns()).is_none() {
                 return Err(LdapError::no_such_object(sup));
             }
             // Refuse to move an entry under its own subtree.
@@ -1103,11 +1236,11 @@ impl Dit {
                 )));
             }
         }
-        if new_key != old_key && s.tree.contains(&new_key) {
+        if s.tree.find(new_dn.rdns()).is_some_and(|other| other != id) {
             return Err(LdapError::already_exists(&new_dn));
         }
         // Update the renamed entry's attributes.
-        let mut entry = s.tree.get_entry(&old_key).cloned().expect("checked");
+        let mut entry = s.tree.node(id).entry.clone();
         if delete_old {
             if let Some(old_rdn) = dn.rdn() {
                 for ava in old_rdn.avas() {
@@ -1123,7 +1256,7 @@ impl Dit {
         entry.set_dn(new_dn.clone());
         self.schema.validate_entry(&entry)?;
 
-        s.tree.rename_subtree(&old_key, dn, &new_dn, entry);
+        s.tree.rename_subtree(id, hash, dn.depth(), &new_dn, entry);
         s.seq += 1;
         let seq = s.seq;
         drop(guard);
@@ -1134,10 +1267,7 @@ impl Dit {
     /// Compare one attribute value (RFC 2251 Compare).
     pub(crate) fn compare(&self, dn: &Dn, attr: &str, value: &str) -> Result<bool> {
         let s = self.store.read();
-        let entry = s
-            .tree
-            .get_entry(&dn.norm_key())
-            .ok_or_else(|| LdapError::no_such_object(dn))?;
+        let entry = (s.tree.get_entry(dn)).ok_or_else(|| LdapError::no_such_object(dn))?;
         Ok(entry.has_value(attr, value))
     }
 
@@ -1220,10 +1350,13 @@ impl Dit {
     ) -> Result<(usize, bool)> {
         let guard = self.store.read();
         let s = &*guard;
-        let base_key = base.norm_key();
-        if !base.is_root() && !s.tree.contains(&base_key) {
-            return Err(LdapError::no_such_object(base));
-        }
+        // `None` is the virtual root above every suffix.
+        let base_id = match base.is_root() {
+            true => None,
+            false => {
+                Some((s.tree.find(base.rdns())).ok_or_else(|| LdapError::no_such_object(base))?)
+            }
+        };
         let mut count = 0usize;
         let mut truncated = false;
         // The push closure signals "stop traversing" with a sentinel error
@@ -1245,8 +1378,8 @@ impl Dit {
         let walked = (|| -> Result<()> {
             match scope {
                 Scope::Base => {
-                    if let Some(e) = s.tree.get_entry(&base_key) {
-                        push(e)?;
+                    if let Some(id) = base_id {
+                        push(&s.tree.node(id).entry)?;
                     }
                 }
                 Scope::One | Scope::Sub => {
@@ -1257,7 +1390,6 @@ impl Dit {
                         _ => &self.index_served,
                     };
                     counter.fetch_add(1, Ordering::Relaxed);
-                    let base_id = s.tree.id_of(&base_key);
                     if scope == Scope::One {
                         s.tree.search_one(base_id, plan, &mut push)?;
                     } else {
@@ -1314,7 +1446,7 @@ impl Dit {
         let mut s = self.store.write();
         s.seq = 0;
         let cs = &mut s.tree;
-        cs.ids.clear();
+        cs.dns.clear();
         cs.slots.clear();
         cs.free.clear();
         cs.root_children.clear();
@@ -1322,27 +1454,6 @@ impl Dit {
             postings.clear();
         }
     }
-}
-
-/// Full norm keys of `dn`'s ancestors, topmost (depth 1) first, ending with
-/// `dn`'s own key. Comparing `(len, chain)` tuples reproduces the scan's
-/// BFS emission order: depth level by level, and within a level the
-/// sibling order at the first diverging ancestor.
-fn ancestor_chain(dn: &Dn) -> Vec<String> {
-    let rdns = dn.rdns();
-    let mut out = Vec::with_capacity(rdns.len());
-    let mut cur = String::new();
-    for rdn in rdns.iter().rev() {
-        let rk = rdn.norm_key();
-        let full = if cur.is_empty() {
-            rk
-        } else {
-            format!("{rk},{cur}")
-        };
-        out.push(full.clone());
-        cur = full;
-    }
-    out
 }
 
 /// Convenience: build the standard test tree from the paper's Figure 2.
@@ -1399,6 +1510,7 @@ pub fn figure2_tree(dit: &Dit) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dn::Ava;
 
     fn tree() -> Arc<Dit> {
         let dit = Dit::new();
@@ -2009,5 +2121,240 @@ mod tests {
         assert_eq!(*seen.lock(), 0);
         assert_eq!(dit.seq(), 1);
         assert_eq!(dit.len(), 1);
+    }
+
+    // ---- colliding buckets: every hash keeps two bits in this module ------
+
+    #[test]
+    fn unit_tests_hash_into_four_buckets() {
+        let hashes = Hashes(RandomState::new());
+        let mut scratch = String::new();
+        let names = (0..64).map(|i| Dn::parse(&format!("cn=n{i},o=x")).unwrap());
+        let values = (0..64).map(|i| hashes.value(&format!("v{i}"), &mut scratch));
+        let seen: HashSet<u64> = names.map(|dn| hashes.dn(dn.rdns())).chain(values).collect();
+        assert!(seen.iter().all(|&h| h < 4), "{seen:?}");
+    }
+
+    /// RDN values of the scripts: plain ones, and values holding the
+    /// separators `,` and `+`. One index past them is the two-AVA RDN
+    /// `cn=p+sn=q`, which `cn=p\+sn=q` reads like without its escape.
+    const NAMES: [&str; 7] = ["n0", "n1", "n2", "a,ou=b", "a", "p+sn=q", "p"];
+
+    fn script_rdn(name: usize) -> Rdn {
+        match NAMES.get(name) {
+            Some(value) => Rdn::new("cn", *value),
+            None => Rdn::multi(vec![Ava::new("cn", "p"), Ava::new("sn", "q")]).unwrap(),
+        }
+    }
+
+    /// One update of a script.
+    #[derive(Debug)]
+    enum Step {
+        Add(Entry),
+        Delete(Dn),
+        Modify(Dn, Vec<Modification>),
+        ModifyRdn(Dn, Rdn, bool, Option<Dn>),
+    }
+
+    fn run(dit: &Dit, step: &Step) -> std::result::Result<(), ResultCode> {
+        match step {
+            Step::Add(e) => dit.add(e.clone()),
+            Step::Delete(dn) => dit.delete(dn),
+            Step::Modify(dn, mods) => dit.modify(dn, mods),
+            Step::ModifyRdn(dn, rdn, delete_old, sup) => {
+                dit.modify_rdn(dn, rdn, *delete_old, sup.as_ref())
+            }
+        }
+        .map_err(|e| e.code)
+    }
+
+    /// The directory as a map from normalized DN to entry: no ids, no
+    /// hashes, no sibling lists.
+    #[derive(Default)]
+    struct MapModel(std::collections::BTreeMap<String, Entry>);
+
+    impl MapModel {
+        fn has(&self, dn: &Dn) -> bool {
+            dn.is_root() || self.0.contains_key(&dn.norm_key())
+        }
+
+        /// Entries directly under `dn`, in key order.
+        fn children(&self, dn: &Dn) -> Vec<&Entry> {
+            let key = dn.norm_key();
+            (self.0.values())
+                .filter(|e| e.dn().parent().is_some_and(|p| p.norm_key() == key))
+                .collect()
+        }
+
+        /// `dn` (the whole tree for the root) and everything under it,
+        /// level by level.
+        fn walk(&self, dn: &Dn) -> Vec<&Entry> {
+            let mut queue: VecDeque<&Entry> = match self.0.get(&dn.norm_key()) {
+                Some(e) => VecDeque::from([e]),
+                None => self.children(dn).into(),
+            };
+            let mut out = Vec::new();
+            while let Some(e) = queue.pop_front() {
+                queue.extend(self.children(e.dn()));
+                out.push(e);
+            }
+            out
+        }
+
+        fn run(&mut self, step: &Step) -> std::result::Result<(), ResultCode> {
+            match step {
+                Step::Add(e) => {
+                    if self.0.contains_key(&e.dn().norm_key()) {
+                        return Err(ResultCode::EntryAlreadyExists);
+                    }
+                    if !self.has(&e.dn().parent().unwrap()) {
+                        return Err(ResultCode::NoSuchObject);
+                    }
+                    self.0.insert(e.dn().norm_key(), e.clone());
+                }
+                Step::Delete(dn) => {
+                    if !self.0.contains_key(&dn.norm_key()) {
+                        return Err(ResultCode::NoSuchObject);
+                    }
+                    if !self.children(dn).is_empty() {
+                        return Err(ResultCode::NotAllowedOnNonLeaf);
+                    }
+                    self.0.remove(&dn.norm_key());
+                }
+                Step::Modify(dn, mods) => {
+                    let entry = (self.0.get_mut(&dn.norm_key())).ok_or(ResultCode::NoSuchObject)?;
+                    let mut updated = entry.clone();
+                    updated.apply_modifications(mods).map_err(|e| e.code)?;
+                    let rdn = dn.rdn().unwrap().avas();
+                    if !rdn.iter().all(|a| updated.has_value(a.attr(), a.value())) {
+                        return Err(ResultCode::NotAllowedOnRdn);
+                    }
+                    *entry = updated;
+                }
+                Step::ModifyRdn(dn, rdn, delete_old, sup) => {
+                    if dn.is_root() {
+                        return Err(ResultCode::UnwillingToPerform);
+                    }
+                    if !self.0.contains_key(&dn.norm_key()) {
+                        return Err(ResultCode::NoSuchObject);
+                    }
+                    if let Some(sup) = sup {
+                        if !self.has(sup) {
+                            return Err(ResultCode::NoSuchObject);
+                        }
+                        if sup.is_within(dn) {
+                            return Err(ResultCode::UnwillingToPerform);
+                        }
+                    }
+                    let above = sup.clone().unwrap_or_else(|| dn.parent().unwrap());
+                    let new_dn = above.child(rdn.clone());
+                    if new_dn != *dn && self.has(&new_dn) {
+                        return Err(ResultCode::EntryAlreadyExists);
+                    }
+                    let subtree: Vec<Entry> = self.walk(dn).into_iter().cloned().collect();
+                    for e in &subtree {
+                        self.0.remove(&e.dn().norm_key());
+                    }
+                    for (i, mut e) in subtree.into_iter().enumerate() {
+                        e.set_dn(e.dn().rebased(dn.depth(), &new_dn));
+                        if i == 0 {
+                            if *delete_old {
+                                for ava in dn.rdn().unwrap().avas() {
+                                    e.remove_value(ava.attr(), ava.value());
+                                }
+                            }
+                            for ava in rdn.avas() {
+                                e.add_value(ava.attr(), ava.value());
+                            }
+                        }
+                        self.0.insert(e.dn().norm_key(), e);
+                    }
+                }
+            }
+            Ok(())
+        }
+    }
+
+    fn stream(dit: &Dit, base: &Dn, scope: Scope, f: &Filter) -> Vec<Entry> {
+        dit.search(base, scope, f, &[], 0).unwrap()
+    }
+
+    proptest::proptest! {
+        /// Scripts of adds, deletes, modifies, renames and subtree moves
+        /// over names and indexed values that all share four buckets: an
+        /// indexed store, an index-free one and the map model agree on
+        /// every result code and on `len()`, the indexed store streams what
+        /// the scan streams for every filter, base and scope, and both
+        /// stream the model's walk.
+        #[test]
+        fn scripts_over_colliding_buckets_match_a_map_model(
+            steps in proptest::collection::vec(
+                (0u8..5, 0usize..64, 0usize..64, 0usize..8),
+                1..60,
+            ),
+        ) {
+            let indexed = Dit::with_schema_indexed(
+                Arc::new(Schema::permissive()),
+                &["objectClass", "cn", "description"],
+            );
+            let scan = Dit::with_schema_indexed(Arc::new(Schema::permissive()), &[]);
+            let mut model = MapModel::default();
+            let mut filters: Vec<Filter> =
+                NAMES.iter().map(|v| Filter::eq("cn", *v)).collect();
+            filters.extend((0..4).map(|k| Filter::eq("description", format!("v{k}"))));
+            filters.push(Filter::parse("(&(objectClass=person)(cn=p))").unwrap());
+            filters.push(Filter::match_all());
+            let streams_agree = |base: &Dn, scope: Scope| {
+                (filters.iter())
+                    .all(|f| stream(&indexed, base, scope, f) == stream(&scan, base, scope, f))
+            };
+            let all = Filter::match_all();
+            for (kind, a, b, k) in steps {
+                let mut bases = vec![Dn::root()];
+                bases.extend(model.walk(&Dn::root()).into_iter().map(|e| e.dn().clone()));
+                let (at, to) = (bases[a % bases.len()].clone(), bases[b % bases.len()].clone());
+                let step = match kind {
+                    0 => {
+                        let dn = at.child(script_rdn(k));
+                        let mut e = Entry::with_attrs(dn.clone(), [("objectClass", "person")]);
+                        for ava in dn.rdn().unwrap().avas() {
+                            e.add_value(ava.attr(), ava.value());
+                        }
+                        Step::Add(e)
+                    }
+                    1 => Step::Delete(at),
+                    2 => Step::Modify(at, vec![
+                        Modification::set("description", format!("v{}", k % 4)),
+                        Modification::add("description", vec![format!("v{}", b % 4)]),
+                    ]),
+                    3 => {
+                        let cn = NAMES[k % NAMES.len()].to_string();
+                        Step::Modify(at, vec![Modification::add("cn", vec![cn])])
+                    }
+                    _ if k % 2 == 0 => Step::ModifyRdn(at, script_rdn(k), true, None),
+                    _ => {
+                        let rdn = at.rdn().cloned().unwrap_or_else(|| script_rdn(k));
+                        Step::ModifyRdn(at, rdn, false, Some(to))
+                    }
+                };
+                let expected = model.run(&step);
+                proptest::prop_assert_eq!(run(&indexed, &step), expected, "{:?}", step);
+                proptest::prop_assert_eq!(run(&scan, &step), expected, "{:?}", step);
+                let len = model.0.len();
+                proptest::prop_assert_eq!((indexed.len(), scan.len()), (len, len));
+                let root = Dn::root();
+                proptest::prop_assert!(streams_agree(&root, Scope::Sub), "after {:?}", step);
+                let walk: Vec<Entry> = model.walk(&root).into_iter().cloned().collect();
+                proptest::prop_assert_eq!(stream(&scan, &root, Scope::Sub, &all), walk);
+            }
+            for e in model.0.values() {
+                for scope in [Scope::Base, Scope::One, Scope::Sub] {
+                    proptest::prop_assert!(streams_agree(e.dn(), scope), "{:?} at {}", scope, e.dn());
+                }
+                let children: Vec<Entry> = model.children(e.dn()).into_iter().cloned().collect();
+                proptest::prop_assert_eq!(stream(&indexed, e.dn(), Scope::One, &all), children);
+            }
+            proptest::prop_assert!(streams_agree(&Dn::root(), Scope::One));
+        }
     }
 }

@@ -203,22 +203,27 @@ impl Rdn {
         Ok(dn.rdns[0].clone())
     }
 
-    /// Normalized key for hashing/indexing.
-    pub(crate) fn norm_key(&self) -> String {
-        let mut out = String::new();
-        self.push_norm_key(&mut out);
-        out
+    /// This RDN as [`Dn::norm_key`] spells it, in runs of bytes borrowed
+    /// from the RDN (some empty): `attr=value` per AVA, both normalized,
+    /// `+` between AVAs, and a `\` before every `,`, `+` and `\` inside a
+    /// value — so no two distinct RDNs, and no RDN and a run of several,
+    /// spell alike.
+    pub(crate) fn key_runs(&self) -> impl Iterator<Item = &[u8]> + '_ {
+        self.avas().iter().enumerate().flat_map(|(i, ava)| {
+            let plus: &[u8] = if i > 0 { b"+" } else { b"" };
+            [plus, ava.norm_attr().as_bytes(), b"="]
+                .into_iter()
+                .chain(escaped_runs(ava.norm_value()))
+        })
     }
 
-    fn push_norm_key(&self, out: &mut String) {
-        for (i, ava) in self.avas().iter().enumerate() {
-            if i > 0 {
-                out.push('+');
-            }
-            out.push_str(ava.norm_attr());
-            out.push('=');
-            out.push_str(ava.norm_value());
-        }
+    /// Bytes [`Rdn::key_runs`] yields when no value needs an escape.
+    fn key_len(&self) -> usize {
+        let avas = self.avas();
+        let text: usize = (avas.iter())
+            .map(|a| a.norm_attr().len() + a.norm_value().len())
+            .sum();
+        text + 2 * avas.len() - 1
     }
 
     /// `true` when both are the same allocation — what the store arranges
@@ -487,16 +492,21 @@ impl Dn {
         }
     }
 
-    /// Canonical normalized string used as an index key.
+    /// Canonical normalized string: `attr=value` per AVA, both normalized,
+    /// `+` between AVAs, `,` between RDNs, and a `\` before every `,`, `+`
+    /// and `\` inside a value — so it is equal for two names exactly when
+    /// the names are equal, and orders siblings as the directory serves
+    /// them.
     pub fn norm_key(&self) -> String {
-        let mut out = String::new();
+        let len = self.rdns.iter().map(|r| r.key_len() + 1).sum();
+        let mut out = Vec::with_capacity(len);
         for (i, rdn) in self.rdns.iter().enumerate() {
             if i > 0 {
-                out.push(',');
+                out.push(b',');
             }
-            rdn.push_norm_key(&mut out);
+            rdn.key_runs().for_each(|run| out.extend_from_slice(run));
         }
-        out
+        String::from_utf8(out).expect("an escape is an ASCII byte before an ASCII byte")
     }
 }
 
@@ -517,6 +527,15 @@ impl std::str::FromStr for Dn {
     fn from_str(s: &str) -> Result<Dn> {
         Dn::parse(s)
     }
+}
+
+/// `value`'s bytes in runs, with a `\` run before each `,`, `+` and `\`.
+fn escaped_runs(value: &str) -> impl Iterator<Item = &[u8]> {
+    let special = |b: &u8| matches!(b, b',' | b'+' | b'\\');
+    (value.as_bytes().split_inclusive(special)).flat_map(move |run| match run.split_last() {
+        Some((last, head)) if special(last) => [head, b"\\", std::slice::from_ref(last)],
+        _ => [run, b"", b""],
+    })
 }
 
 /// Unescaped `,` and `;` in `s`.

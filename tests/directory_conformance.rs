@@ -293,6 +293,54 @@ fn every_directory_answers_the_table_alike() {
     check_tree("TcpDirectory", &client);
 }
 
+/// Pairs of distinct names that read alike once the escapes are dropped: a
+/// value holding `,` or `+`, and the name that separator would make.
+const LOOKALIKES: [(&str, &str); 2] = [
+    (r"cn=a\,ou=b,o=x", "cn=a,ou=b,o=x"),
+    (r"cn=p\+sn=q,o=x", "cn=p+sn=q,o=x"),
+];
+
+fn check_lookalikes(name: &str, dir: &dyn Directory) {
+    for parent in ["o=x", "ou=b,o=x"] {
+        let ava = dn(parent).rdn().unwrap().first().clone();
+        dir.add(Entry::with_attrs(dn(parent), [(ava.attr(), ava.value())]))
+            .unwrap();
+    }
+    for (one, other) in LOOKALIKES {
+        for text in [one, other] {
+            let name = dn(text);
+            let mut e = Entry::with_attrs(name.clone(), [("objectClass", "person")]);
+            for ava in name.rdn().unwrap().avas() {
+                e.add_value(ava.attr(), ava.value());
+            }
+            dir.add(e)
+                .unwrap_or_else(|err| panic!("{name}: add `{text}`: {err}"));
+        }
+        for text in [one, other] {
+            let found = dir.get(&dn(text)).unwrap();
+            let found = found.unwrap_or_else(|| panic!("{name}: `{text}` is not there"));
+            assert_eq!(found.dn().to_string(), text, "{name}: `{text}` read back");
+        }
+        dir.delete(&dn(one)).unwrap();
+        assert_eq!(dir.get(&dn(one)).unwrap(), None, "{name}: `{one}` deleted");
+        let kept = dir.get(&dn(other)).unwrap();
+        assert_eq!(
+            kept.map(|e| e.dn().to_string()).as_deref(),
+            Some(other),
+            "{name}: `{other}` outlives `{one}`"
+        );
+    }
+}
+
+#[test]
+fn names_that_read_alike_without_their_escapes_stay_two_entries() {
+    check_lookalikes("Dit", &*Dit::new());
+    check_lookalikes("Gateway", &*Gateway::new(Dit::new()));
+    let server = Server::start(Dit::new(), "127.0.0.1:0").unwrap();
+    let client = TcpDirectory::connect(&server.addr().to_string()).unwrap();
+    check_lookalikes("TcpDirectory", &client);
+}
+
 #[test]
 fn the_gateway_counts_one_read_per_call_whichever_door() {
     let gw = Gateway::new(loaded_dit());

@@ -184,15 +184,16 @@ fn scratch_dir(name: &str) -> std::path::PathBuf {
 }
 
 /// Bytes per entry the compact store may cost in this shape, five indexes
-/// included: 936 measured, 1,304 before the 32-byte attribute slot and the
-/// shared class list, 2,050 before the shared-RDN layout (2,950 for a tree
-/// restored from a snapshot).
-const BUDGET_BYTES_PER_ENTRY: usize = 1_000;
+/// included: 749 measured, 924 while the store kept a key string per DN
+/// and a copy of every indexed value, 1,304 before the 32-byte attribute
+/// slot and the shared class list, 2,050 before the shared-RDN layout
+/// (2,950 for a tree restored from a snapshot).
+const BUDGET_BYTES_PER_ENTRY: usize = 800;
 
-/// Heap blocks per entry at rest: 13 measured (four for the DN, the key,
-/// the attribute vector, five values, two in the postings), 17 while every
-/// entry held its own class list.
-const BUDGET_BLOCKS_PER_ENTRY: usize = 13;
+/// Heap blocks per entry at rest: 10 measured (four for the DN, the
+/// attribute vector, five values), 13 with the DN key and two posting keys,
+/// 17 while every entry held its own class list.
+const BUDGET_BLOCKS_PER_ENTRY: usize = 10;
 
 #[test]
 fn parsed_and_built_dns_occupy_the_same_bytes() {
@@ -278,9 +279,14 @@ fn bytes_per_entry_stay_under_budget_and_footprint_accounts_for_them() {
     let attrs = (fp.attr_slot_bytes + fp.value_bytes) / entries;
     assert!(attrs <= 360, "attribute slots and values {attrs} B/entry");
     assert!(
-        fp.postings_bytes / entries <= 250,
+        fp.postings_bytes / entries <= 130,
         "postings {} B/entry",
         fp.postings_bytes / entries
+    );
+    assert!(
+        fp.key_arena_bytes / entries <= 50,
+        "DN table {} B/entry",
+        fp.key_arena_bytes / entries
     );
 
     // The same tree through checkpoint and cold start.

@@ -82,11 +82,26 @@ fn model_norm(value: &str) -> String {
         .to_lowercase()
 }
 
+/// A normalized value as a key spells it: `\`, `,` and `+` escaped, so that
+/// no value reads as a separator.
+fn model_key_value(value: &str) -> String {
+    model_norm(value)
+        .replace('\\', r"\\")
+        .replace(',', r"\,")
+        .replace('+', r"\+")
+}
+
 impl ModelDn {
     fn rdn_key(rdn: &[ModelAva]) -> String {
         let mut avas: Vec<String> = rdn
             .iter()
-            .map(|a| format!("{}={}", a.attr.to_ascii_lowercase(), model_norm(&a.value)))
+            .map(|a| {
+                format!(
+                    "{}={}",
+                    a.attr.to_ascii_lowercase(),
+                    model_key_value(&a.value)
+                )
+            })
             .collect();
         avas.sort_by(|a, b| a.split('=').next().cmp(&b.split('=').next()));
         avas.join("+")
@@ -181,6 +196,52 @@ fn model_rdn_strategy() -> impl Strategy<Value = Vec<ModelAva>> {
 
 fn model_dn_strategy() -> impl Strategy<Value = ModelDn> {
     proptest::collection::vec(model_rdn_strategy(), 1..5).prop_map(ModelDn)
+}
+
+fn model_ava(attr: &str, value: &str) -> ModelAva {
+    ModelAva {
+        attr: attr.to_string(),
+        value: value.to_string(),
+        hex: false,
+        pad: 0,
+    }
+}
+
+/// Two names the key once merged: a value holding a separator, and the
+/// name that separator would make.
+#[test]
+fn a_separator_inside_a_value_keeps_two_names_apart() {
+    let x = vec![model_ava("o", "x")];
+    let pairs = [
+        (
+            r"cn=a\,ou=b,o=x",
+            ModelDn(vec![vec![model_ava("cn", "a,ou=b")], x.clone()]),
+            "cn=a,ou=b,o=x",
+            ModelDn(vec![
+                vec![model_ava("cn", "a")],
+                vec![model_ava("ou", "b")],
+                x.clone(),
+            ]),
+        ),
+        (
+            r"cn=p\+sn=q,o=x",
+            ModelDn(vec![vec![model_ava("cn", "p+sn=q")], x.clone()]),
+            "cn=p+sn=q,o=x",
+            ModelDn(vec![
+                vec![model_ava("cn", "p"), model_ava("sn", "q")],
+                x.clone(),
+            ]),
+        ),
+    ];
+    for (text, model, other_text, other) in pairs {
+        let (dn, other_dn) = (Dn::parse(text).unwrap(), Dn::parse(other_text).unwrap());
+        assert_eq!(dn, model.build(), "{text}");
+        assert_eq!(other_dn, other.build(), "{other_text}");
+        assert_eq!(dn.norm_key(), model.key(), "{text}");
+        assert_eq!(other_dn.norm_key(), other.key(), "{other_text}");
+        assert_ne!(model.key(), other.key());
+        assert_ne!(dn, other_dn);
+    }
 }
 
 fn hash_of(dn: &Dn) -> u64 {

@@ -171,14 +171,23 @@ fn validating_a_conforming_entry_allocates_nothing() {
     );
 }
 
+/// Ceilings: the counts measured when the store stopped copying names and
+/// values into its tables (1.1 / 14.1 / 9.0 for an add, a WAL'd add and a
+/// modify; 12 / 24 / 11 while it built a key string per name and a posting
+/// key per value), plus the headroom they had then.
+const ADD_CEILING: f64 = 10.0;
+const WAL_ADD_CEILING: f64 = 23.0;
+const MODIFY_CEILING: f64 = 14.0;
+
 #[test]
 fn an_unobserved_add_stays_under_twenty_allocations() {
     let dit = warm_tree();
     let per_entry = per_add(&dit);
+    println!("{per_entry:.2} allocations per unobserved Dit::add");
     assert_eq!(dit.len(), 2 + WARM_UP + MEASURED);
     assert!(
-        per_entry <= 20.0,
-        "{per_entry:.1} allocations per unobserved Dit::add (ceiling 20)"
+        per_entry <= ADD_CEILING,
+        "{per_entry:.1} allocations per unobserved Dit::add (ceiling {ADD_CEILING})"
     );
 }
 
@@ -193,10 +202,11 @@ fn an_add_with_a_wal_attached_stays_under_forty_allocations() {
     let per_entry = per_add(&dit);
     let appends = wal.stats().appends.load(Ordering::Relaxed);
     let _ = std::fs::remove_dir_all(&dir);
+    println!("{per_entry:.2} allocations per Dit::add with a WAL attached");
     assert_eq!(appends, MEASURED as u64, "one frame per commit");
     assert!(
-        per_entry <= 32.0,
-        "{per_entry:.1} allocations per Dit::add with a WAL attached (ceiling 32)"
+        per_entry <= WAL_ADD_CEILING,
+        "{per_entry:.1} allocations per Dit::add with a WAL attached (ceiling {WAL_ADD_CEILING})"
     );
 }
 
@@ -246,9 +256,10 @@ fn a_room_change_stays_under_forty_allocations_and_touches_no_posting() {
         }
     });
     let per_entry = asked as f64 / MEASURED as f64;
+    println!("{per_entry:.2} allocations per one-attribute Dit::modify");
     assert!(
-        per_entry <= 16.0,
-        "{per_entry:.1} allocations per unobserved one-attribute Dit::modify (ceiling 16)"
+        per_entry <= MODIFY_CEILING,
+        "{per_entry:.1} allocations per unobserved one-attribute Dit::modify (ceiling {MODIFY_CEILING})"
     );
     assert_eq!(
         dit.footprint().postings_bytes,
