@@ -1,28 +1,26 @@
-//! E14 — the wire & replication fast path.
+//! E14 — the wire fast path.
 //!
-//! Paper anchor: §2's replication/traffic discussion ("LDAP servers make
-//! extensive use of replication … serves heavy traffic"). Under test:
-//! (1) the rate at which large result sets stream through the one reusable
-//! encode buffer (flushed in bounded chunks, overlapping client decode);
-//! (2) decode-ahead pipelining overlaps request parsing and directory work
-//! with response writes on one connection; (3) watermark-based delta
-//! anti-entropy ships a small fraction of the full-exchange bytes when few
-//! entries are dirty.
+//! Paper anchor: §2's traffic discussion (an LDAP server serves heavy
+//! traffic). Under test: (1) the rate at which large result sets stream
+//! through the one reusable encode buffer (flushed in bounded chunks,
+//! overlapping client decode); (2) decode-ahead pipelining overlaps request
+//! parsing and directory work with response writes on one connection;
+//! (3) the epoll event loop holds a large idle connection mass while a small
+//! active subset keeps its throughput.
 //!
-//! The ablations run from this same binary (`with_wire_workers(1)`,
-//! `full_sync_with`). The
-//! collect-encode-concat search path (1) used to be measured against and
-//! the thread-per-connection engine the connection arm used to be measured
-//! against were deleted; their last rows are in EXPERIMENTS.md.
+//! The ablations run from this same binary (`with_wire_workers(1)`, the
+//! 100-idle reference server). The collect-encode-concat search path (1)
+//! used to be measured against and the thread-per-connection engine the
+//! connection arm used to be measured against were deleted; their last
+//! rows are in EXPERIMENTS.md.
 
 use super::{median, Report, Scale};
 use ldap::dit::{Dit, Scope};
 use ldap::dn::Dn;
 use ldap::entry::Entry;
 use ldap::proto::{FrameReader, LdapMessage, ProtocolOp};
-use ldap::repl::Replica;
 use ldap::server::Server;
-use ldap::{Attribute, Directory, Filter, ResultCode};
+use ldap::{Directory, Filter, ResultCode};
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::net::TcpStream;
@@ -594,76 +592,11 @@ fn connection_ablation(scale: Scale, table: &mut String) -> (bool, String) {
     (holds, observation)
 }
 
-/// Anti-entropy ablation: after two replicas converge over `n` entries,
-/// dirty 1% and compare the bytes a delta exchange ships with what a full
-/// exchange ships for the same amount of dirt.
-fn anti_entropy_ablation(scale: Scale, table: &mut String) -> f64 {
-    let n = match scale {
-        Scale::Quick => 400,
-        Scale::Full => 5_000,
-    };
-    let dirty = (n / 100).max(1);
-    let a = Replica::new("a");
-    let b = Replica::new("b");
-    for i in 0..n {
-        let cn = format!("user{i}");
-        a.put_entry(&Entry::with_attrs(
-            Dn::parse(&format!("cn={cn},o=Bench")).expect("dn"),
-            [
-                ("objectClass", "person"),
-                ("cn", cn.as_str()),
-                ("sn", "Bench"),
-                ("telephoneNumber", &format!("9{i:04}")),
-            ],
-        ))
-        .expect("put");
-    }
-    let first = a.anti_entropy(&b);
-    assert!(first.full_exchange, "first contact ships everything");
-    let touch = |k: usize, round: usize| {
-        a.set_attr(
-            &Dn::parse(&format!("cn=user{k},o=Bench")).expect("dn"),
-            Attribute::single("roomNumber", format!("R-{round}-{k}")),
-        )
-        .expect("set_attr");
-    };
-    // Round 1: 1% dirty, delta exchange.
-    for k in 0..dirty {
-        touch(k * (n / dirty), 1);
-    }
-    let delta = a.anti_entropy(&b);
-    assert_eq!(delta.entries_shipped, dirty, "delta ships only the dirt");
-    assert_eq!(a.digest(), b.digest(), "delta converges");
-    // Round 2: the same amount of dirt, full exchange.
-    for k in 0..dirty {
-        touch(k * (n / dirty), 2);
-    }
-    let full = a.full_sync_with(&b);
-    assert_eq!(a.digest(), b.digest(), "full converges");
-    let ratio = delta.bytes_shipped as f64 / (full.bytes_shipped as f64).max(1.0);
-    writeln!(
-        table,
-        "sync   full         {:>6} entries {:>9} bytes",
-        full.entries_shipped, full.bytes_shipped
-    )
-    .unwrap();
-    writeln!(
-        table,
-        "sync   delta (1%)   {:>6} entries {:>9} bytes  ({:.1}% of full)",
-        delta.entries_shipped,
-        delta.bytes_shipped,
-        ratio * 100.0
-    )
-    .unwrap();
-    ratio
-}
-
 pub fn run(scale: Scale) -> Report {
     let mut table = String::new();
     let stream_sample = search_stream(scale, &mut table);
     let (pipe_speedup, pipe_mode) = pipeline_ablation(scale, &mut table);
     let (scaling_holds, conn_observation) = connection_ablation(scale, &mut table);
-    let delta_ratio = anti_entropy_ablation(scale, &mut table);
     let failed = (!scaling_holds).then(|| conn_observation.clone());
 
     // Decode-ahead overlap needs spare cores; record how many this host had
@@ -672,15 +605,13 @@ pub fn run(scale: Scale) -> Report {
 
     Report {
         id: "E14",
-        title: "wire & replication fast path (streaming, pipelining, delta sync)",
+        title: "wire fast path (streaming, pipelining, connection scaling)",
         claim: "large result sets stream off borrowed store entries at wire \
                 speed, decode-ahead pipelining lifts \
                 single-connection request throughput, the epoll event loop \
                 holds 10k idle connections with bounded RSS growth while the \
-                active subset keeps at least 0.8x of its 100-idle throughput, \
-                and watermark deltas ship a small fraction of full \
-                anti-entropy bytes — all from this binary's own ablation \
-                switches",
+                active subset keeps at least 0.8x of its 100-idle throughput \
+                — all from this binary's own ablation switches",
         table,
         observations: vec![
             format!(
@@ -693,11 +624,6 @@ pub fn run(scale: Scale) -> Report {
                  single-connection request throughput over the serial loop \
                  ({cores} core(s) available — the adaptive default decodes \
                  inline on one core)"
-            ),
-            format!(
-                "delta anti-entropy at 1% dirty: {:.1}% of the bytes of a \
-                 full exchange, digest-identical convergence",
-                delta_ratio * 100.0
             ),
             conn_observation,
         ],

@@ -7,7 +7,7 @@
 //! the per-op cost amortizes across the batch; (2) after a simulated
 //! `kill -9` under churn, the restarted node replays the committed WAL
 //! prefix over the newest snapshot and comes back in well under a second at
-//! directory scale, resuming delta anti-entropy instead of a full resync.
+//! directory scale, with no full device resync.
 //!
 //! Every fsync policy runs from the same binary (`with_fsync_policy`).
 

@@ -5,7 +5,7 @@
 //! moves, renames, bulk re-orgs, scheduled device outages) across a
 //! multi-device fleet, MetaComm holds every whole-system invariant —
 //! directory↔device consistency, drained journals, no leaked locks,
-//! replication fixpoint, monotone counters — and a mid-soak kill -9 +
+//! monotone counters — and a mid-soak kill -9 +
 //! restart converges to the bit-identical fixpoint an uninterrupted run
 //! reaches.
 

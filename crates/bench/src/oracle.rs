@@ -12,17 +12,13 @@
 //! 3. **Directory↔device consistency** — for every online device, the
 //!    device image and the directory agree field-by-field in both
 //!    directions (no stale stations, no orphan mailboxes).
-//! 4. **Replication fixpoint** — a persistent delta-synced replica is
-//!    bit-identical (by digest) to a replica freshly full-synced from the
-//!    same state; delta convergence never diverges from ground truth.
-//! 5. **Monotone counters** — no `cn=monitor` counter ever goes backwards
+//! 4. **Monotone counters** — no `cn=monitor` counter ever goes backwards
 //!    between checks.
 //!
 //! A failed invariant becomes a [`Violation`] carrying the seed and op
 //! index — enough to replay the exact run with the `soak_rig` bin.
 
 use crate::population::SoakRig;
-use ldap::repl::Replica;
 use ldap::{Entry, Filter, Scope};
 use metacomm::HealthState;
 use std::collections::{BTreeMap, HashMap};
@@ -146,19 +142,14 @@ impl SweepStats {
 }
 
 /// In sampled mode, every this-many'th check (and the first) is still a
-/// full O(directory) sweep: it refreshes the sampling roster, catches
-/// orphaned device records, and runs the replication-fixpoint invariant.
+/// full O(directory) sweep: it refreshes the sampling roster and catches
+/// orphaned device records.
 pub const FULL_SWEEP_EVERY: usize = 8;
 
-/// Stateful oracle: carries the delta-sync replica pair and the previous
-/// counter snapshot across checks.
+/// Stateful oracle: carries the previous counter snapshot and the sampling
+/// roster across checks.
 pub struct SoakOracle {
     seed: u64,
-    /// Authoritative mirror of the directory, updated incrementally so the
-    /// delta-sync path below ships realistic deltas rather than the world.
-    mirror: Replica,
-    /// Persistent peer converged only ever through delta anti-entropy.
-    peer: Replica,
     prev_counters: HashMap<(String, String), u64>,
     /// `Some(k)`: spot-check a rotating window of `k` subscribers per
     /// check instead of sweeping the whole directory (see
@@ -177,8 +168,6 @@ impl SoakOracle {
     pub fn new(seed: u64) -> SoakOracle {
         SoakOracle {
             seed,
-            mirror: Replica::new("soak-mirror"),
-            peer: Replica::new("soak-peer"),
             prev_counters: HashMap::new(),
             sweep_sample: None,
             cursor: 0,
@@ -202,8 +191,7 @@ impl SoakOracle {
 
     /// Forget the counter baseline. Call after a deliberate restart: a new
     /// process starts its `cn=monitor` counters from zero, which is not a
-    /// monotonicity violation. The replication mirror survives — directory
-    /// *content* must still converge across the restart.
+    /// monotonicity violation.
     pub fn after_restart(&mut self) {
         self.prev_counters.clear();
     }
@@ -253,7 +241,7 @@ impl SoakOracle {
             self.sweep_stats.sampled_ns_total += self.sweep_stats.last_sampled_ns;
         }
 
-        // 5. Monotone cn=monitor counters.
+        // 4. Monotone cn=monitor counters.
         self.check_counters(rig, op_index, &mut out);
 
         drop(session);
@@ -261,8 +249,8 @@ impl SoakOracle {
     }
 
     /// The O(directory) sweep: one subtree search, every device dumped and
-    /// compared in both directions, the replication fixpoint converged.
-    /// Also refreshes the roster the sampled checks rotate through.
+    /// compared in both directions. Also refreshes the roster the sampled
+    /// checks rotate through.
     fn full_sweep(
         &mut self,
         rig: &SoakRig,
@@ -298,16 +286,13 @@ impl SoakOracle {
                 self.check_mp(mp, &people, op_index, out);
             }
         }
-
-        // 4. Replication fixpoint: delta-synced peer ≡ fresh full sync.
-        self.check_replication(&people, op_index, out);
     }
 
     /// The O(k) sweep: spot-check a rotating window of the last full
     /// sweep's roster — directory get, then field-by-field comparison
     /// against that subscriber's own device records. Orphaned device
-    /// records (device rows whose directory entry vanished) and the
-    /// replication fixpoint are left to the periodic full sweep.
+    /// records (device rows whose directory entry vanished) are left to the
+    /// periodic full sweep.
     fn sampled_sweep(
         &mut self,
         rig: &SoakRig,
@@ -576,50 +561,6 @@ impl SoakOracle {
                 format!(
                     "mp: directory mailboxes {} of which only {seen} exist on the device",
                     expected.len()
-                ),
-            ));
-        }
-    }
-
-    fn check_replication(&mut self, people: &[Entry], op_index: usize, out: &mut Vec<Violation>) {
-        // Incrementally converge the authoritative mirror on the snapshot
-        // (touch only what changed, so anti-entropy ships true deltas).
-        let mut desired: BTreeMap<String, &Entry> = BTreeMap::new();
-        for e in people {
-            desired.insert(e.dn().to_string(), e);
-        }
-        let stale: Vec<ldap::Dn> = self
-            .mirror
-            .digest()
-            .into_iter()
-            .map(|(dn, _)| dn)
-            .filter(|dn| !desired.contains_key(dn))
-            .filter_map(|dn| dn.parse().ok())
-            .collect();
-        for dn in stale {
-            let _ = self.mirror.delete_entry(&dn);
-        }
-        for (dn, entry) in &desired {
-            let current = dn.parse().ok().and_then(|d: ldap::Dn| self.mirror.get(&d));
-            if current.as_ref() != Some(*entry) {
-                if let Err(e) = self.mirror.put_entry(entry) {
-                    out.push(self.violation(op_index, "replication-fixpoint", e.to_string()));
-                    return;
-                }
-            }
-        }
-        // Delta path vs ground truth.
-        let stats = self.peer.anti_entropy(&self.mirror);
-        let fresh = Replica::new("soak-fresh");
-        fresh.full_sync_with(&self.mirror);
-        if self.peer.digest() != fresh.digest() {
-            out.push(self.violation(
-                op_index,
-                "replication-fixpoint",
-                format!(
-                    "delta-synced peer diverged from fresh full sync \
-                     (delta shipped {} entries, full_exchange={})",
-                    stats.entries_shipped, stats.full_exchange
                 ),
             ));
         }

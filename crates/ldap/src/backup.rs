@@ -49,19 +49,6 @@ fn sync_dir(dir: &Path) -> Result<()> {
     Ok(())
 }
 
-/// Crash-safe file replace: write to a tmp sibling, fsync it, rename over
-/// `path`, fsync the parent directory. A crash at any point leaves either
-/// the old file or the new one, never a torn mix.
-pub(crate) fn atomic_write(path: &Path, bytes: &[u8]) -> Result<()> {
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    publish(&tmp, path)
-}
-
 /// Rename a written-and-fsynced tmp file over `path` and fsync the parent
 /// directory, so the rename itself is on stable storage.
 fn publish(tmp: &Path, path: &Path) -> Result<()> {
@@ -91,8 +78,9 @@ pub fn snapshot(dit: &Dit, path: &Path) -> Result<()> {
 /// The snapshot writer: the export is streamed entry by entry under one
 /// read guard, and header, entries, and checksum footer go through one
 /// bounded `BufWriter` with the CRC folded incrementally, so memory stays
-/// O(one entry) regardless of DIT size. Crash-safe the way
-/// [`atomic_write`] is. Returns the commit sequence the snapshot reflects.
+/// O(one entry) regardless of DIT size. Crash-safe: the bytes go to a tmp
+/// sibling that is fsynced and then [`publish`]ed over `path`. Returns the
+/// commit sequence the snapshot reflects.
 fn write_snapshot_stream(dit: &Dit, path: &Path) -> Result<u64> {
     use std::fmt::Write as _;
     struct W {

@@ -83,7 +83,7 @@ impl Scope {
     }
 }
 
-/// What changed, for observers (replication, tests).
+/// What changed, for observers (the write-ahead log, tests).
 #[derive(Debug, Clone)]
 pub enum ChangeOp {
     Add(Entry),
@@ -1011,7 +1011,7 @@ impl Dit {
         self.store.read().tree.footprint()
     }
 
-    /// Register a commit observer (replication, LTAP library mode, tests).
+    /// Register a commit observer (the write-ahead log, tests).
     /// Observers run synchronously inside the commit, in registration order.
     pub fn observe(&self, f: impl Fn(&ChangeRecord) + Send + Sync + 'static) {
         self.observers.write().push(Box::new(f));

@@ -16,9 +16,7 @@
 //! - LDIF import/export ([`ldif`]);
 //! - an LDAPv3 wire subset: BER codec ([`ber`]), message layer ([`proto`]),
 //!   a TCP [`server`] (one epoll loop thread plus a small shared worker
-//!   pool, whatever the connection count; Linux) and [`client`];
-//! - lazy multi-master [`repl`]ication with the relaxed write-write
-//!   consistency the paper describes directories as having.
+//!   pool, whatever the connection count; Linux) and [`client`].
 //!
 //! The [`directory::Directory`] trait unifies the in-process DIT, the TCP
 //! client, and (in the `ltap` crate) the trigger gateway.
@@ -39,7 +37,6 @@ pub mod event;
 pub mod filter;
 pub mod ldif;
 pub mod proto;
-pub mod repl;
 pub mod schema;
 pub mod server;
 pub mod wal;
