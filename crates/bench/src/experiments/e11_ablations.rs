@@ -47,7 +47,7 @@ fn phone_change_migrates(with_hub: bool) -> (bool, bool) {
     (migrated, ext_updated)
 }
 
-fn partial_failure_outcome(with_saga: bool) -> (bool, usize) {
+fn partial_failure_outcome(with_saga: bool) -> (bool, u64) {
     let west = Arc::new(PbxStore::new("pbx-west", DialPlan::with_prefix("9", 4)));
     let mp = Arc::new(MpStore::new("mp"));
     // Poison the platform so the second device op fails.

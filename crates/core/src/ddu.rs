@@ -17,6 +17,7 @@ use crate::error::{MetaError, Result};
 use crate::errorlog::ErrorLog;
 use crate::filter::DeviceFilter;
 use crate::image::{diff_mods, image_to_entry};
+use crate::obs::{Counter, Registry};
 use crate::resilience::{Background, Device, RetryPolicy};
 use crate::um::aux_class_mods;
 use ldap::dn::Dn;
@@ -24,24 +25,37 @@ use ldap::entry::Modification;
 use ldap::{Directory, ResultCode};
 use lexpress::{Engine, Image, OpKind, UpdateDescriptor};
 use ltap::{Gateway, LtapOp};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Relay statistics.
-#[derive(Debug, Default)]
+/// Relay statistics: handles on the deployment's `relay` component.
 pub struct RelayStats {
     /// DDUs received from device filters.
-    pub ddus: AtomicUsize,
+    pub ddus: Arc<Counter>,
     /// LTAP operations emitted.
-    pub ops_sent: AtomicUsize,
+    pub ops_sent: Arc<Counter>,
     /// ModifyRDN+Modify pairs (the §5.1 complex-DDU case).
-    pub rename_pairs: AtomicUsize,
+    pub rename_pairs: Arc<Counter>,
     /// Relay errors logged.
-    pub errors: AtomicUsize,
+    pub errors: Arc<Counter>,
     /// Simulated crashes injected between the pair (experiment E8).
-    pub injected_crashes: AtomicUsize,
+    pub injected_crashes: Arc<Counter>,
     /// Transient gateway failures masked by retry.
-    pub retried: AtomicUsize,
+    pub retried: Arc<Counter>,
+}
+
+impl RelayStats {
+    pub(crate) fn install(registry: &Registry) -> Arc<RelayStats> {
+        let c = registry.component("relay");
+        Arc::new(RelayStats {
+            ddus: c.counter("ddus"),
+            ops_sent: c.counter("opsSent"),
+            rename_pairs: c.counter("renamePairs"),
+            errors: c.counter("errors"),
+            injected_crashes: c.counter("injectedCrashes"),
+            retried: c.counter("retried"),
+        })
+    }
 }
 
 /// What every relay thread works with.

@@ -34,7 +34,7 @@
 
 use crate::error::{MetaError, Result};
 use crate::errorlog::ErrorLog;
-use crate::obs::Registry;
+use crate::obs::{Counter, Registry};
 use crate::resilience::{Device, JournalSink};
 use ldap::backup::{self, SnapshotStore};
 use ldap::dit::Dit;
@@ -99,7 +99,8 @@ pub(crate) struct Durability {
     /// Cumulative across segment rotations.
     wal_stats: Arc<WalStats>,
     generation: AtomicU64,
-    snapshots_written: AtomicU64,
+    /// Checkpoints written: `snapshots` on the `durability` component.
+    snapshots_written: Arc<Counter>,
     checkpoint_lock: Mutex<()>,
     report: RecoveryReport,
     /// Where WAL write failures are alerted once the deployment's error
@@ -210,9 +211,9 @@ impl Durability {
                 store,
                 policy,
                 wal: Mutex::new(wal),
+                snapshots_written: wal_stats.component().counter("snapshots"),
                 wal_stats,
                 generation: AtomicU64::new(generation),
-                snapshots_written: AtomicU64::new(0),
                 checkpoint_lock: Mutex::new(()),
                 report,
                 error_ctx,
@@ -322,7 +323,7 @@ impl Durability {
         }
         // Streamed: one entry of LDIF text in memory at a time.
         self.store.write_snapshot_streamed(dit, generation)?;
-        self.snapshots_written.fetch_add(1, Ordering::Relaxed);
+        self.snapshots_written.inc();
         // Keep the newest two snapshots (torn-write fallback) and every
         // segment from the older one forward.
         let snaps = self.store.snapshot_generations();
@@ -337,30 +338,16 @@ impl Durability {
         let _ = self.wal().sync();
     }
 
-    /// Register the `durability` component in `cn=monitor`.
+    /// Publish the `durability` component in `cn=monitor`.
     pub(crate) fn register_metrics(self: &Arc<Self>, registry: &Registry) {
-        let comp = registry.component("durability");
-        let s = self.wal_stats.clone();
-        comp.gauge_callback("walAppends", move || {
-            s.appends.load(Ordering::Relaxed) as i64
-        });
-        let s = self.wal_stats.clone();
-        comp.gauge_callback("walBytes", move || s.bytes.load(Ordering::Relaxed) as i64);
-        let s = self.wal_stats.clone();
-        comp.gauge_callback("walFsyncs", move || s.fsyncs.load(Ordering::Relaxed) as i64);
-        let s = self.wal_stats.clone();
-        comp.gauge_callback("walWriteErrors", move || {
-            s.write_errors.load(Ordering::Relaxed) as i64
-        });
+        // The WAL's counters are its own component's handles; the gauges
+        // added here are what is derived when read.
+        let comp = registry.adopt(self.wal_stats.component().clone());
         let d = self.clone();
         comp.gauge_callback("walSegmentBytes", move || d.wal().len_bytes() as i64);
         let d = self.clone();
         comp.gauge_callback("generation", move || {
             d.generation.load(Ordering::SeqCst) as i64
-        });
-        let d = self.clone();
-        comp.gauge_callback("snapshots", move || {
-            d.snapshots_written.load(Ordering::Relaxed) as i64
         });
         let r = self.report.clone();
         comp.gauge_callback("recoveredSnapshotEntries", move || {

@@ -65,7 +65,7 @@ pub use resilience::{
     BreakerPolicy, Device, DeviceHealth, HealthState, RecoveryOutcome, RetryPolicy,
 };
 pub use sync::SyncReport;
-pub use um::{UmStats, UpdateTrace};
+pub use um::{DeviceTotal, UmStats, UpdateTrace};
 pub use wba::Wba;
 
 use crate::ddu::{Relay, RelayStats};
@@ -336,7 +336,7 @@ impl MetaCommBuilder {
             dur.set_error_log(errorlog.clone(), dit.clone() as Arc<dyn Directory>);
             dur.register_metrics(&registry);
         }
-        obs::mirror_dit_footprint(&registry, &dit);
+        obs::register_dit_footprint(&registry, &dit);
 
         // Filters: protocol converter + mapper per repository, switches
         // first. A filter with a fault plan gets the FaultInjector decorator.
@@ -370,7 +370,6 @@ impl MetaCommBuilder {
         }
 
         // The Update Manager: trap every person update under the suffix.
-        let um_stats = Arc::new(UmStats::default());
         // Pre-resolve the coordinator's metrics once.
         let um_obs = obs::UmObs::install(&registry);
         // The one list of integrated repositories: each filter with its
@@ -385,7 +384,6 @@ impl MetaCommBuilder {
                     self.breaker.clone(),
                     errorlog.clone(),
                     dit.clone() as Arc<dyn Directory>,
-                    um_stats.clone(),
                     obs::DeviceObs::install(&registry, filter.name()),
                 ),
                 filter,
@@ -418,7 +416,7 @@ impl MetaCommBuilder {
             let r = runtime.clone();
             comp.gauge_callback("droppedOps", move || r.health().dropped_ops as i64);
         }
-        obs::mirror_um_stats(&registry, &um_stats);
+        let um_stats = UmStats::install(&registry, &devices);
         // Global update sequence counter, shared with the relays so every
         // error-log entry carries a real monotonic sequence number.
         let seq = Arc::new(AtomicU64::new(1));
@@ -470,7 +468,7 @@ impl MetaCommBuilder {
         }
 
         // DDU relays.
-        let relay_stats = Arc::new(RelayStats::default());
+        let relay_stats = RelayStats::install(&registry);
         let crash_between_pair = Arc::new(AtomicBool::new(false));
         let relays = Relay {
             gateway: gateway.clone(),
@@ -484,8 +482,7 @@ impl MetaCommBuilder {
             clock: registry.clock(),
         }
         .spawn(&devices);
-        obs::mirror_relay_stats(&registry, &relay_stats);
-        obs::mirror_gateway_stats(&registry, &gateway);
+        registry.adopt(gateway.stats().component().clone());
 
         // Recovery monitor: probes non-Up devices and reapplies their
         // backlog (journal drain, or full resync after overflow).
@@ -570,8 +567,8 @@ impl MetaComm {
     /// Serve the gateway over TCP (the §5.5 network-gateway deployment);
     /// any LDAP client can now administer the telecom devices — and browse
     /// live metrics under the read-only `cn=monitor` subtree. The wire
-    /// server's own per-operation metrics register as the `server`
-    /// component.
+    /// server's own `server` component, its per-operation counters, joins
+    /// the registry.
     pub fn serve(&self, addr: &str) -> ldap::Result<ldap::server::Server> {
         let fronted = MonitorDirectory::new(self.gateway.clone(), self.registry.clone());
         let mut builder = ldap::server::Server::builder();
@@ -579,7 +576,7 @@ impl MetaComm {
             builder = builder.with_idle_timeout(t);
         }
         let server = builder.start(fronted, addr)?;
-        obs::mirror_server_metrics(&self.registry, &server.metrics());
+        self.registry.adopt(server.metrics().component().clone());
         Ok(server)
     }
 

@@ -11,7 +11,7 @@
 //! passes through to the wrapped directory; writes under `cn=monitor` are
 //! refused with `unwillingToPerform`.
 
-use super::registry::{ComponentSnapshot, Registry};
+use super::{ComponentSnapshot, Registry};
 use ldap::dit::Scope;
 use ldap::dn::{Dn, Rdn};
 use ldap::entry::{Entry, Modification};

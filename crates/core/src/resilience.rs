@@ -19,6 +19,7 @@
 use crate::error::MetaError;
 use crate::errorlog::ErrorLog;
 use crate::filter::DeviceFilter;
+use crate::obs::Counter;
 use crate::um::UmStats;
 use ldap::dn::Dn;
 use ldap::Directory;
@@ -26,7 +27,7 @@ use lexpress::TargetOp;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::hash::BuildHasher;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -86,7 +87,7 @@ impl RetryPolicy {
     /// `retried`. Returns the first success or the last error.
     pub(crate) fn run<T, E>(
         &self,
-        retried: &AtomicUsize,
+        retried: &Counter,
         transient: impl Fn(&E) -> bool,
         mut attempt: impl FnMut() -> Result<T, E>,
     ) -> Result<T, E> {
@@ -100,7 +101,7 @@ impl RetryPolicy {
                         && attempts < self.max_attempts
                         && started.elapsed() < self.deadline =>
                 {
-                    retried.fetch_add(1, Ordering::Relaxed);
+                    retried.inc();
                     std::thread::sleep(self.backoff(attempts));
                 }
                 done => return done,
@@ -239,7 +240,6 @@ pub(crate) struct DeviceRuntime {
     policy: BreakerPolicy,
     errorlog: Arc<ErrorLog>,
     dir: Arc<dyn Directory>,
-    stats: Arc<UmStats>,
     pub(crate) obs: Arc<crate::obs::DeviceObs>,
     next_ticket: AtomicU64,
     inner: Mutex<RuntimeInner>,
@@ -252,7 +252,6 @@ impl DeviceRuntime {
         policy: BreakerPolicy,
         errorlog: Arc<ErrorLog>,
         dir: Arc<dyn Directory>,
-        stats: Arc<UmStats>,
         obs: Arc<crate::obs::DeviceObs>,
     ) -> Arc<DeviceRuntime> {
         Arc::new(DeviceRuntime {
@@ -260,7 +259,6 @@ impl DeviceRuntime {
             policy,
             errorlog,
             dir,
-            stats,
             obs,
             next_ticket: AtomicU64::new(1),
             inner: Mutex::new(RuntimeInner {
@@ -393,7 +391,6 @@ impl DeviceRuntime {
         });
         drop(g);
         self.with_sink(|s| s.pushed(&self.name, ticket, &op, dn.as_ref()));
-        self.stats.queued.fetch_add(1, Ordering::Relaxed);
         self.obs.queued.inc();
         Some(ticket)
     }
@@ -435,7 +432,6 @@ impl DeviceRuntime {
         };
         if let Some((prev, next, failures)) = transition {
             if next == HealthState::Offline {
-                self.stats.breaker_trips.fetch_add(1, Ordering::Relaxed);
                 self.obs.breaker_trips.inc();
             }
             self.errorlog.log(
@@ -585,7 +581,6 @@ pub(crate) fn attempt_recovery(
                 return Err(e);
             }
         };
-        ctx.stats.full_resyncs.fetch_add(1, Ordering::Relaxed);
         runtime.obs.resyncs.inc();
         let below = {
             let mut g = runtime.inner.lock();
@@ -675,9 +670,6 @@ pub(crate) fn attempt_recovery(
                     g.last_error = Some(e.to_string());
                     g.state = HealthState::Offline;
                 }
-                ctx.stats
-                    .journal_drained
-                    .fetch_add(reapplied, Ordering::Relaxed);
                 ctx.errorlog.log(
                     ctx.gateway.inner().as_ref(),
                     0,
@@ -708,9 +700,6 @@ pub(crate) fn attempt_recovery(
         }
     };
     runtime.with_sink(|s| s.cleared(&runtime.name, below));
-    ctx.stats
-        .journal_drained
-        .fetch_add(reapplied, Ordering::Relaxed);
     ctx.errorlog.log(
         ctx.gateway.inner().as_ref(),
         0,

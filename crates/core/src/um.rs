@@ -33,6 +33,7 @@
 use crate::errorlog::ErrorLog;
 use crate::filter::DeviceFilter;
 use crate::image::{diff_mods_full, entry_to_image, image_to_entry};
+use crate::obs::{Counter, DeviceObs, Registry};
 use crate::resilience::{apply_with_retry, Device, DeviceRuntime, RetryPolicy};
 use crate::schema::LAST_UPDATER;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
@@ -42,7 +43,7 @@ use ldap::{Directory, LdapError, ResultCode};
 use lexpress::{Closure, Engine, Image, OpKind, TargetOp, UpdateDescriptor};
 use ltap::{Disposition, LtapOp, TriggerContext, TriggerHandler};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -76,34 +77,81 @@ pub struct UpdateTrace {
     pub total_ns: u64,
 }
 
-/// Update Manager statistics (fed into the experiment harness).
-#[derive(Debug, Default)]
+/// Update Manager statistics (fed into the experiment harness): handles on
+/// the deployment's `um` component. The four outage totals are sums over
+/// the devices' own counters, so an outage event is counted once, on its
+/// device.
 pub struct UmStats {
     /// Updates that entered through LTAP (clients + relayed DDUs).
-    pub updates: AtomicUsize,
+    pub updates: Arc<Counter>,
     /// Operations applied to devices.
-    pub device_ops: AtomicUsize,
+    pub device_ops: Arc<Counter>,
     /// Conditional (reapplied) device operations (paper §5.4).
-    pub reapplied: AtomicUsize,
+    pub reapplied: Arc<Counter>,
     /// Operations skipped by partitioning constraints.
-    pub skipped: AtomicUsize,
+    pub skipped: Arc<Counter>,
     /// Device-generated images folded back into the directory (§5.5).
-    pub generated_merges: AtomicUsize,
+    pub generated_merges: Arc<Counter>,
     /// Updates aborted with an error logged.
-    pub errors: AtomicUsize,
+    pub errors: Arc<Counter>,
     /// Saga-style compensating operations applied (our extension of §4.4's
     /// "later version" plan).
-    pub undone: AtomicUsize,
+    pub undone: Arc<Counter>,
     /// Transient device faults masked by retry (each retry attempt counts).
-    pub retried: AtomicUsize,
+    pub retried: Arc<Counter>,
     /// Device operations queued in an outage journal instead of applied.
-    pub queued: AtomicUsize,
+    pub queued: DeviceTotal,
     /// Circuit-breaker openings (a device going `Offline`).
-    pub breaker_trips: AtomicUsize,
+    pub breaker_trips: DeviceTotal,
     /// Journaled operations reapplied during recovery drains.
-    pub journal_drained: AtomicUsize,
+    pub journal_drained: DeviceTotal,
     /// Full resynchronizations run because an outage journal overflowed.
-    pub full_resyncs: AtomicUsize,
+    pub full_resyncs: DeviceTotal,
+}
+
+impl UmStats {
+    /// Register the `um` counters, and the outage totals over `devices` as
+    /// gauges read when the registry is.
+    pub(crate) fn install(registry: &Registry, devices: &[Device]) -> Arc<UmStats> {
+        let um = registry.component("um");
+        let total = |name: &str, pick: fn(&DeviceObs) -> &Arc<Counter>| {
+            let t = DeviceTotal(
+                devices
+                    .iter()
+                    .map(|d| pick(&d.runtime.obs).clone())
+                    .collect(),
+            );
+            let read = t.clone();
+            um.gauge_callback(name, move || read.load(Ordering::Relaxed) as i64);
+            t
+        };
+        Arc::new(UmStats {
+            queued: total("queued", |d| &d.queued),
+            breaker_trips: total("breakerTrips", |d| &d.breaker_trips),
+            journal_drained: total("journalDrained", |d| &d.drained),
+            full_resyncs: total("fullResyncs", |d| &d.resyncs),
+            updates: um.counter("updates"),
+            device_ops: um.counter("deviceOps"),
+            reapplied: um.counter("reapplied"),
+            skipped: um.counter("skipped"),
+            generated_merges: um.counter("generatedMerges"),
+            errors: um.counter("errors"),
+            undone: um.counter("undone"),
+            retried: um.counter("retried"),
+        })
+    }
+}
+
+/// A deployment-wide total of one per-device counter, summed when read.
+#[derive(Clone)]
+pub struct DeviceTotal(Vec<Arc<Counter>>);
+
+impl DeviceTotal {
+    /// The sum over devices, each read with `order` (the shape of
+    /// [`AtomicU64::load`]).
+    pub fn load(&self, order: Ordering) -> u64 {
+        self.0.iter().map(|c| c.load(order)).sum()
+    }
 }
 
 enum Request {

@@ -26,63 +26,89 @@ use crate::proto::{
     encode_search_entry_into, entry_from_wire, notice_of_disconnection, parse_rdn, LdapMessage,
     LdapResult, ProtocolOp,
 };
-use parking_lot::Mutex;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use obs::{Component, Counter};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+/// Result codes counted one by one; every other code lands in
+/// `resultCodeOther`. Fixed, so the `server` component's shape is too.
+const TALLIED_RESULT_CODES: [u32; 7] = [0, 32, 49, 52, 53, 68, 80];
+
 /// Per-operation wire metrics: request counts by operation, BER decode
-/// failures, entries streamed back, connection gauges, and a tally of every
-/// result code sent. Plain atomics — cheap enough to be always on.
-#[derive(Debug, Default)]
+/// failures, entries streamed back, connection counts, and a count per
+/// result code sent. Each field is a handle on the server's own `server`
+/// component ([`ServerMetrics::component`]), which a deployment adopts
+/// into its registry; one atomic add per event keeps them always on.
 pub struct ServerMetrics {
-    pub binds: AtomicU64,
-    pub searches: AtomicU64,
-    pub compares: AtomicU64,
-    pub adds: AtomicU64,
-    pub modifies: AtomicU64,
-    pub modify_dns: AtomicU64,
-    pub deletes: AtomicU64,
-    pub unbinds: AtomicU64,
+    component: Arc<Component>,
+    pub binds: Arc<Counter>,
+    pub searches: Arc<Counter>,
+    pub compares: Arc<Counter>,
+    pub adds: Arc<Counter>,
+    pub modifies: Arc<Counter>,
+    pub modify_dns: Arc<Counter>,
+    pub deletes: Arc<Counter>,
+    pub unbinds: Arc<Counter>,
     /// Frames that failed BER decoding (the connection is then dropped
     /// after a Notice of Disconnection).
-    pub decode_failures: AtomicU64,
+    pub decode_failures: Arc<Counter>,
     /// SearchResultEntry messages sent.
-    pub entries_returned: AtomicU64,
-    /// Connections currently being served.
-    pub connections_open: AtomicU64,
+    pub entries_returned: Arc<Counter>,
+    /// Connections currently being served: added on accept, subtracted on
+    /// close.
+    pub connections_open: Arc<Counter>,
     /// Connections accepted since the server started.
-    pub connections_total: AtomicU64,
+    pub connections_total: Arc<Counter>,
     /// Notices of Disconnection sent to misbehaving clients.
-    pub disconnect_notices: AtomicU64,
+    pub disconnect_notices: Arc<Counter>,
     /// Connections dropped by the idle-timeout reaper
     /// ([`ServerBuilder::with_idle_timeout`]).
-    pub disconnect_idle: AtomicU64,
+    pub disconnect_idle: Arc<Counter>,
     /// Times the accept path hit fd exhaustion (EMFILE/ENFILE) and backed
     /// off before retrying.
-    pub accept_pauses: AtomicU64,
-    /// result code → times sent (any operation).
-    result_codes: Mutex<BTreeMap<u32, u64>>,
+    pub accept_pauses: Arc<Counter>,
+    /// `resultCode<c>` for each `c` in [`TALLIED_RESULT_CODES`], in order.
+    result_codes: [Arc<Counter>; TALLIED_RESULT_CODES.len()],
+    result_code_other: Arc<Counter>,
+}
+
+impl Default for ServerMetrics {
+    fn default() -> ServerMetrics {
+        let c = Component::new("server");
+        ServerMetrics {
+            binds: c.counter("binds"),
+            searches: c.counter("searches"),
+            compares: c.counter("compares"),
+            adds: c.counter("adds"),
+            modifies: c.counter("modifies"),
+            modify_dns: c.counter("modifyDns"),
+            deletes: c.counter("deletes"),
+            unbinds: c.counter("unbinds"),
+            decode_failures: c.counter("decodeFailures"),
+            entries_returned: c.counter("entriesReturned"),
+            connections_open: c.counter("connectionsOpen"),
+            connections_total: c.counter("connectionsTotal"),
+            disconnect_notices: c.counter("disconnectNotices"),
+            disconnect_idle: c.counter("disconnectIdle"),
+            accept_pauses: c.counter("acceptPauses"),
+            result_codes: TALLIED_RESULT_CODES.map(|code| c.counter(&format!("resultCode{code}"))),
+            result_code_other: c.counter("resultCodeOther"),
+            component: c,
+        }
+    }
 }
 
 impl ServerMetrics {
+    /// The `server` component these counters are registered in.
+    pub fn component(&self) -> &Arc<Component> {
+        &self.component
+    }
+
     fn record_result(&self, code: ResultCode) {
-        *self.result_codes.lock().entry(code.code()).or_insert(0) += 1;
-    }
-
-    /// How many results carried `code`.
-    pub fn result_code_count(&self, code: u32) -> u64 {
-        self.result_codes.lock().get(&code).copied().unwrap_or(0)
-    }
-
-    /// Results whose code is not in `tallied` (the long tail).
-    pub fn result_code_other(&self, tallied: &[u32]) -> u64 {
-        self.result_codes
-            .lock()
-            .iter()
-            .filter(|(c, _)| !tallied.contains(c))
-            .map(|(_, n)| *n)
-            .sum()
+        match TALLIED_RESULT_CODES.iter().position(|&c| c == code.code()) {
+            Some(i) => self.result_codes[i].inc(),
+            None => self.result_code_other.inc(),
+        }
     }
 }
 
@@ -132,7 +158,7 @@ impl ServerBuilder {
     }
 
     /// Drop connections with no socket activity and no work in flight for
-    /// `timeout` (and count them in the `disconnectIdle` gauge), so
+    /// `timeout` (and count them in the `disconnectIdle` counter), so
     /// 10k-connection deployments shed dead clients. Default: never.
     pub fn with_idle_timeout(mut self, timeout: std::time::Duration) -> ServerBuilder {
         self.idle_timeout = Some(timeout);

@@ -30,11 +30,12 @@
 //! classical group-commit protocol.
 
 use crate::error::Result;
+use obs::{Component, Counter};
 use parking_lot::{Condvar, Mutex};
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Frames longer than this are treated as corruption at replay.
@@ -65,19 +66,42 @@ impl std::fmt::Display for FsyncPolicy {
     }
 }
 
-/// Counters the monitor mirrors into `cn=monitor` (see the core crate).
-#[derive(Debug, Default)]
+/// The log's counters: handles on the `durability` component it owns
+/// ([`WalStats::component`]) until a deployment adopts it into its
+/// registry. One `WalStats` serves a deployment's successive segments, so
+/// the counts are cumulative across rotations.
 pub struct WalStats {
+    component: Arc<Component>,
     /// Frames appended.
-    pub appends: AtomicU64,
+    pub appends: Arc<Counter>,
     /// Bytes appended (frames, including headers).
-    pub bytes: AtomicU64,
+    pub bytes: Arc<Counter>,
     /// fsync calls actually issued. `appends / fsyncs` is the group-commit
     /// coalescing factor.
-    pub fsyncs: AtomicU64,
+    pub fsyncs: Arc<Counter>,
     /// Append or fsync failures (degraded durability, surfaced via the
     /// error sink).
-    pub write_errors: AtomicU64,
+    pub write_errors: Arc<Counter>,
+}
+
+impl Default for WalStats {
+    fn default() -> WalStats {
+        let c = Component::new("durability");
+        WalStats {
+            appends: c.counter("walAppends"),
+            bytes: c.counter("walBytes"),
+            fsyncs: c.counter("walFsyncs"),
+            write_errors: c.counter("walWriteErrors"),
+            component: c,
+        }
+    }
+}
+
+impl WalStats {
+    /// The `durability` component these counters are registered in.
+    pub fn component(&self) -> &Arc<Component> {
+        &self.component
+    }
 }
 
 struct WalFile {
@@ -454,6 +478,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU64;
 
     fn tmpdir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("metacomm-wal-{name}-{}", std::process::id()));

@@ -23,8 +23,9 @@ use ldap::entry::{Entry, Modification};
 use ldap::error::Result;
 use ldap::filter::Filter;
 use ldap::Directory;
+use obs::{Component, Counter};
 use parking_lot::RwLock;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 struct Registered {
@@ -32,19 +33,44 @@ struct Registered {
     handler: Arc<dyn TriggerHandler>,
 }
 
-/// Gateway statistics (experiment E5 instrumentation).
-#[derive(Debug, Default)]
+/// Gateway statistics (experiment E5 instrumentation): handles on the
+/// gateway's own `ltap` component ([`Stats::component`]), which a
+/// deployment adopts into its registry.
 pub struct Stats {
-    pub reads: AtomicUsize,
-    pub updates: AtomicUsize,
-    pub triggers_fired: AtomicUsize,
-    pub vetoed: AtomicUsize,
-    pub handled_by_trigger: AtomicUsize,
+    component: Arc<Component>,
+    pub reads: Arc<Counter>,
+    pub updates: Arc<Counter>,
+    pub triggers_fired: Arc<Counter>,
+    pub vetoed: Arc<Counter>,
+    pub handled_by_trigger: Arc<Counter>,
     /// Cumulative wall time inside the trapped update path (quiesce + lock +
     /// triggers + apply), nanoseconds. Counted for failed trips too.
-    pub update_ns: AtomicU64,
+    pub update_ns: Arc<Counter>,
     /// Cumulative wall time inside pass-through reads, nanoseconds.
-    pub read_ns: AtomicU64,
+    pub read_ns: Arc<Counter>,
+}
+
+impl Default for Stats {
+    fn default() -> Stats {
+        let c = Component::new("ltap");
+        Stats {
+            reads: c.counter("reads"),
+            updates: c.counter("updates"),
+            triggers_fired: c.counter("triggersFired"),
+            vetoed: c.counter("vetoed"),
+            handled_by_trigger: c.counter("handledByTrigger"),
+            update_ns: c.counter("updateNsTotal"),
+            read_ns: c.counter("readNsTotal"),
+            component: c,
+        }
+    }
+}
+
+impl Stats {
+    /// The `ltap` component these counters are registered in.
+    pub fn component(&self) -> &Arc<Component> {
+        &self.component
+    }
 }
 
 /// The trigger gateway.
@@ -270,6 +296,7 @@ mod tests {
     use ldap::dit::{figure2_tree, Dit};
     use ldap::error::{LdapError, ResultCode};
     use parking_lot::Mutex;
+    use std::sync::atomic::AtomicUsize;
 
     fn gateway() -> (Arc<Gateway>, Arc<Dit>) {
         let dit = Dit::new();

@@ -3,7 +3,7 @@
 //! Production uses [`SystemClock`] (a monotonic `Instant` base). Tests and
 //! the experiment harness can substitute a [`ManualClock`], which only
 //! moves when explicitly advanced — so span durations, histogram
-//! percentiles, and even the [`crate::FaultInjector`]'s injected latency
+//! percentiles, and even a fault injector's injected latency
 //! become exact, deterministic numbers instead of wall-clock noise.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,7 +28,7 @@ pub struct SystemClock {
 }
 
 impl SystemClock {
-    pub(crate) fn new() -> Arc<SystemClock> {
+    pub fn new() -> Arc<SystemClock> {
         Arc::new(SystemClock {
             base: Instant::now(),
         })
@@ -53,7 +53,7 @@ impl ManualClock {
     }
 
     /// Move time forward by `d`.
-    pub(crate) fn advance(&self, d: Duration) {
+    pub fn advance(&self, d: Duration) {
         self.ns.fetch_add(d.as_nanos() as u64, Ordering::SeqCst);
     }
 }

@@ -1,4 +1,4 @@
-//! The metric primitives: atomics-based counters, gauges, and log-bucketed
+//! The metric primitives: atomics-based counters, gauges, and log-linear
 //! latency histograms. Hand-rolled — the workspace takes no new
 //! dependencies for observability.
 //!
@@ -9,7 +9,10 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// A monotonically increasing counter.
+/// A named `u64` the registry reads: one event, one `add`. It derefs to
+/// its [`AtomicU64`], so code written against a plain atomic field
+/// (`stats.errors.load(Ordering::SeqCst)`, `fetch_sub` on a level such as
+/// open connections) keeps working on the handle.
 #[derive(Debug, Default)]
 pub struct Counter {
     v: AtomicU64,
@@ -33,9 +36,17 @@ impl Counter {
     }
 }
 
-/// A point-in-time value that can go up or down, computed at read time —
-/// used to export live state (journal depth, breaker state) and to mirror
-/// pre-existing stats structs without double-counting.
+impl std::ops::Deref for Counter {
+    type Target = AtomicU64;
+
+    fn deref(&self) -> &AtomicU64 {
+        &self.v
+    }
+}
+
+/// A point-in-time value computed at read time — only for state derived
+/// when read (journal depth, the tree's footprint, a sum over devices),
+/// never a copy of a [`Counter`].
 pub(crate) struct Gauge {
     read: Box<dyn Fn() -> i64 + Send + Sync>,
 }
@@ -50,35 +61,50 @@ impl Gauge {
     }
 }
 
-impl std::fmt::Debug for Gauge {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Gauge({})", self.get())
-    }
-}
+/// Linear sub-buckets per power of two (`2^SUB_BITS`).
+const SUB_BITS: u32 = 5;
+const SUB: usize = 1 << SUB_BITS;
+/// Powers of two split into [`SUB`] sub-buckets above the exact range:
+/// bit lengths 6 through 35, so values up to 2^35 ns (~34 s) are bucketed
+/// within 1/32 of their size.
+const OCTAVES: usize = 30;
+/// The first value the overflow bucket holds.
+const OVERFLOW_FROM: u64 = 1 << (SUB_BITS as usize + OCTAVES);
 
-/// Number of log2 buckets. Bucket `i` (for `i > 0`) holds values whose bit
-/// length is `i`, i.e. the range `[2^(i-1), 2^i - 1]`; bucket 0 holds 0.
-/// 50 buckets cover up to ~2^49 ns ≈ 6.5 days of latency — beyond that the
-/// last bucket absorbs everything.
-pub const BUCKETS: usize = 50;
+/// Number of buckets: 32 exact ones (values 0..=31), 30 × 32
+/// log-linear ones, and one overflow bucket for everything from 2^35 up.
+/// 993 buckets of 8 bytes keep a histogram under 8 KiB.
+pub const BUCKETS: usize = SUB + OCTAVES * SUB + 1;
 
-/// Upper bound (inclusive) of bucket `i` in recorded units.
+/// Upper bound (inclusive) of bucket `i` in recorded units. A bucket
+/// below the overflow one is at most 1/32 of its lower bound wide, so the
+/// upper bound over-reports any value in it by less than 3.2 %.
 pub fn bucket_upper(i: usize) -> u64 {
-    if i == 0 {
-        0
-    } else if i >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << i) - 1
+    if i < SUB {
+        return i as u64;
     }
+    if i >= BUCKETS - 1 {
+        return u64::MAX;
+    }
+    let (shift, m) = ((i - SUB) / SUB, (i - SUB) % SUB);
+    (((SUB + m) as u64) << shift) + (1u64 << shift) - 1
 }
 
 fn bucket_index(v: u64) -> usize {
-    ((64 - v.leading_zeros()) as usize).min(BUCKETS - 1)
+    if v < SUB as u64 {
+        return v as usize;
+    }
+    if v >= OVERFLOW_FROM {
+        return BUCKETS - 1;
+    }
+    // v has bit length SUB_BITS + 1 + shift; its top SUB_BITS + 1 bits
+    // pick the sub-bucket.
+    let shift = (63 - v.leading_zeros() - SUB_BITS) as usize;
+    SUB + shift * SUB + ((v >> shift) as usize - SUB)
 }
 
-/// A log-bucketed histogram of nanosecond latencies (or any u64 sample).
-/// Writers touch two atomics; readers assemble a consistent
+/// A log-linear histogram of nanosecond latencies (or any u64 sample).
+/// Writers touch three atomics; readers assemble a consistent
 /// [`HistogramSnapshot`] with p50/p95/p99.
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
@@ -149,24 +175,15 @@ impl Histogram {
     }
 }
 
-impl std::fmt::Debug for Histogram {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = self.snapshot();
-        write!(
-            f,
-            "Histogram(count={}, p50={}, p95={}, p99={}, max={})",
-            s.count, s.p50, s.p95, s.p99, s.max
-        )
-    }
-}
-
 /// A consistent point-in-time view of a [`Histogram`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     pub count: u64,
     pub sum: u64,
     pub max: u64,
-    /// Upper bound of the bucket holding the median sample (capped at max).
+    /// Upper bound of the bucket holding the median sample (capped at max):
+    /// never below the true sample quantile, and above it by less than
+    /// 3.2 % up to 2^35.
     pub p50: u64,
     pub p95: u64,
     pub p99: u64,
@@ -176,7 +193,7 @@ pub struct HistogramSnapshot {
 
 impl HistogramSnapshot {
     /// Mean sample value (0 when empty).
-    pub(crate) fn mean(&self) -> f64 {
+    pub fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -205,17 +222,25 @@ mod tests {
 
     #[test]
     fn bucket_index_and_bounds() {
-        assert_eq!(bucket_index(0), 0);
-        assert_eq!(bucket_index(1), 1);
-        assert_eq!(bucket_index(2), 2);
-        assert_eq!(bucket_index(3), 2);
-        assert_eq!(bucket_index(4), 3);
-        assert_eq!(bucket_upper(0), 0);
-        assert_eq!(bucket_upper(1), 1);
-        assert_eq!(bucket_upper(2), 3);
-        assert_eq!(bucket_upper(3), 7);
-        // Everything past the last bucket folds in.
+        // Exact below 32.
+        for v in 0..32u64 {
+            assert_eq!(bucket_index(v), v as usize);
+            assert_eq!(bucket_upper(v as usize), v);
+        }
+        // 32..=63 are still one value per bucket; 64 starts pairs.
+        assert_eq!(bucket_index(63), 63);
+        assert_eq!((bucket_index(64), bucket_index(65)), (64, 64));
+        assert_eq!(bucket_upper(64), 65);
+        // Every bucket's range is contiguous with the next one's.
+        for i in 0..BUCKETS - 1 {
+            assert_eq!(bucket_index(bucket_upper(i)), i);
+            assert_eq!(bucket_index(bucket_upper(i) + 1), i + 1);
+        }
+        assert_eq!(bucket_upper(BUCKETS - 2), OVERFLOW_FROM - 1);
+        // Everything from 2^35 folds into the overflow bucket.
+        assert_eq!(bucket_index(OVERFLOW_FROM), BUCKETS - 1);
         assert_eq!(bucket_index(u64::MAX), BUCKETS - 1);
+        assert!(std::mem::size_of::<Histogram>() <= 8 * 1024);
     }
 
     #[test]
@@ -229,10 +254,10 @@ mod tests {
         assert_eq!(s.sum, 500500);
         assert_eq!(s.max, 1000);
         assert!(s.p50 <= s.p95 && s.p95 <= s.p99 && s.p99 <= s.max);
-        // Rank 500 falls in the bucket [256, 511] (cumulative 511 ≥ 500).
-        assert_eq!(s.p50, 511);
-        // Rank 950 falls in [512, 1023], capped at the observed max.
-        assert_eq!(s.p95, 1000);
+        // Rank 500 falls in [496, 503] (8 wide from 2^8).
+        assert_eq!(s.p50, 503);
+        // Rank 950 falls in [944, 959] (16 wide from 2^9).
+        assert_eq!(s.p95, 959);
         assert_eq!(s.count, s.buckets.iter().sum::<u64>());
     }
 

@@ -1,11 +1,11 @@
 //! The metrics registry: named components, each holding named counters,
-//! gauges, and histograms. One registry per [`crate::MetaComm`] deployment.
+//! gauges, and histograms. One registry per deployment.
 //!
 //! Metric names are LDAP-attribute-safe camelCase identifiers — the same
 //! name appears as an attribute of the component's `cn=monitor` entry
 //! (histograms expand to `<name>Count`, `<name>MeanNs`, `<name>P50Ns`,
-//! `<name>P95Ns`, `<name>P99Ns`, `<name>MaxNs`), as a key in
-//! [`RegistrySnapshot::to_json`], and in [`crate::MetaComm::metrics_snapshot`].
+//! `<name>P95Ns`, `<name>P99Ns`, `<name>MaxNs`) and in a
+//! [`RegistrySnapshot`] lookup.
 
 use super::clock::{Clock, SystemClock};
 use super::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
@@ -22,7 +22,10 @@ pub struct Component {
 }
 
 impl Component {
-    fn new(name: &str) -> Arc<Component> {
+    /// A component outside any registry, for a subsystem that starts on
+    /// its own (a WAL, a wire server, a gateway) and is adopted into a
+    /// deployment's registry later ([`Registry::adopt`]).
+    pub fn new(name: &str) -> Arc<Component> {
         Arc::new(Component {
             name: name.to_string(),
             counters: RwLock::new(BTreeMap::new()),
@@ -43,8 +46,9 @@ impl Component {
             .clone()
     }
 
-    /// Register (or replace) a callback gauge computed at read time.
-    pub(crate) fn gauge_callback(&self, name: &str, f: impl Fn() -> i64 + Send + Sync + 'static) {
+    /// Register (or replace) a callback gauge computed at read time — for
+    /// derived state only; an event count is a [`Component::counter`].
+    pub fn gauge_callback(&self, name: &str, f: impl Fn() -> i64 + Send + Sync + 'static) {
         self.gauges
             .write()
             .insert(name.to_string(), Arc::new(Gauge::callback(f)));
@@ -94,7 +98,7 @@ pub struct Registry {
 }
 
 impl Registry {
-    pub(crate) fn new(clock: Arc<dyn Clock>) -> Arc<Registry> {
+    pub fn new(clock: Arc<dyn Clock>) -> Arc<Registry> {
         Arc::new(Registry {
             clock,
             components: RwLock::new(BTreeMap::new()),
@@ -106,7 +110,8 @@ impl Registry {
         Registry::new(SystemClock::new())
     }
 
-    pub(crate) fn clock(&self) -> Arc<dyn Clock> {
+    /// The clock every latency in this registry is measured on.
+    pub fn clock(&self) -> Arc<dyn Clock> {
         self.clock.clone()
     }
 
@@ -120,6 +125,16 @@ impl Registry {
             .entry(name.to_string())
             .or_insert_with(|| Component::new(name))
             .clone()
+    }
+
+    /// Register a component built outside the registry under its own
+    /// name, replacing any component of that name, so its handles report
+    /// here from now on.
+    pub fn adopt(&self, component: Arc<Component>) -> Arc<Component> {
+        self.components
+            .write()
+            .insert(component.name.clone(), component.clone());
+        component
     }
 
     /// A consistent-enough point-in-time view of every metric: each
@@ -168,8 +183,7 @@ impl ComponentSnapshot {
     }
 }
 
-/// Snapshot of the whole registry (the [`crate::MetaComm::metrics_snapshot`]
-/// return type).
+/// Snapshot of the whole registry.
 #[derive(Debug, Clone)]
 pub struct RegistrySnapshot {
     pub components: Vec<ComponentSnapshot>,
@@ -184,67 +198,6 @@ impl RegistrySnapshot {
     pub fn value(&self, component: &str, metric: &str) -> Option<u64> {
         self.component(component)?.value(metric)
     }
-
-    /// Hand-rolled JSON (the workspace has no serde): components →
-    /// counters/gauges/histograms. Metric names are already JSON-safe
-    /// identifiers; string values are escaped anyway.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, c) in self.components.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{}:{{", json_str(&c.name)));
-            let mut first = true;
-            for (k, v) in &c.counters {
-                push_kv(&mut out, &mut first, k, &v.to_string());
-            }
-            for (k, v) in &c.gauges {
-                push_kv(&mut out, &mut first, k, &v.to_string());
-            }
-            for (k, h) in &c.histograms {
-                let val = format!(
-                    "{{\"count\":{},\"sumNs\":{},\"meanNs\":{:.1},\"p50Ns\":{},\"p95Ns\":{},\"p99Ns\":{},\"maxNs\":{}}}",
-                    h.count,
-                    h.sum,
-                    h.mean(),
-                    h.p50,
-                    h.p95,
-                    h.p99,
-                    h.max
-                );
-                push_kv(&mut out, &mut first, k, &val);
-            }
-            out.push('}');
-        }
-        out.push('}');
-        out
-    }
-}
-
-fn push_kv(out: &mut String, first: &mut bool, key: &str, raw_value: &str) {
-    if !*first {
-        out.push(',');
-    }
-    *first = false;
-    out.push_str(&json_str(key));
-    out.push(':');
-    out.push_str(raw_value);
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -278,20 +231,14 @@ mod tests {
     }
 
     #[test]
-    fn json_is_well_formed_and_non_empty() {
+    fn an_adopted_component_reports_through_its_existing_handles() {
         let r = Registry::system();
-        r.component("a").counter("x").inc();
-        r.component("a").histogram("lat").record(42);
-        let j = r.snapshot().to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"a\""));
-        assert!(j.contains("\"x\":1"));
-        assert!(j.contains("\"p95Ns\""));
-        // Balanced braces (crude well-formedness check, no serde available).
-        assert_eq!(
-            j.matches('{').count(),
-            j.matches('}').count(),
-            "unbalanced: {j}"
-        );
+        let wal = Component::new("durability");
+        let appends = wal.counter("walAppends");
+        appends.inc();
+        r.adopt(wal);
+        appends.inc();
+        assert_eq!(r.snapshot().value("durability", "walAppends"), Some(2));
+        assert_eq!(r.component("durability").counter("walAppends").get(), 2);
     }
 }

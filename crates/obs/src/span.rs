@@ -2,8 +2,7 @@
 //! threads through one trapped operation — queue acquisition, transitive
 //! closure, lexpress translation, each device filter apply, and the final
 //! directory commit (plus the abort path). Stage durations land in the
-//! owning component's histograms and on the public
-//! [`crate::UpdateTrace::stage_ns`] record.
+//! owning component's histograms and on the update's public trace record.
 
 use super::clock::Clock;
 use std::sync::Arc;
@@ -33,7 +32,7 @@ impl Span {
 
     /// Start a span whose first stage began earlier (e.g. when the trapped
     /// op was enqueued) — the gap to `origin_ns` becomes stage `stage`.
-    pub(crate) fn start_from(clock: Arc<dyn Clock>, origin_ns: u64, stage: &str) -> Span {
+    pub fn start_from(clock: Arc<dyn Clock>, origin_ns: u64, stage: &str) -> Span {
         let now = clock.now_ns();
         let wait = now.saturating_sub(origin_ns);
         Span {
@@ -46,7 +45,7 @@ impl Span {
 
     /// Close the current stage under `name` and start the next one.
     /// Returns the closed stage's duration in nanoseconds.
-    pub(crate) fn mark(&mut self, name: &str) -> u64 {
+    pub fn mark(&mut self, name: &str) -> u64 {
         let now = self.clock.now_ns();
         let d = now.saturating_sub(self.last_ns);
         self.last_ns = now;
@@ -60,19 +59,15 @@ impl Span {
         d
     }
 
-    /// Total elapsed nanoseconds since the span's origin.
-    pub(crate) fn total_ns(&self) -> u64 {
-        self.clock.now_ns().saturating_sub(self.started_ns)
-    }
-
     /// The closed stages so far, in first-marked order.
-    pub(crate) fn stages(&self) -> &[(String, u64)] {
+    pub fn stages(&self) -> &[(String, u64)] {
         &self.stages
     }
 
-    /// Consume the span: `(stage durations, total)`.
-    pub(crate) fn finish(self) -> (Vec<(String, u64)>, u64) {
-        let total = self.total_ns();
+    /// Consume the span: `(stage durations in first-marked order, total
+    /// nanoseconds since the span's origin)`.
+    pub fn finish(self) -> (Vec<(String, u64)>, u64) {
+        let total = self.clock.now_ns().saturating_sub(self.started_ns);
         (self.stages, total)
     }
 }
@@ -114,8 +109,8 @@ mod tests {
         let enqueued = clock.now_ns();
         clock.advance(Duration::from_micros(4));
         let span = Span::start_from(clock.clone(), enqueued, "acquire");
-        assert_eq!(span.stages(), &[("acquire".to_string(), 4_000)]);
         clock.advance(Duration::from_micros(6));
-        assert_eq!(span.total_ns(), 10_000);
+        let stages = vec![("acquire".to_string(), 4_000)];
+        assert_eq!(span.finish(), (stages, 10_000));
     }
 }

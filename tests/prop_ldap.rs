@@ -227,10 +227,7 @@ fn a_separator_inside_a_value_keeps_two_names_apart() {
             r"cn=p\+sn=q,o=x",
             ModelDn(vec![vec![model_ava("cn", "p+sn=q")], x.clone()]),
             "cn=p+sn=q,o=x",
-            ModelDn(vec![
-                vec![model_ava("cn", "p"), model_ava("sn", "q")],
-                x.clone(),
-            ]),
+            ModelDn(vec![vec![model_ava("cn", "p"), model_ava("sn", "q")], x]),
         ),
     ];
     for (text, model, other_text, other) in pairs {
