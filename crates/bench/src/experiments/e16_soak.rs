@@ -57,9 +57,9 @@ fn sizes(scale: Scale) -> Sizes {
     }
 }
 
-/// Pick a crash point with no outage window open (restarting into a
-/// half-restored outage journal is a different experiment — E15 covers
-/// torn state; this arm isolates convergence).
+/// Pick a crash point with no outage window open (a crash mid-outage
+/// restarts the device stale and resyncs it, which
+/// `tests/outage_resilience.rs` covers; this arm isolates convergence).
 fn healthy_crash_index(script: &ChurnScript, want: usize) -> usize {
     let mut open = false;
     let mut best = 0;

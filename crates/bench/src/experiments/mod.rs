@@ -41,7 +41,8 @@ pub struct Report {
     /// One-line takeaways (recorded in EXPERIMENTS.md).
     pub observations: Vec<String>,
     /// Why the claim did not hold, for an experiment that checks its own
-    /// (E14 connection scaling, E16 fixpoint and oracle, E18 digest parity).
+    /// (E12 lost updates, E14 connection scaling, E16 fixpoint and oracle,
+    /// E18 digest parity).
     /// The `experiments` binary exits non-zero on any `Some`.
     pub failed: Option<String>,
 }
@@ -166,6 +167,9 @@ mod tests {
         assert!(r.table.contains("drain("), "{}", r.table);
         assert!(r.table.contains("resync"), "{}", r.table);
         assert!(r.observations.iter().any(|o| o.contains("total lost = 0")));
+        // The drain-vs-resync arm prints the line CI greps for.
+        assert!(r.table.contains("\ndrain vs resync: "), "{}", r.table);
+        assert_eq!(r.failed, None);
     }
 
     #[test]

@@ -7,41 +7,43 @@
 //!
 //! - **DIT commits** — every directory commit appends a
 //!   [`backup::TAG_DIT_CHANGE`] frame before the client sees success.
-//! - **Per-device outage journals** — the store-and-forward backlog from
-//!   [`crate::resilience`] is mirrored into the log (push/discard/pop/
-//!   overflow events), so a node that crashes mid-outage resumes draining
-//!   instead of silently forgetting queued device operations.
+//! - **One fact per device: stale or clean** — a device whose outage
+//!   backlog ([`crate::resilience`]) first becomes non-empty or overflows is
+//!   logged *stale*; once recovery resolves the backlog, by drain or by
+//!   resync, it is logged *clean*. The backlog itself stays in memory. The
+//!   stale record is appended under the device's runtime lock, before the
+//!   DIT commit record of the update that queued the op, so the commit
+//!   barrier that acknowledges the update makes it durable too.
 //!
 //! ## Recovery order (DESIGN §12)
 //!
 //! 1. newest snapshot whose checksum footer verifies (fall back one
 //!    generation on a torn write);
 //! 2. WAL segments in generation order, applying exactly the committed
-//!    prefix of DIT records and reducing journal events to per-device
-//!    backlogs;
-//! 3. outage journals handed back to their
-//!    [`crate::resilience::DeviceRuntime`]s, which restart `Offline` so the
-//!    recovery monitor probes and drains them.
+//!    prefix of DIT records and reducing device records to one
+//!    [`StaleMark`] per device (the highest epoch wins);
+//! 3. stale devices restart `Offline` with their journal marked
+//!    overflowed, so the recovery monitor (or `probe_device`) resyncs them
+//!    from the directory — the paper's §4.4 recovery for a repository that
+//!    missed updates.
 //!
 //! ## Checkpoint protocol
 //!
 //! Rotate first, snapshot second: a new WAL segment is opened *before* the
 //! export, so every record in the old segment has a commit sequence ≤ the
-//! snapshot's — the old segment is then redundant and prunable. Journal
-//! state is re-logged into the fresh segment so it never depends on pruned
-//! history. The previous snapshot generation is kept as the torn-write
-//! fallback.
+//! snapshot's — the old segment is then redundant and prunable. Each
+//! device's current mark is re-logged into the fresh segment so it never
+//! depends on pruned history. The previous snapshot generation is kept as
+//! the torn-write fallback.
 
 use crate::error::{MetaError, Result};
 use crate::errorlog::ErrorLog;
 use crate::obs::{Counter, Registry};
-use crate::resilience::{Device, JournalSink};
+use crate::resilience::Device;
 use ldap::backup::{self, SnapshotStore};
 use ldap::dit::Dit;
-use ldap::dn::Dn;
 use ldap::wal::{self, FsyncPolicy, Wal, WalStats};
 use ldap::Directory;
-use lexpress::{Image, OpKind, TargetOp};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::path::Path;
@@ -49,13 +51,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 // WAL frame tags owned by this layer. Tag 1 is the DIT change record
-// (owned by ldap::backup); journal mirroring uses a disjoint range.
-const TAG_JOURNAL_PUSH: u8 = 16;
-const TAG_JOURNAL_DISCARD: u8 = 17;
-const TAG_JOURNAL_POP: u8 = 18;
-const TAG_JOURNAL_OVERFLOW: u8 = 19;
-const TAG_JOURNAL_CLEARED: u8 = 20;
-const TAG_JOURNAL_STATE: u8 = 21;
+// (owned by ldap::backup). Tags 16-21 are the retired outage-journal
+// mirror: read only for the device they name, which they mark stale.
+const TAG_DEVICE_MARK: u8 = 22;
+const LEGACY_JOURNAL_TAGS: std::ops::RangeInclusive<u8> = 16..=21;
+const LEGACY_STALE: StaleMark = StaleMark {
+    epoch: 0,
+    stale: true,
+};
 
 /// What recovery-on-boot found and replayed (exposed through
 /// [`crate::MetaComm::recovery_report`] and as `cn=monitor` gauges).
@@ -73,24 +76,26 @@ pub struct RecoveryReport {
     pub wal_records_discarded: usize,
     /// WAL segments that ended in a torn frame.
     pub torn_segments: usize,
-    /// Outage-journal ops recovered across all devices.
-    pub journal_ops: usize,
+    /// Devices the log left stale: they restart `Offline` and resync.
+    pub stale_devices: usize,
     /// Wall-clock time recovery took, in microseconds.
     pub replay_micros: u64,
 }
 
-/// One device's outage journal as reduced from the log.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct RecoveredJournal {
-    pub ops: Vec<(u64, TargetOp, Option<Dn>)>,
-    pub overflowed: bool,
+/// A device's durable fact: did it miss updates the directory took? The
+/// epoch is bumped under the device's runtime lock at every change, so
+/// records that reach the log out of order still reduce to the latest.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct StaleMark {
+    pub epoch: u64,
+    pub stale: bool,
 }
 
 type ErrorCtx = Arc<Mutex<Option<(Arc<ErrorLog>, Arc<dyn Directory>)>>>;
 
 /// The durability engine: owns the snapshot store and the current WAL
-/// segment, observes DIT commits and journal mutations, and runs the
-/// checkpoint protocol.
+/// segment, logs DIT commits and device marks, and runs the checkpoint
+/// protocol.
 pub(crate) struct Durability {
     store: SnapshotStore,
     policy: FsyncPolicy,
@@ -109,19 +114,19 @@ pub(crate) struct Durability {
 }
 
 impl Durability {
-    /// Recover the DIT (and the reduced outage journals) from `dir`, then
-    /// open a fresh WAL segment for new commits. The caller attaches the
-    /// commit observer, hands journals to their runtimes, and checkpoints.
+    /// Recover the DIT (and each device's mark) from `dir`, then open a
+    /// fresh WAL segment for new commits. The caller attaches the commit
+    /// observer, hands the marks to their runtimes, and checkpoints.
     pub(crate) fn open(
         dir: &Path,
         policy: FsyncPolicy,
         dit: &Arc<Dit>,
-    ) -> Result<(Arc<Durability>, HashMap<String, RecoveredJournal>)> {
+    ) -> Result<(Arc<Durability>, HashMap<String, StaleMark>)> {
         let started = std::time::Instant::now();
         std::fs::create_dir_all(dir).map_err(|e| MetaError::Unavailable(e.to_string()))?;
         let store = SnapshotStore::new(dir);
         let mut report = RecoveryReport::default();
-        let mut journals: HashMap<String, RecoveredJournal> = HashMap::new();
+        let mut marks: HashMap<String, StaleMark> = HashMap::new();
 
         // The pre-WAL layout is not read any more. Booting an empty
         // directory beside it would look like a successful recovery of
@@ -159,8 +164,8 @@ impl Durability {
             };
             // Replay every segment in generation order: DIT records the
             // snapshot does not cover are collected (they carry their own
-            // commit sequence and are sorted globally), journal events
-            // reduce in scan order. A retained segment is mostly records
+            // commit sequence and are sorted globally), device records
+            // reduce by epoch. A retained segment is mostly records
             // the snapshot covers (the whole load, after a first
             // checkpoint): those are counted as they are decoded and never
             // copied.
@@ -177,8 +182,7 @@ impl Durability {
                                 dit_records.push((seq, text.to_string()));
                             }
                         }
-                        _ => reduce_journal_event(&mut journals, tag, payload)
-                            .map_err(ldap_decode_error)?,
+                        _ => fold_device_record(&mut marks, tag, payload)?,
                     }
                     Ok(())
                 })?;
@@ -194,7 +198,7 @@ impl Durability {
         })();
         dit.finish_bulk();
         recovery?;
-        report.journal_ops = journals.values().map(|j| j.ops.len()).sum();
+        report.stale_devices = marks.values().filter(|m| m.stale).count();
         report.replay_micros = started.elapsed().as_micros() as u64;
 
         // New commits go to a fresh segment: the previous one may end in a
@@ -218,7 +222,7 @@ impl Durability {
                 report,
                 error_ctx,
             }),
-            journals,
+            marks,
         ))
     }
 
@@ -289,8 +293,15 @@ impl Durability {
         });
     }
 
+    /// Log `device`'s mark. The runtime calls this under its own lock, so
+    /// a stale record precedes the DIT commit of any update that queued an
+    /// op behind it.
+    pub(crate) fn log_device(&self, device: &str, mark: StaleMark) {
+        self.append(TAG_DEVICE_MARK, &encode_device_record(device, mark));
+    }
+
     /// Write a consistent checkpoint and bound the log: rotate to a new
-    /// segment, re-log outage-journal state, export + write the snapshot,
+    /// segment, re-log every device's mark, export + write the snapshot,
     /// prune generations older than the previous snapshot.
     pub(crate) fn checkpoint(&self, dit: &Dit, devices: &[Device]) -> Result<()> {
         let _only_one = self.checkpoint_lock.lock();
@@ -305,21 +316,18 @@ impl Durability {
             // Swap under the wal lock: appenders racing the swap land in
             // either segment; their DIT records carry commit sequences ≤
             // the export below (old segment) or replay idempotently by
-            // sequence guard (new segment), and journal events re-reduce.
+            // sequence guard (new segment), and device records reduce by
+            // epoch wherever they land.
             let mut w = self.wal.lock();
             let _ = w.sync();
             *w = new_wal;
         }
         self.generation.store(generation, Ordering::SeqCst);
-        // Journal state must not depend on pruned history: re-log every
-        // device's backlog into the fresh segment. Recovery dedupes by
-        // ticket, so events racing this snapshot are harmless.
+        // A device's mark must not depend on pruned history: re-log each
+        // into the fresh segment. A change racing this re-log carries a
+        // higher epoch, so it wins at replay whichever lands first.
         for Device { runtime, .. } in devices {
-            let (ops, overflowed) = runtime.journal_snapshot();
-            self.append(
-                TAG_JOURNAL_STATE,
-                &encode_journal_state(runtime.name(), overflowed, &ops),
-            );
+            self.log_device(runtime.name(), runtime.mark());
         }
         // Streamed: one entry of LDIF text in memory at a time.
         self.store.write_snapshot_streamed(dit, generation)?;
@@ -356,7 +364,7 @@ impl Durability {
         let r = self.report.clone();
         comp.gauge_callback("recoveredWalRecords", move || r.wal_records_applied as i64);
         let r = self.report.clone();
-        comp.gauge_callback("recoveredJournalOps", move || r.journal_ops as i64);
+        comp.gauge_callback("recoveredStaleDevices", move || r.stale_devices as i64);
         let r = self.report.clone();
         comp.gauge_callback("recoveryReplayMicros", move || r.replay_micros as i64);
     }
@@ -371,371 +379,116 @@ fn install_error_sink(wal: &Arc<Wal>, ctx: &ErrorCtx) {
     });
 }
 
-/// The outage journal mirrors into the log through this sink; callbacks
-/// arrive OUTSIDE the runtime's inner lock (see [`JournalSink`]) and
-/// recovery reconciles by ticket.
-impl JournalSink for Durability {
-    fn pushed(&self, device: &str, ticket: u64, op: &TargetOp, dn: Option<&Dn>) {
-        let mut buf = Vec::new();
-        put_str(&mut buf, device);
-        buf.extend_from_slice(&ticket.to_le_bytes());
-        put_opt_str(&mut buf, dn.map(|d| d.to_string()).as_deref());
-        put_target_op(&mut buf, op);
-        self.append(TAG_JOURNAL_PUSH, &buf);
-    }
-
-    fn discarded(&self, device: &str, tickets: &[u64]) {
-        let mut buf = Vec::new();
-        put_str(&mut buf, device);
-        buf.extend_from_slice(&(tickets.len() as u32).to_le_bytes());
-        for t in tickets {
-            buf.extend_from_slice(&t.to_le_bytes());
-        }
-        self.append(TAG_JOURNAL_DISCARD, &buf);
-    }
-
-    fn popped(&self, device: &str, ticket: u64) {
-        let mut buf = Vec::new();
-        put_str(&mut buf, device);
-        buf.extend_from_slice(&ticket.to_le_bytes());
-        self.append(TAG_JOURNAL_POP, &buf);
-    }
-
-    fn overflowed(&self, device: &str) {
-        let mut buf = Vec::new();
-        put_str(&mut buf, device);
-        self.append(TAG_JOURNAL_OVERFLOW, &buf);
-    }
-
-    fn cleared(&self, device: &str, below: u64) {
-        let mut buf = Vec::new();
-        put_str(&mut buf, device);
-        buf.extend_from_slice(&below.to_le_bytes());
-        self.append(TAG_JOURNAL_CLEARED, &buf);
-    }
-}
-
-/// Fold one journal WAL record into the per-device reduction.
-fn reduce_journal_event(
-    journals: &mut HashMap<String, RecoveredJournal>,
-    tag: u8,
-    payload: &[u8],
-) -> std::result::Result<(), String> {
-    let mut r = Reader {
-        bytes: payload,
-        at: 0,
-    };
-    let device = r.str()?;
-    let j = journals.entry(device).or_default();
-    match tag {
-        TAG_JOURNAL_PUSH => {
-            let ticket = r.u64()?;
-            let dn = match r.opt_str()? {
-                Some(s) => Some(Dn::parse(&s).map_err(|e| e.to_string())?),
-                None => None,
-            };
-            let op = r.target_op()?;
-            j.ops.push((ticket, op, dn));
-        }
-        TAG_JOURNAL_DISCARD => {
-            let n = r.u32()?;
-            let mut tickets = Vec::with_capacity(n as usize);
-            for _ in 0..n {
-                tickets.push(r.u64()?);
-            }
-            j.ops.retain(|(t, _, _)| !tickets.contains(t));
-        }
-        TAG_JOURNAL_POP => {
-            let ticket = r.u64()?;
-            j.ops.retain(|(t, _, _)| *t != ticket);
-        }
-        TAG_JOURNAL_OVERFLOW => {
-            j.ops.clear();
-            j.overflowed = true;
-        }
-        TAG_JOURNAL_CLEARED => {
-            // Only ops below the event's ticket high-water are resolved: a
-            // push racing an immediate relapse can land in the log ahead of
-            // this event, and its (higher) ticket must survive. Records
-            // without the mark clear everything, the pre-mark semantics.
-            let below = r.u64().unwrap_or(u64::MAX);
-            j.ops.retain(|(t, _, _)| *t >= below);
-            j.overflowed = false;
-        }
-        TAG_JOURNAL_STATE => {
-            j.overflowed = r.u8()? != 0;
-            let n = r.u32()?;
-            let mut ops = Vec::with_capacity(n as usize);
-            for _ in 0..n {
-                let ticket = r.u64()?;
-                let dn = match r.opt_str()? {
-                    Some(s) => Some(Dn::parse(&s).map_err(|e| e.to_string())?),
-                    None => None,
-                };
-                ops.push((ticket, r.target_op()?, dn));
-            }
-            j.ops = ops;
-        }
-        // Unknown tag: a future version's record. Skip, don't fail —
-        // forward compatibility matters more than completeness here.
-        _ => {}
-    }
-    Ok(())
-}
-
-fn encode_journal_state(
-    device: &str,
-    overflowed: bool,
-    ops: &[(u64, TargetOp, Option<Dn>)],
-) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put_str(&mut buf, device);
-    buf.push(overflowed as u8);
-    buf.extend_from_slice(&(ops.len() as u32).to_le_bytes());
-    for (ticket, op, dn) in ops {
-        buf.extend_from_slice(&ticket.to_le_bytes());
-        put_opt_str(&mut buf, dn.as_ref().map(|d| d.to_string()).as_deref());
-        put_target_op(&mut buf, op);
-    }
+/// `[device length: u32 LE][device][epoch: u64 LE][stale: u8]` — the
+/// leading device string is the layout the retired journal tags shared.
+fn encode_device_record(device: &str, mark: StaleMark) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(4 + device.len() + 9);
+    buf.extend_from_slice(&(device.len() as u32).to_le_bytes());
+    buf.extend_from_slice(device.as_bytes());
+    buf.extend_from_slice(&mark.epoch.to_le_bytes());
+    buf.push(mark.stale as u8);
     buf
 }
 
-fn ldap_decode_error(what: String) -> ldap::LdapError {
-    ldap::LdapError::new(
-        ldap::ResultCode::Other,
-        format!("journal wal record: {what}"),
-    )
+/// A record's leading device name and the bytes after it.
+fn leading_device(payload: &[u8]) -> Option<(&str, &[u8])> {
+    let (len, rest) = payload.split_first_chunk::<4>()?;
+    let (name, rest) = rest.split_at_checked(u32::from_le_bytes(*len) as usize)?;
+    Some((std::str::from_utf8(name).ok()?, rest))
 }
 
-// --- binary codec -----------------------------------------------------------
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn put_opt_str(buf: &mut Vec<u8>, s: Option<&str>) {
-    match s {
-        None => buf.push(0),
-        Some(s) => {
-            buf.push(1);
-            put_str(buf, s);
+/// Fold one non-DIT record into `marks`, keeping the highest epoch per
+/// device. A retired journal record marks the device it names stale at
+/// epoch 0, below every record of the current kind, so the first boot
+/// after an upgrade resyncs that device once. A retired record that cannot
+/// name its device, and an unknown tag, are skipped.
+fn fold_device_record(
+    marks: &mut HashMap<String, StaleMark>,
+    tag: u8,
+    payload: &[u8],
+) -> ldap::Result<()> {
+    let malformed = || ldap::LdapError::new(ldap::ResultCode::Other, "malformed device record");
+    let (device, mark) = match tag {
+        TAG_DEVICE_MARK => {
+            let (device, rest) = leading_device(payload).ok_or_else(malformed)?;
+            let Some((epoch, &[stale])) = rest.split_first_chunk::<8>() else {
+                return Err(malformed());
+            };
+            let epoch = u64::from_le_bytes(*epoch);
+            (
+                device,
+                StaleMark {
+                    epoch,
+                    stale: stale != 0,
+                },
+            )
         }
+        t if LEGACY_JOURNAL_TAGS.contains(&t) => match leading_device(payload) {
+            Some((device, _)) => (device, LEGACY_STALE),
+            None => return Ok(()),
+        },
+        _ => return Ok(()),
+    };
+    let slot = marks.entry(device.to_string()).or_default();
+    if mark.epoch >= slot.epoch {
+        *slot = mark;
     }
-}
-
-fn put_image(buf: &mut Vec<u8>, img: &Image) {
-    let pairs: Vec<(&str, &[String])> = img.iter().collect();
-    buf.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
-    for (name, values) in pairs {
-        put_str(buf, name);
-        buf.extend_from_slice(&(values.len() as u32).to_le_bytes());
-        for v in values {
-            put_str(buf, v);
-        }
-    }
-}
-
-fn put_target_op(buf: &mut Vec<u8>, op: &TargetOp) {
-    buf.push(match op.kind {
-        OpKind::Add => 0,
-        OpKind::Modify => 1,
-        OpKind::Delete => 2,
-        OpKind::Skip => 3,
-    });
-    buf.push(op.conditional as u8);
-    put_opt_str(buf, op.old_key.as_deref());
-    put_opt_str(buf, op.new_key.as_deref());
-    put_image(buf, &op.attrs);
-    put_image(buf, &op.old_attrs);
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> std::result::Result<&'a [u8], String> {
-        let end = self.at.checked_add(n).filter(|e| *e <= self.bytes.len());
-        let end = end.ok_or_else(|| "truncated record".to_string())?;
-        let out = &self.bytes[self.at..end];
-        self.at = end;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> std::result::Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> std::result::Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn u64(&mut self) -> std::result::Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn str(&mut self) -> std::result::Result<String, String> {
-        let n = self.u32()? as usize;
-        String::from_utf8(self.take(n)?.to_vec()).map_err(|_| "non-UTF8 string".to_string())
-    }
-
-    fn opt_str(&mut self) -> std::result::Result<Option<String>, String> {
-        match self.u8()? {
-            0 => Ok(None),
-            _ => Ok(Some(self.str()?)),
-        }
-    }
-
-    fn image(&mut self) -> std::result::Result<Image, String> {
-        let n = self.u32()?;
-        let mut img = Image::new();
-        for _ in 0..n {
-            let name = self.str()?;
-            let n_values = self.u32()?;
-            let mut values = Vec::with_capacity(n_values as usize);
-            for _ in 0..n_values {
-                values.push(self.str()?);
-            }
-            img.set(name, values);
-        }
-        Ok(img)
-    }
-
-    fn target_op(&mut self) -> std::result::Result<TargetOp, String> {
-        let kind = match self.u8()? {
-            0 => OpKind::Add,
-            1 => OpKind::Modify,
-            2 => OpKind::Delete,
-            3 => OpKind::Skip,
-            k => return Err(format!("unknown op kind {k}")),
-        };
-        Ok(TargetOp {
-            kind,
-            conditional: self.u8()? != 0,
-            old_key: self.opt_str()?,
-            new_key: self.opt_str()?,
-            attrs: self.image()?,
-            old_attrs: self.image()?,
-        })
-    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample_op() -> TargetOp {
-        let mut attrs = Image::new();
-        attrs.set("ext", vec!["9123".into()]);
-        attrs.set("name", vec!["John Doe".into(), "J. Doe".into()]);
-        let mut old = Image::new();
-        old.set("ext", vec!["9000".into()]);
-        TargetOp {
-            kind: OpKind::Modify,
-            conditional: true,
-            old_key: Some("9000".into()),
-            new_key: Some("9123".into()),
-            attrs,
-            old_attrs: old,
-        }
+    fn fold(marks: &mut HashMap<String, StaleMark>, device: &str, epoch: u64, stale: bool) {
+        let record = encode_device_record(device, StaleMark { epoch, stale });
+        fold_device_record(marks, TAG_DEVICE_MARK, &record).unwrap();
     }
 
     #[test]
-    fn target_op_codec_round_trip() {
-        let op = sample_op();
-        let mut buf = Vec::new();
-        put_target_op(&mut buf, &op);
-        let mut r = Reader { bytes: &buf, at: 0 };
-        let back = r.target_op().unwrap();
-        assert_eq!(back, op);
-        assert_eq!(r.at, buf.len(), "codec consumes exactly its bytes");
-        // Every truncation fails cleanly, never panics.
-        for cut in 0..buf.len() {
-            let mut r = Reader {
-                bytes: &buf[..cut],
-                at: 0,
-            };
-            assert!(r.target_op().is_err(), "cut at {cut}");
-        }
+    fn device_records_reduce_to_the_highest_epoch() {
+        let mut marks = HashMap::new();
+        // A checkpoint re-log of epoch 1 lands after the clean of epoch 2.
+        fold(&mut marks, "pbx-west", 1, true);
+        fold(&mut marks, "pbx-west", 2, false);
+        fold(&mut marks, "pbx-west", 1, true);
+        assert_eq!(
+            (marks["pbx-west"].epoch, marks["pbx-west"].stale),
+            (2, false)
+        );
+        // A relapse right after a clean: its stale record (epoch 4) reaches
+        // the log ahead of the clean (epoch 3). Still stale at replay.
+        fold(&mut marks, "pbx-east", 2, true);
+        fold(&mut marks, "pbx-east", 4, true);
+        fold(&mut marks, "pbx-east", 3, false);
+        assert_eq!(
+            (marks["pbx-east"].epoch, marks["pbx-east"].stale),
+            (4, true)
+        );
+        // A record of the current kind that does not decode fails replay.
+        assert!(fold_device_record(&mut marks, TAG_DEVICE_MARK, &[1, 0, 0, 0]).is_err());
     }
 
     #[test]
-    fn journal_reduction_push_pop_discard() {
-        let mut journals = HashMap::new();
-        let dur_push = |journals: &mut HashMap<String, RecoveredJournal>, ticket: u64| {
-            let mut buf = Vec::new();
-            put_str(&mut buf, "pbx-west");
-            buf.extend_from_slice(&ticket.to_le_bytes());
-            put_opt_str(&mut buf, Some("cn=J,o=L"));
-            put_target_op(&mut buf, &sample_op());
-            reduce_journal_event(journals, TAG_JOURNAL_PUSH, &buf).unwrap();
-        };
-        for t in 1..=4u64 {
-            dur_push(&mut journals, t);
+    fn legacy_journal_records_mark_their_device_stale() {
+        for tag in LEGACY_JOURNAL_TAGS {
+            // Each retired record led with its device; the rest is unread.
+            let mut record = 8u32.to_le_bytes().to_vec();
+            record.extend_from_slice(b"pbx-west");
+            record.extend_from_slice(&[0xAB; 13]);
+            let mut marks = HashMap::new();
+            fold_device_record(&mut marks, tag, &record).unwrap();
+            assert_eq!(marks["pbx-west"], LEGACY_STALE, "tag {tag}");
+            // Any record of the current kind outranks it.
+            fold(&mut marks, "pbx-west", 1, false);
+            assert!(!marks["pbx-west"].stale, "tag {tag}");
         }
-        // Discard 2, pop 1.
-        let mut buf = Vec::new();
-        put_str(&mut buf, "pbx-west");
-        buf.extend_from_slice(&1u32.to_le_bytes());
-        buf.extend_from_slice(&2u64.to_le_bytes());
-        reduce_journal_event(&mut journals, TAG_JOURNAL_DISCARD, &buf).unwrap();
-        let mut buf = Vec::new();
-        put_str(&mut buf, "pbx-west");
-        buf.extend_from_slice(&1u64.to_le_bytes());
-        reduce_journal_event(&mut journals, TAG_JOURNAL_POP, &buf).unwrap();
-
-        let j = &journals["pbx-west"];
-        let tickets: Vec<u64> = j.ops.iter().map(|(t, _, _)| *t).collect();
-        assert_eq!(tickets, vec![3, 4]);
-        assert!(!j.overflowed);
-
-        // STATE replaces everything.
-        let state = encode_journal_state("pbx-west", false, &j.ops[..1]);
-        reduce_journal_event(&mut journals, TAG_JOURNAL_STATE, &state).unwrap();
-        assert_eq!(journals["pbx-west"].ops.len(), 1);
-
-        // Overflow clears and flags.
-        let mut buf = Vec::new();
-        put_str(&mut buf, "pbx-west");
-        reduce_journal_event(&mut journals, TAG_JOURNAL_OVERFLOW, &buf).unwrap();
-        assert!(journals["pbx-west"].ops.is_empty());
-        assert!(journals["pbx-west"].overflowed);
-    }
-
-    #[test]
-    fn cleared_resolves_only_ops_below_its_high_water() {
-        let mut journals = HashMap::new();
-        let push = |journals: &mut HashMap<String, RecoveredJournal>, ticket: u64| {
-            let mut buf = Vec::new();
-            put_str(&mut buf, "pbx-east");
-            buf.extend_from_slice(&ticket.to_le_bytes());
-            put_opt_str(&mut buf, None);
-            put_target_op(&mut buf, &sample_op());
-            reduce_journal_event(journals, TAG_JOURNAL_PUSH, &buf).unwrap();
-        };
-        push(&mut journals, 1);
-        push(&mut journals, 2);
-        // The device relapsed right after draining: op 3 was queued after
-        // the Up transition and its pushed event raced ahead of the
-        // drain's cleared event into the log.
-        push(&mut journals, 3);
-        let mut buf = Vec::new();
-        put_str(&mut buf, "pbx-east");
-        buf.extend_from_slice(&3u64.to_le_bytes());
-        reduce_journal_event(&mut journals, TAG_JOURNAL_CLEARED, &buf).unwrap();
-        let tickets: Vec<u64> = journals["pbx-east"]
-            .ops
-            .iter()
-            .map(|(t, _, _)| *t)
-            .collect();
-        assert_eq!(tickets, vec![3], "racing post-clear push survives");
-
-        // A mark-less cleared record (pre-high-water format) clears all.
-        let mut buf = Vec::new();
-        put_str(&mut buf, "pbx-east");
-        reduce_journal_event(&mut journals, TAG_JOURNAL_CLEARED, &buf).unwrap();
-        assert!(journals["pbx-east"].ops.is_empty());
+        // A retired record too short to name its device, and an unknown
+        // tag, are skipped without failing recovery.
+        let mut marks = HashMap::new();
+        fold_device_record(&mut marks, 16, &[200, 0, 0, 0, b'x']).unwrap();
+        fold_device_record(&mut marks, 21, &[]).unwrap();
+        fold_device_record(&mut marks, 99, b"a future record").unwrap();
+        assert!(marks.is_empty());
     }
 }

@@ -70,7 +70,7 @@ pub use wba::Wba;
 
 use crate::ddu::{Relay, RelayStats};
 use crate::durability::Durability;
-use crate::resilience::{Background, DeviceRuntime, JournalSink, RecoveryCtx};
+use crate::resilience::{Background, DeviceRuntime, RecoveryCtx};
 use crate::um::{Shared, UpdateManager};
 use ldap::dn::Dn;
 use ldap::entry::Entry;
@@ -243,10 +243,10 @@ impl MetaCommBuilder {
     }
 
     /// Make the whole deployment crash-safe: recover state from `dir` at
-    /// build time (newest valid snapshot + write-ahead log + outage
-    /// journals), checkpoint, and log every commit from then on — the
-    /// "backups" half of the paper's §2 availability story, extended to
-    /// survive `kill -9`. See [`MetaCommBuilder::with_fsync_policy`] for
+    /// build time (newest valid snapshot + write-ahead log; a device left
+    /// stale by an outage restarts offline and resyncs), checkpoint, and
+    /// log every commit from then on — the "backups" half of the paper's
+    /// §2 availability story, extended to survive `kill -9`. See [`MetaCommBuilder::with_fsync_policy`] for
     /// the durability/throughput trade-off.
     pub fn with_durability(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
         self.persist_dir = Some(dir.into());
@@ -284,9 +284,9 @@ impl MetaCommBuilder {
         // commit from here on (starting with the suffix entry) is logged.
         let durability = match &self.persist_dir {
             Some(dir) => {
-                let (dur, journals) = Durability::open(dir, self.fsync_policy, &dit)?;
+                let (dur, marks) = Durability::open(dir, self.fsync_policy, &dit)?;
                 dur.attach(&dit);
-                Some((dur, journals))
+                Some((dur, marks))
             }
             None => None,
         };
@@ -385,22 +385,20 @@ impl MetaCommBuilder {
                     errorlog.clone(),
                     dit.clone() as Arc<dyn Directory>,
                     obs::DeviceObs::install(&registry, filter.name()),
+                    durability.as_ref().map(|(dur, _)| dur.clone()),
                 ),
                 filter,
             })
             .collect();
-        if let Some((dur, journals)) = &durability {
-            // Hand each device its recovered outage backlog (the runtime
-            // restarts Offline and the monitor drains it), then mirror all
-            // further journal mutations into the log. The boot checkpoint
+        if let Some((dur, marks)) = &durability {
+            // Hand each device its recovered mark (a stale one restarts
+            // Offline and the monitor resyncs it). The boot checkpoint
             // makes the recovered state the new baseline: fresh segment
-            // with re-logged journal state, fresh snapshot, old generations
-            // pruned.
+            // with re-logged marks, fresh snapshot, old generations pruned.
             for Device { runtime, .. } in devices.iter() {
-                if let Some(j) = journals.get(runtime.name()) {
-                    runtime.restore_journal(j.ops.clone(), j.overflowed);
+                if let Some(mark) = marks.get(runtime.name()) {
+                    runtime.restore_mark(*mark);
                 }
-                runtime.set_journal_sink(dur.clone() as Arc<dyn JournalSink>);
             }
             dur.checkpoint(&dit, &devices)?;
         }
@@ -694,9 +692,9 @@ impl MetaComm {
 
     /// Probe one device synchronously and run recovery if it answers:
     /// drain its outage journal as conditional reapplies, or full-resync if
-    /// the journal overflowed. The background monitor does the same thing
-    /// on its probe interval; this entry point makes recovery deterministic
-    /// for tests and experiments.
+    /// the journal overflowed or the device restarted stale. The background
+    /// monitor does the same thing on its probe interval; this entry point
+    /// makes recovery deterministic for tests and experiments.
     pub fn probe_device(&self, name: &str) -> Result<RecoveryOutcome> {
         let ctx = RecoveryCtx {
             gateway: self.gateway.clone(),
@@ -710,9 +708,9 @@ impl MetaComm {
     }
 
     /// Checkpoint a durable deployment: rotate to a fresh WAL segment,
-    /// re-log outage-journal state, write a new checksummed snapshot, and
-    /// prune old generations (bounding recovery time). No-op without
-    /// durability.
+    /// re-log each device's stale/clean mark, write a new checksummed
+    /// snapshot, and prune old generations (bounding recovery time). No-op
+    /// without durability.
     pub fn checkpoint(&self) -> Result<()> {
         if let Some(dur) = &self.durability {
             dur.checkpoint(&self.dit, &self.devices)?;

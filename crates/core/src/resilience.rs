@@ -15,7 +15,13 @@
 //! ([`crate::sync::resynchronize_device_from_directory`]) when the
 //! journal overflowed its bound. Every state transition emits a §4.4
 //! administrator alert.
+//!
+//! The journal lives in memory only. What survives a crash is one fact per
+//! device, logged by [`crate::durability`]: stale from the first queued op
+//! until recovery resolves the backlog. A device that restarts stale is
+//! resynchronized, the same arm an overflowed journal takes.
 
+use crate::durability::{Durability, StaleMark};
 use crate::error::MetaError;
 use crate::errorlog::ErrorLog;
 use crate::filter::DeviceFilter;
@@ -27,7 +33,7 @@ use lexpress::TargetOp;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::hash::BuildHasher;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -178,8 +184,8 @@ pub struct DeviceHealth {
     pub consecutive_failures: u32,
     /// Translated operations waiting in the outage journal.
     pub queued_ops: usize,
-    /// The journal overflowed: recovery will resynchronize instead of
-    /// draining.
+    /// The journal overflowed, or the device restarted stale: recovery
+    /// will resynchronize instead of draining.
     pub journal_overflowed: bool,
     /// Operations discarded after the overflow (recovered only by the full
     /// resynchronization).
@@ -197,30 +203,6 @@ struct JournaledOp {
     dn: Option<Dn>,
 }
 
-/// Observer of outage-journal mutations, implemented by the durability
-/// layer to mirror the journal into the write-ahead log. Callbacks are
-/// invoked OUTSIDE the runtime's inner lock (the WAL append may fsync and
-/// the checkpoint path takes locks of its own), so two racing mutations may
-/// reach the log out of order — recovery reconciles by ticket, which is
-/// unique per device and assigned in queue order.
-pub(crate) trait JournalSink: Send + Sync {
-    /// An op entered the journal under `ticket`.
-    fn pushed(&self, device: &str, ticket: u64, op: &TargetOp, dn: Option<&Dn>);
-    /// Tickets were withdrawn (client update aborted).
-    fn discarded(&self, device: &str, tickets: &[u64]);
-    /// A ticket drained: its op was reapplied to the device.
-    fn popped(&self, device: &str, ticket: u64);
-    /// The journal overflowed: queued ops abandoned pending full resync.
-    fn overflowed(&self, device: &str);
-    /// The backlog is fully resolved (drain or resynchronization done).
-    /// `below` is the device's ticket high-water mark, captured under the
-    /// same lock that observed the resolution: recovery must only clear
-    /// ops whose ticket is below it. If the device relapses immediately, a
-    /// newly queued op's `pushed` event can race this one into the log —
-    /// its ticket is `>= below`, so the guard keeps it alive at replay.
-    fn cleared(&self, device: &str, below: u64);
-}
-
 #[derive(Debug)]
 struct RuntimeInner {
     state: HealthState,
@@ -230,6 +212,10 @@ struct RuntimeInner {
     dropped_ops: usize,
     draining: bool,
     last_error: Option<String>,
+    next_ticket: u64,
+    /// What the log says about this device: stale from the first op queued
+    /// until recovery resolves the backlog.
+    mark: StaleMark,
 }
 
 /// Per-device breaker state + outage journal. Shared between the UM
@@ -241,9 +227,9 @@ pub(crate) struct DeviceRuntime {
     errorlog: Arc<ErrorLog>,
     dir: Arc<dyn Directory>,
     pub(crate) obs: Arc<crate::obs::DeviceObs>,
-    next_ticket: AtomicU64,
     inner: Mutex<RuntimeInner>,
-    sink: Mutex<Option<Arc<dyn JournalSink>>>,
+    /// Where the device's mark is logged, on a durable deployment.
+    durability: Option<Arc<Durability>>,
 }
 
 impl DeviceRuntime {
@@ -253,6 +239,7 @@ impl DeviceRuntime {
         errorlog: Arc<ErrorLog>,
         dir: Arc<dyn Directory>,
         obs: Arc<crate::obs::DeviceObs>,
+        durability: Option<Arc<Durability>>,
     ) -> Arc<DeviceRuntime> {
         Arc::new(DeviceRuntime {
             name: name.to_string(),
@@ -260,7 +247,6 @@ impl DeviceRuntime {
             errorlog,
             dir,
             obs,
-            next_ticket: AtomicU64::new(1),
             inner: Mutex::new(RuntimeInner {
                 state: HealthState::Up,
                 consecutive_failures: 0,
@@ -269,8 +255,10 @@ impl DeviceRuntime {
                 dropped_ops: 0,
                 draining: false,
                 last_error: None,
+                next_ticket: 1,
+                mark: StaleMark::default(),
             }),
-            sink: Mutex::new(None),
+            durability,
         })
     }
 
@@ -278,59 +266,37 @@ impl DeviceRuntime {
         &self.name
     }
 
-    /// Install the durability observer. At most one; later calls replace it.
-    pub(crate) fn set_journal_sink(&self, sink: Arc<dyn JournalSink>) {
-        *self.sink.lock() = Some(sink);
+    /// The device's current mark, for a checkpoint to re-log.
+    pub(crate) fn mark(&self) -> StaleMark {
+        self.inner.lock().mark
     }
 
-    fn with_sink(&self, f: impl FnOnce(&dyn JournalSink)) {
-        let sink = self.sink.lock().clone();
-        if let Some(s) = sink {
-            f(s.as_ref());
-        }
-    }
-
-    /// A consistent copy of the queued backlog, for checkpointing:
-    /// `(ops in queue order, journal overflowed)`.
-    pub(crate) fn journal_snapshot(&self) -> (Vec<(u64, TargetOp, Option<Dn>)>, bool) {
-        let g = self.inner.lock();
-        (
-            g.journal
-                .iter()
-                .map(|j| (j.ticket, j.op.clone(), j.dn.clone()))
-                .collect(),
-            g.overflowed,
-        )
-    }
-
-    /// Reload the outage journal after a restart. Ops are sorted by ticket
-    /// (WAL record order can race; ticket order is queue order), the ticket
-    /// counter resumes above everything seen, and a device with a backlog
-    /// (or pending resync) restarts `Offline` so the recovery monitor
-    /// probes and drains it — the paper's reconnect flow, not a blind
-    /// assumption that the device is fine.
-    pub(crate) fn restore_journal(
-        &self,
-        mut ops: Vec<(u64, TargetOp, Option<Dn>)>,
-        overflowed: bool,
-    ) {
-        ops.sort_by_key(|(ticket, _, _)| *ticket);
-        // A checkpoint's STATE record can race an event for the same
-        // ticket into the log; replay then recovers the op twice.
-        ops.dedup_by_key(|(ticket, _, _)| *ticket);
-        let max_ticket = ops.last().map(|(t, _, _)| *t).unwrap_or(0);
+    /// Take back the mark recovery found. A stale device missed updates
+    /// before the restart and its backlog is gone with the process, so it
+    /// restarts `Offline` with the journal overflowed: the recovery monitor
+    /// or [`crate::MetaComm::probe_device`] resyncs it from the directory.
+    pub(crate) fn restore_mark(&self, mark: StaleMark) {
         let mut g = self.inner.lock();
-        self.next_ticket.fetch_max(max_ticket + 1, Ordering::SeqCst);
-        g.journal = ops
-            .into_iter()
-            .map(|(ticket, op, dn)| JournaledOp { ticket, op, dn })
-            .collect();
-        g.overflowed = overflowed;
-        if overflowed {
-            g.journal.clear();
-        }
-        if !g.journal.is_empty() || g.overflowed {
+        g.mark = mark;
+        if mark.stale {
             g.state = HealthState::Offline;
+            g.overflowed = true;
+        }
+    }
+
+    /// Log the device stale or clean if that is news. Called under the
+    /// inner lock, so a stale record is in the log before any update that
+    /// saw the device stale can commit to the directory.
+    fn set_stale(&self, g: &mut RuntimeInner, stale: bool) {
+        if g.mark.stale == stale {
+            return;
+        }
+        g.mark = StaleMark {
+            epoch: g.mark.epoch + 1,
+            stale,
+        };
+        if let Some(durability) = &self.durability {
+            durability.log_device(&self.name, g.mark);
         }
     }
 
@@ -361,6 +327,7 @@ impl DeviceRuntime {
     /// overflowed (the op is dropped and counted; full resync recovers it).
     pub(crate) fn journal(&self, op: TargetOp, dn: Option<Dn>) -> Option<u64> {
         let mut g = self.inner.lock();
+        self.set_stale(&mut g, true);
         if g.overflowed {
             g.dropped_ops += 1;
             return None;
@@ -370,7 +337,6 @@ impl DeviceRuntime {
             g.dropped_ops += g.journal.len() + 1;
             g.journal.clear();
             drop(g);
-            self.with_sink(|s| s.overflowed(&self.name));
             self.errorlog.log(
                 self.dir.as_ref(),
                 0,
@@ -383,14 +349,10 @@ impl DeviceRuntime {
             );
             return None;
         }
-        let ticket = self.next_ticket.fetch_add(1, Ordering::SeqCst);
-        g.journal.push_back(JournaledOp {
-            ticket,
-            op: op.clone(),
-            dn: dn.clone(),
-        });
+        let ticket = g.next_ticket;
+        g.next_ticket += 1;
+        g.journal.push_back(JournaledOp { ticket, op, dn });
         drop(g);
-        self.with_sink(|s| s.pushed(&self.name, ticket, &op, dn.as_ref()));
         self.obs.queued.inc();
         Some(ticket)
     }
@@ -398,14 +360,10 @@ impl DeviceRuntime {
     /// Withdraw journaled ops whose client update aborted (the directory
     /// never saw the update either, so reapplying them would diverge).
     pub(crate) fn discard_tickets(&self, tickets: &[u64]) {
-        if tickets.is_empty() {
-            return;
-        }
-        {
+        if !tickets.is_empty() {
             let mut g = self.inner.lock();
             g.journal.retain(|j| !tickets.contains(&j.ticket));
         }
-        self.with_sink(|s| s.discarded(&self.name, tickets));
     }
 
     /// Record a failed (post-retry) device apply; advances the breaker and
@@ -511,7 +469,8 @@ pub enum RecoveryOutcome {
     StillDown,
     /// Journal drained: this many ops reapplied (conditionally, §5.4).
     Drained(usize),
-    /// Journal had overflowed: full resynchronization ran instead.
+    /// Journal had overflowed, or the device restarted stale: full
+    /// resynchronization ran instead.
     Resynchronized(crate::sync::SyncReport),
 }
 
@@ -582,7 +541,7 @@ pub(crate) fn attempt_recovery(
             }
         };
         runtime.obs.resyncs.inc();
-        let below = {
+        {
             let mut g = runtime.inner.lock();
             g.journal.clear();
             g.overflowed = false;
@@ -591,11 +550,8 @@ pub(crate) fn attempt_recovery(
             g.last_error = None;
             g.draining = false;
             g.state = HealthState::Up;
-            // Tickets are allocated under this lock, so everything queued
-            // from here on is >= this mark and survives the cleared event.
-            runtime.next_ticket.load(Ordering::SeqCst)
-        };
-        runtime.with_sink(|s| s.cleared(&runtime.name, below));
+            runtime.set_stale(&mut g, false);
+        }
         ctx.errorlog.log(
             ctx.gateway.inner().as_ref(),
             0,
@@ -612,30 +568,24 @@ pub(crate) fn attempt_recovery(
     // the drain (`should_journal` sees `draining`), so device-visible order
     // is preserved.
     let mut reapplied = 0usize;
-    let below = loop {
-        // Ok(op) to reapply, or Err(ticket high-water) once the journal is
-        // observed empty — both decided under the inner lock.
+    loop {
         let next = {
             let mut g = runtime.inner.lock();
-            match g.journal.pop_front() {
-                Some(j) => Ok(j),
-                None => {
-                    // Transition and flag-clear under the same lock as the
-                    // emptiness check: no op can slip in unjournaled, and
-                    // anything queued after the Up transition gets a ticket
-                    // >= this mark, surviving the cleared event at replay.
-                    g.draining = false;
-                    g.consecutive_failures = 0;
-                    g.last_error = None;
-                    g.state = HealthState::Up;
-                    Err(runtime.next_ticket.load(Ordering::SeqCst))
-                }
+            let next = g.journal.pop_front();
+            if next.is_none() {
+                // Transition, flag-clear and clean record under the same
+                // lock as the emptiness check: no op can slip in
+                // unjournaled, and one queued after the Up transition logs
+                // stale again at a higher epoch.
+                g.draining = false;
+                g.consecutive_failures = 0;
+                g.last_error = None;
+                g.state = HealthState::Up;
+                runtime.set_stale(&mut g, false);
             }
+            next
         };
-        let j = match next {
-            Ok(j) => j,
-            Err(below) => break below,
-        };
+        let Some(j) = next else { break };
         // §5.4: reapplication is conditional — the op must tolerate already
         // (or never) applying.
         let mut op = j.op.clone();
@@ -650,7 +600,6 @@ pub(crate) fn attempt_recovery(
             Ok(outcome) => {
                 reapplied += 1;
                 runtime.obs.drained.inc();
-                runtime.with_sink(|s| s.popped(&runtime.name, j.ticket));
                 ctx.stats.device_ops.fetch_add(1, Ordering::Relaxed);
                 if outcome.reapplied {
                     ctx.stats.reapplied.fetch_add(1, Ordering::Relaxed);
@@ -684,8 +633,7 @@ pub(crate) fn attempt_recovery(
             Err(e) => {
                 // Semantic rejection of a queued op: the client saw success
                 // long ago, so all that remains is §4.4 log-and-alert. The
-                // op leaves the journal permanently — pop it durably too.
-                runtime.with_sink(|s| s.popped(&runtime.name, j.ticket));
+                // op leaves the journal permanently.
                 ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
                 ctx.errorlog.log(
                     ctx.gateway.inner().as_ref(),
@@ -698,8 +646,7 @@ pub(crate) fn attempt_recovery(
                 );
             }
         }
-    };
-    runtime.with_sink(|s| s.cleared(&runtime.name, below));
+    }
     ctx.errorlog.log(
         ctx.gateway.inner().as_ref(),
         0,

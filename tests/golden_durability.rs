@@ -46,14 +46,14 @@ fn render_report(r: &metacomm::RecoveryReport) -> String {
          wal_records_skipped: {}\n\
          wal_records_discarded: {}\n\
          torn_segments: {}\n\
-         journal_ops: {}\n\
+         stale_devices: {}\n\
          replay_micros: #\n",
         r.snapshot_entries,
         r.wal_records_applied,
         r.wal_records_skipped,
         r.wal_records_discarded,
         r.torn_segments,
-        r.journal_ops,
+        r.stale_devices,
     )
 }
 

@@ -516,3 +516,140 @@ fn shutdown_drains_inflight_updates_cleanly() {
         writer.join().expect("writer must not panic");
     }
 }
+
+/// A durable node that crashes while a device is offline loses the
+/// in-memory outage journal, but not the fact that the device is stale:
+/// the device restarts `Offline` and recovers by resynchronization from
+/// the directory, after which it is clean across further restarts.
+#[test]
+fn crash_mid_outage_restarts_the_device_stale_and_resyncs() {
+    let dir = std::env::temp_dir().join(format!("metacomm-crash-outage-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let switch = Arc::new(PbxStore::new("pbx-west", DialPlan::with_prefix("1", 4)));
+    let boot = || {
+        MetaCommBuilder::new("o=Lucent")
+            .add_pbx(switch.clone(), "1???")
+            .with_retry_policy(test_retry())
+            .with_breaker_policy(manual_breaker(512))
+            .with_fault_plan("pbx-west", FaultPlan::default())
+            .with_durability(dir.clone())
+            .build()
+            .expect("build durable system")
+    };
+
+    let system = boot();
+    let wba = system.wba();
+    wba.add_person_with_extension("Cass Crash", "Crash", "1700", "R0")
+        .expect("seed");
+    system.settle();
+    assert_eq!(room_at(&switch, "1700").as_deref(), Some("R0"));
+    system
+        .fault_handle("pbx-west")
+        .expect("fault handle")
+        .set_down(true);
+    for i in 1..=5 {
+        wba.assign_room("Cass Crash", &format!("R{i}"))
+            .expect("update during outage");
+    }
+    assert_eq!(system.device_health("pbx-west").unwrap().queued_ops, 5);
+    std::mem::forget(system); // crash: no shutdown, no checkpoint
+
+    // Same directory, same switch, link up.
+    let system = boot();
+    let health = system.device_health("pbx-west").expect("health");
+    assert_eq!(health.state, HealthState::Offline);
+    assert_eq!(system.recovery_report().unwrap().stale_devices, 1);
+    let outcome = system.probe_device("pbx-west").expect("recover");
+    assert!(
+        matches!(outcome, RecoveryOutcome::Resynchronized(_)),
+        "a stale device recovers by resync, got {outcome:?}"
+    );
+    let dir_room = system
+        .wba()
+        .person("Cass Crash")
+        .unwrap()
+        .and_then(|e| e.first("roomNumber").map(str::to_string));
+    assert_eq!(dir_room.as_deref(), Some("R5"));
+    assert_eq!(room_at(&switch, "1700"), dir_room);
+    assert_eq!(
+        system.device_health("pbx-west").unwrap().state,
+        HealthState::Up
+    );
+    system.shutdown();
+    drop(system);
+
+    // The resync logged the device clean: a second boot finds nothing to do.
+    let system = boot();
+    assert_eq!(
+        system.device_health("pbx-west").unwrap().state,
+        HealthState::Up
+    );
+    assert_eq!(system.recovery_report().unwrap().stale_devices, 0);
+    assert_eq!(
+        system.probe_device("pbx-west").expect("probe"),
+        RecoveryOutcome::Healthy
+    );
+    system.shutdown();
+    drop(system);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A craft-terminal edit made on the device while MetaComm holds it
+/// `Offline` reaches the directory by DDU, and neither recovery arm
+/// reverts it: the drain replays the edit's own op last, and the resync
+/// finds directory and device already agreeing.
+#[test]
+fn craft_edit_during_outage_survives_both_recovery_arms() {
+    for journal_cap in [512, 0] {
+        let r = rig(manual_breaker(journal_cap));
+        let wba = r.system.wba();
+        wba.add_person_with_extension("Cora Craft", "Craft", "1600", "R0")
+            .expect("seed");
+        r.system.settle();
+        let handle = r.system.fault_handle("pbx-west").expect("fault handle");
+        handle.set_down(true);
+        for i in 1..=5 {
+            wba.assign_room("Cora Craft", &format!("R{i}"))
+                .expect("update during outage");
+        }
+        assert_eq!(
+            r.system.device_health("pbx-west").unwrap().state,
+            HealthState::Offline
+        );
+
+        // A technician edits the station at the switch's own terminal.
+        r.switch
+            .change(
+                "1600",
+                pbx::Record::from_pairs([("Room", "CRAFT")]),
+                pbx::Channel::Craft,
+            )
+            .expect("craft edit");
+        let dir_room = || {
+            wba.person("Cora Craft")
+                .unwrap()
+                .and_then(|e| e.first("roomNumber").map(str::to_string))
+        };
+        wait_for("the craft edit to reach the directory", || {
+            dir_room().as_deref() == Some("CRAFT")
+        });
+        r.system.settle();
+
+        handle.set_down(false);
+        let outcome = r.system.probe_device("pbx-west").expect("recover");
+        match journal_cap {
+            0 => assert!(
+                matches!(&outcome, RecoveryOutcome::Resynchronized(rep) if rep.unchanged == 1),
+                "resync arm: {outcome:?}"
+            ),
+            _ => assert_eq!(outcome, RecoveryOutcome::Drained(6), "drain arm"),
+        }
+        assert_eq!(dir_room().as_deref(), Some("CRAFT"), "cap {journal_cap}");
+        assert_eq!(
+            room_at(&r.switch, "1600").as_deref(),
+            Some("CRAFT"),
+            "cap {journal_cap}"
+        );
+        r.system.shutdown();
+    }
+}
