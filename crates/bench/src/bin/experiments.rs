@@ -1,9 +1,10 @@
-//! The experiment harness: regenerates every table in EXPERIMENTS.md.
+//! The experiment harness: regenerates the E13-E18 tables in
+//! EXPERIMENTS.md (E1-E12 are `tests/paper_claims.rs`).
 //!
 //! ```text
 //! cargo run --release -p bench --bin experiments            # all, full scale
 //! cargo run --release -p bench --bin experiments -- --quick # CI sizes
-//! cargo run --release -p bench --bin experiments -- --exp e5
+//! cargo run --release -p bench --bin experiments -- --exp e15
 //! ```
 
 use bench::experiments::{ids, run_all, run_one, Scale};

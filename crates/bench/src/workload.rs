@@ -1,7 +1,6 @@
 //! Deterministic synthetic workload generation.
 
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 const GIVEN: &[&str] = &[
@@ -73,16 +72,6 @@ impl Workload {
             Some((given, rest)) => format!("{rest}, {given}"),
             None => p.cn.clone(),
         }
-    }
-
-    /// Pick a random element.
-    pub fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
-        &items[self.rng.gen_range(0..items.len())]
-    }
-
-    /// Shuffle a vector in place.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        items.shuffle(&mut self.rng);
     }
 
     /// Bernoulli draw (e.g. "is this update a DDU?").
