@@ -4,7 +4,8 @@
 //! real filter; it injects configurable faults into the `apply` path (and
 //! fails `probe` while a hard outage is active) so outage-resilience
 //! behavior — retry, circuit breaking, journaling, recovery — can be
-//! exercised deterministically in tests and in the `e12_outage` experiment.
+//! exercised deterministically in tests, among them
+//! `e12_client_updates_survive_a_device_outage` in `tests/paper_claims.rs`.
 //!
 //! All fault decisions are functions of a [`FaultPlan`] plus an op counter:
 //! no randomness, so a given plan produces the same fault sequence every

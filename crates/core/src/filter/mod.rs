@@ -30,12 +30,12 @@ pub fn changed_fields(old: &Image, new: &Image) -> Image {
     let mut patch = Image::new();
     for (name, values) in new.iter() {
         if old.values(name) != values {
-            patch.set(name.to_string(), values.to_vec());
+            patch.set(name, values.to_vec());
         }
     }
     for (name, _) in old.iter() {
         if !new.has(name) {
-            patch.set(name.to_string(), vec![String::new()]); // blank-to-clear
+            patch.set(name, vec![String::new()]); // blank-to-clear
         }
     }
     patch

@@ -209,12 +209,7 @@ impl<D: RecordDevice> RecordFilter<D> {
     }
 
     fn image(rec: &D::Record) -> Image {
-        let mut img = Image::new();
-        for (field, value) in D::fields(rec) {
-            // Sized for its one value: a dump holds an image per record.
-            img.set(field, vec![value.to_string()]);
-        }
-        img
+        Image::from_pairs(D::fields(rec))
     }
 
     /// The device record carrying `img`'s first values: keyed `key`, or

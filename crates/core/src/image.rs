@@ -2,26 +2,66 @@
 //! construction of integrated-schema entries from images.
 
 use crate::schema::{DEFINITY_USER, MESSAGING_USER};
+use ldap::attr::value_eq_ci;
 use ldap::dn::Dn;
 use ldap::entry::{Entry, Modification};
-use lexpress::Image;
+use lexpress::{Frame, Image};
 
 /// Attributes that never flow through lexpress translation.
 fn is_structural(attr: &str) -> bool {
-    matches!(attr.to_ascii_lowercase().as_str(), "objectclass" | "dn")
+    attr.eq_ignore_ascii_case("objectclass") || attr.eq_ignore_ascii_case("dn")
+}
+
+/// The device auxiliary classes `img`'s attributes call for: an attribute
+/// named `definity…` (in any case) needs `definityUser`, one named `mp…`
+/// `messagingUser`.
+pub(crate) fn aux_classes(img: &Image) -> impl Iterator<Item = &'static str> + '_ {
+    let has_prefix = |name: &str, prefix: &str| {
+        name.get(..prefix.len())
+            .is_some_and(|head| head.eq_ignore_ascii_case(prefix))
+    };
+    [("definity", DEFINITY_USER), ("mp", MESSAGING_USER)]
+        .into_iter()
+        .filter(move |(prefix, _)| img.iter().any(|(name, _)| has_prefix(name, prefix)))
+        .map(|(_, class)| class)
+}
+
+/// Is `name` one of the attributes `e`'s RDN names? Those values are the
+/// entry's name and change only by a rename.
+fn in_rdn(e: &Entry, name: &str) -> bool {
+    e.dn().rdn().is_some_and(|r| {
+        r.avas()
+            .iter()
+            .any(|a| a.norm_attr().eq_ignore_ascii_case(name))
+    })
 }
 
 /// Entry → attribute image (objectClass excluded; the schema side is
 /// recomputed from the attributes present).
 pub fn entry_to_image(e: &Entry) -> Image {
-    let mut img = Image::new();
-    for attr in e.attributes() {
-        if is_structural(attr.name.norm()) {
-            continue;
+    Image::from_pairs(
+        e.attributes()
+            .filter(|a| !is_structural(a.name.norm()))
+            .flat_map(|a| a.values.iter().map(|v| (a.name.as_str(), v.as_str()))),
+    )
+}
+
+/// An entry as lexpress reads it, in place: the attributes
+/// [`entry_to_image`] would copy, and nothing copied.
+pub(crate) struct EntryFrame<'e>(pub(crate) &'e Entry);
+
+impl Frame for EntryFrame<'_> {
+    fn values(&self, name: &str) -> &[String] {
+        if is_structural(name) {
+            &[]
+        } else {
+            self.0.values(name)
         }
-        img.set(attr.name.as_str().to_string(), attr.values.to_vec());
     }
-    img
+
+    fn is_empty(&self) -> bool {
+        self.0.attributes().all(|a| is_structural(a.name.norm()))
+    }
 }
 
 /// Image → full integrated-schema entry at `dn`: adds `top`, `person`,
@@ -29,30 +69,21 @@ pub fn entry_to_image(e: &Entry) -> Image {
 /// present attributes call for.
 pub fn image_to_entry(dn: Dn, img: &Image) -> Entry {
     let mut e = Entry::new(dn);
-    e.add_value("objectClass", "top");
-    e.add_value("objectClass", "person");
-    e.add_value("objectClass", "organizationalPerson");
-    let mut has_definity = false;
-    let mut has_mp = false;
     for (name, values) in img.iter() {
-        let lower = name.to_ascii_lowercase();
-        if is_structural(&lower) {
-            continue;
+        match values {
+            _ if is_structural(name) => {}
+            [one] => {
+                e.add_value(name, one.as_str());
+            }
+            many => e.put(name, many.to_vec()),
         }
-        if lower.starts_with("definity") {
-            has_definity = true;
-        }
-        if lower.starts_with("mp") {
-            has_mp = true;
-        }
-        e.put(name.to_string(), values.to_vec());
     }
-    if has_definity {
-        e.add_value("objectClass", DEFINITY_USER);
-    }
-    if has_mp {
-        e.add_value("objectClass", MESSAGING_USER);
-    }
+    let classes = ["top", "person", "organizationalPerson"]
+        .into_iter()
+        .chain(aux_classes(img))
+        .map(str::to_string)
+        .collect();
+    e.put("objectClass", classes);
     // A person entry must have cn/sn; images produced by device mappings
     // always carry cn — derive sn when the mapping did not set it.
     if !e.has_attr("sn") {
@@ -68,23 +99,15 @@ pub fn image_to_entry(dn: Dn, img: &Image) -> Entry {
 /// by `target_img` (never touching objectClass, the RDN attribute values,
 /// or attributes absent from both).
 pub fn diff_mods(current: &Entry, target_img: &Image) -> Vec<Modification> {
-    let mut mods = Vec::new();
-    let rdn_attrs: Vec<String> = current
-        .dn()
-        .rdn()
-        .map(|r| r.avas().iter().map(|a| a.norm_attr().to_string()).collect())
-        .unwrap_or_default();
-    for (name, values) in target_img.iter() {
-        let lower = name.to_ascii_lowercase();
-        if is_structural(&lower) || rdn_attrs.contains(&lower) {
-            continue;
-        }
-        let cur = current.values(&lower);
-        if !same_values(cur, values) {
-            mods.push(Modification::replace(name.to_string(), values.to_vec()));
-        }
-    }
-    mods
+    target_img
+        .iter()
+        .filter(|(name, values)| {
+            !is_structural(name)
+                && !in_rdn(current, name)
+                && !same_values(current.values(name), values)
+        })
+        .map(|(name, values)| Modification::replace(name, values.to_vec()))
+        .collect()
 }
 
 /// Like [`diff_mods`] but treats `target_img` as the *complete* post-update
@@ -93,33 +116,21 @@ pub fn diff_mods(current: &Entry, target_img: &Image) -> Vec<Modification> {
 /// Manager when applying the augmented update to the directory.
 pub fn diff_mods_full(current: &Entry, target_img: &Image) -> Vec<Modification> {
     let mut mods = diff_mods(current, target_img);
-    let rdn_attrs: Vec<String> = current
-        .dn()
-        .rdn()
-        .map(|r| r.avas().iter().map(|a| a.norm_attr().to_string()).collect())
-        .unwrap_or_default();
     for attr in current.attributes() {
-        let lower = attr.name.norm().to_string();
-        if is_structural(&lower) || rdn_attrs.contains(&lower) {
-            continue;
-        }
-        if !target_img.has(&lower) {
+        let name = attr.name.norm();
+        if !is_structural(name) && !in_rdn(current, name) && !target_img.has(name) {
             mods.push(Modification::delete_attr(attr.name.as_str()));
         }
     }
     mods
 }
 
+/// `a` and `b` hold the same values, as multisets under the directory's
+/// `caseIgnoreMatch`: every value occurs as often on each side. Compared
+/// in place — the lists are an attribute's few values.
 fn same_values(a: &[String], b: &[String]) -> bool {
-    if a.len() != b.len() {
-        return false;
-    }
-    let norm = |v: &[String]| {
-        let mut out: Vec<String> = v.iter().map(|s| s.trim().to_ascii_lowercase()).collect();
-        out.sort();
-        out
-    };
-    norm(a) == norm(b)
+    let count = |vs: &[String], v: &str| vs.iter().filter(|w| value_eq_ci(w, v)).count();
+    a.len() == b.len() && a.iter().all(|v| count(a, v) == count(b, v))
 }
 
 #[cfg(test)]
@@ -152,6 +163,21 @@ mod tests {
     }
 
     #[test]
+    fn an_entry_frame_reads_what_its_image_holds() {
+        let e = Entry::with_attrs(
+            Dn::parse("cn=X,o=L").unwrap(),
+            [("objectClass", "person"), ("cn", "X"), ("Room", "1")],
+        );
+        let (frame, image) = (EntryFrame(&e), entry_to_image(&e));
+        for name in ["cn", "ROOM", "objectclass", "dn", "missing"] {
+            assert_eq!(Frame::values(&frame, name), image.values(name), "{name}");
+        }
+        assert!(!Frame::is_empty(&frame));
+        let bare = Entry::with_attrs(Dn::parse("cn=Y,o=L").unwrap(), [("objectClass", "top")]);
+        assert!(Frame::is_empty(&EntryFrame(&bare)));
+    }
+
+    #[test]
     fn aux_classes_only_when_needed() {
         let dn = Dn::parse("cn=X,o=L").unwrap();
         let img = Image::from_pairs([("cn", "X"), ("sn", "X")]);
@@ -166,6 +192,31 @@ mod tests {
         let img = Image::from_pairs([("cn", "John Doe")]);
         let e = image_to_entry(dn, &img);
         assert_eq!(e.first("sn"), Some("Doe"));
+    }
+
+    fn strings(vs: &[&str]) -> Vec<String> {
+        vs.iter().map(|v| v.to_string()).collect()
+    }
+
+    #[test]
+    fn values_compare_as_the_directory_matches_them() {
+        // Case and whitespace runs do not count, as in `caseIgnoreMatch`;
+        // order does not, and a repeat is a value of its own.
+        let same = |a: &[&str], b: &[&str]| same_values(&strings(a), &strings(b));
+        assert!(same(&["Doe,  John"], &["doe, john"]));
+        assert!(same(&[" 2B-401 "], &["2b-401"]));
+        assert!(same(&["a", "B"], &["b", "A"]));
+        assert!(!same(&["a", "a"], &["a", "b"]));
+        assert!(!same(&["a"], &["a", "a"]));
+        assert!(!same(&["Doe, John"], &["Doe, Jon"]));
+        // So a device value the directory already holds as equal is no
+        // repair.
+        let current = Entry::with_attrs(
+            Dn::parse("cn=John Doe,o=L").unwrap(),
+            [("cn", "John Doe"), ("description", "Doe, John")],
+        );
+        let target = Image::from_pairs([("description", "DOE,   john")]);
+        assert!(diff_mods(&current, &target).is_empty());
     }
 
     #[test]

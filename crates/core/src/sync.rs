@@ -9,12 +9,12 @@
 
 use crate::errorlog::ErrorLog;
 use crate::filter::DeviceFilter;
-use crate::image::{diff_mods, entry_to_image, image_to_entry};
+use crate::image::{diff_mods, entry_to_image, image_to_entry, EntryFrame};
 use crate::schema::LAST_UPDATER;
 use crate::um::aux_class_mods;
 use ldap::dn::Dn;
 use ldap::entry::Modification;
-use ldap::{Filter, Scope};
+use ldap::{Filter, ResultCode, Scope};
 use lexpress::{Engine, Image, OpKind, TargetOp, UpdateDescriptor};
 use ltap::Gateway;
 use std::collections::HashMap;
@@ -51,8 +51,9 @@ impl SyncReport {
 /// while the link was down).
 ///
 /// Cost: one translation, one directory read and at most one write per
-/// device record; one partition evaluation per entry that holds another
-/// device's data; the full delete probe only for an orphan this device's
+/// device record; one partition evaluation, reading the stored entry in
+/// place, per entry that holds another device's data; a copy of the entry
+/// and the full delete probe only for an orphan this device's
 /// partition claims. Every lookup in between is a hash probe, so the time
 /// the quiesce is held grows with records + holders and nothing else.
 pub fn synchronize_device(
@@ -65,10 +66,12 @@ pub fn synchronize_device(
     let mut session = gateway.begin_sync();
     let mut report = SyncReport::default();
     let to_ldap = filter.mapping_to_ldap();
-    // Normalized DN of the entry that canonically holds a device record →
-    // the first device key that claimed it.
-    let mut claimant: HashMap<String, String> = HashMap::new();
-    for record in filter.dump() {
+    let any_entry = Filter::match_all();
+    let records = filter.dump();
+    // The entry that canonically holds a device record → the first device
+    // key that claimed it.
+    let mut claimant: HashMap<Dn, String> = HashMap::with_capacity(records.len());
+    for record in records {
         // Translate the device record exactly as a DDU add would be.
         let key = record
             .first(filter.key_attr())
@@ -95,13 +98,12 @@ pub fn synchronize_device(
         let UpdateDescriptor {
             key, new: record, ..
         } = d;
-        let norm = dn.norm_key();
         // Two device records mapping to the same person DN cannot both be
         // represented (the integrated schema keys people by name). This
         // happens after half-crashed renames leave duplicate names on the
         // device — the paper's "extreme case": log it for the
         // administrator instead of silently merging (§4.4).
-        if let Some(other_key) = claimant.get(&norm).filter(|k| **k != key) {
+        if let Some(other_key) = claimant.get(&dn).filter(|k| **k != key) {
             report.failed += 1;
             if let Some(log) = errorlog {
                 log.log(
@@ -117,23 +119,30 @@ pub fn synchronize_device(
             }
             continue;
         }
-        claimant.insert(norm, key);
-        match session.get(&dn)? {
-            Some(existing) => {
-                let mut attrs = top.attrs;
-                attrs.remove(LAST_UPDATER); // reconciliation, not an update
-                let mut mods = aux_class_mods(&existing, &attrs);
-                mods.extend(diff_mods(&existing, &attrs));
-                if mods.is_empty() {
-                    report.unchanged += 1;
-                } else {
-                    session.modify(&dn, &mods)?;
-                    report.repaired += 1;
-                }
+        claimant.insert(dn.clone(), key);
+        // Diff against the entry where the directory holds it; the write
+        // waits until the read is over.
+        let mut attrs = top.attrs;
+        let mut mods = None;
+        let read = session.search_visit(&dn, Scope::Base, &any_entry, &mut |existing| {
+            attrs.remove(LAST_UPDATER); // reconciliation, not an update
+            let mut m = aux_class_mods(existing, &attrs);
+            m.extend(diff_mods(existing, &attrs));
+            mods = Some(m);
+        });
+        match read {
+            Ok(()) => {}
+            Err(e) if e.code == ResultCode::NoSuchObject => {}
+            Err(e) => return Err(e.into()),
+        }
+        match mods {
+            Some(mods) if mods.is_empty() => report.unchanged += 1,
+            Some(mods) => {
+                session.modify(&dn, &mods)?;
+                report.repaired += 1;
             }
             None => {
-                let entry = image_to_entry(dn, &top.attrs);
-                session.add(entry)?;
+                session.add(image_to_entry(dn, &attrs))?;
                 report.added += 1;
             }
         }
@@ -155,17 +164,20 @@ pub fn synchronize_device(
             // The device still has this record — but only ONE entry may
             // claim it. A crashed rename can leave a stale entry under the
             // old name claiming the same key as the canonical entry.
-            if claimant.get(&entry.dn().norm_key()).map(String::as_str) == entry.first(presence) {
+            if claimant.get(entry.dn()).map(String::as_str) == entry.first(presence) {
                 return;
             }
             // Respect partitioning: only clear entries THIS device's
             // constraint claims (another switch may own the extension).
             // With several switches most holders are another switch's, so
-            // the constraint is asked on its own first; only an entry it
-            // claims is worth a delete descriptor and a full translation.
-            let image = entry_to_image(entry);
-            if matches!(engine.partition_claims(from_ldap, &image), Ok(true)) {
-                claimed.push((entry.dn().clone(), image));
+            // the constraint is asked on its own first, of the entry where
+            // it stands; only an entry it claims is worth copying into a
+            // delete descriptor and a full translation.
+            if matches!(
+                engine.partition_claims(from_ldap, &EntryFrame(entry)),
+                Ok(true)
+            ) {
+                claimed.push((entry.dn().clone(), entry_to_image(entry)));
             }
         },
     )?;
@@ -278,7 +290,7 @@ pub fn resynchronize_device_from_directory(
                     mods = aux_class_mods(&entry, &gen);
                     for (name, values) in gen.iter() {
                         if entry.values(name) != values {
-                            mods.push(Modification::replace(name.to_string(), values.to_vec()));
+                            mods.push(Modification::replace(name, values.to_vec()));
                         }
                     }
                 }

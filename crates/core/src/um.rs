@@ -32,7 +32,7 @@
 
 use crate::errorlog::ErrorLog;
 use crate::filter::DeviceFilter;
-use crate::image::{diff_mods_full, entry_to_image, image_to_entry};
+use crate::image::{aux_classes, diff_mods_full, entry_to_image, image_to_entry};
 use crate::obs::{Counter, DeviceObs, Registry};
 use crate::resilience::{apply_with_retry, Device, DeviceRuntime, RetryPolicy};
 use crate::schema::LAST_UPDATER;
@@ -495,24 +495,9 @@ fn inverse_of(op: &TargetOp) -> TargetOp {
 
 /// Object-class additions needed so `img`'s attributes validate on `pre`.
 pub(crate) fn aux_class_mods(pre: &Entry, img: &Image) -> Vec<Modification> {
-    let has_prefix = |prefix: &str| {
-        img.iter().any(|(name, _)| {
-            name.get(..prefix.len())
-                .is_some_and(|head| head.eq_ignore_ascii_case(prefix))
-        })
-    };
-    let has_definity = has_prefix("definity");
-    let has_mp = has_prefix("mp");
-    let mut needed = Vec::new();
-    if has_definity && !pre.has_object_class(crate::schema::DEFINITY_USER) {
-        needed.push(crate::schema::DEFINITY_USER.to_string());
-    }
-    if has_mp && !pre.has_object_class(crate::schema::MESSAGING_USER) {
-        needed.push(crate::schema::MESSAGING_USER.to_string());
-    }
-    needed
-        .into_iter()
-        .map(|c| Modification::add("objectClass", vec![c]))
+    aux_classes(img)
+        .filter(|class| !pre.has_object_class(class))
+        .map(|class| Modification::add("objectClass", vec![class.to_string()]))
         .collect()
 }
 
@@ -654,7 +639,7 @@ impl FanOut<'_> {
             let mut merged = false;
             for (name, values) in gen.iter() {
                 if self.d.new.values(name) != values {
-                    self.d.new.set(name.to_string(), values.to_vec());
+                    self.d.new.set(name, values.to_vec());
                     merged = true;
                 }
             }

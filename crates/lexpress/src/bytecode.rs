@@ -3,16 +3,18 @@
 //! from the declarative language, and an interpreter for executing the
 //! byte codes").
 
+use std::sync::Arc;
+
 /// One instruction of the stack machine.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Instr {
-    /// Push a string constant.
+    /// Push a string constant (an integer literal is pushed as its text).
     PushStr(String),
-    /// Push an integer constant (stored as a string value with numeric use).
-    PushInt(i64),
     PushNull,
     PushBool(bool),
-    /// Push the first value of a frame attribute, or Null.
+    /// Push the first value of a frame attribute, or Null. The name is
+    /// lowercased at compile time, as every attribute name a program
+    /// holds is.
     LoadAttr(String),
     /// Push all values of a frame attribute as a List (empty → Null).
     LoadAttrAll(String),
@@ -97,10 +99,11 @@ impl CompiledTable {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledRule {
     /// Source attributes the rule reads (dependency set: the named input
-    /// plus every attribute referenced by the expression/guard).
+    /// plus every attribute referenced by the expression/guard), lowercased.
     pub inputs: Vec<String>,
-    /// Target attribute written.
-    pub target: String,
+    /// Target attribute written, as the description spells it: the one
+    /// copy every image the rule writes names it by.
+    pub target: Arc<str>,
     pub prog: Program,
     pub guard: Option<Program>,
     pub default: Option<String>,
@@ -117,7 +120,9 @@ pub struct CompiledMapping {
     /// Program computing the target key from a *source* image; when `None`
     /// the target key is the value the rules produced for `target_key_attr`.
     pub target_key_prog: Option<Program>,
-    pub originator: Option<String>,
+    /// Attribute stamped with the update's origin, shared as a rule's
+    /// target is.
+    pub originator: Option<Arc<str>>,
     pub origin_check: Option<String>,
     pub rules: Vec<CompiledRule>,
     pub partition: Option<Program>,

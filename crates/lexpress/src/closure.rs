@@ -18,10 +18,12 @@
 
 use crate::bytecode::{Bundle, CompiledRule};
 use crate::compile::compile;
-use crate::descriptor::{Image, UpdateDescriptor};
+use crate::descriptor::{shared_name, Image, UpdateDescriptor};
 use crate::error::{CompileError, RuntimeError};
 use crate::value::Value;
-use crate::vm::eval;
+use crate::vm::Vm;
+use std::borrow::Cow;
+use std::sync::Arc;
 
 /// Maximum closure passes before declaring non-convergence at run time.
 const MAX_PASSES: usize = 8;
@@ -73,8 +75,8 @@ impl Closure {
                 // Seed only the first attribute of the cycle and mark it
                 // changed.
                 let mut img = Image::new();
-                img.set(cycle[0].clone(), vec![probe.to_string()]);
-                let seed = vec![cycle[0].clone()];
+                img.set(&cycle[0], vec![probe.to_string()]);
+                let seed = [shared_name(&cycle[0])];
                 if self.run_passes(&mut img, &[], &seed, PROBE_PASSES).is_err() {
                     return Err(CompileError::NonConvergentCycle { attrs: cycle });
                 }
@@ -89,7 +91,7 @@ impl Closure {
         let mut edges: Vec<(String, String)> = Vec::new();
         for r in &self.rules {
             for i in &r.inputs {
-                edges.push((i.to_ascii_lowercase(), r.target.to_ascii_lowercase()));
+                edges.push((i.clone(), r.target.to_ascii_lowercase()));
             }
         }
         let mut nodes: Vec<String> = Vec::new();
@@ -128,9 +130,7 @@ impl Closure {
     /// their inputs actually changed (the paper: "if either *changes*,
     /// lexpress changes the other").
     pub fn augment(&self, d: &mut UpdateDescriptor) -> Result<(), RuntimeError> {
-        let explicit: Vec<String> = d.explicit.clone();
-        let seed = explicit.clone();
-        self.run_passes(&mut d.new, &explicit, &seed, MAX_PASSES)
+        self.run_passes(&mut d.new, &d.explicit, &d.explicit, MAX_PASSES)
     }
 
     /// Iterate rules over `img` until fixpoint (or `max_passes`), firing
@@ -138,49 +138,50 @@ impl Closure {
     fn run_passes(
         &self,
         img: &mut Image,
-        protected: &[String],
-        seed_dirty: &[String],
+        protected: &[Arc<str>],
+        seed_dirty: &[Arc<str>],
         max_passes: usize,
     ) -> Result<(), RuntimeError> {
-        let mut dirty: std::collections::BTreeSet<String> =
-            seed_dirty.iter().map(|s| s.to_ascii_lowercase()).collect();
+        let named = |set: &[Arc<str>], name: &str| set.iter().any(|n| n.eq_ignore_ascii_case(name));
+        let mut dirty = seed_dirty.to_vec();
         for _pass in 0..max_passes {
             let mut changed = false;
             for rule in &self.rules {
-                let target_l = rule.target.to_ascii_lowercase();
-                if protected.contains(&target_l) {
+                if named(protected, &rule.target) {
                     continue; // never touch explicitly set attributes
                 }
                 // Rule fires only when at least one input changed…
-                if !rule
-                    .inputs
-                    .iter()
-                    .any(|i| dirty.contains(&i.to_ascii_lowercase()))
-                {
+                if !rule.inputs.iter().any(|i| named(&dirty, i)) {
                     continue;
                 }
                 // …and is present.
                 if !rule.inputs.iter().any(|i| img.has(i)) {
                     continue;
                 }
-                if let Some(guard) = &rule.guard {
-                    if !eval(&self.bundle, guard, img)?.truthy() {
-                        continue;
+                // The values borrow `img` until they are copied out here.
+                let values = {
+                    let mut vm = Vm::new(&self.bundle);
+                    if let Some(guard) = &rule.guard {
+                        if !vm.eval(guard, img)?.truthy() {
+                            continue;
+                        }
                     }
-                }
-                let mut v = eval(&self.bundle, &rule.prog, img)?;
-                if v.is_null() {
-                    if let Some(dflt) = &rule.default {
-                        v = Value::Str(dflt.clone());
+                    let mut v = vm.eval(&rule.prog, img)?;
+                    if v.is_null() {
+                        if let Some(dflt) = &rule.default {
+                            v = Value::Str(Cow::Borrowed(dflt));
+                        }
                     }
-                }
-                let values = v.into_values();
-                if values.is_empty() {
+                    v.into_values()
+                };
+                let Some(values) = values else {
                     continue;
-                }
+                };
                 if img.values(&rule.target) != values.as_slice() {
-                    img.set(rule.target.clone(), values);
-                    dirty.insert(target_l);
+                    img.put(rule.target.clone(), values);
+                    if !named(&dirty, &rule.target) {
+                        dirty.push(rule.target.clone());
+                    }
                     changed = true;
                 }
             }
@@ -191,8 +192,8 @@ impl Closure {
         // One extra pass to confirm instability.
         let mut attrs: Vec<String> = Vec::new();
         for rule in &self.rules {
-            if !attrs.contains(&rule.target) {
-                attrs.push(rule.target.clone());
+            if !attrs.iter().any(|a| **a == *rule.target) {
+                attrs.push(rule.target.to_string());
             }
         }
         Err(RuntimeError::FixpointNotReached { attrs })

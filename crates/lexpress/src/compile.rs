@@ -2,10 +2,12 @@
 //!
 //! Transforms are inlined at their call sites (beta reduction with a
 //! recursion check); tables become indices into the bundle's table pool;
-//! `match` desugars into test/branch chains.
+//! `match` desugars into test/branch chains; attribute names a program
+//! reads are lowercased here, once, and the names rules write are shared.
 
 use crate::ast::{Expr, File, MappingDef, Pattern, TransformDef};
 use crate::bytecode::{Bundle, CompiledMapping, CompiledRule, CompiledTable, Instr, Program};
+use crate::descriptor::shared_name;
 use crate::error::CompileError;
 use crate::parser::parse;
 use std::collections::BTreeMap;
@@ -88,10 +90,11 @@ fn compile_mapping(ctx: &Ctx, m: &MappingDef) -> Result<CompiledMapping, Compile
             }
             None => None,
         };
+        inputs.iter_mut().for_each(|i| i.make_ascii_lowercase());
         inputs.dedup();
         rules.push(CompiledRule {
             inputs,
-            target: r.target.clone(),
+            target: shared_name(&r.target),
             prog,
             guard,
             default: r.default.clone(),
@@ -122,7 +125,7 @@ fn compile_mapping(ctx: &Ctx, m: &MappingDef) -> Result<CompiledMapping, Compile
         source_key: m.source_key.clone(),
         target_key_attr: m.target_key.0.clone(),
         target_key_prog,
-        originator: m.originator.clone(),
+        originator: m.originator.as_deref().map(shared_name),
         origin_check: m.origin_check.clone(),
         rules,
         partition,
@@ -202,8 +205,8 @@ fn substitute(e: &Expr, param: &str, arg: &Expr) -> Expr {
 fn emit(ctx: &Ctx, e: &Expr, prog: &mut Program) -> Result<(), CompileError> {
     match e {
         Expr::Lit(s) => prog.instrs.push(Instr::PushStr(s.clone())),
-        Expr::Int(n) => prog.instrs.push(Instr::PushInt(*n)),
-        Expr::Attr(a) => prog.instrs.push(Instr::LoadAttr(a.clone())),
+        Expr::Int(n) => prog.instrs.push(Instr::PushStr(n.to_string())),
+        Expr::Attr(a) => prog.instrs.push(Instr::LoadAttr(a.to_ascii_lowercase())),
         Expr::OrElse(a, b) => {
             emit(ctx, a, prog)?;
             let jump_at = prog.instrs.len();
@@ -382,7 +385,7 @@ fn emit(ctx: &Ctx, e: &Expr, prog: &mut Program) -> Result<(), CompileError> {
                     arity(1)?;
                     match &args[0] {
                         Expr::Attr(a) => {
-                            prog.instrs.push(Instr::LoadAttrAll(a.clone()));
+                            prog.instrs.push(Instr::LoadAttrAll(a.to_ascii_lowercase()));
                         }
                         _ => {
                             return Err(CompileError::Semantic(
@@ -441,7 +444,7 @@ mapping m {
         assert!(m.partition.is_some());
         assert!(m.target_key_prog.is_some());
         // identity rule
-        assert_eq!(m.rules[1].prog.instrs, vec![Instr::LoadAttr("Name".into())]);
+        assert_eq!(m.rules[1].prog.instrs, vec![Instr::LoadAttr("name".into())]);
         // transform was inlined: no Call remains, only instrs
         assert!(m.rules[2]
             .prog
@@ -449,7 +452,8 @@ mapping m {
             .iter()
             .any(|i| matches!(i, Instr::Digits)));
         // dependency tracking includes expression references
-        assert!(m.rules[0].inputs.contains(&"Extension".to_string()));
+        assert!(m.rules[0].inputs.contains(&"extension".to_string()));
+        assert_eq!(&*m.rules[0].target, "telephoneNumber");
     }
 
     #[test]

@@ -2,14 +2,114 @@
 //! filters and lexpress (paper §4.1: "it creates a lexpress update
 //! descriptor of the change").
 
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
+use std::collections::HashSet;
 use std::fmt;
+use std::sync::{Arc, LazyLock, PoisonError, RwLock};
+
+/// Distinct name spellings the pool will hold.
+const POOL_CAP: usize = 4096;
+
+/// Longest name, in bytes, the pool will hold — longer than any schema's.
+const POOLED_LEN_MAX: usize = 64;
+
+/// Every attribute name an image or a compiled rule holds, each spelling
+/// once per process. The universe of names is the schemas', not the data's,
+/// so the pool stays tiny; the caps keep it so against a device that
+/// invents field names (a name it will not take gets a block of its own).
+static NAME_POOL: LazyLock<RwLock<HashSet<Arc<str>>>> = LazyLock::new(Default::default);
+
+/// The shared block for `name`; allocates only the first time a spelling
+/// is seen.
+pub(crate) fn shared_name(name: &str) -> Arc<str> {
+    if name.len() > POOLED_LEN_MAX {
+        return Arc::from(name);
+    }
+    // A panic elsewhere cannot leave the set half-updated: an insert is the
+    // only write, and it either happened or did not.
+    if let Some(found) = NAME_POOL
+        .read()
+        .unwrap_or_else(PoisonError::into_inner)
+        .get(name)
+    {
+        return found.clone();
+    }
+    let mut pool = NAME_POOL.write().unwrap_or_else(PoisonError::into_inner);
+    if let Some(found) = pool.get(name) {
+        return found.clone();
+    }
+    let block = Arc::<str>::from(name);
+    if pool.len() < POOL_CAP {
+        pool.insert(block.clone());
+    }
+    block
+}
+
+/// Attribute-name order: byte order of the ASCII-lowercased names, without
+/// lowercasing either into a buffer.
+fn cmp_folded(a: &str, b: &str) -> Ordering {
+    let fold = |c: u8| c.to_ascii_lowercase();
+    a.bytes().map(fold).cmp(b.bytes().map(fold))
+}
+
+/// An attribute's values. Almost every attribute has exactly one, and it is
+/// held without a vector around it. Equality is by value sequence.
+#[derive(Debug, Clone)]
+pub(crate) enum Values {
+    One(String),
+    Many(Vec<String>),
+}
+
+impl Values {
+    pub(crate) fn as_slice(&self) -> &[String] {
+        match self {
+            Values::One(v) => std::slice::from_ref(v),
+            Values::Many(vs) => vs,
+        }
+    }
+
+    fn push(&mut self, value: String) {
+        match self {
+            Values::One(first) => *self = Values::Many(vec![std::mem::take(first), value]),
+            Values::Many(vs) => vs.push(value),
+        }
+    }
+
+    fn into_vec(self) -> Vec<String> {
+        match self {
+            Values::One(v) => vec![v],
+            Values::Many(vs) => vs,
+        }
+    }
+}
+
+impl From<Vec<String>> for Values {
+    fn from(mut vs: Vec<String>) -> Values {
+        match vs.len() {
+            1 => Values::One(vs.pop().expect("one value")),
+            _ => Values::Many(vs),
+        }
+    }
+}
+
+impl PartialEq for Values {
+    fn eq(&self, other: &Values) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for Values {}
 
 /// A case-insensitive attribute image: attribute name → values.
+///
+/// One vector sorted by case-folded name, searched in place, so a lookup
+/// copies nothing. A name is a pointer to a block the process shares:
+/// names set from a string come from a capped pool, and a translation's
+/// output names are its compiled rules' own.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Image {
-    /// lowercase name → (display name, values)
-    map: BTreeMap<String, (String, Vec<String>)>,
+    /// No two names fold alike; no attribute has no value.
+    attrs: Vec<(Arc<str>, Values)>,
 }
 
 impl Image {
@@ -18,26 +118,38 @@ impl Image {
     }
 
     /// Build from `(name, value)` pairs, accumulating repeated names.
-    pub fn from_pairs<N: Into<String>, V: Into<String>>(
+    pub fn from_pairs<N: AsRef<str>, V: Into<String>>(
         pairs: impl IntoIterator<Item = (N, V)>,
     ) -> Image {
-        let mut img = Image::new();
+        let pairs = pairs.into_iter();
+        let mut img = Image::with_capacity(pairs.size_hint().0);
         for (n, v) in pairs {
-            img.add(n.into(), v.into());
+            img.add(n.as_ref(), v);
         }
         img
     }
 
+    /// An empty image with room for `n` attributes.
+    pub(crate) fn with_capacity(n: usize) -> Image {
+        Image {
+            attrs: Vec::with_capacity(n),
+        }
+    }
+
+    fn find(&self, name: &str) -> Result<usize, usize> {
+        self.attrs.binary_search_by(|(n, _)| cmp_folded(n, name))
+    }
+
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.attrs.is_empty()
     }
 
     /// All values of `name` (empty when absent).
     pub fn values(&self, name: &str) -> &[String] {
-        self.map
-            .get(&name.to_ascii_lowercase())
-            .map(|(_, v)| v.as_slice())
-            .unwrap_or(&[])
+        match self.find(name) {
+            Ok(i) => self.attrs[i].1.as_slice(),
+            Err(_) => &[],
+        }
     }
 
     /// First value of `name`.
@@ -46,54 +158,107 @@ impl Image {
     }
 
     pub fn has(&self, name: &str) -> bool {
-        self.map.contains_key(&name.to_ascii_lowercase())
+        self.find(name).is_ok()
     }
 
     /// Replace all values of `name` (removes when empty).
-    pub fn set(&mut self, name: impl Into<String>, values: Vec<String>) {
-        let name = name.into();
-        let key = name.to_ascii_lowercase();
+    pub fn set(&mut self, name: impl AsRef<str>, values: Vec<String>) {
+        let name = name.as_ref();
         if values.is_empty() {
-            self.map.remove(&key);
+            self.remove(name);
         } else {
-            self.map.insert(key, (name, values));
+            self.put(shared_name(name), values.into());
+        }
+    }
+
+    /// [`Image::set`] under a name the caller already shares.
+    pub(crate) fn put(&mut self, name: Arc<str>, values: Values) {
+        match self.find(&name) {
+            Ok(i) => self.attrs[i] = (name, values),
+            Err(i) => self.attrs.insert(i, (name, values)),
         }
     }
 
     /// Append one value.
-    pub(crate) fn add(&mut self, name: impl Into<String>, value: impl Into<String>) {
-        let name = name.into();
-        let key = name.to_ascii_lowercase();
-        self.map
-            .entry(key)
-            .or_insert_with(|| (name, Vec::new()))
-            .1
-            .push(value.into());
+    pub(crate) fn add(&mut self, name: &str, value: impl Into<String>) {
+        let value = value.into();
+        match self.find(name) {
+            Ok(i) => self.attrs[i].1.push(value),
+            Err(i) => self
+                .attrs
+                .insert(i, (shared_name(name), Values::One(value))),
+        }
     }
 
     pub fn remove(&mut self, name: &str) -> Option<Vec<String>> {
-        self.map.remove(&name.to_ascii_lowercase()).map(|(_, v)| v)
+        let i = self.find(name).ok()?;
+        Some(self.attrs.remove(i).1.into_vec())
     }
 
     /// Iterate `(display-name, values)` in normalized order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &[String])> {
-        self.map.values().map(|(n, v)| (n.as_str(), v.as_slice()))
+        self.attrs.iter().map(|(n, v)| (&**n, v.as_slice()))
+    }
+
+    /// The shared names, in normalized order.
+    pub(crate) fn names(&self) -> impl Iterator<Item = &Arc<str>> {
+        self.attrs.iter().map(|(n, _)| n)
+    }
+
+    /// Names whose value sets differ between the images, in normalized
+    /// order: one merge walk over the two sorted vectors.
+    fn changed_names(&self, other: &Image) -> Vec<Arc<str>> {
+        let (mut a, mut b) = (self.attrs.iter().peekable(), other.attrs.iter().peekable());
+        let mut out = Vec::new();
+        loop {
+            let order = match (a.peek(), b.peek()) {
+                (None, None) => return out,
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+                (Some((x, _)), Some((y, _))) => cmp_folded(x, y),
+            };
+            match order {
+                Ordering::Less => out.push(a.next().expect("peeked").0.clone()),
+                Ordering::Greater => out.push(b.next().expect("peeked").0.clone()),
+                Ordering::Equal => {
+                    let ((name, mine), (_, theirs)) =
+                        (a.next().expect("peeked"), b.next().expect("peeked"));
+                    if mine != theirs {
+                        out.push(name.clone());
+                    }
+                }
+            }
+        }
     }
 
     /// Names (lowercase) whose value sets differ between the images.
     pub fn changed_attrs(&self, other: &Image) -> Vec<String> {
-        let mut out = Vec::new();
-        for key in self.map.keys().chain(other.map.keys()) {
-            if out.contains(key) {
-                continue;
-            }
-            let a = self.values(key);
-            let b = other.values(key);
-            if a != b {
-                out.push(key.clone());
-            }
-        }
-        out
+        self.changed_names(other)
+            .iter()
+            .map(|n| n.to_ascii_lowercase())
+            .collect()
+    }
+}
+
+/// What a program reads its attributes from: an [`Image`], or any record
+/// that hands out an attribute's values in place — so that evaluating
+/// against it copies nothing.
+pub trait Frame {
+    /// All values of `name`, matched regardless of ASCII case; empty when
+    /// absent.
+    fn values(&self, name: &str) -> &[String];
+
+    /// Holds no attribute at all.
+    fn is_empty(&self) -> bool;
+}
+
+impl Frame for Image {
+    fn values(&self, name: &str) -> &[String] {
+        Image::values(self, name)
+    }
+
+    fn is_empty(&self) -> bool {
+        Image::is_empty(self)
     }
 }
 
@@ -133,14 +298,15 @@ pub struct UpdateDescriptor {
     pub new: Image,
     /// Repository that originated the update (e.g. `pbx-west`, `ldap`, `wba`).
     pub origin: String,
-    /// Attributes the client set explicitly (lowercase). The transitive
-    /// closure never overwrites these (paper §4.2).
-    pub explicit: Vec<String>,
+    /// Attributes the client set explicitly, named as the images name them;
+    /// ask [`UpdateDescriptor::is_explicit`], which ignores case. The
+    /// transitive closure never overwrites these (paper §4.2).
+    pub explicit: Vec<Arc<str>>,
 }
 
 impl UpdateDescriptor {
     pub fn add(key: impl Into<String>, new: Image, origin: impl Into<String>) -> Self {
-        let explicit = new.iter().map(|(n, _)| n.to_ascii_lowercase()).collect();
+        let explicit = new.names().cloned().collect();
         UpdateDescriptor {
             kind: UpdateKind::Add,
             key: key.into(),
@@ -157,7 +323,7 @@ impl UpdateDescriptor {
         new: Image,
         origin: impl Into<String>,
     ) -> Self {
-        let explicit = old.changed_attrs(&new);
+        let explicit = old.changed_names(&new);
         UpdateDescriptor {
             kind: UpdateKind::Modify,
             key: key.into(),
@@ -181,8 +347,7 @@ impl UpdateDescriptor {
 
     /// Was `attr` explicitly set by the client?
     pub fn is_explicit(&self, attr: &str) -> bool {
-        let a = attr.to_ascii_lowercase();
-        self.explicit.contains(&a)
+        self.explicit.iter().any(|n| n.eq_ignore_ascii_case(attr))
     }
 }
 
@@ -229,6 +394,36 @@ mod tests {
         assert!(img.has("TELEPHONENUMBER"));
         img.add("telephoneNumber", "9124");
         assert_eq!(img.values("telephoneNumber").len(), 2);
+        // The spelling first set is the one shown.
+        assert_eq!(img.iter().next().map(|(n, _)| n), Some("TelephoneNumber"));
+    }
+
+    #[test]
+    fn image_iterates_in_folded_order_and_shares_names() {
+        let img = Image::from_pairs([
+            ("sn", "Doe"),
+            ("CN", "John Doe"),
+            ("Room", "2B"),
+            ("cn", "J"),
+        ]);
+        let names: Vec<&str> = img.iter().map(|(n, _)| n).collect();
+        assert_eq!(names, ["CN", "Room", "sn"]);
+        assert_eq!(img.values("cn"), ["John Doe", "J"]);
+        let again = Image::from_pairs([("Room", "3C")]);
+        let (a, b) = (img.names().nth(1).unwrap(), again.names().next().unwrap());
+        assert!(Arc::ptr_eq(a, b), "one block per spelling");
+        let mut img = img;
+        assert_eq!(img.remove("ROOM"), Some(vec!["2B".to_string()]));
+        img.set("sn", Vec::new());
+        assert_eq!(img.iter().count(), 1);
+    }
+
+    #[test]
+    fn a_name_too_long_for_any_schema_is_not_pooled() {
+        let long = "x".repeat(POOLED_LEN_MAX + 1);
+        assert!(!Arc::ptr_eq(&shared_name(&long), &shared_name(&long)));
+        let fits = &long[1..];
+        assert!(Arc::ptr_eq(&shared_name(fits), &shared_name(fits)));
     }
 
     #[test]

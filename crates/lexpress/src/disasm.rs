@@ -14,7 +14,6 @@ pub(crate) fn disassemble(prog: &Program) -> String {
     for (i, instr) in prog.instrs.iter().enumerate() {
         let text = match instr {
             Instr::PushStr(s) => format!("push       {s:?}"),
-            Instr::PushInt(n) => format!("push       {n}"),
             Instr::PushNull => "push       null".into(),
             Instr::PushBool(b) => format!("push       {b}"),
             Instr::LoadAttr(a) => format!("load       {a}"),

@@ -4,10 +4,11 @@
 //! conditional (reapplied) updates (§5.4).
 
 use crate::bytecode::{Bundle, CompiledMapping, Program};
-use crate::descriptor::{Image, OpKind, TargetOp, UpdateDescriptor, UpdateKind};
+use crate::descriptor::{Frame, Image, OpKind, TargetOp, UpdateDescriptor, UpdateKind, Values};
 use crate::error::RuntimeError;
 use crate::value::Value;
-use crate::vm::eval;
+use crate::vm::Vm;
+use std::borrow::Cow;
 
 /// A loaded bundle plus the operations MetaComm filters need.
 #[derive(Debug, Clone, Default)]
@@ -43,27 +44,27 @@ impl Engine {
 
     /// Apply every rule of `mapping` to a source image, producing the
     /// target-schema image.
-    pub(crate) fn apply_rules(
-        &self,
-        mapping: &CompiledMapping,
-        source: &Image,
+    fn apply_rules<'a>(
+        vm: &mut Vm<'a>,
+        mapping: &'a CompiledMapping,
+        source: &'a Image,
     ) -> Result<Image, RuntimeError> {
-        let mut out = Image::new();
+        // One slot per rule and the originator stamp, at most.
+        let mut out = Image::with_capacity(mapping.rules.len() + 1);
         for rule in &mapping.rules {
             if let Some(guard) = &rule.guard {
-                if !eval(&self.bundle, guard, source)?.truthy() {
+                if !vm.eval(guard, source)?.truthy() {
                     continue;
                 }
             }
-            let mut v = eval(&self.bundle, &rule.prog, source)?;
+            let mut v = vm.eval(&rule.prog, source)?;
             if v.is_null() {
                 if let Some(d) = &rule.default {
-                    v = Value::Str(d.clone());
+                    v = Value::Str(Cow::Borrowed(d));
                 }
             }
-            let values = v.into_values();
-            if !values.is_empty() {
-                out.set(rule.target.clone(), values);
+            if let Some(values) = v.into_values() {
+                out.put(rule.target.clone(), values);
             }
         }
         Ok(out)
@@ -71,17 +72,17 @@ impl Engine {
 
     /// Compute the target key for a *source* image (None when the image is
     /// empty or the key expression yields null).
-    pub(crate) fn target_key(
-        &self,
-        mapping: &CompiledMapping,
-        source: &Image,
+    fn target_key<'a>(
+        vm: &mut Vm<'a>,
+        mapping: &'a CompiledMapping,
+        source: &'a Image,
         target_image: &Image,
     ) -> Result<Option<String>, RuntimeError> {
         if source.is_empty() && target_image.is_empty() {
             return Ok(None);
         }
         match &mapping.target_key_prog {
-            Some(prog) => Ok(eval(&self.bundle, prog, source)?.as_str()),
+            Some(prog) => Ok(vm.eval(prog, source)?.into_str().map(Cow::into_owned)),
             None => Ok(target_image
                 .first(&mapping.target_key_attr)
                 .map(str::to_string)),
@@ -92,17 +93,17 @@ impl Engine {
     /// (Paper §4.2: "lexpress checks the partitioning constraints against
     /// both the old and new attributes of the object" — the object's
     /// global-schema attributes, e.g. its phone number.)
-    fn partition_satisfied(
-        &self,
-        partition: Option<&Program>,
-        source_image: &Image,
+    fn partition_satisfied<'a>(
+        vm: &mut Vm<'a>,
+        partition: Option<&'a Program>,
+        source_image: &'a dyn Frame,
     ) -> Result<bool, RuntimeError> {
         if source_image.is_empty() {
             return Ok(false);
         }
         match partition {
             None => Ok(true),
-            Some(p) => Ok(eval(&self.bundle, p, source_image)?.truthy()),
+            Some(p) => Ok(vm.eval(p, source_image)?.truthy()),
         }
     }
 
@@ -110,14 +111,16 @@ impl Engine {
     /// image? The row of the routing matrix on its own: no rule is applied
     /// and no key computed, so a caller that only needs "is this object
     /// under that repository at all" (the synchronization sweep over
-    /// another switch's entries) can ask before it builds a descriptor.
+    /// another switch's entries) can ask before it builds a descriptor —
+    /// of the object as it holds it, through any [`Frame`].
     pub fn partition_claims(
         &self,
         mapping_name: &str,
-        source_image: &Image,
+        source_image: &dyn Frame,
     ) -> Result<bool, RuntimeError> {
         let mapping = self.loaded(mapping_name)?;
-        self.partition_satisfied(mapping.partition.as_ref(), source_image)
+        let mut vm = Vm::new(&self.bundle);
+        Self::partition_satisfied(&mut vm, mapping.partition.as_ref(), source_image)
     }
 
     fn loaded(&self, mapping_name: &str) -> Result<&CompiledMapping, RuntimeError> {
@@ -134,21 +137,22 @@ impl Engine {
         d: &UpdateDescriptor,
     ) -> Result<TargetOp, RuntimeError> {
         let mapping = self.loaded(mapping_name)?;
+        let vm = &mut Vm::new(&self.bundle);
         // Old/new images in the target schema.
         let old_target = if d.old.is_empty() {
             Image::new()
         } else {
-            self.apply_rules(mapping, &d.old)?
+            Self::apply_rules(vm, mapping, &d.old)?
         };
         let mut new_target = if d.new.is_empty() {
             Image::new()
         } else {
-            self.apply_rules(mapping, &d.new)?
+            Self::apply_rules(vm, mapping, &d.new)?
         };
         // Stamp the originator attribute (device→directory direction).
         if let Some(attr) = &mapping.originator {
             if !new_target.is_empty() {
-                new_target.set(attr.clone(), vec![d.origin.clone()]);
+                new_target.put(attr.clone(), Values::One(d.origin.clone()));
             }
         }
         // Conditional (reapplied) operation detection:
@@ -164,12 +168,12 @@ impl Engine {
             }
         }
         // Keys.
-        let old_key = self.target_key(mapping, &d.old, &old_target)?;
-        let new_key = self.target_key(mapping, &d.new, &new_target)?;
+        let old_key = Self::target_key(vm, mapping, &d.old, &old_target)?;
+        let new_key = Self::target_key(vm, mapping, &d.new, &new_target)?;
         // Partitioning matrix.
         let part = mapping.partition.as_ref();
-        let old_sat = self.partition_satisfied(part, &d.old)?;
-        let new_sat = self.partition_satisfied(part, &d.new)?;
+        let old_sat = Self::partition_satisfied(vm, part, &d.old)?;
+        let new_sat = Self::partition_satisfied(vm, part, &d.new)?;
         let kind = match d.kind {
             UpdateKind::Add => {
                 if new_sat {

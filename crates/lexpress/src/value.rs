@@ -1,21 +1,35 @@
 //! Runtime values of the lexpress VM.
 
+use crate::descriptor::Values;
+use std::borrow::Cow;
 use std::fmt;
 
-/// A lexpress runtime value.
+/// A lexpress runtime value. It borrows from the frame it was computed
+/// from and from the program: loading an attribute, pushing a constant and
+/// slicing a borrowed string copy nothing, and only an operation that
+/// makes new text allocates, once, for exactly that text.
 ///
 /// `Null` is the absence of a value: an unset attribute reference yields
 /// `Null`, and string operations propagate it (the basis of the `||`
 /// alternate-mapping operator).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Value {
+pub enum Value<'a> {
     Null,
-    Str(String),
-    List(Vec<String>),
+    Str(Cow<'a, str>),
+    /// Every value of a frame attribute (`values(attr)`).
+    List(&'a [String]),
     Bool(bool),
 }
 
-impl Value {
+fn bool_str(b: bool) -> &'static str {
+    if b {
+        "true"
+    } else {
+        "false"
+    }
+}
+
+impl<'a> Value<'a> {
     pub(crate) fn is_null(&self) -> bool {
         matches!(self, Value::Null)
     }
@@ -31,29 +45,68 @@ impl Value {
         }
     }
 
-    /// String content, or `None` for `Null` (lists/bools stringify).
-    pub(crate) fn as_str(&self) -> Option<String> {
+    /// String content, or `None` for `Null`: what the value borrows stays
+    /// borrowed and what it owns moves; only a list, whose items are joined
+    /// with spaces, is copied.
+    pub(crate) fn into_str(self) -> Option<Cow<'a, str>> {
         match self {
+            Value::Str(s) => Some(s),
             Value::Null => None,
-            Value::Str(s) => Some(s.clone()),
-            Value::List(v) => Some(v.join(" ")),
-            Value::Bool(b) => Some(b.to_string()),
+            Value::List(v) => Some(Cow::Owned(v.join(" "))),
+            Value::Bool(b) => Some(Cow::Borrowed(bool_str(b))),
         }
     }
 
-    /// The values this produces when assigned to a target attribute:
-    /// `Null` → nothing, `Str` → one value, `List` → many.
-    pub(crate) fn into_values(self) -> Vec<String> {
+    /// Bytes of the string form; 0 for `Null`.
+    fn str_len(&self) -> usize {
         match self {
-            Value::Null => Vec::new(),
-            Value::Str(s) => vec![s],
-            Value::List(v) => v,
-            Value::Bool(b) => vec![b.to_string()],
+            Value::Null => 0,
+            Value::Str(s) => s.len(),
+            Value::List(v) => v.iter().map(String::len).sum::<usize>() + v.len().saturating_sub(1),
+            Value::Bool(b) => bool_str(*b).len(),
+        }
+    }
+
+    /// Append the string form to `out`.
+    fn push_to(&self, out: &mut String) {
+        match self {
+            Value::Null => {}
+            Value::Str(s) => out.push_str(s),
+            Value::List(v) => {
+                for (i, item) in v.iter().enumerate() {
+                    if i > 0 {
+                        out.push(' ');
+                    }
+                    out.push_str(item);
+                }
+            }
+            Value::Bool(b) => out.push_str(bool_str(*b)),
+        }
+    }
+
+    /// The concatenation of `parts`' string forms, written once into a
+    /// string of exactly their length; `Null` if any part is.
+    pub(crate) fn concat(parts: &[Value<'_>]) -> Value<'a> {
+        if parts.iter().any(Value::is_null) {
+            return Value::Null;
+        }
+        let mut out = String::with_capacity(parts.iter().map(Value::str_len).sum());
+        parts.iter().for_each(|p| p.push_to(&mut out));
+        Value::Str(Cow::Owned(out))
+    }
+
+    /// The values this produces when assigned to a target attribute:
+    /// `Null` or an empty list → none, `Str` → one value, `List` → many.
+    pub(crate) fn into_values(self) -> Option<Values> {
+        match self {
+            Value::List([]) => None,
+            Value::List(v) => Some(v.to_vec().into()),
+            other => other.into_str().map(|s| Values::One(s.into_owned())),
         }
     }
 }
 
-impl fmt::Display for Value {
+impl fmt::Display for Value<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Value::Null => f.write_str("null"),
@@ -66,26 +119,48 @@ impl fmt::Display for Value {
 
 /// Glob matching with `*` (any run) and `?` (any one char), used by
 /// `matches(...)` and `match` arms — the paper's "pattern matching".
+///
+/// One walk over both strings in place: on a mismatch only the last `*`
+/// seen takes one more character of the value and the pattern resumes
+/// after it, so a match costs O(|value| · |pattern|) however many stars
+/// the pattern holds, and allocates nothing.
 pub fn glob_match(value: &str, pattern: &str) -> bool {
-    fn inner(v: &[char], p: &[char]) -> bool {
-        match p.first() {
-            None => v.is_empty(),
-            Some('*') => {
-                // Greedy with backtracking.
-                for skip in 0..=v.len() {
-                    if inner(&v[skip..], &p[1..]) {
-                        return true;
-                    }
-                }
-                false
+    // Byte offsets. A literal compares byte by byte, which UTF-8 makes the
+    // same as char by char; `?` and a star's growth step a whole char, from
+    // offsets that are always char boundaries.
+    let (bytes, pat) = (value.as_bytes(), pattern.as_bytes());
+    let char_at = |i: usize| value[i..].chars().next().map_or(1, char::len_utf8);
+    let (mut v, mut p) = (0, 0);
+    // Where the pattern resumes after the last `*`, and where in the value
+    // that star's match currently ends.
+    let mut star: Option<(usize, usize)> = None;
+    while v < bytes.len() {
+        match pat.get(p) {
+            Some(b'*') => {
+                p += 1;
+                star = Some((p, v));
+                continue;
             }
-            Some('?') => !v.is_empty() && inner(&v[1..], &p[1..]),
-            Some(c) => v.first() == Some(c) && inner(&v[1..], &p[1..]),
+            Some(b'?') => {
+                p += 1;
+                v += char_at(v);
+                continue;
+            }
+            Some(&b) if b == bytes[v] => {
+                p += 1;
+                v += 1;
+                continue;
+            }
+            _ => {}
         }
+        let Some((resume, taken)) = star else {
+            return false;
+        };
+        let grown = taken + char_at(taken);
+        star = Some((resume, grown));
+        (p, v) = (resume, grown);
     }
-    let v: Vec<char> = value.chars().collect();
-    let p: Vec<char> = pattern.chars().collect();
-    inner(&v, &p)
+    pat[p..].iter().all(|&b| b == b'*')
 }
 
 #[cfg(test)]
@@ -98,15 +173,25 @@ mod tests {
         assert!(!Value::Bool(false).truthy());
         assert!(Value::Bool(true).truthy());
         assert!(Value::Str("x".into()).truthy());
-        assert!(!Value::Str(String::new()).truthy());
-        assert!(Value::List(vec!["a".into()]).truthy());
-        assert!(!Value::List(vec![]).truthy());
+        assert!(!Value::Str("".into()).truthy());
+        assert!(Value::List(&["a".into()]).truthy());
+        assert!(!Value::List(&[]).truthy());
     }
 
     #[test]
     fn value_conversions() {
-        assert_eq!(Value::Null.into_values(), Vec::<String>::new());
-        assert_eq!(Value::Str("a".into()).into_values(), vec!["a"]);
+        assert_eq!(Value::Null.into_values(), None);
+        let one = Value::Str("a".into()).into_values().unwrap();
+        assert_eq!(one.as_slice(), ["a"]);
+        let items = ["a".to_string(), "b".to_string()];
+        assert_eq!(Value::List(&items).into_str().as_deref(), Some("a b"));
+        let parts = [
+            Value::Str("x=".into()),
+            Value::List(&items),
+            Value::Bool(true),
+        ];
+        assert_eq!(Value::concat(&parts), Value::Str("x=a btrue".into()));
+        assert_eq!(Value::concat(&[Value::Null]), Value::Null);
     }
 
     #[test]
@@ -123,5 +208,8 @@ mod tests {
         assert!(glob_match("ac", "a*c"));
         assert!(!glob_match("ab", "a*c"));
         assert!(glob_match("a*b", "a*b")); // literal chars still match themselves
+        assert!(glob_match("é", "?"));
+        assert!(glob_match("aéb", "a?b"));
+        assert!(!glob_match("ab", "a?b"));
     }
 }

@@ -1,317 +1,349 @@
 //! The byte-code interpreter.
 //!
-//! Programs evaluate against a *frame* — an attribute [`Image`] — and yield
-//! a single [`Value`]. The interpreter is a plain stack machine with no
-//! allocation beyond the value stack.
+//! Programs evaluate against a [`Frame`] — an attribute
+//! [`Image`](crate::Image), or a record read in place — and yield
+//! a single [`Value`]. The interpreter is a plain stack machine whose values
+//! borrow from the frame and the program, so an evaluation allocates only
+//! the strings it produces: loading an attribute or pushing a constant
+//! copies nothing, slicing a borrowed string (`substr`, `split`, `trim`,
+//! `before`, `after`, `item`) stays borrowed, an operation that makes new
+//! text writes it once at its exact size, and one value stack serves every
+//! program a [`Vm`] runs.
 
 use crate::bytecode::{Bundle, Instr, Program};
-use crate::descriptor::Image;
+use crate::descriptor::Frame;
 use crate::error::RuntimeError;
 use crate::value::{glob_match, Value};
+use std::borrow::Cow;
+use std::ops::Range;
 
-/// Evaluate `prog` against `frame`, resolving tables from `bundle`.
-pub(crate) fn eval(bundle: &Bundle, prog: &Program, frame: &Image) -> Result<Value, RuntimeError> {
-    let mut stack: Vec<Value> = Vec::with_capacity(8);
-    let mut pc = 0usize;
-    let fuel_limit = prog.instrs.len().saturating_mul(16).max(1024);
-    let mut fuel = 0usize;
-    while pc < prog.instrs.len() {
-        fuel += 1;
-        if fuel > fuel_limit {
-            return Err(RuntimeError::BadBytecode(
-                "instruction budget exceeded".into(),
-            ));
+/// Evaluates programs of one bundle, reusing its value stack between them.
+pub(crate) struct Vm<'a> {
+    bundle: &'a Bundle,
+    stack: Vec<Value<'a>>,
+}
+
+impl<'a> Vm<'a> {
+    pub(crate) fn new(bundle: &'a Bundle) -> Vm<'a> {
+        Vm {
+            bundle,
+            stack: Vec::with_capacity(8),
         }
-        let instr = &prog.instrs[pc];
-        pc += 1;
-        match instr {
-            Instr::PushStr(s) => stack.push(Value::Str(s.clone())),
-            Instr::PushInt(n) => stack.push(Value::Str(n.to_string())),
-            Instr::PushNull => stack.push(Value::Null),
-            Instr::PushBool(b) => stack.push(Value::Bool(*b)),
-            Instr::LoadAttr(name) => {
-                let v = frame
-                    .first(name)
-                    .map(|s| Value::Str(s.to_string()))
-                    .unwrap_or(Value::Null);
-                stack.push(v);
+    }
+
+    /// Evaluate `prog` against `frame`, resolving tables from the bundle.
+    pub(crate) fn eval(
+        &mut self,
+        prog: &'a Program,
+        frame: &'a dyn Frame,
+    ) -> Result<Value<'a>, RuntimeError> {
+        let stack = &mut self.stack;
+        stack.clear();
+        let mut pc = 0usize;
+        let fuel_limit = prog.instrs.len().saturating_mul(16).max(1024);
+        let mut fuel = 0usize;
+        while pc < prog.instrs.len() {
+            fuel += 1;
+            if fuel > fuel_limit {
+                return Err(RuntimeError::BadBytecode(
+                    "instruction budget exceeded".into(),
+                ));
             }
-            Instr::LoadAttrAll(name) => {
-                let vs = frame.values(name);
-                stack.push(if vs.is_empty() {
-                    Value::Null
-                } else {
-                    Value::List(vs.to_vec())
-                });
-            }
-            Instr::Dup => {
-                let v = top(&stack)?.clone();
-                stack.push(v);
-            }
-            Instr::Pop => {
-                pop(&mut stack)?;
-            }
-            Instr::JumpIfNotNull(target) => {
-                if top(&stack)?.is_null() {
-                    stack.pop();
-                } else {
-                    pc = *target;
+            let instr = &prog.instrs[pc];
+            pc += 1;
+            let v = match instr {
+                Instr::PushStr(s) => Value::Str(Cow::Borrowed(s)),
+                Instr::PushNull => Value::Null,
+                Instr::PushBool(b) => Value::Bool(*b),
+                Instr::LoadAttr(name) => frame
+                    .values(name)
+                    .first()
+                    .map_or(Value::Null, |s| Value::Str(Cow::Borrowed(s))),
+                Instr::LoadAttrAll(name) => match frame.values(name) {
+                    [] => Value::Null,
+                    vs => Value::List(vs),
+                },
+                Instr::Dup => top(stack)?.clone(),
+                Instr::Pop => {
+                    pop(stack)?;
+                    continue;
                 }
-            }
-            Instr::JumpIfFalse(target) => {
-                let v = pop(&mut stack)?;
-                if !v.truthy() {
-                    pc = *target;
-                }
-            }
-            Instr::Jump(target) => pc = *target,
-            Instr::Concat(n) => {
-                let at = stack
-                    .len()
-                    .checked_sub(*n)
-                    .ok_or_else(|| RuntimeError::BadBytecode("concat underflow".into()))?;
-                let parts: Vec<Value> = stack.split_off(at);
-                if parts.iter().any(Value::is_null) {
-                    stack.push(Value::Null);
-                } else {
-                    let mut out = String::new();
-                    for p in parts {
-                        out.push_str(&p.as_str().expect("non-null"));
+                Instr::JumpIfNotNull(target) => {
+                    if top(stack)?.is_null() {
+                        stack.pop();
+                    } else {
+                        pc = *target;
                     }
-                    stack.push(Value::Str(out));
+                    continue;
                 }
-            }
-            Instr::Substr => {
-                let len = int_arg(pop(&mut stack)?)?;
-                let start = int_arg(pop(&mut stack)?)?;
-                let s = pop(&mut stack)?;
-                stack.push(match s.as_str() {
-                    None => Value::Null,
-                    Some(s) => {
-                        let chars: Vec<char> = s.chars().collect();
-                        let n = chars.len() as i64;
+                Instr::JumpIfFalse(target) => {
+                    if !pop(stack)?.truthy() {
+                        pc = *target;
+                    }
+                    continue;
+                }
+                Instr::Jump(target) => {
+                    pc = *target;
+                    continue;
+                }
+                Instr::Concat(n) => {
+                    let at = stack
+                        .len()
+                        .checked_sub(*n)
+                        .ok_or_else(|| RuntimeError::BadBytecode("concat underflow".into()))?;
+                    let joined = Value::concat(&stack[at..]);
+                    stack.truncate(at);
+                    joined
+                }
+                Instr::Substr => {
+                    let len = int_arg(pop(stack)?)?;
+                    let start = int_arg(pop(stack)?)?;
+                    str_op(pop(stack)?, |s| {
+                        let n = s.chars().count() as i64;
                         let start = if start < 0 {
                             (n + start).max(0)
                         } else {
                             start.min(n)
                         };
-                        let end = (start + len.max(0)).min(n);
-                        Value::Str(chars[start as usize..end as usize].iter().collect())
+                        let end = start.saturating_add(len.max(0)).min(n);
+                        let at = |i: i64| s.char_indices().nth(i as usize).map_or(s.len(), |c| c.0);
+                        let range = at(start)..at(end);
+                        Value::Str(slice(s, range))
+                    })
+                }
+                Instr::Split => {
+                    let idx = int_arg(pop(stack)?)?;
+                    let sep = pop(stack)?.into_str();
+                    match (pop(stack)?.into_str(), sep) {
+                        (Some(s), Some(sep)) if !sep.is_empty() => {
+                            // Only an index from the end needs the count.
+                            let idx = if idx < 0 {
+                                s.split(&*sep).count() as i64 + idx
+                            } else {
+                                idx
+                            };
+                            let field = usize::try_from(idx)
+                                .ok()
+                                .and_then(|i| s.split(&*sep).nth(i));
+                            match field.map(|f| range_in(&s, f)) {
+                                Some(range) => Value::Str(slice(s, range)),
+                                None => Value::Null,
+                            }
+                        }
+                        _ => Value::Null,
                     }
-                });
-            }
-            Instr::Split => {
-                let idx = int_arg(pop(&mut stack)?)?;
-                let sep = pop(&mut stack)?;
-                let s = pop(&mut stack)?;
-                stack.push(match (s.as_str(), sep.as_str()) {
-                    (Some(s), Some(sep)) if !sep.is_empty() => {
-                        let fields: Vec<&str> = s.split(sep.as_str()).collect();
-                        let n = fields.len() as i64;
-                        let idx = if idx < 0 { n + idx } else { idx };
-                        if idx >= 0 && idx < n {
-                            Value::Str(fields[idx as usize].to_string())
-                        } else {
-                            Value::Null
+                }
+                Instr::Before | Instr::After => {
+                    let sep = pop(stack)?.into_str();
+                    match (pop(stack)?.into_str(), sep) {
+                        (Some(s), Some(sep)) if !sep.is_empty() => match s.find(&*sep) {
+                            Some(i) => {
+                                let range = match instr {
+                                    Instr::Before => 0..i,
+                                    _ => i + sep.len()..s.len(),
+                                };
+                                Value::Str(slice(s, range))
+                            }
+                            None => Value::Null,
+                        },
+                        _ => Value::Null,
+                    }
+                }
+                Instr::Upper => str_op(pop(stack)?, |s| Value::Str(s.to_uppercase().into())),
+                Instr::Lower => str_op(pop(stack)?, |s| Value::Str(s.to_lowercase().into())),
+                Instr::Trim => str_op(pop(stack)?, |s| {
+                    let range = range_in(&s, s.trim());
+                    Value::Str(slice(s, range))
+                }),
+                Instr::Digits => str_op(pop(stack)?, |s| {
+                    let n = s.bytes().filter(u8::is_ascii_digit).count();
+                    if n == s.len() {
+                        return Value::Str(s);
+                    }
+                    let mut out = String::with_capacity(n);
+                    out.extend(s.chars().filter(char::is_ascii_digit));
+                    Value::Str(out.into())
+                }),
+                Instr::Replace => {
+                    let to = pop(stack)?.into_str();
+                    let from = pop(stack)?.into_str();
+                    match (pop(stack)?.into_str(), from, to) {
+                        (Some(s), Some(from), Some(to))
+                            if !from.is_empty() && s.contains(&*from) =>
+                        {
+                            Value::Str(s.replace(&*from, &to).into())
+                        }
+                        (Some(s), _, _) => Value::Str(s),
+                        _ => Value::Null,
+                    }
+                }
+                Instr::PadLeft => {
+                    let fill = pop(stack)?.into_str();
+                    let width = int_arg(pop(stack)?)?;
+                    match (pop(stack)?.into_str(), fill) {
+                        (Some(s), Some(fill)) => {
+                            let fill_char = fill.chars().next().unwrap_or(' ');
+                            let short = (width.max(0) as usize).saturating_sub(s.chars().count());
+                            if short == 0 {
+                                Value::Str(s)
+                            } else {
+                                let mut out =
+                                    String::with_capacity(short * fill_char.len_utf8() + s.len());
+                                out.extend(std::iter::repeat_n(fill_char, short));
+                                out.push_str(&s);
+                                Value::Str(out.into())
+                            }
+                        }
+                        _ => Value::Null,
+                    }
+                }
+                Instr::TableLookup(idx) => {
+                    let key = pop(stack)?;
+                    let table = self.bundle.tables.get(*idx).ok_or_else(|| {
+                        RuntimeError::BadBytecode(format!("no table at index {idx}"))
+                    })?;
+                    key.into_str()
+                        .and_then(|k| table.lookup(&k))
+                        .map_or(Value::Null, |v| Value::Str(Cow::Borrowed(v)))
+                }
+                Instr::MatchGlob(pat) => {
+                    let v = pop(stack)?.into_str();
+                    Value::Bool(v.is_some_and(|s| glob_match(&s, pat)))
+                }
+                Instr::MatchDyn => {
+                    let pat = pop(stack)?.into_str();
+                    match (pop(stack)?.into_str(), pat) {
+                        (Some(s), Some(p)) => Value::Bool(glob_match(&s, &p)),
+                        _ => Value::Bool(false),
+                    }
+                }
+                Instr::Eq => {
+                    let b = pop(stack)?;
+                    let a = pop(stack)?;
+                    Value::Bool(a == b)
+                }
+                Instr::Not => Value::Bool(!pop(stack)?.truthy()),
+                Instr::Select => {
+                    let else_v = pop(stack)?;
+                    let then_v = pop(stack)?;
+                    if pop(stack)?.truthy() {
+                        then_v
+                    } else {
+                        else_v
+                    }
+                }
+                Instr::Join => {
+                    let sep = pop(stack)?.into_str();
+                    match (pop(stack)?, sep) {
+                        (Value::List(items), Some(sep)) => Value::Str(items.join(&*sep).into()),
+                        (Value::Str(s), Some(_)) => Value::Str(s),
+                        (Value::Null, _) => Value::Null,
+                        _ => {
+                            return Err(RuntimeError::Type(
+                                "join needs a list and separator".into(),
+                            ))
                         }
                     }
-                    _ => Value::Null,
-                });
-            }
-            Instr::Before | Instr::After => {
-                let is_before = matches!(instr, Instr::Before);
-                let sep = pop(&mut stack)?;
-                let s = pop(&mut stack)?;
-                stack.push(match (s.as_str(), sep.as_str()) {
-                    (Some(s), Some(sep)) if !sep.is_empty() => match s.find(&sep) {
-                        Some(i) if is_before => Value::Str(s[..i].to_string()),
-                        Some(i) => Value::Str(s[i + sep.len()..].to_string()),
-                        None => Value::Null,
-                    },
-                    _ => Value::Null,
-                });
-            }
-            Instr::Upper => unary_str(&mut stack, |s| s.to_uppercase())?,
-            Instr::Lower => unary_str(&mut stack, |s| s.to_lowercase())?,
-            Instr::Trim => unary_str(&mut stack, |s| s.trim().to_string())?,
-            Instr::Digits => unary_str(&mut stack, |s| {
-                s.chars().filter(char::is_ascii_digit).collect()
-            })?,
-            Instr::Replace => {
-                let to = pop(&mut stack)?;
-                let from = pop(&mut stack)?;
-                let s = pop(&mut stack)?;
-                stack.push(match (s.as_str(), from.as_str(), to.as_str()) {
-                    (Some(s), Some(from), Some(to)) if !from.is_empty() => {
-                        Value::Str(s.replace(&from, &to))
-                    }
-                    (Some(s), _, _) => Value::Str(s),
-                    _ => Value::Null,
-                });
-            }
-            Instr::PadLeft => {
-                let fill = pop(&mut stack)?;
-                let width = int_arg(pop(&mut stack)?)?;
-                let s = pop(&mut stack)?;
-                stack.push(match (s.as_str(), fill.as_str()) {
-                    (Some(s), Some(fill)) => {
-                        let fill_char = fill.chars().next().unwrap_or(' ');
-                        let mut out = s.clone();
-                        let target = width.max(0) as usize;
-                        while out.chars().count() < target {
-                            out.insert(0, fill_char);
+                }
+                Instr::Item => {
+                    let idx = int_arg(pop(stack)?)?;
+                    match pop(stack)? {
+                        Value::List(items) => {
+                            let n = items.len() as i64;
+                            let idx = if idx < 0 { n + idx } else { idx };
+                            usize::try_from(idx)
+                                .ok()
+                                .and_then(|i| items.get(i))
+                                .map_or(Value::Null, |s| Value::Str(Cow::Borrowed(s)))
                         }
-                        Value::Str(out)
+                        Value::Str(s) if idx == 0 || idx == -1 => Value::Str(s),
+                        Value::Str(_) | Value::Null => Value::Null,
+                        Value::Bool(_) => return Err(RuntimeError::Type("item over bool".into())),
                     }
-                    _ => Value::Null,
-                });
-            }
-            Instr::TableLookup(idx) => {
-                let key = pop(&mut stack)?;
-                let table = bundle
-                    .tables
-                    .get(*idx)
-                    .ok_or_else(|| RuntimeError::BadBytecode(format!("no table at index {idx}")))?;
-                stack.push(match key.as_str() {
-                    Some(k) => match table.lookup(&k) {
-                        Some(v) => Value::Str(v.to_string()),
-                        None => Value::Null,
-                    },
-                    None => Value::Null,
-                });
-            }
-            Instr::MatchGlob(pat) => {
-                let v = pop(&mut stack)?;
-                stack.push(match v.as_str() {
-                    Some(s) => Value::Bool(glob_match(&s, pat)),
-                    None => Value::Bool(false),
-                });
-            }
-            Instr::MatchDyn => {
-                let pat = pop(&mut stack)?;
-                let v = pop(&mut stack)?;
-                stack.push(match (v.as_str(), pat.as_str()) {
-                    (Some(s), Some(p)) => Value::Bool(glob_match(&s, &p)),
-                    _ => Value::Bool(false),
-                });
-            }
-            Instr::Eq => {
-                let b = pop(&mut stack)?;
-                let a = pop(&mut stack)?;
-                stack.push(Value::Bool(a == b));
-            }
-            Instr::Not => {
-                let v = pop(&mut stack)?;
-                stack.push(Value::Bool(!v.truthy()));
-            }
-            Instr::Select => {
-                let else_v = pop(&mut stack)?;
-                let then_v = pop(&mut stack)?;
-                let cond = pop(&mut stack)?;
-                stack.push(if cond.truthy() { then_v } else { else_v });
-            }
-            Instr::Join => {
-                let sep = pop(&mut stack)?;
-                let list = pop(&mut stack)?;
-                stack.push(match (list, sep.as_str()) {
-                    (Value::List(items), Some(sep)) => Value::Str(items.join(&sep)),
-                    (Value::Str(s), Some(_)) => Value::Str(s),
-                    (Value::Null, _) => Value::Null,
-                    _ => return Err(RuntimeError::Type("join needs a list and separator".into())),
-                });
-            }
-            Instr::Item => {
-                let idx = int_arg(pop(&mut stack)?)?;
-                let list = pop(&mut stack)?;
-                stack.push(match list {
-                    Value::List(items) => {
-                        let n = items.len() as i64;
-                        let idx = if idx < 0 { n + idx } else { idx };
-                        if idx >= 0 && idx < n {
-                            Value::Str(items[idx as usize].clone())
-                        } else {
-                            Value::Null
-                        }
-                    }
-                    Value::Str(s) if idx == 0 || idx == -1 => Value::Str(s),
-                    Value::Str(_) => Value::Null,
-                    Value::Null => Value::Null,
-                    Value::Bool(_) => return Err(RuntimeError::Type("item over bool".into())),
-                });
-            }
-            Instr::Count => {
-                let v = pop(&mut stack)?;
-                stack.push(match v {
-                    Value::List(items) => Value::Str(items.len().to_string()),
+                }
+                Instr::Count => match pop(stack)? {
+                    Value::List(items) => Value::Str(items.len().to_string().into()),
                     Value::Str(_) => Value::Str("1".into()),
                     Value::Null => Value::Str("0".into()),
                     Value::Bool(_) => return Err(RuntimeError::Type("count over bool".into())),
-                });
-            }
-            Instr::First => {
-                let v = pop(&mut stack)?;
-                stack.push(match v {
+                },
+                Instr::First => match pop(stack)? {
                     Value::List(items) => items
-                        .into_iter()
-                        .next()
-                        .map(Value::Str)
-                        .unwrap_or(Value::Null),
+                        .first()
+                        .map_or(Value::Null, |s| Value::Str(Cow::Borrowed(s))),
                     other => other,
-                });
-            }
+                },
+            };
+            stack.push(v);
         }
+        if stack.len() != 1 {
+            return Err(RuntimeError::BadBytecode(format!(
+                "program left {} values on the stack",
+                stack.len()
+            )));
+        }
+        Ok(stack.pop().expect("len checked"))
     }
-    if stack.len() != 1 {
-        return Err(RuntimeError::BadBytecode(format!(
-            "program left {} values on the stack",
-            stack.len()
-        )));
-    }
-    Ok(stack.pop().expect("len checked"))
 }
 
-fn top(stack: &[Value]) -> Result<&Value, RuntimeError> {
+fn top<'s, 'a>(stack: &'s [Value<'a>]) -> Result<&'s Value<'a>, RuntimeError> {
     stack
         .last()
         .ok_or_else(|| RuntimeError::BadBytecode("stack underflow".into()))
 }
 
-fn pop(stack: &mut Vec<Value>) -> Result<Value, RuntimeError> {
+fn pop<'a>(stack: &mut Vec<Value<'a>>) -> Result<Value<'a>, RuntimeError> {
     stack
         .pop()
         .ok_or_else(|| RuntimeError::BadBytecode("stack underflow".into()))
 }
 
-fn int_arg(v: Value) -> Result<i64, RuntimeError> {
-    match v.as_str().and_then(|s| s.trim().parse::<i64>().ok()) {
-        Some(n) => Ok(n),
-        None => Err(RuntimeError::Type(format!("expected integer, got `{v}`"))),
+fn int_arg(v: Value<'_>) -> Result<i64, RuntimeError> {
+    let n = match &v {
+        Value::Str(s) => s.trim().parse().ok(),
+        Value::List(_) => v.clone().into_str().and_then(|s| s.trim().parse().ok()),
+        Value::Null | Value::Bool(_) => None,
+    };
+    n.ok_or_else(|| RuntimeError::Type(format!("expected integer, got `{v}`")))
+}
+
+/// A null-propagating string operation.
+fn str_op<'a>(v: Value<'a>, f: impl FnOnce(Cow<'a, str>) -> Value<'a>) -> Value<'a> {
+    v.into_str().map_or(Value::Null, f)
+}
+
+/// `range` of `s`: still borrowed when `s` is; an owned `s` is kept whole
+/// or its part copied into a string of exactly that size.
+fn slice(s: Cow<'_, str>, range: Range<usize>) -> Cow<'_, str> {
+    match s {
+        Cow::Borrowed(b) => Cow::Borrowed(&b[range]),
+        Cow::Owned(o) if range == (0..o.len()) => Cow::Owned(o),
+        Cow::Owned(o) => Cow::Owned(o[range].to_owned()),
     }
 }
 
-/// Helper for unary string ops (null-propagating).
-fn unary_str(stack: &mut Vec<Value>, f: impl FnOnce(String) -> String) -> Result<(), RuntimeError> {
-    let v = pop(stack)?;
-    stack.push(match v.as_str() {
-        Some(s) => Value::Str(f(s)),
-        None => Value::Null,
-    });
-    Ok(())
+/// Where `part`, a subslice of `whole`, sits in it.
+fn range_in(whole: &str, part: &str) -> Range<usize> {
+    let start = part.as_ptr() as usize - whole.as_ptr() as usize;
+    start..start + part.len()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::compile::compile;
+    use crate::descriptor::Image;
 
     /// Compile a single-rule mapping and evaluate the rule against a frame.
-    fn eval_expr(expr: &str, frame: &Image) -> Result<Value, RuntimeError> {
+    /// The bundle is leaked: the value may borrow from it.
+    fn eval_expr<'f>(expr: &str, frame: &'f Image) -> Result<Value<'f>, RuntimeError> {
         let src = format!(
             "mapping m {{ source a; target b; key source K; key target T; map K -> T : {expr}; }}"
         );
         let bundle = compile(&src).unwrap_or_else(|e| panic!("compile `{expr}`: {e}"));
+        let bundle: &'static Bundle = Box::leak(Box::new(bundle));
         let prog = &bundle.mapping("m").unwrap().rules[0].prog;
-        eval(&bundle, prog, frame)
+        Vm::new(bundle).eval(prog, frame)
     }
 
     fn frame() -> Image {
@@ -454,7 +486,7 @@ mod tests {
         let f = frame();
         assert_eq!(
             eval_expr(r#"values(ou)"#, &f).unwrap(),
-            Value::List(vec!["a".into(), "b".into()])
+            Value::List(&["a".to_string(), "b".to_string()])
         );
         assert_eq!(
             eval_expr(r#"join(values(ou), "+")"#, &f).unwrap(),
@@ -493,13 +525,13 @@ mapping m { source a; target b; key source K; key target T;
         let prog = &bundle.mapping("m").unwrap().rules[0].prog;
         let f = frame();
         assert_eq!(
-            eval(&bundle, prog, &f).unwrap(),
+            Vm::new(&bundle).eval(prog, &f).unwrap(),
             Value::Str("+1 908 582 9123".into())
         );
         let mut f2 = Image::new();
         f2.set("Extension", vec!["7777".into()]);
         assert_eq!(
-            eval(&bundle, prog, &f2).unwrap(),
+            Vm::new(&bundle).eval(prog, &f2).unwrap(),
             Value::Str("+1 ?777".into())
         );
     }

@@ -1,6 +1,7 @@
 //! What a synchronization costs and what it decides, counted rather than
 //! timed: heap allocations per device record stay flat from 500 to 8,000
-//! records (initial load and no-op resync), a switch's stale sweep runs the
+//! records (initial load and no-op resync), one translation allocates little
+//! beyond the strings it produces, a switch's stale sweep runs the
 //! full delete probe only for entries its own partition claims, an orphan
 //! is cleared once and by the switch whose range it is in, colliding names
 //! are logged against the first claimant, and a fold-back that fails after
@@ -193,11 +194,49 @@ fn allocations_per_record_stay_flat_from_500_to_8000_records() {
         );
     }
     // Flat, and no dearer than committed: translate + entry build + one
-    // directory write a record (485 before the write was made cheap).
+    // directory write a record (485 before the write was made cheap, 261
+    // before translation borrowed; 61 measured).
     assert!(
-        large_load <= 300.0,
-        "initial load: {large_load:.1} allocations per record (ceiling 300)"
+        large_load <= 67.0,
+        "initial load: {large_load:.1} allocations per record (ceiling 67)"
     );
+}
+
+/// Allocations of one translation of `d` through `mapping`, the descriptor
+/// built beforehand.
+fn translation_allocations(r: &Rig, mapping: &str, d: &UpdateDescriptor) -> u64 {
+    let engine = r.system.engine();
+    let (op, cost) = allocations(|| engine.translate(mapping, d));
+    assert_ne!(op.expect("translates").kind, OpKind::Skip);
+    cost
+}
+
+/// A translation allocates the strings it produces — each target value, the
+/// key — plus the value stack, the output image's vector and a name
+/// transform's inner `concat`: nothing per attribute read or looked up.
+#[test]
+fn one_translation_allocates_little_more_than_what_it_produces() {
+    let r = rig();
+    station(&r, "1001", "Doe, John");
+    let record = filter(&r, "pbx-1").dump().pop().expect("the station");
+    let to_ldap = UpdateDescriptor::add("1001", record, "pbx-1");
+    let station_cost = translation_allocations(&r, "pbx-1_to_ldap", &to_ldap);
+    r.system.synchronize_all().expect("load");
+    let john = person(&r, "John Doe").expect("materialized");
+    let image = metacomm::image::entry_to_image(&john);
+    let to_device = UpdateDescriptor::add(john.dn().to_string(), image, "wba");
+    let person_cost = translation_allocations(&r, "ldap_to_pbx-1", &to_device);
+    // 157 and 75 while every value was copied onto the VM's stack and every
+    // name lowercased per lookup; 10 and 8 measured.
+    assert!(
+        station_cost <= 12,
+        "pbx-1_to_ldap of a station: {station_cost} allocations (ceiling 12)"
+    );
+    assert!(
+        person_cost <= 10,
+        "ldap_to_pbx-1 of a person: {person_cost} allocations (ceiling 10)"
+    );
+    r.system.shutdown();
 }
 
 /// One switch's synchronization on its own.
