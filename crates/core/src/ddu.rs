@@ -81,25 +81,16 @@ impl Relay {
     /// Spawn one `ddu-relay-<name>` thread per device. Its change feed is
     /// opened here, before the thread starts, and read on that thread
     /// alone: one thread and one queue per device, in its commit order.
-    pub(crate) fn spawn(self, devices: &[Device]) -> Background {
-        let (shutdown, stopped) = crossbeam::channel::unbounded::<()>();
-        let threads = devices
-            .iter()
-            .map(|device| {
-                let (relay, filter, stopped) =
-                    (self.clone(), device.filter.clone(), stopped.clone());
-                let mut updates = filter.subscribe();
-                std::thread::Builder::new()
-                    .name(format!("ddu-relay-{}", filter.name()))
-                    .spawn(move || {
-                        while let Some(d) = updates(&stopped) {
-                            relay.relay(filter.as_ref(), &d);
-                        }
-                    })
-                    .expect("spawn relay")
-            })
-            .collect();
-        Background { shutdown, threads }
+    pub(crate) fn spawn(self, devices: &[Device], background: &mut Background) {
+        for device in devices {
+            let (relay, filter) = (self.clone(), device.filter.clone());
+            let mut updates = filter.subscribe();
+            background.spawn(format!("ddu-relay-{}", filter.name()), move |stopped| {
+                while let Some(d) = updates(&stopped) {
+                    relay.relay(filter.as_ref(), &d);
+                }
+            });
+        }
     }
 
     /// Relay one DDU: count it, time it, and log a failure (§4.4).

@@ -40,15 +40,15 @@ use crate::error::{MetaError, Result};
 use crate::errorlog::ErrorLog;
 use crate::obs::{Counter, Registry};
 use crate::resilience::Device;
+use crate::unpoison;
 use ldap::backup::{self, SnapshotStore};
 use ldap::dit::Dit;
 use ldap::wal::{self, FsyncPolicy, Wal, WalStats};
 use ldap::Directory;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 // WAL frame tags owned by this layer. Tag 1 is the DIT change record
 // (owned by ldap::backup). Tags 16-21 are the retired outage-journal
@@ -233,7 +233,7 @@ impl Durability {
     /// Route WAL write failures to the deployment's error log (§4.4
     /// log-and-alert); called once the error log exists.
     pub(crate) fn set_error_log(&self, errorlog: Arc<ErrorLog>, dir: Arc<dyn Directory>) {
-        *self.error_ctx.lock() = Some((errorlog, dir));
+        *unpoison(self.error_ctx.lock()) = Some((errorlog, dir));
     }
 
     /// Drop the alert route again (shutdown). It holds the directory, whose
@@ -241,11 +241,11 @@ impl Durability {
     /// the whole tree resident after the deployment is gone. WAL failures
     /// are still counted; commits made after shutdown are still logged.
     pub(crate) fn clear_error_log(&self) {
-        *self.error_ctx.lock() = None;
+        *unpoison(self.error_ctx.lock()) = None;
     }
 
     fn wal(&self) -> Arc<Wal> {
-        self.wal.lock().clone()
+        unpoison(self.wal.lock()).clone()
     }
 
     /// Append a record to the current segment without waiting for
@@ -304,7 +304,7 @@ impl Durability {
     /// segment, re-log every device's mark, export + write the snapshot,
     /// prune generations older than the previous snapshot.
     pub(crate) fn checkpoint(&self, dit: &Dit, devices: &[Device]) -> Result<()> {
-        let _only_one = self.checkpoint_lock.lock();
+        let _only_one = unpoison(self.checkpoint_lock.lock());
         let generation = self.generation.load(Ordering::SeqCst) + 1;
         let new_wal = Wal::open_with_stats(
             &self.store.wal_path(generation),
@@ -318,7 +318,7 @@ impl Durability {
             // the export below (old segment) or replay idempotently by
             // sequence guard (new segment), and device records reduce by
             // epoch wherever they land.
-            let mut w = self.wal.lock();
+            let mut w = unpoison(self.wal.lock());
             let _ = w.sync();
             *w = new_wal;
         }
@@ -373,7 +373,7 @@ impl Durability {
 fn install_error_sink(wal: &Arc<Wal>, ctx: &ErrorCtx) {
     let ctx = ctx.clone();
     wal.set_error_sink(move |msg| {
-        if let Some((log, dir)) = ctx.lock().as_ref() {
+        if let Some((log, dir)) = unpoison(ctx.lock()).as_ref() {
             log.log(dir.as_ref(), 0, msg, "wal write failure");
         }
     });

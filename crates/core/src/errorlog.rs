@@ -3,12 +3,13 @@
 //! administrator. The administrator can browse through the errors and
 //! manually fix the resulting inconsistencies at a later time."
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crate::unpoison;
 use ldap::dn::{Dn, Rdn};
 use ldap::entry::Entry;
 use ldap::{Directory, Filter, Scope};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Mutex;
 
 /// An administrator notification.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,8 +52,8 @@ impl ErrorLog {
 
     /// Subscribe to administrator alerts.
     pub fn subscribe(&self) -> Receiver<AdminAlert> {
-        let (tx, rx) = unbounded();
-        self.alerts.lock().push(tx);
+        let (tx, rx) = channel();
+        unpoison(self.alerts.lock()).push(tx);
         rx
     }
 
@@ -75,9 +76,7 @@ impl ErrorLog {
             text: text.to_string(),
             failed_op: failed_op.to_string(),
         };
-        self.alerts
-            .lock()
-            .retain(|tx| tx.send(alert.clone()).is_ok());
+        unpoison(self.alerts.lock()).retain(|tx| tx.send(alert.clone()).is_ok());
         id
     }
 

@@ -12,8 +12,8 @@ pub(crate) use record::for_msgplat;
 pub use record::for_pbx;
 
 use crate::error::Result;
-use crossbeam::channel::Receiver;
 use lexpress::{Image, TargetOp, UpdateDescriptor};
+use std::sync::mpsc::Receiver;
 
 /// The device-side *patch* for a modify: only the fields whose value
 /// changed between the old and new target images, plus empty-string
@@ -60,7 +60,8 @@ pub struct ApplyOutcome {
 /// call blocks until the device commits the next change made at its own
 /// craft terminal or console — echoes of MetaComm's own session are passed
 /// over — and returns its descriptor, in the device's commit order. `None`
-/// ends the relay: the shutdown channel passed in fired or hung up, or the
+/// ends the relay: the shutdown channel passed in hung up (it is looked at
+/// after every receive, so a busy device cannot hold a relay), or the
 /// device did.
 pub type DirectUpdates = Box<dyn FnMut(&Receiver<()>) -> Option<UpdateDescriptor> + Send>;
 

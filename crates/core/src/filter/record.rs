@@ -5,8 +5,8 @@
 
 use super::{changed_fields, ApplyOutcome, DeviceFilter, DirectUpdates};
 use crate::error::{MetaError, Result};
-use crossbeam::channel::{Receiver, RecvTimeoutError, TryRecvError};
 use lexpress::{Image, OpKind, TargetOp, UpdateDescriptor, UpdateKind};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -364,24 +364,28 @@ impl<D: RecordDevice> DeviceFilter for RecordFilter<D> {
         let events = self.device.subscribe();
         let origin = self.name.clone();
         // One blocking receive on the feed, so a DDU wakes its relay as it
-        // arrives; the shutdown channel is looked at between waits.
-        Box::new(move |shutdown| loop {
-            match events.recv_timeout(SHUTDOWN_CHECK) {
-                Ok(ev) => match Self::descriptor(&origin, ev) {
-                    Some(d) => return Some(d),
-                    // An echo of MetaComm's own write, which come in runs (a
-                    // sync, a fan-out): nap rather than park, so the writer
-                    // does not pay a wake-up for each one.
-                    None if events.is_empty() => std::thread::sleep(ECHO_NAP),
-                    None => {}
-                },
-                Err(RecvTimeoutError::Disconnected) => return None,
-                Err(RecvTimeoutError::Timeout) => {
-                    if shutdown.try_recv() != Err(TryRecvError::Empty) {
-                        return None;
-                    }
-                }
+        // arrives; the shutdown channel is looked at after every receive, so
+        // neither an idle device nor a busy one holds its relay.
+        Box::new(move |shutdown| {
+            let mut next = events.recv_timeout(SHUTDOWN_CHECK);
+            while shutdown.try_recv() == Err(TryRecvError::Empty) {
+                next = match next {
+                    Ok(ev) => match Self::descriptor(&origin, ev) {
+                        Some(d) => return Some(d),
+                        // An echo of MetaComm's own write, which come in runs
+                        // (a sync, a fan-out): take the next one without
+                        // parking, or nap rather than park, so the writer
+                        // does not pay a wake-up for each one.
+                        None => events.try_recv().or_else(|_| {
+                            std::thread::sleep(ECHO_NAP);
+                            events.recv_timeout(SHUTDOWN_CHECK)
+                        }),
+                    },
+                    Err(RecvTimeoutError::Timeout) => events.recv_timeout(SHUTDOWN_CHECK),
+                    Err(RecvTimeoutError::Disconnected) => return None,
+                };
             }
+            None
         })
     }
 }
@@ -670,7 +674,7 @@ mod tests {
         let f = filter::<D>();
         let [name, other] = D::FIELDS;
         let mut updates = f.subscribe();
-        let (shutdown, stopped) = crossbeam::channel::unbounded::<()>();
+        let (shutdown, stopped) = std::sync::mpsc::channel::<()>();
         // MetaComm's own writes, before and between the craft's: suppressed.
         f.apply(&add::<D>("9123", "Doe, John", false)).unwrap();
         f.device.craft_add("9200", "Smith, Pat");

@@ -77,10 +77,15 @@ use ldap::entry::Entry;
 use ldap::{Directory, Filter as LdapFilter};
 use lexpress::{library, Closure, Engine};
 use ltap::{Gateway, SecurityPolicy, TriggerSpec};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::RecvTimeoutError;
+use std::sync::{Arc, LockResult, Mutex, PoisonError};
+
+/// A `std::sync` lock's guard, poisoned or not (as a holder that panicked left it).
+fn unpoison<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Configures and assembles a MetaComm deployment.
 pub struct MetaCommBuilder {
@@ -468,7 +473,8 @@ impl MetaCommBuilder {
         // DDU relays.
         let relay_stats = RelayStats::install(&registry);
         let crash_between_pair = Arc::new(AtomicBool::new(false));
-        let relays = Relay {
+        let mut background = Background::default();
+        Relay {
             gateway: gateway.clone(),
             engine: engine.clone(),
             errorlog: errorlog.clone(),
@@ -479,23 +485,28 @@ impl MetaCommBuilder {
             ddu_hist: registry.component("relay").histogram("ddu"),
             clock: registry.clock(),
         }
-        .spawn(&devices);
+        .spawn(&devices, &mut background);
         registry.adopt(gateway.stats().component().clone());
 
-        // Recovery monitor: probes non-Up devices and reapplies their
-        // backlog (journal drain, or full resync after overflow).
-        let monitor = resilience::spawn_monitor(
-            RecoveryCtx {
-                gateway: gateway.clone(),
-                engine: engine.clone(),
-                suffix: suffix.clone(),
-                errorlog: errorlog.clone(),
-                stats: um_stats.clone(),
-                retry: self.retry.clone(),
-            },
-            devices.clone(),
-            self.breaker.probe_interval,
-        );
+        // Recovery monitor: every probe interval, probes non-Up devices and
+        // reapplies their backlog (journal drain, or full resync after
+        // overflow).
+        let ctx = RecoveryCtx {
+            gateway: gateway.clone(),
+            engine: engine.clone(),
+            suffix: suffix.clone(),
+            errorlog: errorlog.clone(),
+            stats: um_stats.clone(),
+            retry: self.retry.clone(),
+        };
+        let (monitored, interval) = (devices.clone(), self.breaker.probe_interval);
+        background.spawn("device-recovery-monitor".into(), move |stopped| {
+            while stopped.recv_timeout(interval) == Err(RecvTimeoutError::Timeout) {
+                for device in monitored.iter() {
+                    let _ = resilience::attempt_recovery(&ctx, device);
+                }
+            }
+        });
 
         Ok(MetaComm {
             dit,
@@ -505,7 +516,7 @@ impl MetaCommBuilder {
             errorlog,
             um: Mutex::new(Some(um)),
             um_stats,
-            background: Mutex::new(vec![monitor, relays]),
+            background: Mutex::new(background),
             relay_stats,
             suffix,
             crash_between_pair,
@@ -527,8 +538,8 @@ pub struct MetaComm {
     errorlog: Arc<ErrorLog>,
     um: Mutex<Option<UpdateManager>>,
     um_stats: Arc<UmStats>,
-    /// The recovery monitor and the DDU relays, in the order they stop.
-    background: Mutex<Vec<Background>>,
+    /// The DDU relays and the recovery monitor.
+    background: Mutex<Background>,
     relay_stats: Arc<RelayStats>,
     suffix: Dn,
     crash_between_pair: Arc<AtomicBool>,
@@ -605,14 +616,15 @@ impl MetaComm {
 
     /// Number of Update Manager executor workers (0 after shutdown).
     pub fn um_workers(&self) -> usize {
-        self.um.lock().as_ref().map(|um| um.workers()).unwrap_or(0)
+        unpoison(self.um.lock())
+            .as_ref()
+            .map_or(0, UpdateManager::workers)
     }
 
     /// Recent per-update traces from the coordinator (oldest first) —
     /// "why did my update (not) reach the switch?".
     pub fn recent_traces(&self) -> Vec<um::UpdateTrace> {
-        self.um
-            .lock()
+        unpoison(self.um.lock())
             .as_ref()
             .map(|um| um.recent_traces())
             .unwrap_or_default()
@@ -623,7 +635,7 @@ impl MetaComm {
     }
 
     /// Subscribe to administrator alerts (§4.4 failure notifications).
-    pub fn alerts(&self) -> crossbeam::channel::Receiver<AdminAlert> {
+    pub fn alerts(&self) -> std::sync::mpsc::Receiver<AdminAlert> {
         self.errorlog.subscribe()
     }
 
@@ -760,15 +772,14 @@ impl MetaComm {
         }
     }
 
-    /// Stop the recovery monitor, the relays, and the Update Manager (in
-    /// that order: the monitor and relays feed the UM). Every thread the
-    /// deployment started is joined here; a deployment that is shut down
-    /// and dropped leaves nothing resident.
+    /// Stop the recovery monitor and the relays, then the Update Manager
+    /// (the monitor and relays feed the UM). Every thread the deployment
+    /// started is joined here; a deployment that is shut down and dropped
+    /// leaves nothing resident. What a device commits once the shutdown has
+    /// begun is left to the next synchronization.
     pub fn shutdown(&self) {
-        for threads in self.background.lock().drain(..) {
-            threads.stop();
-        }
-        if let Some(mut um) = self.um.lock().take() {
+        unpoison(self.background.lock()).stop();
+        if let Some(mut um) = unpoison(self.um.lock()).take() {
             um.shutdown();
         }
         // Everything committed is already framed in the log; one last sync

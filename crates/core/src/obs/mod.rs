@@ -110,13 +110,13 @@ pub(crate) fn register_dit_footprint(registry: &Registry, dit: &Arc<ldap::Dit>) 
     let comp = registry.component("dit");
     // Weak: the registry outlives a shut-down deployment in its server.
     let dit = Arc::downgrade(dit);
-    let last: Arc<parking_lot::Mutex<Option<(u64, ldap::Footprint)>>> = Arc::default();
+    let last: Arc<std::sync::Mutex<Option<(u64, ldap::Footprint)>>> = Arc::default();
     let read = move || -> ldap::Footprint {
         let Some(dit) = dit.upgrade() else {
             return ldap::Footprint::default();
         };
         let seq = dit.seq();
-        let mut last = last.lock();
+        let mut last = crate::unpoison(last.lock());
         match *last {
             Some((at, fp)) if at == seq => fp,
             _ => {

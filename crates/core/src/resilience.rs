@@ -27,14 +27,16 @@ use crate::errorlog::ErrorLog;
 use crate::filter::DeviceFilter;
 use crate::obs::Counter;
 use crate::um::UmStats;
+use crate::unpoison;
 use ldap::dn::Dn;
 use ldap::Directory;
 use lexpress::TargetOp;
-use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::hash::BuildHasher;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Bounded retry with exponential backoff and jitter, applied to transient
@@ -268,7 +270,7 @@ impl DeviceRuntime {
 
     /// The device's current mark, for a checkpoint to re-log.
     pub(crate) fn mark(&self) -> StaleMark {
-        self.inner.lock().mark
+        unpoison(self.inner.lock()).mark
     }
 
     /// Take back the mark recovery found. A stale device missed updates
@@ -276,7 +278,7 @@ impl DeviceRuntime {
     /// restarts `Offline` with the journal overflowed: the recovery monitor
     /// or [`crate::MetaComm::probe_device`] resyncs it from the directory.
     pub(crate) fn restore_mark(&self, mark: StaleMark) {
-        let mut g = self.inner.lock();
+        let mut g = unpoison(self.inner.lock());
         g.mark = mark;
         if mark.stale {
             g.state = HealthState::Offline;
@@ -301,7 +303,7 @@ impl DeviceRuntime {
     }
 
     pub(crate) fn health(&self) -> DeviceHealth {
-        let g = self.inner.lock();
+        let g = unpoison(self.inner.lock());
         DeviceHealth {
             device: self.name.clone(),
             state: g.state,
@@ -317,7 +319,7 @@ impl DeviceRuntime {
     /// True while the breaker is open — and also while queued ops exist or
     /// a drain is running, so reapplication stays FIFO with live traffic.
     pub(crate) fn should_journal(&self) -> bool {
-        let g = self.inner.lock();
+        let g = unpoison(self.inner.lock());
         g.state == HealthState::Offline || !g.journal.is_empty() || g.draining
     }
 
@@ -326,7 +328,7 @@ impl DeviceRuntime {
     /// surrounding client update later aborts. `None` when the journal has
     /// overflowed (the op is dropped and counted; full resync recovers it).
     pub(crate) fn journal(&self, op: TargetOp, dn: Option<Dn>) -> Option<u64> {
-        let mut g = self.inner.lock();
+        let mut g = unpoison(self.inner.lock());
         self.set_stale(&mut g, true);
         if g.overflowed {
             g.dropped_ops += 1;
@@ -361,7 +363,7 @@ impl DeviceRuntime {
     /// never saw the update either, so reapplying them would diverge).
     pub(crate) fn discard_tickets(&self, tickets: &[u64]) {
         if !tickets.is_empty() {
-            let mut g = self.inner.lock();
+            let mut g = unpoison(self.inner.lock());
             g.journal.retain(|j| !tickets.contains(&j.ticket));
         }
     }
@@ -370,7 +372,7 @@ impl DeviceRuntime {
     /// alerts on each state transition (§4.4).
     pub(crate) fn record_failure(&self, seq: u64, error: &crate::error::MetaError) {
         let transition = {
-            let mut g = self.inner.lock();
+            let mut g = unpoison(self.inner.lock());
             g.consecutive_failures += 1;
             g.last_error = Some(error.to_string());
             let next = if g.consecutive_failures >= self.policy.offline_after {
@@ -414,7 +416,7 @@ impl DeviceRuntime {
     /// if the device was not `Up`).
     pub(crate) fn record_success(&self) {
         let recovered = {
-            let mut g = self.inner.lock();
+            let mut g = unpoison(self.inner.lock());
             g.consecutive_failures = 0;
             g.last_error = None;
             if g.state != HealthState::Up && g.journal.is_empty() && !g.draining {
@@ -489,7 +491,7 @@ pub(crate) fn attempt_recovery(
     // signal that keeps the coordinator journaling new ops behind the
     // backlog while the drain runs.
     let (overflowed, queued) = {
-        let mut g = runtime.inner.lock();
+        let mut g = unpoison(runtime.inner.lock());
         if g.draining {
             return Ok(RecoveryOutcome::StillDown);
         }
@@ -501,7 +503,7 @@ pub(crate) fn attempt_recovery(
         (g.overflowed, g.journal.len())
     };
     if let Err(e) = filter.probe() {
-        let mut g = runtime.inner.lock();
+        let mut g = unpoison(runtime.inner.lock());
         g.draining = false;
         g.last_error = Some(e.to_string());
         return Ok(RecoveryOutcome::StillDown);
@@ -534,7 +536,7 @@ pub(crate) fn attempt_recovery(
         ) {
             Ok(r) => r,
             Err(e) => {
-                let mut g = runtime.inner.lock();
+                let mut g = unpoison(runtime.inner.lock());
                 g.draining = false;
                 g.last_error = Some(e.to_string());
                 return Err(e);
@@ -542,7 +544,7 @@ pub(crate) fn attempt_recovery(
         };
         runtime.obs.resyncs.inc();
         {
-            let mut g = runtime.inner.lock();
+            let mut g = unpoison(runtime.inner.lock());
             g.journal.clear();
             g.overflowed = false;
             g.dropped_ops = 0;
@@ -570,7 +572,7 @@ pub(crate) fn attempt_recovery(
     let mut reapplied = 0usize;
     loop {
         let next = {
-            let mut g = runtime.inner.lock();
+            let mut g = unpoison(runtime.inner.lock());
             let next = g.journal.pop_front();
             if next.is_none() {
                 // Transition, flag-clear and clean record under the same
@@ -612,7 +614,7 @@ pub(crate) fn attempt_recovery(
                 // Mid-drain relapse: requeue at the front and go back
                 // offline; the next probe retries from here.
                 {
-                    let mut g = runtime.inner.lock();
+                    let mut g = unpoison(runtime.inner.lock());
                     g.journal.push_front(j);
                     g.draining = false;
                     g.consecutive_failures += 1;
@@ -680,48 +682,34 @@ fn fold_generated(ctx: &RecoveryCtx, dn: &Option<Dn>, gen: &lexpress::Image) {
     }
 }
 
-/// Long-lived threads of one kind — the recovery monitor, the DDU relays —
-/// and the channel that stops them.
+/// A deployment's long-lived threads — the recovery monitor, the DDU
+/// relays — each with the sending half of its own shutdown channel. Nothing
+/// is ever sent: dropping the sender hangs the channel up, and that is the
+/// stop signal.
+#[derive(Default)]
 pub(crate) struct Background {
-    pub shutdown: crossbeam::channel::Sender<()>,
-    pub threads: Vec<std::thread::JoinHandle<()>>,
+    hang_ups: Vec<Sender<()>>,
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl Background {
-    /// Hang up the shutdown channel — every thread's wait ends on that,
-    /// whether or not anything else ever wakes it — and join them all.
-    pub(crate) fn stop(self) {
-        drop(self.shutdown);
-        for t in self.threads {
+    /// Start thread `name` running `body`, which must return once the
+    /// receiver it is handed reports the channel hung up.
+    pub(crate) fn spawn(&mut self, name: String, body: impl FnOnce(Receiver<()>) + Send + 'static) {
+        let (hang_up, stopped) = channel();
+        let builder = std::thread::Builder::new().name(name);
+        let thread = builder.spawn(move || body(stopped)).expect("spawn thread");
+        self.threads.push(thread);
+        self.hang_ups.push(hang_up);
+    }
+
+    /// Hang up every thread's channel — each thread's wait ends on that,
+    /// whether or not anything else ever wakes it — then join them all.
+    pub(crate) fn stop(&mut self) {
+        self.hang_ups.clear();
+        for t in self.threads.drain(..) {
             let _ = t.join();
         }
-    }
-}
-
-/// Spawn the recovery monitor: every probe interval, attempt recovery of
-/// any device that is not `Up` (or has a backlog).
-pub(crate) fn spawn_monitor(
-    ctx: RecoveryCtx,
-    devices: Arc<[Device]>,
-    interval: Duration,
-) -> Background {
-    let (shutdown, rx) = crossbeam::channel::unbounded::<()>();
-    let thread = std::thread::Builder::new()
-        .name("device-recovery-monitor".into())
-        .spawn(move || loop {
-            match rx.recv_timeout(interval) {
-                Ok(()) | Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                    for device in devices.iter() {
-                        let _ = attempt_recovery(&ctx, device);
-                    }
-                }
-            }
-        })
-        .expect("spawn recovery monitor");
-    Background {
-        shutdown,
-        threads: vec![thread],
     }
 }
 

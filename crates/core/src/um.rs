@@ -36,7 +36,7 @@ use crate::image::{aux_classes, diff_mods_full, entry_to_image, image_to_entry};
 use crate::obs::{Counter, DeviceObs, Registry};
 use crate::resilience::{apply_with_retry, Device, DeviceRuntime, RetryPolicy};
 use crate::schema::LAST_UPDATER;
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crate::unpoison;
 use ldap::dn::Dn;
 use ldap::entry::{Entry, Modification};
 use ldap::{Directory, LdapError, ResultCode};
@@ -44,7 +44,8 @@ use lexpress::{Closure, Engine, Image, OpKind, TargetOp, UpdateDescriptor};
 use ltap::{Disposition, LtapOp, TriggerContext, TriggerHandler};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -180,7 +181,7 @@ pub(crate) struct Shared {
     /// operations when a later one fails.
     pub saga: bool,
     /// Bounded ring of recent update traces.
-    pub traces: Arc<parking_lot::Mutex<std::collections::VecDeque<UpdateTrace>>>,
+    pub traces: Arc<Mutex<std::collections::VecDeque<UpdateTrace>>>,
     /// Retry policy for transient device faults.
     pub retry: RetryPolicy,
     /// Global update sequence counter, shared with the DDU relays so
@@ -229,7 +230,7 @@ fn route_key(op: &LtapOp) -> String {
 /// The running Update Manager: a key-ordered executor over N workers.
 pub(crate) struct UpdateManager {
     txs: Vec<Sender<Request>>,
-    traces: Arc<parking_lot::Mutex<std::collections::VecDeque<UpdateTrace>>>,
+    traces: Arc<Mutex<std::collections::VecDeque<UpdateTrace>>>,
     /// The deployment clock, for stamping enqueue times in the handler.
     clock: Arc<dyn crate::obs::Clock>,
     workers: Vec<JoinHandle<()>>,
@@ -248,7 +249,7 @@ impl UpdateManager {
         let mut txs = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         for i in 0..workers {
-            let (tx, rx): (Sender<Request>, Receiver<Request>) = unbounded();
+            let (tx, rx): (Sender<Request>, Receiver<Request>) = channel();
             let sh = Arc::clone(&shared);
             let h = std::thread::Builder::new()
                 .name(format!("um-worker-{i}"))
@@ -273,7 +274,7 @@ impl UpdateManager {
 
     /// Most recent update traces, oldest first.
     pub(crate) fn recent_traces(&self) -> Vec<UpdateTrace> {
-        self.traces.lock().iter().cloned().collect()
+        unpoison(self.traces.lock()).iter().cloned().collect()
     }
 
     /// The LTAP trigger handler funneling trapped operations into the
@@ -289,7 +290,7 @@ impl UpdateManager {
                     "update manager is shut down",
                 ));
             }
-            let (rtx, rrx) = bounded(1);
+            let (rtx, rrx) = channel();
             let shard = route_shard(&route_key(ctx.op), txs.len());
             let req = Request::Process {
                 op: ctx.op.clone(),
@@ -341,36 +342,27 @@ impl Drop for UpdateManager {
 
 fn worker_loop(rx: Receiver<Request>, shared: Arc<Shared>) {
     let seq = shared.seq.clone();
-    while let Ok(req) = rx.recv() {
-        match req {
-            Request::Shutdown => {
-                // Drain requests that were already in this shard's queue (or
-                // racing the shutdown send): their triggers are blocked in
-                // `rrx.recv()` and must get replies, not a hangup.
-                while let Ok(req) = rx.recv_timeout(Duration::from_millis(10)) {
-                    match req {
-                        Request::Shutdown => continue,
-                        Request::Process {
-                            op,
-                            pre,
-                            origin,
-                            enqueued_ns,
-                            reply,
-                        } => {
-                            let result = process(&shared, &seq, op, pre, origin, enqueued_ns);
-                            let _ = reply.send(result.map_err(crate::error::MetaError::into_ldap));
-                        }
-                    }
-                }
-                break;
-            }
-            Request::Process {
+    // After the Shutdown request, requests already in this shard's queue (or
+    // racing the shutdown send) are still served: their triggers are blocked
+    // in `rrx.recv()` and must get replies, not a hangup. The worker leaves
+    // once the queue has stayed empty for 10 ms.
+    let mut closing = false;
+    loop {
+        let next = if closing {
+            rx.recv_timeout(Duration::from_millis(10)).ok()
+        } else {
+            rx.recv().ok()
+        };
+        match next {
+            None => return,
+            Some(Request::Shutdown) => closing = true,
+            Some(Request::Process {
                 op,
                 pre,
                 origin,
                 enqueued_ns,
                 reply,
-            } => {
+            }) => {
                 let result = process(&shared, &seq, op, pre, origin, enqueued_ns);
                 let _ = reply.send(result.map_err(crate::error::MetaError::into_ldap));
             }
@@ -549,7 +541,7 @@ fn process(
 /// before this call; the mutex covers only an O(1) evict and a push, so
 /// trace retention never serializes the workers' hot path.
 fn push_trace(shared: &Shared, trace: UpdateTrace) {
-    let mut ring = shared.traces.lock();
+    let mut ring = unpoison(shared.traces.lock());
     if ring.len() >= TRACE_CAPACITY {
         ring.pop_front();
     }

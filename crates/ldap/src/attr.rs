@@ -16,9 +16,10 @@
 //! sockets, so both are capped by count *and* by size: `POOL_CAP` members,
 //! none longer than `POOLED_LEN_MAX` bytes (still correct, just not shared).
 
+use crate::unpoison;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::{Arc, LazyLock};
+use std::sync::{Arc, LazyLock, RwLock};
 
 /// Case-insensitive attribute name: one pointer to a shared block that
 /// keeps the display form as written and, only when it differs, the
@@ -105,7 +106,7 @@ const POOLED_LIST_MAX: usize = 16;
 /// Read-mostly and never freed: every DN parse looks its attribute types
 /// up in the one and every entry stored looks its class list up in the
 /// other, from every wire and restore worker at once.
-type Pool<K, V> = LazyLock<parking_lot::RwLock<HashMap<Box<K>, V>>>;
+type Pool<K, V> = LazyLock<RwLock<HashMap<Box<K>, V>>>;
 
 /// Display form to the one block for it.
 static NAME_POOL: Pool<str, AttrName> = LazyLock::new(Default::default);
@@ -120,10 +121,10 @@ where
     K: ?Sized + std::hash::Hash + Eq,
     Box<K>: for<'a> From<&'a K>,
 {
-    if let Some(found) = pool.read().get(key) {
+    if let Some(found) = unpoison(pool.read()).get(key) {
         return Some(found.clone());
     }
-    let mut pool = pool.write();
+    let mut pool = unpoison(pool.write());
     if pool.len() >= POOL_CAP && !pool.contains_key(key) {
         return None;
     }

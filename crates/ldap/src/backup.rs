@@ -25,11 +25,11 @@ use crate::dit::{ChangeRecord, Dit};
 use crate::entry::Entry;
 use crate::error::{LdapError, Result, ResultCode};
 use crate::ldif;
+use crate::unpoison;
 use crate::wal::{Crc32, Wal};
-use parking_lot::Mutex;
 use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Snapshot header comment carrying the commit sequence of the export.
 const SEQ_PREFIX: &str = "# seq: ";
@@ -249,7 +249,7 @@ fn load_snapshot_stream(dit: &Dit, path: &Path) -> Result<(usize, u64)> {
             let batch_rx = batch_rx.clone();
             let parsed_tx = parsed_tx.clone();
             sc.spawn(move || loop {
-                let msg = batch_rx.lock().recv();
+                let msg = unpoison(batch_rx.lock()).recv();
                 let Ok((idx, blocks)) = msg else { break };
                 let parsed = blocks.iter().try_fold(Vec::<Entry>::new(), |mut acc, b| {
                     // A change record in a snapshot is corruption.
@@ -735,7 +735,7 @@ mod tests {
             dit.observe(move |rec| {
                 let payload = wal_payload(rec);
                 let (seq, text) = decode_wal_payload(&payload).unwrap();
-                c.lock().push((seq, text.to_string()));
+                c.lock().unwrap().push((seq, text.to_string()));
             });
         }
         let john = Dn::parse("cn=John Doe,o=Marketing,o=Lucent").unwrap();
@@ -745,7 +745,7 @@ mod tests {
             .unwrap(); // seq 11
         dit.modify(&john, &[Modification::set("roomNumber", "3")])
             .unwrap(); // seq 12
-        records.extend(capture.lock().iter().cloned());
+        records.extend(capture.lock().unwrap().iter().cloned());
         // Simulate a torn frame for seq 11: drop it (later records survive
         // in the file but are not part of the committed prefix).
         records.retain(|(seq, _)| *seq != 11);
@@ -821,7 +821,7 @@ mod tests {
             dit.observe(move |rec| {
                 let payload = wal_payload(rec);
                 let (seq, text) = decode_wal_payload(&payload).unwrap();
-                tail.lock().push((seq, text.to_string()));
+                tail.lock().unwrap().push((seq, text.to_string()));
             });
         }
         let john = Dn::parse("cn=John Doe,o=Marketing,o=Lucent").unwrap();
@@ -848,7 +848,7 @@ mod tests {
         assert_eq!(n, 9);
         // The entries counted while loading the torn generation are gone
         // from the commit counter: it ends at the last replayed commit.
-        let replay = apply_wal_records(&recovered, tail.lock().clone(), snap_seq).unwrap();
+        let replay = apply_wal_records(&recovered, tail.lock().unwrap().clone(), snap_seq).unwrap();
         assert_eq!(replay.applied, 1 + 3 * PARSE_BATCH_BLOCKS);
         assert_eq!(recovered.seq(), snap_seq + replay.applied as u64);
         assert_eq!(recovered.seq(), dit.seq());

@@ -8,9 +8,10 @@ use crate::entry::{Entry, Modification};
 use crate::error::{LdapError, Result, ResultCode};
 use crate::filter::Filter;
 use crate::proto::{entry_from_wire, entry_to_wire, FrameReader, LdapMessage, ProtocolOp};
-use parking_lot::Mutex;
+use crate::unpoison;
 use std::io::Write;
 use std::net::TcpStream;
+use std::sync::Mutex;
 
 /// A connected LDAP client. All operations are synchronous; the connection
 /// is serialized with an internal lock so a `TcpDirectory` can be shared
@@ -104,7 +105,7 @@ impl TcpDirectory {
 
     /// Send a request and read exactly one response message.
     fn call(&self, op: ProtocolOp) -> Result<ProtocolOp> {
-        let mut conn = self.conn.lock();
+        let mut conn = unpoison(self.conn.lock());
         let id = conn.next_id;
         conn.next_id += 1;
         conn.send(&LdapMessage { id, op })?;
@@ -129,7 +130,7 @@ impl TcpDirectory {
 
     /// Politely close the connection.
     pub fn unbind(&self) {
-        let mut conn = self.conn.lock();
+        let mut conn = unpoison(self.conn.lock());
         let id = conn.next_id;
         let _ = conn.send(&LdapMessage {
             id,
@@ -194,7 +195,7 @@ impl Directory for TcpDirectory {
         size_limit: usize,
         visit: &mut dyn FnMut(&Entry),
     ) -> Result<(usize, bool)> {
-        let mut conn = self.conn.lock();
+        let mut conn = unpoison(self.conn.lock());
         let id = conn.next_id;
         conn.next_id += 1;
         conn.send(&LdapMessage {

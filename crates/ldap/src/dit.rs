@@ -45,13 +45,13 @@ use crate::entry::{Entry, Modification};
 use crate::error::{LdapError, Result, ResultCode};
 use crate::filter::Filter;
 use crate::schema::{Schema, SchemaRef};
-use parking_lot::RwLock;
+use crate::unpoison;
 use std::cmp;
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 /// Search scopes (RFC 2251 §4.5.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -988,7 +988,7 @@ impl Dit {
     /// The attributes carrying an equality index, normalized and sorted.
     #[cfg(test)]
     fn indexed_attrs(&self) -> Vec<String> {
-        let mut attrs: Vec<String> = (self.store.read().tree.index.postings.keys())
+        let mut attrs: Vec<String> = (unpoison(self.store.read()).tree.index.postings.keys())
             .cloned()
             .collect();
         attrs.sort();
@@ -1008,13 +1008,13 @@ impl Dit {
     /// store under the read lock, linear in the number of entries — for a
     /// monitor read or a rig's report, not for a request path.
     pub fn footprint(&self) -> Footprint {
-        self.store.read().tree.footprint()
+        unpoison(self.store.read()).tree.footprint()
     }
 
     /// Register a commit observer (the write-ahead log, tests).
     /// Observers run synchronously inside the commit, in registration order.
     pub fn observe(&self, f: impl Fn(&ChangeRecord) + Send + Sync + 'static) {
-        self.observers.write().push(Box::new(f));
+        unpoison(self.observers.write()).push(Box::new(f));
     }
 
     /// The record of a write about to be made to `dn`, or `None` when no
@@ -1024,7 +1024,7 @@ impl Dit {
     /// while that write is under way first sees the commit after it. The
     /// commit sequence is [`Dit::emit`]'s to fill in.
     fn record(&self, dn: &Dn, op: impl FnOnce() -> ChangeOp) -> Option<ChangeRecord> {
-        let observed = !self.observers.read().is_empty();
+        let observed = !unpoison(self.observers.read()).is_empty();
         observed.then(|| ChangeRecord {
             seq: 0,
             dn: dn.clone(),
@@ -1035,14 +1035,14 @@ impl Dit {
     fn emit(&self, rec: Option<ChangeRecord>, seq: u64) {
         let Some(mut rec) = rec else { return };
         rec.seq = seq;
-        for obs in self.observers.read().iter() {
+        for obs in unpoison(self.observers.read()).iter() {
             obs(&rec);
         }
     }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.store.read().tree.len()
+        unpoison(self.store.read()).tree.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -1051,7 +1051,7 @@ impl Dit {
 
     /// Commit sequence of the most recent update.
     pub fn seq(&self) -> u64 {
-        self.store.read().seq
+        unpoison(self.store.read()).seq
     }
 
     /// Fast-forward the commit sequence (recovery: replaying a snapshot and
@@ -1059,17 +1059,17 @@ impl Dit {
     /// must be restored to the pre-crash value before new commits continue
     /// the original numbering). Only ever moves forward.
     pub fn set_seq(&self, seq: u64) {
-        let mut s = self.store.write();
+        let mut s = unpoison(self.store.write());
         s.seq = s.seq.max(seq);
     }
 
     /// Fetch a copy of one entry.
     pub fn get(&self, dn: &Dn) -> Option<Entry> {
-        self.store.read().tree.get_entry(dn).cloned()
+        unpoison(self.store.read()).tree.get_entry(dn).cloned()
     }
 
     pub fn exists(&self, dn: &Dn) -> bool {
-        self.store.read().tree.find(dn.rdns()).is_some()
+        unpoison(self.store.read()).tree.find(dn.rdns()).is_some()
     }
 
     /// Enter bulk-load mode (nestable). Inserts stop maintaining the
@@ -1078,13 +1078,13 @@ impl Dit {
     /// without a million incremental index updates. While active, searches
     /// fall back to (unordered) scans.
     pub fn begin_bulk(&self) {
-        self.store.write().tree.bulk += 1;
+        unpoison(self.store.write()).tree.bulk += 1;
     }
 
     /// Leave bulk-load mode; the outermost call sorts sibling lists and
     /// rebuilds the equality index.
     pub fn finish_bulk(&self) {
-        let cs = &mut self.store.write().tree;
+        let cs = &mut unpoison(self.store.write()).tree;
         cs.bulk = cs.bulk.saturating_sub(1);
         if cs.bulk == 0 {
             cs.finish_bulk_build();
@@ -1120,7 +1120,7 @@ impl Dit {
             true => self.record(entry.dn(), || ChangeOp::Add(entry.clone())),
             false => None,
         };
-        let mut guard = self.store.write();
+        let mut guard = unpoison(self.store.write());
         let s = &mut *guard;
         let rdns = entry.dn().rdns();
         let hash = s.tree.hashes.dn(rdns);
@@ -1144,7 +1144,7 @@ impl Dit {
     /// Delete a leaf entry.
     pub fn delete(&self, dn: &Dn) -> Result<()> {
         let rec = self.record(dn, || ChangeOp::Delete);
-        let mut guard = self.store.write();
+        let mut guard = unpoison(self.store.write());
         let s = &mut *guard;
         let hash = s.tree.hashes.dn(dn.rdns());
         let id =
@@ -1167,7 +1167,7 @@ impl Dit {
     /// attribute values cannot be removed (use [`Dit::modify_rdn`]).
     pub fn modify(&self, dn: &Dn, mods: &[Modification]) -> Result<()> {
         let rec = self.record(dn, || ChangeOp::Modify(mods.to_vec()));
-        let mut guard = self.store.write();
+        let mut guard = unpoison(self.store.write());
         let s = &mut *guard;
         let id = (s.tree.find(dn.rdns())).ok_or_else(|| LdapError::no_such_object(dn))?;
         // A private copy, dropped on any error below: applied in place.
@@ -1220,7 +1220,7 @@ impl Dit {
             delete_old,
             new_superior: new_superior.cloned(),
         });
-        let mut guard = self.store.write();
+        let mut guard = unpoison(self.store.write());
         let s = &mut *guard;
         let hash = s.tree.hashes.dn(dn.rdns());
         let id =
@@ -1266,7 +1266,7 @@ impl Dit {
 
     /// Compare one attribute value (RFC 2251 Compare).
     pub(crate) fn compare(&self, dn: &Dn, attr: &str, value: &str) -> Result<bool> {
-        let s = self.store.read();
+        let s = unpoison(self.store.read());
         let entry = (s.tree.get_entry(dn)).ok_or_else(|| LdapError::no_such_object(dn))?;
         Ok(entry.has_value(attr, value))
     }
@@ -1348,7 +1348,7 @@ impl Dit {
         size_limit: usize,
         emit: &mut dyn FnMut(&Entry),
     ) -> Result<(usize, bool)> {
-        let guard = self.store.read();
+        let guard = unpoison(self.store.read());
         let s = &*guard;
         // `None` is the virtual root above every suffix.
         let base_id = match base.is_root() {
@@ -1429,7 +1429,7 @@ impl Dit {
         header: &mut dyn FnMut(u64) -> Result<()>,
         each: &mut dyn FnMut(&Entry) -> Result<()>,
     ) -> Result<()> {
-        let guard = self.store.read();
+        let guard = unpoison(self.store.read());
         let s = &*guard;
         header(s.seq)?;
         for id in s.tree.parents_first(None) {
@@ -1443,7 +1443,7 @@ impl Dit {
     /// while loading it into the sequence of the generation it falls back
     /// to.
     pub(crate) fn clear(&self) {
-        let mut s = self.store.write();
+        let mut s = unpoison(self.store.write());
         s.seq = 0;
         let cs = &mut s.tree;
         cs.dns.clear();
@@ -1779,11 +1779,11 @@ mod tests {
     #[test]
     fn observers_see_commits_in_order() {
         let dit = Dit::new();
-        let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
         let seen2 = seen.clone();
-        dit.observe(move |rec| seen2.lock().push(rec.seq));
+        dit.observe(move |rec| seen2.lock().unwrap().push(rec.seq));
         figure2_tree(&dit).unwrap();
-        let v = seen.lock();
+        let v = seen.lock().unwrap();
         assert_eq!(v.len(), 9);
         assert!(v.windows(2).all(|w| w[0] < w[1]));
     }
@@ -1796,9 +1796,9 @@ mod tests {
             .unwrap();
         let unobserved = dit.seq();
         assert_eq!(unobserved, 10, "nine adds and a modify nobody watched");
-        let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
         let seen2 = seen.clone();
-        dit.observe(move |rec| seen2.lock().push(rec.clone()));
+        dit.observe(move |rec| seen2.lock().unwrap().push(rec.clone()));
         // What was skipped is the record, never the sequence number.
         let jane = Entry::with_attrs(
             Dn::parse("cn=Jane Roe,o=Marketing,o=Lucent").unwrap(),
@@ -1813,7 +1813,7 @@ mod tests {
         dit.modify_rdn(&john, &Rdn::new("cn", "Jack Doe"), true, None)
             .unwrap();
         dit.delete(jane.dn()).unwrap();
-        let seen = seen.lock();
+        let seen = seen.lock().unwrap();
         let seqs: Vec<u64> = seen.iter().map(|rec| rec.seq).collect();
         assert_eq!(seqs, [11, 12, 13, 14]);
         assert_eq!(seen[0].dn, *jane.dn());
@@ -1831,9 +1831,9 @@ mod tests {
     #[test]
     fn modify_that_fails_midway_leaves_the_entry_untouched() {
         let dit = tree();
-        let seen = Arc::new(parking_lot::Mutex::new(0usize));
+        let seen = Arc::new(std::sync::Mutex::new(0usize));
         let seen2 = seen.clone();
-        dit.observe(move |_| *seen2.lock() += 1);
+        dit.observe(move |_| *seen2.lock().unwrap() += 1);
         let john = Dn::parse("cn=John Doe,o=Marketing,o=Lucent").unwrap();
         dit.modify(&john, &[Modification::set("telephoneNumber", "9000")])
             .unwrap();
@@ -1851,7 +1851,7 @@ mod tests {
         assert_eq!(err.code, ResultCode::NoSuchAttribute);
         assert_eq!(dit.get(&john).unwrap(), before);
         assert_eq!((dit.seq(), dit.footprint()), (seq, fp));
-        assert_eq!(*seen.lock(), 1, "no record for the refused modify");
+        assert_eq!(*seen.lock().unwrap(), 1, "no record for the refused modify");
         let by_phone = |number: &str| {
             let f = Filter::eq("telephoneNumber", number);
             dit.search(&Dn::root(), Scope::Sub, &f, &[], 0).unwrap()
@@ -2109,16 +2109,16 @@ mod tests {
     #[test]
     fn bulk_add_skips_observers_but_counts_seq() {
         let dit = Dit::new();
-        let seen = Arc::new(parking_lot::Mutex::new(0usize));
+        let seen = Arc::new(std::sync::Mutex::new(0usize));
         let seen2 = seen.clone();
-        dit.observe(move |_| *seen2.lock() += 1);
+        dit.observe(move |_| *seen2.lock().unwrap() += 1);
         dit.begin_bulk();
         let mut e = Entry::new(Dn::parse("o=Lucent").unwrap());
         e.add_value("objectClass", "organization");
         e.add_value("o", "Lucent");
         dit.bulk_add(e, true).unwrap();
         dit.finish_bulk();
-        assert_eq!(*seen.lock(), 0);
+        assert_eq!(*seen.lock().unwrap(), 0);
         assert_eq!(dit.seq(), 1);
         assert_eq!(dit.len(), 1);
     }

@@ -57,13 +57,13 @@
 use crate::directory::Directory;
 use crate::proto::{FrameReader, LdapMessage, ProtocolOp};
 use crate::server::{disconnect_notice_bytes, respond, ServerMetrics};
-use parking_lot::{Condvar, Mutex};
+use crate::unpoison;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -331,14 +331,14 @@ impl Cpu {
 
     /// Take ownership of a pool thread running [`Cpu::work`].
     pub(crate) fn adopt(&self, worker: JoinHandle<()>) {
-        self.workers.lock().push(worker);
+        unpoison(self.workers.lock()).push(worker);
     }
 
     /// A pool thread's body: serve jobs until the stage stops.
     pub(crate) fn work(&self) {
         while let Some(job) = self.pop() {
             let bytes = respond(job.id, job.op, &self.dir, &self.metrics);
-            self.done.lock().push(Completion {
+            unpoison(self.done.lock()).push(Completion {
                 conn: job.conn,
                 seq: job.seq,
                 bytes,
@@ -350,31 +350,23 @@ impl Cpu {
     /// Close the job queue and join the pool. Called once the loop has
     /// exited, or by `ServerBuilder::start` when it cannot finish.
     pub(crate) fn stop(&self) {
-        self.jobs.lock().closed = true;
+        unpoison(self.jobs.lock()).closed = true;
         self.available.notify_all();
-        let workers = std::mem::take(&mut *self.workers.lock());
+        let workers = std::mem::take(&mut *unpoison(self.workers.lock()));
         for w in workers {
             let _ = w.join();
         }
     }
 
     fn push(&self, job: Job) {
-        let mut q = self.jobs.lock();
-        q.jobs.push_back(job);
+        unpoison(self.jobs.lock()).jobs.push_back(job);
         self.available.notify_one();
     }
 
     fn pop(&self) -> Option<Job> {
-        let mut q = self.jobs.lock();
-        loop {
-            if let Some(j) = q.jobs.pop_front() {
-                return Some(j);
-            }
-            if q.closed {
-                return None;
-            }
-            self.available.wait(&mut q);
-        }
+        let idle = |q: &mut JobQueue| q.jobs.is_empty() && !q.closed;
+        let mut q = unpoison(self.available.wait_while(unpoison(self.jobs.lock()), idle));
+        q.jobs.pop_front()
     }
 }
 
@@ -471,7 +463,7 @@ pub(crate) fn serve_event_loop(
     idle_timeout: Option<Duration>,
     stop: Arc<AtomicBool>,
 ) {
-    let inline = cpu.workers.lock().is_empty();
+    let inline = unpoison(cpu.workers.lock()).is_empty();
     let mut lp = Loop {
         epoll,
         listener,
@@ -755,7 +747,7 @@ impl Loop {
     /// new completions appear (inline resumes can produce more).
     fn pump_completions(&mut self) {
         loop {
-            let batch: Vec<Completion> = std::mem::take(&mut *self.cpu.done.lock());
+            let batch: Vec<Completion> = std::mem::take(&mut *unpoison(self.cpu.done.lock()));
             if batch.is_empty() {
                 return;
             }

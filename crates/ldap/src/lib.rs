@@ -50,3 +50,25 @@ pub use error::{LdapError, Result, ResultCode};
 pub use filter::Filter;
 pub use schema::{AttributeType, ClassKind, ObjectClass, Schema, Syntax};
 pub use wal::{FsyncPolicy, Wal};
+
+/// The guard a `std::sync` lock or condvar wait hands back, poisoned or not:
+/// a thread that panicked while holding the lock left the data as it stood,
+/// and the next holder takes it as it is rather than panic in turn.
+fn unpoison<G>(result: std::sync::LockResult<G>) -> G {
+    result.unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+#[test]
+fn a_lock_whose_holder_panicked_is_taken_with_its_value() {
+    let held = std::sync::Mutex::new(1);
+    let holder = std::thread::scope(|s| {
+        let panics = || {
+            let mut guard = unpoison(held.lock());
+            *guard = 2;
+            panic!("panics while holding the lock");
+        };
+        s.spawn(panics).join()
+    });
+    assert!(holder.is_err() && held.is_poisoned());
+    assert_eq!(*unpoison(held.lock()), 2);
+}

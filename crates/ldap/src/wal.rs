@@ -30,13 +30,13 @@
 //! classical group-commit protocol.
 
 use crate::error::Result;
+use crate::unpoison;
 use obs::{Component, Counter};
-use parking_lot::{Condvar, Mutex};
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 
 /// Frames longer than this are treated as corruption at replay.
 const MAX_FRAME: u32 = 64 * 1024 * 1024;
@@ -178,13 +178,13 @@ impl Wal {
     /// Bytes appended since open (close to the file size; exposed as a
     /// gauge).
     pub fn len_bytes(&self) -> u64 {
-        self.file.lock().written
+        unpoison(self.file.lock()).written
     }
 
     /// Install the write-failure sink (§4.4 log-and-alert). At most one;
     /// later calls replace it.
     pub fn set_error_sink(&self, f: impl Fn(&str) + Send + Sync + 'static) {
-        *self.on_error.lock() = Some(Box::new(f));
+        *unpoison(self.on_error.lock()) = Some(Box::new(f));
     }
 
     /// Count a write failure and alert through the sink. Never called with
@@ -202,7 +202,7 @@ impl Wal {
         if IN_SINK.with(|f| f.replace(true)) {
             return;
         }
-        if let Some(sink) = self.on_error.lock().as_ref() {
+        if let Some(sink) = unpoison(self.on_error.lock()).as_ref() {
             sink(&format!(
                 "wal {what} failed on {}: {e}",
                 self.path.display()
@@ -243,7 +243,7 @@ impl Wal {
         // error sink may append to this WAL from the same thread (see
         // `report_error`), and the lock is not re-entrant.
         let outcome: std::result::Result<u64, (&'static str, std::io::Error)> = {
-            let mut g = self.file.lock();
+            let mut g = unpoison(self.file.lock());
             match g.f.write_all(&frame) {
                 Err(e) => Err(("append", e)),
                 Ok(()) => {
@@ -284,14 +284,13 @@ impl Wal {
     /// Block until the log is durable at least through `target` (group
     /// commit: the first waiter with no sync in flight leads).
     fn ensure_durable(&self, target: u64) -> Result<()> {
-        let mut st = self.sync.lock();
+        // A follower waits out the sync in flight, which may cover it.
+        let following = |st: &mut SyncState| st.in_flight && st.durable < target;
+        let mut st = unpoison(self.sync.lock());
         loop {
+            st = unpoison(self.sync_cv.wait_while(st, following));
             if st.durable >= target {
                 return Ok(());
-            }
-            if st.in_flight {
-                self.sync_cv.wait(&mut st);
-                continue;
             }
             st.in_flight = true;
             drop(st);
@@ -304,9 +303,9 @@ impl Wal {
             // Everything written before this read is in the page cache, so
             // one sync covers the whole batch — including followers that
             // appended while the previous leader was syncing.
-            let upto = self.file.lock().written;
+            let upto = unpoison(self.file.lock()).written;
             let res = self.sync_file.sync_data();
-            st = self.sync.lock();
+            st = unpoison(self.sync.lock());
             st.in_flight = false;
             match res {
                 Ok(()) => {
@@ -327,7 +326,7 @@ impl Wal {
     /// Force everything appended so far to stable storage (used at
     /// checkpoint boundaries regardless of policy).
     pub fn sync(&self) -> Result<()> {
-        let upto = self.file.lock().written;
+        let upto = unpoison(self.file.lock()).written;
         match self.policy {
             FsyncPolicy::Group => self.ensure_durable(upto),
             _ => {

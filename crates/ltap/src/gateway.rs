@@ -17,6 +17,7 @@ use crate::lock::LockManager;
 use crate::quiesce::QuiesceGate;
 use crate::session::SyncSession;
 use crate::trigger::{Disposition, LtapOp, Timing, TriggerContext, TriggerHandler, TriggerSpec};
+use crate::unpoison;
 use ldap::dit::Scope;
 use ldap::dn::{Dn, Rdn};
 use ldap::entry::{Entry, Modification};
@@ -24,9 +25,8 @@ use ldap::error::Result;
 use ldap::filter::Filter;
 use ldap::Directory;
 use obs::{Component, Counter};
-use parking_lot::RwLock;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 struct Registered {
     spec: TriggerSpec,
@@ -108,7 +108,7 @@ impl Gateway {
 
     /// Register a trigger; triggers fire in registration order.
     pub fn register(&self, spec: TriggerSpec, handler: Arc<dyn TriggerHandler>) {
-        self.triggers.write().push(Registered { spec, handler });
+        unpoison(self.triggers.write()).push(Registered { spec, handler });
     }
 
     /// Open a synchronization session: quiesces the gateway (all ordinary
@@ -162,7 +162,7 @@ impl Gateway {
         // Before-triggers.
         let mut handled = false;
         {
-            let triggers = self.triggers.read();
+            let triggers = unpoison(self.triggers.read());
             for t in triggers.iter() {
                 if t.spec.timing != Timing::Before || !t.spec.matches(&op, affected) {
                     continue;
@@ -194,7 +194,7 @@ impl Gateway {
             self.apply_inner(&op)?;
         }
         // After-triggers (results ignored).
-        let triggers = self.triggers.read();
+        let triggers = unpoison(self.triggers.read());
         for t in triggers.iter() {
             if t.spec.timing != Timing::After || !t.spec.matches(&op, affected) {
                 continue;
@@ -295,8 +295,8 @@ mod tests {
     use super::*;
     use ldap::dit::{figure2_tree, Dit};
     use ldap::error::{LdapError, ResultCode};
-    use parking_lot::Mutex;
     use std::sync::atomic::AtomicUsize;
+    use std::sync::Mutex;
 
     fn gateway() -> (Arc<Gateway>, Arc<Dit>) {
         let dit = Dit::new();
@@ -333,7 +333,8 @@ mod tests {
                     .pre_image
                     .map(|e| e.first("sn").unwrap_or("").to_string())
                     .unwrap_or_default();
-                seen2.lock().push(format!("{:?}:{}", ctx.op.kind(), pre));
+                let kind = ctx.op.kind();
+                seen2.lock().unwrap().push(format!("{kind:?}:{pre}"));
                 Ok(Disposition::Proceed)
             }),
         );
@@ -344,7 +345,7 @@ mod tests {
             dit.get(&john).unwrap().unwrap().first("telephoneNumber"),
             Some("9123")
         );
-        assert_eq!(seen.lock().as_slice(), &["Modify:Doe".to_string()]);
+        assert_eq!(seen.lock().unwrap().as_slice(), &["Modify:Doe".to_string()]);
     }
 
     #[test]

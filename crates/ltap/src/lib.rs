@@ -31,3 +31,8 @@ pub use session::SyncSession;
 pub use trigger::{
     Disposition, LtapOp, OpKind, Timing, TriggerContext, TriggerHandler, TriggerSpec,
 };
+
+/// A `std::sync` lock's guard, poisoned or not (as a holder that panicked left it).
+fn unpoison<G>(result: std::sync::LockResult<G>) -> G {
+    result.unwrap_or_else(std::sync::PoisonError::into_inner)
+}

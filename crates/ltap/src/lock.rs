@@ -2,8 +2,9 @@
 //! facilities, forbidding updates to an entry while trigger processing is
 //! being performed on that entry").
 
-use parking_lot::{Condvar, Mutex};
+use crate::unpoison;
 use std::collections::HashSet;
+use std::sync::{Condvar, Mutex};
 
 /// Locks normalized-DN keys. Fair enough for the workload: waiters block on
 /// a condvar and retry.
@@ -21,17 +22,15 @@ impl LockManager {
     /// Acquire the lock for `key`, blocking until available.
     pub(crate) fn lock(&self, key: impl Into<String>) -> LockGuard<'_> {
         let key = key.into();
-        let mut locked = self.locked.lock();
-        while locked.contains(&key) {
-            self.cv.wait(&mut locked);
-        }
+        let locked = unpoison(self.locked.lock());
+        let mut locked = unpoison(self.cv.wait_while(locked, |l| l.contains(&key)));
         locked.insert(key.clone());
         LockGuard { mgr: self, key }
     }
 
     /// Number of currently held locks.
     pub fn held(&self) -> usize {
-        self.locked.lock().len()
+        unpoison(self.locked.lock()).len()
     }
 }
 
@@ -43,8 +42,7 @@ pub(crate) struct LockGuard<'a> {
 
 impl Drop for LockGuard<'_> {
     fn drop(&mut self) {
-        let mut locked = self.mgr.locked.lock();
-        locked.remove(&self.key);
+        unpoison(self.mgr.locked.lock()).remove(&self.key);
         self.mgr.cv.notify_all();
     }
 }
@@ -84,16 +82,16 @@ mod tests {
                 for _ in 0..50 {
                     let _g = m.lock("cn=hot");
                     // Critical section: read-modify-write without tearing.
-                    let v = *counter.lock();
+                    let v = *counter.lock().unwrap();
                     std::thread::yield_now();
-                    *counter.lock() = v + 1;
+                    *counter.lock().unwrap() = v + 1;
                 }
             }));
         }
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(*counter.lock(), 8 * 50);
+        assert_eq!(*counter.lock().unwrap(), 8 * 50);
         assert_eq!(m.held(), 0);
     }
 }

@@ -6,7 +6,8 @@
 //! Semantics: ordinary updates hold a *pass*; a quiesce waits for all
 //! outstanding passes to drain and blocks new ones until released.
 
-use parking_lot::{Condvar, Mutex};
+use crate::unpoison;
+use std::sync::{Condvar, Mutex};
 
 #[derive(Default)]
 struct State {
@@ -28,38 +29,31 @@ impl QuiesceGate {
 
     /// Take an update pass, blocking while a quiesce is in force.
     pub(crate) fn enter_update(&self) -> UpdatePass<'_> {
-        let mut s = self.state.lock();
-        while s.quiesced {
-            self.cv.wait(&mut s);
-        }
-        s.active_updates += 1;
+        let s = unpoison(self.state.lock());
+        unpoison(self.cv.wait_while(s, |s| s.quiesced)).active_updates += 1;
         UpdatePass { gate: self }
     }
 
     /// Quiesce: block new updates and wait for in-flight ones to finish.
     /// Only one quiesce can be in force at a time; a second caller waits.
     pub(crate) fn quiesce(&self) -> QuiescePass<'_> {
-        let mut s = self.state.lock();
-        while s.quiesced {
-            self.cv.wait(&mut s);
-        }
+        let s = unpoison(self.state.lock());
+        let mut s = unpoison(self.cv.wait_while(s, |s| s.quiesced));
         s.quiesced = true;
-        while s.active_updates > 0 {
-            self.cv.wait(&mut s);
-        }
+        drop(unpoison(self.cv.wait_while(s, |s| s.active_updates > 0)));
         QuiescePass { gate: self }
     }
 
     /// Is a quiesce currently in force?
     #[cfg(test)]
     fn is_quiesced(&self) -> bool {
-        self.state.lock().quiesced
+        unpoison(self.state.lock()).quiesced
     }
 
     /// In-flight ordinary updates.
     #[cfg(test)]
     fn active_updates(&self) -> usize {
-        self.state.lock().active_updates
+        unpoison(self.state.lock()).active_updates
     }
 }
 
@@ -70,7 +64,7 @@ pub(crate) struct UpdatePass<'a> {
 
 impl Drop for UpdatePass<'_> {
     fn drop(&mut self) {
-        let mut s = self.gate.state.lock();
+        let mut s = unpoison(self.gate.state.lock());
         s.active_updates -= 1;
         self.gate.cv.notify_all();
     }
@@ -83,7 +77,7 @@ pub(crate) struct QuiescePass<'a> {
 
 impl Drop for QuiescePass<'_> {
     fn drop(&mut self) {
-        let mut s = self.gate.state.lock();
+        let mut s = unpoison(self.gate.state.lock());
         s.quiesced = false;
         self.gate.cv.notify_all();
     }

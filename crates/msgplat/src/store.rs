@@ -7,9 +7,9 @@
 //! until a fixpoint is reached.
 
 use crate::error::{MpError, Result};
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Well-known mailbox fields.
 pub mod fields {
@@ -85,12 +85,17 @@ impl Store {
         }
     }
 
+    /// The store's state, as a session that panicked mid-commit left it.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     pub fn name(&self) -> &str {
         &self.name
     }
 
     pub fn len(&self) -> usize {
-        self.inner.lock().mailboxes.len()
+        self.lock().mailboxes.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -98,8 +103,8 @@ impl Store {
     }
 
     pub fn subscribe(&self) -> Receiver<MpEvent> {
-        let (tx, rx) = unbounded();
-        self.inner.lock().subscribers.push(tx);
+        let (tx, rx) = channel();
+        self.lock().subscribers.push(tx);
         rx
     }
 
@@ -110,11 +115,11 @@ impl Store {
     }
 
     pub fn get(&self, mailbox: &str) -> Option<Record> {
-        self.inner.lock().mailboxes.get(mailbox).cloned()
+        self.lock().mailboxes.get(mailbox).cloned()
     }
 
     pub fn dump(&self) -> Vec<Record> {
-        self.inner.lock().mailboxes.values().cloned().collect()
+        self.lock().mailboxes.values().cloned().collect()
     }
 
     /// Create a mailbox. Any client-supplied `MbId` is ignored — the
@@ -134,7 +139,7 @@ impl Store {
                 detail: format!("`{mb}` is not numeric"),
             });
         }
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         if inner.mailboxes.contains_key(&mb) {
             return Err(MpError::DuplicateMailbox(mb));
         }
@@ -159,7 +164,7 @@ impl Store {
     /// *present* in the patch only when unchanged (reapplied updates echo
     /// it back), never altered.
     pub fn change(&self, mailbox: &str, patch: Record, channel: Channel) -> Result<Record> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         let old = inner
             .mailboxes
             .get(mailbox)
@@ -201,7 +206,7 @@ impl Store {
     }
 
     pub fn remove(&self, mailbox: &str, channel: Channel) -> Result<()> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         let old = inner
             .mailboxes
             .remove(mailbox)
@@ -220,7 +225,7 @@ impl Store {
     }
 
     pub fn mailboxes(&self) -> Vec<String> {
-        self.inner.lock().mailboxes.keys().cloned().collect()
+        self.lock().mailboxes.keys().cloned().collect()
     }
 }
 

@@ -9,9 +9,13 @@
 
 use super::clock::{Clock, SystemClock};
 use super::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
-use parking_lot::RwLock;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, LockResult, PoisonError, RwLock};
+
+/// A `std::sync` lock's guard, poisoned or not (as a holder that panicked left it).
+fn unpoison<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
+}
 
 /// One named component ("um", "ltap", "relay", "server", "device-pbx-west").
 pub struct Component {
@@ -36,11 +40,10 @@ impl Component {
 
     /// Get-or-register a counter.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        if let Some(c) = self.counters.read().get(name) {
+        if let Some(c) = unpoison(self.counters.read()).get(name) {
             return c.clone();
         }
-        self.counters
-            .write()
+        unpoison(self.counters.write())
             .entry(name.to_string())
             .or_insert_with(|| Arc::new(Counter::new()))
             .clone()
@@ -49,18 +52,15 @@ impl Component {
     /// Register (or replace) a callback gauge computed at read time — for
     /// derived state only; an event count is a [`Component::counter`].
     pub fn gauge_callback(&self, name: &str, f: impl Fn() -> i64 + Send + Sync + 'static) {
-        self.gauges
-            .write()
-            .insert(name.to_string(), Arc::new(Gauge::callback(f)));
+        unpoison(self.gauges.write()).insert(name.to_string(), Arc::new(Gauge::callback(f)));
     }
 
     /// Get-or-register a histogram.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        if let Some(h) = self.histograms.read().get(name) {
+        if let Some(h) = unpoison(self.histograms.read()).get(name) {
             return h.clone();
         }
-        self.histograms
-            .write()
+        unpoison(self.histograms.write())
             .entry(name.to_string())
             .or_insert_with(|| Arc::new(Histogram::new()))
             .clone()
@@ -69,21 +69,15 @@ impl Component {
     pub(crate) fn snapshot(&self) -> ComponentSnapshot {
         ComponentSnapshot {
             name: self.name.clone(),
-            counters: self
-                .counters
-                .read()
+            counters: unpoison(self.counters.read())
                 .iter()
                 .map(|(k, v)| (k.clone(), v.get()))
                 .collect(),
-            gauges: self
-                .gauges
-                .read()
+            gauges: unpoison(self.gauges.read())
                 .iter()
                 .map(|(k, v)| (k.clone(), v.get()))
                 .collect(),
-            histograms: self
-                .histograms
-                .read()
+            histograms: unpoison(self.histograms.read())
                 .iter()
                 .map(|(k, v)| (k.clone(), v.snapshot()))
                 .collect(),
@@ -117,11 +111,10 @@ impl Registry {
 
     /// Get-or-register a component.
     pub fn component(&self, name: &str) -> Arc<Component> {
-        if let Some(c) = self.components.read().get(name) {
+        if let Some(c) = unpoison(self.components.read()).get(name) {
             return c.clone();
         }
-        self.components
-            .write()
+        unpoison(self.components.write())
             .entry(name.to_string())
             .or_insert_with(|| Component::new(name))
             .clone()
@@ -131,9 +124,7 @@ impl Registry {
     /// name, replacing any component of that name, so its handles report
     /// here from now on.
     pub fn adopt(&self, component: Arc<Component>) -> Arc<Component> {
-        self.components
-            .write()
-            .insert(component.name.clone(), component.clone());
+        unpoison(self.components.write()).insert(component.name.clone(), component.clone());
         component
     }
 
@@ -141,9 +132,7 @@ impl Registry {
     /// histogram snapshot is internally consistent; counters are read once.
     pub fn snapshot(&self) -> RegistrySnapshot {
         RegistrySnapshot {
-            components: self
-                .components
-                .read()
+            components: unpoison(self.components.read())
                 .values()
                 .map(|c| c.snapshot())
                 .collect(),

@@ -4,9 +4,9 @@
 use crate::dialplan::DialPlan;
 use crate::error::{PbxError, Result};
 use crate::record::{fields, Record};
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Where an update came in through. MetaComm's filter session is
 /// distinguished so reapplied updates do not echo as fresh direct-device
@@ -67,6 +67,11 @@ impl Store {
         }
     }
 
+    /// The store's state, as a session that panicked mid-commit left it.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     pub fn name(&self) -> &str {
         &self.name
     }
@@ -76,7 +81,7 @@ impl Store {
     }
 
     pub fn len(&self) -> usize {
-        self.inner.lock().stations.len()
+        self.lock().stations.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -84,13 +89,13 @@ impl Store {
     }
 
     pub fn commits(&self) -> u64 {
-        self.inner.lock().commits
+        self.lock().commits
     }
 
     /// Subscribe to commit notifications.
     pub fn subscribe(&self) -> Receiver<DeviceEvent> {
-        let (tx, rx) = unbounded();
-        self.inner.lock().subscribers.push(tx);
+        let (tx, rx) = channel();
+        self.lock().subscribers.push(tx);
         rx
     }
 
@@ -102,13 +107,13 @@ impl Store {
     }
 
     pub fn get(&self, extension: &str) -> Option<Record> {
-        self.inner.lock().stations.get(extension).cloned()
+        self.lock().stations.get(extension).cloned()
     }
 
     /// Full dump (synchronization support, paper §4.1's "method to retrieve
     /// all relevant data").
     pub fn dump(&self) -> Vec<Record> {
-        self.inner.lock().stations.values().cloned().collect()
+        self.lock().stations.values().cloned().collect()
     }
 
     /// Administer a new station. The record must carry an `Extension` field
@@ -122,7 +127,7 @@ impl Store {
             })?
             .to_string();
         self.plan.check(&ext, &self.name)?;
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         if inner.stations.contains_key(&ext) {
             return Err(PbxError::DuplicateStation(ext));
         }
@@ -153,7 +158,7 @@ impl Store {
                 });
             }
         }
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         let old = inner
             .stations
             .get(extension)
@@ -176,7 +181,7 @@ impl Store {
 
     /// Remove a station.
     pub fn remove(&self, extension: &str, channel: Channel) -> Result<()> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         let old = inner
             .stations
             .remove(extension)
@@ -196,7 +201,7 @@ impl Store {
 
     /// List extensions in order.
     pub fn extensions(&self) -> Vec<String> {
-        self.inner.lock().stations.keys().cloned().collect()
+        self.lock().stations.keys().cloned().collect()
     }
 }
 

@@ -7,9 +7,9 @@
 #![cfg(target_os = "linux")]
 
 use ldap::client::TcpDirectory;
-use metacomm::MetaCommBuilder;
+use metacomm::{BreakerPolicy, MetaCommBuilder};
 use pbx::{DialPlan, Store as PbxStore};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -144,4 +144,51 @@ fn one_relay_thread_per_device_and_none_left_after_shutdown() {
         drop(system);
     }
     assert_eq!((west.len(), east.len(), mp.len()), (3, 0, 3));
+
+    // Last round: a craft terminal that keeps changing a station across the
+    // shutdown, and a recovery monitor that would not wake on its own for an
+    // hour. Both the busy relay and the monitor stop on their hang-up alone,
+    // so the shutdown returns while the craft is still typing.
+    const CAP: usize = 20_000;
+    let system = MetaCommBuilder::new("o=Lucent")
+        .add_pbx(west.clone(), "1???")
+        .with_breaker_policy(BreakerPolicy {
+            probe_interval: Duration::from_secs(3600),
+            ..BreakerPolicy::default()
+        })
+        .build()
+        .expect("build");
+    let (changes, stop) = (
+        Arc::new(AtomicUsize::new(0)),
+        Arc::new(AtomicBool::new(false)),
+    );
+    let craft = {
+        let (changes, stop) = (changes.clone(), stop.clone());
+        std::thread::spawn(move || {
+            for i in 0..CAP {
+                if stop.load(Ordering::SeqCst) {
+                    break;
+                }
+                let change = format!("change station 1001 room R{i}");
+                pbx::ossi::execute(&west, &change).expect("craft change");
+                changes.fetch_add(1, Ordering::SeqCst);
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        })
+    };
+    let relaying = Instant::now() + Duration::from_secs(5);
+    while system.relay_stats().ddus.load(Ordering::SeqCst) < 10 && Instant::now() < relaying {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    system.shutdown();
+    let typed = changes.load(Ordering::SeqCst);
+    assert!(
+        typed < CAP,
+        "shutdown waited for the craft's {typed} changes"
+    );
+    stop.store(true, Ordering::SeqCst);
+    craft.join().expect("craft thread");
+    drop(system);
+    let after = census_of(before.len());
+    assert_eq!(after, before, "last round: shutdown left threads resident");
 }
