@@ -88,7 +88,7 @@ pub fn fixpoint_digest(rig: &SoakRig) -> u64 {
         .map(|e| {
             let mut line = format!("dn={}", e.dn());
             for a in ATTRS {
-                let mut vals: Vec<&String> = e.values(a).iter().collect();
+                let mut vals: Vec<&str> = e.values(a).iter().map(|v| v.as_str()).collect();
                 vals.sort_unstable();
                 for v in vals {
                     let _ = write!(line, ";{a}={v}");

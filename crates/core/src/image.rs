@@ -2,10 +2,10 @@
 //! construction of integrated-schema entries from images.
 
 use crate::schema::{DEFINITY_USER, MESSAGING_USER};
-use ldap::attr::value_eq_ci;
+use ldap::attr::{value_eq_ci, Value};
 use ldap::dn::Dn;
 use ldap::entry::{Entry, Modification};
-use lexpress::{Frame, Image};
+use lexpress::{Frame, Image, ValueList, NO_VALUES};
 
 /// Attributes that never flow through lexpress translation.
 fn is_structural(attr: &str) -> bool {
@@ -51,11 +51,10 @@ pub fn entry_to_image(e: &Entry) -> Image {
 pub(crate) struct EntryFrame<'e>(pub(crate) &'e Entry);
 
 impl Frame for EntryFrame<'_> {
-    fn values(&self, name: &str) -> &[String] {
-        if is_structural(name) {
-            &[]
-        } else {
-            self.0.values(name)
+    fn values(&self, name: &str) -> &dyn ValueList {
+        match self.0.get(name) {
+            Some(attr) if !is_structural(name) => &attr.values,
+            _ => &NO_VALUES,
         }
     }
 
@@ -75,21 +74,19 @@ pub fn image_to_entry(dn: Dn, img: &Image) -> Entry {
             [one] => {
                 e.add_value(name, one.as_str());
             }
-            many => e.put(name, many.to_vec()),
+            many => e.put(name, many),
         }
     }
     let classes = ["top", "person", "organizationalPerson"]
         .into_iter()
-        .chain(aux_classes(img))
-        .map(str::to_string)
-        .collect();
+        .chain(aux_classes(img));
     e.put("objectClass", classes);
     // A person entry must have cn/sn; images produced by device mappings
     // always carry cn — derive sn when the mapping did not set it.
     if !e.has_attr("sn") {
         if let Some(cn) = e.first("cn") {
-            let sn = cn.split_whitespace().last().unwrap_or(cn).to_string();
-            e.put("sn", vec![sn]);
+            let sn = Value::new(cn.split_whitespace().last().unwrap_or(cn));
+            e.put("sn", [sn]);
         }
     }
     e
@@ -128,9 +125,12 @@ pub fn diff_mods_full(current: &Entry, target_img: &Image) -> Vec<Modification> 
 /// `a` and `b` hold the same values, as multisets under the directory's
 /// `caseIgnoreMatch`: every value occurs as often on each side. Compared
 /// in place — the lists are an attribute's few values.
-fn same_values(a: &[String], b: &[String]) -> bool {
-    let count = |vs: &[String], v: &str| vs.iter().filter(|w| value_eq_ci(w, v)).count();
-    a.len() == b.len() && a.iter().all(|v| count(a, v) == count(b, v))
+fn same_values(a: &[impl AsRef<str>], b: &[impl AsRef<str>]) -> bool {
+    fn count(vs: &[impl AsRef<str>], v: &str) -> usize {
+        vs.iter().filter(|w| value_eq_ci(w.as_ref(), v)).count()
+    }
+    let same_count = |v: &str| count(a, v) == count(b, v);
+    a.len() == b.len() && a.iter().all(|v| same_count(v.as_ref()))
 }
 
 #[cfg(test)]
@@ -170,7 +170,9 @@ mod tests {
         );
         let (frame, image) = (EntryFrame(&e), entry_to_image(&e));
         for name in ["cn", "ROOM", "objectclass", "dn", "missing"] {
-            assert_eq!(Frame::values(&frame, name), image.values(name), "{name}");
+            let held = Frame::values(&frame, name);
+            let held: Vec<&str> = (0..held.len()).filter_map(|i| held.get(i)).collect();
+            assert_eq!(held, image.values(name), "{name}");
         }
         assert!(!Frame::is_empty(&frame));
         let bare = Entry::with_attrs(Dn::parse("cn=Y,o=L").unwrap(), [("objectClass", "top")]);

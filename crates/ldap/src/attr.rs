@@ -5,12 +5,15 @@
 //! `caseIgnoreMatch` unless the schema says otherwise.
 //!
 //! At million-entry scale the same few dozen attribute names appear in
-//! every entry, most attributes hold exactly one value, and every entry of
-//! a class repeats the class's `objectClass` list. So an [`Attribute`] at
-//! rest is a 32-byte slot: the name is one pointer to a block the whole
-//! process shares through a pool (`AttrName::interned`), and the
-//! [`Values`] bag is 24 bytes — one `String`, an exactly-sized boxed slice,
-//! or a pointer to the one copy of a class list (`Values::share`).
+//! every entry, most attributes hold exactly one value, most values are
+//! short, and every entry of a class repeats the class's `objectClass`
+//! list. So an [`Attribute`] at rest is a 32-byte slot: the name is one
+//! pointer to a block the whole process shares through a pool
+//! (`AttrName::interned`), and the [`Values`] bag is 24 bytes — one
+//! [`Value`], an exactly-sized boxed slice of them, or a pointer to the one
+//! copy of a class list (`Values::share`). A [`Value`] of up to 22 bytes
+//! lives in the slot itself, so a typical entry's values cost no heap block
+//! at all.
 //!
 //! Both pools are read-mostly, never free, and are fed from unauthenticated
 //! sockets, so both are capped by count *and* by size: `POOL_CAP` members,
@@ -112,7 +115,7 @@ type Pool<K, V> = LazyLock<RwLock<HashMap<Box<K>, V>>>;
 static NAME_POOL: Pool<str, AttrName> = LazyLock::new(Default::default);
 
 /// Exact value sequence to the one copy of it.
-static LIST_POOL: Pool<[String], Arc<[String]>> = LazyLock::new(Default::default);
+static LIST_POOL: Pool<[Value], Arc<[Value]>> = LazyLock::new(Default::default);
 
 /// The pool's member for `key`, made the first time the key is seen;
 /// `None` once the pool is full.
@@ -243,34 +246,196 @@ pub(crate) fn norm_value_into(v: &str, out: &mut String) {
 /// Index of the first value that repeats an earlier one under
 /// `caseIgnoreMatch`. A short list is compared pairwise without a heap
 /// `String`; a long one through a set of normalized forms.
-pub(crate) fn repeated_value(values: &[String]) -> Option<usize> {
+pub(crate) fn repeated_value<S: AsRef<str>>(values: &[S]) -> Option<usize> {
     const PAIRWISE_MAX: usize = 16;
+    let at = |i: usize| values[i].as_ref();
     if values.len() > PAIRWISE_MAX {
         let mut seen = HashSet::with_capacity(values.len());
-        return values.iter().position(|v| !seen.insert(norm_value(v)));
+        return (0..values.len()).position(|i| !seen.insert(norm_value(at(i))));
     }
-    (1..values.len()).find(|&i| values[..i].iter().any(|v| value_eq_ci(v, &values[i])))
+    (1..values.len()).find(|&i| (0..i).any(|j| value_eq_ci(at(j), at(i))))
+}
+
+/// Longest value, in bytes, that a [`Value`] holds in its own slot.
+const INLINE_MAX: usize = 22;
+
+/// One attribute or RDN value: a string in 24 bytes that derefs to `str`.
+///
+/// A value of up to 22 bytes — a name, an extension, a room, a site, a
+/// class of service — lives in the slot itself, with no heap block behind
+/// it; a longer one is an exactly-sized boxed `str`. Equality, ordering and
+/// hashing are the string's, so a `Value` compares with a `str`, a `&str`
+/// or a `String` as they compare with each other.
+#[derive(Clone)]
+pub struct Value(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// `buf[..len]` is UTF-8: [`Value::inline`], the one place that fills
+    /// it, copies it whole from a `&str`.
+    Inline {
+        len: u8,
+        buf: [u8; INLINE_MAX],
+    },
+    Heap(Box<str>),
+}
+
+impl Value {
+    pub fn new(s: &str) -> Value {
+        Value::inline(s).unwrap_or_else(|| Value(Repr::Heap(Box::from(s))))
+    }
+
+    /// `s` in the slot itself; `None` when it is too long for it.
+    fn inline(s: &str) -> Option<Value> {
+        let mut buf = [0u8; INLINE_MAX];
+        buf.get_mut(..s.len())?.copy_from_slice(s.as_bytes());
+        let len = u8::try_from(s.len()).expect("at most INLINE_MAX bytes");
+        Some(Value(Repr::Inline { len, buf }))
+    }
+
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            Repr::Inline { len, buf } => {
+                let bytes = &buf[..usize::from(*len)];
+                // SAFETY: `Repr` is private to this module and `inline` is
+                // the only code that builds an `Inline` (a clone copies one
+                // whole); it copies all of a `&str`'s bytes, and `len` is
+                // that string's length, so `bytes` is valid UTF-8.
+                unsafe { std::str::from_utf8_unchecked(bytes) }
+            }
+            Repr::Heap(s) => s,
+        }
+    }
+
+    /// Bytes of the heap block behind this value; 0 for one held in its
+    /// slot.
+    pub(crate) fn heap_len(&self) -> usize {
+        match &self.0 {
+            Repr::Inline { .. } => 0,
+            Repr::Heap(s) => s.len(),
+        }
+    }
+}
+
+impl std::ops::Deref for Value {
+    type Target = str;
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl AsRef<str> for Value {
+    fn as_ref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl From<&str> for Value {
+    fn from(s: &str) -> Value {
+        Value::new(s)
+    }
+}
+
+impl From<&String> for Value {
+    fn from(s: &String) -> Value {
+        Value::new(s)
+    }
+}
+
+impl From<String> for Value {
+    /// Takes the string's block over when it is exactly sized: a block with
+    /// spare capacity would be shrunk in place and keep its larger chunk.
+    fn from(s: String) -> Value {
+        match Value::inline(&s) {
+            Some(v) => v,
+            None if s.len() == s.capacity() => Value(Repr::Heap(s.into_boxed_str())),
+            None => Value(Repr::Heap(Box::from(s.as_str()))),
+        }
+    }
+}
+
+impl From<std::borrow::Cow<'_, str>> for Value {
+    fn from(s: std::borrow::Cow<'_, str>) -> Value {
+        match s {
+            std::borrow::Cow::Borrowed(s) => Value::new(s),
+            std::borrow::Cow::Owned(s) => Value::from(s),
+        }
+    }
+}
+
+impl PartialEq for Value {
+    fn eq(&self, other: &Value) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+impl Eq for Value {}
+
+impl PartialOrd for Value {
+    fn partial_cmp(&self, other: &Value) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Value {
+    fn cmp(&self, other: &Value) -> std::cmp::Ordering {
+        self.as_str().cmp(other.as_str())
+    }
+}
+
+impl std::hash::Hash for Value {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state);
+    }
+}
+
+/// `Value == str`, `Value == &str`, `Value == String` and each the other
+/// way round.
+macro_rules! eq_as_str {
+    ($($other:ty),*) => {$(
+        impl PartialEq<$other> for Value {
+            fn eq(&self, other: &$other) -> bool {
+                self.as_str() == AsRef::<str>::as_ref(other)
+            }
+        }
+        impl PartialEq<Value> for $other {
+            fn eq(&self, other: &Value) -> bool {
+                AsRef::<str>::as_ref(self) == other.as_str()
+            }
+        }
+    )*};
+}
+eq_as_str!(str, &str, String);
+
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+impl fmt::Debug for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
 }
 
 /// The values of one attribute, in 24 bytes: almost always exactly one, so
-/// the single case is the `String` itself with no vector around it; several
-/// are an exactly-sized boxed slice; and a list that every entry of a class
-/// repeats is a pointer to the pool's one copy, which nobody may change —
-/// a write (`Values::push`, `Values::retain`) copies it first.
+/// the single case is the [`Value`] itself with no vector around it;
+/// several are an exactly-sized boxed slice; and a list that every entry of
+/// a class repeats is a pointer to the pool's one copy, which nobody may
+/// change — a write (`Values::push`, `Values::retain`) copies it first.
 ///
 /// `One` always holds exactly one value; the empty bag is `Many([])`.
 /// Equality is by value sequence, so `One("a") == Many(["a"])`. Derefs to
-/// `&[String]`, so slice methods (`len`, `iter`, indexing) work unchanged.
+/// `&[Value]`, so slice methods (`len`, `iter`, indexing) work unchanged.
 /// Only this module names the variants.
 #[derive(Clone)]
 pub enum Values {
-    One(String),
-    Many(Box<[String]>),
-    Shared(Arc<[String]>),
+    One(Value),
+    Many(Box<[Value]>),
+    Shared(Arc<[Value]>),
 }
 
 impl Values {
-    pub fn as_slice(&self) -> &[String] {
+    pub fn as_slice(&self) -> &[Value] {
         match self {
             Values::One(v) => std::slice::from_ref(v),
             Values::Many(vs) => vs,
@@ -278,12 +443,8 @@ impl Values {
         }
     }
 
-    pub fn to_vec(&self) -> Vec<String> {
-        self.as_slice().to_vec()
-    }
-
     /// Values that are known to be distinct under `caseIgnoreMatch`.
-    fn from_distinct(mut vs: Vec<String>) -> Values {
+    fn from_distinct(mut vs: Vec<Value>) -> Values {
         if vs.len() == 1 {
             Values::One(vs.pop().expect("len checked"))
         } else {
@@ -292,7 +453,7 @@ impl Values {
     }
 
     /// Append a value (no dedup — callers check `caseIgnoreMatch` first).
-    pub(crate) fn push(&mut self, value: String) {
+    pub(crate) fn push(&mut self, value: Value) {
         let mut vs = Vec::with_capacity(self.len() + 1);
         match std::mem::replace(self, Values::Many(Box::default())) {
             Values::One(first) => vs.push(first),
@@ -304,7 +465,7 @@ impl Values {
     }
 
     /// Keep only values for which `keep` returns `true`.
-    pub(crate) fn retain(&mut self, mut keep: impl FnMut(&String) -> bool) {
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(&Value) -> bool) {
         let kept = match self {
             Values::One(v) if keep(v) => return,
             Values::One(_) => Vec::new(),
@@ -329,7 +490,7 @@ impl Values {
         {
             return;
         }
-        let exact = || self.iter().map(|v| v.as_str().into()).collect();
+        let exact = || self.iter().cloned().collect();
         if let Some(list) = pooled(&LIST_POOL, self.as_slice(), exact) {
             *self = Values::Shared(list);
         }
@@ -337,14 +498,14 @@ impl Values {
 
     /// Heap bytes behind the bag as requested from the allocator, one
     /// figure per allocation: the many-valued slice to `slot`, each value
-    /// string to `value`. A shared list is the pool's, as an interned
-    /// name is, and is counted for no holder.
+    /// too long for its slot to `value`. A shared list is the pool's, as an
+    /// interned name is, and is counted for no holder.
     pub(crate) fn heap_blocks(&self, mut slot: impl FnMut(usize), mut value: impl FnMut(usize)) {
         match self {
-            Values::One(v) => value(v.capacity()),
+            Values::One(v) => value(v.heap_len()),
             Values::Many(vs) => {
                 slot(std::mem::size_of_val(&**vs));
-                vs.iter().for_each(|v| value(v.capacity()));
+                vs.iter().for_each(|v| value(v.heap_len()));
             }
             Values::Shared(_) => {}
         }
@@ -352,15 +513,16 @@ impl Values {
 }
 
 impl std::ops::Deref for Values {
-    type Target = [String];
-    fn deref(&self) -> &[String] {
+    type Target = [Value];
+    fn deref(&self) -> &[Value] {
         self.as_slice()
     }
 }
 
-impl From<Vec<String>> for Values {
+impl<V: Into<Value>> From<Vec<V>> for Values {
     /// Keeps the first spelling of a value and drops a later repeat.
-    fn from(mut vs: Vec<String>) -> Values {
+    fn from(vs: Vec<V>) -> Values {
+        let mut vs: Vec<Value> = vs.into_iter().map(Into::into).collect();
         while let Some(repeat) = repeated_value(&vs) {
             vs.remove(repeat);
         }
@@ -368,23 +530,17 @@ impl From<Vec<String>> for Values {
     }
 }
 
-impl From<String> for Values {
-    fn from(v: String) -> Values {
-        Values::One(v)
-    }
-}
-
 impl<'a> IntoIterator for &'a Values {
-    type Item = &'a String;
-    type IntoIter = std::slice::Iter<'a, String>;
+    type Item = &'a Value;
+    type IntoIter = std::slice::Iter<'a, Value>;
     fn into_iter(self) -> Self::IntoIter {
         self.as_slice().iter()
     }
 }
 
 impl IntoIterator for Values {
-    type Item = String;
-    type IntoIter = std::vec::IntoIter<String>;
+    type Item = Value;
+    type IntoIter = std::vec::IntoIter<Value>;
     fn into_iter(self) -> Self::IntoIter {
         match self {
             Values::One(v) => vec![v],
@@ -410,7 +566,7 @@ impl PartialEq<Vec<String>> for Values {
 
 impl PartialEq<[&str]> for Values {
     fn eq(&self, other: &[&str]) -> bool {
-        self.len() == other.len() && self.iter().zip(other).all(|(a, b)| a == b)
+        self.as_slice() == other
     }
 }
 
@@ -429,14 +585,14 @@ pub struct Attribute {
 }
 
 impl Attribute {
-    pub(crate) fn new(name: impl Into<AttrName>, values: Vec<String>) -> Attribute {
+    pub(crate) fn new(name: impl Into<AttrName>, values: impl Into<Values>) -> Attribute {
         Attribute {
             name: name.into(),
             values: values.into(),
         }
     }
 
-    pub fn single(name: impl Into<AttrName>, value: impl Into<String>) -> Attribute {
+    pub fn single(name: impl Into<AttrName>, value: impl Into<Value>) -> Attribute {
         Attribute {
             name: name.into(),
             values: Values::One(value.into()),
@@ -450,7 +606,7 @@ impl Attribute {
 
     /// Add a value; returns `false` (and leaves the bag unchanged) when an
     /// equal value is already present.
-    pub(crate) fn add_value(&mut self, value: impl Into<String>) -> bool {
+    pub(crate) fn add_value(&mut self, value: impl Into<Value>) -> bool {
         let value = value.into();
         if self.contains_ci(&value) {
             return false;
@@ -514,8 +670,33 @@ mod tests {
     fn an_attribute_is_a_32_byte_slot() {
         use std::mem::size_of;
         assert_eq!(size_of::<AttrName>(), 8);
+        assert_eq!(size_of::<Value>(), 24);
+        assert_eq!(size_of::<Option<Value>>(), 24);
         assert_eq!(size_of::<Values>(), 24);
         assert_eq!(size_of::<Attribute>(), 32);
+    }
+
+    #[test]
+    fn a_value_of_up_to_22_bytes_lives_in_its_slot() {
+        for (text, inline) in [
+            ("", true),
+            ("+1 908 582 9000", true),
+            ("Fiona Fitzgerald 000123", false),
+            ("x".repeat(INLINE_MAX).as_str(), true),
+            ("x".repeat(INLINE_MAX + 1).as_str(), false),
+            // 21 ASCII bytes and a two-byte character: 23 bytes.
+            (format!("{}é", "x".repeat(21)).as_str(), false),
+        ] {
+            for v in [Value::new(text), Value::from(text.to_string())] {
+                assert_eq!(v, text);
+                assert_eq!(v.heap_len() == 0, inline, "{text:?}");
+                assert_eq!(v.heap_len(), if inline { 0 } else { text.len() });
+            }
+        }
+        // A string with spare capacity is not kept as it is.
+        let mut spare = String::with_capacity(64);
+        spare.push_str(&"y".repeat(30));
+        assert_eq!(Value::from(spare).heap_len(), 30);
     }
 
     #[test]
@@ -565,7 +746,7 @@ mod tests {
     #[test]
     fn values_one_many_shared_equivalence() {
         let one = Values::One("a".into());
-        let many = Values::Many(strings(&["a"]).into());
+        let many = Values::Many(Box::new(["a".into()]));
         let mut shared = one.clone();
         shared.share();
         assert!(matches!(shared, Values::Shared(_)));
@@ -631,25 +812,61 @@ mod tests {
         assert_eq!(repeated_value(&strings(&["a", "b", "B", "a"])), Some(2));
     }
 
+    /// Words for the bag model: class names, short values, and values on
+    /// either side of the 22 bytes a slot holds, one of each ending in a
+    /// two-byte character.
+    const WORDS: [&str; 10] = [
+        "top",
+        "person",
+        "organizationalPerson",
+        "definityUser",
+        "a",
+        "bb",
+        "Fiona Fitzgerald 00012",
+        "Fiona Fitzgerald 000123",
+        "Dolores Dimitrov 001é",
+        "Dolores Dimitrov 0001é",
+    ];
+
     proptest::proptest! {
+        /// A value reads, compares, orders and hashes as the string it was
+        /// built from, whichever side of the slot's 22 bytes it falls on.
+        #[test]
+        fn a_value_is_its_string(
+            a in (0usize..=20, "[aZ0 é€😀]{0,5}"),
+            b in (0usize..=20, "[aZ0 é€😀]{0,5}"),
+        ) {
+            let text = |(n, tail): (usize, String)| "k".repeat(n) + &tail;
+            let (a, b) = (text(a), text(b));
+            let (va, vb) = (Value::new(&a), Value::from(b.clone()));
+            proptest::prop_assert_eq!(va.as_str(), a.as_str());
+            proptest::prop_assert_eq!(vb.as_str(), b.as_str());
+            proptest::prop_assert_eq!(va.heap_len() == 0, a.len() <= INLINE_MAX);
+            proptest::prop_assert_eq!(va == vb, a == b);
+            proptest::prop_assert_eq!(va == b, a == b);
+            proptest::prop_assert_eq!(va.cmp(&vb), a.cmp(&b));
+            use std::hash::BuildHasher;
+            let state = std::hash::RandomState::new();
+            proptest::prop_assert_eq!(state.hash_one(&va), state.hash_one(&a));
+            proptest::prop_assert_eq!(state.hash_one(&vb), state.hash_one(b.as_str()));
+        }
+
         /// A bag driven through every door that changes or copies it holds
         /// what a plain `Vec<String>` holds, and no copy taken on the way
         /// (a clone, the pool's list) ever sees a later write.
         #[test]
         fn values_follow_a_plain_vec_model(
-            ops in proptest::collection::vec((0u8..5, 0usize..8), 0..48),
+            ops in proptest::collection::vec((0u8..5, 0usize..WORDS.len()), 0..48),
         ) {
-            const WORDS: [&str; 8] =
-                ["top", "person", "organizationalPerson", "definityUser", "a", "bb", "ccc", "dddd"];
             let mut model: Vec<String> = Vec::new();
-            let mut bag = Values::from(Vec::new());
+            let mut bag = Values::from(Vec::<Value>::new());
             let mut copies: Vec<(Values, Vec<String>)> = Vec::new();
             for (op, k) in ops {
                 let word = WORDS[k].to_string();
                 match op {
                     0 if !model.contains(&word) => {
                         model.push(word.clone());
-                        bag.push(word);
+                        bag.push(word.into());
                     }
                     0 | 1 => {
                         model.retain(|v| v.len() % 3 != k % 3);

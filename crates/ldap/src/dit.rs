@@ -131,8 +131,9 @@ pub struct Footprint {
     pub slab_bytes: usize,
     /// Attribute vectors (32 bytes an attribute) and many-valued slices.
     pub attr_slot_bytes: usize,
-    /// Value strings. A class list entries share is the pool's, as
-    /// interned names are, and is counted for no entry.
+    /// Values too long for their 22-byte slot. A class list entries
+    /// share is the pool's, as interned names are, and is counted for no
+    /// entry.
     pub value_bytes: usize,
     /// The equality indexes: value-hash tables and spilled id sets.
     pub postings_bytes: usize,

@@ -10,36 +10,27 @@
 //! `caseIgnoreMatch` behaviour of the directory-string syntax that all
 //! MetaComm naming attributes use.
 
-use crate::attr::{norm_value, AttrName};
+use crate::attr::{norm_value_into, AttrName, Value};
 use crate::error::{LdapError, Result};
 use std::fmt;
 use std::sync::Arc;
 
 /// One attribute/value pair inside an RDN, e.g. `cn=John Doe`.
 ///
-/// At rest an AVA is an interned attribute type (two pointers into the
-/// [`AttrName`] pool), one exactly-sized value allocation, and a second
-/// one for the normalized value only when normalizing changes it.
+/// At rest an AVA is an interned attribute type (one pointer into the
+/// [`AttrName`] pool), the value, and the normalized value only when
+/// normalizing changes it. Each is a [`Value`], so a value of up to 22
+/// bytes costs no heap block of its own.
 #[derive(Debug, Clone)]
 pub struct Ava {
     /// Attribute type: display form as written, lowercased form for
     /// matching.
     attr: AttrName,
     /// Attribute value exactly as written (unescaped).
-    value: Box<str>,
+    value: Value,
     /// Normalized (lowercased, space-squeezed) value when it differs from
     /// `value`.
-    norm_value: Option<Box<str>>,
-}
-
-/// Hand a string over without spare capacity. `into_boxed_str` alone would
-/// shrink in place, which leaves the allocator's larger block behind it.
-fn exact(s: String) -> Box<str> {
-    if s.len() == s.capacity() {
-        s.into_boxed_str()
-    } else {
-        Box::from(s.as_str())
-    }
+    norm_value: Option<Value>,
 }
 
 /// `caseIgnoreMatch` leaves this value as it is: printable lowercase ASCII
@@ -55,16 +46,18 @@ fn is_normalized(v: &str) -> bool {
 }
 
 impl Ava {
-    pub fn new(attr: impl Into<String>, value: impl Into<String>) -> Ava {
-        Ava::from_parts(attr.into().trim(), exact(value.into()))
+    pub fn new(attr: impl AsRef<str>, value: impl Into<Value>) -> Ava {
+        Ava::from_parts(attr.as_ref().trim(), value.into(), &mut String::new())
     }
 
-    fn from_parts(attr: &str, value: Box<str>) -> Ava {
+    /// The AVA for `attr` and `value`; `scratch` is where the normalized
+    /// value is worked out, kept by a caller that builds many.
+    fn from_parts(attr: &str, value: Value, scratch: &mut String) -> Ava {
         let norm_value = if is_normalized(&value) {
             None
         } else {
-            let norm = norm_value(&value);
-            (*norm != *value).then(|| exact(norm))
+            norm_value_into(&value, scratch);
+            (**scratch != *value).then(|| Value::new(scratch))
         };
         Ava {
             attr: AttrName::interned(attr),
@@ -149,7 +142,7 @@ enum RdnRepr {
 
 impl Rdn {
     /// Single-AVA RDN, the common case (`cn=John Doe`).
-    pub fn new(attr: impl Into<String>, value: impl Into<String>) -> Rdn {
+    pub fn new(attr: impl AsRef<str>, value: impl Into<Value>) -> Rdn {
         Rdn(Arc::new(RdnRepr::One(Ava::new(attr, value))))
     }
 
@@ -233,18 +226,17 @@ impl Rdn {
     }
 
     /// Heap bytes behind this RDN as requested from the allocator, one
-    /// figure per allocation (the shared block, then each value string);
-    /// interned attribute types are the pool's, not the RDN's.
+    /// figure per allocation (the shared block, then each value too long
+    /// for its slot, 0 for one that is not); interned attribute types are
+    /// the pool's, not the RDN's.
     pub(crate) fn heap_blocks(&self, mut block: impl FnMut(usize)) {
         block(2 * std::mem::size_of::<usize>() + std::mem::size_of::<RdnRepr>());
         if let RdnRepr::Many(avas) = &*self.0 {
             block(std::mem::size_of_val(&**avas));
         }
         for ava in self.avas() {
-            block(ava.value.len());
-            if let Some(n) = &ava.norm_value {
-                block(n.len());
-            }
+            block(ava.value.heap_len());
+            block(ava.norm_value.as_ref().map_or(0, Value::heap_len));
         }
     }
 }
@@ -277,7 +269,9 @@ impl fmt::Display for Rdn {
             if i > 0 {
                 f.write_str("+")?;
             }
-            write!(f, "{}={}", ava.attr(), escape_value(ava.value()))?;
+            f.write_str(ava.attr())?;
+            f.write_str("=")?;
+            write_escaped(f, ava.value())?;
         }
         Ok(())
     }
@@ -306,7 +300,10 @@ impl Dn {
     /// Parse an RFC 2253 string like `cn=John Doe, o=Marketing, o=Lucent`.
     ///
     /// Supported escapes: `\` followed by a special character
-    /// (`,` `+` `"` `\` `<` `>` `;` `=` `#` or space) or two hex digits.
+    /// (`,` `+` `"` `\` `<` `>` `;` `=` `#` or space) or two hex digits. A
+    /// run of hex pairs is a run of UTF-8 octets (RFC 4514 §3), so
+    /// `cn=Caf\C3\A9` and `cn=Café` name one entry; octets that are not
+    /// UTF-8 are an `invalidDNSyntax` error.
     pub fn parse(s: &str) -> Result<Dn> {
         if s.trim().is_empty() {
             return Ok(Dn::root());
@@ -320,6 +317,9 @@ impl Dn {
         let mut avas: Vec<Ava> = Vec::new();
         let mut attr = String::new();
         let mut value = String::new();
+        let mut norm = String::new();
+        // The octets of a run of `\XX` escapes, decoded once the run ends.
+        let mut octets: Vec<u8> = Vec::new();
         let mut chars = s.chars().peekable();
         loop {
             // Parse one AVA: attr '=' value
@@ -354,22 +354,23 @@ impl Dn {
             // trailing spaces beyond this point are insignificant.
             let mut escaped_end = 0usize;
             while let Some(c) = chars.next() {
+                if c == '\\' && chars.peek().is_some_and(char::is_ascii_hexdigit) {
+                    let hex = |d: Option<char>| d.and_then(|d| d.to_digit(16));
+                    let (hi, lo) = (hex(chars.next()), hex(chars.next()));
+                    let (Some(hi), Some(lo)) = (hi, lo) else {
+                        return Err(LdapError::invalid_dn("bad hex escape"));
+                    };
+                    octets.push(u8::try_from(hi * 16 + lo).expect("two hex digits"));
+                    continue;
+                }
+                if !octets.is_empty() {
+                    push_octets(&mut octets, &mut value)?;
+                    escaped_end = value.len();
+                }
                 match c {
                     '\\' => match chars.next() {
                         Some(e) if is_special(e) => {
                             value.push(e);
-                            escaped_end = value.len();
-                        }
-                        Some(h1) if h1.is_ascii_hexdigit() => {
-                            let h2 = chars
-                                .next()
-                                .ok_or_else(|| LdapError::invalid_dn("truncated hex escape"))?;
-                            if !h2.is_ascii_hexdigit() {
-                                return Err(LdapError::invalid_dn("bad hex escape"));
-                            }
-                            let byte = u8::from_str_radix(&format!("{h1}{h2}"), 16)
-                                .expect("checked hex digits");
-                            value.push(byte as char);
                             escaped_end = value.len();
                         }
                         Some(other) => {
@@ -386,11 +387,15 @@ impl Dn {
                     other => value.push(other),
                 }
             }
+            if !octets.is_empty() {
+                push_octets(&mut octets, &mut value)?;
+                escaped_end = value.len();
+            }
             // Trim only unescaped trailing spaces.
             while value.len() > escaped_end && value.ends_with(' ') {
                 value.pop();
             }
-            avas.push(Ava::from_parts(attr, Box::from(value.as_str())));
+            avas.push(Ava::from_parts(attr, Value::new(&value), &mut norm));
             match terminator {
                 Some('+') => continue, // next AVA of same RDN
                 Some(',') => {
@@ -561,23 +566,35 @@ fn is_special(c: char) -> bool {
     )
 }
 
-/// Escape a value for RFC 2253 output.
-pub(crate) fn escape_value(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    let len = v.chars().count();
-    for (i, c) in v.chars().enumerate() {
-        let needs = match c {
-            ',' | '+' | '"' | '\\' | '<' | '>' | ';' => true,
-            '#' if i == 0 => true,
-            ' ' if i == 0 || i == len - 1 => true,
+/// Decode a run of `\XX` octets onto `value` and empty it.
+fn push_octets(octets: &mut Vec<u8>, value: &mut String) -> Result<()> {
+    let text = std::str::from_utf8(octets)
+        .map_err(|_| LdapError::invalid_dn("hex-escaped octets are not UTF-8"))?;
+    value.push_str(text);
+    octets.clear();
+    Ok(())
+}
+
+/// Write `v` escaped for RFC 2253 output, in runs cut at each character
+/// that needs a `\`. Every such character is ASCII, so each cut falls on a
+/// character boundary.
+fn write_escaped(f: &mut fmt::Formatter<'_>, v: &str) -> fmt::Result {
+    let last = v.len().saturating_sub(1);
+    let mut run = 0;
+    for (i, b) in v.bytes().enumerate() {
+        let needs = match b {
+            b',' | b'+' | b'"' | b'\\' | b'<' | b'>' | b';' => true,
+            b'#' => i == 0,
+            b' ' => i == 0 || i == last,
             _ => false,
         };
         if needs {
-            out.push('\\');
+            f.write_str(&v[run..i])?;
+            f.write_str("\\")?;
+            run = i;
         }
-        out.push(c);
     }
-    out
+    f.write_str(&v[run..])
 }
 
 #[cfg(test)]
@@ -630,6 +647,20 @@ mod tests {
     fn hex_escape() {
         let dn = Dn::parse(r"cn=a\2Cb,o=x").unwrap();
         assert_eq!(dn.rdn().unwrap().first().value(), "a,b");
+    }
+
+    #[test]
+    fn hex_escapes_are_utf8_octets() {
+        let escaped = Dn::parse(r"cn=Caf\C3\A9,o=x").unwrap();
+        assert_eq!(escaped.rdn().unwrap().first().value(), "Café");
+        assert_eq!(escaped, Dn::parse("cn=Café,o=x").unwrap());
+        // A run may mix with plain characters and other escapes.
+        let mixed = Dn::parse(r"cn=\E2\82\AC 5\2C\20,o=x").unwrap();
+        assert_eq!(mixed.rdn().unwrap().first().value(), "€ 5, ");
+        for bad in [r"cn=\C3,o=x", r"cn=a\C3b,o=x", r"cn=\FF\FE,o=x"] {
+            let err = Dn::parse(bad).unwrap_err();
+            assert_eq!(err.code, crate::ResultCode::InvalidDnSyntax, "{bad}");
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Directory entries and the modification operations that act on them.
 
-use crate::attr::{repeated_value, value_eq_ci, with_lower, AttrName, Attribute};
+use crate::attr::{repeated_value, value_eq_ci, with_lower, AttrName, Attribute, Value};
 use crate::dn::Dn;
 use crate::error::{LdapError, Result, ResultCode};
 use std::fmt;
@@ -52,7 +52,7 @@ impl Entry {
     pub fn with_attrs<N, V>(dn: Dn, pairs: impl IntoIterator<Item = (N, V)>) -> Entry
     where
         N: Into<AttrName>,
-        V: Into<String>,
+        V: Into<Value>,
     {
         let mut e = Entry::new(dn);
         for (n, v) in pairs {
@@ -107,7 +107,8 @@ impl Entry {
         self.attrs.iter()
     }
 
-    pub(crate) fn get(&self, name: &str) -> Option<&Attribute> {
+    /// The attribute named `name` (in any case), if present.
+    pub fn get(&self, name: &str) -> Option<&Attribute> {
         with_lower(name, |norm| self.find(norm).ok().map(|i| &self.attrs[i]))
     }
 
@@ -115,11 +116,11 @@ impl Entry {
     pub fn first(&self, name: &str) -> Option<&str> {
         self.get(name)
             .and_then(|a| a.values.first())
-            .map(String::as_str)
+            .map(Value::as_str)
     }
 
     /// All values of the attribute (empty slice when absent).
-    pub fn values(&self, name: &str) -> &[String] {
+    pub fn values(&self, name: &str) -> &[Value] {
         self.get(name).map(|a| a.values.as_slice()).unwrap_or(&[])
     }
 
@@ -134,7 +135,7 @@ impl Entry {
 
     /// Add one value, creating the attribute when missing. Returns `false`
     /// when the value was already present.
-    pub fn add_value(&mut self, name: impl Into<AttrName>, value: impl Into<String>) -> bool {
+    pub fn add_value(&mut self, name: impl Into<AttrName>, value: impl Into<Value>) -> bool {
         let name = name.into();
         match self.find(name.norm()) {
             Ok(i) => self.attrs[i].add_value(value),
@@ -146,8 +147,13 @@ impl Entry {
     }
 
     /// Replace all values of the attribute (removes it when `values` is empty).
-    pub fn put(&mut self, name: impl Into<AttrName>, values: Vec<String>) {
+    pub fn put<V: Into<Value>>(
+        &mut self,
+        name: impl Into<AttrName>,
+        values: impl IntoIterator<Item = V>,
+    ) {
         let name = name.into();
+        let values: Vec<Value> = values.into_iter().map(Into::into).collect();
         if values.is_empty() {
             self.remove(name.norm());
         } else {
@@ -176,7 +182,7 @@ impl Entry {
     }
 
     /// The entry's object classes (values of `objectClass`).
-    pub fn object_classes(&self) -> &[String] {
+    pub fn object_classes(&self) -> &[Value] {
         self.values("objectclass")
     }
 
@@ -229,7 +235,7 @@ impl Entry {
                     return Err(value_exists(m, &m.values[i]));
                 }
                 for v in &m.values {
-                    self.add_value(m.attr.clone(), v.clone());
+                    self.add_value(m.attr.clone(), v);
                 }
                 Ok(())
             }
@@ -259,7 +265,7 @@ impl Entry {
                 if let Some(i) = repeated_value(&m.values) {
                     return Err(value_exists(m, &m.values[i]));
                 }
-                self.put(m.attr.clone(), m.values.clone());
+                self.put(m.attr.clone(), &m.values);
                 Ok(())
             }
         }
@@ -378,7 +384,7 @@ mod tests {
         assert_eq!(stored.first("CN"), Some("John Doe"));
         for mut e in [built, stored] {
             e.add_value("mail", "jd@lucent.com");
-            e.put("ou", vec!["x".into(), "y".into()]);
+            e.put("ou", ["x", "y"]);
             e.remove_attr("sn");
             e.remove_value("objectClass", "top");
             let names: Vec<&str> = e.attributes().map(|a| a.name.norm()).collect();
@@ -451,7 +457,7 @@ mod tests {
     #[test]
     fn the_constructors_keep_the_first_spelling_of_a_repeated_value() {
         let mut e = person();
-        e.put("l", vec!["Murray Hill".into(), "murray  hill".into()]);
+        e.put("l", ["Murray Hill", "murray  hill"]);
         assert_eq!(e.values("l"), ["Murray Hill"]);
         // One delete then empties the bag, as `caseIgnoreMatch` promises.
         e.apply_modifications(&[Modification::delete("l", vec!["MURRAY HILL".into()])])

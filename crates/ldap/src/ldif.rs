@@ -132,7 +132,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Hand every remaining line of the record to `f` as `(key, value)`.
-    fn each_line(&mut self, mut f: impl FnMut(&str, String) -> Result<()>) -> Result<()> {
+    fn each_line(&mut self, mut f: impl FnMut(&str, Cow<'_, str>) -> Result<()>) -> Result<()> {
         while let Some(line) = self.line() {
             let (key, value) = split_kv(&line)?;
             f(key, value)?;
@@ -202,11 +202,13 @@ impl<'a> Reader<'a> {
                 .find(|(name, _)| key.eq_ignore_ascii_case(name));
             // A value line first: an attribute may be called `add`.
             match (mods.last_mut().filter(|_| open), op) {
-                (Some(m), _) if key.eq_ignore_ascii_case(m.attr.as_str()) => m.values.push(value),
+                (Some(m), _) if key.eq_ignore_ascii_case(m.attr.as_str()) => {
+                    m.values.push(value.into_owned())
+                }
                 (_, Some(&(_, op))) => {
                     mods.push(Modification {
                         op,
-                        attr: value.into(),
+                        attr: value.as_ref().into(),
                         values: Vec::new(),
                     });
                     open = true;
@@ -234,22 +236,25 @@ const MOD_OPS: [(&str, ModOp); 3] = [
 ];
 
 /// One logical line as `(key, value)`; a line with no `:` is an error
-/// naming it. A `::` value is base64 whatever the key: one that is not
-/// base64, or not UTF-8 once decoded, is an error naming the key — a
-/// damaged value must not load as the empty string.
-fn split_kv(line: &str) -> Result<(&str, String)> {
+/// naming it. A plain value is borrowed from the line, so a short one
+/// reaches its entry's slot without a heap block. A `::` value is base64
+/// whatever the key: one that is not base64, or not UTF-8 once decoded, is
+/// an error naming the key — a damaged value must not load as the empty
+/// string.
+fn split_kv(line: &str) -> Result<(&str, Cow<'_, str>)> {
     let (key, rest) = line
         .split_once(':')
         .ok_or_else(|| LdapError::protocol(format!("LDIF line `{line}` has no `:`")))?;
     let key = key.trim();
     let value = match rest.strip_prefix(':') {
-        None => rest.trim_start_matches(' ').to_string(),
+        None => Cow::Borrowed(rest.trim_start_matches(' ')),
         Some(b64) => {
             let bytes = b64_decode(b64.trim()).ok_or_else(|| {
                 LdapError::protocol(format!("LDIF value of `{key}` is not valid base64"))
             })?;
-            String::from_utf8(bytes)
-                .map_err(|_| LdapError::protocol(format!("LDIF value of `{key}` is not UTF-8")))?
+            let text = String::from_utf8(bytes)
+                .map_err(|_| LdapError::protocol(format!("LDIF value of `{key}` is not UTF-8")))?;
+            Cow::Owned(text)
         }
     };
     Ok((key, value))

@@ -41,7 +41,7 @@ pub mod schema;
 pub mod server;
 pub mod wal;
 
-pub use attr::{AttrName, Attribute};
+pub use attr::{AttrName, Attribute, Value};
 pub use directory::Directory;
 pub use dit::{ChangeOp, ChangeRecord, Dit, Footprint, Scope};
 pub use dn::{Ava, Dn, Rdn};

@@ -743,7 +743,10 @@ pub(crate) fn entry_to_wire(e: &Entry) -> (String, Vec<(String, Vec<String>)>) {
     (
         e.dn().to_string(),
         e.attributes()
-            .map(|a| (a.name.as_str().to_string(), a.values.to_vec()))
+            .map(|a| {
+                let values = a.values.iter().map(|v| v.to_string()).collect();
+                (a.name.as_str().to_string(), values)
+            })
             .collect(),
     )
 }
@@ -753,7 +756,7 @@ pub(crate) fn entry_from_wire(dn: &str, attrs: &[(String, Vec<String>)]) -> Resu
     let mut e = Entry::new(Dn::parse(dn)?);
     for (name, values) in attrs {
         for v in values {
-            e.add_value(name.as_str(), v.clone());
+            e.add_value(name.as_str(), v);
         }
     }
     Ok(e)

@@ -624,7 +624,7 @@ mod tests {
         .unwrap();
         let mut e = person_entry();
         e.add_value("objectClass", "mbAux");
-        e.put("mbid", vec!["1".into(), "2".into()]);
+        e.put("mbid", ["1", "2"]);
         let err = s.validate_entry(&e).unwrap_err();
         assert_eq!(err.code, ResultCode::ConstraintViolation);
     }
@@ -632,7 +632,7 @@ mod tests {
     #[test]
     fn naming_violation_detected() {
         let mut e = person_entry();
-        e.put("cn", vec!["Different Name".into()]);
+        e.put("cn", ["Different Name"]);
         let err = Schema::x500_core().validate_entry(&e).unwrap_err();
         assert_eq!(err.code, ResultCode::NamingViolation);
     }

@@ -423,11 +423,27 @@ impl Crc32 {
         Crc32 { state: 0xFFFF_FFFF }
     }
 
+    /// Eight bytes a step (slice-by-8): one table lookup per byte, all
+    /// eight independent of each other, then the tail a byte at a time.
     pub(crate) fn update(&mut self, bytes: &[u8]) {
-        let table = crc_table();
+        let t = &CRC_TABLES;
+        let at = |word: u32, shift: u32| ((word >> shift) & 0xFF) as usize;
         let mut c = self.state;
-        for &b in bytes {
-            c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            c = t[7][at(lo, 0)]
+                ^ t[6][at(lo, 8)]
+                ^ t[5][at(lo, 16)]
+                ^ t[4][at(lo, 24)]
+                ^ t[3][at(hi, 0)]
+                ^ t[2][at(hi, 8)]
+                ^ t[1][at(hi, 16)]
+                ^ t[0][at(hi, 24)];
+        }
+        for &b in words.remainder() {
+            c = t[0][at(c ^ u32::from(b), 0)] ^ (c >> 8);
         }
         self.state = c;
     }
@@ -443,27 +459,40 @@ impl Default for Crc32 {
     }
 }
 
-fn crc_table() -> &'static [u32; 256] {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        let mut i = 0;
-        while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            t[i] = c;
-            i += 1;
+/// The slice-by-8 tables, built at compile time: `CRC_TABLES[0]` is the
+/// bytewise table of the reflected polynomial `0xEDB88320`, and
+/// `CRC_TABLES[k][b]` advances `CRC_TABLES[k - 1][b]` over one more zero
+/// byte.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
         }
-        t
-    })
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    t
 }
 
 /// IEEE CRC-32 over `bytes` in one call. Also used by snapshot footers in
@@ -504,6 +533,43 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    /// The CRC a byte at a time, straight from the polynomial: what the
+    /// table-driven one must agree with.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c ^= u32::from(b);
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    proptest::proptest! {
+        /// Any bytes, from any offset (so the eight-byte steps fall at
+        /// every alignment), fed whole or in two chunks cut anywhere.
+        #[test]
+        fn crc32_agrees_with_the_bitwise_reference(
+            bytes in proptest::collection::vec(0u8..=255, 0..300),
+            offset in 0usize..16,
+            cut in 0usize..300,
+        ) {
+            let data = &bytes[offset.min(bytes.len())..];
+            let expected = crc32_bitwise(data);
+            proptest::prop_assert_eq!(crc32(data), expected);
+            let (head, tail) = data.split_at(cut.min(data.len()));
+            let mut c = Crc32::new();
+            c.update(head);
+            c.update(tail);
+            proptest::prop_assert_eq!(c.finish(), expected);
+        }
     }
 
     #[test]

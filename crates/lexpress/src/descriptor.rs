@@ -83,6 +83,13 @@ impl Values {
     }
 }
 
+impl std::ops::Deref for Values {
+    type Target = [String];
+    fn deref(&self) -> &[String] {
+        self.as_slice()
+    }
+}
+
 impl From<Vec<String>> for Values {
     fn from(mut vs: Vec<String>) -> Values {
         match vs.len() {
@@ -244,17 +251,56 @@ impl Image {
 /// that hands out an attribute's values in place — so that evaluating
 /// against it copies nothing.
 pub trait Frame {
-    /// All values of `name`, matched regardless of ASCII case; empty when
-    /// absent.
-    fn values(&self, name: &str) -> &[String];
+    /// All values of `name`, matched regardless of ASCII case; empty
+    /// ([`NO_VALUES`]) when absent.
+    fn values(&self, name: &str) -> &dyn ValueList;
 
     /// Holds no attribute at all.
     fn is_empty(&self) -> bool;
 }
 
+/// One attribute's values as a [`Frame`] hands them out, in place: any
+/// owner of a slice of strings — an [`Image`]'s, a `Vec<String>`, or a
+/// record's own value type that reads as `str`.
+pub trait ValueList {
+    fn len(&self) -> usize;
+
+    /// The `i`-th value, `None` past the end.
+    fn get(&self, i: usize) -> Option<&str>;
+
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl<L, S> ValueList for L
+where
+    L: std::ops::Deref<Target = [S]>,
+    S: AsRef<str> + 'static,
+{
+    fn len(&self) -> usize {
+        self.deref().len()
+    }
+
+    fn get(&self, i: usize) -> Option<&str> {
+        self.deref().get(i).map(AsRef::as_ref)
+    }
+}
+
+/// The values of an attribute a frame does not hold.
+pub static NO_VALUES: Vec<String> = Vec::new();
+
+/// `list`'s values in order.
+pub(crate) fn items(list: &dyn ValueList) -> impl Iterator<Item = &str> {
+    (0..list.len()).map_while(|i| list.get(i))
+}
+
 impl Frame for Image {
-    fn values(&self, name: &str) -> &[String] {
-        Image::values(self, name)
+    fn values(&self, name: &str) -> &dyn ValueList {
+        match self.find(name) {
+            Ok(i) => &self.attrs[i].1,
+            Err(_) => &NO_VALUES,
+        }
     }
 
     fn is_empty(&self) -> bool {

@@ -39,7 +39,9 @@ mod vm;
 
 pub use bytecode::{Bundle, CompiledMapping, CompiledRule, CompiledTable, Program};
 pub use closure::Closure;
-pub use descriptor::{Frame, Image, OpKind, TargetOp, UpdateDescriptor, UpdateKind};
+pub use descriptor::{
+    Frame, Image, OpKind, TargetOp, UpdateDescriptor, UpdateKind, ValueList, NO_VALUES,
+};
 pub use engine::Engine;
 pub use error::{CompileError, RuntimeError};
 pub use value::Value;

@@ -1,6 +1,6 @@
 //! Runtime values of the lexpress VM.
 
-use crate::descriptor::Values;
+use crate::descriptor::{items, ValueList, Values};
 use std::borrow::Cow;
 use std::fmt;
 
@@ -12,13 +12,54 @@ use std::fmt;
 /// `Null` is the absence of a value: an unset attribute reference yields
 /// `Null`, and string operations propagate it (the basis of the `||`
 /// alternate-mapping operator).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub enum Value<'a> {
     Null,
     Str(Cow<'a, str>),
     /// Every value of a frame attribute (`values(attr)`).
-    List(&'a [String]),
+    List(&'a dyn ValueList),
     Bool(bool),
+}
+
+impl PartialEq for Value<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (Value::Null, Value::Null) => true,
+            (Value::Str(a), Value::Str(b)) => a == b,
+            (Value::List(a), Value::List(b)) => items(*a).eq(items(*b)),
+            (Value::Bool(a), Value::Bool(b)) => a == b,
+            _ => false,
+        }
+    }
+}
+impl Eq for Value<'_> {}
+
+impl fmt::Debug for Value<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Value::Null => f.write_str("Null"),
+            Value::Str(s) => f.debug_tuple("Str").field(s).finish(),
+            Value::List(v) => f.debug_tuple("List").field(&join(*v, ", ")).finish(),
+            Value::Bool(b) => f.debug_tuple("Bool").field(b).finish(),
+        }
+    }
+}
+
+/// `list`'s values with `sep` between them, in one string.
+pub(crate) fn join(list: &dyn ValueList, sep: &str) -> String {
+    let mut out = String::new();
+    join_into(list, sep, &mut out);
+    out
+}
+
+/// Append `list`'s values to `out`, with `sep` between them.
+fn join_into(list: &dyn ValueList, sep: &str, out: &mut String) {
+    for (i, item) in items(list).enumerate() {
+        if i > 0 {
+            out.push_str(sep);
+        }
+        out.push_str(item);
+    }
 }
 
 fn bool_str(b: bool) -> &'static str {
@@ -52,7 +93,7 @@ impl<'a> Value<'a> {
         match self {
             Value::Str(s) => Some(s),
             Value::Null => None,
-            Value::List(v) => Some(Cow::Owned(v.join(" "))),
+            Value::List(v) => Some(Cow::Owned(join(v, " "))),
             Value::Bool(b) => Some(Cow::Borrowed(bool_str(b))),
         }
     }
@@ -62,7 +103,7 @@ impl<'a> Value<'a> {
         match self {
             Value::Null => 0,
             Value::Str(s) => s.len(),
-            Value::List(v) => v.iter().map(String::len).sum::<usize>() + v.len().saturating_sub(1),
+            Value::List(v) => items(*v).map(str::len).sum::<usize>() + v.len().saturating_sub(1),
             Value::Bool(b) => bool_str(*b).len(),
         }
     }
@@ -72,14 +113,7 @@ impl<'a> Value<'a> {
         match self {
             Value::Null => {}
             Value::Str(s) => out.push_str(s),
-            Value::List(v) => {
-                for (i, item) in v.iter().enumerate() {
-                    if i > 0 {
-                        out.push(' ');
-                    }
-                    out.push_str(item);
-                }
-            }
+            Value::List(v) => join_into(*v, " ", out),
             Value::Bool(b) => out.push_str(bool_str(*b)),
         }
     }
@@ -99,8 +133,8 @@ impl<'a> Value<'a> {
     /// `Null` or an empty list → none, `Str` → one value, `List` → many.
     pub(crate) fn into_values(self) -> Option<Values> {
         match self {
-            Value::List([]) => None,
-            Value::List(v) => Some(v.to_vec().into()),
+            Value::List(v) if v.is_empty() => None,
+            Value::List(v) => Some(items(v).map(str::to_string).collect::<Vec<_>>().into()),
             other => other.into_str().map(|s| Values::One(s.into_owned())),
         }
     }
@@ -111,7 +145,7 @@ impl fmt::Display for Value<'_> {
         match self {
             Value::Null => f.write_str("null"),
             Value::Str(s) => f.write_str(s),
-            Value::List(v) => write!(f, "[{}]", v.join(", ")),
+            Value::List(v) => write!(f, "[{}]", join(*v, ", ")),
             Value::Bool(b) => write!(f, "{b}"),
         }
     }
@@ -174,8 +208,8 @@ mod tests {
         assert!(Value::Bool(true).truthy());
         assert!(Value::Str("x".into()).truthy());
         assert!(!Value::Str("".into()).truthy());
-        assert!(Value::List(&["a".into()]).truthy());
-        assert!(!Value::List(&[]).truthy());
+        assert!(Value::List(&vec!["a".to_string()]).truthy());
+        assert!(!Value::List(&crate::NO_VALUES).truthy());
     }
 
     #[test]
@@ -183,7 +217,7 @@ mod tests {
         assert_eq!(Value::Null.into_values(), None);
         let one = Value::Str("a".into()).into_values().unwrap();
         assert_eq!(one.as_slice(), ["a"]);
-        let items = ["a".to_string(), "b".to_string()];
+        let items = vec!["a".to_string(), "b".to_string()];
         assert_eq!(Value::List(&items).into_str().as_deref(), Some("a b"));
         let parts = [
             Value::Str("x=".into()),

@@ -13,7 +13,7 @@
 use crate::bytecode::{Bundle, Instr, Program};
 use crate::descriptor::Frame;
 use crate::error::RuntimeError;
-use crate::value::{glob_match, Value};
+use crate::value::{glob_match, join, Value};
 use std::borrow::Cow;
 use std::ops::Range;
 
@@ -57,10 +57,10 @@ impl<'a> Vm<'a> {
                 Instr::PushBool(b) => Value::Bool(*b),
                 Instr::LoadAttr(name) => frame
                     .values(name)
-                    .first()
+                    .get(0)
                     .map_or(Value::Null, |s| Value::Str(Cow::Borrowed(s))),
                 Instr::LoadAttrAll(name) => match frame.values(name) {
-                    [] => Value::Null,
+                    vs if vs.is_empty() => Value::Null,
                     vs => Value::List(vs),
                 },
                 Instr::Dup => top(stack)?.clone(),
@@ -235,7 +235,7 @@ impl<'a> Vm<'a> {
                 Instr::Join => {
                     let sep = pop(stack)?.into_str();
                     match (pop(stack)?, sep) {
-                        (Value::List(items), Some(sep)) => Value::Str(items.join(&*sep).into()),
+                        (Value::List(items), Some(sep)) => Value::Str(join(items, &sep).into()),
                         (Value::Str(s), Some(_)) => Value::Str(s),
                         (Value::Null, _) => Value::Null,
                         _ => {
@@ -269,7 +269,7 @@ impl<'a> Vm<'a> {
                 },
                 Instr::First => match pop(stack)? {
                     Value::List(items) => items
-                        .first()
+                        .get(0)
                         .map_or(Value::Null, |s| Value::Str(Cow::Borrowed(s))),
                     other => other,
                 },
@@ -486,7 +486,7 @@ mod tests {
         let f = frame();
         assert_eq!(
             eval_expr(r#"values(ou)"#, &f).unwrap(),
-            Value::List(&["a".to_string(), "b".to_string()])
+            Value::List(&vec!["a".to_string(), "b".to_string()])
         );
         assert_eq!(
             eval_expr(r#"join(values(ou), "+")"#, &f).unwrap(),

@@ -141,7 +141,12 @@ fn selected(e: &Entry, attrs: &[String]) -> (String, Vec<(String, Vec<String>)>)
                 .iter()
                 .any(|n| n.eq_ignore_ascii_case(a.name.as_str()))
         })
-        .map(|a| (a.name.as_str().to_ascii_lowercase(), a.values.to_vec()))
+        .map(|a| {
+            (
+                a.name.as_str().to_ascii_lowercase(),
+                a.values.iter().map(|v| v.to_string()).collect(),
+            )
+        })
         .collect();
     kept.sort();
     (e.dn().to_string(), kept)

@@ -324,6 +324,21 @@ proptest! {
         prop_assert_eq!(parsed.norm_key(), dn.norm_key());
     }
 
+    /// RFC 4514 §3: `\XX` pairs are UTF-8 octets, so a value written with
+    /// every byte hex-escaped names the entry the value itself names.
+    #[test]
+    fn a_value_written_in_hex_escapes_parses_to_itself(
+        attr in attr_strategy(),
+        value in wide_text_strategy(),
+    ) {
+        let hex: String = value.bytes().map(|b| format!("\\{b:02X}")).collect();
+        let parsed = Dn::parse(&format!("{attr}={hex},o=x")).expect("hex escapes parse");
+        prop_assert_eq!(parsed.rdn().expect("a leaf").first().value(), value.as_str());
+        let plain = Dn::parse("o=x").expect("suffix").child(Rdn::new(&attr, value.as_str()));
+        prop_assert_eq!(&parsed, &plain);
+        prop_assert_eq!(parsed.to_string(), plain.to_string());
+    }
+
     #[test]
     fn dn_hierarchy_laws(
         attrs in proptest::collection::vec((attr_strategy(), value_strategy()), 1..5)

@@ -46,12 +46,12 @@ fn is_structural(schema: &Schema, name: &str) -> bool {
 }
 
 /// Every structural class among `classes` lies on one superclass chain.
-fn all_one_chain(schema: &Schema, classes: &[String]) -> bool {
+fn all_one_chain(schema: &Schema, classes: &[ldap::Value]) -> bool {
     let lowered_chain = |name: &str| -> Option<Vec<String>> {
         let chain = class_chain(schema, name).ok()?;
         Some(chain.iter().map(|c| c.name.to_ascii_lowercase()).collect())
     };
-    let structurals: Vec<&String> = (classes.iter())
+    let structurals: Vec<&ldap::Value> = (classes.iter())
         .filter(|c| is_structural(schema, c))
         .collect();
     structurals.iter().all(|a| {
@@ -262,10 +262,7 @@ fn damaged(shape: usize, damages: &[Damage]) -> Entry {
                 e.remove_value("objectClass", CLASSES[*c]);
             }
             Damage::OnlyClasses(cs) => {
-                e.put(
-                    "objectClass",
-                    cs.iter().map(|c| CLASSES[*c].to_string()).collect(),
-                );
+                e.put("objectClass", cs.iter().map(|c| CLASSES[*c]));
             }
             Damage::AddValue(a, v) => {
                 e.add_value(ATTRS[*a], VALUES[*v]);

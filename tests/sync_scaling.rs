@@ -183,6 +183,10 @@ fn allocations_per_record(people: usize) -> (f64, f64) {
 fn allocations_per_record_stay_flat_from_500_to_8000_records() {
     let (small_load, small_resync) = allocations_per_record(250);
     let (large_load, large_resync) = allocations_per_record(4_000);
+    println!(
+        "allocations per record: load {small_load:.2} / {large_load:.2}, \
+         resync {small_resync:.2} / {large_resync:.2} (500 / 8,000 records)"
+    );
     for (what, small, large) in [
         ("initial load", small_load, large_load),
         ("no-op resync", small_resync, large_resync),
@@ -195,10 +199,11 @@ fn allocations_per_record_stay_flat_from_500_to_8000_records() {
     }
     // Flat, and no dearer than committed: translate + entry build + one
     // directory write a record (485 before the write was made cheap, 261
-    // before translation borrowed; 61 measured).
+    // before translation borrowed, 61 before short values lived in their
+    // slot; 47.3 measured).
     assert!(
-        large_load <= 67.0,
-        "initial load: {large_load:.1} allocations per record (ceiling 67)"
+        large_load <= 52.0,
+        "initial load: {large_load:.1} allocations per record (ceiling 52)"
     );
 }
 
@@ -226,6 +231,7 @@ fn one_translation_allocates_little_more_than_what_it_produces() {
     let image = metacomm::image::entry_to_image(&john);
     let to_device = UpdateDescriptor::add(john.dn().to_string(), image, "wba");
     let person_cost = translation_allocations(&r, "ldap_to_pbx-1", &to_device);
+    println!("translation allocations: station {station_cost}, person {person_cost}");
     // 157 and 75 while every value was copied onto the VM's stack and every
     // name lowercased per lookup; 10 and 8 measured.
     assert!(

@@ -171,13 +171,14 @@ fn validating_a_conforming_entry_allocates_nothing() {
     );
 }
 
-/// Ceilings: the counts measured when the store stopped copying names and
-/// values into its tables (1.1 / 14.1 / 9.0 for an add, a WAL'd add and a
-/// modify; 12 / 24 / 11 while it built a key string per name and a posting
-/// key per value), plus the headroom they had then.
-const ADD_CEILING: f64 = 10.0;
-const WAL_ADD_CEILING: f64 = 23.0;
-const MODIFY_CEILING: f64 = 14.0;
+/// Ceilings: the counts measured once a value of up to 22 bytes was held
+/// in its slot (1.1 / 6.1 / 3.0 for an add, a WAL'd add and a modify), plus
+/// one allocation of headroom. 1.1 / 14.1 / 9.0 while every value was a
+/// heap string of its own; 12 / 24 / 11 while the store built a key string
+/// per name and a posting key per value.
+const ADD_CEILING: f64 = 2.0;
+const WAL_ADD_CEILING: f64 = 7.0;
+const MODIFY_CEILING: f64 = 4.0;
 
 #[test]
 fn an_unobserved_add_stays_under_twenty_allocations() {
