@@ -23,10 +23,11 @@
 //!
 //! The store keeps each string once, in the entry. Every entry has a `u32`
 //! `DnId`; sibling lists and postings hold ids, and the tables that find
-//! them hold hashes: the DN table maps a DN's hash to the ids carrying it
-//! (a lookup settles which one by `Dn ==` against the node's entry), and
-//! each equality index maps a normalized value's hash to the ids holding
-//! it (a collision is one more candidate the filter re-check turns away).
+//! them hold 32-bit hashes: the DN table maps a DN's hash to the ids
+//! carrying it (a lookup settles which one by `Dn ==` against the node's
+//! entry), and each equality index maps a normalized value's hash to the
+//! ids holding it (a collision is one more candidate the filter re-check
+//! turns away). A hash one id holds takes an 8-byte slot.
 //! Entries hold interned attribute names and point their ancestor RDNs at
 //! their parent's (one RDN per subtree; DESIGN.md "DIT store and
 //! snapshots" has the byte budget, [`Dit::footprint`] reads it back), and
@@ -47,7 +48,7 @@ use crate::filter::Filter;
 use crate::schema::{Schema, SchemaRef};
 use crate::unpoison;
 use std::cmp;
-use std::collections::hash_map::RandomState;
+use std::collections::hash_map::{self, RandomState};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -137,7 +138,8 @@ pub struct Footprint {
     pub value_bytes: usize,
     /// The equality indexes: value-hash tables and spilled id sets.
     pub postings_bytes: usize,
-    /// The sorted child-id vectors.
+    /// The sorted child-id vectors, and the box each non-leaf holds its
+    /// vector in.
     pub sibling_bytes: usize,
 }
 
@@ -180,17 +182,23 @@ fn hash_table_block(capacity: usize, slot: usize) -> usize {
 }
 
 /// Arena id of an entry: a `u32` that stands in for its name in the entry
-/// slab, the sibling lists and every posting.
+/// slab, the sibling lists and every posting. [`ROOT`] is no entry's id.
 type DnId = u32;
 
-/// A table keyed by a hash the store has already taken — a DN's, or a
-/// normalized value's — to the ids that carry it. The key goes in as it
-/// is: the table does not hash it again.
-type HashTable = HashMap<u64, Posting, BuildHasherDefault<Taken>>;
+/// What a suffix entry's node holds as its parent: the virtual DIT root.
+/// The id space stops one short of it.
+const ROOT: DnId = DnId::MAX;
 
-/// The hasher of a [`HashTable`]: it is handed a finished hash. That hash
-/// is [`Hashes`]' keyed SipHash, so names and values crafted to collide
-/// are no easier to find than under the default hasher.
+/// A map keyed by a 32-bit hash the store has already taken — a DN's, or
+/// a normalized value's. The key goes in as it is: the map does not hash
+/// it again.
+type HashedBy<V> = HashMap<u32, V, BuildHasherDefault<Taken>>;
+
+/// The hasher of a [`HashedBy`] map: it is handed a finished 32-bit hash
+/// and repeats it in both halves of the 64 bits the map sees, which takes
+/// a bucket from the low bits and a control tag from the top seven. That
+/// hash is [`Hashes`]' keyed SipHash, so names and values crafted to
+/// collide are no easier to find than under the default hasher.
 #[derive(Default)]
 struct Taken(u64);
 
@@ -200,43 +208,131 @@ impl Hasher for Taken {
     }
 
     fn write(&mut self, _: &[u8]) {
-        unreachable!("a HashTable key is a finished u64 hash")
+        unreachable!("a HashedBy key is a finished u32 hash")
     }
 
-    fn write_u64(&mut self, hash: u64) {
-        self.0 = hash;
-    }
-}
-
-/// Add `id` to the posting under `hash`.
-fn post(table: &mut HashTable, hash: u64, id: DnId) {
-    (table.entry(hash))
-        .and_modify(|p| p.insert(id))
-        .or_insert(Posting::One(id));
-}
-
-/// Take `id` out of the posting under `hash`, and the posting out of the
-/// table with its last id.
-fn withdraw(table: &mut HashTable, hash: u64, id: DnId) {
-    if table.get_mut(&hash).is_some_and(|p| p.remove(id)) {
-        table.remove(&hash);
+    fn write_u32(&mut self, hash: u32) {
+        self.0 = u64::from(hash) << 32 | u64::from(hash);
     }
 }
 
-/// A table's one block plus every set a shared posting spilled into.
-fn table_bytes(table: &HashTable) -> usize {
-    let spilled: usize = table.values().map(Posting::heap_bytes).sum();
-    hash_table_block(table.capacity(), std::mem::size_of::<(u64, Posting)>()) + spilled
+/// The ids under each hash of a DN, or of an indexed value. Names and
+/// numbers are unique, so nearly every hash has one id, which takes an
+/// 8-byte slot in `one`. A hash that two or more ids share (one value many
+/// entries hold, or a collision) has a set in `many` instead. No hash is
+/// in both maps.
+#[derive(Default)]
+struct IdTable {
+    one: HashedBy<DnId>,
+    many: HashedBy<HashSet<DnId>>,
 }
 
-/// How a store hashes names and values: SipHash under a key of its own.
-/// Unit tests keep two bits of every hash, so each test in this module
-/// runs on colliding buckets.
+impl IdTable {
+    fn get(&self, hash: u32) -> Option<Ids<'_>> {
+        match self.one.get(&hash) {
+            Some(&id) => Some(Ids::One(id)),
+            None => self.many.get(&hash).map(Ids::Many),
+        }
+    }
+
+    /// Add `id` under `hash`.
+    fn post(&mut self, hash: u32, id: DnId) {
+        if let Some(set) = self.many.get_mut(&hash) {
+            set.insert(id);
+            return;
+        }
+        match self.one.entry(hash) {
+            hash_map::Entry::Vacant(slot) => {
+                slot.insert(id);
+            }
+            hash_map::Entry::Occupied(slot) if *slot.get() == id => {}
+            hash_map::Entry::Occupied(slot) => {
+                let first = slot.remove();
+                self.many.insert(hash, HashSet::from([first, id]));
+            }
+        }
+    }
+
+    /// Take `id` out from under `hash`. A set left with one id goes back
+    /// to `one`, and a set left with under a quarter of its capacity gives
+    /// the rest back: `remove` alone keeps every bucket.
+    fn withdraw(&mut self, hash: u32, id: DnId) {
+        if self.one.get(&hash) == Some(&id) {
+            self.one.remove(&hash);
+            return;
+        }
+        let Some(set) = self.many.get_mut(&hash) else {
+            return;
+        };
+        set.remove(&id);
+        if set.len() == 1 {
+            let last = *set.iter().next().expect("one id left");
+            self.many.remove(&hash);
+            self.one.insert(hash, last);
+        } else if set.len() < set.capacity() / 4 {
+            set.shrink_to_fit();
+        }
+    }
+
+    fn clear(&mut self) {
+        self.one.clear();
+        self.many.clear();
+    }
+
+    /// Both maps' blocks and every shared hash's set.
+    fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let sets: usize = (self.many.values())
+            .map(|set| hash_table_block(set.capacity(), size_of::<DnId>()))
+            .sum();
+        hash_table_block(self.one.capacity(), size_of::<(u32, DnId)>())
+            + hash_table_block(self.many.capacity(), size_of::<(u32, HashSet<DnId>)>())
+            + sets
+    }
+
+    /// Each hash is in exactly one of the two maps, and a set holds two
+    /// ids at least.
+    #[cfg(test)]
+    fn assert_each_hash_in_one_map(&self) {
+        for (hash, set) in &self.many {
+            assert!(set.len() >= 2, "hash {hash} has a set of {}", set.len());
+            assert!(!self.one.contains_key(hash), "hash {hash} is in both maps");
+        }
+    }
+}
+
+/// The ids under one hash, borrowed from an [`IdTable`].
+#[derive(Clone, Copy)]
+enum Ids<'a> {
+    One(DnId),
+    Many(&'a HashSet<DnId>),
+}
+
+impl<'a> Ids<'a> {
+    fn len(self) -> usize {
+        match self {
+            Ids::One(_) => 1,
+            Ids::Many(set) => set.len(),
+        }
+    }
+
+    fn iter(self) -> impl Iterator<Item = DnId> + 'a {
+        let (one, many) = match self {
+            Ids::One(id) => (Some(id), None),
+            Ids::Many(set) => (None, Some(set.iter().copied())),
+        };
+        one.into_iter().chain(many.into_iter().flatten())
+    }
+}
+
+/// How a store hashes names and values: 32 bits of SipHash under a key of
+/// its own. Unit tests keep two bits of every hash, so each test in this
+/// module runs on colliding buckets.
 struct Hashes(RandomState);
 
 impl Hashes {
-    fn finish(&self, item: impl Hash) -> u64 {
-        let hash = self.0.hash_one(item);
+    fn finish(&self, item: impl Hash) -> u32 {
+        let hash = self.0.hash_one(item) as u32;
         if cfg!(test) {
             hash & 0b11
         } else {
@@ -247,12 +343,12 @@ impl Hashes {
     /// The hash of the DN whose RDNs (leaf first) are `rdns` — what the
     /// derived `Dn: Hash` hashes, so a parent's is `rdns[1..]`'s and no
     /// parent `Dn` is built for it.
-    fn dn(&self, rdns: &[Rdn]) -> u64 {
+    fn dn(&self, rdns: &[Rdn]) -> u32 {
         self.finish(rdns)
     }
 
     /// The hash of `value` normalized, which is built in `scratch`.
-    fn value(&self, value: &str, scratch: &mut String) -> u64 {
+    fn value(&self, value: &str, scratch: &mut String) -> u32 {
         norm_value_into(value, scratch);
         self.finish(scratch.as_str())
     }
@@ -285,7 +381,7 @@ enum Plan<'a> {
     /// Serve from this posting list (smallest among the filter's indexed
     /// equality conjuncts); every candidate is re-verified with the full
     /// filter.
-    Candidates(&'a Posting),
+    Candidates(Ids<'a>),
     /// An indexed equality conjunct matches no entry at all: the result is
     /// provably empty, no traversal needed.
     Empty,
@@ -307,73 +403,9 @@ fn collect_eq<'f>(f: &'f Filter, out: &mut Vec<(&'f str, &'f str)>) {
     }
 }
 
-/// The ids under one hash: of a DN, or of an indexed value. Names and
-/// numbers are unique, so most hashes have exactly one: that id sits
-/// inline, and a set is only allocated when a second entry shares the
-/// value or collides with it (invariant: `Many` holds at least two).
-enum Posting {
-    One(DnId),
-    /// Boxed on purpose: the slot of a unique value stays 16 bytes instead
-    /// of a set header's 48, and unique values are nearly all of them.
-    #[allow(clippy::box_collection)]
-    Many(Box<HashSet<DnId>>),
-}
-
-impl Posting {
-    fn len(&self) -> usize {
-        match self {
-            Posting::One(_) => 1,
-            Posting::Many(set) => set.len(),
-        }
-    }
-
-    fn iter(&self) -> impl Iterator<Item = DnId> + '_ {
-        let (one, many) = match self {
-            Posting::One(id) => (Some(*id), None),
-            Posting::Many(set) => (None, Some(set.iter().copied())),
-        };
-        one.into_iter().chain(many.into_iter().flatten())
-    }
-
-    fn insert(&mut self, id: DnId) {
-        match self {
-            Posting::One(first) if *first == id => {}
-            Posting::One(first) => *self = Posting::Many(Box::new(HashSet::from([*first, id]))),
-            Posting::Many(set) => {
-                set.insert(id);
-            }
-        }
-    }
-
-    /// Remove `id`; `true` when nothing is left and the posting should go.
-    fn remove(&mut self, id: DnId) -> bool {
-        match self {
-            Posting::One(only) => *only == id,
-            Posting::Many(set) => {
-                set.remove(&id);
-                if set.len() == 1 {
-                    *self = Posting::One(*set.iter().next().expect("one id left"));
-                }
-                false
-            }
-        }
-    }
-
-    /// The spilled set's heap bytes (an inline id has none).
-    fn heap_bytes(&self) -> usize {
-        match self {
-            Posting::One(_) => 0,
-            Posting::Many(set) => {
-                heap_block(std::mem::size_of::<HashSet<DnId>>())
-                    + hash_table_block(set.capacity(), std::mem::size_of::<DnId>())
-            }
-        }
-    }
-}
-
 /// Per-attribute equality index: normalized value's hash → the ids of
 /// every entry carrying the value, and of any entry whose value collides
-/// with it ([`Posting`]). No value is stored here: the planner re-runs the
+/// with it ([`IdTable`]). No value is stored here: the planner re-runs the
 /// full filter on every candidate, so a collision costs one check, and a
 /// hash with no posting still proves that no entry holds the value. Lives
 /// inside the store so maintenance shares the update ops' write lock.
@@ -381,7 +413,7 @@ impl Posting {
 /// sorting survivors with the sibling comparator — a few comparisons on
 /// what is typically a small candidate set.
 struct IdIndex {
-    postings: HashMap<String, HashTable>,
+    postings: HashMap<String, IdTable>,
     /// The normalized value being hashed: maintenance runs under the
     /// store's write lock, so one buffer serves every call.
     scratch: String,
@@ -391,7 +423,7 @@ impl IdIndex {
     fn new(attrs: &[&str]) -> IdIndex {
         let mut postings = HashMap::new();
         for a in attrs {
-            postings.insert(a.to_ascii_lowercase(), HashTable::default());
+            postings.insert(a.to_ascii_lowercase(), IdTable::default());
         }
         IdIndex {
             postings,
@@ -404,11 +436,11 @@ impl IdIndex {
     }
 
     fn insert_entry(&mut self, hashes: &Hashes, id: DnId, e: &Entry) {
-        self.each_indexed_value(hashes, id, e, post);
+        self.each_indexed_value(hashes, id, e, IdTable::post);
     }
 
     fn remove_entry(&mut self, hashes: &Hashes, id: DnId, e: &Entry) {
-        self.each_indexed_value(hashes, id, e, withdraw);
+        self.each_indexed_value(hashes, id, e, IdTable::withdraw);
     }
 
     /// `post` or `withdraw` every value of `e` that has a table.
@@ -417,7 +449,7 @@ impl IdIndex {
         hashes: &Hashes,
         id: DnId,
         e: &Entry,
-        apply: fn(&mut HashTable, u64, DnId),
+        apply: fn(&mut IdTable, u32, DnId),
     ) {
         if !self.enabled() {
             return;
@@ -441,10 +473,10 @@ impl IdIndex {
             let (was, now) = (old.values(attr), new.values(attr));
             if was != now {
                 for v in was {
-                    withdraw(table, hashes.value(v, &mut self.scratch), id);
+                    table.withdraw(hashes.value(v, &mut self.scratch), id);
                 }
                 for v in now {
-                    post(table, hashes.value(v, &mut self.scratch), id);
+                    table.post(hashes.value(v, &mut self.scratch), id);
                 }
             }
         }
@@ -464,17 +496,17 @@ impl IdIndex {
             Filter::Equality(..) | Filter::And(_) => collect_eq(filter, &mut conjuncts),
             _ => return Plan::Scan,
         }
-        let mut best: Option<&Posting> = None;
+        let mut best: Option<Ids<'_>> = None;
         let mut wanted = String::new();
         for (attr, value) in conjuncts {
             let Some(table) = with_lower(attr, |a| self.postings.get(a)) else {
                 continue;
             };
-            match table.get(&hashes.value(value, &mut wanted)) {
+            match table.get(hashes.value(value, &mut wanted)) {
                 None => return Plan::Empty,
-                Some(set) => {
-                    if best.is_none_or(|b| set.len() < b.len()) {
-                        best = Some(set);
+                Some(ids) => {
+                    if best.is_none_or(|b| ids.len() < b.len()) {
+                        best = Some(ids);
                     }
                 }
             }
@@ -486,30 +518,45 @@ impl IdIndex {
         let mut bytes = heap_block(self.scratch.capacity())
             + hash_table_block(
                 self.postings.capacity(),
-                std::mem::size_of::<(String, HashTable)>(),
+                std::mem::size_of::<(String, IdTable)>(),
             );
         for (attr, table) in &self.postings {
-            bytes += heap_block(attr.capacity()) + table_bytes(table);
+            bytes += heap_block(attr.capacity()) + table.heap_bytes();
         }
         bytes
     }
 }
 
-/// One arena slot: the entry and the tree links as ids.
+/// One arena slot: the entry and the tree links as ids, in 56 bytes.
 struct CompactNode {
     entry: Entry,
-    /// `None` means the parent is the virtual DIT root.
-    parent: Option<DnId>,
-    /// Sorted by [`sibling_order`]. Unsorted while a bulk load is active.
-    children: Vec<DnId>,
+    /// [`ROOT`] for a suffix entry.
+    parent: DnId,
+    /// Sorted by [`sibling_order`]; unsorted while a bulk load is active.
+    /// Boxed on purpose: nearly every entry is a leaf, and a leaf's `None`
+    /// costs 8 bytes where an empty vector's header costs 24. Dropped
+    /// again with the last child.
+    #[allow(clippy::box_collection)]
+    children: Option<Box<Vec<DnId>>>,
+}
+
+impl CompactNode {
+    /// `None` under the virtual root.
+    fn parent(&self) -> Option<DnId> {
+        (self.parent != ROOT).then_some(self.parent)
+    }
+
+    fn children(&self) -> &[DnId] {
+        self.children.as_deref().map_or(&[], Vec::as_slice)
+    }
 }
 
 /// The store: id-keyed tree and index, and the DN table that finds ids.
 struct CompactStore {
-    /// DN hash → the ids whose DN has it: one inline id a name, a set only
-    /// where two names collide, settled by `Dn ==` against the node's
-    /// entry. The name itself lives in the entry alone.
-    dns: HashTable,
+    /// DN hash → the ids whose DN has it: one id a name, a set only where
+    /// two names collide, settled by `Dn ==` against the node's entry. The
+    /// name itself lives in the entry alone.
+    dns: IdTable,
     hashes: Hashes,
     slots: Vec<Option<CompactNode>>,
     /// Freed ids, reused by later inserts.
@@ -526,7 +573,7 @@ struct CompactStore {
 impl CompactStore {
     fn new(indexed_attrs: &[&str]) -> CompactStore {
         CompactStore {
-            dns: HashTable::default(),
+            dns: IdTable::default(),
             hashes: Hashes(RandomState::new()),
             slots: Vec::new(),
             free: Vec::new(),
@@ -560,9 +607,8 @@ impl CompactStore {
 
     /// The id of the entry named by `rdns` (leaf first), whose hash is
     /// `hash`.
-    fn find_hashed(&self, hash: u64, rdns: &[Rdn]) -> Option<DnId> {
-        let posting = self.dns.get(&hash)?;
-        posting
+    fn find_hashed(&self, hash: u32, rdns: &[Rdn]) -> Option<DnId> {
+        (self.dns.get(hash)?)
             .iter()
             .find(|&id| self.node(id).entry.dn().rdns() == rdns)
     }
@@ -586,14 +632,22 @@ impl CompactStore {
 
     fn children_of(&self, parent: Option<DnId>) -> &[DnId] {
         match parent {
-            Some(p) => &self.node(p).children,
+            Some(p) => self.node(p).children(),
             None => &self.root_children,
+        }
+    }
+
+    /// `parent`'s children, to be edited: a leaf's are created empty.
+    fn children_mut(&mut self, parent: Option<DnId>) -> &mut Vec<DnId> {
+        match parent {
+            Some(p) => self.node_mut(p).children.get_or_insert_default(),
+            None => &mut self.root_children,
         }
     }
 
     /// Is `id` a strict descendant of `ancestor`?
     fn is_under(&self, mut id: DnId, ancestor: DnId) -> bool {
-        while let Some(p) = self.node(id).parent {
+        while let Some(p) = self.node(id).parent() {
             if p == ancestor {
                 return true;
             }
@@ -609,7 +663,9 @@ impl CompactStore {
                 id
             }
             None => {
-                let id = DnId::try_from(self.slots.len()).expect("DnId space exhausted");
+                let id = (DnId::try_from(self.slots.len()).ok())
+                    .filter(|&id| id != ROOT)
+                    .expect("DnId space exhausted");
                 self.slots.push(Some(node));
                 id
             }
@@ -626,20 +682,15 @@ impl CompactStore {
     /// Splice `id` into its parent's sibling list at its sorted position
     /// (append unsorted during bulk loads).
     fn link_child(&mut self, parent: Option<DnId>, id: DnId) {
-        if self.bulk > 0 {
-            match parent {
-                Some(p) => self.node_mut(p).children.push(id),
-                None => self.root_children.push(id),
-            }
-            return;
-        }
-        let pos = self.sibling_slot(parent, id).unwrap_err();
-        match parent {
-            Some(p) => self.node_mut(p).children.insert(pos, id),
-            None => self.root_children.insert(pos, id),
-        }
+        let pos = match self.bulk {
+            0 => self.sibling_slot(parent, id).unwrap_err(),
+            _ => self.children_of(parent).len(),
+        };
+        self.children_mut(parent).insert(pos, id);
     }
 
+    /// Take `id` out of its parent's sibling list, and the list out of a
+    /// parent it leaves childless.
     fn unlink_child(&mut self, parent: Option<DnId>, id: DnId) {
         let pos = if self.bulk > 0 {
             self.children_of(parent).iter().position(|&c| c == id)
@@ -647,13 +698,10 @@ impl CompactStore {
             self.sibling_slot(parent, id).ok()
         }
         .expect("child is linked under its parent");
-        match parent {
-            Some(p) => {
-                self.node_mut(p).children.remove(pos);
-            }
-            None => {
-                self.root_children.remove(pos);
-            }
+        let siblings = self.children_mut(parent);
+        siblings.remove(pos);
+        if let (true, Some(p)) = (siblings.is_empty(), parent) {
+            self.node_mut(p).children = None;
         }
     }
 
@@ -663,16 +711,16 @@ impl CompactStore {
     /// path into the tree (add, rename, subtree move) leaves each RDN stored
     /// once per subtree; a bulk load does the same for all its entries at
     /// once, in `finish_bulk_build`.
-    fn insert_entry(&mut self, hash: u64, parent: Option<DnId>, mut entry: Entry) {
+    fn insert_entry(&mut self, hash: u32, parent: Option<DnId>, mut entry: Entry) {
         if let (Some(p), 0) = (parent, self.bulk) {
             entry.dn_mut().share_with(self.node(p).entry.dn());
         }
         let id = self.alloc(CompactNode {
             entry,
-            parent,
-            children: Vec::new(),
+            parent: parent.unwrap_or(ROOT),
+            children: None,
         });
-        post(&mut self.dns, hash, id);
+        self.dns.post(hash, id);
         if self.bulk == 0 {
             let CompactStore {
                 slots,
@@ -687,11 +735,11 @@ impl CompactStore {
     }
 
     /// Remove the childless entry `id`, whose DN hashes to `hash`.
-    fn remove_leaf(&mut self, id: DnId, hash: u64) -> Entry {
-        let parent = self.node(id).parent;
+    fn remove_leaf(&mut self, id: DnId, hash: u32) -> Entry {
+        let parent = self.node(id).parent();
         self.unlink_child(parent, id);
         let node = self.slots[id as usize].take().expect("live id");
-        withdraw(&mut self.dns, hash, id);
+        self.dns.withdraw(hash, id);
         if self.bulk == 0 {
             self.index.remove_entry(&self.hashes, id, &node.entry);
         }
@@ -723,7 +771,7 @@ impl CompactStore {
     fn rename_subtree(
         &mut self,
         root: DnId,
-        hash: u64,
+        hash: u32,
         old_depth: usize,
         new_dn: &Dn,
         head: Entry,
@@ -762,12 +810,11 @@ impl CompactStore {
         rc.sort_unstable_by(|&a, &b| sibling_order(self.rdn(a), self.rdn(b), false));
         self.root_children = rc;
         for i in 0..self.slots.len() {
-            let Some(slot) = self.slots[i].as_mut() else {
+            let Some(mut kids) = self.slots[i].as_mut().and_then(|n| n.children.take()) else {
                 continue;
             };
-            let mut kids = std::mem::take(&mut slot.children);
             kids.sort_unstable_by(|&a, &b| sibling_order(self.rdn(a), self.rdn(b), true));
-            self.node_mut(i as DnId).children = kids;
+            self.node_mut(i as DnId).children = Some(kids);
         }
         // Parents first, so that what a node shares is already its parent's
         // final storage. Done here and not per insert: while the loader's
@@ -776,8 +823,8 @@ impl CompactStore {
         // inserter, against 0.2 us once they are gone).
         let mut queue: VecDeque<DnId> = self.root_children.iter().copied().collect();
         while let Some(id) = queue.pop_front() {
-            queue.extend(&self.node(id).children);
-            if let Some(p) = self.node(id).parent {
+            queue.extend(self.node(id).children());
+            if let Some(p) = self.node(id).parent() {
                 let mut dn = std::mem::take(self.node_mut(id).entry.dn_mut());
                 dn.share_with(self.node(p).entry.dn());
                 *self.node_mut(id).entry.dn_mut() = dn;
@@ -805,7 +852,7 @@ impl CompactStore {
         use std::mem::size_of;
         let mut fp = Footprint {
             entries: self.len(),
-            key_arena_bytes: table_bytes(&self.dns),
+            key_arena_bytes: self.dns.heap_bytes(),
             slab_bytes: heap_block(self.slots.capacity() * size_of::<Option<CompactNode>>())
                 + heap_block(self.free.capacity() * size_of::<DnId>()),
             postings_bytes: self.index.heap_bytes(),
@@ -813,7 +860,10 @@ impl CompactStore {
             ..Footprint::default()
         };
         for node in self.slots.iter().flatten() {
-            fp.sibling_bytes += heap_block(node.children.capacity() * size_of::<DnId>());
+            if let Some(kids) = &node.children {
+                fp.sibling_bytes += heap_block(size_of::<Vec<DnId>>())
+                    + heap_block(kids.capacity() * size_of::<DnId>());
+            }
             node.entry.attr_heap_blocks(
                 |n| fp.attr_slot_bytes += heap_block(n),
                 |n| fp.value_bytes += heap_block(n),
@@ -822,9 +872,7 @@ impl CompactStore {
             fp.dn_bytes += heap_block(std::mem::size_of_val(rdns));
             // An RDN is counted where it is the leaf; further down the
             // subtree only where an entry still holds a copy of its own.
-            let above = node
-                .parent
-                .map_or(&[][..], |p| self.node(p).entry.dn().rdns());
+            let above = (node.parent()).map_or(&[][..], |p| self.node(p).entry.dn().rdns());
             for (i, rdn) in rdns.iter().enumerate() {
                 let inherited = i > 0 && above.get(i - 1).is_some_and(|p| p.shares_storage(rdn));
                 if !inherited {
@@ -876,7 +924,7 @@ impl CompactStore {
                 // the survivors in sibling order — the scan's order.
                 let mut hits: Vec<DnId> = set
                     .iter()
-                    .filter(|&id| self.node(id).parent == base)
+                    .filter(|&id| self.node(id).parent() == base)
                     .collect();
                 hits.sort_unstable_by(|&a, &b| {
                     sibling_order(self.rdn(a), self.rdn(b), base.is_some())
@@ -932,7 +980,7 @@ impl CompactStore {
         };
         std::iter::from_fn(move || {
             let id = queue.pop_front()?;
-            queue.extend(&self.node(id).children);
+            queue.extend(self.node(id).children());
             Some(id)
         })
     }
@@ -994,6 +1042,16 @@ impl Dit {
             .collect();
         attrs.sort();
         attrs
+    }
+
+    /// Every id table keeps each hash in exactly one of its maps.
+    #[cfg(test)]
+    fn assert_each_hash_in_one_map(&self) {
+        let s = unpoison(self.store.read());
+        s.tree.dns.assert_each_hash_in_one_map();
+        for table in s.tree.index.postings.values() {
+            table.assert_each_hash_in_one_map();
+        }
     }
 
     /// `(served, scanned)`: One/Sub searches answered from the equality
@@ -1150,7 +1208,7 @@ impl Dit {
         let hash = s.tree.hashes.dn(dn.rdns());
         let id =
             (s.tree.find_hashed(hash, dn.rdns())).ok_or_else(|| LdapError::no_such_object(dn))?;
-        if !s.tree.node(id).children.is_empty() {
+        if !s.tree.node(id).children().is_empty() {
             return Err(LdapError::new(
                 ResultCode::NotAllowedOnNonLeaf,
                 format!("`{dn}` has children"),
@@ -1527,24 +1585,84 @@ mod tests {
     }
 
     #[test]
-    fn posting_holds_one_id_inline_and_a_set_from_the_second() {
-        let mut p = Posting::One(7);
-        p.insert(7);
-        assert!(matches!(p, Posting::One(7)));
-        p.insert(9);
-        p.insert(11);
-        assert_eq!(p.len(), 3);
-        let mut ids: Vec<DnId> = p.iter().collect();
+    fn a_hash_holds_one_id_in_a_slot_and_a_set_from_the_second() {
+        let mut t = IdTable::default();
+        t.post(5, 7);
+        t.post(5, 7);
+        assert!(matches!(t.get(5), Some(Ids::One(7))));
+        t.post(5, 9);
+        t.post(5, 11);
+        let ids = t.get(5).expect("posted");
+        assert!(matches!(ids, Ids::Many(_)));
+        assert_eq!(ids.len(), 3);
+        let mut ids: Vec<DnId> = ids.iter().collect();
         ids.sort_unstable();
         assert_eq!(ids, vec![7, 9, 11]);
-        assert!(!p.remove(8), "an absent id removes nothing");
-        assert!(!p.remove(9));
-        assert!(matches!(p, Posting::Many(_)));
-        // Back to one id: back to the inline form.
-        assert!(!p.remove(7));
-        assert!(matches!(p, Posting::One(11)));
-        assert!(!p.remove(7));
-        assert!(p.remove(11), "the last id out empties the posting");
+        t.withdraw(5, 8);
+        assert_eq!(
+            t.get(5).map(Ids::len),
+            Some(3),
+            "an absent id removes nothing"
+        );
+        t.withdraw(5, 9);
+        assert!(matches!(t.get(5), Some(Ids::Many(_))));
+        // Back to one id: back to the slot.
+        t.withdraw(5, 7);
+        assert!(matches!(t.get(5), Some(Ids::One(11))));
+        t.assert_each_hash_in_one_map();
+        t.withdraw(5, 7);
+        t.withdraw(5, 11);
+        assert!(t.get(5).is_none(), "the last id out empties the hash");
+        assert!(t.one.is_empty() && t.many.is_empty());
+    }
+
+    #[test]
+    fn a_set_that_empties_gives_its_buckets_back() {
+        let mut emptied = IdTable::default();
+        for id in 0..4_096 {
+            emptied.post(1, id);
+        }
+        let full = emptied.heap_bytes();
+        for id in 3..4_096 {
+            emptied.withdraw(1, id);
+        }
+        let mut fresh = IdTable::default();
+        for id in 0..3 {
+            fresh.post(1, id);
+        }
+        let (left, three) = (emptied.heap_bytes(), fresh.heap_bytes());
+        assert!(
+            left <= 2 * three,
+            "4,096 ids down to 3 hold {left} B (from {full} B), 3 fresh ids {three} B"
+        );
+    }
+
+    #[test]
+    fn a_node_is_56_bytes_and_a_unique_hash_8() {
+        assert_eq!(std::mem::size_of::<Option<CompactNode>>(), 56);
+        assert_eq!(std::mem::size_of::<(u32, DnId)>(), 8);
+    }
+
+    #[test]
+    fn a_parent_drops_its_children_vector_with_its_last_child() {
+        let dit = tree();
+        let accounting = Dn::parse("o=Accounting,o=Lucent").unwrap();
+        let tim = accounting.child(Rdn::new("cn", "Tim Dickens"));
+        let inner_nodes = |dit: &Dit| {
+            let s = unpoison(dit.store.read());
+            s.tree
+                .slots
+                .iter()
+                .flatten()
+                .filter(|n| n.children.is_some())
+                .count()
+        };
+        // o=Lucent, and Marketing, Accounting and R&D.
+        assert_eq!(inner_nodes(&dit), 4);
+        dit.delete(&tim).unwrap();
+        assert_eq!(inner_nodes(&dit), 3);
+        dit.delete(&accounting).unwrap();
+        assert_eq!(inner_nodes(&dit), 3);
     }
 
     #[test]
@@ -2132,7 +2250,7 @@ mod tests {
         let mut scratch = String::new();
         let names = (0..64).map(|i| Dn::parse(&format!("cn=n{i},o=x")).unwrap());
         let values = (0..64).map(|i| hashes.value(&format!("v{i}"), &mut scratch));
-        let seen: HashSet<u64> = names.map(|dn| hashes.dn(dn.rdns())).chain(values).collect();
+        let seen: HashSet<u32> = names.map(|dn| hashes.dn(dn.rdns())).chain(values).collect();
         assert!(seen.iter().all(|&h| h < 4), "{seen:?}");
     }
 
@@ -2343,6 +2461,8 @@ mod tests {
                 proptest::prop_assert_eq!(run(&scan, &step), expected, "{:?}", step);
                 let len = model.0.len();
                 proptest::prop_assert_eq!((indexed.len(), scan.len()), (len, len));
+                indexed.assert_each_hash_in_one_map();
+                scan.assert_each_hash_in_one_map();
                 let root = Dn::root();
                 proptest::prop_assert!(streams_agree(&root, Scope::Sub), "after {:?}", step);
                 let walk: Vec<Entry> = model.walk(&root).into_iter().cloned().collect();

@@ -181,7 +181,7 @@ const WAL_ADD_CEILING: f64 = 7.0;
 const MODIFY_CEILING: f64 = 4.0;
 
 #[test]
-fn an_unobserved_add_stays_under_twenty_allocations() {
+fn an_unobserved_add_stays_within_two_allocations() {
     let dit = warm_tree();
     let per_entry = per_add(&dit);
     println!("{per_entry:.2} allocations per unobserved Dit::add");
@@ -193,7 +193,7 @@ fn an_unobserved_add_stays_under_twenty_allocations() {
 }
 
 #[test]
-fn an_add_with_a_wal_attached_stays_under_forty_allocations() {
+fn an_add_with_a_wal_attached_stays_within_seven_allocations() {
     let dir = std::env::temp_dir().join(format!("metacomm-write-path-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("mkdir");
@@ -240,7 +240,7 @@ fn index_answers(dit: &Dit) -> Vec<Vec<Entry>> {
 }
 
 #[test]
-fn a_room_change_stays_under_forty_allocations_and_touches_no_posting() {
+fn a_room_change_stays_within_four_allocations_and_touches_no_posting() {
     let dit = warm_tree();
     per_add(&dit);
     let postings_before = dit.footprint().postings_bytes;
