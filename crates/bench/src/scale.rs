@@ -54,13 +54,14 @@ pub struct ScaleReport {
 /// Peak RSS a run may cost per entry at 100k entries and up (below that
 /// the process's own base dominates). The peak is the restart beside the
 /// crashed deployment's leaked tree, so about two trees plus the restore
-/// transients: 1,112 B/entry measured at 100k (the reading plus 10 % is the
-/// budget), 1,208 while the id tables took 24 bytes a hash and every node
-/// carried a children vector, 1,696 while every value was a heap string of
+/// transients: 966 B/entry measured at 100k (the reading plus 10 % is the
+/// budget), 1,112 while a name was an RDN vector over RDN blocks that kept
+/// a lowercased copy of each value, 1,208 while the id tables took 24 bytes
+/// a hash and every node carried a children vector, 1,696 while every value was a heap string of
 /// its own, 1,990 while the store kept a key string per DN and a copy of
 /// every indexed value, 2,850 before the 32-byte attribute slot and the
 /// shared class list, 6,260 before the shared-RDN layout.
-pub const COMPACT_PEAK_RSS_BUDGET_PER_ENTRY: u64 = 1_223;
+pub const COMPACT_PEAK_RSS_BUDGET_PER_ENTRY: u64 = 1_062;
 
 impl ScaleReport {
     pub fn load_ops_per_sec(&self) -> f64 {

@@ -196,10 +196,10 @@ pub(crate) fn with_lower<R>(name: &str, f: impl FnOnce(&str) -> R) -> R {
 }
 
 /// Case-insensitive value equality (`caseIgnoreMatch`): ignores case and
-/// squeezes whitespace runs. Compares the two normalized character streams
-/// as they are produced; agrees with [`norm_value`] equality.
+/// squeezes whitespace runs. Compares the two normalized forms as they are
+/// produced, without building either; agrees with [`norm_value`] equality.
 pub fn value_eq_ci(a: &str, b: &str) -> bool {
-    a == b || norm_chars(a).eq(norm_chars(b))
+    a == b || norm_cmp(a, b, None).is_eq()
 }
 
 /// The characters of [`norm_value`]`(v)`, one at a time: whitespace-separated
@@ -210,6 +210,129 @@ fn norm_chars(v: &str) -> impl Iterator<Item = char> + '_ {
         gap.into_iter()
             .chain(word.chars().flat_map(char::to_lowercase))
     })
+}
+
+/// The UTF-8 bytes of [`norm_value`]`(v)`, one at a time and with no
+/// buffer. Byte order is code-point order, so values order by their
+/// normalized forms as these streams do.
+pub(crate) fn norm_bytes(v: &str) -> impl Iterator<Item = u8> + '_ {
+    norm_chars(v).flat_map(|c| {
+        let mut buf = [0; 4];
+        let len = c.encode_utf8(&mut buf).len();
+        buf.into_iter().take(len)
+    })
+}
+
+/// [`norm_bytes`]`(v)` handed to `f` in runs: for an ASCII value folded
+/// a byte at a time into runs of up to 64 on the stack, for any other one
+/// character of [`norm_chars`] at a time.
+pub(crate) fn norm_each(v: &str, mut f: impl FnMut(&[u8])) {
+    if !v.is_ascii() {
+        return norm_chars(v).for_each(|c| f(c.encode_utf8(&mut [0; 4]).as_bytes()));
+    }
+    let mut run = [0u8; 64];
+    let (mut len, mut started, mut gap) = (0, false, false);
+    for &b in v.as_bytes() {
+        if is_space(b) {
+            gap = started;
+            continue;
+        }
+        if len + 2 > run.len() {
+            f(&run[..len]);
+            len = 0;
+        }
+        if gap {
+            run[len] = b' ';
+            (len, gap) = (len + 1, false);
+        }
+        run[len] = b.to_ascii_lowercase();
+        (len, started) = (len + 1, true);
+    }
+    f(&run[..len]);
+}
+
+/// How [`norm_value`]`(a)` and [`norm_value`]`(b)` order, each followed by
+/// `tail`, worked out without building either. Two ASCII values skip the
+/// bytes they start with alike — those fold alike — and fold the rest a
+/// byte at a time; other values compare [`norm_chars`].
+pub(crate) fn norm_cmp(a: &str, b: &str, tail: Option<u8>) -> std::cmp::Ordering {
+    if !(a.is_ascii() && b.is_ascii()) {
+        let tail = tail.map(char::from);
+        return norm_chars(a).chain(tail).cmp(norm_chars(b).chain(tail));
+    }
+    let (a, b) = (a.as_bytes(), b.as_bytes());
+    let alike = alike_prefix(a, b);
+    (AsciiFold::resume(a, alike).chain(tail)).cmp(AsciiFold::resume(b, alike).chain(tail))
+}
+
+/// How many bytes `a` and `b` start with alike, compared eight at a time.
+pub(crate) fn alike_prefix(a: &[u8], b: &[u8]) -> usize {
+    let n = a.len().min(b.len());
+    let mut i = 0;
+    while i + 8 <= n && a[i..i + 8] == b[i..i + 8] {
+        i += 8;
+    }
+    while i < n && a[i] == b[i] {
+        i += 1;
+    }
+    i
+}
+
+/// What `char::is_whitespace` calls whitespace among the ASCII bytes.
+fn is_space(b: u8) -> bool {
+    matches!(b, b'\t'..=b'\r' | b' ')
+}
+
+/// [`norm_chars`] of an ASCII value, a byte at a time: each word's bytes
+/// lowercased, and one space before every word but the first.
+struct AsciiFold<'a> {
+    /// What is left of the current word.
+    word: &'a [u8],
+    /// What follows it: nothing, or spaces and then the next words.
+    rest: &'a [u8],
+}
+
+impl<'a> AsciiFold<'a> {
+    /// The fold of `v` from its byte `at` on: what comes out of the fold
+    /// of all of `v` once `v[..at]` has been read.
+    fn resume(v: &'a [u8], at: usize) -> AsciiFold<'a> {
+        let (read, rest) = v.split_at(at);
+        match read.iter().rposition(|&b| !is_space(b)) {
+            // Nothing but spaces read: no word yet, so no space is owed.
+            None => {
+                let (word, rest) = next_word(rest).unwrap_or_default();
+                AsciiFold { word, rest }
+            }
+            // Inside a word: finish it. Past one: a space before the next.
+            Some(last) if last + 1 == at => {
+                let end = rest.iter().position(|&b| is_space(b)).unwrap_or(rest.len());
+                let (word, rest) = rest.split_at(end);
+                AsciiFold { word, rest }
+            }
+            Some(_) => AsciiFold { word: &[], rest },
+        }
+    }
+}
+
+/// The first word of `v` and what follows it; `None` when `v` is all
+/// spaces.
+fn next_word(v: &[u8]) -> Option<(&[u8], &[u8])> {
+    let start = v.iter().position(|&b| !is_space(b))?;
+    let v = &v[start..];
+    Some(v.split_at(v.iter().position(|&b| is_space(b)).unwrap_or(v.len())))
+}
+
+impl Iterator for AsciiFold<'_> {
+    type Item = u8;
+
+    fn next(&mut self) -> Option<u8> {
+        if let Some((&b, word)) = self.word.split_first() {
+            self.word = word;
+            return Some(b.to_ascii_lowercase());
+        }
+        (self.word, self.rest) = next_word(self.rest)?;
+        Some(b' ')
+    }
 }
 
 /// Normalized form of a directory-string value.
@@ -737,6 +860,51 @@ mod tests {
         assert!(value_eq_ci("John  Doe", "john doe"));
         assert!(value_eq_ci(" John Doe ", "JOHN DOE"));
         assert!(!value_eq_ci("John", "Johnny"));
+    }
+
+    #[test]
+    fn folding_as_it_reads_agrees_with_norm_value() {
+        let values = [
+            "",
+            "   ",
+            "a",
+            "A",
+            "ab",
+            " John \t\x0b Doe\r\n",
+            "john doe",
+            "John  Doe ",
+            "john doe,",
+            "john do",
+            "a  b",
+            "a b",
+            "a  c",
+            "a c",
+            "ab c",
+            " a",
+            "dept-017",
+            "MIXED  case  ",
+            " Café  AU  Lait ",
+            "café au lait",
+            "\u{2003}Ünïcode\u{00a0}\u{00a0}spaces\u{3000}",
+            "\u{212a}elvin and \u{130}",
+        ];
+        for v in values {
+            let mut pushed = Vec::new();
+            norm_each(v, |run| pushed.extend_from_slice(run));
+            assert_eq!(String::from_utf8(pushed).unwrap(), norm_value(v), "{v:?}");
+            let pulled: Vec<u8> = norm_bytes(v).collect();
+            assert_eq!(String::from_utf8(pulled).unwrap(), norm_value(v), "{v:?}");
+        }
+        for a in values {
+            for b in values {
+                for tail in [None, Some(b',')] {
+                    let key = |v: &str| norm_value(v).into_bytes().into_iter().chain(tail);
+                    let expected = key(a).cmp(key(b));
+                    assert_eq!(norm_cmp(a, b, tail), expected, "{a:?} {b:?} {tail:?}");
+                }
+                assert_eq!(value_eq_ci(a, b), norm_value(a) == norm_value(b));
+            }
+        }
     }
 
     fn strings(words: &[&str]) -> Vec<String> {

@@ -257,13 +257,13 @@ fn load_snapshot_stream(dit: &Dit, path: &Path) -> Result<(usize, u64)> {
                         .map_err(|e| snapshot_error(path, &format!("bad content block: {e}")))?;
                     // Size + intern in the worker, in parallel, so the
                     // single-threaded inserter has less to do; and share
-                    // ancestor RDNs down the batch, so that the load holds
+                    // ancestor names down the batch, so that the load holds
                     // one copy a batch until the bulk window closes and the
-                    // tree shares them with the parent entries.
+                    // tree links each name to its parent entry's.
                     for e in &mut es {
                         e.compact_for_store();
                         if let Some(prev) = acc.last() {
-                            e.dn_mut().share_with(prev.dn());
+                            ldif::share_with_neighbour(e, prev);
                         }
                     }
                     acc.append(&mut es);

@@ -28,19 +28,21 @@
 //! entry), and each equality index maps a normalized value's hash to the
 //! ids holding it (a collision is one more candidate the filter re-check
 //! turns away). A hash one id holds takes an 8-byte slot.
-//! Entries hold interned attribute names and point their ancestor RDNs at
-//! their parent's (one RDN per subtree; DESIGN.md "DIT store and
-//! snapshots" has the byte budget, [`Dit::footprint`] reads it back), and
-//! a bulk-load mode ([`Dit::begin_bulk`]) defers index and sibling-order
-//! maintenance to one build pass — this is what makes million-entry cold
-//! starts fit in memory and time budgets.
+//! Entries hold interned attribute names, and each entry's name is one
+//! chain block whose parent link is its parent entry's own name (DESIGN.md
+//! "DIT store and snapshots" has the byte budget, [`Dit::footprint`] reads
+//! it back), and a bulk-load mode ([`Dit::begin_bulk`]) defers index and
+//! sibling-order maintenance to one build pass — this is what makes
+//! million-entry cold starts fit in memory and time budgets.
 //!
 //! Sibling lists are sorted by one comparator on the leaf RDN, which orders
 //! siblings as their full [`Dn::norm_key`]s do, and every search emits
 //! level by level in that order (tests/prop_compact_store.rs pins it
 //! against a plain map-and-walk model).
 
-use crate::attr::{norm_value_into, with_lower};
+#![forbid(unsafe_code)]
+
+use crate::attr::{alike_prefix, norm_cmp, norm_value_into, with_lower};
 use crate::dn::{Dn, Rdn};
 use crate::entry::{Entry, Modification};
 use crate::error::{LdapError, Result, ResultCode};
@@ -123,8 +125,11 @@ pub const DEFAULT_INDEXED_ATTRS: &[&str] = &["objectClass", "cn", "telephoneNumb
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Footprint {
     pub entries: usize,
-    /// Every entry's RDN vector and the RDN storage behind it; an RDN
-    /// shared down a subtree is counted once, where it is the leaf.
+    /// Every entry's name: the chain block that ends it, and behind it a
+    /// multi-AVA slice and the values too long for their slot. A block is
+    /// counted at the entry whose name it ends; an ancestor block that is
+    /// not the parent entry's own (a parent spelled another way) at each
+    /// entry that holds it.
     pub dn_bytes: usize,
     /// The DN id table alone: DN hash to the ids carrying it.
     pub key_arena_bytes: usize,
@@ -340,11 +345,10 @@ impl Hashes {
         }
     }
 
-    /// The hash of the DN whose RDNs (leaf first) are `rdns` — what the
-    /// derived `Dn: Hash` hashes, so a parent's is `rdns[1..]`'s and no
-    /// parent `Dn` is built for it.
-    fn dn(&self, rdns: &[Rdn]) -> u32 {
-        self.finish(rdns)
+    /// The hash of `dn`: what `Dn: Hash` hashes, so a parent's hash is
+    /// the hash of the parent chain `dn` points at.
+    fn dn(&self, dn: &Dn) -> u32 {
+        self.finish(dn)
     }
 
     /// The hash of `value` normalized, which is built in `scratch`.
@@ -354,25 +358,29 @@ impl Hashes {
     }
 }
 
-/// Sibling order, read off two leaf RDNs: their [`Rdn::key_runs`], each
+/// Sibling order, read off two leaf RDNs: their [`Rdn::key_bytes`], each
 /// followed by the `,` that joins it to the parent's key when there is a
 /// parent. That is the order of the siblings' full [`Dn::norm_key`]s, and
 /// for names with no `,` `+` `\` in a value, of their unescaped keys.
 fn sibling_order(a: &Rdn, b: &Rdn, under_parent: bool) -> cmp::Ordering {
-    if a.shares_storage(b) {
-        return cmp::Ordering::Equal;
-    }
-    let comma: &[u8] = if under_parent { b"," } else { b"" };
-    // The common case, siblings named by one type and values with nothing
-    // to escape, compares the values alone: their keys agree up to them.
+    let comma = under_parent.then_some(b',');
+    // The common case, siblings named by one type, compares the folded
+    // values alone: their keys agree up to them. What both values start
+    // with alike is escaped alike, so only a `,` `+` or `\` after it sends
+    // the pair down the long way.
     if let ([x], [y]) = (a.avas(), b.avas()) {
-        let (v, w) = (x.norm_value().as_bytes(), y.norm_value().as_bytes());
-        let plain = |s: &[u8]| !s.iter().any(|b| matches!(b, b',' | b'+' | b'\\'));
+        let (v, w) = (x.value(), y.value());
+        let alike = alike_prefix(v.as_bytes(), w.as_bytes());
+        let plain = |s: &str| {
+            !s.as_bytes()[alike..]
+                .iter()
+                .any(|b| matches!(b, b',' | b'+' | b'\\'))
+        };
         if x.norm_attr() == y.norm_attr() && plain(v) && plain(w) {
-            return v.iter().chain(comma).cmp(w.iter().chain(comma));
+            return norm_cmp(v, w, comma);
         }
     }
-    (a.key_runs().chain([comma]).flatten()).cmp(b.key_runs().chain([comma]).flatten())
+    (a.key_bytes().chain(comma)).cmp(b.key_bytes().chain(comma))
 }
 
 /// What the filter planner decided for one search.
@@ -527,7 +535,7 @@ impl IdIndex {
     }
 }
 
-/// One arena slot: the entry and the tree links as ids, in 56 bytes.
+/// One arena slot: the entry and the tree links as ids, in 48 bytes.
 struct CompactNode {
     entry: Entry,
     /// [`ROOT`] for a suffix entry.
@@ -605,28 +613,27 @@ impl CompactStore {
             .expect("an entry is never the root")
     }
 
-    /// The id of the entry named by `rdns` (leaf first), whose hash is
-    /// `hash`.
-    fn find_hashed(&self, hash: u32, rdns: &[Rdn]) -> Option<DnId> {
+    /// The id of the entry named `dn`, whose hash is `hash`.
+    fn find_hashed(&self, hash: u32, dn: &Dn) -> Option<DnId> {
         (self.dns.get(hash)?)
             .iter()
-            .find(|&id| self.node(id).entry.dn().rdns() == rdns)
+            .find(|&id| self.node(id).entry.dn() == dn)
     }
 
-    fn find(&self, rdns: &[Rdn]) -> Option<DnId> {
-        self.find_hashed(self.hashes.dn(rdns), rdns)
+    fn find(&self, dn: &Dn) -> Option<DnId> {
+        self.find_hashed(self.hashes.dn(dn), dn)
     }
 
     fn get_entry(&self, dn: &Dn) -> Option<&Entry> {
-        self.find(dn.rdns()).map(|id| &self.node(id).entry)
+        self.find(dn).map(|id| &self.node(id).entry)
     }
 
-    /// Where the entry named by `rdns` hangs: `Some(None)` under the
-    /// virtual root (a suffix), `None` when no entry has the parent's name.
-    fn parent_of(&self, rdns: &[Rdn]) -> Option<Option<DnId>> {
-        match rdns {
-            [] | [_] => Some(None),
-            [_, above @ ..] => self.find(above).map(Some),
+    /// Where the entry named `dn` hangs: `Some(None)` under the virtual
+    /// root (a suffix), `None` when no entry has the parent's name.
+    fn parent_of(&self, dn: &Dn) -> Option<Option<DnId>> {
+        match dn.parent() {
+            Some(above) if !above.is_root() => self.find(&above).map(Some),
+            _ => Some(None),
         }
     }
 
@@ -705,15 +712,16 @@ impl CompactStore {
         }
     }
 
-    /// Insert an entry, whose DN hashes to `hash`, under `parent`: the
-    /// caller has already checked that the parent exists and the name is
-    /// free. Its ancestor RDNs are re-pointed at the parent node's, so every
-    /// path into the tree (add, rename, subtree move) leaves each RDN stored
-    /// once per subtree; a bulk load does the same for all its entries at
-    /// once, in `finish_bulk_build`.
-    fn insert_entry(&mut self, hash: u32, parent: Option<DnId>, mut entry: Entry) {
+    /// Insert an entry, whose DN hashes to `hash`, under `parent`, and
+    /// return its id: the caller has already checked that the parent
+    /// exists and the name is free. The name's parent link is pointed at
+    /// the parent entry's own name, so every path into the tree (add,
+    /// rename, subtree move) leaves each name stored once, in one block; a
+    /// bulk load does the same for all its entries at once, in
+    /// `finish_bulk_build`.
+    fn insert_entry(&mut self, hash: u32, parent: Option<DnId>, mut entry: Entry) -> DnId {
         if let (Some(p), 0) = (parent, self.bulk) {
-            entry.dn_mut().share_with(self.node(p).entry.dn());
+            entry.dn_mut().share_parent(self.node(p).entry.dn());
         }
         let id = self.alloc(CompactNode {
             entry,
@@ -732,6 +740,7 @@ impl CompactStore {
             index.insert_entry(hashes, id, &node.entry);
         }
         self.link_child(parent, id);
+        id
     }
 
     /// Remove the childless entry `id`, whose DN hashes to `hash`.
@@ -764,45 +773,44 @@ impl CompactStore {
         node.entry = entry;
     }
 
-    /// Rename/move the subtree rooted at `root` (whose DN, `old_depth`
-    /// RDNs deep, hashes to `hash`): remove it leaves-first, rewrite each
-    /// DN against `new_dn`, and reinsert parents-first. `head` is the
-    /// already-updated image of the renamed entry itself.
-    fn rename_subtree(
-        &mut self,
-        root: DnId,
-        hash: u32,
-        old_depth: usize,
-        new_dn: &Dn,
-        head: Entry,
-    ) {
+    /// Rename/move the subtree rooted at `root` (whose DN hashes to
+    /// `hash`): remove it leaves-first and reinsert it parents-first, each
+    /// descendant named by its own RDN on top of its parent's new name.
+    /// `head` is the already-updated image of the renamed entry itself.
+    fn rename_subtree(&mut self, root: DnId, hash: u32, head: Entry) {
         let order: Vec<DnId> = self.parents_first(Some(root)).collect();
+        // Where the parent of each entry below `root` sits in `order`: the
+        // walk yields every entry's children together, in the entries'
+        // order.
+        let parents: Vec<usize> = (order.iter().enumerate())
+            .flat_map(|(i, &id)| std::iter::repeat_n(i, self.node(id).children().len()))
+            .collect();
         let mut moved: Vec<Entry> = (order.iter().rev())
             .map(|&id| {
                 let hash = match id == root {
                     true => hash,
-                    false => self.hashes.dn(self.node(id).entry.dn().rdns()),
+                    false => self.hashes.dn(self.node(id).entry.dn()),
                 };
                 self.remove_leaf(id, hash)
             })
             .collect();
         moved.pop(); // the renamed entry's old image: `head` replaces it
-        let rebased = moved.into_iter().rev().map(|mut e| {
-            e.set_dn(e.dn().rebased(old_depth, new_dn));
-            e
-        });
-        for e in std::iter::once(head).chain(rebased) {
-            let rdns = e.dn().rdns();
-            let hash = self.hashes.dn(rdns);
-            let parent = self.parent_of(rdns).expect("parent checked or moved first");
-            self.insert_entry(hash, parent, e);
+        let hash = self.hashes.dn(head.dn());
+        let parent = self.parent_of(head.dn()).expect("parent checked");
+        let mut new_ids = vec![self.insert_entry(hash, parent, head)];
+        for (mut e, p) in moved.into_iter().rev().zip(parents) {
+            let parent = new_ids[p];
+            let rdn = e.dn().rdn().expect("an entry is never the root").clone();
+            e.set_dn(self.node(parent).entry.dn().child(rdn));
+            let hash = self.hashes.dn(e.dn());
+            new_ids.push(self.insert_entry(hash, Some(parent), e));
         }
     }
 
-    /// Restore the sorted-sibling, shared-RDN and index invariants after a
-    /// bulk load: sort every sibling list, point every entry's ancestor
-    /// RDNs at its parent's, and rebuild the postings in one pass over the
-    /// live slots. This replaces ~n per-insert index updates with one
+    /// Restore the sorted-sibling, shared-name and index invariants after a
+    /// bulk load: sort every sibling list, point every entry's parent link
+    /// at its parent entry's name, and rebuild the postings in one pass over
+    /// the live slots. This replaces ~n per-insert index updates with one
     /// linear build — the core of the fast cold start. The DN table needs
     /// no rebuild: every insert posts to it.
     fn finish_bulk_build(&mut self) {
@@ -816,17 +824,17 @@ impl CompactStore {
             kids.sort_unstable_by(|&a, &b| sibling_order(self.rdn(a), self.rdn(b), true));
             self.node_mut(i as DnId).children = Some(kids);
         }
-        // Parents first, so that what a node shares is already its parent's
-        // final storage. Done here and not per insert: while the loader's
-        // threads are still allocating next to the copies being released,
-        // every release is a contended cache line (4 us an entry in the
-        // inserter, against 0.2 us once they are gone).
+        // Parents first, so that what a name links to is already its
+        // parent's final block. Done here and not per insert: while the
+        // loader's threads are still allocating next to the copies being
+        // released, every release is a contended cache line (4 us an entry
+        // in the inserter, against 0.2 us once they are gone).
         let mut queue: VecDeque<DnId> = self.root_children.iter().copied().collect();
         while let Some(id) = queue.pop_front() {
             queue.extend(self.node(id).children());
             if let Some(p) = self.node(id).parent() {
                 let mut dn = std::mem::take(self.node_mut(id).entry.dn_mut());
-                dn.share_with(self.node(p).entry.dn());
+                dn.share_parent(self.node(p).entry.dn());
                 *self.node_mut(id).entry.dn_mut() = dn;
             }
         }
@@ -859,6 +867,7 @@ impl CompactStore {
             sibling_bytes: heap_block(self.root_children.capacity() * size_of::<DnId>()),
             ..Footprint::default()
         };
+        let root = Dn::root();
         for node in self.slots.iter().flatten() {
             if let Some(kids) = &node.children {
                 fp.sibling_bytes += heap_block(size_of::<Vec<DnId>>())
@@ -868,17 +877,8 @@ impl CompactStore {
                 |n| fp.attr_slot_bytes += heap_block(n),
                 |n| fp.value_bytes += heap_block(n),
             );
-            let rdns = node.entry.dn().rdns();
-            fp.dn_bytes += heap_block(std::mem::size_of_val(rdns));
-            // An RDN is counted where it is the leaf; further down the
-            // subtree only where an entry still holds a copy of its own.
-            let above = (node.parent()).map_or(&[][..], |p| self.node(p).entry.dn().rdns());
-            for (i, rdn) in rdns.iter().enumerate() {
-                let inherited = i > 0 && above.get(i - 1).is_some_and(|p| p.shares_storage(rdn));
-                if !inherited {
-                    rdn.heap_blocks(|n| fp.dn_bytes += heap_block(n));
-                }
-            }
+            let above = node.parent().map_or(&root, |p| self.node(p).entry.dn());
+            (node.entry.dn()).heap_blocks(above, |n| fp.dn_bytes += heap_block(n));
         }
         fp
     }
@@ -897,16 +897,29 @@ impl CompactStore {
     /// RDNs on their paths that differ — the first ancestors that are not
     /// one entry.
     fn scan_order(&self, a: DnId, b: DnId) -> cmp::Ordering {
-        let (a, b) = (
-            self.node(a).entry.dn().rdns(),
-            self.node(b).entry.dn().rdns(),
-        );
-        let levels = a.iter().rev().zip(b.iter().rev()).enumerate();
-        a.len().cmp(&b.len()).then_with(|| {
-            levels
-                .map(|(depth, (x, y))| sibling_order(x, y, depth > 0))
-                .find(|order| order.is_ne())
-                .unwrap_or(cmp::Ordering::Equal)
+        let depth = |mut id: DnId| {
+            let mut depth = 0;
+            while let Some(p) = self.node(id).parent() {
+                (depth, id) = (depth + 1, p);
+            }
+            depth
+        };
+        depth(a).cmp(&depth(b)).then_with(|| {
+            // Up both paths to the two children of the lowest ancestor the
+            // entries have in common.
+            let (mut a, mut b) = (a, b);
+            loop {
+                match (self.node(a).parent(), self.node(b).parent()) {
+                    (pa, pb) if pa == pb => {
+                        return match a == b {
+                            true => cmp::Ordering::Equal,
+                            false => sibling_order(self.rdn(a), self.rdn(b), pa.is_some()),
+                        };
+                    }
+                    (Some(pa), Some(pb)) => (a, b) = (pa, pb),
+                    _ => unreachable!("entries of one depth"),
+                }
+            }
         })
     }
 
@@ -1083,12 +1096,15 @@ impl Dit {
     /// while that write is under way first sees the commit after it. The
     /// commit sequence is [`Dit::emit`]'s to fill in.
     fn record(&self, dn: &Dn, op: impl FnOnce() -> ChangeOp) -> Option<ChangeRecord> {
-        let observed = !unpoison(self.observers.read()).is_empty();
-        observed.then(|| ChangeRecord {
+        self.observed().then(|| ChangeRecord {
             seq: 0,
             dn: dn.clone(),
             op: op(),
         })
+    }
+
+    fn observed(&self) -> bool {
+        !unpoison(self.observers.read()).is_empty()
     }
 
     fn emit(&self, rec: Option<ChangeRecord>, seq: u64) {
@@ -1128,7 +1144,7 @@ impl Dit {
     }
 
     pub fn exists(&self, dn: &Dn) -> bool {
-        unpoison(self.store.read()).tree.find(dn.rdns()).is_some()
+        unpoison(self.store.read()).tree.find(dn).is_some()
     }
 
     /// Enter bulk-load mode (nestable). Inserts stop maintaining the
@@ -1175,24 +1191,31 @@ impl Dit {
         }
         // Size + intern outside the write lock.
         entry.compact_for_store();
-        let rec = match emit {
-            true => self.record(entry.dn(), || ChangeOp::Add(entry.clone())),
-            false => None,
-        };
+        // Whether a record is wanted is settled before the lock, like
+        // `record`; the record itself copies the stored entry, whose name
+        // is then the store's block and costs a reference count.
+        let observed = emit && self.observed();
         let mut guard = unpoison(self.store.write());
         let s = &mut *guard;
-        let rdns = entry.dn().rdns();
-        let hash = s.tree.hashes.dn(rdns);
-        if s.tree.find_hashed(hash, rdns).is_some() {
+        let hash = s.tree.hashes.dn(entry.dn());
+        if s.tree.find_hashed(hash, entry.dn()).is_some() {
             return Err(LdapError::already_exists(entry.dn()));
         }
-        let Some(parent) = s.tree.parent_of(rdns) else {
+        let Some(parent) = s.tree.parent_of(entry.dn()) else {
             return Err(LdapError::new(
                 ResultCode::NoSuchObject,
                 format!("parent of `{}` does not exist", entry.dn()),
             ));
         };
-        s.tree.insert_entry(hash, parent, entry);
+        let id = s.tree.insert_entry(hash, parent, entry);
+        let rec = observed.then(|| {
+            let stored = &s.tree.node(id).entry;
+            ChangeRecord {
+                seq: 0,
+                dn: stored.dn().clone(),
+                op: ChangeOp::Add(stored.clone()),
+            }
+        });
         s.seq += 1;
         let seq = s.seq;
         drop(guard);
@@ -1205,9 +1228,8 @@ impl Dit {
         let rec = self.record(dn, || ChangeOp::Delete);
         let mut guard = unpoison(self.store.write());
         let s = &mut *guard;
-        let hash = s.tree.hashes.dn(dn.rdns());
-        let id =
-            (s.tree.find_hashed(hash, dn.rdns())).ok_or_else(|| LdapError::no_such_object(dn))?;
+        let hash = s.tree.hashes.dn(dn);
+        let id = (s.tree.find_hashed(hash, dn)).ok_or_else(|| LdapError::no_such_object(dn))?;
         if !s.tree.node(id).children().is_empty() {
             return Err(LdapError::new(
                 ResultCode::NotAllowedOnNonLeaf,
@@ -1228,7 +1250,7 @@ impl Dit {
         let rec = self.record(dn, || ChangeOp::Modify(mods.to_vec()));
         let mut guard = unpoison(self.store.write());
         let s = &mut *guard;
-        let id = (s.tree.find(dn.rdns())).ok_or_else(|| LdapError::no_such_object(dn))?;
+        let id = (s.tree.find(dn)).ok_or_else(|| LdapError::no_such_object(dn))?;
         // A private copy, dropped on any error below: applied in place.
         let mut updated = s.tree.node(id).entry.clone();
         updated.apply_in_place(mods)?;
@@ -1281,11 +1303,10 @@ impl Dit {
         });
         let mut guard = unpoison(self.store.write());
         let s = &mut *guard;
-        let hash = s.tree.hashes.dn(dn.rdns());
-        let id =
-            (s.tree.find_hashed(hash, dn.rdns())).ok_or_else(|| LdapError::no_such_object(dn))?;
+        let hash = s.tree.hashes.dn(dn);
+        let id = (s.tree.find_hashed(hash, dn)).ok_or_else(|| LdapError::no_such_object(dn))?;
         if let Some(sup) = new_superior {
-            if !sup.is_root() && s.tree.find(sup.rdns()).is_none() {
+            if !sup.is_root() && s.tree.find(sup).is_none() {
                 return Err(LdapError::no_such_object(sup));
             }
             // Refuse to move an entry under its own subtree.
@@ -1295,7 +1316,7 @@ impl Dit {
                 )));
             }
         }
-        if s.tree.find(new_dn.rdns()).is_some_and(|other| other != id) {
+        if s.tree.find(&new_dn).is_some_and(|other| other != id) {
             return Err(LdapError::already_exists(&new_dn));
         }
         // Update the renamed entry's attributes.
@@ -1312,10 +1333,10 @@ impl Dit {
                 entry.add_value(ava.attr().to_string(), ava.value().to_string());
             }
         }
-        entry.set_dn(new_dn.clone());
+        entry.set_dn(new_dn);
         self.schema.validate_entry(&entry)?;
 
-        s.tree.rename_subtree(id, hash, dn.depth(), &new_dn, entry);
+        s.tree.rename_subtree(id, hash, entry);
         s.seq += 1;
         let seq = s.seq;
         drop(guard);
@@ -1412,9 +1433,7 @@ impl Dit {
         // `None` is the virtual root above every suffix.
         let base_id = match base.is_root() {
             true => None,
-            false => {
-                Some((s.tree.find(base.rdns())).ok_or_else(|| LdapError::no_such_object(base))?)
-            }
+            false => Some((s.tree.find(base)).ok_or_else(|| LdapError::no_such_object(base))?),
         };
         let mut count = 0usize;
         let mut truncated = false;
@@ -1638,9 +1657,33 @@ mod tests {
     }
 
     #[test]
-    fn a_node_is_56_bytes_and_a_unique_hash_8() {
-        assert_eq!(std::mem::size_of::<Option<CompactNode>>(), 56);
+    fn a_node_is_48_bytes_and_a_unique_hash_8() {
+        assert_eq!(std::mem::size_of::<Entry>(), 32);
+        assert_eq!(std::mem::size_of::<Option<CompactNode>>(), 48);
         assert_eq!(std::mem::size_of::<(u32, DnId)>(), 8);
+    }
+
+    #[test]
+    fn an_entry_named_under_another_spelling_keeps_its_bytes() {
+        let dit = Dit::new();
+        let add = |dn: &Dn| dit.add(Entry::with_attrs(dn.clone(), [("objectClass", "top")]));
+        for dn in ["o=X", "ou=B,o=X"] {
+            add(&Dn::parse(dn).unwrap()).unwrap();
+        }
+        let same = Dn::parse("cn=a,ou=B,o=X").unwrap();
+        let shouted = Dn::parse("cn=b,OU=B,O=X").unwrap();
+        for dn in [&same, &shouted] {
+            add(dn).unwrap();
+        }
+        let parent = dit.get(&Dn::parse("ou=b,o=x").unwrap()).unwrap();
+        let (a, b) = (dit.get(&same).unwrap(), dit.get(&shouted).unwrap());
+        assert!(a.dn().parent().unwrap().shares_storage(parent.dn()));
+        assert!(!b.dn().parent().unwrap().shares_storage(parent.dn()));
+        assert_eq!(b.dn().parent().unwrap(), *parent.dn());
+        let all = Filter::match_all();
+        let found = dit.search(parent.dn(), Scope::One, &all, &[], 0).unwrap();
+        let names: Vec<String> = found.iter().map(|e| e.dn().to_string()).collect();
+        assert_eq!(names, ["cn=a,ou=B,o=X", "cn=b,OU=B,O=X"]);
     }
 
     #[test]
@@ -2250,7 +2293,7 @@ mod tests {
         let mut scratch = String::new();
         let names = (0..64).map(|i| Dn::parse(&format!("cn=n{i},o=x")).unwrap());
         let values = (0..64).map(|i| hashes.value(&format!("v{i}"), &mut scratch));
-        let seen: HashSet<u32> = names.map(|dn| hashes.dn(dn.rdns())).chain(values).collect();
+        let seen: HashSet<u32> = names.map(|dn| hashes.dn(&dn)).chain(values).collect();
         assert!(seen.iter().all(|&h| h < 4), "{seen:?}");
     }
 
@@ -2375,7 +2418,7 @@ mod tests {
                         self.0.remove(&e.dn().norm_key());
                     }
                     for (i, mut e) in subtree.into_iter().enumerate() {
-                        e.set_dn(e.dn().rebased(dn.depth(), &new_dn));
+                        e.set_dn(moved(e.dn(), dn, &new_dn));
                         if i == 0 {
                             if *delete_old {
                                 for ava in dn.rdn().unwrap().avas() {
@@ -2391,6 +2434,17 @@ mod tests {
                 }
             }
             Ok(())
+        }
+    }
+
+    /// `name`, which lies under `from`, with `from` replaced by `to`.
+    fn moved(name: &Dn, from: &Dn, to: &Dn) -> Dn {
+        match name == from {
+            true => to.clone(),
+            false => {
+                let above = moved(&name.parent().unwrap(), from, to);
+                above.child(name.rdn().unwrap().clone())
+            }
         }
     }
 

@@ -5,22 +5,32 @@
 //! `o=Marketing, o=Lucent`). Each RDN is one or more attribute/value pairs
 //! ([`Ava`]); multi-AVA RDNs are joined with `+`.
 //!
+//! A name is a chain: one shared block holds the leaf RDN and the parent's
+//! name, so a name shares its ancestors with every name built on it.
+//! [`Dn::parent`] copies a pointer, [`Dn::child`] allocates one block, and
+//! the store points each entry's parent link at its parent entry's own name.
+//! A chain is as deep as a request makes it, so everything that walks one —
+//! dropping, comparing, hashing, printing — loops and never recurses.
+//!
 //! Matching is case-insensitive on both attribute names and values and
 //! insensitive to insignificant whitespace, which matches the
 //! `caseIgnoreMatch` behaviour of the directory-string syntax that all
-//! MetaComm naming attributes use.
+//! MetaComm naming attributes use. No normalized copy is kept: matching,
+//! hashing and ordering fold each value as they read it.
 
-use crate::attr::{norm_value_into, AttrName, Value};
+#![forbid(unsafe_code)]
+
+use crate::attr::{norm_bytes, norm_each, value_eq_ci, AttrName, Value};
 use crate::error::{LdapError, Result};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// One attribute/value pair inside an RDN, e.g. `cn=John Doe`.
 ///
 /// At rest an AVA is an interned attribute type (one pointer into the
-/// [`AttrName`] pool), the value, and the normalized value only when
-/// normalizing changes it. Each is a [`Value`], so a value of up to 22
-/// bytes costs no heap block of its own.
+/// [`AttrName`] pool) and the value as written, a [`Value`], so a value of
+/// up to 22 bytes costs no heap block of its own.
 #[derive(Debug, Clone)]
 pub struct Ava {
     /// Attribute type: display form as written, lowercased form for
@@ -28,41 +38,13 @@ pub struct Ava {
     attr: AttrName,
     /// Attribute value exactly as written (unescaped).
     value: Value,
-    /// Normalized (lowercased, space-squeezed) value when it differs from
-    /// `value`.
-    norm_value: Option<Value>,
-}
-
-/// `caseIgnoreMatch` leaves this value as it is: printable lowercase ASCII
-/// with single interior spaces. Spares the common value (`dept-017`, a
-/// telephone number) the normalizing pass and its allocation.
-fn is_normalized(v: &str) -> bool {
-    let b = v.as_bytes();
-    b.first() != Some(&b' ')
-        && b.last() != Some(&b' ')
-        && b.iter()
-            .all(|c| (0x20..0x7f).contains(c) && !c.is_ascii_uppercase())
-        && !b.windows(2).any(|w| w == b"  ")
 }
 
 impl Ava {
     pub fn new(attr: impl AsRef<str>, value: impl Into<Value>) -> Ava {
-        Ava::from_parts(attr.as_ref().trim(), value.into(), &mut String::new())
-    }
-
-    /// The AVA for `attr` and `value`; `scratch` is where the normalized
-    /// value is worked out, kept by a caller that builds many.
-    fn from_parts(attr: &str, value: Value, scratch: &mut String) -> Ava {
-        let norm_value = if is_normalized(&value) {
-            None
-        } else {
-            norm_value_into(&value, scratch);
-            (**scratch != *value).then(|| Value::new(scratch))
-        };
         Ava {
-            attr: AttrName::interned(attr),
-            value,
-            norm_value,
+            attr: AttrName::interned(attr.as_ref().trim()),
+            value: value.into(),
         }
     }
 
@@ -81,13 +63,8 @@ impl Ava {
         self.attr.norm()
     }
 
-    /// Case/whitespace-normalized value used for matching.
-    pub fn norm_value(&self) -> &str {
-        self.norm_value.as_deref().unwrap_or(&self.value)
-    }
-
     fn matches(&self, other: &Ava) -> bool {
-        self.norm_attr() == other.norm_attr() && self.norm_value() == other.norm_value()
+        self.norm_attr() == other.norm_attr() && value_eq_ci(&self.value, &other.value)
     }
 
     /// What equality, ordering and hashing look at: an `Ava` compares as
@@ -96,6 +73,38 @@ impl Ava {
     fn as_written(&self) -> (&str, &str) {
         (self.attr(), self.value())
     }
+
+    /// `attr=value` as [`Dn::norm_key`] spells it: both normalized, and a
+    /// `\` before every `,`, `+` and `\` inside the value.
+    fn key_bytes(&self) -> impl Iterator<Item = u8> + '_ {
+        let escaped = |b: u8| is_key_special(b).then_some(b'\\').into_iter().chain([b]);
+        (self.norm_attr().bytes())
+            .chain([b'='])
+            .chain(norm_bytes(&self.value).flat_map(escaped))
+    }
+
+    /// [`Ava::key_bytes`] handed to `push` in runs: what hashing and
+    /// [`Dn::norm_key`] spell.
+    fn spell_key(&self, push: &mut impl FnMut(&[u8])) {
+        push(self.norm_attr().as_bytes());
+        push(b"=");
+        norm_each(&self.value, |run| {
+            if !run.iter().any(|&b| is_key_special(b)) {
+                return push(run);
+            }
+            for b in run {
+                if is_key_special(*b) {
+                    push(b"\\");
+                }
+                push(std::slice::from_ref(b));
+            }
+        });
+    }
+}
+
+/// A byte a key escapes inside a value.
+fn is_key_special(b: u8) -> bool {
+    matches!(b, b',' | b'+' | b'\\')
 }
 
 impl PartialEq for Ava {
@@ -116,8 +125,8 @@ impl Ord for Ava {
     }
 }
 
-impl std::hash::Hash for Ava {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+impl Hash for Ava {
+    fn hash<H: Hasher>(&self, state: &mut H) {
         self.as_written().hash(state);
     }
 }
@@ -127,15 +136,14 @@ impl std::hash::Hash for Ava {
 /// Invariant: at least one AVA; AVAs are kept sorted by normalized attribute
 /// name so equality is order-insensitive, per X.501.
 ///
-/// An RDN is one shared immutable allocation: cloning it (and so cloning,
-/// extending or truncating a [`Dn`]) copies a pointer, and the store keeps
-/// one RDN per subtree however many entries sit underneath it.
+/// An RDN is a plain 32-byte value: its one AVA in place (the common case,
+/// `cn=John Doe`), or an exactly-sized slice of them. A name holds it in
+/// its chain block, so the RDNs above an entry are its ancestors' own.
 #[derive(Debug, Clone)]
-pub struct Rdn(Arc<RdnRepr>);
+pub struct Rdn(RdnRepr);
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum RdnRepr {
-    /// The common case (`cn=John Doe`), held without a vector.
     One(Ava),
     Many(Box<[Ava]>),
 }
@@ -143,7 +151,7 @@ enum RdnRepr {
 impl Rdn {
     /// Single-AVA RDN, the common case (`cn=John Doe`).
     pub fn new(attr: impl AsRef<str>, value: impl Into<Value>) -> Rdn {
-        Rdn(Arc::new(RdnRepr::One(Ava::new(attr, value))))
+        Rdn(RdnRepr::One(Ava::new(attr, value)))
     }
 
     /// Multi-AVA RDN. Returns an error when `avas` is empty or two AVAs use
@@ -170,11 +178,11 @@ impl Rdn {
                 RdnRepr::Many(avas.drain(..).collect())
             }
         };
-        Ok(Rdn(Arc::new(repr)))
+        Ok(Rdn(repr))
     }
 
     pub fn avas(&self) -> &[Ava] {
-        match &*self.0 {
+        match &self.0 {
             RdnRepr::One(ava) => std::slice::from_ref(ava),
             RdnRepr::Many(avas) => avas,
         }
@@ -187,79 +195,62 @@ impl Rdn {
 
     /// Parse one RDN from its RFC 2253 string form.
     pub(crate) fn parse(s: &str) -> Result<Rdn> {
-        let dn = Dn::parse(s)?;
-        if dn.depth() != 1 {
-            return Err(LdapError::invalid_dn(format!(
+        match Dn::parse(s)?.0.as_deref() {
+            Some(link) if link.parent.is_root() => Ok(link.rdn.clone()),
+            _ => Err(LdapError::invalid_dn(format!(
                 "expected a single RDN, got `{s}`"
-            )));
+            ))),
         }
-        Ok(dn.rdns[0].clone())
     }
 
-    /// This RDN as [`Dn::norm_key`] spells it, in runs of bytes borrowed
-    /// from the RDN (some empty): `attr=value` per AVA, both normalized,
-    /// `+` between AVAs, and a `\` before every `,`, `+` and `\` inside a
-    /// value — so no two distinct RDNs, and no RDN and a run of several,
-    /// spell alike.
-    pub(crate) fn key_runs(&self) -> impl Iterator<Item = &[u8]> + '_ {
+    /// This RDN as [`Dn::norm_key`] spells it, a byte at a time:
+    /// `attr=value` per AVA, both normalized, `+` between AVAs, and a `\`
+    /// before every `,`, `+` and `\` inside a value — so no two distinct
+    /// RDNs, and no RDN and a run of several, spell alike.
+    pub(crate) fn key_bytes(&self) -> impl Iterator<Item = u8> + '_ {
         self.avas().iter().enumerate().flat_map(|(i, ava)| {
-            let plus: &[u8] = if i > 0 { b"+" } else { b"" };
-            [plus, ava.norm_attr().as_bytes(), b"="]
-                .into_iter()
-                .chain(escaped_runs(ava.norm_value()))
+            let plus = (i > 0).then_some(b'+');
+            plus.into_iter().chain(ava.key_bytes())
         })
     }
 
-    /// Bytes [`Rdn::key_runs`] yields when no value needs an escape.
-    fn key_len(&self) -> usize {
-        let avas = self.avas();
-        let text: usize = (avas.iter())
-            .map(|a| a.norm_attr().len() + a.norm_value().len())
-            .sum();
-        text + 2 * avas.len() - 1
-    }
-
-    /// `true` when both are the same allocation — what the store arranges
-    /// for an entry's ancestor RDNs and its parent's.
-    pub fn shares_storage(&self, other: &Rdn) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
+    /// [`Rdn::key_bytes`] handed to `push` in runs.
+    fn spell_key(&self, push: &mut impl FnMut(&[u8])) {
+        for (i, ava) in self.avas().iter().enumerate() {
+            if i > 0 {
+                push(b"+");
+            }
+            ava.spell_key(push);
+        }
     }
 
     /// Heap bytes behind this RDN as requested from the allocator, one
-    /// figure per allocation (the shared block, then each value too long
-    /// for its slot, 0 for one that is not); interned attribute types are
-    /// the pool's, not the RDN's.
+    /// figure per allocation (the slice of a multi-AVA RDN, then each value
+    /// too long for its slot, 0 for one that is not); interned attribute
+    /// types are the pool's, not the RDN's.
     pub(crate) fn heap_blocks(&self, mut block: impl FnMut(usize)) {
-        block(2 * std::mem::size_of::<usize>() + std::mem::size_of::<RdnRepr>());
-        if let RdnRepr::Many(avas) = &*self.0 {
+        if let RdnRepr::Many(avas) = &self.0 {
             block(std::mem::size_of_val(&**avas));
         }
         for ava in self.avas() {
             block(ava.value.heap_len());
-            block(ava.norm_value.as_ref().map_or(0, Value::heap_len));
         }
     }
 }
 
 impl PartialEq for Rdn {
     fn eq(&self, other: &Self) -> bool {
-        self.shares_storage(other)
-            || (self.avas().len() == other.avas().len()
-                && self
-                    .avas()
-                    .iter()
-                    .zip(other.avas())
-                    .all(|(a, b)| a.matches(b)))
+        let (a, b) = (self.avas(), other.avas());
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.matches(y))
     }
 }
 impl Eq for Rdn {}
 
-impl std::hash::Hash for Rdn {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        for ava in self.avas() {
-            ava.norm_attr().hash(state);
-            ava.norm_value().hash(state);
-        }
+impl Hash for Rdn {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let mut runs = Runs::new(state);
+        self.spell_key(&mut |run| runs.push(run));
+        runs.finish();
     }
 }
 
@@ -277,24 +268,73 @@ impl fmt::Display for Rdn {
     }
 }
 
-/// A distinguished name: RDNs ordered leaf-first. The empty DN (zero RDNs)
-/// names the root of the DIT.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
-pub struct Dn {
-    rdns: Box<[Rdn]>,
+/// A key on its way into a hasher: gathered into runs of 64 bytes, each
+/// fed whole, and an end marker after the last. What the hasher sees is
+/// fixed by the key's bytes alone, however they were produced, so equal
+/// keys hash alike under any hasher.
+struct Runs<'h, H> {
+    state: &'h mut H,
+    run: [u8; 64],
+    len: usize,
+}
+
+impl<'h, H: Hasher> Runs<'h, H> {
+    fn new(state: &'h mut H) -> Self {
+        Runs {
+            state,
+            run: [0; 64],
+            len: 0,
+        }
+    }
+
+    fn push(&mut self, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            if self.len >= self.run.len() {
+                self.state.write(&self.run);
+                self.len = 0;
+            }
+            let n = bytes.len().min(self.run.len() - self.len);
+            self.run[self.len..self.len + n].copy_from_slice(&bytes[..n]);
+            (self.len, bytes) = (self.len + n, &bytes[n..]);
+        }
+    }
+
+    fn finish(self) {
+        self.state.write(&self.run[..self.len]);
+        self.state.write_u8(0xff);
+    }
+}
+
+/// A distinguished name: RDNs ordered leaf-first, as a chain of shared
+/// blocks. The empty DN (no block) names the root of the DIT.
+///
+/// Equality, hashing and [`Dn::norm_key`] read the names as matched, and
+/// two names that are one block are equal without reading them.
+#[derive(Clone, Default)]
+pub struct Dn(Option<Arc<Link>>);
+
+/// One block of a chain: a name's leaf RDN and its parent's name, 40 bytes
+/// (56 with the reference counts).
+struct Link {
+    rdn: Rdn,
+    parent: Dn,
+}
+
+impl Drop for Link {
+    /// Release the ancestors this block held the last reference to one at
+    /// a time, so no name is too deep to drop.
+    fn drop(&mut self) {
+        let mut next = self.parent.0.take();
+        while let Some(mut link) = next.take().and_then(Arc::into_inner) {
+            next = link.parent.0.take();
+        }
+    }
 }
 
 impl Dn {
     /// The empty DN (the DIT root).
     pub fn root() -> Dn {
         Dn::default()
-    }
-
-    /// Build from leaf-first RDNs.
-    pub(crate) fn from_rdns(rdns: Vec<Rdn>) -> Dn {
-        Dn {
-            rdns: rdns.into_boxed_slice(),
-        }
     }
 
     /// Parse an RFC 2253 string like `cn=John Doe, o=Marketing, o=Lucent`.
@@ -309,15 +349,14 @@ impl Dn {
             return Ok(Dn::root());
         }
         let s = s.trim_start();
-        // One RDN per unescaped separator, so the vector is sized once and
-        // handed over as it is.
+        // The RDNs leaf-first as they are read; the chain is built from the
+        // root down once all are in.
         let mut rdns = Vec::with_capacity(1 + count_rdn_separators(s));
         // Scratch reused across AVAs: what the DN keeps is cut to size from
         // these.
         let mut avas: Vec<Ava> = Vec::new();
         let mut attr = String::new();
         let mut value = String::new();
-        let mut norm = String::new();
         // The octets of a run of `\XX` escapes, decoded once the run ends.
         let mut octets: Vec<u8> = Vec::new();
         let mut chars = s.chars().peekable();
@@ -395,7 +434,7 @@ impl Dn {
             while value.len() > escaped_end && value.ends_with(' ') {
                 value.pop();
             }
-            avas.push(Ava::from_parts(attr, Value::new(&value), &mut norm));
+            avas.push(Ava::new(attr, Value::new(&value)));
             match terminator {
                 Some('+') => continue, // next AVA of same RDN
                 Some(',') => {
@@ -417,83 +456,145 @@ impl Dn {
                 }
             }
         }
-        Ok(Dn::from_rdns(rdns))
+        Ok(rdns
+            .into_iter()
+            .rev()
+            .fold(Dn::root(), |dn, rdn| dn.child(rdn)))
+    }
+
+    /// The blocks of the chain, leaf first.
+    fn links(&self) -> impl Iterator<Item = &Link> + '_ {
+        std::iter::successors(self.0.as_deref(), |link| link.parent.0.as_deref())
     }
 
     /// RDNs leaf-first.
-    pub fn rdns(&self) -> &[Rdn] {
-        &self.rdns
+    pub fn rdns(&self) -> impl Iterator<Item = &Rdn> + '_ {
+        self.links().map(|link| &link.rdn)
     }
 
     /// Number of RDNs. The root has depth 0.
     pub fn depth(&self) -> usize {
-        self.rdns.len()
+        self.links().count()
     }
 
     pub fn is_root(&self) -> bool {
-        self.rdns.is_empty()
+        self.0.is_none()
     }
 
     /// Leaf RDN, or `None` for the root.
     pub fn rdn(&self) -> Option<&Rdn> {
-        self.rdns.first()
+        self.0.as_ref().map(|link| &link.rdn)
     }
 
-    /// Parent DN, or `None` for the root.
+    /// Parent DN, or `None` for the root: the block this name points at,
+    /// shared.
     pub fn parent(&self) -> Option<Dn> {
-        let (_, above) = self.rdns.split_first()?;
-        Some(Dn { rdns: above.into() })
+        self.0.as_ref().map(|link| link.parent.clone())
     }
 
-    /// A child of `self` named by `rdn`.
+    /// A child of `self` named by `rdn`: one block, on top of `self`'s.
     pub fn child(&self, rdn: Rdn) -> Dn {
-        Dn::join(&[rdn], &self.rdns)
-    }
-
-    fn join(below: &[Rdn], above: &[Rdn]) -> Dn {
-        let mut rdns = Vec::with_capacity(below.len() + above.len());
-        rdns.extend_from_slice(below);
-        rdns.extend_from_slice(above);
-        Dn::from_rdns(rdns)
+        Dn(Some(Arc::new(Link {
+            rdn,
+            parent: self.clone(),
+        })))
     }
 
     /// `true` when `self` equals `ancestor` or lies underneath it.
     pub fn is_within(&self, ancestor: &Dn) -> bool {
-        if ancestor.rdns.len() > self.rdns.len() {
+        let Some(below) = self.depth().checked_sub(ancestor.depth()) else {
             return false;
+        };
+        let mut at = self;
+        for _ in 0..below {
+            at = &at.0.as_ref().expect("deeper than the ancestor").parent;
         }
-        let offset = self.rdns.len() - ancestor.rdns.len();
-        self.rdns[offset..] == ancestor.rdns[..]
+        at == ancestor
     }
 
     /// Replace the leaf RDN (the LDAP ModifyRDN operation on names).
     pub fn with_rdn(&self, rdn: Rdn) -> Result<Dn> {
-        if self.rdns.is_empty() {
-            return Err(LdapError::invalid_dn("root has no RDN to replace"));
+        match &self.0 {
+            Some(link) => Ok(link.parent.child(rdn)),
+            None => Err(LdapError::invalid_dn("root has no RDN to replace")),
         }
-        let mut rdns = self.rdns.clone();
-        rdns[0] = rdn;
-        Ok(Dn { rdns })
     }
 
-    /// The name of a descendant after its ancestor at depth `old_depth` was
-    /// renamed or moved to `new_base`: the RDNs below that ancestor stay,
-    /// everything from it upwards is `new_base`'s.
-    pub(crate) fn rebased(&self, old_depth: usize, new_base: &Dn) -> Dn {
-        Dn::join(&self.rdns[..self.rdns.len() - old_depth], &new_base.rdns)
+    /// `true` when both are the same block (or both the root) — what the
+    /// store arranges for an entry's parent link and its parent entry's
+    /// name.
+    pub fn shares_storage(&self, other: &Dn) -> bool {
+        match (&self.0, &other.0) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (a, b) => a.is_none() && b.is_none(),
+        }
     }
 
-    /// Point every RDN that reads the same as `other`'s at the same height
-    /// above the root at `other`'s storage. With `other` the parent entry's
-    /// name this is what the store does to each entry it takes in, so an
-    /// RDN is held once per subtree; with a neighbour's name it is how a
-    /// parser keeps one copy per document. An RDN a client wrote in another
-    /// case or spacing keeps its own copy, and its bytes.
-    pub(crate) fn share_with(&mut self, other: &Dn) {
-        for (mine, theirs) in self.rdns.iter_mut().rev().zip(other.rdns.iter().rev()) {
-            if !mine.shares_storage(theirs) && mine.avas() == theirs.avas() {
-                *mine = theirs.clone();
+    /// Point this name's parent link at `parent` when the parent is
+    /// written exactly as `parent` is: in place when this block is not
+    /// shared, or as one new block when it is. With `parent` the parent
+    /// entry's name this is what the store does to each entry it takes in,
+    /// so an ancestor is held once per subtree; with a neighbour's parent
+    /// it is how a reader keeps one copy per batch. A parent a client wrote
+    /// in another case or spacing keeps its own chain, and its bytes.
+    pub(crate) fn share_parent(&mut self, parent: &Dn) {
+        let Some(link) = &mut self.0 else { return };
+        // Same RDNs, written alike, at every level.
+        let written_as = |a: &Rdn, b: &Rdn| a.avas() == b.avas();
+        if link.parent.shares_storage(parent) || !link.parent.agrees(parent, written_as) {
+            return;
+        }
+        match Arc::get_mut(link) {
+            Some(mine) => mine.parent = parent.clone(),
+            None => *self = parent.child(link.rdn.clone()),
+        }
+    }
+
+    /// Heap bytes behind this name as requested from the allocator, one
+    /// figure per allocation: the block that ends it, and above it each
+    /// block that is not `parent`'s at the same height, each with its
+    /// RDN's [`Rdn::heap_blocks`]. With `parent` the parent entry's name
+    /// that is what this entry holds of its own.
+    pub(crate) fn heap_blocks(&self, parent: &Dn, mut block: impl FnMut(usize)) {
+        let Some(leaf) = &self.0 else { return };
+        let mut own = |link: &Link| {
+            block(2 * std::mem::size_of::<usize>() + std::mem::size_of::<Link>());
+            link.rdn.heap_blocks(&mut block);
+        };
+        own(leaf);
+        let (mut mine, mut theirs) = (&leaf.parent, parent);
+        while let Some(link) = mine.0.as_deref() {
+            if mine.shares_storage(theirs) {
+                return;
             }
+            own(link);
+            mine = &link.parent;
+            theirs = theirs.0.as_ref().map_or(theirs, |t| &t.parent);
+        }
+    }
+
+    /// `true` when both names are as deep and `same` holds for the RDNs
+    /// at every level, walked leaf first; a block both names share holds
+    /// the same RDNs to the root.
+    fn agrees(&self, other: &Dn, same: impl Fn(&Rdn, &Rdn) -> bool) -> bool {
+        let (mut a, mut b) = (self, other);
+        loop {
+            match (&a.0, &b.0) {
+                (Some(x), Some(y)) if Arc::ptr_eq(x, y) => return true,
+                (Some(x), Some(y)) if same(&x.rdn, &y.rdn) => (a, b) = (&x.parent, &y.parent),
+                (x, y) => return x.is_none() && y.is_none(),
+            }
+        }
+    }
+
+    /// This name's key handed to `push` in runs: its RDNs' keys, leaf
+    /// first, `,` between them.
+    fn spell_key(&self, push: &mut impl FnMut(&[u8])) {
+        for (i, rdn) in self.rdns().enumerate() {
+            if i > 0 {
+                push(b",");
+            }
+            rdn.spell_key(push);
         }
     }
 
@@ -503,21 +604,35 @@ impl Dn {
     /// the names are equal, and orders siblings as the directory serves
     /// them.
     pub fn norm_key(&self) -> String {
-        let len = self.rdns.iter().map(|r| r.key_len() + 1).sum();
-        let mut out = Vec::with_capacity(len);
-        for (i, rdn) in self.rdns.iter().enumerate() {
-            if i > 0 {
-                out.push(b',');
-            }
-            rdn.key_runs().for_each(|run| out.extend_from_slice(run));
-        }
-        String::from_utf8(out).expect("an escape is an ASCII byte before an ASCII byte")
+        let written: usize = (self.rdns().flat_map(Rdn::avas))
+            .map(|a| a.norm_attr().len() + a.value().len() + 2)
+            .sum();
+        let mut out = Vec::with_capacity(written);
+        self.spell_key(&mut |run| out.extend_from_slice(run));
+        String::from_utf8(out).expect("folding keeps UTF-8, an escape is an ASCII byte")
+    }
+}
+
+impl PartialEq for Dn {
+    fn eq(&self, other: &Self) -> bool {
+        self.agrees(other, Rdn::eq)
+    }
+}
+impl Eq for Dn {}
+
+/// The bytes of [`Dn::norm_key`], so equal names hash alike and a parent's
+/// hash is the hash of the name's parent chain.
+impl Hash for Dn {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let mut runs = Runs::new(state);
+        self.spell_key(&mut |run| runs.push(run));
+        runs.finish();
     }
 }
 
 impl fmt::Display for Dn {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, rdn) in self.rdns.iter().enumerate() {
+        for (i, rdn) in self.rdns().enumerate() {
             if i > 0 {
                 f.write_str(",")?;
             }
@@ -527,20 +642,17 @@ impl fmt::Display for Dn {
     }
 }
 
+impl fmt::Debug for Dn {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Dn({:?})", self.to_string())
+    }
+}
+
 impl std::str::FromStr for Dn {
     type Err = LdapError;
     fn from_str(s: &str) -> Result<Dn> {
         Dn::parse(s)
     }
-}
-
-/// `value`'s bytes in runs, with a `\` run before each `,`, `+` and `\`.
-fn escaped_runs(value: &str) -> impl Iterator<Item = &[u8]> {
-    let special = |b: &u8| matches!(b, b',' | b'+' | b'\\');
-    (value.as_bytes().split_inclusive(special)).flat_map(move |run| match run.split_last() {
-        Some((last, head)) if special(last) => [head, b"\\", std::slice::from_ref(last)],
-        _ => [run, b"", b""],
-    })
 }
 
 /// Unescaped `,` and `;` in `s`.
@@ -735,33 +847,106 @@ mod tests {
     }
 
     #[test]
-    fn normalized_value_is_kept_only_when_it_differs() {
-        let plain = Ava::new("ou", "dept-017");
-        assert!(plain.norm_value.is_none());
-        assert_eq!(plain.norm_value(), "dept-017");
+    fn an_ava_compares_as_written_and_an_rdn_as_matched() {
         let mixed = Ava::new("CN", "John   Doe");
-        assert_eq!(mixed.norm_value.as_deref(), Some("john doe"));
         assert_eq!((mixed.attr(), mixed.norm_attr()), ("CN", "cn"));
-        // An AVA compares as written, an RDN as matched.
+        assert_eq!(mixed.value(), "John   Doe");
         assert_ne!(Ava::new("cn", "John Doe"), Ava::new("CN", "john doe"));
         assert_eq!(Rdn::new("cn", "John Doe"), Rdn::new("CN", "john doe"));
+        assert_eq!(
+            Rdn::new("cn", " Café  AU lait"),
+            Rdn::new("cn", "café au LAIT ")
+        );
+        assert_ne!(Rdn::new("cn", "a b"), Rdn::new("cn", "ab"));
     }
 
     #[test]
-    fn share_with_repoints_equal_text_and_keeps_other_spellings() {
+    fn an_rdn_is_32_bytes_and_a_chain_block_40() {
+        assert_eq!(std::mem::size_of::<Ava>(), 32);
+        assert_eq!(std::mem::size_of::<Rdn>(), 32);
+        assert_eq!(std::mem::size_of::<Link>(), 40);
+        assert_eq!(std::mem::size_of::<Dn>(), 8);
+    }
+
+    #[test]
+    fn a_name_shares_its_ancestors_block() {
+        let parent = Dn::parse("ou=Sales,o=Lucent").unwrap();
+        let child = parent.child(Rdn::new("cn", "a"));
+        assert!(child.parent().unwrap().shares_storage(&parent));
+        assert!(child.is_within(&parent));
+        let renamed = child.with_rdn(Rdn::new("cn", "b")).unwrap();
+        assert!(renamed.parent().unwrap().shares_storage(&parent));
+        assert!(Dn::root().shares_storage(&Dn::root()));
+        assert!(!parent.shares_storage(&Dn::parse("ou=Sales,o=Lucent").unwrap()));
+    }
+
+    #[test]
+    fn share_parent_repoints_equal_text_and_keeps_other_spellings() {
         let parent = Dn::parse("ou=Sales,o=Lucent").unwrap();
         let mut same = Dn::parse("cn=a,ou=Sales,o=Lucent").unwrap();
-        same.share_with(&parent);
-        assert!(same.rdns()[1].shares_storage(&parent.rdns()[0]));
-        assert!(same.rdns()[2].shares_storage(&parent.rdns()[1]));
-        assert!(same.parent().unwrap().rdns()[0].shares_storage(&parent.rdns()[0]));
+        same.share_parent(&parent);
+        assert!(same.parent().unwrap().shares_storage(&parent));
+        // A block someone else holds too is left to them: the name gets a
+        // block of its own on top of `parent`.
+        let mut held = Dn::parse("cn=b,ou=Sales,o=Lucent").unwrap();
+        let other = held.clone();
+        held.share_parent(&parent);
+        assert!(held.parent().unwrap().shares_storage(&parent));
+        assert!(!other.parent().unwrap().shares_storage(&parent));
+        assert_eq!(held, other);
 
-        let mut shouted = Dn::parse("cn=b,OU=SALES,o=Lucent").unwrap();
-        shouted.share_with(&parent);
-        assert!(!shouted.rdns()[1].shares_storage(&parent.rdns()[0]));
-        assert!(shouted.rdns()[2].shares_storage(&parent.rdns()[1]));
-        assert_eq!(shouted.to_string(), "cn=b,OU=SALES,o=Lucent");
+        let mut shouted = Dn::parse("cn=c,OU=SALES,o=Lucent").unwrap();
+        shouted.share_parent(&parent);
+        assert!(!shouted.parent().unwrap().shares_storage(&parent));
+        assert_eq!(shouted.to_string(), "cn=c,OU=SALES,o=Lucent");
         assert_eq!(shouted.parent().unwrap(), parent);
+    }
+
+    #[test]
+    fn equal_names_hash_alike_and_keys_agree() {
+        use std::hash::BuildHasher;
+        let hasher = std::collections::hash_map::RandomState::new();
+        let long = "x".repeat(150);
+        for (a, b) in [
+            ("CN=John   Doe,O=Lucent", "cn=john doe, o=lucent"),
+            ("cn=Caf\\C3\\A9 AU LAIT,o=x", "cn=café  au lait,o=x"),
+            (&format!("cn={long} A,o=x"), &format!("cn={long}  a,o=X")),
+            ("cn=a\\,b+sn=Q,o=x", "SN=q+cn=A\\,B,o=x"),
+        ] {
+            let (a, b) = (Dn::parse(a).unwrap(), Dn::parse(b).unwrap());
+            assert_eq!(a, b);
+            assert_eq!(a.norm_key(), b.norm_key());
+            assert_eq!(hasher.hash_one(&a), hasher.hash_one(&b), "{a} / {b}");
+            // The key sibling order reads is the key a name spells.
+            let leaf = a.rdn().unwrap();
+            let key: Vec<u8> = leaf.key_bytes().collect();
+            assert_eq!(key, Dn::root().child(leaf.clone()).norm_key().into_bytes());
+            assert_eq!(hasher.hash_one(leaf), hasher.hash_one(b.rdn().unwrap()));
+        }
+    }
+
+    #[test]
+    fn a_name_of_any_depth_drops_hashes_compares_and_prints_without_recursion() {
+        const DEPTH: usize = 250_000;
+        let worker = std::thread::Builder::new().stack_size(256 * 1024);
+        let run = move || {
+            use std::hash::BuildHasher;
+            let text = "a=b,".repeat(DEPTH - 1) + "a=b";
+            let dn = Dn::parse(&text).unwrap();
+            assert_eq!(dn.depth(), DEPTH);
+            let hasher = std::collections::hash_map::RandomState::new();
+            let copy = Dn::parse(&text).unwrap();
+            assert_eq!(hasher.hash_one(&dn), hasher.hash_one(&copy));
+            assert_eq!(dn, copy);
+            assert_eq!(dn, dn.clone());
+            let differs = Dn::parse(&("a=b,".repeat(DEPTH - 1) + "a=c")).unwrap();
+            assert_ne!(dn, differs);
+            assert!(dn.is_within(&copy.parent().unwrap()));
+            assert_eq!(dn.norm_key().len(), text.len());
+            assert_eq!(dn.to_string(), text);
+            drop((dn, copy, differs));
+        };
+        worker.spawn(run).unwrap().join().unwrap();
     }
 
     #[test]

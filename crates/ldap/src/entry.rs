@@ -1,5 +1,7 @@
 //! Directory entries and the modification operations that act on them.
 
+#![forbid(unsafe_code)]
+
 use crate::attr::{repeated_value, value_eq_ci, with_lower, AttrName, Attribute, Value};
 use crate::dn::Dn;
 use crate::error::{LdapError, Result, ResultCode};

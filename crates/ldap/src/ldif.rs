@@ -38,7 +38,7 @@ pub fn parse(text: &str) -> Result<Vec<Record>> {
 
 /// [`parse`] for a document that must hold content records only — the
 /// snapshot reader's hot loop at million-entry scale. A change record is an
-/// error, and neighbouring entries share their common ancestors' RDNs.
+/// error, and neighbouring entries share their common ancestors' names.
 pub fn parse_content(text: &str) -> Result<Vec<Entry>> {
     let mut out: Vec<Entry> = Vec::new();
     for record in Reader::new(text) {
@@ -47,14 +47,23 @@ pub fn parse_content(text: &str) -> Result<Vec<Entry>> {
                 "content-only LDIF contains a change record",
             ));
         };
-        // Neighbours in a dump are siblings or parent and child: one copy
-        // of their common ancestors per document.
         if let Some(prev) = out.last() {
-            e.dn_mut().share_with(prev.dn());
+            share_with_neighbour(&mut e, prev);
         }
         out.push(e);
     }
     Ok(out)
+}
+
+/// Neighbours in a dump are siblings or parent and child: point `e`'s
+/// parent link at the name `prev` holds for it, `prev`'s own or `prev`'s
+/// parent's, so a document holds one copy of their common ancestors.
+pub(crate) fn share_with_neighbour(e: &mut Entry, prev: &Entry) {
+    let dn = e.dn_mut();
+    dn.share_parent(prev.dn());
+    if let Some(above) = prev.dn().parent() {
+        dn.share_parent(&above);
+    }
 }
 
 /// The one LDIF reader: a single pass over the text that unfolds

@@ -3,9 +3,9 @@
 //! really set aside): DN construction leaves no slack, a tree in the repo
 //! benchmark's shape stays under a committed bytes-per-entry budget, a tree
 //! restored from a snapshot costs what the live-loaded one does,
-//! [`Dit::footprint`] accounts for the bytes by structure, entries share
-//! their ancestors' RDN storage and their class's `objectClass` list
-//! whatever path took them into the tree, and neither pool keeps what an
+//! [`Dit::footprint`] accounts for the bytes by structure, an entry's name
+//! links to its parent entry's and entries share their class's
+//! `objectClass` list whatever path took them into the tree, and neither pool keeps what an
 //! unauthenticated socket could make arbitrarily large.
 //!
 //! Linux/glibc only. Run it in release too (CI does): the budget is about
@@ -185,20 +185,40 @@ fn scratch_dir(name: &str) -> std::path::PathBuf {
 }
 
 /// Bytes per entry the compact store may cost in this shape, five indexes
-/// included: 517 measured, 622 while the id tables took 24 bytes a hash and
-/// every node carried a children vector, 749 while every value was a heap
-/// string of its own, 924 while the store kept a key string per DN and a copy of every
-/// indexed value, 1,304 before the 32-byte attribute slot and the shared
-/// class list, 2,050 before the shared-RDN layout (2,950 for a tree
-/// restored from a snapshot).
-const BUDGET_BYTES_PER_ENTRY: usize = 553;
+/// included: 446 measured (the reading plus 7 % is the budget), 517 while
+/// every name was an RDN vector over shared RDN blocks that kept a
+/// lowercased copy of each value, 622 while the id tables took 24 bytes a
+/// hash and every node carried a children vector, 749 while every value
+/// was a heap string of its own, 924 while the store kept a key string per
+/// DN and a copy of every indexed value, 1,304 before the 32-byte attribute
+/// slot and the shared class list, 2,050 before the shared-RDN layout
+/// (2,950 for a tree restored from a snapshot).
+const BUDGET_BYTES_PER_ENTRY: usize = 477;
 
-/// Heap blocks per entry at rest: 4.43 measured (the RDN vector, the leaf
-/// RDN, the attribute vector, and for the common names longer than a
-/// value's 22-byte slot the name, its lowercased form and the `cn` value),
-/// 10 while every value was a heap string, 13 with the DN key and two
-/// posting keys, 17 while every entry held its own class list.
-const BUDGET_BLOCKS_PER_ENTRY: f64 = 5.0;
+/// Heap blocks per entry at rest: 2.96 measured (the chain block that ends
+/// the name, the attribute vector, and for the common names longer than a
+/// value's 22-byte slot the name and the `cn` value), 4.43 with an RDN
+/// vector, a leaf RDN block and a lowercased copy of long names, 10 while
+/// every value was a heap string, 13 with the DN key and two posting keys,
+/// 17 while every entry held its own class list.
+const BUDGET_BLOCKS_PER_ENTRY: f64 = 3.5;
+
+/// `dn` built anew through the constructors, root first.
+fn rebuilt(dn: &Dn) -> Dn {
+    let Some(rdn) = dn.rdn() else {
+        return Dn::root();
+    };
+    let rdn = match rdn.avas() {
+        [one] => Rdn::new(one.attr(), one.value()),
+        many => Rdn::multi(
+            many.iter()
+                .map(|a| ldap::Ava::new(a.attr(), a.value()))
+                .collect(),
+        )
+        .unwrap(),
+    };
+    rebuilt(&dn.parent().unwrap()).child(rdn)
+}
 
 #[test]
 fn parsed_and_built_dns_occupy_the_same_bytes() {
@@ -211,30 +231,16 @@ fn parsed_and_built_dns_occupy_the_same_bytes() {
         "o=Bench",
     ] {
         let (parsed, parsed_bytes) = held_by(|| Dn::parse(text).unwrap());
-        let (built, built_bytes) = held_by(|| {
-            parsed.rdns().iter().rev().fold(Dn::root(), |dn, rdn| {
-                let rdn = match rdn.avas() {
-                    [one] => Rdn::new(one.attr(), one.value()),
-                    many => Rdn::multi(
-                        many.iter()
-                            .map(|a| ldap::Ava::new(a.attr(), a.value()))
-                            .collect(),
-                    )
-                    .unwrap(),
-                };
-                dn.child(rdn)
-            })
-        });
+        let (built, built_bytes) = held_by(|| rebuilt(&parsed));
         assert_eq!(built, parsed);
         assert_eq!(built.to_string(), parsed.to_string());
         assert_eq!(
             parsed_bytes, built_bytes,
             "`{text}`: parsed holds {parsed_bytes} B, built {built_bytes} B"
         );
-        // A derived name is its pointers and nothing else.
+        // A parent is a block the name already points at.
         let (parent, parent_bytes) = held_by(|| parsed.parent());
-        let pointers = std::mem::size_of::<Rdn>() * parsed.depth().saturating_sub(1);
-        assert_eq!(parent_bytes, pointers as isize, "parent of `{text}`");
+        assert_eq!(parent_bytes, 0, "parent of `{text}`");
         drop(parent);
     }
 }
@@ -277,7 +283,7 @@ fn bytes_per_entry_stay_under_budget_and_footprint_accounts_for_them() {
     );
     // Per structure, where this change aimed.
     assert!(
-        fp.dn_bytes / entries <= 150,
+        fp.dn_bytes / entries <= 85,
         "DN {} B/entry",
         fp.dn_bytes / entries
     );
@@ -294,7 +300,7 @@ fn bytes_per_entry_stay_under_budget_and_footprint_accounts_for_them() {
         fp.key_arena_bytes / entries
     );
     assert!(
-        fp.slab_bytes / entries <= 100,
+        fp.slab_bytes / entries <= 85,
         "node slab {} B/entry",
         fp.slab_bytes / entries
     );
@@ -321,11 +327,11 @@ fn bytes_per_entry_stay_under_budget_and_footprint_accounts_for_them() {
 }
 
 /// The repo benchmark's person at its longest (a 22-byte common name) holds
-/// every value in its slot, so at rest it is three heap blocks: the RDN
-/// vector, the leaf RDN and the attribute vector. Its ancestors' RDNs are
-/// its parent's and its class list is the pool's.
+/// every value in its slot, so at rest it is two heap blocks: the chain
+/// block that ends its name and the attribute vector. Its ancestors are its
+/// parent's name and its class list is the pool's.
 #[test]
-fn a_benchmark_person_at_rest_is_three_heap_blocks() {
+fn a_benchmark_person_at_rest_is_two_heap_blocks() {
     let unit = unit_dn(0);
     let build = || {
         let mut e = Entry::with_attrs(
@@ -350,35 +356,38 @@ fn a_benchmark_person_at_rest_is_three_heap_blocks() {
     let person = build();
     let blocks = BLOCKS_HERE.with(Cell::get) - before;
     assert_eq!(person.first("cn"), Some("Ximena Castillo 000123"));
-    assert_eq!(blocks, 3, "a benchmark person holds {blocks} heap blocks");
+    assert_eq!(blocks, 2, "a benchmark person holds {blocks} heap blocks");
 }
 
-/// `dn`'s ancestor RDNs are the very allocations its parent entry holds.
+/// `dn`'s parent link is the very block its parent entry's name is.
 fn assert_shares_with_parent(dit: &Dit, dn: &Dn, after: &str) {
     let entry = dit
         .get(dn)
         .unwrap_or_else(|| panic!("{after}: `{dn}` exists"));
     let parent = dit.get(&dn.parent().unwrap()).expect("parent exists");
-    for (mine, theirs) in entry.dn().rdns()[1..].iter().zip(parent.dn().rdns()) {
-        assert!(
-            mine.shares_storage(theirs),
-            "{after}: `{dn}` holds its own copy of `{theirs}`"
-        );
-    }
+    assert!(
+        entry.dn().parent().unwrap().shares_storage(parent.dn()),
+        "{after}: `{dn}` holds its own copy of `{}`",
+        parent.dn()
+    );
 }
 
 #[test]
-fn entries_share_their_ancestors_rdn_storage() {
+fn entries_share_their_parents_name() {
     let dit = empty_tree();
     load(&dit, 4);
     let kids: Vec<Dn> = (0..4).map(|s| person(s).dn().clone()).collect();
     for dn in &kids {
         assert_shares_with_parent(&dit, dn, "add");
     }
+    assert_shares_with_parent(&dit, &unit_dn(0), "add");
     // Siblings therefore share with each other.
     let (a, b) = (dit.get(&kids[0]).unwrap(), dit.get(&kids[1]).unwrap());
-    assert!(a.dn().rdns()[1].shares_storage(&b.dn().rdns()[1]));
-    assert!(a.dn().rdns()[2].shares_storage(&b.dn().rdns()[2]));
+    assert!(a
+        .dn()
+        .parent()
+        .unwrap()
+        .shares_storage(&b.dn().parent().unwrap()));
 
     // Bulk load (the snapshot path), freshly parsed names.
     dit.begin_bulk();
@@ -418,15 +427,16 @@ fn entries_share_their_ancestors_rdn_storage() {
         assert_shares_with_parent(&dit, &dn, "subtree move");
     }
 
-    // A name written in another case keeps its own bytes: what a search
-    // returns is what the client stored.
+    // A name whose parent is written in another case keeps its own chain
+    // and its bytes: what a search returns is what the client stored.
     let shouting = Dn::parse("cn=Loud,OU=DEPT-007,O=BENCH").unwrap();
     dit.add(Entry::with_attrs(shouting.clone(), [("cn", "Loud")]))
         .unwrap();
-    assert_eq!(
-        dit.get(&shouting).unwrap().dn().to_string(),
-        "cn=Loud,OU=DEPT-007,O=BENCH"
-    );
+    let stored = dit.get(&shouting).unwrap();
+    assert_eq!(stored.dn().to_string(), "cn=Loud,OU=DEPT-007,O=BENCH");
+    let unit = dit.get(&target).unwrap();
+    assert!(!stored.dn().parent().unwrap().shares_storage(unit.dn()));
+    assert_eq!(stored.dn().parent().unwrap(), *unit.dn());
 }
 
 /// Where the entry at `dn` keeps its class list.

@@ -158,8 +158,7 @@ impl Model {
             self.entries.remove(&e.dn().norm_key());
         }
         for (i, mut e) in subtree.into_iter().enumerate() {
-            let below = &e.dn().rdns()[..e.dn().depth() - dn.depth()];
-            let renamed = (below.iter().rev()).fold(new_dn.clone(), |d, r| d.child(r.clone()));
+            let renamed = moved(e.dn(), dn, &new_dn);
             e.set_dn(renamed);
             if i == 0 {
                 if delete_old {
@@ -185,6 +184,18 @@ impl Model {
         let crc = ldap::wal::crc32(text.as_bytes());
         text.push_str(&format!("# crc32: {crc:08x}\n"));
         text
+    }
+}
+
+/// `name`, which lies under `from`, with `from` replaced by `to`: its own
+/// RDNs below `from`, on top of `to`.
+fn moved(name: &Dn, from: &Dn, to: &Dn) -> Dn {
+    match name == from {
+        true => to.clone(),
+        false => {
+            let above = moved(&name.parent().expect("under `from`"), from, to);
+            above.child(name.rdn().expect("never the root").clone())
+        }
     }
 }
 

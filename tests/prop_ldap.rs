@@ -263,7 +263,7 @@ proptest! {
         prop_assert_eq!(dn.norm_key(), model.key(), "key of `{}`", text);
         prop_assert_eq!(dn.depth(), model.0.len());
         // What was written is what is kept, AVA by AVA (sorted by type).
-        for (rdn, written) in dn.rdns().iter().zip(&model.0) {
+        for (rdn, written) in dn.rdns().zip(&model.0) {
             let mut written: Vec<&ModelAva> = written.iter().collect();
             written.sort_by_key(|a| a.attr.to_ascii_lowercase());
             prop_assert_eq!(rdn.avas().len(), written.len());
@@ -271,7 +271,7 @@ proptest! {
                 prop_assert_eq!(ava.attr(), w.attr.as_str());
                 prop_assert_eq!(ava.value(), w.value.as_str());
                 prop_assert_eq!(ava.norm_attr(), w.attr.to_ascii_lowercase());
-                prop_assert_eq!(ava.norm_value(), model_norm(&w.value));
+                prop_assert_eq!(ldap::attr::norm_value(ava.value()), model_norm(&w.value));
             }
         }
         // Parser and constructors build the same name, and printing it and
@@ -347,10 +347,17 @@ proptest! {
         for (a, v) in &attrs {
             dn = dn.child(Rdn::new(a.clone(), v.clone()));
         }
-        // parent/child are inverses.
+        // parent/child are inverses, down to the hash.
         let rdn = dn.rdn().expect("non-root").clone();
         let parent = dn.parent().expect("non-root");
-        prop_assert_eq!(parent.child(rdn), dn);
+        let again = parent.child(rdn);
+        prop_assert_eq!(&again, &dn);
+        prop_assert_eq!(hash_of(&again), hash_of(&dn));
+        // A built chain is the parsed name, and prints the same text.
+        let parsed = Dn::parse(&dn.to_string()).expect("display must parse");
+        prop_assert_eq!(&parsed, &dn);
+        prop_assert_eq!(hash_of(&parsed), hash_of(&dn));
+        prop_assert_eq!(parsed.to_string(), dn.to_string());
         // is_within is reflexive and respects ancestry.
         prop_assert!(dn.is_within(&dn));
         prop_assert!(dn.is_within(&parent));
