@@ -1,13 +1,12 @@
-//! Million-entry scale rig (E18): load → checkpoint → kill → restart, in a
+//! Million-entry scale rig: load → checkpoint → kill → restart, in a
 //! process of its own so peak RSS (`VmHWM`) is honest.
 //!
 //! ```text
 //! scale_rig --entries 1000000 [--seed 42] [--state-dir DIR]
 //! ```
 //!
-//! Prints one JSON line — the record E18 reads back from its child
-//! process — and a readable summary on stderr, the restarted tree's
-//! resident bytes by structure ([`ldap::Footprint`]) with it. CI's release-mode smoke runs
+//! Prints a summary on stderr, the restarted tree's resident bytes by
+//! structure ([`ldap::Footprint`]) with it. CI's release-mode smoke runs
 //! `--entries 100000` and gates on the exit status: non-zero when the
 //! restarted tree's search-stream digest differs from the loaded one's or
 //! when peak RSS per entry exceeds
@@ -63,7 +62,6 @@ fn main() -> ExitCode {
     // A hard crash (mem::forget) stands in for kill -9 between load and
     // restart.
     let report = scale::run(args.entries, args.seed, &args.state_dir, true);
-    println!("{}", report.json());
     eprintln!(
         "scale_rig: load {:>9.0} ops/s  restart {:>7.2}s  peak rss {}",
         report.load_ops_per_sec(),

@@ -1,7 +1,7 @@
-//! Benchmark support: synthetic workload generation and system rigs shared
-//! by the `experiments` harness, the rig binaries and the root integration
-//! tests. Timings that are compared from PR to PR come from the repo
-//! benchmark in `bench/`, not from here.
+//! Test support: synthetic workload generation, system rigs and the soak
+//! oracle shared by the rig binaries (`crash_rig`, `soak_rig`,
+//! `scale_rig`) and the root integration tests. Timings that are compared
+//! between commits come from the repo benchmark in `bench/`, not from here.
 //!
 //! The paper's corporate user population is proprietary; this generator
 //! produces the synthetic equivalent (DESIGN.md §1): realistic name/org
@@ -11,7 +11,6 @@
 //! the paper's consistency argument depends on, so those are the knobs.
 
 pub mod churn;
-pub mod experiments;
 pub mod oracle;
 pub mod population;
 pub mod rss;
@@ -33,17 +32,6 @@ pub struct Rig {
 /// Build a rig with `n_pbx` switches (partitioned `1xxx`, `2xxx`, …) and
 /// optionally a messaging platform.
 pub fn rig(n_pbx: usize, with_mp: bool) -> Rig {
-    rig_with(n_pbx, with_mp, |b| b)
-}
-
-/// Like [`rig`], but lets the caller customize the builder before it is
-/// assembled — used by ablation experiments to flip perf knobs
-/// (`with_indexed_attrs`, `with_um_workers`, fault-plan latency).
-pub fn rig_with(
-    n_pbx: usize,
-    with_mp: bool,
-    customize: impl FnOnce(MetaCommBuilder) -> MetaCommBuilder,
-) -> Rig {
     assert!(
         (1..=8).contains(&n_pbx),
         "extension prefixes support 1..=8 switches"
@@ -66,7 +54,7 @@ pub fn rig_with(
     } else {
         None
     };
-    let system = customize(builder).build().expect("assemble rig");
+    let system = builder.build().expect("assemble rig");
     Rig { system, pbxes, mp }
 }
 
@@ -80,25 +68,6 @@ impl Rig {
             .map(|d| (d as usize).saturating_sub(1))
             .unwrap_or(0);
         &self.pbxes[idx.min(self.pbxes.len() - 1)]
-    }
-}
-
-/// Wall-clock helper returning (result, elapsed).
-pub fn timed<T>(f: impl FnOnce() -> T) -> (T, std::time::Duration) {
-    let start = std::time::Instant::now();
-    let out = f();
-    (out, start.elapsed())
-}
-
-/// Format a duration as adaptive human units.
-pub fn fmt_dur(d: std::time::Duration) -> String {
-    let us = d.as_secs_f64() * 1e6;
-    if us < 1000.0 {
-        format!("{us:.1} µs")
-    } else if us < 1_000_000.0 {
-        format!("{:.2} ms", us / 1000.0)
-    } else {
-        format!("{:.2} s", us / 1e6)
     }
 }
 

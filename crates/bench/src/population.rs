@@ -114,8 +114,8 @@ pub struct PopulationSpec {
 }
 
 impl PopulationSpec {
-    /// The E16 default shape: three switches, a messaging platform, four
-    /// sites.
+    /// The soak's default shape: three switches, a messaging platform,
+    /// four sites.
     pub fn new(seed: u64, subscribers: usize) -> PopulationSpec {
         PopulationSpec {
             seed,

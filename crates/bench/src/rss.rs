@@ -1,11 +1,9 @@
-//! Peak-RSS probes for the rigs and the experiment harness.
+//! The peak-RSS probe of the rigs.
 //!
 //! Linux keeps the high-water mark of a process's resident set in
 //! `/proc/self/status` as `VmHWM`. The counter is monotone for the life
-//! of the process, which is why E18 runs in a child process of its
-//! own; `reset_peak` (writing `5` to `/proc/self/clear_refs`)
-//! is the best-effort in-process fallback. Both probes degrade to `None`
-//! / `false` off Linux so the harness stays portable.
+//! of the process, which is why `scale_rig` runs in a process of its own.
+//! The probe degrades to `None` off Linux.
 
 /// Peak resident set size of the current process in kilobytes, or `None`
 /// when the platform does not expose it.
@@ -17,13 +15,6 @@ pub fn peak_rss_kb() -> Option<u64> {
 fn parse_vm_hwm(status: &str) -> Option<u64> {
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
     line.split_whitespace().nth(1)?.parse().ok()
-}
-
-/// Reset the peak-RSS counter so the next `peak_rss_kb` reading covers
-/// only work done after this call. Best effort: returns `false` when the
-/// kernel interface is unavailable (non-Linux, restricted /proc).
-pub fn reset_peak() -> bool {
-    std::fs::write("/proc/self/clear_refs", "5").is_ok()
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! Million-entry scale engine shared by E18 and the `scale_rig` binary.
+//! Million-entry scale engine behind the `scale_rig` binary.
 //!
 //! One run is a full load → checkpoint → crash → restart cycle. The engine
 //! streams the population in chunks so the generator never holds the full
@@ -6,16 +6,13 @@
 //! otherwise rival the directory and poison the peak-RSS reading.
 //!
 //! Peak RSS (`VmHWM`) is monotone per process, so an honest number needs a
-//! process of its own: `run_isolated` re-execs the `scale_rig` binary when
-//! it can find it and falls back to a clearly-labelled in-process mode
-//! (soft crash, best-effort counter reset) when it cannot — e.g. under
-//! `cargo test` before the binaries are linked.
+//! process of its own: `scale_rig` is that process.
 
 use crate::population::{Population, PopulationSpec};
 use crate::rss;
 use ldap::{Dit, Dn, Entry, Filter, Rdn, Scope};
 use metacomm::{FsyncPolicy, MetaComm, MetaCommBuilder};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 /// Directory suffix the run deploys under.
@@ -43,10 +40,6 @@ pub struct ScaleReport {
     /// …and after restart: equal iff recovery rebuilt the same tree.
     pub digest_restarted: u64,
     pub peak_rss_kb: Option<u64>,
-    /// `true` when the run shared its process with other work (the RSS
-    /// reading is then best-effort: the counter reset may be unavailable
-    /// and the allocator retains pages freed before the run).
-    pub in_process: bool,
     /// The restarted tree's resident bytes by structure.
     pub footprint: ldap::Footprint,
 }
@@ -82,7 +75,7 @@ impl ScaleReport {
             .then_some(per_entry)
     }
 
-    /// Peak RSS for a table cell.
+    /// Peak RSS for the summary line.
     pub fn peak_rss_text(&self) -> String {
         self.peak_rss_kb
             .map(|kb| format!("{:.1} MB", kb as f64 / 1024.0))
@@ -98,85 +91,6 @@ impl ScaleReport {
             .collect();
         format!("{} (total {})", rows.join(", "), per_entry(fp.total()))
     }
-
-    /// One-line JSON object — the contract between the `scale_rig` child
-    /// process and E18. Digests travel as hex strings: u64 values do not
-    /// survive a round-trip through doubles.
-    pub fn json(&self) -> String {
-        format!(
-            "{{\"entries\":{},\"load_ops\":{},\"load_ops_per_sec\":{:.0},\
-             \"load_secs\":{:.3},\"restart_secs\":{:.3},\"snapshot_entries\":{},\
-             \"wal_records_applied\":{},\"digest_loaded\":\"{:016x}\",\
-             \"digest_restarted\":\"{:016x}\",\"parity\":{},\"peak_rss_kb\":{},\
-             \"isolation\":\"{}\"{}}}",
-            self.entries,
-            self.load_ops,
-            self.load_ops_per_sec(),
-            self.load_secs,
-            self.restart_secs,
-            self.snapshot_entries,
-            self.wal_records_applied,
-            self.digest_loaded,
-            self.digest_restarted,
-            self.parity(),
-            self.peak_rss_kb
-                .map(|kb| kb.to_string())
-                .unwrap_or_else(|| "null".into()),
-            if self.in_process {
-                "in-process"
-            } else {
-                "own-process"
-            },
-            self.footprint
-                .rows()
-                .iter()
-                .map(|(row, bytes)| format!(",\"{row}\":{bytes}"))
-                .collect::<String>(),
-        )
-    }
-
-    /// Parse a line produced by `json` (the child's stdout); any other
-    /// line lacks a field and yields `None`.
-    pub fn parse(line: &str) -> Option<ScaleReport> {
-        let row = |name| jfield(line, name)?.parse().ok();
-        let entries = row("entries")?;
-        Some(ScaleReport {
-            entries,
-            load_ops: row("load_ops")?,
-            load_secs: jfield(line, "load_secs")?.parse().ok()?,
-            restart_secs: jfield(line, "restart_secs")?.parse().ok()?,
-            snapshot_entries: row("snapshot_entries")?,
-            wal_records_applied: row("wal_records_applied")?,
-            digest_loaded: u64::from_str_radix(jfield(line, "digest_loaded")?, 16).ok()?,
-            digest_restarted: u64::from_str_radix(jfield(line, "digest_restarted")?, 16).ok()?,
-            peak_rss_kb: match jfield(line, "peak_rss_kb")? {
-                "null" => None,
-                kb => Some(kb.parse().ok()?),
-            },
-            in_process: jfield(line, "isolation")? == "in-process",
-            footprint: ldap::Footprint {
-                entries,
-                dn_bytes: row("dnBytes")?,
-                key_arena_bytes: row("keyArenaBytes")?,
-                slab_bytes: row("slabBytes")?,
-                attr_slot_bytes: row("attrSlotBytes")?,
-                value_bytes: row("valueBytes")?,
-                postings_bytes: row("postingsBytes")?,
-                sibling_bytes: row("siblingBytes")?,
-            },
-        })
-    }
-}
-
-/// Extract the raw text of a scalar field from a flat one-line JSON
-/// object. Good enough for the rig protocol: no nested objects, and no
-/// string values containing commas or braces.
-fn jfield<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}'])?;
-    Some(rest[..end].trim().trim_matches('"'))
 }
 
 fn deployment(dir: &Path) -> MetaComm {
@@ -327,7 +241,6 @@ pub fn digest_tree(dit: &Dit) -> (u64, usize) {
 /// million-entry heap.
 pub fn run(entries: usize, seed: u64, dir: &Path, hard_crash: bool) -> ScaleReport {
     let _ = std::fs::remove_dir_all(dir);
-    rss::reset_peak();
 
     let system = deployment(dir);
     let dit = system.dit();
@@ -343,7 +256,9 @@ pub fn run(entries: usize, seed: u64, dir: &Path, hard_crash: bool) -> ScaleRepo
         drop(system);
     }
 
-    let (system2, restart) = crate::timed(|| deployment(dir));
+    let restarted = Instant::now();
+    let system2 = deployment(dir);
+    let restart = restarted.elapsed();
     let report = system2.recovery_report().expect("durable deployment");
     let (digest_restarted, _) = digest_tree(&system2.dit());
     let footprint = system2.dit().footprint();
@@ -361,95 +276,13 @@ pub fn run(entries: usize, seed: u64, dir: &Path, hard_crash: bool) -> ScaleRepo
         digest_loaded,
         digest_restarted,
         peak_rss_kb,
-        in_process: !hard_crash,
         footprint,
     }
-}
-
-/// Find the `scale_rig` binary next to the current executable (or one
-/// directory up — test binaries live in `target/<profile>/deps`).
-fn locate_rig() -> Option<PathBuf> {
-    let exe = std::env::current_exe().ok()?;
-    let mut dir = exe.parent()?;
-    for _ in 0..2 {
-        let candidate = dir.join("scale_rig");
-        if candidate.is_file() {
-            return Some(candidate);
-        }
-        dir = dir.parent()?;
-    }
-    None
-}
-
-fn spawn_rig(rig: &Path, entries: usize, seed: u64, dir: &Path) -> Option<ScaleReport> {
-    let out = std::process::Command::new(rig)
-        .args([
-            "--entries",
-            &entries.to_string(),
-            "--seed",
-            &seed.to_string(),
-            "--state-dir",
-            &dir.display().to_string(),
-        ])
-        .output()
-        .ok()?;
-    // A rig that exits non-zero (diverged restart, RSS over budget) still
-    // printed its report: the caller judges it.
-    String::from_utf8_lossy(&out.stdout)
-        .lines()
-        .rev()
-        .find_map(ScaleReport::parse)
-}
-
-/// The run in a `scale_rig` child process when the binary is reachable
-/// (an honest VmHWM), otherwise in this one.
-pub fn run_isolated(entries: usize, seed: u64, dir: &Path) -> ScaleReport {
-    locate_rig()
-        .and_then(|rig| spawn_rig(&rig, entries, seed, dir))
-        .unwrap_or_else(|| run(entries, seed, dir, false))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn report_json_round_trips() {
-        let r = ScaleReport {
-            entries: 1234,
-            load_ops: 1200,
-            load_secs: 0.5,
-            restart_secs: 0.25,
-            snapshot_entries: 1100,
-            wal_records_applied: 100,
-            digest_loaded: 0xdead_beef_0012_3456,
-            digest_restarted: 0xdead_beef_0012_3456,
-            peak_rss_kb: Some(4096),
-            in_process: false,
-            footprint: ldap::Footprint {
-                entries: 1234,
-                dn_bytes: 160,
-                attr_slot_bytes: 200,
-                value_bytes: 122,
-                ..ldap::Footprint::default()
-            },
-        };
-        let back = ScaleReport::parse(&r.json()).expect("parse own json");
-        assert_eq!(back.footprint, r.footprint);
-        assert_eq!(back.entries, 1234);
-        assert_eq!(back.digest_loaded, r.digest_loaded);
-        assert_eq!((back.peak_rss_kb, back.in_process), (Some(4096), false));
-        assert!(back.parity());
-
-        let none = ScaleReport {
-            peak_rss_kb: None,
-            in_process: true,
-            ..r
-        };
-        let back = ScaleReport::parse(&none.json()).unwrap();
-        assert_eq!((back.peak_rss_kb, back.in_process), (None, true));
-        assert!(ScaleReport::parse("scale_rig: 1234 entries").is_none());
-    }
 
     #[test]
     fn small_run_restores_its_own_tree() {

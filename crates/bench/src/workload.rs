@@ -96,8 +96,8 @@ pub fn populate(rig: &crate::Rig, people: &[Person]) {
 }
 
 /// Load `people` directly onto their owning switches (pre-existing device
-/// data for initial-load experiments). Uses the Metacomm channel so no DDU
-/// events fire.
+/// data for the initial-load claims in `tests/paper_claims.rs`). Uses the
+/// Metacomm channel so no DDU events fire.
 pub fn preload_devices(rig: &crate::Rig, people: &[Person]) {
     for p in people {
         let store = rig.switch_for(&p.extension);

@@ -202,7 +202,7 @@ impl MetaCommBuilder {
     }
 
     /// Disable the intra-directory dependency (transitive-closure hub)
-    /// rules — used by ablation benchmarks.
+    /// rules — the closure ablation of E11 in `tests/paper_claims.rs`.
     pub fn without_hub_rules(mut self) -> Self {
         self.hub_rules = false;
         self
@@ -259,10 +259,10 @@ impl MetaCommBuilder {
     }
 
     /// When (and how) write-ahead-log appends reach stable storage:
-    /// [`FsyncPolicy::Group`] (default) batches concurrent commits into
-    /// shared fsyncs, [`FsyncPolicy::Always`] fsyncs every append, and
-    /// [`FsyncPolicy::Never`] trades machine-crash safety for speed (the
-    /// ablation arm — a process crash still loses nothing).
+    /// [`FsyncPolicy::Group`] (default) makes every append durable before
+    /// it returns, concurrent commits sharing one fsync, and
+    /// [`FsyncPolicy::Never`] trades machine-crash safety for speed (a
+    /// process crash still loses nothing).
     pub fn with_fsync_policy(mut self, policy: FsyncPolicy) -> Self {
         self.fsync_policy = policy;
         self
@@ -738,7 +738,7 @@ impl MetaComm {
     }
 
     /// Wait until the pipeline is quiescent (no DDUs in flight, the UM
-    /// queue drained). Used by tests and the experiment harness; detects
+    /// queue drained). Used by tests, the rigs and the benchmark; detects
     /// stability rather than relying on fixed sleeps.
     pub fn settle(&self) {
         let snapshot = |mc: &MetaComm| {

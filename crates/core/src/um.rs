@@ -78,7 +78,7 @@ pub struct UpdateTrace {
     pub total_ns: u64,
 }
 
-/// Update Manager statistics (fed into the experiment harness): handles on
+/// Update Manager statistics (read by tests and the benchmark): handles on
 /// the deployment's `um` component. The four outage totals are sums over
 /// the devices' own counters, so an outage event is counted once, on its
 /// device.

@@ -146,17 +146,6 @@ impl ServerBuilder {
         self
     }
 
-    /// The worker count [`start`](ServerBuilder::start) will use: the
-    /// explicit `with_wire_workers` value, else the adaptive default.
-    pub fn resolved_wire_workers(&self) -> usize {
-        self.wire_workers.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-                .min(4)
-        })
-    }
-
     /// Drop connections with no socket activity and no work in flight for
     /// `timeout` (and count them in the `disconnectIdle` counter), so
     /// 10k-connection deployments shed dead clients. Default: never.
@@ -177,7 +166,12 @@ impl ServerBuilder {
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let metrics = Arc::new(ServerMetrics::default());
-        let wire_workers = self.resolved_wire_workers();
+        let wire_workers = self.wire_workers.unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(4)
+                .min(4)
+        });
         let waker = Arc::new(Waker::new().map_err(unavailable)?);
         let epoll = event::setup(&listener, &waker).map_err(unavailable)?;
         let cpu = Arc::new(Cpu::new(dir, metrics.clone(), waker.clone()));

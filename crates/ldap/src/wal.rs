@@ -44,26 +44,14 @@ const MAX_FRAME: u32 = 64 * 1024 * 1024;
 /// When (and how) appended records are forced to stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FsyncPolicy {
-    /// One fsync per append, under the write lock — the naive durable
-    /// baseline every textbook warns about.
-    Always,
     /// Leader-elected batch fsync: every append is durable before it
     /// returns, but concurrent commits share one fsync (see module docs).
     #[default]
     Group,
     /// Never fsync: appended records survive a process crash (the OS holds
-    /// them) but not a machine crash. The ablation arm for benchmarks.
+    /// them) but not a machine crash. For runs whose cost under study is
+    /// not fsync latency.
     Never,
-}
-
-impl std::fmt::Display for FsyncPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FsyncPolicy::Always => write!(f, "always"),
-            FsyncPolicy::Group => write!(f, "group"),
-            FsyncPolicy::Never => write!(f, "never"),
-        }
-    }
 }
 
 /// The log's counters: handles on the `durability` component it owns
@@ -211,8 +199,8 @@ impl Wal {
         IN_SINK.with(|f| f.set(false));
     }
 
-    /// Append one record. When this returns `Ok` under [`FsyncPolicy::Always`]
-    /// or [`FsyncPolicy::Group`], the record is on stable storage.
+    /// Append one record. When this returns `Ok` under
+    /// [`FsyncPolicy::Group`], the record is on stable storage.
     pub fn append(&self, tag: u8, payload: &[u8]) -> Result<()> {
         self.append_inner(tag, payload, true)
     }
@@ -221,8 +209,6 @@ impl Wal {
     /// [`FsyncPolicy::Group`] — the async half of group commit. The caller
     /// must reach a [`Wal::sync`] barrier before acknowledging whatever the
     /// record represents; until then the record is in the page cache only.
-    /// ([`FsyncPolicy::Always`] still syncs inline; this flag only moves
-    /// the *wait*, never weakens the policy.)
     pub fn append_nowait(&self, tag: u8, payload: &[u8]) -> Result<()> {
         self.append_inner(tag, payload, false)
     }
@@ -242,42 +228,21 @@ impl Wal {
         // Errors are reported only after the file lock is dropped: the
         // error sink may append to this WAL from the same thread (see
         // `report_error`), and the lock is not re-entrant.
-        let outcome: std::result::Result<u64, (&'static str, std::io::Error)> = {
+        let outcome = {
             let mut g = unpoison(self.file.lock());
-            match g.f.write_all(&frame) {
-                Err(e) => Err(("append", e)),
-                Ok(()) => {
-                    if self.policy == FsyncPolicy::Always {
-                        match g.f.sync_data() {
-                            Err(e) => Err(("fsync", e)),
-                            Ok(()) => {
-                                self.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
-                                g.written += frame.len() as u64;
-                                Ok(g.written)
-                            }
-                        }
-                    } else {
-                        g.written += frame.len() as u64;
-                        Ok(g.written)
-                    }
-                }
-            }
+            g.f.write_all(&frame).map(|()| {
+                g.written += frame.len() as u64;
+                g.written
+            })
         };
-        let target = match outcome {
-            Ok(target) => target,
-            Err((what, e)) => {
-                self.report_error(what, &e);
-                return Err(e.into());
-            }
-        };
+        let target = outcome.inspect_err(|e| self.report_error("append", e))?;
         self.stats.appends.fetch_add(1, Ordering::Relaxed);
         self.stats
             .bytes
             .fetch_add(frame.len() as u64, Ordering::Relaxed);
         match self.policy {
-            FsyncPolicy::Always | FsyncPolicy::Never => Ok(()),
             FsyncPolicy::Group if wait => self.ensure_durable(target),
-            FsyncPolicy::Group => Ok(()),
+            FsyncPolicy::Group | FsyncPolicy::Never => Ok(()),
         }
     }
 
@@ -329,7 +294,7 @@ impl Wal {
         let upto = unpoison(self.file.lock()).written;
         match self.policy {
             FsyncPolicy::Group => self.ensure_durable(upto),
-            _ => {
+            FsyncPolicy::Never => {
                 self.sync_file
                     .sync_data()
                     .inspect_err(|e| self.report_error("fsync", e))?;

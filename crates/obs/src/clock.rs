@@ -1,7 +1,7 @@
 //! The injectable clock every latency measurement goes through.
 //!
-//! Production uses [`SystemClock`] (a monotonic `Instant` base). Tests and
-//! the experiment harness can substitute a [`ManualClock`], which only
+//! Production uses [`SystemClock`] (a monotonic `Instant` base). Tests can
+//! substitute a [`ManualClock`], which only
 //! moves when explicitly advanced — so span durations, histogram
 //! percentiles, and even a fault injector's injected latency
 //! become exact, deterministic numbers instead of wall-clock noise.

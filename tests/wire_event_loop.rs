@@ -592,8 +592,22 @@ fn set_rcvbuf(sock: &TcpStream, bytes: i32) {
     assert_eq!(rc, 0, "setsockopt(SO_RCVBUF)");
 }
 
+/// Resident memory one idle connection may cost the server: a `Conn`
+/// struct and an unallocated read buffer, measured at ~310 B. One eager
+/// 4 KiB buffer per connection would be over it.
+const RSS_BYTES_PER_IDLE_CONN: u64 = 1_024;
+
+/// This process's resident set in kB, from `/proc/self/status`.
+fn rss_kb() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").expect("read /proc/self/status");
+    let kb = status.lines().find_map(|l| l.strip_prefix("VmRSS:"));
+    let kb = kb.expect("VmRSS line").trim().trim_end_matches(" kB");
+    kb.parse().expect("VmRSS in kB")
+}
+
 /// Release-mode CI smoke (run with `--ignored`): the event loop sustains
-/// 10k concurrent idle connections on one thread with the active subset
+/// 10k concurrent idle connections on one thread, growing its resident set
+/// by at most [`RSS_BYTES_PER_IDLE_CONN`] each, with the active subset
 /// still served, and shutdown drains all of them.
 ///
 /// The client half of the idle mass lives in a subprocess (a re-exec of
@@ -614,6 +628,7 @@ fn ten_thousand_idle_connections() {
         .expect("server");
     let addr = server.addr().to_string();
     let metrics = server.metrics();
+    let rss_before = rss_kb();
 
     let mut helper = std::process::Command::new(std::env::current_exe().expect("current exe"))
         .args(["--exact", "idle_client_helper", "--ignored"])
@@ -628,6 +643,13 @@ fn ten_thousand_idle_connections() {
         IDLE as u64,
         "10k idle mass attached",
         Duration::from_secs(120),
+    );
+    let rss_after = rss_kb();
+    let per_conn = rss_after.saturating_sub(rss_before) * 1024 / IDLE as u64;
+    assert!(
+        per_conn <= RSS_BYTES_PER_IDLE_CONN,
+        "{IDLE} idle connections grew RSS {rss_before} -> {rss_after} kB: \
+         {per_conn} B each, budget {RSS_BYTES_PER_IDLE_CONN}"
     );
 
     std::thread::scope(|s| {
