@@ -98,22 +98,22 @@ pub fn fixpoint_digest(rig: &SoakRig) -> u64 {
         })
         .collect();
     for pbx in &rig.pbxes {
-        for rec in pbx.dump() {
+        pbx.for_each(|rec| {
             let mut line = format!("pbx={}", pbx.name());
             for (k, v) in rec.fields() {
                 let _ = write!(line, ";{k}={v}");
             }
             lines.push(line);
-        }
+        });
     }
     if let Some(mp) = &rig.mp {
-        for rec in mp.dump() {
+        mp.for_each(|rec| {
             let mut line = "mp".to_string();
             for (k, v) in rec.iter().filter(|(k, _)| k.as_str() != "MbId") {
                 let _ = write!(line, ";{k}={v}");
             }
             lines.push(line);
-        }
+        });
     }
     lines.sort_unstable();
     crate::population::fnv1a(lines.join("\n").as_bytes())
@@ -470,7 +470,7 @@ impl SoakOracle {
             }
         }
         let mut seen = 0usize;
-        for rec in pbx.dump() {
+        pbx.for_each(|rec| {
             let ext = rec.get("Extension").unwrap_or_default();
             match expected.get(ext) {
                 None => out.push(self.violation(
@@ -495,7 +495,7 @@ impl SoakOracle {
                     }
                 }
             }
-        }
+        });
         if seen != expected.len() {
             out.push(self.violation(
                 op_index,
@@ -526,7 +526,7 @@ impl SoakOracle {
             }
         }
         let mut seen = 0usize;
-        for rec in mp.dump() {
+        mp.for_each(|rec| {
             let mbx = rec.get("Mailbox").map(String::as_str).unwrap_or_default();
             match expected.get(mbx) {
                 None => out.push(self.violation(
@@ -553,7 +553,7 @@ impl SoakOracle {
                     }
                 }
             }
-        }
+        });
         if seen != expected.len() {
             out.push(self.violation(
                 op_index,

@@ -53,7 +53,8 @@ trait RecordDevice: Send + Sync + 'static {
     fn is_missing(e: &Self::Error) -> bool;
     fn get(&self, key: &str) -> Option<Self::Record>;
     fn len(&self) -> usize;
-    fn dump(&self) -> Vec<Self::Record>;
+    /// Every record, borrowed where the device keeps it.
+    fn for_each(&self, visit: impl FnMut(&Self::Record));
     fn subscribe(&self) -> Receiver<Self::Event>;
     /// `None` for an echo of MetaComm's own session.
     fn surfaced(ev: Self::Event) -> Option<Change<Self::Record>>;
@@ -102,8 +103,8 @@ impl RecordDevice for Switch {
     fn len(&self) -> usize {
         self.0.len()
     }
-    fn dump(&self) -> Vec<pbx::Record> {
-        self.0.dump()
+    fn for_each(&self, visit: impl FnMut(&pbx::Record)) {
+        self.0.for_each(visit)
     }
     fn subscribe(&self) -> Receiver<pbx::DeviceEvent> {
         self.0.subscribe()
@@ -156,8 +157,8 @@ impl RecordDevice for Platform {
     fn len(&self) -> usize {
         self.0.len()
     }
-    fn dump(&self) -> Vec<msgplat::Record> {
-        self.0.dump()
+    fn for_each(&self, visit: impl FnMut(&msgplat::Record)) {
+        self.0.for_each(visit)
     }
     fn subscribe(&self) -> Receiver<msgplat::MpEvent> {
         self.0.subscribe()
@@ -356,8 +357,11 @@ impl<D: RecordDevice> DeviceFilter for RecordFilter<D> {
         Ok(())
     }
 
+    /// Each image is built straight from the record the device holds.
     fn dump(&self) -> Vec<Image> {
-        self.device.dump().iter().map(Self::image).collect()
+        let mut images = Vec::with_capacity(self.device.len());
+        self.device.for_each(|rec| images.push(Self::image(rec)));
+        images
     }
 
     fn subscribe(&self) -> DirectUpdates {

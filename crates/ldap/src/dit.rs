@@ -756,9 +756,11 @@ impl CompactStore {
         node.entry
     }
 
-    /// Swap in a modified image of entry `id`.
-    fn replace_entry(&mut self, id: DnId, mut entry: Entry) {
-        entry.compact_for_store();
+    /// Write `updated`, a validated, modified copy of entry `id`, into the
+    /// stored entry itself: the index re-posts what differs between the two
+    /// images, then the stored entry takes over only the attributes that
+    /// changed ([`Entry::take_changes`]).
+    fn update_entry(&mut self, id: DnId, updated: Entry) {
         let CompactStore {
             slots,
             index,
@@ -766,11 +768,12 @@ impl CompactStore {
             bulk,
             ..
         } = self;
-        let node = slots[id as usize].as_mut().expect("live id");
+        let stored = &mut slots[id as usize].as_mut().expect("live id").entry;
         if *bulk == 0 {
-            index.update_entry(hashes, id, &node.entry, &entry);
+            index.update_entry(hashes, id, stored, &updated);
         }
-        node.entry = entry;
+        stored.take_changes(updated);
+        stored.compact_for_store();
     }
 
     /// Rename/move the subtree rooted at `root` (whose DN hashes to
@@ -1251,7 +1254,8 @@ impl Dit {
         let mut guard = unpoison(self.store.write());
         let s = &mut *guard;
         let id = (s.tree.find(dn)).ok_or_else(|| LdapError::no_such_object(dn))?;
-        // A private copy, dropped on any error below: applied in place.
+        // Validated on a private copy, dropped on any error below; only a
+        // valid result is written into the stored entry.
         let mut updated = s.tree.node(id).entry.clone();
         updated.apply_in_place(mods)?;
         // Naming invariant even under a permissive schema.
@@ -1270,7 +1274,7 @@ impl Dit {
             }
         }
         self.schema.validate_entry(&updated)?;
-        s.tree.replace_entry(id, updated);
+        s.tree.update_entry(id, updated);
         s.seq += 1;
         let seq = s.seq;
         drop(guard);
@@ -1988,6 +1992,31 @@ mod tests {
                 if *new_rdn == Rdn::new("cn", "Jack Doe")
         ));
         assert!(matches!(seen[3].op, ChangeOp::Delete));
+    }
+
+    #[test]
+    fn a_short_modify_is_written_into_the_stored_attribute_vector() {
+        let dit = tree();
+        let john = Dn::parse("cn=John Doe,o=Marketing,o=Lucent").unwrap();
+        let block = || {
+            let s = unpoison(dit.store.read());
+            s.tree.get_entry(&john).unwrap().attrs_block()
+        };
+        dit.modify(&john, &[Modification::set("telephoneNumber", "9000")])
+            .unwrap();
+        let (before, at) = (dit.get(&john).unwrap(), block());
+        let new = "+1 908 555 0100 x4321"; // 21 bytes: held in its slot
+        dit.modify(&john, &[Modification::set("telephoneNumber", new)])
+            .unwrap();
+        assert_eq!(block(), at, "the stored vector was swapped for a copy");
+        assert_eq!(dit.get(&john).unwrap().values("telephoneNumber"), [new]);
+        assert_eq!(before.values("telephoneNumber"), ["9000"]);
+        let by_phone = |number: &str| {
+            let f = Filter::eq("telephoneNumber", number);
+            dit.search(&Dn::root(), Scope::Sub, &f, &[], 0).unwrap()
+        };
+        assert_eq!(by_phone(new).len(), 1);
+        assert!(by_phone("9000").is_empty(), "the old value is still posted");
     }
 
     #[test]

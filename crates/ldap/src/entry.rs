@@ -225,6 +225,39 @@ impl Entry {
         mods.iter().try_for_each(|m| self.apply_one(m))
     }
 
+    /// Make this entry equal to `new`, an edited copy of it under the same
+    /// name, by writing only the attributes that differ into this entry's
+    /// own vector. An unchanged attribute keeps its slot and the blocks
+    /// behind its values, and the vector stays the block it was: where it
+    /// has to grow or shrink, `realloc` keeps it in the heap arena it was
+    /// allocated from, whichever thread makes the change.
+    pub(crate) fn take_changes(&mut self, new: Entry) {
+        debug_assert_eq!(self.dn, new.dn);
+        let mut at = 0;
+        for attr in new.attrs {
+            let norm = attr.name.norm();
+            while (self.attrs.get(at)).is_some_and(|old| old.name.norm() < norm) {
+                self.attrs.remove(at);
+            }
+            match self.attrs.get_mut(at) {
+                Some(old) if old.name.norm() == norm => {
+                    if old.name.as_str() != attr.name.as_str() || old.values != attr.values {
+                        *old = attr;
+                    }
+                }
+                _ => self.attrs.insert(at, attr),
+            }
+            at += 1;
+        }
+        self.attrs.truncate(at);
+    }
+
+    /// Where the attribute vector's block is.
+    #[cfg(test)]
+    pub(crate) fn attrs_block(&self) -> *const Attribute {
+        self.attrs.as_ptr()
+    }
+
     fn apply_one(&mut self, m: &Modification) -> Result<()> {
         match &m.op {
             ModOp::Add => {

@@ -108,18 +108,33 @@ impl Store {
         rx
     }
 
+    /// Deliver `event` to every subscriber: a copy to each but the last,
+    /// which takes the event itself. A subscriber that has hung up is
+    /// dropped.
     fn notify(inner: &mut Inner, event: MpEvent) {
-        inner
-            .subscribers
-            .retain(|tx| tx.send(event.clone()).is_ok());
+        let last = inner.subscribers.len().saturating_sub(1);
+        let mut event = Some(event);
+        let mut at = 0;
+        inner.subscribers.retain(|tx| {
+            let copy = if at == last {
+                event.take()
+            } else {
+                event.clone()
+            };
+            at += 1;
+            copy.is_some_and(|ev| tx.send(ev).is_ok())
+        });
     }
 
     pub fn get(&self, mailbox: &str) -> Option<Record> {
         self.lock().mailboxes.get(mailbox).cloned()
     }
 
-    pub fn dump(&self) -> Vec<Record> {
-        self.lock().mailboxes.values().cloned().collect()
+    /// Visit every mailbox in mailbox order, borrowed under the store's
+    /// lock: synchronization support that copies no record. `visit` must
+    /// not call back into this store.
+    pub fn for_each(&self, visit: impl FnMut(&Record)) {
+        self.lock().mailboxes.values().for_each(visit);
     }
 
     /// Create a mailbox. Any client-supplied `MbId` is ignored — the
@@ -165,13 +180,10 @@ impl Store {
     /// it back), never altered.
     pub fn change(&self, mailbox: &str, patch: Record, channel: Channel) -> Result<Record> {
         let mut inner = self.lock();
-        let old = inner
-            .mailboxes
-            .get(mailbox)
-            .cloned()
+        let stored = (inner.mailboxes.get_mut(mailbox))
             .ok_or_else(|| MpError::NoSuchMailbox(mailbox.to_string()))?;
         if let Some(newid) = patch.get(fields::MBID) {
-            if Some(newid) != old.get(fields::MBID).as_ref().map(|v| *v) {
+            if Some(newid) != stored.get(fields::MBID) {
                 return Err(MpError::ImmutableField(fields::MBID.into()));
             }
         }
@@ -183,26 +195,33 @@ impl Store {
                 });
             }
         }
-        let mut new = old.clone();
+        // Patched where it lives, once every check has passed: a field's
+        // string keeps its block when the new value fits, an empty value
+        // clears the field, only a new field is inserted.
+        let old = stored.clone();
         for (k, v) in &patch {
             if v.is_empty() {
-                new.remove(k);
+                stored.remove(k);
+            } else if let Some(held) = stored.get_mut(k) {
+                held.clear();
+                held.push_str(v);
             } else {
-                new.insert(k.clone(), v.clone());
+                stored.insert(k.clone(), v.clone());
             }
         }
-        inner.mailboxes.insert(mailbox.to_string(), new.clone());
+        let new = stored.clone();
+        let post = new.clone();
         Store::notify(
             &mut inner,
             MpEvent {
                 kind: EventKind::Change,
                 key: mailbox.to_string(),
                 old: Some(old),
-                new: Some(new.clone()),
+                new: Some(new),
                 channel,
             },
         );
-        Ok(new)
+        Ok(post)
     }
 
     pub fn remove(&self, mailbox: &str, channel: Channel) -> Result<()> {
@@ -355,7 +374,35 @@ mod tests {
         s.add(record([(fields::MAILBOX, "9100")]), Channel::Console)
             .unwrap();
         assert_eq!(s.mailboxes(), vec!["9100", "9200"]);
-        assert_eq!(s.dump().len(), 2);
+        let mut ids = Vec::new();
+        s.for_each(|rec| ids.push(rec[fields::MBID].clone()));
+        assert_eq!(ids, ["MB-000002", "MB-000001"]);
+    }
+
+    #[test]
+    fn a_change_overwrites_the_stored_field_where_it_lives() {
+        let s = Store::new("mp");
+        let rx = s.subscribe();
+        s.add(
+            record([(fields::MAILBOX, "9123"), (fields::COS, "executive")]),
+            Channel::Console,
+        )
+        .unwrap();
+        let cos = || s.lock().mailboxes["9123"][fields::COS].as_ptr();
+        let at = cos();
+        let post = s
+            .change(
+                "9123",
+                record([(fields::COS, "standard")]),
+                Channel::Console,
+            )
+            .unwrap();
+        assert_eq!(cos(), at, "the stored string was swapped for a copy");
+        assert_eq!(post[fields::COS], "standard");
+        assert_eq!(s.get("9123").unwrap()[fields::COS], "standard");
+        let change = rx.try_iter().nth(1).expect("the change event");
+        assert_eq!(change.old.unwrap()[fields::COS], "executive");
+        assert_eq!(change.new.unwrap()[fields::COS], "standard");
     }
 }
 
@@ -381,11 +428,8 @@ mod concurrency_tests {
         for h in handles {
             h.join().unwrap();
         }
-        let mut ids: Vec<String> = s
-            .dump()
-            .iter()
-            .map(|r| r.get(fields::MBID).unwrap().clone())
-            .collect();
+        let mut ids: Vec<String> = Vec::new();
+        s.for_each(|r| ids.push(r[fields::MBID].clone()));
         ids.sort();
         let before = ids.len();
         ids.dedup();

@@ -49,27 +49,26 @@ impl Record {
         self.map.insert(field.into(), value.into());
     }
 
-    pub(crate) fn unset(&mut self, field: &str) -> Option<String> {
-        self.map.remove(field)
-    }
-
     pub fn fields(&self) -> impl Iterator<Item = (&str, &str)> {
         self.map.iter().map(|(k, v)| (k.as_str(), v.as_str()))
     }
 
-    /// Overlay `other`'s fields onto a copy of `self`; empty values in
-    /// `other` clear the field (Definity semantics for blanking a form
-    /// field).
-    pub(crate) fn updated_with(&self, other: &Record) -> Record {
-        let mut out = self.clone();
-        for (k, v) in other.fields() {
+    /// Write `patch`'s fields into this record where it lives: a field it
+    /// already has is overwritten in its own string (which keeps its block
+    /// when the new value fits), an empty value clears the field (Definity
+    /// semantics for blanking a form field), and only a new field is
+    /// inserted.
+    pub(crate) fn patch(&mut self, patch: &Record) {
+        for (k, v) in patch.fields() {
             if v.is_empty() {
-                out.unset(k);
+                self.map.remove(k);
+            } else if let Some(held) = self.map.get_mut(k) {
+                held.clear();
+                held.push_str(v);
             } else {
-                out.set(k, v);
+                self.map.insert(k.to_string(), v.to_string());
             }
         }
-        out
     }
 }
 
@@ -98,15 +97,16 @@ mod tests {
         assert_eq!(r.get("Missing"), None);
         r.set("Room", "2B-401");
         assert_eq!(r.fields().count(), 3);
-        assert_eq!(r.unset("Room"), Some("2B-401".into()));
+        assert_eq!(r.get("Room"), Some("2B-401"));
+        r.patch(&Record::from_pairs([("Room", "")]));
         assert!(r.get("Room").is_none());
     }
 
     #[test]
     fn update_with_blanking() {
-        let r = Record::from_pairs([("Extension", "9123"), ("Name", "Doe"), ("Room", "2B")]);
+        let mut out = Record::from_pairs([("Extension", "9123"), ("Name", "Doe"), ("Room", "2B")]);
         let patch = Record::from_pairs([("Name", "Smith"), ("Room", "")]);
-        let out = r.updated_with(&patch);
+        out.patch(&patch);
         assert_eq!(out.get("Name"), Some("Smith"));
         assert_eq!(out.get("Room"), None, "empty value blanks the field");
         assert_eq!(out.get("Extension"), Some("9123"));

@@ -99,21 +99,35 @@ impl Store {
         rx
     }
 
+    /// Deliver `event` to every subscriber: a copy to each but the last,
+    /// which takes the event itself. A subscriber that has hung up is
+    /// dropped.
     fn notify(inner: &mut Inner, event: DeviceEvent) {
         inner.commits += 1;
-        inner
-            .subscribers
-            .retain(|tx| tx.send(event.clone()).is_ok());
+        let last = inner.subscribers.len().saturating_sub(1);
+        let mut event = Some(event);
+        let mut at = 0;
+        inner.subscribers.retain(|tx| {
+            let copy = if at == last {
+                event.take()
+            } else {
+                event.clone()
+            };
+            at += 1;
+            copy.is_some_and(|ev| tx.send(ev).is_ok())
+        });
     }
 
     pub fn get(&self, extension: &str) -> Option<Record> {
         self.lock().stations.get(extension).cloned()
     }
 
-    /// Full dump (synchronization support, paper §4.1's "method to retrieve
-    /// all relevant data").
-    pub fn dump(&self) -> Vec<Record> {
-        self.lock().stations.values().cloned().collect()
+    /// Visit every station in extension order, borrowed under the store's
+    /// lock: synchronization support (paper §4.1's "method to retrieve all
+    /// relevant data") that copies no record. `visit` must not call back
+    /// into this store.
+    pub fn for_each(&self, visit: impl FnMut(&Record)) {
+        self.lock().stations.values().for_each(visit);
     }
 
     /// Administer a new station. The record must carry an `Extension` field
@@ -159,13 +173,13 @@ impl Store {
             }
         }
         let mut inner = self.lock();
-        let old = inner
-            .stations
-            .get(extension)
-            .cloned()
+        let stored = (inner.stations.get_mut(extension))
             .ok_or_else(|| PbxError::NoSuchStation(extension.to_string()))?;
-        let new = old.updated_with(&patch);
-        inner.stations.insert(extension.to_string(), new.clone());
+        // Patched where it lives: the record keeps its blocks, and the
+        // event's two images are the only copies.
+        let old = stored.clone();
+        stored.patch(&patch);
+        let new = stored.clone();
         Store::notify(
             &mut inner,
             DeviceEvent {
@@ -307,7 +321,38 @@ mod tests {
         s.add(station("9200", "B"), Channel::Craft).unwrap();
         s.add(station("9100", "A"), Channel::Craft).unwrap();
         assert_eq!(s.extensions(), vec!["9100", "9200"]);
-        assert_eq!(s.dump().len(), 2);
+        let mut names = Vec::new();
+        s.for_each(|rec| names.push(rec.get(fields::NAME).unwrap().to_string()));
+        assert_eq!(names, ["A", "B"]);
+    }
+
+    #[test]
+    fn a_change_overwrites_the_stored_field_where_it_lives() {
+        let s = store();
+        let rx = s.subscribe();
+        s.add(
+            Record::from_pairs([(fields::EXTENSION, "9123"), (fields::ROOM, "2B-401")]),
+            Channel::Craft,
+        )
+        .unwrap();
+        let room = || {
+            s.lock().stations["9123"]
+                .get(fields::ROOM)
+                .unwrap()
+                .as_ptr()
+        };
+        let at = room();
+        s.change(
+            "9123",
+            Record::from_pairs([(fields::ROOM, "4D-17")]),
+            Channel::Craft,
+        )
+        .unwrap();
+        assert_eq!(room(), at, "the stored string was swapped for a copy");
+        assert_eq!(s.get("9123").unwrap().get(fields::ROOM), Some("4D-17"));
+        let change = rx.try_iter().nth(1).expect("the change event");
+        assert_eq!(change.old.unwrap().get(fields::ROOM), Some("2B-401"));
+        assert_eq!(change.new.unwrap().get(fields::ROOM), Some("4D-17"));
     }
 
     #[test]

@@ -1,9 +1,10 @@
-//! What one directory write costs, counted rather than timed: heap
-//! allocations per `Schema::validate_entry`, per `Dit::add` (volatile and
-//! with a WAL attached) and per one-attribute `Dit::modify`, on the repo
-//! benchmark's person shape under the integrated schema, against committed
-//! ceilings; and a modify of an unindexed attribute leaves the equality
-//! index as it was.
+//! What one directory or device write costs, counted rather than timed:
+//! heap allocations per `Schema::validate_entry`, per `Dit::add` (volatile
+//! and with a WAL attached) and per one-attribute `Dit::modify`, on the repo
+//! benchmark's person shape under the integrated schema, and per
+//! `pbx::Store::change` and `msgplat::Store::change` on the benchmark's
+//! station and mailbox shapes, against committed ceilings; and a modify of
+//! an unindexed attribute leaves the equality index as it was.
 //!
 //! Linux only (the footprint test's reason: one allocator to reason about).
 //! Run it in release too (CI does): the figures are about the write path,
@@ -281,4 +282,114 @@ fn a_room_change_stays_within_three_allocations_and_touches_no_posting() {
         changed.first("roomNumber"),
         Some(format!("4D-{:03}", 1 + WARM_UP % 399).as_str())
     );
+}
+
+// --- device changes: the benchmark's station and mailbox shapes ------------
+
+fn extension(serial: usize) -> String {
+    (1000 + serial).to_string()
+}
+
+fn device_name(serial: usize) -> String {
+    let cn = cn(serial);
+    let (given, surname) = cn.split_once(' ').expect("given name and surname");
+    format!("{surname}, {given}")
+}
+
+/// Ceilings: a change copies the record twice, into the event's old and new
+/// images (a mailbox change once more, for the record it returns), and
+/// patches the stored one in place, where a value longer than the one it
+/// overwrites grows its string. Measured 23.03 and 28.70, plus about one
+/// allocation of headroom; 60.03 and 59.03 while a change built a new
+/// record, swapped it in and copied the event for every subscriber.
+const PBX_CHANGE_CEILING: f64 = 24.0;
+const MP_CHANGE_CEILING: f64 = 30.0;
+
+#[test]
+fn a_room_change_at_a_switch_patches_the_stored_station() {
+    let switch = pbx::Store::new("pbx-1", pbx::DialPlan::with_prefix("1", 4));
+    let events = switch.subscribe();
+    for serial in 0..MEASURED {
+        let station = pbx::Record::from_pairs([
+            ("Extension", extension(serial)),
+            ("Name", device_name(serial)),
+            ("Room", format!("2B-{:03}", 1 + serial % 399)),
+            ("CoveragePath", "1".to_string()),
+            ("Cor", "1".to_string()),
+        ]);
+        switch
+            .add(station, pbx::Channel::Metacomm)
+            .expect("add station");
+    }
+    let patches: Vec<(String, pbx::Record)> = (0..MEASURED)
+        .map(|serial| {
+            let room = format!("4D-{:03}", 1 + serial % 399);
+            (extension(serial), pbx::Record::from_pairs([("Room", room)]))
+        })
+        .collect();
+    let ((), asked) = allocations(|| {
+        for (ext, patch) in patches {
+            switch
+                .change(&ext, patch, pbx::Channel::Craft)
+                .expect("change");
+        }
+    });
+    let per_change = asked as f64 / MEASURED as f64;
+    println!("{per_change:.2} allocations per pbx::Store::change");
+    assert!(
+        per_change <= PBX_CHANGE_CEILING,
+        "{per_change:.1} allocations per pbx::Store::change (ceiling {PBX_CHANGE_CEILING})"
+    );
+    assert_eq!(
+        events.try_iter().count(),
+        2 * MEASURED,
+        "one event a commit"
+    );
+    let changed = switch.get(&extension(7)).expect("station");
+    assert_eq!(changed.get("Room"), Some("4D-008"));
+    assert_eq!(changed.get("Name"), Some(device_name(7).as_str()));
+}
+
+#[test]
+fn a_class_of_service_change_at_the_platform_patches_the_stored_mailbox() {
+    const COS: [&str; 3] = ["standard", "executive", "restricted"];
+    let platform = msgplat::Store::new("mp");
+    let events = platform.subscribe();
+    for serial in 0..MEASURED {
+        let mailbox = msgplat::store::record([
+            ("Mailbox", extension(serial)),
+            ("Subscriber", device_name(serial)),
+            ("Cos", COS[serial % 3].to_string()),
+        ]);
+        platform
+            .add(mailbox, msgplat::Channel::Metacomm)
+            .expect("add mailbox");
+    }
+    let patches: Vec<(String, msgplat::Record)> = (0..MEASURED)
+        .map(|serial| {
+            let cos = COS[(serial + 1) % 3];
+            (extension(serial), msgplat::store::record([("Cos", cos)]))
+        })
+        .collect();
+    let ((), asked) = allocations(|| {
+        for (mailbox, patch) in patches {
+            platform
+                .change(&mailbox, patch, msgplat::Channel::Console)
+                .expect("change");
+        }
+    });
+    let per_change = asked as f64 / MEASURED as f64;
+    println!("{per_change:.2} allocations per msgplat::Store::change");
+    assert!(
+        per_change <= MP_CHANGE_CEILING,
+        "{per_change:.1} allocations per msgplat::Store::change (ceiling {MP_CHANGE_CEILING})"
+    );
+    assert_eq!(
+        events.try_iter().count(),
+        2 * MEASURED,
+        "one event a commit"
+    );
+    let changed = platform.get(&extension(7)).expect("mailbox");
+    assert_eq!(changed["Cos"], COS[8 % 3]);
+    assert_eq!(changed["Subscriber"], device_name(7));
 }
