@@ -2,10 +2,10 @@
 //! construction of integrated-schema entries from images.
 
 use crate::schema::{DEFINITY_USER, MESSAGING_USER};
-use ldap::attr::{value_eq_ci, Value};
+use ldap::attr::value_eq_ci;
 use ldap::dn::Dn;
 use ldap::entry::{Entry, Modification};
-use lexpress::{Frame, Image, ValueList, NO_VALUES};
+use lexpress::{Frame, Image};
 
 /// Attributes that never flow through lexpress translation.
 fn is_structural(attr: &str) -> bool {
@@ -42,7 +42,7 @@ pub fn entry_to_image(e: &Entry) -> Image {
     Image::from_pairs(
         e.attributes()
             .filter(|a| !is_structural(a.name.norm()))
-            .flat_map(|a| a.values.iter().map(|v| (a.name.as_str(), v.as_str()))),
+            .flat_map(|a| a.values.iter().map(move |v| (a.name.as_str(), v))),
     )
 }
 
@@ -51,10 +51,17 @@ pub fn entry_to_image(e: &Entry) -> Image {
 pub(crate) struct EntryFrame<'e>(pub(crate) &'e Entry);
 
 impl Frame for EntryFrame<'_> {
-    fn values(&self, name: &str) -> &dyn ValueList {
-        match self.0.get(name) {
-            Some(attr) if !is_structural(name) => &attr.values,
-            _ => &NO_VALUES,
+    fn count(&self, name: &str) -> usize {
+        match is_structural(name) {
+            true => 0,
+            false => self.0.values(name).len(),
+        }
+    }
+
+    fn value(&self, name: &str, i: usize) -> Option<&str> {
+        match is_structural(name) {
+            true => None,
+            false => self.0.values(name).get(i),
         }
     }
 
@@ -67,29 +74,20 @@ impl Frame for EntryFrame<'_> {
 /// `organizationalPerson`, and whichever device auxiliary classes the
 /// present attributes call for.
 pub fn image_to_entry(dn: Dn, img: &Image) -> Entry {
-    let mut e = Entry::new(dn);
-    for (name, values) in img.iter() {
-        match values {
-            _ if is_structural(name) => {}
-            [one] => {
-                e.add_value(name, one.as_str());
-            }
-            many => e.put(name, many),
-        }
-    }
     let classes = ["top", "person", "organizationalPerson"]
         .into_iter()
-        .chain(aux_classes(img));
-    e.put("objectClass", classes);
+        .chain(aux_classes(img))
+        .map(|class| ("objectClass", class));
+    let attrs = (img.iter())
+        .filter(|(name, _)| !is_structural(name))
+        .flat_map(|(name, values)| values.iter().map(move |v| (name, v.as_str())));
     // A person entry must have cn/sn; images produced by device mappings
     // always carry cn — derive sn when the mapping did not set it.
-    if !e.has_attr("sn") {
-        if let Some(cn) = e.first("cn") {
-            let sn = Value::new(cn.split_whitespace().last().unwrap_or(cn));
-            e.put("sn", [sn]);
-        }
-    }
-    e
+    let sn = (!img.has("sn"))
+        .then(|| img.first("cn"))
+        .flatten()
+        .map(|cn| ("sn", cn.split_whitespace().last().unwrap_or(cn)));
+    Entry::with_attrs(dn, classes.chain(attrs).chain(sn))
 }
 
 /// Compute the modification list turning `current` into the entry implied
@@ -101,7 +99,10 @@ pub fn diff_mods(current: &Entry, target_img: &Image) -> Vec<Modification> {
         .filter(|(name, values)| {
             !is_structural(name)
                 && !in_rdn(current, name)
-                && !same_values(current.values(name), values)
+                && !same_values(
+                    current.values(name).iter(),
+                    values.iter().map(String::as_str),
+                )
         })
         .map(|(name, values)| Modification::replace(name, values.to_vec()))
         .collect()
@@ -125,12 +126,16 @@ pub fn diff_mods_full(current: &Entry, target_img: &Image) -> Vec<Modification> 
 /// `a` and `b` hold the same values, as multisets under the directory's
 /// `caseIgnoreMatch`: every value occurs as often on each side. Compared
 /// in place — the lists are an attribute's few values.
-fn same_values(a: &[impl AsRef<str>], b: &[impl AsRef<str>]) -> bool {
-    fn count(vs: &[impl AsRef<str>], v: &str) -> usize {
-        vs.iter().filter(|w| value_eq_ci(w.as_ref(), v)).count()
+fn same_values<'a, 'b>(
+    a: impl ExactSizeIterator<Item = &'a str> + Clone,
+    b: impl ExactSizeIterator<Item = &'b str> + Clone,
+) -> bool {
+    fn count<'v>(vs: impl Iterator<Item = &'v str>, v: &str) -> usize {
+        vs.filter(|w| value_eq_ci(w, v)).count()
     }
-    let same_count = |v: &str| count(a, v) == count(b, v);
-    a.len() == b.len() && a.iter().all(|v| same_count(v.as_ref()))
+    a.len() == b.len()
+        && a.clone()
+            .all(|v| count(a.clone(), v) == count(b.clone(), v))
 }
 
 #[cfg(test)]
@@ -170,9 +175,12 @@ mod tests {
         );
         let (frame, image) = (EntryFrame(&e), entry_to_image(&e));
         for name in ["cn", "ROOM", "objectclass", "dn", "missing"] {
-            let held = Frame::values(&frame, name);
-            let held: Vec<&str> = (0..held.len()).filter_map(|i| held.get(i)).collect();
-            assert_eq!(held, image.values(name), "{name}");
+            let held = lexpress::List::new(&frame, name);
+            assert_eq!(
+                held.iter().collect::<Vec<_>>(),
+                image.values(name),
+                "{name}"
+            );
         }
         assert!(!Frame::is_empty(&frame));
         let bare = Entry::with_attrs(Dn::parse("cn=Y,o=L").unwrap(), [("objectClass", "top")]);
@@ -196,15 +204,11 @@ mod tests {
         assert_eq!(e.first("sn"), Some("Doe"));
     }
 
-    fn strings(vs: &[&str]) -> Vec<String> {
-        vs.iter().map(|v| v.to_string()).collect()
-    }
-
     #[test]
     fn values_compare_as_the_directory_matches_them() {
         // Case and whitespace runs do not count, as in `caseIgnoreMatch`;
         // order does not, and a repeat is a value of its own.
-        let same = |a: &[&str], b: &[&str]| same_values(&strings(a), &strings(b));
+        let same = |a: &[&str], b: &[&str]| same_values(a.iter().copied(), b.iter().copied());
         assert!(same(&["Doe,  John"], &["doe, john"]));
         assert!(same(&[" 2B-401 "], &["2b-401"]));
         assert!(same(&["a", "B"], &["b", "A"]));

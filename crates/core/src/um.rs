@@ -433,7 +433,7 @@ fn descriptor_for(
             }
             for ava in new_rdn.avas() {
                 if !post.has_value(ava.attr(), ava.value()) {
-                    post.add_value(ava.attr().to_string(), ava.value().to_string());
+                    post.add_value(ava.attr(), ava.value());
                 }
             }
             let new_dn = match new_superior {

@@ -1,28 +1,29 @@
-//! Attribute names and multi-valued attribute bags.
+//! Attribute names and values, and the pools that share them.
 //!
 //! LDAP attribute names are case-insensitive; values here are directory
 //! strings (the only syntax MetaComm's schema uses) compared with
 //! `caseIgnoreMatch` unless the schema says otherwise.
 //!
 //! At million-entry scale the same few dozen attribute names appear in
-//! every entry, most attributes hold exactly one value, most values are
-//! short, and every entry of a class repeats the class's `objectClass`
-//! list. So an [`Attribute`] at rest is a 32-byte slot: the name is one
-//! pointer to a block the whole process shares through a pool
-//! (`AttrName::interned`), and the [`Values`] bag is 24 bytes — one
-//! [`Value`], an exactly-sized boxed slice of them, or a pointer to the one
-//! copy of a class list (`Values::share`). A [`Value`] of up to 22 bytes
-//! lives in the slot itself, so a typical entry's values cost no heap block
-//! at all.
+//! every entry and every entry of a class repeats the class's `objectClass`
+//! list. So both live in process-wide pools and an entry's attribute block
+//! (`crate::block`) holds a 2-byte id for each: a name is an [`AttrName`]
+//! the name pool holds, a class list a value section the class-list pool
+//! holds. A pool member is found by key under a lock, the first time an
+//! entry is written with it, and read by id without one, every time an
+//! entry is read.
 //!
 //! Both pools are read-mostly, never free, and are fed from unauthenticated
 //! sockets, so both are capped by count *and* by size: `POOL_CAP` members,
-//! none longer than `POOLED_LEN_MAX` bytes (still correct, just not shared).
+//! none longer than `POOLED_LEN_MAX` bytes (still correct, just not shared:
+//! a block spells such a name out and lists such values one by one).
 
 use crate::unpoison;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::{Arc, LazyLock, RwLock};
+use std::sync::{Arc, LazyLock, OnceLock, RwLock};
+
+pub use crate::block::{AttrValues, Attribute, NameRef, ValuesIter};
 
 /// Case-insensitive attribute name: one pointer to a shared block that
 /// keeps the display form as written and, only when it differs, the
@@ -37,18 +38,19 @@ struct NameBlock {
     display: Box<str>,
     /// `None` when `display` is already lowercase.
     lower: Option<Box<str>>,
-    /// This block is the pool's copy for its display form.
-    pooled: bool,
+    /// The pool's id, when this block is the pool's copy for its display
+    /// form.
+    id: Option<u16>,
 }
 
 impl AttrName {
     /// A name with a block of its own; [`AttrName::interned`] (and `From`)
     /// share the pool's.
     pub(crate) fn new(name: impl Into<String>) -> AttrName {
-        AttrName::block(name.into(), false)
+        AttrName::block(name.into(), None)
     }
 
-    fn block(display: String, pooled: bool) -> AttrName {
+    fn block(display: String, id: Option<u16>) -> AttrName {
         let lower = display
             .bytes()
             .any(|b| b.is_ascii_uppercase())
@@ -56,7 +58,7 @@ impl AttrName {
         AttrName(Arc::new(NameBlock {
             display: display.into_boxed_str(),
             lower,
-            pooled,
+            id,
         }))
     }
 
@@ -70,29 +72,18 @@ impl AttrName {
         self.0.lower.as_deref().unwrap_or(&self.0.display)
     }
 
-    /// Replace this name with the process-wide canonical copy for its
-    /// display form; nothing to do for a name that already is that copy.
-    pub(crate) fn intern(&mut self) {
-        if !self.0.pooled {
-            if let Some(canon) = AttrName::pooled(self.as_str()) {
-                *self = canon;
-            }
-        }
-    }
-
     /// The pooled name for `name`; allocates only the first time a display
     /// form is seen. The universe of attribute names is the schema's, not
     /// the data's, so the pool stays tiny — and the caps keep it so against
     /// an unauthenticated socket (a name it will not take gets its own block).
     pub(crate) fn interned(name: &str) -> AttrName {
-        AttrName::pooled(name).unwrap_or_else(|| AttrName::new(name))
+        name_id(name).map_or_else(|| AttrName::new(name), |id| pooled_name(id).clone())
     }
 
-    fn pooled(name: &str) -> Option<AttrName> {
-        let block = || AttrName::block(name.to_string(), true);
-        (name.len() <= POOLED_LEN_MAX)
-            .then(|| pooled(&NAME_POOL, name, block))
-            .flatten()
+    /// The name pool's id for this display form; `None` for a form the
+    /// pool will not take.
+    pub(crate) fn pool_id(&self) -> Option<u16> {
+        self.0.id.or_else(|| name_id(self.as_str()))
     }
 }
 
@@ -101,37 +92,89 @@ const POOL_CAP: usize = 4096;
 
 /// Longest name or value, in bytes, either pool will hold — the bound
 /// [`with_lower`] calls too long for any real schema.
-const POOLED_LEN_MAX: usize = 64;
+pub(crate) const POOLED_LEN_MAX: usize = 64;
 
 /// Longest value list the class-list pool will hold.
-const POOLED_LIST_MAX: usize = 16;
+pub(crate) const POOLED_LIST_MAX: usize = 16;
 
-/// Read-mostly and never freed: every DN parse looks its attribute types
-/// up in the one and every entry stored looks its class list up in the
-/// other, from every wire and restore worker at once.
-type Pool<K, V> = LazyLock<RwLock<HashMap<Box<K>, V>>>;
+/// A process-wide pool: read-mostly and never freed. A member is looked up
+/// by key under the lock (every entry written looks its names and class
+/// list up, from every wire and restore worker at once) and read by id
+/// with no lock at all (every entry read reads its names).
+struct Pool<K: ?Sized + 'static, T: 'static> {
+    members: [OnceLock<T>; POOL_CAP],
+    /// Key to id; each key borrows its member.
+    ids: LazyLock<RwLock<HashMap<&'static K, u16>>>,
+}
+
+impl<K: ?Sized + std::hash::Hash + Eq + Sync, T: Send + Sync> Pool<K, T> {
+    const fn new() -> Pool<K, T> {
+        Pool {
+            members: [const { OnceLock::new() }; POOL_CAP],
+            ids: LazyLock::new(|| RwLock::new(HashMap::new())),
+        }
+    }
+
+    /// The member with id `id`.
+    fn get(&'static self, id: u16) -> &'static T {
+        self.members[usize::from(id)]
+            .get()
+            .expect("an id is handed out once its member is set")
+    }
+
+    /// The id of the member for `key`, made by `make` the first time the
+    /// key is seen; `None` once the pool is full.
+    fn id(
+        &'static self,
+        key: &K,
+        make: impl FnOnce(u16) -> T,
+        key_of: fn(&'static T) -> &'static K,
+    ) -> Option<u16> {
+        if let Some(&id) = unpoison(self.ids.read()).get(key) {
+            return Some(id);
+        }
+        let mut ids = unpoison(self.ids.write());
+        if let Some(&id) = ids.get(key) {
+            return Some(id);
+        }
+        let id = u16::try_from(ids.len())
+            .ok()
+            .filter(|&id| usize::from(id) < POOL_CAP)?;
+        let member = self.members[usize::from(id)].get_or_init(|| make(id));
+        ids.insert(key_of(member), id);
+        Some(id)
+    }
+}
 
 /// Display form to the one block for it.
-static NAME_POOL: Pool<str, AttrName> = LazyLock::new(Default::default);
+static NAME_POOL: Pool<str, AttrName> = Pool::new();
 
-/// Exact value sequence to the one copy of it.
-static LIST_POOL: Pool<[Value], Arc<[Value]>> = LazyLock::new(Default::default);
+/// A class list's value section, exact spelling and order, to the one copy
+/// of it.
+static LIST_POOL: Pool<[u8], Box<[u8]>> = Pool::new();
 
-/// The pool's member for `key`, made the first time the key is seen;
-/// `None` once the pool is full.
-fn pooled<K, V: Clone>(pool: &Pool<K, V>, key: &K, make: impl FnOnce() -> V) -> Option<V>
-where
-    K: ?Sized + std::hash::Hash + Eq,
-    Box<K>: for<'a> From<&'a K>,
-{
-    if let Some(found) = unpoison(pool.read()).get(key) {
-        return Some(found.clone());
-    }
-    let mut pool = unpoison(pool.write());
-    if pool.len() >= POOL_CAP && !pool.contains_key(key) {
+/// The name pool's id for the display form `name`.
+fn name_id(name: &str) -> Option<u16> {
+    if name.len() > POOLED_LEN_MAX {
         return None;
     }
-    Some(pool.entry(key.into()).or_insert_with(make).clone())
+    let make = |id| AttrName::block(name.to_string(), Some(id));
+    NAME_POOL.id(name, make, |name| name.as_str())
+}
+
+/// The pooled name with id `id`.
+pub(crate) fn pooled_name(id: u16) -> &'static AttrName {
+    NAME_POOL.get(id)
+}
+
+/// The class-list pool's id for a list's value section.
+pub(crate) fn list_pool_id(section: &[u8]) -> Option<u16> {
+    LIST_POOL.id(section, |_| Box::from(section), |list| list)
+}
+
+/// The value section of the pooled class list `id`.
+pub(crate) fn pooled_list(id: u16) -> &'static [u8] {
+    LIST_POOL.get(id)
 }
 
 impl PartialEq for AttrName {
@@ -382,10 +425,10 @@ pub(crate) fn repeated_value<S: AsRef<str>>(values: &[S]) -> Option<usize> {
 /// Longest value, in bytes, that a [`Value`] holds in its own slot.
 const INLINE_MAX: usize = 22;
 
-/// One attribute or RDN value: a string in 24 bytes that derefs to `str`.
+/// One RDN value: a string in 24 bytes that derefs to `str`.
 ///
-/// A value of up to 22 bytes — a name, an extension, a room, a site, a
-/// class of service — lives in the slot itself, with no heap block behind
+/// A value of up to 22 bytes — a common name, an organizational unit —
+/// lives in the slot itself, with no heap block behind
 /// it; a longer one is an exactly-sized boxed `str`. Equality, ordering and
 /// hashing are the string's, so a `Value` compares with a `str`, a `&str`
 /// or a `String` as they compare with each other.
@@ -540,229 +583,6 @@ impl fmt::Debug for Value {
     }
 }
 
-/// The values of one attribute, in 24 bytes: almost always exactly one, so
-/// the single case is the [`Value`] itself with no vector around it;
-/// several are an exactly-sized boxed slice; and a list that every entry of
-/// a class repeats is a pointer to the pool's one copy, which nobody may
-/// change — a write (`Values::push`, `Values::retain`) copies it first.
-///
-/// `One` always holds exactly one value; the empty bag is `Many([])`.
-/// Equality is by value sequence, so `One("a") == Many(["a"])`. Derefs to
-/// `&[Value]`, so slice methods (`len`, `iter`, indexing) work unchanged.
-/// Only this module names the variants.
-#[derive(Clone)]
-pub enum Values {
-    One(Value),
-    Many(Box<[Value]>),
-    Shared(Arc<[Value]>),
-}
-
-impl Values {
-    pub fn as_slice(&self) -> &[Value] {
-        match self {
-            Values::One(v) => std::slice::from_ref(v),
-            Values::Many(vs) => vs,
-            Values::Shared(vs) => vs,
-        }
-    }
-
-    /// Values that are known to be distinct under `caseIgnoreMatch`.
-    fn from_distinct(mut vs: Vec<Value>) -> Values {
-        if vs.len() == 1 {
-            Values::One(vs.pop().expect("len checked"))
-        } else {
-            Values::Many(vs.into_boxed_slice())
-        }
-    }
-
-    /// Append a value (no dedup — callers check `caseIgnoreMatch` first).
-    pub(crate) fn push(&mut self, value: Value) {
-        let mut vs = Vec::with_capacity(self.len() + 1);
-        match std::mem::replace(self, Values::Many(Box::default())) {
-            Values::One(first) => vs.push(first),
-            Values::Many(own) => vs.extend(own.into_vec()),
-            Values::Shared(pooled) => vs.extend(pooled.iter().cloned()),
-        }
-        vs.push(value);
-        *self = Values::from_distinct(vs);
-    }
-
-    /// Keep only values for which `keep` returns `true`.
-    pub(crate) fn retain(&mut self, mut keep: impl FnMut(&Value) -> bool) {
-        let kept = match self {
-            Values::One(v) if keep(v) => return,
-            Values::One(_) => Vec::new(),
-            Values::Many(own) => {
-                let mut vs = std::mem::take(own).into_vec();
-                vs.retain(|v| keep(v));
-                vs
-            }
-            Values::Shared(pooled) => pooled.iter().filter(|v| keep(v)).cloned().collect(),
-        };
-        *self = Values::from_distinct(kept);
-    }
-
-    /// Swap this list for the process-wide copy of the same exact value
-    /// sequence (spelling and order are the key, so what a search returns
-    /// is still what the client stored). A list the pool will not take —
-    /// too many values, a value too long, the pool full — stays owned.
-    pub(crate) fn share(&mut self) {
-        if matches!(self, Values::Shared(_))
-            || self.len() > POOLED_LIST_MAX
-            || self.iter().any(|v| v.len() > POOLED_LEN_MAX)
-        {
-            return;
-        }
-        let exact = || self.iter().cloned().collect();
-        if let Some(list) = pooled(&LIST_POOL, self.as_slice(), exact) {
-            *self = Values::Shared(list);
-        }
-    }
-
-    /// Heap bytes behind the bag as requested from the allocator, one
-    /// figure per allocation: the many-valued slice to `slot`, each value
-    /// too long for its slot to `value`. A shared list is the pool's, as an
-    /// interned name is, and is counted for no holder.
-    pub(crate) fn heap_blocks(&self, mut slot: impl FnMut(usize), mut value: impl FnMut(usize)) {
-        match self {
-            Values::One(v) => value(v.heap_len()),
-            Values::Many(vs) => {
-                slot(std::mem::size_of_val(&**vs));
-                vs.iter().for_each(|v| value(v.heap_len()));
-            }
-            Values::Shared(_) => {}
-        }
-    }
-}
-
-impl std::ops::Deref for Values {
-    type Target = [Value];
-    fn deref(&self) -> &[Value] {
-        self.as_slice()
-    }
-}
-
-impl<V: Into<Value>> From<Vec<V>> for Values {
-    /// Keeps the first spelling of a value and drops a later repeat.
-    fn from(vs: Vec<V>) -> Values {
-        let mut vs: Vec<Value> = vs.into_iter().map(Into::into).collect();
-        while let Some(repeat) = repeated_value(&vs) {
-            vs.remove(repeat);
-        }
-        Values::from_distinct(vs)
-    }
-}
-
-impl<'a> IntoIterator for &'a Values {
-    type Item = &'a Value;
-    type IntoIter = std::slice::Iter<'a, Value>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.as_slice().iter()
-    }
-}
-
-impl IntoIterator for Values {
-    type Item = Value;
-    type IntoIter = std::vec::IntoIter<Value>;
-    fn into_iter(self) -> Self::IntoIter {
-        match self {
-            Values::One(v) => vec![v],
-            Values::Many(vs) => vs.into_vec(),
-            Values::Shared(vs) => Vec::from(&*vs),
-        }
-        .into_iter()
-    }
-}
-
-impl PartialEq for Values {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-impl Eq for Values {}
-
-impl PartialEq<Vec<String>> for Values {
-    fn eq(&self, other: &Vec<String>) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl PartialEq<[&str]> for Values {
-    fn eq(&self, other: &[&str]) -> bool {
-        self.as_slice() == other
-    }
-}
-
-impl fmt::Debug for Values {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list().entries(self.as_slice()).finish()
-    }
-}
-
-/// An attribute with its (possibly multiple) values. Values keep insertion
-/// order; duplicates under `caseIgnoreMatch` are rejected on insert.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Attribute {
-    pub name: AttrName,
-    pub values: Values,
-}
-
-impl Attribute {
-    pub(crate) fn new(name: impl Into<AttrName>, values: impl Into<Values>) -> Attribute {
-        Attribute {
-            name: name.into(),
-            values: values.into(),
-        }
-    }
-
-    pub fn single(name: impl Into<AttrName>, value: impl Into<Value>) -> Attribute {
-        Attribute {
-            name: name.into(),
-            values: Values::One(value.into()),
-        }
-    }
-
-    /// `true` if `value` is present under case-insensitive matching.
-    pub(crate) fn contains_ci(&self, value: &str) -> bool {
-        self.values.iter().any(|v| value_eq_ci(v, value))
-    }
-
-    /// Add a value; returns `false` (and leaves the bag unchanged) when an
-    /// equal value is already present.
-    pub(crate) fn add_value(&mut self, value: impl Into<Value>) -> bool {
-        let value = value.into();
-        if self.contains_ci(&value) {
-            return false;
-        }
-        self.values.push(value);
-        true
-    }
-
-    /// Remove a value under case-insensitive matching; returns `true` when a
-    /// value was removed.
-    pub(crate) fn remove_value(&mut self, value: &str) -> bool {
-        let before = self.values.len();
-        self.values.retain(|v| !value_eq_ci(v, value));
-        self.values.len() != before
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-}
-
-impl fmt::Display for Attribute {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, v) in self.values.iter().enumerate() {
-            if i > 0 {
-                f.write_str("; ")?;
-            }
-            write!(f, "{}: {}", self.name, v)?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -790,13 +610,11 @@ mod tests {
     }
 
     #[test]
-    fn an_attribute_is_a_32_byte_slot() {
+    fn a_name_is_one_pointer_and_an_rdn_value_24_bytes() {
         use std::mem::size_of;
         assert_eq!(size_of::<AttrName>(), 8);
         assert_eq!(size_of::<Value>(), 24);
         assert_eq!(size_of::<Option<Value>>(), 24);
-        assert_eq!(size_of::<Values>(), 24);
-        assert_eq!(size_of::<Attribute>(), 32);
     }
 
     #[test]
@@ -824,18 +642,25 @@ mod tests {
 
     #[test]
     fn interning_dedups_allocations() {
-        let mut a = AttrName::new("telephoneNumber");
-        let mut b = AttrName::new("telephoneNumber");
+        let (a, b) = (
+            AttrName::new("telephoneNumber"),
+            AttrName::new("telephoneNumber"),
+        );
         assert!(!Arc::ptr_eq(&a.0, &b.0));
-        a.intern();
-        b.intern();
-        assert!(Arc::ptr_eq(&a.0, &b.0));
-        // Names built from a string ask the pool first.
-        assert!(Arc::ptr_eq(&a.0, &AttrName::from("telephoneNumber").0));
+        // Names built from a string ask the pool first, and the pool's id
+        // leads back to the very block.
+        let pooled = AttrName::from("telephoneNumber");
+        assert!(Arc::ptr_eq(
+            &pooled.0,
+            &AttrName::interned("telephoneNumber").0
+        ));
+        let id = a.pool_id().expect("pooled");
+        assert_eq!((b.pool_id(), pooled.pool_id()), (Some(id), Some(id)));
+        assert!(Arc::ptr_eq(&pooled_name(id).0, &pooled.0));
         // Display forms are preserved exactly; a different casing is a
         // different pool entry (both still equal under CI matching).
-        let mut c = AttrName::new("TELEPHONENUMBER");
-        c.intern();
+        let c = AttrName::from("TELEPHONENUMBER");
+        assert_ne!(c.pool_id(), Some(id));
         assert_eq!(a, c);
         assert_eq!(c.as_str(), "TELEPHONENUMBER");
         assert_eq!(c.norm(), "telephonenumber");
@@ -844,9 +669,9 @@ mod tests {
     #[test]
     fn a_name_too_long_for_any_schema_is_never_pooled() {
         let long = "x".repeat(POOLED_LEN_MAX + 1);
-        let (a, mut b) = (AttrName::interned(&long), AttrName::from(long.as_str()));
-        b.intern();
+        let (a, b) = (AttrName::interned(&long), AttrName::from(long.as_str()));
         assert!(!Arc::ptr_eq(&a.0, &b.0));
+        assert_eq!((a.pool_id(), b.pool_id()), (None, None));
         assert_eq!(a, b);
         let fits = &long[1..];
         assert!(Arc::ptr_eq(
@@ -907,71 +732,13 @@ mod tests {
         }
     }
 
-    fn strings(words: &[&str]) -> Vec<String> {
-        words.iter().map(|w| w.to_string()).collect()
-    }
-
     #[test]
-    fn values_one_many_shared_equivalence() {
-        let one = Values::One("a".into());
-        let many = Values::Many(Box::new(["a".into()]));
-        let mut shared = one.clone();
-        shared.share();
-        assert!(matches!(shared, Values::Shared(_)));
-        assert_eq!(one, many);
-        assert_eq!(many, shared);
-        let mut v = Values::One("a".into());
-        v.push("b".into());
-        assert_eq!(v.len(), 2);
-        assert_eq!(v[0], "a");
-        v.retain(|s| s == "b");
-        assert_eq!(v.to_vec(), vec!["b".to_string()]);
-        v.retain(|_| false);
-        assert!(v.is_empty());
-        v.push("c".into());
-        assert!(matches!(v, Values::One(_)));
-    }
-
-    #[test]
-    fn a_shared_list_is_one_copy_and_writers_copy_it() {
-        let classes = strings(&["top", "person", "organizationalPerson"]);
-        let (mut a, mut b) = (Values::from(classes.clone()), Values::from(classes.clone()));
-        a.share();
-        b.share();
-        assert_eq!(a.as_ptr(), b.as_ptr());
-        // Spelling and order are the key.
-        let mut shouted = Values::from(strings(&["TOP", "person", "organizationalPerson"]));
-        shouted.share();
-        assert_ne!(shouted.as_ptr(), a.as_ptr());
-        assert_eq!(shouted[0], "TOP");
-        b.push("definityUser".into());
-        b.retain(|v| v != "top");
+    fn a_repeated_value_is_found_pairwise_and_hashed_alike() {
+        let strings = |words: &[&str]| words.iter().map(|w| w.to_string()).collect::<Vec<_>>();
         assert_eq!(
-            b,
-            strings(&["person", "organizationalPerson", "definityUser"])
+            repeated_value(&["Murray Hill", "x", "murray  hill"]),
+            Some(2)
         );
-        assert_eq!(a, classes);
-        // Too many values, or a value too long: the list stays owned.
-        let mut wide = Values::from(
-            (0..=POOLED_LIST_MAX)
-                .map(|i| i.to_string())
-                .collect::<Vec<_>>(),
-        );
-        let mut long = Values::from(vec!["top".to_string(), "x".repeat(POOLED_LEN_MAX + 1)]);
-        wide.share();
-        long.share();
-        assert!(matches!(wide, Values::Many(_)) && matches!(long, Values::Many(_)));
-    }
-
-    #[test]
-    fn a_repeated_value_keeps_its_first_spelling() {
-        let v = Values::from(strings(&["Murray Hill", "x", "murray  hill", "X"]));
-        assert_eq!(v, strings(&["Murray Hill", "x"]));
-        assert_eq!(
-            Attribute::new("l", strings(&["a", "A"])).values,
-            strings(&["a"])
-        );
-        // The same answer from the pairwise and the hashed walk.
         let mut many: Vec<String> = (0..40).map(|i| format!("v{i}")).collect();
         assert_eq!(repeated_value(&many), None);
         many.push("V7".into());
@@ -979,22 +746,6 @@ mod tests {
         assert_eq!(repeated_value(&many[5..]), Some(35));
         assert_eq!(repeated_value(&strings(&["a", "b", "B", "a"])), Some(2));
     }
-
-    /// Words for the bag model: class names, short values, and values on
-    /// either side of the 22 bytes a slot holds, one of each ending in a
-    /// two-byte character.
-    const WORDS: [&str; 10] = [
-        "top",
-        "person",
-        "organizationalPerson",
-        "definityUser",
-        "a",
-        "bb",
-        "Fiona Fitzgerald 00012",
-        "Fiona Fitzgerald 000123",
-        "Dolores Dimitrov 001é",
-        "Dolores Dimitrov 0001é",
-    ];
 
     proptest::proptest! {
         /// A value reads, compares, orders and hashes as the string it was
@@ -1018,54 +769,5 @@ mod tests {
             proptest::prop_assert_eq!(state.hash_one(&va), state.hash_one(&a));
             proptest::prop_assert_eq!(state.hash_one(&vb), state.hash_one(b.as_str()));
         }
-
-        /// A bag driven through every door that changes or copies it holds
-        /// what a plain `Vec<String>` holds, and no copy taken on the way
-        /// (a clone, the pool's list) ever sees a later write.
-        #[test]
-        fn values_follow_a_plain_vec_model(
-            ops in proptest::collection::vec((0u8..5, 0usize..WORDS.len()), 0..48),
-        ) {
-            let mut model: Vec<String> = Vec::new();
-            let mut bag = Values::from(Vec::<Value>::new());
-            let mut copies: Vec<(Values, Vec<String>)> = Vec::new();
-            for (op, k) in ops {
-                let word = WORDS[k].to_string();
-                match op {
-                    0 if !model.contains(&word) => {
-                        model.push(word.clone());
-                        bag.push(word.into());
-                    }
-                    0 | 1 => {
-                        model.retain(|v| v.len() % 3 != k % 3);
-                        bag.retain(|v| v.len() % 3 != k % 3);
-                    }
-                    2 => {
-                        let copy = bag.clone();
-                        copies.push((std::mem::replace(&mut bag, copy), model.clone()));
-                    }
-                    3 => bag.share(),
-                    _ => bag = bag.into_iter().collect::<Vec<_>>().into(),
-                }
-                proptest::prop_assert_eq!(bag.as_slice(), model.as_slice());
-                if !matches!(bag, Values::Shared(_)) {
-                    proptest::prop_assert_eq!(matches!(bag, Values::One(_)), model.len() == 1);
-                }
-                for (copy, then) in &copies {
-                    proptest::prop_assert_eq!(copy.as_slice(), then.as_slice());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn attribute_add_remove() {
-        let mut a = Attribute::single("cn", "John Doe");
-        assert!(!a.add_value("JOHN DOE")); // duplicate under CI match
-        assert!(a.add_value("Johnny"));
-        assert_eq!(a.values.len(), 2);
-        assert!(a.remove_value("john doe"));
-        assert_eq!(a.values, vec!["Johnny".to_string()]);
-        assert!(!a.remove_value("nobody"));
     }
 }

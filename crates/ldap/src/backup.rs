@@ -255,13 +255,10 @@ fn load_snapshot_stream(dit: &Dit, path: &Path) -> Result<(usize, u64)> {
                     // A change record in a snapshot is corruption.
                     let mut es = ldif::parse_content(b)
                         .map_err(|e| snapshot_error(path, &format!("bad content block: {e}")))?;
-                    // Size + intern in the worker, in parallel, so the
-                    // single-threaded inserter has less to do; and share
-                    // ancestor names down the batch, so that the load holds
-                    // one copy a batch until the bulk window closes and the
-                    // tree links each name to its parent entry's.
+                    // Share ancestor names down the batch, so that the load
+                    // holds one copy a batch until the bulk window closes
+                    // and the tree links each name to its parent entry's.
                     for e in &mut es {
-                        e.compact_for_store();
                         if let Some(prev) = acc.last() {
                             ldif::share_with_neighbour(e, prev);
                         }

@@ -135,12 +135,9 @@ pub struct Footprint {
     pub key_arena_bytes: usize,
     /// The node slots (entry header, links) and the free list.
     pub slab_bytes: usize,
-    /// Attribute vectors (32 bytes an attribute) and many-valued slices.
-    pub attr_slot_bytes: usize,
-    /// Values too long for their 22-byte slot. A class list entries
-    /// share is the pool's, as interned names are, and is counted for no
-    /// entry.
-    pub value_bytes: usize,
+    /// The attribute blocks: names as pool ids, values in place. A name
+    /// or a class list the pools hold is counted for no entry.
+    pub attr_bytes: usize,
     /// The equality indexes: value-hash tables and spilled id sets.
     pub postings_bytes: usize,
     /// The sorted child-id vectors, and the box each non-leaf holds its
@@ -150,13 +147,12 @@ pub struct Footprint {
 
 impl Footprint {
     /// `(gauge name, bytes)` for every structure, in a fixed order.
-    pub fn rows(&self) -> [(&'static str, usize); 7] {
+    pub fn rows(&self) -> [(&'static str, usize); 6] {
         [
             ("dnBytes", self.dn_bytes),
             ("keyArenaBytes", self.key_arena_bytes),
             ("slabBytes", self.slab_bytes),
-            ("attrSlotBytes", self.attr_slot_bytes),
-            ("valueBytes", self.value_bytes),
+            ("attrBytes", self.attr_bytes),
             ("postingsBytes", self.postings_bytes),
             ("siblingBytes", self.sibling_bytes),
         ]
@@ -773,7 +769,6 @@ impl CompactStore {
             index.update_entry(hashes, id, stored, &updated);
         }
         stored.take_changes(updated);
-        stored.compact_for_store();
     }
 
     /// Rename/move the subtree rooted at `root` (whose DN hashes to
@@ -876,10 +871,7 @@ impl CompactStore {
                 fp.sibling_bytes += heap_block(size_of::<Vec<DnId>>())
                     + heap_block(kids.capacity() * size_of::<DnId>());
             }
-            node.entry.attr_heap_blocks(
-                |n| fp.attr_slot_bytes += heap_block(n),
-                |n| fp.value_bytes += heap_block(n),
-            );
+            fp.attr_bytes += heap_block(node.entry.attr_heap_bytes());
             let above = node.parent().map_or(&root, |p| self.node(p).entry.dn());
             (node.entry.dn()).heap_blocks(above, |n| fp.dn_bytes += heap_block(n));
         }
@@ -1185,15 +1177,13 @@ impl Dit {
         self.add_inner(entry, !trusted, false)
     }
 
-    fn add_inner(&self, mut entry: Entry, validate: bool, emit: bool) -> Result<()> {
+    fn add_inner(&self, entry: Entry, validate: bool, emit: bool) -> Result<()> {
         if entry.dn().is_root() {
             return Err(LdapError::unwilling("cannot add the root DSE"));
         }
         if validate {
             self.schema.validate_entry(&entry)?;
         }
-        // Size + intern outside the write lock.
-        entry.compact_for_store();
         // Whether a record is wanted is settled before the lock, like
         // `record`; the record itself copies the stored entry, whose name
         // is then the store's block and costs a reference count.
@@ -1333,9 +1323,7 @@ impl Dit {
             }
         }
         for ava in new_rdn.avas() {
-            if !entry.has_value(ava.attr(), ava.value()) {
-                entry.add_value(ava.attr().to_string(), ava.value().to_string());
-            }
+            entry.add_value(ava.attr(), ava.value());
         }
         entry.set_dn(new_dn);
         self.schema.validate_entry(&entry)?;
@@ -1661,9 +1649,9 @@ mod tests {
     }
 
     #[test]
-    fn a_node_is_48_bytes_and_a_unique_hash_8() {
-        assert_eq!(std::mem::size_of::<Entry>(), 32);
-        assert_eq!(std::mem::size_of::<Option<CompactNode>>(), 48);
+    fn a_node_is_40_bytes_an_entry_24_and_a_unique_hash_8() {
+        assert_eq!(std::mem::size_of::<Entry>(), 24);
+        assert_eq!(std::mem::size_of::<Option<CompactNode>>(), 40);
         assert_eq!(std::mem::size_of::<(u32, DnId)>(), 8);
     }
 
@@ -1995,22 +1983,36 @@ mod tests {
     }
 
     #[test]
-    fn a_short_modify_is_written_into_the_stored_attribute_vector() {
+    fn a_modify_rewrites_the_stored_block_in_place_or_through_realloc() {
         let dit = tree();
         let john = Dn::parse("cn=John Doe,o=Marketing,o=Lucent").unwrap();
         let block = || {
             let s = unpoison(dit.store.read());
             s.tree.get_entry(&john).unwrap().attrs_block()
         };
-        dit.modify(&john, &[Modification::set("telephoneNumber", "9000")])
-            .unwrap();
+        let modify = |attr: &str, value: &str| {
+            let mods = [Modification::set(attr, value)];
+            crate::asked::by(|| dit.modify(&john, &mods).unwrap()).1
+        };
+        modify("roomNumber", "2B-101");
         let (before, at) = (dit.get(&john).unwrap(), block());
-        let new = "+1 908 555 0100 x4321"; // 21 bytes: held in its slot
-        dit.modify(&john, &[Modification::set("telephoneNumber", new)])
-            .unwrap();
-        assert_eq!(block(), at, "the stored vector was swapped for a copy");
-        assert_eq!(dit.get(&john).unwrap().values("telephoneNumber"), [new]);
-        assert_eq!(before.values("telephoneNumber"), ["9000"]);
+        // The same length: written over the stored bytes. The one block
+        // allocated is the private copy the modify is validated on.
+        assert_eq!(modify("roomNumber", "4D-317"), (1, 0));
+        assert_eq!(block(), at, "the stored block was swapped for a copy");
+        assert_eq!(dit.get(&john).unwrap().values("roomNumber"), ["4D-317"]);
+        assert_eq!(before.values("roomNumber"), ["2B-101"]);
+        // Longer: the copy grows, and the stored block is resized by
+        // `realloc`, never replaced by a block allocated next to it.
+        assert_eq!(modify("roomNumber", "4D-317, west wing"), (1, 2));
+        assert_eq!(
+            dit.get(&john).unwrap().values("roomNumber"),
+            ["4D-317, west wing"]
+        );
+        // An indexed value follows in the postings.
+        modify("telephoneNumber", "9000");
+        let new = "+1 908 555 0100 x4321";
+        modify("telephoneNumber", new);
         let by_phone = |number: &str| {
             let f = Filter::eq("telephoneNumber", number);
             dit.search(&Dn::root(), Scope::Sub, &f, &[], 0).unwrap()

@@ -2,65 +2,68 @@
 
 #![forbid(unsafe_code)]
 
-use crate::attr::{repeated_value, value_eq_ci, with_lower, AttrName, Attribute, Value};
+use crate::attr::{repeated_value, value_eq_ci, with_lower, AttrName, AttrValues, Attribute};
+use crate::block::Block;
 use crate::dn::Dn;
 use crate::error::{LdapError, Result, ResultCode};
 use std::fmt;
 
 /// A directory entry: a DN plus a set of multi-valued attributes.
 ///
-/// The attributes are one vector sorted by normalized name, from the first
-/// value on: a handful of attributes cost one allocation, a lookup is a
-/// binary search over at most a dozen names, and an insert or a removal is
-/// that search and a splice. Everything observable (search streams, LDIF
-/// export, diffing) sees the attributes in that order.
+/// The attributes are one exactly-sized byte block, in normalized-name
+/// order (the layout is `crate::block`'s): a name is a 2-byte pool id, an
+/// `objectClass` list that every entry of its class repeats is a 2-byte id
+/// into the class-list pool, and a value is its length and its bytes. A
+/// reader gets borrowed views over the block ([`Attribute`],
+/// [`AttrValues`]) that decode in place; a lookup walks the handful of
+/// attributes to the one it wants. Everything observable (search streams,
+/// LDIF export, diffing) sees the attributes in that order.
+///
+/// An edit rewrites the block where it lives: it opens or closes a gap with
+/// `realloc`, so the block stays in the heap arena that allocated it.
 ///
 /// The `objectClass` attribute is stored like any other but has dedicated
 /// accessors because schema checking and MetaComm's auxiliary-class design
 /// both hinge on it.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Entry {
     dn: Dn,
-    attrs: Vec<Attribute>,
+    attrs: Block,
 }
 
 impl Entry {
     pub fn new(dn: Dn) -> Entry {
         Entry {
             dn,
-            attrs: Vec::new(),
+            attrs: Block::default(),
         }
-    }
-
-    /// Where the attribute named `norm` (lowercased) sits, or would go.
-    fn find(&self, norm: &str) -> std::result::Result<usize, usize> {
-        self.attrs.binary_search_by(|a| a.name.norm().cmp(norm))
-    }
-
-    /// Insert or replace by the attribute's own name.
-    fn insert(&mut self, attr: Attribute) {
-        match self.find(attr.name.norm()) {
-            Ok(i) => self.attrs[i] = attr,
-            Err(i) => self.attrs.insert(i, attr),
-        }
-    }
-
-    fn remove(&mut self, norm: &str) -> Option<Attribute> {
-        self.find(norm).ok().map(|i| self.attrs.remove(i))
     }
 
     /// Convenience constructor from `(name, value)` pairs; repeated names
-    /// accumulate values.
+    /// accumulate values, and a value that repeats an earlier one of its
+    /// attribute is dropped. The block is written once, at its size.
     pub fn with_attrs<N, V>(dn: Dn, pairs: impl IntoIterator<Item = (N, V)>) -> Entry
     where
         N: Into<AttrName>,
-        V: Into<Value>,
+        V: AsRef<str>,
     {
-        let mut e = Entry::new(dn);
-        for (n, v) in pairs {
-            e.add_value(n, v);
+        let mut items: Vec<(AttrName, V)> =
+            (pairs.into_iter()).map(|(n, v)| (n.into(), v)).collect();
+        Entry::packed(dn, &mut items, &(), |(), v| v.as_ref())
+    }
+
+    /// [`Entry::with_attrs`] over pairs a reader has gathered, each value
+    /// `value(source, item)`; `items` ends sorted by name.
+    pub(crate) fn packed<S: ?Sized, T>(
+        dn: Dn,
+        items: &mut Vec<(AttrName, T)>,
+        source: &S,
+        value: impl for<'a> Fn(&'a S, &'a T) -> &'a str,
+    ) -> Entry {
+        Entry {
+            dn,
+            attrs: Block::pack(items, source, value),
         }
-        e
     }
 
     pub fn dn(&self) -> &Dn {
@@ -75,55 +78,30 @@ impl Entry {
         &mut self.dn
     }
 
-    /// Size the attribute vector exactly, intern attribute names and swap
-    /// the `objectClass` list for the copy every entry of the class shares
-    /// (an edit copies it first). The compact store calls this on every
-    /// entry it takes.
-    pub fn compact_for_store(&mut self) {
-        self.attrs.shrink_to_fit();
-        for a in &mut self.attrs {
-            a.name.intern();
-            if a.name.norm() == "objectclass" {
-                a.values.share();
-            }
-        }
-    }
-
-    /// Heap bytes behind the attributes as requested from the allocator,
-    /// one figure per allocation: the attribute vector and each
-    /// many-valued slice to `slot`, each value string to `value`. Interned
-    /// names and a shared class list are their pools'.
-    pub(crate) fn attr_heap_blocks(
-        &self,
-        mut slot: impl FnMut(usize),
-        mut value: impl FnMut(usize),
-    ) {
-        slot(self.attrs.capacity() * std::mem::size_of::<Attribute>());
-        for a in &self.attrs {
-            a.values.heap_blocks(&mut slot, &mut value);
-        }
+    /// Bytes of the attribute block as requested from the allocator.
+    /// Pooled names and class lists are their pools'.
+    pub(crate) fn attr_heap_bytes(&self) -> usize {
+        self.attrs.heap_len()
     }
 
     /// All attributes in normalized-name order.
-    pub fn attributes(&self) -> impl Iterator<Item = &Attribute> {
-        self.attrs.iter()
+    pub fn attributes(&self) -> impl Iterator<Item = Attribute<'_>> {
+        self.attrs.attributes()
     }
 
     /// The attribute named `name` (in any case), if present.
-    pub fn get(&self, name: &str) -> Option<&Attribute> {
-        with_lower(name, |norm| self.find(norm).ok().map(|i| &self.attrs[i]))
+    pub fn get(&self, name: &str) -> Option<Attribute<'_>> {
+        with_lower(name, |norm| self.attrs.get(norm))
     }
 
     /// First value of the attribute, if any.
     pub fn first(&self, name: &str) -> Option<&str> {
-        self.get(name)
-            .and_then(|a| a.values.first())
-            .map(Value::as_str)
+        self.get(name).and_then(|a| a.values.first())
     }
 
-    /// All values of the attribute (empty slice when absent).
-    pub fn values(&self, name: &str) -> &[Value] {
-        self.get(name).map(|a| a.values.as_slice()).unwrap_or(&[])
+    /// All values of the attribute (none when absent).
+    pub fn values(&self, name: &str) -> AttrValues<'_> {
+        self.get(name).map_or(AttrValues::NONE, |a| a.values)
     }
 
     pub fn has_attr(&self, name: &str) -> bool {
@@ -132,64 +110,67 @@ impl Entry {
 
     /// `true` when `name` has a value equal to `value` (case-insensitive).
     pub fn has_value(&self, name: &str, value: &str) -> bool {
-        self.get(name).is_some_and(|a| a.contains_ci(value))
+        self.get(name).is_some_and(|a| a.values.contains_ci(value))
     }
 
     /// Add one value, creating the attribute when missing. Returns `false`
     /// when the value was already present.
-    pub fn add_value(&mut self, name: impl Into<AttrName>, value: impl Into<Value>) -> bool {
-        let name = name.into();
-        match self.find(name.norm()) {
-            Ok(i) => self.attrs[i].add_value(value),
-            Err(i) => {
-                self.attrs.insert(i, Attribute::single(name, value));
-                true
-            }
+    pub fn add_value(&mut self, name: impl Into<AttrName>, value: impl AsRef<str>) -> bool {
+        let (name, value) = (name.into(), value.as_ref());
+        match self.attrs.get(name.norm()) {
+            Some(a) if a.values.contains_ci(value) => return false,
+            Some(_) => self.attrs.push_values(name.norm(), std::iter::once(value)),
+            None => self.attrs.put(&name, std::iter::once(value)),
         }
+        true
     }
 
-    /// Replace all values of the attribute (removes it when `values` is empty).
-    pub fn put<V: Into<Value>>(
+    /// Replace all values of the attribute (removes it when `values` is
+    /// empty); a value that repeats an earlier one is dropped.
+    pub fn put<V: AsRef<str>>(
         &mut self,
         name: impl Into<AttrName>,
-        values: impl IntoIterator<Item = V>,
+        values: impl IntoIterator<Item = V, IntoIter: Clone>,
     ) {
-        let name = name.into();
-        let values: Vec<Value> = values.into_iter().map(Into::into).collect();
-        if values.is_empty() {
-            self.remove(name.norm());
-        } else {
-            self.insert(Attribute::new(name, values));
+        let (name, values) = (name.into(), values.into_iter());
+        let first = |&(j, ref v): &(usize, V)| {
+            let mut earlier = values.clone().take(j);
+            !earlier.any(|w| value_eq_ci(w.as_ref(), v.as_ref()))
+        };
+        let values = values.clone().enumerate().filter(first).map(|(_, v)| v);
+        self.put_distinct(&name, values);
+    }
+
+    /// [`Entry::put`] of values known to be distinct.
+    fn put_distinct<V: AsRef<str>>(
+        &mut self,
+        name: &AttrName,
+        values: impl Iterator<Item = V> + Clone,
+    ) {
+        match values.clone().next() {
+            None => drop(self.attrs.remove(name.norm())),
+            Some(_) => self.attrs.put(name, values),
         }
     }
 
-    /// Remove an entire attribute; returns it when present.
-    pub fn remove_attr(&mut self, name: &str) -> Option<Attribute> {
-        with_lower(name, |norm| self.remove(norm))
+    /// Remove an entire attribute; `false` when there was none.
+    pub fn remove_attr(&mut self, name: &str) -> bool {
+        with_lower(name, |norm| self.attrs.remove(norm))
     }
 
     /// Remove one value; prunes the attribute when it becomes empty.
     /// Returns `true` when a value was removed.
     pub fn remove_value(&mut self, name: &str, value: &str) -> bool {
-        with_lower(name, |norm| {
-            let Ok(i) = self.find(norm) else {
-                return false;
-            };
-            let removed = self.attrs[i].remove_value(value);
-            if self.attrs[i].is_empty() {
-                self.attrs.remove(i);
-            }
-            removed
-        })
+        with_lower(name, |norm| self.attrs.remove_value(norm, value))
     }
 
     /// The entry's object classes (values of `objectClass`).
-    pub fn object_classes(&self) -> &[Value] {
+    pub fn object_classes(&self) -> AttrValues<'_> {
         self.values("objectclass")
     }
 
     pub fn has_object_class(&self, oc: &str) -> bool {
-        self.object_classes().iter().any(|c| value_eq_ci(c, oc))
+        self.object_classes().contains_ci(oc)
     }
 
     /// Keep only the named attributes (used by search attribute selection);
@@ -199,13 +180,10 @@ impl Entry {
         if names.is_empty() || names.iter().any(|n| n == "*") {
             return self.clone();
         }
-        let mut out = Entry::new(self.dn.clone());
-        for n in names {
-            if let Some(attr) = self.get(n) {
-                out.insert(attr.clone());
-            }
+        Entry {
+            dn: self.dn.clone(),
+            attrs: (self.attrs).project(|norm| names.iter().any(|n| n.eq_ignore_ascii_case(norm))),
         }
-        out
     }
 
     /// Apply a list of modifications atomically: either all succeed or the
@@ -226,58 +204,44 @@ impl Entry {
     }
 
     /// Make this entry equal to `new`, an edited copy of it under the same
-    /// name, by writing only the attributes that differ into this entry's
-    /// own vector. An unchanged attribute keeps its slot and the blocks
-    /// behind its values, and the vector stays the block it was: where it
-    /// has to grow or shrink, `realloc` keeps it in the heap arena it was
-    /// allocated from, whichever thread makes the change.
+    /// name, by writing `new`'s attributes into this entry's own block: over
+    /// its bytes when the length is unchanged, and otherwise through
+    /// `realloc`, which keeps the block in the heap arena it was allocated
+    /// from, whichever thread makes the change.
     pub(crate) fn take_changes(&mut self, new: Entry) {
         debug_assert_eq!(self.dn, new.dn);
-        let mut at = 0;
-        for attr in new.attrs {
-            let norm = attr.name.norm();
-            while (self.attrs.get(at)).is_some_and(|old| old.name.norm() < norm) {
-                self.attrs.remove(at);
-            }
-            match self.attrs.get_mut(at) {
-                Some(old) if old.name.norm() == norm => {
-                    if old.name.as_str() != attr.name.as_str() || old.values != attr.values {
-                        *old = attr;
-                    }
-                }
-                _ => self.attrs.insert(at, attr),
-            }
-            at += 1;
-        }
-        self.attrs.truncate(at);
+        self.attrs.assign(&new.attrs);
     }
 
-    /// Where the attribute vector's block is.
+    /// Where the attribute block is.
     #[cfg(test)]
-    pub(crate) fn attrs_block(&self) -> *const Attribute {
+    pub(crate) fn attrs_block(&self) -> *const u8 {
         self.attrs.as_ptr()
     }
 
     fn apply_one(&mut self, m: &Modification) -> Result<()> {
+        let name = m.attr.as_str();
         match &m.op {
             ModOp::Add => {
                 if m.values.is_empty() {
                     return Err(LdapError::protocol("add modification with no values"));
                 }
-                let holds = |v: &String| self.has_value(m.attr.as_str(), v);
-                let held = m.values.iter().position(holds);
+                let held = m.values.iter().position(|v| self.has_value(name, v));
                 if let Some(i) = held.or_else(|| repeated_value(&m.values)) {
                     return Err(value_exists(m, &m.values[i]));
                 }
-                for v in &m.values {
-                    self.add_value(m.attr.clone(), v);
+                let values = m.values.iter().map(String::as_str);
+                if self.has_attr(name) {
+                    self.attrs.push_values(m.attr.norm(), values);
+                } else {
+                    self.attrs.put(&m.attr, values);
                 }
                 Ok(())
             }
             ModOp::Delete => {
                 if m.values.is_empty() {
                     // delete whole attribute
-                    if self.remove_attr(m.attr.as_str()).is_none() {
+                    if !self.remove_attr(name) {
                         return Err(LdapError::new(
                             ResultCode::NoSuchAttribute,
                             format!("no attribute `{}` to delete", m.attr),
@@ -286,7 +250,7 @@ impl Entry {
                     Ok(())
                 } else {
                     for v in &m.values {
-                        if !self.remove_value(m.attr.as_str(), v) {
+                        if !self.remove_value(name, v) {
                             return Err(LdapError::new(
                                 ResultCode::NoSuchAttribute,
                                 format!("no value `{v}` of `{}` to delete", m.attr),
@@ -300,12 +264,20 @@ impl Entry {
                 if let Some(i) = repeated_value(&m.values) {
                     return Err(value_exists(m, &m.values[i]));
                 }
-                self.put(m.attr.clone(), &m.values);
+                self.put_distinct(&m.attr, m.values.iter());
                 Ok(())
             }
         }
     }
 }
+
+/// Names compared case-insensitively, values as exact sequences.
+impl PartialEq for Entry {
+    fn eq(&self, other: &Entry) -> bool {
+        self.dn == other.dn && self.attrs.same_as(&other.attrs)
+    }
+}
+impl Eq for Entry {}
 
 /// A modification names a value the bag would then hold twice.
 fn value_exists(m: &Modification, value: &str) -> LdapError {
@@ -319,7 +291,7 @@ impl fmt::Display for Entry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "dn: {}", self.dn)?;
         for attr in self.attributes() {
-            for v in &attr.values {
+            for v in attr.values {
                 writeln!(f, "{}: {}", attr.name, v)?;
             }
         }
@@ -386,6 +358,7 @@ impl Modification {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attr::{POOLED_LEN_MAX, POOLED_LIST_MAX};
 
     fn person() -> Entry {
         Entry::with_attrs(
@@ -411,13 +384,18 @@ mod tests {
     }
 
     #[test]
-    fn attributes_stay_name_sorted_and_compacting_changes_nothing_seen() {
+    fn attributes_stay_name_sorted_however_the_entry_was_built() {
         let built = person();
-        let mut stored = person();
-        stored.compact_for_store();
-        assert_eq!(built, stored);
-        assert_eq!(stored.first("CN"), Some("John Doe"));
-        for mut e in [built, stored] {
+        let mut grown = Entry::new(built.dn().clone());
+        for a in built.attributes().collect::<Vec<_>>().into_iter().rev() {
+            for v in a.values {
+                grown.add_value(a.name.as_str(), v);
+            }
+        }
+        assert_eq!(built, grown);
+        assert_eq!(format!("{built:?}"), format!("{grown:?}"));
+        assert_eq!(grown.first("CN"), Some("John Doe"));
+        for mut e in [built, grown] {
             e.add_value("mail", "jd@lucent.com");
             e.put("ou", ["x", "y"]);
             e.remove_attr("sn");
@@ -501,12 +479,9 @@ mod tests {
     }
 
     #[test]
-    fn compacting_shares_the_class_list_and_an_edit_copies_it() {
-        let (mut a, mut b) = (person(), person());
-        a.compact_for_store();
-        b.compact_for_store();
+    fn entries_of_a_class_share_its_list_and_an_edit_moves_only_the_editor() {
+        let (a, mut b) = (person(), person());
         assert_eq!(a.object_classes().as_ptr(), b.object_classes().as_ptr());
-        assert_eq!(a, person());
         b.apply_modifications(&[Modification::add(
             "objectClass",
             vec!["definityUser".into()],
@@ -514,11 +489,28 @@ mod tests {
         .unwrap();
         assert_eq!(b.object_classes(), ["top", "person", "definityUser"]);
         assert_eq!(a.object_classes(), ["top", "person"]);
-        assert_eq!(a.object_classes().as_ptr(), {
-            let mut c = person();
-            c.compact_for_store();
-            c.object_classes().as_ptr()
-        });
+        assert_ne!(a.object_classes().as_ptr(), b.object_classes().as_ptr());
+        assert_eq!(
+            a.object_classes().as_ptr(),
+            person().object_classes().as_ptr()
+        );
+        // Back to the class's list, back to the pool's copy of it.
+        b.remove_value("objectClass", "DEFINITYUSER");
+        assert_eq!(a.object_classes().as_ptr(), b.object_classes().as_ptr());
+        assert_eq!(a, b);
+        // Too many values, or a value too long: each holder keeps its own.
+        let wide: Vec<String> = (0..=POOLED_LIST_MAX).map(|i| format!("c{i}")).collect();
+        let long = ["top".to_string(), "x".repeat(POOLED_LEN_MAX + 1)];
+        for classes in [&wide[..], &long[..]] {
+            let holders = [person(), person()].map(|mut e| {
+                e.put("objectClass", classes);
+                e
+            });
+            assert_eq!(holders[0].object_classes(), classes);
+            assert_eq!(holders[0], holders[1]);
+            let at = |e: &Entry| e.object_classes().as_ptr();
+            assert_ne!(at(&holders[0]), at(&holders[1]));
+        }
     }
 
     #[test]
@@ -577,5 +569,223 @@ mod tests {
         let e = person();
         assert_eq!(e.project(&["*".into()]), e);
         assert_eq!(e.project(&["*".into(), "cn".into()]), e);
+    }
+
+    /// The model an entry must agree with: normalized name to the name as
+    /// spelled and the values in order.
+    type Model = std::collections::BTreeMap<String, (String, Vec<String>)>;
+
+    /// Two spellings of a name, of the class list, and of a name too long
+    /// for the name pool (spelled out in the block).
+    fn model_names() -> [String; 7] {
+        let long = format!("{}Long", "x".repeat(POOLED_LEN_MAX));
+        [
+            "cn".into(),
+            "CN".into(),
+            "objectClass".into(),
+            "OBJECTCLASS".into(),
+            "description".into(),
+            long.to_ascii_uppercase(),
+            long,
+        ]
+    }
+
+    /// Value lengths on either side of each varint boundary, and one long
+    /// enough for a three-byte length.
+    const LENS: [usize; 7] = [1, 22, 23, 127, 128, 300, 70_000];
+
+    /// The `i`-th value word, `LENS` long, in one of two cases that
+    /// `caseIgnoreMatch` takes for one value.
+    fn word(i: usize, shout: bool) -> String {
+        let text = format!("{}{}", i / LENS.len(), "v".repeat(LENS[i % LENS.len()] - 1));
+        match shout {
+            true => text.to_ascii_uppercase(),
+            false => text,
+        }
+    }
+
+    /// More class names than the class-list pool takes in one list.
+    fn wide() -> Vec<String> {
+        (0..=POOLED_LIST_MAX).map(|i| format!("class{i}")).collect()
+    }
+
+    fn model_add(m: &mut Model, name: &str, v: &str) -> bool {
+        let norm = name.to_ascii_lowercase();
+        let (_, values) = m
+            .entry(norm)
+            .or_insert_with(|| (name.to_string(), Vec::new()));
+        let fresh = !values.iter().any(|w| value_eq_ci(w, v));
+        if fresh {
+            values.push(v.to_string());
+        }
+        fresh
+    }
+
+    fn model_remove(m: &mut Model, name: &str, v: &str) -> bool {
+        let norm = name.to_ascii_lowercase();
+        let Some((_, values)) = m.get_mut(&norm) else {
+            return false;
+        };
+        let before = values.len();
+        values.retain(|w| !value_eq_ci(w, v));
+        let removed = values.len() != before;
+        if values.is_empty() {
+            m.remove(&norm);
+        }
+        removed
+    }
+
+    fn model_put(m: &mut Model, name: &str, values: &[String]) {
+        m.remove(&name.to_ascii_lowercase());
+        for v in values {
+            model_add(m, name, v);
+        }
+    }
+
+    /// RFC 2251 modify semantics on the model, all or nothing.
+    fn model_apply(m: &mut Model, mods: &[Modification]) -> bool {
+        let mut next = m.clone();
+        for md in mods {
+            let (name, vs) = (md.attr.as_str(), &md.values);
+            let held = |m: &Model, v: &str| {
+                (m.get(&name.to_ascii_lowercase()))
+                    .is_some_and(|(_, values)| values.iter().any(|w| value_eq_ci(w, v)))
+            };
+            let ok = match md.op {
+                ModOp::Add if vs.is_empty() || repeated_value(vs).is_some() => false,
+                ModOp::Add if vs.iter().any(|v| held(&next, v)) => false,
+                ModOp::Add => vs.iter().all(|v| model_add(&mut next, name, v)),
+                ModOp::Delete if vs.is_empty() => next.remove(&name.to_ascii_lowercase()).is_some(),
+                ModOp::Delete => vs.iter().all(|v| model_remove(&mut next, name, v)),
+                ModOp::Replace if repeated_value(vs).is_some() => false,
+                ModOp::Replace => {
+                    model_put(&mut next, name, vs);
+                    true
+                }
+            };
+            if !ok {
+                return false;
+            }
+        }
+        *m = next;
+        true
+    }
+
+    /// `e` reads as `m` through every door.
+    fn agrees(
+        e: &Entry,
+        m: &Model,
+    ) -> std::result::Result<(), proptest::test_runner::TestCaseError> {
+        use proptest::prop_assert_eq;
+        let seen: Vec<(&str, &str, Vec<String>)> = (e.attributes())
+            .map(|a| (a.name.norm(), a.name.as_str(), a.values.to_vec()))
+            .collect();
+        let want: Vec<(&str, &str, Vec<String>)> = (m.iter())
+            .map(|(norm, (name, values))| (norm.as_str(), name.as_str(), values.clone()))
+            .collect();
+        prop_assert_eq!(seen, want);
+        for name in model_names() {
+            let held = m.get(&name.to_ascii_lowercase()).map(|(_, vs)| vs.clone());
+            prop_assert_eq!(e.get(&name).map(|a| a.values.to_vec()), held.clone());
+            let held = held.unwrap_or_default();
+            prop_assert_eq!(e.values(&name), held.clone());
+            prop_assert_eq!(e.first(&name), held.first().map(String::as_str));
+            for i in [0, 13] {
+                let w = word(i, true);
+                let has = held.iter().any(|v| value_eq_ci(v, &w));
+                prop_assert_eq!(e.has_value(&name, &w), has);
+            }
+        }
+        // Names compare by their normalized form, values as spelled.
+        let shouted = m.iter().flat_map(|(_, (name, values))| {
+            values
+                .iter()
+                .map(move |v| (name.to_ascii_uppercase(), v.as_str()))
+        });
+        prop_assert_eq!(e, &Entry::with_attrs(e.dn().clone(), shouted));
+        let mut ldif = String::new();
+        crate::ldif::write_entry(&mut ldif, e);
+        let mut model_ldif = String::new();
+        crate::ldif::write_line(&mut model_ldif, "dn", e.dn());
+        for (name, values) in m.values() {
+            values
+                .iter()
+                .for_each(|v| crate::ldif::write_line(&mut model_ldif, name, v));
+        }
+        prop_assert_eq!(ldif, model_ldif);
+        Ok(())
+    }
+
+    proptest::proptest! {
+        // A case with a 70,000-byte value in play folds it whole at every
+        // comparison: fewer cases keep the debug build's run short.
+        #![proptest_config(proptest::test_runner::Config::with_cases(16))]
+
+        /// An entry driven through every door that changes or copies it
+        /// reads as a plain map of names to value lists, and no copy taken
+        /// on the way ever sees a later write.
+        #[test]
+        fn a_packed_entry_follows_a_map_model(
+            ops in proptest::collection::vec(
+                (0u8..6, 0usize..7, 0usize..2 * LENS.len(), 0u8..4),
+                0..40,
+            ),
+        ) {
+            let names = model_names();
+            let mut e = Entry::new(Dn::parse("cn=model,o=Lucent").unwrap());
+            let mut m = Model::new();
+            let mut copies: Vec<(Entry, Model)> = Vec::new();
+            for (op, n, v, bits) in ops {
+                let (name, shout) = (names[n].as_str(), bits & 1 == 1);
+                let value = word(v, shout);
+                match op {
+                    0 => proptest::prop_assert_eq!(
+                        e.add_value(name, &value),
+                        model_add(&mut m, name, &value)
+                    ),
+                    1 => proptest::prop_assert_eq!(
+                        e.remove_value(name, &value),
+                        model_remove(&mut m, name, &value)
+                    ),
+                    2 => {
+                        // None, one, or three with a repeat in another case.
+                        let values: Vec<String> = match bits {
+                            0 => Vec::new(),
+                            1 => vec![value],
+                            _ => vec![value, word(v + 1, !shout), word(v, !shout)],
+                        };
+                        e.put(name, &values);
+                        model_put(&mut m, name, &values);
+                    }
+                    3 => {
+                        let other = word(v + 3, shout);
+                        let mods = match bits {
+                            0 => vec![Modification::add(name, vec![value, other])],
+                            1 => vec![Modification::delete(name, vec![value])],
+                            2 => vec![Modification::replace(name, vec![other]), Modification::delete_attr(name)],
+                            _ => vec![Modification::delete_attr(name), Modification::add(name, vec![value])],
+                        };
+                        let before = e.clone();
+                        let applied = e.apply_modifications(&mods).is_ok();
+                        proptest::prop_assert_eq!(applied, model_apply(&mut m, &mods));
+                        if !applied {
+                            proptest::prop_assert_eq!(&e, &before);
+                        }
+                    }
+                    4 => {
+                        let copy = e.clone();
+                        copies.push((std::mem::replace(&mut e, copy), m.clone()));
+                    }
+                    _ => {
+                        e.put(name, wide());
+                        model_put(&mut m, name, &wide());
+                    }
+                }
+                agrees(&e, &m)?;
+            }
+            for (copy, then) in &copies {
+                agrees(copy, then)?;
+            }
+        }
     }
 }

@@ -8,12 +8,14 @@
 //! One reader serves every caller: [`parse`] returns every record and
 //! [`parse_content`] is the same reader refusing a change record.
 
+use crate::attr::AttrName;
 use crate::dit::{ChangeOp, ChangeRecord};
 use crate::dn::{Dn, Rdn};
 use crate::entry::{Entry, ModOp, Modification};
 use crate::error::{LdapError, Result};
 use std::borrow::Cow;
 use std::fmt::{self, Write as _};
+use std::ops::Range;
 
 /// A parsed LDIF record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,9 +70,15 @@ pub(crate) fn share_with_neighbour(e: &mut Entry, prev: &Entry) {
 
 /// The one LDIF reader: a single pass over the text that unfolds
 /// continuation lines, drops comments, and builds each record as its lines
-/// arrive — no intermediate `(key, value)` strings.
+/// arrive. An entry's values are gathered into buffers the reader keeps
+/// from record to record and written into the entry's block once, when its
+/// last line is read.
 struct Reader<'a> {
     raw: std::iter::Peekable<std::str::Lines<'a>>,
+    /// The current entry's attribute lines so far: each name, and where its
+    /// value is in `values`.
+    lines: Vec<(AttrName, Range<usize>)>,
+    values: String,
 }
 
 impl Iterator for Reader<'_> {
@@ -84,6 +92,8 @@ impl<'a> Reader<'a> {
     fn new(text: &'a str) -> Reader<'a> {
         Reader {
             raw: text.lines().peekable(),
+            lines: Vec::new(),
+            values: String::new(),
         }
     }
 
@@ -121,6 +131,8 @@ impl<'a> Reader<'a> {
                 None => {}
             }
         };
+        self.lines.clear();
+        self.values.clear();
         let (key, value) = split_kv(&first)?;
         if !key.eq_ignore_ascii_case("dn") {
             return Err(LdapError::protocol(format!(
@@ -135,9 +147,8 @@ impl<'a> Reader<'a> {
         if key.eq_ignore_ascii_case("changetype") {
             return self.change(dn, &value).map(Some);
         }
-        let mut e = Entry::new(dn);
-        e.add_value(key, value);
-        self.attributes(e).map(|e| Some(Record::Content(e)))
+        self.gather(key, &value);
+        self.attributes(dn).map(|e| Some(Record::Content(e)))
     }
 
     /// Hand every remaining line of the record to `f` as `(key, value)`.
@@ -149,25 +160,35 @@ impl<'a> Reader<'a> {
         Ok(())
     }
 
-    /// `e` with the rest of the record as its attribute values.
-    fn attributes(&mut self, mut e: Entry) -> Result<Entry> {
-        self.each_line(|key, value| {
+    /// One attribute line of the entry being read.
+    fn gather(&mut self, key: &str, value: &str) {
+        let start = self.values.len();
+        self.values.push_str(value);
+        (self.lines).push((AttrName::from(key), start..self.values.len()));
+    }
+
+    /// The entry at `dn`, with the lines gathered so far and the rest of
+    /// the record as its attribute values.
+    fn attributes(&mut self, dn: Dn) -> Result<Entry> {
+        while let Some(line) = self.line() {
+            let (key, value) = split_kv(&line)?;
             if key.eq_ignore_ascii_case("changetype") {
                 return Err(LdapError::protocol(format!(
-                    "LDIF record `{}`: changetype: must directly follow dn:",
-                    e.dn()
+                    "LDIF record `{dn}`: changetype: must directly follow dn:"
                 )));
             }
-            e.add_value(key, value);
-            Ok(())
-        })?;
-        Ok(e)
+            self.gather(key, &value);
+        }
+        let lines = &mut self.lines;
+        Ok(Entry::packed(dn, lines, &self.values, |values, at| {
+            &values[at.clone()]
+        }))
     }
 
     /// The rest of a change record of type `changetype` for `dn`.
     fn change(&mut self, dn: Dn, changetype: &str) -> Result<Record> {
         match changetype.to_ascii_lowercase().as_str() {
-            "add" => self.attributes(Entry::new(dn)).map(Record::Add),
+            "add" => self.attributes(dn).map(Record::Add),
             "delete" => self.each_line(|_, _| Ok(())).map(|()| Record::Delete(dn)),
             "modify" => self.modify(dn),
             "modrdn" | "moddn" => {
@@ -338,7 +359,7 @@ fn write_attributes(out: &mut String, e: &Entry) {
 /// One `key: text` line, or `key:: <base64>` when the text would not
 /// survive as a plain line — a name (`dn`, `newrdn`, `newsuperior`) under
 /// the same test as a value.
-fn write_line(out: &mut String, key: &str, text: impl fmt::Display) {
+pub(crate) fn write_line(out: &mut String, key: &str, text: impl fmt::Display) {
     let line = out.len();
     write!(out, "{key}: {text}").expect("string write");
     let start = line + key.len() + 2;

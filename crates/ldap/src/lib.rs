@@ -26,6 +26,7 @@
 pub mod attr;
 pub mod backup;
 pub mod ber;
+mod block;
 pub mod client;
 mod directory;
 pub mod dit;
@@ -41,7 +42,7 @@ pub mod schema;
 pub mod server;
 pub mod wal;
 
-pub use attr::{AttrName, Attribute, Value};
+pub use attr::{AttrName, AttrValues, Attribute, NameRef, Value};
 pub use directory::Directory;
 pub use dit::{ChangeOp, ChangeRecord, Dit, Footprint, Scope};
 pub use dn::{Ava, Dn, Rdn};
@@ -56,6 +57,61 @@ pub use wal::{FsyncPolicy, Wal};
 /// and the next holder takes it as it is rather than panic in turn.
 fn unpoison<G>(result: std::sync::LockResult<G>) -> G {
     result.unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// What the calling thread asks the allocator for, counted for the unit
+/// tests that pin where a write puts its bytes.
+#[cfg(test)]
+pub(crate) mod asked {
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Fresh blocks, and resizes of held ones, this thread asked for.
+        static ASKED: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    }
+
+    fn count(fresh: u64, resized: u64) {
+        // A thread that is being torn down allocates without its counter.
+        let _ = ASKED.try_with(|c| {
+            let (a, r) = c.get();
+            c.set((a + fresh, r + resized));
+        });
+    }
+
+    struct Counting;
+
+    // SAFETY: every call is forwarded unchanged to `System`; the counter
+    // only observes that it happened.
+    unsafe impl GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            count(1, 0);
+            System.alloc(layout)
+        }
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            count(1, 0);
+            System.alloc_zeroed(layout)
+        }
+        unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
+            System.dealloc(p, layout)
+        }
+        unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            count(0, 1);
+            System.realloc(p, layout, new_size)
+        }
+    }
+
+    #[global_allocator]
+    static ALLOC: Counting = Counting;
+
+    /// `f`'s result, and the fresh blocks and the resizes this thread
+    /// asked the allocator for while it ran.
+    pub(crate) fn by<T>(f: impl FnOnce() -> T) -> (T, (u64, u64)) {
+        let before = ASKED.with(Cell::get);
+        let out = f();
+        let after = ASKED.with(Cell::get);
+        (out, (after.0 - before.0, after.1 - before.1))
+    }
 }
 
 #[test]

@@ -753,13 +753,9 @@ pub(crate) fn entry_to_wire(e: &Entry) -> (String, Vec<(String, Vec<String>)>) {
 
 /// Convert a wire attribute list back to an [`Entry`].
 pub(crate) fn entry_from_wire(dn: &str, attrs: &[(String, Vec<String>)]) -> Result<Entry> {
-    let mut e = Entry::new(Dn::parse(dn)?);
-    for (name, values) in attrs {
-        for v in values {
-            e.add_value(name.as_str(), v);
-        }
-    }
-    Ok(e)
+    let pairs =
+        (attrs.iter()).flat_map(|(name, values)| values.iter().map(move |v| (name.as_str(), v)));
+    Ok(Entry::with_attrs(Dn::parse(dn)?, pairs))
 }
 
 /// Parse the string forms used in requests.

@@ -249,58 +249,59 @@ impl Image {
 
 /// What a program reads its attributes from: an [`Image`], or any record
 /// that hands out an attribute's values in place — so that evaluating
-/// against it copies nothing.
+/// against it copies nothing. Names are matched regardless of ASCII case.
 pub trait Frame {
-    /// All values of `name`, matched regardless of ASCII case; empty
-    /// ([`NO_VALUES`]) when absent.
-    fn values(&self, name: &str) -> &dyn ValueList;
+    /// How many values `name` has; 0 when absent.
+    fn count(&self, name: &str) -> usize;
+
+    /// The `i`-th value of `name`; `None` past the last.
+    fn value(&self, name: &str, i: usize) -> Option<&str>;
 
     /// Holds no attribute at all.
     fn is_empty(&self) -> bool;
 }
 
-/// One attribute's values as a [`Frame`] hands them out, in place: any
-/// owner of a slice of strings — an [`Image`]'s, a `Vec<String>`, or a
-/// record's own value type that reads as `str`.
-pub trait ValueList {
-    fn len(&self) -> usize;
+/// One attribute's values as a program holds them: the frame and the
+/// name, each value read from the frame in place when it is asked for. A
+/// frame need not keep the list as an object of its own, so a record that
+/// packs its values can hand them out as they are.
+#[derive(Clone, Copy)]
+pub struct List<'a> {
+    frame: &'a dyn Frame,
+    name: &'a str,
+}
 
-    /// The `i`-th value, `None` past the end.
-    fn get(&self, i: usize) -> Option<&str>;
+impl<'a> List<'a> {
+    pub fn new(frame: &'a dyn Frame, name: &'a str) -> List<'a> {
+        List { frame, name }
+    }
 
-    fn is_empty(&self) -> bool {
+    pub fn len(&self) -> usize {
+        self.frame.count(self.name)
+    }
+
+    pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-}
 
-impl<L, S> ValueList for L
-where
-    L: std::ops::Deref<Target = [S]>,
-    S: AsRef<str> + 'static,
-{
-    fn len(&self) -> usize {
-        self.deref().len()
+    /// The `i`-th value, `None` past the end.
+    pub fn get(&self, i: usize) -> Option<&'a str> {
+        self.frame.value(self.name, i)
     }
 
-    fn get(&self, i: usize) -> Option<&str> {
-        self.deref().get(i).map(AsRef::as_ref)
+    /// The values in order.
+    pub fn iter(self) -> impl Iterator<Item = &'a str> {
+        (0..self.len()).map_while(move |i| self.get(i))
     }
-}
-
-/// The values of an attribute a frame does not hold.
-pub static NO_VALUES: Vec<String> = Vec::new();
-
-/// `list`'s values in order.
-pub(crate) fn items(list: &dyn ValueList) -> impl Iterator<Item = &str> {
-    (0..list.len()).map_while(|i| list.get(i))
 }
 
 impl Frame for Image {
-    fn values(&self, name: &str) -> &dyn ValueList {
-        match self.find(name) {
-            Ok(i) => &self.attrs[i].1,
-            Err(_) => &NO_VALUES,
-        }
+    fn count(&self, name: &str) -> usize {
+        self.values(name).len()
+    }
+
+    fn value(&self, name: &str, i: usize) -> Option<&str> {
+        self.values(name).get(i).map(String::as_str)
     }
 
     fn is_empty(&self) -> bool {

@@ -39,9 +39,7 @@ mod vm;
 
 pub use bytecode::{Bundle, CompiledMapping, CompiledRule, CompiledTable, Program};
 pub use closure::Closure;
-pub use descriptor::{
-    Frame, Image, OpKind, TargetOp, UpdateDescriptor, UpdateKind, ValueList, NO_VALUES,
-};
+pub use descriptor::{Frame, Image, List, OpKind, TargetOp, UpdateDescriptor, UpdateKind};
 pub use engine::Engine;
 pub use error::{CompileError, RuntimeError};
 pub use value::Value;

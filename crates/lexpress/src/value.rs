@@ -1,6 +1,6 @@
 //! Runtime values of the lexpress VM.
 
-use crate::descriptor::{items, ValueList, Values};
+use crate::descriptor::{List, Values};
 use std::borrow::Cow;
 use std::fmt;
 
@@ -17,7 +17,7 @@ pub enum Value<'a> {
     Null,
     Str(Cow<'a, str>),
     /// Every value of a frame attribute (`values(attr)`).
-    List(&'a dyn ValueList),
+    List(List<'a>),
     Bool(bool),
 }
 
@@ -26,7 +26,7 @@ impl PartialEq for Value<'_> {
         match (self, other) {
             (Value::Null, Value::Null) => true,
             (Value::Str(a), Value::Str(b)) => a == b,
-            (Value::List(a), Value::List(b)) => items(*a).eq(items(*b)),
+            (Value::List(a), Value::List(b)) => a.iter().eq(b.iter()),
             (Value::Bool(a), Value::Bool(b)) => a == b,
             _ => false,
         }
@@ -46,15 +46,15 @@ impl fmt::Debug for Value<'_> {
 }
 
 /// `list`'s values with `sep` between them, in one string.
-pub(crate) fn join(list: &dyn ValueList, sep: &str) -> String {
+pub(crate) fn join(list: List<'_>, sep: &str) -> String {
     let mut out = String::new();
     join_into(list, sep, &mut out);
     out
 }
 
 /// Append `list`'s values to `out`, with `sep` between them.
-fn join_into(list: &dyn ValueList, sep: &str, out: &mut String) {
-    for (i, item) in items(list).enumerate() {
+fn join_into(list: List<'_>, sep: &str, out: &mut String) {
+    for (i, item) in list.iter().enumerate() {
         if i > 0 {
             out.push_str(sep);
         }
@@ -103,7 +103,7 @@ impl<'a> Value<'a> {
         match self {
             Value::Null => 0,
             Value::Str(s) => s.len(),
-            Value::List(v) => items(*v).map(str::len).sum::<usize>() + v.len().saturating_sub(1),
+            Value::List(v) => v.iter().map(str::len).sum::<usize>() + v.len().saturating_sub(1),
             Value::Bool(b) => bool_str(*b).len(),
         }
     }
@@ -134,7 +134,7 @@ impl<'a> Value<'a> {
     pub(crate) fn into_values(self) -> Option<Values> {
         match self {
             Value::List(v) if v.is_empty() => None,
-            Value::List(v) => Some(items(v).map(str::to_string).collect::<Vec<_>>().into()),
+            Value::List(v) => Some(v.iter().map(str::to_string).collect::<Vec<_>>().into()),
             other => other.into_str().map(|s| Values::One(s.into_owned())),
         }
     }
@@ -208,8 +208,9 @@ mod tests {
         assert!(Value::Bool(true).truthy());
         assert!(Value::Str("x".into()).truthy());
         assert!(!Value::Str("".into()).truthy());
-        assert!(Value::List(&vec!["a".to_string()]).truthy());
-        assert!(!Value::List(&crate::NO_VALUES).truthy());
+        let img = crate::Image::from_pairs([("l", "a")]);
+        assert!(Value::List(List::new(&img, "L")).truthy());
+        assert!(!Value::List(List::new(&img, "cn")).truthy());
     }
 
     #[test]
@@ -217,11 +218,12 @@ mod tests {
         assert_eq!(Value::Null.into_values(), None);
         let one = Value::Str("a".into()).into_values().unwrap();
         assert_eq!(one.as_slice(), ["a"]);
-        let items = vec!["a".to_string(), "b".to_string()];
-        assert_eq!(Value::List(&items).into_str().as_deref(), Some("a b"));
+        let img = crate::Image::from_pairs([("l", "a"), ("l", "b")]);
+        let items = List::new(&img, "l");
+        assert_eq!(Value::List(items).into_str().as_deref(), Some("a b"));
         let parts = [
             Value::Str("x=".into()),
-            Value::List(&items),
+            Value::List(items),
             Value::Bool(true),
         ];
         assert_eq!(Value::concat(&parts), Value::Str("x=a btrue".into()));

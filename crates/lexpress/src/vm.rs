@@ -11,7 +11,7 @@
 //! program a [`Vm`] runs.
 
 use crate::bytecode::{Bundle, Instr, Program};
-use crate::descriptor::Frame;
+use crate::descriptor::{Frame, List};
 use crate::error::RuntimeError;
 use crate::value::{glob_match, join, Value};
 use std::borrow::Cow;
@@ -56,10 +56,9 @@ impl<'a> Vm<'a> {
                 Instr::PushNull => Value::Null,
                 Instr::PushBool(b) => Value::Bool(*b),
                 Instr::LoadAttr(name) => frame
-                    .values(name)
-                    .get(0)
+                    .value(name, 0)
                     .map_or(Value::Null, |s| Value::Str(Cow::Borrowed(s))),
-                Instr::LoadAttrAll(name) => match frame.values(name) {
+                Instr::LoadAttrAll(name) => match List::new(frame, name) {
                     vs if vs.is_empty() => Value::Null,
                     vs => Value::List(vs),
                 },
@@ -486,7 +485,7 @@ mod tests {
         let f = frame();
         assert_eq!(
             eval_expr(r#"values(ou)"#, &f).unwrap(),
-            Value::List(&vec!["a".to_string(), "b".to_string()])
+            Value::List(List::new(&f, "ou"))
         );
         assert_eq!(
             eval_expr(r#"join(values(ou), "+")"#, &f).unwrap(),

@@ -18,7 +18,6 @@ use ldap::dn::{Dn, Rdn};
 use ldap::entry::{Entry, Modification};
 use ldap::filter::Filter;
 use ldap::schema::Schema;
-use ldap::Value;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicIsize, Ordering};
@@ -185,7 +184,8 @@ fn scratch_dir(name: &str) -> std::path::PathBuf {
 }
 
 /// Bytes per entry the compact store may cost in this shape, five indexes
-/// included: 446 measured (the reading plus 7 % is the budget), 517 while
+/// included: 307 measured (the reading plus 7 % is the budget), 446 while
+/// every attribute was a 32-byte slot in a vector of them, 517 while
 /// every name was an RDN vector over shared RDN blocks that kept a
 /// lowercased copy of each value, 622 while the id tables took 24 bytes a
 /// hash and every node carried a children vector, 749 while every value
@@ -193,15 +193,16 @@ fn scratch_dir(name: &str) -> std::path::PathBuf {
 /// DN and a copy of every indexed value, 1,304 before the 32-byte attribute
 /// slot and the shared class list, 2,050 before the shared-RDN layout
 /// (2,950 for a tree restored from a snapshot).
-const BUDGET_BYTES_PER_ENTRY: usize = 477;
+const BUDGET_BYTES_PER_ENTRY: usize = 329;
 
-/// Heap blocks per entry at rest: 2.96 measured (the chain block that ends
-/// the name, the attribute vector, and for the common names longer than a
-/// value's 22-byte slot the name and the `cn` value), 4.43 with an RDN
+/// Heap blocks per entry at rest: 2.48 measured (the chain block that ends
+/// the name, the attribute block, and for the common names longer than an
+/// RDN value's 22-byte slot the name's value), 2.96 while the attribute
+/// vector kept such a `cn` value in a block of its own, 4.43 with an RDN
 /// vector, a leaf RDN block and a lowercased copy of long names, 10 while
 /// every value was a heap string, 13 with the DN key and two posting keys,
 /// 17 while every entry held its own class list.
-const BUDGET_BLOCKS_PER_ENTRY: f64 = 3.5;
+const BUDGET_BLOCKS_PER_ENTRY: f64 = 2.65;
 
 /// `dn` built anew through the constructors, root first.
 fn rebuilt(dn: &Dn) -> Dn {
@@ -287,8 +288,8 @@ fn bytes_per_entry_stay_under_budget_and_footprint_accounts_for_them() {
         "DN {} B/entry",
         fp.dn_bytes / entries
     );
-    let attrs = (fp.attr_slot_bytes + fp.value_bytes) / entries;
-    assert!(attrs <= 230, "attribute slots and values {attrs} B/entry");
+    let attrs = fp.attr_bytes / entries;
+    assert!(attrs <= 94, "attribute blocks {attrs} B/entry");
     assert!(
         fp.postings_bytes / entries <= 75,
         "postings {} B/entry",
@@ -300,7 +301,7 @@ fn bytes_per_entry_stay_under_budget_and_footprint_accounts_for_them() {
         fp.key_arena_bytes / entries
     );
     assert!(
-        fp.slab_bytes / entries <= 85,
+        fp.slab_bytes / entries <= 70,
         "node slab {} B/entry",
         fp.slab_bytes / entries
     );
@@ -326,15 +327,15 @@ fn bytes_per_entry_stay_under_budget_and_footprint_accounts_for_them() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The repo benchmark's person at its longest (a 22-byte common name) holds
-/// every value in its slot, so at rest it is two heap blocks: the chain
-/// block that ends its name and the attribute vector. Its ancestors are its
-/// parent's name and its class list is the pool's.
+/// The repo benchmark's person at its longest (a 22-byte common name, held
+/// in its RDN value's slot) is two heap blocks at rest: the chain block that
+/// ends its name and the attribute block. Its ancestors are its parent's
+/// name, and its attribute names and class list are the pools'.
 #[test]
 fn a_benchmark_person_at_rest_is_two_heap_blocks() {
     let unit = unit_dn(0);
     let build = || {
-        let mut e = Entry::with_attrs(
+        Entry::with_attrs(
             unit.child(Rdn::new("cn", "Ximena Castillo 000123")),
             [
                 ("objectClass", "top"),
@@ -346,9 +347,7 @@ fn a_benchmark_person_at_rest_is_two_heap_blocks() {
                 ("roomNumber", "3F-123"),
                 ("l", "site-23"),
             ],
-        );
-        e.compact_for_store();
-        e
+        )
     };
     // The pools' first sight of a name or a class list is the pools' cost.
     drop(build());
@@ -440,7 +439,7 @@ fn entries_share_their_parents_name() {
 }
 
 /// Where the entry at `dn` keeps its class list.
-fn class_list(dit: &Dit, dn: &Dn) -> (*const Value, Vec<Value>) {
+fn class_list(dit: &Dit, dn: &Dn) -> (*const u8, Vec<String>) {
     let entry = dit.get(dn).unwrap_or_else(|| panic!("`{dn}` exists"));
     let classes = entry.values("objectClass");
     (classes.as_ptr(), classes.to_vec())

@@ -82,11 +82,7 @@ fn normalize(entries: &[Entry]) -> String {
         let mut lines: Vec<String> = Vec::new();
         for a in e.attributes() {
             for v in &a.values {
-                let shown = if v.parse::<f64>().is_ok() {
-                    "#"
-                } else {
-                    v.as_str()
-                };
+                let shown = if v.parse::<f64>().is_ok() { "#" } else { v };
                 lines.push(format!("{}: {}", a.name, shown));
             }
         }

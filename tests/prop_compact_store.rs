@@ -167,7 +167,7 @@ impl Model {
                     }
                 }
                 for ava in rdn.avas() {
-                    e.add_value(ava.attr().to_string(), ava.value().to_string());
+                    e.add_value(ava.attr(), ava.value());
                 }
             }
             self.entries.insert(e.dn().norm_key(), e);

@@ -46,12 +46,12 @@ fn is_structural(schema: &Schema, name: &str) -> bool {
 }
 
 /// Every structural class among `classes` lies on one superclass chain.
-fn all_one_chain(schema: &Schema, classes: &[ldap::Value]) -> bool {
+fn all_one_chain(schema: &Schema, classes: ldap::AttrValues<'_>) -> bool {
     let lowered_chain = |name: &str| -> Option<Vec<String>> {
         let chain = class_chain(schema, name).ok()?;
         Some(chain.iter().map(|c| c.name.to_ascii_lowercase()).collect())
     };
-    let structurals: Vec<&ldap::Value> = (classes.iter())
+    let structurals: Vec<&str> = (classes.iter())
         .filter(|c| is_structural(schema, c))
         .collect();
     structurals.iter().all(|a| {
@@ -283,13 +283,18 @@ fn schemas() -> [Schema; 2] {
     [metacomm::schema::integrated_schema(), Schema::x500_core()]
 }
 
-/// The compiled validator's verdict on `entry` as built and as stored, which
-/// must be one verdict.
+/// The compiled validator's verdict on `entry` as built whole and as grown
+/// a value at a time, which must be one entry and one verdict.
 fn verdict(schema: &Schema, entry: &Entry) -> ldap::Result<()> {
     let built = schema.validate_entry(entry);
-    let mut stored = entry.clone();
-    stored.compact_for_store();
-    assert_eq!(schema.validate_entry(&stored), built, "{entry:?}");
+    let mut grown = Entry::new(entry.dn().clone());
+    for a in entry.attributes() {
+        for v in a.values {
+            grown.add_value(a.name.as_str(), v);
+        }
+    }
+    assert_eq!(grown, *entry);
+    assert_eq!(schema.validate_entry(&grown), built, "{entry:?}");
     built
 }
 

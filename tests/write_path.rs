@@ -1,7 +1,8 @@
 //! What one directory or device write costs, counted rather than timed:
 //! heap allocations per `Schema::validate_entry`, per `Dit::add` (volatile
-//! and with a WAL attached) and per one-attribute `Dit::modify`, on the repo
-//! benchmark's person shape under the integrated schema, and per
+//! and with a WAL attached), per one-attribute `Dit::modify` and per entry
+//! a search visitor reads whole, on the repo benchmark's person shape under
+//! the integrated schema, and per
 //! `pbx::Store::change` and `msgplat::Store::change` on the benchmark's
 //! station and mailbox shapes, against committed ceilings; and a modify of
 //! an unindexed attribute leaves the equality index as it was.
@@ -157,14 +158,10 @@ fn per_add(dit: &Dit) -> f64 {
 fn validating_a_conforming_entry_allocates_nothing() {
     let schema = metacomm::schema::integrated_schema();
     let people: Vec<Entry> = measured().map(person).collect();
-    let mut stored = person(0);
-    stored.compact_for_store();
     let ((), asked) = allocations(|| {
         for e in &people {
             schema.validate_entry(e).expect("conforms");
         }
-        // The at-rest representation a modify validates.
-        schema.validate_entry(&stored).expect("conforms");
     });
     assert_eq!(
         asked, 0,
@@ -174,7 +171,9 @@ fn validating_a_conforming_entry_allocates_nothing() {
 
 /// Ceilings: the counts measured once a name was one chain block whose
 /// clone is a reference count (1.1 / 4.1 / 2.0 for an add, a WAL'd add and
-/// a modify), plus one allocation of headroom. 1.1 / 6.1 / 3.0 while the
+/// a modify), plus one allocation of headroom; 0.11 / 3.11 / 1.00 since an
+/// entry's attributes are one block, a modify's private copy the only block
+/// it allocates. 1.1 / 6.1 / 3.0 while the
 /// commit record copied an RDN vector for each name it held; 1.1 / 14.1 /
 /// 9.0 while every value was a heap string of its own; 12 / 24 / 11 while
 /// the store built a key string per name and a posting key per value.
@@ -281,6 +280,37 @@ fn a_room_change_stays_within_three_allocations_and_touches_no_posting() {
     assert_eq!(
         changed.first("roomNumber"),
         Some(format!("4D-{:03}", 1 + WARM_UP % 399).as_str())
+    );
+}
+
+#[test]
+fn reading_every_name_and_value_of_a_visited_entry_allocates_nothing() {
+    let dit = warm_tree();
+    per_add(&dit);
+    let people: Vec<Dn> = measured().map(person_dn).collect();
+    let all = Filter::match_all();
+    let (mut visited, mut bytes_read) = (0, 0);
+    let mut read = |e: &Entry| {
+        visited += 1;
+        for a in e.attributes() {
+            bytes_read += a.name.as_str().len() + a.name.norm().len();
+            for v in a.values {
+                bytes_read += v.len();
+            }
+        }
+    };
+    let ((), asked) = allocations(|| {
+        for dn in &people {
+            (dit.search_visit(dn, Scope::Base, &all, &[], 0, &mut read)).expect("search");
+        }
+    });
+    assert_eq!(visited, MEASURED);
+    assert!(bytes_read > 70 * MEASURED, "{bytes_read} bytes read");
+    let per_entry = asked as f64 / visited as f64;
+    println!("{per_entry:.2} allocations per visited entry read whole");
+    assert_eq!(
+        asked, 0,
+        "{asked} allocations over {visited} visited entries: a read copies the block out"
     );
 }
 
