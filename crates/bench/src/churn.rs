@@ -54,10 +54,9 @@ pub enum ChurnOp {
         site: usize,
     },
     /// Scheduled outage of a device (fault injector down; breaker opens,
-    /// updates journal).
+    /// updates skip the device).
     Outage(usize),
-    /// The device comes back; recovery runs (journal drain or full
-    /// resync).
+    /// The device comes back; recovery resyncs it from the directory.
     Recover(usize),
 }
 
@@ -443,8 +442,8 @@ impl<'r> Executor<'r> {
                     .fault_handle(&name)
                     .ok_or_else(|| format!("no fault handle for `{name}`"))?
                     .set_down(false);
-                // Quiesce in-flight fan-out first so the drain sees the
-                // whole backlog, then probe (drain or full resync).
+                // Settle in-flight fan-out first, then probe: the resync
+                // runs under the quiesce and copies the directory over.
                 self.rig.system.settle();
                 self.rig
                     .system

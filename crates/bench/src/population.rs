@@ -290,11 +290,10 @@ pub fn deploy(
         })
         .with_breaker_policy(BreakerPolicy {
             // Trip on the first failure: a scheduled outage is a hard down,
-            // and the op that discovers it must journal, not surface an
-            // error to the churn client.
+            // and the op that discovers it must skip the device, not
+            // surface an error to the churn client.
             degraded_after: 1,
             offline_after: 1,
-            journal_cap: 16_384,
             // Recovery is driven deterministically through probe_device.
             probe_interval: Duration::from_secs(3600),
         });

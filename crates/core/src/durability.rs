@@ -7,12 +7,11 @@
 //!
 //! - **DIT commits** — every directory commit appends a
 //!   [`backup::TAG_DIT_CHANGE`] frame before the client sees success.
-//! - **One fact per device: stale or clean** — a device whose outage
-//!   backlog ([`crate::resilience`]) first becomes non-empty or overflows is
-//!   logged *stale*; once recovery resolves the backlog, by drain or by
-//!   resync, it is logged *clean*. The backlog itself stays in memory. The
-//!   stale record is appended under the device's runtime lock, before the
-//!   DIT commit record of the update that queued the op, so the commit
+//! - **One fact per device: stale or clean** — a device is logged *stale*
+//!   from the first leg its open breaker skips ([`crate::resilience`]), and
+//!   *clean* once the resync on reconnect brings it back `Up`. The stale
+//!   record is appended under the device's runtime lock, before the DIT
+//!   commit record of the update whose leg was skipped, so the commit
 //!   barrier that acknowledges the update makes it durable too.
 //!
 //! ## Recovery order (DESIGN §12)
@@ -22,10 +21,9 @@
 //! 2. WAL segments in generation order, applying exactly the committed
 //!    prefix of DIT records and reducing device records to one
 //!    [`StaleMark`] per device (the highest epoch wins);
-//! 3. stale devices restart `Offline` with their journal marked
-//!    overflowed, so the recovery monitor (or `probe_device`) resyncs them
-//!    from the directory — the paper's §4.4 recovery for a repository that
-//!    missed updates.
+//! 3. stale devices restart `Offline`, so the recovery monitor (or
+//!    `probe_device`) resyncs them from the directory — the paper's §4.4
+//!    recovery for a repository that missed updates.
 //!
 //! ## Checkpoint protocol
 //!
@@ -294,8 +292,8 @@ impl Durability {
     }
 
     /// Log `device`'s mark. The runtime calls this under its own lock, so
-    /// a stale record precedes the DIT commit of any update that queued an
-    /// op behind it.
+    /// a stale record precedes the DIT commit of any update that skipped
+    /// the device.
     pub(crate) fn log_device(&self, device: &str, mark: StaleMark) {
         self.append(TAG_DEVICE_MARK, &encode_device_record(device, mark));
     }

@@ -3,7 +3,7 @@
 //! [`FaultInjector`] is a decorator implementing [`DeviceFilter`] around any
 //! real filter; it injects configurable faults into the `apply` path (and
 //! fails `probe` while a hard outage is active) so outage-resilience
-//! behavior — retry, circuit breaking, journaling, recovery — can be
+//! behavior — retry, circuit breaking, recovery by resync — can be
 //! exercised deterministically in tests, among them
 //! `e12_client_updates_survive_a_device_outage` in `tests/paper_claims.rs`.
 //!

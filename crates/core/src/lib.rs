@@ -231,8 +231,7 @@ impl MetaCommBuilder {
         self
     }
 
-    /// Per-device circuit-breaker thresholds, outage-journal bound, and
-    /// recovery-probe interval.
+    /// Per-device circuit-breaker thresholds and recovery-probe interval.
     pub fn with_breaker_policy(mut self, breaker: BreakerPolicy) -> Self {
         self.breaker = breaker;
         self
@@ -378,9 +377,9 @@ impl MetaCommBuilder {
         // Pre-resolve the coordinator's metrics once.
         let um_obs = obs::UmObs::install(&registry);
         // The one list of integrated repositories: each filter with its
-        // breaker/journal runtime, shared between the coordinator (records
-        // outcomes, journals during outages), the recovery monitor (probes
-        // and drains), checkpoints and this handle.
+        // breaker runtime, shared between the coordinator (records outcomes,
+        // skips an offline device), the recovery monitor (probes and
+        // resyncs), checkpoints and this handle.
         let devices: Arc<[Device]> = filters
             .into_iter()
             .map(|filter| Device {
@@ -410,8 +409,6 @@ impl MetaCommBuilder {
         // Live per-device gauges read straight off the runtimes.
         for Device { runtime, .. } in devices.iter() {
             let comp = registry.component(&format!("device-{}", runtime.name()));
-            let r = runtime.clone();
-            comp.gauge_callback("journalDepth", move || r.health().queued_ops as i64);
             let r = runtime.clone();
             comp.gauge_callback("consecutiveFailures", move || {
                 r.health().consecutive_failures as i64
@@ -489,20 +486,22 @@ impl MetaCommBuilder {
         registry.adopt(gateway.stats().component().clone());
 
         // Recovery monitor: every probe interval, probes non-Up devices and
-        // reapplies their backlog (journal drain, or full resync after
-        // overflow).
-        let ctx = RecoveryCtx {
+        // resyncs an offline one that answers from the directory, backing
+        // off from one whose resyncs keep failing.
+        let recovery = Arc::new(RecoveryCtx {
             gateway: gateway.clone(),
             engine: engine.clone(),
             suffix: suffix.clone(),
             errorlog: errorlog.clone(),
             stats: um_stats.clone(),
-            retry: self.retry.clone(),
-        };
-        let (monitored, interval) = (devices.clone(), self.breaker.probe_interval);
+            retry: self.retry,
+        });
+        let (ctx, monitored) = (recovery.clone(), devices.clone());
+        let interval = self.breaker.probe_interval;
         background.spawn("device-recovery-monitor".into(), move |stopped| {
             while stopped.recv_timeout(interval) == Err(RecvTimeoutError::Timeout) {
-                for device in monitored.iter() {
+                let now = std::time::Instant::now();
+                for device in monitored.iter().filter(|d| d.runtime.probe_due(now)) {
                     let _ = resilience::attempt_recovery(&ctx, device);
                 }
             }
@@ -521,7 +520,7 @@ impl MetaCommBuilder {
             suffix,
             crash_between_pair,
             durability: durability.map(|(dur, _)| dur),
-            retry: self.retry,
+            recovery,
             fault_handles,
             registry,
             idle_timeout: self.idle_timeout,
@@ -544,7 +543,8 @@ pub struct MetaComm {
     suffix: Dn,
     crash_between_pair: Arc<AtomicBool>,
     durability: Option<Arc<Durability>>,
-    retry: RetryPolicy,
+    /// What recovery reads, shared with the recovery monitor.
+    recovery: Arc<RecoveryCtx>,
     fault_handles: HashMap<String, Arc<FaultHandle>>,
     registry: Arc<Registry>,
     idle_timeout: Option<std::time::Duration>,
@@ -670,7 +670,7 @@ impl MetaComm {
             &self.device(name)?.filter,
             &self.suffix,
             Some(&self.errorlog),
-            &self.retry,
+            &self.recovery.retry,
             &self.um_stats,
         )
     }
@@ -691,7 +691,7 @@ impl MetaComm {
     }
 
     /// Health snapshot for one device (breaker state, consecutive failures,
-    /// queued ops, last error).
+    /// skipped legs, last error).
     pub fn device_health(&self, name: &str) -> Option<DeviceHealth> {
         self.device(name).ok().map(|d| d.runtime.health())
     }
@@ -702,21 +702,13 @@ impl MetaComm {
         self.fault_handles.get(name).cloned()
     }
 
-    /// Probe one device synchronously and run recovery if it answers:
-    /// drain its outage journal as conditional reapplies, or full-resync if
-    /// the journal overflowed or the device restarted stale. The background
-    /// monitor does the same thing on its probe interval; this entry point
-    /// makes recovery deterministic for tests and experiments.
+    /// Probe one device synchronously and run recovery if it answers: an
+    /// offline (or restarted stale) device is resynchronized from the
+    /// directory under the §5.1 quiesce. The background monitor does the
+    /// same thing on its probe interval; this entry point makes recovery
+    /// deterministic for tests and experiments.
     pub fn probe_device(&self, name: &str) -> Result<RecoveryOutcome> {
-        let ctx = RecoveryCtx {
-            gateway: self.gateway.clone(),
-            engine: self.engine.clone(),
-            suffix: self.suffix.clone(),
-            errorlog: self.errorlog.clone(),
-            stats: self.um_stats.clone(),
-            retry: self.retry.clone(),
-        };
-        resilience::attempt_recovery(&ctx, self.device(name)?)
+        resilience::attempt_recovery(&self.recovery, self.device(name)?)
     }
 
     /// Checkpoint a durable deployment: rotate to a fresh WAL segment,
@@ -749,8 +741,6 @@ impl MetaComm {
                 mc.relay_stats.ops_sent.load(Ordering::SeqCst),
                 mc.relay_stats.errors.load(Ordering::SeqCst),
                 mc.relay_stats.injected_crashes.load(Ordering::SeqCst),
-                mc.um_stats.queued.load(Ordering::SeqCst),
-                mc.um_stats.journal_drained.load(Ordering::SeqCst),
                 mc.um_stats.full_resyncs.load(Ordering::SeqCst),
                 mc.um_stats.breaker_trips.load(Ordering::SeqCst),
             )

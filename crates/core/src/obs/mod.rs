@@ -63,24 +63,17 @@ impl UmObs {
 
 /// Per-device instrumentation, carried by the device's
 /// [`crate::resilience::DeviceRuntime`]: the UM coordinator records live
-/// applies through it, the resilience layer journal, breaker and drains.
+/// applies through it, the resilience layer its breaker and resyncs.
 pub(crate) struct DeviceObs {
-    pub clock: Arc<dyn Clock>,
     /// Live filter-apply latency (includes retries).
     pub apply: Arc<Histogram>,
-    /// Reapply latency during journal drains (the §5.4 conditional path).
-    pub reapply: Arc<Histogram>,
     /// Successful applies.
     pub applies: Arc<Counter>,
     /// Post-retry apply failures.
     pub failures: Arc<Counter>,
-    /// Ops journaled during outages.
-    pub queued: Arc<Counter>,
-    /// Ops reapplied by journal drains.
-    pub drained: Arc<Counter>,
     /// Breaker openings (device went offline).
     pub breaker_trips: Arc<Counter>,
-    /// Full resynchronizations after journal overflow.
+    /// Full resynchronizations run on reconnect.
     pub resyncs: Arc<Counter>,
 }
 
@@ -88,13 +81,9 @@ impl DeviceObs {
     pub(crate) fn install(registry: &Registry, device: &str) -> Arc<DeviceObs> {
         let c = registry.component(&format!("device-{device}"));
         Arc::new(DeviceObs {
-            clock: registry.clock(),
             apply: c.histogram("apply"),
-            reapply: c.histogram("reapply"),
             applies: c.counter("applies"),
             failures: c.counter("failures"),
-            queued: c.counter("queuedTotal"),
-            drained: c.counter("drainedTotal"),
             breaker_trips: c.counter("breakerTrips"),
             resyncs: c.counter("fullResyncs"),
         })

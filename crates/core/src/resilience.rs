@@ -1,25 +1,25 @@
-//! Device-outage resilience: retry, per-device circuit breaker, and the
-//! store-and-forward outage journal.
+//! Device-outage resilience: retry, the per-device circuit breaker, and
+//! recovery by resynchronization.
 //!
 //! The paper's failure story (§4.4) is abort-log-alert plus full
 //! resynchronization after reconnection. This module adds the intermediate
 //! regime a production deployment needs: transient device faults are
 //! retried with bounded exponential backoff; a device that keeps failing
 //! trips a per-device circuit breaker (`Up → Degraded → Offline`); while
-//! `Offline`, translated device operations are appended to a bounded
-//! outage journal instead of failing the client update — the directory
-//! stays authoritative, exactly as during disconnected operation in the
-//! paper. A recovery monitor probes offline devices and, on reconnect,
-//! drains the journal as *conditional* reapplied operations (§5.4),
-//! falling back to a full directory→device resynchronization
-//! ([`crate::sync::resynchronize_device_from_directory`]) when the
-//! journal overflowed its bound. Every state transition emits a §4.4
-//! administrator alert.
+//! `Offline`, its legs are skipped instead of failing the client update —
+//! the directory stays authoritative, exactly as during disconnected
+//! operation in the paper. A recovery monitor probes offline devices and,
+//! on reconnect, runs the one recovery there is: a full directory→device
+//! resynchronization ([`crate::sync::resynchronize_device_from_directory`])
+//! under the §5.1 quiesce, so no update commits while it reads. A link
+//! lost mid-resync leaves the device `Offline` for a later probe, and the
+//! monitor backs off from a device whose resyncs keep failing. Every
+//! state transition emits a §4.4 administrator alert.
 //!
-//! The journal lives in memory only. What survives a crash is one fact per
-//! device, logged by [`crate::durability`]: stale from the first queued op
-//! until recovery resolves the backlog. A device that restarts stale is
-//! resynchronized, the same arm an overflowed journal takes.
+//! What survives a crash is one fact per device, logged by
+//! [`crate::durability`]: stale from the first skipped leg until a resync
+//! brings the device back `Up`. A device that restarts stale restarts
+//! `Offline` and is resynchronized like any other.
 
 use crate::durability::{Durability, StaleMark};
 use crate::error::MetaError;
@@ -31,9 +31,7 @@ use crate::unpoison;
 use ldap::dn::Dn;
 use ldap::Directory;
 use lexpress::TargetOp;
-use std::collections::VecDeque;
 use std::hash::BuildHasher;
-use std::sync::atomic::Ordering;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -130,17 +128,14 @@ pub(crate) fn apply_with_retry(
     retry.run(&stats.retried, MetaError::is_transient, || filter.apply(op))
 }
 
-/// Circuit-breaker thresholds and journal bound for one device.
+/// Circuit-breaker thresholds for one device.
 #[derive(Debug, Clone)]
 pub struct BreakerPolicy {
     /// Consecutive failures before the device is reported `Degraded`.
     pub degraded_after: u32,
     /// Consecutive failures before the breaker opens (`Offline`) and
-    /// translated operations start queueing instead of applying.
+    /// translated operations skip the device until it is resynchronized.
     pub offline_after: u32,
-    /// Outage-journal bound: past this many queued ops the journal is
-    /// abandoned and recovery falls back to full resynchronization.
-    pub journal_cap: usize,
     /// How often the recovery monitor probes non-`Up` devices.
     pub probe_interval: Duration,
 }
@@ -150,7 +145,6 @@ impl Default for BreakerPolicy {
         BreakerPolicy {
             degraded_after: 1,
             offline_after: 3,
-            journal_cap: 512,
             probe_interval: Duration::from_millis(25),
         }
     }
@@ -163,7 +157,8 @@ pub enum HealthState {
     Up,
     /// Recent failures, still applying directly (with retry).
     Degraded,
-    /// Breaker open: translated ops queue in the outage journal.
+    /// Breaker open: translated ops skip the device, which is stale until
+    /// a resynchronization on reconnect brings it back `Up`.
     Offline,
 }
 
@@ -184,45 +179,30 @@ pub struct DeviceHealth {
     pub device: String,
     pub state: HealthState,
     pub consecutive_failures: u32,
-    /// Translated operations waiting in the outage journal.
-    pub queued_ops: usize,
-    /// The journal overflowed, or the device restarted stale: recovery
-    /// will resynchronize instead of draining.
-    pub journal_overflowed: bool,
-    /// Operations discarded after the overflow (recovered only by the full
-    /// resynchronization).
+    /// Legs skipped since the device went `Offline`. The resynchronization
+    /// that brings it back `Up` covers them and zeroes the count.
     pub dropped_ops: usize,
     pub last_error: Option<String>,
-}
-
-/// One queued translated operation awaiting reapplication.
-#[derive(Debug, Clone)]
-struct JournaledOp {
-    ticket: u64,
-    op: TargetOp,
-    /// Directory entry the op concerns (post-update DN), for folding
-    /// device-generated information back in when the op finally applies.
-    dn: Option<Dn>,
 }
 
 #[derive(Debug)]
 struct RuntimeInner {
     state: HealthState,
     consecutive_failures: u32,
-    journal: VecDeque<JournaledOp>,
-    overflowed: bool,
     dropped_ops: usize,
-    draining: bool,
     last_error: Option<String>,
-    next_ticket: u64,
-    /// What the log says about this device: stale from the first op queued
-    /// until recovery resolves the backlog.
+    /// What the log says about this device: stale from the first skipped
+    /// leg until a resynchronization brings it back `Up`.
     mark: StaleMark,
+    /// Resyncs in a row that failed since the device was last `Up`.
+    relapses: u32,
+    /// Before this, the recovery monitor leaves the device alone.
+    next_probe: Option<Instant>,
 }
 
-/// Per-device breaker state + outage journal. Shared between the UM
-/// coordinator (which records outcomes and journals ops) and the recovery
-/// monitor (which probes and drains).
+/// Per-device breaker state. Shared between the UM coordinator (which
+/// records outcomes and skips an `Offline` device) and the recovery path
+/// (which probes and resyncs).
 pub(crate) struct DeviceRuntime {
     name: String,
     policy: BreakerPolicy,
@@ -252,13 +232,11 @@ impl DeviceRuntime {
             inner: Mutex::new(RuntimeInner {
                 state: HealthState::Up,
                 consecutive_failures: 0,
-                journal: VecDeque::new(),
-                overflowed: false,
                 dropped_ops: 0,
-                draining: false,
                 last_error: None,
-                next_ticket: 1,
                 mark: StaleMark::default(),
+                relapses: 0,
+                next_probe: None,
             }),
             durability,
         })
@@ -274,15 +252,13 @@ impl DeviceRuntime {
     }
 
     /// Take back the mark recovery found. A stale device missed updates
-    /// before the restart and its backlog is gone with the process, so it
-    /// restarts `Offline` with the journal overflowed: the recovery monitor
+    /// before the restart, so it restarts `Offline`: the recovery monitor
     /// or [`crate::MetaComm::probe_device`] resyncs it from the directory.
     pub(crate) fn restore_mark(&self, mark: StaleMark) {
         let mut g = unpoison(self.inner.lock());
         g.mark = mark;
         if mark.stale {
             g.state = HealthState::Offline;
-            g.overflowed = true;
         }
     }
 
@@ -308,64 +284,47 @@ impl DeviceRuntime {
             device: self.name.clone(),
             state: g.state,
             consecutive_failures: g.consecutive_failures,
-            queued_ops: g.journal.len(),
-            journal_overflowed: g.overflowed,
             dropped_ops: g.dropped_ops,
             last_error: g.last_error.clone(),
         }
     }
 
-    /// Should the coordinator bypass the device and journal this op?
-    /// True while the breaker is open — and also while queued ops exist or
-    /// a drain is running, so reapplication stays FIFO with live traffic.
-    pub(crate) fn should_journal(&self) -> bool {
-        let g = unpoison(self.inner.lock());
-        g.state == HealthState::Offline || !g.journal.is_empty() || g.draining
+    /// Whether the recovery monitor probes the device at `now`. After a
+    /// failed resync it waits twice as many probe intervals for each one in
+    /// a row, up to `2^MAX_RELAPSE_BACKOFF`: a link that answers probes but
+    /// drops applies would otherwise have the §5.1 quiesce taken, and every
+    /// client update held, once an interval. [`crate::MetaComm::probe_device`]
+    /// does not wait.
+    pub(crate) fn probe_due(&self, now: Instant) -> bool {
+        unpoison(self.inner.lock())
+            .next_probe
+            .is_none_or(|at| now >= at)
     }
 
-    /// Append a translated op to the outage journal. Returns a ticket that
-    /// [`DeviceRuntime::discard_tickets`] can use to withdraw the op if the
-    /// surrounding client update later aborts. `None` when the journal has
-    /// overflowed (the op is dropped and counted; full resync recovers it).
-    pub(crate) fn journal(&self, op: TargetOp, dn: Option<Dn>) -> Option<u64> {
+    /// Skip this leg if the breaker is open: the device is logged stale and
+    /// the leg counted dropped, and the update goes on to the directory,
+    /// which the resynchronization on reconnect copies to the device.
+    pub(crate) fn skip_if_offline(&self) -> bool {
         let mut g = unpoison(self.inner.lock());
+        if g.state != HealthState::Offline {
+            return false;
+        }
         self.set_stale(&mut g, true);
-        if g.overflowed {
-            g.dropped_ops += 1;
-            return None;
-        }
-        if g.journal.len() >= self.policy.journal_cap {
-            g.overflowed = true;
-            g.dropped_ops += g.journal.len() + 1;
-            g.journal.clear();
-            drop(g);
-            self.errorlog.log(
-                self.dir.as_ref(),
-                0,
-                &format!(
-                    "device {} outage journal overflowed at {} ops; queued ops \
-                     abandoned, full resynchronization scheduled on reconnect",
-                    self.name, self.policy.journal_cap
-                ),
-                "journal overflow",
-            );
-            return None;
-        }
-        let ticket = g.next_ticket;
-        g.next_ticket += 1;
-        g.journal.push_back(JournaledOp { ticket, op, dn });
-        drop(g);
-        self.obs.queued.inc();
-        Some(ticket)
+        g.dropped_ops += 1;
+        true
     }
 
-    /// Withdraw journaled ops whose client update aborted (the directory
-    /// never saw the update either, so reapplying them would diverge).
-    pub(crate) fn discard_tickets(&self, tickets: &[u64]) {
-        if !tickets.is_empty() {
-            let mut g = unpoison(self.inner.lock());
-            g.journal.retain(|j| !tickets.contains(&j.ticket));
-        }
+    /// Close the breaker: `Up`, no failures, nothing dropped, logged
+    /// clean.
+    fn close(&self) {
+        let mut g = unpoison(self.inner.lock());
+        g.state = HealthState::Up;
+        g.consecutive_failures = 0;
+        g.dropped_ops = 0;
+        g.last_error = None;
+        g.relapses = 0;
+        g.next_probe = None;
+        self.set_stale(&mut g, false);
     }
 
     /// Record a failed (post-retry) device apply; advances the breaker and
@@ -375,7 +334,11 @@ impl DeviceRuntime {
             let mut g = unpoison(self.inner.lock());
             g.consecutive_failures += 1;
             g.last_error = Some(error.to_string());
-            let next = if g.consecutive_failures >= self.policy.offline_after {
+            // Only a resync leaves `Offline` (see `close`): legs skipped the
+            // device, so no count of later failures may demote it.
+            let next = if g.state == HealthState::Offline
+                || g.consecutive_failures >= self.policy.offline_after
+            {
                 HealthState::Offline
             } else if g.consecutive_failures >= self.policy.degraded_after {
                 HealthState::Degraded
@@ -394,57 +357,53 @@ impl DeviceRuntime {
             if next == HealthState::Offline {
                 self.obs.breaker_trips.inc();
             }
-            self.errorlog.log(
-                self.dir.as_ref(),
+            self.alert(
                 seq,
                 &format!(
                     "device {} {prev} -> {next} after {failures} consecutive \
                      failures: {error}{}",
                     self.name,
                     if next == HealthState::Offline {
-                        "; translated operations now queue in the outage journal"
+                        "; translated operations are now skipped until a \
+                         resync on reconnect"
                     } else {
                         ""
                     },
                 ),
-                "device health transition",
             );
         }
     }
 
-    /// Record a successful device apply: closes the breaker (with an alert
-    /// if the device was not `Up`).
+    /// Record a successful device apply. A `Degraded` device is `Up` again;
+    /// an `Offline` one stays so until it is resynchronized, whatever
+    /// applies in between, because legs skipped it.
     pub(crate) fn record_success(&self) {
-        let recovered = {
+        let degraded = {
             let mut g = unpoison(self.inner.lock());
             g.consecutive_failures = 0;
             g.last_error = None;
-            if g.state != HealthState::Up && g.journal.is_empty() && !g.draining {
-                let prev = g.state;
+            let degraded = g.state == HealthState::Degraded;
+            if degraded {
                 g.state = HealthState::Up;
-                Some(prev)
-            } else {
-                if g.state == HealthState::Degraded {
-                    g.state = HealthState::Up;
-                }
-                None
             }
+            degraded
         };
-        if let Some(prev) = recovered {
-            self.errorlog.log(
-                self.dir.as_ref(),
-                0,
-                &format!("device {} {prev} -> up", self.name),
-                "device health transition",
-            );
+        if degraded {
+            self.alert(0, &format!("device {} degraded -> up", self.name));
         }
+    }
+
+    /// A §4.4 administrator alert about this device's health.
+    fn alert(&self, seq: u64, text: &str) {
+        self.errorlog
+            .log(self.dir.as_ref(), seq, text, "device health transition");
     }
 }
 
 /// One integrated repository as a deployment holds it: its filter and the
-/// breaker/journal runtime that guards it. The deployment builds one list
-/// of these, in registration order, and the Update Manager, the recovery
-/// monitor, checkpoints and [`crate::MetaComm::device`] all read that list.
+/// breaker runtime that guards it. The deployment builds one list of these,
+/// in registration order, and the Update Manager, the recovery monitor,
+/// checkpoints and [`crate::MetaComm::device`] all read that list.
 #[derive(Clone)]
 pub struct Device {
     pub filter: Arc<dyn DeviceFilter>,
@@ -461,225 +420,112 @@ pub(crate) struct RecoveryCtx {
     pub retry: RetryPolicy,
 }
 
+/// Cap on the recovery monitor's backoff after failed resyncs, as a power
+/// of two of the probe interval: 64 intervals, 1.6 s by default.
+const MAX_RELAPSE_BACKOFF: u32 = 6;
+
 /// Outcome of one recovery attempt (surfaced by
 /// [`crate::MetaComm::probe_device`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RecoveryOutcome {
-    /// Device is `Up` with nothing queued: no work.
+    /// Device is `Up`, or was `Degraded` and answered the probe: it missed
+    /// nothing, so no work.
     Healthy,
-    /// Probe still failing; device remains offline.
+    /// Probe still failing, or the link dropped mid-resync: the device
+    /// stays `Offline` and stale, and the next probe resyncs it again.
     StillDown,
-    /// Journal drained: this many ops reapplied (conditionally, §5.4).
-    Drained(usize),
-    /// Journal had overflowed, or the device restarted stale: full
-    /// resynchronization ran instead.
+    /// The device was `Offline` (or restarted stale) and answered: it was
+    /// resynchronized from the directory.
     Resynchronized(crate::sync::SyncReport),
 }
 
-/// Probe a device and, if it answers, reapply its backlog: drain the
-/// journal as conditional ops, or run a full directory→device
-/// resynchronization when the journal overflowed. Called by the recovery
-/// monitor on its probe interval and synchronously by
-/// [`crate::MetaComm::probe_device`].
+/// Probe a device and, if it answers, bring it back `Up`: an `Offline`
+/// device by a full directory→device resynchronization under the §5.1
+/// quiesce, the paper's recovery for a repository that missed updates
+/// (§4.4). Called by the recovery monitor on its probe interval and
+/// synchronously by [`crate::MetaComm::probe_device`].
 pub(crate) fn attempt_recovery(
     ctx: &RecoveryCtx,
     device: &Device,
 ) -> crate::error::Result<RecoveryOutcome> {
     let Device { filter, runtime } = device;
-    // Claim the recovery: the `draining` flag is both the mutual exclusion
-    // between concurrent recoveries (monitor vs. explicit probe) and the
-    // signal that keeps the coordinator journaling new ops behind the
-    // backlog while the drain runs.
-    let (overflowed, queued) = {
-        let mut g = unpoison(runtime.inner.lock());
-        if g.draining {
-            return Ok(RecoveryOutcome::StillDown);
-        }
-        let needs_work = g.state != HealthState::Up || !g.journal.is_empty() || g.overflowed;
-        if !needs_work {
-            return Ok(RecoveryOutcome::Healthy);
-        }
-        g.draining = true;
-        (g.overflowed, g.journal.len())
-    };
+    if unpoison(runtime.inner.lock()).state == HealthState::Up {
+        return Ok(RecoveryOutcome::Healthy);
+    }
+    // Probe holding no quiesce: a device still down makes no client wait.
     if let Err(e) = filter.probe() {
-        let mut g = unpoison(runtime.inner.lock());
-        g.draining = false;
-        g.last_error = Some(e.to_string());
+        unpoison(runtime.inner.lock()).last_error = Some(e.to_string());
         return Ok(RecoveryOutcome::StillDown);
     }
-    ctx.errorlog.log(
-        ctx.gateway.inner().as_ref(),
+    // Each failed leg of a degraded device aborted its update, so it missed
+    // nothing: an answer is enough to bring it back `Up`.
+    runtime.record_success();
+    if unpoison(runtime.inner.lock()).state != HealthState::Offline {
+        return Ok(RecoveryOutcome::Healthy);
+    }
+    // The quiesce waits for every update in flight, and a leg of one of
+    // them may be waiting for the runtime lock: take it holding none. It is
+    // also what keeps the monitor and `probe_device` from recovering the
+    // same device twice, so the state is read again under it. No leg runs
+    // while the session lives, so what is read here stands until it drops.
+    let mut session = ctx.gateway.begin_sync();
+    if unpoison(runtime.inner.lock()).state != HealthState::Offline {
+        return Ok(RecoveryOutcome::Healthy);
+    }
+    runtime.alert(
         0,
         &format!(
-            "device {} reconnected; {}",
-            runtime.name,
-            if overflowed {
-                "journal overflowed during the outage — running full resynchronization".to_string()
-            } else {
-                format!("draining {queued} queued ops")
-            }
-        ),
-        "device reconnect",
-    );
-    if overflowed {
-        // Directory→device: the device was unreachable the whole outage, so
-        // the directory (which kept taking client updates) is authoritative.
-        let report = match crate::sync::resynchronize_device_from_directory(
-            &ctx.gateway,
-            &ctx.engine,
-            filter,
-            &ctx.suffix,
-            Some(&ctx.errorlog),
-            &ctx.retry,
-            &ctx.stats,
-        ) {
-            Ok(r) => r,
-            Err(e) => {
-                let mut g = unpoison(runtime.inner.lock());
-                g.draining = false;
-                g.last_error = Some(e.to_string());
-                return Err(e);
-            }
-        };
-        runtime.obs.resyncs.inc();
-        {
-            let mut g = unpoison(runtime.inner.lock());
-            g.journal.clear();
-            g.overflowed = false;
-            g.dropped_ops = 0;
-            g.consecutive_failures = 0;
-            g.last_error = None;
-            g.draining = false;
-            g.state = HealthState::Up;
-            runtime.set_stale(&mut g, false);
-        }
-        ctx.errorlog.log(
-            ctx.gateway.inner().as_ref(),
-            0,
-            &format!(
-                "device {} offline -> up (recovered via full resynchronization: \
-                 {} added, {} repaired, {} cleared)",
-                runtime.name, report.added, report.repaired, report.cleared
-            ),
-            "device health transition",
-        );
-        return Ok(RecoveryOutcome::Resynchronized(report));
-    }
-    // Drain the journal FIFO. New coordinator traffic keeps queueing behind
-    // the drain (`should_journal` sees `draining`), so device-visible order
-    // is preserved.
-    let mut reapplied = 0usize;
-    loop {
-        let next = {
-            let mut g = unpoison(runtime.inner.lock());
-            let next = g.journal.pop_front();
-            if next.is_none() {
-                // Transition, flag-clear and clean record under the same
-                // lock as the emptiness check: no op can slip in
-                // unjournaled, and one queued after the Up transition logs
-                // stale again at a higher epoch.
-                g.draining = false;
-                g.consecutive_failures = 0;
-                g.last_error = None;
-                g.state = HealthState::Up;
-                runtime.set_stale(&mut g, false);
-            }
-            next
-        };
-        let Some(j) = next else { break };
-        // §5.4: reapplication is conditional — the op must tolerate already
-        // (or never) applying.
-        let mut op = j.op.clone();
-        op.conditional = true;
-        let t0 = runtime.obs.clock.now_ns();
-        let outcome = apply_with_retry(filter, &op, &ctx.retry, &ctx.stats);
-        runtime
-            .obs
-            .reapply
-            .record(runtime.obs.clock.now_ns().saturating_sub(t0));
-        match outcome {
-            Ok(outcome) => {
-                reapplied += 1;
-                runtime.obs.drained.inc();
-                ctx.stats.device_ops.fetch_add(1, Ordering::Relaxed);
-                if outcome.reapplied {
-                    ctx.stats.reapplied.fetch_add(1, Ordering::Relaxed);
-                }
-                if let Some(gen) = outcome.generated {
-                    fold_generated(ctx, &j.dn, &gen);
-                }
-            }
-            Err(e) if e.is_transient() => {
-                // Mid-drain relapse: requeue at the front and go back
-                // offline; the next probe retries from here.
-                {
-                    let mut g = unpoison(runtime.inner.lock());
-                    g.journal.push_front(j);
-                    g.draining = false;
-                    g.consecutive_failures += 1;
-                    g.last_error = Some(e.to_string());
-                    g.state = HealthState::Offline;
-                }
-                ctx.errorlog.log(
-                    ctx.gateway.inner().as_ref(),
-                    0,
-                    &format!(
-                        "device {} relapsed mid-drain after {reapplied} ops: {e}",
-                        runtime.name
-                    ),
-                    "device health transition",
-                );
-                return Ok(RecoveryOutcome::StillDown);
-            }
-            Err(e) => {
-                // Semantic rejection of a queued op: the client saw success
-                // long ago, so all that remains is §4.4 log-and-alert. The
-                // op leaves the journal permanently.
-                ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
-                ctx.errorlog.log(
-                    ctx.gateway.inner().as_ref(),
-                    0,
-                    &format!(
-                        "device {} rejected queued op during journal drain: {e}",
-                        runtime.name
-                    ),
-                    &format!("{:?}", j.op),
-                );
-            }
-        }
-    }
-    ctx.errorlog.log(
-        ctx.gateway.inner().as_ref(),
-        0,
-        &format!(
-            "device {} offline -> up (journal drained, {reapplied} ops reapplied)",
+            "device {} reconnected; resynchronizing it from the directory",
             runtime.name
         ),
-        "device health transition",
     );
-    Ok(RecoveryOutcome::Drained(reapplied))
-}
-
-/// Fold device-generated information from a drained op back into the
-/// directory (§5.5) — written directly to the server, exactly as the UM
-/// coordinator does after a live apply.
-fn fold_generated(ctx: &RecoveryCtx, dn: &Option<Dn>, gen: &lexpress::Image) {
-    let Some(dn) = dn else { return };
-    let dir = ctx.gateway.inner();
-    let Ok(Some(entry)) = dir.get(dn) else { return };
-    let mut mods = crate::um::aux_class_mods(&entry, gen);
-    for (name, values) in gen.iter() {
-        if entry.values(name) != values {
-            mods.push(ldap::entry::Modification::replace(
-                name.to_string(),
-                values.to_vec(),
-            ));
+    // Directory→device: the device was unreachable while legs skipped it,
+    // so the directory, which kept taking client updates, is authoritative.
+    let resync = crate::sync::resynchronize_in(
+        &mut session,
+        &ctx.engine,
+        filter,
+        &ctx.suffix,
+        Some(&ctx.errorlog),
+        &ctx.retry,
+        &ctx.stats,
+    );
+    let report = match resync {
+        Ok(report) => report,
+        Err(e) => {
+            drop(session);
+            {
+                let mut g = unpoison(runtime.inner.lock());
+                g.consecutive_failures += 1;
+                g.last_error = Some(e.to_string());
+                g.relapses += 1;
+                let wait = 1u32 << g.relapses.min(MAX_RELAPSE_BACKOFF);
+                g.next_probe = Some(Instant::now() + runtime.policy.probe_interval * wait);
+            }
+            if !e.is_transient() {
+                return Err(e);
+            }
+            runtime.alert(
+                0,
+                &format!("device {} relapsed mid-resync: {e}", runtime.name),
+            );
+            return Ok(RecoveryOutcome::StillDown);
         }
-    }
-    if !mods.is_empty() && dir.modify(dn, &mods).is_ok() {
-        ctx.stats.generated_merges.fetch_add(1, Ordering::Relaxed);
-    }
+    };
+    runtime.obs.resyncs.inc();
+    // `Up` and logged clean before the quiesce lifts: the first update
+    // after it applies to the device directly.
+    runtime.close();
+    drop(session);
+    runtime.alert(
+        0,
+        &format!(
+            "device {} offline -> up (recovered via full resynchronization: \
+             {} added, {} repaired, {} cleared)",
+            runtime.name, report.added, report.repaired, report.cleared
+        ),
+    );
+    Ok(RecoveryOutcome::Resynchronized(report))
 }
 
 /// A deployment's long-lived threads — the recovery monitor, the DDU
@@ -731,6 +577,70 @@ mod tests {
             assert!(d <= Duration::from_millis(30), "attempt {attempt}: {d:?}");
             assert!(d >= Duration::from_millis(2), "attempt {attempt}: {d:?}");
         }
+    }
+
+    /// Only a resync leaves `Offline`: neither a leg let through before the
+    /// breaker opened that succeeds nor one that fails after it. A resync
+    /// the link drops makes the monitor wait two probe intervals; one that
+    /// finishes ends the wait.
+    #[test]
+    fn only_a_resync_leaves_offline() {
+        let switch = Arc::new(pbx::Store::new(
+            "pbx-west",
+            pbx::DialPlan::with_prefix("1", 4),
+        ));
+        let interval = Duration::from_secs(3600);
+        let link_drops_first_apply = crate::FaultPlan {
+            down_after: Some(0),
+            ..crate::FaultPlan::default()
+        };
+        let system = crate::MetaCommBuilder::new("o=Lucent")
+            .add_pbx(switch.clone(), "1???")
+            .with_retry_policy(RetryPolicy::none())
+            .with_breaker_policy(BreakerPolicy {
+                probe_interval: interval,
+                ..BreakerPolicy::default()
+            })
+            .with_fault_plan("pbx-west", link_drops_first_apply)
+            .build()
+            .expect("build");
+        let runtime = &system.device("pbx-west").expect("device").runtime;
+        let down = MetaError::DeviceUnreachable {
+            repository: "pbx-west".into(),
+            detail: "link down".into(),
+        };
+        for _ in 0..BreakerPolicy::default().offline_after {
+            runtime.record_failure(0, &down);
+        }
+        // The resync's one apply adds the station this update's leg skipped.
+        let wba = system.wba();
+        wba.add_person_with_extension("John Doe", "Doe", "1100", "R0")
+            .expect("the leg skips the device");
+        runtime.record_success();
+        runtime.record_failure(0, &down);
+        assert_eq!(runtime.health().state, HealthState::Offline);
+        assert!(runtime.mark().stale);
+
+        let start = Instant::now();
+        let outcome = system.probe_device("pbx-west").expect("probe");
+        assert_eq!(outcome, RecoveryOutcome::StillDown);
+        assert!(!runtime.probe_due(start + interval * 2 - Duration::from_secs(1)));
+        assert!(runtime.probe_due(Instant::now() + interval * 2));
+
+        system
+            .fault_handle("pbx-west")
+            .expect("handle")
+            .set_down(false);
+        let outcome = system.probe_device("pbx-west").expect("probe");
+        assert!(
+            matches!(outcome, RecoveryOutcome::Resynchronized(_)),
+            "{outcome:?}"
+        );
+        assert_eq!(runtime.health().state, HealthState::Up);
+        assert!(!runtime.mark().stale);
+        assert!(runtime.probe_due(start));
+        assert!(switch.get("1100").is_some());
+        system.shutdown();
     }
 
     #[test]

@@ -16,7 +16,7 @@ use ldap::dn::Dn;
 use ldap::entry::Modification;
 use ldap::{Filter, ResultCode, Scope};
 use lexpress::{Engine, Image, OpKind, TargetOp, UpdateDescriptor};
-use ltap::Gateway;
+use ltap::{Gateway, SyncSession};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -206,11 +206,12 @@ pub fn synchronize_device(
 }
 
 /// The inverse direction: reapply the directory's current materialization
-/// onto a device that missed updates while its circuit breaker was open and
-/// whose outage journal overflowed. Here the *directory* is authoritative —
-/// the device was unreachable the whole time, so its records are stale, not
-/// ahead. Report fields read device-side: `added`/`repaired`/`cleared`
-/// count device records created/corrected/removed.
+/// onto a device that missed updates while its circuit breaker was open.
+/// Here the *directory* is authoritative — the device was unreachable
+/// while legs skipped it, so its records are stale, not ahead. Runs in
+/// isolation, like [`synchronize_device`]. Report fields read device-side:
+/// `added`/`repaired`/`cleared` count device records created/corrected/
+/// removed.
 pub fn resynchronize_device_from_directory(
     gateway: &Arc<Gateway>,
     engine: &Engine,
@@ -220,16 +221,45 @@ pub fn resynchronize_device_from_directory(
     retry: &crate::resilience::RetryPolicy,
     stats: &crate::um::UmStats,
 ) -> crate::error::Result<SyncReport> {
-    let mut report = SyncReport::default();
-    let dir = gateway.inner();
-    let presence = filter.ldap_presence_attr();
-    let holders = dir.search(
+    resynchronize_in(
+        &mut gateway.begin_sync(),
+        engine,
+        filter,
         suffix,
-        Scope::Sub,
-        &Filter::parse(&format!("({presence}=*)")).expect("valid filter"),
-        &[],
-        0,
-    )?;
+        errorlog,
+        retry,
+        stats,
+    )
+}
+
+/// [`resynchronize_device_from_directory`] within `session`, which the
+/// caller holds around it (recovery re-checks the device's state under it
+/// first, and marks the device clean before it drops). A transient device
+/// fault that retry does not mask ends the resync with that error: the
+/// link is gone again, and every later apply would only fail too.
+///
+/// Cost: one translation per holder, read in place; one device apply, and
+/// for a generated field one directory write, per record that differs.
+pub(crate) fn resynchronize_in(
+    session: &mut SyncSession,
+    engine: &Engine,
+    filter: &Arc<dyn DeviceFilter>,
+    suffix: &Dn,
+    errorlog: Option<&ErrorLog>,
+    retry: &crate::resilience::RetryPolicy,
+    stats: &crate::um::UmStats,
+) -> crate::error::Result<SyncReport> {
+    let mut report = SyncReport::default();
+    // A record the resync could not set right: counted, and logged for the
+    // administrator (§4.4).
+    let dir = session.directory().clone();
+    let fail = |report: &mut SyncReport, text: String, detail: String| {
+        report.failed += 1;
+        if let Some(log) = errorlog {
+            log.log(dir.as_ref(), 0, &text, &detail);
+        }
+    };
+    let presence = filter.ldap_presence_attr();
     // Current device state, keyed the way the device keys it.
     let mut device: HashMap<String, Image> = filter
         .dump()
@@ -239,97 +269,97 @@ pub fn resynchronize_device_from_directory(
             Some((key, r))
         })
         .collect();
+    // The holders stream past where the directory keeps them: the visitor
+    // translates each and keeps only the ops for records the device lacks
+    // or holds differently. Applying them waits until the read is over.
     let from_ldap = filter.mapping_from_ldap();
-    for entry in holders {
-        let d = UpdateDescriptor::add(
-            entry.dn().to_string(),
-            entry_to_image(&entry),
-            filter.name(),
-        );
-        let mut top = match engine.translate(from_ldap, &d) {
-            Ok(t) => t,
-            Err(_) => {
+    let mut pending: Vec<(Dn, String, TargetOp, bool)> = Vec::new();
+    session.search_visit(
+        suffix,
+        Scope::Sub,
+        &Filter::parse(&format!("({presence}=*)")).expect("valid filter"),
+        &mut |entry| {
+            let d =
+                UpdateDescriptor::add(entry.dn().to_string(), entry_to_image(entry), filter.name());
+            let mut top = match engine.translate(from_ldap, &d) {
+                Ok(t) => t,
+                Err(_) => {
+                    report.failed += 1;
+                    return;
+                }
+            };
+            if top.kind == OpKind::Skip {
+                return; // another device's partition
+            }
+            let Some(key) = top.new_key.clone() else {
                 report.failed += 1;
+                return;
+            };
+            let existing = device.remove(&key);
+            if let Some(rec) = &existing {
+                // The device may carry generated fields the directory never
+                // set (defaults filled in at add time) — only the attrs the
+                // directory materializes need to match.
+                let consistent = top
+                    .attrs
+                    .iter()
+                    .all(|(name, values)| rec.first(name) == values.first().map(String::as_str));
+                if consistent {
+                    report.unchanged += 1;
+                    return;
+                }
+            }
+            // §5.4 conditional add: modify-then-add, i.e. an upsert.
+            top.conditional = true;
+            pending.push((entry.dn().clone(), key, top, existing.is_some()));
+        },
+    )?;
+    let any_entry = Filter::match_all();
+    for (dn, key, top, existed) in pending {
+        // Retried — a still-flaky link must not silently shrink the resync.
+        let outcome = match crate::resilience::apply_with_retry(filter, &top, retry, stats) {
+            Ok(outcome) => outcome,
+            Err(e) if e.is_transient() => return Err(e),
+            Err(e) => {
+                let text = format!("resync of {key} to {} failed: {e}", filter.name());
+                fail(&mut report, text, format!("{top:?}"));
                 continue;
             }
         };
-        if top.kind == OpKind::Skip {
-            continue; // another device's partition
-        }
-        let Some(key) = top.new_key.clone() else {
-            report.failed += 1;
-            continue;
-        };
-        let existing = device.remove(&key);
-        if let Some(rec) = &existing {
-            // The device may carry generated fields the directory never set
-            // (defaults filled in at add time) — only the attrs the
-            // directory materializes need to match.
-            let consistent = top
-                .attrs
-                .iter()
-                .all(|(name, values)| rec.first(name) == values.first().map(String::as_str));
-            if consistent {
-                report.unchanged += 1;
-                continue;
-            }
-        }
-        // §5.4 conditional add: modify-then-add, i.e. an upsert. Retried —
-        // a still-flaky link must not silently shrink the resync.
-        top.conditional = true;
-        match crate::resilience::apply_with_retry(filter, &top, retry, stats) {
-            Ok(outcome) => {
-                // Fold device-generated info back into the directory. No
-                // quiesce is held here: the entry may have been deleted
-                // since the search, or the schema may refuse the fields —
-                // then the device has the record but the directory lost
-                // what the device generated for it, which the
-                // administrator must hear about.
-                let mut mods = Vec::new();
-                if let Some(gen) = outcome.generated {
-                    mods = aux_class_mods(&entry, &gen);
+        // Fold device-generated info back into the entry where it stands.
+        // It may be gone by now, or the schema may refuse the fields: then
+        // the device has the record but the directory lost what the device
+        // generated for it, which the administrator must hear about.
+        let mut mods = Vec::new();
+        let folded = match outcome.generated {
+            None => Ok(()),
+            Some(gen) => session
+                .search_visit(&dn, Scope::Base, &any_entry, &mut |entry| {
+                    mods = aux_class_mods(entry, &gen);
                     for (name, values) in gen.iter() {
                         if entry.values(name) != values {
                             mods.push(Modification::replace(name, values.to_vec()));
                         }
                     }
-                }
-                let folded = if mods.is_empty() {
-                    Ok(())
-                } else {
-                    dir.modify(entry.dn(), &mods)
-                };
-                match folded {
-                    Ok(()) if existing.is_some() => report.repaired += 1,
-                    Ok(()) => report.added += 1,
-                    Err(e) => {
-                        report.failed += 1;
-                        if let Some(log) = errorlog {
-                            log.log(
-                                dir.as_ref(),
-                                0,
-                                &format!(
-                                    "resync of {key} to {} applied, but folding its generated \
-                                     fields back into {} failed: {e}",
-                                    filter.name(),
-                                    entry.dn()
-                                ),
-                                &format!("{mods:?}"),
-                            );
-                        }
+                })
+                .and_then(|()| {
+                    if mods.is_empty() {
+                        Ok(())
+                    } else {
+                        session.modify(&dn, &mods)
                     }
-                }
-            }
+                }),
+        };
+        match folded {
+            Ok(()) if existed => report.repaired += 1,
+            Ok(()) => report.added += 1,
             Err(e) => {
-                report.failed += 1;
-                if let Some(log) = errorlog {
-                    log.log(
-                        dir.as_ref(),
-                        0,
-                        &format!("resync of {key} to {} failed: {e}", filter.name()),
-                        &format!("{top:?}"),
-                    );
-                }
+                let text = format!(
+                    "resync of {key} to {} applied, but folding its generated fields back \
+                     into {dn} failed: {e}",
+                    filter.name(),
+                );
+                fail(&mut report, text, format!("{mods:?}"));
             }
         }
     }
@@ -346,16 +376,10 @@ pub fn resynchronize_device_from_directory(
         };
         match crate::resilience::apply_with_retry(filter, &top, retry, stats) {
             Ok(_) => report.cleared += 1,
+            Err(e) if e.is_transient() => return Err(e),
             Err(e) => {
-                report.failed += 1;
-                if let Some(log) = errorlog {
-                    log.log(
-                        dir.as_ref(),
-                        0,
-                        &format!("resync removal of {key} at {} failed: {e}", filter.name()),
-                        &format!("{top:?}"),
-                    );
-                }
+                let text = format!("resync removal of {key} at {} failed: {e}", filter.name());
+                fail(&mut report, text, format!("{top:?}"));
             }
         }
     }

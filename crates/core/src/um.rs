@@ -34,10 +34,9 @@ use crate::errorlog::ErrorLog;
 use crate::filter::DeviceFilter;
 use crate::image::{aux_classes, diff_mods_full, entry_to_image, image_to_entry};
 use crate::obs::{Counter, DeviceObs, Registry};
-use crate::resilience::{apply_with_retry, Device, DeviceRuntime, RetryPolicy};
+use crate::resilience::{apply_with_retry, Device, RetryPolicy};
 use crate::schema::LAST_UPDATER;
 use crate::unpoison;
-use ldap::dn::Dn;
 use ldap::entry::{Entry, Modification};
 use ldap::{Directory, LdapError, ResultCode};
 use lexpress::{Closure, Engine, Image, OpKind, TargetOp, UpdateDescriptor};
@@ -79,7 +78,7 @@ pub struct UpdateTrace {
 }
 
 /// Update Manager statistics (read by tests and the benchmark): handles on
-/// the deployment's `um` component. The four outage totals are sums over
+/// the deployment's `um` component. The two outage totals are sums over
 /// the devices' own counters, so an outage event is counted once, on its
 /// device.
 pub struct UmStats {
@@ -100,13 +99,9 @@ pub struct UmStats {
     pub undone: Arc<Counter>,
     /// Transient device faults masked by retry (each retry attempt counts).
     pub retried: Arc<Counter>,
-    /// Device operations queued in an outage journal instead of applied.
-    pub queued: DeviceTotal,
     /// Circuit-breaker openings (a device going `Offline`).
     pub breaker_trips: DeviceTotal,
-    /// Journaled operations reapplied during recovery drains.
-    pub journal_drained: DeviceTotal,
-    /// Full resynchronizations run because an outage journal overflowed.
+    /// Full resynchronizations run on reconnect.
     pub full_resyncs: DeviceTotal,
 }
 
@@ -127,9 +122,7 @@ impl UmStats {
             t
         };
         Arc::new(UmStats {
-            queued: total("queued", |d| &d.queued),
             breaker_trips: total("breakerTrips", |d| &d.breaker_trips),
-            journal_drained: total("journalDrained", |d| &d.drained),
             full_resyncs: total("fullResyncs", |d| &d.resyncs),
             updates: um.counter("updates"),
             device_ops: um.counter("deviceOps"),
@@ -172,7 +165,7 @@ pub(crate) struct Shared {
     pub inner: Arc<dyn Directory>,
     pub engine: Arc<Engine>,
     pub closure: Arc<Closure>,
-    /// Every integrated repository — filter and breaker/journal runtime —
+    /// Every integrated repository — filter and breaker runtime —
     /// in registration order, which is the fan-out order.
     pub devices: Arc<[Device]>,
     pub errorlog: Arc<ErrorLog>,
@@ -556,23 +549,15 @@ struct FanOut<'a> {
     /// The post-closure descriptor every leg translates; device-generated
     /// info is merged into it leg by leg.
     d: &'a mut UpdateDescriptor,
-    /// The directory DN the entry will live at after this update — attached
-    /// to journaled ops so device-generated info can still be folded back
-    /// when they finally apply during a recovery drain.
-    post_dn: Option<Dn>,
     trace: &'a mut UpdateTrace,
     span: &'a mut crate::obs::Span,
     /// Compensating ops for already-applied device ops, in apply order.
     undo: Vec<(Arc<dyn DeviceFilter>, TargetOp)>,
-    /// Journal tickets issued for this update — withdrawn if it later
-    /// aborts (the directory never sees the update, so reapplying would
-    /// diverge).
-    tickets: Vec<(Arc<DeviceRuntime>, u64)>,
 }
 
 impl FanOut<'_> {
     /// Run one device filter's leg: translate the descriptor, consult the
-    /// breaker/journal, apply with retry, and merge device-generated info
+    /// breaker, apply with retry, and merge device-generated info
     /// so the next leg translates the augmented image. An `Err` aborts the
     /// update: translate error, semantic rejection, or a transient fault
     /// that did not open the breaker.
@@ -590,9 +575,9 @@ impl FanOut<'_> {
             self.trace_leg(f, &top, "Skip".into(), false);
             return Ok(());
         }
-        // Breaker open (or a drain in progress): store-and-forward.
-        if rt.should_journal() {
-            self.journal(rt, f, top);
+        // Breaker open: skip the device until the resync on reconnect.
+        if rt.skip_if_offline() {
+            self.skip(f, &top);
             return Ok(());
         }
         let applied = apply_with_retry(f, &top, &shared.retry, &shared.stats);
@@ -603,14 +588,14 @@ impl FanOut<'_> {
                 rt.obs.failures.inc();
                 // A transient fault means the device never saw the op.
                 // Advance the breaker; if that (or an earlier trip) opened
-                // it, queue the op and let the update proceed — the
+                // it, skip the device and let the update proceed — the
                 // directory stays authoritative. A semantic rejection means
                 // the device is reachable and judged the op invalid: abort
                 // the update (§4.4), breaker untouched.
                 if e.is_transient() {
                     rt.record_failure(self.my_seq, &e);
-                    if rt.should_journal() {
-                        self.journal(rt, f, top);
+                    if rt.skip_if_offline() {
+                        self.skip(f, &top);
                         return Ok(());
                     }
                 }
@@ -645,13 +630,9 @@ impl FanOut<'_> {
         Ok(())
     }
 
-    /// Queue `top` behind everything already journaled for the device, so
-    /// it sees updates in directory order once it reconnects.
-    fn journal(&mut self, rt: &Arc<DeviceRuntime>, f: &Arc<dyn DeviceFilter>, top: TargetOp) {
-        self.trace_leg(f, &top, format!("{:?} (queued)", top.kind), false);
-        if let Some(t) = rt.journal(top, self.post_dn.clone()) {
-            self.tickets.push((rt.clone(), t));
-        }
+    /// The trace row for a leg the open breaker skipped.
+    fn skip(&mut self, f: &Arc<dyn DeviceFilter>, top: &TargetOp) {
+        self.trace_leg(f, top, format!("{:?} (skipped)", top.kind), false);
     }
 
     /// The trace row for this leg: `(repository, op kind, conditional,
@@ -700,19 +681,6 @@ fn process_inner(
         return Err(e.into());
     }
     trace.derived_attrs = before_closure.changed_attrs(&d.new);
-    let post_dn: Option<Dn> = match op {
-        LtapOp::Delete(_) => None,
-        LtapOp::ModifyRdn {
-            dn,
-            new_rdn,
-            new_superior,
-            ..
-        } => match new_superior {
-            Some(sup) => Some(sup.child(new_rdn.clone())),
-            None => dn.with_rdn(new_rdn.clone()).ok(),
-        },
-        other => Some(other.dn().clone()),
-    };
     // Fan out to every device filter, one leg at a time in filter order:
     // a leg's generated info is visible to the next leg's translation, and
     // the first failure ends the fan-out.
@@ -720,20 +688,13 @@ fn process_inner(
         shared,
         my_seq,
         d: &mut d,
-        post_dn,
         trace,
         span,
         undo: Vec::new(),
-        tickets: Vec::new(),
     };
     let failure = shared.devices.iter().try_for_each(|d| fan.leg(d)).err();
-    let FanOut { undo, tickets, .. } = fan;
+    let undo = fan.undo;
     if let Some(e) = failure {
-        // Withdraw ops journaled on behalf of this update: it is aborting,
-        // so the directory will never reflect it.
-        for (rt, t) in &tickets {
-            rt.discard_tickets(&[*t]);
-        }
         shared.stats.errors.fetch_add(1, Ordering::Relaxed);
         shared.errorlog.log(
             shared.inner.as_ref(),
@@ -795,9 +756,6 @@ fn process_inner(
     };
     shared.obs.commit.record(span.mark("commit"));
     if let Err(e) = ldap_result {
-        for (rt, t) in &tickets {
-            rt.discard_tickets(&[*t]);
-        }
         shared.stats.errors.fetch_add(1, Ordering::Relaxed);
         shared.errorlog.log(
             shared.inner.as_ref(),

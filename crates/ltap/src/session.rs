@@ -36,16 +36,18 @@ impl SyncSession {
         }
     }
 
-    fn dir(&self) -> &Arc<dyn Directory> {
+    /// The backing directory the session writes to, for writes that are
+    /// not part of the synchronization itself (the error log).
+    pub fn directory(&self) -> &Arc<dyn Directory> {
         self.gateway.inner()
     }
 
     pub fn add(&mut self, entry: Entry) -> Result<()> {
-        self.dir().add(entry)
+        self.directory().add(entry)
     }
 
     pub fn modify(&mut self, dn: &Dn, mods: &[Modification]) -> Result<()> {
-        self.dir().modify(dn, mods)
+        self.directory().modify(dn, mods)
     }
 
     /// Reads within the session (consistency checks during resync).
@@ -57,7 +59,8 @@ impl SyncSession {
         attrs: &[String],
         size_limit: usize,
     ) -> Result<Vec<Entry>> {
-        self.dir().search(base, scope, filter, attrs, size_limit)
+        self.directory()
+            .search(base, scope, filter, attrs, size_limit)
     }
 
     /// [`search`](SyncSession::search) without the result vector: `visit`
@@ -72,13 +75,13 @@ impl SyncSession {
         filter: &Filter,
         visit: &mut dyn FnMut(&Entry),
     ) -> Result<()> {
-        self.dir()
+        self.directory()
             .search_visit(base, scope, filter, &[], 0, visit)
             .map(|_| ())
     }
 
     pub fn get(&self, dn: &Dn) -> Result<Option<Entry>> {
-        self.dir().get(dn)
+        self.directory().get(dn)
     }
 }
 

@@ -45,8 +45,8 @@ impl std::ops::Deref for Counter {
 }
 
 /// A point-in-time value computed at read time — only for state derived
-/// when read (journal depth, the tree's footprint, a sum over devices),
-/// never a copy of a [`Counter`].
+/// when read (a device's dropped legs, the tree's footprint, a sum over
+/// devices), never a copy of a [`Counter`].
 pub(crate) struct Gauge {
     read: Box<dyn Fn() -> i64 + Send + Sync>,
 }

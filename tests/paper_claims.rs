@@ -1154,33 +1154,32 @@ fn outage_retry() -> RetryPolicy {
 }
 
 /// Open at the first failure; probed by hand, never by the monitor.
-fn outage_breaker(journal_cap: usize) -> BreakerPolicy {
+fn outage_breaker() -> BreakerPolicy {
     BreakerPolicy {
         degraded_after: 1,
         offline_after: 1,
-        journal_cap,
         probe_interval: Duration::from_secs(3600),
     }
 }
 
 /// E12 (§4.4, §5.4): client updates survive a device outage. The directory
-/// takes them while the breaker is open; on reconnect the outage journal
-/// drains as conditional reapplies or, past its cap, a full resync runs,
-/// and either way the switch ends up with every update.
+/// takes them while the breaker is open and their legs skip the switch; on
+/// reconnect one resynchronization from the directory, of conditional
+/// upserts, repairs each station the outage touched, and the switch ends
+/// up with every update.
 #[test]
 fn e12_client_updates_survive_a_device_outage() {
     const PEOPLE: usize = 12;
-    const JOURNAL_CAP: usize = 64;
     let mut table = format!(
-        "{:>8} {:>8} {:>8} {:>14} {:>5}\n",
-        "updates", "queued", "dropped", "mechanism", "lost"
+        "{:>8} {:>8} {:>9} {:>14} {:>5}\n",
+        "updates", "dropped", "repaired", "mechanism", "lost"
     );
     for updates in [8, 32, 128] {
         let switch = Arc::new(PbxStore::new("pbx-1", DialPlan::with_prefix("1", 4)));
         let system = MetaCommBuilder::new("o=Lucent")
             .add_pbx(switch.clone(), "1???")
             .with_retry_policy(outage_retry())
-            .with_breaker_policy(outage_breaker(JOURNAL_CAP))
+            .with_breaker_policy(outage_breaker())
             .with_fault_plan("pbx-1", FaultPlan::default())
             .build()
             .expect("build");
@@ -1195,27 +1194,18 @@ fn e12_client_updates_survive_a_device_outage() {
         let handle = system.fault_handle("pbx-1").expect("fault handle");
         handle.set_down(true);
         for u in 0..updates {
-            wba.assign_room(&cn(u), &format!("R{u}"))
+            wba.assign_room(&cn(u), &format!("R{}", u + 1))
                 .expect("the directory takes client updates during the outage");
         }
         system.settle();
         let health = system.device_health("pbx-1").expect("health");
+        assert_eq!(health.dropped_ops, updates, "every leg skipped the switch");
         handle.set_down(false);
         let outcome = system.probe_device("pbx-1").expect("recover");
-        let mechanism = match (&outcome, updates <= JOURNAL_CAP) {
-            (RecoveryOutcome::Drained(n), true) => {
-                assert_eq!(
-                    (*n, health.queued_ops, health.dropped_ops),
-                    (updates, updates, 0)
-                );
-                format!("drain({n})")
-            }
-            (RecoveryOutcome::Resynchronized(_), false) => {
-                assert_eq!((health.queued_ops, health.dropped_ops), (0, updates));
-                "resync".to_string()
-            }
-            (other, _) => panic!("{updates} queued updates recovered by {other:?}"),
+        let RecoveryOutcome::Resynchronized(report) = &outcome else {
+            panic!("{updates} skipped updates recovered by {outcome:?}");
         };
+        assert_eq!(report.repaired, updates.min(PEOPLE), "{report:?}");
         let lost = (0..PEOPLE)
             .filter(|&i| {
                 let device = switch
@@ -1227,15 +1217,15 @@ fn e12_client_updates_survive_a_device_outage() {
         assert_eq!(lost, 0, "{updates} updates: the switch missed some");
         writeln!(
             table,
-            "{updates:>8} {:>8} {:>8} {mechanism:>14} {lost:>5}",
-            health.queued_ops, health.dropped_ops
+            "{updates:>8} {:>8} {:>9} {:>14} {lost:>5}",
+            health.dropped_ops, report.repaired, "resync"
         )
         .unwrap();
         system.shutdown();
     }
 
     print_table(
-        "E12 — device-outage resilience (breaker, journal, recovery)",
+        "E12 — device-outage resilience (breaker, resync on reconnect)",
         &table,
     );
 }

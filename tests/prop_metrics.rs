@@ -8,7 +8,7 @@
 //! 2. a whole instrumented two-device deployment under randomized
 //!    workloads mixing successful updates, aborted updates, and device
 //!    outages — each `um` outage total is the sum of the matching
-//!    `device-*` counters, one journaled op moves each by exactly one, and
+//!    `device-*` counters, one outage event moves each by exactly one, and
 //!    the stage histograms are consistent with the counters;
 //! 3. a multithreaded stress test: writers hammer one registry while a
 //!    reader snapshots — no snapshot may ever be torn.
@@ -128,8 +128,8 @@ proptest! {
 /// makes duplicate adds (which abort with `entryAlreadyExists`) and
 /// modifies of absent people (`noSuchObject`) likely. Even-numbered people
 /// live on `pbx-west`, odd ones on `pbx-east`. `Outage(k)` takes device
-/// `k % 2` down, journals a burst of updates against it, then reconnects
-/// and drains.
+/// `k % 2` down, runs a burst of updates that skip it, then reconnects
+/// and resyncs it.
 #[derive(Debug, Clone)]
 enum Step {
     Add(u8),
@@ -148,10 +148,8 @@ fn step() -> impl Strategy<Value = Step> {
 const DEVICES: [&str; 2] = ["pbx-west", "pbx-east"];
 
 /// Each `um` outage total and the per-device counter it adds up.
-const OUTAGE_TOTALS: [(&str, &str); 4] = [
-    ("queued", "queuedTotal"),
+const OUTAGE_TOTALS: [(&str, &str); 2] = [
     ("breakerTrips", "breakerTrips"),
-    ("journalDrained", "drainedTotal"),
     ("fullResyncs", "fullResyncs"),
 ];
 
@@ -170,7 +168,6 @@ fn two_pbx_system() -> metacomm::MetaComm {
         .with_breaker_policy(BreakerPolicy {
             degraded_after: 1,
             offline_after: 1,
-            journal_cap: 64,
             probe_interval: Duration::from_secs(3600),
         })
         .with_fault_plan("pbx-west", FaultPlan::default())
@@ -234,8 +231,8 @@ fn run_workload(steps: &[Step]) -> Result<(), TestCaseError> {
     }
     let stats = system.um_stats();
     prop_assert_eq!(
-        stats.journal_drained.load(Ordering::SeqCst),
-        outage_totals(&system)[2].1,
+        stats.full_resyncs.load(Ordering::SeqCst),
+        outage_totals(&system)[1].1,
         "UmStats reads the same sum as cn=monitor"
     );
 
@@ -254,7 +251,7 @@ fn run_workload(steps: &[Step]) -> Result<(), TestCaseError> {
     prop_assert_eq!(abort.count, abort.buckets.iter().sum::<u64>());
 
     // One worker times one update: its stages are consecutive stretches of
-    // that worker's wall time, on every path (ok, abort, journaled).
+    // that worker's wall time, on every path (ok, abort, skipped leg).
     for t in &system.recent_traces() {
         let staged: u64 = t.stage_ns.iter().map(|(_, ns)| ns).sum();
         prop_assert!(
@@ -284,7 +281,6 @@ fn run_workload(steps: &[Step]) -> Result<(), TestCaseError> {
         );
         // Live gauges agree with the health report they are computed from.
         let health = system.device_health(device).expect("health");
-        prop_assert_eq!(dev.value("journalDepth"), Some(health.queued_ops as u64));
         prop_assert_eq!(dev.value("droppedOps"), Some(health.dropped_ops as u64));
     }
 
@@ -312,46 +308,66 @@ fn fixed_success_abort_outage_workload_stays_consistent() {
         Step::Add(0), // duplicate -> abort
         Step::Room(0, 1),
         Step::Room(5, 2), // absent -> abort
-        Step::Outage(3),  // pbx-east: Person 1 journals
-        Step::Outage(2),  // pbx-west: Person 0 journals
+        Step::Outage(3),  // pbx-east: Person 1 skips it
+        Step::Outage(2),  // pbx-west: Person 0 skips it
         Step::Room(0, 3),
     ];
     run_workload(&steps).expect("workload invariants");
 }
 
-/// One journaled op raises `um/queued` and its device's `queuedTotal` by
-/// exactly one each: the op is counted once, and the total is read from
-/// that one count.
+/// One outage raises `um/breakerTrips` and its device's `breakerTrips` by
+/// exactly one each, and one reconnect does the same for `fullResyncs`:
+/// each event is counted once, and the total is read from that one count.
+/// `droppedOps` counts every skipped leg, and the resync zeroes it.
 #[test]
-fn one_journaled_op_moves_the_um_total_and_its_device_by_one() {
+fn one_outage_moves_the_um_totals_and_its_device_by_one() {
     let system = two_pbx_system();
     let wba = system.wba();
     wba.add_person_with_extension("Person 0", "Person", "1000", "R0")
         .expect("add");
     system.settle();
-    let queued = |system: &metacomm::MetaComm| {
+    let counts = |system: &metacomm::MetaComm| {
         let snap = system.metrics_snapshot();
         let value = |c: &str, m: &str| snap.value(c, m).expect("metric");
-        (
-            value("um", "queued"),
-            value("device-pbx-west", "queuedTotal"),
-            value("device-pbx-east", "queuedTotal"),
-        )
+        [
+            [
+                value("um", "breakerTrips"),
+                value("device-pbx-west", "breakerTrips"),
+                value("device-pbx-east", "breakerTrips"),
+            ],
+            [
+                value("um", "fullResyncs"),
+                value("device-pbx-west", "fullResyncs"),
+                value("device-pbx-east", "fullResyncs"),
+            ],
+            [
+                value("device-pbx-west", "droppedOps"),
+                value("device-pbx-east", "droppedOps"),
+                0,
+            ],
+        ]
     };
-    assert_eq!(queued(&system), (0, 0, 0));
-    system
-        .fault_handle("pbx-west")
-        .expect("fault handle")
-        .set_down(true);
-    // The first op trips the breaker and is journaled; the second finds
-    // the device offline and is journaled straight away.
-    for (i, want) in [(1, (1, 1, 0)), (2, (2, 2, 0))] {
+    assert_eq!(counts(&system), [[0; 3]; 3]);
+    let handle = system.fault_handle("pbx-west").expect("fault handle");
+    handle.set_down(true);
+    // The first op trips the breaker and skips the device; the second
+    // finds it offline and skips it straight away.
+    for (i, dropped) in [(1, 1), (2, 2)] {
         wba.assign_room("Person 0", &format!("R{i}"))
-            .expect("journaled update succeeds");
+            .expect("update during the outage succeeds");
         system.settle();
-        assert_eq!(queued(&system), want, "after journaled op {i}");
-        assert_eq!(system.um_stats().queued.load(Ordering::SeqCst), want.0);
+        assert_eq!(
+            counts(&system),
+            [[1, 1, 0], [0, 0, 0], [dropped, 0, 0]],
+            "after skipped leg {i}"
+        );
     }
+    handle.set_down(false);
+    system.probe_device("pbx-west").expect("recover");
+    assert_eq!(counts(&system), [[1, 1, 0], [1, 1, 0], [0, 0, 0]]);
+    let stats = system.um_stats();
+    assert_eq!(stats.breaker_trips.load(Ordering::SeqCst), 1);
+    assert_eq!(stats.full_resyncs.load(Ordering::SeqCst), 1);
     system.shutdown();
 }
 

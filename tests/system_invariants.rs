@@ -330,7 +330,6 @@ fn faulty_run(seed: u64, rounds: usize) {
         .with_breaker_policy(BreakerPolicy {
             degraded_after: 1,
             offline_after: 2,
-            journal_cap: 16, // small enough that long outages overflow
             probe_interval: Duration::from_secs(3600), // recovery driven below
         })
         .with_fault_plan("pbx-west", plan)
@@ -406,8 +405,9 @@ fn faulty_run(seed: u64, rounds: usize) {
     }
     s.system.settle();
     // Faults clear; drive recovery until the device reports healthy. A
-    // still-flaky link can re-trip the breaker mid-drain (error_every keeps
-    // firing) — each probe then drains further; retry masks the rest.
+    // still-flaky link can fail a resync apply that retry does not mask
+    // (error_every keeps firing) — the device then stays offline and the
+    // next probe resyncs again.
     let handle = s.system.fault_handle("pbx-west").expect("fault handle");
     handle.set_down(false);
     let mut recovered = false;
