@@ -26,7 +26,6 @@ fn build(dir: &Path) -> (MetaComm, Arc<PbxStore>) {
     let west = Arc::new(PbxStore::new("pbx-1", DialPlan::with_prefix("1", 4)));
     let system = MetaCommBuilder::new("o=Lucent")
         .add_pbx(west.clone(), "1???")
-        .with_um_workers(4)
         .with_durability(dir.to_path_buf())
         .with_fsync_policy(FsyncPolicy::Group)
         .build()

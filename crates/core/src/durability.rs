@@ -248,9 +248,10 @@ impl Durability {
 
     /// Append a record to the current segment without waiting for
     /// durability — the async half of group commit. The gateway's
-    /// after-trigger runs [`Durability::commit_barrier`] on the client
-    /// thread before the update call returns, so UM workers never park in
-    /// an fsync wait and concurrent commits coalesce into large batches.
+    /// after-trigger runs [`Durability::commit_barrier`] once the Update
+    /// Manager has committed and before the update call returns, so the
+    /// commit itself never parks in an fsync wait and concurrent commits
+    /// coalesce into large batches.
     /// Failures degrade durability, not availability: they are counted and
     /// alerted by the WAL's sink, and the in-memory commit stands.
     fn append(&self, tag: u8, payload: &[u8]) {

@@ -71,7 +71,7 @@ pub use wba::Wba;
 use crate::ddu::{Relay, RelayStats};
 use crate::durability::Durability;
 use crate::resilience::{Background, DeviceRuntime, RecoveryCtx};
-use crate::um::{Shared, UpdateManager};
+use crate::um::Shared;
 use ldap::dn::Dn;
 use ldap::entry::Entry;
 use ldap::{Directory, Filter as LdapFilter};
@@ -104,7 +104,6 @@ pub struct MetaCommBuilder {
     fault_plans: HashMap<String, FaultPlan>,
     clock: Option<Arc<dyn Clock>>,
     indexed_attrs: Option<Vec<String>>,
-    um_workers: Option<usize>,
     idle_timeout: Option<std::time::Duration>,
 }
 
@@ -127,7 +126,6 @@ impl MetaCommBuilder {
             fault_plans: HashMap::new(),
             clock: None,
             indexed_attrs: None,
-            um_workers: None,
             idle_timeout: None,
         }
     }
@@ -143,17 +141,6 @@ impl MetaCommBuilder {
         S: Into<String>,
     {
         self.indexed_attrs = Some(attrs.into_iter().map(Into::into).collect());
-        self
-    }
-
-    /// Number of Update Manager workers in the key-ordered executor.
-    /// Updates to the same post-update DN stay strictly FIFO on one worker;
-    /// distinct DNs may proceed concurrently. Within one update the owning
-    /// worker always walks the device filters itself, in filter order, at
-    /// every worker count. Defaults to the available parallelism, capped at
-    /// 4; `1` is the paper's single coordinator.
-    pub fn with_um_workers(mut self, workers: usize) -> Self {
-        self.um_workers = Some(workers.max(1));
         self
     }
 
@@ -420,40 +407,29 @@ impl MetaCommBuilder {
         // Global update sequence counter, shared with the relays so every
         // error-log entry carries a real monotonic sequence number.
         let seq = Arc::new(AtomicU64::new(1));
-        let um_workers = self
-            .um_workers
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-                    .min(4)
-            })
-            .max(1);
-        let um = UpdateManager::start(
-            Shared {
-                inner: dit.clone() as Arc<dyn Directory>,
-                engine: engine.clone(),
-                closure,
-                devices: devices.clone(),
-                errorlog: errorlog.clone(),
-                stats: um_stats.clone(),
-                saga: self.saga,
-                traces: Arc::new(Mutex::new(std::collections::VecDeque::with_capacity(
-                    um::TRACE_CAPACITY,
-                ))),
-                retry: self.retry.clone(),
-                seq: seq.clone(),
-                obs: um_obs,
-            },
-            um_workers,
-        );
+        let um = Arc::new(Shared {
+            inner: dit.clone() as Arc<dyn Directory>,
+            engine: engine.clone(),
+            closure,
+            devices: devices.clone(),
+            errorlog: errorlog.clone(),
+            stats: um_stats.clone(),
+            saga: self.saga,
+            traces: Mutex::new(std::collections::VecDeque::with_capacity(
+                um::TRACE_CAPACITY,
+            )),
+            retry: self.retry.clone(),
+            seq: seq.clone(),
+            obs: um_obs,
+            closing: AtomicBool::new(false),
+        });
         gateway.register(
             TriggerSpec::all_updates("metacomm-um", suffix.clone())
                 .with_filter(LdapFilter::eq("objectClass", "person")),
-            um.handler(),
+            um::handler(um.clone()),
         );
         // Group-commit barrier: WAL appends on the commit path are async
-        // (workers never park in fsync); this after-trigger makes the
+        // (updates never park in fsync); this after-trigger makes the
         // *client* wait until its records are on stable storage before its
         // update call returns — every acknowledged update is durable.
         if let Some((dur, _)) = &durability {
@@ -513,7 +489,7 @@ impl MetaCommBuilder {
             engine,
             devices,
             errorlog,
-            um: Mutex::new(Some(um)),
+            um,
             um_stats,
             background: Mutex::new(background),
             relay_stats,
@@ -535,7 +511,8 @@ pub struct MetaComm {
     engine: Arc<Engine>,
     devices: Arc<[Device]>,
     errorlog: Arc<ErrorLog>,
-    um: Mutex<Option<UpdateManager>>,
+    /// The Update Manager's state, shared with its trigger handler.
+    um: Arc<Shared>,
     um_stats: Arc<UmStats>,
     /// The DDU relays and the recovery monitor.
     background: Mutex<Background>,
@@ -614,20 +591,10 @@ impl MetaComm {
         &self.um_stats
     }
 
-    /// Number of Update Manager executor workers (0 after shutdown).
-    pub fn um_workers(&self) -> usize {
-        unpoison(self.um.lock())
-            .as_ref()
-            .map_or(0, UpdateManager::workers)
-    }
-
-    /// Recent per-update traces from the coordinator (oldest first) —
+    /// Recent per-update traces from the Update Manager (oldest first) —
     /// "why did my update (not) reach the switch?".
     pub fn recent_traces(&self) -> Vec<um::UpdateTrace> {
-        unpoison(self.um.lock())
-            .as_ref()
-            .map(|um| um.recent_traces())
-            .unwrap_or_default()
+        unpoison(self.um.traces.lock()).iter().cloned().collect()
     }
 
     pub fn relay_stats(&self) -> &Arc<RelayStats> {
@@ -729,8 +696,8 @@ impl MetaComm {
         self.durability.as_ref().map(|d| d.report().clone())
     }
 
-    /// Wait until the pipeline is quiescent (no DDUs in flight, the UM
-    /// queue drained). Used by tests, the rigs and the benchmark; detects
+    /// Wait until the pipeline is quiescent (no DDUs in flight and no
+    /// update under way: the counters stop moving). Used by tests, the rigs and the benchmark; detects
     /// stability rather than relying on fixed sleeps.
     pub fn settle(&self) {
         let snapshot = |mc: &MetaComm| {
@@ -769,9 +736,10 @@ impl MetaComm {
     /// begun is left to the next synchronization.
     pub fn shutdown(&self) {
         unpoison(self.background.lock()).stop();
-        if let Some(mut um) = unpoison(self.um.lock()).take() {
-            um.shutdown();
-        }
+        // New traps are refused; each update already past that check holds
+        // an update pass, so opening the §5.1 quiesce waits it out.
+        self.um.closing.store(true, Ordering::SeqCst);
+        drop(self.gateway.begin_sync());
         // Everything committed is already framed in the log; one last sync
         // covers the Never-policy tail so a clean shutdown loses nothing.
         if let Some(dur) = &self.durability {

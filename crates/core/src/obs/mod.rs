@@ -35,8 +35,9 @@ pub(crate) struct UmObs {
     pub update: Arc<Histogram>,
     /// Total latency of aborted updates (the §4.4 abort path).
     pub abort: Arc<Histogram>,
-    /// Queue wait: trap enqueue → coordinator pickup (lock + WBA/LTAP
-    /// acquisition happens before the trap, queue acquisition after).
+    /// Hand-off: trigger fire → `process` start, on the thread that
+    /// trapped the update (the LTAP lock is taken before the trigger
+    /// fires, so it is not in here).
     pub acquire: Arc<Histogram>,
     /// Transitive-closure (hub rules) stage.
     pub closure: Arc<Histogram>,

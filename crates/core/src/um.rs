@@ -3,32 +3,28 @@
 //! consistent."
 //!
 //! Updates enter through LTAP: the UM registers a before-trigger with the
-//! gateway; the trigger enqueues the trapped operation and waits; a worker
-//! translates it to every relevant device filter (conditional ops for the
-//! originating device), folds device-generated information back in, applies
-//! the augmented update to the LDAP server, and replies. The trigger then
-//! reports `Disposition::Handled`, so the gateway does not re-apply the
-//! original.
+//! gateway, and the trigger itself translates the trapped operation to
+//! every relevant device filter (conditional ops for the originating
+//! device), folds device-generated information back in, and applies the
+//! augmented update to the LDAP server. It then reports
+//! `Disposition::Handled`, so the gateway does not re-apply the original.
 //!
-//! The paper describes a single coordinator thread. We keep its semantics
-//! but pipeline it as a **key-ordered executor**: updates are sharded onto
-//! N workers by the *post-closure* DN of the entry they touch, so updates
-//! to the same entry retain strict FIFO order (one shard = one channel =
-//! one worker draining it in order) while updates to distinct entries may
-//! proceed concurrently. The per-entry LTAP lock held by the gateway for
-//! the whole round trip already serializes racing writes to the same
-//! *pre*-update DN; sharding by the *post*-update DN additionally orders a
-//! rename into an entry against concurrent writes to that entry. A global
-//! `seq` counter is kept so traces and the ErrorLog stay monotonic.
+//! The paper describes a single coordinator thread. Here the thread that
+//! trapped the update runs it — a wire CPU worker, a `ddu-relay-*` thread
+//! or a library caller — while the gateway holds the LTAP entry lock (§4.3;
+//! a rename also holds the lock on the DN it renames to). Updates to the
+//! same entry are serialized by that lock; updates to distinct entries run
+//! concurrently on their callers' threads. A global `seq` counter is kept
+//! so traces and the ErrorLog stay monotonic.
 //!
-//! Within one update there is one schedule at every worker count, the
-//! paper's (§4.4, §5.5): the worker that owns the key walks
-//! `shared.devices` itself, in filter order — a leg's device-generated
-//! info is visible to the next leg's translation, the first failure ends
-//! the fan-out (later devices never see an update that is aborting), and
-//! the LDAP server is updated last. An update creates no thread. The
-//! price: an update that touches k slow devices costs the sum of their
-//! latencies, not the max.
+//! Within one update the schedule is the paper's (§4.4, §5.5): the update
+//! walks `shared.devices` in filter order — a leg's device-generated info
+//! is visible to the next leg's translation, the first failure ends the
+//! fan-out (later devices never see an update that is aborting), and the
+//! LDAP server is updated last. An update creates no thread. The price: an
+//! update that touches k slow devices costs the sum of their latencies,
+//! not the max, and the UM's concurrency is its callers' — bounded by the
+//! wire pool and the relays.
 
 use crate::errorlog::ErrorLog;
 use crate::filter::DeviceFilter;
@@ -41,12 +37,9 @@ use ldap::entry::{Entry, Modification};
 use ldap::{Directory, LdapError, ResultCode};
 use lexpress::{Closure, Engine, Image, OpKind, TargetOp, UpdateDescriptor};
 use ltap::{Disposition, LtapOp, TriggerContext, TriggerHandler};
-use std::hash::{Hash, Hasher};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// A per-update trace record: what the Update Manager did with one trapped
 /// operation (kept in a bounded ring by the Update Manager). This is the
@@ -66,14 +59,14 @@ pub struct UpdateTrace {
     pub device_ops: Vec<(String, String, bool, bool)>,
     /// `Ok` or the error message the client received.
     pub outcome: String,
-    /// Stage durations from the worker's span, in first-marked order:
-    /// `acquire` (queue wait), `closure`, `translate`, `apply`, `commit`.
-    /// Repeated stages (one `translate` per device filter, one `apply` per
-    /// device touched) accumulate. Stages are consecutive stretches of the
-    /// one worker's wall time, so `Σ stage ≤ total`; the remainder is the
-    /// abort path and the reply.
+    /// Stage durations from the update's span, in first-marked order:
+    /// `acquire` (hand-off from trigger fire to `process` start),
+    /// `closure`, `translate`, `apply`, `commit`. Repeated stages (one
+    /// `translate` per device filter, one `apply` per device touched)
+    /// accumulate. Stages are consecutive stretches of the one thread's
+    /// wall time, so `Σ stage ≤ total`; the remainder is the abort path.
     pub stage_ns: Vec<(String, u64)>,
-    /// Total update latency (enqueue → reply), nanoseconds.
+    /// Total update latency (trigger fire → return), nanoseconds.
     pub total_ns: u64,
 }
 
@@ -148,19 +141,6 @@ impl DeviceTotal {
     }
 }
 
-enum Request {
-    Process {
-        op: LtapOp,
-        pre: Option<Entry>,
-        origin: Option<String>,
-        /// Clock reading when the trigger enqueued the request — the span's
-        /// `acquire` stage measures from here to coordinator pickup.
-        enqueued_ns: u64,
-        reply: Sender<ldap::Result<()>>,
-    },
-    Shutdown,
-}
-
 pub(crate) struct Shared {
     pub inner: Arc<dyn Directory>,
     pub engine: Arc<Engine>,
@@ -174,201 +154,45 @@ pub(crate) struct Shared {
     /// operations when a later one fails.
     pub saga: bool,
     /// Bounded ring of recent update traces.
-    pub traces: Arc<Mutex<std::collections::VecDeque<UpdateTrace>>>,
+    pub traces: Mutex<VecDeque<UpdateTrace>>,
     /// Retry policy for transient device faults.
     pub retry: RetryPolicy,
     /// Global update sequence counter, shared with the DDU relays so
     /// error-log entries carry real monotonic sequence numbers.
     pub seq: Arc<AtomicU64>,
-    /// Pre-resolved histograms/counters for the workers' hot path.
+    /// Pre-resolved histograms/counters for the update path.
     pub obs: Arc<crate::obs::UmObs>,
+    /// Set by shutdown: from then on a trapped update gets a clean
+    /// "shut down" error.
+    pub closing: AtomicBool,
 }
 
 /// Capacity of the trace ring.
 pub(crate) const TRACE_CAPACITY: usize = 256;
 
-/// Deterministically map a post-closure DN key to one of `n` shards.
-/// Exposed so tests (and operators reading traces) can predict which
-/// worker a given entry's updates serialize on.
-pub fn route_shard(norm_key: &str, n: usize) -> usize {
-    if n <= 1 {
-        return 0;
-    }
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    norm_key.hash(&mut h);
-    (h.finish() % n as u64) as usize
-}
-
-/// The post-update DN that keys an operation's shard: for a rename, the
-/// entry's *new* DN (so a rename into an entry orders against concurrent
-/// writes to it); otherwise the target DN itself.
-fn route_key(op: &LtapOp) -> String {
-    match op {
-        LtapOp::ModifyRdn {
-            dn,
-            new_rdn,
-            new_superior,
-            ..
-        } => match new_superior {
-            Some(sup) => sup.child(new_rdn.clone()).norm_key(),
-            None => dn
-                .with_rdn(new_rdn.clone())
-                .map(|d| d.norm_key())
-                .unwrap_or_else(|_| dn.norm_key()),
-        },
-        other => other.dn().norm_key(),
-    }
-}
-
-/// The running Update Manager: a key-ordered executor over N workers.
-pub(crate) struct UpdateManager {
-    txs: Vec<Sender<Request>>,
-    traces: Arc<Mutex<std::collections::VecDeque<UpdateTrace>>>,
-    /// The deployment clock, for stamping enqueue times in the handler.
-    clock: Arc<dyn crate::obs::Clock>,
-    workers: Vec<JoinHandle<()>>,
-    /// Set before the Shutdown requests go out, so triggers that race a
-    /// shutdown get a clean "shut down" error instead of "crashed".
-    closing: Arc<AtomicBool>,
-}
-
-impl UpdateManager {
-    /// Start `workers` executor threads, each owning one shard queue.
-    pub(crate) fn start(shared: Shared, workers: usize) -> UpdateManager {
-        let workers = workers.max(1);
-        let shared = Arc::new(shared);
-        let traces = shared.traces.clone();
-        let clock = shared.obs.clock.clone();
-        let mut txs = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for i in 0..workers {
-            let (tx, rx): (Sender<Request>, Receiver<Request>) = channel();
-            let sh = Arc::clone(&shared);
-            let h = std::thread::Builder::new()
-                .name(format!("um-worker-{i}"))
-                .spawn(move || worker_loop(rx, sh))
-                .expect("spawn um worker");
-            txs.push(tx);
-            handles.push(h);
+/// The LTAP trigger handler: the thread that trapped the update runs it,
+/// under the entry lock the gateway holds.
+pub(crate) fn handler(shared: Arc<Shared>) -> Arc<dyn TriggerHandler> {
+    Arc::new(move |ctx: &TriggerContext<'_>| {
+        if shared.closing.load(Ordering::SeqCst) {
+            return Err(LdapError::new(
+                ResultCode::Unavailable,
+                "update manager is shut down",
+            ));
         }
-        UpdateManager {
-            txs,
-            traces,
-            clock,
-            workers: handles,
-            closing: Arc::new(AtomicBool::new(false)),
-        }
-    }
-
-    /// Number of executor workers (shards).
-    pub(crate) fn workers(&self) -> usize {
-        self.txs.len()
-    }
-
-    /// Most recent update traces, oldest first.
-    pub(crate) fn recent_traces(&self) -> Vec<UpdateTrace> {
-        unpoison(self.traces.lock()).iter().cloned().collect()
-    }
-
-    /// The LTAP trigger handler funneling trapped operations into the
-    /// shard queues: same post-update DN → same shard → FIFO.
-    pub(crate) fn handler(&self) -> Arc<dyn TriggerHandler> {
-        let txs = self.txs.clone();
-        let closing = self.closing.clone();
-        let clock = self.clock.clone();
-        Arc::new(move |ctx: &TriggerContext<'_>| {
-            if closing.load(Ordering::SeqCst) {
-                return Err(LdapError::new(
-                    ResultCode::Unavailable,
-                    "update manager is shut down",
-                ));
-            }
-            let (rtx, rrx) = channel();
-            let shard = route_shard(&route_key(ctx.op), txs.len());
-            let req = Request::Process {
-                op: ctx.op.clone(),
-                pre: ctx.pre_image.cloned(),
-                origin: ctx.origin.map(str::to_string),
-                enqueued_ns: clock.now_ns(),
-                reply: rtx,
-            };
-            if txs[shard].send(req).is_err() {
-                return Err(LdapError::new(
-                    ResultCode::Unavailable,
-                    "update manager is down",
-                ));
-            }
-            match rrx.recv() {
-                Ok(Ok(())) => Ok(Disposition::Handled),
-                Ok(Err(e)) => Err(e),
-                Err(_) if closing.load(Ordering::SeqCst) => Err(LdapError::new(
-                    ResultCode::Unavailable,
-                    "update manager is shut down",
-                )),
-                Err(_) => Err(LdapError::new(
-                    ResultCode::Unavailable,
-                    "update manager crashed while processing",
-                )),
-            }
-        })
-    }
-
-    pub(crate) fn shutdown(&mut self) {
-        if self.workers.is_empty() {
-            return;
-        }
-        self.closing.store(true, Ordering::SeqCst);
-        for tx in &self.txs {
-            let _ = tx.send(Request::Shutdown);
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-}
-
-impl Drop for UpdateManager {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn worker_loop(rx: Receiver<Request>, shared: Arc<Shared>) {
-    let seq = shared.seq.clone();
-    // After the Shutdown request, requests already in this shard's queue (or
-    // racing the shutdown send) are still served: their triggers are blocked
-    // in `rrx.recv()` and must get replies, not a hangup. The worker leaves
-    // once the queue has stayed empty for 10 ms.
-    let mut closing = false;
-    loop {
-        let next = if closing {
-            rx.recv_timeout(Duration::from_millis(10)).ok()
-        } else {
-            rx.recv().ok()
-        };
-        match next {
-            None => return,
-            Some(Request::Shutdown) => closing = true,
-            Some(Request::Process {
-                op,
-                pre,
-                origin,
-                enqueued_ns,
-                reply,
-            }) => {
-                let result = process(&shared, &seq, op, pre, origin, enqueued_ns);
-                let _ = reply.send(result.map_err(crate::error::MetaError::into_ldap));
-            }
-        }
-    }
+        let fired_ns = shared.obs.clock.now_ns();
+        process(&shared, ctx.op, ctx.pre_image, ctx.origin, fired_ns)
+            .map(|()| Disposition::Handled)
+            .map_err(crate::error::MetaError::into_ldap)
+    })
 }
 
 /// Resolve the origin of an update: the LTAP persistent-connection tag wins;
 /// otherwise a `lastUpdater` value the client wrote explicitly; otherwise
 /// the update is an ordinary LDAP-client write ("ldap").
-fn resolve_origin(op: &LtapOp, tagged: Option<String>) -> String {
+fn resolve_origin(op: &LtapOp, tagged: Option<&str>) -> String {
     if let Some(o) = tagged {
-        return o;
+        return o.to_string();
     }
     match op {
         LtapOp::Add(e) => e.first(LAST_UPDATER).map(str::to_string),
@@ -412,7 +236,7 @@ fn descriptor_for(
             dn,
             new_rdn,
             delete_old,
-            new_superior,
+            ..
         } => {
             let pre =
                 pre.ok_or_else(|| crate::error::MetaError::Ldap(LdapError::no_such_object(dn)))?;
@@ -429,13 +253,7 @@ fn descriptor_for(
                     post.add_value(ava.attr(), ava.value());
                 }
             }
-            let new_dn = match new_superior {
-                Some(sup) => sup.child(new_rdn.clone()),
-                None => dn
-                    .with_rdn(new_rdn.clone())
-                    .map_err(crate::error::MetaError::Ldap)?,
-            };
-            post.set_dn(new_dn);
+            post.set_dn(op.target_dn().map_err(crate::error::MetaError::Ldap)?);
             UpdateDescriptor::modify(
                 dn.to_string(),
                 entry_to_image(pre),
@@ -488,18 +306,16 @@ pub(crate) fn aux_class_mods(pre: &Entry, img: &Image) -> Vec<Modification> {
 
 fn process(
     shared: &Shared,
-    seq: &AtomicU64,
-    op: LtapOp,
-    pre: Option<Entry>,
-    tagged_origin: Option<String>,
-    enqueued_ns: u64,
+    op: &LtapOp,
+    pre: Option<&Entry>,
+    tagged_origin: Option<&str>,
+    fired_ns: u64,
 ) -> crate::error::Result<()> {
-    let my_seq = seq.fetch_add(1, Ordering::SeqCst);
+    let my_seq = shared.seq.fetch_add(1, Ordering::SeqCst);
     shared.stats.updates.fetch_add(1, Ordering::Relaxed);
-    let origin = resolve_origin(&op, tagged_origin);
-    // The span's first stage is the queue wait (acquisition): trigger
-    // enqueue → coordinator pickup, i.e. right now.
-    let mut span = crate::obs::Span::start_from(shared.obs.clock.clone(), enqueued_ns, "acquire");
+    let origin = resolve_origin(op, tagged_origin);
+    // The span's first stage is the hand-off: trigger fire → here.
+    let mut span = crate::obs::Span::start_from(shared.obs.clock.clone(), fired_ns, "acquire");
     if let Some((_, wait)) = span.stages().first() {
         shared.obs.acquire.record(*wait);
     }
@@ -513,7 +329,7 @@ fn process(
         stage_ns: Vec::new(),
         total_ns: 0,
     };
-    let result = process_inner(shared, my_seq, &op, pre, &origin, &mut trace, &mut span);
+    let result = process_inner(shared, my_seq, op, pre, &origin, &mut trace, &mut span);
     let (stages, total) = span.finish();
     if result.is_ok() {
         shared.obs.update.record(total);
@@ -532,7 +348,7 @@ fn process(
 
 /// Insert a fully built trace into the bounded ring. All formatting happens
 /// before this call; the mutex covers only an O(1) evict and a push, so
-/// trace retention never serializes the workers' hot path.
+/// trace retention never serializes concurrent updates.
 fn push_trace(shared: &Shared, trace: UpdateTrace) {
     let mut ring = unpoison(shared.traces.lock());
     if ring.len() >= TRACE_CAPACITY {
@@ -541,8 +357,8 @@ fn push_trace(shared: &Shared, trace: UpdateTrace) {
     ring.push_back(trace);
 }
 
-/// One update's device fan-out: the worker that owns the key walks the
-/// filters itself, in filter order (§4.4, §5.5).
+/// One update's device fan-out: the updating thread walks the filters
+/// itself, in filter order (§4.4, §5.5).
 struct FanOut<'a> {
     shared: &'a Shared,
     my_seq: u64,
@@ -654,13 +470,13 @@ fn process_inner(
     shared: &Shared,
     my_seq: u64,
     op: &LtapOp,
-    pre: Option<Entry>,
+    pre: Option<&Entry>,
     origin: &str,
     trace: &mut UpdateTrace,
     span: &mut crate::obs::Span,
 ) -> crate::error::Result<()> {
     let origin = origin.to_string();
-    let mut d = descriptor_for(op, pre.as_ref(), &origin)?;
+    let mut d = descriptor_for(op, pre, &origin)?;
     // Stamp the originator on the persistent image (the lexpress
     // LastUpdater mechanism, §5.4).
     if !d.new.is_empty() {
@@ -720,7 +536,7 @@ fn process_inner(
             shared.inner.add(entry)
         }
         LtapOp::Modify(dn, _) => {
-            let pre = pre.as_ref().expect("checked above");
+            let pre = pre.expect("checked above");
             let mut mods = aux_class_mods(pre, &d.new);
             mods.extend(diff_mods_full(pre, &d.new));
             if mods.is_empty() {
@@ -740,10 +556,7 @@ fn process_inner(
             .modify_rdn(dn, new_rdn, *delete_old, new_superior.as_ref())
             .and_then(|()| {
                 // Apply any closure-derived attribute changes post-rename.
-                let new_dn = match new_superior {
-                    Some(sup) => sup.child(new_rdn.clone()),
-                    None => dn.with_rdn(new_rdn.clone())?,
-                };
+                let new_dn = op.target_dn()?;
                 if let Some(renamed) = shared.inner.get(&new_dn)? {
                     let mut mods = aux_class_mods(&renamed, &d.new);
                     mods.extend(diff_mods_full(&renamed, &d.new));
@@ -797,56 +610,11 @@ mod tests {
     }
 
     #[test]
-    fn route_shard_is_deterministic_and_in_range() {
-        for n in 1..=8usize {
-            for key in ["cn=a,o=l", "cn=b,o=l", "cn=c,ou=x,o=l", ""] {
-                let s = route_shard(key, n);
-                assert!(s < n);
-                assert_eq!(s, route_shard(key, n), "same key must re-route identically");
-            }
-        }
-        // One worker degenerates to the single-coordinator schedule.
-        assert_eq!(route_shard("anything", 1), 0);
-        assert_eq!(route_shard("anything", 0), 0);
-    }
-
-    #[test]
-    fn route_key_uses_post_rename_dn() {
-        let dn = Dn::parse("cn=John Doe,o=Lucent").unwrap();
-        // A rename shards on the entry's NEW dn, so it orders against
-        // concurrent writes to the entry it becomes.
-        let rename = LtapOp::ModifyRdn {
-            dn: dn.clone(),
-            new_rdn: Rdn::new("cn", "Jack Doe"),
-            delete_old: true,
-            new_superior: None,
-        };
-        assert_eq!(
-            route_key(&rename),
-            Dn::parse("cn=Jack Doe,o=Lucent").unwrap().norm_key()
-        );
-        // Everything else shards on the target dn itself.
-        assert_eq!(route_key(&LtapOp::Delete(dn.clone())), dn.norm_key());
-        let moved = LtapOp::ModifyRdn {
-            dn,
-            new_rdn: Rdn::new("cn", "Jack Doe"),
-            delete_old: true,
-            new_superior: Some(Dn::parse("ou=Sales,o=Lucent").unwrap()),
-        };
-        assert_eq!(
-            route_key(&moved),
-            Dn::parse("cn=Jack Doe,ou=Sales,o=Lucent")
-                .unwrap()
-                .norm_key()
-        );
-    }
-
-    #[test]
     fn resolve_origin_priority() {
         let dn = Dn::parse("cn=X,o=L").unwrap();
         // 1. The persistent-connection tag wins.
         let op = LtapOp::Delete(dn.clone());
-        assert_eq!(resolve_origin(&op, Some("pbx-west".into())), "pbx-west");
+        assert_eq!(resolve_origin(&op, Some("pbx-west")), "pbx-west");
         // 2. Then an explicit lastUpdater value in the op.
         let mut e = person();
         e.add_value(LAST_UPDATER, "wba");

@@ -9,8 +9,8 @@
 //!   the §5.5 deployment trade-off, measurable in experiment E5.
 //!
 //! Reads pass straight through (the UM machine "does not need to do any
-//! read processing"); updates take the quiesce pass, the per-entry lock,
-//! fire before-triggers (which may veto or take over servicing), apply,
+//! read processing"); updates take the quiesce pass, the per-entry lock
+//! (a rename also locks the DN it renames to), fire before-triggers (which may veto or take over servicing), apply,
 //! then fire after-triggers.
 
 use crate::lock::LockManager;
@@ -146,8 +146,21 @@ impl Gateway {
     fn trap_inner(&self, op: LtapOp, origin: Option<&str>) -> Result<()> {
         let _pass = self.quiesce.enter_update();
         self.stats.updates.fetch_add(1, Ordering::Relaxed);
+        // A rename also locks the DN it renames to, so it is ordered against
+        // writes to the entry it becomes. Two keys are taken in sorted
+        // order, so no two traps can deadlock.
         let key = op.dn().norm_key();
-        let _lock = self.locks.lock(key);
+        let renamed_to = match &op {
+            LtapOp::ModifyRdn { .. } => op.target_dn().ok().map(|to| to.norm_key()),
+            _ => None,
+        };
+        let (first, second) = match renamed_to {
+            Some(to) if to < key => (to, Some(key)),
+            Some(to) if to > key => (key, Some(to)),
+            _ => (key, None),
+        };
+        let _first = self.locks.lock(first);
+        let _second = second.map(|k| self.locks.lock(k));
         // Pre-image for trigger filters / handlers.
         let pre_image = match &op {
             LtapOp::Add(_) => None,
@@ -428,6 +441,117 @@ mod tests {
         // Failed ops do not fire after-triggers.
         let _ = gw.delete(&Dn::parse("cn=ghost,o=Lucent").unwrap());
         assert_eq!(count.load(Ordering::SeqCst), 1);
+    }
+
+    fn rename(from: &Dn, to: &Dn) -> LtapOp {
+        LtapOp::ModifyRdn {
+            dn: from.clone(),
+            new_rdn: to.rdn().unwrap().clone(),
+            delete_old: true,
+            new_superior: None,
+        }
+    }
+
+    #[test]
+    fn a_rename_holds_off_writes_to_the_dn_it_becomes() {
+        let (gw, _dit) = gateway();
+        let a = Dn::parse("cn=John Doe,o=Marketing,o=Lucent").unwrap();
+        let b = Dn::parse("cn=Jack Doe,o=Marketing,o=Lucent").unwrap();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let (entered_tx, entered) = std::sync::mpsc::channel();
+        let (release, release_rx) = std::sync::mpsc::channel::<()>();
+        let (modify_tx, modify_entered) = std::sync::mpsc::channel();
+        let release_rx = Mutex::new(release_rx);
+        let events = log.clone();
+        gw.register(
+            TriggerSpec::all_updates("pause-renames", Dn::root()),
+            Arc::new(move |ctx: &TriggerContext<'_>| {
+                if let LtapOp::ModifyRdn { .. } = ctx.op {
+                    events.lock().unwrap().push("rename enters");
+                    entered_tx.send(()).unwrap();
+                    release_rx.lock().unwrap().recv().unwrap();
+                    events.lock().unwrap().push("rename leaves");
+                } else {
+                    events.lock().unwrap().push("modify enters");
+                    modify_tx.send(()).unwrap();
+                }
+                Ok(Disposition::Handled)
+            }),
+        );
+        std::thread::scope(|sc| {
+            let renamer = sc.spawn(|| gw.apply_tagged(rename(&a, &b), "test"));
+            entered.recv().unwrap();
+            let (started_tx, started) = std::sync::mpsc::channel();
+            let (gw, b) = (&gw, &b);
+            let writer = sc.spawn(move || {
+                started_tx.send(()).unwrap();
+                gw.modify(b, &[Modification::set("sn", "Doe")])
+            });
+            started.recv().unwrap();
+            // Give a writer that is not held off the chance to get in; the
+            // proof is the order the trigger logged, not this wait.
+            let early = modify_entered.recv_timeout(std::time::Duration::from_millis(100));
+            release.send(()).unwrap();
+            renamer.join().unwrap().unwrap();
+            writer.join().unwrap().unwrap();
+            if early.is_err() {
+                modify_entered.recv().unwrap();
+            }
+        });
+        assert_eq!(
+            *log.lock().unwrap(),
+            ["rename enters", "rename leaves", "modify enters"],
+            "a write to the rename's new DN entered its trigger mid-rename"
+        );
+        assert_eq!(gw.locks().held(), 0);
+    }
+
+    #[test]
+    fn opposite_renames_take_both_locks_without_deadlock() {
+        let (gw, _dit) = gateway();
+        let a = Dn::parse("cn=John Doe,o=Marketing,o=Lucent").unwrap();
+        let b = Dn::parse("cn=Jack Doe,o=Marketing,o=Lucent").unwrap();
+        // The trigger services nothing, so the DIT never changes and every
+        // round of either thread locks both A and B: at most one trigger
+        // runs at a time.
+        let inside = AtomicUsize::new(0);
+        let overlaps = Arc::new(AtomicUsize::new(0));
+        let o2 = overlaps.clone();
+        gw.register(
+            TriggerSpec::all_updates("handled", Dn::root()),
+            Arc::new(move |_: &TriggerContext<'_>| {
+                if inside.fetch_add(1, Ordering::SeqCst) != 0 {
+                    o2.fetch_add(1, Ordering::SeqCst);
+                }
+                std::thread::yield_now();
+                inside.fetch_sub(1, Ordering::SeqCst);
+                Ok(Disposition::Handled)
+            }),
+        );
+        let (done_tx, done) = std::sync::mpsc::channel();
+        let renamers: Vec<_> = [(a.clone(), b.clone()), (b, a)]
+            .into_iter()
+            .map(|(from, to)| {
+                let (gw, done_tx) = (gw.clone(), done_tx.clone());
+                std::thread::spawn(move || {
+                    for _ in 0..500 {
+                        gw.apply_tagged(rename(&from, &to), "test").unwrap();
+                    }
+                    done_tx.send(()).unwrap();
+                })
+            })
+            .collect();
+        // Deadlocked threads would never join: wait a bounded time for
+        // both to finish, and only then join them.
+        for _ in 0..2 {
+            done.recv_timeout(std::time::Duration::from_secs(60))
+                .expect("opposite renames deadlocked");
+        }
+        for renamer in renamers {
+            renamer.join().unwrap();
+        }
+        assert_eq!(overlaps.load(Ordering::SeqCst), 0, "triggers overlapped");
+        assert_eq!(gw.locks().held(), 0);
     }
 
     #[test]

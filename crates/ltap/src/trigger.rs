@@ -30,6 +30,21 @@ impl LtapOp {
         }
     }
 
+    /// The DN the entry has once the operation is applied: for a
+    /// ModifyRdn the new DN (under `new_superior` when the entry moves),
+    /// otherwise [`LtapOp::dn`]. Fails only for a rename of the root.
+    pub fn target_dn(&self) -> ldap::Result<Dn> {
+        match self {
+            LtapOp::ModifyRdn {
+                new_rdn,
+                new_superior: Some(sup),
+                ..
+            } => Ok(sup.child(new_rdn.clone())),
+            LtapOp::ModifyRdn { dn, new_rdn, .. } => dn.with_rdn(new_rdn.clone()),
+            other => Ok(other.dn().clone()),
+        }
+    }
+
     pub fn kind(&self) -> OpKind {
         match self {
             LtapOp::Add(_) => OpKind::Add,
@@ -221,5 +236,34 @@ mod tests {
             &dn
         );
         assert_eq!(LtapOp::Modify(dn, vec![]).kind(), OpKind::Modify);
+    }
+
+    #[test]
+    fn target_dn_is_the_post_rename_dn() {
+        let dn = Dn::parse("cn=John Doe,o=Lucent").unwrap();
+        // A rename in place keeps the parent.
+        let rename = LtapOp::ModifyRdn {
+            dn: dn.clone(),
+            new_rdn: Rdn::new("cn", "Jack Doe"),
+            delete_old: true,
+            new_superior: None,
+        };
+        assert_eq!(
+            rename.target_dn().unwrap(),
+            Dn::parse("cn=Jack Doe,o=Lucent").unwrap()
+        );
+        // A move lands under the new superior.
+        let moved = LtapOp::ModifyRdn {
+            dn: dn.clone(),
+            new_rdn: Rdn::new("cn", "Jack Doe"),
+            delete_old: true,
+            new_superior: Some(Dn::parse("ou=Sales,o=Lucent").unwrap()),
+        };
+        assert_eq!(
+            moved.target_dn().unwrap(),
+            Dn::parse("cn=Jack Doe,ou=Sales,o=Lucent").unwrap()
+        );
+        // Everything else stays where it is.
+        assert_eq!(LtapOp::Delete(dn.clone()).target_dn().unwrap(), dn);
     }
 }

@@ -315,25 +315,23 @@ fn an_update_aborted_during_an_outage_never_reaches_the_device() {
 }
 
 #[test]
-fn multi_worker_um_preserves_outage_semantics() {
-    // The whole outage story again, but on a 4-worker UM with updates to
-    // distinct people in flight at once: a dead switch must be skipped
-    // without aborting updates or poisoning its live sibling (the messaging
-    // platform), an aborted update must not reach the switch, and the
-    // reconnect resync must lose nothing — identical semantics to the
-    // single coordinator the other tests exercise.
+fn concurrent_updates_preserve_outage_semantics() {
+    // The whole outage story again, but with updates to distinct people in
+    // flight at once, each run by the thread that issued it: a dead switch
+    // must be skipped without aborting updates or poisoning its live
+    // sibling (the messaging platform), an aborted update must not reach
+    // the switch, and the reconnect resync must lose nothing — identical
+    // semantics to the one-at-a-time updates the other tests exercise.
     let switch = Arc::new(PbxStore::new("pbx-west", DialPlan::with_prefix("1", 4)));
     let mp = Arc::new(msgplat::Store::new("mp"));
     let system = MetaCommBuilder::new("o=Lucent")
         .add_pbx(switch.clone(), "1???")
         .add_msgplat(mp.clone(), "*")
-        .with_um_workers(4)
         .with_retry_policy(test_retry())
         .with_breaker_policy(manual_breaker())
         .with_fault_plan("pbx-west", FaultPlan::default())
         .build()
         .expect("build");
-    assert_eq!(system.um_workers(), 4);
     let wba = system.wba();
     for i in 0..8 {
         wba.add_person_with_extension(
@@ -350,8 +348,8 @@ fn multi_worker_um_preserves_outage_semantics() {
     assert_eq!(switch.len(), 8);
     assert_eq!(mp.len(), 8, "every person gets a mailbox on the live leg");
 
-    // Cut the switch and update all eight people concurrently (the DNs
-    // spread over the worker shards). Every update must still succeed
+    // Cut the switch and update all eight people concurrently, from eight
+    // threads. Every update must still succeed
     // against the directory, skipping only its pbx leg.
     let handle = system.fault_handle("pbx-west").expect("fault handle");
     handle.set_down(true);

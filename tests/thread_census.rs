@@ -92,10 +92,10 @@ fn one_relay_thread_per_device_and_none_left_after_shutdown() {
             ["ddu-relay-mp", "ddu-relay-pbx-e", "ddu-relay-pbx-w"],
             "round {round}: one relay thread per device"
         );
-        for gone in ["pbx-filter-", "mp-filter-"] {
+        for gone in ["pbx-filter-", "mp-filter-", "um-worker-"] {
             assert!(
                 family(&running, gone).is_empty(),
-                "round {round}: a notification thread per filter is back: {running:?}"
+                "round {round}: the `{gone}` thread family is back: {running:?}"
             );
         }
 

@@ -1,51 +1,31 @@
-//! Concurrency semantics of the pipelined Update Manager (key-ordered
-//! executor): updates to the same DN are strictly FIFO even with many
-//! workers, updates to distinct DNs actually overlap (measured against the
-//! single-coordinator schedule with injected device latency), and the
-//! shard routing that guarantees the former is deterministic. Within one
-//! update there is one schedule at every worker count: the owning worker
-//! walks the device filters in order, creates no thread, and stops at the
-//! first failed leg.
+//! Concurrency semantics of the Update Manager, which runs each update on
+//! the thread that issued it: updates to the same DN are strictly FIFO per
+//! issuing thread (the LTAP entry lock), updates to distinct DNs from
+//! distinct callers actually overlap (measured against the sequential
+//! `ops × latency` floor with injected device latency). Within one update
+//! the schedule is the paper's: the device filters are walked in order, no
+//! thread is created, and the first failed leg ends the fan-out.
 
 use ldap::dit::ChangeOp;
 use ldap::dn::Dn;
 use ldap::entry::{Entry, Modification};
 use ldap::Directory;
-use metacomm::um::route_shard;
 use metacomm::{BreakerPolicy, Clock, FaultPlan, ManualClock, MetaCommBuilder, RetryPolicy};
 use pbx::{DialPlan, Store as PbxStore};
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-fn build(workers: usize, latency: Option<Duration>) -> (metacomm::MetaComm, Arc<PbxStore>) {
-    let switch = Arc::new(PbxStore::new("pbx-west", DialPlan::with_prefix("1", 4)));
-    let mut b = MetaCommBuilder::new("o=Lucent")
-        .add_pbx(switch.clone(), "1???")
-        .with_um_workers(workers);
-    if let Some(d) = latency {
-        b = b.with_fault_plan(
-            "pbx-west",
-            FaultPlan {
-                latency: Some(d),
-                ..FaultPlan::default()
-            },
-        );
-    }
-    (b.build().expect("build"), switch)
-}
-
-/// Same-DN updates stay strictly FIFO under a many-worker UM: every client
-/// thread's writes commit in that thread's issue order (one post-closure DN
-/// = one shard = one queue). Runs on a ManualClock so nothing depends on
-/// real timing.
+/// Same-DN updates stay strictly FIFO under concurrent callers: every
+/// client thread's writes commit in that thread's issue order (one DN = one
+/// LTAP entry lock, held for the whole update). Runs on a ManualClock so
+/// nothing depends on real timing.
 #[test]
 fn same_dn_updates_commit_in_per_thread_fifo_order() {
     let clock = ManualClock::new();
     let switch = Arc::new(PbxStore::new("pbx-west", DialPlan::with_prefix("1", 4)));
     let system = MetaCommBuilder::new("o=Lucent")
         .add_pbx(switch, "1???")
-        .with_um_workers(4)
         .with_clock(clock)
         .build()
         .expect("build");
@@ -112,89 +92,59 @@ fn same_dn_updates_commit_in_per_thread_fifo_order() {
     system.shutdown();
 }
 
-/// Distinct-DN updates overlap under the pipelined UM: with 20 ms of
-/// injected device latency per apply, a batch of updates to 8 different
-/// people finishes much faster on 4 workers than on the sequential
-/// single-coordinator schedule (which has a hard `ops × latency` floor).
+/// Distinct-DN updates from distinct callers overlap: with 20 ms of
+/// injected device latency per apply, 8 callers each updating a different
+/// person finish well under the sequential schedule's hard floor of
+/// `ops × latency` = 160 ms.
 #[test]
-fn distinct_dn_updates_overlap_across_workers() {
+fn distinct_dn_updates_overlap_across_callers() {
     let latency = Duration::from_millis(20);
-    let mut walls = Vec::new();
-    for workers in [1usize, 4] {
-        let (system, switch) = build(workers, Some(latency));
-        assert_eq!(system.um_workers(), workers);
-        let wba = system.wba();
-        // Pick 8 people that provably cover every shard, so the measured
-        // overlap never depends on hash luck.
-        let mut names: Vec<String> = Vec::new();
-        let mut covered = [0usize; 4];
-        let mut i = 0;
-        while names.len() < 8 {
-            let cn = format!("Person {i:03}");
-            let key = Dn::parse(&format!("cn={cn},o=Lucent")).unwrap().norm_key();
-            let shard = route_shard(&key, 4);
-            if covered[shard] < 2 {
-                covered[shard] += 1;
-                names.push(cn);
-            }
-            i += 1;
-        }
-        for (j, cn) in names.iter().enumerate() {
-            wba.add_person_with_extension(cn, "Person", &format!("1{j:03}"), "R-0")
-                .expect("add");
-        }
-        let start = Instant::now();
-        std::thread::scope(|sc| {
-            for cn in &names {
-                let wba = system.wba();
-                sc.spawn(move || wba.assign_room(cn, "R-9").expect("modify"));
-            }
-        });
-        let wall = start.elapsed();
-        system.settle();
-        for (j, _) in names.iter().enumerate() {
-            let ext = format!("1{j:03}");
-            assert_eq!(
-                switch
-                    .get(&ext)
-                    .and_then(|s| s.get("Room").map(str::to_string)),
-                Some("R-9".to_string()),
-                "device converged for {ext}"
-            );
-        }
-        walls.push(wall);
-        system.shutdown();
+    let switch = Arc::new(PbxStore::new("pbx-west", DialPlan::with_prefix("1", 4)));
+    let system = MetaCommBuilder::new("o=Lucent")
+        .add_pbx(switch.clone(), "1???")
+        .with_fault_plan(
+            "pbx-west",
+            FaultPlan {
+                latency: Some(latency),
+                ..FaultPlan::default()
+            },
+        )
+        .build()
+        .expect("build");
+    let wba = system.wba();
+    let names: Vec<String> = (0..8).map(|i| format!("Person {i:03}")).collect();
+    for (j, cn) in names.iter().enumerate() {
+        wba.add_person_with_extension(cn, "Person", &format!("1{j:03}"), "R-0")
+            .expect("add");
     }
-    // Sequential floor: 8 ops × 20 ms ≥ 160 ms. Pipelined should land well
-    // under it; 0.7 leaves headroom for scheduler noise on loaded machines.
+    let start = Instant::now();
+    std::thread::scope(|sc| {
+        for cn in &names {
+            let wba = system.wba();
+            sc.spawn(move || wba.assign_room(cn, "R-9").expect("modify"));
+        }
+    });
+    let wall = start.elapsed();
+    system.settle();
+    for (j, _) in names.iter().enumerate() {
+        let ext = format!("1{j:03}");
+        assert_eq!(
+            switch
+                .get(&ext)
+                .and_then(|s| s.get("Room").map(str::to_string)),
+            Some("R-9".to_string()),
+            "device converged for {ext}"
+        );
+    }
+    system.shutdown();
+    // Sequential floor: 8 ops × 20 ms = 160 ms. Concurrent callers should
+    // land well under it; 0.7 leaves headroom for scheduler noise on loaded
+    // machines.
+    let floor = latency * names.len() as u32;
     assert!(
-        walls[1] < walls[0].mul_f64(0.7),
-        "no overlap: sequential {:?} vs pipelined {:?}",
-        walls[0],
-        walls[1]
+        wall < floor.mul_f64(0.7),
+        "no overlap: {wall:?} against a sequential floor of {floor:?}"
     );
-}
-
-/// The shard router is deterministic and total — the property the FIFO
-/// guarantee rests on (a DN can never migrate between queues mid-flight).
-#[test]
-fn shard_routing_is_stable() {
-    for n in 1..=8 {
-        for key in ["cn=a,o=l", "cn=b,o=l", "ou=x,o=l", ""] {
-            assert!(route_shard(key, n) < n.max(1));
-            assert_eq!(route_shard(key, n), route_shard(key, n));
-        }
-    }
-    // Realistic DNs spread over 4 shards (not all in one bucket).
-    let used: std::collections::HashSet<usize> = (0..64)
-        .map(|i| {
-            let key = Dn::parse(&format!("cn=Person {i:03},o=Lucent"))
-                .unwrap()
-                .norm_key();
-            route_shard(&key, 4)
-        })
-        .collect();
-    assert!(used.len() >= 3, "64 DNs landed on {} shard(s)", used.len());
 }
 
 /// A person with a station and a mailbox: one add that fans out to a PBX
@@ -218,55 +168,48 @@ fn station_and_mailbox(cn: &str, ext: &str) -> Entry {
     )
 }
 
-/// The first failed leg ends the fan-out, whatever the worker count: a hire
-/// whose PBX leg fails (transiently, breaker still closed) must not create
+/// The first failed leg ends the fan-out: a hire whose PBX leg fails (transiently, breaker still closed) must not create
 /// the mailbox on the platform leg behind it — the directory add aborts and,
 /// with saga undo off, nothing would ever remove that orphan.
 #[test]
 fn failed_leg_ends_the_fan_out_at_every_worker_count() {
-    for workers in [1usize, 4] {
-        let switch = Arc::new(PbxStore::new("pbx-west", DialPlan::with_prefix("1", 4)));
-        let mp = Arc::new(msgplat::Store::new("mp"));
-        let system = MetaCommBuilder::new("o=Lucent")
-            .add_pbx(switch.clone(), "1???")
-            .add_msgplat(mp.clone(), "*")
-            .with_um_workers(workers)
-            .with_retry_policy(RetryPolicy::none())
-            .with_breaker_policy(BreakerPolicy {
-                degraded_after: 1_000,
-                offline_after: 1_000,
-                ..BreakerPolicy::default()
-            })
-            .with_fault_plan("pbx-west", FaultPlan::flaky(1))
-            .build()
-            .expect("build");
-        let mailboxes = mp.len();
-        let errors = system.browse_errors().expect("browse").len();
+    let switch = Arc::new(PbxStore::new("pbx-west", DialPlan::with_prefix("1", 4)));
+    let mp = Arc::new(msgplat::Store::new("mp"));
+    let system = MetaCommBuilder::new("o=Lucent")
+        .add_pbx(switch.clone(), "1???")
+        .add_msgplat(mp.clone(), "*")
+        .with_retry_policy(RetryPolicy::none())
+        .with_breaker_policy(BreakerPolicy {
+            degraded_after: 1_000,
+            offline_after: 1_000,
+            ..BreakerPolicy::default()
+        })
+        .with_fault_plan("pbx-west", FaultPlan::flaky(1))
+        .build()
+        .expect("build");
+    let mailboxes = mp.len();
+    let errors = system.browse_errors().expect("browse").len();
 
-        let err = system
-            .directory()
-            .add(station_and_mailbox("Hire One", "1001"))
-            .expect_err("the PBX leg fails, so the update aborts");
-        assert!(
-            err.to_string().contains("pbx-west"),
-            "{workers} workers: {err}"
-        );
-        system.settle();
+    let err = system
+        .directory()
+        .add(station_and_mailbox("Hire One", "1001"))
+        .expect_err("the PBX leg fails, so the update aborts");
+    assert!(err.to_string().contains("pbx-west"), "{err}");
+    system.settle();
 
-        assert_eq!(
-            mp.len(),
-            mailboxes,
-            "{workers} workers: the platform leg ran after the PBX leg failed"
-        );
-        assert_eq!(switch.len(), 0);
-        assert!(system.wba().person("Hire One").unwrap().is_none());
-        assert_eq!(
-            system.browse_errors().expect("browse").len(),
-            errors + 1,
-            "{workers} workers: one error-log row per aborted update"
-        );
-        system.shutdown();
-    }
+    assert_eq!(
+        mp.len(),
+        mailboxes,
+        "the platform leg ran after the PBX leg failed"
+    );
+    assert_eq!(switch.len(), 0);
+    assert!(system.wba().person("Hire One").unwrap().is_none());
+    assert_eq!(
+        system.browse_errors().expect("browse").len(),
+        errors + 1,
+        "one error-log row per aborted update"
+    );
+    system.shutdown();
 }
 
 /// A clock that records which threads read it. Time itself never moves.
@@ -281,11 +224,11 @@ impl Clock for ReaderNames {
     }
 }
 
-/// An update creates no thread: every clock read of a multi-worker,
-/// three-device deployment under mixed updates (the trigger's enqueue
-/// stamp, the span's stage marks around every device leg, the relay's
-/// timing) comes from the issuing thread or one of the long-lived named
-/// threads — never from an unnamed per-update thread.
+/// An update creates no thread and hands off to none: every clock read of
+/// a three-device deployment under mixed updates (the trigger's fire stamp,
+/// the span's stage marks around every device leg, the relay's timing)
+/// comes from the issuing thread, a DDU relay or the recovery monitor —
+/// never from a per-update or pooled thread.
 #[test]
 fn an_update_creates_no_thread() {
     let me = std::thread::current()
@@ -300,7 +243,6 @@ fn an_update_creates_no_thread() {
         .add_pbx(west.clone(), "1???")
         .add_pbx(east.clone(), "2???")
         .add_msgplat(mp.clone(), "*")
-        .with_um_workers(2)
         .with_clock(readers.clone())
         .build()
         .expect("build");
@@ -330,12 +272,7 @@ fn an_update_creates_no_thread() {
     assert_eq!(mp.len(), 8);
 
     let seen = readers.0.lock().unwrap().clone();
-    for expected in [
-        me.as_str(),
-        "um-worker-0",
-        "um-worker-1",
-        "ddu-relay-pbx-west",
-    ] {
+    for expected in [me.as_str(), "ddu-relay-pbx-west"] {
         assert!(
             seen.contains(&Some(expected.to_string())),
             "`{expected}` never read the clock: {seen:?}"
@@ -346,10 +283,7 @@ fn an_update_creates_no_thread() {
             .as_deref()
             .unwrap_or_else(|| panic!("an unnamed thread read the clock: {seen:?}"));
         assert!(
-            name == me
-                || name.starts_with("um-worker-")
-                || name.starts_with("ddu-relay-")
-                || name == "device-recovery-monitor",
+            name == me || name.starts_with("ddu-relay-") || name == "device-recovery-monitor",
             "unexpected thread `{name}` on the update path: {seen:?}"
         );
     }
