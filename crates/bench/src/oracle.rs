@@ -109,7 +109,7 @@ pub fn fixpoint_digest(rig: &SoakRig) -> u64 {
     if let Some(mp) = &rig.mp {
         mp.for_each(|rec| {
             let mut line = "mp".to_string();
-            for (k, v) in rec.iter().filter(|(k, _)| k.as_str() != "MbId") {
+            for (k, v) in rec.fields().filter(|(k, _)| *k != "MbId") {
                 let _ = write!(line, ";{k}={v}");
             }
             lines.push(line);
@@ -510,7 +510,7 @@ impl SoakOracle {
         }
         let mut seen = 0usize;
         mp.for_each(|rec| {
-            let mbx = rec.get("Mailbox").map(String::as_str).unwrap_or_default();
+            let mbx = rec.get("Mailbox").unwrap_or_default();
             match expected.get(mbx) {
                 None => out.push(self.violation(
                     op_index,
@@ -519,11 +519,8 @@ impl SoakOracle {
                 )),
                 Some((name, cos)) => {
                     seen += 1;
-                    let dev_name = rec
-                        .get("Subscriber")
-                        .map(String::as_str)
-                        .unwrap_or_default();
-                    let dev_cos = rec.get("Cos").map(String::as_str).unwrap_or("standard");
+                    let dev_name = rec.get("Subscriber").unwrap_or_default();
+                    let dev_cos = rec.get("Cos").unwrap_or("standard");
                     if dev_name != name || dev_cos != cos {
                         out.push(self.violation(
                             op_index,

@@ -53,8 +53,9 @@ trait RecordDevice: Send + Sync + 'static {
     fn is_missing(e: &Self::Error) -> bool;
     fn get(&self, key: &str) -> Option<Self::Record>;
     fn len(&self) -> usize;
-    /// Every record, borrowed where the device keeps it.
-    fn for_each(&self, visit: impl FnMut(&Self::Record));
+    /// Every record, borrowed where the device keeps it: packed, as both
+    /// devices keep their records at rest.
+    fn for_each(&self, visit: impl FnMut(&pbx::Record));
     fn subscribe(&self) -> Receiver<Self::Event>;
     /// `None` for an echo of MetaComm's own session.
     fn surfaced(ev: Self::Event) -> Option<Change<Self::Record>>;
@@ -157,7 +158,7 @@ impl RecordDevice for Platform {
     fn len(&self) -> usize {
         self.0.len()
     }
-    fn for_each(&self, visit: impl FnMut(&msgplat::Record)) {
+    fn for_each(&self, visit: impl FnMut(&pbx::Record)) {
         self.0.for_each(visit)
     }
     fn subscribe(&self) -> Receiver<msgplat::MpEvent> {
@@ -360,7 +361,7 @@ impl<D: RecordDevice> DeviceFilter for RecordFilter<D> {
     /// Each image is built straight from the record the device holds.
     fn dump(&self) -> Vec<Image> {
         let mut images = Vec::with_capacity(self.device.len());
-        self.device.for_each(|rec| images.push(Self::image(rec)));
+        (self.device).for_each(|rec| images.push(Image::from_pairs(rec.fields())));
         images
     }
 

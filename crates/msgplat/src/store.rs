@@ -23,7 +23,11 @@ pub mod fields {
     pub const COS: &str = "Cos";
 }
 
-/// A flat string-typed mailbox record (same weak-typing model as the PBX).
+/// A flat string-typed mailbox record (same weak-typing model as the PBX),
+/// as the store's API takes and hands out one. At rest the store keeps each
+/// mailbox as the PBX's packed [`pbx::Record`], one block of its fields; a
+/// map is built only where a record leaves the store — [`Store::get`], what
+/// [`Store::add`] and [`Store::change`] return, and the [`MpEvent`] images.
 pub type Record = BTreeMap<String, String>;
 
 /// Build a record from pairs.
@@ -32,6 +36,16 @@ pub fn record<K: Into<String>, V: Into<String>>(pairs: impl IntoIterator<Item = 
         .into_iter()
         .map(|(k, v)| (k.into(), v.into()))
         .collect()
+}
+
+/// The map of a stored record's fields: a node and two strings a field,
+/// inserted in the order the map keeps.
+fn unpacked(stored: &pbx::Record) -> Record {
+    let mut map = Record::new();
+    for (k, v) in stored.fields() {
+        map.insert(k.to_string(), v.to_string());
+    }
+    map
 }
 
 /// Which administration path performed an update.
@@ -68,7 +82,7 @@ pub struct Store {
 }
 
 struct Inner {
-    mailboxes: BTreeMap<String, Record>,
+    mailboxes: BTreeMap<String, pbx::Record>,
     subscribers: Vec<Sender<MpEvent>>,
     next_id: u64,
 }
@@ -127,13 +141,13 @@ impl Store {
     }
 
     pub fn get(&self, mailbox: &str) -> Option<Record> {
-        self.lock().mailboxes.get(mailbox).cloned()
+        self.lock().mailboxes.get(mailbox).map(unpacked)
     }
 
-    /// Visit every mailbox in mailbox order, borrowed under the store's
-    /// lock: synchronization support that copies no record. `visit` must
-    /// not call back into this store.
-    pub fn for_each(&self, visit: impl FnMut(&Record)) {
+    /// Visit every mailbox in mailbox order, packed as the store keeps it
+    /// and borrowed under the store's lock: synchronization support that
+    /// copies no record. `visit` must not call back into this store.
+    pub fn for_each(&self, visit: impl FnMut(&pbx::Record)) {
         self.lock().mailboxes.values().for_each(visit);
     }
 
@@ -161,7 +175,8 @@ impl Store {
         let id = format!("MB-{:06}", inner.next_id);
         inner.next_id += 1;
         rec.insert(fields::MBID.into(), id);
-        inner.mailboxes.insert(mb.clone(), rec.clone());
+        let packed = rec.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+        (inner.mailboxes).insert(mb.clone(), pbx::Record::from_pairs(packed));
         Store::notify(
             &mut inner,
             MpEvent {
@@ -183,7 +198,7 @@ impl Store {
         let stored = (inner.mailboxes.get_mut(mailbox))
             .ok_or_else(|| MpError::NoSuchMailbox(mailbox.to_string()))?;
         if let Some(newid) = patch.get(fields::MBID) {
-            if Some(newid) != stored.get(fields::MBID) {
+            if Some(newid.as_str()) != stored.get(fields::MBID) {
                 return Err(MpError::ImmutableField(fields::MBID.into()));
             }
         }
@@ -195,21 +210,20 @@ impl Store {
                 });
             }
         }
-        // Patched where it lives, once every check has passed: a field's
-        // string keeps its block when the new value fits, an empty value
-        // clears the field, only a new field is inserted.
-        let old = stored.clone();
-        for (k, v) in &patch {
+        // Patched where it lives, once every check has passed: the block
+        // keeps its address when the patch keeps its length and is
+        // `realloc`ed otherwise. An empty value clears the field, the rule
+        // of `pbx::Record::patch`, applied from the map so that the patch
+        // is never packed.
+        let old = unpacked(stored);
+        for (k, v) in patch {
             if v.is_empty() {
-                stored.remove(k);
-            } else if let Some(held) = stored.get_mut(k) {
-                held.clear();
-                held.push_str(v);
+                stored.remove(&k);
             } else {
-                stored.insert(k.clone(), v.clone());
+                stored.set(k, v);
             }
         }
-        let new = stored.clone();
+        let new = unpacked(stored);
         let post = new.clone();
         Store::notify(
             &mut inner,
@@ -235,7 +249,7 @@ impl Store {
             MpEvent {
                 kind: EventKind::Remove,
                 key: mailbox.to_string(),
-                old: Some(old),
+                old: Some(unpacked(&old)),
                 new: None,
                 channel,
             },
@@ -375,7 +389,7 @@ mod tests {
             .unwrap();
         assert_eq!(s.mailboxes(), vec!["9100", "9200"]);
         let mut ids = Vec::new();
-        s.for_each(|rec| ids.push(rec[fields::MBID].clone()));
+        s.for_each(|rec| ids.push(rec.get(fields::MBID).unwrap().to_string()));
         assert_eq!(ids, ["MB-000002", "MB-000001"]);
     }
 
@@ -388,21 +402,38 @@ mod tests {
             Channel::Console,
         )
         .unwrap();
-        let cos = || s.lock().mailboxes["9123"][fields::COS].as_ptr();
-        let at = cos();
-        let post = s
-            .change(
-                "9123",
-                record([(fields::COS, "standard")]),
-                Channel::Console,
-            )
-            .unwrap();
-        assert_eq!(cos(), at, "the stored string was swapped for a copy");
-        assert_eq!(post[fields::COS], "standard");
-        assert_eq!(s.get("9123").unwrap()[fields::COS], "standard");
-        let change = rx.try_iter().nth(1).expect("the change event");
+        // Where the stored block starts: its first key is one length byte in.
+        let block = || {
+            let inner = s.lock();
+            let first = inner.mailboxes["9123"].fields().next();
+            first.expect("a field").0.as_ptr()
+        };
+        let change = |cos: &str| {
+            let patch = record([(fields::COS, cos)]);
+            crate::asked::by(|| s.change("9123", patch, Channel::Console).unwrap())
+        };
+        let at = block();
+        // The same length: written over the stored bytes. The blocks
+        // allocated are the API's: the event's key, and three maps of
+        // three fields (the event's two images and the record returned), a
+        // node and six strings each.
+        const MAPS: u64 = 1 + 3 * 7;
+        let (post, asked) = change("standard!");
+        assert_eq!(asked, (MAPS, 0));
+        assert_eq!(block(), at, "the stored block was swapped for a copy");
+        assert_eq!(post[fields::COS], "standard!");
+        assert_eq!(s.get("9123").unwrap()[fields::COS], "standard!");
+        // Longer: the stored block is resized by `realloc`, never replaced
+        // by a block allocated next to it.
+        let (post, asked) = change("standard, with fax");
+        assert_eq!(asked, (MAPS, 1));
+        assert_eq!(post[fields::COS], "standard, with fax");
+        let mut changes = rx.try_iter().skip(1);
+        let change = changes.next().expect("the change event");
         assert_eq!(change.old.unwrap()[fields::COS], "executive");
-        assert_eq!(change.new.unwrap()[fields::COS], "standard");
+        assert_eq!(change.new.unwrap()[fields::COS], "standard!");
+        let change = changes.next().expect("the longer change's event");
+        assert_eq!(change.old.unwrap()[fields::COS], "standard!");
     }
 }
 
@@ -429,7 +460,7 @@ mod concurrency_tests {
             h.join().unwrap();
         }
         let mut ids: Vec<String> = Vec::new();
-        s.for_each(|r| ids.push(r[fields::MBID].clone()));
+        s.for_each(|r| ids.push(r.get(fields::MBID).unwrap().to_string()));
         ids.sort();
         let before = ids.len();
         ids.dedup();

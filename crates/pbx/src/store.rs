@@ -175,8 +175,9 @@ impl Store {
         let mut inner = self.lock();
         let stored = (inner.stations.get_mut(extension))
             .ok_or_else(|| PbxError::NoSuchStation(extension.to_string()))?;
-        // Patched where it lives: the record keeps its blocks, and the
-        // event's two images are the only copies.
+        // Patched where it lives: the record's block is written over or
+        // `realloc`ed, never swapped for a copy, and the event's two images
+        // are the only copies.
         let old = stored.clone();
         stored.patch(&patch);
         let new = stored.clone();
@@ -326,6 +327,11 @@ mod tests {
         assert_eq!(names, ["A", "B"]);
     }
 
+    /// Where `rec`'s block starts: its first key is one length byte in.
+    fn block_of(rec: &Record) -> *const u8 {
+        rec.fields().next().expect("a field").0.as_ptr()
+    }
+
     #[test]
     fn a_change_overwrites_the_stored_field_where_it_lives() {
         let s = store();
@@ -335,24 +341,29 @@ mod tests {
             Channel::Craft,
         )
         .unwrap();
-        let room = || {
-            s.lock().stations["9123"]
-                .get(fields::ROOM)
-                .unwrap()
-                .as_ptr()
+        let block = || block_of(&s.lock().stations["9123"]);
+        let change = |room: &str| {
+            let patch = Record::from_pairs([(fields::ROOM, room)]);
+            crate::asked::by(|| s.change("9123", patch, Channel::Craft).unwrap()).1
         };
-        let at = room();
-        s.change(
-            "9123",
-            Record::from_pairs([(fields::ROOM, "4D-17")]),
-            Channel::Craft,
-        )
-        .unwrap();
-        assert_eq!(room(), at, "the stored string was swapped for a copy");
-        assert_eq!(s.get("9123").unwrap().get(fields::ROOM), Some("4D-17"));
-        let change = rx.try_iter().nth(1).expect("the change event");
+        let at = block();
+        // The same length: written over the stored bytes. The three blocks
+        // allocated are the event's key and its two images.
+        assert_eq!(change("4D-170"), (3, 0));
+        assert_eq!(block(), at, "the stored block was swapped for a copy");
+        assert_eq!(s.get("9123").unwrap().get(fields::ROOM), Some("4D-170"));
+        // Longer: the stored block is resized by `realloc`, never replaced
+        // by a block allocated next to it.
+        assert_eq!(change("4D-170, west wing"), (3, 1));
+        let stored = s.get("9123").unwrap();
+        assert_eq!(stored.get(fields::ROOM), Some("4D-170, west wing"));
+        assert_eq!(stored.get(fields::EXTENSION), Some("9123"));
+        let mut changes = rx.try_iter().skip(1);
+        let change = changes.next().expect("the change event");
         assert_eq!(change.old.unwrap().get(fields::ROOM), Some("2B-401"));
-        assert_eq!(change.new.unwrap().get(fields::ROOM), Some("4D-17"));
+        assert_eq!(change.new.unwrap().get(fields::ROOM), Some("4D-170"));
+        let change = changes.next().expect("the longer change's event");
+        assert_eq!(change.old.unwrap().get(fields::ROOM), Some("4D-170"));
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! restored from a snapshot costs what the live-loaded one does,
 //! [`Dit::footprint`] accounts for the bytes by structure, an entry's name
 //! links to its parent entry's and entries share their class's
-//! `objectClass` list whatever path took them into the tree, and neither pool keeps what an
-//! unauthenticated socket could make arbitrarily large.
+//! `objectClass` list whatever path took them into the tree, neither pool keeps what an
+//! unauthenticated socket could make arbitrarily large, and a device record
+//! (a PBX station, a messaging-platform mailbox) at rest is one packed block
+//! plus its key under committed bytes-per-record budgets.
 //!
 //! Linux/glibc only. Run it in release too (CI does): the budget is about
 //! the data structures, not the build.
@@ -356,6 +358,102 @@ fn a_benchmark_person_at_rest_is_two_heap_blocks() {
     let blocks = BLOCKS_HERE.with(Cell::get) - before;
     assert_eq!(person.first("cn"), Some("Ximena Castillo 000123"));
     assert_eq!(blocks, 2, "a benchmark person holds {blocks} heap blocks");
+}
+
+// --- device records: the device workloads' shapes --------------------------
+// (bench/src/device_update.rs: a five-field station, a three-field mailbox
+// plus the id the platform mints)
+
+const DEVICE_RECORDS: usize = 1_000;
+
+fn device_name(serial: usize) -> String {
+    format!(
+        "{} {serial:06}, {}",
+        SURNAMES[(serial / 7) % SURNAMES.len()],
+        GIVEN[serial % GIVEN.len()]
+    )
+}
+
+/// A switch holding `DEVICE_RECORDS` stations.
+fn stations() -> pbx::Store {
+    let switch = pbx::Store::new("pbx-1", pbx::DialPlan::with_prefix("1", 4));
+    for serial in 0..DEVICE_RECORDS {
+        let station = pbx::Record::from_pairs([
+            ("Extension", format!("1{serial:03}")),
+            ("Name", device_name(serial)),
+            ("Room", format!("2B-{:03}", 1 + serial % 399)),
+            ("CoveragePath", "1".to_string()),
+            ("Cor", "1".to_string()),
+        ]);
+        switch
+            .add(station, pbx::Channel::Metacomm)
+            .expect("add station");
+    }
+    switch
+}
+
+/// A platform holding `DEVICE_RECORDS` mailboxes.
+fn mailboxes() -> msgplat::Store {
+    const COS: [&str; 4] = ["standard", "executive", "basic", "premium"];
+    let platform = msgplat::Store::new("mp");
+    for serial in 0..DEVICE_RECORDS {
+        let mailbox = msgplat::store::record([
+            ("Mailbox", format!("1{serial:03}")),
+            ("Subscriber", device_name(serial)),
+            ("Cos", COS[serial % COS.len()].to_string()),
+        ]);
+        platform
+            .add(mailbox, msgplat::Channel::Metacomm)
+            .expect("add mailbox");
+    }
+    platform
+}
+
+/// What `fill` built, and the heap bytes and blocks this thread holds
+/// because of it, per device record.
+fn per_device_record<T>(fill: impl FnOnce() -> T) -> (T, f64, f64) {
+    let before = BLOCKS_HERE.with(Cell::get);
+    let (store, bytes) = held_by(fill);
+    let blocks = BLOCKS_HERE.with(Cell::get) - before;
+    let n = DEVICE_RECORDS as f64;
+    (store, bytes as f64 / n, blocks as f64 / n)
+}
+
+/// Budgets per record, the store's key map included: 159 B in 2.17 blocks
+/// a station and 157 B in 2.17 blocks a mailbox measured (the record's
+/// block, its key's, and a share of the map's nodes), the budgets about 5 %
+/// above; 708 B in 12.17 blocks a station and 708 B in 10.17 a mailbox
+/// while each record was a map of strings.
+const STATION_BYTES_BUDGET: f64 = 167.0;
+const MAILBOX_BYTES_BUDGET: f64 = 165.0;
+const DEVICE_BLOCKS_BUDGET: f64 = 2.25;
+
+#[test]
+fn a_device_record_at_rest_is_one_packed_block() {
+    let (switch, station_bytes, station_blocks) = per_device_record(stations);
+    let (platform, mailbox_bytes, mailbox_blocks) = per_device_record(mailboxes);
+    println!(
+        "station: {station_bytes:.1} B in {station_blocks:.2} blocks; \
+         mailbox: {mailbox_bytes:.1} B in {mailbox_blocks:.2} blocks"
+    );
+    assert_eq!(
+        (switch.len(), platform.len()),
+        (DEVICE_RECORDS, DEVICE_RECORDS)
+    );
+    assert!(
+        station_bytes <= STATION_BYTES_BUDGET,
+        "a station holds {station_bytes:.1} B (budget {STATION_BYTES_BUDGET})"
+    );
+    assert!(
+        mailbox_bytes <= MAILBOX_BYTES_BUDGET,
+        "a mailbox holds {mailbox_bytes:.1} B (budget {MAILBOX_BYTES_BUDGET})"
+    );
+    for (what, blocks) in [("station", station_blocks), ("mailbox", mailbox_blocks)] {
+        assert!(
+            blocks <= DEVICE_BLOCKS_BUDGET,
+            "a {what} holds {blocks:.2} blocks (budget {DEVICE_BLOCKS_BUDGET})"
+        );
+    }
 }
 
 /// `dn`'s parent link is the very block its parent entry's name is.

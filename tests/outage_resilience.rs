@@ -413,9 +413,9 @@ fn concurrent_updates_preserve_outage_semantics() {
 
 #[test]
 fn shutdown_drains_inflight_updates_cleanly() {
-    // Regression: a trigger blocked in its reply channel during shutdown
-    // used to observe "update manager crashed while processing". Shutdown
-    // must either process the in-flight update or answer "shut down".
+    // Shutdown refuses new traps and drains the updates already in flight
+    // through the §5.1 quiesce: a write racing it is either processed or
+    // answered "shut down", never "update manager crashed while processing".
     for round in 0..10 {
         let switch = Arc::new(PbxStore::new("pbx-west", DialPlan::with_prefix("1", 4)));
         let system = Arc::new(
