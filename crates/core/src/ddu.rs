@@ -6,8 +6,11 @@
 //!
 //! One relay thread runs per device, the only thread between the device's
 //! commit and LTAP: `ddu-relay-<name>` reads the filter's change feed
-//! ([`crate::filter::DirectUpdates`]: raw notifications in, echoes of
-//! MetaComm's own session dropped, descriptors out) and calls the gateway.
+//! ([`crate::filter::DirectUpdates`]: the commits made at the device's own
+//! terminal, as descriptors — MetaComm's own writes are never fed) and
+//! calls the gateway. Each relay counts the updates it has finished beside
+//! the device's count of those it sent ([`Backlog`]), which is how
+//! `MetaComm::settle` knows nothing is waiting or running.
 //! Each DDU becomes one or two LTAP operations — a name change that also
 //! touches other fields becomes the non-atomic ModifyRDN + Modify pair of
 //! §5.1 (the window the paper's resynchronization story covers; crash
@@ -26,7 +29,8 @@ use ldap::{Directory, ResultCode};
 use lexpress::{Engine, Image, OpKind, UpdateDescriptor};
 use ltap::{Gateway, LtapOp};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 /// Relay statistics: handles on the deployment's `relay` component.
 pub struct RelayStats {
@@ -58,6 +62,75 @@ impl RelayStats {
     }
 }
 
+/// Where each running relay stands against its device's feed, and where
+/// [`Backlog::wait`] waits for them to catch up.
+#[derive(Default)]
+pub(crate) struct Backlog {
+    relays: Mutex<Vec<Arc<Progress>>>,
+    caught_up: Condvar,
+}
+
+/// One relay's standing against its feed.
+struct Progress {
+    device: String,
+    /// Updates the device has sent into the feed.
+    sent: Arc<AtomicU64>,
+    /// Updates the relay has finished.
+    done: AtomicU64,
+}
+
+impl Backlog {
+    /// Count `device`'s relay in, against the count of its feed.
+    fn track(&self, device: &str, sent: Arc<AtomicU64>) -> Arc<Progress> {
+        let progress = Arc::new(Progress {
+            device: device.to_string(),
+            sent,
+            done: AtomicU64::new(0),
+        });
+        crate::unpoison(self.relays.lock()).push(progress.clone());
+        progress
+    }
+
+    /// One more update of `relay` is finished.
+    fn finished(&self, relay: &Progress) {
+        relay.done.fetch_add(1, Ordering::SeqCst);
+        self.wake();
+    }
+
+    /// `relay` has stopped: it has nothing running and takes nothing more.
+    fn stopped(&self, relay: &Arc<Progress>) {
+        crate::unpoison(self.relays.lock()).retain(|p| !Arc::ptr_eq(p, relay));
+        self.wake();
+    }
+
+    fn wake(&self) {
+        // Taken between the count and the wake-up, so a waiter that read
+        // the old count is already waiting when it is woken.
+        drop(crate::unpoison(self.relays.lock()));
+        self.caught_up.notify_all();
+    }
+
+    /// Wait until every running relay has finished every update its device
+    /// has sent it. After `timeout`, the relay that is behind, and by how
+    /// much.
+    pub(crate) fn wait(&self, timeout: Duration) -> std::result::Result<(), String> {
+        let deadline = Instant::now() + timeout;
+        let mut relays = crate::unpoison(self.relays.lock());
+        loop {
+            let behind = relays.iter().find_map(|p| {
+                let (sent, done) = (p.sent.load(Ordering::SeqCst), p.done.load(Ordering::SeqCst));
+                (done != sent).then(|| format!("ddu-relay-{} finished {done} of {sent}", p.device))
+            });
+            let Some(behind) = behind else { return Ok(()) };
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(format!("{behind} updates after {timeout:?}"));
+            }
+            relays = crate::unpoison(self.caught_up.wait_timeout(relays, left)).0;
+        }
+    }
+}
+
 /// What every relay thread works with.
 #[derive(Clone)]
 pub(crate) struct Relay {
@@ -75,6 +148,7 @@ pub(crate) struct Relay {
     /// shared by every relay thread.
     pub ddu_hist: Arc<crate::obs::Histogram>,
     pub clock: Arc<dyn crate::obs::Clock>,
+    pub backlog: Arc<Backlog>,
 }
 
 impl Relay {
@@ -85,10 +159,13 @@ impl Relay {
         for device in devices {
             let (relay, filter) = (self.clone(), device.filter.clone());
             let mut updates = filter.subscribe();
+            let progress = self.backlog.track(filter.name(), updates.sent());
             background.spawn(format!("ddu-relay-{}", filter.name()), move |stopped| {
-                while let Some(d) = updates(&stopped) {
+                while let Some(d) = updates.next(&stopped) {
                     relay.relay(filter.as_ref(), &d);
+                    relay.backlog.finished(&progress);
                 }
+                relay.backlog.stopped(&progress);
             });
         }
     }

@@ -235,7 +235,7 @@ mod tests {
             Vec::new()
         }
         fn subscribe(&self) -> DirectUpdates {
-            Box::new(|_| None)
+            DirectUpdates::new(Arc::default(), |_| None)
         }
     }
 

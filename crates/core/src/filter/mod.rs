@@ -13,7 +13,9 @@ pub use record::for_pbx;
 
 use crate::error::Result;
 use lexpress::{Image, TargetOp, UpdateDescriptor};
+use std::sync::atomic::AtomicU64;
 use std::sync::mpsc::Receiver;
+use std::sync::Arc;
 
 /// The device-side *patch* for a modify: only the fields whose value
 /// changed between the old and new target images, plus empty-string
@@ -56,14 +58,45 @@ pub struct ApplyOutcome {
     pub generated: Option<Image>,
 }
 
-/// A device's direct updates, read on its `ddu-relay-<name>` thread. Each
-/// call blocks until the device commits the next change made at its own
-/// craft terminal or console — echoes of MetaComm's own session are passed
-/// over — and returns its descriptor, in the device's commit order. `None`
+/// A device's direct updates, read on its `ddu-relay-<name>` thread: the
+/// commits made at the device's own craft terminal or console, the only
+/// ones the device feeds. [`DirectUpdates::next`] blocks until the next
+/// one and returns its descriptor, in the device's commit order. `None`
 /// ends the relay: the shutdown channel passed in hung up (it is looked at
 /// after every receive, so a busy device cannot hold a relay), or the
 /// device did.
-pub type DirectUpdates = Box<dyn FnMut(&Receiver<()>) -> Option<UpdateDescriptor> + Send>;
+pub struct DirectUpdates {
+    next: NextUpdate,
+    sent: Arc<AtomicU64>,
+}
+
+/// A blocking read of a device's feed, given the relay's shutdown channel.
+type NextUpdate = Box<dyn FnMut(&Receiver<()>) -> Option<UpdateDescriptor> + Send>;
+
+impl DirectUpdates {
+    /// The updates `next` reads, of which the device counts in `sent` each
+    /// one it has sent, before it sends it.
+    pub fn new(
+        sent: Arc<AtomicU64>,
+        next: impl FnMut(&Receiver<()>) -> Option<UpdateDescriptor> + Send + 'static,
+    ) -> DirectUpdates {
+        DirectUpdates {
+            next: Box::new(next),
+            sent,
+        }
+    }
+
+    /// The next update, or `None` once `shutdown` hangs up or the device
+    /// does.
+    pub fn next(&mut self, shutdown: &Receiver<()>) -> Option<UpdateDescriptor> {
+        (self.next)(shutdown)
+    }
+
+    /// The device's count of the updates it has sent into this feed.
+    pub fn sent(&self) -> Arc<AtomicU64> {
+        self.sent.clone()
+    }
+}
 
 /// One integrated repository, as the Update Manager, the DDU relays,
 /// synchronization and the recovery monitor see it. Only `apply`, `probe`

@@ -1,12 +1,15 @@
 //! The protocol converter for record-keeping devices — the Definity-style
-//! switch and the messaging platform. [`RecordFilter`] writes the §5.4
-//! conditional-reapply tree once; a [`RecordDevice`] says what differs
-//! between the devices, and that is data and store calls only.
+//! switch and the messaging platform, each the one device store
+//! ([`pbx::Store`]) with a [`Kind`] of its own. [`RecordFilter`] writes the
+//! §5.4 conditional-reapply tree once against that store; what a kind
+//! surfaces as in the integrated schema is a [`Surface`], data only.
 
 use super::{changed_fields, ApplyOutcome, DeviceFilter, DirectUpdates};
 use crate::error::{MetaError, Result};
-use lexpress::{Image, OpKind, TargetOp, UpdateDescriptor, UpdateKind};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
+use lexpress::{Image, OpKind, TargetOp, UpdateDescriptor};
+use pbx::{DeviceEvent, EventKind, Kind, Record};
+use std::fmt::Display;
+use std::sync::mpsc::{RecvTimeoutError, TryRecvError};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -14,250 +17,132 @@ use std::time::Duration;
 /// shutdown channel again.
 const SHUTDOWN_CHECK: Duration = Duration::from_millis(10);
 
-/// How long a relay that has just dropped an echo lets the next ones queue
-/// before it takes them; a DDU arriving meanwhile waits at most this long.
-const ECHO_NAP: Duration = Duration::from_micros(100);
-
-/// A commit at the device's own terminal: kind, key, record before, after.
-type Change<R> = (UpdateKind, String, Option<R>, Option<R>);
-
-/// What a store write answers: the post-commit record, where the store
-/// hands one back.
-type Stored<D> =
-    std::result::Result<Option<<D as RecordDevice>::Record>, <D as RecordDevice>::Error>;
-
-/// What one kind of record device supplies to the converter. Every store
-/// call goes through MetaComm's own session, so the device can tell
-/// MetaComm's writes from a craft's.
-trait RecordDevice: Send + Sync + 'static {
-    type Record;
-    type Error: std::fmt::Display;
-    type Event: Send + 'static;
-    /// The device-schema field that keys a record.
-    const KEY: &'static str;
-    /// The one field the device mints itself at add-commit, and the
-    /// integrated-schema attribute it surfaces as. Stripped before a
-    /// re-add: the device mints a new one.
-    const MINTED: Option<(&'static str, &'static str)>;
-    /// Integrated-schema attributes the device owns.
-    const OWNED: &'static [&'static str];
+/// The integrated-schema attributes one kind of device surfaces as.
+struct Surface {
+    /// Attributes the device owns.
+    owned: &'static [&'static str],
     /// The owned attribute every entry with data on this device carries.
-    const PRESENCE: &'static str;
-
-    fn record(fields: impl Iterator<Item = (String, String)>) -> Self::Record;
-    fn fields(rec: &Self::Record) -> impl Iterator<Item = (&str, &str)>;
-    fn add(&self, rec: Self::Record) -> Stored<Self>;
-    fn change(&self, key: &str, patch: Self::Record) -> Stored<Self>;
-    fn remove(&self, key: &str) -> std::result::Result<(), Self::Error>;
-    /// Is `e` the device's "no such record"?
-    fn is_missing(e: &Self::Error) -> bool;
-    fn get(&self, key: &str) -> Option<Self::Record>;
-    fn len(&self) -> usize;
-    /// Every record, borrowed where the device keeps it: packed, as both
-    /// devices keep their records at rest.
-    fn for_each(&self, visit: impl FnMut(&pbx::Record));
-    fn subscribe(&self) -> Receiver<Self::Event>;
-    /// `None` for an echo of MetaComm's own session.
-    fn surfaced(ev: Self::Event) -> Option<Change<Self::Record>>;
+    presence: &'static str,
+    /// The attribute the device-minted field surfaces as.
+    minted: Option<&'static str>,
 }
 
-struct Switch(Arc<pbx::Store>);
-
-impl RecordDevice for Switch {
-    type Record = pbx::Record;
-    type Error = pbx::PbxError;
-    type Event = pbx::DeviceEvent;
-    const KEY: &'static str = pbx::fields::EXTENSION;
-    const MINTED: Option<(&'static str, &'static str)> = None;
-    const OWNED: &'static [&'static str] = &[
+const SWITCH: Surface = Surface {
+    owned: &[
         "definityExtension",
         "definityCoveragePath",
         "definityCor",
         "definityPort",
         "definitySetType",
-    ];
-    const PRESENCE: &'static str = "definityExtension";
+    ],
+    presence: "definityExtension",
+    minted: None,
+};
 
-    fn record(fields: impl Iterator<Item = (String, String)>) -> pbx::Record {
-        pbx::Record::from_pairs(fields)
-    }
-    fn fields(rec: &pbx::Record) -> impl Iterator<Item = (&str, &str)> {
-        rec.fields()
-    }
-    fn add(&self, rec: pbx::Record) -> Stored<Self> {
-        self.0.add(rec, pbx::Channel::Metacomm).map(|()| None)
-    }
-    fn change(&self, key: &str, patch: pbx::Record) -> Stored<Self> {
-        self.0
-            .change(key, patch, pbx::Channel::Metacomm)
-            .map(|()| None)
-    }
-    fn remove(&self, key: &str) -> pbx::Result<()> {
-        self.0.remove(key, pbx::Channel::Metacomm)
-    }
-    fn is_missing(e: &pbx::PbxError) -> bool {
-        matches!(e, pbx::PbxError::NoSuchStation(_))
-    }
-    fn get(&self, key: &str) -> Option<pbx::Record> {
-        self.0.get(key)
-    }
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-    fn for_each(&self, visit: impl FnMut(&pbx::Record)) {
-        self.0.for_each(visit)
-    }
-    fn subscribe(&self) -> Receiver<pbx::DeviceEvent> {
-        self.0.subscribe()
-    }
-    fn surfaced(ev: pbx::DeviceEvent) -> Option<Change<pbx::Record>> {
-        let kind = match ev.kind {
-            pbx::EventKind::Add => UpdateKind::Add,
-            pbx::EventKind::Change => UpdateKind::Modify,
-            pbx::EventKind::Remove => UpdateKind::Delete,
-        };
-        (ev.channel == pbx::Channel::Craft).then_some((kind, ev.key, ev.old, ev.new))
-    }
-}
+const PLATFORM: Surface = Surface {
+    owned: &["mpMailbox", "mpMailboxId", "mpClassOfService"],
+    presence: "mpMailbox",
+    minted: Some("mpMailboxId"),
+};
 
-struct Platform(Arc<msgplat::Store>);
-
-impl RecordDevice for Platform {
-    type Record = msgplat::Record;
-    type Error = msgplat::MpError;
-    type Event = msgplat::MpEvent;
-    const KEY: &'static str = msgplat::fields::MAILBOX;
-    const MINTED: Option<(&'static str, &'static str)> =
-        Some((msgplat::fields::MBID, "mpMailboxId"));
-    const OWNED: &'static [&'static str] = &["mpMailbox", "mpMailboxId", "mpClassOfService"];
-    const PRESENCE: &'static str = "mpMailbox";
-
-    fn record(fields: impl Iterator<Item = (String, String)>) -> msgplat::Record {
-        fields.collect()
-    }
-    fn fields(rec: &msgplat::Record) -> impl Iterator<Item = (&str, &str)> {
-        rec.iter().map(|(k, v)| (k.as_str(), v.as_str()))
-    }
-    fn add(&self, rec: msgplat::Record) -> Stored<Self> {
-        self.0.add(rec, msgplat::Channel::Metacomm).map(Some)
-    }
-    fn change(&self, key: &str, patch: msgplat::Record) -> Stored<Self> {
-        self.0
-            .change(key, patch, msgplat::Channel::Metacomm)
-            .map(Some)
-    }
-    fn remove(&self, key: &str) -> msgplat::Result<()> {
-        self.0.remove(key, msgplat::Channel::Metacomm)
-    }
-    fn is_missing(e: &msgplat::MpError) -> bool {
-        matches!(e, msgplat::MpError::NoSuchMailbox(_))
-    }
-    fn get(&self, key: &str) -> Option<msgplat::Record> {
-        self.0.get(key)
-    }
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-    fn for_each(&self, visit: impl FnMut(&pbx::Record)) {
-        self.0.for_each(visit)
-    }
-    fn subscribe(&self) -> Receiver<msgplat::MpEvent> {
-        self.0.subscribe()
-    }
-    fn surfaced(ev: msgplat::MpEvent) -> Option<Change<msgplat::Record>> {
-        let kind = match ev.kind {
-            msgplat::EventKind::Add => UpdateKind::Add,
-            msgplat::EventKind::Change => UpdateKind::Modify,
-            msgplat::EventKind::Remove => UpdateKind::Delete,
-        };
-        (ev.channel == msgplat::Channel::Console).then_some((kind, ev.key, ev.old, ev.new))
-    }
-}
+/// The store a filter serves: a switch, or the platform behind its
+/// map-building `get`.
+type Held<K> = Arc<dyn AsRef<pbx::Store<K>> + Send + Sync>;
 
 /// The filter for one switch.
 pub fn for_pbx(store: Arc<pbx::Store>) -> Arc<dyn DeviceFilter> {
-    Arc::new(RecordFilter::new(store.name(), Switch(store.clone())))
+    Arc::new(RecordFilter::new(store, &SWITCH))
 }
 
 /// The filter for one messaging platform. Its adds *generate* information
 /// at the device (the mailbox id), which the filter reports back so the
 /// Update Manager can fold it into the directory image (paper §5.5).
 pub(crate) fn for_msgplat(store: Arc<msgplat::Store>) -> Arc<dyn DeviceFilter> {
-    Arc::new(RecordFilter::new(store.name(), Platform(store.clone())))
+    Arc::new(RecordFilter::new(store, &PLATFORM))
 }
 
-struct RecordFilter<D> {
-    device: D,
+struct RecordFilter<K: Kind> {
+    held: Held<K>,
+    surface: &'static Surface,
     name: String,
     to_ldap: String,
     from_ldap: String,
 }
 
-impl<D: RecordDevice> RecordFilter<D> {
-    fn new(name: &str, device: D) -> RecordFilter<D> {
+impl<K: Kind<Error: Display>> RecordFilter<K> {
+    fn new(held: Held<K>, surface: &'static Surface) -> RecordFilter<K> {
+        let name = (*held).as_ref().name().to_string();
         RecordFilter {
-            device,
-            name: name.to_string(),
             to_ldap: format!("{name}_to_ldap"),
             from_ldap: format!("ldap_to_{name}"),
+            held,
+            surface,
+            name,
         }
     }
 
-    fn dev_err(&self, e: D::Error) -> MetaError {
+    fn store(&self) -> &pbx::Store<K> {
+        (*self.held).as_ref()
+    }
+
+    fn dev_err(&self, e: K::Error) -> MetaError {
         MetaError::Device {
             repository: self.name.clone(),
             detail: e.to_string(),
         }
     }
 
-    fn image(rec: &D::Record) -> Image {
-        Image::from_pairs(D::fields(rec))
-    }
-
     /// The device record carrying `img`'s first values: keyed `key`, or
     /// without a key field when it is a patch; with the device-minted field
     /// only where `minted` says so.
-    fn record(img: &Image, key: Option<&str>, minted: bool) -> D::Record {
+    fn record(img: &Image, key: Option<&str>, minted: bool) -> Record {
         let dropped = |field: &str| {
-            field.eq_ignore_ascii_case(D::KEY)
-                || (!minted && D::MINTED.is_some_and(|(m, _)| field.eq_ignore_ascii_case(m)))
+            field.eq_ignore_ascii_case(K::KEY)
+                || (!minted && K::MINTED.is_some_and(|(m, _)| field.eq_ignore_ascii_case(m)))
         };
-        D::record(
-            img.iter()
-                .filter(|(field, _)| !dropped(field))
-                .filter_map(|(field, values)| Some((field.to_string(), values.first()?.clone())))
-                .chain(key.map(|k| (D::KEY.to_string(), k.to_string()))),
-        )
+        let kept = img.iter().filter(|(field, _)| !dropped(field));
+        let firsts = kept.filter_map(|(field, values)| Some((field, values.first()?.as_str())));
+        Record::from_pairs(firsts.chain(key.map(|k| (K::KEY, k))))
+    }
+
+    /// Add `rec` through MetaComm's own session.
+    fn add(&self, rec: Record) -> Result<()> {
+        (self.store().add(rec, K::METACOMM)).map_err(|e| self.dev_err(e))
     }
 
     /// Add the op's full image under `key`, as a fresh record.
-    fn add_back(&self, op: &TargetOp, key: &str) -> Result<Option<D::Record>> {
-        self.device
-            .add(Self::record(&op.attrs, Some(key), false))
-            .map_err(|e| self.dev_err(e))
+    fn add_back(&self, op: &TargetOp, key: &str) -> Result<()> {
+        self.add(Self::record(&op.attrs, Some(key), false))
     }
 
-    /// Device-generated info in integrated-schema terms, read off the
-    /// record as the device now holds it.
-    fn generated(post: Option<D::Record>) -> Option<Image> {
-        let (field, attr) = D::MINTED?;
-        let post = post?;
-        let (_, id) = D::fields(&post).find(|(name, _)| *name == field)?;
-        Some(Image::from_pairs([(attr, id)]))
+    /// What the device generated for the record at `key`, in
+    /// integrated-schema terms, read off the record as the device now
+    /// holds it.
+    fn generated(&self, key: &str) -> Option<Image> {
+        let ((field, _), attr) = (K::MINTED?, self.surface.minted?);
+        let id = |held: &Record| held.get(field).map(str::to_string);
+        Some(Image::from_pairs([(attr, self.store().read(key, id)??)]))
     }
 
-    fn descriptor(origin: &str, ev: D::Event) -> Option<UpdateDescriptor> {
-        let (kind, key, old, new) = D::surfaced(ev)?;
-        let image = |rec: Option<D::Record>| rec.as_ref().map(Self::image).unwrap_or_default();
-        Some(match kind {
-            UpdateKind::Add => UpdateDescriptor::add(key, image(new), origin),
-            UpdateKind::Modify => UpdateDescriptor::modify(key, image(old), image(new), origin),
-            UpdateKind::Delete => UpdateDescriptor::delete(key, image(old), origin),
-        })
+    fn descriptor(origin: &str, ev: DeviceEvent) -> UpdateDescriptor {
+        let held = ev.new.as_ref().or(ev.old.as_ref());
+        let key = held.and_then(|rec| rec.get(K::KEY)).unwrap_or_default();
+        let key = key.to_string();
+        let image = |rec: Option<Record>| {
+            let fields = rec.as_ref().map(|rec| Image::from_pairs(rec.fields()));
+            fields.unwrap_or_default()
+        };
+        match ev.kind {
+            EventKind::Add => UpdateDescriptor::add(key, image(ev.new), origin),
+            EventKind::Change => {
+                UpdateDescriptor::modify(key, image(ev.old), image(ev.new), origin)
+            }
+            EventKind::Remove => UpdateDescriptor::delete(key, image(ev.old), origin),
+        }
     }
 }
 
-impl<D: RecordDevice> DeviceFilter for RecordFilter<D> {
+impl<K: Kind<Error: Display>> DeviceFilter for RecordFilter<K> {
     fn name(&self) -> &str {
         &self.name
     }
@@ -271,28 +156,31 @@ impl<D: RecordDevice> DeviceFilter for RecordFilter<D> {
     }
 
     fn key_attr(&self) -> &str {
-        D::KEY
+        K::KEY
     }
 
     fn ldap_owned_attrs(&self) -> &[&str] {
-        D::OWNED
+        self.surface.owned
     }
 
     fn ldap_presence_attr(&self) -> &str {
-        D::PRESENCE
+        self.surface.presence
     }
 
     fn apply(&self, op: &TargetOp) -> Result<ApplyOutcome> {
-        let done = |applied, reapplied, post| {
+        // `post`: the key of the record the op left on the device, whose
+        // minted field is reported.
+        let done = |applied, reapplied, post: Option<&str>| {
             Ok(ApplyOutcome {
                 applied,
                 reapplied,
-                generated: Self::generated(post),
+                generated: post.and_then(|key| self.generated(key)),
             })
         };
         fn key(k: &Option<String>) -> &str {
             k.as_deref().expect("engine validated")
         }
+        let store = self.store();
         match op.kind {
             OpKind::Skip => Ok(ApplyOutcome::default()),
             OpKind::Add => {
@@ -302,95 +190,86 @@ impl<D: RecordDevice> DeviceFilter for RecordFilter<D> {
                     // §5.4: a reapplied add goes in as a change (echoing
                     // the minted field back is allowed); a real add only
                     // when the record is missing.
-                    match self.device.change(key, rec()) {
-                        Ok(post) => return done(true, true, post),
-                        Err(e) if D::is_missing(&e) => {}
+                    match store.change(key, rec(), K::METACOMM) {
+                        Ok(()) => return done(true, true, Some(key)),
+                        Err(e) if K::is_missing(&e) => {}
                         Err(e) => return Err(self.dev_err(e)),
                     }
                 }
-                let post = self.device.add(rec()).map_err(|e| self.dev_err(e))?;
-                done(true, op.conditional, post)
+                self.add(rec())?;
+                done(true, op.conditional, Some(key))
             }
             OpKind::Modify => {
                 let (old_key, new_key) = (key(&op.old_key), key(&op.new_key));
                 if old_key != new_key {
                     // The device's form cannot change a key: migrate via
                     // remove + add (§4.2).
-                    match self.device.remove(old_key) {
+                    match store.remove(old_key, K::METACOMM) {
                         Ok(()) => {}
-                        Err(e) if op.conditional && D::is_missing(&e) => {}
+                        Err(e) if op.conditional && K::is_missing(&e) => {}
                         Err(e) => return Err(self.dev_err(e)),
                     }
-                    return done(true, op.conditional, self.add_back(op, new_key)?);
+                    self.add_back(op, new_key)?;
+                    return done(true, op.conditional, Some(new_key));
                 }
                 let mut patch = changed_fields(&op.old_attrs, &op.attrs);
-                patch.remove(D::KEY);
+                patch.remove(K::KEY);
                 if patch.is_empty() {
                     // Nothing device-visible changed; what the device
                     // generated for the record is still reported.
-                    let held = D::MINTED.and_then(|_| self.device.get(new_key));
-                    return done(false, op.conditional, held);
+                    return done(false, op.conditional, Some(new_key));
                 }
-                match self
-                    .device
-                    .change(new_key, Self::record(&patch, None, true))
-                {
-                    Ok(post) => done(true, op.conditional, post),
+                let patch = Self::record(&patch, None, true);
+                match store.change(new_key, patch, K::METACOMM) {
+                    Ok(()) => done(true, op.conditional, Some(new_key)),
                     // Conditional modify of a missing record: add the full
                     // image back.
-                    Err(e) if op.conditional && D::is_missing(&e) => {
-                        done(true, true, self.add_back(op, new_key)?)
+                    Err(e) if op.conditional && K::is_missing(&e) => {
+                        self.add_back(op, new_key)?;
+                        done(true, true, Some(new_key))
                     }
                     Err(e) => Err(self.dev_err(e)),
                 }
             }
-            OpKind::Delete => match self.device.remove(key(&op.old_key)) {
+            OpKind::Delete => match store.remove(key(&op.old_key), K::METACOMM) {
                 Ok(()) => done(true, op.conditional, None),
                 // Reapplied delete: already gone — fine.
-                Err(e) if op.conditional && D::is_missing(&e) => done(false, true, None),
+                Err(e) if op.conditional && K::is_missing(&e) => done(false, true, None),
                 Err(e) => Err(self.dev_err(e)),
             },
         }
     }
 
     fn probe(&self) -> Result<()> {
-        let _ = self.device.len();
+        let _ = self.store().len();
         Ok(())
     }
 
     /// Each image is built straight from the record the device holds.
     fn dump(&self) -> Vec<Image> {
-        let mut images = Vec::with_capacity(self.device.len());
-        (self.device).for_each(|rec| images.push(Image::from_pairs(rec.fields())));
+        let mut images = Vec::with_capacity(self.store().len());
+        (self.store()).for_each(|rec| images.push(Image::from_pairs(rec.fields())));
         images
     }
 
     fn subscribe(&self) -> DirectUpdates {
-        let events = self.device.subscribe();
+        let feed = self.store().subscribe();
+        let sent = feed.sent();
         let origin = self.name.clone();
         // One blocking receive on the feed, so a DDU wakes its relay as it
         // arrives; the shutdown channel is looked at after every receive, so
-        // neither an idle device nor a busy one holds its relay.
-        Box::new(move |shutdown| {
-            let mut next = events.recv_timeout(SHUTDOWN_CHECK);
-            while shutdown.try_recv() == Err(TryRecvError::Empty) {
-                next = match next {
-                    Ok(ev) => match Self::descriptor(&origin, ev) {
-                        Some(d) => return Some(d),
-                        // An echo of MetaComm's own write, which come in runs
-                        // (a sync, a fan-out): take the next one without
-                        // parking, or nap rather than park, so the writer
-                        // does not pay a wake-up for each one.
-                        None => events.try_recv().or_else(|_| {
-                            std::thread::sleep(ECHO_NAP);
-                            events.recv_timeout(SHUTDOWN_CHECK)
-                        }),
-                    },
-                    Err(RecvTimeoutError::Timeout) => events.recv_timeout(SHUTDOWN_CHECK),
-                    Err(RecvTimeoutError::Disconnected) => return None,
-                };
+        // neither an idle device nor a busy one holds its relay. Every event
+        // is a terminal commit: MetaComm's own writes are never fed.
+        DirectUpdates::new(sent, move |shutdown| loop {
+            let next = feed.recv_timeout(SHUTDOWN_CHECK);
+            if shutdown.try_recv() != Err(TryRecvError::Empty) {
+                return None;
             }
-            None
+            match next {
+                Ok(ev) => return Some(Self::descriptor(&origin, ev)),
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => return None,
+            }
         })
     }
 }
@@ -398,66 +277,54 @@ impl<D: RecordDevice> DeviceFilter for RecordFilter<D> {
 #[cfg(test)]
 mod tests {
     //! The §5.4 conformance table: one scenario list, driven through the
-    //! one filter for both devices.
+    //! one filter for both device kinds.
     use super::*;
+    use lexpress::UpdateKind;
 
-    /// What the table needs of a device besides its description: a fresh
-    /// one, two ordinary fields, and a hand on its own terminal.
-    trait Bench: RecordDevice + Sized {
+    /// What the table needs of a kind besides its description: a filter
+    /// over a fresh store, and two ordinary fields.
+    trait Bench: Kind<Error: Display> + Sized {
         const NAME: &'static str;
         /// The subscriber-name field and one more non-key field.
         const FIELDS: [&'static str; 2];
-        fn fresh() -> Self;
-        /// Add / change one field of / remove `key` at the craft terminal
-        /// or the console.
-        fn craft_add(&self, key: &str, name: &str);
-        fn craft_change(&self, key: &str, field: &str, value: &str);
-        fn craft_remove(&self, key: &str);
+        fn fresh() -> RecordFilter<Self>;
     }
 
-    impl Bench for Switch {
+    impl Bench for pbx::Switch {
         const NAME: &'static str = "pbx-west";
         const FIELDS: [&'static str; 2] = [pbx::fields::NAME, pbx::fields::ROOM];
-        fn fresh() -> Switch {
+        fn fresh() -> RecordFilter<pbx::Switch> {
             let plan = pbx::DialPlan::with_prefix("9", 4);
-            Switch(Arc::new(pbx::Store::new(Self::NAME, plan)))
-        }
-        fn craft_add(&self, key: &str, name: &str) {
-            let rec = pbx::Record::from_pairs([(Self::KEY, key), (pbx::fields::NAME, name)]);
-            self.0.add(rec, pbx::Channel::Craft).unwrap();
-        }
-        fn craft_change(&self, key: &str, field: &str, value: &str) {
-            let patch = pbx::Record::from_pairs([(field, value)]);
-            self.0.change(key, patch, pbx::Channel::Craft).unwrap();
-        }
-        fn craft_remove(&self, key: &str) {
-            self.0.remove(key, pbx::Channel::Craft).unwrap();
+            RecordFilter::new(Arc::new(pbx::Store::new(Self::NAME, plan)), &SWITCH)
         }
     }
 
-    impl Bench for Platform {
+    impl Bench for msgplat::Platform {
         const NAME: &'static str = "mp";
         const FIELDS: [&'static str; 2] = [msgplat::fields::SUBSCRIBER, msgplat::fields::COS];
-        fn fresh() -> Platform {
-            Platform(Arc::new(msgplat::Store::new(Self::NAME)))
-        }
-        fn craft_add(&self, key: &str, name: &str) {
-            let rec = msgplat::record([(Self::KEY, key), (msgplat::fields::SUBSCRIBER, name)]);
-            self.0.add(rec, msgplat::Channel::Console).unwrap();
-        }
-        fn craft_change(&self, key: &str, field: &str, value: &str) {
-            let patch = msgplat::record([(field, value)]);
-            self.0
-                .change(key, patch, msgplat::Channel::Console)
-                .unwrap();
-        }
-        fn craft_remove(&self, key: &str) {
-            self.0.remove(key, msgplat::Channel::Console).unwrap();
+        fn fresh() -> RecordFilter<msgplat::Platform> {
+            RecordFilter::new(Arc::new(msgplat::Store::new(Self::NAME)), &PLATFORM)
         }
     }
 
     fn filter<D: Bench>() -> RecordFilter<D> {
-        RecordFilter::new(D::NAME, D::fresh())
+        D::fresh()
+    }
+
+    /// Add / change one field of / remove `key` at the device's own
+    /// terminal.
+    fn craft_add<D: Bench>(f: &RecordFilter<D>, key: &str, name: &str) {
+        let rec = Record::from_pairs([(D::KEY, key), (D::FIELDS[0], name)]);
+        assert!(f.store().add(rec, D::TERMINAL).is_ok());
+    }
+
+    fn craft_change<D: Bench>(f: &RecordFilter<D>, key: &str, field: &str, value: &str) {
+        let patch = Record::from_pairs([(field, value)]);
+        assert!(f.store().change(key, patch, D::TERMINAL).is_ok());
+    }
+
+    fn craft_remove<D: Bench>(f: &RecordFilter<D>, key: &str) {
+        assert!(f.store().remove(key, D::TERMINAL).is_ok());
     }
 
     /// `[name, other]` as an image of the device's two ordinary fields.
@@ -507,16 +374,15 @@ mod tests {
 
     /// `field` of the record at `key`, as the device holds it now.
     fn held<D: Bench>(f: &RecordFilter<D>, key: &str, field: &str) -> Option<String> {
-        let rec = f.device.get(key)?;
-        let found = D::fields(&rec).find(|(name, _)| *name == field);
-        found.map(|(_, value)| value.to_string())
+        f.store().get(key)?.get(field).map(str::to_string)
     }
 
     /// The device-minted id an outcome reports, in integrated-schema terms.
     /// Always the one the device holds at `key` — and there is one exactly
     /// when the device mints any.
     fn reported<D: Bench>(f: &RecordFilter<D>, key: &str, out: &ApplyOutcome) -> Option<String> {
-        let minted = D::MINTED.and_then(|(field, attr)| {
+        let minted = D::MINTED.and_then(|(field, _)| {
+            let attr = f.surface.minted.expect("a minted field surfaces");
             let id = out.generated.as_ref()?.first(attr)?.to_string();
             assert!(id.starts_with("MB-"), "{id}");
             assert_eq!(held(f, key, field).as_ref(), Some(&id));
@@ -533,7 +399,7 @@ mod tests {
         let out = f.apply(&add::<D>("9123", "Doe, John", false)).unwrap();
         assert!(out.applied && !out.reapplied);
         reported(&f, "9123", &out);
-        assert_eq!(f.device.len(), 1);
+        assert_eq!(f.store().len(), 1);
         assert_eq!(held(&f, "9123", name).as_deref(), Some("Doe, John"));
 
         let image = attrs::<D>(["Doe, John", "2B-401"]);
@@ -545,7 +411,7 @@ mod tests {
 
         let out = f.apply(&delete("9123", false)).unwrap();
         assert!(out.applied && !out.reapplied && out.generated.is_none());
-        assert_eq!(f.device.len(), 0);
+        assert_eq!(f.store().len(), 0);
         // Unconditional delete of a missing record is a device error …
         let err = f.apply(&delete("9123", false)).unwrap_err();
         assert!(
@@ -565,7 +431,7 @@ mod tests {
         // Reapplied add: must not fail on the duplicate; becomes a change.
         let again = f.apply(&add::<D>("9123", "Doe, John", true)).unwrap();
         assert!(again.applied && again.reapplied);
-        assert_eq!(f.device.len(), 1);
+        assert_eq!(f.store().len(), 1);
         assert_eq!(
             reported(&f, "9123", &first),
             reported(&f, "9123", &again),
@@ -575,7 +441,7 @@ mod tests {
         let out = f.apply(&add::<D>("9200", "Smith, Pat", true)).unwrap();
         assert!(out.applied && out.reapplied);
         reported(&f, "9200", &out);
-        assert_eq!(f.device.len(), 2);
+        assert_eq!(f.store().len(), 2);
     }
 
     fn conditional_delete_tolerates_a_missing_record<D: Bench>() {
@@ -605,7 +471,7 @@ mod tests {
             .apply(&modify(false, ("9123", "9200"), (Image::new(), image)))
             .unwrap();
         assert!(out.applied && !out.reapplied);
-        assert!(f.device.get("9123").is_none());
+        assert!(f.store().get("9123").is_none());
         assert_eq!(held(&f, "9200", name).as_deref(), Some("Doe, John"));
         if let Some(renumbered) = reported(&f, "9200", &out) {
             assert_ne!(Some(renumbered), id, "a new record gets a new minted id");
@@ -624,11 +490,11 @@ mod tests {
         // Unconditionally, the missing old record is the device's error and
         // nothing is added.
         assert!(f.apply(&renumber(false)).is_err());
-        assert_eq!(f.device.len(), 0);
+        assert_eq!(f.store().len(), 0);
         let out = f.apply(&renumber(true)).unwrap();
         assert!(out.applied && out.reapplied);
         reported(&f, "9200", &out);
-        assert_eq!(f.device.len(), 1);
+        assert_eq!(f.store().len(), 1);
     }
 
     fn conditional_modify_of_a_missing_record_adds_the_full_image<D: Bench>() {
@@ -672,7 +538,7 @@ mod tests {
             .apply(&op(OpKind::Skip, false, (None, None), none))
             .unwrap();
         assert!(!out.applied && !out.reapplied && out.generated.is_none());
-        assert_eq!(f.device.len(), 0);
+        assert_eq!(f.store().len(), 0);
     }
 
     fn only_the_devices_own_terminal_surfaces_and_in_commit_order<D: Bench>() {
@@ -680,14 +546,16 @@ mod tests {
         let [name, other] = D::FIELDS;
         let mut updates = f.subscribe();
         let (shutdown, stopped) = std::sync::mpsc::channel::<()>();
-        // MetaComm's own writes, before and between the craft's: suppressed.
+        // MetaComm's own writes, before and between the craft's: never fed.
         f.apply(&add::<D>("9123", "Doe, John", false)).unwrap();
-        f.device.craft_add("9200", "Smith, Pat");
+        craft_add(&f, "9200", "Smith, Pat");
         f.apply(&delete("9123", false)).unwrap();
-        f.device.craft_change("9200", other, "2B-401");
-        f.device.craft_remove("9200");
+        craft_change(&f, "9200", other, "2B-401");
+        craft_remove(&f, "9200");
+        let sent = updates.sent().load(std::sync::atomic::Ordering::SeqCst);
+        assert_eq!(sent, 3, "the feed counts the terminal commits alone");
 
-        let d = updates(&stopped).expect("the craft add");
+        let d = updates.next(&stopped).expect("the craft add");
         assert_eq!(
             (d.kind, d.origin.as_str(), d.key.as_str()),
             (UpdateKind::Add, f.name(), "9200")
@@ -697,7 +565,7 @@ mod tests {
             // The descriptor carries what the device generated at commit.
             assert!(d.new.first(field).unwrap().starts_with("MB-"), "{d:?}");
         }
-        let d = updates(&stopped).expect("the craft change");
+        let d = updates.next(&stopped).expect("the craft change");
         assert_eq!(
             (d.kind, d.origin.as_str(), d.key.as_str()),
             (UpdateKind::Modify, f.name(), "9200")
@@ -706,13 +574,13 @@ mod tests {
         assert_eq!(d.old.first(other), None);
         assert!(d.is_explicit(&other.to_ascii_lowercase()));
         assert!(!d.is_explicit(&name.to_ascii_lowercase()));
-        let d = updates(&stopped).expect("the craft remove");
+        let d = updates.next(&stopped).expect("the craft remove");
         assert_eq!((d.kind, d.key.as_str()), (UpdateKind::Delete, "9200"));
         assert_eq!(d.old.first(name), Some("Smith, Pat"));
         // Nothing else surfaced: with the feed drained, hanging up the
         // shutdown channel is all that is left to end the wait.
         drop(shutdown);
-        assert!(updates(&stopped).is_none());
+        assert!(updates.next(&stopped).is_none());
     }
 
     fn dump_carries_every_record_with_its_key<D: Bench>() {
@@ -768,21 +636,21 @@ mod tests {
 
     #[test]
     fn the_switch_conforms() {
-        table::<Switch>();
+        table::<pbx::Switch>();
     }
 
     #[test]
     fn the_messaging_platform_conforms() {
-        table::<Platform>();
+        table::<msgplat::Platform>();
     }
 
     #[test]
     fn the_mappings_are_named_after_the_repository() {
-        let f = filter::<Switch>();
+        let f = filter::<pbx::Switch>();
         assert_eq!(f.mapping_to_ldap(), "pbx-west_to_ldap");
         assert_eq!(f.mapping_from_ldap(), "ldap_to_pbx-west");
         assert!(f.ldap_owned_attrs().contains(&f.ldap_presence_attr()));
-        let f = filter::<Platform>();
+        let f = filter::<msgplat::Platform>();
         assert_eq!(
             (f.mapping_to_ldap(), f.mapping_from_ldap()),
             ("mp_to_ldap", "ldap_to_mp")

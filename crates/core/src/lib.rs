@@ -68,7 +68,7 @@ pub use sync::SyncReport;
 pub use um::{DeviceTotal, UmStats, UpdateTrace};
 pub use wba::Wba;
 
-use crate::ddu::{Relay, RelayStats};
+use crate::ddu::{Backlog, Relay, RelayStats};
 use crate::durability::Durability;
 use crate::resilience::{Background, DeviceRuntime, RecoveryCtx};
 use crate::um::Shared;
@@ -81,6 +81,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::RecvTimeoutError;
 use std::sync::{Arc, LockResult, Mutex, PoisonError};
+
+/// How long [`MetaComm::settle`] waits for the relays to catch up.
+const SETTLE_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(60);
 
 /// A `std::sync` lock's guard, poisoned or not (as a holder that panicked left it).
 fn unpoison<G>(result: LockResult<G>) -> G {
@@ -447,6 +450,7 @@ impl MetaCommBuilder {
         let relay_stats = RelayStats::install(&registry);
         let crash_between_pair = Arc::new(AtomicBool::new(false));
         let mut background = Background::default();
+        let backlog = Arc::new(Backlog::default());
         Relay {
             gateway: gateway.clone(),
             engine: engine.clone(),
@@ -457,6 +461,7 @@ impl MetaCommBuilder {
             retry: self.retry.clone(),
             ddu_hist: registry.component("relay").histogram("ddu"),
             clock: registry.clock(),
+            backlog: backlog.clone(),
         }
         .spawn(&devices, &mut background);
         registry.adopt(gateway.stats().component().clone());
@@ -492,6 +497,7 @@ impl MetaCommBuilder {
             um,
             um_stats,
             background: Mutex::new(background),
+            backlog,
             relay_stats,
             suffix,
             crash_between_pair,
@@ -516,6 +522,8 @@ pub struct MetaComm {
     um_stats: Arc<UmStats>,
     /// The DDU relays and the recovery monitor.
     background: Mutex<Background>,
+    /// Each relay's standing against its device's feed.
+    backlog: Arc<Backlog>,
     relay_stats: Arc<RelayStats>,
     suffix: Dn,
     crash_between_pair: Arc<AtomicBool>,
@@ -696,37 +704,23 @@ impl MetaComm {
         self.durability.as_ref().map(|d| d.report().clone())
     }
 
-    /// Wait until the pipeline is quiescent (no DDUs in flight and no
-    /// update under way: the counters stop moving). Used by tests, the rigs and the benchmark; detects
-    /// stability rather than relying on fixed sleeps.
+    /// Wait until the pipeline is quiet: every relay has finished every
+    /// direct device update its device has fed it, and no update is under
+    /// way. Used by tests, the rigs and the benchmark. It waits for a resync
+    /// in progress (that holds the §5.1 quiesce), not for a probe the
+    /// recovery monitor has yet to make.
+    ///
+    /// # Panics
+    ///
+    /// When a relay is still behind after 60 s: a pipeline that does not
+    /// drain is stuck, not quiet.
     pub fn settle(&self) {
-        let snapshot = |mc: &MetaComm| {
-            (
-                ldap::Dit::seq(&mc.dit),
-                mc.um_stats.updates.load(Ordering::SeqCst),
-                mc.relay_stats.ddus.load(Ordering::SeqCst),
-                mc.relay_stats.ops_sent.load(Ordering::SeqCst),
-                mc.relay_stats.errors.load(Ordering::SeqCst),
-                mc.relay_stats.injected_crashes.load(Ordering::SeqCst),
-                mc.um_stats.full_resyncs.load(Ordering::SeqCst),
-                mc.um_stats.breaker_trips.load(Ordering::SeqCst),
-            )
-        };
-        let mut last = snapshot(self);
-        let mut stable = 0;
-        for _ in 0..500 {
-            std::thread::sleep(std::time::Duration::from_millis(5));
-            let now = snapshot(self);
-            if now == last {
-                stable += 1;
-                if stable >= 4 {
-                    return;
-                }
-            } else {
-                stable = 0;
-                last = now;
-            }
+        if let Err(behind) = self.backlog.wait(SETTLE_TIMEOUT) {
+            panic!("settle: {behind}");
         }
+        // An update already trapped holds an update pass; opening the §5.1
+        // quiesce waits it out, as `shutdown` does.
+        drop(self.gateway.begin_sync());
     }
 
     /// Stop the recovery monitor and the relays, then the Update Manager

@@ -13,7 +13,8 @@ use ldap::entry::{Entry, Modification};
 use ldap::{Directory, Filter, Scope};
 
 /// The administration front-end. All writes are labelled `wba` in
-/// `lastUpdater` so origin tracking distinguishes them from device echoes.
+/// `lastUpdater` so origin tracking tells them from updates relayed from a
+/// device.
 pub struct Wba<D: Directory> {
     dir: D,
     suffix: Dn,

@@ -10,7 +10,7 @@
 //! ```
 
 use crate::error::{MpError, Result};
-use crate::store::{fields, record, Channel, Record, Store};
+use crate::store::{fields, Channel, Record, Store};
 use std::fmt::Write as _;
 
 fn field_for(keyword: &str) -> Option<&'static str> {
@@ -23,7 +23,8 @@ fn field_for(keyword: &str) -> Option<&'static str> {
 
 /// Execute one console command; returns the console output.
 pub fn execute(store: &Store, line: &str) -> Result<String> {
-    let tokens = tokenize(line)?;
+    let tokens = pbx::ossi::words(line)
+        .ok_or_else(|| MpError::BadCommand(format!("unterminated quote in `{line}`")))?;
     let mut it = tokens.iter();
     let verb = it.next().map(String::as_str).unwrap_or("");
     match verb {
@@ -32,9 +33,9 @@ pub fn execute(store: &Store, line: &str) -> Result<String> {
             let mb = it
                 .next()
                 .ok_or_else(|| MpError::BadCommand(format!("missing mailbox: {line}")))?;
-            let mut rec: Record = record::<String, String>([]);
+            let mut rec = Record::new();
             if verb == "add" {
-                rec.insert(fields::MAILBOX.into(), mb.clone());
+                rec.set(fields::MAILBOX, mb);
             }
             while let Some(kw) = it.next() {
                 let field = field_for(kw)
@@ -42,13 +43,14 @@ pub fn execute(store: &Store, line: &str) -> Result<String> {
                 let value = it
                     .next()
                     .ok_or_else(|| MpError::BadCommand(format!("missing value for `{kw}`")))?;
-                rec.insert(field.into(), value.clone());
+                rec.set(field, value);
             }
             if verb == "add" {
-                let created = store.add(rec, Channel::Console)?;
+                store.add(rec, Channel::Console)?;
+                let id = store.read(mb, |held| held.get(fields::MBID).map(str::to_string));
                 Ok(format!(
                     "subscriber {mb} created, mailbox id {}",
-                    created.get(fields::MBID).map(String::as_str).unwrap_or("?")
+                    id.flatten().as_deref().unwrap_or("?")
                 ))
             } else {
                 store.change(mb, rec, Channel::Console)?;
@@ -68,12 +70,11 @@ pub fn execute(store: &Store, line: &str) -> Result<String> {
             let mb = it
                 .next()
                 .ok_or_else(|| MpError::BadCommand(format!("missing mailbox: {line}")))?;
-            let rec = store
-                .get(mb)
-                .ok_or_else(|| MpError::NoSuchMailbox(mb.clone()))?;
+            let rec =
+                pbx::Store::get(store, mb).ok_or_else(|| MpError::NoSuchMailbox(mb.clone()))?;
             let mut out = String::new();
             writeln!(out, "MAILBOX {mb}").expect("write");
-            for (k, v) in &rec {
+            for (k, v) in rec.fields() {
                 if k != fields::MAILBOX {
                     writeln!(out, "  {k:<14} {v}").expect("write");
                 }
@@ -91,17 +92,16 @@ pub fn execute(store: &Store, line: &str) -> Result<String> {
             }
             let mut out = String::new();
             writeln!(out, "{:<8} {:<12} {:<24}", "MBX", "ID", "SUBSCRIBER").expect("write");
-            for mb in store.mailboxes() {
-                let r = store.get(&mb).expect("listed");
+            store.for_each(|r| {
                 writeln!(
                     out,
                     "{:<8} {:<12} {:<24}",
-                    mb,
-                    r.get(fields::MBID).map(String::as_str).unwrap_or(""),
-                    r.get(fields::SUBSCRIBER).map(String::as_str).unwrap_or("")
+                    r.get(fields::MAILBOX).unwrap_or(""),
+                    r.get(fields::MBID).unwrap_or(""),
+                    r.get(fields::SUBSCRIBER).unwrap_or("")
                 )
                 .expect("write");
-            }
+            });
             Ok(out)
         }
         other => Err(MpError::BadCommand(format!("unknown verb `{other}`"))),
@@ -113,44 +113,6 @@ fn expect_kw<'a>(it: &mut impl Iterator<Item = &'a String>, kw: &str, line: &str
         Some(t) if t == kw => Ok(()),
         _ => Err(MpError::BadCommand(format!("expected `{kw}` in `{line}`"))),
     }
-}
-
-fn tokenize(line: &str) -> Result<Vec<String>> {
-    let mut out = Vec::new();
-    let mut chars = line.chars().peekable();
-    while let Some(&c) = chars.peek() {
-        if c.is_whitespace() {
-            chars.next();
-        } else if c == '"' {
-            chars.next();
-            let mut s = String::new();
-            let mut closed = false;
-            for c in chars.by_ref() {
-                if c == '"' {
-                    closed = true;
-                    break;
-                }
-                s.push(c);
-            }
-            if !closed {
-                return Err(MpError::BadCommand(format!(
-                    "unterminated quote in `{line}`"
-                )));
-            }
-            out.push(s);
-        } else {
-            let mut s = String::new();
-            while let Some(&c) = chars.peek() {
-                if c.is_whitespace() {
-                    break;
-                }
-                s.push(c);
-                chars.next();
-            }
-            out.push(s);
-        }
-    }
-    Ok(out)
 }
 
 #[cfg(test)]

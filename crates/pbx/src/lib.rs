@@ -1,16 +1,20 @@
-//! # pbx — a Definity®-style PBX simulator
+//! # pbx — a Definity®-style PBX simulator, and the one device store
 //!
 //! Stands in for the proprietary Lucent Definity switch the paper
 //! integrates (see DESIGN.md §1 for the substitution argument). It exposes
 //! exactly the surfaces MetaComm interacts with:
 //!
-//! - a station [`Store`] with **single-record atomic updates only**, no
+//! - a record [`Store`] with **single-record atomic updates only**, no
 //!   triggers, and weak (string) typing: each [`Record`] is its fields
-//!   packed into one block, the form the messaging platform keeps its
-//!   mailboxes in too;
-//! - commit-time change notifications distinguishing craft-terminal updates
-//!   (direct device updates, DDUs) from MetaComm's own administration
-//!   session;
+//!   packed into one block, held in a set ordered by its own key field.
+//!   The store is generic over a device [`Kind`] — key field, minted
+//!   field, terminal channel, refusals — so the messaging platform
+//!   (`msgplat`) is the same store with a kind of its own; the switch's
+//!   kind is [`Switch`];
+//! - a commit-time change [`Feed`] of the updates made at the device's own
+//!   terminal (direct device updates, DDUs): MetaComm's own administration
+//!   session commits without feeding an event, so there is no echo for a
+//!   reader to drop;
 //! - an [`ossi`] craft-terminal command interface — the legacy path device
 //!   administrators keep using alongside the directory;
 //! - a [`DialPlan`] partitioning extensions across switches, mirrored by
@@ -27,7 +31,36 @@ mod store;
 pub use dialplan::DialPlan;
 pub use error::{PbxError, Result};
 pub use record::{fields, Record};
-pub use store::{Channel, DeviceEvent, EventKind, Store};
+pub use store::{Channel, DeviceEvent, EventKind, Feed, Kind, Mint, Refusal, Store, Switch};
+
+/// A complete simulated switch: store + dial plan + craft interface.
+///
+/// ```
+/// use pbx::{Pbx, DialPlan};
+/// let pbx = Pbx::new("pbx-west", DialPlan::with_prefix("9", 4));
+/// pbx.craft(r#"add station 9123 name "Doe, John" room 2B-401"#).unwrap();
+/// assert_eq!(pbx.store().len(), 1);
+/// ```
+pub struct Pbx {
+    store: std::sync::Arc<Store>,
+}
+
+impl Pbx {
+    pub fn new(name: impl Into<String>, plan: DialPlan) -> Pbx {
+        Pbx {
+            store: std::sync::Arc::new(Store::new(name, plan)),
+        }
+    }
+
+    pub fn store(&self) -> &std::sync::Arc<Store> {
+        &self.store
+    }
+
+    /// Execute a craft-terminal command (a direct device update).
+    pub fn craft(&self, line: &str) -> Result<String> {
+        ossi::execute(&self.store, line)
+    }
+}
 
 /// What the calling thread asks the allocator for, counted for the unit
 /// tests that pin where a change puts its bytes.
@@ -81,47 +114,5 @@ pub(crate) mod asked {
         let out = f();
         let after = ASKED.with(Cell::get);
         (out, (after.0 - before.0, after.1 - before.1))
-    }
-}
-
-/// A complete simulated switch: store + dial plan + craft interface.
-///
-/// ```
-/// use pbx::{Pbx, DialPlan};
-/// let pbx = Pbx::new("pbx-west", DialPlan::with_prefix("9", 4));
-/// pbx.craft(r#"add station 9123 name "Doe, John" room 2B-401"#).unwrap();
-/// assert_eq!(pbx.store().len(), 1);
-/// ```
-pub struct Pbx {
-    store: std::sync::Arc<Store>,
-}
-
-impl Pbx {
-    pub fn new(name: impl Into<String>, plan: DialPlan) -> Pbx {
-        Pbx {
-            store: std::sync::Arc::new(Store::new(name, plan)),
-        }
-    }
-
-    pub fn store(&self) -> &std::sync::Arc<Store> {
-        &self.store
-    }
-
-    /// Execute a craft-terminal command (a direct device update).
-    pub fn craft(&self, line: &str) -> Result<String> {
-        ossi::execute(&self.store, line)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn doc_example() {
-        let pbx = Pbx::new("pbx-west", DialPlan::with_prefix("9", 4));
-        pbx.craft(r#"add station 9123 name "Doe, John""#).unwrap();
-        assert_eq!(pbx.store().name(), "pbx-west");
-        assert_eq!(pbx.store().len(), 1);
     }
 }

@@ -32,7 +32,8 @@ fn field_for(keyword: &str) -> Option<&'static str> {
 
 /// Execute one craft command against a switch; returns the terminal output.
 pub fn execute(store: &Store, line: &str) -> Result<String> {
-    let tokens = tokenize(line)?;
+    let tokens = words(line)
+        .ok_or_else(|| PbxError::BadCommand(format!("unterminated quote in `{line}`")))?;
     let mut it = tokens.iter();
     let verb = it.next().map(String::as_str).unwrap_or("");
     match verb {
@@ -43,7 +44,7 @@ pub fn execute(store: &Store, line: &str) -> Result<String> {
                 .ok_or_else(|| PbxError::BadCommand(format!("missing extension: {line}")))?;
             let mut rec = Record::new();
             if verb == "add" {
-                rec.set(fields::EXTENSION, ext.clone());
+                rec.set(fields::EXTENSION, ext);
             }
             while let Some(kw) = it.next() {
                 let field = field_for(kw)
@@ -52,7 +53,7 @@ pub fn execute(store: &Store, line: &str) -> Result<String> {
                     .next()
                     .ok_or_else(|| PbxError::BadCommand(format!("missing value for `{kw}`")))?;
                 validate_field(field, value)?;
-                rec.set(field, value.clone());
+                rec.set(field, value);
             }
             if verb == "add" {
                 store.add(rec, Channel::Craft)?;
@@ -98,17 +99,16 @@ pub fn execute(store: &Store, line: &str) -> Result<String> {
             }
             let mut out = String::new();
             writeln!(out, "{:<8} {:<24} {:<10}", "EXT", "NAME", "ROOM").expect("write");
-            for ext in store.extensions() {
-                let r = store.get(&ext).expect("listed");
+            store.for_each(|r| {
                 writeln!(
                     out,
                     "{:<8} {:<24} {:<10}",
-                    ext,
+                    r.get(fields::EXTENSION).unwrap_or(""),
                     r.get(fields::NAME).unwrap_or(""),
                     r.get(fields::ROOM).unwrap_or("")
                 )
                 .expect("write");
-            }
+            });
             Ok(out)
         }
         other => Err(PbxError::BadCommand(format!("unknown verb `{other}`"))),
@@ -144,42 +144,21 @@ fn expect_kw<'a>(it: &mut impl Iterator<Item = &'a String>, kw: &str, line: &str
     }
 }
 
-fn tokenize(line: &str) -> Result<Vec<String>> {
+/// The words of a console line, a double-quoted run being one word; `None`
+/// for a quote left open. The messaging platform's console splits its
+/// lines the same way.
+pub fn words(line: &str) -> Option<Vec<String>> {
     let mut out = Vec::new();
-    let mut chars = line.chars().peekable();
-    while let Some(&c) = chars.peek() {
-        if c.is_whitespace() {
-            chars.next();
-        } else if c == '"' {
-            chars.next();
-            let mut s = String::new();
-            let mut closed = false;
-            for c in chars.by_ref() {
-                if c == '"' {
-                    closed = true;
-                    break;
-                }
-                s.push(c);
-            }
-            if !closed {
-                return Err(PbxError::BadCommand(format!(
-                    "unterminated quote in `{line}`"
-                )));
-            }
-            out.push(s);
-        } else {
-            let mut s = String::new();
-            while let Some(&c) = chars.peek() {
-                if c.is_whitespace() {
-                    break;
-                }
-                s.push(c);
-                chars.next();
-            }
-            out.push(s);
-        }
+    let mut rest = line.trim_start();
+    while !rest.is_empty() {
+        let (word, after) = match rest.strip_prefix('"') {
+            Some(quoted) => quoted.split_once('"')?,
+            None => rest.split_at(rest.find(char::is_whitespace).unwrap_or(rest.len())),
+        };
+        out.push(word.to_string());
+        rest = after.trim_start();
     }
-    Ok(out)
+    Some(out)
 }
 
 #[cfg(test)]
@@ -251,10 +230,11 @@ mod tests {
     }
 
     #[test]
-    fn craft_commands_notify_as_craft_channel() {
+    fn craft_commands_are_fed_as_terminal_commits() {
         let s = store();
         let rx = s.subscribe();
         execute(&s, "add station 9123 name X").unwrap();
-        assert_eq!(rx.recv().unwrap().channel, Channel::Craft);
+        let added = rx.try_recv().unwrap().new.unwrap();
+        assert_eq!(added.get(fields::EXTENSION), Some("9123"));
     }
 }

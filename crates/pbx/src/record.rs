@@ -128,23 +128,22 @@ impl Record {
     }
 
     /// The record holding `pairs`; of a repeated field, the last value.
-    pub fn from_pairs<K: Into<String>, V: Into<String>>(
+    /// The pairs are packed as they are given: a borrowed one is not copied
+    /// first.
+    pub fn from_pairs<K: AsRef<str>, V: AsRef<str>>(
         pairs: impl IntoIterator<Item = (K, V)>,
     ) -> Record {
-        let mut pairs: Vec<(String, String)> = pairs
-            .into_iter()
-            .map(|(k, v)| (k.into(), v.into()))
-            .collect();
+        let mut pairs: Vec<(K, V)> = pairs.into_iter().collect();
         // Reversed, a stable sort puts a repeated field's last value first
         // among its repeats, and the dedup keeps the first.
         pairs.reverse();
-        pairs.sort_by(|a, b| a.0.cmp(&b.0));
-        pairs.dedup_by(|later, kept| later.0 == kept.0);
-        let len = pairs.iter().map(|(k, v)| coded_len(k) + coded_len(v));
+        pairs.sort_by(|a, b| a.0.as_ref().cmp(b.0.as_ref()));
+        pairs.dedup_by(|later, kept| later.0.as_ref() == kept.0.as_ref());
+        let len = (pairs.iter()).map(|(k, v)| coded_len(k.as_ref()) + coded_len(v.as_ref()));
         let mut block = vec![0; len.sum()].into_boxed_slice();
         let mut out = &mut block[..];
         for (k, v) in &pairs {
-            out = put_text(put_text(out, k), v);
+            out = put_text(put_text(out, k.as_ref()), v.as_ref());
         }
         Record { block }
     }
@@ -158,8 +157,8 @@ impl Record {
         Some(text(value.coded()))
     }
 
-    pub fn set(&mut self, field: impl Into<String>, value: impl Into<String>) {
-        self.put(&field.into(), &value.into());
+    pub fn set(&mut self, field: impl AsRef<str>, value: impl AsRef<str>) {
+        self.put(field.as_ref(), value.as_ref());
     }
 
     /// The fields in key order.

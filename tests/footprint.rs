@@ -7,8 +7,8 @@
 //! links to its parent entry's and entries share their class's
 //! `objectClass` list whatever path took them into the tree, neither pool keeps what an
 //! unauthenticated socket could make arbitrarily large, and a device record
-//! (a PBX station, a messaging-platform mailbox) at rest is one packed block
-//! plus its key under committed bytes-per-record budgets.
+//! (a PBX station, a messaging-platform mailbox) at rest is one packed block,
+//! its key held inside it, under committed bytes-per-record budgets.
 //!
 //! Linux/glibc only. Run it in release too (CI does): the budget is about
 //! the data structures, not the build.
@@ -419,14 +419,15 @@ fn per_device_record<T>(fill: impl FnOnce() -> T) -> (T, f64, f64) {
     (store, bytes as f64 / n, blocks as f64 / n)
 }
 
-/// Budgets per record, the store's key map included: 159 B in 2.17 blocks
-/// a station and 157 B in 2.17 blocks a mailbox measured (the record's
-/// block, its key's, and a share of the map's nodes), the budgets about 5 %
-/// above; 708 B in 12.17 blocks a station and 708 B in 10.17 a mailbox
-/// while each record was a map of strings.
-const STATION_BYTES_BUDGET: f64 = 167.0;
-const MAILBOX_BYTES_BUDGET: f64 = 165.0;
-const DEVICE_BLOCKS_BUDGET: f64 = 2.25;
+/// Budgets per record, the store's set included: 111.2 B in 1.17 blocks a
+/// station and 109.3 B in 1.17 blocks a mailbox measured (the record's
+/// block, which holds its key, and a share of the set's nodes), the budgets
+/// about 5 % above; 159 B and 157 B in 2.17 blocks while the store's map
+/// held a second copy of every key, and 708 B in 12.17 blocks a station
+/// and 708 B in 10.17 a mailbox while each record was a map of strings.
+const STATION_BYTES_BUDGET: f64 = 117.0;
+const MAILBOX_BYTES_BUDGET: f64 = 115.0;
+const DEVICE_BLOCKS_BUDGET: f64 = 1.25;
 
 #[test]
 fn a_device_record_at_rest_is_one_packed_block() {

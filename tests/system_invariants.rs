@@ -84,11 +84,11 @@ fn check_invariant(s: &Sys) -> Result<(), String> {
             .find(|p| p.first("definityExtension") == Some(ext))
     };
     for store in [&s.west, &s.east] {
-        for ext in store.extensions() {
+        for ext in store.keys() {
             find_by_ext(&ext).ok_or_else(|| format!("station {ext} has no directory entry"))?;
         }
     }
-    for mbx in s.mp.mailboxes() {
+    for mbx in s.mp.keys() {
         people
             .iter()
             .find(|p| p.first("mpMailbox") == Some(mbx.as_str()))
