@@ -4,12 +4,15 @@
 //! the LDAP schema and forwards it to LTAP; the update is eventually sent
 //! back to the UM after proper LTAP locks are obtained."
 //!
-//! One relay thread runs per device, the only thread between the device's
-//! commit and LTAP: `ddu-relay-<name>` reads the filter's change feed
-//! ([`crate::filter::DirectUpdates`]: the commits made at the device's own
-//! terminal, as descriptors — MetaComm's own writes are never fed) and
-//! calls the gateway. Each relay counts the updates it has finished beside
-//! the device's count of those it sent ([`Backlog`]), which is how
+//! One relay thread runs per device, the device's only loop:
+//! `ddu-relay-<name>` takes what comes to the device's [`Inbox`] — the
+//! commits made at its own terminal (MetaComm's own writes are never fed),
+//! a ring when its breaker leaves `Up`, and the stop. It turns each commit
+//! into a descriptor and calls the gateway; while the device is not `Up`,
+//! it probes it when a probe is due and brings it back by
+//! [`crate::resilience::attempt_recovery`] (§4.4's resynchronization).
+//! While the device is `Up` and the inbox empty, it waits with no timeout.
+//! An inbox knows whether it is empty and its relay idle, which is how
 //! `MetaComm::settle` knows nothing is waiting or running.
 //! Each DDU becomes one or two LTAP operations — a name change that also
 //! touches other fields becomes the non-atomic ModifyRDN + Modify pair of
@@ -17,20 +20,23 @@
 //! injection for experiment E8 sits exactly between the two).
 
 use crate::error::{MetaError, Result};
-use crate::errorlog::ErrorLog;
-use crate::filter::DeviceFilter;
+use crate::filter::{self, DeviceFilter};
 use crate::image::{diff_mods, image_to_entry};
 use crate::obs::{Counter, Registry};
-use crate::resilience::{Background, Device, RetryPolicy};
+use crate::resilience::{self, Device, RecoveryCtx};
 use crate::um::aux_class_mods;
+use crate::unpoison;
 use ldap::dn::Dn;
 use ldap::entry::Modification;
 use ldap::{Directory, ResultCode};
-use lexpress::{Engine, Image, OpKind, UpdateDescriptor};
-use ltap::{Gateway, LtapOp};
+use lexpress::{Image, OpKind, UpdateDescriptor};
+use ltap::LtapOp;
+use pbx::DeviceEvent;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::thread::JoinHandle;
+use std::time::Instant;
 
 /// Relay statistics: handles on the deployment's `relay` component.
 pub struct RelayStats {
@@ -62,111 +68,168 @@ impl RelayStats {
     }
 }
 
-/// Where each running relay stands against its device's feed, and where
-/// [`Backlog::wait`] waits for them to catch up.
+/// A device's one way into its relay: the commits made at its terminal, a
+/// ring when its breaker leaves `Up`, and the stop.
 #[derive(Default)]
-pub(crate) struct Backlog {
-    relays: Mutex<Vec<Arc<Progress>>>,
-    caught_up: Condvar,
+pub(crate) struct Inbox {
+    mail: Mutex<Mail>,
+    /// Wakes the relay when mail comes, and `settle` when the relay goes
+    /// idle.
+    changed: Condvar,
 }
 
-/// One relay's standing against its feed.
-struct Progress {
-    device: String,
-    /// Updates the device has sent into the feed.
-    sent: Arc<AtomicU64>,
-    /// Updates the relay has finished.
-    done: AtomicU64,
+#[derive(Default)]
+struct Mail {
+    events: VecDeque<DeviceEvent>,
+    closed: bool,
+    /// The relay is at work on what it last took.
+    busy: bool,
 }
 
-impl Backlog {
-    /// Count `device`'s relay in, against the count of its feed.
-    fn track(&self, device: &str, sent: Arc<AtomicU64>) -> Arc<Progress> {
-        let progress = Arc::new(Progress {
-            device: device.to_string(),
-            sent,
-            done: AtomicU64::new(0),
-        });
-        crate::unpoison(self.relays.lock()).push(progress.clone());
-        progress
+/// What the relay takes from its inbox.
+enum Work {
+    Relay(DeviceEvent),
+    /// A probe of the device is due.
+    Probe,
+    Stop,
+}
+
+impl Inbox {
+    /// Change the mail, then wake whoever waits on it. The lock is released
+    /// first, so a woken waiter does not block on it again.
+    fn deliver<T>(&self, change: impl FnOnce(&mut Mail) -> T) -> T {
+        let mut mail = unpoison(self.mail.lock());
+        let out = change(&mut mail);
+        drop(mail);
+        self.changed.notify_all();
+        out
     }
 
-    /// One more update of `relay` is finished.
-    fn finished(&self, relay: &Progress) {
-        relay.done.fetch_add(1, Ordering::SeqCst);
-        self.wake();
-    }
-
-    /// `relay` has stopped: it has nothing running and takes nothing more.
-    fn stopped(&self, relay: &Arc<Progress>) {
-        crate::unpoison(self.relays.lock()).retain(|p| !Arc::ptr_eq(p, relay));
-        self.wake();
-    }
-
-    fn wake(&self) {
-        // Taken between the count and the wake-up, so a waiter that read
-        // the old count is already waiting when it is woken.
-        drop(crate::unpoison(self.relays.lock()));
-        self.caught_up.notify_all();
-    }
-
-    /// Wait until every running relay has finished every update its device
-    /// has sent it. After `timeout`, the relay that is behind, and by how
-    /// much.
-    pub(crate) fn wait(&self, timeout: Duration) -> std::result::Result<(), String> {
-        let deadline = Instant::now() + timeout;
-        let mut relays = crate::unpoison(self.relays.lock());
-        loop {
-            let behind = relays.iter().find_map(|p| {
-                let (sent, done) = (p.sent.load(Ordering::SeqCst), p.done.load(Ordering::SeqCst));
-                (done != sent).then(|| format!("ddu-relay-{} finished {done} of {sent}", p.device))
-            });
-            let Some(behind) = behind else { return Ok(()) };
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return Err(format!("{behind} updates after {timeout:?}"));
+    /// Post a terminal commit. `false` once the inbox is closed, so the
+    /// store drops the sink that posts here.
+    pub(crate) fn post(&self, event: DeviceEvent) -> bool {
+        self.deliver(|mail| {
+            if !mail.closed {
+                mail.events.push_back(event);
             }
-            relays = crate::unpoison(self.caught_up.wait_timeout(relays, left)).0;
+            !mail.closed
+        })
+    }
+
+    /// Wake the relay to look when its device is next due a probe: its
+    /// breaker has left `Up`.
+    pub(crate) fn ring(&self) {
+        self.deliver(|_| ());
+    }
+
+    /// Stop the relay once it has finished what it has in hand. What is
+    /// still waiting is dropped, left to the next synchronization.
+    pub(crate) fn close(&self) {
+        self.deliver(|mail| {
+            mail.closed = true;
+            mail.events.clear();
+        });
+    }
+
+    /// The relay has finished what it took.
+    fn done(&self) {
+        self.deliver(|mail| mail.busy = false);
+    }
+
+    /// The relay's next work, waiting for it. `next_probe` is read each
+    /// time the relay wakes, under the inbox's lock, so a ring that follows
+    /// a change of it is not missed: until the probe it names (forever
+    /// without one).
+    fn take(&self, next_probe: impl Fn() -> Option<Instant>) -> Work {
+        let mut mail = unpoison(self.mail.lock());
+        loop {
+            if mail.closed {
+                return Work::Stop;
+            }
+            if let Some(event) = mail.events.pop_front() {
+                mail.busy = true;
+                return Work::Relay(event);
+            }
+            let probe = next_probe();
+            if probe.is_some_and(|at| Instant::now() >= at) {
+                mail.busy = true;
+                return Work::Probe;
+            }
+            mail = match probe {
+                Some(at) => {
+                    let left = at.saturating_duration_since(Instant::now());
+                    unpoison(self.changed.wait_timeout(mail, left)).0
+                }
+                None => unpoison(self.changed.wait(mail)),
+            };
         }
+    }
+
+    /// Wait until the inbox is empty and its relay idle, or closed. After
+    /// `deadline`, how many commits are still waiting.
+    pub(crate) fn settle(&self, deadline: Instant) -> std::result::Result<(), usize> {
+        let left = deadline.saturating_duration_since(Instant::now());
+        let mail = unpoison(self.mail.lock());
+        let at_work = |mail: &mut Mail| !mail.closed && (mail.busy || !mail.events.is_empty());
+        let (mail, waited) = unpoison(self.changed.wait_timeout_while(mail, left, at_work));
+        if waited.timed_out() {
+            return Err(mail.events.len());
+        }
+        Ok(())
     }
 }
 
 /// What every relay thread works with.
 #[derive(Clone)]
 pub(crate) struct Relay {
-    pub gateway: Arc<Gateway>,
-    pub engine: Arc<Engine>,
-    pub errorlog: Arc<ErrorLog>,
+    /// The gateway, engine, error log and retry policy, shared with
+    /// recovery, which the relay runs too.
+    pub ctx: Arc<RecoveryCtx>,
     pub stats: Arc<RelayStats>,
     /// Armed by experiment E8: the next ModifyRDN+Modify pair "crashes"
     /// between its two operations.
     pub crash_between_pair: Arc<AtomicBool>,
     /// The global update sequence, for error-log entries.
     pub seq: Arc<AtomicU64>,
-    pub retry: RetryPolicy,
     /// End-to-end latency of one relayed DDU (translate + gateway trips),
     /// shared by every relay thread.
     pub ddu_hist: Arc<crate::obs::Histogram>,
     pub clock: Arc<dyn crate::obs::Clock>,
-    pub backlog: Arc<Backlog>,
 }
 
 impl Relay {
-    /// Spawn one `ddu-relay-<name>` thread per device. Its change feed is
-    /// opened here, before the thread starts, and read on that thread
-    /// alone: one thread and one queue per device, in its commit order.
-    pub(crate) fn spawn(self, devices: &[Device], background: &mut Background) {
-        for device in devices {
-            let (relay, filter) = (self.clone(), device.filter.clone());
-            let mut updates = filter.subscribe();
-            let progress = self.backlog.track(filter.name(), updates.sent());
-            background.spawn(format!("ddu-relay-{}", filter.name()), move |stopped| {
-                while let Some(d) = updates.next(&stopped) {
-                    relay.relay(filter.as_ref(), &d);
-                    relay.backlog.finished(&progress);
+    /// Spawn one `ddu-relay-<name>` thread per device. The device's sink
+    /// posts to its inbox from here on, before the thread starts.
+    pub(crate) fn spawn(self, devices: &[Device]) -> Vec<JoinHandle<()>> {
+        let spawn = |device: &Device| {
+            let (relay, device) = (self.clone(), device.clone());
+            let inbox = device.runtime.inbox.clone();
+            device.filter.subscribe(Box::new(move |ev| inbox.post(ev)));
+            let builder = std::thread::Builder::new();
+            let builder = builder.name(format!("ddu-relay-{}", device.filter.name()));
+            builder
+                .spawn(move || relay.run(&device))
+                .expect("spawn relay")
+        };
+        devices.iter().map(spawn).collect()
+    }
+
+    /// The device's one loop: relay each commit in its commit order, and
+    /// while the device is not `Up`, probe it each time a probe is due.
+    fn run(&self, device: &Device) {
+        let Device { filter, runtime } = device;
+        loop {
+            match runtime.inbox.take(|| runtime.next_probe()) {
+                Work::Relay(ev) => {
+                    let d = filter::descriptor(filter.as_ref(), ev);
+                    self.relay(filter.as_ref(), &d);
                 }
-                relay.backlog.stopped(&progress);
-            });
+                Work::Probe => {
+                    let _ = resilience::attempt_recovery(&self.ctx, device);
+                }
+                Work::Stop => return,
+            }
+            runtime.inbox.done();
         }
     }
 
@@ -178,8 +241,8 @@ impl Relay {
         self.ddu_hist.record(self.clock.now_ns().saturating_sub(t0));
         if let Err(e) = relayed {
             self.stats.errors.fetch_add(1, Ordering::Relaxed);
-            self.errorlog.log(
-                self.gateway.inner().as_ref(),
+            self.ctx.errorlog.log(
+                self.ctx.gateway.inner().as_ref(),
                 self.seq.fetch_add(1, Ordering::SeqCst),
                 &format!("DDU relay from {} failed: {e}", filter.name()),
                 &format!("{d:?}"),
@@ -193,17 +256,17 @@ impl Relay {
     /// the §5.1 ModifyRDN+Modify pair is not idempotent as a unit.
     fn send(&self, op: LtapOp, origin: &str) -> ldap::Result<()> {
         self.stats.ops_sent.fetch_add(1, Ordering::Relaxed);
-        self.retry.run(
+        self.ctx.retry.run(
             &self.stats.retried,
             |e: &ldap::LdapError| e.code == ResultCode::Unavailable,
-            || self.gateway.apply_tagged(op.clone(), origin),
+            || self.ctx.gateway.apply_tagged(op.clone(), origin),
         )
     }
 
     /// Bring the entry at `dn` in line with `attrs` by one tagged modify —
     /// none when nothing differs. `Ok(false)`: there is no such entry.
     fn merge(&self, dn: &Dn, attrs: &Image, origin: &str) -> Result<bool> {
-        let Some(existing) = self.gateway.get(dn)? else {
+        let Some(existing) = self.ctx.gateway.get(dn)? else {
             return Ok(false);
         };
         let mut mods = aux_class_mods(&existing, attrs);
@@ -215,7 +278,7 @@ impl Relay {
     }
 
     fn relay_one(&self, filter: &dyn DeviceFilter, d: &UpdateDescriptor) -> Result<()> {
-        let top = self.engine.translate(filter.mapping_to_ldap(), d)?;
+        let top = self.ctx.engine.translate(filter.mapping_to_ldap(), d)?;
         let origin = filter.name();
         let dn = |key: &Option<String>| Dn::parse(key.as_deref().expect("validated"));
         match top.kind {
@@ -267,7 +330,7 @@ impl Relay {
                 // the person; the person entry itself survives (they may
                 // still have mailboxes, etc.).
                 let dn = dn(&top.old_key)?;
-                if let Some(existing) = self.gateway.get(&dn)? {
+                if let Some(existing) = self.ctx.gateway.get(&dn)? {
                     let mods: Vec<Modification> = filter
                         .ldap_owned_attrs()
                         .iter()

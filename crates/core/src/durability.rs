@@ -21,9 +21,10 @@
 //! 2. WAL segments in generation order, applying exactly the committed
 //!    prefix of DIT records and reducing device records to one
 //!    [`StaleMark`] per device (the highest epoch wins);
-//! 3. stale devices restart `Offline`, so the recovery monitor (or
-//!    `probe_device`) resyncs them from the directory — the paper's §4.4
-//!    recovery for a repository that missed updates.
+//! 3. stale devices restart `Offline`, so each one's relay, one probe
+//!    interval after boot, (or `probe_device`) resyncs it from the
+//!    directory — the paper's §4.4 recovery for a repository that missed
+//!    updates.
 //!
 //! ## Checkpoint protocol
 //!

@@ -11,9 +11,10 @@
 //! no randomness, so a given plan produces the same fault sequence every
 //! run.
 
-use super::{ApplyOutcome, DeviceFilter, DirectUpdates};
+use super::{ApplyOutcome, DeviceFilter};
 use crate::error::{MetaError, Result};
 use lexpress::{Image, TargetOp};
+use pbx::Sink;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -190,8 +191,8 @@ impl DeviceFilter for FaultInjector {
         self.inner.dump()
     }
 
-    fn subscribe(&self) -> DirectUpdates {
-        self.inner.subscribe()
+    fn subscribe(&self, sink: Sink) {
+        self.inner.subscribe(sink);
     }
 }
 
@@ -234,9 +235,7 @@ mod tests {
         fn dump(&self) -> Vec<Image> {
             Vec::new()
         }
-        fn subscribe(&self) -> DirectUpdates {
-            DirectUpdates::new(Arc::default(), |_| None)
-        }
+        fn subscribe(&self, _sink: Sink) {}
     }
 
     fn op() -> TargetOp {

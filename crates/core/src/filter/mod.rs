@@ -13,9 +13,7 @@ pub use record::for_pbx;
 
 use crate::error::Result;
 use lexpress::{Image, TargetOp, UpdateDescriptor};
-use std::sync::atomic::AtomicU64;
-use std::sync::mpsc::Receiver;
-use std::sync::Arc;
+use pbx::{DeviceEvent, EventKind, Record, Sink};
 
 /// The device-side *patch* for a modify: only the fields whose value
 /// changed between the old and new target images, plus empty-string
@@ -58,50 +56,29 @@ pub struct ApplyOutcome {
     pub generated: Option<Image>,
 }
 
-/// A device's direct updates, read on its `ddu-relay-<name>` thread: the
-/// commits made at the device's own craft terminal or console, the only
-/// ones the device feeds. [`DirectUpdates::next`] blocks until the next
-/// one and returns its descriptor, in the device's commit order. `None`
-/// ends the relay: the shutdown channel passed in hung up (it is looked at
-/// after every receive, so a busy device cannot hold a relay), or the
-/// device did.
-pub struct DirectUpdates {
-    next: NextUpdate,
-    sent: Arc<AtomicU64>,
-}
-
-/// A blocking read of a device's feed, given the relay's shutdown channel.
-type NextUpdate = Box<dyn FnMut(&Receiver<()>) -> Option<UpdateDescriptor> + Send>;
-
-impl DirectUpdates {
-    /// The updates `next` reads, of which the device counts in `sent` each
-    /// one it has sent, before it sends it.
-    pub fn new(
-        sent: Arc<AtomicU64>,
-        next: impl FnMut(&Receiver<()>) -> Option<UpdateDescriptor> + Send + 'static,
-    ) -> DirectUpdates {
-        DirectUpdates {
-            next: Box::new(next),
-            sent,
-        }
-    }
-
-    /// The next update, or `None` once `shutdown` hangs up or the device
-    /// does.
-    pub fn next(&mut self, shutdown: &Receiver<()>) -> Option<UpdateDescriptor> {
-        (self.next)(shutdown)
-    }
-
-    /// The device's count of the updates it has sent into this feed.
-    pub fn sent(&self) -> Arc<AtomicU64> {
-        self.sent.clone()
+/// The descriptor of a commit made at `filter`'s device's own terminal:
+/// its records as device-schema images, keyed by the device's key field.
+pub(crate) fn descriptor(filter: &dyn DeviceFilter, ev: DeviceEvent) -> UpdateDescriptor {
+    let held = ev.new.as_ref().or(ev.old.as_ref());
+    let key = held.and_then(|rec| rec.get(filter.key_attr()));
+    let key = key.unwrap_or_default().to_string();
+    let image = |rec: Option<Record>| {
+        let fields = rec.as_ref().map(|rec| Image::from_pairs(rec.fields()));
+        fields.unwrap_or_default()
+    };
+    let origin = filter.name();
+    match ev.kind {
+        EventKind::Add => UpdateDescriptor::add(key, image(ev.new), origin),
+        EventKind::Change => UpdateDescriptor::modify(key, image(ev.old), image(ev.new), origin),
+        EventKind::Remove => UpdateDescriptor::delete(key, image(ev.old), origin),
     }
 }
 
-/// One integrated repository, as the Update Manager, the DDU relays,
-/// synchronization and the recovery monitor see it. Only `apply`, `probe`
-/// and `dump` go to the device; the rest are fixed facts about the
-/// repository, answered from the filter without allocating.
+/// One integrated repository, as the Update Manager, synchronization and
+/// the device's relay (which relays its direct updates and probes it back
+/// from an outage) see it. Only `apply`, `probe` and `dump` go to the
+/// device; the rest are fixed facts about the repository, answered from
+/// the filter without allocating.
 pub trait DeviceFilter: Send + Sync {
     /// Repository id (the lexpress mappings are named after it).
     fn name(&self) -> &str;
@@ -131,14 +108,15 @@ pub trait DeviceFilter: Send + Sync {
     /// op); anything the device refuses is [`crate::MetaError::Device`].
     fn apply(&self, op: &TargetOp) -> Result<ApplyOutcome>;
 
-    /// Liveness probe: a cheap round-trip to the device, used by the
-    /// recovery monitor to detect reconnection.
+    /// Liveness probe: a cheap round-trip to the device, which the device's
+    /// relay makes while the device is not `Up` to detect reconnection.
     fn probe(&self) -> Result<()>;
 
     /// Full dump for synchronization (device-schema images).
     fn dump(&self) -> Vec<Image>;
 
-    /// Open the device's change feed: nothing the device commits after
-    /// this returns is missed, whenever [`DirectUpdates`] is first read.
-    fn subscribe(&self) -> DirectUpdates;
+    /// Hand `sink` every commit made at the device's own terminal or
+    /// console from now on, as it commits, until `sink` answers that it is
+    /// gone. MetaComm's own writes are never handed over.
+    fn subscribe(&self, sink: Sink);
 }

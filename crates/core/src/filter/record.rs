@@ -4,18 +4,12 @@
 //! §5.4 conditional-reapply tree once against that store; what a kind
 //! surfaces as in the integrated schema is a [`Surface`], data only.
 
-use super::{changed_fields, ApplyOutcome, DeviceFilter, DirectUpdates};
+use super::{changed_fields, ApplyOutcome, DeviceFilter};
 use crate::error::{MetaError, Result};
-use lexpress::{Image, OpKind, TargetOp, UpdateDescriptor};
-use pbx::{DeviceEvent, EventKind, Kind, Record};
+use lexpress::{Image, OpKind, TargetOp};
+use pbx::{Kind, Record, Sink};
 use std::fmt::Display;
-use std::sync::mpsc::{RecvTimeoutError, TryRecvError};
 use std::sync::Arc;
-use std::time::Duration;
-
-/// How long an idle relay waits on its device feed before it looks at the
-/// shutdown channel again.
-const SHUTDOWN_CHECK: Duration = Duration::from_millis(10);
 
 /// The integrated-schema attributes one kind of device surfaces as.
 struct Surface {
@@ -122,23 +116,6 @@ impl<K: Kind<Error: Display>> RecordFilter<K> {
         let ((field, _), attr) = (K::MINTED?, self.surface.minted?);
         let id = |held: &Record| held.get(field).map(str::to_string);
         Some(Image::from_pairs([(attr, self.store().read(key, id)??)]))
-    }
-
-    fn descriptor(origin: &str, ev: DeviceEvent) -> UpdateDescriptor {
-        let held = ev.new.as_ref().or(ev.old.as_ref());
-        let key = held.and_then(|rec| rec.get(K::KEY)).unwrap_or_default();
-        let key = key.to_string();
-        let image = |rec: Option<Record>| {
-            let fields = rec.as_ref().map(|rec| Image::from_pairs(rec.fields()));
-            fields.unwrap_or_default()
-        };
-        match ev.kind {
-            EventKind::Add => UpdateDescriptor::add(key, image(ev.new), origin),
-            EventKind::Change => {
-                UpdateDescriptor::modify(key, image(ev.old), image(ev.new), origin)
-            }
-            EventKind::Remove => UpdateDescriptor::delete(key, image(ev.old), origin),
-        }
     }
 }
 
@@ -252,25 +229,8 @@ impl<K: Kind<Error: Display>> DeviceFilter for RecordFilter<K> {
         images
     }
 
-    fn subscribe(&self) -> DirectUpdates {
-        let feed = self.store().subscribe();
-        let sent = feed.sent();
-        let origin = self.name.clone();
-        // One blocking receive on the feed, so a DDU wakes its relay as it
-        // arrives; the shutdown channel is looked at after every receive, so
-        // neither an idle device nor a busy one holds its relay. Every event
-        // is a terminal commit: MetaComm's own writes are never fed.
-        DirectUpdates::new(sent, move |shutdown| loop {
-            let next = feed.recv_timeout(SHUTDOWN_CHECK);
-            if shutdown.try_recv() != Err(TryRecvError::Empty) {
-                return None;
-            }
-            match next {
-                Ok(ev) => return Some(Self::descriptor(&origin, ev)),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => return None,
-            }
-        })
+    fn subscribe(&self, sink: Sink) {
+        self.store().subscribe(sink);
     }
 }
 
@@ -544,18 +504,20 @@ mod tests {
     fn only_the_devices_own_terminal_surfaces_and_in_commit_order<D: Bench>() {
         let f = filter::<D>();
         let [name, other] = D::FIELDS;
-        let mut updates = f.subscribe();
-        let (shutdown, stopped) = std::sync::mpsc::channel::<()>();
+        let (tx, events) = std::sync::mpsc::channel();
+        f.subscribe(Box::new(move |ev| tx.send(ev).is_ok()));
         // MetaComm's own writes, before and between the craft's: never fed.
         f.apply(&add::<D>("9123", "Doe, John", false)).unwrap();
         craft_add(&f, "9200", "Smith, Pat");
         f.apply(&delete("9123", false)).unwrap();
         craft_change(&f, "9200", other, "2B-401");
         craft_remove(&f, "9200");
-        let sent = updates.sent().load(std::sync::atomic::Ordering::SeqCst);
-        assert_eq!(sent, 3, "the feed counts the terminal commits alone");
+        let next = || {
+            let ev = events.try_recv().expect("a terminal commit");
+            crate::filter::descriptor(&f, ev)
+        };
 
-        let d = updates.next(&stopped).expect("the craft add");
+        let d = next();
         assert_eq!(
             (d.kind, d.origin.as_str(), d.key.as_str()),
             (UpdateKind::Add, f.name(), "9200")
@@ -565,7 +527,7 @@ mod tests {
             // The descriptor carries what the device generated at commit.
             assert!(d.new.first(field).unwrap().starts_with("MB-"), "{d:?}");
         }
-        let d = updates.next(&stopped).expect("the craft change");
+        let d = next();
         assert_eq!(
             (d.kind, d.origin.as_str(), d.key.as_str()),
             (UpdateKind::Modify, f.name(), "9200")
@@ -574,13 +536,11 @@ mod tests {
         assert_eq!(d.old.first(other), None);
         assert!(d.is_explicit(&other.to_ascii_lowercase()));
         assert!(!d.is_explicit(&name.to_ascii_lowercase()));
-        let d = updates.next(&stopped).expect("the craft remove");
+        let d = next();
         assert_eq!((d.kind, d.key.as_str()), (UpdateKind::Delete, "9200"));
         assert_eq!(d.old.first(name), Some("Smith, Pat"));
-        // Nothing else surfaced: with the feed drained, hanging up the
-        // shutdown channel is all that is left to end the wait.
-        drop(shutdown);
-        assert!(updates.next(&stopped).is_none());
+        // Nothing else surfaced: the three terminal commits alone were fed.
+        assert!(events.try_recv().is_err());
     }
 
     fn dump_carries_every_record_with_its_key<D: Bench>() {

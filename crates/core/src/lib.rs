@@ -68,9 +68,9 @@ pub use sync::SyncReport;
 pub use um::{DeviceTotal, UmStats, UpdateTrace};
 pub use wba::Wba;
 
-use crate::ddu::{Backlog, Relay, RelayStats};
+use crate::ddu::{Relay, RelayStats};
 use crate::durability::Durability;
-use crate::resilience::{Background, DeviceRuntime, RecoveryCtx};
+use crate::resilience::{DeviceRuntime, RecoveryCtx};
 use crate::um::Shared;
 use ldap::dn::Dn;
 use ldap::entry::Entry;
@@ -79,8 +79,8 @@ use lexpress::{library, Closure, Engine};
 use ltap::{Gateway, SecurityPolicy, TriggerSpec};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::RecvTimeoutError;
 use std::sync::{Arc, LockResult, Mutex, PoisonError};
+use std::thread::JoinHandle;
 
 /// How long [`MetaComm::settle`] waits for the relays to catch up.
 const SETTLE_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(60);
@@ -221,7 +221,8 @@ impl MetaCommBuilder {
         self
     }
 
-    /// Per-device circuit-breaker thresholds and recovery-probe interval.
+    /// Per-device circuit-breaker thresholds and the interval at which a
+    /// device's relay probes it while it is not `Up`.
     pub fn with_breaker_policy(mut self, breaker: BreakerPolicy) -> Self {
         self.breaker = breaker;
         self
@@ -368,8 +369,8 @@ impl MetaCommBuilder {
         let um_obs = obs::UmObs::install(&registry);
         // The one list of integrated repositories: each filter with its
         // breaker runtime, shared between the coordinator (records outcomes,
-        // skips an offline device), the recovery monitor (probes and
-        // resyncs), checkpoints and this handle.
+        // skips an offline device), the device's relay (relays its direct
+        // updates, probes and resyncs it), checkpoints and this handle.
         let devices: Arc<[Device]> = filters
             .into_iter()
             .map(|filter| Device {
@@ -386,7 +387,7 @@ impl MetaCommBuilder {
             .collect();
         if let Some((dur, marks)) = &durability {
             // Hand each device its recovered mark (a stale one restarts
-            // Offline and the monitor resyncs it). The boot checkpoint
+            // Offline and its relay resyncs it). The boot checkpoint
             // makes the recovered state the new baseline: fresh segment
             // with re-logged marks, fresh snapshot, old generations pruned.
             for Device { runtime, .. } in devices.iter() {
@@ -446,63 +447,38 @@ impl MetaCommBuilder {
             );
         }
 
-        // DDU relays.
+        // One relay per device: its direct updates in, and its way back
+        // from an outage by resynchronization.
         let relay_stats = RelayStats::install(&registry);
         let crash_between_pair = Arc::new(AtomicBool::new(false));
-        let mut background = Background::default();
-        let backlog = Arc::new(Backlog::default());
-        Relay {
-            gateway: gateway.clone(),
-            engine: engine.clone(),
-            errorlog: errorlog.clone(),
+        registry.adopt(gateway.stats().component().clone());
+        let ctx = Arc::new(RecoveryCtx {
+            gateway,
+            engine,
+            suffix,
+            errorlog,
+            stats: um_stats,
+            retry: self.retry,
+        });
+        let relays = Relay {
+            ctx: ctx.clone(),
             stats: relay_stats.clone(),
             crash_between_pair: crash_between_pair.clone(),
             seq,
-            retry: self.retry.clone(),
             ddu_hist: registry.component("relay").histogram("ddu"),
             clock: registry.clock(),
-            backlog: backlog.clone(),
         }
-        .spawn(&devices, &mut background);
-        registry.adopt(gateway.stats().component().clone());
-
-        // Recovery monitor: every probe interval, probes non-Up devices and
-        // resyncs an offline one that answers from the directory, backing
-        // off from one whose resyncs keep failing.
-        let recovery = Arc::new(RecoveryCtx {
-            gateway: gateway.clone(),
-            engine: engine.clone(),
-            suffix: suffix.clone(),
-            errorlog: errorlog.clone(),
-            stats: um_stats.clone(),
-            retry: self.retry,
-        });
-        let (ctx, monitored) = (recovery.clone(), devices.clone());
-        let interval = self.breaker.probe_interval;
-        background.spawn("device-recovery-monitor".into(), move |stopped| {
-            while stopped.recv_timeout(interval) == Err(RecvTimeoutError::Timeout) {
-                let now = std::time::Instant::now();
-                for device in monitored.iter().filter(|d| d.runtime.probe_due(now)) {
-                    let _ = resilience::attempt_recovery(&ctx, device);
-                }
-            }
-        });
+        .spawn(&devices);
 
         Ok(MetaComm {
             dit,
-            gateway,
-            engine,
             devices,
-            errorlog,
             um,
-            um_stats,
-            background: Mutex::new(background),
-            backlog,
+            relays: Mutex::new(relays),
             relay_stats,
-            suffix,
             crash_between_pair,
             durability: durability.map(|(dur, _)| dur),
-            recovery,
+            ctx,
             fault_handles,
             registry,
             idle_timeout: self.idle_timeout,
@@ -513,23 +489,17 @@ impl MetaCommBuilder {
 /// A running MetaComm deployment.
 pub struct MetaComm {
     dit: Arc<ldap::Dit>,
-    gateway: Arc<Gateway>,
-    engine: Arc<Engine>,
     devices: Arc<[Device]>,
-    errorlog: Arc<ErrorLog>,
     /// The Update Manager's state, shared with its trigger handler.
     um: Arc<Shared>,
-    um_stats: Arc<UmStats>,
-    /// The DDU relays and the recovery monitor.
-    background: Mutex<Background>,
-    /// Each relay's standing against its device's feed.
-    backlog: Arc<Backlog>,
+    /// One relay thread per device.
+    relays: Mutex<Vec<JoinHandle<()>>>,
     relay_stats: Arc<RelayStats>,
-    suffix: Dn,
     crash_between_pair: Arc<AtomicBool>,
     durability: Option<Arc<Durability>>,
-    /// What recovery reads, shared with the recovery monitor.
-    recovery: Arc<RecoveryCtx>,
+    /// The gateway, engine, suffix, error log, UM statistics and retry
+    /// policy, shared with the relays.
+    ctx: Arc<RecoveryCtx>,
     fault_handles: HashMap<String, Arc<FaultHandle>>,
     registry: Arc<Registry>,
     idle_timeout: Option<std::time::Duration>,
@@ -539,7 +509,7 @@ impl MetaComm {
     /// The client-facing directory: the LTAP gateway (library mode).
     /// Everything written here flows through the Update Manager.
     pub fn directory(&self) -> Arc<Gateway> {
-        self.gateway.clone()
+        self.ctx.gateway.clone()
     }
 
     /// The raw directory server behind the gateway (inspection only —
@@ -550,12 +520,12 @@ impl MetaComm {
 
     /// The suffix the deployment is rooted at.
     pub fn suffix(&self) -> &Dn {
-        &self.suffix
+        &self.ctx.suffix
     }
 
     /// A Web-Based-Administration front-end over the gateway.
     pub fn wba(&self) -> Wba<Arc<Gateway>> {
-        Wba::new(self.gateway.clone(), self.suffix.clone())
+        Wba::new(self.ctx.gateway.clone(), self.ctx.suffix.clone())
     }
 
     /// Serve the gateway over TCP (the §5.5 network-gateway deployment);
@@ -564,7 +534,7 @@ impl MetaComm {
     /// server's own `server` component, its per-operation counters, joins
     /// the registry.
     pub fn serve(&self, addr: &str) -> ldap::Result<ldap::server::Server> {
-        let fronted = MonitorDirectory::new(self.gateway.clone(), self.registry.clone());
+        let fronted = MonitorDirectory::new(self.ctx.gateway.clone(), self.registry.clone());
         let mut builder = ldap::server::Server::builder();
         if let Some(t) = self.idle_timeout {
             builder = builder.with_idle_timeout(t);
@@ -592,11 +562,11 @@ impl MetaComm {
 
     /// The mapping engine.
     pub fn engine(&self) -> &Arc<Engine> {
-        &self.engine
+        &self.ctx.engine
     }
 
     pub fn um_stats(&self) -> &Arc<UmStats> {
-        &self.um_stats
+        &self.ctx.stats
     }
 
     /// Recent per-update traces from the Update Manager (oldest first) —
@@ -611,12 +581,12 @@ impl MetaComm {
 
     /// Subscribe to administrator alerts (§4.4 failure notifications).
     pub fn alerts(&self) -> std::sync::mpsc::Receiver<AdminAlert> {
-        self.errorlog.subscribe()
+        self.ctx.errorlog.subscribe()
     }
 
     /// Browse errors logged into the directory.
     pub fn browse_errors(&self) -> ldap::Result<Vec<Entry>> {
-        self.errorlog.browse(self.dit.as_ref())
+        self.ctx.errorlog.browse(self.dit.as_ref())
     }
 
     /// Synchronize the directory with one device (recovery after
@@ -627,11 +597,11 @@ impl MetaComm {
 
     fn synchronize(&self, filter: &Arc<dyn DeviceFilter>) -> Result<SyncReport> {
         sync::synchronize_device(
-            &self.gateway,
-            &self.engine,
+            &self.ctx.gateway,
+            &self.ctx.engine,
             filter,
-            &self.suffix,
-            Some(&self.errorlog),
+            &self.ctx.suffix,
+            Some(&self.ctx.errorlog),
         )
     }
 
@@ -640,13 +610,13 @@ impl MetaComm {
     /// missed updates while unreachable (outage recovery).
     pub fn resynchronize_device_from_directory(&self, name: &str) -> Result<SyncReport> {
         sync::resynchronize_device_from_directory(
-            &self.gateway,
-            &self.engine,
+            &self.ctx.gateway,
+            &self.ctx.engine,
             &self.device(name)?.filter,
-            &self.suffix,
-            Some(&self.errorlog),
-            &self.recovery.retry,
-            &self.um_stats,
+            &self.ctx.suffix,
+            Some(&self.ctx.errorlog),
+            &self.ctx.retry,
+            &self.ctx.stats,
         )
     }
 
@@ -679,11 +649,11 @@ impl MetaComm {
 
     /// Probe one device synchronously and run recovery if it answers: an
     /// offline (or restarted stale) device is resynchronized from the
-    /// directory under the §5.1 quiesce. The background monitor does the
-    /// same thing on its probe interval; this entry point makes recovery
-    /// deterministic for tests and experiments.
+    /// directory under the §5.1 quiesce. The device's relay does the same
+    /// thing each probe interval while the device is not `Up`; this entry
+    /// point makes recovery deterministic for tests and experiments.
     pub fn probe_device(&self, name: &str) -> Result<RecoveryOutcome> {
-        resilience::attempt_recovery(&self.recovery, self.device(name)?)
+        resilience::attempt_recovery(&self.ctx, self.device(name)?)
     }
 
     /// Checkpoint a durable deployment: rotate to a fresh WAL segment,
@@ -704,36 +674,42 @@ impl MetaComm {
         self.durability.as_ref().map(|d| d.report().clone())
     }
 
-    /// Wait until the pipeline is quiet: every relay has finished every
-    /// direct device update its device has fed it, and no update is under
-    /// way. Used by tests, the rigs and the benchmark. It waits for a resync
-    /// in progress (that holds the §5.1 quiesce), not for a probe the
-    /// recovery monitor has yet to make.
+    /// Wait until the pipeline is quiet: every device's inbox is empty and
+    /// its relay idle, and no update is under way. Used by tests, the rigs
+    /// and the benchmark. It waits for a probe or resync a relay is making
+    /// (a resync holds the §5.1 quiesce), not for one that is not due yet.
     ///
     /// # Panics
     ///
-    /// When a relay is still behind after 60 s: a pipeline that does not
+    /// When a relay is still busy after 60 s: a pipeline that does not
     /// drain is stuck, not quiet.
     pub fn settle(&self) {
-        if let Err(behind) = self.backlog.wait(SETTLE_TIMEOUT) {
-            panic!("settle: {behind}");
+        let deadline = std::time::Instant::now() + SETTLE_TIMEOUT;
+        for device in self.devices.iter() {
+            if let Err(waiting) = device.runtime.inbox.settle(deadline) {
+                let name = device.filter.name();
+                panic!("settle: ddu-relay-{name} busy, {waiting} updates waiting after {SETTLE_TIMEOUT:?}");
+            }
         }
         // An update already trapped holds an update pass; opening the §5.1
         // quiesce waits it out, as `shutdown` does.
-        drop(self.gateway.begin_sync());
+        drop(self.ctx.gateway.begin_sync());
     }
 
-    /// Stop the recovery monitor and the relays, then the Update Manager
-    /// (the monitor and relays feed the UM). Every thread the deployment
-    /// started is joined here; a deployment that is shut down and dropped
-    /// leaves nothing resident. What a device commits once the shutdown has
-    /// begun is left to the next synchronization.
+    /// Stop the relays, then the Update Manager (the relays feed the UM).
+    /// Each relay stops once it has finished what it has in hand. Every
+    /// thread the deployment started is joined here; a deployment that is
+    /// shut down and dropped leaves nothing resident. What a device commits
+    /// once the shutdown has begun is left to the next synchronization.
     pub fn shutdown(&self) {
-        unpoison(self.background.lock()).stop();
+        self.devices.iter().for_each(|d| d.runtime.inbox.close());
+        for relay in unpoison(self.relays.lock()).drain(..) {
+            let _ = relay.join();
+        }
         // New traps are refused; each update already past that check holds
         // an update pass, so opening the §5.1 quiesce waits it out.
         self.um.closing.store(true, Ordering::SeqCst);
-        drop(self.gateway.begin_sync());
+        drop(self.ctx.gateway.begin_sync());
         // Everything committed is already framed in the log; one last sync
         // covers the Never-policy tail so a clean shutdown loses nothing.
         if let Some(dur) = &self.durability {

@@ -8,19 +8,21 @@
 //! trips a per-device circuit breaker (`Up → Degraded → Offline`); while
 //! `Offline`, its legs are skipped instead of failing the client update —
 //! the directory stays authoritative, exactly as during disconnected
-//! operation in the paper. A recovery monitor probes offline devices and,
-//! on reconnect, runs the one recovery there is: a full directory→device
-//! resynchronization ([`crate::sync::resynchronize_device_from_directory`])
-//! under the §5.1 quiesce, so no update commits while it reads. A link
-//! lost mid-resync leaves the device `Offline` for a later probe, and the
-//! monitor backs off from a device whose resyncs keep failing. Every
-//! state transition emits a §4.4 administrator alert.
+//! operation in the paper. A device that leaves `Up` rings its relay, which
+//! probes it from then on and, on reconnect, runs the one recovery there
+//! is: a full directory→device resynchronization
+//! ([`crate::sync::resynchronize_device_from_directory`]) under the §5.1
+//! quiesce, so no update commits while it reads. A link lost mid-resync
+//! leaves the device `Offline` for a later probe, and the relay backs off
+//! from a device whose resyncs keep failing. Every state transition emits
+//! a §4.4 administrator alert.
 //!
 //! What survives a crash is one fact per device, logged by
 //! [`crate::durability`]: stale from the first skipped leg until a resync
 //! brings the device back `Up`. A device that restarts stale restarts
 //! `Offline` and is resynchronized like any other.
 
+use crate::ddu::Inbox;
 use crate::durability::{Durability, StaleMark};
 use crate::error::MetaError;
 use crate::errorlog::ErrorLog;
@@ -32,9 +34,7 @@ use ldap::dn::Dn;
 use ldap::Directory;
 use lexpress::TargetOp;
 use std::hash::BuildHasher;
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Bounded retry with exponential backoff and jitter, applied to transient
@@ -136,7 +136,8 @@ pub struct BreakerPolicy {
     /// Consecutive failures before the breaker opens (`Offline`) and
     /// translated operations skip the device until it is resynchronized.
     pub offline_after: u32,
-    /// How often the recovery monitor probes non-`Up` devices.
+    /// How often a device's relay probes it while it is not `Up`: the
+    /// first probe comes this long after the breaker leaves `Up`.
     pub probe_interval: Duration,
 }
 
@@ -196,12 +197,12 @@ struct RuntimeInner {
     mark: StaleMark,
     /// Resyncs in a row that failed since the device was last `Up`.
     relapses: u32,
-    /// Before this, the recovery monitor leaves the device alone.
+    /// When the relay next probes the device, while it is not `Up`.
     next_probe: Option<Instant>,
 }
 
 /// Per-device breaker state. Shared between the UM coordinator (which
-/// records outcomes and skips an `Offline` device) and the recovery path
+/// records outcomes and skips an `Offline` device) and the device's relay
 /// (which probes and resyncs).
 pub(crate) struct DeviceRuntime {
     name: String,
@@ -212,6 +213,8 @@ pub(crate) struct DeviceRuntime {
     inner: Mutex<RuntimeInner>,
     /// Where the device's mark is logged, on a durable deployment.
     durability: Option<Arc<Durability>>,
+    /// The device's relay's inbox, rung when the breaker leaves `Up`.
+    pub(crate) inbox: Arc<Inbox>,
 }
 
 impl DeviceRuntime {
@@ -239,6 +242,7 @@ impl DeviceRuntime {
                 next_probe: None,
             }),
             durability,
+            inbox: Arc::default(),
         })
     }
 
@@ -252,13 +256,15 @@ impl DeviceRuntime {
     }
 
     /// Take back the mark recovery found. A stale device missed updates
-    /// before the restart, so it restarts `Offline`: the recovery monitor
-    /// or [`crate::MetaComm::probe_device`] resyncs it from the directory.
+    /// before the restart, so it restarts `Offline`: its relay, one probe
+    /// interval on, or [`crate::MetaComm::probe_device`] resyncs it from
+    /// the directory.
     pub(crate) fn restore_mark(&self, mark: StaleMark) {
         let mut g = unpoison(self.inner.lock());
         g.mark = mark;
         if mark.stale {
             g.state = HealthState::Offline;
+            g.next_probe = Some(Instant::now() + self.policy.probe_interval);
         }
     }
 
@@ -289,16 +295,16 @@ impl DeviceRuntime {
         }
     }
 
-    /// Whether the recovery monitor probes the device at `now`. After a
-    /// failed resync it waits twice as many probe intervals for each one in
-    /// a row, up to `2^MAX_RELAPSE_BACKOFF`: a link that answers probes but
-    /// drops applies would otherwise have the §5.1 quiesce taken, and every
-    /// client update held, once an interval. [`crate::MetaComm::probe_device`]
-    /// does not wait.
-    pub(crate) fn probe_due(&self, now: Instant) -> bool {
-        unpoison(self.inner.lock())
-            .next_probe
-            .is_none_or(|at| now >= at)
+    /// When the relay next probes the device: never while it is `Up`,
+    /// otherwise one probe interval after the last probe, or after the
+    /// breaker left `Up`. After a failed resync it waits twice as many
+    /// probe intervals for each one in a row, up to `2^MAX_RELAPSE_BACKOFF`:
+    /// a link that answers probes but drops applies would otherwise have
+    /// the §5.1 quiesce taken, and every client update held, once an
+    /// interval. [`crate::MetaComm::probe_device`] does not wait.
+    pub(crate) fn next_probe(&self) -> Option<Instant> {
+        let g = unpoison(self.inner.lock());
+        g.next_probe.filter(|_| g.state != HealthState::Up)
     }
 
     /// Skip this leg if the breaker is open: the device is logged stale and
@@ -348,12 +354,18 @@ impl DeviceRuntime {
             if next != g.state {
                 let prev = g.state;
                 g.state = next;
+                if prev == HealthState::Up {
+                    g.next_probe = Some(Instant::now() + self.policy.probe_interval);
+                }
                 Some((prev, next, g.consecutive_failures))
             } else {
                 None
             }
         };
         if let Some((prev, next, failures)) = transition {
+            if prev == HealthState::Up {
+                self.inbox.ring();
+            }
             if next == HealthState::Offline {
                 self.obs.breaker_trips.inc();
             }
@@ -402,15 +414,16 @@ impl DeviceRuntime {
 
 /// One integrated repository as a deployment holds it: its filter and the
 /// breaker runtime that guards it. The deployment builds one list of these,
-/// in registration order, and the Update Manager, the recovery monitor,
-/// checkpoints and [`crate::MetaComm::device`] all read that list.
+/// in registration order, and the Update Manager, the relays, checkpoints
+/// and [`crate::MetaComm::device`] all read that list.
 #[derive(Clone)]
 pub struct Device {
     pub filter: Arc<dyn DeviceFilter>,
     pub(crate) runtime: Arc<DeviceRuntime>,
 }
 
-/// Everything the recovery path needs to reconcile one device.
+/// Everything a relay needs to reach the directory through the gateway and
+/// to reconcile its device.
 pub(crate) struct RecoveryCtx {
     pub gateway: Arc<ltap::Gateway>,
     pub engine: Arc<lexpress::Engine>,
@@ -420,8 +433,8 @@ pub(crate) struct RecoveryCtx {
     pub retry: RetryPolicy,
 }
 
-/// Cap on the recovery monitor's backoff after failed resyncs, as a power
-/// of two of the probe interval: 64 intervals, 1.6 s by default.
+/// Cap on a relay's backoff after failed resyncs, as a power of two of the
+/// probe interval: 64 intervals, 1.6 s by default.
 const MAX_RELAPSE_BACKOFF: u32 = 6;
 
 /// Outcome of one recovery attempt (surfaced by
@@ -442,7 +455,7 @@ pub enum RecoveryOutcome {
 /// Probe a device and, if it answers, bring it back `Up`: an `Offline`
 /// device by a full directory→device resynchronization under the §5.1
 /// quiesce, the paper's recovery for a repository that missed updates
-/// (§4.4). Called by the recovery monitor on its probe interval and
+/// (§4.4). Called by the device's relay when a probe is due, and
 /// synchronously by [`crate::MetaComm::probe_device`].
 pub(crate) fn attempt_recovery(
     ctx: &RecoveryCtx,
@@ -454,7 +467,9 @@ pub(crate) fn attempt_recovery(
     }
     // Probe holding no quiesce: a device still down makes no client wait.
     if let Err(e) = filter.probe() {
-        unpoison(runtime.inner.lock()).last_error = Some(e.to_string());
+        let mut g = unpoison(runtime.inner.lock());
+        g.last_error = Some(e.to_string());
+        g.next_probe = Some(Instant::now() + runtime.policy.probe_interval);
         return Ok(RecoveryOutcome::StillDown);
     }
     // Each failed leg of a degraded device aborted its update, so it missed
@@ -465,7 +480,7 @@ pub(crate) fn attempt_recovery(
     }
     // The quiesce waits for every update in flight, and a leg of one of
     // them may be waiting for the runtime lock: take it holding none. It is
-    // also what keeps the monitor and `probe_device` from recovering the
+    // also what keeps the relay and `probe_device` from recovering the
     // same device twice, so the state is read again under it. No leg runs
     // while the session lives, so what is read here stands until it drops.
     let mut session = ctx.gateway.begin_sync();
@@ -528,37 +543,6 @@ pub(crate) fn attempt_recovery(
     Ok(RecoveryOutcome::Resynchronized(report))
 }
 
-/// A deployment's long-lived threads — the recovery monitor, the DDU
-/// relays — each with the sending half of its own shutdown channel. Nothing
-/// is ever sent: dropping the sender hangs the channel up, and that is the
-/// stop signal.
-#[derive(Default)]
-pub(crate) struct Background {
-    hang_ups: Vec<Sender<()>>,
-    threads: Vec<JoinHandle<()>>,
-}
-
-impl Background {
-    /// Start thread `name` running `body`, which must return once the
-    /// receiver it is handed reports the channel hung up.
-    pub(crate) fn spawn(&mut self, name: String, body: impl FnOnce(Receiver<()>) + Send + 'static) {
-        let (hang_up, stopped) = channel();
-        let builder = std::thread::Builder::new().name(name);
-        let thread = builder.spawn(move || body(stopped)).expect("spawn thread");
-        self.threads.push(thread);
-        self.hang_ups.push(hang_up);
-    }
-
-    /// Hang up every thread's channel — each thread's wait ends on that,
-    /// whether or not anything else ever wakes it — then join them all.
-    pub(crate) fn stop(&mut self) {
-        self.hang_ups.clear();
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -581,8 +565,8 @@ mod tests {
 
     /// Only a resync leaves `Offline`: neither a leg let through before the
     /// breaker opened that succeeds nor one that fails after it. A resync
-    /// the link drops makes the monitor wait two probe intervals; one that
-    /// finishes ends the wait.
+    /// the link drops makes the relay wait two probe intervals; one that
+    /// finishes ends the probing.
     #[test]
     fn only_a_resync_leaves_offline() {
         let switch = Arc::new(pbx::Store::new(
@@ -624,8 +608,9 @@ mod tests {
         let start = Instant::now();
         let outcome = system.probe_device("pbx-west").expect("probe");
         assert_eq!(outcome, RecoveryOutcome::StillDown);
-        assert!(!runtime.probe_due(start + interval * 2 - Duration::from_secs(1)));
-        assert!(runtime.probe_due(Instant::now() + interval * 2));
+        let next = runtime.next_probe().expect("a probe is due while offline");
+        assert!(next > start + interval * 2 - Duration::from_secs(1));
+        assert!(next <= Instant::now() + interval * 2);
 
         system
             .fault_handle("pbx-west")
@@ -638,7 +623,7 @@ mod tests {
         );
         assert_eq!(runtime.health().state, HealthState::Up);
         assert!(!runtime.mark().stale);
-        assert!(runtime.probe_due(start));
+        assert_eq!(runtime.next_probe(), None, "no probe while up");
         assert!(switch.get("1100").is_some());
         system.shutdown();
     }

@@ -13,6 +13,9 @@ use msgplat::Store as MpStore;
 use pbx::{DialPlan, Store as PbxStore};
 use std::sync::Arc;
 
+mod scratch;
+use scratch::Scratch;
+
 struct Rig {
     system: MetaComm,
     west: Arc<PbxStore>,
@@ -403,8 +406,7 @@ fn duplicate_device_names_surface_as_sync_conflicts() {
 
 #[test]
 fn mapping_files_load_from_disk() {
-    let dir = std::env::temp_dir().join(format!("metacomm-maps-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = Scratch::new("maps");
     let path = dir.join("extra.lex");
     // An extra intra-directory rule loaded from a deployment file.
     std::fs::write(

@@ -5,14 +5,14 @@
 
 use metacomm::MetaCommBuilder;
 use pbx::{Channel, DialPlan, Record, Store as PbxStore};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
-fn tmpdir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("metacomm-persist-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    dir
+mod scratch;
+use scratch::Scratch;
+
+fn tmpdir(name: &str) -> Scratch {
+    Scratch::new(&format!("persist-{name}"))
 }
 
 fn build(dir: &Path, west: &Arc<PbxStore>) -> metacomm::MetaComm {
@@ -170,7 +170,7 @@ fn legacy_ldif_layout_is_refused_not_booted_empty() {
 
     let err = match MetaCommBuilder::new("o=Lucent")
         .add_pbx(west, "9???")
-        .with_durability(dir.clone())
+        .with_durability(dir.to_path_buf())
         .build()
     {
         Ok(_) => panic!("booted an empty directory beside the pre-WAL files"),

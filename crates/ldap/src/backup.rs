@@ -26,7 +26,7 @@ use crate::entry::Entry;
 use crate::error::{LdapError, Result, ResultCode};
 use crate::ldif;
 use crate::unpoison;
-use crate::wal::{Crc32, Wal};
+use crate::wal::Crc32;
 use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -373,16 +373,6 @@ pub fn decode_wal_payload(payload: &[u8]) -> Result<(u64, &str)> {
     Ok((seq, text))
 }
 
-/// Attach a WAL to a DIT: every commit appends (and, per the WAL's fsync
-/// policy, makes durable) one [`TAG_DIT_CHANGE`] frame before the commit
-/// returns to the caller. Append failures surface through the WAL's error
-/// sink — the commit itself stands (degraded durability, not an outage).
-pub fn attach_wal(dit: &Arc<Dit>, wal: Arc<Wal>) {
-    dit.observe(move |rec| {
-        let _ = wal.append(TAG_DIT_CHANGE, &wal_payload(rec));
-    });
-}
-
 /// Outcome of replaying collected DIT WAL records over a snapshot.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DitReplay {
@@ -546,14 +536,11 @@ mod tests {
     use crate::dit::figure2_tree;
     use crate::dn::{Dn, Rdn};
     use crate::entry::Modification;
-    use crate::wal::{crc32, FsyncPolicy};
+    use crate::wal::tests::Scratch;
+    use crate::wal::{crc32, FsyncPolicy, Wal};
 
-    fn tmpdir(name: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("metacomm-backup-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        dir
+    fn tmpdir(name: &str) -> Scratch {
+        Scratch::new(&format!("backup-{name}"))
     }
 
     #[test]
@@ -627,7 +614,7 @@ mod tests {
         let path = dir.join("wal-000001.log");
         let dit = Dit::new();
         let wal = Wal::open(&path, FsyncPolicy::Never).unwrap();
-        attach_wal(&dit, wal);
+        dit.observe(move |rec| drop(wal.append(TAG_DIT_CHANGE, &wal_payload(rec))));
         figure2_tree(&dit).unwrap();
         let john = Dn::parse("cn=John Doe,o=Marketing,o=Lucent").unwrap();
         dit.modify(&john, &[Modification::set("telephoneNumber", "9123")])
@@ -655,12 +642,10 @@ mod tests {
         // RFC 4514 hex escapes put line breaks into names; on a plain
         // `dn:` line the text after one read back as a line of its own.
         let dir = tmpdir("linebreak");
-        let store = SnapshotStore::new(&dir);
+        let store = SnapshotStore::new(&*dir);
         let dit = Dit::new();
-        attach_wal(
-            &dit,
-            Wal::open(&store.wal_path(1), FsyncPolicy::Never).unwrap(),
-        );
+        let wal = Wal::open(&store.wal_path(1), FsyncPolicy::Never).unwrap();
+        dit.observe(move |rec| drop(wal.append(TAG_DIT_CHANGE, &wal_payload(rec))));
         let attrs = |class: &str, name: &str, value: &str| {
             let dn = Dn::parse(&format!("{name}={value},o=Lucent")).unwrap();
             let held = dn.rdn().unwrap().first().value().to_string();
@@ -697,9 +682,9 @@ mod tests {
         let path = dir.join("wal-000001.log");
         let dit = Dit::new();
         let wal = Wal::open(&path, FsyncPolicy::Never).unwrap();
-        attach_wal(&dit, wal);
+        dit.observe(move |rec| drop(wal.append(TAG_DIT_CHANGE, &wal_payload(rec))));
         figure2_tree(&dit).unwrap(); // seq 1..=9 in the wal
-        let store = SnapshotStore::new(&dir);
+        let store = SnapshotStore::new(&*dir);
         store.write_snapshot_streamed(&dit, 1).unwrap();
         let john = Dn::parse("cn=John Doe,o=Marketing,o=Lucent").unwrap();
         dit.modify(&john, &[Modification::set("roomNumber", "9Z")])
@@ -768,7 +753,7 @@ mod tests {
         let dir = tmpdir("streamcrc");
         let dit = Dit::new();
         figure2_tree(&dit).unwrap();
-        let store = SnapshotStore::new(&dir);
+        let store = SnapshotStore::new(&*dir);
         let seq = store.write_snapshot_streamed(&dit, 1).unwrap();
         assert_eq!(seq, 9);
         // Corrupt one body byte: the only generation fails, recovery finds
@@ -797,7 +782,7 @@ mod tests {
         text.push_str(&ldif::to_ldif(&dit.export()));
         let crc = crc32(text.as_bytes());
         text.push_str(&format!("{CRC_PREFIX}{crc:08x}\n"));
-        let store = SnapshotStore::new(&dir);
+        let store = SnapshotStore::new(&*dir);
         std::fs::write(store.snapshot_path(1), &text).unwrap();
         let restored = Dit::new();
         let (generation, got_seq, n) = store.restore_latest(&restored).unwrap().unwrap();
@@ -808,7 +793,7 @@ mod tests {
     #[test]
     fn snapshot_store_falls_back_on_torn_generation() {
         let dir = tmpdir("rotation");
-        let store = SnapshotStore::new(&dir);
+        let store = SnapshotStore::new(&*dir);
         let dit = Dit::new();
         figure2_tree(&dit).unwrap();
         store.write_snapshot_streamed(&dit, 1).unwrap();

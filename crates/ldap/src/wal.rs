@@ -469,15 +469,40 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
 
-    fn tmpdir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("metacomm-wal-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        dir
+    /// A scratch directory under the system temp dir, removed with what it
+    /// holds when dropped, so a test run leaves none behind.
+    pub(crate) struct Scratch(PathBuf);
+
+    impl Scratch {
+        /// `metacomm-<name>-<pid>`, made empty.
+        pub(crate) fn new(name: &str) -> Scratch {
+            let dir = std::env::temp_dir().join(format!("metacomm-{name}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).expect("mkdir");
+            Scratch(dir)
+        }
+    }
+
+    impl std::ops::Deref for Scratch {
+        type Target = Path;
+
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn tmpdir(name: &str) -> Scratch {
+        Scratch::new(&format!("wal-{name}"))
     }
 
     fn collect(path: &Path) -> (Vec<(u8, Vec<u8>)>, ReplaySummary) {

@@ -7,18 +7,43 @@
 use ldap::backup::{self, SnapshotStore};
 use ldap::dit::{figure2_tree, Dit};
 use ldap::{Dn, Modification};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 const FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/fixtures/figure2.snap.ldif"
 );
 
-fn tmpdir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("metacomm-snapfix-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    dir
+/// A scratch directory under the system temp dir, removed with what it
+/// holds when dropped, so a test run leaves none behind.
+struct Scratch(PathBuf);
+
+impl Scratch {
+    /// `metacomm-<name>-<pid>`, made empty.
+    fn new(name: &str) -> Scratch {
+        let dir = std::env::temp_dir().join(format!("metacomm-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        Scratch(dir)
+    }
+}
+
+impl std::ops::Deref for Scratch {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn tmpdir(name: &str) -> Scratch {
+    Scratch::new(&format!("snapfix-{name}"))
 }
 
 /// The tree the fixture holds: Figure 2 plus one value that needs base64,
@@ -35,7 +60,7 @@ fn source() -> std::sync::Arc<Dit> {
 #[test]
 fn writer_reproduces_the_fixture_byte_for_byte() {
     let dir = tmpdir("write");
-    let store = SnapshotStore::new(&dir);
+    let store = SnapshotStore::new(&*dir);
     assert_eq!(store.write_snapshot_streamed(&source(), 1).unwrap(), 10);
     assert_eq!(
         std::fs::read(store.snapshot_path(1)).unwrap(),
@@ -52,7 +77,7 @@ fn writer_reproduces_the_fixture_byte_for_byte() {
 #[test]
 fn reader_loads_the_fixture() {
     let dir = tmpdir("read");
-    let store = SnapshotStore::new(&dir);
+    let store = SnapshotStore::new(&*dir);
     std::fs::copy(FIXTURE, store.snapshot_path(1)).unwrap();
     let restored = Dit::new();
     assert_eq!(

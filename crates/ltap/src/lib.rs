@@ -14,6 +14,7 @@
 //! - the simple LTAP-based security model §7 mentions ([`SecurityPolicy`]):
 //!   declarative policies compiled into vetoing before-triggers.
 
+#![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
 
 mod gateway;

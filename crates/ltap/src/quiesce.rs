@@ -36,12 +36,19 @@ impl QuiesceGate {
 
     /// Quiesce: block new updates and wait for in-flight ones to finish.
     /// Only one quiesce can be in force at a time; a second caller waits.
-    pub(crate) fn quiesce(&self) -> QuiescePass<'_> {
+    /// In force until [`QuiesceGate::release`].
+    pub(crate) fn quiesce(&self) {
         let s = unpoison(self.state.lock());
         let mut s = unpoison(self.cv.wait_while(s, |s| s.quiesced));
         s.quiesced = true;
         drop(unpoison(self.cv.wait_while(s, |s| s.active_updates > 0)));
-        QuiescePass { gate: self }
+    }
+
+    /// Lift the quiesce in force: updates flow again, and the next
+    /// quiesce may start.
+    pub(crate) fn release(&self) {
+        unpoison(self.state.lock()).quiesced = false;
+        self.cv.notify_all();
     }
 
     /// Is a quiesce currently in force?
@@ -66,19 +73,6 @@ impl Drop for UpdatePass<'_> {
     fn drop(&mut self) {
         let mut s = unpoison(self.gate.state.lock());
         s.active_updates -= 1;
-        self.gate.cv.notify_all();
-    }
-}
-
-/// RAII pass held by a synchronization session.
-pub(crate) struct QuiescePass<'a> {
-    gate: &'a QuiesceGate,
-}
-
-impl Drop for QuiescePass<'_> {
-    fn drop(&mut self) {
-        let mut s = unpoison(self.gate.state.lock());
-        s.quiesced = false;
         self.gate.cv.notify_all();
     }
 }
@@ -114,7 +108,7 @@ mod tests {
         let ur = update_ran_during_quiesce.clone();
         let g3 = g.clone();
         let quiescer = std::thread::spawn(move || {
-            let _q = g2.quiesce();
+            g2.quiesce();
             iq.store(1, Ordering::SeqCst);
             // While held, a new update must not get through.
             let g4 = g3.clone();
@@ -129,7 +123,7 @@ mod tests {
                 0,
                 "update leaked through quiesce"
             );
-            drop(_q);
+            g2.release();
             prober.join().unwrap();
         });
         std::thread::sleep(Duration::from_millis(50));
@@ -147,14 +141,12 @@ mod tests {
     #[test]
     fn sequential_quiesces() {
         let g = QuiesceGate::new();
-        {
-            let _q1 = g.quiesce();
-            assert!(g.is_quiesced());
-        }
-        {
-            let _q2 = g.quiesce();
-            assert!(g.is_quiesced());
-        }
+        g.quiesce();
+        assert!(g.is_quiesced());
+        g.release();
+        g.quiesce();
+        assert!(g.is_quiesced());
+        g.release();
         assert!(!g.is_quiesced());
     }
 }

@@ -3,7 +3,6 @@
 //! and execution in isolation under the *quiesce* facility.
 
 use crate::gateway::Gateway;
-use crate::quiesce::QuiescePass;
 use ldap::dit::Scope;
 use ldap::dn::Dn;
 use ldap::entry::{Entry, Modification};
@@ -15,25 +14,16 @@ use std::sync::Arc;
 /// An open synchronization session. While it lives, all ordinary updates
 /// through the gateway are blocked; the session's own operations go
 /// directly to the backing directory without trigger processing (the UM is
-/// the one driving the session — re-triggering it would loop).
+/// the one driving the session — re-triggering it would loop). Dropping
+/// the session lifts the quiesce.
 pub struct SyncSession {
     gateway: Arc<Gateway>,
-    // Safety: the pass borrows the gateway's gate; we hold an Arc to the
-    // gateway for 'static lifetime, so transmute the pass lifetime.
-    _pass: QuiescePass<'static>,
 }
 
 impl SyncSession {
     pub(crate) fn open(gateway: Arc<Gateway>) -> SyncSession {
-        // Acquire the quiesce against the gateway's gate. The gate lives
-        // inside `gateway`, which this session keeps alive via Arc, so
-        // extending the guard lifetime to 'static is sound.
-        let pass = gateway.quiesce_gate().quiesce();
-        let pass: QuiescePass<'static> = unsafe { std::mem::transmute(pass) };
-        SyncSession {
-            gateway,
-            _pass: pass,
-        }
+        gateway.quiesce_gate().quiesce();
+        SyncSession { gateway }
     }
 
     /// The backing directory the session writes to, for writes that are
@@ -82,6 +72,12 @@ impl SyncSession {
 
     pub fn get(&self, dn: &Dn) -> Result<Option<Entry>> {
         self.directory().get(dn)
+    }
+}
+
+impl Drop for SyncSession {
+    fn drop(&mut self) {
+        self.gateway.quiesce_gate().release();
     }
 }
 

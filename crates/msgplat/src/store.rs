@@ -142,7 +142,8 @@ mod tests {
     #[test]
     fn add_generates_unique_immutable_id() {
         let s = Store::new("mp");
-        let rx = s.subscribe();
+        let (tx, rx) = std::sync::mpsc::channel();
+        s.subscribe(move |ev| tx.send(ev).is_ok());
         add(
             &s,
             &[(fields::MAILBOX, "9123"), (fields::SUBSCRIBER, "Doe, John")],

@@ -11,10 +11,10 @@
 //!   field, terminal channel, refusals — so the messaging platform
 //!   (`msgplat`) is the same store with a kind of its own; the switch's
 //!   kind is [`Switch`];
-//! - a commit-time change [`Feed`] of the updates made at the device's own
-//!   terminal (direct device updates, DDUs): MetaComm's own administration
-//!   session commits without feeding an event, so there is no echo for a
-//!   reader to drop;
+//! - subscriber [`Sink`]s that take the updates made at the device's own
+//!   terminal (direct device updates, DDUs) as they commit: MetaComm's own
+//!   administration session commits without feeding an event, so there is
+//!   no echo for a reader to drop;
 //! - an [`ossi`] craft-terminal command interface — the legacy path device
 //!   administrators keep using alongside the directory;
 //! - a [`DialPlan`] partitioning extensions across switches, mirrored by
@@ -31,7 +31,7 @@ mod store;
 pub use dialplan::DialPlan;
 pub use error::{PbxError, Result};
 pub use record::{fields, Record};
-pub use store::{Channel, DeviceEvent, EventKind, Feed, Kind, Mint, Refusal, Store, Switch};
+pub use store::{Channel, DeviceEvent, EventKind, Kind, Mint, Refusal, Sink, Store, Switch};
 
 /// A complete simulated switch: store + dial plan + craft interface.
 ///

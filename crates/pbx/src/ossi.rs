@@ -232,7 +232,7 @@ mod tests {
     #[test]
     fn craft_commands_are_fed_as_terminal_commits() {
         let s = store();
-        let rx = s.subscribe();
+        let rx = crate::store::tests::feed(&s);
         execute(&s, "add station 9123 name X").unwrap();
         let added = rx.try_recv().unwrap().new.unwrap();
         assert_eq!(added.get(fields::EXTENSION), Some("9123"));

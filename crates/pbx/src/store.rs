@@ -1,6 +1,6 @@
 //! The one store of a record-keeping device: single-record atomic updates,
-//! no triggers, no multi-record transactions, and a change feed that
-//! carries the commits made at the device's own terminal.
+//! no triggers, no multi-record transactions, and subscriber sinks that
+//! take the commits made at the device's own terminal.
 //!
 //! What differs between devices is a [`Kind`]: the field that keys a
 //! record, the one field the device mints at add-commit and how, the
@@ -18,9 +18,7 @@ use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::marker::PhantomData;
-use std::sync::atomic::{self, AtomicU64};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Why a store refuses a write.
 #[derive(Debug)]
@@ -83,30 +81,11 @@ pub struct DeviceEvent {
     pub new: Option<Record>,
 }
 
-/// A subscriber's end of a store's change feed: the terminal commits, in
-/// commit order, and a count of them that the store moves before each one
-/// is sent.
-pub struct Feed {
-    events: Receiver<DeviceEvent>,
-    sent: Arc<AtomicU64>,
-}
-
-impl Feed {
-    /// The count of events the store has sent into this feed, shared: a
-    /// reader that counts the events it has finished with knows none is
-    /// waiting or running once the two are equal.
-    pub fn sent(&self) -> Arc<AtomicU64> {
-        self.sent.clone()
-    }
-}
-
-impl std::ops::Deref for Feed {
-    type Target = Receiver<DeviceEvent>;
-
-    fn deref(&self) -> &Receiver<DeviceEvent> {
-        &self.events
-    }
-}
+/// Where a subscriber takes the store's terminal commits: each one in
+/// commit order, handed over under the store's lock, so it must not call
+/// back into the store. It answers `false` once it is gone, and the store
+/// drops it.
+pub type Sink = Box<dyn FnMut(DeviceEvent) -> bool + Send>;
 
 /// A stored record, ordered by the value of its key field: the set looks
 /// a record up by that value, which the record's block holds.
@@ -157,8 +136,8 @@ pub struct Store<K: Kind = Switch> {
 
 struct Inner<K> {
     records: BTreeSet<Keyed<K>>,
-    /// Each subscriber's sending half, with the count of what it was sent.
-    feeds: Vec<(Sender<DeviceEvent>, Arc<AtomicU64>)>,
+    /// Each subscriber's sink.
+    sinks: Vec<Sink>,
     /// Every commit, MetaComm's included.
     commits: u64,
     /// Adds that minted the device's field.
@@ -166,30 +145,21 @@ struct Inner<K> {
 }
 
 impl<K> Inner<K> {
-    /// Count a commit, and feed `event` (a terminal commit's) to every
-    /// subscriber: a copy to each but the last, which takes the event
-    /// itself. A subscriber that has hung up is dropped.
+    /// Count a commit, and hand `event` (a terminal commit's) to every
+    /// sink: a copy to each but the last, which takes the event itself. A
+    /// sink that is gone is dropped.
     fn commit(&mut self, event: Option<DeviceEvent>) {
         self.commits += 1;
         let Some(event) = event else { return };
-        let last = self.feeds.len().saturating_sub(1);
-        let mut event = Some(event);
-        let mut at = 0;
-        self.feeds.retain(|(tx, sent)| {
-            let copy = if at == last {
+        let (mut left, mut event) = (self.sinks.len(), Some(event));
+        self.sinks.retain_mut(|sink| {
+            left -= 1;
+            let copy = if left == 0 {
                 event.take()
             } else {
                 event.clone()
             };
-            at += 1;
-            // Counted before it is sent, so a reader never finishes more
-            // events than the count says were sent.
-            sent.fetch_add(1, atomic::Ordering::SeqCst);
-            let fed = copy.is_some_and(|ev| tx.send(ev).is_ok());
-            if !fed {
-                sent.fetch_sub(1, atomic::Ordering::SeqCst);
-            }
-            fed
+            copy.is_some_and(sink)
         });
     }
 }
@@ -212,7 +182,7 @@ impl<K: Kind> Store<K> {
             kind,
             inner: Mutex::new(Inner {
                 records: BTreeSet::new(),
-                feeds: Vec::new(),
+                sinks: Vec::new(),
                 commits: 0,
                 minted: 0,
             }),
@@ -241,12 +211,10 @@ impl<K: Kind> Store<K> {
         self.lock().commits
     }
 
-    /// Open a change feed: every terminal commit from now on.
-    pub fn subscribe(&self) -> Feed {
-        let (tx, events) = channel();
-        let sent = Arc::new(AtomicU64::new(0));
-        self.lock().feeds.push((tx, sent.clone()));
-        Feed { events, sent }
+    /// Hand every terminal commit from now on to `sink`, until it answers
+    /// that it is gone.
+    pub fn subscribe(&self, sink: impl FnMut(DeviceEvent) -> bool + Send + 'static) {
+        self.lock().sinks.push(Box::new(sink));
     }
 
     /// A copy of the record keyed `key`.
@@ -415,8 +383,16 @@ impl Kind for Switch {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::sync::mpsc::{channel, Receiver};
+
+    /// A channel that takes `s`'s terminal commits.
+    pub(crate) fn feed<K: Kind>(s: &Store<K>) -> Receiver<DeviceEvent> {
+        let (tx, rx) = channel();
+        s.subscribe(move |ev| tx.send(ev).is_ok());
+        rx
+    }
 
     fn store() -> Store {
         Store::new("pbx-west", DialPlan::with_prefix("9", 4))
@@ -433,7 +409,7 @@ mod tests {
     #[test]
     fn add_change_remove_with_events() {
         let s = store();
-        let rx = s.subscribe();
+        let rx = feed(&s);
         s.add(station("9123", "Doe, John"), Channel::Craft).unwrap();
         s.change(
             "9123",
@@ -459,19 +435,17 @@ mod tests {
         assert_eq!(events[2].kind, EventKind::Remove);
         assert!(events[2].new.is_none());
         assert_eq!(s.commits(), 3);
-        assert_eq!(rx.sent().load(atomic::Ordering::SeqCst), 3);
     }
 
     #[test]
     fn a_metacomm_commit_sends_no_event_and_still_counts() {
         let s = store();
-        let rx = s.subscribe();
+        let rx = feed(&s);
         s.add(station("9123", "X"), Channel::Metacomm).unwrap();
         let patch = Record::from_pairs([(fields::ROOM, "2B-401")]);
         s.change("9123", patch, Channel::Metacomm).unwrap();
         s.remove("9123", Channel::Metacomm).unwrap();
         assert_eq!(rx.try_iter().count(), 0);
-        assert_eq!(rx.sent().load(atomic::Ordering::SeqCst), 0);
         assert_eq!(s.commits(), 3);
     }
 
@@ -537,7 +511,7 @@ mod tests {
     #[test]
     fn a_change_overwrites_the_stored_field_where_it_lives() {
         let s = store();
-        let rx = s.subscribe();
+        let rx = feed(&s);
         s.add(
             Record::from_pairs([(fields::EXTENSION, "9123"), (fields::ROOM, "2B-401")]),
             Channel::Craft,
@@ -574,20 +548,19 @@ mod tests {
     #[test]
     fn dropped_subscriber_pruned() {
         let s = store();
-        let gone = s.subscribe();
-        let sent = gone.sent();
-        drop(gone);
-        let rx2 = s.subscribe();
+        drop(feed(&s));
+        let rx2 = feed(&s);
         s.add(station("9123", "X"), Channel::Craft).unwrap();
         assert_eq!(rx2.try_iter().count(), 1);
-        assert_eq!(s.lock().feeds.len(), 1);
-        assert_eq!(sent.load(atomic::Ordering::SeqCst), 0, "nothing was fed");
+        assert_eq!(s.lock().sinks.len(), 1);
     }
 }
 
 #[cfg(test)]
 mod concurrency_tests {
+    use super::tests::feed;
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn concurrent_admin_sessions_keep_single_record_atomicity() {
@@ -624,7 +597,7 @@ mod concurrency_tests {
     #[test]
     fn events_are_delivered_in_commit_order() {
         let s = Store::new("pbx", DialPlan::with_prefix("9", 4));
-        let rx = s.subscribe();
+        let rx = feed(&s);
         s.add(
             Record::from_pairs([(fields::EXTENSION, "9123"), (fields::NAME, "A")]),
             Channel::Craft,

@@ -1,13 +1,14 @@
 //! How often each thread family gives up its CPU per operation, counted
 //! rather than timed: voluntary context switches per op, per thread
 //! family, read from this process's own `/proc/self/task/*/status`, on
-//! three paths of a served, durable deployment with a PBX and the
+//! four paths of a served, durable deployment with a PBX and the
 //! messaging platform — a point search over the wire, a modify that fans
-//! out to the switch, and a craft-terminal change through to its directory
-//! commit — against committed ceilings. Each switch is a hand-off (a
-//! thread that parks until another wakes it), so a hop added anywhere on
-//! a path reads as one or two more switches per op in some family, where
-//! a timing would drown it in the host's noise.
+//! out to the switch, a craft-terminal change through to its directory
+//! commit, and the deployment left idle — against committed ceilings.
+//! Each switch is a hand-off (a thread that parks until another wakes it),
+//! so a hop added anywhere on a path reads as one or two more switches per
+//! op in some family, where a timing would drown it in the host's noise;
+//! on the idle path, each is a wake-up with no work.
 //!
 //! The modify is gated under `FsyncPolicy::Never`, so that the fsync's own
 //! sleeps do not count; its `Group` figures are printed, not gated.
@@ -25,15 +26,9 @@ use pbx::{DialPlan, Store as PbxStore};
 use std::sync::Arc;
 
 /// The thread families counted: the calling thread (the client, or the
-/// craft terminal), the wire server's loop and its workers, the DDU relays
-/// and the recovery monitor.
-const FAMILIES: [&str; 5] = [
-    "client",
-    "ldap-event",
-    "ldap-wire-*",
-    "ddu-relay-*",
-    "device-recovery",
-];
+/// craft terminal), the wire server's loop and its workers, and the DDU
+/// relays.
+const FAMILIES: [&str; 4] = ["client", "ldap-event", "ldap-wire-*", "ddu-relay-*"];
 
 /// The family of the thread named `comm` (the kernel keeps the first 15
 /// bytes of a name), if it is one of the counted ones.
@@ -52,7 +47,7 @@ fn voluntary(status: &str) -> u64 {
 }
 
 /// Voluntary switches so far, per family.
-fn switches() -> [u64; 5] {
+fn switches() -> [u64; FAMILIES.len()] {
     let read = |path: std::path::PathBuf| std::fs::read_to_string(path).unwrap_or_default();
     let mut out = [0; FAMILIES.len()];
     out[0] = voluntary(&read("/proc/thread-self/status".into()));
@@ -65,7 +60,7 @@ fn switches() -> [u64; 5] {
     out
 }
 
-type PerOp = [f64; 5];
+type PerOp = [f64; FAMILIES.len()];
 
 /// Switches per op, per family, of `ops` runs of `op`.
 fn per_op(ops: usize, mut op: impl FnMut(usize)) -> PerOp {
@@ -94,6 +89,9 @@ fn gate(path: &str, counts: &PerOp, ceilings: &PerOp) {
 }
 
 const PEOPLE: usize = 100;
+
+/// How long the settled deployment is left idle.
+const IDLE: std::time::Duration = std::time::Duration::from_millis(500);
 
 fn cn(i: usize) -> String {
     format!("Pat Subscriber{i:03}")
@@ -141,21 +139,25 @@ fn modifies(client: &TcpDirectory, ops: usize) -> PerOp {
 
 /// Ceilings per family, in `FAMILIES` order. A family that works on a
 /// path gets its reading plus half a hand-off; one that only idles on it
-/// (a relay or the monitor waking from its timed wait) gets 0.75, which
-/// still catches a hand-off added to it. Measured on 2 vCPUs, release
-/// (debug reads the same but for more idle wake-ups):
-/// - point search: client 1.0, `ldap-event` 2.0, `ldap-wire-*` 1.0, and
-///   the relays and the monitor 0.02 and 0.00;
+/// gets 0.1, which still catches a hand-off added to it. Measured on 2
+/// vCPUs, release and debug alike:
+/// - point search: client 1.0, `ldap-event` 2.0, `ldap-wire-*` 1.0, the
+///   relays 0.00;
 /// - fan-out modify: client 1.0, `ldap-event` 2.0, `ldap-wire-*` 1.0,
-///   `ddu-relay-*` 0.03. A relay has no work on this path; it made about
+///   `ddu-relay-*` 0.00. A relay has no work on this path; it made about
 ///   2 switches a modify while every write MetaComm made to a device came
 ///   back to it as an echo to drop and a nap;
 /// - craft change: the craft terminal 1.0 (its `settle` waits for the
-///   relay), `ddu-relay-*` 1.01 (it parks until the next change), the rest
-///   idle.
-const SEARCH_CEILINGS: PerOp = [1.5, 2.5, 1.5, 0.75, 0.75];
-const MODIFY_CEILINGS: PerOp = [1.5, 2.5, 1.5, 0.75, 0.75];
-const CRAFT_CEILINGS: PerOp = [1.5, 0.75, 0.75, 1.5, 0.75];
+///   relay), `ddu-relay-*` 1.00 (it parks until the next change), the rest
+///   0.00.
+const SEARCH_CEILINGS: PerOp = [1.5, 2.5, 1.5, 0.1];
+const MODIFY_CEILINGS: PerOp = [1.5, 2.5, 1.5, 0.1];
+const CRAFT_CEILINGS: PerOp = [1.5, 0.1, 0.1, 1.5];
+/// Switches in all over the idle path, the sleep's own one for the client:
+/// read 1, 0, 0 and 0. The relays of a settled deployment wait with no
+/// timeout; two relays that woke every 10 ms, to look for their stop or
+/// to tick a probe, would read about 100.
+const IDLE_CEILINGS: PerOp = [1.5, 2.0, 2.0, 2.0];
 
 #[test]
 fn hand_offs_per_op_stay_under_their_ceilings() {
@@ -191,6 +193,9 @@ fn hand_offs_per_op_stay_under_their_ceilings() {
         Some("C-0199")
     );
     gate("craft change to commit", &crafts, &CRAFT_CEILINGS);
+
+    let idle = per_op(1, |_| std::thread::sleep(IDLE));
+    gate("idle for 500 ms", &idle, &IDLE_CEILINGS);
     drop(client);
     server.shutdown();
     system.shutdown();

@@ -71,7 +71,7 @@ fn um_metric(system: &metacomm::MetaComm, name: &str) -> u64 {
         .unwrap_or_else(|| panic!("um has no metric `{name}`"))
 }
 
-/// Poll until `cond` holds (the monitor/relay threads run asynchronously).
+/// Poll until `cond` holds (the relay threads run asynchronously).
 fn wait_for(what: &str, mut cond: impl FnMut() -> bool) {
     let deadline = Instant::now() + Duration::from_secs(5);
     while Instant::now() < deadline {
@@ -182,7 +182,8 @@ fn outage_skips_the_device_and_resync_converges_with_zero_loss() {
 
 #[test]
 fn background_monitor_recovers_without_intervention() {
-    // Same outage story, but recovery comes from the monitor thread.
+    // Same outage story, but recovery comes from the device's relay, which
+    // probes the device on its own while it is not up.
     let switch = Arc::new(PbxStore::new("pbx-west", DialPlan::with_prefix("1", 4)));
     let system = MetaCommBuilder::new("o=Lucent")
         .add_pbx(switch.clone(), "1???")
@@ -211,7 +212,7 @@ fn background_monitor_recovers_without_intervention() {
     });
 
     handle.set_down(false);
-    wait_for("monitor to resync the device", || {
+    wait_for("the relay to resync the device", || {
         let h = system.device_health("pbx-west").unwrap();
         h.state == HealthState::Up && h.dropped_ops == 0
     });
@@ -755,7 +756,7 @@ fn a_link_lost_mid_resync_leaves_the_device_offline_and_stale() {
 
 /// A link that answers probes but fails every apply fails each resync, and
 /// each one holds every client update at the quiesce while it reads. The
-/// background monitor backs off after each failure, doubling its wait:
+/// device's relay backs off after each failure, doubling its wait:
 /// after the first, it tries again a handful of times in 64 probe
 /// intervals, not 64 times.
 #[test]
@@ -789,7 +790,7 @@ fn the_monitor_backs_off_from_a_device_whose_resyncs_keep_failing() {
     }
     std::thread::sleep(interval * 64);
     let again = alerts.try_iter().filter(|a| relapsed(&a.text)).count();
-    // Waits of 2, 4, 8, 16 and 32 intervals fit in 64; a monitor that did
+    // Waits of 2, 4, 8, 16 and 32 intervals fit in 64; a relay that did
     // not back off would relapse about once an interval.
     assert!(again <= 6, "{again} relapses in 64 probe intervals");
     let health = system.device_health("pbx-west").expect("health");

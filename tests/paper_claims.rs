@@ -1153,7 +1153,7 @@ fn outage_retry() -> RetryPolicy {
     }
 }
 
-/// Open at the first failure; probed by hand, never by the monitor.
+/// Open at the first failure; probed by hand, never by the device's relay.
 fn outage_breaker() -> BreakerPolicy {
     BreakerPolicy {
         degraded_after: 1,

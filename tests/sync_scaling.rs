@@ -15,7 +15,6 @@
 use bench::Rig;
 use ldap::{Directory, Dn};
 use lexpress::{Image, OpKind, TargetOp, UpdateDescriptor};
-use metacomm::filter::DirectUpdates;
 use metacomm::image::image_to_entry;
 use metacomm::sync::{resynchronize_device_from_directory, synchronize_device, SyncReport};
 use metacomm::{ApplyOutcome, DeviceFilter, ErrorLog, RetryPolicy};
@@ -152,8 +151,8 @@ impl DeviceFilter for Hooked {
     fn dump(&self) -> Vec<Image> {
         self.inner.dump()
     }
-    fn subscribe(&self) -> DirectUpdates {
-        self.inner.subscribe()
+    fn subscribe(&self, sink: pbx::Sink) {
+        self.inner.subscribe(sink);
     }
 }
 

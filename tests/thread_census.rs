@@ -68,7 +68,7 @@ fn one_relay_thread_per_device_and_none_left_after_shutdown() {
             .expect("build");
         // One change at a craft terminal and one at the console, relayed
         // all the way into the directory. pbx-east never speaks at all: its
-        // relay has to stop on the shutdown signal alone.
+        // relay has to stop on its inbox's close alone.
         let ext = format!("1{round:03}");
         let craft = format!("add station {ext} name \"{surname}, John\" room 2B-401");
         pbx::ossi::execute(&west, &craft).expect("craft add");
@@ -92,7 +92,7 @@ fn one_relay_thread_per_device_and_none_left_after_shutdown() {
             ["ddu-relay-mp", "ddu-relay-pbx-e", "ddu-relay-pbx-w"],
             "round {round}: one relay thread per device"
         );
-        for gone in ["pbx-filter-", "mp-filter-", "um-worker-"] {
+        for gone in ["pbx-filter-", "mp-filter-", "um-worker-", "device-recover"] {
             assert!(
                 family(&running, gone).is_empty(),
                 "round {round}: the `{gone}` thread family is back: {running:?}"
@@ -146,9 +146,9 @@ fn one_relay_thread_per_device_and_none_left_after_shutdown() {
     assert_eq!((west.len(), east.len(), mp.len()), (3, 0, 3));
 
     // Last round: a craft terminal that keeps changing a station across the
-    // shutdown, and a recovery monitor that would not wake on its own for an
-    // hour. Both the busy relay and the monitor stop on their hang-up alone,
-    // so the shutdown returns while the craft is still typing.
+    // shutdown, with a probe interval of an hour. The busy relay stops once
+    // it has finished the change in hand, whatever is still waiting in its
+    // inbox, so the shutdown returns while the craft is still typing.
     const CAP: usize = 20_000;
     let system = MetaCommBuilder::new("o=Lucent")
         .add_pbx(west.clone(), "1???")

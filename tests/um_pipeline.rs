@@ -227,8 +227,8 @@ impl Clock for ReaderNames {
 /// An update creates no thread and hands off to none: every clock read of
 /// a three-device deployment under mixed updates (the trigger's fire stamp,
 /// the span's stage marks around every device leg, the relay's timing)
-/// comes from the issuing thread, a DDU relay or the recovery monitor —
-/// never from a per-update or pooled thread.
+/// comes from the issuing thread or a DDU relay — never from a per-update
+/// or pooled thread.
 #[test]
 fn an_update_creates_no_thread() {
     let me = std::thread::current()
@@ -283,7 +283,7 @@ fn an_update_creates_no_thread() {
             .as_deref()
             .unwrap_or_else(|| panic!("an unnamed thread read the clock: {seen:?}"));
         assert!(
-            name == me || name.starts_with("ddu-relay-") || name == "device-recovery-monitor",
+            name == me || name.starts_with("ddu-relay-"),
             "unexpected thread `{name}` on the update path: {seen:?}"
         );
     }

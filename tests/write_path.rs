@@ -1,6 +1,6 @@
 //! What one directory or device write costs, counted rather than timed:
-//! heap allocations per `Schema::validate_entry`, per `Dit::add` (volatile
-//! and with a WAL attached), per one-attribute `Dit::modify` and per entry
+//! heap allocations per `Schema::validate_entry`, per `Dit::add` (volatile,
+//! and logged by a durable deployment's WAL), per one-attribute `Dit::modify` and per entry
 //! a search visitor reads whole, on the repo benchmark's person shape under
 //! the integrated schema, and per
 //! `pbx::Store::change` and `msgplat::Store::change` on the benchmark's
@@ -14,15 +14,13 @@
 //! not the build.
 #![cfg(target_os = "linux")]
 
-use ldap::backup;
 use ldap::dit::{Dit, Scope};
 use ldap::dn::{Dn, Rdn};
 use ldap::entry::{Entry, Modification};
 use ldap::filter::Filter;
-use ldap::wal::{FsyncPolicy, Wal};
+use metacomm::{FsyncPolicy, MetaCommBuilder};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 thread_local! {
@@ -125,6 +123,12 @@ fn warm_tree() -> Arc<Dit> {
         ],
     ))
     .expect("suffix");
+    warm_up(&dit);
+    dit
+}
+
+/// Add the unit and the warm-up people under the suffix `o=Bench`.
+fn warm_up(dit: &Dit) {
     dit.add(Entry::with_attrs(
         unit_dn(),
         [
@@ -137,7 +141,6 @@ fn warm_tree() -> Arc<Dit> {
     for serial in 0..WARM_UP {
         dit.add(person(serial)).expect("warm-up add");
     }
-    dit
 }
 
 /// The serials counted after the warm-up.
@@ -195,16 +198,27 @@ fn an_unobserved_add_stays_within_two_allocations() {
     );
 }
 
+/// The add is made on the directory of a durable deployment, so what is
+/// counted is the commit observer that logs every commit in production.
 #[test]
 fn an_add_with_a_wal_attached_stays_within_five_allocations() {
     let dir = std::env::temp_dir().join(format!("metacomm-write-path-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    let dit = warm_tree();
-    let wal = Wal::open(&dir.join("wal.log"), FsyncPolicy::Never).expect("open wal");
-    backup::attach_wal(&dit, wal.clone());
+    let system = MetaCommBuilder::new("o=Bench")
+        .with_durability(&dir)
+        .with_fsync_policy(FsyncPolicy::Never)
+        .with_indexed_attrs(INDEXED.iter().copied())
+        .build()
+        .expect("build");
+    let dit = system.dit();
+    warm_up(&dit);
+    let logged =
+        || (system.metrics_snapshot().value("durability", "walAppends")).expect("walAppends");
+    let before = logged();
     let per_entry = per_add(&dit);
-    let appends = wal.stats().appends.load(Ordering::Relaxed);
+    let appends = logged() - before;
+    system.shutdown();
+    drop(system);
     let _ = std::fs::remove_dir_all(&dir);
     println!("{per_entry:.2} allocations per Dit::add with a WAL attached");
     assert_eq!(appends, MEASURED as u64, "one frame per commit");
@@ -341,10 +355,21 @@ fn device_name(serial: usize) -> String {
 const PBX_CHANGE_CEILING: f64 = 3.0;
 const MP_CHANGE_CEILING: f64 = 4.0;
 
+/// A sink for a store's terminal commits, and the channel it sends them
+/// into.
+fn feed() -> (
+    impl FnMut(pbx::DeviceEvent) -> bool + Send + 'static,
+    std::sync::mpsc::Receiver<pbx::DeviceEvent>,
+) {
+    let (tx, events) = std::sync::mpsc::channel();
+    (move |ev| tx.send(ev).is_ok(), events)
+}
+
 #[test]
 fn a_room_change_at_a_switch_patches_the_stored_station() {
     let switch = pbx::Store::new("pbx-1", pbx::DialPlan::with_prefix("1", 4));
-    let events = switch.subscribe();
+    let (sink, events) = feed();
+    switch.subscribe(sink);
     for serial in 0..MEASURED {
         let station = pbx::Record::from_pairs([
             ("Extension", extension(serial)),
@@ -390,7 +415,8 @@ fn a_room_change_at_a_switch_patches_the_stored_station() {
 fn a_class_of_service_change_at_the_platform_patches_the_stored_mailbox() {
     const COS: [&str; 3] = ["standard", "executive", "restricted"];
     let platform = msgplat::Store::new("mp");
-    let events = platform.subscribe();
+    let (sink, events) = feed();
+    platform.subscribe(sink);
     for serial in 0..MEASURED {
         let mailbox = msgplat::store::record([
             ("Mailbox", extension(serial)),
@@ -438,7 +464,9 @@ fn a_class_of_service_change_at_the_platform_patches_the_stored_mailbox() {
 fn a_same_length_change_through_metacomms_channel_allocates_nothing() {
     let switch = pbx::Store::new("pbx-1", pbx::DialPlan::with_prefix("1", 4));
     let platform = msgplat::Store::new("mp");
-    let (stations, mailboxes) = (switch.subscribe(), platform.subscribe());
+    let ((to_stations, stations), (to_mailboxes, mailboxes)) = (feed(), feed());
+    switch.subscribe(to_stations);
+    platform.subscribe(to_mailboxes);
     for serial in 0..MEASURED {
         let station = pbx::Record::from_pairs([
             ("Extension", extension(serial)),
