@@ -146,10 +146,11 @@ impl Durability {
             }
         }
         // One bulk-load window around the whole recovery (snapshot load AND
-        // WAL replay): per-insert index and sibling-order maintenance is
-        // suspended and rebuilt once when the window closes — a single
-        // linear pass instead of a million incremental updates. Nestable,
-        // so the snapshot loader's own window composes.
+        // WAL replay): sibling lists append unsorted and names keep their
+        // loaded parent chains until the window closes, which sorts and
+        // shares them in one pass. The equality index is kept by every
+        // insert, so closing builds none. Nestable, so the snapshot
+        // loader's own window composes.
         dit.begin_bulk();
         let recovery = (|| -> Result<()> {
             let snap_seq = match store.restore_latest(dit)? {

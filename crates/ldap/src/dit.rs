@@ -27,13 +27,15 @@
 //! carrying it (a lookup settles which one by `Dn ==` against the node's
 //! entry), and each equality index maps a normalized value's hash to the
 //! ids holding it (a collision is one more candidate the filter re-check
-//! turns away). A hash one id holds takes an 8-byte slot.
+//! turns away). A hash one id holds takes an 8-byte slot; a hash two or
+//! more ids share keeps them ascending, as a sorted run or, where that is
+//! the smaller form, a bitmap over the id range (`Postings`).
 //! Entries hold interned attribute names, and each entry's name is one
 //! chain block whose parent link is its parent entry's own name (DESIGN.md
 //! "DIT store and snapshots" has the byte budget, [`Dit::footprint`] reads
-//! it back), and a bulk-load mode ([`Dit::begin_bulk`]) defers index and
-//! sibling-order maintenance to one build pass — this is what makes
-//! million-entry cold starts fit in memory and time budgets.
+//! it back). A bulk-load mode ([`Dit::begin_bulk`]) defers sibling-order and
+//! name-sharing maintenance to one pass when it closes; the index is kept
+//! by every insert, inside the window too, so closing it builds none.
 //!
 //! Sibling lists are sorted by one comparator on the leaf RDN, which orders
 //! siblings as their full [`Dn::norm_key`]s do, and every search emits
@@ -51,7 +53,7 @@ use crate::schema::{Schema, SchemaRef};
 use crate::unpoison;
 use std::cmp;
 use std::collections::hash_map::{self, RandomState};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -220,12 +222,12 @@ impl Hasher for Taken {
 /// The ids under each hash of a DN, or of an indexed value. Names and
 /// numbers are unique, so nearly every hash has one id, which takes an
 /// 8-byte slot in `one`. A hash that two or more ids share (one value many
-/// entries hold, or a collision) has a set in `many` instead. No hash is
-/// in both maps.
+/// entries hold, or a collision) has [`Postings`] in `many` instead. No
+/// hash is in both maps.
 #[derive(Default)]
 struct IdTable {
     one: HashedBy<DnId>,
-    many: HashedBy<HashSet<DnId>>,
+    many: HashedBy<Postings>,
 }
 
 impl IdTable {
@@ -238,8 +240,8 @@ impl IdTable {
 
     /// Add `id` under `hash`.
     fn post(&mut self, hash: u32, id: DnId) {
-        if let Some(set) = self.many.get_mut(&hash) {
-            set.insert(id);
+        if let Some(postings) = self.many.get_mut(&hash) {
+            postings.insert(id);
             return;
         }
         match self.one.entry(hash) {
@@ -249,29 +251,26 @@ impl IdTable {
             hash_map::Entry::Occupied(slot) if *slot.get() == id => {}
             hash_map::Entry::Occupied(slot) => {
                 let first = slot.remove();
-                self.many.insert(hash, HashSet::from([first, id]));
+                self.many.insert(hash, Postings::pair(first, id));
             }
         }
     }
 
-    /// Take `id` out from under `hash`. A set left with one id goes back
-    /// to `one`, and a set left with under a quarter of its capacity gives
-    /// the rest back: `remove` alone keeps every bucket.
+    /// Take `id` out from under `hash`. Postings left with one id go back
+    /// to `one`.
     fn withdraw(&mut self, hash: u32, id: DnId) {
         if self.one.get(&hash) == Some(&id) {
             self.one.remove(&hash);
             return;
         }
-        let Some(set) = self.many.get_mut(&hash) else {
+        let Some(postings) = self.many.get_mut(&hash) else {
             return;
         };
-        set.remove(&id);
-        if set.len() == 1 {
-            let last = *set.iter().next().expect("one id left");
+        postings.remove(id);
+        if postings.len() == 1 {
+            let last = postings.iter().next().expect("one id left");
             self.many.remove(&hash);
             self.one.insert(hash, last);
-        } else if set.len() < set.capacity() / 4 {
-            set.shrink_to_fit();
         }
     }
 
@@ -280,24 +279,199 @@ impl IdTable {
         self.many.clear();
     }
 
-    /// Both maps' blocks and every shared hash's set.
+    /// Both maps' blocks and every shared hash's postings.
     fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        let sets: usize = (self.many.values())
-            .map(|set| hash_table_block(set.capacity(), size_of::<DnId>()))
-            .sum();
+        let shared: usize = self.many.values().map(Postings::heap_bytes).sum();
         hash_table_block(self.one.capacity(), size_of::<(u32, DnId)>())
-            + hash_table_block(self.many.capacity(), size_of::<(u32, HashSet<DnId>)>())
-            + sets
+            + hash_table_block(self.many.capacity(), size_of::<(u32, Postings)>())
+            + shared
     }
 
-    /// Each hash is in exactly one of the two maps, and a set holds two
-    /// ids at least.
+    /// Each hash is in exactly one of the two maps, and postings hold two
+    /// ids at least, ascending, in the form their size calls for.
     #[cfg(test)]
     fn assert_each_hash_in_one_map(&self) {
-        for (hash, set) in &self.many {
-            assert!(set.len() >= 2, "hash {hash} has a set of {}", set.len());
+        for (hash, postings) in &self.many {
             assert!(!self.one.contains_key(hash), "hash {hash} is in both maps");
+            postings.assert_sound();
+        }
+    }
+}
+
+/// The ids two or more holders of one hash share, in ascending order: a
+/// sorted run while they are sparse, a bitmap over the id range once that
+/// is the smaller form. A form gives way to the other only when it has
+/// grown to twice the other's bytes, so a value near the boundary does not
+/// switch on every post and withdraw. An id is a slab slot and a new entry
+/// takes the next one, so nearly every post is a push or sets a bit in the
+/// last word.
+enum Postings {
+    /// Ascending, no id twice.
+    Run(Vec<DnId>),
+    /// Bit `id % 64` of word `id / 64` is set for each id held; the last
+    /// word is never 0. `len` counts the set bits.
+    Bits { words: Vec<u64>, len: usize },
+}
+
+impl Postings {
+    fn pair(a: DnId, b: DnId) -> Postings {
+        Postings::Run(vec![a.min(b), a.max(b)])
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Postings::Run(ids) => ids.len(),
+            Postings::Bits { len, .. } => *len,
+        }
+    }
+
+    fn iter(&self) -> PostingsIter<'_> {
+        match self {
+            Postings::Run(ids) => PostingsIter::Run(ids.iter()),
+            Postings::Bits { words, .. } => PostingsIter::Bits {
+                word: words.first().copied().unwrap_or(0),
+                rest: words.get(1..).unwrap_or_default().iter(),
+                base: 0,
+            },
+        }
+    }
+
+    fn insert(&mut self, id: DnId) {
+        match self {
+            Postings::Run(ids) => match ids.last() {
+                Some(&last) if last < id => ids.push(id),
+                _ => {
+                    if let Err(at) = ids.binary_search(&id) {
+                        ids.insert(at, id);
+                    }
+                }
+            },
+            Postings::Bits { words, len } => {
+                let (at, bit) = (id as usize / 64, 1 << (id % 64));
+                if at >= words.len() {
+                    words.resize(at + 1, 0);
+                }
+                if words[at] & bit == 0 {
+                    words[at] |= bit;
+                    *len += 1;
+                }
+            }
+        }
+        self.settle();
+    }
+
+    /// Take `id` out, if held. Capacity left under a quarter used is given
+    /// back: `Vec::remove` alone keeps it.
+    fn remove(&mut self, id: DnId) {
+        match self {
+            Postings::Run(ids) => {
+                if let Ok(at) = ids.binary_search(&id) {
+                    ids.remove(at);
+                }
+                if ids.len() < ids.capacity() / 4 {
+                    ids.shrink_to_fit();
+                }
+            }
+            Postings::Bits { words, len } => {
+                let (at, bit) = (id as usize / 64, 1 << (id % 64));
+                if words.get(at).is_some_and(|w| w & bit != 0) {
+                    words[at] &= !bit;
+                    *len -= 1;
+                }
+                while words.last() == Some(&0) {
+                    words.pop();
+                }
+                if words.len() < words.capacity() / 4 {
+                    words.shrink_to_fit();
+                }
+            }
+        }
+        self.settle();
+    }
+
+    /// Switch form where this one has grown to twice the other's bytes: a
+    /// run takes 4 bytes an id, a bitmap 8 bytes a word up to the highest.
+    fn settle(&mut self) {
+        let other = match &*self {
+            Postings::Run(ids) => {
+                let words = ids.last().map_or(0, |&max| max as usize / 64 + 1);
+                (ids.len() * 4 > 2 * words * 8).then(|| {
+                    let mut bits = vec![0u64; words];
+                    for &id in ids {
+                        bits[id as usize / 64] |= 1 << (id % 64);
+                    }
+                    Postings::Bits {
+                        words: bits,
+                        len: ids.len(),
+                    }
+                })
+            }
+            Postings::Bits { words, len } => (words.len() * 8 > 2 * len * 4).then(|| {
+                let mut ids = Vec::with_capacity(*len);
+                ids.extend(self.iter());
+                Postings::Run(ids)
+            }),
+        };
+        if let Some(other) = other {
+            *self = other;
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        match self {
+            Postings::Run(ids) => heap_block(ids.capacity() * size_of::<DnId>()),
+            Postings::Bits { words, .. } => heap_block(words.capacity() * size_of::<u64>()),
+        }
+    }
+
+    /// At least two ids, ascending, counted right, in the form their size
+    /// calls for.
+    #[cfg(test)]
+    fn assert_sound(&self) {
+        let ids: Vec<DnId> = self.iter().collect();
+        assert!(ids.len() >= 2, "postings of {} ids", ids.len());
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "{ids:?} not ascending");
+        assert_eq!(ids.len(), self.len());
+        let words = ids.last().map_or(0, |&max| max as usize / 64 + 1);
+        match self {
+            Postings::Run(_) => assert!(ids.len() <= 4 * words, "a run of {ids:?}"),
+            Postings::Bits { words: bits, .. } => {
+                assert_eq!(bits.len(), words, "a bitmap ends at its last id");
+                assert!(words <= ids.len(), "a bitmap of {} ids", ids.len());
+            }
+        }
+    }
+}
+
+/// The ids of [`Postings`], ascending.
+enum PostingsIter<'a> {
+    Run(std::slice::Iter<'a, DnId>),
+    /// The bits of `word` not yet yielded, the ids of word `base / 64`,
+    /// then the words after it.
+    Bits {
+        word: u64,
+        rest: std::slice::Iter<'a, u64>,
+        base: DnId,
+    },
+}
+
+impl Iterator for PostingsIter<'_> {
+    type Item = DnId;
+
+    fn next(&mut self) -> Option<DnId> {
+        match self {
+            PostingsIter::Run(ids) => ids.next().copied(),
+            PostingsIter::Bits { word, rest, base } => {
+                while *word == 0 {
+                    *word = *rest.next()?;
+                    *base += 64;
+                }
+                let id = *base + word.trailing_zeros();
+                *word &= *word - 1;
+                Some(id)
+            }
         }
     }
 }
@@ -306,21 +480,22 @@ impl IdTable {
 #[derive(Clone, Copy)]
 enum Ids<'a> {
     One(DnId),
-    Many(&'a HashSet<DnId>),
+    Many(&'a Postings),
 }
 
 impl<'a> Ids<'a> {
     fn len(self) -> usize {
         match self {
             Ids::One(_) => 1,
-            Ids::Many(set) => set.len(),
+            Ids::Many(postings) => postings.len(),
         }
     }
 
+    /// Ascending.
     fn iter(self) -> impl Iterator<Item = DnId> + 'a {
         let (one, many) = match self {
             Ids::One(id) => (Some(id), None),
-            Ids::Many(set) => (None, Some(set.iter().copied())),
+            Ids::Many(postings) => (None, Some(postings.iter())),
         };
         one.into_iter().chain(many.into_iter().flatten())
     }
@@ -413,11 +588,15 @@ fn collect_eq<'f>(f: &'f Filter, out: &mut Vec<(&'f str, &'f str)>) {
 /// full filter on every candidate, so a collision costs one check, and a
 /// hash with no posting still proves that no entry holds the value. Lives
 /// inside the store so maintenance shares the update ops' write lock.
-/// Postings are unordered; candidate order is recovered at query time by
-/// sorting survivors with the sibling comparator — a few comparisons on
-/// what is typically a small candidate set.
+/// Postings are in id order, which is slab order, not the scan's: candidate
+/// order is recovered at query time by sorting survivors with the sibling
+/// comparator — a few comparisons on what is typically a small candidate
+/// set.
 struct IdIndex {
-    postings: HashMap<String, IdTable>,
+    /// Normalized attribute name and its table. An index covers a handful
+    /// of attributes, so a scan by name finds a table without hashing the
+    /// name of every attribute an update touches.
+    postings: Vec<(String, IdTable)>,
     /// The normalized value being hashed: maintenance runs under the
     /// store's write lock, so one buffer serves every call.
     scratch: String,
@@ -425,9 +604,12 @@ struct IdIndex {
 
 impl IdIndex {
     fn new(attrs: &[&str]) -> IdIndex {
-        let mut postings = HashMap::new();
+        let mut postings: Vec<(String, IdTable)> = Vec::new();
         for a in attrs {
-            postings.insert(a.to_ascii_lowercase(), IdTable::default());
+            let name = a.to_ascii_lowercase();
+            if !postings.iter().any(|(n, _)| *n == name) {
+                postings.push((name, IdTable::default()));
+            }
         }
         IdIndex {
             postings,
@@ -437,6 +619,11 @@ impl IdIndex {
 
     fn enabled(&self) -> bool {
         !self.postings.is_empty()
+    }
+
+    /// The table of the attribute whose normalized name is `norm`.
+    fn table(&self, norm: &str) -> Option<&IdTable> {
+        (self.postings.iter()).find_map(|(name, table)| (name == norm).then_some(table))
     }
 
     fn insert_entry(&mut self, hashes: &Hashes, id: DnId, e: &Entry) {
@@ -459,7 +646,9 @@ impl IdIndex {
             return;
         }
         for attr in e.attributes() {
-            if let Some(table) = self.postings.get_mut(attr.name.norm()) {
+            let norm = attr.name.norm();
+            let found = self.postings.iter_mut().find(|(name, _)| name == norm);
+            if let Some((_, table)) = found {
                 for v in &attr.values {
                     apply(table, hashes.value(v, &mut self.scratch), id);
                 }
@@ -503,7 +692,7 @@ impl IdIndex {
         let mut best: Option<Ids<'_>> = None;
         let mut wanted = String::new();
         for (attr, value) in conjuncts {
-            let Some(table) = with_lower(attr, |a| self.postings.get(a)) else {
+            let Some(table) = with_lower(attr, |a| self.table(a)) else {
                 continue;
             };
             match table.get(hashes.value(value, &mut wanted)) {
@@ -520,10 +709,7 @@ impl IdIndex {
 
     fn heap_bytes(&self) -> usize {
         let mut bytes = heap_block(self.scratch.capacity())
-            + hash_table_block(
-                self.postings.capacity(),
-                std::mem::size_of::<(String, IdTable)>(),
-            );
+            + heap_block(self.postings.capacity() * std::mem::size_of::<(String, IdTable)>());
         for (attr, table) in &self.postings {
             bytes += heap_block(attr.capacity()) + table.heap_bytes();
         }
@@ -569,8 +755,8 @@ struct CompactStore {
     root_children: Vec<DnId>,
     index: IdIndex,
     /// Bulk-load nesting depth (see [`Dit::begin_bulk`]): while non-zero,
-    /// sibling lists append unsorted and the index is not maintained —
-    /// `finish_bulk_build` restores both invariants in one pass.
+    /// sibling lists append unsorted and names keep their own parent
+    /// chains — `finish_bulk_build` restores both in one pass.
     bulk: u32,
 }
 
@@ -725,16 +911,14 @@ impl CompactStore {
             children: None,
         });
         self.dns.post(hash, id);
-        if self.bulk == 0 {
-            let CompactStore {
-                slots,
-                index,
-                hashes,
-                ..
-            } = self;
-            let node = slots[id as usize].as_ref().expect("just allocated");
-            index.insert_entry(hashes, id, &node.entry);
-        }
+        let CompactStore {
+            slots,
+            index,
+            hashes,
+            ..
+        } = self;
+        let node = slots[id as usize].as_ref().expect("just allocated");
+        index.insert_entry(hashes, id, &node.entry);
         self.link_child(parent, id);
         id
     }
@@ -745,9 +929,7 @@ impl CompactStore {
         self.unlink_child(parent, id);
         let node = self.slots[id as usize].take().expect("live id");
         self.dns.withdraw(hash, id);
-        if self.bulk == 0 {
-            self.index.remove_entry(&self.hashes, id, &node.entry);
-        }
+        self.index.remove_entry(&self.hashes, id, &node.entry);
         self.free.push(id);
         node.entry
     }
@@ -761,13 +943,10 @@ impl CompactStore {
             slots,
             index,
             hashes,
-            bulk,
             ..
         } = self;
         let stored = &mut slots[id as usize].as_mut().expect("live id").entry;
-        if *bulk == 0 {
-            index.update_entry(hashes, id, stored, &updated);
-        }
+        index.update_entry(hashes, id, stored, &updated);
         stored.take_changes(updated);
     }
 
@@ -805,12 +984,10 @@ impl CompactStore {
         }
     }
 
-    /// Restore the sorted-sibling, shared-name and index invariants after a
-    /// bulk load: sort every sibling list, point every entry's parent link
-    /// at its parent entry's name, and rebuild the postings in one pass over
-    /// the live slots. This replaces ~n per-insert index updates with one
-    /// linear build — the core of the fast cold start. The DN table needs
-    /// no rebuild: every insert posts to it.
+    /// Restore the sorted-sibling and shared-name invariants after a bulk
+    /// load: sort every sibling list and point every entry's parent link at
+    /// its parent entry's name. The DN table and the index need nothing:
+    /// every insert, delete and modify posted to them.
     fn finish_bulk_build(&mut self) {
         let mut rc = std::mem::take(&mut self.root_children);
         rc.sort_unstable_by(|&a, &b| sibling_order(self.rdn(a), self.rdn(b), false));
@@ -834,22 +1011,6 @@ impl CompactStore {
                 let mut dn = std::mem::take(self.node_mut(id).entry.dn_mut());
                 dn.share_parent(self.node(p).entry.dn());
                 *self.node_mut(id).entry.dn_mut() = dn;
-            }
-        }
-        for m in self.index.postings.values_mut() {
-            m.clear();
-        }
-        if self.index.enabled() {
-            let CompactStore {
-                slots,
-                index,
-                hashes,
-                ..
-            } = self;
-            for (i, slot) in slots.iter().enumerate() {
-                if let Some(n) = slot {
-                    index.insert_entry(hashes, i as DnId, &n.entry);
-                }
             }
         }
     }
@@ -878,8 +1039,9 @@ impl CompactStore {
         fp
     }
 
-    /// Plan wrapper: while a bulk load is active the index is stale, so
-    /// every search scans.
+    /// Plan wrapper: while a bulk load is active every search scans. The
+    /// index is current, but the sibling lists are in insertion order, and
+    /// a scan emits in that order whatever the filter.
     fn plan(&self, filter: &Filter) -> Plan<'_> {
         if self.bulk > 0 {
             return Plan::Scan;
@@ -1045,8 +1207,8 @@ impl Dit {
     /// The attributes carrying an equality index, normalized and sorted.
     #[cfg(test)]
     fn indexed_attrs(&self) -> Vec<String> {
-        let mut attrs: Vec<String> = (unpoison(self.store.read()).tree.index.postings.keys())
-            .cloned()
+        let mut attrs: Vec<String> = (unpoison(self.store.read()).tree.index.postings.iter())
+            .map(|(name, _)| name.clone())
             .collect();
         attrs.sort();
         attrs
@@ -1057,7 +1219,7 @@ impl Dit {
     fn assert_each_hash_in_one_map(&self) {
         let s = unpoison(self.store.read());
         s.tree.dns.assert_each_hash_in_one_map();
-        for table in s.tree.index.postings.values() {
+        for (_, table) in &s.tree.index.postings {
             table.assert_each_hash_in_one_map();
         }
     }
@@ -1142,17 +1304,19 @@ impl Dit {
         unpoison(self.store.read()).tree.find(dn).is_some()
     }
 
-    /// Enter bulk-load mode (nestable). Inserts stop maintaining the
-    /// equality index and sibling sort order; [`Dit::finish_bulk`] restores
-    /// both with one build pass — recovery loads a million-entry snapshot
-    /// without a million incremental index updates. While active, searches
-    /// fall back to (unordered) scans.
+    /// Enter bulk-load mode (nestable). Inserts append to their parent's
+    /// sibling list unsorted and keep their names' own parent chains;
+    /// [`Dit::finish_bulk`] sorts and shares them in one pass. The
+    /// equality index is kept by every insert, delete and modify, as
+    /// outside a window. While active, searches fall back to scans in
+    /// insertion order.
     pub fn begin_bulk(&self) {
         unpoison(self.store.write()).tree.bulk += 1;
     }
 
     /// Leave bulk-load mode; the outermost call sorts sibling lists and
-    /// rebuilds the equality index.
+    /// points each name's parent link at its parent entry's name. It builds
+    /// no index: the index is already current.
     pub fn finish_bulk(&self) {
         let cs = &mut unpoison(self.store.write()).tree;
         cs.bulk = cs.bulk.saturating_sub(1);
@@ -1520,8 +1684,8 @@ impl Dit {
         cs.slots.clear();
         cs.free.clear();
         cs.root_children.clear();
-        for postings in cs.index.postings.values_mut() {
-            postings.clear();
+        for (_, table) in &mut cs.index.postings {
+            table.clear();
         }
     }
 }
@@ -1645,6 +1809,72 @@ mod tests {
         assert!(
             left <= 2 * three,
             "4,096 ids down to 3 hold {left} B (from {full} B), 3 fresh ids {three} B"
+        );
+    }
+
+    /// Seeded posts and withdraws over three hashes, mostly of ids below
+    /// 256 and one in 40 of an id up to 2,047: in the first quarter, where
+    /// posts are seven in ten, postings fill until they take the bitmap
+    /// form; in the rest, where withdraws are 19 in 20, the dense ids thin
+    /// out and the far ones leave bitmaps to switch back to runs. After
+    /// every step the table holds what a map of sets holds.
+    #[test]
+    fn postings_match_a_set_model_through_both_forms_and_both_switches() {
+        use std::collections::{BTreeMap, BTreeSet};
+        const HASHES: u32 = 3;
+        let is_bitmap =
+            |t: &IdTable, hash| matches!(t.many.get(&hash), Some(Postings::Bits { .. }));
+        let (mut to_bitmap, mut to_run) = (0, 0);
+        for seed in 1..=8u64 {
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut below = move |n: u64| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % n
+            };
+            let mut table = IdTable::default();
+            let mut model: BTreeMap<u32, BTreeSet<DnId>> = BTreeMap::new();
+            for step in 0..4_000 {
+                let hash = below(u64::from(HASHES)) as u32;
+                let post = below(20) < if step < 1_000 { 14 } else { 1 };
+                let id = match below(40) {
+                    0 => below(2_048),
+                    _ => below(256),
+                } as DnId;
+                let was_bitmap = is_bitmap(&table, hash);
+                if post {
+                    table.post(hash, id);
+                    model.entry(hash).or_default().insert(id);
+                } else {
+                    table.withdraw(hash, id);
+                    if let Some(ids) = model.get_mut(&hash) {
+                        ids.remove(&id);
+                        ids.is_empty().then(|| model.remove(&hash));
+                    }
+                }
+                match (was_bitmap, is_bitmap(&table, hash)) {
+                    (false, true) => to_bitmap += 1,
+                    (true, false) if table.many.contains_key(&hash) => to_run += 1,
+                    _ => {}
+                }
+                table.assert_each_hash_in_one_map();
+                for hash in 0..HASHES {
+                    let want: Vec<DnId> = model.get(&hash).into_iter().flatten().copied().collect();
+                    let ids = table.get(hash);
+                    let have: Vec<DnId> = ids.into_iter().flat_map(Ids::iter).collect();
+                    assert_eq!(have, want, "seed {seed}, step {step}, hash {hash}");
+                    assert_eq!(ids.map_or(0, Ids::len), want.len());
+                    if let [id] = want[..] {
+                        assert_eq!(table.one.get(&hash), Some(&id), "one id takes a slot");
+                    }
+                }
+            }
+        }
+        println!("{to_bitmap} switches to a bitmap, {to_run} back to a run");
+        assert!(
+            to_bitmap > 0 && to_run > 0,
+            "{to_bitmap} to a bitmap, {to_run} to a run"
         );
     }
 
@@ -2290,7 +2520,7 @@ mod tests {
         incr.delete(&Dn::parse("cn=Tim Dickens,o=Accounting,o=Lucent").unwrap())
             .unwrap();
         assert_eq!(bulk.export(), incr.export());
-        // Index rebuilt by finish_bulk: planner serves and results agree.
+        // Index kept through the window: planner serves and results agree.
         let before = bulk.index_stats();
         let f = Filter::eq("cn", "John Doe");
         let a = bulk.search(&Dn::root(), Scope::Sub, &f, &[], 0).unwrap();
@@ -2324,7 +2554,8 @@ mod tests {
         let mut scratch = String::new();
         let names = (0..64).map(|i| Dn::parse(&format!("cn=n{i},o=x")).unwrap());
         let values = (0..64).map(|i| hashes.value(&format!("v{i}"), &mut scratch));
-        let seen: HashSet<u32> = names.map(|dn| hashes.dn(&dn)).chain(values).collect();
+        let seen: std::collections::HashSet<u32> =
+            names.map(|dn| hashes.dn(&dn)).chain(values).collect();
         assert!(seen.iter().all(|&h| h < 4), "{seen:?}");
     }
 

@@ -372,7 +372,7 @@ proptest! {
             "snapshot file diverged"
         );
 
-        // …and a cold start from it (bulk window, one index build) must
+        // …and a cold start from it (bulk window, one sibling sort) must
         // serve the model's tree. A bulk load counts a commit per entry.
         let cold = new_store();
         ldap::backup::restore_snapshot(&cold, &snap).unwrap();
