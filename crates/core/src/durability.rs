@@ -42,7 +42,7 @@ use crate::resilience::Device;
 use crate::unpoison;
 use ldap::backup::{self, SnapshotStore};
 use ldap::dit::Dit;
-use ldap::wal::{self, FsyncPolicy, Wal, WalStats};
+use ldap::wal::{self, FsyncPolicy, Wal};
 use ldap::Directory;
 use std::collections::HashMap;
 use std::path::Path;
@@ -90,26 +90,19 @@ pub(crate) struct StaleMark {
     pub stale: bool,
 }
 
-type ErrorCtx = Arc<Mutex<Option<(Arc<ErrorLog>, Arc<dyn Directory>)>>>;
-
-/// The durability engine: owns the snapshot store and the current WAL
-/// segment, logs DIT commits and device marks, and runs the checkpoint
-/// protocol.
+/// The durability engine: owns the snapshot store and the WAL, logs DIT
+/// commits and device marks, and runs the checkpoint protocol.
 pub(crate) struct Durability {
     store: SnapshotStore,
     policy: FsyncPolicy,
-    /// Current segment; swapped under this lock at checkpoint.
-    wal: Mutex<Arc<Wal>>,
-    /// Cumulative across segment rotations.
-    wal_stats: Arc<WalStats>,
+    /// The deployment's one log; a checkpoint rotates it to the next
+    /// generation's segment.
+    wal: Arc<Wal>,
     generation: AtomicU64,
     /// Checkpoints written: `snapshots` on the `durability` component.
     snapshots_written: Arc<Counter>,
     checkpoint_lock: Mutex<()>,
     report: RecoveryReport,
-    /// Where WAL write failures are alerted once the deployment's error
-    /// log exists (installed after build wires it up).
-    error_ctx: ErrorCtx,
 }
 
 impl Durability {
@@ -205,22 +198,17 @@ impl Durability {
         // torn frame, and appending past torn bytes would hide everything
         // after them from the next replay.
         let generation = store.latest_generation() + 1;
-        let wal_stats = Arc::new(WalStats::default());
-        let wal = Wal::open_with_stats(&store.wal_path(generation), policy, wal_stats.clone())?;
-        let error_ctx: ErrorCtx = Arc::new(Mutex::new(None));
-        install_error_sink(&wal, &error_ctx);
+        let wal = Wal::open(&store.wal_path(generation), policy)?;
 
         Ok((
             Arc::new(Durability {
                 store,
                 policy,
-                wal: Mutex::new(wal),
-                snapshots_written: wal_stats.component().counter("snapshots"),
-                wal_stats,
+                snapshots_written: wal.stats().component().counter("snapshots"),
+                wal,
                 generation: AtomicU64::new(generation),
                 checkpoint_lock: Mutex::new(()),
                 report,
-                error_ctx,
             }),
             marks,
         ))
@@ -233,7 +221,9 @@ impl Durability {
     /// Route WAL write failures to the deployment's error log (§4.4
     /// log-and-alert); called once the error log exists.
     pub(crate) fn set_error_log(&self, errorlog: Arc<ErrorLog>, dir: Arc<dyn Directory>) {
-        *unpoison(self.error_ctx.lock()) = Some((errorlog, dir));
+        self.wal.set_error_sink(move |msg| {
+            errorlog.log(dir.as_ref(), 0, msg, "wal write failure");
+        });
     }
 
     /// Drop the alert route again (shutdown). It holds the directory, whose
@@ -241,52 +231,35 @@ impl Durability {
     /// the whole tree resident after the deployment is gone. WAL failures
     /// are still counted; commits made after shutdown are still logged.
     pub(crate) fn clear_error_log(&self) {
-        *unpoison(self.error_ctx.lock()) = None;
+        self.wal.clear_error_sink();
     }
 
-    fn wal(&self) -> Arc<Wal> {
-        unpoison(self.wal.lock()).clone()
-    }
-
-    /// Append a record to the current segment without waiting for
-    /// durability — the async half of group commit. The gateway's
-    /// after-trigger runs [`Durability::commit_barrier`] once the Update
-    /// Manager has committed and before the update call returns, so the
-    /// commit itself never parks in an fsync wait and concurrent commits
-    /// coalesce into large batches.
+    /// Append a record to the log without waiting for durability — the
+    /// async half of group commit. The gateway's after-trigger runs
+    /// [`Durability::commit_barrier`] once the Update Manager has committed
+    /// and before the update call returns, so the commit itself never parks
+    /// in an fsync wait and concurrent commits coalesce into large batches.
     /// Failures degrade durability, not availability: they are counted and
     /// alerted by the WAL's sink, and the in-memory commit stands.
     fn append(&self, tag: u8, payload: &[u8]) {
-        let wal = self.wal();
-        let _ = wal.append_nowait(tag, payload);
-        // A checkpoint may have synced this segment and swapped in its
-        // successor between the clone above and the write — in which case
-        // the frame landed in the old segment *after* its final sync, and
-        // the client's commit_barrier would sync only the new one. Re-check
-        // after the write: if the segment changed, sync the one we wrote
-        // inline so acknowledged still implies durable. (If the re-check
-        // still sees our segment, the swap — and the checkpoint's sync —
-        // strictly follow our write, which they therefore cover.)
-        if self.policy != FsyncPolicy::Never && !Arc::ptr_eq(&wal, &self.wal()) {
-            let _ = wal.sync();
-        }
+        let _ = self.wal.append_nowait(tag, payload);
     }
 
     /// Block until everything appended so far is on stable storage (group
-    /// policy only — Always synced inline, Never opted out). Runs on the
-    /// client thread after its update completes: the client's own records
-    /// were appended before the UM replied, so the barrier covers them.
+    /// policy only — Never opted out). Runs on the client thread after its
+    /// update completes: the client's own records were appended before the
+    /// UM replied, so the barrier covers them.
     pub(crate) fn commit_barrier(&self) {
         if self.policy == FsyncPolicy::Group {
             // Errors are counted and alerted by the WAL's sink.
-            let _ = self.wal().sync();
+            let _ = self.wal.sync();
         }
     }
 
     /// Observe every DIT commit into the log. The observer runs before the
     /// client's update call returns (Dit::emit is synchronous), so with the
     /// after-trigger barrier an acknowledged update is on stable storage
-    /// under Always/Group.
+    /// under Group.
     pub(crate) fn attach(self: &Arc<Self>, dit: &Arc<Dit>) {
         let dur = self.clone();
         dit.observe(move |rec| {
@@ -307,22 +280,11 @@ impl Durability {
     pub(crate) fn checkpoint(&self, dit: &Dit, devices: &[Device]) -> Result<()> {
         let _only_one = unpoison(self.checkpoint_lock.lock());
         let generation = self.generation.load(Ordering::SeqCst) + 1;
-        let new_wal = Wal::open_with_stats(
-            &self.store.wal_path(generation),
-            self.policy,
-            self.wal_stats.clone(),
-        )?;
-        install_error_sink(&new_wal, &self.error_ctx);
-        {
-            // Swap under the wal lock: appenders racing the swap land in
-            // either segment; their DIT records carry commit sequences ≤
-            // the export below (old segment) or replay idempotently by
-            // sequence guard (new segment), and device records reduce by
-            // epoch wherever they land.
-            let mut w = unpoison(self.wal.lock());
-            let _ = w.sync();
-            *w = new_wal;
-        }
+        // Appenders racing the rotation land in either segment: their DIT
+        // records carry commit sequences ≤ the export below (old segment)
+        // or replay idempotently by sequence guard (new segment), and
+        // device records reduce by epoch wherever they land.
+        self.wal.rotate(&self.store.wal_path(generation))?;
         self.generation.store(generation, Ordering::SeqCst);
         // A device's mark must not depend on pruned history: re-log each
         // into the fresh segment. A change racing this re-log carries a
@@ -342,18 +304,18 @@ impl Durability {
         Ok(())
     }
 
-    /// Force the current segment to stable storage (shutdown path).
+    /// Force the log to stable storage (shutdown path).
     pub(crate) fn sync(&self) {
-        let _ = self.wal().sync();
+        let _ = self.wal.sync();
     }
 
     /// Publish the `durability` component in `cn=monitor`.
     pub(crate) fn register_metrics(self: &Arc<Self>, registry: &Registry) {
         // The WAL's counters are its own component's handles; the gauges
         // added here are what is derived when read.
-        let comp = registry.adopt(self.wal_stats.component().clone());
+        let comp = registry.adopt(self.wal.stats().component().clone());
         let d = self.clone();
-        comp.gauge_callback("walSegmentBytes", move || d.wal().len_bytes() as i64);
+        comp.gauge_callback("walSegmentBytes", move || d.wal.len_bytes() as i64);
         let d = self.clone();
         comp.gauge_callback("generation", move || {
             d.generation.load(Ordering::SeqCst) as i64
@@ -369,15 +331,6 @@ impl Durability {
         let r = self.report.clone();
         comp.gauge_callback("recoveryReplayMicros", move || r.replay_micros as i64);
     }
-}
-
-fn install_error_sink(wal: &Arc<Wal>, ctx: &ErrorCtx) {
-    let ctx = ctx.clone();
-    wal.set_error_sink(move |msg| {
-        if let Some((log, dir)) = unpoison(ctx.lock()).as_ref() {
-            log.log(dir.as_ref(), 0, msg, "wal write failure");
-        }
-    });
 }
 
 /// `[device length: u32 LE][device][epoch: u64 LE][stale: u8]` — the

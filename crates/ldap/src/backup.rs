@@ -25,11 +25,9 @@ use crate::dit::{ChangeRecord, Dit};
 use crate::entry::Entry;
 use crate::error::{LdapError, Result, ResultCode};
 use crate::ldif;
-use crate::unpoison;
 use crate::wal::Crc32;
 use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
 
 /// Snapshot header comment carrying the commit sequence of the export.
 const SEQ_PREFIX: &str = "# seq: ";
@@ -219,38 +217,29 @@ impl<R: BufRead> SnapshotScanner<R> {
     }
 }
 
-/// How many blocks a parse batch carries through the worker channel.
+/// How many blocks a parse batch carries from the reader to the parser.
 const PARSE_BATCH_BLOCKS: usize = 512;
 
 /// Snapshot load into an empty DIT: a bounded single pass over the file (no
 /// whole-file `String`, no all-records `Vec`) on a reader thread, block
-/// parsing fanned across `available_parallelism - 1` workers (at least
-/// one, at most eight), ordered reassembly, and insertion on this thread in
-/// bulk-load mode via [`Dit::bulk_add`] — `trusted` because the CRC footer
-/// covers every byte, so the entries were schema-validated when this
-/// system first wrote them. A checksum failure surfaces as `Err` *after* a
-/// partial load; the caller clears the DIT before it falls back a
-/// generation. Returns `(entries loaded, snapshot commit seq)`.
+/// parsing on one parse thread, and insertion on this thread in bulk-load
+/// mode via [`Dit::bulk_add`] — `trusted` because the CRC footer covers
+/// every byte, so the entries were schema-validated when this system first
+/// wrote them. Batches flow through two bounded channels, so they arrive
+/// in file order and parents land before their children. A checksum
+/// failure surfaces as `Err` *after* a partial load; the caller clears the
+/// DIT before it falls back a generation. Returns `(entries loaded,
+/// snapshot commit seq)`.
 fn load_snapshot_stream(dit: &Dit, path: &Path) -> Result<(usize, u64)> {
     use std::sync::mpsc::sync_channel;
-    type Batch = (usize, Vec<String>);
-    type Parsed = (usize, Result<Vec<Entry>>);
-    let workers = std::thread::available_parallelism()
-        .map_or(1, |n| n.get().saturating_sub(1))
-        .clamp(1, 8);
     let file = std::fs::File::open(path)?;
     let mut scanner = SnapshotScanner::new(std::io::BufReader::with_capacity(1 << 20, file), path);
     dit.begin_bulk();
     let res = std::thread::scope(|sc| {
-        let (batch_tx, batch_rx) = sync_channel::<Batch>(workers * 2);
-        let (parsed_tx, parsed_rx) = sync_channel::<Parsed>(workers * 2);
-        let batch_rx = Arc::new(Mutex::new(batch_rx));
-        for _ in 0..workers {
-            let batch_rx = batch_rx.clone();
-            let parsed_tx = parsed_tx.clone();
-            sc.spawn(move || loop {
-                let msg = unpoison(batch_rx.lock()).recv();
-                let Ok((idx, blocks)) = msg else { break };
+        let (batch_tx, batch_rx) = sync_channel::<Vec<String>>(2);
+        let (parsed_tx, parsed_rx) = sync_channel::<Result<Vec<Entry>>>(2);
+        sc.spawn(move || {
+            for blocks in batch_rx {
                 let parsed = blocks.iter().try_fold(Vec::<Entry>::new(), |mut acc, b| {
                     // A change record in a snapshot is corruption.
                     let mut es = ldif::parse_content(b)
@@ -266,51 +255,43 @@ fn load_snapshot_stream(dit: &Dit, path: &Path) -> Result<(usize, u64)> {
                     acc.append(&mut es);
                     Ok(acc)
                 });
-                if parsed_tx.send((idx, parsed)).is_err() {
+                if parsed_tx.send(parsed).is_err() {
                     break;
                 }
-            });
-        }
-        drop(parsed_tx);
+            }
+        });
         // Reader: scan + CRC on its own thread; returns the verify outcome
         // and the header seq.
         let reader = sc.spawn(move || {
             let read = (|| -> Result<()> {
-                let (mut batch, mut idx) = (Vec::with_capacity(PARSE_BATCH_BLOCKS), 0);
+                let mut batch = Vec::with_capacity(PARSE_BATCH_BLOCKS);
                 while let Some(block) = scanner.next_block()? {
                     batch.push(block);
-                    if batch.len() == PARSE_BATCH_BLOCKS {
-                        if batch_tx.send((idx, std::mem::take(&mut batch))).is_err() {
-                            return Ok(()); // the inserter bailed out
-                        }
-                        idx += 1;
+                    if batch.len() == PARSE_BATCH_BLOCKS
+                        && batch_tx.send(std::mem::take(&mut batch)).is_err()
+                    {
+                        return Ok(()); // the inserter bailed out
                     }
                 }
                 if !batch.is_empty() {
-                    let _ = batch_tx.send((idx, batch));
+                    let _ = batch_tx.send(batch);
                 }
                 Ok(())
             })();
             (read, scanner.seq)
         });
-        // Inserter (this thread): reassemble batches in file order —
-        // parents must land before their children — and bulk-insert.
+        // Inserter (this thread).
         let inserted = (|| -> Result<usize> {
-            let mut pending = std::collections::BTreeMap::new();
-            let (mut next, mut n) = (0, 0);
-            for (idx, res) in parsed_rx.iter() {
-                pending.insert(idx, res);
-                while let Some(res) = pending.remove(&next) {
-                    next += 1;
-                    for e in res? {
-                        dit.bulk_add(e, true)?;
-                        n += 1;
-                    }
+            let mut n = 0;
+            for parsed in parsed_rx.iter() {
+                for e in parsed? {
+                    dit.bulk_add(e, true)?;
+                    n += 1;
                 }
             }
             Ok(n)
         })();
-        drop(parsed_rx); // bail-out path: unblock workers, then the reader
+        drop(parsed_rx); // bail-out path: unblock the parser, then the reader
         let (read_res, seq) = reader.join().expect("snapshot reader thread");
         let n = inserted?;
         read_res?;
@@ -538,6 +519,7 @@ mod tests {
     use crate::entry::Modification;
     use crate::wal::tests::Scratch;
     use crate::wal::{crc32, FsyncPolicy, Wal};
+    use std::sync::{Arc, Mutex};
 
     fn tmpdir(name: &str) -> Scratch {
         Scratch::new(&format!("backup-{name}"))
@@ -614,7 +596,7 @@ mod tests {
         let path = dir.join("wal-000001.log");
         let dit = Dit::new();
         let wal = Wal::open(&path, FsyncPolicy::Never).unwrap();
-        dit.observe(move |rec| drop(wal.append(TAG_DIT_CHANGE, &wal_payload(rec))));
+        dit.observe(move |rec| drop(wal.append_nowait(TAG_DIT_CHANGE, &wal_payload(rec))));
         figure2_tree(&dit).unwrap();
         let john = Dn::parse("cn=John Doe,o=Marketing,o=Lucent").unwrap();
         dit.modify(&john, &[Modification::set("telephoneNumber", "9123")])
@@ -645,7 +627,7 @@ mod tests {
         let store = SnapshotStore::new(&*dir);
         let dit = Dit::new();
         let wal = Wal::open(&store.wal_path(1), FsyncPolicy::Never).unwrap();
-        dit.observe(move |rec| drop(wal.append(TAG_DIT_CHANGE, &wal_payload(rec))));
+        dit.observe(move |rec| drop(wal.append_nowait(TAG_DIT_CHANGE, &wal_payload(rec))));
         let attrs = |class: &str, name: &str, value: &str| {
             let dn = Dn::parse(&format!("{name}={value},o=Lucent")).unwrap();
             let held = dn.rdn().unwrap().first().value().to_string();
@@ -682,7 +664,7 @@ mod tests {
         let path = dir.join("wal-000001.log");
         let dit = Dit::new();
         let wal = Wal::open(&path, FsyncPolicy::Never).unwrap();
-        dit.observe(move |rec| drop(wal.append(TAG_DIT_CHANGE, &wal_payload(rec))));
+        dit.observe(move |rec| drop(wal.append_nowait(TAG_DIT_CHANGE, &wal_payload(rec))));
         figure2_tree(&dit).unwrap(); // seq 1..=9 in the wal
         let store = SnapshotStore::new(&*dir);
         store.write_snapshot_streamed(&dit, 1).unwrap();

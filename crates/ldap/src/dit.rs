@@ -1507,48 +1507,6 @@ impl Dit {
         Ok(entry.has_value(attr, value))
     }
 
-    /// Search. `attrs` selects returned attributes (empty = all);
-    /// `size_limit` of 0 means unlimited, otherwise exceeding it is an error.
-    ///
-    /// One/Sub searches go through the filter planner first; indexed
-    /// results are produced in the same order the scan would produce them.
-    pub fn search(
-        &self,
-        base: &Dn,
-        scope: Scope,
-        filter: &Filter,
-        attrs: &[String],
-        size_limit: usize,
-    ) -> Result<Vec<Entry>> {
-        let (out, truncated) = self.search_capped(base, scope, filter, attrs, size_limit)?;
-        if truncated {
-            return Err(LdapError::new(
-                ResultCode::SizeLimitExceeded,
-                format!("more than {size_limit} entries match"),
-            ));
-        }
-        Ok(out)
-    }
-
-    /// Like [`Dit::search`], but a size-limit overflow is not an error:
-    /// the entries collected up to the limit are returned together with a
-    /// "truncated" flag — the RFC 2251 `sizeLimitExceeded` shape the wire
-    /// server needs.
-    pub(crate) fn search_capped(
-        &self,
-        base: &Dn,
-        scope: Scope,
-        filter: &Filter,
-        attrs: &[String],
-        size_limit: usize,
-    ) -> Result<(Vec<Entry>, bool)> {
-        let mut out = Vec::new();
-        let (_, truncated) = self.walk(base, scope, filter, size_limit, &mut |e| {
-            out.push(e.project(attrs))
-        })?;
-        Ok((out, truncated))
-    }
-
     /// Stream matching entries through `visit` instead of collecting them:
     /// with an empty projection the visitor borrows entries straight out of
     /// the store — no per-entry clone and no result vector. Returns
@@ -1903,7 +1861,10 @@ mod tests {
         assert!(!b.dn().parent().unwrap().shares_storage(parent.dn()));
         assert_eq!(b.dn().parent().unwrap(), *parent.dn());
         let all = Filter::match_all();
-        let found = dit.search(parent.dn(), Scope::One, &all, &[], 0).unwrap();
+        let found = {
+            use crate::Directory;
+            dit.search(parent.dn(), Scope::One, &all, &[], 0).unwrap()
+        };
         let names: Vec<String> = found.iter().map(|e| e.dn().to_string()).collect();
         assert_eq!(names, ["cn=a,ou=B,o=X", "cn=b,OU=B,O=X"]);
     }
@@ -2063,6 +2024,7 @@ mod tests {
 
     #[test]
     fn search_scopes() {
+        use crate::Directory;
         let dit = tree();
         let lucent = Dn::parse("o=Lucent").unwrap();
         let all = Filter::match_all();
@@ -2091,6 +2053,7 @@ mod tests {
 
     #[test]
     fn search_filter_and_projection() {
+        use crate::Directory;
         let dit = tree();
         let lucent = Dn::parse("o=Lucent").unwrap();
         let f = Filter::parse("(&(objectClass=person)(cn=J*))").unwrap();
@@ -2106,6 +2069,7 @@ mod tests {
 
     #[test]
     fn search_size_limit() {
+        use crate::Directory;
         let dit = tree();
         let lucent = Dn::parse("o=Lucent").unwrap();
         let err = dit
@@ -2116,6 +2080,7 @@ mod tests {
 
     #[test]
     fn search_missing_base() {
+        use crate::Directory;
         let dit = tree();
         let err = dit
             .search(
@@ -2244,6 +2209,7 @@ mod tests {
         let new = "+1 908 555 0100 x4321";
         modify("telephoneNumber", new);
         let by_phone = |number: &str| {
+            use crate::Directory;
             let f = Filter::eq("telephoneNumber", number);
             dit.search(&Dn::root(), Scope::Sub, &f, &[], 0).unwrap()
         };
@@ -2276,6 +2242,7 @@ mod tests {
         assert_eq!((dit.seq(), dit.footprint()), (seq, fp));
         assert_eq!(*seen.lock().unwrap(), 1, "no record for the refused modify");
         let by_phone = |number: &str| {
+            use crate::Directory;
             let f = Filter::eq("telephoneNumber", number);
             dit.search(&Dn::root(), Scope::Sub, &f, &[], 0).unwrap()
         };
@@ -2325,6 +2292,7 @@ mod tests {
 
     #[test]
     fn clear_resets() {
+        use crate::Directory;
         let dit = tree();
         dit.clear();
         assert!(dit.is_empty());
@@ -2348,6 +2316,7 @@ mod tests {
     /// Every search below must agree, entry-for-entry and in order, with
     /// the index-free reference DIT.
     fn assert_same_results(indexed: &Dit, scan: &Dit, base: &str, scope: Scope, filter: &str) {
+        use crate::Directory;
         let base = Dn::parse(base).unwrap();
         let f = Filter::parse(filter).unwrap();
         let a = indexed.search(&base, scope, &f, &[], 0).unwrap();
@@ -2395,6 +2364,7 @@ mod tests {
 
     #[test]
     fn planner_applicability() {
+        use crate::Directory;
         let dit = tree();
         let lucent = Dn::parse("o=Lucent").unwrap();
         let probe = |f: &str| {
@@ -2465,6 +2435,7 @@ mod tests {
 
     #[test]
     fn indexed_size_limit_matches_scan() {
+        use crate::Directory;
         let indexed = tree();
         let scan = scan_tree();
         let base = Dn::parse("o=Lucent").unwrap();
@@ -2477,6 +2448,7 @@ mod tests {
 
     #[test]
     fn custom_indexed_attrs() {
+        use crate::Directory;
         let dit = Dit::with_schema_indexed(Arc::new(Schema::permissive()), &["roomNumber"]);
         figure2_tree(&dit).unwrap();
         let john = Dn::parse("cn=John Doe,o=Marketing,o=Lucent").unwrap();
@@ -2508,6 +2480,7 @@ mod tests {
 
     #[test]
     fn bulk_load_matches_incremental() {
+        use crate::Directory;
         let bulk = Dit::new();
         bulk.begin_bulk();
         figure2_tree(&bulk).unwrap();
@@ -2711,6 +2684,7 @@ mod tests {
     }
 
     fn stream(dit: &Dit, base: &Dn, scope: Scope, f: &Filter) -> Vec<Entry> {
+        use crate::Directory;
         dit.search(base, scope, f, &[], 0).unwrap()
     }
 

@@ -425,6 +425,7 @@ mod tests {
     fn a_modification_that_names_a_value_twice_is_refused_whole() {
         use crate::dit::{Dit, Scope};
         use crate::filter::Filter;
+        use crate::Directory;
         let dit = Dit::with_schema_indexed(
             std::sync::Arc::new(crate::schema::Schema::permissive()),
             &["l", "description"],

@@ -22,12 +22,12 @@
 //!
 //! [`FsyncPolicy::Group`] elects a *leader* among concurrent committers:
 //! appenders write their frame under the file lock (cheap — page cache),
-//! then wait for the log to be durable past their own frame. The first
-//! waiter to find no fsync in flight becomes the leader, syncs once, and
-//! wakes everyone whose frame that sync covered. While a sync is in flight,
-//! later appenders keep writing; the next leader's single fsync covers the
-//! whole batch. One fsync per *batch* instead of one per commit — the
-//! classical group-commit protocol.
+//! then [`Wal::sync`] waits for the log to be durable past their own frame.
+//! The first waiter to find no fsync in flight becomes the leader, syncs
+//! once, and wakes everyone whose frame that sync covered. While a sync is
+//! in flight, later appenders keep writing; the next leader's single fsync
+//! covers the whole batch. One fsync per *batch* instead of one per commit
+//! — the classical group-commit protocol.
 
 use crate::error::Result;
 use crate::unpoison;
@@ -56,8 +56,7 @@ pub enum FsyncPolicy {
 
 /// The log's counters: handles on the `durability` component it owns
 /// ([`WalStats::component`]) until a deployment adopts it into its
-/// registry. One `WalStats` serves a deployment's successive segments, so
-/// the counts are cumulative across rotations.
+/// registry. The counts are cumulative across [`Wal::rotate`].
 pub struct WalStats {
     component: Arc<Component>,
     /// Frames appended.
@@ -92,14 +91,23 @@ impl WalStats {
     }
 }
 
+/// The segment appends go to. Offsets are logical: they run on across
+/// segments, so a durability target taken in one segment stays
+/// comparable after [`Wal::rotate`] has moved on to the next.
 struct WalFile {
-    f: File,
-    /// Logical bytes appended since open (durability targets).
+    /// Appends write through `&File` under the lock; a group-commit leader
+    /// clones the handle and fsyncs it outside, so its sync does not block
+    /// followers' appends.
+    f: Arc<File>,
+    path: PathBuf,
+    /// Logical offset of this segment's first byte.
+    start: u64,
+    /// Logical offset past the last byte appended.
     written: u64,
 }
 
 struct SyncState {
-    /// Everything up to this write offset is known durable.
+    /// Everything up to this logical offset is known durable.
     durable: u64,
     /// A leader's fsync is in flight.
     in_flight: bool,
@@ -107,72 +115,74 @@ struct SyncState {
 
 type ErrorSink = Box<dyn Fn(&str) + Send + Sync>;
 
-/// An append-only write-ahead log. Cheap to share (`Arc`); every public
-/// method takes `&self`.
+/// An append-only write-ahead log over a sequence of segment files. Cheap
+/// to share (`Arc`); every public method takes `&self`.
 pub struct Wal {
-    path: PathBuf,
     policy: FsyncPolicy,
     file: Mutex<WalFile>,
-    /// Second handle to the same descriptor so the leader's fsync does not
-    /// block followers' appends.
-    sync_file: File,
     sync: Mutex<SyncState>,
     sync_cv: Condvar,
-    stats: Arc<WalStats>,
+    stats: WalStats,
     on_error: Mutex<Option<ErrorSink>>,
 }
 
-impl Wal {
-    /// Open (or create) the log at `path`, appending after any committed
-    /// prefix already present.
-    pub fn open(path: &Path, policy: FsyncPolicy) -> Result<Arc<Wal>> {
-        Wal::open_with_stats(path, policy, Arc::new(WalStats::default()))
-    }
-
-    /// Like [`Wal::open`], but accounting into an existing [`WalStats`] —
-    /// used by segment rotation so counters stay cumulative across the
-    /// deployment's successive log files.
-    pub fn open_with_stats(
-        path: &Path,
-        policy: FsyncPolicy,
-        stats: Arc<WalStats>,
-    ) -> Result<Arc<Wal>> {
+impl WalFile {
+    /// Open (or create) the segment at `path` for appending after what it
+    /// holds, its first byte at logical offset `start`.
+    fn open(path: &Path, start: u64) -> std::io::Result<WalFile> {
         let mut f = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
             .read(true)
             .open(path)?;
         let len = f.seek(SeekFrom::End(0))?;
-        let sync_file = f.try_clone()?;
-        Ok(Arc::new(Wal {
+        Ok(WalFile {
+            f: Arc::new(f),
             path: path.to_path_buf(),
+            start,
+            written: start + len,
+        })
+    }
+}
+
+impl Wal {
+    /// Open (or create) the log at `path`, appending after any committed
+    /// prefix already present.
+    pub fn open(path: &Path, policy: FsyncPolicy) -> Result<Arc<Wal>> {
+        let file = WalFile::open(path, 0)?;
+        Ok(Arc::new(Wal {
             policy,
-            file: Mutex::new(WalFile { f, written: len }),
-            sync_file,
             sync: Mutex::new(SyncState {
-                durable: len,
+                durable: file.written,
                 in_flight: false,
             }),
+            file: Mutex::new(file),
             sync_cv: Condvar::new(),
-            stats,
+            stats: WalStats::default(),
             on_error: Mutex::new(None),
         }))
     }
 
-    pub fn stats(&self) -> &Arc<WalStats> {
+    pub fn stats(&self) -> &WalStats {
         &self.stats
     }
 
-    /// Bytes appended since open (close to the file size; exposed as a
+    /// Bytes in the current segment (close to its file size; exposed as a
     /// gauge).
     pub fn len_bytes(&self) -> u64 {
-        unpoison(self.file.lock()).written
+        let g = unpoison(self.file.lock());
+        g.written - g.start
     }
 
     /// Install the write-failure sink (§4.4 log-and-alert). At most one;
     /// later calls replace it.
     pub fn set_error_sink(&self, f: impl Fn(&str) + Send + Sync + 'static) {
         *unpoison(self.on_error.lock()) = Some(Box::new(f));
+    }
+
+    /// Drop the write-failure sink: failures are still counted.
+    pub fn clear_error_sink(&self) {
+        *unpoison(self.on_error.lock()) = None;
     }
 
     /// Count a write failure and alert through the sink. Never called with
@@ -191,29 +201,17 @@ impl Wal {
             return;
         }
         if let Some(sink) = unpoison(self.on_error.lock()).as_ref() {
-            sink(&format!(
-                "wal {what} failed on {}: {e}",
-                self.path.display()
-            ));
+            let path = unpoison(self.file.lock()).path.clone();
+            sink(&format!("wal {what} failed on {}: {e}", path.display()));
         }
         IN_SINK.with(|f| f.set(false));
     }
 
-    /// Append one record. When this returns `Ok` under
-    /// [`FsyncPolicy::Group`], the record is on stable storage.
-    pub fn append(&self, tag: u8, payload: &[u8]) -> Result<()> {
-        self.append_inner(tag, payload, true)
-    }
-
-    /// Append one record without waiting for durability under
-    /// [`FsyncPolicy::Group`] — the async half of group commit. The caller
-    /// must reach a [`Wal::sync`] barrier before acknowledging whatever the
-    /// record represents; until then the record is in the page cache only.
+    /// Append one record without waiting for durability — the async half
+    /// of group commit. The caller must reach a [`Wal::sync`] barrier
+    /// before acknowledging whatever the record represents; until then the
+    /// record is in the page cache only.
     pub fn append_nowait(&self, tag: u8, payload: &[u8]) -> Result<()> {
-        self.append_inner(tag, payload, false)
-    }
-
-    fn append_inner(&self, tag: u8, payload: &[u8], wait: bool) -> Result<()> {
         // The frame is built in the one buffer that is written: the header
         // is left blank until the body behind it is there to checksum.
         let mut frame = Vec::with_capacity(9 + payload.len());
@@ -230,20 +228,23 @@ impl Wal {
         // `report_error`), and the lock is not re-entrant.
         let outcome = {
             let mut g = unpoison(self.file.lock());
-            g.f.write_all(&frame).map(|()| {
-                g.written += frame.len() as u64;
-                g.written
-            })
+            (&*g.f)
+                .write_all(&frame)
+                .map(|()| g.written += frame.len() as u64)
         };
-        let target = outcome.inspect_err(|e| self.report_error("append", e))?;
+        outcome.inspect_err(|e| self.report_error("append", e))?;
         self.stats.appends.fetch_add(1, Ordering::Relaxed);
         self.stats
             .bytes
             .fetch_add(frame.len() as u64, Ordering::Relaxed);
-        match self.policy {
-            FsyncPolicy::Group if wait => self.ensure_durable(target),
-            FsyncPolicy::Group | FsyncPolicy::Never => Ok(()),
-        }
+        Ok(())
+    }
+
+    /// The logical end of the log and the handle that syncs the segment it
+    /// ends in, read together.
+    fn tail(&self) -> (u64, Arc<File>) {
+        let g = unpoison(self.file.lock());
+        (g.written, g.f.clone())
     }
 
     /// Block until the log is durable at least through `target` (group
@@ -267,41 +268,59 @@ impl Wal {
             std::thread::yield_now();
             // Everything written before this read is in the page cache, so
             // one sync covers the whole batch — including followers that
-            // appended while the previous leader was syncing.
-            let upto = unpoison(self.file.lock()).written;
-            let res = self.sync_file.sync_data();
+            // appended while the previous leader was syncing. Offset and
+            // handle are read together: every earlier segment was synced by
+            // the rotation that retired it.
+            let (upto, f) = self.tail();
+            let res = f.sync_data();
             st = unpoison(self.sync.lock());
             st.in_flight = false;
-            match res {
-                Ok(()) => {
-                    self.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
-                    st.durable = st.durable.max(upto);
-                    self.sync_cv.notify_all();
-                }
-                Err(e) => {
-                    self.sync_cv.notify_all();
-                    drop(st);
-                    self.report_error("fsync", &e);
-                    return Err(e.into());
-                }
+            self.sync_cv.notify_all();
+            if let Err(e) = res {
+                drop(st);
+                self.report_error("fsync", &e);
+                return Err(e.into());
             }
+            self.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
+            st.durable = st.durable.max(upto);
         }
     }
 
     /// Force everything appended so far to stable storage (used at
     /// checkpoint boundaries regardless of policy).
     pub fn sync(&self) -> Result<()> {
-        let upto = unpoison(self.file.lock()).written;
+        let (upto, f) = self.tail();
         match self.policy {
             FsyncPolicy::Group => self.ensure_durable(upto),
             FsyncPolicy::Never => {
-                self.sync_file
-                    .sync_data()
+                f.sync_data()
                     .inspect_err(|e| self.report_error("fsync", e))?;
                 self.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
                 Ok(())
             }
         }
+    }
+
+    /// Retire the current segment and continue the log in a new one at
+    /// `path`. The current segment is fsynced under the file lock, so no
+    /// append lands in it after its last sync, and a group-commit follower
+    /// whose frame it holds is released by this sync. If the fsync fails,
+    /// the error is returned and nothing is swapped.
+    pub fn rotate(&self, path: &Path) -> Result<()> {
+        let mut g = unpoison(self.file.lock());
+        if let Err(e) = g.f.sync_data() {
+            drop(g);
+            self.report_error("fsync", &e);
+            return Err(e.into());
+        }
+        let opened = WalFile::open(path, g.written).map(|next| *g = next);
+        let durable = g.written;
+        drop(g);
+        self.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
+        let mut st = unpoison(self.sync.lock());
+        st.durable = st.durable.max(durable);
+        self.sync_cv.notify_all();
+        Ok(opened?)
     }
 }
 
@@ -567,10 +586,11 @@ pub(crate) mod tests {
         let dir = tmpdir("roundtrip");
         let path = dir.join("wal.log");
         let wal = Wal::open(&path, FsyncPolicy::Group).unwrap();
-        wal.append(1, b"first").unwrap();
-        wal.append(2, b"").unwrap();
-        wal.append(7, b"a longer record with some bytes in it")
+        wal.append_nowait(1, b"first").unwrap();
+        wal.append_nowait(2, b"").unwrap();
+        wal.append_nowait(7, b"a longer record with some bytes in it")
             .unwrap();
+        wal.sync().unwrap();
         let (records, s) = collect(&path);
         assert_eq!(s.records, 3);
         assert!(!s.torn);
@@ -631,7 +651,7 @@ pub(crate) mod tests {
             let payload = wal_payload(&rec);
             assert_eq!(payload[..8], rec.seq.to_le_bytes());
             assert_eq!(std::str::from_utf8(&payload[8..]), Ok(text));
-            wal.append(TAG_DIT_CHANGE, &payload).unwrap();
+            wal.append_nowait(TAG_DIT_CHANGE, &payload).unwrap();
             let body = [&[TAG_DIT_CHANGE][..], &payload].concat();
             expected.extend_from_slice(&(body.len() as u32).to_le_bytes());
             expected.extend_from_slice(&crc32(&body).to_le_bytes());
@@ -665,9 +685,9 @@ pub(crate) mod tests {
         let path = dir.join("wal.log");
         let wal = Wal::open(&path, FsyncPolicy::Never).unwrap();
         let big: Vec<u8> = (0..3 * REPLAY_BUFFER + 17).map(|i| i as u8).collect();
-        wal.append(1, b"small").unwrap();
-        wal.append(2, &big).unwrap();
-        wal.append(3, b"after").unwrap();
+        wal.append_nowait(1, b"small").unwrap();
+        wal.append_nowait(2, &big).unwrap();
+        wal.append_nowait(3, b"after").unwrap();
         drop(wal);
         let (records, s) = collect(&path);
         assert_eq!(s.records, 3);
@@ -689,11 +709,11 @@ pub(crate) mod tests {
         let path = dir.join("wal.log");
         {
             let wal = Wal::open(&path, FsyncPolicy::Never).unwrap();
-            wal.append(1, b"one").unwrap();
+            wal.append_nowait(1, b"one").unwrap();
         }
         {
             let wal = Wal::open(&path, FsyncPolicy::Never).unwrap();
-            wal.append(1, b"two").unwrap();
+            wal.append_nowait(1, b"two").unwrap();
         }
         let (records, s) = collect(&path);
         assert_eq!(s.records, 2);
@@ -707,7 +727,7 @@ pub(crate) mod tests {
         let path = dir.join("wal.log");
         let wal = Wal::open(&path, FsyncPolicy::Never).unwrap();
         for i in 0..10u8 {
-            wal.append(i, &[i; 16]).unwrap();
+            wal.append_nowait(i, &[i; 16]).unwrap();
         }
         drop(wal);
         let full = std::fs::read(&path).unwrap();
@@ -730,7 +750,7 @@ pub(crate) mod tests {
         let path = dir.join("wal.log");
         let wal = Wal::open(&path, FsyncPolicy::Never).unwrap();
         for i in 0..5u8 {
-            wal.append(i, &[i; 8]).unwrap();
+            wal.append_nowait(i, &[i; 8]).unwrap();
         }
         drop(wal);
         let full = std::fs::read(&path).unwrap();
@@ -753,7 +773,8 @@ pub(crate) mod tests {
                 let w = wal.clone();
                 std::thread::spawn(move || {
                     for i in 0..50u8 {
-                        w.append(t as u8, &[i; 32]).unwrap();
+                        w.append_nowait(t as u8, &[i; 32]).unwrap();
+                        w.sync().unwrap();
                     }
                 })
             })
@@ -771,6 +792,69 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn rotation_under_group_commit_keeps_every_acknowledged_frame_once_in_order() {
+        const THREADS: u8 = 3;
+        const PER_THREAD: u32 = 200;
+        const SEGMENTS: u64 = 6;
+        let dir = tmpdir("rotate");
+        let segment = |i: u64| dir.join(format!("wal-{i:06}.log"));
+        let wal = Wal::open(&segment(0), FsyncPolicy::Group).unwrap();
+        let (done_tx, done) = std::sync::mpsc::channel();
+        let appenders: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (w, done_tx) = (wal.clone(), done_tx.clone());
+                std::thread::spawn(move || {
+                    for i in 0..PER_THREAD {
+                        w.append_nowait(t, &i.to_le_bytes()).unwrap();
+                        w.sync().unwrap();
+                    }
+                    done_tx.send(()).unwrap();
+                })
+            })
+            .collect();
+        // Rotate each time the appenders are another sixth of the way
+        // through, so every segment takes frames from all of them. A waiter
+        // a rotation failed to release would never finish: everything below
+        // waits a bounded time, and joins the appenders only after that.
+        let stranded = "a sync did not return across a rotation";
+        let total = u64::from(THREADS) * u64::from(PER_THREAD);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        for i in 1..SEGMENTS {
+            while wal.stats().appends.load(Ordering::Relaxed) < i * total / SEGMENTS {
+                assert!(std::time::Instant::now() < deadline, "{stranded}");
+                std::thread::yield_now();
+            }
+            wal.rotate(&segment(i)).unwrap();
+        }
+        for _ in 0..THREADS {
+            done.recv_timeout(deadline.saturating_duration_since(std::time::Instant::now()))
+                .expect(stranded);
+        }
+        for a in appenders {
+            a.join().unwrap();
+        }
+
+        let mut seen: Vec<Vec<u32>> = vec![Vec::new(); THREADS.into()];
+        let mut bytes = 0;
+        for i in 0..SEGMENTS {
+            let (records, s) = collect(&segment(i));
+            assert!(!s.torn);
+            assert!(!records.is_empty(), "segment {i} took no frame");
+            for (t, payload) in records {
+                seen[usize::from(t)].push(u32::from_le_bytes(payload[..].try_into().unwrap()));
+            }
+            bytes += s.bytes;
+        }
+        for frames in &seen {
+            assert_eq!(*frames, (0..PER_THREAD).collect::<Vec<_>>());
+        }
+        // Offsets run on across segments: the last sync made durable the
+        // bytes of every segment, not only of the current one.
+        assert_eq!(unpoison(wal.file.lock()).written, bytes);
+        assert_eq!(unpoison(wal.sync.lock()).durable, bytes);
+    }
+
+    #[test]
     fn error_sink_fires_on_append_failure() {
         let dir = tmpdir("sink");
         let path = dir.join("wal.log");
@@ -780,7 +864,7 @@ pub(crate) mod tests {
         wal.set_error_sink(move |_| {
             h.fetch_add(1, Ordering::SeqCst);
         });
-        wal.append(1, b"fine").unwrap();
+        wal.append_nowait(1, b"fine").unwrap();
         assert_eq!(hits.load(Ordering::SeqCst), 0);
         // Sabotage the descriptor: replace the open file with a directory
         // is not portable; instead check the counter wiring directly.
@@ -800,7 +884,7 @@ pub(crate) mod tests {
             h.fetch_add(1, Ordering::SeqCst);
             // The production sink logs through the directory, whose commit
             // observer appends back into this same WAL on this same thread.
-            w.append(9, b"error log entry").unwrap();
+            w.append_nowait(9, b"error log entry").unwrap();
             // And if that nested append had failed, reporting it must not
             // re-enter this sink (unbounded recursion on a dead disk).
             w.report_error("append", &std::io::Error::other("still dead"));

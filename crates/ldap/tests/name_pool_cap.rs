@@ -68,6 +68,7 @@ fn the_name_after_a_full_pool_stores_reads_back_and_round_trips() {
     let dit = Dit::new();
     dit.add(e.clone()).unwrap();
     let found = |value: &str| {
+        use ldap::Directory;
         let filter = Filter::eq(late.to_ascii_uppercase(), value);
         dit.search(&Dn::root(), Scope::Sub, &filter, &[], 0)
             .unwrap()

@@ -381,9 +381,11 @@ fn closing_a_bulk_window_allocates_only_its_walk() {
         dit.len()
     );
     // The index was kept inside the window: it serves at once.
-    let hits = dit
-        .search(&Dn::root(), Scope::Sub, &Filter::eq("l", "site-07"), &[], 0)
-        .unwrap();
+    let hits = {
+        use ldap::Directory;
+        dit.search(&Dn::root(), Scope::Sub, &Filter::eq("l", "site-07"), &[], 0)
+    }
+    .unwrap();
     assert_eq!(hits.len(), PEOPLE / 20);
     assert_eq!(dit.index_stats(), (1, 0), "answered by the equality index");
 }
@@ -605,6 +607,7 @@ fn class_list(dit: &Dit, dn: &Dn) -> (*const u8, Vec<String>) {
 
 #[test]
 fn entries_of_a_class_share_one_class_list_and_an_edit_copies_it() {
+    use ldap::Directory;
     let dit = empty_tree();
     load(&dit, 2);
     let (pat, sam) = (person(0).dn().clone(), person(1).dn().clone());

@@ -126,6 +126,7 @@ proptest! {
             // 4. Scope partition: |base| + Σ|one over every entry| == |sub|.
             let base = Dn::parse("o=Root").unwrap();
             if dit.exists(&base) {
+                use ldap::Directory;
                 let all = ldap::Dit::search(&dit, &base, Scope::Sub, &Filter::match_all(), &[], 0)
                     .unwrap()
                     .len();

@@ -34,7 +34,7 @@ fn written_log(dir: &Path, records: &[(u8, Vec<u8>)]) -> (PathBuf, Vec<u8>) {
     let path = dir.join("wal.log");
     let w = Wal::open(&path, FsyncPolicy::Never).expect("open");
     for (tag, payload) in records {
-        w.append(*tag, payload).expect("append");
+        w.append_nowait(*tag, payload).expect("append");
     }
     drop(w);
     (path.clone(), std::fs::read(&path).expect("read back"))

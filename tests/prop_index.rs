@@ -157,6 +157,7 @@ proptest! {
                 for scope in [Scope::Base, Scope::One, Scope::Sub] {
                     for f in probes(k) {
                         for limit in [0usize, 3] {
+                            use ldap::Directory;
                             let a = ldap::Dit::search(&indexed, b, scope, &f, &[], limit);
                             let e = ldap::Dit::search(&scan, b, scope, &f, &[], limit);
                             match (a, e) {

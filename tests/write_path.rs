@@ -231,6 +231,7 @@ fn an_add_with_a_wal_attached_stays_within_five_allocations() {
 /// What the equality index answers for every indexed value of the measured
 /// people, in one comparable piece.
 fn index_answers(dit: &Dit) -> Vec<Vec<Entry>> {
+    use ldap::Directory;
     let (served_before, _) = dit.index_stats();
     let mut answers = Vec::new();
     let mut ask = |attr: &str, value: String| {
