@@ -263,7 +263,8 @@ impl Durability {
     pub(crate) fn attach(self: &Arc<Self>, dit: &Arc<Dit>) {
         let dur = self.clone();
         dit.observe(move |rec| {
-            dur.append(backup::TAG_DIT_CHANGE, &backup::wal_payload(rec));
+            // Failures are counted and alerted, as for `append`.
+            let _ = backup::log_change(&dur.wal, rec);
         });
     }
 

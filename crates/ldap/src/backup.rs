@@ -25,7 +25,7 @@ use crate::dit::{ChangeRecord, Dit};
 use crate::entry::Entry;
 use crate::error::{LdapError, Result, ResultCode};
 use crate::ldif;
-use crate::wal::Crc32;
+use crate::wal::{Crc32, Wal};
 use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
 
@@ -80,25 +80,26 @@ pub fn snapshot(dit: &Dit, path: &Path) -> Result<()> {
 /// sibling that is fsynced and then [`publish`]ed over `path`. Returns the
 /// commit sequence the snapshot reflects.
 fn write_snapshot_stream(dit: &Dit, path: &Path) -> Result<u64> {
-    use std::fmt::Write as _;
     struct W {
         out: std::io::BufWriter<std::fs::File>,
         crc: Crc32,
-        buf: String,
+        buf: Vec<u8>,
     }
     impl W {
         fn emit_buf(&mut self) -> Result<()> {
-            self.crc.update(self.buf.as_bytes());
-            self.out.write_all(self.buf.as_bytes())?;
+            self.crc.update(&self.buf);
+            self.out.write_all(&self.buf)?;
             Ok(())
         }
     }
     let tmp = path.with_extension("tmp");
     let file = std::fs::File::create(&tmp)?;
+    // As large as the replay reader's buffer: a checkpoint's writes are
+    // batched just as well, and the buffer is the writer's peak.
     let w = std::cell::RefCell::new(W {
-        out: std::io::BufWriter::with_capacity(1 << 20, file),
+        out: std::io::BufWriter::with_capacity(64 << 10, file),
         crc: Crc32::new(),
-        buf: String::new(),
+        buf: Vec::new(),
     });
     let seq_out = std::cell::Cell::new(0u64);
     dit.export_stream(
@@ -106,14 +107,14 @@ fn write_snapshot_stream(dit: &Dit, path: &Path) -> Result<u64> {
             seq_out.set(seq);
             let mut w = w.borrow_mut();
             w.buf.clear();
-            writeln!(w.buf, "{SEQ_PREFIX}{seq}").expect("string write");
+            writeln!(w.buf, "{SEQ_PREFIX}{seq}")?;
             w.emit_buf()
         },
         &mut |e| {
             let mut w = w.borrow_mut();
             w.buf.clear();
             ldif::write_entry(&mut w.buf, e);
-            w.buf.push('\n');
+            w.buf.push(b'\n');
             w.emit_buf()
         },
     )?;
@@ -325,16 +326,27 @@ fn apply(dit: &Dit, r: ldif::Record) -> Result<()> {
 // WAL integration
 // ---------------------------------------------------------------------------
 
-/// Serialize a commit observation as a WAL payload: `[seq: u64 LE][LDIF]`.
+/// Serialize a commit observation as a WAL payload: `[seq: u64 LE][LDIF]`,
+/// the payload [`log_change`] renders into a frame, in a buffer of its own.
 pub fn wal_payload(rec: &ChangeRecord) -> Vec<u8> {
-    // One buffer for the whole payload: eight NULs keep the sequence
-    // number's place while the text is written behind them.
-    let mut text = String::with_capacity(WAL_PAYLOAD_HINT);
-    text.push_str("\0\0\0\0\0\0\0\0");
-    ldif::write_change(&mut text, rec);
-    let mut buf = text.into_bytes();
-    buf[..8].copy_from_slice(&rec.seq.to_le_bytes());
+    let mut buf = Vec::with_capacity(WAL_PAYLOAD_HINT);
+    write_wal_payload(&mut buf, rec);
     buf
+}
+
+/// Append a commit observation's WAL payload to `out`.
+fn write_wal_payload(out: &mut Vec<u8>, rec: &ChangeRecord) {
+    out.extend_from_slice(&rec.seq.to_le_bytes());
+    ldif::write_change(out, rec);
+}
+
+/// Log a commit observation to `wal` as one [`TAG_DIT_CHANGE`] frame
+/// without waiting for durability: the payload [`wal_payload`] builds,
+/// rendered once, straight into the frame that is written.
+pub fn log_change(wal: &Wal, rec: &ChangeRecord) -> Result<()> {
+    wal.append_with(TAG_DIT_CHANGE, WAL_PAYLOAD_HINT, |frame| {
+        write_wal_payload(frame, rec)
+    })
 }
 
 /// Room a payload starts with: a person's add record is about 300 bytes.
@@ -518,7 +530,7 @@ mod tests {
     use crate::dn::{Dn, Rdn};
     use crate::entry::Modification;
     use crate::wal::tests::Scratch;
-    use crate::wal::{crc32, FsyncPolicy, Wal};
+    use crate::wal::{crc32, FsyncPolicy};
     use std::sync::{Arc, Mutex};
 
     fn tmpdir(name: &str) -> Scratch {
@@ -596,7 +608,7 @@ mod tests {
         let path = dir.join("wal-000001.log");
         let dit = Dit::new();
         let wal = Wal::open(&path, FsyncPolicy::Never).unwrap();
-        dit.observe(move |rec| drop(wal.append_nowait(TAG_DIT_CHANGE, &wal_payload(rec))));
+        dit.observe(move |rec| drop(log_change(&wal, rec)));
         figure2_tree(&dit).unwrap();
         let john = Dn::parse("cn=John Doe,o=Marketing,o=Lucent").unwrap();
         dit.modify(&john, &[Modification::set("telephoneNumber", "9123")])
@@ -627,7 +639,7 @@ mod tests {
         let store = SnapshotStore::new(&*dir);
         let dit = Dit::new();
         let wal = Wal::open(&store.wal_path(1), FsyncPolicy::Never).unwrap();
-        dit.observe(move |rec| drop(wal.append_nowait(TAG_DIT_CHANGE, &wal_payload(rec))));
+        dit.observe(move |rec| drop(log_change(&wal, rec)));
         let attrs = |class: &str, name: &str, value: &str| {
             let dn = Dn::parse(&format!("{name}={value},o=Lucent")).unwrap();
             let held = dn.rdn().unwrap().first().value().to_string();
@@ -664,7 +676,7 @@ mod tests {
         let path = dir.join("wal-000001.log");
         let dit = Dit::new();
         let wal = Wal::open(&path, FsyncPolicy::Never).unwrap();
-        dit.observe(move |rec| drop(wal.append_nowait(TAG_DIT_CHANGE, &wal_payload(rec))));
+        dit.observe(move |rec| drop(log_change(&wal, rec)));
         figure2_tree(&dit).unwrap(); // seq 1..=9 in the wal
         let store = SnapshotStore::new(&*dir);
         store.write_snapshot_streamed(&dit, 1).unwrap();

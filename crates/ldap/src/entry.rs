@@ -89,6 +89,18 @@ impl Entry {
         self.attrs.attributes()
     }
 
+    /// [`Entry::attributes`], each with the class-list pool's id when its
+    /// values are a pooled list.
+    pub(crate) fn attributes_listed(&self) -> impl Iterator<Item = (Attribute<'_>, Option<u16>)> {
+        self.attrs.attributes_listed()
+    }
+
+    /// The class-list pool's id for the entry's `objectClass` list; `None`
+    /// for an entry with none, or with one the pool does not hold.
+    pub(crate) fn class_list_id(&self) -> Option<u16> {
+        self.attrs.class_list_id()
+    }
+
     /// The attribute named `name` (in any case), if present.
     pub fn get(&self, name: &str) -> Option<Attribute<'_>> {
         with_lower(name, |norm| self.attrs.get(norm))
@@ -704,14 +716,14 @@ mod tests {
                 .map(move |v| (name.to_ascii_uppercase(), v.as_str()))
         });
         prop_assert_eq!(e, &Entry::with_attrs(e.dn().clone(), shouted));
-        let mut ldif = String::new();
+        let mut ldif = Vec::new();
         crate::ldif::write_entry(&mut ldif, e);
-        let mut model_ldif = String::new();
+        let mut model_ldif = Vec::new();
         crate::ldif::write_line(&mut model_ldif, "dn", e.dn());
         for (name, values) in m.values() {
             values
                 .iter()
-                .for_each(|v| crate::ldif::write_line(&mut model_ldif, name, v));
+                .for_each(|v| crate::ldif::write_line(&mut model_ldif, name, v.as_str()));
         }
         prop_assert_eq!(ldif, model_ldif);
         Ok(())

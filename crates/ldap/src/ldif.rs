@@ -14,7 +14,7 @@ use crate::dn::{Dn, Rdn};
 use crate::entry::{Entry, ModOp, Modification};
 use crate::error::{LdapError, Result};
 use std::borrow::Cow;
-use std::fmt::{self, Write as _};
+use std::fmt;
 use std::ops::Range;
 
 /// A parsed LDIF record.
@@ -292,28 +292,30 @@ fn split_kv(line: &str) -> Result<(&str, Cow<'_, str>)> {
 
 /// Write one committed change onto `out` as an LDIF change record, straight
 /// from the borrowed observation (the text of a DIT commit's WAL frame,
-/// [`crate::backup::wal_payload`]); [`parse`] reads it back.
-pub(crate) fn write_change(out: &mut String, rec: &ChangeRecord) {
+/// [`crate::backup::write_wal_payload`]); [`parse`] reads it back.
+pub(crate) fn write_change(out: &mut Vec<u8>, rec: &ChangeRecord) {
     write_line(out, "dn", &rec.dn);
     match &rec.op {
         ChangeOp::Add(e) => {
-            out.push_str("changetype: add\n");
+            out.extend_from_slice(b"changetype: add\n");
             write_attributes(out, e);
         }
-        ChangeOp::Delete => out.push_str("changetype: delete\n"),
+        ChangeOp::Delete => out.extend_from_slice(b"changetype: delete\n"),
         ChangeOp::Modify(mods) => {
-            out.push_str("changetype: modify\n");
+            out.extend_from_slice(b"changetype: modify\n");
             for (i, m) in mods.iter().enumerate() {
                 let (op, _) = MOD_OPS
                     .iter()
                     .find(|(_, op)| *op == m.op)
                     .expect("every op");
-                writeln!(out, "{op}: {}", m.attr).expect("string write");
+                for part in [op.as_bytes(), b": ", m.attr.as_str().as_bytes(), b"\n"] {
+                    out.extend_from_slice(part);
+                }
                 for v in &m.values {
-                    write_line(out, m.attr.as_str(), v);
+                    write_line(out, m.attr.as_str(), v.as_str());
                 }
                 if i + 1 < mods.len() {
-                    out.push_str("-\n");
+                    out.extend_from_slice(b"-\n");
                 }
             }
         }
@@ -322,33 +324,36 @@ pub(crate) fn write_change(out: &mut String, rec: &ChangeRecord) {
             delete_old,
             new_superior,
         } => {
-            out.push_str("changetype: modrdn\n");
+            out.extend_from_slice(b"changetype: modrdn\n");
             write_line(out, "newrdn", new_rdn);
-            writeln!(out, "deleteoldrdn: {}", u8::from(*delete_old)).expect("string write");
+            out.extend_from_slice(match delete_old {
+                true => b"deleteoldrdn: 1\n",
+                false => b"deleteoldrdn: 0\n",
+            });
             if let Some(sup) = new_superior {
                 write_line(out, "newsuperior", sup);
             }
         }
     }
-    out.push('\n');
+    out.push(b'\n');
 }
 
 /// Serialize entries as LDIF content records.
 pub fn to_ldif(entries: &[Entry]) -> String {
-    let mut out = String::new();
+    let mut out = Vec::new();
     for e in entries {
         write_entry(&mut out, e);
-        out.push('\n');
+        out.push(b'\n');
     }
-    out
+    String::from_utf8(out).expect("LDIF is written from strings and base64")
 }
 
-pub(crate) fn write_entry(out: &mut String, e: &Entry) {
+pub(crate) fn write_entry(out: &mut Vec<u8>, e: &Entry) {
     write_line(out, "dn", e.dn());
     write_attributes(out, e);
 }
 
-fn write_attributes(out: &mut String, e: &Entry) {
+fn write_attributes(out: &mut Vec<u8>, e: &Entry) {
     for attr in e.attributes() {
         for v in &attr.values {
             write_line(out, attr.name.as_str(), v);
@@ -356,27 +361,72 @@ fn write_attributes(out: &mut String, e: &Entry) {
     }
 }
 
-/// One `key: text` line, or `key:: <base64>` when the text would not
-/// survive as a plain line — a name (`dn`, `newrdn`, `newsuperior`) under
-/// the same test as a value.
-pub(crate) fn write_line(out: &mut String, key: &str, text: impl fmt::Display) {
-    let line = out.len();
-    write!(out, "{key}: {text}").expect("string write");
-    let start = line + key.len() + 2;
-    if needs_base64(&out[start..]) {
-        let encoded = b64_encode(&out.as_bytes()[start..]);
-        out.truncate(line);
-        write!(out, "{key}:: {encoded}").expect("string write");
-    }
-    out.push('\n');
+/// The text of an LDIF line: a value as it is, or a name as RFC 2253 text.
+pub(crate) trait LineText {
+    /// Append the text to `out`.
+    fn write_to(&self, out: &mut Vec<u8>);
 }
 
-fn needs_base64(v: &str) -> bool {
-    v.starts_with(' ')
-        || v.starts_with(':')
-        || v.starts_with('<')
-        || v.ends_with(' ')
-        || v.chars().any(|c| c == '\n' || c == '\r' || !c.is_ascii())
+impl LineText for str {
+    fn write_to(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self.as_bytes());
+    }
+}
+
+impl LineText for Dn {
+    fn write_to(&self, out: &mut Vec<u8>) {
+        self.write_text(&mut Bytes(out))
+            .expect("a byte buffer takes any text");
+    }
+}
+
+impl LineText for Rdn {
+    fn write_to(&self, out: &mut Vec<u8>) {
+        self.write_text(&mut Bytes(out))
+            .expect("a byte buffer takes any text");
+    }
+}
+
+impl<T: LineText + ?Sized> LineText for &T {
+    fn write_to(&self, out: &mut Vec<u8>) {
+        (**self).write_to(out);
+    }
+}
+
+/// A byte buffer as the sink [`Dn::write_text`] writes strings into.
+struct Bytes<'a>(&'a mut Vec<u8>);
+
+impl fmt::Write for Bytes<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0.extend_from_slice(s.as_bytes());
+        Ok(())
+    }
+}
+
+/// One `key: text` line, or `key:: <base64>` when the text would not
+/// survive as a plain line — a name (`dn`, `newrdn`, `newsuperior`) under
+/// the same test as a value. The text is written once, where the line
+/// ends up, and encoded from there only when it has to be.
+pub(crate) fn write_line(out: &mut Vec<u8>, key: &str, text: impl LineText) {
+    let line = out.len();
+    out.extend_from_slice(key.as_bytes());
+    out.extend_from_slice(b": ");
+    let start = out.len();
+    text.write_to(out);
+    if needs_base64(&out[start..]) {
+        let encoded = b64_encode(&out[start..]);
+        out.truncate(line);
+        for part in [key.as_bytes(), b":: ", encoded.as_bytes()] {
+            out.extend_from_slice(part);
+        }
+    }
+    out.push(b'\n');
+}
+
+fn needs_base64(v: &[u8]) -> bool {
+    matches!(v.first(), Some(b' ' | b':' | b'<'))
+        || v.last() == Some(&b' ')
+        || v.iter().any(|&b| b == b'\n' || b == b'\r' || !b.is_ascii())
 }
 
 const B64: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";

@@ -10,11 +10,13 @@
 //!   single-valued flag. Typing is deliberately shallow ("very weak typing",
 //!   §5.3): syntaxes validate the value's *shape* only.
 
-use crate::attr::with_lower;
+use crate::attr::{with_lower, AttrValues, Attribute, NameRef, POOL_CAP};
+use crate::dn::Dn;
 use crate::entry::Entry;
 use crate::error::{LdapError, Result, ResultCode};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Value syntaxes. Deliberately few — LDAP typing is weak and MetaComm's
 /// integrated schema only uses these.
@@ -127,13 +129,112 @@ const MAX_CHAIN: usize = 32;
 /// entry validator.
 #[derive(Debug, Clone, Default)]
 pub struct Schema {
-    attrs: BTreeMap<String, AttributeType>,
+    /// Lowercased name to the type's index in `types`.
+    attrs: BTreeMap<String, usize>,
+    types: Vec<AttributeType>,
     classes: BTreeMap<String, Class>,
     /// When `true`, attributes not brought in by any present class are
     /// rejected (`ObjectClassViolation`). Operational attributes registered
     /// via [`Schema::add_operational`] are always allowed.
     strict: bool,
     operational: BTreeSet<String>,
+    /// What the validator has worked out from these definitions; every
+    /// change to them drops it.
+    plans: Plans,
+}
+
+/// Slots in one chunk of a [`ById`] table.
+const CHUNK: usize = 64;
+
+/// One slot per id a pool hands out, each chunk of [`CHUNK`] slots
+/// allocated the first time an id in it is asked for; read with no lock.
+struct ById<T> {
+    chunks: [OnceLock<Box<[T; CHUNK]>>; POOL_CAP / CHUNK],
+}
+
+impl<T: Default> ById<T> {
+    fn slot(&self, id: u16) -> &T {
+        let (chunk, at) = (usize::from(id) / CHUNK, usize::from(id) % CHUNK);
+        let make = || Box::new(std::array::from_fn(|_| T::default()));
+        &self.chunks[chunk].get_or_init(make)[at]
+    }
+}
+
+impl<T> Default for ById<T> {
+    fn default() -> ById<T> {
+        ById {
+            chunks: [const { OnceLock::new() }; POOL_CAP / CHUNK],
+        }
+    }
+}
+
+/// What [`Schema::validate_entry`] works out once from the definitions,
+/// keyed by the pools' ids: the type each pooled attribute name names, and
+/// a [`Plan`] for each pooled class list.
+#[derive(Default)]
+struct Plans {
+    /// Name-pool id to 1 + the index of the type the name names,
+    /// [`NO_TYPE`] when no type has it, 0 until it is first asked for.
+    types: ById<AtomicU32>,
+    lists: ById<OnceLock<Plan>>,
+}
+
+/// A pooled name no attribute type has.
+const NO_TYPE: u32 = u32::MAX;
+
+/// A copy of a schema works its plans out again.
+impl Clone for Plans {
+    fn clone(&self) -> Plans {
+        Plans::default()
+    }
+}
+
+impl std::fmt::Debug for Plans {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Plans")
+    }
+}
+
+/// What validation asks of an entry that holds one class list, worked out
+/// from the list alone.
+struct Plan {
+    /// The list's own verdict: every class known, one structural chain.
+    verdict: std::result::Result<(), ListFault>,
+    /// Lowercased `must` names of the classes and their superiors, sorted,
+    /// `objectclass` left out.
+    must: Vec<String>,
+    /// Bit `i % 64` of word `i / 64` is set when the type at index `i`
+    /// may be held: a `must` or `may` name of the classes, an operational
+    /// attribute, or `objectClass`.
+    allowed: Vec<u64>,
+}
+
+impl Plan {
+    fn allows(&self, ty: usize) -> bool {
+        self.allowed
+            .get(ty / 64)
+            .is_some_and(|w| w & (1 << (ty % 64)) != 0)
+    }
+}
+
+/// Why a class list is refused whatever the entry holds.
+enum ListFault {
+    Unknown(String),
+    NoStructural,
+    UnrelatedStructurals,
+}
+
+impl ListFault {
+    fn error(&self, dn: &Dn) -> LdapError {
+        let message = match self {
+            ListFault::Unknown(name) => format!("unknown object class `{name}`"),
+            ListFault::NoStructural => format!("entry `{dn}` has no structural object class"),
+            ListFault::UnrelatedStructurals => {
+                format!("entry `{dn}` has multiple unrelated structural classes")
+            }
+        };
+        LdapError::new(ResultCode::ObjectClassViolation, message)
+    }
 }
 
 impl Schema {
@@ -251,13 +352,16 @@ impl Schema {
                 format!("attribute type `{}` already defined", at.name),
             ));
         }
-        self.attrs.insert(key, at);
+        self.plans = Plans::default();
+        self.attrs.insert(key, self.types.len());
+        self.types.push(at);
         Ok(())
     }
 
     /// Register an *operational* attribute: always allowed on any entry,
     /// never required. MetaComm uses this for `lastUpdater`.
     pub fn add_operational(&mut self, at: AttributeType) -> Result<()> {
+        self.plans = Plans::default();
         self.operational.insert(at.name.to_ascii_lowercase());
         self.add_attribute(at)
     }
@@ -316,6 +420,7 @@ impl Schema {
             names.dedup();
         }
         chain.insert(0, key.clone());
+        self.plans = Plans::default();
         let class = Class {
             def: oc,
             must,
@@ -327,7 +432,7 @@ impl Schema {
     }
 
     pub fn attribute(&self, name: &str) -> Option<&AttributeType> {
-        with_lower(name, |key| self.attrs.get(key))
+        with_lower(name, |key| self.attrs.get(key)).map(|&ty| &self.types[ty])
     }
 
     pub fn class(&self, name: &str) -> Option<&ObjectClass> {
@@ -342,10 +447,136 @@ impl Schema {
     /// structural-class presence, `must` attributes, `may` closure,
     /// syntaxes, single-valued constraints, and RDN attributes present in
     /// the entry (naming).
+    ///
+    /// An entry whose class list the class-list pool holds is checked
+    /// against that list's plan, worked out the first time the list is
+    /// seen, and its attribute names are resolved by name-pool id; an entry
+    /// whose list the pool refused is checked class by class. Both
+    /// return the same `Result`, code and message.
     pub fn validate_entry(&self, entry: &Entry) -> Result<()> {
         if self.classes.is_empty() {
             return Ok(()); // permissive schema
         }
+        let Some(list) = entry.class_list_id() else {
+            return self.walk(entry);
+        };
+        let plan =
+            (self.plans.lists.slot(list)).get_or_init(|| self.plan(crate::block::listed(list)));
+        let dn = entry.dn();
+        if let Err(fault) = &plan.verdict {
+            return Err(fault.error(dn));
+        }
+        // One walk: the entry's names are sorted as `must` is, so a `must`
+        // name is missing when the walk passes where it would be. A missing
+        // one outranks any attribute's own fault, so the first of those is
+        // kept until the walk is over.
+        let mut must = plan.must.iter().map(String::as_str).peekable();
+        let mut fault = None;
+        for attr in entry.attributes() {
+            let norm = attr.name.norm();
+            if let Some(m) = must.next_if(|m| *m <= norm) {
+                if m != norm {
+                    return Err(missing(dn, m));
+                }
+            }
+            if fault.is_none() {
+                fault = self.check_planned(plan, &attr, dn).err();
+            }
+        }
+        if let Some(m) = must.next() {
+            return Err(missing(dn, m));
+        }
+        fault.map_or_else(|| check_naming(entry), Err)
+    }
+
+    /// The type of `attr`, whether the plan allows it, and its values.
+    fn check_planned(&self, plan: &Plan, attr: &Attribute<'_>, dn: &Dn) -> Result<()> {
+        let ty = self.type_of(&attr.name)?;
+        if self.strict && !plan.allows(ty) {
+            return Err(not_allowed(attr, dn));
+        }
+        check_values(&self.types[ty], attr)
+    }
+
+    /// The index of the type `name` names: through the plans' table for a
+    /// pooled name, by its text for one the block spells out.
+    fn type_of(&self, name: &NameRef<'_>) -> Result<usize> {
+        let by_text = || self.attrs.get(name.norm()).copied();
+        let ty = match name.pool_id() {
+            None => by_text(),
+            Some(id) => {
+                let slot = self.plans.types.slot(id);
+                let known = match slot.load(Ordering::Relaxed) {
+                    0 => {
+                        let found = by_text().map_or(NO_TYPE, |ty| ty as u32 + 1);
+                        slot.store(found, Ordering::Relaxed);
+                        found
+                    }
+                    known => known,
+                };
+                (known != NO_TYPE).then(|| known as usize - 1)
+            }
+        };
+        ty.ok_or_else(|| {
+            LdapError::new(
+                ResultCode::UndefinedAttributeType,
+                format!("unknown attribute type `{}`", name),
+            )
+        })
+    }
+
+    /// The plan for entries holding the class list `names`.
+    fn plan(&self, names: AttrValues<'_>) -> Plan {
+        let verdict = self.judge(names);
+        let (mut must, mut allowed) = (Vec::new(), vec![0u64; self.types.len().div_ceil(64)]);
+        let mut allow = |name: &str| {
+            if let Some(&ty) = self.attrs.get(name) {
+                allowed[ty / 64] |= 1 << (ty % 64);
+            }
+        };
+        allow("objectclass");
+        self.operational.iter().for_each(|name| allow(name));
+        for class in names.iter().filter_map(|name| self.compiled(name)) {
+            class.allowed.iter().for_each(|name| allow(name));
+            must.extend(class.must.iter().filter(|m| *m != "objectclass").cloned());
+        }
+        must.sort();
+        must.dedup();
+        Plan {
+            verdict,
+            must,
+            allowed,
+        }
+    }
+
+    /// What a class list decides on its own: every class known, and at
+    /// least one structural class, all of them on one superclass chain.
+    fn judge(&self, names: AttrValues<'_>) -> std::result::Result<(), ListFault> {
+        let mut structurals = Vec::new();
+        for name in names {
+            let class = (self.compiled(name)).ok_or_else(|| ListFault::Unknown(name.into()))?;
+            if class.def.kind == ClassKind::Structural {
+                structurals.push(class);
+            }
+        }
+        if structurals.is_empty() {
+            return Err(ListFault::NoStructural);
+        }
+        // `person` + `organizationalPerson` is one chain, not two structurals.
+        let on_chain_of = |a: &Class, b: &Class| a.chain.contains(&b.chain[0]);
+        let apart =
+            |a: &&Class| (structurals.iter()).any(|b| !on_chain_of(a, b) && !on_chain_of(b, a));
+        match structurals.iter().any(apart) {
+            true => Err(ListFault::UnrelatedStructurals),
+            false => Ok(()),
+        }
+    }
+
+    /// [`Schema::validate_entry`] for an entry whose class list the pool
+    /// refused (more classes than it takes, a class name too long for it,
+    /// the pool full) or that has none: the classes are looked up by name
+    /// and every attribute checked against each of them.
+    fn walk(&self, entry: &Entry) -> Result<()> {
         let names = entry.object_classes();
         if names.is_empty() {
             return Err(LdapError::new(
@@ -353,58 +584,16 @@ impl Schema {
                 format!("entry `{}` has no objectClass", entry.dn()),
             ));
         }
-        // Resolved once; an entry with more classes than the array holds
-        // has the rest looked up again wherever they are asked for.
-        let mut resolved: [Option<&Class>; 8] = [None; 8];
-        for (i, name) in names.iter().enumerate() {
-            let Some(class) = self.compiled(name) else {
-                return Err(LdapError::new(
-                    ResultCode::ObjectClassViolation,
-                    format!("unknown object class `{name}`"),
-                ));
-            };
-            if let Some(slot) = resolved.get_mut(i) {
-                *slot = Some(class);
-            }
-        }
-        let classes = || {
-            (names.iter().enumerate())
-                .filter_map(|(i, n)| resolved.get(i).map_or_else(|| self.compiled(n), |c| *c))
-        };
-        let structurals = || classes().filter(|c| c.def.kind == ClassKind::Structural);
-        if structurals().next().is_none() {
-            return Err(LdapError::new(
-                ResultCode::ObjectClassViolation,
-                format!("entry `{}` has no structural object class", entry.dn()),
-            ));
-        }
-        // `person` + `organizationalPerson` is one chain, not two structurals.
-        let on_chain_of = |a: &Class, b: &Class| a.chain.contains(&b.chain[0]);
-        if structurals().any(|a| structurals().any(|b| !on_chain_of(a, b) && !on_chain_of(b, a))) {
-            return Err(LdapError::new(
-                ResultCode::ObjectClassViolation,
-                format!(
-                    "entry `{}` has multiple unrelated structural classes",
-                    entry.dn()
-                ),
-            ));
-        }
+        self.judge(names).map_err(|fault| fault.error(entry.dn()))?;
+        let classes = || names.iter().filter_map(|name| self.compiled(name));
         // The first missing name in sorted order over every class's `must`.
         let absent = |m: &&String| *m != "objectclass" && !entry.has_attr(m);
         if let Some(m) = classes().filter_map(|c| c.must.iter().find(absent)).min() {
-            return Err(LdapError::new(
-                ResultCode::ObjectClassViolation,
-                format!("entry `{}` missing mandatory attribute `{m}`", entry.dn()),
-            ));
+            return Err(missing(entry.dn(), m));
         }
         for attr in entry.attributes() {
             let norm = attr.name.norm();
-            let at = self.attrs.get(norm).ok_or_else(|| {
-                LdapError::new(
-                    ResultCode::UndefinedAttributeType,
-                    format!("unknown attribute type `{}`", attr.name),
-                )
-            })?;
+            let ty = self.type_of(&attr.name)?;
             let allowed = || {
                 norm == "objectclass"
                     || classes()
@@ -412,47 +601,70 @@ impl Schema {
                     || self.operational.contains(norm)
             };
             if self.strict && !allowed() {
+                return Err(not_allowed(&attr, entry.dn()));
+            }
+            check_values(&self.types[ty], &attr)?;
+        }
+        check_naming(entry)
+    }
+}
+
+fn missing(dn: &Dn, name: &str) -> LdapError {
+    LdapError::new(
+        ResultCode::ObjectClassViolation,
+        format!("entry `{dn}` missing mandatory attribute `{name}`"),
+    )
+}
+
+fn not_allowed(attr: &Attribute<'_>, dn: &Dn) -> LdapError {
+    LdapError::new(
+        ResultCode::ObjectClassViolation,
+        format!(
+            "attribute `{}` not allowed by object classes of `{dn}`",
+            attr.name
+        ),
+    )
+}
+
+/// The single-valued constraint and the syntax of every value.
+fn check_values(at: &AttributeType, attr: &Attribute<'_>) -> Result<()> {
+    if at.single_valued && attr.values.len() > 1 {
+        return Err(LdapError::new(
+            ResultCode::ConstraintViolation,
+            format!("attribute `{}` is single-valued", attr.name),
+        ));
+    }
+    if at.syntax == Syntax::DirectoryString {
+        return Ok(());
+    }
+    for v in &attr.values {
+        if !at.syntax.validate(v) {
+            return Err(LdapError::new(
+                ResultCode::InvalidAttributeSyntax,
+                format!("value `{v}` violates syntax of `{}`", attr.name),
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Naming: every RDN AVA must be an attribute value of the entry.
+fn check_naming(entry: &Entry) -> Result<()> {
+    if let Some(rdn) = entry.dn().rdn() {
+        for ava in rdn.avas() {
+            if !entry.has_value(ava.attr(), ava.value()) {
                 return Err(LdapError::new(
-                    ResultCode::ObjectClassViolation,
+                    ResultCode::NamingViolation,
                     format!(
-                        "attribute `{}` not allowed by object classes of `{}`",
-                        attr.name,
-                        entry.dn()
+                        "RDN `{}={}` not present among entry attributes",
+                        ava.attr(),
+                        ava.value()
                     ),
                 ));
             }
-            if at.single_valued && attr.values.len() > 1 {
-                return Err(LdapError::new(
-                    ResultCode::ConstraintViolation,
-                    format!("attribute `{}` is single-valued", attr.name),
-                ));
-            }
-            for v in &attr.values {
-                if !at.syntax.validate(v) {
-                    return Err(LdapError::new(
-                        ResultCode::InvalidAttributeSyntax,
-                        format!("value `{v}` violates syntax of `{}`", attr.name),
-                    ));
-                }
-            }
         }
-        // Naming: every RDN AVA must be an attribute value of the entry.
-        if let Some(rdn) = entry.dn().rdn() {
-            for ava in rdn.avas() {
-                if !entry.has_value(ava.attr(), ava.value()) {
-                    return Err(LdapError::new(
-                        ResultCode::NamingViolation,
-                        format!(
-                            "RDN `{}={}` not present among entry attributes",
-                            ava.attr(),
-                            ava.value()
-                        ),
-                    ));
-                }
-            }
-        }
-        Ok(())
     }
+    Ok(())
 }
 
 /// Shared schema handle used by the DIT.
@@ -599,6 +811,53 @@ mod tests {
         let mut anomaly = person_entry();
         anomaly.add_value("objectClass", "definityUser");
         s.validate_entry(&anomaly).unwrap();
+    }
+
+    #[test]
+    fn an_entry_of_a_pooled_list_is_planned_and_one_of_a_refused_list_walked() {
+        let mut s = Schema::x500_core();
+        for i in 0..20 {
+            s.add_class(ObjectClass {
+                name: format!("aux{i}"),
+                kind: ClassKind::Auxiliary,
+                superior: Some("top".into()),
+                must: vec![],
+                may: vec!["mail".into()],
+            })
+            .unwrap();
+        }
+        let (mut planned, mut walked) = (person_entry(), person_entry());
+        planned.add_value("objectClass", "aux0");
+        for i in 0..20 {
+            walked.add_value("objectClass", format!("aux{i}"));
+        }
+        assert!(planned.class_list_id().is_some());
+        assert_eq!(
+            walked.class_list_id(),
+            None,
+            "more classes than the pool takes"
+        );
+        for e in [&mut planned, &mut walked] {
+            s.validate_entry(e).unwrap();
+            e.add_value("mail", "jd@lucent.com");
+            s.validate_entry(e).unwrap();
+            e.remove_attr("sn");
+        }
+        let (a, b) = (s.validate_entry(&planned), s.validate_entry(&walked));
+        assert_eq!(a.unwrap_err().message, b.unwrap_err().message);
+        // A name the pool will not take is looked up by its text.
+        let long = "x".repeat(crate::attr::POOLED_LEN_MAX + 1);
+        s.add_attribute(AttributeType::string(&long)).unwrap();
+        planned.add_value("sn", "Doe");
+        planned.add_value(long.as_str(), "1");
+        let spelled = planned
+            .attributes()
+            .find(|a| a.name.as_str() == long)
+            .unwrap();
+        assert_eq!(spelled.name.pool_id(), None);
+        let err = s.validate_entry(&planned).unwrap_err();
+        assert_eq!(err.code, ResultCode::ObjectClassViolation);
+        assert!(err.message.contains("not allowed"), "{err}");
     }
 
     #[test]

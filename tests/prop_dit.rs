@@ -3,13 +3,23 @@
 //! some failing), the tree stays well-formed — every entry's parent exists,
 //! stored DNs agree with their index keys, and search scopes partition the
 //! tree. Plus a decoder-totality fuzz for the BER layer.
+//!
+//! And sibling order under random insertion: children added one at a time,
+//! in any order, are served in the order a bulk load sorts them into and in
+//! the order of their names' normalized keys ([`Dn::norm_key`]); a delete
+//! and a rename afterwards find each of them where it was placed. Those
+//! RDNs are drawn to make folding hard: non-ASCII letters whose lowercase is
+//! longer or shorter than they are, the `,` `+` `\` a key escapes,
+//! whitespace runs, case variants, and names of up to three AVAs.
 
 use ldap::dit::{Dit, Scope};
-use ldap::dn::{Dn, Rdn};
+use ldap::dn::{Ava, Dn, Rdn};
 use ldap::entry::{Entry, Modification};
 use ldap::filter::Filter;
 use ldap::proto::LdapMessage;
+use ldap::ResultCode;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -178,5 +188,143 @@ proptest! {
         let idx = flip_at % bytes.len();
         bytes[idx] ^= xor;
         let _ = LdapMessage::decode(&bytes); // must not panic
+    }
+}
+
+// --- sibling order ----------------------------------------------------------
+
+const ATTRS: &[&str] = &["cn", "CN", "ou", "uid", "sn"];
+
+const PIECES: &[&str] = &[
+    "a",
+    "A",
+    "b",
+    "Z",
+    "0",
+    "9",
+    "é",
+    "É",
+    "İ",
+    "ß",
+    "ẞ",
+    "Σ",
+    "ς",
+    ",",
+    "+",
+    "\\",
+    " ",
+    "  ",
+    "\t",
+    "-",
+    "a,b",
+    "x+y",
+    "Doe, John",
+    "q\\r",
+];
+
+/// An RDN as drawn: one to three AVAs, each a type and the pieces of its
+/// value.
+type RdnSpec = Vec<(usize, Vec<usize>)>;
+
+fn rdn_spec() -> impl Strategy<Value = RdnSpec> {
+    proptest::collection::vec(
+        (
+            0..ATTRS.len(),
+            proptest::collection::vec(0..PIECES.len(), 1..6),
+        ),
+        1..4,
+    )
+}
+
+/// The RDN `spec` names; `None` when two of its AVAs share a type.
+fn rdn(spec: &RdnSpec) -> Option<Rdn> {
+    let value = |pieces: &[usize]| pieces.iter().map(|&p| PIECES[p]).collect::<String>();
+    let avas = spec
+        .iter()
+        .map(|(a, pieces)| Ava::new(ATTRS[*a], value(pieces)));
+    Rdn::multi(avas.collect()).ok()
+}
+
+/// An entry named `dn` holding its RDN's values.
+fn named(dn: &Dn) -> Entry {
+    let rdn = dn.rdn().expect("not the root");
+    let avas = rdn.avas().iter().map(|a| (a.attr(), a.value()));
+    Entry::with_attrs(dn.clone(), avas.chain([("objectClass", "top")]))
+}
+
+/// The normalized keys of `parent`'s children, in the order served.
+fn served(dit: &Dit, parent: &Dn) -> Vec<String> {
+    use ldap::Directory;
+    let children = dit.search(parent, Scope::One, &Filter::match_all(), &[], 0);
+    (children.expect("one-level search").iter())
+        .map(|e| e.dn().norm_key())
+        .collect()
+}
+
+fn tree(under: &Option<Dn>) -> std::sync::Arc<Dit> {
+    let dit = Dit::new();
+    if let Some(parent) = under {
+        dit.add(named(parent)).expect("the parent");
+    }
+    dit
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn siblings_placed_one_at_a_time_sort_as_a_bulk_load_and_are_found_again(
+        under_parent in any::<bool>(),
+        specs in proptest::collection::vec(rdn_spec(), 1..40),
+        gone in proptest::collection::vec(any::<bool>(), 40),
+        renames in proptest::collection::vec(rdn_spec(), 0..10),
+    ) {
+        let under = under_parent.then(|| Dn::parse("o=Te\\,st").expect("parent"));
+        let parent = under.clone().unwrap_or_else(Dn::root);
+        let (dit, bulk) = (tree(&under), tree(&under));
+        bulk.begin_bulk();
+        // Normalized key to name: what the siblings are.
+        let mut model: BTreeMap<String, Dn> = BTreeMap::new();
+        for dn in specs.iter().filter_map(rdn).map(|r| parent.child(r)) {
+            let fresh = !model.contains_key(&dn.norm_key());
+            let added = dit.add(named(&dn)).map_err(|e| e.code);
+            prop_assert_eq!(added, if fresh { Ok(()) } else { Err(ResultCode::EntryAlreadyExists) });
+            if fresh {
+                bulk.add(named(&dn)).expect("bulk add");
+                model.insert(dn.norm_key(), dn);
+            }
+        }
+        bulk.finish_bulk();
+        let sorted: Vec<String> = model.keys().cloned().collect();
+        prop_assert_eq!(served(&dit, &parent), sorted.clone());
+        prop_assert_eq!(served(&bulk, &parent), sorted);
+
+        let doomed: Vec<Dn> = (model.values().zip(&gone))
+            .filter(|(_, &gone)| gone)
+            .map(|(dn, _)| dn.clone())
+            .collect();
+        for dn in doomed {
+            prop_assert_eq!(dit.delete(&dn), Ok(()));
+            prop_assert!(!dit.exists(&dn));
+            model.remove(&dn.norm_key());
+        }
+        prop_assert_eq!(served(&dit, &parent), model.keys().cloned().collect::<Vec<_>>());
+
+        let movers: Vec<Dn> = model.values().cloned().collect();
+        for (old, new_rdn) in movers.iter().zip(renames.iter().filter_map(rdn)) {
+            let new = parent.child(new_rdn.clone());
+            if model.contains_key(&new.norm_key()) {
+                continue;
+            }
+            prop_assert_eq!(dit.modify_rdn(old, &new_rdn, true, None), Ok(()));
+            prop_assert!(dit.exists(&new) && !dit.exists(old));
+            model.remove(&old.norm_key());
+            model.insert(new.norm_key(), new);
+        }
+        prop_assert_eq!(served(&dit, &parent), model.keys().cloned().collect::<Vec<_>>());
+        for dn in model.values() {
+            prop_assert_eq!(dit.delete(dn), Ok(()));
+        }
+        prop_assert!(served(&dit, &parent).is_empty());
     }
 }

@@ -12,7 +12,7 @@
 use ldap::attr::{norm_value, value_eq_ci};
 use ldap::dn::{Dn, Rdn};
 use ldap::entry::Entry;
-use ldap::schema::{ClassKind, ObjectClass, Schema};
+use ldap::schema::{AttributeType, ClassKind, ObjectClass, Schema};
 use ldap::{LdapError, ResultCode};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -395,6 +395,336 @@ proptest! {
                 reference(&schema, STRICT, OPERATIONAL, &e)
             );
         }
+    }
+}
+
+// --- the plan's fallbacks, a lax schema, shared and changed plans ------------
+
+/// Attribute types longer than the name pool takes (64 bytes): an entry's
+/// block spells such a name out, and the validator looks it up by its text.
+/// The first is defined by [`wide_schema`], the second by no schema.
+const LONG: &str = "aVeryLongAttributeTypeNameThatTheNamePoolWillNotTakeBecauseItIsOver64";
+const LONG_UNDEFINED: &str = "anotherVeryLongAttributeTypeNameThatNoSchemaDefinesAndNoPoolWillTake";
+
+/// Auxiliary classes of [`wide_schema`]: with the three of a person an
+/// entry can hold more classes than the class-list pool takes (16).
+const AUX: usize = 20;
+
+fn aux(i: usize) -> String {
+    format!("aux{i:02}")
+}
+
+/// The X.500 core (strict) or the same definitions in a schema that is
+/// not strict, plus [`LONG`] and [`AUX`] auxiliary classes, every other one
+/// allowing [`LONG`] and the rest `mail`.
+fn wide_schema(strict: bool) -> Schema {
+    let mut s = if strict {
+        Schema::x500_core()
+    } else {
+        let mut lax = Schema::default();
+        let core = Schema::x500_core();
+        for name in [
+            "objectClass",
+            "cn",
+            "sn",
+            "o",
+            "ou",
+            "mail",
+            "l",
+            "roomNumber",
+        ] {
+            let at = core.attribute(name).expect("core attribute").clone();
+            lax.add_attribute(at).unwrap();
+        }
+        for name in [
+            "telephoneNumber",
+            "employeeNumber",
+            "seeAlso",
+            "description",
+        ] {
+            let at = core.attribute(name).expect("core attribute").clone();
+            lax.add_attribute(at).unwrap();
+        }
+        for name in ["top", "person", "organizationalPerson", "organization"] {
+            let mut oc = core.class(name).expect("core class").clone();
+            oc.may.retain(|a| lax.attribute(a).is_some());
+            lax.add_class(oc).unwrap();
+        }
+        lax
+    };
+    s.add_attribute(AttributeType::string(LONG).single())
+        .unwrap();
+    for i in 0..AUX {
+        s.add_class(ObjectClass {
+            name: aux(i),
+            kind: ClassKind::Auxiliary,
+            superior: Some("top".into()),
+            must: vec![],
+            may: vec![if i % 2 == 0 { LONG } else { "mail" }.into()],
+        })
+        .unwrap();
+    }
+    s
+}
+
+#[derive(Debug, Clone)]
+enum Wide {
+    /// Damage of the kinds every schema above gets.
+    Plain(Damage),
+    /// The auxiliary classes from the first on, `n` of them: past 13 the
+    /// list has more classes than the pool takes.
+    Auxiliaries(usize),
+    /// A value under [`LONG`], [`LONG_UNDEFINED`] or another spelling of
+    /// [`LONG`], which is a name of its own.
+    Long(usize, usize),
+}
+
+fn wide_damage() -> impl Strategy<Value = Wide> {
+    prop_oneof![
+        damage().prop_map(Wide::Plain),
+        (0..=AUX).prop_map(Wide::Auxiliaries),
+        (0..3usize, 0..VALUES.len()).prop_map(|(n, v)| Wide::Long(n, v)),
+    ]
+}
+
+fn wide_damaged(damages: &[Wide]) -> Entry {
+    let plain: Vec<Damage> = (damages.iter())
+        .filter_map(|d| match d {
+            Wide::Plain(d) => Some(d.clone()),
+            _ => None,
+        })
+        .collect();
+    let mut e = damaged(0, &plain);
+    for d in damages {
+        match d {
+            Wide::Plain(_) => {}
+            Wide::Auxiliaries(n) => {
+                for i in 0..*n {
+                    e.add_value("objectClass", aux(i));
+                }
+            }
+            Wide::Long(n, v) => {
+                let upper = LONG.to_ascii_uppercase();
+                let name = [LONG, LONG_UNDEFINED, upper.as_str()][*n];
+                e.add_value(name, VALUES[*v]);
+            }
+        }
+    }
+    e
+}
+
+/// One strict and one lax wide schema for the whole run: each plan is
+/// built by the first entry of its class list and reused by every entry of
+/// that list after it, whatever attributes those hold.
+static SHARED: std::sync::LazyLock<[Schema; 2]> =
+    std::sync::LazyLock::new(|| [wide_schema(true), wide_schema(false)]);
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn spelled_out_names_refused_class_lists_and_a_lax_schema_agree_with_the_reference(
+        strict in any::<bool>(),
+        entries in proptest::collection::vec(proptest::collection::vec(wide_damage(), 0..5), 1..6),
+    ) {
+        let fresh = wide_schema(strict);
+        let shared = &SHARED[usize::from(!strict)];
+        for damages in &entries {
+            let e = wide_damaged(damages);
+            let want = reference(&fresh, strict, &[], &e);
+            prop_assert_eq!(verdict(&fresh, &e), want.clone(), "{:?}", damages);
+            prop_assert_eq!(verdict(shared, &e), want, "{:?}", damages);
+        }
+    }
+}
+
+#[test]
+fn every_fallback_is_reached_and_agreed_on() {
+    use Wide::*;
+    let value = |text: &str| VALUES.iter().position(|v| *v == text).unwrap();
+    let table: Vec<(bool, Vec<Wide>, Option<ResultCode>, &str)> = vec![
+        // Past 16 classes the list is walked, and it still conforms.
+        (true, vec![Auxiliaries(AUX)], None, ""),
+        (
+            true,
+            vec![Auxiliaries(AUX), Long(0, value("9123"))],
+            None,
+            "",
+        ),
+        // A spelled-out name of a class on a pooled list, and off it.
+        (true, vec![Auxiliaries(1), Long(0, value("9123"))], None, ""),
+        (
+            true,
+            vec![Long(0, value("9123"))],
+            Some(ResultCode::ObjectClassViolation),
+            "not allowed",
+        ),
+        (
+            true,
+            vec![Auxiliaries(AUX), Long(1, value("9123"))],
+            Some(ResultCode::UndefinedAttributeType),
+            "unknown attribute type `anotherVeryLong",
+        ),
+        (
+            true,
+            vec![
+                Auxiliaries(3),
+                Long(0, value("9123")),
+                Long(2, value("Doe")),
+            ],
+            Some(ResultCode::ConstraintViolation),
+            "is single-valued",
+        ),
+        (
+            true,
+            vec![Auxiliaries(AUX), Plain(Damage::DropAttr(2))],
+            Some(ResultCode::ObjectClassViolation),
+            "missing mandatory attribute `sn`",
+        ),
+        // Not strict: any defined attribute goes, an undefined one does not.
+        (false, vec![Long(0, value("9123"))], None, ""),
+        (
+            false,
+            vec![Plain(Damage::AddValue(7, value("Lucent")))],
+            None,
+            "",
+        ),
+        (
+            false,
+            vec![Long(1, value("9123"))],
+            Some(ResultCode::UndefinedAttributeType),
+            "unknown attribute type",
+        ),
+    ];
+    assert!(
+        LONG.len() > 64 && LONG_UNDEFINED.len() > 64,
+        "names the pool refuses"
+    );
+    for (strict, damages, code, text) in table {
+        let schema = wide_schema(strict);
+        let e = wide_damaged(&damages);
+        let got = verdict(&schema, &e);
+        assert_eq!(got, reference(&schema, strict, &[], &e), "{e:?}");
+        assert_eq!(got.as_ref().err().map(|e| e.code), code, "{damages:?}");
+        if let Err(e) = got {
+            assert!(e.message.contains(text), "{}: no `{text}`", e.message);
+        }
+    }
+}
+
+/// A definition a running schema may take on after its plans were built.
+#[derive(Debug, Clone)]
+enum Change {
+    /// The attribute type `pager`.
+    Pager,
+    /// `pagerUser`, an auxiliary class allowing `pager` (once it exists).
+    PagerUser,
+    /// `frobnicator`, as an operational attribute.
+    Frobnicator,
+    /// `noSuchClass`, a structural class under `top` with `o` mandatory.
+    NoSuchClass,
+}
+
+fn change(schema: &mut Schema, c: &Change) {
+    let _ = match c {
+        Change::Pager => schema.add_attribute(AttributeType::string("pager")),
+        Change::PagerUser => schema.add_class(ObjectClass {
+            name: "pagerUser".into(),
+            kind: ClassKind::Auxiliary,
+            superior: Some("top".into()),
+            must: vec![],
+            may: vec!["pager".into()],
+        }),
+        Change::Frobnicator => schema.add_operational(AttributeType::string("frobnicator")),
+        Change::NoSuchClass => schema.add_class(ObjectClass {
+            name: "noSuchClass".into(),
+            kind: ClassKind::Structural,
+            superior: Some("top".into()),
+            must: vec!["o".into()],
+            may: vec![],
+        }),
+    };
+}
+
+#[derive(Debug, Clone)]
+enum Step {
+    Validate(Vec<Damage>, bool),
+    Change(Change),
+}
+
+fn step() -> impl Strategy<Value = Step> {
+    let changes = prop_oneof![
+        Just(Change::Pager),
+        Just(Change::PagerUser),
+        Just(Change::Frobnicator),
+        Just(Change::NoSuchClass),
+    ];
+    prop_oneof![
+        (proptest::collection::vec(damage(), 0..4), any::<bool>())
+            .prop_map(|(d, pager)| Step::Validate(d, pager)),
+        changes.prop_map(Step::Change),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Plans built before a definition changes are dropped with the change:
+    /// every verdict after it is the reference walk's over the changed
+    /// schema.
+    #[test]
+    fn a_changed_schema_answers_from_its_new_definitions(
+        steps in proptest::collection::vec(step(), 1..12),
+    ) {
+        let mut schema = Schema::x500_core();
+        let mut operational: Vec<&str> = Vec::new();
+        for s in &steps {
+            match s {
+                Step::Validate(damages, pager) => {
+                    let mut e = damaged(0, damages);
+                    if *pager {
+                        e.add_value("objectClass", "pagerUser");
+                        e.add_value("pager", "555-0100");
+                    }
+                    let want = reference(&schema, STRICT, &operational, &e);
+                    prop_assert_eq!(verdict(&schema, &e), want, "{:?}", steps);
+                }
+                Step::Change(c) => {
+                    change(&mut schema, c);
+                    if matches!(c, Change::Frobnicator) {
+                        operational = vec!["frobnicator"];
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn plans_built_before_a_change_are_dropped_with_it() {
+    let mut schema = Schema::x500_core();
+    let mut pager = damaged(0, &[]);
+    pager.add_value("objectClass", "pagerUser");
+    pager.add_value("pager", "555-0100");
+    let mut frob = damaged(0, &[]);
+    frob.add_value("frobnicator", "x");
+    let codes = |schema: &Schema| [&pager, &frob].map(|e| verdict(schema, e).err().map(|e| e.code));
+    assert_eq!(
+        codes(&schema),
+        [
+            Some(ResultCode::ObjectClassViolation),
+            Some(ResultCode::UndefinedAttributeType)
+        ]
+    );
+    for c in [Change::Pager, Change::PagerUser, Change::Frobnicator] {
+        change(&mut schema, &c);
+    }
+    assert_eq!(codes(&schema), [None, None]);
+    for e in [&pager, &frob] {
+        assert_eq!(
+            verdict(&schema, e),
+            reference(&schema, STRICT, &["frobnicator"], e)
+        );
     }
 }
 
